@@ -561,8 +561,10 @@ func TestClusterStatsLive(t *testing.T) {
 	}
 }
 
-// TestClusterDeterministicReports runs the same two-tenant schedule twice
-// on fresh clusters and requires bit-identical per-tenant reports.
+// TestClusterDeterministicReports runs the same four-tenant schedule twice
+// on fresh clusters, entering the tenants through StreamAll (one kernel
+// instant, slice order), and requires bit-identical per-tenant reports —
+// delivery times included.
 func TestClusterDeterministicReports(t *testing.T) {
 	run := func() []Report {
 		cl, err := NewCluster(WithEnv(EnvConfig{Cores: 8, GPUs: 2}))
@@ -570,30 +572,27 @@ func TestClusterDeterministicReports(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Close()
-		var wg sync.WaitGroup
-		out := make([]Report, 4)
-		for i := 0; i < 4; i++ {
-			i := i
-			sess := openTenant(t, cl, fmt.Sprintf("det-%d", i), 256,
+		sessions := make([]*Session, 4)
+		for i := range sessions {
+			sessions[i] = openTenant(t, cl, fmt.Sprintf("det-%d", i), 256,
 				WithSeed(uint64(i+1)), WithIterations(10))
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for _, err := range sess.Batches(context.Background()) {
-					if err != nil {
-						t.Error(err)
-						return
-					}
-				}
-				rep, err := sess.Close()
+		}
+		StreamAll(context.Background(), sessions, func(i int, sess *Session) {
+			for _, err := range sess.Batches(context.Background()) {
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				out[i] = *rep
-			}()
+			}
+		})
+		out := make([]Report, len(sessions))
+		for i, sess := range sessions {
+			rep, err := sess.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = *rep
 		}
-		wg.Wait()
 		return out
 	}
 	first, second := run(), run()
@@ -601,7 +600,7 @@ func TestClusterDeterministicReports(t *testing.T) {
 		a, b := first[i], second[i]
 		if a.Workload != b.Workload || a.Loader != b.Loader ||
 			a.Batches != b.Batches || a.Samples != b.Samples ||
-			a.TrainedBytes != b.TrainedBytes ||
+			a.TrainedBytes != b.TrainedBytes || a.TrainTime != b.TrainTime ||
 			a.CacheStats.Hits != b.CacheStats.Hits ||
 			a.CacheStats.Misses != b.CacheStats.Misses {
 			t.Fatalf("tenant %d diverged:\n%+v\nvs\n%+v", i, a, b)

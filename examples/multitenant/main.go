@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sync"
 	"time"
 
 	"github.com/minatoloader/minato"
@@ -110,38 +109,38 @@ func runSchedule() ([tenants]tenantReport, error) {
 		return out, fmt.Errorf("expected ErrClusterSaturated, got %v", err)
 	}
 
-	var wg sync.WaitGroup
-	errs := make(chan error, tenants)
+	// StreamAll enters every tenant into the cluster's kernel at the same
+	// virtual instant, in slice order, so the schedule is a pure function
+	// of the program. (One goroutine per tenant, each ranging over its own
+	// Batches, works too — but they enter in whatever order the OS starts
+	// them, and the reports then vary from run to run.)
+	errs := make([]error, tenants)
 	for t, sess := range sessions {
-		t, sess := t, sess
 		out[t].quota = sess.Stats().WorkerQuota
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, err := range sess.Batches(context.Background()) {
-				if err != nil {
-					errs <- fmt.Errorf("tenant %d: %w", t, err)
-					return
-				}
-			}
-			rep, err := sess.Close()
+	}
+	minato.StreamAll(context.Background(), sessions[:], func(t int, sess *minato.Session) {
+		for _, err := range sess.Batches(context.Background()) {
 			if err != nil {
-				errs <- fmt.Errorf("tenant %d close: %w", t, err)
+				errs[t] = fmt.Errorf("tenant %d: %w", t, err)
 				return
 			}
-			out[t] = tenantReport{
-				workload: rep.Workload, loader: rep.Loader,
-				batches: rep.Batches, samples: rep.Samples, bytes: rep.TrainedBytes,
-				trainTime: rep.TrainTime,
-				hits:      rep.CacheStats.Hits, misses: rep.CacheStats.Misses,
-				quota: out[t].quota,
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return out, err
+		}
+	})
+	for t, sess := range sessions {
+		rep, err := sess.Close()
+		if errs[t] == nil && err != nil {
+			errs[t] = fmt.Errorf("tenant %d close: %w", t, err)
+		}
+		if errs[t] != nil {
+			return out, errs[t]
+		}
+		out[t] = tenantReport{
+			workload: rep.Workload, loader: rep.Loader,
+			batches: rep.Batches, samples: rep.Samples, bytes: rep.TrainedBytes,
+			trainTime: rep.TrainTime,
+			hits:      rep.CacheStats.Hits, misses: rep.CacheStats.Misses,
+			quota: out[t].quota,
+		}
 	}
 	return out, nil
 }

@@ -289,7 +289,7 @@ func (l *Loader) maxWorkersNow() int {
 
 // Start implements loader.Loader.
 func (l *Loader) Start(ctx context.Context) error {
-	ctx, l.cancel = context.WithCancel(ctx)
+	ctx, l.cancel = simtime.WithCancel(l.env.RT, ctx)
 	l.idx.Start(ctx)
 
 	initial := l.cfg.InitialWorkersPerGPU * len(l.env.GPUs)
@@ -330,8 +330,12 @@ func (l *Loader) spawnWorker(ctx context.Context) {
 	l.env.WG.Go("minato-worker", func() {
 		defer func() {
 			l.sched.workerExited()
-			// A worker exit can flip drained(); re-check parked constructors.
-			l.gate.Pulse()
+			// A worker exit can flip drained(); parked constructors re-check
+			// when it did. (An unconditional pulse would reshuffle their
+			// wait order on every exit of the tail — see assemble.)
+			if l.drained() {
+				l.gate.Pulse()
+			}
 		}()
 		sel := simtime.NewSelector(l.env.RT)
 		sources := []simtime.Source{l.tempQ, l.idx.Ready()}
@@ -650,9 +654,13 @@ func (l *Loader) assemble(ctx context.Context, g int, sel *simtime.Selector, sou
 			continue
 		}
 		l.consumed.Add(1)
-		if l.srcDone.Load() && l.consumed.Load() == l.enqueued.Load() {
-			// Possibly the final sample of the stream: peers parked on an
-			// empty queue must re-check drained().
+		if l.drained() {
+			// The final sample of the stream: peers parked on an empty
+			// queue must re-check drained(). Only then — a sample-starved
+			// tail empties the queue on every take, and a pulse there costs
+			// each peer its place in the queue's wait order for nothing
+			// (the taker re-arms first), handing the taker every later
+			// sample.
 			l.gate.Pulse()
 		}
 		b.Samples = append(b.Samples, s)

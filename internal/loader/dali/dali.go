@@ -24,6 +24,7 @@ import (
 	"github.com/minatoloader/minato/internal/gpu"
 	"github.com/minatoloader/minato/internal/loader"
 	"github.com/minatoloader/minato/internal/queue"
+	"github.com/minatoloader/minato/internal/simtime"
 	"github.com/minatoloader/minato/internal/transform"
 )
 
@@ -104,7 +105,7 @@ func (l *Loader) Name() string { return "dali" }
 
 // Start implements loader.Loader.
 func (l *Loader) Start(ctx context.Context) error {
-	ctx, l.cancel = context.WithCancel(ctx)
+	ctx, l.cancel = simtime.WithCancel(l.env.RT, ctx)
 	l.idx.Start(ctx)
 
 	// Persistent IO pool: IOParallelism workers bound concurrent loads.

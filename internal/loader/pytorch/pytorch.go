@@ -21,6 +21,7 @@ import (
 	"github.com/minatoloader/minato/internal/data"
 	"github.com/minatoloader/minato/internal/loader"
 	"github.com/minatoloader/minato/internal/queue"
+	"github.com/minatoloader/minato/internal/simtime"
 	"github.com/minatoloader/minato/internal/transform"
 )
 
@@ -108,7 +109,7 @@ func (l *Loader) Name() string {
 
 // Start implements loader.Loader.
 func (l *Loader) Start(ctx context.Context) error {
-	ctx, l.cancel = context.WithCancel(ctx)
+	ctx, l.cancel = simtime.WithCancel(l.env.RT, ctx)
 	l.idx.Start(ctx)
 
 	// Fill the dispatch window.

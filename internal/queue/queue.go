@@ -9,10 +9,11 @@
 // The implementation is allocation-free in steady state: items live in a
 // power-of-two ring buffer sized at construction, parked producers and
 // consumers are recorded in ring-backed waiter lists (no append-and-shift
-// slice churn), and blocking waits draw reusable Selectors from a pool
-// instead of allocating a one-shot Waiter per park. Popped ring slots are
-// zeroed so the queue never keeps a vacated element reachable. Len and
-// Closed read atomics, so emptiness checks never touch the hot lock.
+// slice churn; a waiter that gives up leaves in O(1)), and blocking waits
+// draw reusable Selectors from a pool instead of allocating a one-shot
+// Waiter per park. Popped ring slots are zeroed so the queue never keeps a
+// vacated element reachable. Len and Closed read atomics, so emptiness
+// checks never touch the hot lock.
 package queue
 
 import (
@@ -232,7 +233,7 @@ func (q *Queue[T]) parkLocked(ctx context.Context, list *waitList) error {
 	// cycle boundary is serialized against wakers and the pooled selector
 	// can never receive a stale wake from a previous owner.
 	sel.Reset()
-	list.push(waiterEntry{sel: sel, idx: 0})
+	pos := list.push(waiterEntry{sel: sel, idx: 0})
 	q.mu.Unlock()
 	_, err := sel.Wait(ctx, 0)
 	q.mu.Lock()
@@ -240,7 +241,7 @@ func (q *Queue[T]) parkLocked(ctx context.Context, list *waitList) error {
 		// Cancelled: drop our entry if a waker has not already popped it. In
 		// either case no reference can be in flight — wakes are delivered
 		// under mu, which we hold — so the selector is safe to recycle.
-		list.remove(sel)
+		list.remove(pos, sel)
 	}
 	q.selPool.Put(sel)
 	return err
@@ -284,44 +285,46 @@ type waiterEntry struct {
 	idx int
 }
 
-// waitList is a ring-backed FIFO of waiter entries. Pushes reuse the ring
-// in place (growing only by doubling when full), and popped or removed
-// slots are zeroed so no Selector stays reachable after its wait ends.
+// waitList is a ring-backed FIFO of waiter entries, addressed by absolute
+// position: push hands out consecutive positions, the live window is
+// [head, tail), and position p lives in slot p mod len(ring) — growing the
+// ring moves no entry to another position. That lets a waiter that gives up
+// drop its entry in O(1): remove turns the slot it registered in into a
+// tombstone (a zero entry) and pop skips tombstones, so FIFO wake order is
+// untouched. Tombstones are reclaimed as the window's ends pass them; popped
+// and removed slots are zeroed, so no Selector stays reachable after its
+// wait ends.
 type waitList struct {
-	ring []waiterEntry
-	head int
-	n    int
+	ring       []waiterEntry // len is zero or a power of two
+	head, tail uint64
 }
 
-func (l *waitList) push(e waiterEntry) {
-	if l.n == len(l.ring) {
-		l.grow()
-	}
-	l.ring[(l.head+l.n)&(len(l.ring)-1)] = e
-	l.n++
-}
+func (l *waitList) slot(pos uint64) *waiterEntry { return &l.ring[pos&uint64(len(l.ring)-1)] }
 
-func (l *waitList) grow() {
-	size := len(l.ring) * 2
-	if size == 0 {
-		size = 8
+// push appends e and returns its position.
+func (l *waitList) push(e waiterEntry) uint64 {
+	if int(l.tail-l.head) == len(l.ring) {
+		old := *l
+		l.ring = make([]waiterEntry, max(8, 2*len(old.ring)))
+		for p := old.head; p != old.tail; p++ {
+			*l.slot(p) = *old.slot(p)
+		}
 	}
-	next := make([]waiterEntry, size)
-	for i := 0; i < l.n; i++ {
-		next[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
-	}
-	l.ring, l.head = next, 0
+	*l.slot(l.tail) = e
+	l.tail++
+	return l.tail - 1
 }
 
 func (l *waitList) pop() (waiterEntry, bool) {
-	if l.n == 0 {
-		return waiterEntry{}, false
+	for l.head != l.tail {
+		e := *l.slot(l.head)
+		*l.slot(l.head) = waiterEntry{}
+		l.head++
+		if e.sel != nil {
+			return e, true
+		}
 	}
-	e := l.ring[l.head]
-	l.ring[l.head] = waiterEntry{}
-	l.head = (l.head + 1) & (len(l.ring) - 1)
-	l.n--
-	return e, true
+	return waiterEntry{}, false
 }
 
 // wakeOne pops entries until one accepts the wakeup. A refused wake (a
@@ -350,21 +353,21 @@ func (l *waitList) wakeAll() {
 	}
 }
 
-// remove deletes the entry for sel, compacting the ring. It is a no-op when
-// sel is not present (already popped by a waker).
-func (l *waitList) remove(sel *simtime.Selector) {
-	mask := len(l.ring) - 1
-	for i := 0; i < l.n; i++ {
-		if l.ring[(l.head+i)&mask].sel != sel {
-			continue
-		}
-		for j := i; j < l.n-1; j++ {
-			l.ring[(l.head+j)&mask] = l.ring[(l.head+j+1)&mask]
-		}
-		l.ring[(l.head+l.n-1)&mask] = waiterEntry{}
-		l.n--
-		return
+// remove tombstones the entry at pos if it is still sel's, and reports
+// whether it was; otherwise a waker has popped it already (or pos is another
+// list's) and there is nothing to do.
+func (l *waitList) remove(pos uint64, sel *simtime.Selector) bool {
+	if pos-l.head >= l.tail-l.head || l.slot(pos).sel != sel {
+		return false
 	}
+	*l.slot(pos) = waiterEntry{}
+	for l.head != l.tail && l.slot(l.head).sel == nil {
+		l.head++
+	}
+	for l.head != l.tail && l.slot(l.tail-1).sel == nil {
+		l.tail--
+	}
+	return true
 }
 
 // Arm implements simtime.Source: it registers sel for a wakeup when the
@@ -377,15 +380,22 @@ func (q *Queue[T]) Arm(sel *simtime.Selector, idx int) bool {
 		sel.TryWake(idx)
 		return true
 	}
-	q.getWaiters.push(waiterEntry{sel: sel, idx: idx})
+	// Noted on the selector, so Disarm finds the entry without a search.
+	sel.Note(q.getWaiters.push(waiterEntry{sel: sel, idx: idx}))
 	q.mu.Unlock()
 	return false
 }
 
-// Disarm implements simtime.Source.
+// Disarm implements simtime.Source. The selector's notes for this cycle
+// include the position Arm registered it at; a note from another source at
+// most fails the check.
 func (q *Queue[T]) Disarm(sel *simtime.Selector) {
 	q.mu.Lock()
-	q.getWaiters.remove(sel)
+	for _, pos := range sel.Notes() {
+		if q.getWaiters.remove(pos, sel) {
+			break
+		}
+	}
 	q.mu.Unlock()
 }
 

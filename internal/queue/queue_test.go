@@ -309,8 +309,8 @@ func TestWaitListDropsWokenSelectors(t *testing.T) {
 		}
 		q.mu.Lock()
 		defer q.mu.Unlock()
-		if q.getWaiters.n != 0 {
-			t.Fatalf("%d waiters still registered", q.getWaiters.n)
+		if n := q.getWaiters.tail - q.getWaiters.head; n != 0 {
+			t.Fatalf("%d waiters still registered", n)
 		}
 		for i, e := range q.getWaiters.ring {
 			if e.sel != nil {

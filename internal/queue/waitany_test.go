@@ -124,3 +124,70 @@ func TestWakePassedOnWhenSelectorClaimed(t *testing.T) {
 		q.Disarm(sel)
 	})
 }
+
+// TestDisarmManyWaitersKeepsFIFO arms 256 selectors on one empty queue,
+// disarms every other one (front, middle and back of the wait list, each a
+// tombstone rather than a compaction), re-arms some at the tail, and checks
+// that puts then wake the survivors one by one in arm order, that a disarmed
+// selector is never woken, and that the list ends empty with no selector left
+// reachable.
+func TestDisarmManyWaitersKeepsFIFO(t *testing.T) {
+	const n = 256
+	k := simtime.NewVirtual()
+	k.Run(func() {
+		q := New[int](k, "q", n)
+		sels := make([]*simtime.Selector, n)
+		for i := range sels {
+			sels[i] = simtime.NewSelector(k)
+			sels[i].Reset()
+			if q.Arm(sels[i], i) {
+				t.Fatalf("empty queue reported ready at %d", i)
+			}
+		}
+		var want []int
+		for i, s := range sels {
+			switch {
+			case i%2 == 1:
+				want = append(want, i) // stays armed, in place
+			case i%8 == 0:
+				q.Disarm(s)
+				q.Disarm(s) // a second Disarm is a no-op
+				s.Reset()
+				q.Arm(s, i) // back of the line
+			default:
+				q.Disarm(s)
+			}
+		}
+		for i := 0; i < n; i += 8 {
+			want = append(want, i)
+		}
+		// Each put wakes exactly one armed selector, the oldest: after the
+		// rank-th put, want[rank] has been claimed and delivers its index.
+		for rank, i := range want {
+			if ok, err := q.TryPut(0); !ok || err != nil {
+				t.Fatalf("TryPut = %v, %v", ok, err)
+			}
+			if sels[i].TryWake(-2) {
+				t.Fatalf("put %d did not wake selector %d, the oldest one armed", rank, i)
+			}
+			if idx, err := sels[i].Wait(context.Background(), 0); err != nil || idx != i {
+				t.Fatalf("selector %d: Wait = %d, %v", i, idx, err)
+			}
+		}
+		for i, s := range sels {
+			if i%2 == 0 && i%8 != 0 && !s.TryWake(-2) {
+				t.Fatalf("disarmed selector %d was woken by a put", i)
+			}
+		}
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		if q.getWaiters.head != q.getWaiters.tail {
+			t.Fatalf("%d entries left in the wait list", q.getWaiters.tail-q.getWaiters.head)
+		}
+		for i, e := range q.getWaiters.ring {
+			if e.sel != nil {
+				t.Fatalf("wait-list slot %d still holds a selector", i)
+			}
+		}
+	})
+}

@@ -96,6 +96,13 @@ func (r *testRig) startServer(t *testing.T, scfg ServerConfig, op Opener) *Serve
 	return srv
 }
 
+// closeServer shuts srv down on a kernel task: Close parks until the
+// server's tasks have finished, which only a task may do.
+func (r *testRig) closeServer(srv *Server) (err error) {
+	r.v.Run(func() { err = srv.Close() })
+	return err
+}
+
 func (r *testRig) poolBalanced(t *testing.T) {
 	t.Helper()
 	ps := r.pool.Stats()
@@ -156,7 +163,7 @@ func TestServeDeliveryInOrder(t *testing.T) {
 			t.Errorf("MaxOutstanding = %d exceeds window 4", st.MaxOutstanding)
 		}
 	})
-	if err := srv.Close(); err != nil {
+	if err := r.closeServer(srv); err != nil {
 		t.Fatalf("server Close: %v", err)
 	}
 	r.poolBalanced(t)
@@ -210,7 +217,7 @@ func TestAdmissionRejections(t *testing.T) {
 		consume(ctx, t, alice, 0)
 		consume(ctx, t, bob, 0)
 	})
-	if err := srv.Close(); err != nil {
+	if err := r.closeServer(srv); err != nil {
 		t.Fatalf("server Close: %v", err)
 	}
 	ss := srv.Stats()
@@ -263,7 +270,7 @@ func TestOverloadRetryBackoff(t *testing.T) {
 			t.Errorf("post-release delivered %d, want 2", got)
 		}
 	})
-	if err := srv.Close(); err != nil {
+	if err := r.closeServer(srv); err != nil {
 		t.Fatalf("server Close: %v", err)
 	}
 	r.poolBalanced(t)
@@ -321,7 +328,7 @@ func TestWindowViolationKill(t *testing.T) {
 			}
 		}
 	})
-	if err := srv.Close(); err != nil {
+	if err := r.closeServer(srv); err != nil {
 		t.Fatalf("server Close: %v", err)
 	}
 	r.poolBalanced(t)
@@ -347,7 +354,7 @@ func TestReqUnknownStream(t *testing.T) {
 			t.Errorf("reply = %+v, %v; want END CodeUnknownStream", fr, err)
 		}
 	})
-	if err := srv.Close(); err != nil {
+	if err := r.closeServer(srv); err != nil {
 		t.Fatalf("server Close: %v", err)
 	}
 }
@@ -385,10 +392,10 @@ func runHedgeScenario(t *testing.T, hedge time.Duration) hedgeResult {
 		st := c.Stats()
 		res.hedges, res.dups, res.waitP99 = st.Hedges, st.Duplicates, st.WaitP99
 	})
-	if err := primary.Close(); err != nil {
+	if err := r.closeServer(primary); err != nil {
 		t.Fatalf("primary Close: %v", err)
 	}
-	if err := replica.Close(); err != nil {
+	if err := r.closeServer(replica); err != nil {
 		t.Fatalf("replica Close: %v", err)
 	}
 	r.poolBalanced(t)
@@ -448,7 +455,7 @@ func TestBackpressureBoundedWindow(t *testing.T) {
 			t.Errorf("MaxOutstanding = %d exceeds granted window 3", st.MaxOutstanding)
 		}
 	})
-	if err := srv.Close(); err != nil {
+	if err := r.closeServer(srv); err != nil {
 		t.Fatalf("server Close: %v", err)
 	}
 	if ss := srv.Stats(); ss.MaxPending > 3 {
@@ -484,7 +491,7 @@ func TestConcurrentClientsHammer(t *testing.T) {
 			t.Errorf("wait: %v", err)
 		}
 	})
-	if err := srv.Close(); err != nil {
+	if err := r.closeServer(srv); err != nil {
 		t.Fatalf("server Close: %v", err)
 	}
 	for i, n := range delivered {

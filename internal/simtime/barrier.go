@@ -2,6 +2,7 @@ package simtime
 
 import (
 	"context"
+	"errors"
 	"sync"
 )
 
@@ -93,22 +94,13 @@ func (b *Barrier) Wait(ctx context.Context) (uint64, error) {
 // participant exits early (end of its shard).
 func (b *Barrier) Break() {
 	b.mu.Lock()
-	if b.broken {
-		b.mu.Unlock()
-		return
-	}
+	defer b.mu.Unlock()
 	b.broken = true
-	ws := b.waiters
-	b.waiters = nil
-	b.mu.Unlock()
-	for _, w := range ws {
+	for _, w := range b.waiters {
 		w.Wake()
 	}
+	b.waiters = nil
 }
 
 // ErrBarrierBroken is returned by Wait after Break.
-var ErrBarrierBroken = barrierBrokenError{}
-
-type barrierBrokenError struct{}
-
-func (barrierBrokenError) Error() string { return "simtime: barrier broken" }
+var ErrBarrierBroken = errors.New("simtime: barrier broken")

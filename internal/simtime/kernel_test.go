@@ -1,0 +1,347 @@
+package simtime
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+)
+
+// sameInstantProgram runs a program whose wakes pile up on shared instants
+// through every primitive — Sleep deadlines, selector heartbeats and
+// TryWakes, Gate pulses, WaitGroup and Barrier releases — and returns the
+// order in which its tasks observed them. The log needs no lock: one task
+// runs at a time.
+func sameInstantProgram() []string {
+	const n = 64
+	ctx := context.Background()
+	k := NewVirtual()
+	var log []string
+	note := func(format string, args ...any) {
+		log = append(log, fmt.Sprintf("%v ", k.Now())+fmt.Sprintf(format, args...))
+	}
+	k.Run(func() {
+		all := NewWaitGroup(k)
+		gate := NewGate()
+		src := &fakeSource{}
+		barrier := NewBarrierFunc(k, n, func(gen uint64) { note("barrier round %d", gen) })
+		inner := NewWaitGroup(k)
+		for i := 0; i < n; i++ {
+			all.Go("sleeper", func() {
+				for r := 0; r < 3; r++ {
+					_ = k.Sleep(ctx, time.Millisecond) // n tasks, one deadline
+					note("sleeper %d round %d", i, r)
+				}
+			})
+			all.Go("selector", func() {
+				sel := NewSelector(k)
+				// Even ones ride the 2ms heartbeat, odd ones the source
+				// fired at 2ms: both land on the same instant.
+				hb := time.Duration(0)
+				if i%2 == 0 {
+					hb = 2 * time.Millisecond
+				}
+				idx, _ := sel.Select(ctx, hb, gate, src)
+				note("selector %d woke on %d", i, idx)
+			})
+			inner.Go("member", func() {
+				_ = k.Sleep(ctx, time.Duration(1+i%3)*time.Millisecond)
+				gen, err := barrier.Wait(ctx)
+				note("member %d past barrier %d %v", i, gen, err)
+			})
+			all.Go("joiner", func() {
+				_ = inner.Wait(ctx)
+				note("joiner %d", i)
+			})
+		}
+		all.Go("waker", func() {
+			_ = k.Sleep(ctx, 2*time.Millisecond)
+			note("waker")
+			src.fire() // claims the first selector armed on it
+			gate.Pulse()
+		})
+		_ = all.Wait(ctx)
+	})
+	k.Drain()
+	return log
+}
+
+// TestSameInstantOrderIsAFunctionOfTheProgram is the kernel's determinism
+// claim: hundreds of wakes that share virtual instants come out in the same
+// order on every run, whatever the number of CPUs.
+func TestSameInstantOrderIsAFunctionOfTheProgram(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	want := sameInstantProgram()
+	if len(want) < 300 {
+		t.Fatalf("program logged only %d events", len(want))
+	}
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for run := 0; run < 50; run++ {
+			if got := sameInstantProgram(); !slices.Equal(got, want) {
+				for i := range want {
+					if i >= len(got) || got[i] != want[i] {
+						t.Fatalf("GOMAXPROCS=%d run %d: event %d is %q, want %q", procs, run, i, got[min(i, len(got)-1)], want[i])
+					}
+				}
+				t.Fatalf("GOMAXPROCS=%d run %d: %d events, want %d", procs, run, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestCancellationIsAKernelEvent: cancelling through WithCancel readies
+// every task parked under the context at the canceller's instant, each sees
+// ctx.Err(), a wake that got in first is delivered, not lost, and the
+// abandoned one-hour deadlines never move the clock.
+func TestCancellationIsAKernelEvent(t *testing.T) {
+	k := NewVirtual()
+	k.Run(func() {
+		ctx, cancel := WithCancel(k, context.Background())
+		wg := NewWaitGroup(k)
+		results := map[string]error{}
+		for i := 0; i < 8; i++ {
+			wg.Go("sleeper", func() { results[fmt.Sprint("sleep", i)] = k.Sleep(ctx, time.Hour) })
+			wg.Go("selector", func() {
+				_, err := NewSelector(k).Select(ctx, time.Hour, &fakeSource{})
+				results[fmt.Sprint("select", i)] = err
+			})
+			wg.Go("waiter", func() { results[fmt.Sprint("wait", i)] = k.NewWaiter().Wait(ctx) })
+		}
+		raced := NewSelector(k)
+		wg.Go("raced", func() {
+			raced.Reset()
+			idx, err := raced.Wait(ctx, time.Hour)
+			if idx != 7 || err != nil {
+				t.Errorf("raced Wait = %d, %v; want the wake (7, nil), not the cancellation", idx, err)
+			}
+		})
+		_ = k.Sleep(context.Background(), time.Second)
+		if !raced.TryWake(7) {
+			t.Error("TryWake before cancel refused")
+		}
+		cancel()
+		if raced.TryWake(8) {
+			t.Error("second TryWake claimed a woken selector")
+		}
+		_ = wg.Wait(context.Background())
+		if len(results) != 24 {
+			t.Errorf("%d tasks reported, want 24", len(results))
+		}
+		for name, err := range results {
+			if err != context.Canceled {
+				t.Errorf("%s returned %v, want context.Canceled", name, err)
+			}
+		}
+		if now := k.Now(); now != time.Second {
+			t.Errorf("clock at %v after cancellation, want 1s: an abandoned deadline moved it", now)
+		}
+		if err := k.Sleep(ctx, time.Hour); err != context.Canceled || k.Now() != time.Second {
+			t.Errorf("Sleep under a cancelled context = %v at %v", err, k.Now())
+		}
+	})
+}
+
+// TestForeignCancellationLandsAsynchronously: a plain context.WithCancel is
+// invisible to the kernel until its AfterFunc hook runs; with every task
+// parked and no timer pending the kernel must wait for it, not report a
+// deadlock. The canceller here is an untracked goroutine.
+func TestForeignCancellationLandsAsynchronously(t *testing.T) {
+	k := NewVirtual()
+	ctx, cancel := context.WithCancel(context.Background())
+	parked := make(chan struct{}, 1)
+	go func() {
+		<-parked
+		time.Sleep(5 * time.Millisecond) // let the kernel go quiet first
+		cancel()
+	}()
+	k.Run(func() {
+		parked <- struct{}{}
+		if err := k.NewWaiter().Wait(ctx); err != context.Canceled {
+			t.Errorf("Wait = %v, want context.Canceled", err)
+		}
+	})
+}
+
+// TestUntrackedGoroutinesDriveAnIdleKernel: with every task a parked daemon
+// the loop is gone; a TryWake or a Go from an untracked goroutine restarts
+// it.
+func TestUntrackedGoroutinesDriveAnIdleKernel(t *testing.T) {
+	k := NewVirtual()
+	sel := NewSelector(k)
+	got := make(chan int, 4) // buffered: tasks never block on it
+	k.GoDaemon("server", func() {
+		for {
+			sel.Reset()
+			got <- -1 // about to park
+			idx, _ := sel.Wait(context.Background(), 0)
+			got <- idx
+			if idx == 0 {
+				return
+			}
+		}
+	})
+	for _, idx := range []int{5, 6} {
+		<-got
+		if !sel.TryWake(idx) {
+			t.Fatalf("TryWake(%d) from the test goroutine refused", idx)
+		}
+		if v := <-got; v != idx {
+			t.Fatalf("daemon woke with %d, want %d", v, idx)
+		}
+	}
+	<-got
+	ran := make(chan time.Duration, 1)
+	k.Go("late", func() {
+		_ = k.Sleep(context.Background(), time.Minute)
+		ran <- k.Now()
+	})
+	if at := <-ran; at != time.Minute {
+		t.Fatalf("task spawned from outside finished at %v, want 1m", at)
+	}
+	for k.Tasks() != 1 { // the daemon alone, once "late" has been retired
+		runtime.Gosched()
+	}
+	sel.TryWake(0)
+	k.Drain()
+}
+
+// TestSteadyStateAllocations pins the kernel's hot paths below the goroutine
+// kernel's counts (0, 0, 0 and 6): a Sleep and a selector cycle allocate
+// nothing, and a spawn-and-join costs the caller's two closures and the
+// join's Waiter and waiter list — the coroutine that carries the task comes
+// from the free list.
+func TestSteadyStateAllocations(t *testing.T) {
+	ctx := context.Background()
+	k := NewVirtual()
+	k.Run(func() {
+		sel := NewSelector(k)
+		peer := NewSelector(k)
+		k.Go("peer", func() { // wakes sel whenever it is woken itself
+			for {
+				if idx, _ := peer.Wait(ctx, 0); idx == 0 {
+					return
+				}
+				peer.Reset() // before the wake that lets the next TryWake come
+				sel.TryWake(1)
+			}
+		})
+		wg := NewWaitGroup(k)
+		for name, tc := range map[string]struct {
+			max float64
+			fn  func()
+		}{
+			"Sleep":         {0, func() { _ = k.Sleep(ctx, time.Millisecond) }},
+			"selector wake": {0, func() { sel.Reset(); peer.TryWake(1); _, _ = sel.Wait(ctx, 0) }},
+			"selector deadline": {0, func() {
+				sel.Reset()
+				_, _ = sel.Wait(ctx, time.Millisecond)
+			}},
+			"spawn and join": {4, func() {
+				wg.Go("child", func() { _ = k.Sleep(ctx, time.Millisecond) })
+				_ = wg.Wait(ctx)
+			}},
+		} {
+			if got := testing.AllocsPerRun(200, tc.fn); got > tc.max {
+				t.Errorf("%s: %v allocs per run, want at most %v", name, got, tc.max)
+			}
+		}
+		peer.TryWake(0)
+	})
+	k.Drain()
+}
+
+// TestParkOutsideATaskPanics: the goroutine kernel let an untracked
+// goroutine park and silently corrupted its runnable count.
+func TestParkOutsideATaskPanics(t *testing.T) {
+	k := NewVirtual()
+	for name, park := range map[string]func(){
+		"Sleep":    func() { _ = k.Sleep(context.Background(), time.Second) },
+		"Selector": func() { _, _ = NewSelector(k).Wait(context.Background(), 0) },
+		"Waiter":   func() { _ = k.NewWaiter().Wait(context.Background()) },
+	} {
+		func() {
+			defer func() {
+				if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "outside a kernel task") {
+					t.Errorf("%s from the test goroutine: recovered %v, want the park panic", name, p)
+				}
+			}()
+			park()
+		}()
+	}
+	// A woken Waiter does not park, so it may be waited on from anywhere.
+	w := k.NewWaiter()
+	w.Wake()
+	if err := w.Wait(context.Background()); err != nil {
+		t.Errorf("Wait on a woken Waiter = %v", err)
+	}
+}
+
+// TestDeadlockReportNamesParkedTasks checks the text of the deadlock panic
+// (raised after stallGrace on a timer goroutine, so not triggered here): it
+// lists each live task with what it is parked on.
+func TestDeadlockReportNamesParkedTasks(t *testing.T) {
+	k := NewVirtual()
+	sel, w := NewSelector(k), k.NewWaiter()
+	parked := make(chan struct{}, 2)
+	k.Go("stuck-consumer", func() {
+		sel.Reset()
+		parked <- struct{}{}
+		_, _ = sel.Wait(context.Background(), 0)
+	})
+	k.GoDaemon("stuck-server", func() {
+		parked <- struct{}{}
+		_ = w.Wait(context.Background())
+	})
+	<-parked
+	<-parked
+	var report string
+	for report == "" { // until the loop has parked both and gone
+		k.mu.Lock()
+		if !k.looping {
+			report = k.deadlockLocked()
+		}
+		k.mu.Unlock()
+		runtime.Gosched()
+	}
+	for _, want := range []string{
+		"2 tasks alive, none runnable, no pending timers",
+		`task "stuck-consumer" (daemon=false) parked on selector`,
+		`task "stuck-server" (daemon=true) parked on waiter`,
+	} {
+		if !strings.Contains(report, want) {
+			t.Errorf("deadlock report lacks %q:\n%s", want, report)
+		}
+	}
+	sel.TryWake(0)
+	w.Wake()
+	k.Drain()
+}
+
+// TestGoexitEndsOnlyItsTask: runtime.Goexit in a task (what t.FailNow does
+// off the test goroutine) runs the task's deferred calls and retires it; the
+// kernel carries on with the others, as it did when tasks were goroutines.
+func TestGoexitEndsOnlyItsTask(t *testing.T) {
+	k := NewVirtual()
+	var order []string
+	k.Run(func() {
+		wg := NewWaitGroup(k)
+		wg.Go("quitter", func() {
+			defer func() { order = append(order, "quitter's defer") }()
+			_ = k.Sleep(context.Background(), time.Second)
+			runtime.Goexit()
+		})
+		wg.Go("survivor", func() {
+			_ = k.Sleep(context.Background(), 2*time.Second)
+			order = append(order, "survivor")
+		})
+		_ = wg.Wait(context.Background()) // quitter's wg.Done is deferred too
+	})
+	k.Drain()
+	if want := []string{"quitter's defer", "survivor"}; !slices.Equal(order, want) || k.Now() != 2*time.Second {
+		t.Fatalf("order = %v at %v, want %v at 2s", order, k.Now(), want)
+	}
+}

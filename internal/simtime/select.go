@@ -9,11 +9,9 @@ import (
 )
 
 // This file implements the event-driven wait fabric: a Selector parks a task
-// until one of several wake sources fires, replacing sleep-poll loops in the
-// data path. Under Virtual the first source to fire in virtual time claims
-// the selector, which makes wake ordering deterministic; readiness at arm
-// time is checked in source order, so callers encode priorities (fast queue
-// before slow queue) by argument position.
+// until one of several wake sources fires. The first to fire claims the
+// selector; readiness at arm time is checked in source order, so callers
+// encode priorities (fast queue before slow queue) by argument position.
 
 // Heartbeat is returned by Selector.Wait/Select when the wait ended because
 // the deadline (the fallback heartbeat) expired rather than a source firing.
@@ -33,26 +31,25 @@ type Source interface {
 }
 
 // Selector is a reusable multi-source wait primitive: the runtime-aware
-// analogue of a select statement over wake sources. One goroutine owns a
+// analogue of a select statement over wake sources. One task owns a
 // Selector; each cycle it Resets, arms the selector on its sources, and
 // parks in Wait. The first TryWake claims the cycle — later TryWake calls
 // return false so the caller passes the wakeup to another waiter instead of
-// losing it.
-//
-// Under Virtual, a positive deadline parks the task on a kernel timer, so
-// timeouts are deterministic virtual-time events. Under Real (and any other
-// nondeterministic runtime) the deadline is a wall-clock timer scaled like
-// Real.Sleep.
+// losing it. A positive deadline is a kernel timer under Virtual, and a
+// wall-clock timer scaled like Real.Sleep on any other runtime.
 type Selector struct {
 	k     *Virtual // nil on nondeterministic runtimes
 	scale float64  // wall-clock compression for deadline waits when k == nil
+	ch    chan int // result hand-off when k == nil
 
-	ch chan int
-	// state transitions are guarded by k.mu under Virtual (so wake credit
-	// accounting is atomic with the claim) and by CAS alone under Real.
-	state  atomic.Int32
-	parked bool   // guarded by k.mu
-	t      *timer // armed deadline; guarded by k.mu
+	// state transitions are guarded by k.mu under Virtual (so the claim and
+	// the owner's move to the ready queue are one step) and by CAS alone
+	// under Real.
+	state atomic.Int32
+	idx   int      // the claimed cycle's result; guarded by k.mu
+	owner *task    // the task parked in Wait; guarded by k.mu
+	notes []uint64 // see Note; the owner's alone
+	nbuf  [4]uint64
 }
 
 const (
@@ -64,21 +61,18 @@ const (
 
 // NewSelector returns a selector bound to rt.
 func NewSelector(rt Runtime) *Selector {
-	s := &Selector{ch: make(chan int, 1), scale: 1}
 	switch r := rt.(type) {
 	case *Virtual:
-		s.k = r
+		return &Selector{k: r}
 	case *Real:
-		s.scale = r.scale
+		return &Selector{ch: make(chan int, 1), scale: r.scale}
 	}
-	return s
+	return &Selector{ch: make(chan int, 1), scale: 1}
 }
 
-// Deterministic reports whether rt is the deterministic virtual kernel. The
-// loader hot paths use it to decide whether the fallback heartbeat is worth
-// arming: under Virtual a lost wakeup surfaces as a loud kernel deadlock, so
-// the heartbeat would only add events; under a wall-clock runtime it is the
-// recovery mechanism for a silent hang.
+// Deterministic reports whether rt is the deterministic virtual kernel, where
+// a lost wakeup surfaces as a loud deadlock and a fallback heartbeat would
+// only add events; on a wall-clock runtime it is the recovery from a hang.
 func Deterministic(rt Runtime) bool {
 	_, ok := rt.(*Virtual)
 	return ok
@@ -86,53 +80,49 @@ func Deterministic(rt Runtime) bool {
 
 // Reset begins a new wait cycle, discarding a wake delivered since the last
 // Wait returned (a waker may claim the selector while its owner is between
-// cycles — e.g. a device rate change right as the entry is inserted; the
-// owner re-checks its condition before waiting, so the wake's information is
-// not lost). Callers that publish the selector to wakers through their own
-// lock (as Device does) must Reset under that lock so wakes are serialized
-// against the cycle boundary.
+// cycles; the owner re-checks its condition before waiting, so the wake's
+// information is not lost). Callers that publish the selector to wakers
+// through their own lock (as Device does) must Reset under that lock so
+// wakes are serialized against the cycle boundary.
 //
-// The drain must happen BEFORE the state store. Gate.Pulse delivers TryWake
-// outside its lock from a snapshot taken after the subscription was
-// deregistered, so a delayed waker is not serialized with this reset.
-// Draining first means such a waker is either refused (stale pre-reset
-// state) or claims the fresh cycle with its send intact; with the opposite
-// order it could claim the fresh cycle and have its send eaten, leaving
-// state woken with an empty channel — the next Wait would block forever.
-// (Queues, by contrast, deliver every waiter-entry TryWake — including
-// Close's — while holding the queue lock; their pooled park selectors
-// depend on that in-lock delivery, see queue.parkLocked.)
+// On a wall-clock runtime the drain must come BEFORE the state store:
+// Gate.Pulse delivers TryWake outside its lock, so a delayed waker either
+// is refused (stale state) or claims the fresh cycle with its send intact;
+// the other way round its send could be eaten and the next Wait never wake.
 func (s *Selector) Reset() {
-	select {
-	case <-s.ch:
-	default:
+	if s.k == nil {
+		select {
+		case <-s.ch:
+		default:
+		}
 	}
+	s.notes = s.nbuf[:0]
 	s.state.Store(selIdle)
 }
+
+// Note records, for the current cycle, a position a Source registered s at,
+// and Notes returns them: a Source with a positional wait list checks the
+// noted positions in Disarm instead of searching the list for s.
+func (s *Selector) Note(pos uint64) { s.notes = append(s.notes, pos) }
+func (s *Selector) Notes() []uint64 { return s.notes }
 
 // TryWake claims the selector's current cycle and delivers idx as the wait
 // result. It reports whether the wakeup was delivered: false means another
 // source (or a timeout/cancellation) already claimed the cycle, so the
-// caller should wake someone else instead.
+// caller should wake someone else instead. Under Virtual a parked owner
+// joins the ready queue; it runs after the caller parks.
 func (s *Selector) TryWake(idx int) bool {
-	if s.k != nil {
-		k := s.k
+	if k := s.k; k != nil {
 		k.mu.Lock()
+		defer k.mu.Unlock()
 		if st := s.state.Load(); st != selIdle && st != selArmed {
-			k.mu.Unlock()
 			return false
 		}
 		s.state.Store(selWoken)
-		if s.parked {
-			s.parked = false
-			if s.t != nil {
-				s.t.dead = true
-				s.t = nil
-			}
-			k.runnable++
+		s.idx = idx
+		if s.owner != nil {
+			k.readyLocked(s.owner)
 		}
-		k.mu.Unlock()
-		s.ch <- idx
 		return true
 	}
 	for {
@@ -147,40 +137,37 @@ func (s *Selector) TryWake(idx int) bool {
 	}
 }
 
-// fireSelectorLocked delivers a deadline expiry to t.sel. Called with k.mu
-// held from the advance loop; a dead timer never reaches here, so the cycle
-// is necessarily still armed.
-func (k *Virtual) fireSelectorLocked(t *timer) {
-	s := t.sel
-	if st := s.state.Load(); st != selIdle && st != selArmed {
-		// Unreachable by construction (claims mark the timer dead under
-		// k.mu), but kept as a safe fallback: the claimer owns the cleanup.
-		return
-	}
-	s.state.Store(selWoken)
-	s.parked = false
-	s.t = nil
-	t.fired = true
-	k.runnable++
-	s.ch <- Heartbeat
-	// The owner never saw this timer; the kernel recycles it.
-	putTimer(t)
-}
-
 // Wait parks the calling task until TryWake, the deadline (if positive), or
 // ctx cancellation. It returns the index passed to TryWake, or Heartbeat
 // when the deadline expired. The caller must have Reset the selector for
 // this cycle; sources armed for the cycle must be disarmed by the caller
 // afterwards (Select does both).
 func (s *Selector) Wait(ctx context.Context, deadline time.Duration) (int, error) {
-	if s.k != nil {
-		return s.waitVirtual(ctx, deadline)
+	return s.wait(ctx, deadline, "selector")
+}
+
+// wait is Wait; on names the primitive in errors and the deadlock report
+// ("selector", or "waiter" for the one-shot cycle of a Waiter).
+func (s *Selector) wait(ctx context.Context, deadline time.Duration, on string) (int, error) {
+	if k := s.k; k != nil {
+		k.mu.Lock()
+		// Whatever readies a parked task first — a wake, the deadline,
+		// cancellation — settles state and idx before the task resumes.
+		if st := s.state.Load(); st == selIdle && k.parkLocked(ctx, on, deadline, s) {
+			return 0, ctx.Err()
+		} else if st == selWoken {
+			k.mu.Unlock()
+		} else if st != selIdle {
+			k.mu.Unlock()
+			return 0, fmt.Errorf("simtime: %s waited on again without a Reset", on)
+		}
+		return s.idx, nil
 	}
 	if !s.state.CompareAndSwap(selIdle, selArmed) {
 		if s.state.Load() == selWoken {
 			return <-s.ch, nil
 		}
-		return 0, fmt.Errorf("simtime: Selector.Wait without Reset")
+		return 0, fmt.Errorf("simtime: %s waited on again without a Reset", on)
 	}
 	var timerC <-chan time.Time
 	if deadline > 0 {
@@ -201,54 +188,6 @@ func (s *Selector) Wait(ctx context.Context, deadline time.Duration) (int, error
 			return 0, ctx.Err()
 		}
 		return <-s.ch, nil
-	}
-}
-
-func (s *Selector) waitVirtual(ctx context.Context, deadline time.Duration) (int, error) {
-	k := s.k
-	k.mu.Lock()
-	switch s.state.Load() {
-	case selWoken:
-		k.mu.Unlock()
-		return <-s.ch, nil
-	case selIdle:
-		s.state.Store(selArmed)
-		s.parked = true
-		if deadline > 0 {
-			t := getTimer()
-			t.sel = s
-			k.scheduleLocked(t, k.now.Load()+deadline)
-			s.t = t
-		}
-		k.runnable--
-		k.maybeAdvanceLocked()
-		k.mu.Unlock()
-	default:
-		k.mu.Unlock()
-		return 0, fmt.Errorf("simtime: Selector.Wait without Reset")
-	}
-	select {
-	case idx := <-s.ch:
-		return idx, nil
-	case <-ctx.Done():
-		k.mu.Lock()
-		if s.state.Load() == selWoken {
-			// A wake (or the deadline) raced cancellation and won; deliver
-			// it so the wakeup is not lost.
-			k.mu.Unlock()
-			return <-s.ch, nil
-		}
-		s.state.Store(selExpired)
-		if s.parked {
-			s.parked = false
-			if s.t != nil {
-				s.t.dead = true
-				s.t = nil
-			}
-			k.runnable++
-		}
-		k.mu.Unlock()
-		return 0, ctx.Err()
 	}
 }
 
@@ -297,10 +236,8 @@ func NewGate() *Gate {
 }
 
 // gateSeenLimit bounds the per-selector pulse memory: beyond it, Pulse
-// drops the whole map rather than letting transient selectors (e.g.
-// throwaway WaitAny selectors armed on a gate) accumulate forever. A
-// dropped entry costs its selector at most one spurious wake at its next
-// Arm — consumers re-check their condition, so that is safe.
+// drops the whole map rather than let transient selectors accumulate. A
+// dropped entry costs its selector at most one spurious wake at its next Arm.
 const gateSeenLimit = 1024
 
 // Pulse wakes every armed selector and advances the gate version.

@@ -2,7 +2,6 @@ package simtime
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -260,12 +259,10 @@ func TestGateClosesCheckThenArmRace(t *testing.T) {
 	})
 }
 
-// TestGatePulseRacesSelectorReuse hammers the unserialized window between a
-// Pulse's out-of-lock TryWake and the owner's next Reset: a delayed wake
-// must either be refused or claim the fresh cycle with its send intact.
-// (With Reset storing idle before draining, a delayed wake could claim the
-// new cycle and have its send swallowed, hanging the owner forever — this
-// test then times out.)
+// TestGatePulseRacesSelectorReuse drives 2000 cycles of one selector against
+// a pulser: every pulse must either claim the owner's current cycle or be
+// picked up as a missed pulse at its next Arm — a lost one hangs the owner
+// and the kernel reports a deadlock.
 func TestGatePulseRacesSelectorReuse(t *testing.T) {
 	k := NewVirtual()
 	k.Run(func() {
@@ -285,7 +282,8 @@ func TestGatePulseRacesSelectorReuse(t *testing.T) {
 		wg.Go("pulser", func() {
 			for !done.Load() {
 				g.Pulse()
-				runtime.Gosched() // keep the owner scheduled on small GOMAXPROCS
+				// Park so the owner runs: one task at a time.
+				_ = k.Sleep(context.Background(), time.Nanosecond)
 			}
 		})
 		_ = wg.Wait(context.Background())

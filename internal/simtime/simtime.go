@@ -2,33 +2,46 @@
 // this repository blocks through: sleeping, queue waits, and device
 // occupancy all go through a Runtime.
 //
-// Two implementations exist. Virtual is a deterministic discrete-event
-// kernel: virtual time advances only when every tracked task is parked, so a
-// simulated multi-thousand-second training run executes in milliseconds of
-// wall time with exact timing (no OS timer-resolution skew). Real wraps the
-// wall clock with a scale factor and is what a downstream user embeds in an
-// actual application.
+// Two implementations exist. Real wraps the wall clock with a scale factor
+// and is what a downstream user embeds in an actual application. Virtual is
+// a deterministic discrete-event kernel; the rest of this comment is its
+// contract.
 //
-// The contract for tasks running under Virtual: any blocking must happen via
-// Sleep, Waiter.Wait, Selector.Wait/Select, or WaitGroup.Wait. Blocking on
-// ordinary Go primitives (unbuffered channels, sync.WaitGroup, ...) from a
-// tracked task stalls the kernel, because the kernel believes the task is
-// runnable and refuses to advance time.
+// One task at a time. Tasks spawned with Go, GoDaemon or Run are coroutines
+// resumed by one kernel loop: exactly one runs, until it parks in Sleep,
+// Waiter.Wait, Selector.Wait/Select, WaitGroup.Wait or Barrier.Wait, or
+// returns. A wake — TryWake, Waiter.Wake, Gate.Pulse, a timer firing —
+// runs nothing: it appends the woken task to a ready queue ordered by (wake
+// time, wake sequence). A park hands control to the head of that queue, or
+// advances the clock to the earliest timer when it is empty. Order within a
+// virtual instant is therefore a pure function of the program on any core
+// count, and no lock of any layer is ever contended between tasks. The
+// price: a task that blocks on an ordinary Go primitive (a channel, a
+// sync.WaitGroup, a mutex held by a parked task) waiting for another task
+// stalls the whole kernel, not just itself — and that includes caller code
+// the kernel runs on a task, such as the body of a Session.Batches or
+// StreamAll loop waiting for another tenant's body.
 //
-// Context cancellation under Virtual is best-effort: a cancelled Sleep or
-// Wait returns promptly in wall time, but the kernel may have advanced
-// virtual time to the abandoned deadline if no other task was runnable.
-// Simulation code therefore coordinates shutdown deterministically through
-// kernel-visible events — queue Close, stop flags checked at operation
-// boundaries, and finite compute sleeps that always drain on their own.
+// Untracked goroutines (a test, main, one goroutine per tenant) may call
+// Go, GoDaemon, Run, Drain, Tasks, Now, TryWake, Wake, Pulse and WithCancel's
+// cancel functions: those enqueue under the kernel lock and start the loop
+// if it is idle, in whatever order the goroutines arrive. They must not
+// park: a parking call made while no task is running panics.
+//
+// Cancellation is a kernel event. One context.AfterFunc per distinct
+// context per kernel readies the tasks parked under it; their Sleep or Wait
+// returns ctx.Err() — unless a wake got there first, which still wins — and
+// the abandoned deadline is removed, so it never moves the clock. A
+// WithCancel cancel function does this synchronously, at the caller's place
+// in the instant's order. Any other cancellation (context.WithCancel, a
+// wall-clock timeout, an untracked goroutine) lands asynchronously: the
+// kernel waits for it rather than declare a deadlock, but virtual time may
+// pass first if timers are pending. Code that must shut down at an exact
+// instant uses WithCancel, queue Close, or stop flags.
 package simtime
 
 import (
-	"container/heap"
 	"context"
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -49,190 +62,16 @@ type Runtime interface {
 	NewWaiter() *Waiter
 }
 
-// Waiter is a one-shot parking primitive. A task calls Wait to park; another
-// task calls Wake to unpark it. A Waiter may be woken before Wait is called,
-// in which case Wait returns immediately. Waiters are not reusable.
-type Waiter struct {
-	k  *Virtual // nil for the real runtime
-	ch chan struct{}
-
-	mu     sync.Mutex
-	state  waitState
-	parked bool
-}
-
-type waitState int
-
-const (
-	waitIdle waitState = iota
-	waitWaiting
-	waitWoken
-	waitCancelled
-)
-
-// Wake unparks the waiter. It reports whether the wakeup was delivered:
-// false means the waiter had already been cancelled (its Wait returned with
-// a context error), so the caller should wake someone else instead.
-func (w *Waiter) Wake() bool {
-	w.mu.Lock()
-	switch w.state {
-	case waitIdle:
-		w.state = waitWoken
-		close(w.ch)
-		w.mu.Unlock()
-		return true
-	case waitWaiting:
-		w.state = waitWoken
-		close(w.ch)
-		parked := w.parked
-		w.mu.Unlock()
-		if parked && w.k != nil {
-			w.k.unparked()
-		}
-		return true
-	case waitWoken:
-		w.mu.Unlock()
-		return true
-	default: // cancelled
-		w.mu.Unlock()
-		return false
+// WithCancel is context.WithCancel for contexts that tasks of rt park
+// under. Under Virtual the returned cancel function is a kernel event: tasks
+// parked under the context, or one derived from it, are readied before it
+// returns.
+func WithCancel(rt Runtime, parent context.Context) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(parent)
+	if k, ok := rt.(*Virtual); ok {
+		return ctx, func() { cancel(); k.pollCancelled() }
 	}
-}
-
-// Wait parks the calling task until Wake or ctx cancellation.
-func (w *Waiter) Wait(ctx context.Context) error {
-	w.mu.Lock()
-	switch w.state {
-	case waitWoken:
-		w.mu.Unlock()
-		return nil
-	case waitIdle:
-		w.state = waitWaiting
-		w.parked = true
-	default:
-		w.mu.Unlock()
-		return fmt.Errorf("simtime: Wait called twice on the same Waiter")
-	}
-	w.mu.Unlock()
-
-	if w.k != nil {
-		w.k.parkedNow()
-	}
-
-	select {
-	case <-w.ch:
-		return nil
-	case <-ctx.Done():
-		w.mu.Lock()
-		if w.state == waitWoken {
-			// Wake raced with cancellation and won; treat as woken so the
-			// wakeup is not lost.
-			w.mu.Unlock()
-			return nil
-		}
-		w.state = waitCancelled
-		w.mu.Unlock()
-		if w.k != nil {
-			w.k.unparked()
-		}
-		return ctx.Err()
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Virtual runtime
-// ---------------------------------------------------------------------------
-
-// Virtual is a deterministic discrete-event runtime. Time advances to the
-// earliest pending timer whenever all tracked tasks are parked.
-type Virtual struct {
-	mu sync.Mutex
-	// now is written only under mu but read lock-free by Now: the kernel
-	// advances time only while every tracked task is parked, so a running
-	// task can never observe a concurrent advance — the atomic read returns
-	// exactly what a mutex-guarded read would, without the global lock
-	// traffic (Now is called on every queue, device, and profiler
-	// operation).
-	now      atomicDuration
-	runnable int
-	tasks    int
-	// daemons counts live daemon tasks (see GoDaemon): tasks that may park
-	// indefinitely waiting for external requests. A kernel whose parked
-	// tasks are all daemons is idle, not deadlocked.
-	daemons int
-	timers  timerHeap
-	// byDeadline maps a pending deadline to its heap node, so timers sharing
-	// a deadline chain off a single node: scheduling them is O(1) and firing
-	// them needs one heap pop for the whole batch.
-	byDeadline map[time.Duration]*timer
-	idle       chan struct{} // closed when tasks hits zero; replaced on Go
-}
-
-// NewVirtual returns a virtual runtime starting at time zero.
-func NewVirtual() *Virtual {
-	return &Virtual{
-		idle:       closedChan(),
-		byDeadline: make(map[time.Duration]*timer),
-	}
-}
-
-func closedChan() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}
-
-// Now returns the current virtual time, lock-free.
-func (k *Virtual) Now() time.Duration {
-	return k.now.Load()
-}
-
-// Go spawns fn as a tracked task.
-func (k *Virtual) Go(name string, fn func()) {
-	k.spawn(name, fn, false)
-}
-
-// GoDaemon spawns fn as a tracked daemon task. Daemons schedule exactly
-// like ordinary tasks, but a kernel left with nothing runnable, no pending
-// timers, and only daemons parked is considered idle rather than
-// deadlocked — the shape of a network server waiting on its inbox after
-// every client has exited. Daemon tasks still count toward Drain; whoever
-// spawns one owns shutting it down (e.g. by closing the queue it parks on).
-func (k *Virtual) GoDaemon(name string, fn func()) {
-	k.spawn(name, fn, true)
-}
-
-func (k *Virtual) spawn(name string, fn func(), daemon bool) {
-	k.mu.Lock()
-	if k.tasks == 0 {
-		k.idle = make(chan struct{})
-	}
-	k.tasks++
-	k.runnable++
-	if daemon {
-		k.daemons++
-	}
-	k.mu.Unlock()
-	go func() {
-		defer k.taskDone(daemon)
-		fn()
-	}()
-	_ = name
-}
-
-func (k *Virtual) taskDone(daemon bool) {
-	k.mu.Lock()
-	k.tasks--
-	k.runnable--
-	if daemon {
-		k.daemons--
-	}
-	if k.tasks == 0 {
-		close(k.idle)
-	} else {
-		k.maybeAdvanceLocked()
-	}
-	k.mu.Unlock()
+	return ctx, cancel
 }
 
 // GoDaemon spawns fn as a daemon task when rt is the Virtual kernel (see
@@ -246,244 +85,24 @@ func GoDaemon(rt Runtime, name string, fn func()) {
 	rt.Go(name, fn)
 }
 
-// Run executes fn as a tracked task and blocks the (untracked) caller until
-// it returns. It is the entry point for driving a simulation from a test or
-// a main function.
-func (k *Virtual) Run(fn func()) {
-	done := make(chan struct{})
-	k.Go("run", func() {
-		defer close(done)
-		fn()
-	})
-	<-done
+// Waiter is a one-shot parking primitive. A task calls Wait to park; another
+// task calls Wake to unpark it. A Waiter may be woken before Wait is called,
+// in which case Wait returns immediately. Waiters are not reusable: a Waiter
+// is a Selector that is never Reset.
+type Waiter struct{ sel Selector }
+
+// Wake unparks the waiter. It reports whether the wakeup was delivered:
+// false means the waiter had already been cancelled (its Wait returned with
+// a context error), so the caller should wake someone else instead.
+func (w *Waiter) Wake() bool {
+	return w.sel.TryWake(0) || w.sel.state.Load() == selWoken // refused: the state is final
 }
 
-// Drain blocks the (untracked) caller until every tracked task has exited.
-// Callers typically cancel the session context first so parked tasks wake
-// and unwind.
-func (k *Virtual) Drain() {
-	k.mu.Lock()
-	idle := k.idle
-	k.mu.Unlock()
-	<-idle
+// Wait parks the calling task until Wake or ctx cancellation.
+func (w *Waiter) Wait(ctx context.Context) error {
+	_, err := w.sel.wait(ctx, 0, "waiter")
+	return err
 }
-
-// Tasks returns the number of live tracked tasks.
-func (k *Virtual) Tasks() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.tasks
-}
-
-// Sleep pauses the calling task for d of virtual time.
-func (k *Virtual) Sleep(ctx context.Context, d time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if d <= 0 {
-		return nil
-	}
-	t := getTimer()
-	k.mu.Lock()
-	k.scheduleLocked(t, k.now.Load()+d)
-	k.runnable--
-	k.maybeAdvanceLocked()
-	k.mu.Unlock()
-
-	select {
-	case <-t.ch:
-		putTimer(t)
-		return nil
-	case <-ctx.Done():
-		k.mu.Lock()
-		if !t.fired {
-			// The kernel still owns the timer; it is discarded (and pooled)
-			// when its deadline is reached.
-			t.dead = true
-			k.runnable++
-			k.mu.Unlock()
-			return ctx.Err()
-		}
-		k.mu.Unlock()
-		// Fired concurrently with cancellation: consume the wake so the
-		// timer is fully settled, then recycle it.
-		<-t.ch
-		putTimer(t)
-		return ctx.Err()
-	}
-}
-
-// scheduleLocked registers t to fire at the given deadline. Timers sharing a
-// deadline chain off the first one scheduled (the only one in the heap), in
-// FIFO order, so same-deadline batches cost one heap operation total.
-func (k *Virtual) scheduleLocked(t *timer, deadline time.Duration) {
-	t.deadline = deadline
-	if head, ok := k.byDeadline[deadline]; ok {
-		if head.tail == nil {
-			head.next, head.tail = t, t
-		} else {
-			head.tail.next, head.tail = t, t
-		}
-		return
-	}
-	heap.Push(&k.timers, t)
-	k.byDeadline[deadline] = t
-}
-
-// NewWaiter returns a kernel-aware parking primitive.
-func (k *Virtual) NewWaiter() *Waiter {
-	return &Waiter{k: k, ch: make(chan struct{})}
-}
-
-func (k *Virtual) parkedNow() {
-	k.mu.Lock()
-	k.runnable--
-	k.maybeAdvanceLocked()
-	k.mu.Unlock()
-}
-
-func (k *Virtual) unparked() {
-	k.mu.Lock()
-	k.runnable++
-	k.mu.Unlock()
-}
-
-// maybeAdvanceLocked advances virtual time to the next timer deadline while
-// no task is runnable. Called with k.mu held.
-func (k *Virtual) maybeAdvanceLocked() {
-	stallPolls := 0
-	for k.runnable == 0 && k.tasks > 0 {
-		if len(k.timers) == 0 {
-			if k.tasks == k.daemons {
-				// Every parked task is a daemon waiting for external
-				// requests: the kernel is idle, not deadlocked. Time holds
-				// until a new task spawns or a cross-thread wake arrives.
-				return
-			}
-			// No task is runnable and nothing is scheduled to wake one.
-			// This is either a genuine deadlock or a transient window:
-			// context cancellation wakes parked tasks through ordinary
-			// channels, so their kernel accounting lags by a few
-			// instructions. Poll briefly on the wall clock before
-			// declaring deadlock.
-			if stallPolls < maxStallPolls {
-				stallPolls++
-				k.mu.Unlock()
-				time.Sleep(stallPollInterval)
-				k.mu.Lock()
-				continue
-			}
-			panic(fmt.Sprintf(
-				"simtime: deadlock at t=%v: %d tasks alive, none runnable, no pending timers",
-				k.now.Load(), k.tasks))
-		}
-		stallPolls = 0
-		head := heap.Pop(&k.timers).(*timer)
-		delete(k.byDeadline, head.deadline)
-		// Advance time only when the batch has a live timer, so deadlines
-		// abandoned by cancelled sleeps never move the clock.
-		live := false
-		for t := head; t != nil; t = t.next {
-			if !t.dead {
-				live = true
-				break
-			}
-		}
-		if live {
-			k.now.Store(head.deadline)
-		}
-		for t := head; t != nil; {
-			next := t.next
-			switch {
-			case t.dead:
-				// Abandoned by a cancelled sleep or a claimed selector; the
-				// kernel is its last owner.
-				putTimer(t)
-			case t.sel != nil:
-				k.fireSelectorLocked(t)
-			default:
-				t.fired = true
-				k.runnable++
-				// Buffered and drained exactly once per cycle, so the send
-				// cannot block. The sleeper owns t once the value lands.
-				t.ch <- struct{}{}
-			}
-			t = next
-		}
-	}
-}
-
-const (
-	// stallPollInterval and maxStallPolls bound how long the kernel waits
-	// for in-flight wakeups (e.g. from context cancellation) before
-	// declaring a deadlock. Total grace period: ~2s of wall time.
-	stallPollInterval = 200 * time.Microsecond
-	maxStallPolls     = 10000
-)
-
-// atomicDuration is a time.Duration with atomic load/store.
-type atomicDuration struct{ v atomic.Int64 }
-
-func (d *atomicDuration) Load() time.Duration   { return time.Duration(d.v.Load()) }
-func (d *atomicDuration) Store(t time.Duration) { d.v.Store(int64(t)) }
-
-// timer is a pending kernel deadline. ch is the wake channel for plain
-// sleeps; sel is set instead for selector deadline-parks (see select.go).
-// next/tail chain timers that share a deadline off the single heap node.
-type timer struct {
-	deadline time.Duration
-	ch       chan struct{}
-	sel      *Selector
-	fired    bool
-	dead     bool
-	next     *timer
-	tail     *timer
-}
-
-// timerPool recycles timers (and their wake channels) across sleeps: the
-// kernel fast path allocates nothing in steady state.
-var timerPool = sync.Pool{New: func() any {
-	return &timer{ch: make(chan struct{}, 1)}
-}}
-
-func getTimer() *timer {
-	t := timerPool.Get().(*timer)
-	t.fired, t.dead = false, false
-	t.sel = nil
-	t.next, t.tail = nil, nil
-	return t
-}
-
-func putTimer(t *timer) {
-	// Drop a stale wake left by the rare fire/cancel race so the next user
-	// of this timer does not wake instantly.
-	select {
-	case <-t.ch:
-	default:
-	}
-	timerPool.Put(t)
-}
-
-// timerHeap orders heap nodes by deadline. Deadlines are unique in the heap
-// (same-deadline timers chain off one node), so no tiebreak is needed.
-type timerHeap []*timer
-
-func (h timerHeap) Len() int           { return len(h) }
-func (h timerHeap) Less(i, j int) bool { return h[i].deadline < h[j].deadline }
-func (h timerHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)        { *h = append(*h, x.(*timer)) }
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
-}
-
-// ---------------------------------------------------------------------------
-// Real runtime
-// ---------------------------------------------------------------------------
 
 // Real is a wall-clock runtime. Scale compresses simulated time: with
 // Scale=100, a simulated second passes in 10ms of wall time. Scale=1 is
@@ -532,9 +151,7 @@ func (r *Real) Go(name string, fn func()) {
 }
 
 // NewWaiter returns a channel-backed parking primitive.
-func (r *Real) NewWaiter() *Waiter {
-	return &Waiter{ch: make(chan struct{})}
-}
+func (r *Real) NewWaiter() *Waiter { return &Waiter{sel: *NewSelector(r)} }
 
 var (
 	_ Runtime = (*Virtual)(nil)

@@ -64,12 +64,13 @@ func TestVirtualConcurrentSleepersOrdering(t *testing.T) {
 }
 
 func TestVirtualSleepCancellationDoesNotHang(t *testing.T) {
-	// Under the Virtual runtime, context cancellation is best-effort: the
-	// sleep returns promptly in wall time, either via the cancellation path
-	// or by the kernel advancing virtual time to the timer deadline (no
-	// other task was runnable). Deterministic teardown in simulation code
-	// uses queue Close and stop flags instead of contexts. This test pins
-	// the "returns promptly, no wall-time hang" property.
+	// A plain context.WithCancel is invisible to the kernel until its
+	// AfterFunc hook lands: the sleep returns promptly in wall time, either
+	// via the cancellation path or, if the hook loses the race, by the
+	// kernel advancing virtual time to the timer deadline (no other task
+	// was runnable). Code that needs the exact instant uses
+	// simtime.WithCancel (see TestCancellationIsAKernelEvent). This test
+	// pins the "returns promptly, no wall-time hang" property.
 	k := NewVirtual()
 	k.Run(func() {
 		ctx, cancel := context.WithCancel(context.Background())

@@ -24,19 +24,15 @@ func NewWaitGroup(rt Runtime) *WaitGroup {
 // Add adds delta to the counter. It panics if the counter goes negative.
 func (wg *WaitGroup) Add(delta int) {
 	wg.mu.Lock()
-	wg.n += delta
-	if wg.n < 0 {
-		wg.mu.Unlock()
+	defer wg.mu.Unlock()
+	if wg.n += delta; wg.n < 0 {
 		panic("simtime: negative WaitGroup counter")
 	}
-	var toWake []*Waiter
 	if wg.n == 0 {
-		toWake = wg.waiters
+		for _, w := range wg.waiters {
+			w.Wake()
+		}
 		wg.waiters = nil
-	}
-	wg.mu.Unlock()
-	for _, w := range toWake {
-		w.Wake()
 	}
 }
 

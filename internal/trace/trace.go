@@ -9,28 +9,25 @@
 // A span's fields are pure functions of the simulation: start and end come
 // from simtime.Runtime.Now(), and the identity fields (stage, tenant,
 // node, key, seq) come from the simulated entities themselves — never from
-// allocation order, goroutine identity, or a shared counter. Tasks reach
-// the recorder's mutex in OS-scheduling order, so the *append order* of
-// spans is not reproducible, but the *set* of spans is: canonicalizing
-// lane labels (Canonicalize) and sorting (Compare) before export yields a
-// byte-identical trace across runs, including under -race. This is the
-// same invariant the netsim fabric maintains for flows: deterministic in
-// virtual time, not "deterministic only if the scheduler cooperates".
+// allocation order, goroutine identity, or a shared counter. The virtual
+// kernel runs one task at a time in an order that is itself a function of
+// the program, so identical scripts record identical spans; Canonicalize
+// (lane labels) and Compare (sort) then make the export independent of
+// append order as well, and two runs export byte-identical traces at any
+// GOMAXPROCS, including under -race.
 //
-// The guarantee is exactly as strong as the simulation's own: byte
-// identity holds wherever every event is a pure function of virtual time —
-// single-consumer sessions, multi-node jobs (each rank owns its loader),
-// chaos replays. Two simulator behaviors are weaker than that, and the
-// trace inherits them. When one loader runs several batch constructors
-// (GPUs > 1), which racing constructor wins each sample during starvation
-// is scheduler-dependent, so batch composition — and with it seal-time
-// micro-timing at the stream tail — can vary between runs even though
-// every stall aggregate is reproducible. Likewise, when several tenants
-// contend for a shared disk or worker core at the same virtual instant,
-// the service order is scheduler-dependent. Canonicalize removes the one
-// nondeterminism tracing would otherwise *add* (lane labels); it cannot —
-// and does not try to — make the trace more deterministic than the
-// simulation it records.
+// The guarantee is exactly as strong as the simulation's own, and holds
+// for every run that enters its kernel from one goroutine: single- and
+// multi-GPU sessions, multi-node jobs, chaos replays with membership
+// changes, and many sessions consumed through StreamAll. (Two regimes this
+// comment used to exempt — several batch constructors of one loader racing
+// for samples, and tenants contending for a disk or a core at one virtual
+// instant — were scheduler-dependent only while tasks were free goroutines;
+// a 64-GPU session and a 16-tenant cluster now export byte-identical traces
+// over 50 runs at GOMAXPROCS 1 and 8.) The one thing the kernel does not
+// order is the arrival of several untracked goroutines: tenants that each
+// range over their own Session.Batches on a goroutine of their own enter in
+// the order the OS starts them, and their first events can swap.
 //
 // # Cost
 //

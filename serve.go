@@ -409,9 +409,12 @@ func (a *ServerAddr) Close() error {
 	a.engMu.Lock()
 	eng := a.eng
 	a.engMu.Unlock()
-	eng.Stop()
-	_ = a.wg.Wait(context.Background())
-	a.srv.Close()
+	// The waits below park, so they run on a task of the server's kernel.
+	onKernel(a.rt, func() {
+		eng.Stop()
+		_ = a.wg.Wait(context.Background())
+		a.srv.Close()
+	})
 	return nil
 }
 
@@ -661,7 +664,7 @@ func Dial(addr *ServerAddr, opts ...DialOption) (*RemoteSession, error) {
 	rs := &RemoteSession{addr: addr, rt: addr.rt, stream: o.stream, retain: o.retain}
 	var cli *service.Client
 	var err error
-	rs.runOnKernel(func() {
+	runOnKernel(rs, func() {
 		cli, err = service.Open(context.Background(), addr.sn.net, addr.ep, replicaEP, spec, cfg)
 	})
 	if err != nil {
@@ -700,21 +703,6 @@ type RemoteSession struct {
 	bytes   atomic.Int64
 }
 
-// runOnKernel executes fn as a tracked task of a virtual runtime, inline
-// when the caller already is one (StreamAll), or directly on a real
-// runtime.
-func (s *RemoteSession) runOnKernel(fn func()) {
-	if s.inline.Load() {
-		fn()
-		return
-	}
-	if v, ok := s.rt.(*simtime.Virtual); ok {
-		v.Run(fn)
-		return
-	}
-	fn()
-}
-
 // Batches returns a single-use iterator over the remote stream, shaped
 // exactly like Session.Batches: batches arrive in order, a yielded batch
 // is recycled when the loop takes the next step (unless WithRetainBatches),
@@ -730,7 +718,7 @@ func (s *RemoteSession) Batches(ctx context.Context) iter.Seq2[*Batch, error] {
 			yield(nil, ErrSessionConsumed)
 			return
 		}
-		s.runOnKernel(func() {
+		runOnKernel(s, func() {
 			if err := ctx.Err(); err != nil {
 				s.err = err
 				yield(nil, err)
@@ -781,7 +769,7 @@ func (s *RemoteSession) Stats() RemoteStats { return s.cli.Stats() }
 func (s *RemoteSession) Close() (*Report, error) {
 	s.state.Store(sessionClosed)
 	if s.closed.CompareAndSwap(false, true) {
-		s.runOnKernel(func() { _ = s.cli.Close(context.Background()) })
+		runOnKernel(s, func() { _ = s.cli.Close(context.Background()) })
 	}
 	cs := s.cli.Stats()
 	rep := &Report{
@@ -798,26 +786,42 @@ func (s *RemoteSession) Close() (*Report, error) {
 	return rep, s.err
 }
 
-// StreamAll consumes many remote sessions concurrently on one kernel:
-// each fn(i, session) runs as its own tracked task, so virtual time
-// advances with every client's traffic interleaved — the N-trainers ×
-// one-fleet topology in a single deterministic run. On a real runtime it
-// degrades to plain goroutines.
-func StreamAll(ctx context.Context, sessions []*RemoteSession, fn func(i int, s *RemoteSession)) {
+// streamer is a session type StreamAll can drive: its runtime, and the flag
+// that makes its Batches loop run on the calling task.
+type streamer interface {
+	kernel() (Runtime, *atomic.Bool)
+}
+
+func (s *Session) kernel() (Runtime, *atomic.Bool)       { return s.rt, &s.inline }
+func (s *RemoteSession) kernel() (Runtime, *atomic.Bool) { return s.rt, &s.inline }
+
+// StreamAll consumes many sessions of one runtime — the Sessions of a
+// Cluster, or RemoteSessions dialed over one fabric — concurrently on one
+// kernel: each fn(i, session) runs as its own tracked task, all entered at
+// the same virtual instant in slice order, so virtual time advances with
+// every consumer's traffic interleaved and the run is deterministic (N
+// goroutines each ranging over their own Batches enter the kernel in
+// whatever order the OS starts them). fn bodies share the kernel's single
+// thread of control: one must not block on a Go primitive waiting for
+// another. On a real runtime StreamAll degrades to plain goroutines.
+func StreamAll[S streamer](ctx context.Context, sessions []S, fn func(i int, s S)) {
 	if len(sessions) == 0 {
 		return
 	}
-	if v, ok := sessions[0].rt.(*simtime.Virtual); ok {
+	rt, _ := sessions[0].kernel()
+	if v, ok := rt.(*simtime.Virtual); ok {
 		v.Run(func() {
 			wg := simtime.NewWaitGroup(v)
 			for i, s := range sessions {
-				s.inline.Store(true)
+				_, inline := s.kernel()
+				inline.Store(true)
 				wg.Go(fmt.Sprintf("svc-stream-%d", i), func() { fn(i, s) })
 			}
 			_ = wg.Wait(ctx)
 		})
 		for _, s := range sessions {
-			s.inline.Store(false)
+			_, inline := s.kernel()
+			inline.Store(false)
 		}
 		return
 	}

@@ -372,6 +372,10 @@ type Session struct {
 	resumedAt   time.Duration
 	recoveredIn time.Duration
 
+	// inline makes Batches run its loop on the caller's already-tracked
+	// task instead of wrapping a v.Run — set by StreamAll.
+	inline atomic.Bool
+
 	state    atomic.Int32
 	released atomic.Bool
 	err      error
@@ -469,7 +473,7 @@ func (s *Session) Batches(ctx context.Context) iter.Seq2[*Batch, error] {
 			yield(nil, ErrSessionConsumed)
 			return
 		}
-		s.runOnKernel(func() {
+		runOnKernel(s, func() {
 			if err := ctx.Err(); err != nil {
 				s.err = err
 				yield(nil, err)
@@ -543,15 +547,26 @@ func (s *Session) Batches(ctx context.Context) iter.Seq2[*Batch, error] {
 	}
 }
 
-// runOnKernel executes fn as a tracked task of a virtual runtime (whose
-// time only advances while tracked tasks are parked), or inline on a real
-// one.
-func (s *Session) runOnKernel(fn func()) {
-	if v, ok := s.rt.(*simtime.Virtual); ok {
+// onKernel executes fn as a tracked task of a virtual runtime — the only
+// place code that parks may run there — and blocks until it returns; on a
+// real runtime it runs fn inline. The caller must not itself be a task.
+func onKernel(rt Runtime, fn func()) {
+	if v, ok := rt.(*simtime.Virtual); ok {
 		v.Run(fn)
 		return
 	}
 	fn()
+}
+
+// runOnKernel is onKernel on the session's runtime, or a plain call when
+// StreamAll already put the caller on a task.
+func runOnKernel(s streamer, fn func()) {
+	rt, inline := s.kernel()
+	if inline.Load() {
+		fn()
+		return
+	}
+	onKernel(rt, fn)
 }
 
 // teardown stops the chaos replay and the loader, then waits for the
