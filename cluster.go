@@ -586,8 +586,8 @@ func (c *Cluster) isClosed() bool {
 // reclaim drains the cluster-owned virtual kernel and recycles the shared
 // cache storage. Runs at most once, after close with no active sessions.
 func (c *Cluster) reclaim() {
-	if v, ok := c.rt.(*simtime.Virtual); ok && c.ownsRT {
-		v.Drain()
+	if c.ownsRT {
+		c.rt.(*simtime.Virtual).Drain()
 	}
 	if c.cache != nil {
 		c.cache.Recycle()

@@ -69,14 +69,6 @@ type Config struct {
 	DeltaClip     int           // |Δ| bound, default 2
 	SchedInterval time.Duration // default 1s
 
-	// PollInterval (10 ms, §4.2) is the fallback heartbeat for idle waits.
-	// Workers and batch constructors block on event-driven wakeups (the
-	// simtime wait fabric), not on this interval; it only bounds how long a
-	// lost wakeup could stall them on a nondeterministic runtime. Under the
-	// Virtual runtime it is never armed — a lost wakeup there surfaces as a
-	// kernel deadlock, which is a bug to fix, not to paper over.
-	PollInterval time.Duration
-
 	// OrderPreserving disables reordering for curriculum/strict-order
 	// training (§6): batches follow the sampler's order exactly and the
 	// loader behaves like PyTorch DataLoader.
@@ -113,7 +105,6 @@ func DefaultConfig() Config {
 		CPUThreshold:  0.7,
 		DeltaClip:     2,
 		SchedInterval: time.Second,
-		PollInterval:  10 * time.Millisecond,
 	}
 }
 
@@ -154,9 +145,6 @@ func (c *Config) fillDefaults(numGPUs, cores int) {
 	}
 	if c.SchedInterval <= 0 {
 		c.SchedInterval = d.SchedInterval
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = d.PollInterval
 	}
 	_ = numGPUs
 }
@@ -202,15 +190,6 @@ type Loader struct {
 	// queue operation (faults, source exhaustion, worker exits, the final
 	// consume), so parked batch constructors re-check instead of polling.
 	gate *simtime.Gate
-	// heartbeat is the idle-wait fallback: cfg.PollInterval on
-	// nondeterministic runtimes, 0 (disabled) under Virtual.
-	heartbeat time.Duration
-
-	// idleWaits counts event-driven idle waits begun by workers and batch
-	// constructors; heartbeats counts the subset that ended on the fallback
-	// heartbeat instead of a wakeup (diagnostics; zero in the default path).
-	idleWaits  atomic.Int64
-	heartbeats atomic.Int64
 
 	batchSeq atomic.Int64
 	// claims assigns batch slots to constructors so the delivery budget is
@@ -229,14 +208,11 @@ func New(env *loader.Env, spec loader.Spec, cfg Config) *Loader {
 	cfg.fillDefaults(len(env.GPUs), int(env.CPU.Capacity()))
 	l := &Loader{
 		env: env, spec: spec, cfg: cfg,
-		idx:   loader.NewIndexSource(env, spec, 4*spec.BatchSize),
+		idx:   loader.NewIndexSource(spec),
 		fastQ: queue.New[*data.Sample](env.RT, "fast", cfg.QueueCap),
 		slowQ: queue.New[*data.Sample](env.RT, "slow", cfg.QueueCap),
 		tempQ: queue.New[tempItem](env.RT, "temp", cfg.QueueCap),
 		gate:  simtime.NewGate(),
-	}
-	if !simtime.Deterministic(env.RT) {
-		l.heartbeat = cfg.PollInterval
 	}
 	for range env.GPUs {
 		l.batchQs = append(l.batchQs,
@@ -290,7 +266,6 @@ func (l *Loader) maxWorkersNow() int {
 // Start implements loader.Loader.
 func (l *Loader) Start(ctx context.Context) error {
 	ctx, l.cancel = simtime.WithCancel(l.env.RT, ctx)
-	l.idx.Start(ctx)
 
 	initial := l.cfg.InitialWorkersPerGPU * len(l.env.GPUs)
 	if max := l.maxWorkersNow(); initial > max {
@@ -318,13 +293,13 @@ func (l *Loader) Start(ctx context.Context) error {
 // samples flowing into upcoming batches instead of deferring them to the
 // end (§4.1: "MinatoLoader does not defer these samples to the very end").
 //
-// An idle worker blocks on "temp queue or index stream has an item" through
-// the simtime wait fabric; nothing in the steady state is paced by
-// PollInterval. A panic or a per-sample error in loading or a user
-// transform is contained to the sample being processed: the sample is
-// abandoned (counted, surfaced via Faults) and the worker keeps serving —
-// matching the isolation a multiprocessing-based loader gets from worker
-// processes.
+// A worker never idles: the index cursor always has the next draw until the
+// stream ends, and then the worker exits — a peer still inside a sample
+// resumes whatever it parks in the temp queue itself. A panic or a
+// per-sample error in loading or a user transform is contained to the sample
+// being processed: the sample is abandoned (counted, surfaced via Faults) and
+// the worker keeps serving — matching the isolation a multiprocessing-based
+// loader gets from worker processes.
 func (l *Loader) spawnWorker(ctx context.Context) {
 	id := l.sched.workerSpawned()
 	l.env.WG.Go("minato-worker", func() {
@@ -337,17 +312,7 @@ func (l *Loader) spawnWorker(ctx context.Context) {
 				l.gate.Pulse()
 			}
 		}()
-		sel := simtime.NewSelector(l.env.RT)
-		sources := []simtime.Source{l.tempQ, l.idx.Ready()}
-		for {
-			if l.stopFlag.Load() || l.sched.shouldRetire(id) {
-				// This worker may have just claimed a wakeup for an item it
-				// will not consume; re-deliver so a parked peer picks it up
-				// instead of stranding it (on stop, Close wakes everyone).
-				l.tempQ.Kick()
-				l.idx.Out().Kick()
-				return
-			}
+		for !l.stopFlag.Load() && !l.sched.shouldRetire(id) {
 			// Background completion first (slow-task work).
 			if item, ok, _ := l.tempQ.TryGet(); ok {
 				if !l.runSample(ctx, func() error { return l.finishSlow(ctx, item.s) }, item.s.OriginalOrder) {
@@ -356,33 +321,12 @@ func (l *Loader) spawnWorker(ctx context.Context) {
 				continue
 			}
 			// New sample.
-			it, ok, err := l.idx.Out().TryGet()
-			if err != nil { // index stream closed and drained
+			it, err := l.idx.Next()
+			if err != nil { // index stream ended
 				if !l.srcDone.Swap(true) {
 					l.gate.Pulse()
 				}
-				// Drain remaining temp items, then exit.
-				item, ok2, _ := l.tempQ.TryGet()
-				if !ok2 {
-					return
-				}
-				if !l.runSample(ctx, func() error { return l.finishSlow(ctx, item.s) }, item.s.OriginalOrder) {
-					return
-				}
-				continue
-			}
-			if !ok {
-				// Idle: block until the temp queue or the index stream has
-				// an item (or either closes).
-				l.idleWaits.Add(1)
-				src, werr := sel.Select(ctx, l.heartbeat, sources...)
-				if werr != nil {
-					return
-				}
-				if src == simtime.Heartbeat {
-					l.heartbeats.Add(1)
-				}
-				continue
+				return
 			}
 			l.emitted.Add(1)
 			if !l.runSample(ctx, func() error { return l.processNew(ctx, it) }, it.Seq) {
@@ -457,15 +401,6 @@ func (l *Loader) abandon(seq int64) {
 // Faults returns the number of samples abandoned due to failing or
 // panicking loads and transforms.
 func (l *Loader) Faults() int64 { return l.faults.Load() }
-
-// IdleWaits returns the number of event-driven idle waits workers and batch
-// constructors entered (diagnostics).
-func (l *Loader) IdleWaits() int64 { return l.idleWaits.Load() }
-
-// HeartbeatWakes returns how many idle waits ended on the PollInterval
-// fallback heartbeat instead of an event wakeup. It is zero under the
-// Virtual runtime, where the heartbeat is never armed.
-func (l *Loader) HeartbeatWakes() int64 { return l.heartbeats.Load() }
 
 // processNew runs the load-balancer path of Algorithm 1 for one sample.
 func (l *Loader) processNew(ctx context.Context, it loader.IndexItem) error {
@@ -642,14 +577,9 @@ func (l *Loader) assemble(ctx context.Context, g int, sel *simtime.Selector, sou
 				b.Release()
 				return nil, false
 			}
-			l.idleWaits.Add(1)
-			src, err := sel.Select(ctx, l.heartbeat, sources...)
-			if err != nil {
+			if _, err := sel.Select(ctx, 0, sources...); err != nil {
 				b.Release()
 				return nil, false
-			}
-			if src == simtime.Heartbeat {
-				l.heartbeats.Add(1)
 			}
 			continue
 		}
@@ -729,7 +659,7 @@ func (l *Loader) Stop() {
 		if l.cancel != nil {
 			l.cancel()
 		}
-		l.idx.Out().Close()
+		l.idx.Close()
 		l.fastQ.Close()
 		l.slowQ.Close()
 		l.tempQ.Close()
@@ -795,9 +725,8 @@ func (l *Loader) RegisterMetrics(c *metrics.Collector) {
 // a selector on it and are woken when the next-in-order slot fills (or is
 // abandoned), so the mode runs without polling. A nil map value is a
 // tombstone for an abandoned draw; takeNext skips over tombstones so one
-// faulty sample does not stall the order forever.
+// faulty sample does not stall the order forever. Task-only state: no lock.
 type orderedBuffer struct {
-	mu      sync.Mutex
 	pending map[int64]*data.Sample
 	next    int64
 	live    int // non-tombstone entries
@@ -814,34 +743,29 @@ func newOrderedBuffer() *orderedBuffer {
 }
 
 func (o *orderedBuffer) add(s *data.Sample) {
-	o.mu.Lock()
 	o.pending[s.OriginalOrder] = s
 	o.live++
 	if s.OriginalOrder == o.next {
-		o.wakeOneLocked()
+		o.wakeOne()
 	}
-	o.mu.Unlock()
 }
 
 // skip tombstones an abandoned draw so the order can advance past it.
 func (o *orderedBuffer) skip(seq int64) {
-	o.mu.Lock()
-	if seq >= o.next {
-		if _, ok := o.pending[seq]; !ok {
-			o.pending[seq] = nil
-			if seq == o.next {
-				o.wakeOneLocked()
-			}
+	if seq < o.next {
+		return
+	}
+	if _, ok := o.pending[seq]; !ok {
+		o.pending[seq] = nil
+		if seq == o.next {
+			o.wakeOne()
 		}
 	}
-	o.mu.Unlock()
 }
 
 // takeNext returns the next-in-order sample if ready, else nil. Tombstones
 // in front are consumed along the way.
 func (o *orderedBuffer) takeNext() *data.Sample {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	for {
 		s, ok := o.pending[o.next]
 		if !ok {
@@ -855,45 +779,36 @@ func (o *orderedBuffer) takeNext() *data.Sample {
 		o.live--
 		if _, ok := o.pending[o.next]; ok {
 			// Another consumer can proceed with the new front.
-			o.wakeOneLocked()
+			o.wakeOne()
 		}
 		return s
 	}
 }
 
-func (o *orderedBuffer) empty() bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.live == 0
-}
+func (o *orderedBuffer) empty() bool { return o.live == 0 }
 
 // Arm implements simtime.Source: ready when the next-in-order slot exists
 // (sample or tombstone — consumers re-scan either way).
 func (o *orderedBuffer) Arm(sel *simtime.Selector, idx int) bool {
-	o.mu.Lock()
 	if _, ok := o.pending[o.next]; ok {
-		o.mu.Unlock()
 		sel.TryWake(idx)
 		return true
 	}
 	o.subs = append(o.subs, orderedSub{sel: sel, idx: idx})
-	o.mu.Unlock()
 	return false
 }
 
 // Disarm implements simtime.Source.
 func (o *orderedBuffer) Disarm(sel *simtime.Selector) {
-	o.mu.Lock()
 	for i, e := range o.subs {
 		if e.sel == sel {
 			o.subs = append(o.subs[:i], o.subs[i+1:]...)
 			break
 		}
 	}
-	o.mu.Unlock()
 }
 
-func (o *orderedBuffer) wakeOneLocked() {
+func (o *orderedBuffer) wakeOne() {
 	for len(o.subs) > 0 {
 		e := o.subs[0]
 		o.subs = o.subs[1:]

@@ -599,46 +599,6 @@ func TestOrderPreservingSkipsAbandonedSamples(t *testing.T) {
 	})
 }
 
-// TestNoPollPacingInSteadyState pins the event-driven contract: idle workers
-// and batch constructors block on wakeups, never on PollInterval pacing. A
-// pathological PollInterval must therefore change nothing, and no idle wait
-// may end on the fallback heartbeat.
-func TestNoPollPacingInSteadyState(t *testing.T) {
-	elapsed := func(poll time.Duration) (time.Duration, *Loader) {
-		h := newHarness(16, 1)
-		var l *Loader
-		var total time.Duration
-		h.k.Run(func() {
-			cfg := DefaultConfig()
-			cfg.PollInterval = poll
-			l = New(h.env, bimodalSpec(8, 20), cfg)
-			if err := l.Start(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			drainAll(context.Background(), t, l, 1)
-			total = h.k.Now()
-			l.Stop()
-			_ = h.env.WG.Wait(context.Background())
-		})
-		return total, l
-	}
-	tDefault, l1 := elapsed(10 * time.Millisecond)
-	tHuge, l2 := elapsed(10 * time.Minute)
-	// A single sleep on the 10-minute interval would blow this bound; the
-	// small epsilon only absorbs wall-race scheduling jitter between runs.
-	if diff := (tHuge - tDefault).Abs(); diff > 5*time.Second {
-		t.Fatalf("PollInterval paced the session: %v (10ms) vs %v (10min)", tDefault, tHuge)
-	}
-	for i, l := range []*Loader{l1, l2} {
-		if l.IdleWaits() == 0 {
-			t.Fatalf("loader %d: no event-driven idle waits recorded", i)
-		}
-		if l.HeartbeatWakes() != 0 {
-			t.Fatalf("loader %d: %d idle waits ended on the poll heartbeat, want 0", i, l.HeartbeatWakes())
-		}
-	}
-}
-
 // TestOrderedBufferWakesConsumers unit-tests the ordered buffer's wake
 // source: a consumer parked on it wakes when the next-in-order slot fills or
 // is skipped, at the exact virtual instant.

@@ -2,8 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -24,10 +22,12 @@ type ProfilerConfig struct {
 // the threshold tracks workload drift. If the observed slow-classification
 // rate exceeds MaxSlowFraction (a skewed distribution), the profiler falls
 // back to the higher percentile (§4.2).
+//
+// A Profiler has no lock: it belongs to its loader's tasks, of which one runs
+// at a time (see simtime's ownership rule).
 type Profiler struct {
 	cfg ProfilerConfig
 
-	mu sync.Mutex
 	// The sliding window is kept as a histogram over log-spaced buckets:
 	// ring holds the bucket of each windowed record, counts the per-bucket
 	// population. Recording is O(1) (one bucket in, one out) and a
@@ -45,8 +45,7 @@ type Profiler struct {
 	classifiedTotal int64
 	fellBack        bool
 
-	// timeoutNs is read lock-free on the worker hot path.
-	timeoutNs atomic.Int64
+	timeout time.Duration
 }
 
 // Histogram geometry: log-spaced buckets covering 100µs .. ~1000s of
@@ -101,21 +100,18 @@ func NewProfiler(cfg ProfilerConfig) *Profiler {
 	if cfg.RecomputeEvery <= 0 {
 		cfg.RecomputeEvery = 32
 	}
-	p := &Profiler{
-		cfg:    cfg,
-		ring:   make([]uint16, cfg.WindowSize),
-		counts: make([]int32, histBuckets),
+	return &Profiler{
+		cfg:     cfg,
+		ring:    make([]uint16, cfg.WindowSize),
+		counts:  make([]int32, histBuckets),
+		timeout: math.MaxInt64,
 	}
-	p.timeoutNs.Store(math.MaxInt64)
-	return p
 }
 
 // Record adds one observed total preprocessing time: one bucket increment,
 // and one decrement for the record sliding out of the window.
 func (p *Profiler) Record(cost time.Duration) {
 	b := uint16(histBucket(cost.Seconds()))
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.n < p.cfg.WindowSize {
 		p.ring[p.n] = b
 		p.n++
@@ -127,17 +123,15 @@ func (p *Profiler) Record(cost time.Duration) {
 	p.counts[b]++
 	p.records++
 	if p.records >= p.cfg.WarmupSamples && p.records%p.cfg.RecomputeEvery == 0 {
-		p.recomputeLocked()
+		p.recompute()
 	} else if p.records == p.cfg.WarmupSamples {
-		p.recomputeLocked()
+		p.recompute()
 	}
 }
 
 // Classified records a fast/slow classification outcome, feeding the
 // fallback trigger.
 func (p *Profiler) Classified(slow bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.classifiedTotal++
 	if slow {
 		p.classifiedSlow++
@@ -146,12 +140,12 @@ func (p *Profiler) Classified(slow bool) {
 		frac := float64(p.classifiedSlow) / float64(p.classifiedTotal)
 		if frac > p.cfg.MaxSlowFraction {
 			p.fellBack = true
-			p.recomputeLocked()
+			p.recompute()
 		}
 	}
 }
 
-func (p *Profiler) recomputeLocked() {
+func (p *Profiler) recompute() {
 	if p.n == 0 {
 		return
 	}
@@ -181,34 +175,22 @@ func (p *Profiler) recomputeLocked() {
 		}
 		cum += int(c)
 	}
-	p.timeoutNs.Store(int64(v * float64(time.Second)))
+	p.timeout = time.Duration(v * float64(time.Second))
 }
 
 // Timeout returns the current classification budget. Before warmup
 // completes it is effectively infinite: all samples are optimistically
 // fast (§4.2).
-func (p *Profiler) Timeout() time.Duration {
-	return time.Duration(p.timeoutNs.Load())
-}
+func (p *Profiler) Timeout() time.Duration { return p.timeout }
 
 // WarmupDone reports whether the optimistic phase has ended.
-func (p *Profiler) WarmupDone() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.records >= p.cfg.WarmupSamples
-}
+func (p *Profiler) WarmupDone() bool { return p.records >= p.cfg.WarmupSamples }
 
 // FellBack reports whether the fallback percentile is active.
-func (p *Profiler) FellBack() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.fellBack
-}
+func (p *Profiler) FellBack() bool { return p.fellBack }
 
 // SlowFraction returns the observed slow-classification rate.
 func (p *Profiler) SlowFraction() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.classifiedTotal == 0 {
 		return 0
 	}

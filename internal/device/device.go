@@ -22,7 +22,6 @@ package device
 import (
 	"container/heap"
 	"context"
-	"sync"
 	"time"
 
 	"github.com/minatoloader/minato/internal/simtime"
@@ -43,12 +42,15 @@ import (
 // per-entry accounting broadcast a wake to all k occupants on every rate
 // change — quadratic exactly when a multi-tenant cold rush piles hundreds
 // of readers onto a parallelism-4 disk.
+//
+// A Device has no lock: it is task-only state (see simtime's ownership
+// rule). Only kernel tasks, of which one runs at a time, may call its
+// methods once tasks have started.
 type Device struct {
 	rt   simtime.Runtime
 	name string
 	cap  float64
 
-	mu       sync.Mutex
 	entries  entryHeap // min-heap by completion target
 	rate     float64   // current per-task progress rate
 	progress float64   // ∫ rate dt, in full-speed seconds, as of lastT
@@ -58,7 +60,7 @@ type Device struct {
 	// accumulated per wake segment: progress(t) = anchorP + rate·(t−anchorPT).
 	// Re-anchoring is DEFERRED to the next advance across real elapsed time:
 	// membership events at one instant only update d.rate (and bump the
-	// epoch when its value moves), and advanceLocked settles the anchor at
+	// epoch when its value moves), and advance settles the anchor at
 	// lastT before integrating past it. Deferral is what makes the integrals
 	// order-independent within an instant: an enter and an exit coinciding
 	// at time T leave the same settled rate no matter which the kernel
@@ -80,9 +82,9 @@ type Device struct {
 	anchorK    float64 // effective occupancy min(k, cap) since anchorBT
 	rateEpoch  uint64
 
-	// pool recycles entries (and their selectors) across Run calls: the
+	// free recycles entries (and their selectors) across Run calls: the
 	// occupancy fast path allocates nothing in steady state.
-	pool sync.Pool
+	free []*entry
 
 	// busyIntegral accumulates ∫ min(k, cap) dt in unit-seconds: the total
 	// amount of work the device has performed, as of lastT. Utilization
@@ -135,20 +137,14 @@ func (d *Device) Name() string { return d.name }
 // full-speed work in Detail. Call before tasks start; the identity triple
 // (tenant, node, key) distinguishes devices sharing one recorder.
 func (d *Device) EnableTrace(r *trace.Recorder, tenant, node int32, key int64) {
-	d.mu.Lock()
 	d.tr, d.trTenant, d.trNode, d.trKey = r, tenant, node, key
-	d.mu.Unlock()
 }
 
 // Capacity returns the device's parallel capacity.
 func (d *Device) Capacity() float64 { return d.cap }
 
 // Active returns the number of in-flight tasks.
-func (d *Device) Active() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.entries)
-}
+func (d *Device) Active() int { return len(d.entries) }
 
 // Run occupies the device for `work` of full-speed compute time. Under
 // contention the wall (virtual) time taken is proportionally longer. It
@@ -162,13 +158,13 @@ func (d *Device) Run(ctx context.Context, work time.Duration) error {
 		return nil
 	}
 	t0 := d.rt.Now()
-	e, _ := d.pool.Get().(*entry)
-	if e == nil {
+	var e *entry
+	if n := len(d.free); n > 0 {
+		e, d.free = d.free[n-1], d.free[:n-1]
+	} else {
 		e = &entry{sel: simtime.NewSelector(d.rt)}
 	}
-	d.mu.Lock()
-	tr, trT, trN, trK := d.tr, d.trTenant, d.trNode, d.trKey
-	d.advanceLocked()
+	d.advance()
 	e.target = d.progress + work.Seconds()
 	e.epoch = invalidEpoch
 	heap.Push(&d.entries, e)
@@ -176,14 +172,13 @@ func (d *Device) Run(ctx context.Context, work time.Duration) error {
 	// rate drop only makes the current front's armed deadline early — it
 	// will fire, re-integrate, and re-park for the remainder, which is
 	// exact either way.
-	d.setRateLocked()
+	d.setRate()
 
 	for {
 		if d.progress >= e.target-1e-9 {
-			d.exitLocked(e)
-			d.pool.Put(e)
-			tr.Record(trace.Span{Start: t0, End: d.rt.Now(), Stage: trace.StageDeviceRun,
-				Tenant: trT, Node: trN, Key: trK, Detail: int64(work)})
+			d.exit(e)
+			d.tr.Record(trace.Span{Start: t0, End: d.rt.Now(), Stage: trace.StageDeviceRun,
+				Tenant: d.trTenant, Node: d.trNode, Key: d.trKey, Detail: int64(work)})
 			return nil
 		}
 		var deadline time.Duration
@@ -194,8 +189,8 @@ func (d *Device) Run(ctx context.Context, work time.Duration) error {
 			// its float rounding) is the same no matter when or how often
 			// the entry parks. A rate drop while parked only makes an
 			// armed deadline early — the task re-integrates and re-parks,
-			// which stays exact; a rate rise is handled by exitLocked
-			// waking the timed entries.
+			// which stays exact; a rate rise is handled by exit waking the
+			// timed entries.
 			if e.epoch != d.rateEpoch {
 				if d.rate == d.anchorRate {
 					// Settled: stamp from the anchor, so the instant (and
@@ -220,17 +215,13 @@ func (d *Device) Run(ctx context.Context, work time.Duration) error {
 		} else {
 			e.timed = false
 		}
-		// Reset under d.mu: membership wakes (TryWake) are attributed to
-		// this cycle from here on.
+		// Membership wakes (TryWake) are attributed to this cycle from
+		// here on.
 		e.sel.Reset()
-		d.mu.Unlock()
-
 		_, err := e.sel.Wait(ctx, deadline)
-		d.mu.Lock()
-		d.advanceLocked()
+		d.advance()
 		if err != nil {
-			d.exitLocked(e)
-			d.pool.Put(e)
+			d.exit(e)
 			return err
 		}
 		// Completion, promotion to the front, or a rate change: loop and
@@ -238,22 +229,22 @@ func (d *Device) Run(ctx context.Context, work time.Duration) error {
 	}
 }
 
-// exitLocked removes e from the heap and wakes whoever's deadline basis
-// changed. A rate rise invalidates every armed (timed) deadline — they are
+// exit removes e from the heap, recycles it, and wakes whoever's deadline
+// basis changed. A rate rise invalidates every armed (timed) deadline — they are
 // now too late — so the timed entries are woken to re-arm; that only
 // happens while the device is draining out of contention, and only entries
 // that armed before contention are timed. Otherwise, the only task that
 // can need attention is the new front after the old front left, and only
 // when it parked deadline-free. The common uncontended exit — everyone
-// holding an exact timer at an unchanged rate — disturbs nobody. Unlocks
-// d.mu.
-func (d *Device) exitLocked(e *entry) {
+// holding an exact timer at an unchanged rate — disturbs nobody.
+func (d *Device) exit(e *entry) {
 	wasFront := len(d.entries) > 0 && d.entries[0] == e
 	if e.idx >= 0 {
 		heap.Remove(&d.entries, e.idx)
 	}
+	d.free = append(d.free, e)
 	oldRate := d.rate
-	d.setRateLocked()
+	d.setRate()
 	switch {
 	case len(d.entries) == 0:
 	case d.rate > oldRate:
@@ -270,16 +261,15 @@ func (d *Device) exitLocked(e *entry) {
 			front.sel.TryWake(0)
 		}
 	}
-	d.mu.Unlock()
 }
 
-// setRateLocked recomputes the shared per-task rate for the current
+// setRate recomputes the shared per-task rate for the current
 // occupancy. It mutates only the rate (and the epoch, when the value
 // moved): anchor settlement is deferred to the next advance across real
 // elapsed time, so same-instant event ordering cannot perturb the
-// integrals — see the field comment. Callers must have run advanceLocked
-// in the same critical section so progress and busy time are current.
-func (d *Device) setRateLocked() {
+// integrals — see the field comment. Callers must have run advance first,
+// with no park in between, so progress and busy time are current.
+func (d *Device) setRate() {
 	r := 1.0
 	if k := len(d.entries); float64(k) > d.cap {
 		r = d.cap / float64(k)
@@ -290,12 +280,12 @@ func (d *Device) setRateLocked() {
 	}
 }
 
-// advanceLocked brings progress and busy time up to now, analytically from
+// advance brings progress and busy time up to now, analytically from
 // the anchors. Rate changes made at lastT are settled first — the anchors
 // move to lastT exactly when a differing rate is about to apply across
 // (lastT, now], using only settled values, never transient mid-instant
 // ones.
-func (d *Device) advanceLocked() {
+func (d *Device) advance() {
 	now := d.rt.Now()
 	if now <= d.lastT {
 		return
@@ -321,10 +311,6 @@ func (d *Device) advanceLocked() {
 	d.lastT = now
 }
 
-// accountLocked integrates busy time up to now (progress included, so the
-// two integrals share one clock).
-func (d *Device) accountLocked() { d.advanceLocked() }
-
 // entryHeap is a min-heap of entries by completion target.
 type entryHeap []*entry
 
@@ -345,15 +331,13 @@ func (h *entryHeap) Pop() any {
 // BusySeconds returns the cumulative full-speed work performed, in
 // unit-seconds. Utilization over a window is Δbusy / (capacity · Δt).
 func (d *Device) BusySeconds() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.accountLocked()
+	d.advance() // progress included, so the two integrals share one clock
 	return d.busyIntegral
 }
 
 // UtilizationGauge returns a sampling function computing utilization in
 // [0,1] over the window since the previous call. Suitable for a metrics
-// collector. Not safe for use from multiple goroutines.
+// collector.
 func (d *Device) UtilizationGauge() func() float64 {
 	lastBusy := d.BusySeconds()
 	lastT := d.rt.Now()

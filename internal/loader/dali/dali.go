@@ -85,7 +85,7 @@ func New(env *loader.Env, spec loader.Spec, cfg Config) *Loader {
 	}
 	l := &Loader{
 		env: env, spec: spec, cfg: cfg,
-		idx:     loader.NewIndexSource(env, spec, 4*spec.BatchSize),
+		idx:     loader.NewIndexSource(spec),
 		ioTasks: queue.New[ioTask](env.RT, "dali-iotasks", cfg.IOParallelism),
 		ioDone:  queue.New[ioResult](env.RT, "dali-iodone", spec.BatchSize),
 		counter: loader.NewDeliveryCounter(spec.TotalBatches()),
@@ -106,7 +106,6 @@ func (l *Loader) Name() string { return "dali" }
 // Start implements loader.Loader.
 func (l *Loader) Start(ctx context.Context) error {
 	ctx, l.cancel = simtime.WithCancel(l.env.RT, ctx)
-	l.idx.Start(ctx)
 
 	// Persistent IO pool: IOParallelism workers bound concurrent loads.
 	for w := 0; w < l.cfg.IOParallelism; w++ {
@@ -128,7 +127,7 @@ func (l *Loader) Start(ctx context.Context) error {
 		for {
 			items := make([]loader.IndexItem, 0, l.spec.BatchSize)
 			for len(items) < l.spec.BatchSize {
-				it, err := l.idx.Out().Get(ctx)
+				it, err := l.idx.Next()
 				if err != nil {
 					return
 				}
@@ -273,7 +272,7 @@ func (l *Loader) Stop() {
 		if l.cancel != nil {
 			l.cancel()
 		}
-		l.idx.Out().Close()
+		l.idx.Close()
 		l.ioTasks.Close()
 		l.ioDone.Close()
 		for _, q := range l.rawQs {

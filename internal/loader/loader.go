@@ -157,63 +157,60 @@ type IndexItem struct {
 	Seq   int64 // global draw order
 }
 
-// IndexSource emits dataset indices in reshuffled epoch order, exactly
-// TotalSamples of them, then closes the output queue. Like the PyTorch
-// sampler, indices are drawn in a predetermined random order (§2.1); what
-// loaders do with that order is where they differ.
+// IndexSource is the shuffled index stream as a pull cursor: Next hands out
+// dataset indices in reshuffled epoch order, exactly TotalSamples of them,
+// then reports queue.ErrClosed. Like the PyTorch sampler, indices are drawn
+// in a predetermined random order (§2.1); what loaders do with that order is
+// where they differ. Drawing costs no virtual time and Seq is draw order, so
+// whichever task asks next gets the next item. Task-only state, like the
+// queues it feeds.
 type IndexSource struct {
-	Spec Spec
-	out  *queue.Queue[IndexItem]
-	env  *Env
+	seed     uint64
+	n        int   // dataset length
+	perEpoch int64 // draws per epoch (drop-last)
+	seq, end int64 // next draw's Seq, and one past the last
+
+	epoch int   // the epoch perm is the order of
+	perm  []int // nil until first drawn from
 }
 
-// NewIndexSource returns an index source writing into a queue of the given
-// capacity.
-func NewIndexSource(env *Env, spec Spec, capacity int) *IndexSource {
-	return &IndexSource{
-		Spec: spec,
-		out:  queue.New[IndexItem](env.RT, "index", capacity),
-		env:  env,
+// NewIndexSource returns the index stream of spec. A Skip fast-forwards past
+// the leading draws without emitting them: epoch numbering, shuffle order,
+// and Seq stay those of the uninterrupted run, so a resumed session is
+// indistinguishable downstream from one that delivered the skipped prefix
+// itself.
+func NewIndexSource(spec Spec) *IndexSource {
+	is := &IndexSource{
+		seed: spec.Seed, n: spec.Dataset.Len(),
+		perEpoch: int64(spec.BatchesPerEpoch()) * int64(spec.BatchSize),
 	}
+	if is.perEpoch > 0 {
+		is.seq = int64(spec.Skip) * int64(spec.BatchSize)
+		is.end = is.seq + int64(spec.TotalSamples())
+	}
+	return is
 }
 
-// Out returns the index queue.
-func (is *IndexSource) Out() *queue.Queue[IndexItem] { return is.out }
-
-// Ready exposes the index stream as a wake source for event-driven
-// consumers: it fires when an index item is available or the stream has
-// closed. Loaders arm a simtime.Selector on it (together with their other
-// queues) instead of sleep-polling TryGet.
-func (is *IndexSource) Ready() simtime.Source { return is.out }
-
-// Start launches the generator task.
-func (is *IndexSource) Start(ctx context.Context) {
-	is.env.WG.Go("index-source", func() {
-		defer is.out.Close()
-		// Skip fast-forwards through the leading draws without emitting
-		// them: epoch numbering, shuffle order, and Seq stay those of the
-		// uninterrupted run, so a resumed session is indistinguishable
-		// downstream from one that delivered the skipped prefix itself.
-		skip := int64(is.Spec.Skip) * int64(is.Spec.BatchSize)
-		total := int64(is.Spec.TotalSamples()) + skip
-		perEpoch := is.Spec.BatchesPerEpoch() * is.Spec.BatchSize
-		var seq int64
-		for epoch := 0; seq < total; epoch++ {
-			// Cached + read-only: every loader of a comparison run draws the
-			// same epoch orders, so the shuffles are shared process-wide.
-			perm := dist.PermutationCached(is.Spec.Seed, uint64(epoch)+1000, is.Spec.Dataset.Len())
-			for i := 0; i < perEpoch && seq < total; i++ {
-				if seq >= skip {
-					item := IndexItem{Epoch: epoch, Index: perm[i], Seq: seq}
-					if err := is.out.Put(ctx, item); err != nil {
-						return
-					}
-				}
-				seq++
-			}
-		}
-	})
+// Next returns the next draw, or queue.ErrClosed once the budget has been
+// handed out or Close was called.
+func (is *IndexSource) Next() (IndexItem, error) {
+	if is.seq >= is.end {
+		return IndexItem{}, queue.ErrClosed
+	}
+	epoch := int(is.seq / is.perEpoch)
+	i := is.seq - int64(epoch)*is.perEpoch
+	if is.perm == nil || epoch != is.epoch {
+		// Cached + read-only: every loader of a comparison run draws the
+		// same epoch orders, so the shuffles are shared process-wide.
+		is.epoch, is.perm = epoch, dist.PermutationCached(is.seed, uint64(epoch)+1000, is.n)
+	}
+	it := IndexItem{Epoch: epoch, Index: is.perm[i], Seq: is.seq}
+	is.seq++
+	return it, nil
 }
+
+// Close ends the stream: every later Next reports queue.ErrClosed.
+func (is *IndexSource) Close() { is.end = is.seq }
 
 // FillSample draws a pooled sample and fills its descriptor for an index
 // item, without paying the storage read — the front half of LoadSample,

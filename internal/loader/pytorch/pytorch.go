@@ -82,7 +82,7 @@ func New(env *loader.Env, spec loader.Spec, cfg Config) *Loader {
 	window := cfg.Workers * cfg.PrefetchFactor
 	l := &Loader{
 		env: env, spec: spec, cfg: cfg,
-		idx:    loader.NewIndexSource(env, spec, 4*spec.BatchSize),
+		idx:    loader.NewIndexSource(spec),
 		tokens: queue.New[struct{}](env.RT, "pytorch-window", window),
 		// The out queue only ever holds in-order ready batches; its
 		// capacity never gates the pipeline (the token window does), so
@@ -110,7 +110,6 @@ func (l *Loader) Name() string {
 // Start implements loader.Loader.
 func (l *Loader) Start(ctx context.Context) error {
 	ctx, l.cancel = simtime.WithCancel(l.env.RT, ctx)
-	l.idx.Start(ctx)
 
 	// Fill the dispatch window.
 	for i := 0; i < l.tokens.Cap(); i++ {
@@ -134,7 +133,7 @@ func (l *Loader) Start(ctx context.Context) error {
 			}
 			items := make([]loader.IndexItem, 0, l.spec.BatchSize)
 			for len(items) < l.spec.BatchSize {
-				it, err := l.idx.Out().Get(ctx)
+				it, err := l.idx.Next()
 				if err != nil {
 					return // index stream closed: drop partial batch (drop_last)
 				}
@@ -220,7 +219,7 @@ func (l *Loader) Stop() {
 		if l.cancel != nil {
 			l.cancel()
 		}
-		l.idx.Out().Close()
+		l.idx.Close()
 		l.tokens.Close()
 		for _, wq := range l.workerQs {
 			wq.Close()

@@ -1,12 +1,20 @@
 package loaders
 
 import (
+	"context"
+	"slices"
 	"testing"
+	"time"
 
 	"github.com/minatoloader/minato/internal/core"
+	"github.com/minatoloader/minato/internal/data"
+	"github.com/minatoloader/minato/internal/hardware"
+	"github.com/minatoloader/minato/internal/loader"
 	"github.com/minatoloader/minato/internal/loader/dali"
 	"github.com/minatoloader/minato/internal/loader/pecan"
 	"github.com/minatoloader/minato/internal/loader/pytorch"
+	"github.com/minatoloader/minato/internal/simtime"
+	"github.com/minatoloader/minato/internal/workload"
 )
 
 func TestDefaultsOrderAndNames(t *testing.T) {
@@ -49,5 +57,51 @@ func TestCustomConfigsAccepted(t *testing.T) {
 	}
 	if f := Minato(core.Config{QueueCap: 5}); f.Name != "minato" {
 		t.Fatal("Minato factory")
+	}
+}
+
+// sessionEnv is a small single-GPU testbed on k.
+func sessionEnv(k *simtime.Virtual) *loader.Env {
+	tb := hardware.NewTestbed(k, hardware.ConfigA().WithGPUs(1))
+	return &loader.Env{RT: k, CPU: tb.CPU, GPUs: tb.GPUs, Store: tb.Store,
+		WG: simtime.NewWaitGroup(k), Pool: data.NewPool()}
+}
+
+// TestCancelledSessionTerminates: an index draw is a cursor step that checks
+// no context, so a session whose context is cancelled — without Stop — must
+// wind down through the operations that do observe it. A task left behind is a kernel
+// deadlock report two seconds later. The same run shows no loader spends a
+// task on feeding indices.
+func TestCancelledSessionTerminates(t *testing.T) {
+	for _, f := range Defaults() {
+		t.Run(f.Name, func(t *testing.T) {
+			k := simtime.NewVirtual()
+			k.Run(func() {
+				env := sessionEnv(k)
+				spec := workload.Speech(1, 3*time.Second).WithIterations(1000).Spec()
+				ld := f.New(env, spec)
+				ctx, cancel := simtime.WithCancel(k, context.Background())
+				if err := ld.Start(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if slices.Contains(k.TaskNames(), "index-source") {
+					t.Errorf("tasks %v: the index stream is a cursor, not a task", k.TaskNames())
+				}
+				for i := 0; i < 3; i++ {
+					b, err := ld.Next(ctx, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					b.Release()
+				}
+				cancel()
+				if err := env.WG.Wait(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if n := k.Tasks(); n != 0 {
+				t.Fatalf("%d tasks outlived the cancelled session: %v", n, k.TaskNames())
+			}
+		})
 	}
 }

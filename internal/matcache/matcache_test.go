@@ -240,11 +240,12 @@ func TestAbortReelection(t *testing.T) {
 	}
 }
 
-// Hammer the single-flight protocol with real goroutines under -race:
-// many tenants warming the same key space must produce exactly one fill
-// per key.
+// Hammer the single-flight protocol under -race the way a cluster's tenants
+// do: one untracked goroutine per tenant, each entering the shared kernel on
+// its own. Many tenants warming the same key space must produce exactly one
+// fill per key.
 func TestSingleFlightHammer(t *testing.T) {
-	rt := simtime.NewReal(1)
+	rt := simtime.NewVirtual()
 	c := New(1 << 30)
 	const (
 		tenants = 8
@@ -259,24 +260,28 @@ func TestSingleFlightHammer(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			for i := 0; i < keys; i++ {
-				k := key(i, 1)
-				for {
-					_, hit, w := c.GetOrBegin(id, k, rt)
-					if hit {
-						break
-					}
-					if w == nil {
-						fills[i].Add(1)
-						c.Complete(id, k, Entry{Bytes: 64, Cost: time.Millisecond})
-						break
-					}
-					if err := w.Wait(context.Background()); err != nil {
-						t.Errorf("wait: %v", err)
-						return
+			rt.Run(func() {
+				for i := 0; i < keys; i++ {
+					k := key(i, 1)
+					for {
+						_, hit, w := c.GetOrBegin(id, k, rt)
+						if hit {
+							break
+						}
+						if w == nil {
+							fills[i].Add(1)
+							// The fill takes time: followers pile up behind it.
+							_ = rt.Sleep(context.Background(), time.Millisecond)
+							c.Complete(id, k, Entry{Bytes: 64, Cost: time.Millisecond})
+							break
+						}
+						if err := w.Wait(context.Background()); err != nil {
+							t.Errorf("wait: %v", err)
+							return
+						}
 					}
 				}
-			}
+			})
 		}(id)
 	}
 	wg.Wait()

@@ -3,6 +3,7 @@ package netsim
 import (
 	"context"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -245,23 +246,29 @@ func TestTransferCancellation(t *testing.T) {
 		}
 	})
 
-	// Mid-flight cancellation under the wall-clock runtime (under Virtual,
-	// cancellation is best-effort by design — simulation shutdown uses
-	// kernel-visible events like barrier breaks instead).
-	r := simtime.NewReal(1e4)
-	f := New(r, Config{Endpoints: 2, Bandwidth: 1e9})
-	ctx, cancel := context.WithCancel(context.Background())
-	time.AfterFunc(20*time.Millisecond, cancel)
-	if err := f.Transfer(ctx, 0, 1, 1e12); err != context.Canceled {
-		t.Fatalf("cancelled transfer returned %v, want context.Canceled", err)
-	}
-	// The fabric must be clean for subsequent traffic.
-	if err := f.Transfer(context.Background(), 0, 1, 1e6); err != nil {
-		t.Fatal(err)
-	}
-	if n := f.FlowsCompleted(); n != 2 {
-		t.Fatalf("FlowsCompleted = %d, want 2 (cancelled flows still exit)", n)
-	}
+	// Mid-flight: a kernel-visible cancel ends the transfer at its instant
+	// and leaves the fabric clean for subsequent traffic.
+	k = simtime.NewVirtual()
+	k.Run(func() {
+		f := New(k, Config{Endpoints: 2, Bandwidth: 1e9})
+		ctx, cancel := simtime.WithCancel(k, context.Background())
+		k.Go("canceller", func() {
+			_ = k.Sleep(context.Background(), 20*time.Millisecond)
+			cancel()
+		})
+		if err := f.Transfer(ctx, 0, 1, 1e12); err != context.Canceled {
+			t.Fatalf("cancelled transfer returned %v, want context.Canceled", err)
+		}
+		if now := k.Now(); now != 20*time.Millisecond {
+			t.Fatalf("cancelled transfer returned at %v, want 20ms", now)
+		}
+		if err := f.Transfer(context.Background(), 0, 1, 1e6); err != nil {
+			t.Fatal(err)
+		}
+		if n := f.FlowsCompleted(); n != 2 {
+			t.Fatalf("FlowsCompleted = %d, want 2 (cancelled flows still exit)", n)
+		}
+	})
 }
 
 func TestFabricDeterminism(t *testing.T) {
@@ -329,11 +336,12 @@ func TestConservationUnderContention(t *testing.T) {
 	})
 }
 
-// TestRaceHammer exercises concurrent flows, bandwidth churn, and
-// cancellations under the wall-clock runtime; run with -race.
+// TestRaceHammer exercises what reaches a Fabric from outside its kernel —
+// sixteen untracked goroutines entering it, bandwidth churn and a foreign
+// cancellation — against flows in flight; run with -race.
 func TestRaceHammer(t *testing.T) {
-	r := simtime.NewReal(1e6)
-	f := New(r, Config{Endpoints: 4, Bandwidth: 1e9, Latency: time.Microsecond})
+	k := simtime.NewVirtual()
+	f := New(k, Config{Endpoints: 4, Bandwidth: 1e9, Latency: time.Microsecond})
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -341,20 +349,22 @@ func TestRaceHammer(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				_ = f.Transfer(ctx, (g+i)%4, (g+i+1+i%3)%4, int64(1e6*(1+i%7)))
-			}
+			k.Run(func() {
+				for i := 0; i < 200; i++ {
+					_ = f.Transfer(ctx, (g+i)%4, (g+i+1+i%3)%4, int64(1e6*(1+i%7)))
+				}
+			})
 		}()
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 30; i++ {
+		for i := 0; i < 300; i++ {
 			f.SetBandwidth(i%4, 1e9/float64(1+i%3))
-			time.Sleep(time.Millisecond)
+			runtime.Gosched()
 		}
+		cancel()
 	}()
-	time.AfterFunc(250*time.Millisecond, cancel)
 	wg.Wait()
 	_ = f.BytesMoved()
 }

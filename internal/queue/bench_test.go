@@ -8,7 +8,7 @@ import (
 )
 
 func BenchmarkUncontendedPutGet(b *testing.B) {
-	rt := simtime.NewReal(1)
+	rt := simtime.NewVirtual()
 	q := New[int](rt, "bench", 1024)
 	ctx := context.Background()
 	b.ReportAllocs()
@@ -24,7 +24,7 @@ func BenchmarkUncontendedPutGet(b *testing.B) {
 }
 
 func BenchmarkTryPutTryGet(b *testing.B) {
-	rt := simtime.NewReal(1)
+	rt := simtime.NewVirtual()
 	q := New[int](rt, "bench", 1024)
 	b.ReportAllocs()
 	b.ResetTimer()

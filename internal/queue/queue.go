@@ -10,17 +10,17 @@
 // power-of-two ring buffer sized at construction, parked producers and
 // consumers are recorded in ring-backed waiter lists (no append-and-shift
 // slice churn; a waiter that gives up leaves in O(1)), and blocking waits
-// draw reusable Selectors from a pool instead of allocating a one-shot
+// draw reusable Selectors from a free list instead of allocating a one-shot
 // Waiter per park. Popped ring slots are zeroed so the queue never keeps a
-// vacated element reachable. Len and Closed read atomics, so emptiness
-// checks never touch the hot lock.
+// vacated element reachable.
+//
+// A Queue has no lock: it is task-only state (see simtime's ownership rule).
+// Only kernel tasks, of which one runs at a time, may call its methods.
 package queue
 
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/minatoloader/minato/internal/simtime"
@@ -36,32 +36,26 @@ type Queue[T any] struct {
 	name string
 	cap  int
 
-	mu         sync.Mutex
 	buf        []T // power-of-two ring; len(buf) >= cap
 	mask       int
 	head       int // index of the oldest buffered item
+	size       int
+	closed     bool
 	getWaiters waitList
 	putWaiters waitList
 
-	// size and closed are mutated under mu but read lock-free by Len and
-	// Closed — the emptiness checks on the batch-constructor hot path never
-	// contend on the queue lock.
-	size   atomic.Int64
-	closed atomic.Bool
-
-	// occupancy statistics, guarded by mu.
+	// occupancy statistics
 	occIntegral float64 // ∫ len dt, in item-seconds
 	lastOcc     time.Duration
 
-	// selPool recycles Selectors across blocking Put/Get parks. Recycling is
-	// safe because every TryWake on a queue waiter entry is delivered while
-	// holding mu: once an entry has been popped (or removed by its owner)
-	// under the lock, no stale reference to its selector remains.
-	selPool sync.Pool
+	// free recycles Selectors across blocking Put/Get parks. Recycling is
+	// safe because a waker pops an entry before it wakes its selector and a
+	// waiter that gives up removes its own: once park returns, no list holds
+	// a reference to its selector.
+	free []*simtime.Selector
 
-	// counters, readable off the lock
-	puts, gets atomic.Int64
-	maxLen     atomic.Int64
+	puts, gets int64
+	maxLen     int
 	created    time.Duration
 }
 
@@ -77,13 +71,11 @@ func New[T any](rt simtime.Runtime, name string, capacity int) *Queue[T] {
 		ring <<= 1
 	}
 	now := rt.Now()
-	q := &Queue[T]{
+	return &Queue[T]{
 		rt: rt, name: name, cap: capacity,
 		buf: make([]T, ring), mask: ring - 1,
 		created: now, lastOcc: now,
 	}
-	q.selPool.New = func() any { return simtime.NewSelector(rt) }
-	return q
 }
 
 // Name returns the queue's diagnostic name.
@@ -92,15 +84,15 @@ func (q *Queue[T]) Name() string { return q.name }
 // Cap returns the queue capacity.
 func (q *Queue[T]) Cap() int { return q.cap }
 
-// Len returns the current number of buffered items without locking.
-func (q *Queue[T]) Len() int { return int(q.size.Load()) }
+// Len returns the current number of buffered items.
+func (q *Queue[T]) Len() int { return q.size }
 
 // Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool { return q.closed.Load() }
+func (q *Queue[T]) Closed() bool { return q.closed }
 
 // account folds the elapsed occupancy (len·dt) into the integral. Callers
-// hold mu and pass the length that was current over the elapsed window
-// (i.e. before their mutation).
+// pass the length that was current over the elapsed window (i.e. before
+// their mutation).
 func (q *Queue[T]) account(lenBefore int) {
 	now := q.rt.Now()
 	last := q.lastOcc
@@ -110,32 +102,30 @@ func (q *Queue[T]) account(lenBefore int) {
 	}
 }
 
-// pushLocked appends v to the ring. The caller holds mu and has verified
-// space is available.
-func (q *Queue[T]) pushLocked(v T) {
-	n := int(q.size.Load())
+// push appends v to the ring. The caller has verified space is available.
+func (q *Queue[T]) push(v T) {
+	n := q.size
 	q.account(n)
 	q.buf[(q.head+n)&q.mask] = v
-	q.size.Store(int64(n + 1))
-	if int64(n+1) > q.maxLen.Load() {
-		q.maxLen.Store(int64(n + 1))
+	q.size = n + 1
+	if n+1 > q.maxLen {
+		q.maxLen = n + 1
 	}
-	q.puts.Add(1)
+	q.puts++
 	q.getWaiters.wakeOne()
 }
 
-// popLocked removes and returns the oldest item. The caller holds mu and has
-// verified the queue is non-empty. The vacated slot is zeroed so the ring
-// never keeps a popped element reachable.
-func (q *Queue[T]) popLocked() T {
-	n := int(q.size.Load())
-	q.account(n)
+// pop removes and returns the oldest item. The caller has verified the queue
+// is non-empty. The vacated slot is zeroed so the ring never keeps a popped
+// element reachable.
+func (q *Queue[T]) pop() T {
+	q.account(q.size)
 	v := q.buf[q.head]
 	var zero T
 	q.buf[q.head] = zero
 	q.head = (q.head + 1) & q.mask
-	q.size.Store(int64(n - 1))
-	q.gets.Add(1)
+	q.size--
+	q.gets++
 	q.putWaiters.wakeOne()
 	return v
 }
@@ -143,24 +133,20 @@ func (q *Queue[T]) popLocked() T {
 // Put appends v, blocking while the queue is full. It returns ErrClosed if
 // the queue is or becomes closed, or ctx.Err() on cancellation.
 func (q *Queue[T]) Put(ctx context.Context, v T) error {
-	q.mu.Lock()
 	for {
-		if q.closed.Load() {
-			q.mu.Unlock()
+		if q.closed {
 			return ErrClosed
 		}
-		if int(q.size.Load()) < q.cap {
-			q.pushLocked(v)
-			q.mu.Unlock()
+		if q.size < q.cap {
+			q.push(v)
 			return nil
 		}
-		if err := q.parkLocked(ctx, &q.putWaiters); err != nil {
+		if err := q.park(ctx, &q.putWaiters); err != nil {
 			// Guard against a lost wakeup: someone may have woken us to fill
 			// the free slot we are abandoning.
-			if int(q.size.Load()) < q.cap {
+			if q.size < q.cap {
 				q.putWaiters.wakeOne()
 			}
-			q.mu.Unlock()
 			return err
 		}
 	}
@@ -169,15 +155,13 @@ func (q *Queue[T]) Put(ctx context.Context, v T) error {
 // TryPut appends v without blocking. It reports whether the item was
 // accepted; it returns ErrClosed after Close.
 func (q *Queue[T]) TryPut(v T) (bool, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed.Load() {
+	if q.closed {
 		return false, ErrClosed
 	}
-	if int(q.size.Load()) >= q.cap {
+	if q.size >= q.cap {
 		return false, nil
 	}
-	q.pushLocked(v)
+	q.push(v)
 	return true, nil
 }
 
@@ -185,22 +169,17 @@ func (q *Queue[T]) TryPut(v T) (bool, error) {
 // empty. After Close, Get drains remaining items and then returns ErrClosed.
 func (q *Queue[T]) Get(ctx context.Context) (T, error) {
 	var zero T
-	q.mu.Lock()
 	for {
-		if q.size.Load() > 0 {
-			v := q.popLocked()
-			q.mu.Unlock()
-			return v, nil
+		if q.size > 0 {
+			return q.pop(), nil
 		}
-		if q.closed.Load() {
-			q.mu.Unlock()
+		if q.closed {
 			return zero, ErrClosed
 		}
-		if err := q.parkLocked(ctx, &q.getWaiters); err != nil {
-			if q.size.Load() > 0 {
+		if err := q.park(ctx, &q.getWaiters); err != nil {
+			if q.size > 0 {
 				q.getWaiters.wakeOne()
 			}
-			q.mu.Unlock()
 			return zero, err
 		}
 	}
@@ -209,76 +188,51 @@ func (q *Queue[T]) Get(ctx context.Context) (T, error) {
 // TryGet removes and returns the oldest item without blocking. ok is false
 // when the queue is empty. It returns ErrClosed once closed and drained.
 func (q *Queue[T]) TryGet() (v T, ok bool, err error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.size.Load() > 0 {
-		return q.popLocked(), true, nil
+	if q.size > 0 {
+		return q.pop(), true, nil
 	}
-	if q.closed.Load() {
-		var zero T
-		return zero, false, ErrClosed
+	if q.closed {
+		return v, false, ErrClosed
 	}
-	var zero T
-	return zero, false, nil
+	return v, false, nil
 }
 
-// parkLocked parks the caller on list with a pooled selector until a waker
-// (or Close) delivers a wakeup, re-acquiring mu before returning. A nil
-// return means the caller was woken and must re-check its condition; a
-// non-nil return is the context error, with the caller's entry already
-// removed from the list.
-func (q *Queue[T]) parkLocked(ctx context.Context, list *waitList) error {
-	sel := q.selPool.Get().(*simtime.Selector)
-	// Reset under mu: every queue-side TryWake also happens under mu, so the
-	// cycle boundary is serialized against wakers and the pooled selector
-	// can never receive a stale wake from a previous owner.
+// park parks the caller on list with a recycled selector until a waker (or
+// Close) delivers a wakeup. A nil return means the caller was woken and must
+// re-check its condition; a non-nil return is the context error, with the
+// caller's entry already removed from the list.
+func (q *Queue[T]) park(ctx context.Context, list *waitList) error {
+	var sel *simtime.Selector
+	if n := len(q.free); n > 0 {
+		sel, q.free = q.free[n-1], q.free[:n-1]
+	} else {
+		sel = simtime.NewSelector(q.rt)
+	}
 	sel.Reset()
 	pos := list.push(waiterEntry{sel: sel, idx: 0})
-	q.mu.Unlock()
 	_, err := sel.Wait(ctx, 0)
-	q.mu.Lock()
 	if err != nil {
-		// Cancelled: drop our entry if a waker has not already popped it. In
-		// either case no reference can be in flight — wakes are delivered
-		// under mu, which we hold — so the selector is safe to recycle.
+		// Cancelled: drop our entry if a waker has not already popped it.
 		list.remove(pos, sel)
 	}
-	q.selPool.Put(sel)
+	q.free = append(q.free, sel)
 	return err
-}
-
-// Kick re-delivers a consumer wakeup when the queue is non-empty. A waiter
-// that claimed a wakeup but decided not to consume (e.g. a worker retiring
-// right after being woken) calls it so the item that woke it reaches a
-// parked peer instead of being stranded. A spurious kick is safe: the
-// woken consumer re-checks and parks again.
-func (q *Queue[T]) Kick() {
-	q.mu.Lock()
-	if q.size.Load() > 0 {
-		q.getWaiters.wakeOne()
-	}
-	q.mu.Unlock()
 }
 
 // Close marks the queue closed and wakes every blocked producer and
 // consumer. Items already buffered remain readable. Close is idempotent.
 func (q *Queue[T]) Close() {
-	q.mu.Lock()
-	if q.closed.Load() {
-		q.mu.Unlock()
+	if q.closed {
 		return
 	}
-	q.account(int(q.size.Load()))
-	q.closed.Store(true)
-	// Wake under the lock: pooled selectors must never see a wake after
-	// their entry has been removed from the lists.
+	q.account(q.size)
+	q.closed = true
 	q.getWaiters.wakeAll()
 	q.putWaiters.wakeAll()
-	q.mu.Unlock()
 }
 
 // waiterEntry is one parked consumer or producer: a Selector subscription
-// (a pooled selector for blocking Get/Put, or an external Arm registration)
+// (a recycled selector for blocking Get/Put, or an external Arm registration)
 // with its result index.
 type waiterEntry struct {
 	sel *simtime.Selector
@@ -374,15 +328,12 @@ func (l *waitList) remove(pos uint64, sel *simtime.Selector) bool {
 // queue becomes readable (an item arrives or the queue closes). If the queue
 // is already readable, sel is woken immediately and not registered.
 func (q *Queue[T]) Arm(sel *simtime.Selector, idx int) bool {
-	q.mu.Lock()
-	if q.size.Load() > 0 || q.closed.Load() {
-		q.mu.Unlock()
+	if q.size > 0 || q.closed {
 		sel.TryWake(idx)
 		return true
 	}
 	// Noted on the selector, so Disarm finds the entry without a search.
 	sel.Note(q.getWaiters.push(waiterEntry{sel: sel, idx: idx}))
-	q.mu.Unlock()
 	return false
 }
 
@@ -390,22 +341,20 @@ func (q *Queue[T]) Arm(sel *simtime.Selector, idx int) bool {
 // include the position Arm registered it at; a note from another source at
 // most fails the check.
 func (q *Queue[T]) Disarm(sel *simtime.Selector) {
-	q.mu.Lock()
 	for _, pos := range sel.Notes() {
 		if q.getWaiters.remove(pos, sel) {
 			break
 		}
 	}
-	q.mu.Unlock()
 }
 
 // WaitAny blocks until one of the sources is ready — for queues, readable or
 // closed — and returns the index of the source that fired (Heartbeat when
-// the heartbeat expired first; pass 0 to disable it). It allocates a
-// throwaway Selector, so it is a convenience for occasional waits; hot loops
-// should hold a Selector and call Select on it directly.
-func WaitAny(ctx context.Context, rt simtime.Runtime, heartbeat time.Duration, sources ...simtime.Source) (int, error) {
-	return simtime.NewSelector(rt).Select(ctx, heartbeat, sources...)
+// the deadline passed first; pass 0 for none). It allocates a throwaway
+// Selector, so it is a convenience for occasional waits; hot loops should
+// hold a Selector and call Select on it directly.
+func WaitAny(ctx context.Context, rt simtime.Runtime, deadline time.Duration, sources ...simtime.Source) (int, error) {
+	return simtime.NewSelector(rt).Select(ctx, deadline, sources...)
 }
 
 var _ simtime.Source = (*Queue[int])(nil)
@@ -419,22 +368,17 @@ type Stats struct {
 	AvgOccupancy float64 // time-weighted mean length
 }
 
-// Stats returns a snapshot of queue counters. It takes the queue lock
-// briefly to fold the tail window into the occupancy integral and read a
-// consistent snapshot; the lock-free diagnostic reads are Len and Closed.
+// Stats returns a snapshot of queue counters, folding the tail window into
+// the occupancy integral first.
 func (q *Queue[T]) Stats() Stats {
-	q.mu.Lock()
-	q.account(int(q.size.Load()))
-	elapsed := (q.lastOcc - q.created).Seconds()
-	integral := q.occIntegral
-	q.mu.Unlock()
+	q.account(q.size)
 	avg := 0.0
-	if elapsed > 0 {
-		avg = integral / elapsed
+	if elapsed := (q.lastOcc - q.created).Seconds(); elapsed > 0 {
+		avg = q.occIntegral / elapsed
 	}
 	return Stats{
-		Name: q.name, Puts: q.puts.Load(), Gets: q.gets.Load(),
-		Len: int(q.size.Load()), Cap: q.cap,
-		MaxLen: int(q.maxLen.Load()), AvgOccupancy: avg,
+		Name: q.name, Puts: q.puts, Gets: q.gets,
+		Len: q.size, Cap: q.cap,
+		MaxLen: q.maxLen, AvgOccupancy: avg,
 	}
 }

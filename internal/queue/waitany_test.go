@@ -179,8 +179,6 @@ func TestDisarmManyWaitersKeepsFIFO(t *testing.T) {
 				t.Fatalf("disarmed selector %d was woken by a put", i)
 			}
 		}
-		q.mu.Lock()
-		defer q.mu.Unlock()
 		if q.getWaiters.head != q.getWaiters.tail {
 			t.Fatalf("%d entries left in the wait list", q.getWaiters.tail-q.getWaiters.head)
 		}

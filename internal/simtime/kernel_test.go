@@ -345,3 +345,35 @@ func TestGoexitEndsOnlyItsTask(t *testing.T) {
 		t.Fatalf("order = %v at %v, want %v at 2s", order, k.Now(), want)
 	}
 }
+
+// TestKernelStatsCountParksAndWakes: the kernel's own counters, on a program
+// whose round trips can be counted by hand.
+func TestKernelStatsCountParksAndWakes(t *testing.T) {
+	ctx := context.Background()
+	k := NewVirtual()
+	k.Run(func() { // spawn 1
+		sel := NewSelector(k)
+		k.Go("waker", func() { // spawn 2
+			_ = k.Sleep(ctx, time.Millisecond) // timed park, timer wake
+			sel.TryWake(0)
+		})
+		if names := k.TaskNames(); !slices.Contains(names, "waker") || len(names) != 2 {
+			t.Errorf("TaskNames = %v, want run and waker", names)
+		}
+		sel.Reset()
+		_, _ = sel.Wait(ctx, 0) // untimed park, TryWake
+		_ = k.Sleep(ctx, 0)     // no park
+		// A wake that claims the cycle before its owner waits: no park, and
+		// no wake counted either.
+		sel.Reset()
+		sel.TryWake(0)
+		_, _ = sel.Wait(ctx, 0)
+		cctx, cancel := WithCancel(k, ctx)
+		k.Go("canceller", func() { cancel() }) // spawn 3
+		_ = k.Sleep(cctx, time.Hour)           // timed park, ended by the cancellation
+	})
+	want := KernelStats{Spawns: 3, Parks: 3, TimedParks: 2, Wakes: 3}
+	if got := k.Stats(); got != want {
+		t.Fatalf("Stats = %+v, want %+v", got, want)
+	}
+}

@@ -3,8 +3,6 @@ package simtime
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -14,7 +12,7 @@ import (
 // encode priorities (fast queue before slow queue) by argument position.
 
 // Heartbeat is returned by Selector.Wait/Select when the wait ended because
-// the deadline (the fallback heartbeat) expired rather than a source firing.
+// the deadline expired rather than a source firing.
 const Heartbeat = -1
 
 // Source is a wake source a Selector can be armed on. Queues, gates, and
@@ -35,69 +33,45 @@ type Source interface {
 // Selector; each cycle it Resets, arms the selector on its sources, and
 // parks in Wait. The first TryWake claims the cycle — later TryWake calls
 // return false so the caller passes the wakeup to another waiter instead of
-// losing it. A positive deadline is a kernel timer under Virtual, and a
-// wall-clock timer scaled like Real.Sleep on any other runtime.
+// losing it. A positive deadline is a kernel timer.
 type Selector struct {
-	k     *Virtual // nil on nondeterministic runtimes
-	scale float64  // wall-clock compression for deadline waits when k == nil
-	ch    chan int // result hand-off when k == nil
+	k *Virtual
 
-	// state transitions are guarded by k.mu under Virtual (so the claim and
-	// the owner's move to the ready queue are one step) and by CAS alone
-	// under Real.
-	state atomic.Int32
-	idx   int      // the claimed cycle's result; guarded by k.mu
-	owner *task    // the task parked in Wait; guarded by k.mu
+	// state, idx and owner change under k.mu while the owner is parked or a
+	// waker claims the cycle; between cycles Reset writes state from the
+	// owner alone. A source that untracked goroutines reach (a locked one)
+	// must therefore have its owners Reset under the lock its wakers hold,
+	// as netsim.Fabric does.
+	state int32
+	idx   int      // the claimed cycle's result
+	owner *task    // the task parked in Wait
 	notes []uint64 // see Note; the owner's alone
 	nbuf  [4]uint64
+
+	// The Gate subscription (see Gate): the gate last armed on, the pulse
+	// version seen there, and the links of its subscriber list.
+	gate               *Gate
+	gateSeen           uint64
+	gateIdx            int
+	gateNext, gatePrev *Selector
 }
 
 const (
 	selIdle int32 = iota
-	selArmed
 	selWoken
 	selExpired
 )
 
 // NewSelector returns a selector bound to rt.
-func NewSelector(rt Runtime) *Selector {
-	switch r := rt.(type) {
-	case *Virtual:
-		return &Selector{k: r}
-	case *Real:
-		return &Selector{ch: make(chan int, 1), scale: r.scale}
-	}
-	return &Selector{ch: make(chan int, 1), scale: 1}
-}
-
-// Deterministic reports whether rt is the deterministic virtual kernel, where
-// a lost wakeup surfaces as a loud deadlock and a fallback heartbeat would
-// only add events; on a wall-clock runtime it is the recovery from a hang.
-func Deterministic(rt Runtime) bool {
-	_, ok := rt.(*Virtual)
-	return ok
-}
+func NewSelector(rt Runtime) *Selector { return &Selector{k: rt.(*Virtual)} }
 
 // Reset begins a new wait cycle, discarding a wake delivered since the last
 // Wait returned (a waker may claim the selector while its owner is between
 // cycles; the owner re-checks its condition before waiting, so the wake's
-// information is not lost). Callers that publish the selector to wakers
-// through their own lock (as Device does) must Reset under that lock so
-// wakes are serialized against the cycle boundary.
-//
-// On a wall-clock runtime the drain must come BEFORE the state store:
-// Gate.Pulse delivers TryWake outside its lock, so a delayed waker either
-// is refused (stale state) or claims the fresh cycle with its send intact;
-// the other way round its send could be eaten and the next Wait never wake.
+// information is not lost).
 func (s *Selector) Reset() {
-	if s.k == nil {
-		select {
-		case <-s.ch:
-		default:
-		}
-	}
 	s.notes = s.nbuf[:0]
-	s.state.Store(selIdle)
+	s.state = selIdle
 }
 
 // Note records, for the current cycle, a position a Source registered s at,
@@ -109,32 +83,24 @@ func (s *Selector) Notes() []uint64 { return s.notes }
 // TryWake claims the selector's current cycle and delivers idx as the wait
 // result. It reports whether the wakeup was delivered: false means another
 // source (or a timeout/cancellation) already claimed the cycle, so the
-// caller should wake someone else instead. Under Virtual a parked owner
-// joins the ready queue; it runs after the caller parks.
-func (s *Selector) TryWake(idx int) bool {
-	if k := s.k; k != nil {
-		k.mu.Lock()
-		defer k.mu.Unlock()
-		if st := s.state.Load(); st != selIdle && st != selArmed {
-			return false
-		}
-		s.state.Store(selWoken)
+// caller should wake someone else instead. A parked owner joins the ready
+// queue; it runs after the caller parks.
+func (s *Selector) TryWake(idx int) bool { return s.tryWake(idx) == selIdle }
+
+// tryWake is TryWake, returning the state it found the cycle in.
+func (s *Selector) tryWake(idx int) (found int32) {
+	k := s.k
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if s.state == selIdle {
+		s.state = selWoken
 		s.idx = idx
 		if s.owner != nil {
 			k.readyLocked(s.owner)
 		}
-		return true
+		return selIdle
 	}
-	for {
-		st := s.state.Load()
-		if st != selIdle && st != selArmed {
-			return false
-		}
-		if s.state.CompareAndSwap(st, selWoken) {
-			s.ch <- idx
-			return true
-		}
-	}
+	return s.state
 }
 
 // Wait parks the calling task until TryWake, the deadline (if positive), or
@@ -149,54 +115,27 @@ func (s *Selector) Wait(ctx context.Context, deadline time.Duration) (int, error
 // wait is Wait; on names the primitive in errors and the deadlock report
 // ("selector", or "waiter" for the one-shot cycle of a Waiter).
 func (s *Selector) wait(ctx context.Context, deadline time.Duration, on string) (int, error) {
-	if k := s.k; k != nil {
-		k.mu.Lock()
-		// Whatever readies a parked task first — a wake, the deadline,
-		// cancellation — settles state and idx before the task resumes.
-		if st := s.state.Load(); st == selIdle && k.parkLocked(ctx, on, deadline, s) {
-			return 0, ctx.Err()
-		} else if st == selWoken {
-			k.mu.Unlock()
-		} else if st != selIdle {
-			k.mu.Unlock()
-			return 0, fmt.Errorf("simtime: %s waited on again without a Reset", on)
-		}
-		return s.idx, nil
-	}
-	if !s.state.CompareAndSwap(selIdle, selArmed) {
-		if s.state.Load() == selWoken {
-			return <-s.ch, nil
-		}
+	k := s.k
+	k.mu.Lock()
+	// Whatever readies a parked task first — a wake, the deadline,
+	// cancellation — settles state and idx before the task resumes.
+	if st := s.state; st == selIdle && k.parkLocked(ctx, on, deadline, s) {
+		return 0, ctx.Err()
+	} else if st == selWoken {
+		k.mu.Unlock()
+	} else if st != selIdle {
+		k.mu.Unlock()
 		return 0, fmt.Errorf("simtime: %s waited on again without a Reset", on)
 	}
-	var timerC <-chan time.Time
-	if deadline > 0 {
-		tm := time.NewTimer(time.Duration(float64(deadline) / s.scale))
-		defer tm.Stop()
-		timerC = tm.C
-	}
-	select {
-	case idx := <-s.ch:
-		return idx, nil
-	case <-timerC:
-		if s.state.CompareAndSwap(selArmed, selExpired) {
-			return Heartbeat, nil
-		}
-		return <-s.ch, nil // a wake won the race; deliver it
-	case <-ctx.Done():
-		if s.state.CompareAndSwap(selArmed, selExpired) {
-			return 0, ctx.Err()
-		}
-		return <-s.ch, nil
-	}
+	return s.idx, nil
 }
 
 // Select arms the selector on each source in order, parks until one fires
-// (or the heartbeat expires, or ctx is cancelled), then disarms. It returns
-// the index of the source that fired, or Heartbeat. Readiness is checked in
-// argument order at arm time, so earlier sources take priority when several
-// are ready — deterministic under Virtual.
-func (s *Selector) Select(ctx context.Context, heartbeat time.Duration, sources ...Source) (int, error) {
+// (or the deadline, if positive, expires, or ctx is cancelled), then disarms.
+// It returns the index of the source that fired, or Heartbeat. Readiness is
+// checked in argument order at arm time, so earlier sources take priority
+// when several are ready.
+func (s *Selector) Select(ctx context.Context, deadline time.Duration, sources ...Source) (int, error) {
 	s.Reset()
 	armed := len(sources)
 	for i, src := range sources {
@@ -205,7 +144,7 @@ func (s *Selector) Select(ctx context.Context, heartbeat time.Duration, sources 
 			break
 		}
 	}
-	idx, err := s.Wait(ctx, heartbeat)
+	idx, err := s.Wait(ctx, deadline)
 	for _, src := range sources[:armed] {
 		src.Disarm(s)
 	}
@@ -213,75 +152,83 @@ func (s *Selector) Select(ctx context.Context, heartbeat time.Duration, sources 
 }
 
 // Gate is a broadcast wake source for condition changes that are not queue
-// operations (accounting flips, shutdown). Pulse wakes every armed selector.
-// It is level-correct across the check-then-arm race: each Pulse advances a
-// version, and Arm fires immediately when a pulse happened since the
-// selector last armed — so "check condition, arm gate, park" never misses a
-// pulse delivered between the check and the arm.
+// operations (accounting flips, shutdown). Pulse wakes every armed selector,
+// in the order they armed. It is level-correct across the check-then-arm
+// race: each Pulse advances a version, and Arm fires immediately when a pulse
+// happened since the selector last armed — so "check condition, arm gate,
+// park" never misses a pulse delivered between the check and the arm. A
+// selector that has never armed on the gate has seen version 0.
+//
+// Subscribers form a list threaded through the selectors themselves, which
+// also remember the version they saw: arming, disarming and the version
+// check are O(1) and allocate nothing. A Selector can therefore be armed on
+// one Gate at a time. Task-only, like the selectors it wakes.
 type Gate struct {
-	mu      sync.Mutex
-	version uint64
-	seen    map[*Selector]uint64
-	subs    []gateSub
-}
-
-type gateSub struct {
-	sel *Selector
-	idx int
+	version     uint64
+	first, last *Selector
 }
 
 // NewGate returns an empty gate.
-func NewGate() *Gate {
-	return &Gate{seen: make(map[*Selector]uint64)}
-}
-
-// gateSeenLimit bounds the per-selector pulse memory: beyond it, Pulse
-// drops the whole map rather than let transient selectors accumulate. A
-// dropped entry costs its selector at most one spurious wake at its next Arm.
-const gateSeenLimit = 1024
+func NewGate() *Gate { return &Gate{} }
 
 // Pulse wakes every armed selector and advances the gate version.
 func (g *Gate) Pulse() {
-	g.mu.Lock()
 	g.version++
-	subs := g.subs
-	g.subs = nil
-	if len(g.seen) > gateSeenLimit {
-		clear(g.seen)
-	}
-	for _, e := range subs {
-		g.seen[e.sel] = g.version
-	}
-	g.mu.Unlock()
-	for _, e := range subs {
-		e.sel.TryWake(e.idx)
+	s := g.first
+	g.first, g.last = nil, nil
+	for s != nil {
+		next := s.gateNext
+		s.gateNext, s.gatePrev = nil, nil
+		s.gateSeen = g.version
+		s.TryWake(s.gateIdx)
+		s = next
 	}
 }
 
 // Arm implements Source.
 func (g *Gate) Arm(s *Selector, idx int) bool {
-	g.mu.Lock()
-	if g.seen[s] != g.version {
-		g.seen[s] = g.version
-		g.mu.Unlock()
+	if s.gate != g {
+		if s.subscribed() {
+			panic("simtime: selector armed on two gates at once")
+		}
+		s.gate, s.gateSeen = g, 0
+	}
+	if s.gateSeen != g.version {
+		s.gateSeen = g.version
 		s.TryWake(idx)
 		return true
 	}
-	g.subs = append(g.subs, gateSub{sel: s, idx: idx})
-	g.mu.Unlock()
+	s.gateIdx, s.gatePrev = idx, g.last
+	if g.last != nil {
+		g.last.gateNext = s
+	} else {
+		g.first = s
+	}
+	g.last = s
 	return false
+}
+
+// subscribed reports whether s is on its gate's subscriber list.
+func (s *Selector) subscribed() bool {
+	return s.gate != nil && (s.gatePrev != nil || s.gate.first == s)
 }
 
 // Disarm implements Source.
 func (g *Gate) Disarm(s *Selector) {
-	g.mu.Lock()
-	for i, e := range g.subs {
-		if e.sel == s {
-			g.subs = append(g.subs[:i], g.subs[i+1:]...)
-			break
-		}
+	if s.gate != g || !s.subscribed() {
+		return
 	}
-	g.mu.Unlock()
+	if s.gatePrev != nil {
+		s.gatePrev.gateNext = s.gateNext
+	} else {
+		g.first = s.gateNext
+	}
+	if s.gateNext != nil {
+		s.gateNext.gatePrev = s.gatePrev
+	} else {
+		g.last = s.gatePrev
+	}
+	s.gateNext, s.gatePrev = nil, nil
 }
 
 var _ Source = (*Gate)(nil)

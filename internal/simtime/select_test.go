@@ -2,6 +2,7 @@ package simtime
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -203,16 +204,6 @@ func TestSelectorReuseAcrossCycles(t *testing.T) {
 	})
 }
 
-func TestSelectorHeartbeatOnRealRuntime(t *testing.T) {
-	r := NewReal(1000) // 1s simulated = 1ms wall
-	sel := NewSelector(r)
-	sel.Reset()
-	idx, err := sel.Wait(context.Background(), time.Second)
-	if err != nil || idx != Heartbeat {
-		t.Fatalf("Wait = %d, %v; want Heartbeat, nil", idx, err)
-	}
-}
-
 func TestGatePulseWakesAllArmed(t *testing.T) {
 	k := NewVirtual()
 	k.Run(func() {
@@ -288,4 +279,85 @@ func TestGatePulseRacesSelectorReuse(t *testing.T) {
 		})
 		_ = wg.Wait(context.Background())
 	})
+}
+
+// TestGateWakesInArmOrderAcrossDisarms pins the subscriber list: Pulse wakes
+// in the order selectors armed, and a Disarm — first, middle or last — takes
+// its selector out without disturbing the order of the rest.
+func TestGateWakesInArmOrderAcrossDisarms(t *testing.T) {
+	k := NewVirtual()
+	k.Run(func() {
+		ctx := context.Background()
+		g := NewGate()
+		const n = 8
+		gone := map[int]bool{0: true, 3: true, 7: true}
+		var woke []int
+		sels := make([]*Selector, n)
+		wg := NewWaitGroup(k)
+		for i := range sels {
+			sels[i] = NewSelector(k)
+			sels[i].Reset()
+			if g.Arm(sels[i], i) {
+				t.Fatalf("selector %d: Arm on a never-pulsed gate fired at once", i)
+			}
+			if gone[i] {
+				continue
+			}
+			wg.Go("waiter", func() {
+				idx, err := sels[i].Wait(ctx, 0)
+				if err != nil || idx != i {
+					t.Errorf("selector %d: Wait = %d, %v", i, idx, err)
+				}
+				woke = append(woke, i)
+			})
+		}
+		_ = k.Sleep(ctx, time.Millisecond) // the waiters are parked
+		for i := range gone {
+			g.Disarm(sels[i])
+			g.Disarm(sels[i]) // a second Disarm is a no-op
+		}
+		g.Pulse()
+		_ = wg.Wait(ctx)
+		if want := []int{1, 2, 4, 5, 6}; !slices.Equal(woke, want) {
+			t.Fatalf("wake order %v, want %v", woke, want)
+		}
+		if g.first != nil || g.last != nil {
+			t.Fatal("Pulse left subscribers behind")
+		}
+		// A disarmed selector missed that pulse: its next Arm fires at once.
+		sels[3].Reset()
+		if !g.Arm(sels[3], 0) {
+			t.Fatal("Arm after a missed pulse did not fire")
+		}
+	})
+}
+
+// TestGateVersionIsPerGate: the seen-version lives on the selector, so it is
+// dropped when the selector moves to another gate — at the price of one
+// spurious wake, never a lost one — and arming two gates at once is refused.
+func TestGateVersionIsPerGate(t *testing.T) {
+	k := NewVirtual()
+	a, b := NewGate(), NewGate()
+	a.Pulse()
+	a.Pulse()
+	sel := NewSelector(k)
+	sel.Reset()
+	if !a.Arm(sel, 0) {
+		t.Fatal("first Arm on a pulsed gate must fire: the selector has seen version 0")
+	}
+	sel.Reset()
+	if a.Arm(sel, 0) {
+		t.Fatal("second Arm fired with no pulse in between")
+	}
+	a.Disarm(sel)
+	sel.Reset()
+	if b.Arm(sel, 0) {
+		t.Fatal("Arm on a never-pulsed second gate fired")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("arming a second gate while subscribed to the first did not panic")
+		}
+	}()
+	a.Arm(sel, 0)
 }

@@ -179,21 +179,6 @@ func TestWaitGroupWaitsForAll(t *testing.T) {
 	})
 }
 
-func TestRealRuntimeScale(t *testing.T) {
-	r := NewReal(1000) // 1 simulated second = 1ms wall
-	start := time.Now()
-	if err := r.Sleep(context.Background(), 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	wall := time.Since(start)
-	if wall > 500*time.Millisecond {
-		t.Errorf("scaled sleep took %v of wall time", wall)
-	}
-	if now := r.Now(); now < 2*time.Second {
-		t.Errorf("Now() = %v, want >= 2s", now)
-	}
-}
-
 func TestVirtualManyTasksThroughput(t *testing.T) {
 	k := NewVirtual()
 	var total atomic.Int64

@@ -35,9 +35,26 @@ type Virtual struct {
 
 	looping bool   // a loop goroutine exists
 	starts  uint64 // how many have been started
+	stats   KernelStats
 	// hooks holds the context.AfterFunc registration (its stop function) of
 	// every cancellable context a task has parked under, by Done channel.
 	hooks map[<-chan struct{}]func() bool
+}
+
+// KernelStats counts the kernel's own work since NewVirtual: the coroutine
+// round trips a simulation costs, whatever the layers above call them.
+type KernelStats struct {
+	Spawns     uint64 // tasks started (Go, GoDaemon, Run)
+	Parks      uint64 // times a task gave up the kernel in Sleep or a Wait
+	TimedParks uint64 // the parks that armed a timer
+	Wakes      uint64 // parked tasks readied: by a wake, a timer or a cancellation
+}
+
+// Stats returns the kernel's counters.
+func (k *Virtual) Stats() KernelStats {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.stats
 }
 
 // NewVirtual returns a virtual runtime starting at time zero.
@@ -72,6 +89,7 @@ func (k *Virtual) spawn(name string, fn func(), daemon bool) {
 	}
 	t.lidx = len(k.live)
 	k.live = append(k.live, t)
+	k.stats.Spawns++
 	k.readyLocked(t)
 	k.mu.Unlock()
 }
@@ -107,6 +125,18 @@ func (k *Virtual) Tasks() int {
 	return len(k.live)
 }
 
+// TaskNames returns the names of the live tracked tasks, in no particular
+// order.
+func (k *Virtual) TaskNames() []string {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	names := make([]string, len(k.live))
+	for i, t := range k.live {
+		names[i] = t.name
+	}
+	return names
+}
+
 // NewWaiter returns a kernel-aware parking primitive.
 func (k *Virtual) NewWaiter() *Waiter { return &Waiter{sel: Selector{k: k}} }
 
@@ -135,7 +165,9 @@ func (k *Virtual) parkLocked(ctx context.Context, on string, d time.Duration, s 
 	if s != nil {
 		s.owner = t
 	}
+	k.stats.Parks++
 	if d > 0 {
+		k.stats.TimedParks++
 		t.deadline, t.seq = k.Now()+d, k.seq
 		k.seq++
 		k.timers.push(t)
@@ -161,6 +193,9 @@ func (k *Virtual) readyLocked(t *task) {
 	if s := t.sel; s != nil {
 		s.owner, t.sel = nil, nil
 	}
+	if t.on != "" {
+		k.stats.Wakes++
+	}
 	t.on, t.done = "", nil
 	k.ready = append(k.ready, t)
 	if !k.looping {
@@ -177,7 +212,7 @@ func (k *Virtual) cancelIfDoneLocked(t *task) bool {
 	case <-t.done: // never ready when nil
 		t.cancelled = true
 		if t.sel != nil {
-			t.sel.state.Store(selExpired)
+			t.sel.state = selExpired
 		}
 		k.readyLocked(t)
 		return true
@@ -274,7 +309,7 @@ func (k *Virtual) nextLocked() *task {
 			for len(k.timers) > 0 && k.timers[0].deadline == now {
 				t := k.timers[0]
 				if t.sel != nil {
-					t.sel.state.Store(selWoken)
+					t.sel.state = selWoken
 					t.sel.idx = Heartbeat
 				}
 				k.readyLocked(t)

@@ -2,52 +2,62 @@ package minato
 
 import (
 	"context"
+	"fmt"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// registryRuns makes the names TestRegistryRoundTrip registers unique per
+// run: the registries are process-wide and have no unregister, so -count=2
+// would otherwise panic on the duplicate.
+var registryRuns atomic.Int64
 
 // TestRegistryRoundTrip registers a custom loader and workload, resolves
 // both by name, enumerates them, and runs them through the v2 entry
 // points.
 func TestRegistryRoundTrip(t *testing.T) {
-	RegisterLoader("test-minato-lite", MinatoFactoryWith(func() Config {
+	run := registryRuns.Add(1)
+	loaderName := fmt.Sprintf("test-minato-lite-%d", run)
+	workloadName := fmt.Sprintf("test-tiny-speech-%d", run)
+	RegisterLoader(loaderName, MinatoFactoryWith(func() Config {
 		cfg := DefaultConfig()
 		cfg.WarmupSamples = 8
 		return cfg
 	}()))
-	RegisterWorkload("test-tiny-speech", func(seed uint64) Workload {
+	RegisterWorkload(workloadName, func(seed uint64) Workload {
 		w := SpeechWorkload(seed, 3*time.Second)
 		return w.WithIterations(10)
 	})
 
-	if !slices.Contains(Loaders(), "test-minato-lite") {
-		t.Fatalf("Loaders() = %v, missing test-minato-lite", Loaders())
+	if !slices.Contains(Loaders(), loaderName) {
+		t.Fatalf("Loaders() = %v, missing %s", Loaders(), loaderName)
 	}
-	if !slices.Contains(Workloads(), "test-tiny-speech") {
-		t.Fatalf("Workloads() = %v, missing test-tiny-speech", Workloads())
+	if !slices.Contains(Workloads(), workloadName) {
+		t.Fatalf("Workloads() = %v, missing %s", Workloads(), workloadName)
 	}
-	f, ok := LoaderByName("test-minato-lite")
-	if !ok || f.Name != "test-minato-lite" {
+	f, ok := LoaderByName(loaderName)
+	if !ok || f.Name != loaderName {
 		t.Fatalf("LoaderByName = %+v, %v", f, ok)
 	}
-	w, ok := WorkloadByName("test-tiny-speech", 3)
+	w, ok := WorkloadByName(workloadName, 3)
 	if !ok || w.Seed != 3 || w.Iterations != 10 {
 		t.Fatalf("WorkloadByName = %+v, %v", w, ok)
 	}
 
 	// The registered pair drives a full training session end to end.
-	rep, err := Train("test-tiny-speech", WithLoader("test-minato-lite"), WithGPUs(1))
+	rep, err := Train(workloadName, WithLoader(loaderName), WithGPUs(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Loader != "test-minato-lite" || rep.Batches != 10 {
-		t.Fatalf("report %s / %d batches, want test-minato-lite / 10", rep.Loader, rep.Batches)
+	if rep.Loader != loaderName || rep.Batches != 10 {
+		t.Fatalf("report %s / %d batches, want %s / 10", rep.Loader, rep.Batches, loaderName)
 	}
 
 	// And the registered loader serves Open sessions by name.
 	sess, err := Open(SubsetDataset(LibriSpeech(1, 5), 64),
-		WithLoader("test-minato-lite"), WithBatchSize(8), WithIterations(4))
+		WithLoader(loaderName), WithBatchSize(8), WithIterations(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -803,35 +803,23 @@ func (s *RemoteSession) kernel() (Runtime, *atomic.Bool) { return s.rt, &s.inlin
 // goroutines each ranging over their own Batches enter the kernel in
 // whatever order the OS starts them). fn bodies share the kernel's single
 // thread of control: one must not block on a Go primitive waiting for
-// another. On a real runtime StreamAll degrades to plain goroutines.
+// another.
 func StreamAll[S streamer](ctx context.Context, sessions []S, fn func(i int, s S)) {
 	if len(sessions) == 0 {
 		return
 	}
 	rt, _ := sessions[0].kernel()
-	if v, ok := rt.(*simtime.Virtual); ok {
-		v.Run(func() {
-			wg := simtime.NewWaitGroup(v)
-			for i, s := range sessions {
-				_, inline := s.kernel()
-				inline.Store(true)
-				wg.Go(fmt.Sprintf("svc-stream-%d", i), func() { fn(i, s) })
-			}
-			_ = wg.Wait(ctx)
-		})
-		for _, s := range sessions {
+	onKernel(rt, func() {
+		wg := simtime.NewWaitGroup(rt)
+		for i, s := range sessions {
 			_, inline := s.kernel()
-			inline.Store(false)
+			inline.Store(true)
+			wg.Go(fmt.Sprintf("svc-stream-%d", i), func() { fn(i, s) })
 		}
-		return
+		_ = wg.Wait(ctx)
+	})
+	for _, s := range sessions {
+		_, inline := s.kernel()
+		inline.Store(false)
 	}
-	var wg sync.WaitGroup
-	for i, s := range sessions {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(i, s)
-		}()
-	}
-	wg.Wait()
 }

@@ -150,9 +150,9 @@ func WithGPUs(n int) SharedOption {
 	}
 }
 
-// WithRuntime runs on an existing runtime — e.g. NewRealRuntime to stream
-// against the wall clock, or a shared virtual kernel. Cluster-level; the
-// default is a fresh deterministic virtual runtime per cluster.
+// WithRuntime runs on an existing runtime: a virtual kernel shared with
+// other clusters or services. Cluster-level; the default is a fresh
+// deterministic virtual runtime per cluster.
 func WithRuntime(rt Runtime) SharedOption {
 	return sharedOption{
 		session: func(o *sessionOptions) { o.rt = rt },
@@ -337,7 +337,7 @@ const (
 
 // Session is one data-loading run: a dataset flowing through a
 // preprocessing pipeline into batches, delivered by a pluggable loader
-// backend over a simulated (or real) runtime.
+// backend over a simulated runtime.
 //
 // Lifecycle: Open (or Cluster.Open) configures and wires the session,
 // Batches streams the configured batch budget exactly once, Close tears
@@ -547,16 +547,10 @@ func (s *Session) Batches(ctx context.Context) iter.Seq2[*Batch, error] {
 	}
 }
 
-// onKernel executes fn as a tracked task of a virtual runtime — the only
-// place code that parks may run there — and blocks until it returns; on a
-// real runtime it runs fn inline. The caller must not itself be a task.
-func onKernel(rt Runtime, fn func()) {
-	if v, ok := rt.(*simtime.Virtual); ok {
-		v.Run(fn)
-		return
-	}
-	fn()
-}
+// onKernel executes fn as a tracked task of the runtime's kernel — the only
+// place code that parks may run — and blocks until it returns. The caller
+// must not itself be a task.
+func onKernel(rt Runtime, fn func()) { rt.(*simtime.Virtual).Run(fn) }
 
 // runOnKernel is onKernel on the session's runtime, or a plain call when
 // StreamAll already put the caller on a task.
