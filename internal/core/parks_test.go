@@ -15,7 +15,7 @@ import (
 // the paper's headline (Speech-3s, 4×A100, MinatoLoader): a park is a
 // coroutine round trip, the unit of host cost every layer shares. Today a
 // sample parks once in the disk read, 1.2 times in the pipeline's CPU
-// occupancy and once in its batch constructor's idle wait — 3.27 in all. The
+// occupancy and once in its batch constructor's idle wait — 3.26 in all. The
 // bound leaves room for a few more; it does not leave room for a fourth park
 // per sample (a feeder task handing over indices was exactly that: 4.23).
 func TestParkBudgetPerSample(t *testing.T) {

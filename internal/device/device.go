@@ -16,7 +16,8 @@
 //
 // Progress accounting is exact piecewise integration over a shared progress
 // integral (see Device): rate changes are integrated once, device-wide, and
-// only the next-to-finish task keeps a completion alarm armed.
+// only the next-to-finish task keeps a completion alarm armed — one that
+// moves with the rate while the task stays parked.
 package device
 
 import (
@@ -36,12 +37,14 @@ import (
 // device's progress integral reaches entry-progress + work. Completion
 // order is therefore the order of completion targets — only the task with
 // the earliest target needs a kernel timer; everyone else parks
-// deadline-free and is woken when it becomes the front or the device
-// empties toward it. A membership change (a task entering or leaving)
-// costs O(log k) heap work and at most two wakes, where the previous
-// per-entry accounting broadcast a wake to all k occupants on every rate
-// change — quadratic exactly when a multi-tenant cold rush piles hundreds
-// of readers onto a parallelism-4 disk.
+// deadline-free, and when one becomes the front its completion instant is
+// stamped for it and armed under it where it sleeps (Selector.Retime). An
+// occupant is resumed only when it has something to do: complete, or return
+// a cancellation. A membership change (a task entering or leaving) costs
+// O(log k) heap work and no coroutine switch, where the previous per-entry
+// accounting broadcast a wake to all k occupants on every rate change —
+// quadratic exactly when a multi-tenant cold rush piles hundreds of readers
+// onto a parallelism-4 disk.
 //
 // A Device has no lock: it is task-only state (see simtime's ownership
 // rule). Only kernel tasks, of which one runs at a time, may call its
@@ -72,8 +75,8 @@ type Device struct {
 	// Completion instants are stamped from the settled anchor — or, while
 	// a change awaits settlement, from (lastT, progress), which is exactly
 	// where the anchor will settle — so re-stamping is bitwise idempotent:
-	// a spurious wake, or an early fire from a transiently-stamped
-	// deadline, recomputes the identical instant no matter when it runs.
+	// a rate that bends away and back within one instant (a task leaving
+	// and re-entering) re-stamps the front to the identical instant.
 	anchorP    float64
 	anchorPT   time.Duration
 	anchorRate float64 // rate in effect since anchorPT
@@ -81,6 +84,9 @@ type Device struct {
 	anchorBT   time.Duration
 	anchorK    float64 // effective occupancy min(k, cap) since anchorBT
 	rateEpoch  uint64
+
+	// timed counts the entries in the heap that hold a timer (entry.timed).
+	timed int
 
 	// free recycles entries (and their selectors) across Run calls: the
 	// occupancy fast path allocates nothing in steady state.
@@ -108,11 +114,11 @@ type entry struct {
 	finish time.Duration // absolute completion instant, per rate epoch
 	epoch  uint64        // rate epoch finish was stamped under
 	idx    int           // heap index, -1 when not in the heap
-	// timed records that the task parked with its own completion timer —
-	// every occupant of an uncontended device does, so the kernel's
+	// timed records that the task holds its own completion timer, armed at
+	// finish — every occupant of an uncontended device does, so the kernel's
 	// same-deadline chaining batches them and no wake traffic is needed.
-	// Under contention only the front is timed and later finishers ride
-	// the completion cascade.
+	// Under contention only the front is timed; later finishers have theirs
+	// armed by exit when they reach the front.
 	timed bool
 	sel   *simtime.Selector
 }
@@ -168,11 +174,20 @@ func (d *Device) Run(ctx context.Context, work time.Duration) error {
 	e.target = d.progress + work.Seconds()
 	e.epoch = invalidEpoch
 	heap.Push(&d.entries, e)
-	// Entering needs no wake: this task arms its own deadline below, and a
-	// rate drop only makes the current front's armed deadline early — it
-	// will fire, re-integrate, and re-park for the remainder, which is
-	// exact either way.
+	// Entering wakes nobody: this task arms its own deadline below, and if
+	// it slowed the device, the front's deadline moves with the rate. That
+	// also undoes a transient: exit stamps the next front under the rate
+	// the leaver leaves behind, and a leaver that re-enters within the
+	// instant (8/64 → 8/63 → 8/64) puts rate and stamp back here. Left
+	// armed, the transient deadline would fire early, find progress inside
+	// the completion tolerance below, and end the run nanoseconds short.
+	// Other entries still holding a timer from before contention find it
+	// early, and park deadline-free when it fires.
+	epoch := d.rateEpoch
 	d.setRate()
+	if front := d.entries[0]; d.rateEpoch != epoch && front != e && front.timed {
+		d.arm(front)
+	}
 
 	for {
 		if d.progress >= e.target-1e-9 {
@@ -184,39 +199,15 @@ func (d *Device) Run(ctx context.Context, work time.Duration) error {
 		var deadline time.Duration
 		if d.rate == 1 || d.entries[0] == e {
 			// Uncontended tasks and the front hold exact completion
-			// timers, armed at the absolute finish instant stamped once
-			// per rate epoch from the epoch's anchor — so the instant (and
-			// its float rounding) is the same no matter when or how often
-			// the entry parks. A rate drop while parked only makes an
-			// armed deadline early — the task re-integrates and re-parks,
-			// which stays exact; a rate rise is handled by exit waking the
-			// timed entries.
-			if e.epoch != d.rateEpoch {
-				if d.rate == d.anchorRate {
-					// Settled: stamp from the anchor, so the instant (and
-					// its rounding) is independent of when the entry parks
-					// or re-parks.
-					e.finish = d.anchorPT + time.Duration((e.target-d.anchorP)/d.rate*float64(time.Second)) + time.Nanosecond
-				} else {
-					// A rate change at lastT awaits settlement: progress is
-					// exact as of lastT and the new rate applies beyond it.
-					// Settlement moves the anchor to exactly (progress,
-					// lastT), so this stamp and later anchor-based ones
-					// agree bit-for-bit.
-					e.finish = d.lastT + time.Duration((e.target-d.progress)/d.rate*float64(time.Second)) + time.Nanosecond
-				}
-				e.epoch = d.rateEpoch
-			}
-			deadline = e.finish - d.lastT
-			if deadline <= 0 {
-				deadline = time.Nanosecond
-			}
-			e.timed = true
+			// timers, armed at the absolute finish instant (see stamp).
+			// While the task is parked, a rate change that makes that
+			// instant wrong moves the timer: see arm's callers.
+			d.stamp(e)
+			deadline = max(e.finish-d.lastT, time.Nanosecond)
+			d.setTimed(e, true)
 		} else {
-			e.timed = false
+			d.setTimed(e, false)
 		}
-		// Membership wakes (TryWake) are attributed to this cycle from
-		// here on.
 		e.sel.Reset()
 		_, err := e.sel.Wait(ctx, deadline)
 		d.advance()
@@ -224,41 +215,92 @@ func (d *Device) Run(ctx context.Context, work time.Duration) error {
 			d.exit(e)
 			return err
 		}
-		// Completion, promotion to the front, or a rate change: loop and
-		// re-evaluate.
+		// Completion, an armed deadline a rate drop made early, or one
+		// that found this entry no longer the front: loop and re-evaluate.
 	}
 }
 
-// exit removes e from the heap, recycles it, and wakes whoever's deadline
-// basis changed. A rate rise invalidates every armed (timed) deadline — they are
-// now too late — so the timed entries are woken to re-arm; that only
-// happens while the device is draining out of contention, and only entries
-// that armed before contention are timed. Otherwise, the only task that
-// can need attention is the new front after the old front left, and only
-// when it parked deadline-free. The common uncontended exit — everyone
-// holding an exact timer at an unchanged rate — disturbs nobody.
+// stamp sets e.finish, the absolute completion instant at the current
+// rate, once per rate epoch and from the epoch's anchor — so the instant
+// (and its float rounding) is the same no matter when, how often or by
+// whom the entry is stamped.
+func (d *Device) stamp(e *entry) {
+	if e.epoch == d.rateEpoch {
+		return
+	}
+	if d.rate == d.anchorRate {
+		// Settled: stamp from the anchor.
+		e.finish = d.anchorPT + time.Duration((e.target-d.anchorP)/d.rate*float64(time.Second)) + time.Nanosecond
+	} else {
+		// A rate change at lastT awaits settlement: progress is exact as
+		// of lastT and the new rate applies beyond it. Settlement moves
+		// the anchor to exactly (progress, lastT), so this stamp and later
+		// anchor-based ones agree bit-for-bit.
+		e.finish = d.lastT + time.Duration((e.target-d.progress)/d.rate*float64(time.Second)) + time.Nanosecond
+	}
+	e.epoch = d.rateEpoch
+}
+
+func (d *Device) setTimed(e *entry, timed bool) {
+	if e.timed != timed {
+		e.timed = timed
+		if timed {
+			d.timed++
+		} else {
+			d.timed--
+		}
+	}
+}
+
+// arm gives the parked entry en a completion timer at the current rate, or
+// moves the one it holds, without resuming it. An entry whose target is
+// already reached is woken instead: it completes at this instant. A refused
+// Retime needs no fallback — an entry in the heap whose task is not parked
+// is in the ready queue, and re-evaluates its loop when it runs.
+func (d *Device) arm(en *entry) {
+	if d.progress >= en.target-1e-9 {
+		en.sel.TryWake(0)
+		return
+	}
+	d.stamp(en)
+	en.sel.Retime(en.finish)
+	d.setTimed(en, true)
+}
+
+// exit removes e from the heap, recycles it, and re-arms whoever's deadline
+// basis changed. A rate rise makes every armed deadline too late, so the
+// entries holding one are re-armed; besides the front that only happens
+// while the device is draining out of contention, to entries that armed
+// before it, and the count of timed entries says whether there is any to
+// look for. Otherwise, the only task that can need attention is the new
+// front after the old front left, and only when it parked deadline-free.
+// The common uncontended exit — everyone holding an exact timer at an
+// unchanged rate — disturbs nobody.
 func (d *Device) exit(e *entry) {
 	wasFront := len(d.entries) > 0 && d.entries[0] == e
 	if e.idx >= 0 {
 		heap.Remove(&d.entries, e.idx)
 	}
+	d.setTimed(e, false)
 	d.free = append(d.free, e)
 	oldRate := d.rate
 	d.setRate()
 	switch {
 	case len(d.entries) == 0:
 	case d.rate > oldRate:
-		for _, en := range d.entries {
-			if en.timed {
-				en.sel.TryWake(0)
+		if d.timed > 0 {
+			for _, en := range d.entries {
+				if en.timed {
+					d.arm(en)
+				}
 			}
 		}
 		if front := d.entries[0]; !front.timed {
-			front.sel.TryWake(0)
+			d.arm(front)
 		}
 	case wasFront:
 		if front := d.entries[0]; !front.timed {
-			front.sel.TryWake(0)
+			d.arm(front)
 		}
 	}
 }

@@ -18,10 +18,12 @@
 // approximation of per-flow fair queueing (TCP-like long flows on a shared
 // fabric). Rates change only at flow entry/exit and explicit bandwidth
 // changes, all of which are kernel-visible events; each in-flight flow
-// parks on a pooled Selector with an exact completion deadline and is woken
-// to re-integrate when its rate changes. No polling, and under the virtual
-// runtime every transfer completes at a deterministic instant — identical
-// seeds reproduce multi-node runs bit-for-bit.
+// parks once, on a recycled Selector with an exact completion deadline, and
+// a rate change moves that deadline in place (Selector.Retime): a parked
+// flow is resumed only when it has something to do — complete, or return a
+// cancellation. No polling, and under the virtual runtime every transfer
+// completes at a deterministic instant — identical seeds reproduce
+// multi-node runs bit-for-bit.
 package netsim
 
 import (
@@ -63,6 +65,10 @@ type Fabric struct {
 	// residuals is water-filling scratch (one slot per link), kept on the
 	// fabric so resharing allocates nothing.
 	residuals []residual
+	// active lists the links a live flow crosses, as of the last reshare:
+	// water-filling and the busy integrals visit these, not all 2·E. A link
+	// that goes idle leaves the list with its busyIntegral as it stands.
+	active []int
 
 	// doneBytes counts bytes delivered by retired flows exactly (a
 	// completed flow contributes its full size as an integer, a cancelled
@@ -73,9 +79,9 @@ type Fabric struct {
 	doneBytes int64
 	flowsDone int64
 
-	// pool recycles flow records (and their selectors) across Transfer
+	// free recycles flow records (and their selectors) across Transfer
 	// calls: the steady-state transfer path allocates nothing.
-	pool sync.Pool
+	free []*flow
 
 	// tr, when set, records flow-lifetime spans (StageFlow, on retirement)
 	// and rate-change instants (StageFlowRate). Rate instants are recorded
@@ -119,7 +125,7 @@ type flow struct {
 	anchorT         time.Duration // time of the last rate change
 	finishAt        time.Duration // absolute completion deadline at rate
 	sel             *simtime.Selector
-	parked          bool // holds an armed deadline for the current rate
+	parked          bool // in a wait cycle on sel, its deadline armed at finishAt
 	// settledRate is the rate last recorded as a StageFlowRate instant;
 	// -1 until the flow's first settlement. Comparing against it (rather
 	// than flagging changes inside reshareLocked) skips transients that
@@ -150,10 +156,11 @@ func flowLess(a, b *flow) bool {
 }
 
 // residual is per-link water-filling state: capacity and flow count not
-// yet claimed by fixed flows.
+// yet claimed by fixed flows. live marks the links on Fabric.active.
 type residual struct {
-	cap float64
-	n   int
+	cap  float64
+	n    int
+	live bool
 }
 
 // unfixedRate marks a flow not yet assigned by the current water-filling
@@ -271,8 +278,11 @@ func (f *Fabric) Transfer(ctx context.Context, src, dst int, n int64) error {
 		return nil
 	}
 
-	fl, _ := f.pool.Get().(*flow)
-	if fl == nil {
+	f.mu.Lock()
+	var fl *flow
+	if k := len(f.free); k > 0 {
+		fl, f.free = f.free[k-1], f.free[:k-1]
+	} else {
 		fl = &flow{sel: simtime.NewSelector(f.rt)}
 	}
 	fl.egress, fl.ingress = 2*src, 2*dst+1
@@ -282,7 +292,6 @@ func (f *Fabric) Transfer(ctx context.Context, src, dst int, n int64) error {
 	fl.settledRate = -1
 	fl.finishAt = math.MaxInt64
 
-	f.mu.Lock()
 	f.advanceLocked()
 	fl.startT = f.lastT
 	fl.anchorRem = fl.remaining
@@ -295,14 +304,12 @@ func (f *Fabric) Transfer(ctx context.Context, src, dst int, n int64) error {
 	for {
 		if fl.remaining <= 1e-6 {
 			f.exitLocked(fl)
-			f.pool.Put(fl)
 			return nil
 		}
 		// Park until the absolute completion instant stamped at the last
-		// rate change. A rate drop while parked only makes this deadline
-		// early — the flow re-integrates and re-parks for the remainder; a
-		// rate rise wakes it through reshareLocked. Reset under f.mu so
-		// wakes are serialized with the cycle boundary.
+		// rate change; a later rate change moves the armed deadline through
+		// reshareLocked, so the flow normally parks once. Reset under f.mu
+		// so wakes are serialized with the cycle boundary.
 		deadline := fl.finishAt - f.lastT
 		if deadline <= 0 {
 			deadline = time.Nanosecond
@@ -317,7 +324,6 @@ func (f *Fabric) Transfer(ctx context.Context, src, dst int, n int64) error {
 		f.advanceLocked()
 		if err != nil {
 			f.exitLocked(fl)
-			f.pool.Put(fl)
 			return err
 		}
 	}
@@ -339,7 +345,7 @@ func (f *Fabric) insertFlowLocked(fl *flow) {
 }
 
 // exitLocked removes fl from the fabric (preserving the canonical order of
-// the survivors) and re-shares them. Unlocks f.mu.
+// the survivors), re-shares them and recycles fl. Unlocks f.mu.
 func (f *Fabric) exitLocked(fl *flow) {
 	f.tr.Record(trace.Span{Start: fl.startT, End: f.lastT, Stage: trace.StageFlow,
 		Node: int32(fl.egress / 2), Key: int64(fl.ingress / 2),
@@ -358,6 +364,7 @@ func (f *Fabric) exitLocked(fl *flow) {
 	}
 	f.flowsDone++
 	f.reshareLocked()
+	f.free = append(f.free, fl)
 	f.mu.Unlock()
 }
 
@@ -386,10 +393,9 @@ func (f *Fabric) advanceLocked() {
 		}
 	}
 	el := (now - f.anchorT).Seconds()
-	for i := range f.links {
-		if ln := &f.links[i]; ln.rateSum > 0 {
-			ln.busyIntegral = ln.anchorB + ln.rateSum/ln.bw*el
-		}
+	for _, i := range f.active {
+		ln := &f.links[i]
+		ln.busyIntegral = ln.anchorB + ln.rateSum/ln.bw*el
 	}
 	for _, fl := range f.flows {
 		if now >= fl.finishAt {
@@ -408,37 +414,41 @@ func (f *Fabric) advanceLocked() {
 // reshareLocked recomputes max-min fair rates by water-filling: repeatedly
 // find the most-constrained link (smallest per-flow fair share among its
 // unfixed flows), fix its flows at that share, subtract their bandwidth,
-// and continue until every flow has a rate. Links are scanned in index
-// order and flows in their canonical sorted order, so the result —
-// including the float rounding of the residual-capacity updates — is
-// deterministic. Each flow whose rate changed is re-anchored here: its
-// progress and absolute completion instant are restamped from the new
-// rate, making reshare points the only places a flow's trajectory can
-// bend. Flows whose armed deadline became stale (rate rose) are woken to
-// re-park; a rate drop is left to the armed deadline, which fires early
-// and re-integrates exactly.
+// and continue until every flow has a rate. Only the active links — those
+// a live flow crosses — take part. The minimum over them does not depend on
+// the order they are scanned in, and flows are fixed in their canonical
+// sorted order, so the result — including the float rounding of the
+// residual-capacity updates — is deterministic. Each flow whose rate
+// changed is re-anchored here: its progress and absolute completion instant
+// are restamped from the new rate, making reshare points the only places a
+// flow's trajectory can bend, and a parked flow's armed deadline is moved to
+// the new instant where it sleeps.
 func (f *Fabric) reshareLocked() {
-	for i := range f.links {
+	// The links active until now are exactly those whose busy integral has
+	// been advancing: re-anchor them, then rebuild the list from the flows.
+	res := f.residuals
+	for _, i := range f.active {
 		f.links[i].anchorB = f.links[i].busyIntegral
 		f.links[i].rateSum = 0
+		res[i].live = false
 	}
+	f.active = f.active[:0]
 	f.anchorT = f.lastT
-	if len(f.flows) == 0 {
-		return
-	}
-	res := f.residuals
-	for i := range f.links {
-		res[i] = residual{cap: f.links[i].bw, n: f.links[i].n}
-	}
 	unfixed := len(f.flows)
 	for _, fl := range f.flows {
 		fl.prevRate = fl.rate
 		fl.rate = unfixedRate
+		for _, i := range [2]int{fl.egress, fl.ingress} {
+			if !res[i].live {
+				res[i] = residual{cap: f.links[i].bw, n: f.links[i].n, live: true}
+				f.active = append(f.active, i)
+			}
+		}
 	}
 	for unfixed > 0 {
 		// The tightest link's fair share bounds every flow through it.
 		share := math.Inf(1)
-		for i := range res {
+		for _, i := range f.active {
 			if res[i].n > 0 {
 				if s := res[i].cap / float64(res[i].n); s < share {
 					share = s
@@ -475,15 +485,13 @@ func (f *Fabric) reshareLocked() {
 			fl.anchorRem = fl.remaining
 			fl.anchorT = now
 			fl.finishAt = now + time.Duration(fl.anchorRem/fl.rate*float64(time.Second)) + time.Nanosecond
-		}
-		if fl.parked && fl.rate > fl.prevRate {
-			// The armed deadline is now too late; wake the flow to re-park
-			// at the higher rate. A rate drop is left alone — the armed
-			// deadline fires early and the flow re-integrates exactly. A
-			// claim that loses the race (the flow is concurrently completing
-			// or cancelling) is safely refused by the selector.
-			fl.sel.TryWake(0)
-			fl.parked = false
+			// A flow between Reset and Wait (an untracked goroutine's
+			// SetBandwidth got in) has no deadline to move yet: claim its
+			// cycle, so it re-reads finishAt instead of parking on the old
+			// one. One that is already readied refuses both.
+			if fl.parked && !fl.sel.Retime(fl.finishAt) {
+				fl.sel.TryWake(0)
+			}
 		}
 	}
 }

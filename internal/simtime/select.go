@@ -33,7 +33,8 @@ type Source interface {
 // Selector; each cycle it Resets, arms the selector on its sources, and
 // parks in Wait. The first TryWake claims the cycle — later TryWake calls
 // return false so the caller passes the wakeup to another waiter instead of
-// losing it. A positive deadline is a kernel timer.
+// losing it. A positive deadline is a kernel timer, which Retime moves while
+// the owner stays parked.
 type Selector struct {
 	k *Virtual
 
@@ -101,6 +102,33 @@ func (s *Selector) tryWake(idx int) (found int32) {
 		return selIdle
 	}
 	return s.state
+}
+
+// Retime moves the deadline of the task parked on s to the absolute instant
+// at (no earlier than the next nanosecond), arming a timer if the park had
+// none, and resumes nothing: a task whose completion time moved has nothing
+// to do until the new one. The timer is armed afresh — among timers due at
+// one instant it fires after those armed or re-timed before this call. It
+// reports whether a deadline was moved: false means nobody is parked on s
+// with the cycle unclaimed (the owner is running, already readied, or has
+// not parked yet), and nothing changed.
+func (s *Selector) Retime(at time.Duration) bool {
+	k := s.k
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	t := s.owner // set only while parked, cleared by whatever claims the cycle
+	if t == nil {
+		return false
+	}
+	t.deadline, t.seq = max(at, k.Now()+1), k.seq
+	k.seq++
+	k.stats.Retimes++
+	if t.hidx < 0 {
+		k.timers.push(t)
+	} else if !k.timers.down(t.hidx) {
+		k.timers.up(t.hidx)
+	}
+	return true
 }
 
 // Wait parks the calling task until TryWake, the deadline (if positive), or

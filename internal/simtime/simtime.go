@@ -15,16 +15,21 @@
 // time, wake sequence). A park hands control to the head of that queue, or
 // advances the clock to the earliest timer when it is empty. Order within a
 // virtual instant is therefore a pure function of the program on any core
-// count. The price: a task that blocks on an ordinary Go primitive (a
+// count. Selector.Retime does less than a wake: it moves the deadline of
+// the task parked on the selector and readies nobody — a task is resumed
+// when it has something to do, and a completion time that moved is not
+// that. It returns false when nobody is parked there (the owner is running,
+// readied, or yet to park) and has then changed nothing. The price of one
+// task at a time: a task that blocks on an ordinary Go primitive (a
 // channel, a sync.WaitGroup, a mutex held by a parked task) waiting for
 // another task stalls the whole kernel, not just itself — and that includes
 // caller code the kernel runs on a task, such as the body of a
 // Session.Batches or StreamAll loop waiting for another tenant's body.
 //
 // Untracked goroutines (a test, main, one goroutine per tenant) may call
-// Go, GoDaemon, Run, Drain, Tasks, Stats, Now, TryWake, Wake and WithCancel's
-// cancel functions: those enqueue under the kernel lock and start the loop
-// if it is idle, in whatever order the goroutines arrive. They must not
+// Go, GoDaemon, Run, Drain, Tasks, Stats, Now, TryWake, Retime, Wake and
+// WithCancel's cancel functions: those work under the kernel lock and start
+// the loop if it is idle, in whatever order the goroutines arrive. They must not
 // park: a parking call made while no task is running panics.
 //
 // Ownership. State that only the running task can touch carries no lock:

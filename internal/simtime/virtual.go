@@ -48,6 +48,7 @@ type KernelStats struct {
 	Parks      uint64 // times a task gave up the kernel in Sleep or a Wait
 	TimedParks uint64 // the parks that armed a timer
 	Wakes      uint64 // parked tasks readied: by a wake, a timer or a cancellation
+	Retimes    uint64 // deadlines moved under a parked task (Selector.Retime)
 }
 
 // Stats returns the kernel's counters.

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"github.com/minatoloader/minato/internal/simtime"
 )
 
 // serveDataset is a fat-sample dataset for service tests: 1 MiB samples
@@ -558,6 +560,53 @@ func TestStreamAllManyClients(t *testing.T) {
 	b := run()
 	if a != b {
 		t.Fatalf("fleet run diverged:\n%+v\nvs\n%+v", a, b)
+	}
+}
+
+// TestServedStreamParkBudget pins what one delivered sample of a served
+// stream costs the kernel, beside core's TestParkBudgetPerSample for the
+// local one: 32 dialed clients on an 8-core cluster, so the CPU pool is
+// several times oversubscribed and every BATCH frame shares the server's
+// NIC with the others. A sample parks once in its CPU occupancy and once in
+// its batch constructor; a frame parks twice (latency, flow) however often
+// the other flows bend its rate — 2.5 in all. A pool that wakes the next
+// finisher to arm its own timer, or a fabric that wakes flows to read their
+// new rate, was 3.75.
+func TestServedStreamParkBudget(t *testing.T) {
+	const clients, batch, iterations, maxParksPerSample = 32, 32, 8, 2.6
+	sn := NewServiceNet(nil, ServiceNetConfig{Endpoints: clients + 8})
+	cl := serveCluster(t, sn)
+	defer cl.Close()
+	addr, err := Serve(cl, WithServiceNet(sn),
+		Publish("train", serveDataset{space: "serve-parks", n: 2048}, flatPipeline(time.Millisecond)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer addr.Close()
+	sessions := make([]*RemoteSession, clients)
+	for i := range sessions {
+		sessions[i], err = Dial(addr, WithBatchSize(batch), WithIterations(iterations),
+			WithSeed(uint64(i+1)), WithPrefetch(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	StreamAll(context.Background(), sessions, func(_ int, rs *RemoteSession) {
+		if n := drainRemote(t, rs); n != iterations {
+			t.Errorf("delivered %d batches, want %d", n, iterations)
+		}
+	})
+	for _, rs := range sessions {
+		if _, err := rs.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := sn.Runtime().(*simtime.Virtual).Stats()
+	perSample := float64(st.Parks) / float64(clients*batch*iterations)
+	t.Logf("%d samples: %d parks (%d timed), %d retimes — %.3f parks per sample",
+		clients*batch*iterations, st.Parks, st.TimedParks, st.Retimes, perSample)
+	if perSample > maxParksPerSample {
+		t.Fatalf("%.3f parks per delivered sample, budget %.1f", perSample, maxParksPerSample)
 	}
 }
 
