@@ -95,20 +95,20 @@ func (ck *Checkpoint) Remaining() int { return ck.spec.TotalBatches() }
 
 // Cache snapshots the pinned cluster's page cache — the warm state a
 // resumed session inherits.
-func (ck *Checkpoint) Cache() CacheStats {
-	if ck.cl.cache == nil {
-		return CacheStats{}
+func (ck *Checkpoint) Cache() (st CacheStats) {
+	if ck.cl.cache != nil {
+		inKernel(ck.cl.rt, func() { st = ck.cl.cache.Stats() })
 	}
-	return ck.cl.cache.Stats()
+	return st
 }
 
 // MatCache snapshots the pinned cluster's materialized preprocessed-sample
 // cache (zero when WithMaterializedCache is not enabled).
-func (ck *Checkpoint) MatCache() MatCacheStats {
-	if ck.cl.mat == nil {
-		return MatCacheStats{}
+func (ck *Checkpoint) MatCache() (st MatCacheStats) {
+	if ck.cl.mat != nil {
+		inKernel(ck.cl.rt, func() { st = ck.cl.mat.Stats() })
 	}
-	return ck.cl.mat.Stats()
+	return st
 }
 
 // Close discards an unconsumed checkpoint, closing the cluster it owns (the
@@ -192,7 +192,7 @@ func Resume(ck *Checkpoint, opts ...Option) (*Session, error) {
 		o.gpus = ck.gpus
 	}
 
-	sess, err := ck.cl.open(ck.dataset, o, ck.owns)
+	sess, err := ck.cl.open(ck.dataset, o, ck.owns, false)
 	if err != nil {
 		return nil, err
 	}

@@ -80,8 +80,9 @@ func WithAdmission(p AdmissionPolicy) ClusterOption {
 // bounds the tenant count.
 //
 // A Cluster is safe for concurrent use. Open, Train, and Stats may be
-// called from any goroutine; sessions stream independently. Close marks
-// the cluster closed (new opens fail, queued opens release with
+// called from any goroutine that is not a task of the cluster's kernel (they
+// enter it to touch the shared caches); sessions stream independently. Close
+// marks the cluster closed (new opens fail, queued opens release with
 // ErrClusterClosed) and reclaims the shared substrate once the last
 // session has closed.
 //
@@ -236,12 +237,13 @@ func (c *Cluster) Open(dataset Dataset, opts ...Option) (*Session, error) {
 	if err := o.rejectClusterOwned(); err != nil {
 		return nil, err
 	}
-	return c.open(dataset, o, false)
+	return c.open(dataset, o, false, false)
 }
 
 // open wires a session; o must already be validated and carry no
-// cluster-owned options.
-func (c *Cluster) open(dataset Dataset, o *sessionOptions, ownsCluster bool) (*Session, error) {
+// cluster-owned options. onTask says the caller is a task of the cluster's
+// kernel (a server opening a stream) and not, as everyone else, outside it.
+func (c *Cluster) open(dataset Dataset, o *sessionOptions, ownsCluster, onTask bool) (*Session, error) {
 	if dataset == nil {
 		return nil, configErr("Open", "requires a dataset")
 	}
@@ -289,15 +291,7 @@ func (c *Cluster) open(dataset Dataset, o *sessionOptions, ownsCluster bool) (*S
 		return nil, err
 	}
 	share := c.shares.Join(o.weight)
-	cacheTenant := 0
-	if c.cache != nil {
-		cacheTenant = c.cache.JoinTenant()
-	}
-	if c.mat != nil {
-		// The materialized cache shares the page cache's tenant ids, so one
-		// id routes a session's traffic through both layers.
-		c.mat.JoinTenant(cacheTenant)
-	}
+	cacheTenant, usage := c.joinTenantFrom(onTask)
 	gpuIdxs := c.acquireGPUs(gpuCount)
 	env := c.sessionEnv(gpuIdxs, cacheTenant, share)
 
@@ -322,6 +316,7 @@ func (c *Cluster) open(dataset Dataset, o *sessionOptions, ownsCluster bool) (*S
 		spec:        spec,
 		retain:      o.retain,
 		script:      script,
+		usage:       usage,
 	}
 	c.mu.Lock()
 	c.sessions[s] = struct{}{}
@@ -408,35 +403,77 @@ func (c *Cluster) train(w Workload, o *sessionOptions) (*Report, error) {
 		return nil, err
 	}
 	share := c.shares.Join(o.weight)
-	cacheTenant := 0
-	if c.cache != nil {
-		cacheTenant = c.cache.JoinTenant()
-	}
-	if c.mat != nil {
-		c.mat.JoinTenant(cacheTenant)
-	}
 	gpuIdxs := c.acquireGPUs(gpuCount)
 	defer func() {
 		c.releaseGPUs(gpuIdxs)
 		share.Leave()
-		if c.cache != nil {
-			c.cache.LeaveTenant(cacheTenant)
-		}
-		if c.mat != nil {
-			c.mat.LeaveTenant(cacheTenant)
-		}
-		c.release()
+		c.release(false)
 	}()
 
 	if c.tr != nil {
 		o.params.Trace = c.tr
 	}
-	env := c.sessionEnv(gpuIdxs, cacheTenant, share)
 	var rep *Report
 	onKernel(c.rt, func() {
+		cacheTenant := c.joinTenant()
+		defer c.leaveTenant(cacheTenant)
+		env := c.sessionEnv(gpuIdxs, cacheTenant, share)
 		rep, err = trainer.RunEnv(env, c.disk, c.cache, w, f, o.params)
 	})
 	return rep, err
+}
+
+// joinTenant registers a session with the shared caches and returns its
+// tenant id; leaveTenant undoes it. On the cluster's kernel, like every touch
+// of the caches.
+func (c *Cluster) joinTenant() (id int) {
+	if c.cache != nil {
+		id = c.cache.JoinTenant()
+	}
+	if c.mat != nil {
+		// The materialized cache shares the page cache's tenant ids, so one
+		// id routes a session's traffic through both layers.
+		c.mat.JoinTenant(id)
+	}
+	return id
+}
+
+// joinTenantFrom is joinTenant for open, with the new tenant's first usage
+// snapshot: a server's per-stream opens are on a task already and do not pay
+// for the closure the outside ones enter through.
+func (c *Cluster) joinTenantFrom(onTask bool) (int, sessionUsage) {
+	if onTask {
+		id := c.joinTenant()
+		return id, c.tenantUsage(id)
+	}
+	var id int
+	var u sessionUsage
+	inKernel(c.rt, func() { id = c.joinTenant(); u = c.tenantUsage(id) })
+	return id, u
+}
+
+// tenantUsage reads a tenant's slice of the shared caches and disk; on the
+// cluster's kernel.
+func (c *Cluster) tenantUsage(id int) (u sessionUsage) {
+	if c.cache != nil {
+		u.cache = c.cache.TenantStats(id)
+		u.disk = c.cache.TenantDiskBytes(id)
+	} else if c.disk != nil {
+		u.disk = c.disk.BytesRead()
+	}
+	if c.mat != nil {
+		u.mat = c.mat.TenantStats(id)
+	}
+	return u
+}
+
+func (c *Cluster) leaveTenant(id int) {
+	if c.cache != nil {
+		c.cache.LeaveTenant(id)
+	}
+	if c.mat != nil {
+		c.mat.LeaveTenant(id)
+	}
 }
 
 // sessionGPUs validates how many of the cluster's GPUs a session may use.
@@ -537,7 +574,8 @@ func (c *Cluster) admit() (int, error) {
 }
 
 // release frees one session slot, admitting the longest-queued waiter.
-func (c *Cluster) release() {
+// onTask: the caller is a task of the cluster's kernel.
+func (c *Cluster) release(onTask bool) {
 	c.mu.Lock()
 	c.active--
 	var wake chan struct{}
@@ -554,13 +592,13 @@ func (c *Cluster) release() {
 		close(wake)
 	}
 	if reclaim {
-		c.reclaim()
+		c.reclaim(onTask)
 	}
 }
 
-// releaseSession ends a session's tenancy: quota rebalance, cache tenant
-// departure, slot release.
-func (c *Cluster) releaseSession(s *Session) {
+// releaseSession ends a session's tenancy: quota rebalance and slot release
+// (the session has left the caches itself, on the kernel).
+func (c *Cluster) releaseSession(s *Session, onTask bool) {
 	c.mu.Lock()
 	delete(c.sessions, s)
 	c.mu.Unlock()
@@ -568,13 +606,7 @@ func (c *Cluster) releaseSession(s *Session) {
 	if s.share != nil {
 		s.share.Leave()
 	}
-	if c.cache != nil {
-		c.cache.LeaveTenant(s.cacheTenant)
-	}
-	if c.mat != nil {
-		c.mat.LeaveTenant(s.cacheTenant)
-	}
-	c.release()
+	c.release(onTask)
 }
 
 func (c *Cluster) isClosed() bool {
@@ -585,10 +617,18 @@ func (c *Cluster) isClosed() bool {
 
 // reclaim drains the cluster-owned virtual kernel and recycles the shared
 // cache storage. Runs at most once, after close with no active sessions.
-func (c *Cluster) reclaim() {
+func (c *Cluster) reclaim(onTask bool) {
 	if c.ownsRT {
 		c.rt.(*simtime.Virtual).Drain()
 	}
+	if onTask || c.ownsRT { // on the kernel already, or nobody is left on it
+		c.recycle()
+	} else {
+		inKernel(c.rt, c.recycle)
+	}
+}
+
+func (c *Cluster) recycle() {
 	if c.cache != nil {
 		c.cache.Recycle()
 	}
@@ -611,7 +651,7 @@ func (c *Cluster) Close() error {
 		}
 		c.mu.Unlock()
 		if reclaimNow {
-			c.reclaim()
+			c.reclaim(false)
 		}
 		return nil
 	}
@@ -627,7 +667,7 @@ func (c *Cluster) Close() error {
 		close(ch)
 	}
 	if reclaimNow {
-		c.reclaim()
+		c.reclaim(false)
 	}
 	return nil
 }
@@ -686,7 +726,8 @@ type SessionStats struct {
 
 // Stats returns a live snapshot of the cluster: tenancy counters, the
 // shared cache and pool, and per-session statistics. Safe to call from any
-// goroutine while sessions stream.
+// goroutine while sessions stream except a task of the cluster's kernel (a
+// Batches or StreamAll body): the snapshot is taken there, between two tasks.
 func (c *Cluster) Stats() ClusterStats {
 	c.mu.Lock()
 	st := ClusterStats{
@@ -702,15 +743,18 @@ func (c *Cluster) Stats() ClusterStats {
 		sessions = append(sessions, s)
 	}
 	c.mu.Unlock()
-	if c.cache != nil {
-		st.Cache = c.cache.Stats()
-	}
-	if c.mat != nil {
-		st.MatCache = c.mat.Stats()
-	}
+	inKernel(c.rt, func() {
+		if c.cache != nil {
+			st.Cache = c.cache.Stats()
+		}
+		if c.mat != nil {
+			st.MatCache = c.mat.Stats()
+		}
+		for _, s := range sessions {
+			s.publish()
+			st.Sessions = append(st.Sessions, s.Stats())
+		}
+	})
 	st.Pool = c.pool.Stats()
-	for _, s := range sessions {
-		st.Sessions = append(st.Sessions, s.Stats())
-	}
 	return st
 }

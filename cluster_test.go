@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -558,6 +559,99 @@ func TestClusterStatsLive(t *testing.T) {
 	}
 	if cs := cl.Stats(); cs.Pool.Gets == 0 {
 		t.Fatalf("cluster pool stats empty: %+v", cs.Pool)
+	}
+}
+
+// TestStatsFromOutsideDuringStreamAll is the facade's entry rule under the
+// race detector: while StreamAll drives four tenants, one foreign goroutine
+// polls every session's Stats — which needs no kernel entry, so a loop body
+// may call it too, and may even wait for the poller — and another polls
+// Cluster.Stats, which is taken on the kernel between two tasks: every
+// snapshot must add up (the tenants' misses are the cache's), and nothing a
+// session reports may ever go backwards.
+func TestStatsFromOutsideDuringStreamAll(t *testing.T) {
+	cl, err := NewCluster(WithEnv(EnvConfig{Cores: 8, GPUs: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	sessions := make([]*Session, 4)
+	for i := range sessions {
+		sessions[i] = openTenant(t, cl, fmt.Sprintf("polled-%d", i), 256, WithIterations(24))
+	}
+	var stop atomic.Bool
+	var rounds, snapshots, live atomic.Int64
+	var pollers sync.WaitGroup
+	pollers.Add(2)
+	go func() {
+		defer pollers.Done()
+		last := make([]SessionStats, len(sessions))
+		for !stop.Load() {
+			for i, sess := range sessions {
+				st := sess.Stats()
+				if st.Batches < last[i].Batches || st.Cache.Misses < last[i].Cache.Misses || st.Cache.Hits < last[i].Cache.Hits {
+					t.Errorf("session %d went backwards: %+v after %+v", i, st, last[i])
+				}
+				last[i] = st
+			}
+			rounds.Add(1)
+		}
+	}()
+	go func() {
+		defer pollers.Done()
+		for !stop.Load() {
+			st := cl.Stats()
+			snapshots.Add(1)
+			if len(st.Sessions) != len(sessions) {
+				continue
+			}
+			var misses, hits int64
+			for _, ss := range st.Sessions {
+				misses += ss.Cache.Misses
+				hits += ss.Cache.Hits
+			}
+			if misses != st.Cache.Misses || hits != st.Cache.Hits {
+				t.Errorf("torn snapshot: tenants %d hits %d misses, cache %+v", hits, misses, st.Cache)
+			}
+			if st.Cache.Misses > 0 {
+				live.Add(1)
+			}
+		}
+	}()
+	StreamAll(context.Background(), sessions, func(i int, sess *Session) {
+		n := 0
+		for _, err := range sess.Batches(context.Background()) {
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if n++; n%8 != 0 {
+				continue
+			}
+			if st := sess.Stats(); st.Batches != int64(n) || st.Cache.Misses == 0 {
+				t.Errorf("tenant %d's own Stats at batch %d: %+v", i, n, st)
+			}
+			for want := rounds.Load() + 2; rounds.Load() < want; { // the poller needs no kernel
+				runtime.Gosched()
+			}
+		}
+	})
+	for seen := snapshots.Load(); snapshots.Load() == seen; { // one more, after the stream
+		runtime.Gosched()
+	}
+	stop.Store(true)
+	pollers.Wait()
+	if live.Load() == 0 {
+		t.Error("no Cluster.Stats snapshot saw the stream's traffic")
+	}
+	for i, sess := range sessions {
+		rep, err := sess.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := sess.Stats(); st.Cache != rep.CacheStats || st.Batches != 24 {
+			t.Errorf("tenant %d after Close: stats %+v, report %+v", i, st, rep.CacheStats)
+		}
 	}
 }
 

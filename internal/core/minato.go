@@ -34,8 +34,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/minatoloader/minato/internal/data"
@@ -179,27 +177,27 @@ type Loader struct {
 
 	// Accounting for batch-constructor termination: a constructor may
 	// exit only when every emitted sample has been consumed or abandoned.
-	emitted   atomic.Int64 // samples handed to workers
-	enqueued  atomic.Int64 // samples placed into fast or slow queues
-	consumed  atomic.Int64 // samples drawn into batches
-	abandoned atomic.Int64 // samples lost to preprocessing faults
-	faults    atomic.Int64 // fault events (diagnostics)
-	srcDone   atomic.Bool  // index stream exhausted
+	// Plain counters, like everything here: only the loader's tasks touch them.
+	emitted   int64 // samples handed to workers
+	enqueued  int64 // samples placed into fast or slow queues
+	consumed  int64 // samples drawn into batches
+	abandoned int64 // samples lost to preprocessing faults
+	faults    int64 // fault events (diagnostics)
+	srcDone   bool  // index stream exhausted
 
 	// gate broadcasts accounting changes that can flip drained() without a
 	// queue operation (faults, source exhaustion, worker exits, the final
 	// consume), so parked batch constructors re-check instead of polling.
 	gate *simtime.Gate
 
-	batchSeq atomic.Int64
+	batchSeq int64
 	// claims assigns batch slots to constructors so the delivery budget is
 	// met exactly: without it, two constructors could strand the final
 	// samples across two partial batches.
-	claims  atomic.Int64
+	claims  int64
 	ordered *orderedBuffer // OrderPreserving mode only
 
-	stopOnce sync.Once
-	stopFlag atomic.Bool
+	stopFlag bool
 	cancel   context.CancelFunc
 }
 
@@ -312,7 +310,7 @@ func (l *Loader) spawnWorker(ctx context.Context) {
 				l.gate.Pulse()
 			}
 		}()
-		for !l.stopFlag.Load() && !l.sched.shouldRetire(id) {
+		for !l.stopFlag && !l.sched.shouldRetire(id) {
 			// Background completion first (slow-task work).
 			if item, ok, _ := l.tempQ.TryGet(); ok {
 				if !l.runSample(ctx, func() error { return l.finishSlow(ctx, item.s) }, item.s.OriginalOrder) {
@@ -323,12 +321,13 @@ func (l *Loader) spawnWorker(ctx context.Context) {
 			// New sample.
 			it, err := l.idx.Next()
 			if err != nil { // index stream ended
-				if !l.srcDone.Swap(true) {
+				if !l.srcDone {
+					l.srcDone = true
 					l.gate.Pulse()
 				}
 				return
 			}
-			l.emitted.Add(1)
+			l.emitted++
 			if !l.runSample(ctx, func() error { return l.processNew(ctx, it) }, it.Seq) {
 				return
 			}
@@ -390,8 +389,8 @@ func (l *Loader) guard(fn func() error) (err error) {
 // buffer (if any) skips the hole, and the gate wakes parked constructors to
 // re-check drained().
 func (l *Loader) abandon(seq int64) {
-	l.abandoned.Add(1)
-	l.faults.Add(1)
+	l.abandoned++
+	l.faults++
 	if l.cfg.OrderPreserving {
 		l.ordered.skip(seq)
 	}
@@ -400,7 +399,7 @@ func (l *Loader) abandon(seq int64) {
 
 // Faults returns the number of samples abandoned due to failing or
 // panicking loads and transforms.
-func (l *Loader) Faults() int64 { return l.faults.Load() }
+func (l *Loader) Faults() int64 { return l.faults }
 
 // processNew runs the load-balancer path of Algorithm 1 for one sample.
 func (l *Loader) processNew(ctx context.Context, it loader.IndexItem) error {
@@ -490,20 +489,20 @@ func (l *Loader) finishSlow(ctx context.Context, s *data.Sample) error {
 	}
 	if l.cfg.OrderPreserving {
 		l.ordered.add(s)
-		l.enqueued.Add(1)
+		l.enqueued++
 		return nil
 	}
-	l.enqueued.Add(1)
+	l.enqueued++
 	return l.slowQ.Put(ctx, s)
 }
 
 func (l *Loader) putFast(ctx context.Context, s *data.Sample) error {
 	if l.cfg.OrderPreserving {
 		l.ordered.add(s)
-		l.enqueued.Add(1)
+		l.enqueued++
 		return nil
 	}
-	l.enqueued.Add(1)
+	l.enqueued++
 	return l.fastQ.Put(ctx, s)
 }
 
@@ -529,16 +528,16 @@ func (l *Loader) batchConstructor(ctx context.Context, g int) {
 		sources = []simtime.Source{l.fastQ, l.slowQ, l.gate}
 	}
 	for {
-		if l.stopFlag.Load() {
+		if l.stopFlag {
 			return
 		}
-		if l.claims.Add(1) > total {
-			l.claims.Add(-1)
+		if l.claims >= total {
 			return
 		}
+		l.claims++
 		b, ok := l.assemble(ctx, g, sel, sources)
 		if !ok {
-			l.claims.Add(-1)
+			l.claims--
 			return
 		}
 		if err := out.Put(ctx, b); err != nil {
@@ -558,7 +557,7 @@ func (l *Loader) assemble(ctx context.Context, g int, sel *simtime.Selector, sou
 	// session pool; the consumer returns it with Batch.Release.
 	b := l.env.Pool.GetBatch(l.spec.BatchSize)
 	for len(b.Samples) < l.spec.BatchSize {
-		if l.stopFlag.Load() {
+		if l.stopFlag {
 			b.Release()
 			return nil, false
 		}
@@ -583,7 +582,7 @@ func (l *Loader) assemble(ctx context.Context, g int, sel *simtime.Selector, sou
 			}
 			continue
 		}
-		l.consumed.Add(1)
+		l.consumed++
 		if l.drained() {
 			// The final sample of the stream: peers parked on an empty
 			// queue must re-check drained(). Only then — a sample-starved
@@ -595,7 +594,8 @@ func (l *Loader) assemble(ctx context.Context, g int, sel *simtime.Selector, sou
 		}
 		b.Samples = append(b.Samples, s)
 	}
-	b.Seq = l.batchSeq.Add(1) - 1
+	b.Seq = l.batchSeq
+	l.batchSeq++
 	b.CreatedAt = l.env.RT.Now()
 	// §4.3: a CUDA prefetch stream moves batch i to GPU memory while
 	// batch i−1 trains, so delivered batches are resident.
@@ -613,14 +613,14 @@ func (l *Loader) assemble(ctx context.Context, g int, sel *simtime.Selector, sou
 // ended and everything emitted has been consumed or is in a final queue
 // that is empty.
 func (l *Loader) drained() bool {
-	if !l.srcDone.Load() {
+	if !l.srcDone {
 		return false
 	}
 	if l.sched.liveWorkers() > 0 {
 		// Workers may still be finishing in-flight samples.
-		return l.enqueued.Load() == l.consumed.Load() && l.allQueuesEmpty() && l.workersIdle()
+		return l.enqueued == l.consumed && l.allQueuesEmpty() && l.workersIdle()
 	}
-	return l.enqueued.Load() == l.consumed.Load() && l.allQueuesEmpty()
+	return l.enqueued == l.consumed && l.allQueuesEmpty()
 }
 
 func (l *Loader) allQueuesEmpty() bool {
@@ -633,7 +633,7 @@ func (l *Loader) allQueuesEmpty() bool {
 func (l *Loader) workersIdle() bool {
 	// All emitted samples accounted for — enqueued or abandoned — so none
 	// is in flight inside a worker.
-	return l.emitted.Load() == l.enqueued.Load()+l.abandoned.Load()
+	return l.emitted == l.enqueued+l.abandoned
 }
 
 // Next implements loader.Loader: per-GPU batch queues (Algorithm 1 lines
@@ -654,39 +654,40 @@ func (l *Loader) Next(ctx context.Context, g int) (*data.Batch, error) {
 
 // Stop implements loader.Loader.
 func (l *Loader) Stop() {
-	l.stopOnce.Do(func() {
-		l.stopFlag.Store(true)
-		if l.cancel != nil {
-			l.cancel()
+	if l.stopFlag {
+		return
+	}
+	l.stopFlag = true
+	if l.cancel != nil {
+		l.cancel()
+	}
+	l.idx.Close()
+	l.fastQ.Close()
+	l.slowQ.Close()
+	l.tempQ.Close()
+	// Each parked slow sample carries an unsettled matcache leader claim
+	// (leadFill defers settlement to finishSlow). No worker will resume
+	// them now, so drain the queue and abort the claims — otherwise the
+	// keys stay inflight in the cluster-shared cache and co-tenant or
+	// later sessions park forever on a fill that will never complete. A
+	// racing worker that wins an item instead settles it through
+	// finishSlow's own Complete/Abort paths.
+	for {
+		item, ok, _ := l.tempQ.TryGet()
+		if !ok {
+			break
 		}
-		l.idx.Close()
-		l.fastQ.Close()
-		l.slowQ.Close()
-		l.tempQ.Close()
-		// Each parked slow sample carries an unsettled matcache leader claim
-		// (leadFill defers settlement to finishSlow). No worker will resume
-		// them now, so drain the queue and abort the claims — otherwise the
-		// keys stay inflight in the cluster-shared cache and co-tenant or
-		// later sessions park forever on a fill that will never complete. A
-		// racing worker that wins an item instead settles it through
-		// finishSlow's own Complete/Abort paths.
-		for {
-			item, ok, _ := l.tempQ.TryGet()
-			if !ok {
-				break
-			}
-			if l.mat != nil {
-				l.mat.Abort(matcache.Key{Obj: item.s.Key, Sig: l.matSig})
-			}
-			l.env.Pool.Put(item.s)
+		if l.mat != nil {
+			l.mat.Abort(matcache.Key{Obj: item.s.Key, Sig: l.matSig})
 		}
-		for _, q := range l.batchQs {
-			q.Close()
-		}
-		// Constructors parked on the ordered buffer (which has no close
-		// event) re-check stopFlag on the gate pulse.
-		l.gate.Pulse()
-	})
+		l.env.Pool.Put(item.s)
+	}
+	for _, q := range l.batchQs {
+		q.Close()
+	}
+	// Constructors parked on the ordered buffer (which has no close
+	// event) re-check stopFlag on the gate pulse.
+	l.gate.Pulse()
 }
 
 // Timeout exposes the current classification timeout (diagnostics).

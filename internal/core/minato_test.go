@@ -546,7 +546,7 @@ func TestWorkerSurvivesFailingSample(t *testing.T) {
 		// The claim for any unassemblable tail batch must have been
 		// released: the claim counter is an exact account of assembled
 		// batches (regression for the leaked-claim bug).
-		if got := l.claims.Load(); got != int64(delivered) {
+		if got := l.claims; got != int64(delivered) {
 			t.Fatalf("claims = %d, want %d (delivered batches)", got, delivered)
 		}
 		l.Stop()

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"github.com/minatoloader/minato/internal/simtime"
@@ -23,10 +22,8 @@ type Scheduler struct {
 	l   *Loader
 	cfg Config
 
-	target       atomic.Int64
-	live         atomic.Int64
-	peak         atomic.Int64
-	retireTokens atomic.Int64
+	// Plain counters: only the loader's own tasks touch them.
+	target, live, peak, retireTokens int
 
 	qAvg *stats.EWMA
 
@@ -41,43 +38,34 @@ func NewScheduler(l *Loader, cfg Config) *Scheduler {
 }
 
 // SetTarget fixes the desired worker count (initialization and tests).
-func (sc *Scheduler) SetTarget(n int) { sc.target.Store(int64(n)) }
+func (sc *Scheduler) SetTarget(n int) { sc.target = n }
 
 // Target returns the current desired worker count.
-func (sc *Scheduler) Target() int { return int(sc.target.Load()) }
+func (sc *Scheduler) Target() int { return sc.target }
 
 // workerSpawned registers a new worker and returns its id.
 func (sc *Scheduler) workerSpawned() int {
-	n := sc.live.Add(1)
-	for {
-		p := sc.peak.Load()
-		if n <= p || sc.peak.CompareAndSwap(p, n) {
-			break
-		}
-	}
-	return int(n)
+	sc.live++
+	sc.peak = max(sc.peak, sc.live)
+	return sc.live
 }
 
 // peakWorkers returns the pool's high-water mark.
-func (sc *Scheduler) peakWorkers() int { return int(sc.peak.Load()) }
+func (sc *Scheduler) peakWorkers() int { return sc.peak }
 
 // workerExited deregisters a worker.
-func (sc *Scheduler) workerExited() { sc.live.Add(-1) }
+func (sc *Scheduler) workerExited() { sc.live-- }
 
 // liveWorkers returns the current pool size.
-func (sc *Scheduler) liveWorkers() int { return int(sc.live.Load()) }
+func (sc *Scheduler) liveWorkers() int { return sc.live }
 
 // shouldRetire lets one worker claim an outstanding retirement token.
 func (sc *Scheduler) shouldRetire(_ int) bool {
-	for {
-		t := sc.retireTokens.Load()
-		if t <= 0 {
-			return false
-		}
-		if sc.retireTokens.CompareAndSwap(t, t-1) {
-			return true
-		}
+	if sc.retireTokens <= 0 {
+		return false
 	}
+	sc.retireTokens--
+	return true
 }
 
 // Start launches the scheduling loop.
@@ -94,7 +82,7 @@ func (sc *Scheduler) Start(ctx context.Context) {
 		// race in what must be a deterministic schedule.
 		sel := simtime.NewSelector(sc.l.env.RT)
 		for {
-			if sc.l.stopFlag.Load() {
+			if sc.l.stopFlag {
 				return
 			}
 			next := sc.l.env.RT.Now() + sc.cfg.SchedInterval
@@ -107,7 +95,7 @@ func (sc *Scheduler) Start(ctx context.Context) {
 				if err != nil {
 					return
 				}
-				if sc.l.stopFlag.Load() || sc.l.srcDone.Load() {
+				if sc.l.stopFlag || sc.l.srcDone {
 					return
 				}
 				if idx == simtime.Heartbeat {
@@ -178,20 +166,12 @@ func (sc *Scheduler) apply(ctx context.Context, delta int) {
 	sc.SetTarget(next)
 	if next > cur {
 		// Absorb pending retirements first, then spawn the remainder.
-		grow := next - cur
-		for grow > 0 {
-			t := sc.retireTokens.Load()
-			if t <= 0 {
-				break
-			}
-			if sc.retireTokens.CompareAndSwap(t, t-1) {
-				grow--
-			}
-		}
-		for i := 0; i < grow; i++ {
+		absorbed := min(next-cur, max(sc.retireTokens, 0))
+		sc.retireTokens -= absorbed
+		for i := absorbed; i < next-cur; i++ {
 			sc.l.spawnWorker(ctx)
 		}
 		return
 	}
-	sc.retireTokens.Add(int64(cur - next))
+	sc.retireTokens += cur - next
 }

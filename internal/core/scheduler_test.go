@@ -65,12 +65,12 @@ func TestSchedulerShrinkPostsRetireTokens(t *testing.T) {
 		if got := sc.Target(); got != 5 {
 			t.Fatalf("target = %d, want 5", got)
 		}
-		if got := sc.retireTokens.Load(); got != 3 {
+		if got := sc.retireTokens; got != 3 {
 			t.Fatalf("retire tokens = %d, want 3", got)
 		}
 		// Regrowing absorbs outstanding retirements before spawning.
 		sc.apply(context.Background(), +2)
-		if got := sc.retireTokens.Load(); got != 1 {
+		if got := sc.retireTokens; got != 1 {
 			t.Fatalf("retire tokens after regrow = %d, want 1", got)
 		}
 		l.Stop()
@@ -83,7 +83,7 @@ func TestSchedulerRetireTokenClaiming(t *testing.T) {
 	h.k.Run(func() {
 		l := newIdleLoader(t, h)
 		sc := l.sched
-		sc.retireTokens.Store(2)
+		sc.retireTokens = 2
 		claims := 0
 		for i := 0; i < 5; i++ {
 			if sc.shouldRetire(i) {
@@ -105,7 +105,7 @@ func TestSchedulerZeroDeltaNoChange(t *testing.T) {
 		sc := l.sched
 		sc.SetTarget(4)
 		sc.apply(context.Background(), 0)
-		if sc.Target() != 4 || sc.retireTokens.Load() != 0 {
+		if sc.Target() != 4 || sc.retireTokens != 0 {
 			t.Fatal("zero delta mutated state")
 		}
 		l.Stop()

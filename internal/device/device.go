@@ -21,7 +21,6 @@
 package device
 
 import (
-	"container/heap"
 	"context"
 	"time"
 
@@ -173,7 +172,7 @@ func (d *Device) Run(ctx context.Context, work time.Duration) error {
 	d.advance()
 	e.target = d.progress + work.Seconds()
 	e.epoch = invalidEpoch
-	heap.Push(&d.entries, e)
+	d.entries.push(e)
 	// Entering wakes nobody: this task arms its own deadline below, and if
 	// it slowed the device, the front's deadline moves with the rate. That
 	// also undoes a transient: exit stamps the next front under the rate
@@ -279,7 +278,7 @@ func (d *Device) arm(en *entry) {
 func (d *Device) exit(e *entry) {
 	wasFront := len(d.entries) > 0 && d.entries[0] == e
 	if e.idx >= 0 {
-		heap.Remove(&d.entries, e.idx)
+		d.entries.remove(e)
 	}
 	d.setTimed(e, false)
 	d.free = append(d.free, e)
@@ -353,21 +352,47 @@ func (d *Device) advance() {
 	d.lastT = now
 }
 
-// entryHeap is a min-heap of entries by completion target.
+// entryHeap is a min-heap of entries by completion target. Each entry knows
+// its index, so an exit removes it wherever it sits.
 type entryHeap []*entry
 
-func (h entryHeap) Len() int           { return len(h) }
-func (h entryHeap) Less(i, j int) bool { return h[i].target < h[j].target }
-func (h entryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].idx, h[j].idx = i, j }
-func (h *entryHeap) Push(x any)        { e := x.(*entry); e.idx = len(*h); *h = append(*h, e) }
-func (h *entryHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
+func (h *entryHeap) push(e *entry) {
+	*h = append(*h, nil)
+	h.place(len(*h)-1, e)
+}
+
+func (h *entryHeap) remove(e *entry) {
+	i, last := e.idx, len(*h)-1
 	e.idx = -1
-	*h = old[:n-1]
-	return e
+	moved := (*h)[last]
+	(*h)[last] = nil
+	*h = (*h)[:last]
+	if i < last {
+		h.place(i, moved)
+	}
+}
+
+// place puts e where it belongs, given a hole at i: up while its target is
+// before its parent's, else down while a child's is before its own.
+func (h entryHeap) place(i int, e *entry) {
+	for parent := (i - 1) / 2; i > 0 && e.target < h[parent].target; parent = (i - 1) / 2 {
+		h[i] = h[parent]
+		h[i].idx = i
+		i = parent
+	}
+	for {
+		child := 2*i + 1
+		if child+1 < len(h) && h[child+1].target < h[child].target {
+			child++
+		}
+		if child >= len(h) || h[child].target >= e.target {
+			break
+		}
+		h[i] = h[child]
+		h[i].idx = i
+		i = child
+	}
+	h[i], e.idx = e, i
 }
 
 // BusySeconds returns the cumulative full-speed work performed, in

@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -377,16 +376,14 @@ func Run(cfg Config, w workload.Workload, f trainer.Factory) (*Report, error) {
 	return rep, nil
 }
 
-// nodeState is one node's runtime wiring plus its stall accounting
-// (consumers of the node add concurrently).
+// nodeState is one node's runtime wiring plus its stall accounting (plain:
+// the node's consumers are tasks of one kernel).
 type nodeState struct {
-	tb           *hardware.Testbed
-	env          *loader.Env
-	samples      atomic.Int64
-	dataStall    atomic.Int64
-	barrierStall atomic.Int64
-	networkStall atomic.Int64
-	downtime     atomic.Int64
+	tb  *hardware.Testbed
+	env *loader.Env
+
+	samples                                         int64
+	dataStall, barrierStall, networkStall, downtime time.Duration
 }
 
 // memberView is one immutable membership configuration: which nodes are
@@ -415,12 +412,11 @@ type openWin struct {
 	stall time.Duration
 }
 
-// ctrl is the run's chaos-and-SLO controller. Its onBoundary hook runs in
-// the resume barrier's releasing arriver — single-threaded by construction
-// (the next release cannot begin until every consumer re-arrives), so the
-// round counter, histogram, and view swaps need no locking. The mutex
-// guards only the fault table, which the continuous-event engine task also
-// appends to.
+// ctrl is the run's chaos-and-SLO controller: plain state of the run's
+// kernel tasks. Its onBoundary hook runs in the resume barrier's releasing
+// arriver, with every other consumer parked (the next release cannot begin
+// until each re-arrives); the continuous-event engine task appends to the
+// fault table at its own instants.
 type ctrl struct {
 	k       *simtime.Virtual
 	cfg     Config
@@ -445,7 +441,6 @@ type ctrl struct {
 	lastBoundary time.Duration
 	hist         *stats.LogHist
 
-	mu         sync.Mutex
 	faults     []chaos.FaultStat
 	open       map[winKey]openWin
 	pendingRec map[int]int // node → faults index awaiting first post-join step
@@ -456,23 +451,21 @@ type ctrl struct {
 // totalStall sums every node's consumer stalls — the snapshot fault
 // windows diff to attribute stall to a fault.
 func (st *ctrl) totalStall() time.Duration {
-	var sum int64
+	var sum time.Duration
 	for _, nd := range st.nodes {
-		sum += nd.dataStall.Load() + nd.barrierStall.Load() + nd.networkStall.Load()
+		sum += nd.dataStall + nd.barrierStall + nd.networkStall
 	}
-	return time.Duration(sum)
+	return sum
 }
 
-// openFault records a fault taking effect. Callers hold no locks.
+// openFault records a fault taking effect.
 func (st *ctrl) openFault(ev chaos.Event, now time.Duration) {
 	key := winKey{ev.Kind, ev.Node}
 	if ev.Kind == chaos.DiskDegrade {
 		key.node = -1
 	}
-	st.mu.Lock()
 	st.faults = append(st.faults, chaos.FaultStat{Event: ev, AppliedAt: now})
 	st.open[key] = openWin{idx: len(st.faults) - 1, stall: st.totalStall()}
-	st.mu.Unlock()
 	st.tr.Instant(trace.Span{Stage: trace.StageFault, Node: int32(key.node),
 		Key: int64(ev.Kind)}, now)
 }
@@ -482,7 +475,6 @@ func (st *ctrl) openFault(ev chaos.Event, now time.Duration) {
 func (st *ctrl) closeFault(kind chaos.Kind, node int, now time.Duration) {
 	var applied time.Duration
 	closed := false
-	st.mu.Lock()
 	if w, ok := st.open[winKey{kind, node}]; ok {
 		st.faults[w.idx].ClearedAt = now
 		st.faults[w.idx].StallDuring = st.totalStall() - w.stall
@@ -490,7 +482,6 @@ func (st *ctrl) closeFault(kind chaos.Kind, node int, now time.Duration) {
 		closed = true
 		delete(st.open, winKey{kind, node})
 	}
-	st.mu.Unlock()
 	if closed {
 		st.tr.Record(trace.Span{Start: applied, End: now, Stage: trace.StageFaultWindow,
 			Node: int32(node), Key: int64(kind)})
@@ -553,12 +544,10 @@ func (st *ctrl) onBoundary(uint64) {
 	st.lastBoundary = now
 	st.rounds++
 	if len(st.pendingRec) > 0 {
-		st.mu.Lock()
 		for node, idx := range st.pendingRec {
 			st.faults[idx].Recovery = now - st.faults[idx].Event.At
 			delete(st.pendingRec, node)
 		}
-		st.mu.Unlock()
 	}
 	if !st.elastic {
 		return
@@ -590,10 +579,8 @@ func (st *ctrl) onBoundary(uint64) {
 				active[ev.Node] = true
 				changed = true
 				st.closeFault(chaos.NodeCrash, ev.Node, now)
-				st.mu.Lock()
 				st.faults = append(st.faults, chaos.FaultStat{Event: ev, AppliedAt: now})
 				st.pendingRec[ev.Node] = len(st.faults) - 1
-				st.mu.Unlock()
 				st.tr.Instant(trace.Span{Stage: trace.StageFault, Node: int32(ev.Node),
 					Key: int64(ev.Kind)}, now)
 			}
@@ -842,7 +829,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 
 	start := k.Now()
 	st.lastBoundary = start
-	var lastEnd atomic.Int64
+	var lastEnd time.Duration
 	consumers := simtime.NewWaitGroup(k)
 	for rank, nd := range nodes {
 		rank, nd := rank, nd
@@ -876,7 +863,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 							return
 						}
 						tData := k.Now()
-						nd.dataStall.Add(int64(tData - t0))
+						nd.dataStall += tData - t0
 						tr.Record(trace.Span{Start: t0, End: tData, Stage: trace.StageDataWait,
 							Node: int32(rank), Key: int64(g), Seq: round})
 						if err := dev.Train(ctx, w.GPUStep); err != nil {
@@ -885,7 +872,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 						}
 						tr.Record(trace.Span{Start: tData, End: k.Now(), Stage: trace.StageGPUStep,
 							Node: int32(rank), Key: int64(g), Seq: round})
-						nd.samples.Add(int64(len(b.Samples)))
+						nd.samples += int64(len(b.Samples))
 						b.Release()
 					}
 
@@ -898,7 +885,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 					}
 					t2 := k.Now()
 					if act {
-						nd.barrierStall.Add(int64(t2 - t1))
+						nd.barrierStall += t2 - t1
 						tr.Record(trace.Span{Start: t1, End: t2, Stage: trace.StageBarrierWait,
 							Node: int32(rank), Key: int64(g), Seq: round})
 						if g == 0 {
@@ -916,16 +903,16 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 					}
 					now := k.Now()
 					if act {
-						nd.networkStall.Add(int64(now - t2))
+						nd.networkStall += now - t2
 						tr.Record(trace.Span{Start: t2, End: now, Stage: trace.StageNetworkWait,
 							Node: int32(rank), Key: int64(g), Seq: round})
 					} else {
-						nd.downtime.Add(int64(now - t1))
+						nd.downtime += now - t1
 						tr.Record(trace.Span{Start: t1, End: now, Stage: trace.StageDowntime,
 							Node: int32(rank), Key: int64(g), Seq: round})
 					}
 					round++
-					storeMax(&lastEnd, int64(now))
+					lastEnd = max(lastEnd, now)
 				}
 			})
 		}
@@ -946,7 +933,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 		return e.(error)
 	}
 
-	end := time.Duration(lastEnd.Load())
+	end := lastEnd
 	if end < start {
 		end = k.Now()
 	}
@@ -981,16 +968,16 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 		if dur > 0 {
 			util = min(100, 100*busy/(float64(len(nd.tb.GPUs))*dur))
 		}
-		rep.Samples += nd.samples.Load()
+		rep.Samples += nd.samples
 		rep.PerNode = append(rep.PerNode, NodeStats{
 			Node:         i,
 			Hardware:     fmt.Sprintf("%s/%dc", nodeCfgs[i].Name, nodeCfgs[i].Cores),
 			GPUs:         len(nd.tb.GPUs),
-			Samples:      nd.samples.Load(),
-			DataStall:    time.Duration(nd.dataStall.Load()),
-			BarrierStall: time.Duration(nd.barrierStall.Load()),
-			NetworkStall: time.Duration(nd.networkStall.Load()),
-			Downtime:     time.Duration(nd.downtime.Load()),
+			Samples:      nd.samples,
+			DataStall:    nd.dataStall,
+			BarrierStall: nd.barrierStall,
+			NetworkStall: nd.networkStall,
+			Downtime:     nd.downtime,
 			GPUUtil:      util,
 		})
 		nd.tb.Cache.Recycle()
@@ -1006,15 +993,6 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 		rep.AvgGPUUtil = min(100, 100*busyAll/(float64(gpuCount)*dur))
 	}
 	return nil
-}
-
-func storeMax(dst *atomic.Int64, v int64) {
-	for {
-		cur := dst.Load()
-		if v <= cur || dst.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // String summarizes the report.

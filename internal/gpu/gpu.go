@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/minatoloader/minato/internal/device"
@@ -46,8 +45,7 @@ type GPU struct {
 
 	compute *device.Device
 
-	mu       sync.Mutex
-	memCap   int64
+	memCap   int64 // plain from here on: a GPU is used by the tasks of one kernel
 	memUsed  int64
 	memPeak  int64
 	trainSec float64 // cumulative A100-normalized train work
@@ -70,9 +68,7 @@ func (g *GPU) EnableTrace(r *trace.Recorder, tenant, node int32) {
 
 // Train occupies the GPU for an A100-normalized work duration.
 func (g *GPU) Train(ctx context.Context, work time.Duration) error {
-	g.mu.Lock()
 	g.trainSec += work.Seconds()
-	g.mu.Unlock()
 	return g.compute.Run(ctx, g.scale(work))
 }
 
@@ -96,8 +92,6 @@ func (e Executor) Run(ctx context.Context, work time.Duration) error {
 
 // Reserve claims GPU memory (prefetch buffers, preprocessing workspace).
 func (g *GPU) Reserve(bytes int64) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if g.memUsed+bytes > g.memCap {
 		return fmt.Errorf("%w: used %d + %d > cap %d", ErrOutOfMemory, g.memUsed, bytes, g.memCap)
 	}
@@ -110,8 +104,6 @@ func (g *GPU) Reserve(bytes int64) error {
 
 // Release frees GPU memory.
 func (g *GPU) Release(bytes int64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	g.memUsed -= bytes
 	if g.memUsed < 0 {
 		g.memUsed = 0
@@ -120,15 +112,11 @@ func (g *GPU) Release(bytes int64) {
 
 // MemUsed returns current reserved memory.
 func (g *GPU) MemUsed() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return g.memUsed
 }
 
 // MemPeak returns the high-water mark of reserved memory.
 func (g *GPU) MemPeak() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return g.memPeak
 }
 

@@ -8,7 +8,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"sync/atomic"
 
 	"github.com/minatoloader/minato/internal/data"
 	"github.com/minatoloader/minato/internal/dataset"
@@ -239,7 +238,7 @@ func LoadSample(ctx context.Context, env *Env, spec Spec, it IndexItem) (*data.S
 // DeliveryCounter tracks how many batches have been delivered and closes
 // over the budget, shared by loader implementations.
 type DeliveryCounter struct {
-	delivered atomic.Int64
+	delivered int64 // plain: only the loader's tasks deliver
 	budget    int64
 }
 
@@ -250,11 +249,12 @@ func NewDeliveryCounter(budget int) *DeliveryCounter {
 
 // Deliver increments and reports whether this delivery completed the budget.
 func (d *DeliveryCounter) Deliver() (done bool) {
-	return d.delivered.Add(1) >= d.budget
+	d.delivered++
+	return d.delivered >= d.budget
 }
 
 // Delivered returns the count so far.
-func (d *DeliveryCounter) Delivered() int64 { return d.delivered.Load() }
+func (d *DeliveryCounter) Delivered() int64 { return d.delivered }
 
 // Budget returns the total budget.
 func (d *DeliveryCounter) Budget() int64 { return d.budget }

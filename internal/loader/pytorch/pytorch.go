@@ -229,9 +229,8 @@ func (l *Loader) Stop() {
 }
 
 // reorderBuffer delivers batches strictly by sequence number — the
-// mechanism that turns one slow batch into a pipeline stall.
+// mechanism that turns one slow batch into a pipeline stall. Task-only.
 type reorderBuffer struct {
-	mu      sync.Mutex
 	pending map[int64]*data.Batch
 	next    int64
 	total   int64
@@ -241,9 +240,8 @@ type reorderBuffer struct {
 
 // deliver inserts a completed batch and flushes every consecutive ready
 // batch to the output queue. The output queue is sized so TryPut never
-// fails while open; the flush therefore never parks while holding the lock.
+// fails while open.
 func (r *reorderBuffer) deliver(b *data.Batch) {
-	r.mu.Lock()
 	r.pending[b.Seq] = b
 	for {
 		nb, ok := r.pending[r.next]
@@ -252,16 +250,13 @@ func (r *reorderBuffer) deliver(b *data.Batch) {
 		}
 		delete(r.pending, r.next)
 		if ok, err := r.out.TryPut(nb); !ok || err != nil {
-			r.mu.Unlock()
 			nb.Release() // queue closed mid-shutdown: the batch is ours
 			return
 		}
 		r.next++
 		r.sent++
 	}
-	done := r.sent >= r.total
-	r.mu.Unlock()
-	if done {
+	if r.sent >= r.total {
 		r.out.Close()
 	}
 }
@@ -269,8 +264,6 @@ func (r *reorderBuffer) deliver(b *data.Batch) {
 // PendingSeqs returns the sequence numbers parked in the reorder buffer
 // (diagnostics/tests).
 func (l *Loader) PendingSeqs() []int64 {
-	l.reorder.mu.Lock()
-	defer l.reorder.mu.Unlock()
 	out := make([]int64, 0, len(l.reorder.pending))
 	for s := range l.reorder.pending {
 		out = append(out, s)

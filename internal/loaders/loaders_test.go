@@ -76,17 +76,25 @@ func TestCancelledSessionTerminates(t *testing.T) {
 	for _, f := range Defaults() {
 		t.Run(f.Name, func(t *testing.T) {
 			k := simtime.NewVirtual()
+			var (
+				env    *loader.Env
+				ld     loader.Loader
+				ctx    context.Context
+				cancel context.CancelFunc
+			)
 			k.Run(func() {
-				env := sessionEnv(k)
+				env = sessionEnv(k)
 				spec := workload.Speech(1, 3*time.Second).WithIterations(1000).Spec()
-				ld := f.New(env, spec)
-				ctx, cancel := simtime.WithCancel(k, context.Background())
+				ld = f.New(env, spec)
+				ctx, cancel = simtime.WithCancel(k, context.Background())
 				if err := ld.Start(ctx); err != nil {
 					t.Fatal(err)
 				}
-				if slices.Contains(k.TaskNames(), "index-source") {
-					t.Errorf("tasks %v: the index stream is a cursor, not a task", k.TaskNames())
-				}
+			})
+			if names := k.TaskNames(); slices.Contains(names, "index-source") {
+				t.Errorf("tasks %v: the index stream is a cursor, not a task", names)
+			}
+			k.Run(func() {
 				for i := 0; i < 3; i++ {
 					b, err := ld.Next(ctx, 0)
 					if err != nil {

@@ -98,11 +98,11 @@ type tenantCounters struct {
 	savedNs                      int64 // preprocessing ns this tenant's hits skipped
 }
 
-// Cache is the materialized-sample cache. It is safe for concurrent use;
-// under the virtual runtime all operations are deterministic, including
-// eviction order. The zero value is not usable — construct with New.
+// Cache is the materialized-sample cache: plain data, used from the tasks of
+// one kernel (goroutines outside it come in through simtime.Virtual.Run) or
+// by one goroutine with no kernel at all. All operations are deterministic,
+// including eviction order. The zero value is not usable — construct with New.
 type Cache struct {
-	mu        sync.Mutex
 	capacity  int64
 	used      int64
 	restoreBW float64
@@ -120,7 +120,7 @@ type Cache struct {
 
 	// inflight single-flights fills, exactly like the page cache's fetch
 	// protocol: the leader materializes while followers park on waiters.
-	inflight map[Key][]*simtime.Waiter
+	inflight simtime.Flights[Key]
 
 	// handoff holds completed entries too large to retain, reserved for the
 	// followers parked on the fill that produced them: each woken follower
@@ -162,8 +162,6 @@ func (c *Cache) JoinTenant(id int) {
 	if id < 0 {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for len(c.tenants) <= id {
 		c.tenants = append(c.tenants, tenantCounters{})
 	}
@@ -177,8 +175,6 @@ func (c *Cache) JoinTenant(id int) {
 // serving siblings and future sessions — and its slot's counters freeze
 // until the id is reused.
 func (c *Cache) LeaveTenant(id int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if id >= 0 && id < len(c.tenants) {
 		c.tenants[id].live = false
 	}
@@ -191,11 +187,9 @@ func (c *Cache) LeaveTenant(id int) {
 // (waiter non-nil — Wait, then call GetOrBegin again). Followers are
 // attributed a hit on re-check; only the leader pays a miss.
 func (c *Cache) GetOrBegin(tenant int, key Key, rt simtime.Runtime) (Entry, bool, *simtime.Waiter) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if slot, ok := c.index[key]; ok {
 		e := c.decode(slot)
-		c.hitLocked(tenant, e)
+		c.hit(tenant, e)
 		return e, true, nil
 	}
 	if h, ok := c.handoff[key]; ok {
@@ -203,18 +197,12 @@ func (c *Cache) GetOrBegin(tenant int, key Key, rt simtime.Runtime) (Entry, bool
 		if h.refs <= 0 {
 			delete(c.handoff, key)
 		}
-		c.hitLocked(tenant, h.e)
+		c.hit(tenant, h.e)
 		return h.e, true, nil
 	}
-	if ws, ok := c.inflight[key]; ok {
-		w := rt.NewWaiter()
-		c.inflight[key] = append(ws, w)
+	if w := c.inflight.Join(key, rt); w != nil {
 		return Entry{}, false, w
 	}
-	if c.inflight == nil {
-		c.inflight = make(map[Key][]*simtime.Waiter)
-	}
-	c.inflight[key] = nil
 	c.misses++
 	if tenant >= 0 && tenant < len(c.tenants) {
 		c.tenants[tenant].misses++
@@ -222,8 +210,8 @@ func (c *Cache) GetOrBegin(tenant int, key Key, rt simtime.Runtime) (Entry, bool
 	return Entry{}, false, nil
 }
 
-// hitLocked attributes one hit and the preprocessing time it saved.
-func (c *Cache) hitLocked(tenant int, e Entry) {
+// hit attributes one hit and the preprocessing time it saved.
+func (c *Cache) hit(tenant int, e Entry) {
 	c.hits++
 	c.savedNs += int64(e.Cost)
 	if tenant >= 0 && tenant < len(c.tenants) {
@@ -235,8 +223,6 @@ func (c *Cache) hitLocked(tenant int, e Entry) {
 // Peek reports whether key is materialized, without counting a hit or
 // touching single-flight state.
 func (c *Cache) Peek(key Key) (Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	slot, ok := c.index[key]
 	if !ok {
 		return Entry{}, false
@@ -251,52 +237,36 @@ func (c *Cache) Peek(key Key) (Entry, bool) {
 // per-follower handoff reservation), so such keys are filled once per
 // co-arriving cohort, not once per follower.
 func (c *Cache) Complete(tenant int, key Key, e Entry) {
-	c.mu.Lock()
 	c.fills++
 	if tenant >= 0 && tenant < len(c.tenants) {
 		c.tenants[tenant].fills++
 	}
-	c.insertLocked(tenant, key, e)
-	ws := c.inflight[key]
-	delete(c.inflight, key)
-	if _, retained := c.index[key]; !retained && len(ws) > 0 {
+	c.insert(tenant, key, e)
+	followers := c.inflight.Land(key) // readied; none runs before this task parks
+	if _, retained := c.index[key]; !retained && followers > 0 {
 		if c.handoff == nil {
 			c.handoff = make(map[Key]*handoffEntry)
 		}
-		c.handoff[key] = &handoffEntry{e: e, refs: len(ws)}
-	}
-	c.mu.Unlock()
-	for _, w := range ws {
-		w.Wake()
+		c.handoff[key] = &handoffEntry{e: e, refs: followers}
 	}
 }
 
 // Abort releases a key's followers without publishing; the next caller
 // becomes the new leader. Leaders must Abort on every failure path
 // (including panics) or followers would park forever.
-func (c *Cache) Abort(key Key) {
-	c.mu.Lock()
-	ws := c.inflight[key]
-	delete(c.inflight, key)
-	c.mu.Unlock()
-	for _, w := range ws {
-		w.Wake()
-	}
-}
+func (c *Cache) Abort(key Key) { c.inflight.Land(key) }
 
 // Invalidate eagerly drops every entry materialized under the given
 // pipeline signature, returning how many were removed. Callers use it when
 // a pipeline is known dead (signature-keyed misses already isolate changed
 // pipelines; this just frees the bytes sooner than cost-aware aging would).
 func (c *Cache) Invalidate(sig uint64) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	n := 0
 	for key, slot := range c.index {
 		if key.Sig != sig {
 			continue
 		}
-		c.removeLocked(key, slot, false)
+		c.remove(key, slot, false)
 		n++
 	}
 	for key := range c.handoff {
@@ -315,7 +285,6 @@ func (c *Cache) Invalidate(sig uint64) int {
 // died without settling are cleared too, their waiters woken so nobody
 // parks forever on a fill that will never complete.
 func (c *Cache) Recycle() {
-	c.mu.Lock()
 	for _, ch := range c.chunks {
 		*ch = chunk{}
 		chunkPool.Put(ch)
@@ -331,10 +300,7 @@ func (c *Cache) Recycle() {
 	clear(c.handoff)
 	// Wake abandoned followers in key order so recycling stays deterministic
 	// even with claims outstanding.
-	keys := make([]Key, 0, len(c.inflight))
-	for key := range c.inflight {
-		keys = append(keys, key)
-	}
+	keys := c.inflight.Keys()
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]
 		if a.Obj.Space != b.Obj.Space {
@@ -345,14 +311,8 @@ func (c *Cache) Recycle() {
 		}
 		return a.Sig < b.Sig
 	})
-	var wake []*simtime.Waiter
 	for _, key := range keys {
-		wake = append(wake, c.inflight[key]...)
-	}
-	clear(c.inflight)
-	c.mu.Unlock()
-	for _, w := range wake {
-		w.Wake()
+		c.inflight.Land(key)
 	}
 }
 
@@ -380,8 +340,6 @@ func (s Stats) HitRate() float64 {
 
 // Stats returns a snapshot of whole-cache counters.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return Stats{
 		Capacity: c.capacity, Used: c.used, Entries: int64(len(c.index)),
 		Hits: c.hits, Misses: c.misses, Fills: c.fills,
@@ -394,8 +352,6 @@ func (c *Cache) Stats() Stats {
 // evictions-suffered, resident bytes it filled, and the preprocessing time
 // its hits saved. Capacity is the whole cache's (the pool is shared).
 func (c *Cache) TenantStats(id int) Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if id < 0 || id >= len(c.tenants) {
 		return Stats{Capacity: c.capacity}
 	}
@@ -407,7 +363,7 @@ func (c *Cache) TenantStats(id int) Stats {
 	}
 }
 
-// --- internals (callers hold c.mu) ---
+// --- internals ---
 
 func (c *Cache) decode(slot int32) Entry {
 	buf := c.chunks[slot/recordsPerChunk].buf[(slot%recordsPerChunk)*recordSize:]
@@ -417,7 +373,7 @@ func (c *Cache) decode(slot int32) Entry {
 	}
 }
 
-func (c *Cache) insertLocked(tenant int, key Key, e Entry) {
+func (c *Cache) insert(tenant int, key Key, e Entry) {
 	if e.Bytes > c.capacity || c.capacity <= 0 {
 		return
 	}
@@ -452,16 +408,16 @@ func (c *Cache) insertLocked(tenant int, key Key, e Entry) {
 	}
 	c.heapPush(heapItem{density: density, seq: c.seq, slot: slot})
 	for c.used > c.capacity {
-		victim, ok := c.popVictimLocked()
+		victim, ok := c.popVictim()
 		if !ok {
 			break
 		}
-		c.removeLocked(victim.key, c.index[victim.key], true)
+		c.remove(victim.key, c.index[victim.key], true)
 	}
 }
 
-// popVictimLocked pops heap items until one still describes a live slot.
-func (c *Cache) popVictimLocked() (slotMeta, bool) {
+// popVictim pops heap items until one still describes a live slot.
+func (c *Cache) popVictim() (slotMeta, bool) {
 	for len(c.heap) > 0 {
 		it := c.heapPop()
 		m := &c.chunks[it.slot/recordsPerChunk].meta[it.slot%recordsPerChunk]
@@ -472,10 +428,10 @@ func (c *Cache) popVictimLocked() (slotMeta, bool) {
 	return slotMeta{}, false
 }
 
-// removeLocked drops a live entry: frees its slot, returns its bytes, and —
+// remove drops a live entry: frees its slot, returns its bytes, and —
 // for cost-aware eviction — attributes the loss to the tenant that filled
 // it. The stale heap item (if any) is lazily skipped later.
-func (c *Cache) removeLocked(key Key, slot int32, evicted bool) {
+func (c *Cache) remove(key Key, slot int32, evicted bool) {
 	m := &c.chunks[slot/recordsPerChunk].meta[slot%recordsPerChunk]
 	e := c.decode(slot)
 	c.used -= e.Bytes

@@ -30,7 +30,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"github.com/minatoloader/minato/internal/simtime"
@@ -49,13 +48,13 @@ type Config struct {
 	Latency time.Duration
 }
 
-// Fabric is the simulated interconnect. All methods are safe for
-// concurrent use by tracked tasks.
+// Fabric is the simulated interconnect: plain task-only state, like the
+// selectors its flows park on. Goroutines outside the kernel reach it through
+// simtime.Virtual.Run or Post.
 type Fabric struct {
 	rt      simtime.Runtime
 	latency time.Duration
 
-	mu    sync.Mutex
 	links []link // 2 per endpoint: egress = 2e, ingress = 2e+1
 	flows []*flow
 	lastT time.Duration
@@ -87,7 +86,7 @@ type Fabric struct {
 	// and rate-change instants (StageFlowRate). Rate instants are recorded
 	// at settlement — the first advance across real elapsed time — never
 	// from mid-instant transients, so the span set is independent of the
-	// order same-instant membership events reached the mutex.
+	// order of same-instant membership events.
 	tr *trace.Recorder
 }
 
@@ -125,10 +124,9 @@ type flow struct {
 	anchorT         time.Duration // time of the last rate change
 	finishAt        time.Duration // absolute completion deadline at rate
 	sel             *simtime.Selector
-	parked          bool // in a wait cycle on sel, its deadline armed at finishAt
 	// settledRate is the rate last recorded as a StageFlowRate instant;
 	// -1 until the flow's first settlement. Comparing against it (rather
-	// than flagging changes inside reshareLocked) skips transients that
+	// than flagging changes inside reshare) skips transients that
 	// bend back within one instant — whose occurrence depends on event
 	// order — so the recorded set stays deterministic.
 	settledRate float64
@@ -140,8 +138,7 @@ type flow struct {
 // so the order among them cannot affect any observable. Keeping f.flows
 // sorted by this key makes every iteration (water-filling fixes, progress
 // integration) independent of the order tasks happened to reach the
-// fabric's mutex, which is the difference between "deterministic in
-// virtual time" and "deterministic only if the scheduler cooperates".
+// fabric within an instant.
 func flowLess(a, b *flow) bool {
 	if a.egress != b.egress {
 		return a.egress < b.egress
@@ -197,11 +194,7 @@ func (f *Fabric) Endpoints() int { return len(f.links) / 2 }
 // StageFlow span (Node = source endpoint, Key = destination endpoint,
 // Detail = bytes delivered) and each settled rate change a StageFlowRate
 // instant (Detail = bytes/s). Call before traffic starts.
-func (f *Fabric) EnableTrace(r *trace.Recorder) {
-	f.mu.Lock()
-	f.tr = r
-	f.mu.Unlock()
-}
+func (f *Fabric) EnableTrace(r *trace.Recorder) { f.tr = r }
 
 // MinBandwidth is the floor SetBandwidth clamps to, in bytes/s. A zero or
 // negative bandwidth would divide the water-filling rate computation by
@@ -218,20 +211,16 @@ func (f *Fabric) SetBandwidth(endpoint int, bw float64) {
 	if bw < MinBandwidth || bw != bw {
 		bw = MinBandwidth
 	}
-	f.mu.Lock()
-	f.advanceLocked()
+	f.advance()
 	f.links[2*endpoint].bw = bw
 	f.links[2*endpoint+1].bw = bw
-	f.reshareLocked()
-	f.mu.Unlock()
+	f.reshare()
 }
 
 // BytesMoved returns the cumulative bytes delivered by completed and
 // in-progress transfers (in-flight progress included analytically).
 func (f *Fabric) BytesMoved() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.advanceLocked()
+	f.advance()
 	total := f.doneBytes
 	for _, fl := range f.flows {
 		total += fl.size - int64(fl.remaining)
@@ -241,19 +230,13 @@ func (f *Fabric) BytesMoved() int64 {
 
 // FlowsCompleted returns how many transfers have retired (finished or
 // cancelled mid-flight).
-func (f *Fabric) FlowsCompleted() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.flowsDone
-}
+func (f *Fabric) FlowsCompleted() int64 { return f.flowsDone }
 
 // LinkBusySeconds returns a NIC direction's cumulative transfer work in
 // full-bandwidth seconds (dir 0 = egress, 1 = ingress): utilization over a
 // window is Δbusy/Δt.
 func (f *Fabric) LinkBusySeconds(endpoint, dir int) float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.advanceLocked()
+	f.advance()
 	return f.links[2*endpoint+dir].busyIntegral
 }
 
@@ -278,7 +261,6 @@ func (f *Fabric) Transfer(ctx context.Context, src, dst int, n int64) error {
 		return nil
 	}
 
-	f.mu.Lock()
 	var fl *flow
 	if k := len(f.free); k > 0 {
 		fl, f.free = f.free[k-1], f.free[:k-1]
@@ -292,46 +274,40 @@ func (f *Fabric) Transfer(ctx context.Context, src, dst int, n int64) error {
 	fl.settledRate = -1
 	fl.finishAt = math.MaxInt64
 
-	f.advanceLocked()
+	f.advance()
 	fl.startT = f.lastT
 	fl.anchorRem = fl.remaining
 	fl.anchorT = f.lastT
 	f.links[fl.egress].n++
 	f.links[fl.ingress].n++
-	f.insertFlowLocked(fl)
-	f.reshareLocked()
+	f.insertFlow(fl)
+	f.reshare()
 
 	for {
 		if fl.remaining <= 1e-6 {
-			f.exitLocked(fl)
+			f.exit(fl)
 			return nil
 		}
 		// Park until the absolute completion instant stamped at the last
 		// rate change; a later rate change moves the armed deadline through
-		// reshareLocked, so the flow normally parks once. Reset under f.mu
-		// so wakes are serialized with the cycle boundary.
+		// reshare, so the flow normally parks once.
 		deadline := fl.finishAt - f.lastT
 		if deadline <= 0 {
 			deadline = time.Nanosecond
 		}
-		fl.parked = true
 		fl.sel.Reset()
-		f.mu.Unlock()
-
 		_, err := fl.sel.Wait(ctx, deadline)
-		f.mu.Lock()
-		fl.parked = false
-		f.advanceLocked()
+		f.advance()
 		if err != nil {
-			f.exitLocked(fl)
+			f.exit(fl)
 			return err
 		}
 	}
 }
 
-// insertFlowLocked places fl at its canonical position so f.flows stays
-// sorted under flowLess regardless of mutex-acquisition order.
-func (f *Fabric) insertFlowLocked(fl *flow) {
+// insertFlow places fl at its canonical position so f.flows stays sorted
+// under flowLess regardless of arrival order.
+func (f *Fabric) insertFlow(fl *flow) {
 	i := len(f.flows)
 	for j, e := range f.flows {
 		if flowLess(fl, e) {
@@ -344,9 +320,9 @@ func (f *Fabric) insertFlowLocked(fl *flow) {
 	f.flows[i] = fl
 }
 
-// exitLocked removes fl from the fabric (preserving the canonical order of
-// the survivors), re-shares them and recycles fl. Unlocks f.mu.
-func (f *Fabric) exitLocked(fl *flow) {
+// exit removes fl from the fabric (preserving the canonical order of the
+// survivors), re-shares them and recycles fl.
+func (f *Fabric) exit(fl *flow) {
 	f.tr.Record(trace.Span{Start: fl.startT, End: f.lastT, Stage: trace.StageFlow,
 		Node: int32(fl.egress / 2), Key: int64(fl.ingress / 2),
 		Detail: fl.size - int64(fl.remaining)})
@@ -363,18 +339,17 @@ func (f *Fabric) exitLocked(fl *flow) {
 		}
 	}
 	f.flowsDone++
-	f.reshareLocked()
+	f.reshare()
 	f.free = append(f.free, fl)
-	f.mu.Unlock()
 }
 
-// advanceLocked integrates every in-flight flow's progress (and each
+// advance integrates every in-flight flow's progress (and each
 // link's carried bytes) up to now. Progress is recomputed analytically
 // from the flow's rate-change anchor rather than accumulated per segment,
 // so the value of remaining at any instant — and therefore every
 // completion time — does not depend on how many intermediate wakes
 // happened to observe the flow along the way.
-func (f *Fabric) advanceLocked() {
+func (f *Fabric) advance() {
 	now := f.rt.Now()
 	if now <= f.lastT {
 		return
@@ -411,7 +386,7 @@ func (f *Fabric) advanceLocked() {
 	f.lastT = now
 }
 
-// reshareLocked recomputes max-min fair rates by water-filling: repeatedly
+// reshare recomputes max-min fair rates by water-filling: repeatedly
 // find the most-constrained link (smallest per-flow fair share among its
 // unfixed flows), fix its flows at that share, subtract their bandwidth,
 // and continue until every flow has a rate. Only the active links — those
@@ -423,7 +398,7 @@ func (f *Fabric) advanceLocked() {
 // are restamped from the new rate, making reshare points the only places a
 // flow's trajectory can bend, and a parked flow's armed deadline is moved to
 // the new instant where it sleeps.
-func (f *Fabric) reshareLocked() {
+func (f *Fabric) reshare() {
 	// The links active until now are exactly those whose busy integral has
 	// been advancing: re-anchor them, then rebuild the list from the flows.
 	res := f.residuals
@@ -485,13 +460,9 @@ func (f *Fabric) reshareLocked() {
 			fl.anchorRem = fl.remaining
 			fl.anchorT = now
 			fl.finishAt = now + time.Duration(fl.anchorRem/fl.rate*float64(time.Second)) + time.Nanosecond
-			// A flow between Reset and Wait (an untracked goroutine's
-			// SetBandwidth got in) has no deadline to move yet: claim its
-			// cycle, so it re-reads finishAt instead of parking on the old
-			// one. One that is already readied refuses both.
-			if fl.parked && !fl.sel.Retime(fl.finishAt) {
-				fl.sel.TryWake(0)
-			}
+			// Refused by a flow that is not parked — the one entering, or
+			// one readied at this instant: it re-reads finishAt itself.
+			fl.sel.Retime(fl.finishAt)
 		}
 	}
 }

@@ -337,8 +337,9 @@ func TestConservationUnderContention(t *testing.T) {
 }
 
 // TestRaceHammer exercises what reaches a Fabric from outside its kernel —
-// sixteen untracked goroutines entering it, bandwidth churn and a foreign
-// cancellation — against flows in flight; run with -race.
+// sixteen untracked goroutines entering it through Run, bandwidth churn
+// posted through the door and a foreign cancellation — against flows in
+// flight; run with -race.
 func TestRaceHammer(t *testing.T) {
 	k := simtime.NewVirtual()
 	f := New(k, Config{Endpoints: 4, Bandwidth: 1e9, Latency: time.Microsecond})
@@ -360,13 +361,13 @@ func TestRaceHammer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 300; i++ {
-			f.SetBandwidth(i%4, 1e9/float64(1+i%3))
+			k.Post(func() { f.SetBandwidth(i%4, 1e9/float64(1+i%3)) })
 			runtime.Gosched()
 		}
 		cancel()
 	}()
 	wg.Wait()
-	_ = f.BytesMoved()
+	k.Run(func() { _ = f.BytesMoved() })
 }
 
 func TestLinkBusySecondsSurvivesBandwidthChange(t *testing.T) {

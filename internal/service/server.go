@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"github.com/minatoloader/minato/internal/data"
 	"github.com/minatoloader/minato/internal/queue"
@@ -69,22 +67,12 @@ type Server struct {
 	wg     *simtime.WaitGroup
 	inbox  *queue.Queue[Frame]
 
-	mu        sync.Mutex
+	// Plain state of the server's tasks, like everything on their kernel.
 	closed    bool
 	streams   map[uint64]*srvStream
 	opens     map[int]uint64 // per-client stream counter (id allocation)
 	tokenLoad map[string]int
-	maxPend   int // high-water of any retired stream's pending count
-
-	streamsTotal  atomic.Int64
-	rejAuth       atomic.Int64
-	rejQuota      atomic.Int64
-	rejOverload   atomic.Int64
-	rejUnknown    atomic.Int64
-	batchesSent   atomic.Int64
-	bytesSent     atomic.Int64
-	cancelsHonour atomic.Int64
-	fastForwards  atomic.Int64
+	stats     Stats // the counters; MaxPending covers retired streams only
 }
 
 // srvStream is the server half of one open stream.
@@ -96,7 +84,6 @@ type srvStream struct {
 	grants *queue.Queue[int]
 	window int
 
-	mu sync.Mutex
 	// granted holds sequences the client has requested and not yet been
 	// answered for (by a batch, a cancel, or teardown). Its size is the
 	// stream's live window debt: a REQ arriving while len(granted) is at
@@ -133,9 +120,10 @@ func NewServer(n *Net, ep int, cfg ServerConfig, opener Opener) *Server {
 	}
 }
 
-// Start launches the dispatch task. Server tasks are kernel daemons: they
-// park indefinitely waiting for client frames without counting as
-// deadlocked once every client task has exited.
+// Start launches the dispatch task; call it from a task of the server's
+// kernel. Server tasks are kernel daemons: they park indefinitely waiting
+// for client frames without counting as deadlocked once every client task
+// has exited.
 func (s *Server) Start() {
 	s.goDaemon(fmt.Sprintf("svc-server-%d", s.ep), s.dispatch)
 }
@@ -161,7 +149,7 @@ func (s *Server) dispatch() {
 		if err != nil {
 			return // inbox closed: server shut down
 		}
-		if s.isClosed() {
+		if s.closed {
 			continue // drain silently during shutdown
 		}
 		switch fr.Op {
@@ -177,12 +165,6 @@ func (s *Server) dispatch() {
 	}
 }
 
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
 func (s *Server) reply(ctx context.Context, to int, fr Frame) {
 	fr.Op, fr.From = OpOpenReply, s.ep
 	_ = s.net.Send(ctx, to, fr)
@@ -196,7 +178,7 @@ func (s *Server) handleOpen(ctx context.Context, fr Frame) {
 	if s.cfg.Tokens != nil {
 		q, ok := s.cfg.Tokens[spec.Token]
 		if !ok {
-			s.rejAuth.Add(1)
+			s.stats.RejectedUnauthorized++
 			s.reply(ctx, fr.From, Frame{Code: CodeUnauthorized})
 			return
 		}
@@ -204,22 +186,16 @@ func (s *Server) handleOpen(ctx context.Context, fr Frame) {
 			weight = q.Weight
 		}
 		if q.MaxStreams > 0 {
-			s.mu.Lock()
-			over := s.tokenLoad[spec.Token] >= q.MaxStreams
-			s.mu.Unlock()
-			if over {
-				s.rejQuota.Add(1)
+			if s.tokenLoad[spec.Token] >= q.MaxStreams {
+				s.stats.RejectedQuota++
 				s.reply(ctx, fr.From, Frame{Code: CodeQuotaExceeded})
 				return
 			}
 		}
 	}
 	if s.cfg.MaxStreams > 0 {
-		s.mu.Lock()
-		over := len(s.streams) >= s.cfg.MaxStreams
-		s.mu.Unlock()
-		if over {
-			s.rejOverload.Add(1)
+		if len(s.streams) >= s.cfg.MaxStreams {
+			s.stats.RejectedOverloaded++
 			s.reply(ctx, fr.From, Frame{Code: CodeOverloaded})
 			return
 		}
@@ -230,16 +206,16 @@ func (s *Server) handleOpen(ctx context.Context, fr Frame) {
 		code := CodeError
 		switch {
 		case errors.Is(err, ErrUnknownStream):
-			s.rejUnknown.Add(1)
+			s.stats.RejectedUnknown++
 			code = CodeUnknownStream
 		case errors.Is(err, ErrServerOverloaded):
-			s.rejOverload.Add(1)
+			s.stats.RejectedOverloaded++
 			code = CodeOverloaded
 		case errors.Is(err, ErrQuotaExceeded):
-			s.rejQuota.Add(1)
+			s.stats.RejectedQuota++
 			code = CodeQuotaExceeded
 		case errors.Is(err, ErrUnauthorized):
-			s.rejAuth.Add(1)
+			s.stats.RejectedUnauthorized++
 			code = CodeUnauthorized
 		}
 		s.reply(ctx, fr.From, Frame{Code: code})
@@ -259,7 +235,6 @@ func (s *Server) handleOpen(ctx context.Context, fr Frame) {
 	if depth < 1 {
 		depth = 1
 	}
-	s.mu.Lock()
 	s.opens[fr.From]++
 	id := uint64(fr.From)<<16 | (s.opens[fr.From] & 0xffff)
 	st := &srvStream{
@@ -274,36 +249,26 @@ func (s *Server) handleOpen(ctx context.Context, fr Frame) {
 	}
 	s.streams[id] = st
 	s.tokenLoad[spec.Token]++
-	s.mu.Unlock()
-	s.streamsTotal.Add(1)
+	s.stats.StreamsTotal++
 
 	s.reply(ctx, fr.From, Frame{Stream: id, Code: CodeOK, Window: window, Total: src.Total()})
 	s.goDaemon(fmt.Sprintf("svc-pump-%d-%d", s.ep, id), func() { s.pump(st) })
 }
 
-func (s *Server) lookup(id uint64) *srvStream {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.streams[id]
-}
-
 // handleReq grants one batch request, enforcing the send window: a REQ
 // that would exceed it is a protocol violation and kills the stream.
 func (s *Server) handleReq(ctx context.Context, fr Frame) {
-	st := s.lookup(fr.Stream)
+	st := s.streams[fr.Stream]
 	if st == nil {
 		_ = s.net.Send(ctx, fr.From, Frame{Op: OpEnd, From: s.ep, Stream: fr.Stream, Code: CodeUnknownStream})
 		return
 	}
-	st.mu.Lock()
 	if st.closing {
-		st.mu.Unlock()
 		return
 	}
 	if len(st.granted) >= st.window {
 		st.closing = true
 		st.killCode = CodeOverloaded
-		st.mu.Unlock()
 		st.grants.Close()
 		return
 	}
@@ -311,7 +276,6 @@ func (s *Server) handleReq(ctx context.Context, fr Frame) {
 	if len(st.granted) > st.maxPend {
 		st.maxPend = len(st.granted)
 	}
-	st.mu.Unlock()
 	// Capacity covers the whole stream, so this never blocks.
 	_ = st.grants.Put(ctx, fr.Seq)
 }
@@ -322,27 +286,23 @@ func (s *Server) handleReq(ctx context.Context, fr Frame) {
 // sequence the cancel is a no-op — the batch is in flight and the client
 // releases the duplicate.
 func (s *Server) handleCancel(fr Frame) {
-	st := s.lookup(fr.Stream)
+	st := s.streams[fr.Stream]
 	if st == nil {
 		return
 	}
-	st.mu.Lock()
 	if st.granted[fr.Seq] {
 		delete(st.granted, fr.Seq)
 		st.cancelled[fr.Seq] = true
 	}
-	st.mu.Unlock()
 }
 
 // handleClose starts stream teardown; the pump drains and sends the END.
 func (s *Server) handleClose(fr Frame) {
-	st := s.lookup(fr.Stream)
+	st := s.streams[fr.Stream]
 	if st == nil {
 		return // already ended (e.g. EOF raced the close) — END was sent
 	}
-	st.mu.Lock()
 	st.closing = true
-	st.mu.Unlock()
 	st.grants.Close()
 }
 
@@ -350,10 +310,8 @@ func (s *Server) handleClose(fr Frame) {
 // abandons it). A cancel that raced mid-production already settled it; the
 // double delete is a no-op.
 func (st *srvStream) release(seq int) {
-	st.mu.Lock()
 	delete(st.granted, seq)
 	delete(st.cancelled, seq)
-	st.mu.Unlock()
 }
 
 // pump serves one stream: take a grant, produce the batch (fast-forwarding
@@ -367,31 +325,25 @@ func (s *Server) pump(st *srvStream) {
 	for {
 		seq, err := st.grants.Get(ctx)
 		if err != nil {
-			st.mu.Lock()
 			if st.killCode != 0 {
 				code = st.killCode
 			} else {
 				code = CodeOK // acknowledged close
 			}
-			st.mu.Unlock()
 			break
 		}
-		st.mu.Lock()
 		if st.closing {
 			// Drained after close: the grant is abandoned.
 			delete(st.granted, seq)
-			st.mu.Unlock()
 			continue
 		}
 		if st.cancelled[seq] {
 			// The cancel already settled the window debt.
 			delete(st.cancelled, seq)
-			st.mu.Unlock()
-			s.cancelsHonour.Add(1)
+			s.stats.CancelsHonored++
 			continue
 		}
 		stale := seq < st.produced
-		st.mu.Unlock()
 		if stale {
 			st.release(seq)
 			continue
@@ -408,7 +360,7 @@ func (s *Server) pump(st *srvStream) {
 				// A hedge loser's sequence: the in-order source must still
 				// advance past it, but nobody wants the batch.
 				nb.Release()
-				s.fastForwards.Add(1)
+				s.stats.FastForwards++
 			} else {
 				b = nb
 			}
@@ -431,8 +383,8 @@ func (s *Server) pump(st *srvStream) {
 			code = CodeError
 			break
 		}
-		s.batchesSent.Add(1)
-		s.bytesSent.Add(payload + frameHeaderBytes)
+		s.stats.BatchesSent++
+		s.stats.BytesSent += payload + frameHeaderBytes
 		st.release(seq)
 	}
 
@@ -443,15 +395,9 @@ func (s *Server) pump(st *srvStream) {
 
 func (s *Server) deregister(st *srvStream) {
 	st.grants.Close()
-	s.mu.Lock()
 	delete(s.streams, st.id)
 	s.tokenLoad[st.token]--
-	st.mu.Lock()
-	if st.maxPend > s.maxPend {
-		s.maxPend = st.maxPend
-	}
-	st.mu.Unlock()
-	s.mu.Unlock()
+	s.stats.MaxPending = max(s.stats.MaxPending, st.maxPend)
 }
 
 // Close shuts the server down: the inbox closes (dispatch exits after
@@ -460,9 +406,7 @@ func (s *Server) deregister(st *srvStream) {
 // a final END to a client that never drains its inbox can park a pump
 // until the inbox has space.
 func (s *Server) Close() error {
-	s.mu.Lock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
@@ -470,11 +414,8 @@ func (s *Server) Close() error {
 	for _, st := range s.streams {
 		streams = append(streams, st)
 	}
-	s.mu.Unlock()
 	for _, st := range streams {
-		st.mu.Lock()
 		st.closing = true
-		st.mu.Unlock()
 		st.grants.Close()
 	}
 	s.inbox.Close()
@@ -506,29 +447,12 @@ type Stats struct {
 	FastForwards   int64
 }
 
-// Stats returns a live snapshot; safe from any goroutine.
+// Stats returns a live snapshot; like the rest of the server, on its kernel.
 func (s *Server) Stats() Stats {
-	st := Stats{
-		StreamsTotal:         s.streamsTotal.Load(),
-		RejectedUnauthorized: s.rejAuth.Load(),
-		RejectedQuota:        s.rejQuota.Load(),
-		RejectedOverloaded:   s.rejOverload.Load(),
-		RejectedUnknown:      s.rejUnknown.Load(),
-		BatchesSent:          s.batchesSent.Load(),
-		BytesSent:            s.bytesSent.Load(),
-		CancelsHonored:       s.cancelsHonour.Load(),
-		FastForwards:         s.fastForwards.Load(),
-	}
-	s.mu.Lock()
+	st := s.stats
 	st.StreamsActive = len(s.streams)
-	st.MaxPending = s.maxPend
 	for _, live := range s.streams {
-		live.mu.Lock()
-		if live.maxPend > st.MaxPending {
-			st.MaxPending = live.maxPend
-		}
-		live.mu.Unlock()
+		st.MaxPending = max(st.MaxPending, live.maxPend)
 	}
-	s.mu.Unlock()
 	return st
 }

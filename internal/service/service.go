@@ -35,7 +35,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/minatoloader/minato/internal/data"
@@ -207,13 +206,13 @@ func (c *Config) fill() {
 
 // Net is the service fabric: a netsim interconnect plus one frame inbox
 // per allocated endpoint, and the fleet registry mapping server indices to
-// endpoints (chaos scripts target servers by fleet index).
+// endpoints (chaos scripts target servers by fleet index). Like the fabric
+// and the queues it is made of, a Net is plain state of its kernel's tasks.
 type Net struct {
 	rt  simtime.Runtime
 	fab *netsim.Fabric
 	cfg Config
 
-	mu      sync.Mutex
 	next    int
 	inboxes []*queue.Queue[Frame]
 	servers []int // fleet index → endpoint
@@ -246,9 +245,7 @@ func (n *Net) Runtime() simtime.Runtime { return n.rt }
 // delivered frame records a StageFrame span, and the underlying fabric
 // records flow lifetimes and rate changes. Call before traffic starts.
 func (n *Net) EnableTrace(r *trace.Recorder) {
-	n.mu.Lock()
 	n.tr = r
-	n.mu.Unlock()
 	n.fab.EnableTrace(r)
 }
 
@@ -258,8 +255,6 @@ func (n *Net) Bandwidth() float64 { return n.cfg.Bandwidth }
 // AllocEndpoint attaches a new party to the fabric and returns its
 // endpoint id, or an error when the configured endpoint budget is spent.
 func (n *Net) AllocEndpoint() (int, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.next >= n.cfg.Endpoints {
 		return 0, fmt.Errorf("service: endpoint budget %d exhausted", n.cfg.Endpoints)
 	}
@@ -270,34 +265,20 @@ func (n *Net) AllocEndpoint() (int, error) {
 }
 
 // Inbox returns the endpoint's receive queue.
-func (n *Net) Inbox(ep int) *queue.Queue[Frame] {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.inboxes[ep]
-}
+func (n *Net) Inbox(ep int) *queue.Queue[Frame] { return n.inboxes[ep] }
 
 // RegisterServer records ep as the next member of the server fleet and
 // returns its fleet index.
 func (n *Net) RegisterServer(ep int) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.servers = append(n.servers, ep)
 	return len(n.servers) - 1
 }
 
 // ServerCount returns how many servers have registered.
-func (n *Net) ServerCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.servers)
-}
+func (n *Net) ServerCount() int { return len(n.servers) }
 
 // ServerEndpoint returns the endpoint of fleet member i.
-func (n *Net) ServerEndpoint(i int) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.servers[i]
-}
+func (n *Net) ServerEndpoint(i int) int { return n.servers[i] }
 
 // SetBandwidth changes an endpoint's NIC bandwidth mid-run (chaos link
 // degradation); the fabric clamps to its MinBandwidth floor.
@@ -325,10 +306,7 @@ func (n *Net) Send(ctx context.Context, dst int, fr Frame) error {
 	if err := inbox.Put(ctx, fr); err != nil {
 		return fmt.Errorf("service: endpoint %d inbox: %w", dst, err)
 	}
-	n.mu.Lock()
-	tr := n.tr
-	n.mu.Unlock()
-	tr.Record(trace.Span{Start: t0, End: n.rt.Now(), Stage: trace.StageFrame,
+	n.tr.Record(trace.Span{Start: t0, End: n.rt.Now(), Stage: trace.StageFrame,
 		Node: int32(fr.From), Key: int64(dst), Seq: int64(fr.Seq), Detail: int64(fr.Op)})
 	return nil
 }

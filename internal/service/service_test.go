@@ -92,7 +92,7 @@ func (r *testRig) startServer(t *testing.T, scfg ServerConfig, op Opener) *Serve
 	}
 	r.net.RegisterServer(ep)
 	srv := NewServer(r.net, ep, scfg, op)
-	srv.Start()
+	r.v.Run(srv.Start) // spawning is for tasks
 	return srv
 }
 

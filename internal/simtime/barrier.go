@@ -3,23 +3,19 @@ package simtime
 import (
 	"context"
 	"errors"
-	"sync"
 )
 
 // Barrier is a runtime-aware cyclic barrier for n participants: the n-th
 // arrival releases everyone and the barrier resets for the next round.
 // Distributed data-parallel training uses it as the per-step gradient
-// synchronization point.
+// synchronization point. Task-only.
 type Barrier struct {
-	rt        Runtime
 	n         int
 	onRelease func(gen uint64)
 
-	mu      sync.Mutex
-	arrived int
-	gen     uint64
-	waiters []*Waiter
-	broken  bool
+	gen    uint64
+	broken bool
+	parked waitList // the round's earlier arrivals
 }
 
 // NewBarrier returns a barrier for n participants (n must be positive).
@@ -27,7 +23,7 @@ func NewBarrier(rt Runtime, n int) *Barrier {
 	if n <= 0 {
 		panic("simtime: barrier size must be positive")
 	}
-	return &Barrier{rt: rt, n: n}
+	return &Barrier{n: n, parked: waitList{k: rt.(*Virtual)}}
 }
 
 // NewBarrierFunc returns a barrier whose fn runs once per completed round,
@@ -49,42 +45,26 @@ func NewBarrierFunc(rt Runtime, n int, fn func(gen uint64)) *Barrier {
 // Wait returns ErrBarrierBroken immediately for all current and future
 // callers.
 func (b *Barrier) Wait(ctx context.Context) (uint64, error) {
-	b.mu.Lock()
 	if b.broken {
-		b.mu.Unlock()
 		return 0, ErrBarrierBroken
 	}
 	gen := b.gen
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
+	if b.parked.n == b.n-1 {
 		b.gen++
-		ws := b.waiters
-		b.waiters = nil
-		b.mu.Unlock()
 		if b.onRelease != nil {
 			b.onRelease(gen)
 		}
-		for _, w := range ws {
-			w.Wake()
-		}
+		b.parked.release()
 		return gen, nil
 	}
-	w := b.rt.NewWaiter()
-	b.waiters = append(b.waiters, w)
-	b.mu.Unlock()
-	if err := w.Wait(ctx); err != nil {
+	if err := b.parked.wait(ctx); err != nil {
 		return 0, err
 	}
 	// Report broken only if this waiter's generation never completed
 	// (release advances gen before waking). A waiter woken by a normal
 	// release must return success even when a participant breaks the
-	// barrier immediately afterwards — otherwise whether the last completed
-	// round counts would depend on goroutine scheduling, not virtual time.
-	b.mu.Lock()
-	broken := b.broken && b.gen == gen
-	b.mu.Unlock()
-	if broken {
+	// barrier immediately afterwards.
+	if b.broken && b.gen == gen {
 		return 0, ErrBarrierBroken
 	}
 	return gen, nil
@@ -93,13 +73,8 @@ func (b *Barrier) Wait(ctx context.Context) (uint64, error) {
 // Break releases all waiters with ErrBarrierBroken; used when a
 // participant exits early (end of its shard).
 func (b *Barrier) Break() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.broken = true
-	for _, w := range b.waiters {
-		w.Wake()
-	}
-	b.waiters = nil
+	b.parked.release()
 }
 
 // ErrBarrierBroken is returned by Wait after Break.

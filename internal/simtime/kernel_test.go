@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -167,37 +168,46 @@ func TestForeignCancellationLandsAsynchronously(t *testing.T) {
 }
 
 // TestUntrackedGoroutinesDriveAnIdleKernel: with every task a parked daemon
-// the loop is gone; a TryWake or a Go from an untracked goroutine restarts
-// it.
+// the loop is gone; a Post from a goroutine that is no task restarts it, and
+// the posted function wakes and spawns with the kernel in hand.
 func TestUntrackedGoroutinesDriveAnIdleKernel(t *testing.T) {
 	k := NewVirtual()
 	sel := NewSelector(k)
 	got := make(chan int, 4) // buffered: tasks never block on it
-	k.GoDaemon("server", func() {
-		for {
-			sel.Reset()
-			got <- -1 // about to park
-			idx, _ := sel.Wait(context.Background(), 0)
-			got <- idx
-			if idx == 0 {
-				return
+	k.Post(func() {
+		k.GoDaemon("server", func() {
+			for {
+				sel.Reset()
+				got <- -1 // about to park
+				idx, _ := sel.Wait(context.Background(), 0)
+				got <- idx
+				if idx == 0 {
+					return
+				}
 			}
-		}
+		})
 	})
 	for _, idx := range []int{5, 6} {
 		<-got
-		if !sel.TryWake(idx) {
-			t.Fatalf("TryWake(%d) from the test goroutine refused", idx)
+		for k.loops() { // until the daemon has parked and the loop has gone
+			runtime.Gosched()
 		}
+		k.Post(func() {
+			if !sel.TryWake(idx) {
+				t.Errorf("TryWake(%d) from a posted function refused", idx)
+			}
+		})
 		if v := <-got; v != idx {
 			t.Fatalf("daemon woke with %d, want %d", v, idx)
 		}
 	}
 	<-got
 	ran := make(chan time.Duration, 1)
-	k.Go("late", func() {
-		_ = k.Sleep(context.Background(), time.Minute)
-		ran <- k.Now()
+	k.Post(func() {
+		k.Go("late", func() {
+			_ = k.Sleep(context.Background(), time.Minute)
+			ran <- k.Now()
+		})
 	})
 	if at := <-ran; at != time.Minute {
 		t.Fatalf("task spawned from outside finished at %v, want 1m", at)
@@ -205,15 +215,179 @@ func TestUntrackedGoroutinesDriveAnIdleKernel(t *testing.T) {
 	for k.Tasks() != 1 { // the daemon alone, once "late" has been retired
 		runtime.Gosched()
 	}
-	sel.TryWake(0)
+	k.Post(func() { sel.TryWake(0) })
 	k.Drain()
 }
 
-// TestSteadyStateAllocations pins the kernel's hot paths below the goroutine
-// kernel's counts (0, 0, 0 and 6): a Sleep and a selector cycle allocate
-// nothing, and a spawn-and-join costs the caller's two closures and the
-// join's Waiter and waiter list — the coroutine that carries the task comes
-// from the free list.
+// TestDoRunsOnTheLoop: Do has one behaviour, whatever the kernel is doing. Its
+// function runs on the loop between two tasks — an idle kernel starts one for
+// it, spawns nothing and does not move the clock — and may enter the door
+// again with Post, which an idle kernel must not deadlock on.
+func TestDoRunsOnTheLoop(t *testing.T) {
+	k := NewVirtual()
+	sel := NewSelector(k)
+	woke := make(chan int, 1)
+	onLoop := func() {
+		if !k.door.looping || k.cur != nil {
+			t.Error("Do did not run on the loop between two tasks")
+		}
+	}
+	k.Do(func() {
+		onLoop()
+		k.GoDaemon("sleeper", func() {
+			sel.Reset()
+			idx, _ := sel.Wait(context.Background(), 0)
+			woke <- idx
+		})
+	})
+	for k.loops() {
+		runtime.Gosched()
+	}
+	before := k.Stats()
+	posted := make(chan struct{})
+	k.Do(func() {
+		onLoop()
+		k.Post(func() { close(posted) }) // re-enters the door from a posted function
+	})
+	<-posted
+	if after := k.Stats(); after != before || k.Now() != 0 {
+		t.Errorf("a Do on an idle kernel moved it: %+v -> %+v at %v", before, after, k.Now())
+	}
+	k.Do(func() { sel.TryWake(7) })
+	if idx := <-woke; idx != 7 {
+		t.Fatalf("sleeper woke with %d, want 7", idx)
+	}
+	k.Drain()
+	k.Run(func() { // with tasks running, Do is served between two of them
+		done := make(chan struct{})
+		go func() {
+			k.Do(onLoop)
+			close(done)
+		}()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				_ = k.Sleep(context.Background(), time.Microsecond)
+			}
+		}
+	})
+}
+
+// loops reports whether a loop goroutine exists.
+func (k *Virtual) loops() bool {
+	k.door.mu.Lock()
+	defer k.door.mu.Unlock()
+	return k.door.looping
+}
+
+// TestRunSideBySideWithStatsAndCancellation is the door under the race
+// detector: sixteen goroutines enter through Run at once, each parking under
+// a plain context.WithCancel context, while one goroutine polls Stats,
+// Tasks and TaskNames and another cancels. Every Run must come back
+// cancelled, and the counters must add up.
+func TestRunSideBySideWithStatsAndCancellation(t *testing.T) {
+	const entrants = 16
+	k := NewVirtual()
+	ctx, cancel := context.WithCancel(context.Background())
+	var parked, done sync.WaitGroup
+	parked.Add(entrants)
+	done.Add(entrants)
+	errs := make([]error, entrants)
+	for i := range errs {
+		go func() {
+			defer done.Done()
+			k.Run(func() {
+				_ = k.Sleep(context.Background(), time.Duration(i)*time.Millisecond)
+				parked.Done()
+				errs[i] = k.NewWaiter().Wait(ctx)
+			})
+		}()
+	}
+	stop := make(chan struct{})
+	polled := make(chan int)
+	go func() {
+		polls := 0
+		for {
+			select {
+			case <-stop:
+				polled <- polls
+				return
+			default:
+			}
+			if st, n, names := k.Stats(), k.Tasks(), k.TaskNames(); st.Spawns > entrants || n > entrants || len(names) > entrants {
+				t.Errorf("poll saw %+v, %d tasks, names %v", st, n, names)
+			}
+			polls++
+			runtime.Gosched()
+		}
+	}()
+	go func() {
+		parked.Wait()
+		cancel()
+	}()
+	done.Wait()
+	close(stop)
+	if polls := <-polled; polls == 0 {
+		t.Error("the poller never got through the door")
+	}
+	k.Drain()
+	for i, err := range errs {
+		if err != context.Canceled {
+			t.Errorf("entrant %d: Wait = %v, want context.Canceled", i, err)
+		}
+	}
+	if st := k.Stats(); st.Spawns != entrants || st.Wakes != st.Parks || k.Tasks() != 0 {
+		t.Errorf("Stats = %+v with %d tasks left, want %d spawns, as many wakes as parks, no task", st, k.Tasks(), entrants)
+	}
+}
+
+// TestPostedFunctionsRunInPostOrder: what one goroutine posts runs in the
+// order it posted, on a running kernel and across loop restarts alike, and a
+// task posting to its own kernel is served once it parks.
+func TestPostedFunctionsRunInPostOrder(t *testing.T) {
+	const n = 1000
+	k := NewVirtual()
+	var got []int // the loop's alone until Drain
+	stop := false // and so is this: set by a posted function, read by the task
+	k.Post(func() {
+		k.Go("busy", func() { // keeps the loop turning while posts arrive
+			for !stop {
+				_ = k.Sleep(context.Background(), time.Microsecond)
+			}
+		})
+	})
+	for i := 0; i < n; i++ {
+		k.Post(func() { got = append(got, i) })
+		if i%100 == 99 {
+			runtime.Gosched()
+		}
+	}
+	k.Post(func() { stop = true })
+	k.Drain()
+	for i := 0; i < n; i++ { // an idle kernel: every Post starts a loop
+		k.Post(func() { got = append(got, n+i) })
+	}
+	k.Run(func() {
+		k.Post(func() { got = append(got, 2*n) })
+		_ = k.Sleep(context.Background(), time.Second)
+	})
+	k.Drain()
+	if len(got) != 2*n+1 {
+		t.Fatalf("%d posted functions ran, want %d", len(got), 2*n+1)
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("posted function %d ran in place %d", v, i)
+		}
+	}
+}
+
+// TestSteadyStateAllocations pins the kernel's hot paths: a Sleep and a
+// selector cycle allocate nothing, and a spawn-and-join costs the caller's two
+// closures — the coroutine that carries the task comes from the free list,
+// the join's selector from the WaitGroup's own.
 func TestSteadyStateAllocations(t *testing.T) {
 	ctx := context.Background()
 	k := NewVirtual()
@@ -240,7 +414,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 				sel.Reset()
 				_, _ = sel.Wait(ctx, time.Millisecond)
 			}},
-			"spawn and join": {4, func() {
+			"spawn and join": {2, func() {
 				wg.Go("child", func() { _ = k.Sleep(ctx, time.Millisecond) })
 				_ = wg.Wait(ctx)
 			}},
@@ -287,24 +461,26 @@ func TestDeadlockReportNamesParkedTasks(t *testing.T) {
 	k := NewVirtual()
 	sel, w := NewSelector(k), k.NewWaiter()
 	parked := make(chan struct{}, 2)
-	k.Go("stuck-consumer", func() {
-		sel.Reset()
-		parked <- struct{}{}
-		_, _ = sel.Wait(context.Background(), 0)
-	})
-	k.GoDaemon("stuck-server", func() {
-		parked <- struct{}{}
-		_ = w.Wait(context.Background())
+	k.Post(func() {
+		k.Go("stuck-consumer", func() {
+			sel.Reset()
+			parked <- struct{}{}
+			_, _ = sel.Wait(context.Background(), 0)
+		})
+		k.GoDaemon("stuck-server", func() {
+			parked <- struct{}{}
+			_ = w.Wait(context.Background())
+		})
 	})
 	<-parked
 	<-parked
 	var report string
 	for report == "" { // until the loop has parked both and gone
-		k.mu.Lock()
-		if !k.looping {
-			report = k.deadlockLocked()
+		k.door.mu.Lock()
+		if !k.door.looping {
+			report = k.deadlock()
 		}
-		k.mu.Unlock()
+		k.door.mu.Unlock()
 		runtime.Gosched()
 	}
 	for _, want := range []string{
@@ -316,8 +492,10 @@ func TestDeadlockReportNamesParkedTasks(t *testing.T) {
 			t.Errorf("deadlock report lacks %q:\n%s", want, report)
 		}
 	}
-	sel.TryWake(0)
-	w.Wake()
+	k.Post(func() {
+		sel.TryWake(0)
+		w.Wake()
+	})
 	k.Drain()
 }
 
@@ -354,11 +532,11 @@ func TestKernelStatsCountParksAndWakes(t *testing.T) {
 	k.Run(func() { // spawn 1
 		sel := NewSelector(k)
 		k.Go("waker", func() { // spawn 2
-			_ = k.Sleep(ctx, time.Millisecond) // timed park, timer wake
+			_ = k.Sleep(ctx, time.Millisecond) // timed park, woken by its own timer
 			sel.TryWake(0)
 		})
-		if names := k.TaskNames(); !slices.Contains(names, "waker") || len(names) != 2 {
-			t.Errorf("TaskNames = %v, want run and waker", names)
+		if len(k.live) != 2 || k.live[0].name != "run" || k.live[1].name != "waker" {
+			t.Errorf("%d live tasks, want run and waker", len(k.live))
 		}
 		sel.Reset()
 		_, _ = sel.Wait(ctx, 0) // untimed park, TryWake
@@ -372,7 +550,7 @@ func TestKernelStatsCountParksAndWakes(t *testing.T) {
 		k.Go("canceller", func() { cancel() }) // spawn 3
 		_ = k.Sleep(cctx, time.Hour)           // timed park, ended by the cancellation
 	})
-	want := KernelStats{Spawns: 3, Parks: 3, TimedParks: 2, Wakes: 3}
+	want := KernelStats{Spawns: 3, Parks: 3, TimedParks: 2, SelfWakes: 1, Wakes: 3}
 	if got := k.Stats(); got != want {
 		t.Fatalf("Stats = %+v, want %+v", got, want)
 	}

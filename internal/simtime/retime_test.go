@@ -92,11 +92,11 @@ func TestRetimeRefusedChangesNothing(t *testing.T) {
 	k.Run(func() {
 		refused := func(what string, s *Selector) {
 			t.Helper()
-			before, timers := k.Stats(), len(k.timers)
+			before, timers := k.stats, len(k.timers)
 			if s.Retime(k.Now() + time.Millisecond) {
 				t.Errorf("Retime on %s selector = true", what)
 			}
-			if after := k.Stats(); after != before || len(k.timers) != timers {
+			if after := k.stats; after != before || len(k.timers) != timers {
 				t.Errorf("refused Retime on %s selector changed the kernel: %+v -> %+v", what, before, after)
 			}
 		}

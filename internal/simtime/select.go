@@ -34,15 +34,11 @@ type Source interface {
 // parks in Wait. The first TryWake claims the cycle — later TryWake calls
 // return false so the caller passes the wakeup to another waiter instead of
 // losing it. A positive deadline is a kernel timer, which Retime moves while
-// the owner stays parked.
+// the owner stays parked. Like all kernel state a Selector has no lock: its
+// owner and its wakers are tasks (or posted functions) of one kernel.
 type Selector struct {
 	k *Virtual
 
-	// state, idx and owner change under k.mu while the owner is parked or a
-	// waker claims the cycle; between cycles Reset writes state from the
-	// owner alone. A source that untracked goroutines reach (a locked one)
-	// must therefore have its owners Reset under the lock its wakers hold,
-	// as netsim.Fabric does.
 	state int32
 	idx   int      // the claimed cycle's result
 	owner *task    // the task parked in Wait
@@ -90,14 +86,11 @@ func (s *Selector) TryWake(idx int) bool { return s.tryWake(idx) == selIdle }
 
 // tryWake is TryWake, returning the state it found the cycle in.
 func (s *Selector) tryWake(idx int) (found int32) {
-	k := s.k
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	if s.state == selIdle {
 		s.state = selWoken
 		s.idx = idx
 		if s.owner != nil {
-			k.readyLocked(s.owner)
+			s.k.makeReady(s.owner)
 		}
 		return selIdle
 	}
@@ -114,8 +107,6 @@ func (s *Selector) tryWake(idx int) (found int32) {
 // not parked yet), and nothing changed.
 func (s *Selector) Retime(at time.Duration) bool {
 	k := s.k
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	t := s.owner // set only while parked, cleared by whatever claims the cycle
 	if t == nil {
 		return false
@@ -143,16 +134,11 @@ func (s *Selector) Wait(ctx context.Context, deadline time.Duration) (int, error
 // wait is Wait; on names the primitive in errors and the deadlock report
 // ("selector", or "waiter" for the one-shot cycle of a Waiter).
 func (s *Selector) wait(ctx context.Context, deadline time.Duration, on string) (int, error) {
-	k := s.k
-	k.mu.Lock()
 	// Whatever readies a parked task first — a wake, the deadline,
 	// cancellation — settles state and idx before the task resumes.
-	if st := s.state; st == selIdle && k.parkLocked(ctx, on, deadline, s) {
+	if st := s.state; st == selIdle && s.k.park(ctx, on, deadline, s) {
 		return 0, ctx.Err()
-	} else if st == selWoken {
-		k.mu.Unlock()
-	} else if st != selIdle {
-		k.mu.Unlock()
+	} else if st == selExpired {
 		return 0, fmt.Errorf("simtime: %s waited on again without a Reset", on)
 	}
 	return s.idx, nil

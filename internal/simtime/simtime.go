@@ -19,37 +19,61 @@
 // the task parked on the selector and readies nobody — a task is resumed
 // when it has something to do, and a completion time that moved is not
 // that. It returns false when nobody is parked there (the owner is running,
-// readied, or yet to park) and has then changed nothing. The price of one
+// readied, or yet to park) and has then changed nothing. A timed park whose
+// own timer is the next event — nothing ready, nothing posted — advances the
+// clock itself and goes on without a switch (KernelStats.SelfWakes): what the
+// loop would have done, in the order it would have done it. The price of one
 // task at a time: a task that blocks on an ordinary Go primitive (a
 // channel, a sync.WaitGroup, a mutex held by a parked task) waiting for
 // another task stalls the whole kernel, not just itself — and that includes
 // caller code the kernel runs on a task, such as the body of a
-// Session.Batches or StreamAll loop waiting for another tenant's body.
+// Session.Batches or StreamAll loop waiting for another tenant's body, or for
+// a goroutine that is itself waiting at the door.
 //
-// Untracked goroutines (a test, main, one goroutine per tenant) may call
-// Go, GoDaemon, Run, Drain, Tasks, Stats, Now, TryWake, Retime, Wake and
-// WithCancel's cancel functions: those work under the kernel lock and start
-// the loop if it is idle, in whatever order the goroutines arrive. They must not
-// park: a parking call made while no task is running panics.
+// One rule. The kernel has one owner at a time: the loop, or the one task it
+// has resumed. Everything here except the door (door.go), and every layer
+// built on it — queue.Queue, device.Device, netsim.Fabric, storage.Disk and
+// PageCache, matcache.Cache, Gate, WaitGroup, Barrier, core's loader state —
+// is plain data with no lock, used by the tasks of one kernel (or, like any
+// plain value, by one goroutine with no kernel at all). A goroutine that is
+// not a task comes in through the door, a mutex-guarded inbox the loop empties
+// in arrival order between two tasks — the one place where order comes from
+// the OS and not from the program:
 //
-// Ownership. State that only the running task can touch carries no lock:
-// queue.Queue, device.Device, Gate, core.Profiler and core's ordered buffer
-// are plain data, used from kernel tasks only (or, like any plain value, by
-// one goroutine with no kernel at all). What the facade also reaches from
-// untracked goroutines while tasks run keeps its mutex: storage.PageCache,
-// matcache.Cache, data.Pool, netsim.Fabric, trace.Recorder, storage.Disk's
-// slowdown timeline, cluster admission. Nothing asserts the rule at run time;
-// the race detector does: a coroutine switch and k.mu both carry
-// happens-before edges, so an untracked goroutine reaching lock-free state
-// while a task uses it is a reported race under go test -race.
+//	Run(fn)    spawn fn as a task and wait for it to return
+//	Post(fn)   have fn called on the loop between two tasks; do not wait.
+//	           fn may wake, re-time, spawn, cancel; it must not park
+//	Do(fn)     the same, and wait for fn to return
+//	Drain      wait until no task is left
+//	Stats, Tasks, TaskNames   read the kernel's counters and task list
+//	Now        lock-free, from anywhere
+//
+// Go, GoDaemon, TryWake, Wake, Retime, Pulse and a WithCancel cancel function
+// are for tasks (and posted functions). Nothing can tell at run time whether
+// its caller is a task, so the split is by name: an outside entry point
+// that waits (all but Post and Now), called from a task or a posted function,
+// waits for a loop that is inside the caller, and hangs; a
+// task-side call made from outside is a data race; a parking call made while
+// no task runs panics. The race detector checks the rule — coroutine switches
+// and the door carry the only happens-before edges, so outside code reaching
+// kernel-owned state while a task uses it is a reported race — and an import
+// test keeps sync out of the task-only packages. The locks that remain are
+// each forced by a caller outside the kernel: trace.Recorder (snapshot and
+// export while sessions record), chaos engines and pausers (the facade starts
+// and stops them), cluster admission and the fair-share governor (Open and
+// Close run, and may block, on user goroutines), the service client's
+// counters (RemoteSession.Stats from any goroutine, once per client),
+// data.Pool's counters and process-wide free lists (a consumer releases its
+// last batch after its stream has left the kernel).
 //
 // Cancellation is a kernel event. One context.AfterFunc per distinct
 // context per kernel readies the tasks parked under it; their Sleep or Wait
 // returns ctx.Err() — unless a wake got there first, which still wins — and
 // the abandoned deadline is removed, so it never moves the clock. A
-// WithCancel cancel function does this synchronously, at the caller's place
-// in the instant's order. Any other cancellation (context.WithCancel, a
-// wall-clock timeout, an untracked goroutine) lands asynchronously: the
+// WithCancel cancel function, called by a task, does this synchronously, at
+// the caller's place in the instant's order. Any other cancellation
+// (context.WithCancel, a wall-clock timeout, a goroutine outside the kernel)
+// lands asynchronously, posted through the door by the AfterFunc hook: the
 // kernel waits for it rather than declare a deadlock, but virtual time may
 // pass first if timers are pending. Code that must shut down at an exact
 // instant uses WithCancel, queue Close, or stop flags.
@@ -68,8 +92,8 @@ type Runtime interface {
 	// Sleep pauses the calling task for d of simulated time, or until ctx
 	// is done, whichever comes first. It returns ctx.Err() when interrupted.
 	Sleep(ctx context.Context, d time.Duration) error
-	// Go spawns a tracked task. Time cannot advance while any tracked task
-	// is runnable.
+	// Go spawns a tracked task, from a task. Time cannot advance while any
+	// tracked task is runnable.
 	Go(name string, fn func())
 	// NewWaiter returns a parking primitive for building blocking
 	// structures (queues, semaphores) on top of the runtime.
@@ -77,8 +101,9 @@ type Runtime interface {
 }
 
 // WithCancel is context.WithCancel for contexts that tasks of rt park
-// under. The returned cancel function is a kernel event: tasks parked under
-// the context, or one derived from it, are readied before it returns.
+// under. The returned cancel function is a kernel event, for tasks to call:
+// tasks parked under the context, or one derived from it, are readied before
+// it returns. From outside the kernel, Post it.
 func WithCancel(rt Runtime, parent context.Context) (context.Context, context.CancelFunc) {
 	ctx, cancel := context.WithCancel(parent)
 	k := rt.(*Virtual)
@@ -90,8 +115,8 @@ func GoDaemon(rt Runtime, name string, fn func()) { rt.(*Virtual).GoDaemon(name,
 
 // Waiter is a one-shot parking primitive. A task calls Wait to park; another
 // task calls Wake to unpark it. A Waiter may be woken before Wait is called,
-// in which case Wait returns immediately. Waiters are not reusable: a Waiter
-// is a Selector that is never Reset.
+// in which case Wait returns immediately. A Waiter is a Selector that its
+// holder never Resets (Flights re-arms the ones it owns).
 type Waiter struct{ sel Selector }
 
 // Wake unparks the waiter. It reports whether the wakeup was delivered:

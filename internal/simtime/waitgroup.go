@@ -1,38 +1,58 @@
 package simtime
 
-import (
-	"context"
-	"sync"
-)
+import "context"
 
 // WaitGroup is a runtime-aware counterpart of sync.WaitGroup. Tracked tasks
 // under the Virtual runtime must not block on sync.WaitGroup (the kernel
-// would believe them runnable); they use this type instead.
+// would believe them runnable); they use this type instead. Task-only.
 type WaitGroup struct {
-	rt Runtime
-
-	mu      sync.Mutex
-	n       int
-	waiters []*Waiter
+	rt     Runtime
+	n      int
+	parked waitList
 }
 
 // NewWaitGroup returns a WaitGroup bound to rt.
 func NewWaitGroup(rt Runtime) *WaitGroup {
-	return &WaitGroup{rt: rt}
+	return &WaitGroup{rt: rt, parked: waitList{k: rt.(*Virtual)}}
+}
+
+// waitList parks tasks until its next release. Their selectors are kept and
+// reused from one release to the next: a waiter that has been readied does
+// not look at its selector again, so the next round may take it before that
+// waiter has resumed.
+type waitList struct {
+	k    *Virtual
+	sels []*Selector
+	n    int // sels[:n] parked, or gave up, in this round
+}
+
+func (l *waitList) wait(ctx context.Context) error {
+	if l.n == len(l.sels) {
+		l.sels = append(l.sels, &Selector{k: l.k})
+	}
+	s := l.sels[l.n]
+	l.n++
+	s.Reset()
+	_, err := s.wait(ctx, 0, "waiter")
+	return err
+}
+
+// release readies the round's waiters, in arrival order.
+func (l *waitList) release() {
+	parked := l.sels[:l.n]
+	l.n = 0
+	for _, s := range parked {
+		s.TryWake(0)
+	}
 }
 
 // Add adds delta to the counter. It panics if the counter goes negative.
 func (wg *WaitGroup) Add(delta int) {
-	wg.mu.Lock()
-	defer wg.mu.Unlock()
 	if wg.n += delta; wg.n < 0 {
 		panic("simtime: negative WaitGroup counter")
 	}
 	if wg.n == 0 {
-		for _, w := range wg.waiters {
-			w.Wake()
-		}
-		wg.waiters = nil
+		wg.parked.release()
 	}
 }
 
@@ -50,13 +70,8 @@ func (wg *WaitGroup) Go(name string, fn func()) {
 
 // Wait blocks until the counter reaches zero or ctx is done.
 func (wg *WaitGroup) Wait(ctx context.Context) error {
-	wg.mu.Lock()
 	if wg.n == 0 {
-		wg.mu.Unlock()
 		return nil
 	}
-	w := wg.rt.NewWaiter()
-	wg.waiters = append(wg.waiters, w)
-	wg.mu.Unlock()
-	return w.Wait(ctx)
+	return wg.parked.wait(ctx)
 }

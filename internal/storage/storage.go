@@ -10,7 +10,6 @@ package storage
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/minatoloader/minato/internal/data"
@@ -22,13 +21,12 @@ import (
 // Disk is a bandwidth-shared storage device. Parallelism is the number of
 // concurrent streams that can each sustain full per-stream bandwidth
 // (Lustre-like filesystems serve several clients at once; an NVMe drive
-// saturates with few).
+// saturates with few). Task-only, like the device under it.
 type Disk struct {
 	rt       simtime.Runtime
 	dev      *device.Device
 	streamBW float64 // bytes per second per stream
 
-	mu       sync.Mutex
 	slowdown float64 // ≥1; failure-injection multiplier on read time
 	// sched is a pre-installed degradation timeline, sorted by instant.
 	// Once the clock reaches its first point it overrides the live
@@ -38,7 +36,7 @@ type Disk struct {
 	// runs first — live SetSlowdown mutation cannot promise that.
 	sched []slowdownPoint
 
-	bytesRead atomic.Int64
+	bytesRead int64
 }
 
 // slowdownPoint is one step of a scheduled degradation timeline.
@@ -66,7 +64,6 @@ func (d *Disk) Read(ctx context.Context, n int64) error {
 	if n <= 0 {
 		return nil
 	}
-	d.mu.Lock()
 	f := d.slowdown
 	if len(d.sched) > 0 {
 		now := d.rt.Now()
@@ -77,11 +74,10 @@ func (d *Disk) Read(ctx context.Context, n int64) error {
 			}
 		}
 	}
-	d.mu.Unlock()
 	if err := d.dev.Run(ctx, time.Duration(float64(n)*f/d.streamBW*float64(time.Second))); err != nil {
 		return err
 	}
-	d.bytesRead.Add(n)
+	d.bytesRead += n
 	return nil
 }
 
@@ -93,9 +89,7 @@ func (d *Disk) SetSlowdown(factor float64) {
 	if factor < 1 {
 		factor = 1
 	}
-	d.mu.Lock()
 	d.slowdown = factor
-	d.mu.Unlock()
 }
 
 // ScheduleSlowdown pre-installs a degradation step: reads starting at or
@@ -108,8 +102,6 @@ func (d *Disk) ScheduleSlowdown(at time.Duration, factor float64) {
 	if factor < 1 {
 		factor = 1
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	i := len(d.sched)
 	for i > 0 && d.sched[i-1].at > at {
 		i--
@@ -120,7 +112,7 @@ func (d *Disk) ScheduleSlowdown(at time.Duration, factor float64) {
 }
 
 // BytesRead returns the cumulative bytes transferred (completed reads).
-func (d *Disk) BytesRead() int64 { return d.bytesRead.Load() }
+func (d *Disk) BytesRead() int64 { return d.bytesRead }
 
 // AggregateBandwidth returns the disk's maximum total throughput.
 func (d *Disk) AggregateBandwidth() float64 {
@@ -159,8 +151,11 @@ func (d *Disk) ReadRateGauge(rt simtime.Runtime) func() float64 {
 // (scanning a bounded window from the LRU tail), so one tenant's working set
 // cannot silently evict everyone else's. Tenant 0 is the implicit
 // unattributed tenant that plain Get/Put traffic lands on.
+//
+// A PageCache is plain data: used from the tasks of one kernel — goroutines
+// outside it come in through simtime.Virtual.Run — or, like any plain value,
+// by one goroutine with no kernel at all.
 type PageCache struct {
-	mu         sync.Mutex
 	capacity   int64
 	used       int64
 	head, tail *cacheNode // head = most recently used
@@ -178,7 +173,7 @@ type PageCache struct {
 	// waiters instead of issuing redundant reads — the page-lock semantics
 	// of a real OS page cache, and the mechanism that lets co-running
 	// sessions over one dataset share a single warm-up pass.
-	inflight map[data.Key][]*simtime.Waiter
+	inflight simtime.Flights[data.Key]
 }
 
 // tenantCounters is one tenant's slice of the cache accounting.
@@ -225,8 +220,6 @@ func NewPageCache(capacity int64) *PageCache {
 // survive (they describe traffic, not contents); resident-byte attribution
 // is zeroed with the contents.
 func (c *PageCache) Recycle() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	empty := c.head == nil
 	for n := c.head; n != nil; {
 		next := n.next
@@ -253,8 +246,6 @@ func (c *PageCache) Recycle() {
 // returning its id for GetAs/PutAs/TenantStats. Slots of departed tenants
 // whose entries have fully left the cache are reused.
 func (c *PageCache) JoinTenant() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if len(c.tenants) == 0 {
 		c.tenants = append(c.tenants, tenantCounters{live: true}) // slot 0
 	}
@@ -272,8 +263,6 @@ func (c *PageCache) JoinTenant() int {
 // LeaveTenant deregisters a tenant. Its resident entries stay cached (they
 // may still serve siblings) but its slot is reclaimed once they age out.
 func (c *PageCache) LeaveTenant(id int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if id > 0 && id < len(c.tenants) && c.tenants[id].live {
 		c.tenants[id].live = false
 		c.liveTenants--
@@ -284,8 +273,6 @@ func (c *PageCache) LeaveTenant(id int) {
 // evictions-suffered, plus the bytes it currently holds resident. Capacity
 // is the whole cache's (the partition is soft).
 func (c *PageCache) TenantStats(id int) CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if id < 0 || id >= len(c.tenants) {
 		return CacheStats{Capacity: c.capacity}
 	}
@@ -325,8 +312,6 @@ func (c *PageCache) pushFront(n *cacheNode) {
 // ReserveCapacity carve-outs. Callers reserving for a second layer check it
 // first so a too-large request can fail before shrinking the cache.
 func (c *PageCache) Capacity() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.capacity
 }
 
@@ -338,8 +323,6 @@ func (c *PageCache) Capacity() int64 {
 // the bytes actually granted: min(n, current capacity), so a caller asking
 // for more than the pool holds can detect the shortfall and fail loudly.
 func (c *PageCache) ReserveCapacity(n int64) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if n <= 0 {
 		return 0
 	}
@@ -348,14 +331,14 @@ func (c *PageCache) ReserveCapacity(n int64) int64 {
 	}
 	c.capacity -= n
 	for c.used > c.capacity && c.tail != nil {
-		c.evictLocked(c.tail)
+		c.evict(c.tail)
 	}
 	return n
 }
 
-// evictLocked removes a node from the cache, attributing the eviction to
+// evict removes a node from the cache, attributing the eviction to
 // the node's tenant.
-func (c *PageCache) evictLocked(n *cacheNode) {
+func (c *PageCache) evict(n *cacheNode) {
 	c.unlink(n)
 	delete(c.index, n.key)
 	c.used -= n.bytes
@@ -374,8 +357,6 @@ func (c *PageCache) Get(key data.Key) bool { return c.GetAs(0, key) }
 
 // GetAs is Get with the hit or miss attributed to the given tenant.
 func (c *PageCache) GetAs(tenant int, key data.Key) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if n, ok := c.index[key]; ok {
 		if c.head != n {
 			c.unlink(n)
@@ -407,8 +388,6 @@ func (c *PageCache) Put(key data.Key, bytes int64) { c.PutAs(0, key, bytes) }
 // then call GetOrBegin again). Followers are attributed a hit when they
 // find the completed fetch on re-check; only the leader pays a miss.
 func (c *PageCache) GetOrBegin(tenant int, key data.Key, rt simtime.Runtime) (hit bool, waiter *simtime.Waiter) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if n, ok := c.index[key]; ok {
 		if c.head != n {
 			c.unlink(n)
@@ -420,15 +399,9 @@ func (c *PageCache) GetOrBegin(tenant int, key data.Key, rt simtime.Runtime) (hi
 		}
 		return true, nil
 	}
-	if ws, ok := c.inflight[key]; ok {
-		w := rt.NewWaiter()
-		c.inflight[key] = append(ws, w)
+	if w := c.inflight.Join(key, rt); w != nil {
 		return false, w
 	}
-	if c.inflight == nil {
-		c.inflight = make(map[data.Key][]*simtime.Waiter)
-	}
-	c.inflight[key] = nil
 	c.misses++
 	if tenant >= 0 && tenant < len(c.tenants) {
 		c.tenants[tenant].misses++
@@ -440,25 +413,17 @@ func (c *PageCache) GetOrBegin(tenant int, key data.Key, rt simtime.Runtime) (hi
 // followers. The disk bytes the fetch moved are attributed to the leader's
 // tenant (see TenantDiskBytes).
 func (c *PageCache) CompleteFetch(tenant int, key data.Key, bytes int64) {
-	c.mu.Lock()
 	if tenant >= 0 && tenant < len(c.tenants) {
 		c.tenants[tenant].diskBytes += bytes
 	}
-	c.putAsLocked(tenant, key, bytes)
-	ws := c.inflight[key]
-	delete(c.inflight, key)
-	c.mu.Unlock()
-	for _, w := range ws {
-		w.Wake()
-	}
+	c.PutAs(tenant, key, bytes)
+	c.AbortFetch(key) // published: what is left of the claim is its followers
 }
 
 // TenantDiskBytes returns the disk bytes a tenant's own cache fills have
 // read — the per-session answer to "how much disk traffic did I cause" on
 // a disk whose global counter mixes every tenant.
 func (c *PageCache) TenantDiskBytes(id int) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if id < 0 || id >= len(c.tenants) {
 		return 0
 	}
@@ -467,27 +432,13 @@ func (c *PageCache) TenantDiskBytes(id int) int64 {
 
 // AbortFetch releases a key's followers without publishing; the next
 // reader becomes the new leader.
-func (c *PageCache) AbortFetch(key data.Key) {
-	c.mu.Lock()
-	ws := c.inflight[key]
-	delete(c.inflight, key)
-	c.mu.Unlock()
-	for _, w := range ws {
-		w.Wake()
-	}
-}
+func (c *PageCache) AbortFetch(key data.Key) { c.inflight.Land(key) }
 
 // PutAs is Put with the insertion attributed to the given tenant. While
 // several tenants are joined, eviction prefers victims belonging to tenants
 // over their equal share of the capacity — the inserting tenant's own
 // over-share entries first — before falling back to the global LRU tail.
 func (c *PageCache) PutAs(tenant int, key data.Key, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putAsLocked(tenant, key, bytes)
-}
-
-func (c *PageCache) putAsLocked(tenant int, key data.Key, bytes int64) {
 	if bytes > c.capacity {
 		return
 	}
@@ -502,11 +453,11 @@ func (c *PageCache) putAsLocked(tenant int, key data.Key, bytes int64) {
 		return
 	}
 	for c.used+bytes > c.capacity {
-		back := c.victimLocked(tenant)
+		back := c.victim(tenant)
 		if back == nil {
 			break
 		}
-		c.evictLocked(back)
+		c.evict(back)
 	}
 	n := cacheNodePool.Get().(*cacheNode)
 	n.key, n.bytes, n.tenant = key, bytes, int32(tenant)
@@ -518,13 +469,13 @@ func (c *PageCache) putAsLocked(tenant int, key data.Key, bytes int64) {
 	}
 }
 
-// victimLocked picks the next eviction victim for an insertion by tenant.
+// victim picks the next eviction victim for an insertion by tenant.
 // Single-tenant caches (the common case) evict the plain LRU tail. With
 // multiple joined tenants the scan walks at most partitionScanDepth nodes
 // from the tail preferring, in order, the inserting tenant's own entries
 // when it is over its equal share, then any over-share tenant's entry; the
 // plain tail is the fallback so eviction always makes progress.
-func (c *PageCache) victimLocked(tenant int) *cacheNode {
+func (c *PageCache) victim(tenant int) *cacheNode {
 	if c.tail == nil {
 		return nil
 	}
@@ -564,8 +515,6 @@ type CacheStats struct {
 
 // Stats returns a snapshot of cache counters.
 func (c *PageCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return CacheStats{
 		Capacity: c.capacity, Used: c.used,
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,

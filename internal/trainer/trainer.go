@@ -13,8 +13,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/minatoloader/minato/internal/chaos"
@@ -305,7 +303,7 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 		GPUs:     len(env.GPUs),
 	}
 
-	var trainedBytes atomic.Int64
+	var trainedBytes int64 // these run-wide tallies are plain: consumers are tasks of one kernel
 	collector := metrics.NewCollector(rt, p.MetricsInterval)
 	if p.Collect {
 		cpuGauge := env.CPU.UtilizationGauge()
@@ -325,7 +323,7 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 			collector.Register("disk", disk.ReadRateGauge(rt))
 		}
 		collector.Register("throughput", metrics.CounterRateGauge(rt, func() float64 {
-			return float64(trainedBytes.Load())
+			return float64(trainedBytes)
 		}))
 		if ins, ok := ld.(loader.Instrumented); ok {
 			ins.RegisterMetrics(collector)
@@ -354,11 +352,9 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 
 	// Per-GPU consumers.
 	consumers := simtime.NewWaitGroup(rt)
-	var consumerErr atomic.Value
-	var globalIters atomic.Int64
-	var lastEnd atomic.Int64
-	var dataStall atomic.Int64
-	var traceMu sync.Mutex
+	var consumerErr error
+	var globalIters, dataStall int64
+	var lastEnd time.Duration
 	tr, tenant, node := env.Trace, env.TraceTenant(), env.TraceNode
 	perGPUEpoch := spec.BatchesPerEpoch() / len(env.GPUs)
 	for g := range env.GPUs {
@@ -370,7 +366,7 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 				// Preemption gate: park here while the session is paused;
 				// a terminal preemption ends the stream with ErrPreempted.
 				if err := cst.Gate(ctx); err != nil {
-					consumerErr.Store(err)
+					consumerErr = err
 					return
 				}
 				waitStart := rt.Now()
@@ -379,11 +375,11 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 					return
 				}
 				if err != nil {
-					consumerErr.Store(err)
+					consumerErr = err
 					return
 				}
 				waitEnd := rt.Now()
-				dataStall.Add(int64(waitEnd - waitStart))
+				dataStall += int64(waitEnd - waitStart)
 				tr.Record(trace.Span{Start: waitStart, End: waitEnd, Stage: trace.StageDataWait,
 					Tenant: tenant, Node: node, Key: int64(g), Seq: b.Seq})
 				stepStart := waitEnd
@@ -401,14 +397,15 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 				if err := dev.Train(ctx, w.GPUStep); err != nil {
 					return
 				}
-				it := globalIters.Add(1)
-				atomic.AddInt64(&rep.Batches, 1)
-				atomic.AddInt64(&rep.Samples, int64(len(b.Samples)))
-				trainedBytes.Add(b.Bytes())
+				globalIters++
+				it := globalIters
+				rep.Batches++
+				rep.Samples += int64(len(b.Samples))
+				trainedBytes += b.Bytes()
 				stepEnd := rt.Now()
 				tr.Record(trace.Span{Start: stepStart, End: stepEnd, Stage: trace.StageGPUStep,
 					Tenant: tenant, Node: node, Key: int64(g), Seq: b.Seq})
-				storeMax(&lastEnd, int64(stepEnd))
+				lastEnd = max(lastEnd, stepEnd)
 				cst.NoteStep(g, stepEnd)
 
 				if comp != nil {
@@ -419,7 +416,6 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 				}
 				if p.TraceSamples {
 					now := rt.Now()
-					traceMu.Lock()
 					for _, s := range b.Samples {
 						rep.SampleTraces = append(rep.SampleTraces, SampleTrace{
 							Index: s.Index, Epoch: s.Epoch, RawBytes: s.RawBytes,
@@ -429,7 +425,6 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 							BatchSeq: b.Seq, TrainedAt: now, GPU: g,
 						})
 					}
-					traceMu.Unlock()
 				}
 
 				// The consumer owns the batch from Next to here; everything
@@ -455,12 +450,12 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 	if err := consumers.Wait(ctx); err != nil {
 		return nil, err
 	}
-	end := time.Duration(lastEnd.Load())
+	end := lastEnd
 	if end < start {
 		end = rt.Now()
 	}
 	rep.TrainTime = end - start
-	rep.TrainedBytes = trainedBytes.Load()
+	rep.TrainedBytes = trainedBytes
 
 	cst.Stop()
 	collector.Stop()
@@ -473,10 +468,10 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 	// StageDataWait spans are stamped from the identical instants, so the
 	// critical-path analyzer reproduces this value to the nanosecond. The
 	// report keeps the recorder and snapshots lazily (Trace).
-	rep.DataStall = time.Duration(dataStall.Load())
+	rep.DataStall = time.Duration(dataStall)
 	rep.rec = tr
-	if e := consumerErr.Load(); e != nil {
-		return nil, e.(error)
+	if consumerErr != nil {
+		return nil, consumerErr
 	}
 
 	// Whole-run utilization from device busy accounting.
@@ -552,7 +547,8 @@ func Simulate(cfg hardware.Config, w workload.Workload, f Factory, p Params) (*R
 // script costs one allocation and leaves the consumer fast path with a
 // nil-pauser check and a histogram insert per batch. The trainer drives it
 // internally; loading sessions (minato.Session.Batches) drive it from the
-// facade through StartChaos/Gate/NoteStep/Stop/Finish.
+// facade through StartChaos/Gate/NoteStep/Stop/Finish. Task-only, except
+// Finish, which reads it once the session's tasks have drained.
 type ChaosState struct {
 	rt   simtime.Runtime
 	env  *loader.Env
@@ -562,9 +558,8 @@ type ChaosState struct {
 	pauser *chaos.Pauser
 	eng    *chaos.Engine
 
-	preemptStall atomic.Int64
+	preemptStall time.Duration
 
-	mu         sync.Mutex
 	hist       *stats.LogHist
 	lastStep   []time.Duration
 	faults     []chaos.FaultStat
@@ -653,37 +648,30 @@ func (c *ChaosState) apply(ev chaos.Event) {
 		})
 	case chaos.Preempt:
 		term := false
-		c.mu.Lock()
 		if c.termIdx < len(c.terminal) {
 			term = c.terminal[c.termIdx]
 			c.termIdx++
 		}
-		c.mu.Unlock()
 		c.openFault(ev, now)
 		c.pauser.Pause(term)
 	case chaos.Resume:
 		c.pauser.Resume()
 		c.closeFault(chaos.Preempt, now)
-		c.mu.Lock()
 		c.faults = append(c.faults, chaos.FaultStat{Event: ev, AppliedAt: now})
 		c.recPending = len(c.faults) - 1
-		c.mu.Unlock()
 		c.traceFault(trace.StageFault, now, now, ev.Kind)
 	}
 }
 
 func (c *ChaosState) openFault(ev chaos.Event, now time.Duration) {
-	c.mu.Lock()
 	c.faults = append(c.faults, chaos.FaultStat{Event: ev, AppliedAt: now})
 	c.open[ev.Kind] = len(c.faults) - 1
-	c.mu.Unlock()
 	c.traceFault(trace.StageFault, now, now, ev.Kind)
 }
 
 func (c *ChaosState) closeFault(kind chaos.Kind, now time.Duration) {
 	var applied time.Duration
 	closed := false
-	c.mu.Lock()
 	if i, ok := c.open[kind]; ok {
 		c.faults[i].ClearedAt = now
 		applied = c.faults[i].AppliedAt
@@ -695,7 +683,6 @@ func (c *ChaosState) closeFault(kind chaos.Kind, now time.Duration) {
 		}
 		delete(c.open, kind)
 	}
-	c.mu.Unlock()
 	if closed {
 		c.traceFault(trace.StageFaultWindow, applied, now, kind)
 	}
@@ -711,14 +698,12 @@ func (c *ChaosState) traceFault(st trace.Stage, start, end time.Duration, kind c
 // noteStep records a consumer's batch-completion interval and resolves a
 // pending post-resume recovery measurement.
 func (c *ChaosState) NoteStep(g int, now time.Duration) {
-	c.mu.Lock()
 	c.hist.AddDuration(now - c.lastStep[g])
 	c.lastStep[g] = now
 	if c.recPending >= 0 {
 		c.faults[c.recPending].Recovery = now - c.faults[c.recPending].AppliedAt
 		c.recPending = -1
 	}
-	c.mu.Unlock()
 }
 
 // Stop halts the replay; pending events are discarded. Call before
@@ -732,9 +717,7 @@ func (c *ChaosState) Stop() { c.eng.Stop() }
 // boundary.
 func (c *ChaosState) Gate(ctx context.Context) error {
 	st, err := c.pauser.Wait(ctx)
-	if st > 0 {
-		c.preemptStall.Add(int64(st))
-	}
+	c.preemptStall += max(st, 0)
 	return err
 }
 
@@ -744,16 +727,13 @@ func (c *ChaosState) Finish(rep *Report) {
 	rep.StepP50 = c.hist.QuantileDuration(0.5)
 	rep.StepP99 = c.hist.QuantileDuration(0.99)
 	rep.StepHist = c.hist
-	rep.PreemptStall = time.Duration(c.preemptStall.Load())
-	c.mu.Lock()
+	rep.PreemptStall = c.preemptStall
 	rep.Faults = append([]chaos.FaultStat(nil), c.faults...)
-	c.mu.Unlock()
 }
 
 // composition tracks Fig 11's batch statistics.
 type composition struct {
 	threshold time.Duration
-	mu        sync.Mutex
 	hist      []int64
 	props     []float64
 }
@@ -772,12 +752,10 @@ func (c *composition) record(b *data.Batch) {
 			slow++
 		}
 	}
-	c.mu.Lock()
 	if slow < len(c.hist) {
 		c.hist[slow]++
 	}
 	c.props = append(c.props, float64(slow)/float64(len(b.Samples)))
-	c.mu.Unlock()
 }
 
 // maybeAcc appends an accuracy point; safe on a nil receiver so call sites
@@ -786,16 +764,5 @@ func (c *composition) maybeAcc(rep *Report, w workload.Workload, iter int64, ela
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
 	rep.AccCurve = append(rep.AccCurve, AccPoint{Iter: iter, Elapsed: elapsed, Accuracy: w.Accuracy(iter)})
-	c.mu.Unlock()
-}
-
-func storeMax(dst *atomic.Int64, v int64) {
-	for {
-		cur := dst.Load()
-		if v <= cur || dst.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"iter"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -83,12 +82,13 @@ type ServiceNetStats struct {
 	FlowsCompleted int64
 }
 
-// Stats snapshots the fabric's traffic counters.
-func (n *ServiceNet) Stats() ServiceNetStats {
-	return ServiceNetStats{
-		BytesMoved:     n.net.BytesMoved(),
-		FlowsCompleted: n.net.FlowsCompleted(),
-	}
+// Stats snapshots the fabric's traffic counters (on the fabric's kernel: not
+// for the body of a Batches or StreamAll loop).
+func (n *ServiceNet) Stats() (st ServiceNetStats) {
+	inKernel(n.rt, func() {
+		st = ServiceNetStats{BytesMoved: n.net.BytesMoved(), FlowsCompleted: n.net.FlowsCompleted()}
+	})
+	return st
 }
 
 // TokenQuota is one auth token's entitlement on a served cluster: a cap
@@ -247,9 +247,7 @@ type ServerAddr struct {
 	// idle kernel's clock through the whole script before the first Dial.
 	linkEvents []ChaosEvent
 	tr         *trace.Recorder
-	engOnce    sync.Once
-	engMu      sync.Mutex
-	eng        *chaos.Engine
+	eng        *chaos.Engine // started and stopped on the server's kernel
 
 	closed atomic.Bool
 }
@@ -258,32 +256,26 @@ type ServerAddr struct {
 // virtual instant. Runs on a stream pump task at the first batch pulled
 // from any of the server's streams, so the anchor is deterministic.
 func (a *ServerAddr) startLinkChaos() {
-	a.engOnce.Do(func() {
-		now := a.rt.Now()
-		events := make([]ChaosEvent, len(a.linkEvents))
-		for i, ev := range a.linkEvents {
-			ev.At += now
-			events[i] = ev
+	if a.eng != nil || a.closed.Load() {
+		return
+	}
+	now := a.rt.Now()
+	events := make([]ChaosEvent, len(a.linkEvents))
+	for i, ev := range a.linkEvents {
+		ev.At += now
+		events[i] = ev
+	}
+	base := a.sn.net.Bandwidth()
+	a.eng = chaos.StartEngine(a.rt, a.wg, events, func(ev ChaosEvent) {
+		target := a.sn.net.ServerEndpoint(ev.Node)
+		switch ev.Kind {
+		case ChaosLinkDegrade:
+			a.sn.net.SetBandwidth(target, base/ev.Factor)
+		case ChaosLinkRestore:
+			a.sn.net.SetBandwidth(target, base)
 		}
-		base := a.sn.net.Bandwidth()
-		eng := chaos.StartEngine(a.rt, a.wg, events, func(ev ChaosEvent) {
-			target := a.sn.net.ServerEndpoint(ev.Node)
-			switch ev.Kind {
-			case ChaosLinkDegrade:
-				a.sn.net.SetBandwidth(target, base/ev.Factor)
-			case ChaosLinkRestore:
-				a.sn.net.SetBandwidth(target, base)
-			}
-			a.tr.Instant(trace.Span{Stage: trace.StageFault,
-				Node: int32(ev.Node), Key: int64(ev.Kind)}, a.rt.Now())
-		})
-		a.engMu.Lock()
-		if a.closed.Load() {
-			eng.Stop()
-		} else {
-			a.eng = eng
-		}
-		a.engMu.Unlock()
+		a.tr.Instant(trace.Span{Stage: trace.StageFault,
+			Node: int32(ev.Node), Key: int64(ev.Kind)}, a.rt.Now())
 	})
 }
 
@@ -334,6 +326,16 @@ func Serve(cl *Cluster, opts ...ServeOption) (*ServerAddr, error) {
 	} else if sn.rt != cl.rt {
 		return nil, configErr("WithServiceNet", "the fabric and the cluster must share a runtime")
 	}
+	// The fabric, the disk and the kernel's task list are the kernel's own:
+	// the server is attached, wired and spawned with the kernel in hand.
+	var addr *ServerAddr
+	var err error
+	inKernel(cl.rt, func() { addr, err = serve(cl, sn, o) })
+	return addr, err
+}
+
+// serve is the part of Serve that runs on the cluster's kernel.
+func serve(cl *Cluster, sn *ServiceNet, o *serveOptions) (*ServerAddr, error) {
 	ep, err := sn.net.AllocEndpoint()
 	if err != nil {
 		return nil, err
@@ -394,9 +396,12 @@ func (a *ServerAddr) Streams() []string {
 	return names
 }
 
-// Stats snapshots the server's front-end counters; safe from any
-// goroutine.
-func (a *ServerAddr) Stats() ServeStats { return a.srv.Stats() }
+// Stats snapshots the server's front-end counters, on the server's kernel:
+// from any goroutine but its tasks (a Batches or StreamAll body).
+func (a *ServerAddr) Stats() (st ServeStats) {
+	inKernel(a.rt, func() { st = a.srv.Stats() })
+	return st
+}
 
 // Close shuts the server down: the chaos engine stops, in-flight streams
 // are torn down (their cluster sessions closed), and late frames are
@@ -406,12 +411,9 @@ func (a *ServerAddr) Close() error {
 	if !a.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	a.engMu.Lock()
-	eng := a.eng
-	a.engMu.Unlock()
 	// The waits below park, so they run on a task of the server's kernel.
 	onKernel(a.rt, func() {
-		eng.Stop()
+		a.eng.Stop()
 		_ = a.wg.Wait(context.Background())
 		a.srv.Close()
 	})
@@ -456,7 +458,7 @@ func (co *clusterOpener) OpenStream(spec service.StreamSpec, weight float64) (se
 		weight:     weight,
 		gpus:       1,
 	}
-	s, err := co.cl.open(pub.dataset, o, false)
+	s, err := co.cl.open(pub.dataset, o, false, true) // on the server's dispatch task
 	if err != nil {
 		if errors.Is(err, ErrClusterSaturated) || errors.Is(err, ErrClusterClosed) {
 			return nil, fmt.Errorf("%w: %v", service.ErrServerOverloaded, err)
@@ -525,7 +527,7 @@ func (st *serveStream) Close() {
 			b.Release()
 		}
 	}
-	_, _ = st.s.Close()
+	_, _ = st.s.close(true) // on the server's task
 }
 
 // dialOptions accumulates the functional options of Dial.

@@ -603,8 +603,8 @@ func TestServedStreamParkBudget(t *testing.T) {
 	}
 	st := sn.Runtime().(*simtime.Virtual).Stats()
 	perSample := float64(st.Parks) / float64(clients*batch*iterations)
-	t.Logf("%d samples: %d parks (%d timed), %d retimes — %.3f parks per sample",
-		clients*batch*iterations, st.Parks, st.TimedParks, st.Retimes, perSample)
+	t.Logf("%d samples: %d parks (%d timed, %d self-woken), %d retimes — %.3f parks per sample",
+		clients*batch*iterations, st.Parks, st.TimedParks, st.SelfWakes, st.Retimes, perSample)
 	if perSample > maxParksPerSample {
 		t.Fatalf("%.3f parks per delivered sample, budget %.1f", perSample, maxParksPerSample)
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"iter"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -345,7 +346,9 @@ const (
 // single-consumer, but sessions are safe to run concurrently with sibling
 // sessions of the same Cluster: cross-session state — the page cache, the
 // sample pool, the worker arbitration — lives behind the cluster. Stats may
-// be called from any goroutine while the session streams.
+// be called from any goroutine, loop bodies included, while the session
+// streams; Close enters the session's kernel, so it is for goroutines that are
+// not tasks of it: after the Batches or StreamAll loop, not inside its body.
 type Session struct {
 	cl          *Cluster
 	ownsCluster bool
@@ -384,15 +387,18 @@ type Session struct {
 	batches  atomic.Int64
 	samples  atomic.Int64
 	bytes    atomic.Int64
-	// final snapshots the session's storage attribution at first Close,
-	// before its cache-tenant slot is released (and possibly reused by a
-	// later session) — Stats and repeat Closes read the snapshot instead
-	// of a slot that no longer belongs to this session.
-	final atomic.Pointer[sessionFinal]
+	// usage is the session's slice of the shared caches and disk. The caches
+	// are the kernel's, so code on the kernel publishes it — the streaming
+	// task at every batch, Cluster.Stats, and Close, which freezes it (left)
+	// before the cache-tenant slot is released and possibly reused — and
+	// Stats reads the copy from any goroutine without entering the kernel.
+	usageMu sync.Mutex
+	usage   sessionUsage
+	left    bool // the kernel's, like the caches
 }
 
-// sessionFinal is the storage attribution frozen at first Close.
-type sessionFinal struct {
+// sessionUsage is a session's storage attribution.
+type sessionUsage struct {
 	cache CacheStats
 	mat   MatCacheStats
 	disk  int64
@@ -431,7 +437,7 @@ func Open(dataset Dataset, opts ...Option) (*Session, error) {
 		return nil, err
 	}
 	o.hw, o.env, o.rt, o.gpus, o.matBytes, o.trace = nil, nil, nil, 0, 0, nil
-	sess, err := cl.open(dataset, o, true)
+	sess, err := cl.open(dataset, o, true, false)
 	if err != nil {
 		_ = cl.Close()
 		return nil, err
@@ -526,6 +532,7 @@ func (s *Session) Batches(ctx context.Context) iter.Seq2[*Batch, error] {
 				now := s.rt.Now()
 				s.endAt.Store(int64(now))
 				s.cst.NoteStep(g, now)
+				s.publish()
 				if s.resumedAt > 0 && s.recoveredIn == 0 {
 					// First batch of a checkpoint-restored session: the
 					// measured recovery time of the resume.
@@ -548,9 +555,12 @@ func (s *Session) Batches(ctx context.Context) iter.Seq2[*Batch, error] {
 }
 
 // onKernel executes fn as a tracked task of the runtime's kernel — the only
-// place code that parks may run — and blocks until it returns. The caller
-// must not itself be a task.
+// place code that parks may run — and blocks until it returns; inKernel calls
+// fn with the kernel in hand but on no task (simtime.Virtual.Do): for code
+// that touches kernel-owned state (caches, disk, fabric, loaders) without
+// parking. Neither is for callers that are themselves tasks.
 func onKernel(rt Runtime, fn func()) { rt.(*simtime.Virtual).Run(fn) }
+func inKernel(rt Runtime, fn func()) { rt.(*simtime.Virtual).Do(fn) }
 
 // runOnKernel is onKernel on the session's runtime, or a plain call when
 // StreamAll already put the caller on a task.
@@ -585,8 +595,9 @@ func (s *Session) Cluster() *Cluster { return s.cl }
 
 // Stats returns a live snapshot of the session: delivered batches, samples
 // and bytes so far, its tenancy (priority weight, current worker quota),
-// and its attributable slice of the shared page cache. Safe to call from
-// any goroutine while the session streams.
+// and its attributable slice of the shared caches as of the last delivered
+// batch (or the last Cluster.Stats). Safe to call from any goroutine, the
+// session's own loop body included, while the session streams.
 func (s *Session) Stats() SessionStats {
 	st := SessionStats{
 		Tenant:   s.tenantID,
@@ -601,18 +612,35 @@ func (s *Session) Stats() SessionStats {
 	if s.share != nil {
 		st.WorkerQuota = s.share.WorkerQuota()
 	}
-	if fin := s.final.Load(); fin != nil {
-		st.Cache = fin.cache
-		st.MatCache = fin.mat
-	} else {
-		if s.cl.cache != nil {
-			st.Cache = s.cl.cache.TenantStats(s.cacheTenant)
-		}
-		if s.cl.mat != nil {
-			st.MatCache = s.cl.mat.TenantStats(s.cacheTenant)
-		}
-	}
+	u := s.published()
+	st.Cache, st.MatCache = u.cache, u.mat
 	return st
+}
+
+func (s *Session) published() sessionUsage {
+	s.usageMu.Lock()
+	defer s.usageMu.Unlock()
+	return s.usage
+}
+
+// publish refreshes usage from the shared caches, unless the session has left
+// them; on the session's kernel.
+func (s *Session) publish() {
+	if s.left {
+		return
+	}
+	u := s.cl.tenantUsage(s.cacheTenant)
+	s.usageMu.Lock()
+	s.usage = u
+	s.usageMu.Unlock()
+}
+
+// leave freezes the session's storage attribution and takes it out of the
+// shared caches; on the session's kernel.
+func (s *Session) leave() {
+	s.publish()
+	s.left = true
+	s.cl.leaveTenant(s.cacheTenant)
 }
 
 func sessionStateString(st int32) string {
@@ -635,8 +663,14 @@ func sessionStateString(st int32) string {
 // ended. Closing releases the session's slot (admitting a queued sibling,
 // rebalancing worker quotas); cache reclamation is cluster-owned and
 // happens when the cluster itself closes, never here, so sibling sessions
-// sharing the cache are undisturbed.
-func (s *Session) Close() (*Report, error) {
+// sharing the cache are undisturbed. Close enters the session's kernel to
+// leave the caches: call it from a goroutine that is not one of the kernel's
+// tasks — after the Batches or StreamAll loop, not inside its body.
+func (s *Session) Close() (*Report, error) { return s.close(false) }
+
+// close is Close; onTask says the caller is a task of the session's kernel (a
+// server closing a stream) and leaves the caches right there, with no entry.
+func (s *Session) close(onTask bool) (*Report, error) {
 	s.state.Store(sessionClosed)
 	rep := &Report{
 		Workload:     s.spec.Dataset.Name(),
@@ -650,24 +684,15 @@ func (s *Session) Close() (*Report, error) {
 	if s.released.CompareAndSwap(false, true) {
 		// Freeze storage attribution before releasing the tenancy: the
 		// cache-tenant slot may be reused by a later session.
-		fin := &sessionFinal{}
-		if s.cl.cache != nil {
-			fin.cache = s.cl.cache.TenantStats(s.cacheTenant)
-			fin.disk = s.cl.cache.TenantDiskBytes(s.cacheTenant)
-		} else if s.cl.disk != nil {
-			fin.disk = s.cl.disk.BytesRead()
+		if onTask {
+			s.leave()
+		} else {
+			inKernel(s.rt, s.leave)
 		}
-		if s.cl.mat != nil {
-			fin.mat = s.cl.mat.TenantStats(s.cacheTenant)
-		}
-		s.final.Store(fin)
-		s.cl.releaseSession(s)
+		s.cl.releaseSession(s, onTask)
 	}
-	if fin := s.final.Load(); fin != nil {
-		rep.CacheStats = fin.cache
-		rep.MatCacheStats = fin.mat
-		rep.DiskBytes = fin.disk
-	}
+	u := s.published()
+	rep.CacheStats, rep.MatCacheStats, rep.DiskBytes = u.cache, u.mat, u.disk
 	if s.cst != nil {
 		// The chaos bookkeeping doubles as the SLO view: step-interval
 		// quantiles, preemption stall, and per-fault windows.
