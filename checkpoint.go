@@ -97,7 +97,7 @@ func (ck *Checkpoint) Remaining() int { return ck.spec.TotalBatches() }
 // resumed session inherits.
 func (ck *Checkpoint) Cache() (st CacheStats) {
 	if ck.cl.cache != nil {
-		inKernel(ck.cl.rt, func() { st = ck.cl.cache.Stats() })
+		ck.cl.rt.Do(func() { st = ck.cl.cache.Stats() })
 	}
 	return st
 }
@@ -106,7 +106,7 @@ func (ck *Checkpoint) Cache() (st CacheStats) {
 // cache (zero when WithMaterializedCache is not enabled).
 func (ck *Checkpoint) MatCache() (st MatCacheStats) {
 	if ck.cl.mat != nil {
-		inKernel(ck.cl.rt, func() { st = ck.cl.mat.Stats() })
+		ck.cl.rt.Do(func() { st = ck.cl.mat.Stats() })
 	}
 	return st
 }

@@ -414,7 +414,7 @@ func (c *Cluster) train(w Workload, o *sessionOptions) (*Report, error) {
 		o.params.Trace = c.tr
 	}
 	var rep *Report
-	onKernel(c.rt, func() {
+	c.rt.Run(func() {
 		cacheTenant := c.joinTenant()
 		defer c.leaveTenant(cacheTenant)
 		env := c.sessionEnv(gpuIdxs, cacheTenant, share)
@@ -448,7 +448,7 @@ func (c *Cluster) joinTenantFrom(onTask bool) (int, sessionUsage) {
 	}
 	var id int
 	var u sessionUsage
-	inKernel(c.rt, func() { id = c.joinTenant(); u = c.tenantUsage(id) })
+	c.rt.Do(func() { id = c.joinTenant(); u = c.tenantUsage(id) })
 	return id, u
 }
 
@@ -619,12 +619,12 @@ func (c *Cluster) isClosed() bool {
 // cache storage. Runs at most once, after close with no active sessions.
 func (c *Cluster) reclaim(onTask bool) {
 	if c.ownsRT {
-		c.rt.(*simtime.Virtual).Drain()
+		c.rt.Drain()
 	}
 	if onTask || c.ownsRT { // on the kernel already, or nobody is left on it
 		c.recycle()
 	} else {
-		inKernel(c.rt, c.recycle)
+		c.rt.Do(c.recycle)
 	}
 }
 
@@ -743,7 +743,7 @@ func (c *Cluster) Stats() ClusterStats {
 		sessions = append(sessions, s)
 	}
 	c.mu.Unlock()
-	inKernel(c.rt, func() {
+	c.rt.Do(func() {
 		if c.cache != nil {
 			st.Cache = c.cache.Stats()
 		}

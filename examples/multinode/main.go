@@ -34,9 +34,8 @@ import (
 func train(loader string, extra ...minato.Option) *minato.MultiNodeReport {
 	opts := []minato.Option{
 		minato.WithTopology(minato.Topology{
-			Nodes:           4,
-			StragglerNode:   1,
-			StragglerFactor: 8,
+			Nodes:      4,
+			Stragglers: []minato.NodeFault{{Node: 1, Factor: 8}},
 		}),
 		minato.WithLoader(loader),
 		minato.WithGPUs(1),
@@ -102,7 +101,7 @@ func main() {
 
 	// The same proof for the full trace: two traced runs must export
 	// byte-identical Chrome trace-event JSON (every span stamped from the
-	// virtual clock, lane labels canonicalized).
+	// virtual clock, every label the one its layer recorded).
 	t1, t2 := tracedExport(), tracedExport()
 	if !bytes.Equal(t1, t2) {
 		fmt.Println("\nDETERMINISM FAILURE: trace exports diverged between runs")

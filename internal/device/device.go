@@ -49,7 +49,7 @@ import (
 // rule). Only kernel tasks, of which one runs at a time, may call its
 // methods once tasks have started.
 type Device struct {
-	rt   simtime.Runtime
+	rt   *simtime.Virtual
 	name string
 	cap  float64
 
@@ -63,14 +63,14 @@ type Device struct {
 	// Re-anchoring is DEFERRED to the next advance across real elapsed time:
 	// membership events at one instant only update d.rate (and bump the
 	// epoch when its value moves), and advance settles the anchor at
-	// lastT before integrating past it. Deferral is what makes the integrals
-	// order-independent within an instant: an enter and an exit coinciding
-	// at time T leave the same settled rate no matter which the kernel
-	// processes first, so the anchor state — and the float rounding of every
-	// later completion stamp — is a pure function of the settled event
-	// history. (Re-anchoring eagerly per change nets "moved twice" on one
-	// order and "never moved" on the other for a transient 1 → C/(C+1) → 1
-	// blip, and ns-scale rounding then depends on same-instant scheduling.)
+	// lastT before integrating past it. This is numerics, not ordering — the
+	// kernel fixes the order of same-instant events — and it stays: a rate
+	// that bends away and back within one instant (1 → C/(C+1) → 1) leaves
+	// the anchor where it was, where settling eagerly in setRate would move
+	// it twice and shift the float rounding of every later completion
+	// stamp. Measured: the eager form ends TestContendedParkBudgetAndEndTime
+	// at 825589668 ns instead of the pinned 825589690, and the headline's
+	// dali run at 156816959216 ns instead of 156816959218.
 	// Completion instants are stamped from the settled anchor — or, while
 	// a change awaits settlement, from (lastT, progress), which is exactly
 	// where the anchor will settle — so re-stamping is bitwise idempotent:
@@ -123,7 +123,7 @@ type entry struct {
 }
 
 // New returns a device with the given parallel capacity (must be positive).
-func New(rt simtime.Runtime, name string, capacity float64) *Device {
+func New(rt *simtime.Virtual, name string, capacity float64) *Device {
 	if capacity <= 0 {
 		panic("device: capacity must be positive")
 	}
@@ -307,8 +307,8 @@ func (d *Device) exit(e *entry) {
 // setRate recomputes the shared per-task rate for the current
 // occupancy. It mutates only the rate (and the epoch, when the value
 // moved): anchor settlement is deferred to the next advance across real
-// elapsed time, so same-instant event ordering cannot perturb the
-// integrals — see the field comment. Callers must have run advance first,
+// elapsed time, so a within-instant transient cannot move the anchors —
+// see the field comment. Callers must have run advance first,
 // with no park in between, so progress and busy time are current.
 func (d *Device) setRate() {
 	r := 1.0

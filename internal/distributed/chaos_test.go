@@ -139,8 +139,7 @@ func TestDiskBrownoutAndWorkerStallRecorded(t *testing.T) {
 	}
 }
 
-// Multi-straggler and multi-degraded-link configs (the slice form) apply
-// per entry and keep the single-fault sugar working.
+// Multi-straggler and multi-degraded-link configs apply per entry.
 func TestStragglerAndDegradedSlices(t *testing.T) {
 	cfg := smallCluster(4).WithStraggler(1, 4).WithStraggler(2, 2)
 	cfgs := cfg.nodeConfigs()
@@ -151,13 +150,8 @@ func TestStragglerAndDegradedSlices(t *testing.T) {
 	if cfgs[0].Cores != base || cfgs[3].Cores != base {
 		t.Fatal("non-straggler nodes were modified")
 	}
-	legacy := smallCluster(4)
-	legacy.StragglerNode, legacy.StragglerFactor = 3, 8
-	if got := legacy.nodeConfigs()[3].Cores; got != base/8 {
-		t.Fatalf("legacy straggler cores = %d, want %d", got, base/8)
-	}
 	deg := smallCluster(4).WithDegradedLink(0, 2).WithDegradedLink(2, 4)
-	if len(deg.degradedFaults()) != 2 {
-		t.Fatalf("degraded faults = %+v", deg.degradedFaults())
+	if len(deg.Degraded) != 2 {
+		t.Fatalf("degraded faults = %+v", deg.Degraded)
 	}
 }

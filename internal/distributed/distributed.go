@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"github.com/minatoloader/minato/internal/chaos"
@@ -111,16 +110,6 @@ type Config struct {
 	// both directions — a flaky cable or oversubscribed leaf switch.
 	Degraded []NodeFault
 
-	// StragglerFactor > 1 divides StragglerNode's CPU core count: sugar for
-	// one Stragglers entry, kept for callers configuring a single fault.
-	StragglerNode   int
-	StragglerFactor float64
-
-	// DegradedFactor > 1 divides DegradedNode's NIC bandwidth: sugar for
-	// one Degraded entry.
-	DegradedNode   int
-	DegradedFactor float64
-
 	// Script injects scripted faults during the run (see package chaos).
 	// Membership events switch the run into elastic mode.
 	Script chaos.Script
@@ -171,24 +160,6 @@ func (c Config) WithChaos(s chaos.Script) Config {
 	return c
 }
 
-// stragglerFaults merges the slice and the legacy single-fault fields.
-func (c Config) stragglerFaults() []NodeFault {
-	fs := append([]NodeFault(nil), c.Stragglers...)
-	if c.StragglerFactor > 1 {
-		fs = append(fs, NodeFault{c.StragglerNode, c.StragglerFactor})
-	}
-	return fs
-}
-
-// degradedFaults merges the slice and the legacy single-fault fields.
-func (c Config) degradedFaults() []NodeFault {
-	fs := append([]NodeFault(nil), c.Degraded...)
-	if c.DegradedFactor > 1 {
-		fs = append(fs, NodeFault{c.DegradedNode, c.DegradedFactor})
-	}
-	return fs
-}
-
 // nodeConfigs resolves the per-node hardware, applying the straggler
 // scenario.
 func (c Config) nodeConfigs() []hardware.Config {
@@ -200,7 +171,7 @@ func (c Config) nodeConfigs() []hardware.Config {
 			cfgs = append(cfgs, c.Node)
 		}
 	}
-	for _, s := range c.stragglerFaults() {
+	for _, s := range c.Stragglers {
 		if s.Factor > 1 && s.Node >= 0 && s.Node < len(cfgs) {
 			n := &cfgs[s.Node]
 			n.Cores = int(float64(n.Cores) / s.Factor)
@@ -254,25 +225,35 @@ type Report struct {
 	NetworkBytes int64
 	// StallBreakdown aggregates the cluster's consumer stalls across all
 	// nodes, the synchronized-step-time quantiles, and the applied fault
-	// windows. With tracing enabled the critical-path analyzer fills the
-	// stall fields from the recorded spans; otherwise they are the PerNode
-	// counter sums — both are stamped at the same virtual instants.
+	// windows. The stall fields are the PerNode counter sums, traced or
+	// not; the recorded spans are stamped at the same virtual instants, so
+	// trace.Attribute over CriticalPath agrees with them to the nanosecond.
 	report.StallBreakdown
 	// PerNode attributes each node's stalls, in node order.
 	PerNode []NodeStats
 
-	// spans is the run's recorded trace when Config.Trace was set.
+	// spans memoizes the run's recorded trace; rec is the live recorder
+	// (Config.Trace) it snapshots from on first use.
 	spans []trace.Span
+	rec   *trace.Recorder
 }
 
 // Trace returns the run's recorded spans in canonical order (nil when
-// tracing was disabled).
-func (r *Report) Trace() []trace.Span { return r.spans }
+// tracing was disabled). The snapshot is taken lazily on first call — a
+// traced run that never reads its trace pays nothing for the copy and
+// sort — and memoized, so read it before resetting the recorder the run
+// recorded into.
+func (r *Report) Trace() []trace.Span {
+	if r.spans == nil && r.rec.Enabled() {
+		r.spans = r.rec.Snapshot()
+	}
+	return r.spans
+}
 
 // CriticalPath reassembles each batch round's latency attribution from
 // the recorded trace (nil when tracing was disabled).
 func (r *Report) CriticalPath() []trace.BatchPath {
-	return trace.CriticalPath(r.spans)
+	return trace.CriticalPath(r.Trace())
 }
 
 // SetTrace installs a recorded span set.
@@ -388,7 +369,7 @@ type nodeState struct {
 
 // memberView is one immutable membership configuration: which nodes are
 // live, their loaders over the current shard split, and the all-reduce
-// ring across their NICs. Consumers load the current view once per round;
+// ring across their NICs. Consumers read the current view once per round;
 // the controller swaps in a new view only at step boundaries, so nobody is
 // mid-Next or mid-collective across a change.
 type memberView struct {
@@ -431,7 +412,7 @@ type ctrl struct {
 	elastic bool
 	tr      *trace.Recorder
 
-	view atomic.Pointer[memberView]
+	view *memberView
 
 	// Boundary-hook state (single-threaded: see above).
 	pending      []chaos.Event // membership events, sorted
@@ -445,7 +426,7 @@ type ctrl struct {
 	open       map[winKey]openWin
 	pendingRec map[int]int // node → faults index awaiting first post-join step
 
-	consumeErr atomic.Value
+	consumeErr error
 }
 
 // totalStall sums every node's consumer stalls — the snapshot fault
@@ -504,8 +485,8 @@ func (st *ctrl) applyContinuous(ev chaos.Event) {
 			st.closeFault(chaos.LinkDegrade, ev.Node, now)
 		}
 	case chaos.DiskDegrade:
-		// The slowdown timeline was pre-installed before the run started;
-		// only the fault window is recorded here.
+		// The slowdown timeline was installed before the run started; only
+		// the fault window is recorded here.
 		st.openFault(ev, now)
 	case chaos.DiskRestore:
 		st.closeFault(chaos.DiskDegrade, -1, now)
@@ -552,14 +533,14 @@ func (st *ctrl) onBoundary(uint64) {
 	if !st.elastic {
 		return
 	}
-	v := st.view.Load()
+	v := st.view
 	if v.done {
 		return
 	}
 	if st.rounds >= st.target {
 		nv := *v
 		nv.done = true
-		st.view.Store(&nv)
+		st.view = &nv
 		return
 	}
 	changed := false
@@ -613,13 +594,13 @@ func (st *ctrl) reshard(v *memberView, active []bool, now time.Duration) {
 	}
 	id := v.id + 1
 	if len(members) == 0 {
-		st.consumeErr.Store(chaos.ErrNodeLost)
-		st.view.Store(&memberView{
+		st.consumeErr = chaos.ErrNodeLost
+		st.view = &memberView{
 			id:     id,
 			active: active,
 			ranks:  make([]int, len(active)),
 			done:   true,
-		})
+		}
 		return
 	}
 	perm := dist.Permutation(st.seed, shardStream+uint64(id), len(members))
@@ -640,19 +621,19 @@ func (st *ctrl) reshard(v *memberView, active []bool, now time.Duration) {
 		sp.Epochs = 0
 		ld := st.f.New(nd.env, sp)
 		if err := ld.Start(context.Background()); err != nil {
-			st.consumeErr.Store(err)
-			st.view.Store(&memberView{id: id, active: active, ranks: ranks, done: true})
+			st.consumeErr = err
+			st.view = &memberView{id: id, active: active, ranks: ranks, done: true}
 			return
 		}
 		loaders[node] = ld
 	}
-	st.view.Store(&memberView{
+	st.view = &memberView{
 		id:      id,
 		active:  active,
 		loaders: loaders,
 		ring:    netsim.NewRing(st.k, st.fab, eps),
 		ranks:   ranks,
-	})
+	}
 }
 
 func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.Workload, f trainer.Factory, rep *Report) error {
@@ -693,7 +674,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 	for i := range baseBW {
 		baseBW[i] = cfg.LinkBandwidth
 	}
-	for _, d := range cfg.degradedFaults() {
+	for _, d := range cfg.Degraded {
 		if d.Factor > 1 && d.Node >= 0 && d.Node < n {
 			baseBW[d.Node] /= d.Factor
 			fab.SetBandwidth(d.Node, baseBW[d.Node])
@@ -780,12 +761,12 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 			st.disks = append(st.disks, nd.tb.Disk)
 		}
 	}
-	st.view.Store(&memberView{
+	st.view = &memberView{
 		active:  initActive,
 		loaders: initLoaders,
 		ring:    netsim.NewRing(k, fab, nodeEPs),
 		ranks:   initRanks,
-	})
+	}
 
 	// Two cyclic barriers frame the synchronized region of each step: all
 	// consumers arrive at `arrive`, node leaders run the collective, and
@@ -799,7 +780,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 	breakAll := func() {
 		arrive.Break()
 		resume.Break()
-		if r := st.view.Load().ring; r != nil {
+		if r := st.view.ring; r != nil {
 			r.Break()
 		}
 	}
@@ -809,10 +790,9 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 			return err
 		}
 	}
-	// Disk degradation is pre-installed as a timeline (see
-	// storage.ScheduleSlowdown): a read racing the scripted instant
-	// resolves by its own start time, not by same-instant scheduling
-	// order. The engine replay keeps the fault-window bookkeeping.
+	// Disk degradation is installed as a timeline on the disks (see
+	// storage.Disk.ScheduleSlowdown); the engine replay keeps the
+	// fault-window bookkeeping.
 	for _, ev := range contEvs {
 		switch ev.Kind {
 		case chaos.DiskDegrade:
@@ -844,7 +824,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 				// included.
 				var round int64
 				for {
-					v := st.view.Load()
+					v := st.view
 					if v.done {
 						return
 					}
@@ -858,7 +838,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 							return
 						}
 						if err != nil {
-							st.consumeErr.Store(err)
+							st.consumeErr = err
 							breakAll()
 							return
 						}
@@ -891,7 +871,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 						if g == 0 {
 							if err := v.ring.AllReduce(ctx, v.ranks[rank], cfg.GradientBytes); err != nil {
 								if !errors.Is(err, simtime.ErrBarrierBroken) {
-									st.consumeErr.Store(err)
+									st.consumeErr = err
 								}
 								breakAll()
 								return
@@ -921,7 +901,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 		return err
 	}
 	eng.Stop()
-	for _, ld := range st.view.Load().loaders {
+	for _, ld := range st.view.loaders {
 		if ld != nil {
 			ld.Stop()
 		}
@@ -929,8 +909,8 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 	if err := wg.Wait(ctx); err != nil {
 		return err
 	}
-	if e := st.consumeErr.Load(); e != nil {
-		return e.(error)
+	if st.consumeErr != nil {
+		return st.consumeErr
 	}
 
 	end := lastEnd
@@ -943,17 +923,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 	rep.StepP50 = st.hist.QuantileDuration(0.5)
 	rep.StepP99 = st.hist.QuantileDuration(0.99)
 	rep.Faults = append(rep.Faults, st.faults...)
-	if cfg.Trace.Enabled() {
-		rep.spans = cfg.Trace.Snapshot()
-		// The critical-path analyzer is the source for the aggregate stall
-		// fields when tracing is on. The spans are stamped at exactly the
-		// instants the PerNode counters integrate, so the two agree to the
-		// nanosecond (the counters stay as the cross-check).
-		a := trace.Attribute(trace.CriticalPath(rep.spans), nil)
-		rep.DataStall = a.DataWait
-		rep.BarrierStall = a.BarrierWait
-		rep.NetworkStall = a.NetworkWait
-	}
+	rep.rec = cfg.Trace
 
 	dur := rep.TrainTime.Seconds()
 	busyAll, gpuCount := 0.0, 0
@@ -980,14 +950,10 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 			Downtime:     nd.downtime,
 			GPUUtil:      util,
 		})
+		rep.DataStall += nd.dataStall
+		rep.BarrierStall += nd.barrierStall
+		rep.NetworkStall += nd.networkStall
 		nd.tb.Cache.Recycle()
-	}
-	if !cfg.Trace.Enabled() {
-		for _, ns := range rep.PerNode {
-			rep.DataStall += ns.DataStall
-			rep.BarrierStall += ns.BarrierStall
-			rep.NetworkStall += ns.NetworkStall
-		}
 	}
 	if dur > 0 {
 		rep.AvgGPUUtil = min(100, 100*busyAll/(float64(gpuCount)*dur))

@@ -52,7 +52,7 @@ type GPU struct {
 }
 
 // New returns a GPU with the given architecture and memory capacity.
-func New(rt simtime.Runtime, id int, arch Arch, memBytes int64) *GPU {
+func New(rt *simtime.Virtual, id int, arch Arch, memBytes int64) *GPU {
 	return &GPU{
 		ID: id, Arch: arch,
 		compute: device.New(rt, fmt.Sprintf("gpu%d-%s", id, arch.Name), streamCapacity),
@@ -127,7 +127,7 @@ func (g *GPU) BusySeconds() float64 { return g.compute.BusySeconds() }
 // Utilization is measured against a single full-speed stream (matching
 // nvidia-smi's notion), so a GPU running one kernel back-to-back reads
 // 100%.
-func (g *GPU) UtilizationGauge(rt simtime.Runtime) func() float64 {
+func (g *GPU) UtilizationGauge(rt *simtime.Virtual) func() float64 {
 	lastBusy := g.BusySeconds()
 	lastT := rt.Now()
 	return func() float64 {
@@ -150,7 +150,7 @@ func (g *GPU) UtilizationGauge(rt simtime.Runtime) func() float64 {
 }
 
 // Pool creates n GPUs of the same architecture.
-func Pool(rt simtime.Runtime, n int, arch Arch, memBytes int64) []*GPU {
+func Pool(rt *simtime.Virtual, n int, arch Arch, memBytes int64) []*GPU {
 	gs := make([]*GPU, n)
 	for i := range gs {
 		gs[i] = New(rt, i, arch, memBytes)

@@ -70,7 +70,7 @@ func (c Config) WithMemoryLimit(bytes int64) Config {
 // Testbed is an instantiated machine.
 type Testbed struct {
 	Cfg   Config
-	RT    simtime.Runtime
+	RT    *simtime.Virtual
 	CPU   *device.Device
 	GPUs  []*gpu.GPU
 	Disk  *storage.Disk
@@ -81,7 +81,7 @@ type Testbed struct {
 // NewTestbed builds the devices for a config. The page cache receives the
 // machine's memory minus a fixed working-set reservation, mirroring how the
 // OS page cache shrinks under a cgroup limit.
-func NewTestbed(rt simtime.Runtime, cfg Config) *Testbed {
+func NewTestbed(rt *simtime.Virtual, cfg Config) *Testbed {
 	const workingSet = 16 * gib
 	cacheBytes := cfg.MemBytes - workingSet
 	if cacheBytes < gib {

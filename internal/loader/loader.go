@@ -96,7 +96,7 @@ func (s Spec) TotalSamples() int { return s.TotalBatches() * s.BatchSize }
 
 // Env bundles the simulated hardware a loader runs on.
 type Env struct {
-	RT    simtime.Runtime
+	RT    *simtime.Virtual
 	CPU   *device.Device
 	GPUs  []*gpu.GPU
 	Store *storage.Store

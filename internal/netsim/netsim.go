@@ -52,7 +52,7 @@ type Config struct {
 // selectors its flows park on. Goroutines outside the kernel reach it through
 // simtime.Virtual.Run or Post.
 type Fabric struct {
-	rt      simtime.Runtime
+	rt      *simtime.Virtual
 	latency time.Duration
 
 	links []link // 2 per endpoint: egress = 2e, ingress = 2e+1
@@ -84,9 +84,9 @@ type Fabric struct {
 
 	// tr, when set, records flow-lifetime spans (StageFlow, on retirement)
 	// and rate-change instants (StageFlowRate). Rate instants are recorded
-	// at settlement — the first advance across real elapsed time — never
-	// from mid-instant transients, so the span set is independent of the
-	// order of same-instant membership events.
+	// at settlement — the first advance across real elapsed time — so a
+	// rate that bends and bends back within one instant, carrying no bytes,
+	// leaves no span.
 	tr *trace.Recorder
 }
 
@@ -108,15 +108,16 @@ type link struct {
 // flow is one in-flight transfer. Progress is anchored at the last rate
 // change: remaining is recomputed analytically from (anchorRem, anchorT,
 // rate) and the completion instant is the absolute finishAt stamped when
-// the rate was assigned. Anchors move only at reshare points — canonical
-// kernel events — never at spurious wakes, so a flow's trajectory is a
-// pure function of the fabric's event history and two runs of the same
-// script produce bit-identical completion times and byte counts no matter
-// how the OS schedules the tasks in between.
+// the rate was assigned. Anchors move only at reshare points — flow entry,
+// flow exit, SetBandwidth — never at a wake that changed nothing, so a
+// flow's trajectory is a function of the fabric's event history. That
+// history is itself a function of the program: the kernel runs one task at
+// a time in a defined order, so Fabric.flows holds the live flows in
+// arrival order and needs no sorting to be reproducible.
 type flow struct {
 	egress, ingress int           // link indices
 	size            int64         // original transfer size
-	startT          time.Duration // entry time (sort key)
+	startT          time.Duration // entry time
 	remaining       float64       // bytes left as of Fabric.lastT
 	rate            float64       // current max-min fair rate, bytes/s
 	prevRate        float64       // rate before the current reshare pass
@@ -126,30 +127,10 @@ type flow struct {
 	sel             *simtime.Selector
 	// settledRate is the rate last recorded as a StageFlowRate instant;
 	// -1 until the flow's first settlement. Comparing against it (rather
-	// than flagging changes inside reshare) skips transients that
-	// bend back within one instant — whose occurrence depends on event
-	// order — so the recorded set stays deterministic.
+	// than flagging changes inside reshare) keeps out of the trace the
+	// transients that bend back within one instant: a filter on what is
+	// worth a span, not an ordering device.
 	settledRate float64
-}
-
-// flowLess is the canonical flow order: link pair, then entry time, then
-// size. Flows equal under this key are fully interchangeable — same links,
-// same start, same size means identical rate and progress trajectories —
-// so the order among them cannot affect any observable. Keeping f.flows
-// sorted by this key makes every iteration (water-filling fixes, progress
-// integration) independent of the order tasks happened to reach the
-// fabric within an instant.
-func flowLess(a, b *flow) bool {
-	if a.egress != b.egress {
-		return a.egress < b.egress
-	}
-	if a.ingress != b.ingress {
-		return a.ingress < b.ingress
-	}
-	if a.startT != b.startT {
-		return a.startT < b.startT
-	}
-	return a.size < b.size
 }
 
 // residual is per-link water-filling state: capacity and flow count not
@@ -166,7 +147,7 @@ const unfixedRate = -1
 
 // New returns a fabric with cfg.Endpoints NICs. Endpoints and Bandwidth
 // must be positive.
-func New(rt simtime.Runtime, cfg Config) *Fabric {
+func New(rt *simtime.Virtual, cfg Config) *Fabric {
 	if cfg.Endpoints <= 0 {
 		panic("netsim: need at least one endpoint")
 	}
@@ -280,7 +261,7 @@ func (f *Fabric) Transfer(ctx context.Context, src, dst int, n int64) error {
 	fl.anchorT = f.lastT
 	f.links[fl.egress].n++
 	f.links[fl.ingress].n++
-	f.insertFlow(fl)
+	f.flows = append(f.flows, fl)
 	f.reshare()
 
 	for {
@@ -305,23 +286,8 @@ func (f *Fabric) Transfer(ctx context.Context, src, dst int, n int64) error {
 	}
 }
 
-// insertFlow places fl at its canonical position so f.flows stays sorted
-// under flowLess regardless of arrival order.
-func (f *Fabric) insertFlow(fl *flow) {
-	i := len(f.flows)
-	for j, e := range f.flows {
-		if flowLess(fl, e) {
-			i = j
-			break
-		}
-	}
-	f.flows = append(f.flows, nil)
-	copy(f.flows[i+1:], f.flows[i:])
-	f.flows[i] = fl
-}
-
-// exit removes fl from the fabric (preserving the canonical order of the
-// survivors), re-shares them and recycles fl.
+// exit removes fl from the fabric (the survivors keep their arrival order),
+// re-shares them and recycles fl.
 func (f *Fabric) exit(fl *flow) {
 	f.tr.Record(trace.Span{Start: fl.startT, End: f.lastT, Stage: trace.StageFlow,
 		Node: int32(fl.egress / 2), Key: int64(fl.ingress / 2),
@@ -356,8 +322,7 @@ func (f *Fabric) advance() {
 	}
 	if f.tr.Enabled() {
 		// Rates assigned at lastT persisted across real elapsed time: they
-		// are settled, record the ones that moved. Flows iterate in
-		// canonical order, so the recorded set is schedule-independent.
+		// are settled, record the ones that moved.
 		for _, fl := range f.flows {
 			if fl.rate != fl.settledRate {
 				f.tr.Instant(trace.Span{Stage: trace.StageFlowRate,
@@ -391,13 +356,12 @@ func (f *Fabric) advance() {
 // unfixed flows), fix its flows at that share, subtract their bandwidth,
 // and continue until every flow has a rate. Only the active links — those
 // a live flow crosses — take part. The minimum over them does not depend on
-// the order they are scanned in, and flows are fixed in their canonical
-// sorted order, so the result — including the float rounding of the
-// residual-capacity updates — is deterministic. Each flow whose rate
-// changed is re-anchored here: its progress and absolute completion instant
-// are restamped from the new rate, making reshare points the only places a
-// flow's trajectory can bend, and a parked flow's armed deadline is moved to
-// the new instant where it sleeps.
+// the order they are scanned in; the float rounding of the residual-capacity
+// updates does depend on the order flows are fixed in, which is their arrival
+// order. Each flow whose rate changed is re-anchored here: its progress and
+// absolute completion instant are restamped from the new rate, making
+// reshare points the only places a flow's trajectory can bend, and a parked
+// flow's armed deadline is moved to the new instant where it sleeps.
 func (f *Fabric) reshare() {
 	// The links active until now are exactly those whose busy integral has
 	// been advancing: re-anchor them, then rebuild the list from the flows.
@@ -453,10 +417,9 @@ func (f *Fabric) reshare() {
 		f.links[fl.egress].rateSum += fl.rate
 		f.links[fl.ingress].rateSum += fl.rate
 		if fl.rate != fl.prevRate {
-			// Rate changes are the canonical anchor points: progress and
-			// the absolute completion instant are restamped here and
-			// nowhere else, so both are pure functions of the fabric's
-			// event history.
+			// Rate changes are the only anchor points: progress and the
+			// absolute completion instant are restamped here and nowhere
+			// else.
 			fl.anchorRem = fl.remaining
 			fl.anchorT = now
 			fl.finishAt = now + time.Duration(fl.anchorRem/fl.rate*float64(time.Second)) + time.Nanosecond

@@ -15,7 +15,7 @@ import (
 
 // testFabric returns a fabric of n endpoints at 1 GB/s per NIC direction
 // with no latency, so transfer times read directly in seconds per GB.
-func testFabric(k simtime.Runtime, n int) *Fabric {
+func testFabric(k *simtime.Virtual, n int) *Fabric {
 	return New(k, Config{Endpoints: n, Bandwidth: 1e9})
 }
 

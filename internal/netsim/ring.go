@@ -28,7 +28,7 @@ type Ring struct {
 
 // NewRing returns a ring over the given fabric endpoints. Rings of one
 // member are legal and reduce to a no-op.
-func NewRing(rt simtime.Runtime, f *Fabric, members []int) *Ring {
+func NewRing(rt *simtime.Virtual, f *Fabric, members []int) *Ring {
 	r := &Ring{f: f, members: members}
 	if len(members) > 1 {
 		r.phase = simtime.NewBarrier(rt, len(members))

@@ -32,7 +32,7 @@ var ErrClosed = errors.New("queue: closed")
 
 // Queue is a bounded blocking FIFO.
 type Queue[T any] struct {
-	rt   simtime.Runtime
+	rt   *simtime.Virtual
 	name string
 	cap  int
 
@@ -62,7 +62,7 @@ type Queue[T any] struct {
 // New returns a queue with the given capacity. Capacity must be positive.
 // The ring buffer is allocated eagerly (rounded up to a power of two), so
 // the queue performs no item-storage allocation after construction.
-func New[T any](rt simtime.Runtime, name string, capacity int) *Queue[T] {
+func New[T any](rt *simtime.Virtual, name string, capacity int) *Queue[T] {
 	if capacity <= 0 {
 		panic("queue: capacity must be positive")
 	}
@@ -353,7 +353,7 @@ func (q *Queue[T]) Disarm(sel *simtime.Selector) {
 // the deadline passed first; pass 0 for none). It allocates a throwaway
 // Selector, so it is a convenience for occasional waits; hot loops should
 // hold a Selector and call Select on it directly.
-func WaitAny(ctx context.Context, rt simtime.Runtime, deadline time.Duration, sources ...simtime.Source) (int, error) {
+func WaitAny(ctx context.Context, rt *simtime.Virtual, deadline time.Duration, sources ...simtime.Source) (int, error) {
 	return simtime.NewSelector(rt).Select(ctx, deadline, sources...)
 }
 

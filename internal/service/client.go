@@ -47,7 +47,7 @@ type remote struct {
 // safe from any goroutine.
 type Client struct {
 	net   *Net
-	rt    simtime.Runtime
+	rt    *simtime.Virtual
 	ep    int
 	inbox *queue.Queue[Frame]
 	spec  StreamSpec

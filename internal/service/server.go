@@ -60,7 +60,7 @@ type ServerConfig struct {
 // endpoint's inbox, plus one pump task per open stream.
 type Server struct {
 	net    *Net
-	rt     simtime.Runtime
+	rt     *simtime.Virtual
 	ep     int
 	cfg    ServerConfig
 	opener Opener
@@ -130,7 +130,7 @@ func (s *Server) Start() {
 
 func (s *Server) goDaemon(name string, fn func()) {
 	s.wg.Add(1)
-	simtime.GoDaemon(s.rt, name, func() {
+	s.rt.GoDaemon(name, func() {
 		defer s.wg.Done()
 		fn()
 	})

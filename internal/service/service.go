@@ -209,7 +209,7 @@ func (c *Config) fill() {
 // endpoints (chaos scripts target servers by fleet index). Like the fabric
 // and the queues it is made of, a Net is plain state of its kernel's tasks.
 type Net struct {
-	rt  simtime.Runtime
+	rt  *simtime.Virtual
 	fab *netsim.Fabric
 	cfg Config
 
@@ -224,7 +224,7 @@ type Net struct {
 }
 
 // NewNet builds a service fabric on rt.
-func NewNet(rt simtime.Runtime, cfg Config) *Net {
+func NewNet(rt *simtime.Virtual, cfg Config) *Net {
 	cfg.fill()
 	return &Net{
 		rt: rt,
@@ -239,7 +239,7 @@ func NewNet(rt simtime.Runtime, cfg Config) *Net {
 }
 
 // Runtime returns the clock the network runs on.
-func (n *Net) Runtime() simtime.Runtime { return n.rt }
+func (n *Net) Runtime() *simtime.Virtual { return n.rt }
 
 // EnableTrace attaches a span recorder to the service network: every
 // delivered frame records a StageFrame span, and the underlying fabric

@@ -19,11 +19,11 @@ type Barrier struct {
 }
 
 // NewBarrier returns a barrier for n participants (n must be positive).
-func NewBarrier(rt Runtime, n int) *Barrier {
+func NewBarrier(rt *Virtual, n int) *Barrier {
 	if n <= 0 {
 		panic("simtime: barrier size must be positive")
 	}
-	return &Barrier{n: n, parked: waitList{k: rt.(*Virtual)}}
+	return &Barrier{n: n, parked: waitList{k: rt}}
 }
 
 // NewBarrierFunc returns a barrier whose fn runs once per completed round,
@@ -34,7 +34,7 @@ func NewBarrier(rt Runtime, n int) *Barrier {
 // uses to apply membership changes (node crash/rejoin) at a quiescent
 // point. fn receives the generation that completed. It must not call Wait
 // on the same barrier.
-func NewBarrierFunc(rt Runtime, n int, fn func(gen uint64)) *Barrier {
+func NewBarrierFunc(rt *Virtual, n int, fn func(gen uint64)) *Barrier {
 	b := NewBarrier(rt, n)
 	b.onRelease = fn
 	return b

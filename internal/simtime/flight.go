@@ -12,7 +12,7 @@ type Flights[K comparable] struct {
 
 // Join returns nil when no flight for key was under way — the caller now
 // leads one and must Land it — else a waiter to park on until it has landed.
-func (f *Flights[K]) Join(key K, rt Runtime) *Waiter {
+func (f *Flights[K]) Join(key K, rt *Virtual) *Waiter {
 	ws, flying := f.m[key]
 	if !flying {
 		if f.m == nil {

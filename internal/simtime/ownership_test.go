@@ -22,7 +22,8 @@ func TestTaskOnlyPackagesImportNoSync(t *testing.T) {
 		"freelist.go": "sync",             // shared by every kernel in the process
 		"virtual.go":  "sync/atomic",      // Virtual.now, read by Now from anywhere
 	}
-	for _, dir := range []string{".", "../queue", "../device", "../netsim", "../storage", "../matcache"} {
+	for _, dir := range []string{".", "../queue", "../device", "../netsim", "../storage", "../matcache",
+		"../distributed", "../core", "../trainer", "../gpu"} {
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil || len(files) == 0 {
 			t.Fatalf("no Go files in %s (%v)", dir, err)

@@ -60,7 +60,7 @@ const (
 )
 
 // NewSelector returns a selector bound to rt.
-func NewSelector(rt Runtime) *Selector { return &Selector{k: rt.(*Virtual)} }
+func NewSelector(rt *Virtual) *Selector { return &Selector{k: rt} }
 
 // Reset begins a new wait cycle, discarding a wake delivered since the last
 // Wait returned (a waker may claim the selector while its owner is between

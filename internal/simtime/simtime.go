@@ -1,11 +1,9 @@
-// Package simtime provides the runtime abstraction that every component of
-// this repository blocks through: sleeping, queue waits, and device
-// occupancy all go through a Runtime.
-//
-// One implementation exists: Virtual, a deterministic discrete-event kernel.
-// Runtime stays an interface only so that signatures taking one keep
-// compiling; every constructor here asserts *Virtual. The rest of this
-// comment is the kernel's contract.
+// Package simtime provides the runtime that every component of this
+// repository blocks through: sleeping, queue waits, and device occupancy all
+// go through a *Virtual, a deterministic discrete-event kernel. There is no
+// interface in front of it — nothing substitutes another clock — so every
+// constructor and signature names the concrete type. The rest of this comment
+// is the kernel's contract.
 //
 // One task at a time. Tasks spawned with Go, GoDaemon or Run are coroutines
 // resumed by one kernel loop: exactly one runs, until it parks in Sleep,
@@ -79,39 +77,16 @@
 // instant uses WithCancel, queue Close, or stop flags.
 package simtime
 
-import (
-	"context"
-	"time"
-)
-
-// Runtime is the clock and scheduler abstraction used by all pipeline
-// components.
-type Runtime interface {
-	// Now returns the virtual time elapsed since the runtime was created.
-	Now() time.Duration
-	// Sleep pauses the calling task for d of simulated time, or until ctx
-	// is done, whichever comes first. It returns ctx.Err() when interrupted.
-	Sleep(ctx context.Context, d time.Duration) error
-	// Go spawns a tracked task, from a task. Time cannot advance while any
-	// tracked task is runnable.
-	Go(name string, fn func())
-	// NewWaiter returns a parking primitive for building blocking
-	// structures (queues, semaphores) on top of the runtime.
-	NewWaiter() *Waiter
-}
+import "context"
 
 // WithCancel is context.WithCancel for contexts that tasks of rt park
 // under. The returned cancel function is a kernel event, for tasks to call:
 // tasks parked under the context, or one derived from it, are readied before
 // it returns. From outside the kernel, Post it.
-func WithCancel(rt Runtime, parent context.Context) (context.Context, context.CancelFunc) {
+func WithCancel(rt *Virtual, parent context.Context) (context.Context, context.CancelFunc) {
 	ctx, cancel := context.WithCancel(parent)
-	k := rt.(*Virtual)
-	return ctx, func() { cancel(); k.pollCancelled() }
+	return ctx, func() { cancel(); rt.pollCancelled() }
 }
-
-// GoDaemon spawns fn as a daemon task of rt (see Virtual.GoDaemon).
-func GoDaemon(rt Runtime, name string, fn func()) { rt.(*Virtual).GoDaemon(name, fn) }
 
 // Waiter is a one-shot parking primitive. A task calls Wait to park; another
 // task calls Wake to unpark it. A Waiter may be woken before Wait is called,
@@ -131,5 +106,3 @@ func (w *Waiter) Wait(ctx context.Context) error {
 	_, err := w.sel.wait(ctx, 0, "waiter")
 	return err
 }
-
-var _ Runtime = (*Virtual)(nil)

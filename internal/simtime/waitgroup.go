@@ -6,14 +6,13 @@ import "context"
 // under the Virtual runtime must not block on sync.WaitGroup (the kernel
 // would believe them runnable); they use this type instead. Task-only.
 type WaitGroup struct {
-	rt     Runtime
 	n      int
 	parked waitList
 }
 
 // NewWaitGroup returns a WaitGroup bound to rt.
-func NewWaitGroup(rt Runtime) *WaitGroup {
-	return &WaitGroup{rt: rt, parked: waitList{k: rt.(*Virtual)}}
+func NewWaitGroup(rt *Virtual) *WaitGroup {
+	return &WaitGroup{parked: waitList{k: rt}}
 }
 
 // waitList parks tasks until its next release. Their selectors are kept and
@@ -62,7 +61,7 @@ func (wg *WaitGroup) Done() { wg.Add(-1) }
 // Go spawns fn as a tracked task accounted for by the group.
 func (wg *WaitGroup) Go(name string, fn func()) {
 	wg.Add(1)
-	wg.rt.Go(name, func() {
+	wg.parked.k.Go(name, func() {
 		defer wg.Done()
 		fn()
 	})

@@ -14,11 +14,11 @@ func TestSlowdownStretchesReads(t *testing.T) {
 	k.Run(func() {
 		d := NewDisk(k, "nvme", 1e9, 1)
 		start := k.Now()
+		d.ScheduleSlowdown(start+100*time.Millisecond, 4)
+		d.ScheduleSlowdown(start+500*time.Millisecond, 1)
 		_ = d.Read(context.Background(), 100e6) // 0.1s
-		d.SetSlowdown(4)
-		_ = d.Read(context.Background(), 100e6) // 0.4s
-		d.SetSlowdown(1)
-		_ = d.Read(context.Background(), 100e6) // 0.1s
+		_ = d.Read(context.Background(), 100e6) // 0.4s: starts on the first point
+		_ = d.Read(context.Background(), 100e6) // 0.1s: starts on the second
 		elapsed := (k.Now() - start).Seconds()
 		if math.Abs(elapsed-0.6) > 0.02 {
 			t.Fatalf("elapsed = %.3fs, want 0.6s", elapsed)
@@ -34,8 +34,8 @@ func TestSlowdownBelowOneClamped(t *testing.T) {
 	k := simtime.NewVirtual()
 	k.Run(func() {
 		d := NewDisk(k, "nvme", 1e9, 1)
-		d.SetSlowdown(0.1) // cannot speed the disk up
 		start := k.Now()
+		d.ScheduleSlowdown(start, 0.1) // cannot speed the disk up
 		_ = d.Read(context.Background(), 1e9)
 		if got := (k.Now() - start).Seconds(); got < 0.99 {
 			t.Fatalf("read completed in %.3fs despite clamp", got)
@@ -44,12 +44,14 @@ func TestSlowdownBelowOneClamped(t *testing.T) {
 }
 
 func TestDegradationMidStreamDoesNotLoseReads(t *testing.T) {
-	// Failure injection: a background task degrades the disk while many
-	// readers are in flight; all reads must still complete.
+	// Failure injection: the disk degrades while many readers are in
+	// flight; all reads must still complete.
 	k := simtime.NewVirtual()
 	const readers = 20
 	k.Run(func() {
 		d := NewDisk(k, "nvme", 10e9, 2)
+		d.ScheduleSlowdown(k.Now()+500*time.Millisecond, 8)
+		d.ScheduleSlowdown(k.Now()+2500*time.Millisecond, 1)
 		wg := simtime.NewWaitGroup(k)
 		for i := 0; i < readers; i++ {
 			wg.Go("reader", func() {
@@ -61,12 +63,6 @@ func TestDegradationMidStreamDoesNotLoseReads(t *testing.T) {
 				}
 			})
 		}
-		wg.Go("chaos", func() {
-			_ = k.Sleep(context.Background(), 500*time.Millisecond)
-			d.SetSlowdown(8)
-			_ = k.Sleep(context.Background(), 2*time.Second)
-			d.SetSlowdown(1)
-		})
 		_ = wg.Wait(context.Background())
 		if br := d.BytesRead(); br != readers*5*200e6 {
 			t.Fatalf("BytesRead = %d, want %d", br, int64(readers*5*200e6))

@@ -23,17 +23,15 @@ import (
 // (Lustre-like filesystems serve several clients at once; an NVMe drive
 // saturates with few). Task-only, like the device under it.
 type Disk struct {
-	rt       simtime.Runtime
+	rt       *simtime.Virtual
 	dev      *device.Device
 	streamBW float64 // bytes per second per stream
 
-	slowdown float64 // ≥1; failure-injection multiplier on read time
-	// sched is a pre-installed degradation timeline, sorted by instant.
-	// Once the clock reaches its first point it overrides the live
-	// slowdown: the factor a read sees is then a pure function of the
-	// read's start time, so a reader racing the scripted transition
-	// instant resolves identically no matter which side the scheduler
-	// runs first — live SetSlowdown mutation cannot promise that.
+	// sched is the degradation timeline (failure injection), sorted by
+	// instant: a read takes the factor of the last point at or before its
+	// start, 1 before the first. It is data, not a task, so installing a
+	// script parks nobody and moves no clock — Serve installs one on a
+	// kernel that is still idle.
 	sched []slowdownPoint
 
 	bytesRead int64
@@ -47,7 +45,7 @@ type slowdownPoint struct {
 
 // NewDisk returns a disk with the given aggregate bandwidth split across
 // `parallelism` full-speed streams.
-func NewDisk(rt simtime.Runtime, name string, aggregateBW float64, parallelism float64) *Disk {
+func NewDisk(rt *simtime.Virtual, name string, aggregateBW float64, parallelism float64) *Disk {
 	if parallelism < 1 {
 		parallelism = 1
 	}
@@ -55,7 +53,6 @@ func NewDisk(rt simtime.Runtime, name string, aggregateBW float64, parallelism f
 		rt:       rt,
 		dev:      device.New(rt, name, parallelism),
 		streamBW: aggregateBW / parallelism,
-		slowdown: 1,
 	}
 }
 
@@ -64,7 +61,7 @@ func (d *Disk) Read(ctx context.Context, n int64) error {
 	if n <= 0 {
 		return nil
 	}
-	f := d.slowdown
+	f := 1.0
 	if len(d.sched) > 0 {
 		now := d.rt.Now()
 		for i := len(d.sched) - 1; i >= 0; i-- {
@@ -81,23 +78,11 @@ func (d *Disk) Read(ctx context.Context, n int64) error {
 	return nil
 }
 
-// SetSlowdown injects a storage degradation: subsequent reads take factor×
-// longer (factor ≥ 1; 1 restores full speed). Models transient contention
-// on shared filesystems or a failing drive — the I/O interference §5.3
-// observes on the Lustre testbed.
-func (d *Disk) SetSlowdown(factor float64) {
-	if factor < 1 {
-		factor = 1
-	}
-	d.slowdown = factor
-}
-
-// ScheduleSlowdown pre-installs a degradation step: reads starting at or
-// after `at` take factor× longer, until a later scheduled point. Install
-// the whole timeline before the clock reaches its first point — scripted
-// fault injection uses this instead of SetSlowdown so that a read racing
-// the transition instant itself still resolves deterministically (the
-// factor is a pure function of the read's start time).
+// ScheduleSlowdown installs a degradation step: reads starting at or after
+// `at` take factor× longer (factor ≥ 1; 1 restores full speed), until a
+// later scheduled point. Models transient contention on shared filesystems
+// or a failing drive — the I/O interference §5.3 observes on the Lustre
+// testbed.
 func (d *Disk) ScheduleSlowdown(at time.Duration, factor float64) {
 	if factor < 1 {
 		factor = 1
@@ -121,7 +106,7 @@ func (d *Disk) AggregateBandwidth() float64 {
 
 // ReadRateGauge returns a sampling function reporting read throughput in
 // bytes/second over the window since the previous call.
-func (d *Disk) ReadRateGauge(rt simtime.Runtime) func() float64 {
+func (d *Disk) ReadRateGauge(rt *simtime.Virtual) func() float64 {
 	last := d.BytesRead()
 	lastT := rt.Now()
 	return func() float64 {
@@ -387,7 +372,7 @@ func (c *PageCache) Put(key data.Key, bytes int64) { c.PutAs(0, key, bytes) }
 // fetched parks the caller as a follower (waiter non-nil — Wait on it,
 // then call GetOrBegin again). Followers are attributed a hit when they
 // find the completed fetch on re-check; only the leader pays a miss.
-func (c *PageCache) GetOrBegin(tenant int, key data.Key, rt simtime.Runtime) (hit bool, waiter *simtime.Waiter) {
+func (c *PageCache) GetOrBegin(tenant int, key data.Key, rt *simtime.Virtual) (hit bool, waiter *simtime.Waiter) {
 	if n, ok := c.index[key]; ok {
 		if c.head != n {
 			c.unlink(n)
@@ -575,7 +560,7 @@ func (st *Store) WithTenant(id int) *Store {
 // readers of the same key — typically sibling sessions warming up over a
 // shared dataset — park until the fetch lands and then count a shared hit,
 // instead of issuing redundant reads for bytes already on their way.
-func (st *Store) ReadSample(ctx context.Context, rt simtime.Runtime, s *data.Sample) error {
+func (st *Store) ReadSample(ctx context.Context, rt *simtime.Virtual, s *data.Sample) error {
 	if st.Cache == nil {
 		if err := st.fetch(ctx, rt, s); err != nil {
 			return err
@@ -625,7 +610,7 @@ func (st *Store) span(stage trace.Stage, start, end time.Duration, s *data.Sampl
 
 // fetch is the uncached read path: the disk occupancy, then — for remote
 // storage — the network transfer to the reading node.
-func (st *Store) fetch(ctx context.Context, rt simtime.Runtime, s *data.Sample) error {
+func (st *Store) fetch(ctx context.Context, rt *simtime.Virtual, s *data.Sample) error {
 	t0 := rt.Now()
 	if err := st.Disk.Read(ctx, s.RawBytes); err != nil {
 		return err

@@ -7,27 +7,26 @@
 // # Determinism
 //
 // A span's fields are pure functions of the simulation: start and end come
-// from simtime.Runtime.Now(), and the identity fields (stage, tenant,
+// from simtime.Virtual.Now(), and the identity fields (stage, tenant,
 // node, key, seq) come from the simulated entities themselves — never from
 // allocation order, goroutine identity, or a shared counter. The virtual
 // kernel runs one task at a time in an order that is itself a function of
-// the program, so identical scripts record identical spans; Canonicalize
-// (lane labels) and Compare (sort) then make the export independent of
-// append order as well, and two runs export byte-identical traces at any
-// GOMAXPROCS, including under -race.
+// the program, so identical scripts record identical spans, labels
+// included: which consumer queue batch 17 landed in, and so which GPU
+// trained it, is a fact of the run, and the span's Key says so. Nothing
+// rewrites a span between Record and the exporters; Snapshot only sorts
+// (Compare), which makes the export independent of append order as well,
+// and two runs export byte-identical traces at any GOMAXPROCS, including
+// under -race.
 //
 // The guarantee is exactly as strong as the simulation's own, and holds
 // for every run that enters its kernel from one goroutine: single- and
 // multi-GPU sessions, multi-node jobs, chaos replays with membership
-// changes, and many sessions consumed through StreamAll. (Two regimes this
-// comment used to exempt — several batch constructors of one loader racing
-// for samples, and tenants contending for a disk or a core at one virtual
-// instant — were scheduler-dependent only while tasks were free goroutines;
-// a 64-GPU session and a 16-tenant cluster now export byte-identical traces
-// over 50 runs at GOMAXPROCS 1 and 8.) The one thing the kernel does not
-// order is the arrival of several untracked goroutines: tenants that each
-// range over their own Session.Batches on a goroutine of their own enter in
-// the order the OS starts them, and their first events can swap.
+// changes, and many sessions consumed through StreamAll. The one thing the
+// kernel does not order is the arrival of several untracked goroutines:
+// tenants that each range over their own Session.Batches on a goroutine of
+// their own enter in the order the OS starts them, and their first events
+// can swap.
 //
 // # Cost
 //
@@ -282,9 +281,8 @@ func (r *Recorder) Len() int {
 	return n
 }
 
-// Snapshot returns every recorded span with lane labels canonicalized
-// (see Canonicalize) in canonical order. The result is a copy; recording
-// may continue. Nil on a nil recorder.
+// Snapshot returns every recorded span in canonical order (see Compare).
+// The result is a copy; recording may continue. Nil on a nil recorder.
 func (r *Recorder) Snapshot() []Span {
 	if r == nil {
 		return nil
@@ -299,7 +297,6 @@ func (r *Recorder) Snapshot() []Span {
 		out = append(out, c.spans[:c.n]...)
 	}
 	r.mu.Unlock()
-	Canonicalize(out)
 	Sort(out)
 	return out
 }

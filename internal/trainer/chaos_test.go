@@ -1,7 +1,6 @@
 package trainer_test
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -33,12 +32,8 @@ func TestTrainingSurvivesDiskDegradation(t *testing.T) {
 			if chaos {
 				// Strike early (the loader prefetches aggressively) and
 				// keep the disk degraded across most of the run.
-				k.Go("chaos", func() {
-					_ = k.Sleep(context.Background(), 2*time.Second)
-					tb.Disk.SetSlowdown(16)
-					_ = k.Sleep(context.Background(), 90*time.Second)
-					tb.Disk.SetSlowdown(1)
-				})
+				tb.Disk.ScheduleSlowdown(k.Now()+2*time.Second, 16)
+				tb.Disk.ScheduleSlowdown(k.Now()+92*time.Second, 1)
 			}
 			rep, err = trainer.Run(k, tb, w, loaders.Minato(core.DefaultConfig()), trainer.Params{})
 		})

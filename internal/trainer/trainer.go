@@ -149,10 +149,9 @@ type Report struct {
 
 	// StallBreakdown attributes the session's consumer stalls (DataStall;
 	// the barrier and network fields stay zero on a single machine), the
-	// step-time quantiles, and the absorbed fault windows. When tracing is
-	// enabled the critical-path analyzer is the source; otherwise the
-	// consumers' stall counters fill it — both are stamped at the same
-	// virtual instants.
+	// step-time quantiles, and the absorbed fault windows. The consumers'
+	// stall counters fill it, traced or not; the recorded spans are stamped
+	// at the same virtual instants.
 	report.StallBreakdown
 	// PreemptStall is the total time consumers spent parked by Preempt
 	// events (across GPUs).
@@ -170,9 +169,9 @@ type Report struct {
 
 // Trace returns the session's recorded spans in canonical order (nil when
 // tracing was disabled). The snapshot is taken lazily on first call — a
-// traced run that never reads its trace pays nothing for the
-// canonicalize-and-sort — and memoized, so read it before resetting the
-// sink the session recorded into.
+// traced run that never reads its trace pays nothing for the copy and
+// sort — and memoized, so read it before resetting the sink the session
+// recorded into.
 func (r *Report) Trace() []trace.Span {
 	if r.spans == nil && r.rec.Enabled() {
 		r.spans = r.rec.Snapshot()
@@ -255,7 +254,7 @@ func (r *Report) AvgSlowProportion() float64 {
 
 // Run executes one training session on an existing testbed. It must be
 // called from a task tracked by the runtime (e.g. inside Virtual.Run).
-func Run(rt simtime.Runtime, tb *hardware.Testbed, w workload.Workload, f Factory, p Params) (*Report, error) {
+func Run(rt *simtime.Virtual, tb *hardware.Testbed, w workload.Workload, f Factory, p Params) (*Report, error) {
 	env := &loader.Env{RT: rt, CPU: tb.CPU, GPUs: tb.GPUs, Store: tb.Store,
 		WG: simtime.NewWaitGroup(rt), Pool: data.NewPool()}
 	return RunEnv(env, tb.Disk, tb.Cache, w, f, p)
@@ -550,7 +549,7 @@ func Simulate(cfg hardware.Config, w workload.Workload, f Factory, p Params) (*R
 // facade through StartChaos/Gate/NoteStep/Stop/Finish. Task-only, except
 // Finish, which reads it once the session's tasks have drained.
 type ChaosState struct {
-	rt   simtime.Runtime
+	rt   *simtime.Virtual
 	env  *loader.Env
 	disk *storage.Disk
 	wg   *simtime.WaitGroup
@@ -573,7 +572,7 @@ type ChaosState struct {
 // The script must already be validated for a single-machine run
 // (Script.Validate(0)); gpus sizes the per-consumer step-interval
 // tracking.
-func StartChaos(rt simtime.Runtime, env *loader.Env, disk *storage.Disk, wg *simtime.WaitGroup, script chaos.Script, gpus int) *ChaosState {
+func StartChaos(rt *simtime.Virtual, env *loader.Env, disk *storage.Disk, wg *simtime.WaitGroup, script chaos.Script, gpus int) *ChaosState {
 	c := &ChaosState{
 		rt: rt, env: env, disk: disk, wg: wg,
 		hist: stats.NewLogHist(), lastStep: make([]time.Duration, gpus),
@@ -600,11 +599,9 @@ func StartChaos(rt simtime.Runtime, env *loader.Env, disk *storage.Disk, wg *sim
 		}
 		c.terminal = append(c.terminal, term)
 	}
-	// Disk degradation is pre-installed as a timeline rather than applied
-	// live from the engine task: a read racing the scripted instant then
-	// sees the factor as a pure function of its own start time, not of
-	// same-instant scheduling order. The engine still replays the events
-	// for the fault-window bookkeeping.
+	// Disk degradation is installed as a timeline on the disk (the one
+	// mechanism there is: see storage.Disk.ScheduleSlowdown); the engine
+	// replays the events for the fault-window bookkeeping.
 	if c.disk != nil {
 		for _, ev := range evs {
 			switch ev.Kind {

@@ -142,9 +142,9 @@ type (
 	PoolStats = data.PoolStats
 	// Testbed is an instantiated simulated machine.
 	Testbed = hardware.Testbed
-	// Runtime is the virtual-time abstraction; NewVirtualRuntime returns the
-	// one implementation.
-	Runtime = simtime.Runtime
+	// Runtime is the virtual-time kernel a session, cluster or service
+	// fabric runs on; NewVirtualRuntime makes one.
+	Runtime = *simtime.Virtual
 )
 
 // DefaultConfig returns the paper's MinatoLoader configuration (§5.1).
@@ -161,7 +161,7 @@ func NewPipeline(name string, ts ...Transform) *Pipeline { return transform.NewP
 
 // NewVirtualRuntime returns the deterministic discrete-event runtime used
 // by experiments: simulated time advances only when all tasks are parked.
-func NewVirtualRuntime() *simtime.Virtual { return simtime.NewVirtual() }
+func NewVirtualRuntime() Runtime { return simtime.NewVirtual() }
 
 // NewTestbed instantiates the devices for a hardware config.
 func NewTestbed(rt Runtime, cfg HardwareConfig) *Testbed { return hardware.NewTestbed(rt, cfg) }

@@ -16,10 +16,10 @@ import (
 //
 //	rep, err := minato.TrainMultiNode("speech-3s",
 //	    minato.WithTopology(minato.Topology{
-//	        Nodes:           4,
-//	        LinkBandwidth:   25e9, // 200 Gb/s
-//	        StragglerNode:   1,
-//	        StragglerFactor: 8,    // node 1 runs on 1/8th of its cores
+//	        Nodes:         4,
+//	        LinkBandwidth: 25e9, // 200 Gb/s
+//	        // node 1 runs on 1/8th of its cores
+//	        Stragglers: []minato.NodeFault{{Node: 1, Factor: 8}},
 //	    }),
 //	)
 type Topology struct {
@@ -49,15 +49,6 @@ type Topology struct {
 	// Degraded divides each listed node's NIC bandwidth by its factor —
 	// the flaky-link scenario, one entry per afflicted node.
 	Degraded []NodeFault
-
-	// StragglerFactor > 1 divides StragglerNode's CPU cores: sugar for a
-	// single Stragglers entry, kept for one-fault configurations.
-	StragglerNode   int
-	StragglerFactor float64
-	// DegradedFactor > 1 divides DegradedNode's NIC bandwidth: sugar for a
-	// single Degraded entry.
-	DegradedNode   int
-	DegradedFactor float64
 }
 
 // NodeFault names one node and its degradation factor — the element of
@@ -95,8 +86,6 @@ func (t Topology) config(hw *HardwareConfig) (distributed.Config, error) {
 	cfg.RemoteStore = !t.LocalStore
 	cfg.Stragglers = append([]NodeFault(nil), t.Stragglers...)
 	cfg.Degraded = append([]NodeFault(nil), t.Degraded...)
-	cfg.StragglerNode, cfg.StragglerFactor = t.StragglerNode, t.StragglerFactor
-	cfg.DegradedNode, cfg.DegradedFactor = t.DegradedNode, t.DegradedFactor
 	if cfg.Nodes == 0 && len(t.Mix) == 0 {
 		cfg.Nodes = 2
 	}
@@ -119,17 +108,8 @@ func (t Topology) config(hw *HardwareConfig) (distributed.Config, error) {
 	if t.LinkLatency > 0 {
 		cfg.LinkLatency = t.LinkLatency
 	}
-	switch {
-	case cfg.Nodes < 1:
+	if cfg.Nodes < 1 {
 		return cfg, configErr("WithTopology", fmt.Sprintf("node count %d < 1", cfg.Nodes))
-	case t.StragglerFactor > 1 && (t.StragglerNode < 0 || t.StragglerNode >= cfg.Nodes):
-		return cfg, configErr("WithTopology", fmt.Sprintf("straggler node %d outside cluster of %d", t.StragglerNode, cfg.Nodes))
-	case t.DegradedFactor > 1 && (t.DegradedNode < 0 || t.DegradedNode >= cfg.Nodes):
-		return cfg, configErr("WithTopology", fmt.Sprintf("degraded node %d outside cluster of %d", t.DegradedNode, cfg.Nodes))
-	case t.StragglerFactor < 0 || (t.StragglerFactor > 0 && t.StragglerFactor < 1):
-		return cfg, configErr("WithTopology", fmt.Sprintf("straggler factor %g must be ≥ 1", t.StragglerFactor))
-	case t.DegradedFactor < 0 || (t.DegradedFactor > 0 && t.DegradedFactor < 1):
-		return cfg, configErr("WithTopology", fmt.Sprintf("degraded factor %g must be ≥ 1", t.DegradedFactor))
 	}
 	for _, f := range t.Stragglers {
 		switch {

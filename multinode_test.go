@@ -52,7 +52,7 @@ func TestTrainMultiNodeByWorkloadName(t *testing.T) {
 func TestTrainMultiNodeDeterministic(t *testing.T) {
 	run := func() *MultiNodeReport {
 		rep, err := TrainMultiNodeWorkload(mnWorkload(10),
-			WithTopology(Topology{Nodes: 2, StragglerNode: 1, StragglerFactor: 4}),
+			WithTopology(Topology{Nodes: 2, Stragglers: []NodeFault{{Node: 1, Factor: 4}}}),
 			WithGPUs(1))
 		if err != nil {
 			t.Fatal(err)
@@ -69,7 +69,7 @@ func TestTrainMultiNodeStragglerScenario(t *testing.T) {
 	// The README scenario: a core-starved node drags the synchronous
 	// cluster, and MinatoLoader's preprocessing overlap wins on
 	// whole-cluster step time.
-	topo := Topology{Nodes: 2, StragglerNode: 1, StragglerFactor: 8}
+	topo := Topology{Nodes: 2, Stragglers: []NodeFault{{Node: 1, Factor: 8}}}
 	pt, err := TrainMultiNodeWorkload(mnWorkload(12),
 		WithTopology(topo), WithGPUs(1), WithLoader("pytorch"))
 	if err != nil {
@@ -109,9 +109,9 @@ func TestTrainMultiNodeRejectsInvalidTopology(t *testing.T) {
 	var ce *ConfigError
 	cases := []Topology{
 		{Nodes: -1},
-		{Nodes: 2, StragglerNode: 5, StragglerFactor: 4},
-		{Nodes: 2, DegradedNode: -1, DegradedFactor: 2},
-		{Nodes: 2, StragglerNode: 0, StragglerFactor: 0.5},
+		{Nodes: 2, Stragglers: []NodeFault{{Node: 5, Factor: 4}}},
+		{Nodes: 2, Degraded: []NodeFault{{Node: -1, Factor: 2}}},
+		{Nodes: 2, Stragglers: []NodeFault{{Node: 0, Factor: 0.5}}},
 	}
 	for i, topo := range cases {
 		if _, err := TrainMultiNode("speech-3s", WithTopology(topo)); !errors.As(err, &ce) {

@@ -85,7 +85,7 @@ type ServiceNetStats struct {
 // Stats snapshots the fabric's traffic counters (on the fabric's kernel: not
 // for the body of a Batches or StreamAll loop).
 func (n *ServiceNet) Stats() (st ServiceNetStats) {
-	inKernel(n.rt, func() {
+	n.rt.Do(func() {
 		st = ServiceNetStats{BytesMoved: n.net.BytesMoved(), FlowsCompleted: n.net.FlowsCompleted()}
 	})
 	return st
@@ -330,7 +330,7 @@ func Serve(cl *Cluster, opts ...ServeOption) (*ServerAddr, error) {
 	// the server is attached, wired and spawned with the kernel in hand.
 	var addr *ServerAddr
 	var err error
-	inKernel(cl.rt, func() { addr, err = serve(cl, sn, o) })
+	cl.rt.Do(func() { addr, err = serve(cl, sn, o) })
 	return addr, err
 }
 
@@ -399,7 +399,7 @@ func (a *ServerAddr) Streams() []string {
 // Stats snapshots the server's front-end counters, on the server's kernel:
 // from any goroutine but its tasks (a Batches or StreamAll body).
 func (a *ServerAddr) Stats() (st ServeStats) {
-	inKernel(a.rt, func() { st = a.srv.Stats() })
+	a.rt.Do(func() { st = a.srv.Stats() })
 	return st
 }
 
@@ -412,7 +412,7 @@ func (a *ServerAddr) Close() error {
 		return nil
 	}
 	// The waits below park, so they run on a task of the server's kernel.
-	onKernel(a.rt, func() {
+	a.rt.Run(func() {
 		a.eng.Stop()
 		_ = a.wg.Wait(context.Background())
 		a.srv.Close()
@@ -811,7 +811,7 @@ func StreamAll[S streamer](ctx context.Context, sessions []S, fn func(i int, s S
 		return
 	}
 	rt, _ := sessions[0].kernel()
-	onKernel(rt, func() {
+	rt.Run(func() {
 		wg := simtime.NewWaitGroup(rt)
 		for i, s := range sessions {
 			_, inline := s.kernel()

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"github.com/minatoloader/minato/internal/simtime"
 )
 
 // serveDataset is a fat-sample dataset for service tests: 1 MiB samples
@@ -601,7 +599,7 @@ func TestServedStreamParkBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := sn.Runtime().(*simtime.Virtual).Stats()
+	st := sn.Runtime().Stats()
 	perSample := float64(st.Parks) / float64(clients*batch*iterations)
 	t.Logf("%d samples: %d parks (%d timed, %d self-woken), %d retimes — %.3f parks per sample",
 		clients*batch*iterations, st.Parks, st.TimedParks, st.SelfWakes, st.Retimes, perSample)

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/minatoloader/minato/internal/loaders"
-	"github.com/minatoloader/minato/internal/simtime"
 	"github.com/minatoloader/minato/internal/trace"
 	"github.com/minatoloader/minato/internal/trainer"
 	"github.com/minatoloader/minato/internal/workload"
@@ -554,23 +553,19 @@ func (s *Session) Batches(ctx context.Context) iter.Seq2[*Batch, error] {
 	}
 }
 
-// onKernel executes fn as a tracked task of the runtime's kernel — the only
-// place code that parks may run — and blocks until it returns; inKernel calls
-// fn with the kernel in hand but on no task (simtime.Virtual.Do): for code
-// that touches kernel-owned state (caches, disk, fabric, loaders) without
-// parking. Neither is for callers that are themselves tasks.
-func onKernel(rt Runtime, fn func()) { rt.(*simtime.Virtual).Run(fn) }
-func inKernel(rt Runtime, fn func()) { rt.(*simtime.Virtual).Do(fn) }
-
-// runOnKernel is onKernel on the session's runtime, or a plain call when
-// StreamAll already put the caller on a task.
+// runOnKernel executes fn as a tracked task of the session's kernel
+// (simtime.Virtual.Run) — the only place code that parks may run — and blocks
+// until it returns, or is a plain call when StreamAll already put the caller
+// on a task. Code that touches kernel-owned state (caches, disk, fabric,
+// loaders) without parking uses Runtime.Do instead; neither is for callers
+// that are themselves tasks.
 func runOnKernel(s streamer, fn func()) {
 	rt, inline := s.kernel()
 	if inline.Load() {
 		fn()
 		return
 	}
-	onKernel(rt, fn)
+	rt.Run(fn)
 }
 
 // teardown stops the chaos replay and the loader, then waits for the
@@ -687,7 +682,7 @@ func (s *Session) close(onTask bool) (*Report, error) {
 		if onTask {
 			s.leave()
 		} else {
-			inKernel(s.rt, s.leave)
+			s.rt.Do(s.leave)
 		}
 		s.cl.releaseSession(s, onTask)
 	}

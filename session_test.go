@@ -179,10 +179,8 @@ func TestBatchesEarlyBreak(t *testing.T) {
 	if rep.Batches != 5 {
 		t.Fatalf("report counts %d batches, want 5", rep.Batches)
 	}
-	if v, ok := sess.rt.(interface{ Tasks() int }); ok {
-		if left := v.Tasks(); left != 0 {
-			t.Fatalf("%d loader tasks still alive after Close", left)
-		}
+	if left := sess.rt.Tasks(); left != 0 {
+		t.Fatalf("%d loader tasks still alive after Close", left)
 	}
 }
 

@@ -11,9 +11,9 @@ type (
 	// TraceSpan is one recorded interval (or instant, when Start == End) of
 	// the simulation: a disk read, a cache fill, a transform execution, a
 	// training step, a network flow, a fault window. Every field is stamped
-	// from the virtual clock, so a run's span set is bit-identical across
-	// repetitions wherever the simulation itself is event-deterministic
-	// (single-consumer sessions and multi-node jobs; see the internal trace
+	// from the virtual clock and every label is the one its layer recorded,
+	// so a run's span set is bit-identical across repetitions of any run
+	// that enters its kernel from one goroutine (see the internal trace
 	// package's determinism notes for the exact boundary).
 	TraceSpan = trace.Span
 	// TraceStage classifies a TraceSpan (disk read, transform, GPU step…).

@@ -86,16 +86,13 @@ func TestTrace16TenantChaos(t *testing.T) {
 	}
 }
 
-// TestTraceDeterministicMultiNodeChaos proves the tentpole's determinism
-// claim: two full 16-node chaos runs export byte-identical Chrome JSON.
-// The CI race job runs this same test under -race, covering the third leg.
-func TestTraceDeterministicMultiNodeChaos(t *testing.T) {
-	run := func() []byte {
+// assertTraceByteIdentical runs a traced scenario twice, each into a fresh
+// sink, and fails unless both export the same, non-empty Chrome JSON.
+func assertTraceByteIdentical(t *testing.T, run func(sink *TraceSink) error) {
+	t.Helper()
+	export := func() []byte {
 		sink := NewTraceSink()
-		_, err := TrainMultiNode("speech-3s", WithLoader("minato"), WithNodes(16),
-			WithGPUs(1), WithIterations(48), WithSeed(5),
-			WithChaosScenario("link-flap"), WithTracing(sink))
-		if err != nil {
+		if err := run(sink); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -104,7 +101,7 @@ func TestTraceDeterministicMultiNodeChaos(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	a, b := run(), run()
+	a, b := export(), export()
 	if len(a) == 0 {
 		t.Fatal("empty trace export")
 	}
@@ -113,29 +110,103 @@ func TestTraceDeterministicMultiNodeChaos(t *testing.T) {
 	}
 }
 
+// TestTraceDeterministicMultiNodeChaos proves the tentpole's determinism
+// claim: two full 16-node chaos runs export byte-identical Chrome JSON.
+// The CI race job runs this same test under -race, covering the third leg.
+func TestTraceDeterministicMultiNodeChaos(t *testing.T) {
+	assertTraceByteIdentical(t, func(sink *TraceSink) error {
+		_, err := TrainMultiNode("speech-3s", WithLoader("minato"), WithNodes(16),
+			WithGPUs(1), WithIterations(48), WithSeed(5),
+			WithChaosScenario("link-flap"), WithTracing(sink))
+		return err
+	})
+}
+
 // TestTraceDeterministicSingleMachine proves byte-identity for a
 // single-consumer training session — the configuration where every event
 // in the simulation is a pure function of virtual time.
 func TestTraceDeterministicSingleMachine(t *testing.T) {
-	run := func() []byte {
-		sink := NewTraceSink()
+	assertTraceByteIdentical(t, func(sink *TraceSink) error {
 		_, err := Train("speech-3s", WithLoader("minato"), WithGPUs(1),
 			WithIterations(30), WithSeed(11), WithTracing(sink))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := sink.WriteChrome(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return err
+	})
+}
+
+// TestTraceByteIdenticalRawLabels is byte-identity where a span's GPU label
+// used to be ambiguous: several batch constructors of one loader, or several
+// GPUs of one rank, woken at one virtual instant. Nothing relabels a span
+// between Record and WriteChrome, so the export is identical only if which
+// GPU trained which batch is itself a function of the program.
+func TestTraceByteIdenticalRawLabels(t *testing.T) {
+	for _, gpus := range []int{4, 64} {
+		t.Run(fmt.Sprintf("train-%dgpu", gpus), func(t *testing.T) {
+			assertTraceByteIdentical(t, func(sink *TraceSink) error {
+				_, err := Train("speech-3s", WithLoader("minato"),
+					WithHardware(ConfigA().WithGPUs(gpus)), WithIterations(10*gpus),
+					WithSeed(11), WithTracing(sink))
+				return err
+			})
+		})
 	}
-	a, b := run(), run()
-	if len(a) == 0 {
-		t.Fatal("empty trace export")
+	t.Run("multinode-8x2-link-flap", func(t *testing.T) {
+		assertTraceByteIdentical(t, func(sink *TraceSink) error {
+			_, err := TrainMultiNode("speech-3s", WithLoader("minato"), WithNodes(8),
+				WithGPUs(2), WithIterations(48), WithSeed(5),
+				WithChaosScenario("link-flap"), WithTracing(sink))
+			return err
+		})
+	})
+}
+
+// TestTraceLabelsAreTheGPUs checks that the labels in a 4-GPU trace are the
+// real ones: every GPU trains batches under its own index, each journey's
+// gpu-step span is covered by a device-run span of the same GPU over the
+// same interval, and the analyzer still reproduces Report.DataStall.
+func TestTraceLabelsAreTheGPUs(t *testing.T) {
+	sink := NewTraceSink()
+	rep, err := Train("speech-3s", WithLoader("minato"),
+		WithHardware(ConfigA().WithGPUs(4)), WithIterations(40), WithSeed(11), WithTracing(sink))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("trace export differs across identical runs: %d vs %d bytes", len(a), len(b))
+	type occupancy struct {
+		gpu        int64
+		start, end time.Duration
+	}
+	deviceRuns := map[occupancy]bool{}
+	var steps []TraceSpan
+	for _, s := range sink.Spans() {
+		switch s.Stage {
+		case TraceStageDeviceRun:
+			deviceRuns[occupancy{s.Key, s.Start, s.End}] = true
+		case TraceStageGPUStep:
+			steps = append(steps, s)
+		}
+	}
+	if int64(len(steps)) != rep.Batches {
+		t.Fatalf("%d gpu-step spans for %d batches", len(steps), rep.Batches)
+	}
+	for _, s := range steps {
+		if !deviceRuns[occupancy{s.Key, s.Start, s.End}] {
+			t.Fatalf("gpu-step of batch %d on gpu %d over [%v, %v] has no device-run span of that GPU",
+				s.Seq, s.Key, s.Start, s.End)
+		}
+	}
+	trained := map[int64]int{}
+	for _, p := range sink.CriticalPath() {
+		trained[p.GPU]++
+	}
+	for g := int64(0); g < 4; g++ {
+		if trained[g] == 0 {
+			t.Fatalf("GPU %d appears on no batch path: %v", g, trained)
+		}
+	}
+	if len(trained) != 4 {
+		t.Fatalf("batch paths name GPUs %v, want exactly 0-3", trained)
+	}
+	if attr := sink.Attribute(nil); attr.DataWait != rep.DataStall {
+		t.Fatalf("analyzer DataWait %v != Report.DataStall %v", attr.DataWait, rep.DataStall)
 	}
 }
 
