@@ -462,8 +462,8 @@ func BenchmarkServe(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sn := NewServiceNet(nil, ServiceNetConfig{Endpoints: clients + 8})
 				cl, err := NewCluster(
-					WithRuntime(sn.Runtime()).(ClusterOption),
-					WithEnv(EnvConfig{Cores: 8, GPUs: 1}).(ClusterOption),
+					WithRuntime(sn.Runtime()),
+					WithEnv(EnvConfig{Cores: 8, GPUs: 1}),
 				)
 				if err != nil {
 					b.Fatal(err)

@@ -1,8 +1,6 @@
 package minato
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"github.com/minatoloader/minato/internal/chaos"
@@ -127,71 +125,21 @@ func ChaosScenarios() []string {
 	return chaos.Names()
 }
 
-// ChaosOption is the type of WithChaos and WithChaosScenario: a fault
-// script attaches to a training session or multi-node job (as an Option)
-// or to a preprocessing server (as a ServeOption).
-type ChaosOption interface {
-	Option
-	ServeOption
-}
-
-type chaosOption struct {
-	session func(*sessionOptions)
-	serve   func(*serveOptions)
-}
-
-func (o chaosOption) applySession(s *sessionOptions) { o.session(s) }
-func (o chaosOption) applyServe(s *serveOptions)     { o.serve(s) }
-
 // WithChaos injects the given fault script into the session, multi-node
 // job, or preprocessing server. The script is validated against the run
 // shape: single-machine entry points (Open, Train, Cluster.Open,
-// Cluster.Train) accept disk, worker-stall, and preempt/resume events;
-// TrainMultiNode accepts node, link, disk, and worker-stall events; Serve
-// accepts link events (targeting servers by fleet index) and disk events.
-// Identical scripts against identical runs reproduce reports bit-for-bit.
-func WithChaos(s ChaosScript) ChaosOption {
-	return chaosOption{
-		session: func(o *sessionOptions) { sc := s; o.chaos = &sc },
-		serve:   func(o *serveOptions) { sc := s; o.chaos = &sc },
-	}
+// Cluster.Train, Resume) accept disk, worker-stall, and preempt/resume
+// events; TrainMultiNode accepts node, link, disk, and worker-stall events;
+// Serve accepts link events (targeting servers by fleet index) and disk
+// events. Identical scripts against identical runs reproduce reports
+// bit-for-bit.
+func WithChaos(s ChaosScript) Option {
+	return Option{"WithChaos", runs | atServe | atResume, func(o *options) { o.chaos = &s }}
 }
 
 // WithChaosScenario injects a registered fault scenario by name — the
 // one-line form of WithChaos for scripts in the scenario registry
-// (RegisterChaosScenario).
-func WithChaosScenario(name string) ChaosOption {
-	return chaosOption{
-		session: func(o *sessionOptions) { o.chaosName = name },
-		serve:   func(o *serveOptions) { o.chaosName = name },
-	}
-}
-
-// resolveChaos resolves the chaos options into a validated script for a
-// run shape: nodes > 0 is a multi-node job with that many ranks, nodes == 0
-// a single-machine session. The zero script passes through untouched.
-func (o *sessionOptions) resolveChaos(nodes int) (chaos.Script, error) {
-	if o.chaos != nil && o.chaosName != "" {
-		return chaos.Script{}, configErr("WithChaos/WithChaosScenario", "mutually exclusive")
-	}
-	var s chaos.Script
-	opt := "WithChaos"
-	switch {
-	case o.chaos != nil:
-		s = *o.chaos
-	case o.chaosName != "":
-		opt = "WithChaosScenario"
-		var ok bool
-		s, ok = chaos.ByName(o.chaosName)
-		if !ok {
-			return chaos.Script{}, configErr(opt, fmt.Sprintf("unknown scenario %q (registered: %s)",
-				o.chaosName, strings.Join(chaos.Names(), ", ")))
-		}
-	default:
-		return chaos.Script{}, nil
-	}
-	if err := s.Validate(nodes); err != nil {
-		return chaos.Script{}, configErr(opt, err.Error())
-	}
-	return s, nil
+// (RegisterChaosScenario). Scoped like WithChaos.
+func WithChaosScenario(name string) Option {
+	return Option{"WithChaosScenario", runs | atServe | atResume, func(o *options) { o.chaosName = name }}
 }

@@ -580,3 +580,93 @@ func TestTopologyFaultSlices(t *testing.T) {
 		})
 	}
 }
+
+// faultLines flattens a run's fault table and its fault spans, in order, one
+// line each — every field TestFaultTablePins pins.
+func faultLines(faults []FaultStat, spans []TraceSpan) []string {
+	var out []string
+	for _, f := range faults {
+		out = append(out, fmt.Sprintf("fault %v applied=%d cleared=%d recovery=%d stall=%d",
+			f.Event, f.AppliedAt, f.ClearedAt, f.Recovery, f.StallDuring))
+	}
+	for _, sp := range spans {
+		if sp.Stage == TraceStageFault || sp.Stage == TraceStageFaultWindow {
+			out = append(out, fmt.Sprintf("span %v [%d,%d] tenant=%d node=%d key=%d",
+				sp.Stage, sp.Start, sp.End, sp.Tenant, sp.Node, sp.Key))
+		}
+	}
+	return out
+}
+
+// TestFaultTablePins pins the complete fault table — event, AppliedAt,
+// ClearedAt, Recovery, StallDuring, in order — and every fault span of one
+// single-machine and one elastic multi-node run to the nanosecond. The values
+// were recorded before the three drivers' private fault tables were folded
+// into chaos.Faults, so the shared table is held to what each copy produced.
+func TestFaultTablePins(t *testing.T) {
+	check := func(t *testing.T, got, want []string) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("fault table moved:\n got:\n  %s\nwant:\n  %s",
+				strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+		}
+	}
+	t.Run("single-machine", func(t *testing.T) {
+		sink := NewTraceSink()
+		rep, err := TrainWorkload(mnWorkload(30), WithGPUs(1), WithTracing(sink),
+			WithChaos(ComposeChaos("pin",
+				BrownoutDisk(5*time.Second, 8, 10*time.Second),
+				StallWorkers(0, 5*time.Second, 2, 5*time.Second),
+				PreemptFor(12*time.Second, 4*time.Second))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.TrainTime != 44800000022 || rep.Batches != 30 {
+			t.Fatalf("run moved: %d ns, %d batches", rep.TrainTime, rep.Batches)
+		}
+		check(t, faultLines(rep.Faults, sink.Spans()), []string{
+			"fault disk-degrade@5s ×8 applied=5000000000 cleared=15000000000 recovery=0 stall=0",
+			"fault worker-stall@5s node=0 ×2 for=5s applied=5000000000 cleared=16254708183 recovery=0 stall=0",
+			"fault preempt@12s applied=12000000000 cleared=16000000000 recovery=0 stall=4000000000",
+			"fault resume@16s applied=16000000000 cleared=0 recovery=1200000001 stall=0",
+			"span fault [5000000000,5000000000] tenant=1 node=0 key=4",
+			"span fault [5000000000,5000000000] tenant=1 node=0 key=6",
+			"span fault-window [5000000000,15000000000] tenant=1 node=0 key=4",
+			"span fault-window [5000000000,16254708183] tenant=1 node=0 key=6",
+			"span fault [12000000000,12000000000] tenant=1 node=0 key=7",
+			"span fault-window [12000000000,16000000000] tenant=1 node=0 key=7",
+			"span fault [16000000000,16000000000] tenant=1 node=0 key=8",
+		})
+	})
+	t.Run("multi-node", func(t *testing.T) {
+		sink := NewTraceSink()
+		rep, err := TrainMultiNodeWorkload(mnWorkload(15), WithNodes(4), WithGPUs(1), WithTracing(sink),
+			WithChaos(ComposeChaos("pin",
+				StallWorkers(1, 2*time.Second, 2, 3*time.Second),
+				BrownoutDisk(3*time.Second, 8, 4*time.Second),
+				FlapLink(2, 4*time.Second, 16, 3*time.Second),
+				CrashNode(3, 5*time.Second, 8*time.Second))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.TrainTime != 27271539427 || rep.Steps != 15 {
+			t.Fatalf("run moved: %d ns, %d steps", rep.TrainTime, rep.Steps)
+		}
+		check(t, faultLines(rep.Faults, sink.Spans()), []string{
+			"fault worker-stall@2s node=1 ×2 for=3s applied=2000000000 cleared=8386636780 recovery=0 stall=11177481416",
+			"fault disk-degrade@3s ×8 applied=3000000000 cleared=7000000000 recovery=0 stall=5588930309",
+			"fault link-degrade@4s node=2 ×16 applied=4000000000 cleared=7000000000 recovery=0 stall=2447163368",
+			"fault node-crash@5s node=3 applied=5574253378 cleared=9796967973 recovery=0 stall=10424327160",
+			"fault node-join@8s node=3 applied=9796967973 cleared=0 recovery=5559352615 stall=0",
+			"span fault [2000000000,2000000000] tenant=0 node=1 key=6",
+			"span fault-window [2000000000,8386636780] tenant=0 node=1 key=6",
+			"span fault [3000000000,3000000000] tenant=0 node=-1 key=4",
+			"span fault-window [3000000000,7000000000] tenant=0 node=-1 key=4",
+			"span fault [4000000000,4000000000] tenant=0 node=2 key=2",
+			"span fault-window [4000000000,7000000000] tenant=0 node=2 key=2",
+			"span fault [5574253378,5574253378] tenant=0 node=3 key=0",
+			"span fault-window [5574253378,9796967973] tenant=0 node=3 key=0",
+			"span fault [9796967973,9796967973] tenant=0 node=3 key=1",
+		})
+	})
+}

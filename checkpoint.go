@@ -134,10 +134,9 @@ func (ck *Checkpoint) Close() error {
 // so RecoveryTime() measures checkpoint recovery the same way it measures
 // in-run fault recovery.
 //
-// The stream identity is pinned by the checkpoint: options that would change
-// what is delivered (WithPipeline, WithBatchSize, WithLoader,
-// WithLoaderFactory, WithLoaderConfig, WithIterations, WithEpochs, WithSeed)
-// are *ConfigError here. Tenancy and observation options (WithPriority,
+// The stream identity and the cluster are pinned by the checkpoint: options
+// that would change what is delivered, by which loader or on what substrate
+// are *ConfigError here. Tenancy, batch retention and chaos (WithPriority,
 // WithGPUs, WithRetainBatches, WithChaos, WithChaosScenario) may differ from
 // the original session. Resume consumes the checkpoint; a second Resume is a
 // *ConfigError.
@@ -150,24 +149,9 @@ func Resume(ck *Checkpoint, opts ...Option) (*Session, error) {
 	if ck.consumed {
 		return nil, configErr("Resume", "checkpoint already consumed")
 	}
-	o := buildOptions(opts)
-	if err := o.validate(); err != nil {
+	o, err := build(atResume, opts)
+	if err != nil {
 		return nil, err
-	}
-	if err := o.rejectClusterOwned(); err != nil {
-		return nil, err
-	}
-	switch {
-	case o.pipeline != nil:
-		return nil, configErr("WithPipeline", "pinned by the checkpoint")
-	case o.batchSize != 0:
-		return nil, configErr("WithBatchSize", "pinned by the checkpoint")
-	case o.loaderName != "" || o.factory != nil || o.loaderCfg != nil:
-		return nil, configErr("WithLoader", "pinned by the checkpoint")
-	case o.iterations != 0 || o.epochs != 0:
-		return nil, configErr("WithIterations/WithEpochs", "the budget is pinned by the checkpoint")
-	case o.seedSet:
-		return nil, configErr("WithSeed", "pinned by the checkpoint")
 	}
 	if ck.spec.TotalBatches() <= 0 {
 		return nil, configErr("Resume",

@@ -34,29 +34,17 @@ const (
 	AdmitQueue
 )
 
-// clusterOptions accumulates NewCluster's functional options.
-type clusterOptions struct {
-	hw          *HardwareConfig
-	env         *EnvConfig
-	gpus        int
-	rt          Runtime
-	maxSessions int
-	admission   AdmissionPolicy
-	matBytes    int64
-	trace       *trace.Recorder
-}
-
 // WithMaxSessions caps how many sessions the cluster hosts concurrently.
 // Zero (the default) means unlimited. What happens to opens beyond the cap
-// is decided by WithAdmission.
-func WithMaxSessions(n int) ClusterOption {
-	return clusterOption(func(o *clusterOptions) { o.maxSessions = n })
+// is decided by WithAdmission. NewCluster.
+func WithMaxSessions(n int) Option {
+	return Option{"WithMaxSessions", atNewCluster, func(o *options) { o.maxSessions = n }}
 }
 
 // WithAdmission sets the policy for opens arriving while the cluster is at
-// WithMaxSessions capacity: AdmitReject (default) or AdmitQueue.
-func WithAdmission(p AdmissionPolicy) ClusterOption {
-	return clusterOption(func(o *clusterOptions) { o.admission = p })
+// WithMaxSessions capacity: AdmitReject (default) or AdmitQueue. NewCluster.
+func WithAdmission(p AdmissionPolicy) Option {
+	return Option{"WithAdmission", atNewCluster, func(o *options) { o.admission = p }}
 }
 
 // Cluster is a long-lived, shared machine hosting many concurrent loading
@@ -126,24 +114,17 @@ type Cluster struct {
 // WithAdmission configure tenancy. Defaults: an 8-core single-GPU
 // environment on a fresh deterministic virtual runtime, unlimited
 // sessions.
-func NewCluster(opts ...ClusterOption) (*Cluster, error) {
-	co := &clusterOptions{}
-	for _, opt := range opts {
-		opt.applyCluster(co)
+func NewCluster(opts ...Option) (*Cluster, error) {
+	o, err := build(atNewCluster, opts)
+	if err != nil {
+		return nil, err
 	}
-	return newCluster(co)
+	return newCluster(o)
 }
 
-func newCluster(co *clusterOptions) (*Cluster, error) {
-	if co.hw != nil && co.env != nil {
-		return nil, configErr("WithHardware/WithEnv", "mutually exclusive")
-	}
-	if co.gpus < 0 {
-		return nil, configErr("WithGPUs", fmt.Sprintf("GPU count %d < 0", co.gpus))
-	}
-	if co.maxSessions < 0 {
-		return nil, configErr("WithMaxSessions", fmt.Sprintf("session cap %d < 0", co.maxSessions))
-	}
+// newCluster builds the substrate the (validated) options describe: an
+// explicit cluster's, or the implicit one of a standalone Open or Train.
+func newCluster(co *options) (*Cluster, error) {
 	rt := co.rt
 	ownsRT := rt == nil
 	if ownsRT {
@@ -174,9 +155,6 @@ func newCluster(co *clusterOptions) (*Cluster, error) {
 		env, disk, cache := buildEnv(rt, ec)
 		c.cpu, c.gpus, c.disk, c.cache = env.CPU, env.GPUs, disk, cache
 		c.store = env.Store
-	}
-	if co.matBytes < 0 {
-		return nil, configErr("WithMaterializedCache", fmt.Sprintf("capacity %d < 0", co.matBytes))
 	}
 	if co.matBytes > 0 {
 		if c.cache == nil {
@@ -230,20 +208,17 @@ func (c *Cluster) Runtime() Runtime { return c.rt }
 // first. Open must be called from ordinary (untracked) goroutines, not
 // from inside a virtual-kernel task.
 func (c *Cluster) Open(dataset Dataset, opts ...Option) (*Session, error) {
-	o := buildOptions(opts)
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	if err := o.rejectClusterOwned(); err != nil {
+	o, err := build(atClusterOpen, opts)
+	if err != nil {
 		return nil, err
 	}
 	return c.open(dataset, o, false, false)
 }
 
-// open wires a session; o must already be validated and carry no
-// cluster-owned options. onTask says the caller is a task of the cluster's
-// kernel (a server opening a stream) and not, as everyone else, outside it.
-func (c *Cluster) open(dataset Dataset, o *sessionOptions, ownsCluster, onTask bool) (*Session, error) {
+// open wires a session from built options. served says the caller is a
+// server's dispatch task opening a stream (Session.served), on the cluster's
+// kernel and not, as everyone else, outside it.
+func (c *Cluster) open(dataset Dataset, o *options, ownsCluster, served bool) (*Session, error) {
 	if dataset == nil {
 		return nil, configErr("Open", "requires a dataset")
 	}
@@ -251,7 +226,7 @@ func (c *Cluster) open(dataset Dataset, o *sessionOptions, ownsCluster, onTask b
 	if err != nil {
 		return nil, err
 	}
-	script, err := o.resolveChaos(0)
+	script, err := o.resolveChaos(singleMachine)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +266,7 @@ func (c *Cluster) open(dataset Dataset, o *sessionOptions, ownsCluster, onTask b
 		return nil, err
 	}
 	share := c.shares.Join(o.weight)
-	cacheTenant, usage := c.joinTenantFrom(onTask)
+	cacheTenant, usage := c.joinTenantFrom(served)
 	gpuIdxs := c.acquireGPUs(gpuCount)
 	env := c.sessionEnv(gpuIdxs, cacheTenant, share)
 
@@ -303,21 +278,21 @@ func (c *Cluster) open(dataset Dataset, o *sessionOptions, ownsCluster, onTask b
 	s := &Session{
 		cl:          c,
 		ownsCluster: ownsCluster,
+		served:      served,
 		tenantID:    tenantID,
 		cacheTenant: cacheTenant,
 		share:       share,
 		gpuIdxs:     gpuIdxs,
 		weight:      o.weight,
-		rt:          c.rt,
 		env:         env,
 		ld:          ld,
 		factory:     f,
 		name:        name,
 		spec:        spec,
-		retain:      o.retain,
 		script:      script,
 		usage:       usage,
 	}
+	s.rt, s.src, s.retain = c.rt, s, o.retain
 	c.mu.Lock()
 	c.sessions[s] = struct{}{}
 	c.mu.Unlock()
@@ -333,55 +308,32 @@ func (c *Cluster) open(dataset Dataset, o *sessionOptions, ownsCluster, onTask b
 // It blocks until the training run completes and occupies one session slot
 // for the duration.
 func (c *Cluster) Train(workloadName string, opts ...Option) (*Report, error) {
-	o := buildOptions(opts)
+	o, err := build(atClusterTrain, opts)
+	if err != nil {
+		return nil, err
+	}
 	w, ok := WorkloadByName(workloadName, o.seed)
 	if !ok {
 		return nil, configErr("Train", fmt.Sprintf("unknown workload %q (registered: %s)",
 			workloadName, strings.Join(Workloads(), ", ")))
-	}
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	if err := o.rejectClusterOwned(); err != nil {
-		return nil, err
 	}
 	return c.train(w, o)
 }
 
 // TrainWorkload is Cluster.Train for a workload value built directly.
 func (c *Cluster) TrainWorkload(w Workload, opts ...Option) (*Report, error) {
-	o := buildOptions(opts)
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	if err := o.rejectClusterOwned(); err != nil {
+	o, err := build(atClusterTrain, opts)
+	if err != nil {
 		return nil, err
 	}
 	return c.train(w, o)
 }
 
-// train runs one training session; o must already be validated and carry
-// no cluster-owned options.
-func (c *Cluster) train(w Workload, o *sessionOptions) (*Report, error) {
-	if o.pipeline != nil {
-		return nil, configErr("WithPipeline", "workloads carry their own pipeline; WithPipeline applies to Open")
-	}
-	if o.retain {
-		return nil, configErr("WithRetainBatches", "training consumers own and recycle their batches; WithRetainBatches applies to Open")
-	}
-	f, err := o.resolveFactory()
-	if err != nil {
-		return nil, err
-	}
-	script, err := o.resolveChaos(0)
-	if err != nil {
-		return nil, err
-	}
-	o.params.Chaos = script
-	gpuCount, err := c.sessionGPUs(o.gpus)
-	if err != nil {
-		return nil, err
-	}
+// shaped lays the budget options over a workload. With drop-last semantics a
+// batch larger than the dataset yields zero batches per epoch, which would
+// spin the index source forever instead of terminating; it is refused here,
+// as Open refuses it.
+func (o *options) shaped(w Workload) (Workload, error) {
 	if o.batchSize > 0 {
 		w.BatchSize = o.batchSize
 	}
@@ -391,12 +343,33 @@ func (c *Cluster) train(w Workload, o *sessionOptions) (*Report, error) {
 	if o.iterations > 0 {
 		w = w.WithIterations(o.iterations)
 	}
-	// Same guard as Open: with drop-last semantics a batch larger than the
-	// dataset yields zero batches per epoch, which would spin the index
-	// source forever instead of terminating.
 	if w.Spec().BatchesPerEpoch() == 0 {
-		return nil, configErr("WithBatchSize", fmt.Sprintf("batch size %d exceeds dataset %q size %d",
+		return w, configErr("WithBatchSize", fmt.Sprintf("batch size %d exceeds dataset %q size %d",
 			w.BatchSize, w.Dataset.Name(), w.Dataset.Len()))
+	}
+	return w, nil
+}
+
+// singleMachine is the chaos shape of every session of one machine.
+func singleMachine(s ChaosScript) error { return s.Validate(0) }
+
+// train runs one training session from built options.
+func (c *Cluster) train(w Workload, o *options) (*Report, error) {
+	f, err := o.resolveFactory()
+	if err != nil {
+		return nil, err
+	}
+	script, err := o.resolveChaos(singleMachine)
+	if err != nil {
+		return nil, err
+	}
+	o.params.Chaos = script
+	gpuCount, err := c.sessionGPUs(o.gpus)
+	if err != nil {
+		return nil, err
+	}
+	if w, err = o.shaped(w); err != nil {
+		return nil, err
 	}
 
 	if _, err := c.admit(); err != nil {
@@ -598,7 +571,7 @@ func (c *Cluster) release(onTask bool) {
 
 // releaseSession ends a session's tenancy: quota rebalance and slot release
 // (the session has left the caches itself, on the kernel).
-func (c *Cluster) releaseSession(s *Session, onTask bool) {
+func (c *Cluster) releaseSession(s *Session) {
 	c.mu.Lock()
 	delete(c.sessions, s)
 	c.mu.Unlock()
@@ -606,7 +579,7 @@ func (c *Cluster) releaseSession(s *Session, onTask bool) {
 	if s.share != nil {
 		s.share.Leave()
 	}
-	c.release(onTask)
+	c.release(s.served)
 }
 
 func (c *Cluster) isClosed() bool {

@@ -45,7 +45,6 @@ func main() {
 		minato.WithLoader(*ld),
 		minato.WithSeed(*seed),
 		minato.WithTracing(sink),
-		minato.WithParams(minato.Params{Collect: true}),
 	}
 	cfg := minato.ConfigA()
 	if *testbed == "B" || *testbed == "b" {
@@ -78,7 +77,7 @@ func main() {
 		stalls = fmt.Sprintf("data %.1fs, barrier %.1fs, network %.1fs",
 			rep.DataStall.Seconds(), rep.BarrierStall.Seconds(), rep.NetworkStall.Seconds())
 	} else {
-		opts = append(opts, minato.WithHardware(cfg))
+		opts = append(opts, minato.WithHardware(cfg), minato.WithParams(minato.Params{Collect: true}))
 		rep, err := minato.Train(*wl, opts...)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

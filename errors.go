@@ -10,9 +10,10 @@ import (
 // Error taxonomy. Every error the public API returns for misuse is one of
 // the following, so callers can branch without string matching:
 //
-//   - *ConfigError — an option conflict or invalid option value at Open,
-//     Train, TrainWorkload, NewCluster, Cluster.Open, or Cluster.Train.
-//     Matchable with errors.As; Option names the offending With* option.
+//   - *ConfigError — an option conflict, an invalid option value, or an
+//     option outside the scope of the entry point it was handed to, at any
+//     entry point that takes options. Matchable with errors.As; Option
+//     names the offending With* option.
 //   - ErrSessionConsumed — Batches ranged a second time. A session streams
 //     its batch budget exactly once.
 //   - ErrSessionClosed — Batches called after Close.

@@ -16,6 +16,10 @@
 // runner applies them at the first step boundary at or after Event.At,
 // the way an elastic agent (TorchElastic-style) reconfigures between
 // steps.
+//
+// What every driver of a script needs exists once, here: the fault-window
+// table and its spans (Faults), the worker-stall hogs (Faults.StallWorkers)
+// and the disk-timeline install loop (InstallDiskTimeline).
 package chaos
 
 import (

@@ -3,10 +3,15 @@ package chaos
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"github.com/minatoloader/minato/internal/device"
 	"github.com/minatoloader/minato/internal/simtime"
+	"github.com/minatoloader/minato/internal/storage"
+	"github.com/minatoloader/minato/internal/trace"
 )
 
 func TestValidate(t *testing.T) {
@@ -192,4 +197,87 @@ func TestPauserTerminalReturnsErrPreempted(t *testing.T) {
 	if _, err := nilP.Wait(context.Background()); err != nil {
 		t.Fatalf("nil pauser Wait = %v", err)
 	}
+}
+
+// TestFaultsTable drives the shared fault table the way its two drivers do:
+// windows keyed by (kind, node), the stall attributed between open and close,
+// an instant event completed later through At, hogs that close their own
+// window, and the spans each of them leaves.
+func TestFaultsTable(t *testing.T) {
+	k := simtime.NewVirtual()
+	rec := trace.NewRecorder()
+	var stall time.Duration
+	f := NewFaults(k, rec, 7, func() time.Duration { return stall })
+	k.Run(func() {
+		ctx := context.Background()
+		wg := simtime.NewWaitGroup(k)
+		cpu := device.New(k, "cpu", 2)
+		_ = k.Sleep(ctx, time.Second)
+		f.Open(Event{At: time.Second, Kind: LinkDegrade, Node: 1, Factor: 4}, 1)
+		f.Open(Event{At: time.Second, Kind: LinkDegrade, Node: 2, Factor: 4}, 2)
+		// Two shared cores, factor 1.5: three hogs of 2s each drain in 3s
+		// (and the device's round-up nanosecond).
+		f.StallWorkers(wg, cpu, Event{At: time.Second, Kind: WorkerStall, Factor: 1.5, Duration: 2 * time.Second}, 0)
+		stall = 300 * time.Millisecond
+		_ = k.Sleep(ctx, time.Second)
+		if fs := f.Close(LinkDegrade, 2); fs == nil || fs.Event.Node != 2 || fs.StallDuring != 300*time.Millisecond {
+			t.Errorf("closing node 2's window: %+v", fs)
+		}
+		if fs := f.Close(LinkDegrade, 2); fs != nil {
+			t.Errorf("a window closed twice: %+v", fs)
+		}
+		i := f.Instant(Event{At: 2 * time.Second, Kind: NodeJoin, Node: 3}, 3)
+		f.At(i).Recovery = time.Minute
+		_ = wg.Wait(ctx)
+	})
+	got := f.Stats()
+	got[2].ClearedAt = got[2].ClearedAt.Round(time.Millisecond)
+	want := []FaultStat{
+		{Event: got[0].Event, AppliedAt: time.Second}, // node 1's link: never restored
+		{Event: got[1].Event, AppliedAt: time.Second, ClearedAt: 2 * time.Second, StallDuring: 300 * time.Millisecond},
+		{Event: got[2].Event, AppliedAt: time.Second, ClearedAt: 4 * time.Second, StallDuring: 300 * time.Millisecond},
+		{Event: got[3].Event, AppliedAt: 2 * time.Second, Recovery: time.Minute},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("table:\n got %+v\nwant %+v", got, want)
+	}
+	var spans []string
+	for _, sp := range rec.Snapshot() {
+		spans = append(spans, fmt.Sprintf("%v %v-%v tenant=%d node=%d kind=%v", sp.Stage, sp.Start,
+			sp.End.Round(time.Millisecond), sp.Tenant, sp.Node, Kind(sp.Key)))
+	}
+	wantSpans := []string{
+		"fault 1s-1s tenant=7 node=0 kind=worker-stall",
+		"fault 1s-1s tenant=7 node=1 kind=link-degrade",
+		"fault 1s-1s tenant=7 node=2 kind=link-degrade",
+		"fault-window 1s-2s tenant=7 node=2 kind=link-degrade",
+		"fault-window 1s-4s tenant=7 node=0 kind=worker-stall",
+		"fault 2s-2s tenant=7 node=3 kind=node-join",
+	}
+	if !reflect.DeepEqual(spans, wantSpans) {
+		t.Fatalf("spans:\n got %q\nwant %q", spans, wantSpans)
+	}
+}
+
+func TestInstallDiskTimeline(t *testing.T) {
+	k := simtime.NewVirtual()
+	disk := storage.NewDisk(k, "disk", 1e9, 1)
+	InstallDiskTimeline(BrownoutDisk(time.Second, 4, time.Second).Events, nil, disk)
+	k.Run(func() {
+		ctx := context.Background()
+		read := func() time.Duration {
+			t0 := k.Now()
+			_ = disk.Read(ctx, 1e9)
+			return (k.Now() - t0).Round(time.Millisecond)
+		}
+		if d := read(); d != time.Second {
+			t.Errorf("read before the brownout took %v, want 1s", d)
+		}
+		if d := read(); d != 4*time.Second {
+			t.Errorf("read inside the brownout took %v, want 4s", d)
+		}
+		if d := read(); d != time.Second {
+			t.Errorf("read after the restore took %v, want 1s", d)
+		}
+	})
 }

@@ -21,7 +21,7 @@
 //
 // A Config may carry a chaos.Script. Continuous-substrate events (link,
 // disk, worker stalls) are replayed by a chaos.Engine task at their exact
-// scripted times. Membership events (NodeCrash/NodeJoin) switch the run
+// scripted times into the shared fault table (chaos.Faults). Membership events (NodeCrash/NodeJoin) switch the run
 // into elastic mode: they are applied at the first step boundary at or
 // after their time, inside the resume barrier's release hook, where every
 // consumer in the cluster is parked — a quiescent point, the way an
@@ -256,9 +256,6 @@ func (r *Report) CriticalPath() []trace.BatchPath {
 	return trace.CriticalPath(r.Trace())
 }
 
-// SetTrace installs a recorded span set.
-func (r *Report) SetTrace(spans []trace.Span) { r.spans = spans }
-
 // StepTime is the whole-cluster synchronized step time — the number the
 // per-step barrier makes everyone pay together.
 func (r *Report) StepTime() time.Duration {
@@ -381,23 +378,13 @@ type memberView struct {
 	done    bool
 }
 
-// winKey identifies an open fault window (disk events use node -1: they
-// target the storage substrate as a whole).
-type winKey struct {
-	kind chaos.Kind
-	node int
-}
-
-type openWin struct {
-	idx   int // index into ctrl.faults
-	stall time.Duration
-}
-
 // ctrl is the run's chaos-and-SLO controller: plain state of the run's
-// kernel tasks. Its onBoundary hook runs in the resume barrier's releasing
-// arriver, with every other consumer parked (the next release cannot begin
-// until each re-arrives); the continuous-event engine task appends to the
-// fault table at its own instants.
+// kernel tasks. It keeps what is elastic — membership views, resharding,
+// per-node join recovery — over the shared fault table (chaos.Faults). Its
+// onBoundary hook runs in the resume barrier's releasing arriver, with every
+// other consumer parked (the next release cannot begin until each
+// re-arrives); the continuous-event engine task appends to the fault table at
+// its own instants.
 type ctrl struct {
 	k       *simtime.Virtual
 	cfg     Config
@@ -407,10 +394,8 @@ type ctrl struct {
 	wg      *simtime.WaitGroup
 	nodes   []*nodeState
 	baseBW  []float64
-	disks   []*storage.Disk // DiskDegrade targets
 	seed    uint64
 	elastic bool
-	tr      *trace.Recorder
 
 	view *memberView
 
@@ -422,8 +407,7 @@ type ctrl struct {
 	lastBoundary time.Duration
 	hist         *stats.LogHist
 
-	faults     []chaos.FaultStat
-	open       map[winKey]openWin
+	faults     *chaos.Faults
 	pendingRec map[int]int // node → faults index awaiting first post-join step
 
 	consumeErr error
@@ -439,78 +423,25 @@ func (st *ctrl) totalStall() time.Duration {
 	return sum
 }
 
-// openFault records a fault taking effect.
-func (st *ctrl) openFault(ev chaos.Event, now time.Duration) {
-	key := winKey{ev.Kind, ev.Node}
-	if ev.Kind == chaos.DiskDegrade {
-		key.node = -1
-	}
-	st.faults = append(st.faults, chaos.FaultStat{Event: ev, AppliedAt: now})
-	st.open[key] = openWin{idx: len(st.faults) - 1, stall: st.totalStall()}
-	st.tr.Instant(trace.Span{Stage: trace.StageFault, Node: int32(key.node),
-		Key: int64(ev.Kind)}, now)
-}
-
-// closeFault clears the open window opened by kind on node, attributing
-// the stall accumulated in between.
-func (st *ctrl) closeFault(kind chaos.Kind, node int, now time.Duration) {
-	var applied time.Duration
-	closed := false
-	if w, ok := st.open[winKey{kind, node}]; ok {
-		st.faults[w.idx].ClearedAt = now
-		st.faults[w.idx].StallDuring = st.totalStall() - w.stall
-		applied = st.faults[w.idx].AppliedAt
-		closed = true
-		delete(st.open, winKey{kind, node})
-	}
-	if closed {
-		st.tr.Record(trace.Span{Start: applied, End: now, Stage: trace.StageFaultWindow,
-			Node: int32(node), Key: int64(kind)})
-	}
-}
-
 // applyContinuous handles the engine-replayed event kinds at their exact
-// scripted times.
+// scripted times; Run validated every node index against the cluster. Disk
+// windows are keyed on node -1: they target the storage substrate as a whole.
 func (st *ctrl) applyContinuous(ev chaos.Event) {
-	now := st.k.Now()
 	switch ev.Kind {
 	case chaos.LinkDegrade:
-		if ev.Node >= 0 && ev.Node < len(st.baseBW) {
-			st.fab.SetBandwidth(ev.Node, st.baseBW[ev.Node]/ev.Factor)
-			st.openFault(ev, now)
-		}
+		st.fab.SetBandwidth(ev.Node, st.baseBW[ev.Node]/ev.Factor)
+		st.faults.Open(ev, ev.Node)
 	case chaos.LinkRestore:
-		if ev.Node >= 0 && ev.Node < len(st.baseBW) {
-			st.fab.SetBandwidth(ev.Node, st.baseBW[ev.Node])
-			st.closeFault(chaos.LinkDegrade, ev.Node, now)
-		}
+		st.fab.SetBandwidth(ev.Node, st.baseBW[ev.Node])
+		st.faults.Close(chaos.LinkDegrade, ev.Node)
 	case chaos.DiskDegrade:
 		// The slowdown timeline was installed before the run started; only
 		// the fault window is recorded here.
-		st.openFault(ev, now)
+		st.faults.Open(ev, -1)
 	case chaos.DiskRestore:
-		st.closeFault(chaos.DiskDegrade, -1, now)
+		st.faults.Close(chaos.DiskDegrade, -1)
 	case chaos.WorkerStall:
-		if ev.Node < 0 || ev.Node >= len(st.nodes) {
-			return
-		}
-		st.openFault(ev, now)
-		cpu := st.nodes[ev.Node].tb.CPU
-		hogs := int(math.Ceil(ev.Factor * cpu.Capacity()))
-		if hogs < 1 {
-			hogs = 1
-		}
-		hogWG := simtime.NewWaitGroup(st.k)
-		for h := 0; h < hogs; h++ {
-			hogWG.Go("chaos-hog", func() {
-				_ = cpu.Run(context.Background(), ev.Duration)
-			})
-		}
-		node := ev.Node
-		st.wg.Go("chaos-hog-closer", func() {
-			_ = hogWG.Wait(context.Background())
-			st.closeFault(chaos.WorkerStall, node, st.k.Now())
-		})
+		st.faults.StallWorkers(st.wg, st.nodes[ev.Node].tb.CPU, ev, ev.Node)
 	}
 }
 
@@ -526,7 +457,8 @@ func (st *ctrl) onBoundary(uint64) {
 	st.rounds++
 	if len(st.pendingRec) > 0 {
 		for node, idx := range st.pendingRec {
-			st.faults[idx].Recovery = now - st.faults[idx].Event.At
+			fs := st.faults.At(idx)
+			fs.Recovery = now - fs.Event.At
 			delete(st.pendingRec, node)
 		}
 	}
@@ -553,17 +485,14 @@ func (st *ctrl) onBoundary(uint64) {
 			if active[ev.Node] {
 				active[ev.Node] = false
 				changed = true
-				st.openFault(ev, now)
+				st.faults.Open(ev, ev.Node)
 			}
 		case chaos.NodeJoin:
 			if !active[ev.Node] {
 				active[ev.Node] = true
 				changed = true
-				st.closeFault(chaos.NodeCrash, ev.Node, now)
-				st.faults = append(st.faults, chaos.FaultStat{Event: ev, AppliedAt: now})
-				st.pendingRec[ev.Node] = len(st.faults) - 1
-				st.tr.Instant(trace.Span{Stage: trace.StageFault, Node: int32(ev.Node),
-					Key: int64(ev.Kind)}, now)
+				st.faults.Close(chaos.NodeCrash, ev.Node)
+				st.pendingRec[ev.Node] = st.faults.Instant(ev, ev.Node)
 			}
 		}
 	}
@@ -748,19 +677,13 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 	}
 
 	st := &ctrl{
-		k: k, cfg: cfg, w: w, f: f, fab: fab, wg: wg, tr: cfg.Trace,
+		k: k, cfg: cfg, w: w, f: f, fab: fab, wg: wg,
 		nodes: nodes, baseBW: baseBW, seed: spec.Seed, elastic: elastic,
 		pending: memberEvs, target: target,
-		hist: stats.NewLogHist(),
-		open: map[winKey]openWin{}, pendingRec: map[int]int{},
+		hist:       stats.NewLogHist(),
+		pendingRec: map[int]int{},
 	}
-	if cfg.RemoteStore {
-		st.disks = []*storage.Disk{serverDisk}
-	} else {
-		for _, nd := range nodes {
-			st.disks = append(st.disks, nd.tb.Disk)
-		}
-	}
+	st.faults = chaos.NewFaults(k, cfg.Trace, 0, st.totalStall)
 	st.view = &memberView{
 		active:  initActive,
 		loaders: initLoaders,
@@ -790,21 +713,16 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 			return err
 		}
 	}
-	// Disk degradation is installed as a timeline on the disks (see
-	// storage.Disk.ScheduleSlowdown); the engine replay keeps the
-	// fault-window bookkeeping.
-	for _, ev := range contEvs {
-		switch ev.Kind {
-		case chaos.DiskDegrade:
-			for _, d := range st.disks {
-				d.ScheduleSlowdown(ev.At, ev.Factor)
-			}
-		case chaos.DiskRestore:
-			for _, d := range st.disks {
-				d.ScheduleSlowdown(ev.At, 1)
-			}
+	// Disk degradation hits the storage server on a remote-store cluster,
+	// every node's disk otherwise; the engine replay keeps the fault windows.
+	disks := []*storage.Disk{serverDisk}
+	if !cfg.RemoteStore {
+		disks = nil
+		for _, nd := range nodes {
+			disks = append(disks, nd.tb.Disk)
 		}
 	}
+	chaos.InstallDiskTimeline(contEvs, disks...)
 	eng := chaos.StartEngine(k, wg, contEvs, st.applyContinuous)
 
 	start := k.Now()
@@ -922,7 +840,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 	rep.NetworkBytes = fab.BytesMoved()
 	rep.StepP50 = st.hist.QuantileDuration(0.5)
 	rep.StepP99 = st.hist.QuantileDuration(0.99)
-	rep.Faults = append(rep.Faults, st.faults...)
+	rep.Faults = st.faults.Stats()
 	rep.rec = cfg.Trace
 
 	dur := rep.TrainTime.Seconds()

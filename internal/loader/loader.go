@@ -37,7 +37,8 @@ type Loader interface {
 	// configured budget has been delivered.
 	Next(ctx context.Context, g int) (*data.Batch, error)
 	// Stop requests shutdown; pending work is abandoned. Safe to call more
-	// than once, and after natural end-of-data.
+	// than once, and after natural end-of-data. After Stop, Next serves the
+	// batches already built and then fails: it never parks.
 	Stop()
 }
 

@@ -3,7 +3,9 @@
 // the loader has not prefetched, and occupy their GPU for the workload's
 // step cost. The trainer records everything the paper's evaluation reports:
 // training time, throughput over time, CPU/GPU utilization, disk reads,
-// accuracy-vs-iteration curves, and batch-composition statistics.
+// accuracy-vs-iteration curves, and batch-composition statistics. Its chaos
+// side (ChaosState) is the single-machine remainder over chaos.Faults: the
+// preemption gate, the step histogram, post-resume recovery.
 package trainer
 
 import (
@@ -11,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"time"
 
@@ -185,10 +186,6 @@ func (r *Report) CriticalPath() []trace.BatchPath {
 	return trace.CriticalPath(r.Trace())
 }
 
-// SetTrace installs a recorded span set (callers outside the trainer
-// assemble reports too, e.g. loading sessions).
-func (r *Report) SetTrace(spans []trace.Span) { r.spans = spans }
-
 // WriteTraceCSV exports the sample trace for offline analysis.
 func (r *Report) WriteTraceCSV(dir, name string) error {
 	header := []string{"index", "epoch", "raw_bytes", "loaded_s", "preproc_start_s",
@@ -347,7 +344,7 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 		return nil, err
 	}
 
-	cst := StartChaos(rt, env, disk, wg, p.Chaos, len(env.GPUs))
+	cst := StartChaos(env, disk, p.Chaos)
 
 	// Per-GPU consumers.
 	consumers := simtime.NewWaitGroup(rt)
@@ -542,17 +539,17 @@ func Simulate(cfg hardware.Config, w workload.Workload, f Factory, p Params) (*R
 }
 
 // ChaosState replays a single-machine fault script against a running
-// session and keeps the fault-window bookkeeping for the report. A zero
-// script costs one allocation and leaves the consumer fast path with a
-// nil-pauser check and a histogram insert per batch. The trainer drives it
-// internally; loading sessions (minato.Session.Batches) drive it from the
+// session and keeps what is single-machine about it: the preemption gate,
+// whether a Preempt is terminal, the step-interval histogram and post-resume
+// recovery, over the shared fault table (chaos.Faults). A zero script leaves
+// the consumer fast path with a nil-pauser check and a histogram insert per
+// batch. The trainer drives it internally; loading sessions drive it from the
 // facade through StartChaos/Gate/NoteStep/Stop/Finish. Task-only, except
-// Finish, which reads it once the session's tasks have drained.
+// Finish, which reads it once the session's tasks have drained. A nil
+// *ChaosState — a served stream: no script, nobody to read its report — gates
+// nothing and records nothing.
 type ChaosState struct {
-	rt   *simtime.Virtual
-	env  *loader.Env
-	disk *storage.Disk
-	wg   *simtime.WaitGroup
+	env *loader.Env
 
 	pauser *chaos.Pauser
 	eng    *chaos.Engine
@@ -561,22 +558,21 @@ type ChaosState struct {
 
 	hist       *stats.LogHist
 	lastStep   []time.Duration
-	faults     []chaos.FaultStat
-	open       map[chaos.Kind]int
-	recPending int    // fault index awaiting the first post-resume batch
-	terminal   []bool // per-Preempt: no Resume scheduled after it
-	termIdx    int
+	faults     *chaos.Faults
+	recPending int // fault index awaiting the first post-resume batch
+	resumes    int // Resume events not yet applied: a Preempt with none left is terminal
 }
 
-// StartChaos launches the event replay task (none for an empty script).
-// The script must already be validated for a single-machine run
-// (Script.Validate(0)); gpus sizes the per-consumer step-interval
-// tracking.
-func StartChaos(rt *simtime.Virtual, env *loader.Env, disk *storage.Disk, wg *simtime.WaitGroup, script chaos.Script, gpus int) *ChaosState {
+// StartChaos launches the event replay task on env's wait group (none for an
+// empty script). The script must already be validated for a single-machine
+// run (Script.Validate(0)); disk may be nil.
+func StartChaos(env *loader.Env, disk *storage.Disk, script chaos.Script) *ChaosState {
+	rt := env.RT
 	c := &ChaosState{
-		rt: rt, env: env, disk: disk, wg: wg,
-		hist: stats.NewLogHist(), lastStep: make([]time.Duration, gpus),
-		open: map[chaos.Kind]int{}, recPending: -1,
+		env:  env,
+		hist: stats.NewLogHist(), lastStep: make([]time.Duration, len(env.GPUs)),
+		faults:     chaos.NewFaults(rt, env.Trace, env.TraceTenant(), nil),
+		recPending: -1,
 	}
 	now := rt.Now()
 	for i := range c.lastStep {
@@ -586,119 +582,55 @@ func StartChaos(rt *simtime.Virtual, env *loader.Env, disk *storage.Disk, wg *si
 		return c
 	}
 	evs := script.Sorted()
-	for i, ev := range evs {
-		if ev.Kind != chaos.Preempt {
-			continue
-		}
-		term := true
-		for _, later := range evs[i+1:] {
-			if later.Kind == chaos.Resume {
-				term = false
-				break
-			}
-		}
-		c.terminal = append(c.terminal, term)
-	}
-	// Disk degradation is installed as a timeline on the disk (the one
-	// mechanism there is: see storage.Disk.ScheduleSlowdown); the engine
-	// replays the events for the fault-window bookkeeping.
-	if c.disk != nil {
-		for _, ev := range evs {
-			switch ev.Kind {
-			case chaos.DiskDegrade:
-				c.disk.ScheduleSlowdown(ev.At, ev.Factor)
-			case chaos.DiskRestore:
-				c.disk.ScheduleSlowdown(ev.At, 1)
-			}
+	for _, ev := range evs {
+		if ev.Kind == chaos.Resume {
+			c.resumes++
 		}
 	}
+	// The slowdown itself is the disk's timeline; the engine replays the
+	// same events for the fault windows.
+	chaos.InstallDiskTimeline(evs, disk)
 	c.pauser = chaos.NewPauser(rt)
-	c.eng = chaos.StartEngine(rt, wg, evs, c.apply)
+	c.eng = chaos.StartEngine(rt, env.WG, evs, c.apply)
 	return c
 }
 
 // apply runs in the engine's task at each event's scripted time.
 func (c *ChaosState) apply(ev chaos.Event) {
-	now := c.rt.Now()
+	node := int(c.env.TraceNode)
 	switch ev.Kind {
 	case chaos.DiskDegrade:
-		// The slowdown itself was scheduled at StartChaos; only the fault
-		// window is recorded here.
-		c.openFault(ev, now)
+		c.faults.Open(ev, node)
 	case chaos.DiskRestore:
-		c.closeFault(chaos.DiskDegrade, now)
+		c.faults.Close(chaos.DiskDegrade, node)
 	case chaos.WorkerStall:
-		c.openFault(ev, now)
-		n := int(math.Ceil(ev.Factor * c.env.CPU.Capacity()))
-		if n < 1 {
-			n = 1
-		}
-		hogs := simtime.NewWaitGroup(c.rt)
-		for i := 0; i < n; i++ {
-			hogs.Go("chaos-hog", func() {
-				_ = c.env.CPU.Run(context.Background(), ev.Duration)
-			})
-		}
-		c.wg.Go("chaos-hog-closer", func() {
-			_ = hogs.Wait(context.Background())
-			c.closeFault(chaos.WorkerStall, c.rt.Now())
-		})
+		c.faults.StallWorkers(c.env.WG, c.env.CPU, ev, node)
 	case chaos.Preempt:
-		term := false
-		if c.termIdx < len(c.terminal) {
-			term = c.terminal[c.termIdx]
-			c.termIdx++
-		}
-		c.openFault(ev, now)
-		c.pauser.Pause(term)
+		c.faults.Open(ev, node)
+		c.pauser.Pause(c.resumes == 0)
 	case chaos.Resume:
+		c.resumes--
 		c.pauser.Resume()
-		c.closeFault(chaos.Preempt, now)
-		c.faults = append(c.faults, chaos.FaultStat{Event: ev, AppliedAt: now})
-		c.recPending = len(c.faults) - 1
-		c.traceFault(trace.StageFault, now, now, ev.Kind)
-	}
-}
-
-func (c *ChaosState) openFault(ev chaos.Event, now time.Duration) {
-	c.faults = append(c.faults, chaos.FaultStat{Event: ev, AppliedAt: now})
-	c.open[ev.Kind] = len(c.faults) - 1
-	c.traceFault(trace.StageFault, now, now, ev.Kind)
-}
-
-func (c *ChaosState) closeFault(kind chaos.Kind, now time.Duration) {
-	var applied time.Duration
-	closed := false
-	if i, ok := c.open[kind]; ok {
-		c.faults[i].ClearedAt = now
-		applied = c.faults[i].AppliedAt
-		closed = true
-		if kind == chaos.Preempt {
+		if fs := c.faults.Close(chaos.Preempt, node); fs != nil {
 			// The pause window itself is the stall: every consumer is
 			// parked for its full extent.
-			c.faults[i].StallDuring = now - c.faults[i].AppliedAt
+			fs.StallDuring = fs.ClearedAt - fs.AppliedAt
 		}
-		delete(c.open, kind)
-	}
-	if closed {
-		c.traceFault(trace.StageFaultWindow, applied, now, kind)
+		c.recPending = c.faults.Instant(ev, node)
 	}
 }
 
-// traceFault records a fault span (instant when start == end) on the
-// session's recorder; a no-op without tracing.
-func (c *ChaosState) traceFault(st trace.Stage, start, end time.Duration, kind chaos.Kind) {
-	c.env.Trace.Record(trace.Span{Start: start, End: end, Stage: st,
-		Tenant: c.env.TraceTenant(), Node: c.env.TraceNode, Key: int64(kind)})
-}
-
-// noteStep records a consumer's batch-completion interval and resolves a
+// NoteStep records a consumer's batch-completion interval and resolves a
 // pending post-resume recovery measurement.
 func (c *ChaosState) NoteStep(g int, now time.Duration) {
+	if c == nil {
+		return
+	}
 	c.hist.AddDuration(now - c.lastStep[g])
 	c.lastStep[g] = now
 	if c.recPending >= 0 {
-		c.faults[c.recPending].Recovery = now - c.faults[c.recPending].AppliedAt
+		fs := c.faults.At(c.recPending)
+		fs.Recovery = now - fs.AppliedAt
 		c.recPending = -1
 	}
 }
@@ -706,13 +638,20 @@ func (c *ChaosState) NoteStep(g int, now time.Duration) {
 // Stop halts the replay; pending events are discarded. Call before
 // waiting out the session's background tasks, so a script outliving the
 // run cannot append trailing fault records.
-func (c *ChaosState) Stop() { c.eng.Stop() }
+func (c *ChaosState) Stop() {
+	if c != nil {
+		c.eng.Stop()
+	}
+}
 
 // Gate parks the calling consumer while the session is preempted,
 // accumulating the preemption stall; a terminal preemption (no resume
 // scheduled) returns ErrPreempted. Consumers call it at every batch
 // boundary.
 func (c *ChaosState) Gate(ctx context.Context) error {
+	if c == nil {
+		return nil
+	}
 	st, err := c.pauser.Wait(ctx)
 	c.preemptStall += max(st, 0)
 	return err
@@ -725,7 +664,7 @@ func (c *ChaosState) Finish(rep *Report) {
 	rep.StepP99 = c.hist.QuantileDuration(0.99)
 	rep.StepHist = c.hist
 	rep.PreemptStall = c.preemptStall
-	rep.Faults = append([]chaos.FaultStat(nil), c.faults...)
+	rep.Faults = c.faults.Stats()
 }
 
 // composition tracks Fig 11's batch statistics.

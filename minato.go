@@ -51,9 +51,16 @@
 //	rep, err := cluster.Train("speech-3s", minato.WithLoader("pytorch"))
 //
 // Open and Train are thin wrappers over an implicit single-session
-// cluster. API misuse surfaces as typed errors — *ConfigError plus the
-// sentinels ErrSessionConsumed, ErrSessionClosed, ErrClusterSaturated,
+// cluster. Every With* constructor returns the one Option type and declares
+// the entry points that accept it; an entry point handed any other returns a
+// *ConfigError naming it (README.md has the option × entry-point table). API
+// misuse surfaces as typed errors — *ConfigError plus the sentinels
+// ErrSessionConsumed, ErrSessionClosed, ErrClusterSaturated,
 // ErrClusterClosed; see errors.go for the taxonomy.
+//
+// A served cluster (Serve) streams the same batches to remote clients: Dial
+// returns a RemoteSession whose Batches is the same loop over another
+// transport — one pump, two sources.
 //
 // Multi-node data-parallel training runs through TrainMultiNode: each
 // node is a full testbed with its own loader over a dataset shard, and

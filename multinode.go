@@ -68,13 +68,13 @@ type NodeStats = distributed.NodeStats
 // default topology (ConfigA nodes, 200 Gb/s fabric, shared remote store).
 // TrainMultiNode only.
 func WithNodes(n int) Option {
-	return sessionOption(func(o *sessionOptions) { o.topo = &Topology{Nodes: n} })
+	return Option{"WithNodes", atMultiNode, func(o *options) { o.topo = &Topology{Nodes: n} }}
 }
 
 // WithTopology runs a training session across the described multi-node
 // cluster. TrainMultiNode only; it subsumes WithNodes.
 func WithTopology(t Topology) Option {
-	return sessionOption(func(o *sessionOptions) { o.topo = &t })
+	return Option{"WithTopology", atMultiNode, func(o *options) { o.topo = &t }}
 }
 
 // config resolves the topology's defaults into the internal cluster
@@ -145,15 +145,17 @@ func (t Topology) config(hw *HardwareConfig) (distributed.Config, error) {
 //	)
 //	// rep.StepTime(), rep.NetworkStallShare(), rep.PerNode[i].DataStall, ...
 //
-// Accepted options: WithNodes/WithTopology (the cluster shape), WithLoader
-// and friends, WithHardware (sizes each node), WithGPUs (per-node GPU
-// count), WithIterations/WithEpochs, WithBatchSize, WithSeed, and
-// WithChaos/WithChaosScenario (scripted node crashes, link flaps, disk
-// brownouts, worker stalls — see ChaosScript). The run is deterministic:
-// identical options — including the chaos script — reproduce the report
-// bit-for-bit.
+// WithNodes/WithTopology give the cluster shape, WithHardware sizes each
+// node, WithGPUs sets the per-node GPU count, and WithChaos/WithChaosScenario
+// script node crashes, link flaps, disk brownouts and worker stalls (see
+// ChaosScript); README.md's option table has the full list. The run is
+// deterministic: identical options — including the chaos script — reproduce
+// the report bit-for-bit.
 func TrainMultiNode(workloadName string, opts ...Option) (*MultiNodeReport, error) {
-	o := buildOptions(opts)
+	o, err := build(atMultiNode, opts)
+	if err != nil {
+		return nil, err
+	}
 	w, ok := workload.ByName(workloadName, o.seed)
 	if !ok {
 		return nil, configErr("TrainMultiNode", fmt.Sprintf("unknown workload %q (registered: %s)",
@@ -165,25 +167,14 @@ func TrainMultiNode(workloadName string, opts ...Option) (*MultiNodeReport, erro
 // TrainMultiNodeWorkload is TrainMultiNode for a workload value built
 // directly.
 func TrainMultiNodeWorkload(w Workload, opts ...Option) (*MultiNodeReport, error) {
-	return trainMultiNode(w, buildOptions(opts))
-}
-
-func trainMultiNode(w Workload, o *sessionOptions) (*MultiNodeReport, error) {
-	if err := o.validate(); err != nil {
+	o, err := build(atMultiNode, opts)
+	if err != nil {
 		return nil, err
 	}
-	switch {
-	case o.env != nil:
-		return nil, configErr("WithEnv", "multi-node sessions size nodes with WithHardware or Topology.Node")
-	case o.rt != nil:
-		return nil, configErr("WithRuntime", "multi-node sessions own their runtime")
-	case o.pipeline != nil:
-		return nil, configErr("WithPipeline", "workloads carry their own pipeline")
-	case o.retain:
-		return nil, configErr("WithRetainBatches", "training consumers own and recycle their batches")
-	case o.prioritySet:
-		return nil, configErr("WithPriority", "priorities arbitrate tenants of a shared Cluster, not cluster nodes")
-	}
+	return trainMultiNode(w, o)
+}
+
+func trainMultiNode(w Workload, o *options) (*MultiNodeReport, error) {
 	topo := o.topo
 	if topo == nil {
 		topo = &Topology{}
@@ -208,24 +199,13 @@ func trainMultiNode(w Workload, o *sessionOptions) (*MultiNodeReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.batchSize > 0 {
-		w.BatchSize = o.batchSize
+	if w, err = o.shaped(w); err != nil {
+		return nil, err
 	}
-	if o.epochs > 0 {
-		w = w.WithEpochs(o.epochs)
-	}
-	if o.iterations > 0 {
-		w = w.WithIterations(o.iterations)
-	}
-	if w.Spec().BatchesPerEpoch() == 0 {
-		return nil, configErr("WithBatchSize", fmt.Sprintf("batch size %d exceeds dataset %q size %d",
-			w.BatchSize, w.Dataset.Name(), w.Dataset.Len()))
-	}
-	script, err := o.resolveChaos(cfg.Nodes)
+	cfg.Script, err = o.resolveChaos(func(s ChaosScript) error { return s.Validate(cfg.Nodes) })
 	if err != nil {
 		return nil, err
 	}
-	cfg.Script = script
 	cfg.Trace = o.trace
 	return distributed.Run(cfg, w, f)
 }

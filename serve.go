@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"iter"
 	"sort"
 	"sync/atomic"
@@ -114,119 +113,82 @@ type published struct {
 	pipeline *Pipeline
 }
 
-// serveOptions accumulates the functional options of Serve.
-type serveOptions struct {
-	net        *ServiceNet
-	tokens     map[string]TokenQuota
-	sendWindow int
-	maxStreams int
-	published  map[string]published
-	chaos      *ChaosScript
-	chaosName  string
-	trace      *trace.Recorder
-}
-
-// ServeOption configures a preprocessing server (Serve).
-type ServeOption interface{ applyServe(*serveOptions) }
-
-type serveOption func(*serveOptions)
-
-func (f serveOption) applyServe(o *serveOptions) { f(o) }
-
 // WithServiceNet attaches the server to an existing fabric so several
 // servers (and their clients) share one network. The fabric must run on
 // the cluster's runtime. Default: a fresh fabric on the cluster's runtime.
-func WithServiceNet(n *ServiceNet) ServeOption {
-	return serveOption(func(o *serveOptions) { o.net = n })
+// Serve.
+func WithServiceNet(n *ServiceNet) Option {
+	return Option{"WithServiceNet", atServe, func(o *options) { o.net = n }}
 }
 
 // WithToken adds an auth token to the server's admission table. A server
 // with at least one token rejects unknown tokens with ErrUnauthorized and
 // enforces each token's quota with ErrQuotaExceeded; a server with no
-// tokens accepts everyone at weight 1.
-func WithToken(token string, q TokenQuota) ServeOption {
-	return serveOption(func(o *serveOptions) {
+// tokens accepts everyone at weight 1. Serve.
+func WithToken(token string, q TokenQuota) Option {
+	return Option{"WithToken", atServe, func(o *options) {
 		if o.tokens == nil {
 			o.tokens = make(map[string]TokenQuota)
 		}
 		o.tokens[token] = q
-	})
+	}}
 }
 
 // WithSendWindow bounds batches granted-but-undelivered per stream (the
 // server-side backpressure window). A client REQ beyond it is a protocol
-// violation and kills the stream. Default 8.
-func WithSendWindow(n int) ServeOption {
-	return serveOption(func(o *serveOptions) { o.sendWindow = n })
+// violation and kills the stream. Default 8. Serve.
+func WithSendWindow(n int) Option {
+	return Option{"WithSendWindow", atServe, func(o *options) { o.sendWindow = n }}
 }
 
 // WithServerMaxStreams caps concurrent streams server-wide; OPENs beyond
 // it are rejected with ErrServerOverloaded and clients retry with
 // backoff. 0 = unlimited (the backing cluster's WithMaxSessions still
-// applies).
-func WithServerMaxStreams(n int) ServeOption {
-	return serveOption(func(o *serveOptions) { o.maxStreams = n })
+// applies). Serve.
+func WithServerMaxStreams(n int) Option {
+	return Option{"WithServerMaxStreams", atServe, func(o *options) { o.maxStreams = n }}
 }
 
 // Publish offers dataset × pipeline under name: clients select it with
 // WithStream(name). A nil pipeline serves samples unchanged. At least one
 // Publish is required; each Dial-opened stream runs as its own session of
 // the backing cluster (own seed and budget, shared caches and workers).
-func Publish(name string, dataset Dataset, pipeline *Pipeline) ServeOption {
-	return serveOption(func(o *serveOptions) {
+// Serve.
+func Publish(name string, dataset Dataset, pipeline *Pipeline) Option {
+	return Option{"Publish", atServe, func(o *options) {
 		if o.published == nil {
 			o.published = make(map[string]published)
 		}
 		o.published[name] = published{dataset: dataset, pipeline: pipeline}
-	})
+	}}
 }
 
-// resolveChaos validates the serve-shape chaos options: link events
-// (targeting fleet indices of servers registered so far) drive NIC
-// degradation through an engine; disk events pre-install slowdown steps on
-// the cluster's disk. Training-run kinds (crash, preempt, worker stall)
-// are rejected — they script consumers, and a server has none.
-func (o *serveOptions) resolveChaos(fleet int) (link, disk []ChaosEvent, err error) {
-	if o.chaos != nil && o.chaosName != "" {
-		return nil, nil, configErr("WithChaos/WithChaosScenario", "mutually exclusive")
-	}
-	var s ChaosScript
-	opt := "WithChaos"
-	switch {
-	case o.chaos != nil:
-		s = *o.chaos
-	case o.chaosName != "":
-		opt = "WithChaosScenario"
-		var ok bool
-		s, ok = chaos.ByName(o.chaosName)
-		if !ok {
-			return nil, nil, configErr(opt, fmt.Sprintf("unknown scenario %q", o.chaosName))
+// serveShape is the chaos shape of a preprocessing server in a fleet of the
+// given size: link events (targeting fleet indices of servers registered so
+// far) drive NIC degradation through an engine; disk events pre-install
+// slowdown steps on the cluster's disk. Training-run kinds (crash, preempt,
+// worker stall) are rejected — they script consumers, and a server has none.
+func serveShape(fleet int) func(ChaosScript) error {
+	return func(s ChaosScript) error {
+		for _, ev := range s.Events {
+			switch ev.Kind {
+			case ChaosLinkDegrade, ChaosLinkRestore:
+				if ev.Node < 0 || ev.Node >= fleet {
+					return fmt.Errorf("link event targets fleet index %d, but the fleet has %d server(s)", ev.Node, fleet)
+				}
+				if ev.Kind == ChaosLinkDegrade && ev.Factor < 1 {
+					return fmt.Errorf("link degrade factor %g < 1", ev.Factor)
+				}
+			case ChaosDiskDegrade, ChaosDiskRestore:
+				if ev.Kind == ChaosDiskDegrade && ev.Factor < 1 {
+					return fmt.Errorf("disk degrade factor %g < 1", ev.Factor)
+				}
+			default:
+				return fmt.Errorf("%v events apply to training runs, not preprocessing servers", ev.Kind)
+			}
 		}
-	default:
-		return nil, nil, nil
+		return nil
 	}
-	for _, ev := range s.Sorted() {
-		switch ev.Kind {
-		case ChaosLinkDegrade, ChaosLinkRestore:
-			if ev.Node < 0 || ev.Node >= fleet {
-				return nil, nil, configErr(opt, fmt.Sprintf(
-					"link event targets fleet index %d, but the fleet has %d server(s)", ev.Node, fleet))
-			}
-			if ev.Kind == ChaosLinkDegrade && ev.Factor < 1 {
-				return nil, nil, configErr(opt, fmt.Sprintf("link degrade factor %g < 1", ev.Factor))
-			}
-			link = append(link, ev)
-		case ChaosDiskDegrade, ChaosDiskRestore:
-			if ev.Kind == ChaosDiskDegrade && ev.Factor < 1 {
-				return nil, nil, configErr(opt, fmt.Sprintf("disk degrade factor %g < 1", ev.Factor))
-			}
-			disk = append(disk, ev)
-		default:
-			return nil, nil, configErr(opt, fmt.Sprintf(
-				"%v events apply to training runs, not preprocessing servers", ev.Kind))
-		}
-	}
-	return link, disk, nil
 }
 
 // ServerAddr is a running preprocessing server's address: what Dial
@@ -291,16 +253,16 @@ func (a *ServerAddr) startLinkChaos() {
 // events degrade a fleet member's NIC by index (the fleet is every server
 // registered on the fabric so far, in Serve order), disk events brown out
 // the cluster's storage. Consumer-side kinds are rejected.
-func Serve(cl *Cluster, opts ...ServeOption) (*ServerAddr, error) {
+func Serve(cl *Cluster, opts ...Option) (*ServerAddr, error) {
 	if cl == nil {
 		return nil, configErr("Serve", "requires a cluster")
 	}
 	if cl.isClosed() {
 		return nil, ErrClusterClosed
 	}
-	o := &serveOptions{}
-	for _, opt := range opts {
-		opt.applyServe(o)
+	o, err := build(atServe, opts)
+	if err != nil {
+		return nil, err
 	}
 	if len(o.published) == 0 {
 		return nil, configErr("Publish", "a server must publish at least one stream")
@@ -309,12 +271,6 @@ func Serve(cl *Cluster, opts ...ServeOption) (*ServerAddr, error) {
 		if pub.dataset == nil {
 			return nil, configErr("Publish", fmt.Sprintf("stream %q has a nil dataset", name))
 		}
-	}
-	if o.sendWindow < 0 {
-		return nil, configErr("WithSendWindow", fmt.Sprintf("window %d < 0", o.sendWindow))
-	}
-	if o.maxStreams < 0 {
-		return nil, configErr("WithServerMaxStreams", fmt.Sprintf("cap %d < 0", o.maxStreams))
 	}
 	if cl.admission == AdmitQueue {
 		return nil, configErr("Serve",
@@ -329,28 +285,28 @@ func Serve(cl *Cluster, opts ...ServeOption) (*ServerAddr, error) {
 	// The fabric, the disk and the kernel's task list are the kernel's own:
 	// the server is attached, wired and spawned with the kernel in hand.
 	var addr *ServerAddr
-	var err error
 	cl.rt.Do(func() { addr, err = serve(cl, sn, o) })
 	return addr, err
 }
 
 // serve is the part of Serve that runs on the cluster's kernel.
-func serve(cl *Cluster, sn *ServiceNet, o *serveOptions) (*ServerAddr, error) {
+func serve(cl *Cluster, sn *ServiceNet, o *options) (*ServerAddr, error) {
 	ep, err := sn.net.AllocEndpoint()
 	if err != nil {
 		return nil, err
 	}
 	fleet := sn.net.RegisterServer(ep)
-	link, disk, err := o.resolveChaos(sn.net.ServerCount())
+	script, err := o.resolveChaos(serveShape(sn.net.ServerCount()))
 	if err != nil {
 		return nil, err
 	}
-	for _, ev := range disk {
-		f := ev.Factor
-		if ev.Kind == ChaosDiskRestore {
-			f = 1
+	events := script.Sorted()
+	chaos.InstallDiskTimeline(events, cl.disk)
+	var link []ChaosEvent
+	for _, ev := range events {
+		if ev.Kind == ChaosLinkDegrade || ev.Kind == ChaosLinkRestore {
+			link = append(link, ev)
 		}
-		cl.disk.ScheduleSlowdown(ev.At, f)
 	}
 	if o.trace != nil {
 		sn.net.EnableTrace(o.trace)
@@ -449,7 +405,7 @@ func (co *clusterOpener) OpenStream(spec service.StreamSpec, weight float64) (se
 	if weight <= 0 {
 		weight = 1
 	}
-	o := &sessionOptions{
+	o := &options{
 		pipeline:   pub.pipeline,
 		batchSize:  spec.BatchSize,
 		iterations: spec.Iterations,
@@ -468,167 +424,89 @@ func (co *clusterOpener) OpenStream(spec service.StreamSpec, weight float64) (se
 	return &serveStream{s: s, onFirstPull: co.onFirstPull}, nil
 }
 
-// serveStream drives one cluster session as a server-side batch source.
-// The loader starts lazily at the first batch pull (an admitted stream
-// costs nothing until its client REQs), and delivery runs on the session's
-// single GPU-0 queue — the "GPU" here is the server's egress NIC.
+// serveStream drives one cluster session as a server-side batch source:
+// the same stream core a local Batches loop pumps, pulled one batch at a
+// time by the server's stream task. The loader starts lazily at the first
+// pull (an admitted stream costs nothing until its client REQs), and
+// delivery runs on the session's single GPU-0 queue — the "GPU" here is the
+// server's egress NIC. The frame a batch leaves in owns it, so nothing is
+// recycled here.
 type serveStream struct {
 	s           *Session
-	started     bool
 	onFirstPull func()
 }
 
 func (st *serveStream) Next(ctx context.Context) (*Batch, error) {
 	s := st.s
-	if !st.started {
-		if !s.state.CompareAndSwap(sessionNew, sessionConsumed) {
-			return nil, ErrSessionConsumed
+	if !s.begun {
+		if err := s.claim(); err != nil {
+			return nil, err
 		}
 		if st.onFirstPull != nil {
 			st.onFirstPull()
 		}
-		now := int64(s.rt.Now())
-		s.startAt.Store(now)
-		s.endAt.Store(now)
-		if err := s.ld.Start(ctx); err != nil {
-			s.err = err
+		if err := s.begin(ctx); err != nil {
 			return nil, err
 		}
-		st.started = true
 	}
-	b, err := s.ld.Next(ctx, 0)
-	if err != nil {
-		if !errors.Is(err, io.EOF) {
-			s.err = err
-		}
-		return nil, err
-	}
-	s.batches.Add(1)
-	s.samples.Add(int64(b.Size()))
-	s.bytes.Add(b.Bytes())
-	s.endAt.Store(int64(s.rt.Now()))
-	return b, nil
+	return s.pull(ctx)
 }
 
 func (st *serveStream) Total() int { return st.s.spec.TotalBatches() }
 
 func (st *serveStream) Close() {
-	if st.started {
-		st.s.ld.Stop()
-		_ = st.s.env.WG.Wait(context.Background())
-		// An early-stopped loader leaves constructed batches buffered in
-		// its delivery queue (closed queues still serve their backlog);
-		// drain and release them so pooled samples are never leaked.
-		for {
-			b, err := st.s.ld.Next(context.Background(), 0)
-			if err != nil {
-				break
-			}
-			b.Release()
-		}
-	}
-	_, _ = st.s.close(true) // on the server's task
+	st.s.end()
+	_, _ = st.s.Close()
 }
-
-// dialOptions accumulates the functional options of Dial.
-type dialOptions struct {
-	stream     string
-	token      string
-	prefetch   int
-	hedge      *ServerAddr
-	hedgeDelay time.Duration
-	retries    int
-	backoff    time.Duration
-	batchSize  int
-	iterations int
-	epochs     int
-	seed       uint64
-	retain     bool
-}
-
-// DialOption configures a remote session (Dial). The stream-shape options
-// (WithBatchSize, WithIterations, WithEpochs, WithSeed, WithRetainBatches)
-// are StreamOptions and work on both local Opens and Dials.
-type DialOption interface{ applyDial(*dialOptions) }
-
-type dialOption func(*dialOptions)
-
-func (f dialOption) applyDial(o *dialOptions) { f(o) }
-
-// StreamOption shapes a batch stream wherever it runs: locally (Open,
-// Train) or remotely (Dial).
-type StreamOption interface {
-	Option
-	DialOption
-}
-
-type streamOption struct {
-	session func(*sessionOptions)
-	dial    func(*dialOptions)
-}
-
-func (o streamOption) applySession(s *sessionOptions) { o.session(s) }
-func (o streamOption) applyDial(d *dialOptions)       { o.dial(d) }
 
 // WithStream selects which published stream to consume. Optional when the
-// server publishes exactly one.
-func WithStream(name string) DialOption {
-	return dialOption(func(o *dialOptions) { o.stream = name })
+// server publishes exactly one. Dial.
+func WithStream(name string) Option {
+	return Option{"WithStream", atDial, func(o *options) { o.stream = name }}
 }
 
-// WithAuthToken authenticates the client on token-gated servers.
-func WithAuthToken(token string) DialOption {
-	return dialOption(func(o *dialOptions) { o.token = token })
+// WithAuthToken authenticates the client on token-gated servers. Dial.
+func WithAuthToken(token string) Option {
+	return Option{"WithAuthToken", atDial, func(o *options) { o.token = token }}
 }
 
 // WithPrefetch sets the client's pipeline depth: how many batch requests
 // it keeps outstanding (the server caps it at its send window). Default 4.
-func WithPrefetch(n int) DialOption {
-	return dialOption(func(o *dialOptions) { o.prefetch = n })
+// Dial.
+func WithPrefetch(n int) Option {
+	return Option{"WithPrefetch", atDial, func(o *options) { o.prefetch = n }}
 }
 
 // WithHedge arms hedged requests against a replica server: when the
 // head-of-line batch has been outstanding longer than delay, the client
 // re-requests it from the replica — first response wins, the loser's
 // grant is cancelled, and a too-late duplicate is released, never leaked.
-// The replica must serve the same stream on the same fabric.
-func WithHedge(replica *ServerAddr, delay time.Duration) DialOption {
-	return dialOption(func(o *dialOptions) { o.hedge = replica; o.hedgeDelay = delay })
+// The replica must serve the same stream on the same fabric. Dial.
+func WithHedge(replica *ServerAddr, delay time.Duration) Option {
+	return Option{"WithHedge", atDial, func(o *options) { o.hedge = replica; o.hedgeDelay = delay }}
 }
 
 // WithDialRetry bounds OPEN retries after ErrServerOverloaded rejections
 // (default 0: fail fast) with exponential backoff from the given base
-// (default 10ms).
-func WithDialRetry(attempts int, backoff time.Duration) DialOption {
-	return dialOption(func(o *dialOptions) { o.retries = attempts; o.backoff = backoff })
+// (default 10ms). Dial.
+func WithDialRetry(attempts int, backoff time.Duration) Option {
+	return Option{"WithDialRetry", atDial, func(o *options) { o.retries = attempts; o.backoff = backoff }}
 }
 
 // Dial opens a batch stream on a served preprocessing cluster and returns
 // the remote session. The stream's shape (batch size, budget, seed) is
-// set client-side with the usual StreamOptions; the server admits the
-// open through its auth table, quotas, and capacity — rejections come
-// back as the typed ErrUnauthorized / ErrQuotaExceeded /
+// set client-side with the same options a local Open takes; the server
+// admits the open through its auth table, quotas, and capacity — rejections
+// come back as the typed ErrUnauthorized / ErrQuotaExceeded /
 // ErrServerOverloaded, the latter retried per WithDialRetry before
 // surfacing.
-func Dial(addr *ServerAddr, opts ...DialOption) (*RemoteSession, error) {
+func Dial(addr *ServerAddr, opts ...Option) (*RemoteSession, error) {
 	if addr == nil {
 		return nil, configErr("Dial", "requires a server address")
 	}
-	o := &dialOptions{prefetch: 4}
-	for _, opt := range opts {
-		opt.applyDial(o)
-	}
-	switch {
-	case o.prefetch <= 0:
-		return nil, configErr("WithPrefetch", fmt.Sprintf("depth %d must be positive", o.prefetch))
-	case o.retries < 0:
-		return nil, configErr("WithDialRetry", fmt.Sprintf("attempts %d < 0", o.retries))
-	case o.batchSize < 0:
-		return nil, configErr("WithBatchSize", fmt.Sprintf("batch size %d < 0", o.batchSize))
-	case o.iterations < 0:
-		return nil, configErr("WithIterations", fmt.Sprintf("iteration budget %d < 0", o.iterations))
-	case o.epochs < 0:
-		return nil, configErr("WithEpochs", fmt.Sprintf("epoch budget %d < 0", o.epochs))
+	o, err := build(atDial, opts)
+	if err != nil {
+		return nil, err
 	}
 	if o.stream == "" {
 		if len(addr.pub) != 1 {
@@ -663,11 +541,10 @@ func Dial(addr *ServerAddr, opts ...DialOption) (*RemoteSession, error) {
 		Retries:    o.retries,
 		Backoff:    o.backoff,
 	}
-	rs := &RemoteSession{addr: addr, rt: addr.rt, stream: o.stream, retain: o.retain}
-	var cli *service.Client
-	var err error
+	rs := &RemoteSession{addr: addr, name: o.stream}
+	rs.rt, rs.src, rs.retain = addr.rt, rs, o.retain
 	runOnKernel(rs, func() {
-		cli, err = service.Open(context.Background(), addr.sn.net, addr.ep, replicaEP, spec, cfg)
+		rs.cli, err = service.Open(context.Background(), addr.sn.net, addr.ep, replicaEP, spec, cfg)
 	})
 	if err != nil {
 		if errors.Is(err, service.ErrUnknownStream) {
@@ -675,7 +552,6 @@ func Dial(addr *ServerAddr, opts ...DialOption) (*RemoteSession, error) {
 		}
 		return nil, err
 	}
-	rs.cli = cli
 	return rs, nil
 }
 
@@ -684,25 +560,17 @@ func Dial(addr *ServerAddr, opts ...DialOption) (*RemoteSession, error) {
 // budget exactly once with the same recycling contract; Close tears the
 // stream down (server-side session included) and returns the Report.
 type RemoteSession struct {
-	addr   *ServerAddr
-	rt     Runtime
-	cli    *service.Client
-	stream string
-	retain bool
+	// stream is the single-use state, counters and batch pump a
+	// RemoteSession shares with a Session; the RemoteSession is its remote
+	// source.
+	stream
 
-	// inline makes Batches run its loop on the caller's already-tracked
-	// task instead of wrapping a v.Run — how StreamAll runs many remote
-	// sessions concurrently on one kernel.
-	inline atomic.Bool
-
-	state   atomic.Int32
-	closed  atomic.Bool
-	err     error
-	startAt atomic.Int64 // time.Duration
-	endAt   atomic.Int64
-	batches atomic.Int64
-	samples atomic.Int64
-	bytes   atomic.Int64
+	addr *ServerAddr
+	cli  *service.Client
+	name string
+	// hungUp: the client has been closed (once), by the end of the Batches
+	// loop or by Close.
+	hungUp atomic.Bool
 }
 
 // Batches returns a single-use iterator over the remote stream, shaped
@@ -710,55 +578,19 @@ type RemoteSession struct {
 // is recycled when the loop takes the next step (unless WithRetainBatches),
 // and breaking out early cancels the stream server-side. Waiting happens
 // in virtual time; hedged requests fire while the consumer is parked.
-func (s *RemoteSession) Batches(ctx context.Context) iter.Seq2[*Batch, error] {
-	return func(yield func(*Batch, error) bool) {
-		switch {
-		case s.state.Load() == sessionClosed:
-			yield(nil, ErrSessionClosed)
-			return
-		case !s.state.CompareAndSwap(sessionNew, sessionConsumed):
-			yield(nil, ErrSessionConsumed)
-			return
-		}
-		runOnKernel(s, func() {
-			if err := ctx.Err(); err != nil {
-				s.err = err
-				yield(nil, err)
-				return
-			}
-			now := int64(s.rt.Now())
-			s.startAt.Store(now)
-			s.endAt.Store(now)
-			defer func() {
-				if s.closed.CompareAndSwap(false, true) {
-					_ = s.cli.Close(context.Background())
-				}
-			}()
-			var prev *Batch
-			var prevGen uint32
-			for {
-				b, err := s.cli.Recv(ctx)
-				if errors.Is(err, io.EOF) {
-					return
-				}
-				if err != nil {
-					s.err = err
-					yield(nil, err)
-					return
-				}
-				s.batches.Add(1)
-				s.samples.Add(int64(b.Size()))
-				s.bytes.Add(b.Bytes())
-				s.endAt.Store(int64(s.rt.Now()))
-				if prev != nil && !s.retain {
-					prev.ReleaseIfOwned(prevGen)
-				}
-				prev, prevGen = b, b.Generation()
-				if !yield(b, nil) {
-					return
-				}
-			}
-		})
+func (s *RemoteSession) Batches(ctx context.Context) iter.Seq2[*Batch, error] { return s.pump(ctx) }
+
+// The four methods below make a RemoteSession its stream's source: the
+// stream was opened by Dial, so there is nothing to start.
+
+func (s *RemoteSession) ready() error                { return nil }
+func (s *RemoteSession) start(context.Context) error { return nil }
+
+func (s *RemoteSession) next(ctx context.Context) (*Batch, error) { return s.cli.Recv(ctx) }
+
+func (s *RemoteSession) stop() {
+	if s.hungUp.CompareAndSwap(false, true) {
+		_ = s.cli.Close(context.Background())
 	}
 }
 
@@ -770,58 +602,12 @@ func (s *RemoteSession) Stats() RemoteStats { return s.cli.Stats() }
 // final END — and returns the client-side Report. Idempotent.
 func (s *RemoteSession) Close() (*Report, error) {
 	s.state.Store(sessionClosed)
-	if s.closed.CompareAndSwap(false, true) {
-		runOnKernel(s, func() { _ = s.cli.Close(context.Background()) })
+	if !s.hungUp.Load() {
+		runOnKernel(s, s.stop)
 	}
 	cs := s.cli.Stats()
-	rep := &Report{
-		Workload:     s.stream,
-		Loader:       "remote",
-		GPUs:         1,
-		TrainTime:    time.Duration(s.endAt.Load() - s.startAt.Load()),
-		Batches:      s.batches.Load(),
-		Samples:      s.samples.Load(),
-		TrainedBytes: s.bytes.Load(),
-	}
+	rep := s.report(s.name, "remote", 1)
 	rep.StepP50 = cs.StepP50
 	rep.StepP99 = cs.StepP99
 	return rep, s.err
-}
-
-// streamer is a session type StreamAll can drive: its runtime, and the flag
-// that makes its Batches loop run on the calling task.
-type streamer interface {
-	kernel() (Runtime, *atomic.Bool)
-}
-
-func (s *Session) kernel() (Runtime, *atomic.Bool)       { return s.rt, &s.inline }
-func (s *RemoteSession) kernel() (Runtime, *atomic.Bool) { return s.rt, &s.inline }
-
-// StreamAll consumes many sessions of one runtime — the Sessions of a
-// Cluster, or RemoteSessions dialed over one fabric — concurrently on one
-// kernel: each fn(i, session) runs as its own tracked task, all entered at
-// the same virtual instant in slice order, so virtual time advances with
-// every consumer's traffic interleaved and the run is deterministic (N
-// goroutines each ranging over their own Batches enter the kernel in
-// whatever order the OS starts them). fn bodies share the kernel's single
-// thread of control: one must not block on a Go primitive waiting for
-// another.
-func StreamAll[S streamer](ctx context.Context, sessions []S, fn func(i int, s S)) {
-	if len(sessions) == 0 {
-		return
-	}
-	rt, _ := sessions[0].kernel()
-	rt.Run(func() {
-		wg := simtime.NewWaitGroup(rt)
-		for i, s := range sessions {
-			_, inline := s.kernel()
-			inline.Store(true)
-			wg.Go(fmt.Sprintf("svc-stream-%d", i), func() { fn(i, s) })
-		}
-		_ = wg.Wait(ctx)
-	})
-	for _, s := range sessions {
-		_, inline := s.kernel()
-		inline.Store(false)
-	}
 }

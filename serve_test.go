@@ -3,7 +3,7 @@ package minato
 import (
 	"context"
 	"errors"
-	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -27,11 +27,11 @@ func (d serveDataset) Sample(epoch, i int) *Sample {
 
 // serveCluster builds a one-GPU cluster on the fabric's runtime — the
 // standard backing for a preprocessing server in these tests.
-func serveCluster(t *testing.T, sn *ServiceNet, opts ...ClusterOption) *Cluster {
+func serveCluster(t *testing.T, sn *ServiceNet, opts ...Option) *Cluster {
 	t.Helper()
-	opts = append([]ClusterOption{
-		WithRuntime(sn.Runtime()).(ClusterOption),
-		WithEnv(EnvConfig{Cores: 8, GPUs: 1}).(ClusterOption),
+	opts = append([]Option{
+		WithRuntime(sn.Runtime()),
+		WithEnv(EnvConfig{Cores: 8, GPUs: 1}),
 	}, opts...)
 	cl, err := NewCluster(opts...)
 	if err != nil {
@@ -287,7 +287,7 @@ func runHedgeTopology(t *testing.T, hedge bool) hedgeFingerprint {
 	}
 	defer replica.Close()
 
-	opts := []DialOption{WithBatchSize(4), WithIterations(8), WithPrefetch(2)}
+	opts := []Option{WithBatchSize(4), WithIterations(8), WithPrefetch(2)}
 	if hedge {
 		opts = append(opts, WithHedge(replica, 5*time.Millisecond))
 	}
@@ -347,7 +347,7 @@ func TestHedgeDeterministic(t *testing.T) {
 // the second client's batches are warm hits that skip preprocessing.
 func TestServeSharedWarmCache(t *testing.T) {
 	sn := NewServiceNet(nil, ServiceNetConfig{})
-	cl := serveCluster(t, sn, WithMaterializedCache(1<<30).(ClusterOption))
+	cl := serveCluster(t, sn, WithMaterializedCache(1<<30))
 	defer cl.Close()
 	addr, err := Serve(cl,
 		WithServiceNet(sn),
@@ -489,7 +489,7 @@ func TestStreamAllManyClients(t *testing.T) {
 	}
 	run := func() fingerprint {
 		sn := NewServiceNet(nil, ServiceNetConfig{})
-		cl := serveCluster(t, sn, WithEnv(EnvConfig{Cores: 16, GPUs: 1}).(ClusterOption))
+		cl := serveCluster(t, sn, WithEnv(EnvConfig{Cores: 16, GPUs: 1}))
 		defer cl.Close()
 		addr, err := Serve(cl, WithServiceNet(sn),
 			Publish("train", namedDataset{space: "serve-fleet", n: 512}, flatPipeline(time.Millisecond)))
@@ -637,10 +637,15 @@ func TestServeDialConfigErrors(t *testing.T) {
 	_, err = Serve(cl, WithServiceNet(sn), pub,
 		WithChaos(FlapLink(7, time.Second, 8, time.Second)))
 	wantConfigErr("link target beyond fleet", "WithChaos", err)
+	_, err = Serve(cl, WithServiceNet(sn), pub, WithChaosScenario("nope"))
+	wantConfigErr("unknown scenario", "WithChaosScenario", err)
+	if !strings.Contains(err.Error(), "registered: ") || !strings.Contains(err.Error(), "link-flap") {
+		t.Fatalf("unknown scenario on Serve does not list the registered ones: %v", err)
+	}
 
 	queued, err := NewCluster(
-		WithRuntime(sn.Runtime()).(ClusterOption),
-		WithEnv(EnvConfig{Cores: 4, GPUs: 1}).(ClusterOption),
+		WithRuntime(sn.Runtime()),
+		WithEnv(EnvConfig{Cores: 4, GPUs: 1}),
 		WithMaxSessions(1),
 		WithAdmission(AdmitQueue))
 	if err != nil {
@@ -679,58 +684,4 @@ func TestServeDialConfigErrors(t *testing.T) {
 	if !errors.Is(ErrServerOverloaded, ErrServerOverloaded) || ErrUnauthorized == nil || ErrQuotaExceeded == nil {
 		t.Fatal("typed service errors must be re-exported sentinels")
 	}
-}
-
-// TestRemoteSessionLifecycle pins the Session-compatible lifecycle rules.
-func TestRemoteSessionLifecycle(t *testing.T) {
-	sn := NewServiceNet(nil, ServiceNetConfig{})
-	cl := serveCluster(t, sn)
-	defer cl.Close()
-	addr, err := Serve(cl, WithServiceNet(sn),
-		Publish("train", namedDataset{space: "serve-life", n: 64}, flatPipeline(time.Millisecond)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer addr.Close()
-
-	rs, err := Dial(addr, WithIterations(3), WithBatchSize(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	drainRemote(t, rs)
-	for _, err := range rs.Batches(context.Background()) {
-		if !errors.Is(err, ErrSessionConsumed) {
-			t.Fatalf("second consume: got %v, want ErrSessionConsumed", err)
-		}
-	}
-	if _, err := rs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, err := range rs.Batches(context.Background()) {
-		if !errors.Is(err, ErrSessionClosed) {
-			t.Fatalf("consume after close: got %v, want ErrSessionClosed", err)
-		}
-	}
-
-	// Breaking out early cancels the stream; the server session closes.
-	rs2, err := Dial(addr, WithIterations(50), WithBatchSize(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, err := range rs2.Batches(context.Background()) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n++; n == 2 {
-			break
-		}
-	}
-	if _, err := rs2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := addr.Stats().StreamsActive; got != 0 {
-		t.Fatalf("%d streams still active after early stop", got)
-	}
-	_ = fmt.Sprintf("%v", rs2.Stats())
 }

@@ -11,153 +11,74 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/minatoloader/minato/internal/loaders"
-	"github.com/minatoloader/minato/internal/trace"
 	"github.com/minatoloader/minato/internal/trainer"
 	"github.com/minatoloader/minato/internal/workload"
 )
 
-// sessionOptions accumulates the functional options of Open, Train,
-// TrainWorkload, Cluster.Open, and Cluster.Train. Fields left at their zero
-// value take the documented defaults.
-type sessionOptions struct {
-	pipeline    *Pipeline
-	batchSize   int
-	loaderName  string
-	factory     *Factory
-	loaderCfg   *Config
-	hw          *HardwareConfig
-	env         *EnvConfig
-	gpus        int
-	rt          Runtime
-	iterations  int
-	epochs      int
-	seed        uint64
-	params      Params
-	retain      bool
-	weight      float64
-	prioritySet bool
-	seedSet     bool
-	topo        *Topology
-	matBytes    int64
-	chaos       *ChaosScript
-	chaosName   string
-	trace       *trace.Recorder
-	// skip fast-forwards a session past its first batches — set only by
-	// Resume, never by a public option.
-	skip int
-}
-
-// Option configures a session: Open and Cluster.Open, or a training run
-// (Train, TrainWorkload, Cluster.Train). Options that size hardware
-// (WithHardware, WithEnv, WithGPUs, WithRuntime) are SharedOptions — on a
-// standalone Open/Train they configure the implicit cluster; on an explicit
-// Cluster they belong to NewCluster instead.
-type Option interface{ applySession(*sessionOptions) }
-
-// ClusterOption configures a Cluster (NewCluster): the shared testbed, the
-// session capacity, and the admission policy.
-type ClusterOption interface{ applyCluster(*clusterOptions) }
-
-// SharedOption is accepted by both NewCluster and the standalone
-// Open/Train entry points.
-type SharedOption interface {
-	Option
-	ClusterOption
-}
-
-type sessionOption func(*sessionOptions)
-
-func (f sessionOption) applySession(o *sessionOptions) { f(o) }
-
-type clusterOption func(*clusterOptions)
-
-func (f clusterOption) applyCluster(o *clusterOptions) { f(o) }
-
-type sharedOption struct {
-	session func(*sessionOptions)
-	cluster func(*clusterOptions)
-}
-
-func (o sharedOption) applySession(s *sessionOptions) { o.session(s) }
-func (o sharedOption) applyCluster(c *clusterOptions) { o.cluster(c) }
-
-// WithPipeline sets the preprocessing pipeline samples flow through.
-// Open-only (training workloads carry their own pipeline); the default is
-// an empty pipeline that delivers samples unchanged.
+// WithPipeline sets the preprocessing pipeline samples flow through
+// (training workloads carry their own); the default is an empty pipeline
+// that delivers samples unchanged. Open and Cluster.Open.
 func WithPipeline(p *Pipeline) Option {
-	return sessionOption(func(o *sessionOptions) { o.pipeline = p })
+	return Option{"WithPipeline", loads, func(o *options) { o.pipeline = p }}
 }
 
-// WithBatchSize sets how many samples each delivered batch holds. Open
-// defaults to 32; Train defaults to the workload's Table 3 value.
-func WithBatchSize(n int) StreamOption {
-	return streamOption{
-		session: func(o *sessionOptions) { o.batchSize = n },
-		dial:    func(o *dialOptions) { o.batchSize = n },
-	}
+// WithBatchSize sets how many samples each delivered batch holds. Open and
+// Dial default to 32; Train defaults to the workload's Table 3 value. Every
+// entry point that runs a loader, and Dial.
+func WithBatchSize(n int) Option {
+	return Option{"WithBatchSize", runs | atDial, func(o *options) { o.batchSize = n }}
 }
 
 // WithLoader selects the data loader backend by registered name
 // (RegisterLoader; "pytorch", "pecan", "dali", and "minato" are built in).
-// The default is "minato".
+// The default is "minato". Every entry point that runs a loader.
 func WithLoader(name string) Option {
-	return sessionOption(func(o *sessionOptions) { o.loaderName = name })
+	return Option{"WithLoader", runs, func(o *options) { o.loaderName = name }}
 }
 
 // WithLoaderFactory bypasses the registry and uses the given factory
-// directly — for one-off configurations not worth registering.
+// directly — for one-off configurations not worth registering. Scoped like
+// WithLoader.
 func WithLoaderFactory(f Factory) Option {
-	return sessionOption(func(o *sessionOptions) { o.factory = &f })
+	return Option{"WithLoaderFactory", runs, func(o *options) { o.factory = &f }}
 }
 
 // WithLoaderConfig runs MinatoLoader with a custom Config instead of the
-// paper's defaults. It conflicts with selecting a non-minato loader.
+// paper's defaults. It conflicts with selecting a non-minato loader. Scoped
+// like WithLoader.
 func WithLoaderConfig(cfg Config) Option {
-	return sessionOption(func(o *sessionOptions) { o.loaderCfg = &cfg })
+	return Option{"WithLoaderConfig", runs, func(o *options) { o.loaderCfg = &cfg }}
 }
 
 // WithHardware runs on one of the simulated testbeds (ConfigA, ConfigB, or
-// a custom HardwareConfig). As a NewCluster option it sizes the shared
-// testbed; on a standalone Open/Train it sizes the implicit cluster.
-// Sessions opened on an explicit Cluster cannot carry it — the hardware is
-// cluster-owned.
-func WithHardware(cfg HardwareConfig) SharedOption {
-	return sharedOption{
-		session: func(o *sessionOptions) { o.hw = &cfg },
-		cluster: func(o *clusterOptions) { o.hw = &cfg },
-	}
+// a custom HardwareConfig): it sizes NewCluster's shared testbed, the
+// implicit cluster of a standalone Open or Train, and each node of a
+// TrainMultiNode. Sessions opened on an explicit Cluster cannot carry it —
+// the hardware is cluster-owned.
+func WithHardware(cfg HardwareConfig) Option {
+	return Option{"WithHardware", implicit | atNewCluster, func(o *options) { o.hw = &cfg }}
 }
 
 // WithEnv sizes a custom embedder environment (cores, disk, cache) instead
-// of a paper testbed. It conflicts with WithHardware and, like it, belongs
-// to the cluster level.
-func WithEnv(cfg EnvConfig) SharedOption {
-	return sharedOption{
-		session: func(o *sessionOptions) { o.env = &cfg },
-		cluster: func(o *clusterOptions) { o.env = &cfg },
-	}
+// of a paper testbed. It conflicts with WithHardware. Open and NewCluster.
+func WithEnv(cfg EnvConfig) Option {
+	return Option{"WithEnv", atOpen | atNewCluster, func(o *options) { o.env = &cfg }}
 }
 
-// WithGPUs overrides the GPU (consumer) count. As a NewCluster option it
-// sizes the shared testbed; on a session opened on an explicit Cluster it
-// selects how many of the cluster's GPUs the session's delivery shards
-// across (at most the cluster's count).
-func WithGPUs(n int) SharedOption {
-	return sharedOption{
-		session: func(o *sessionOptions) { o.gpus = n },
-		cluster: func(o *clusterOptions) { o.gpus = n },
-	}
+// WithGPUs overrides the GPU (consumer) count: of NewCluster's shared
+// testbed, of a standalone Open or Train's implicit one, of each node of a
+// TrainMultiNode. On a session of an explicit Cluster (Cluster.Open,
+// Cluster.Train, Resume) it selects how many of the cluster's GPUs the
+// session's delivery shards across (at most the cluster's count).
+func WithGPUs(n int) Option {
+	return Option{"WithGPUs", runs | atNewCluster | atResume, func(o *options) { o.gpus = n }}
 }
 
 // WithRuntime runs on an existing runtime: a virtual kernel shared with
-// other clusters or services. Cluster-level; the default is a fresh
-// deterministic virtual runtime per cluster.
-func WithRuntime(rt Runtime) SharedOption {
-	return sharedOption{
-		session: func(o *sessionOptions) { o.rt = rt },
-		cluster: func(o *clusterOptions) { o.rt = rt },
-	}
+// other clusters or services. The default is a fresh deterministic virtual
+// runtime per cluster. Open and NewCluster.
+func WithRuntime(rt Runtime) Option {
+	return Option{"WithRuntime", atOpen | atNewCluster, func(o *options) { o.rt = rt }}
 }
 
 // WithMaterializedCache enables the materialized preprocessed-sample cache
@@ -171,47 +92,37 @@ func WithRuntime(rt Runtime) SharedOption {
 // saved per byte first. The cache serves the MinatoLoader backend; baseline
 // loaders ignore it.
 //
-// Like the other substrate options it is cluster-owned: pass it to
-// NewCluster (or a standalone Open/Train, which configures the implicit
-// cluster); sessions of an explicit cluster cannot carry it.
-func WithMaterializedCache(bytes int64) SharedOption {
-	return sharedOption{
-		session: func(o *sessionOptions) { o.matBytes = bytes },
-		cluster: func(o *clusterOptions) { o.matBytes = bytes },
-	}
+// Like the other substrate options it is cluster-owned: NewCluster, or a
+// standalone Open or Train, which configure the implicit cluster.
+func WithMaterializedCache(bytes int64) Option {
+	return Option{"WithMaterializedCache", atOpen | atTrain | atNewCluster, func(o *options) { o.matBytes = bytes }}
 }
 
 // WithIterations bounds the session to n delivered batches, wrapping
-// epochs as needed. It takes precedence over WithEpochs.
-func WithIterations(n int) StreamOption {
-	return streamOption{
-		session: func(o *sessionOptions) { o.iterations = n },
-		dial:    func(o *dialOptions) { o.iterations = n },
-	}
+// epochs as needed. It takes precedence over WithEpochs. Scoped like
+// WithBatchSize.
+func WithIterations(n int) Option {
+	return Option{"WithIterations", runs | atDial, func(o *options) { o.iterations = n }}
 }
 
 // WithEpochs bounds the session to n full passes over the dataset
-// (drop-last semantics). The default budget is one epoch.
-func WithEpochs(n int) StreamOption {
-	return streamOption{
-		session: func(o *sessionOptions) { o.epochs = n },
-		dial:    func(o *dialOptions) { o.epochs = n },
-	}
+// (drop-last semantics). The default budget is one epoch. Scoped like
+// WithBatchSize.
+func WithEpochs(n int) Option {
+	return Option{"WithEpochs", runs | atDial, func(o *options) { o.epochs = n }}
 }
 
 // WithSeed keys every random draw of the session (shuffling, synthetic
 // sample properties). Identical seeds reproduce runs exactly. Default 1.
-func WithSeed(seed uint64) StreamOption {
-	return streamOption{
-		session: func(o *sessionOptions) { o.seed = seed; o.seedSet = true },
-		dial:    func(o *dialOptions) { o.seed = seed },
-	}
+// Scoped like WithBatchSize.
+func WithSeed(seed uint64) Option {
+	return Option{"WithSeed", runs | atDial, func(o *options) { o.seed = seed }}
 }
 
 // WithParams tunes what a training run records (time series, batch
-// composition, per-sample traces). Train/TrainWorkload only.
+// composition, per-sample traces). Train and Cluster.Train.
 func WithParams(p Params) Option {
-	return sessionOption(func(o *sessionOptions) { o.params = p })
+	return Option{"WithParams", trains, func(o *options) { o.params = p }}
 }
 
 // WithRetainBatches disables the session's batch recycling: every batch
@@ -219,121 +130,18 @@ func WithParams(p Params) Option {
 // fresh samples for every draw. Without it, a yielded batch (and the
 // samples inside it) is recycled when the loop takes the next step, so
 // callers that keep references across iterations must either copy what
-// they need or set this option. Open and Dial.
-func WithRetainBatches() StreamOption {
-	return streamOption{
-		session: func(o *sessionOptions) { o.retain = true },
-		dial:    func(o *dialOptions) { o.retain = true },
-	}
+// they need or set this option. Open, Cluster.Open, Dial and Resume.
+func WithRetainBatches() Option {
+	return Option{"WithRetainBatches", loads | atDial | atResume, func(o *options) { o.retain = true }}
 }
 
 // WithPriority weights the session in the cluster's fair arbitration of
 // preprocessing workers: a weight-2 tenant receives twice the worker quota
 // of a weight-1 tenant (always at least one worker). The default weight is
-// 1. Weights must be positive.
+// 1. Weights must be positive. Every single-machine session, and Resume.
 func WithPriority(weight float64) Option {
-	return sessionOption(func(o *sessionOptions) { o.weight = weight; o.prioritySet = true })
+	return Option{"WithPriority", loads | trains | atResume, func(o *options) { o.weight = weight; o.prioritySet = true }}
 }
-
-func buildOptions(opts []Option) *sessionOptions {
-	o := &sessionOptions{seed: 1, weight: 1}
-	for _, opt := range opts {
-		opt.applySession(o)
-	}
-	return o
-}
-
-// validate checks option values and conflicts. Every failure is a
-// *ConfigError so callers can errors.As on misuse.
-func (o *sessionOptions) validate() error {
-	if o.batchSize < 0 {
-		return configErr("WithBatchSize", fmt.Sprintf("batch size %d < 0", o.batchSize))
-	}
-	if o.iterations < 0 {
-		return configErr("WithIterations", fmt.Sprintf("iteration budget %d < 0", o.iterations))
-	}
-	if o.epochs < 0 {
-		return configErr("WithEpochs", fmt.Sprintf("epoch budget %d < 0", o.epochs))
-	}
-	if o.gpus < 0 {
-		return configErr("WithGPUs", fmt.Sprintf("GPU count %d < 0", o.gpus))
-	}
-	if o.prioritySet && o.weight <= 0 {
-		return configErr("WithPriority", fmt.Sprintf("weight %g must be positive", o.weight))
-	}
-	if o.matBytes < 0 {
-		return configErr("WithMaterializedCache", fmt.Sprintf("capacity %d < 0", o.matBytes))
-	}
-	if o.hw != nil && o.env != nil {
-		return configErr("WithHardware/WithEnv", "mutually exclusive")
-	}
-	if o.factory != nil && o.loaderName != "" {
-		return configErr("WithLoader/WithLoaderFactory", "mutually exclusive")
-	}
-	if o.loaderCfg != nil && o.loaderName != "" && o.loaderName != "minato" {
-		return configErr("WithLoaderConfig",
-			fmt.Sprintf("WithLoaderConfig configures the minato loader, but %q is selected", o.loaderName))
-	}
-	if o.loaderCfg != nil && o.factory != nil {
-		return configErr("WithLoaderConfig/WithLoaderFactory", "mutually exclusive")
-	}
-	return nil
-}
-
-// rejectClusterOwned refuses the hardware-shaping options on sessions of an
-// explicit cluster, where the substrate is cluster-owned.
-func (o *sessionOptions) rejectClusterOwned() error {
-	switch {
-	case o.hw != nil:
-		return configErr("WithHardware", "cluster-owned: size the testbed on NewCluster")
-	case o.env != nil:
-		return configErr("WithEnv", "cluster-owned: size the environment on NewCluster")
-	case o.rt != nil:
-		return configErr("WithRuntime", "cluster-owned: the runtime belongs to NewCluster")
-	case o.matBytes != 0:
-		return configErr("WithMaterializedCache", "cluster-owned: enable the cache on NewCluster")
-	case o.trace != nil:
-		return configErr("WithTracing", "cluster-owned: attach the sink on NewCluster")
-	}
-	return o.rejectTopology()
-}
-
-// rejectTopology refuses the multi-node options on single-machine entry
-// points.
-func (o *sessionOptions) rejectTopology() error {
-	if o.topo != nil {
-		return configErr("WithNodes/WithTopology", "multi-node clusters train through TrainMultiNode")
-	}
-	return nil
-}
-
-// resolveFactory picks the loader factory: an explicit factory first, then
-// a custom-configured MinatoLoader, then the registry by name, defaulting
-// to "minato".
-func (o *sessionOptions) resolveFactory() (Factory, error) {
-	if o.factory != nil {
-		return *o.factory, nil
-	}
-	name := o.loaderName
-	if name == "" {
-		name = "minato"
-	}
-	if o.loaderCfg != nil {
-		return loaders.Minato(*o.loaderCfg), nil
-	}
-	f, ok := loaders.ByName(name)
-	if !ok {
-		return Factory{}, configErr("WithLoader", fmt.Sprintf("unknown loader %q (registered: %s)",
-			name, strings.Join(loaders.Names(), ", ")))
-	}
-	return f, nil
-}
-
-const (
-	sessionNew int32 = iota
-	sessionConsumed
-	sessionClosed
-)
 
 // Session is one data-loading run: a dataset flowing through a
 // preprocessing pipeline into batches, delivered by a pluggable loader
@@ -349,23 +157,29 @@ const (
 // streams; Close enters the session's kernel, so it is for goroutines that are
 // not tasks of it: after the Batches or StreamAll loop, not inside its body.
 type Session struct {
+	// stream is the single-use state, counters and batch pump a Session
+	// shares with a RemoteSession; the Session is its local source.
+	stream
+
 	cl          *Cluster
 	ownsCluster bool
+	// served marks a server's stream (Serve): opened, driven and closed by
+	// tasks of the cluster's kernel, with no script and no reader of its
+	// report, so it keeps no SLO bookkeeping.
+	served      bool
 	tenantID    int
 	cacheTenant int
 	share       *clusterShare
 	gpuIdxs     []int
 	weight      float64
 
-	rt      Runtime
 	env     *Env
 	ld      DataLoader
 	name    string
 	spec    Spec
 	factory Factory
-	retain  bool
 	script  ChaosScript
-	// cst replays the session's chaos script against the Batches stream
+	// cst replays the session's chaos script against the batch stream
 	// and keeps the SLO bookkeeping (step-interval histogram, fault
 	// windows); created when the stream starts.
 	cst *trainer.ChaosState
@@ -374,18 +188,13 @@ type Session struct {
 	resumedAt   time.Duration
 	recoveredIn time.Duration
 
-	// inline makes Batches run its loop on the caller's already-tracked
-	// task instead of wrapping a v.Run — set by StreamAll.
-	inline atomic.Bool
+	// Loaders shard delivery across per-GPU consumer queues; next drains
+	// them round-robin from turn until each has reported end-of-data.
+	turn      int
+	done      []bool
+	remaining int
 
-	state    atomic.Int32
 	released atomic.Bool
-	err      error
-	startAt  atomic.Int64 // time.Duration
-	endAt    atomic.Int64 // time.Duration
-	batches  atomic.Int64
-	samples  atomic.Int64
-	bytes    atomic.Int64
 	// usage is the session's slice of the shared caches and disk. The caches
 	// are the kernel's, so code on the kernel publishes it — the streaming
 	// task at every batch, Cluster.Stats, and Close, which freezes it (left)
@@ -423,19 +232,14 @@ type sessionUsage struct {
 // closes it. To run many concurrent sessions against one machine, build
 // the Cluster explicitly with NewCluster and use Cluster.Open.
 func Open(dataset Dataset, opts ...Option) (*Session, error) {
-	o := buildOptions(opts)
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	if err := o.rejectTopology(); err != nil {
-		return nil, err
-	}
-	cl, err := newCluster(&clusterOptions{hw: o.hw, env: o.env, gpus: o.gpus, rt: o.rt,
-		matBytes: o.matBytes, trace: o.trace})
+	o, err := build(atOpen, opts)
 	if err != nil {
 		return nil, err
 	}
-	o.hw, o.env, o.rt, o.gpus, o.matBytes, o.trace = nil, nil, nil, 0, 0, nil
+	cl, err := newCluster(o)
+	if err != nil {
+		return nil, err
+	}
 	sess, err := cl.open(dataset, o, true, false)
 	if err != nil {
 		_ = cl.Close()
@@ -464,117 +268,86 @@ func Open(dataset Dataset, opts ...Option) (*Session, error) {
 // session recycles them for upcoming draws (the zero-allocation steady
 // state). Copy anything that must outlive the step, or open the session
 // with WithRetainBatches to keep every batch alive. The final batch (and a
-// batch the loop breaks on) is never recycled.
-func (s *Session) Batches(ctx context.Context) iter.Seq2[*Batch, error] {
-	return func(yield func(*Batch, error) bool) {
-		switch {
-		case s.state.Load() == sessionClosed:
-			yield(nil, ErrSessionClosed)
-			return
-		case s.cl.isClosed():
-			yield(nil, ErrClusterClosed)
-			return
-		case !s.state.CompareAndSwap(sessionNew, sessionConsumed):
-			yield(nil, ErrSessionConsumed)
-			return
+// batch the loop breaks on) is never recycled; batches the loader had built
+// and the loop never took are released when the stream ends.
+func (s *Session) Batches(ctx context.Context) iter.Seq2[*Batch, error] { return s.pump(ctx) }
+
+// The four methods below make a Session its stream's source.
+
+func (s *Session) ready() error {
+	if s.cl.isClosed() {
+		return ErrClusterClosed
+	}
+	return nil
+}
+
+func (s *Session) start(ctx context.Context) error {
+	if err := s.ld.Start(ctx); err != nil {
+		return err
+	}
+	if !s.served {
+		s.cst = trainer.StartChaos(s.env, s.cl.disk, s.script)
+	}
+	s.done = make([]bool, len(s.env.GPUs))
+	s.remaining = len(s.done)
+	return nil
+}
+
+func (s *Session) next(ctx context.Context) (*Batch, error) {
+	for s.remaining > 0 {
+		g := s.turn
+		s.turn = (g + 1) % len(s.done)
+		if s.done[g] {
+			continue
 		}
-		runOnKernel(s, func() {
-			if err := ctx.Err(); err != nil {
-				s.err = err
-				yield(nil, err)
-				return
-			}
-			now := int64(s.rt.Now())
-			s.startAt.Store(now)
-			s.endAt.Store(now)
-			if err := s.ld.Start(ctx); err != nil {
-				s.err = err
-				yield(nil, err)
-				return
-			}
-			s.cst = trainer.StartChaos(s.rt, s.env, s.cl.disk, s.env.WG, s.script, len(s.env.GPUs))
-			defer s.teardown()
-
-			// Loaders shard delivery across per-GPU consumer queues;
-			// drain them round-robin until each reports end-of-data.
-			n := len(s.env.GPUs)
-			done := make([]bool, n)
-			remaining := n
-			var prev *Batch
-			var prevGen uint32
-			for g := 0; remaining > 0; g = (g + 1) % n {
-				if done[g] {
-					continue
-				}
-				// Preemption gate: park here while a chaos script holds the
-				// session paused; a terminal preemption ends the stream with
-				// ErrPreempted (checkpoint and Resume to continue warm).
-				if err := s.cst.Gate(ctx); err != nil {
-					s.err = err
-					yield(nil, err)
-					return
-				}
-				b, err := s.ld.Next(ctx, g)
-				if errors.Is(err, io.EOF) {
-					done[g] = true
-					remaining--
-					continue
-				}
-				if err != nil {
-					s.err = err
-					yield(nil, err)
-					return
-				}
-				s.batches.Add(1)
-				s.samples.Add(int64(b.Size()))
-				s.bytes.Add(b.Bytes())
-				now := s.rt.Now()
-				s.endAt.Store(int64(now))
-				s.cst.NoteStep(g, now)
-				s.publish()
-				if s.resumedAt > 0 && s.recoveredIn == 0 {
-					// First batch of a checkpoint-restored session: the
-					// measured recovery time of the resume.
-					s.recoveredIn = now - s.resumedAt
-				}
-				// The previously yielded batch is out of its validity window
-				// once the loop asks for the next one: recycle it — unless
-				// the loop body already released it itself (the generation
-				// guard leaves a batch we no longer own alone).
-				if prev != nil && !s.retain {
-					prev.ReleaseIfOwned(prevGen)
-				}
-				prev, prevGen = b, b.Generation()
-				if !yield(b, nil) {
-					return
-				}
-			}
-		})
+		// Preemption gate: park here while a chaos script holds the
+		// session paused; a terminal preemption ends the stream with
+		// ErrPreempted (checkpoint and Resume to continue warm).
+		if err := s.cst.Gate(ctx); err != nil {
+			return nil, err
+		}
+		b, err := s.ld.Next(ctx, g)
+		if errors.Is(err, io.EOF) {
+			s.done[g] = true
+			s.remaining--
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		now := s.rt.Now()
+		s.cst.NoteStep(g, now)
+		s.publish()
+		if s.resumedAt > 0 && s.recoveredIn == 0 {
+			// First batch of a checkpoint-restored session: the
+			// measured recovery time of the resume.
+			s.recoveredIn = now - s.resumedAt
+		}
+		return b, nil
 	}
+	return nil, io.EOF
 }
 
-// runOnKernel executes fn as a tracked task of the session's kernel
-// (simtime.Virtual.Run) — the only place code that parks may run — and blocks
-// until it returns, or is a plain call when StreamAll already put the caller
-// on a task. Code that touches kernel-owned state (caches, disk, fabric,
-// loaders) without parking uses Runtime.Do instead; neither is for callers
-// that are themselves tasks.
-func runOnKernel(s streamer, fn func()) {
-	rt, inline := s.kernel()
-	if inline.Load() {
-		fn()
-		return
-	}
-	rt.Run(fn)
-}
-
-// teardown stops the chaos replay and the loader, then waits for the
-// session's background tasks. Called from inside the kernel task driving
-// Batches.
-func (s *Session) teardown() {
+// stop halts the chaos replay and the loader, waits for the session's
+// background tasks, and releases the backlog: an early-stopped loader leaves
+// constructed batches buffered in its delivery queues (closed queues still
+// serve their backlog), and pooled samples are never leaked.
+func (s *Session) stop() {
 	s.cst.Stop()
 	s.ld.Stop()
 	_ = s.env.WG.Wait(context.Background())
+	for g, done := range s.done {
+		if done {
+			continue
+		}
+		for {
+			b, err := s.ld.Next(context.Background(), g)
+			if err != nil {
+				break
+			}
+			b.Release()
+		}
+	}
 }
 
 // Loader exposes the underlying loader for diagnostics; MinatoLoader
@@ -661,30 +434,19 @@ func sessionStateString(st int32) string {
 // sharing the cache are undisturbed. Close enters the session's kernel to
 // leave the caches: call it from a goroutine that is not one of the kernel's
 // tasks — after the Batches or StreamAll loop, not inside its body.
-func (s *Session) Close() (*Report, error) { return s.close(false) }
-
-// close is Close; onTask says the caller is a task of the session's kernel (a
-// server closing a stream) and leaves the caches right there, with no entry.
-func (s *Session) close(onTask bool) (*Report, error) {
+func (s *Session) Close() (*Report, error) {
 	s.state.Store(sessionClosed)
-	rep := &Report{
-		Workload:     s.spec.Dataset.Name(),
-		Loader:       s.name,
-		GPUs:         len(s.env.GPUs),
-		TrainTime:    time.Duration(s.endAt.Load() - s.startAt.Load()),
-		Batches:      s.batches.Load(),
-		Samples:      s.samples.Load(),
-		TrainedBytes: s.bytes.Load(),
-	}
+	rep := s.report(s.spec.Dataset.Name(), s.name, len(s.env.GPUs))
 	if s.released.CompareAndSwap(false, true) {
 		// Freeze storage attribution before releasing the tenancy: the
-		// cache-tenant slot may be reused by a later session.
-		if onTask {
+		// cache-tenant slot may be reused by a later session. A served
+		// stream is closed by a task of the kernel and leaves right there.
+		if s.served {
 			s.leave()
 		} else {
 			s.rt.Do(s.leave)
 		}
-		s.cl.releaseSession(s, onTask)
+		s.cl.releaseSession(s)
 	}
 	u := s.published()
 	rep.CacheStats, rep.MatCacheStats, rep.DiskBytes = u.cache, u.mat, u.disk
@@ -723,7 +485,10 @@ func (s *Session) close(onTask bool) (*Report, error) {
 // implicit single-session cluster; co-running training jobs share one
 // machine through NewCluster and Cluster.Train.
 func Train(workloadName string, opts ...Option) (*Report, error) {
-	o := buildOptions(opts)
+	o, err := build(atTrain, opts)
+	if err != nil {
+		return nil, err
+	}
 	w, ok := workload.ByName(workloadName, o.seed)
 	if !ok {
 		return nil, configErr("Train", fmt.Sprintf("unknown workload %q (registered: %s)",
@@ -735,31 +500,22 @@ func Train(workloadName string, opts ...Option) (*Report, error) {
 // TrainWorkload is Train for a workload value built directly (custom or
 // parameterized workloads that are not registered by name).
 func TrainWorkload(w Workload, opts ...Option) (*Report, error) {
-	return trainOpts(w, buildOptions(opts))
+	o, err := build(atTrain, opts)
+	if err != nil {
+		return nil, err
+	}
+	return trainOpts(w, o)
 }
 
-func trainOpts(w Workload, o *sessionOptions) (*Report, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
+func trainOpts(w Workload, o *options) (*Report, error) {
+	if o.hw == nil {
+		hw := ConfigA()
+		o.hw = &hw
 	}
-	if err := o.rejectTopology(); err != nil {
-		return nil, err
-	}
-	if o.env != nil {
-		return nil, configErr("WithEnv", "applies to Open; training sessions use WithHardware")
-	}
-	if o.rt != nil {
-		return nil, configErr("WithRuntime", "training sessions own their runtime; WithRuntime applies to Open")
-	}
-	hw := ConfigA()
-	if o.hw != nil {
-		hw = *o.hw
-	}
-	cl, err := newCluster(&clusterOptions{hw: &hw, gpus: o.gpus, matBytes: o.matBytes, trace: o.trace})
+	cl, err := newCluster(o)
 	if err != nil {
 		return nil, err
 	}
 	defer cl.Close()
-	o.hw, o.gpus, o.matBytes, o.trace = nil, 0, 0, nil
 	return cl.train(w, o)
 }

@@ -2,7 +2,6 @@ package minato
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -145,103 +144,6 @@ func TestBatchesEpochBudget(t *testing.T) {
 	}
 	if n != 12 { // 64/16 × 3 epochs
 		t.Fatalf("yielded %d batches, want 12", n)
-	}
-}
-
-// TestBatchesEarlyBreak verifies that breaking out of the loop stops the
-// loader: teardown completes inside the loop statement and the session's
-// report reflects only the consumed prefix.
-func TestBatchesEarlyBreak(t *testing.T) {
-	sess, err := Open(sessionDataset{n: 256},
-		WithPipeline(flatPipeline(2*time.Millisecond)),
-		WithBatchSize(8),
-		WithIterations(100),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, err := range sess.Batches(context.Background()) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
-		if n == 5 {
-			break
-		}
-	}
-	// Close drains the session-owned kernel: it only returns once every
-	// loader task has fully exited, so a leak would hang this test.
-	rep, err := sess.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Batches != 5 {
-		t.Fatalf("report counts %d batches, want 5", rep.Batches)
-	}
-	if left := sess.rt.Tasks(); left != 0 {
-		t.Fatalf("%d loader tasks still alive after Close", left)
-	}
-}
-
-func TestBatchesContextCancel(t *testing.T) {
-	sess, err := Open(sessionDataset{n: 256},
-		WithPipeline(flatPipeline(2*time.Millisecond)),
-		WithBatchSize(8),
-		WithIterations(100),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	n := 0
-	var sawErr error
-	for _, err := range sess.Batches(ctx) {
-		if err != nil {
-			sawErr = err
-			continue // the error must be the final yield
-		}
-		n++
-		if n == 3 {
-			cancel()
-		}
-	}
-	if sawErr == nil {
-		t.Fatal("cancelled iteration ended without an error")
-	}
-	if !errors.Is(sawErr, context.Canceled) {
-		t.Fatalf("yielded %v, want context.Canceled", sawErr)
-	}
-	if _, err := sess.Close(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Close error = %v, want context.Canceled", err)
-	}
-}
-
-func TestBatchesSingleUse(t *testing.T) {
-	sess, err := Open(sessionDataset{n: 64},
-		WithPipeline(flatPipeline(time.Millisecond)),
-		WithBatchSize(8), WithIterations(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, err := range sess.Batches(context.Background()) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, err := range sess.Batches(context.Background()) {
-		if !errors.Is(err, ErrSessionConsumed) {
-			t.Fatalf("second consumption yielded %v, want ErrSessionConsumed", err)
-		}
-	}
-	if _, err := sess.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, err := range sess.Batches(context.Background()) {
-		if !errors.Is(err, ErrSessionClosed) {
-			t.Fatalf("post-Close consumption yielded %v, want ErrSessionClosed", err)
-		}
 	}
 }
 

@@ -115,22 +115,6 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 // next run.
 func (s *TraceSink) Reset() { s.recorder().Reset() }
 
-// TracingOption is WithTracing's type: accepted by the session entry points
-// (Open, Train, TrainMultiNode — where it traces the implicit cluster), by
-// NewCluster (tracing is cluster-owned on an explicit cluster, like the
-// other substrate options), and by Serve (tracing the service fabric's
-// frames and flows).
-type TracingOption interface {
-	SharedOption
-	ServeOption
-}
-
-type tracingOption struct{ r *trace.Recorder }
-
-func (o tracingOption) applySession(s *sessionOptions) { s.trace = o.r }
-func (o tracingOption) applyCluster(c *clusterOptions) { c.trace = o.r }
-func (o tracingOption) applyServe(s *serveOptions)     { s.trace = o.r }
-
 // WithTracing records every layer of the run into sink: storage reads and
 // remote fetches, page-cache and materialized-cache hit/miss/fill, worker
 // transform executions, queue wait, batch assembly, GPU kernel occupancy
@@ -142,6 +126,6 @@ func (o tracingOption) applyServe(s *serveOptions)     { s.trace = o.r }
 // Open/Train/TrainMultiNode, which configures the implicit cluster) and to
 // Serve for the service fabric. Sessions of an explicit cluster cannot
 // carry it. A nil sink disables tracing (the default).
-func WithTracing(sink *TraceSink) TracingOption {
-	return tracingOption{r: sink.recorder()}
+func WithTracing(sink *TraceSink) Option {
+	return Option{"WithTracing", implicit | atNewCluster | atServe, func(o *options) { o.trace = sink.recorder() }}
 }
