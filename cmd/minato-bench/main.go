@@ -57,30 +57,43 @@ func main() {
 	)
 	flag.Parse()
 
-	if *fleet {
-		os.Exit(runFleet(*loader, *workload, *seed, *quick))
+	tiers := []struct {
+		flag string
+		on   bool
+		run  func() int
+	}{
+		{"-fleet", *fleet, func() int { return runFleet(*loader, *workload, *seed, *quick) }},
+		{"-tenants", *tenants, func() int { return runTenants(*workload, *seed, *quick) }},
+		{"-nodes", *nodes, func() int { return runNodes(*workload, *seed, *quick) }},
+		{"-warm", *warm, func() int { return runWarm(*workload, *seed, *quick) }},
+		{"-chaos", *chaosTier, func() int { return runChaos(*workload, *seed, *quick) }},
+		{"-serve", *serve, func() int { return runServe(*workload, *seed, *quick) }},
 	}
-	if *tenants {
-		os.Exit(runTenants(*workload, *seed, *quick))
-	}
-	if *nodes {
-		os.Exit(runNodes(*workload, *seed, *quick))
-	}
-	if *warm {
-		os.Exit(runWarm(*workload, *seed, *quick))
-	}
-	if *chaosTier {
-		os.Exit(runChaos(*workload, *seed, *quick))
-	}
-	if *serve {
-		os.Exit(runServe(*workload, *seed, *quick))
-	}
-
-	if (*loader != "" || *workload != "") && !*list {
-		if *exp != "" {
-			fmt.Fprintln(os.Stderr, "-exp and -loader/-workload are mutually exclusive")
-			os.Exit(2)
+	var picked []string
+	var runTier func() int
+	for _, t := range tiers {
+		if t.on {
+			picked, runTier = append(picked, t.flag), t.run
 		}
+	}
+	session := runTier == nil && (*loader != "" || *workload != "") && !*list
+	// A flag this invocation would not act on is a usage error, not a no-op.
+	usage := func(msg string) {
+		fmt.Fprintln(os.Stderr, msg)
+		os.Exit(2)
+	}
+	switch {
+	case len(picked) > 1:
+		usage(strings.Join(picked, " ") + " are mutually exclusive: one tier per run")
+	case runTier != nil && *exp != "":
+		usage(picked[0] + " and -exp are mutually exclusive")
+	case session && *exp != "":
+		usage("-exp and -loader/-workload are mutually exclusive")
+	case *traceOut != "" && !session:
+		usage("-trace records one session: give -loader and/or -workload, and no tier flag, -exp or -list")
+	case runTier != nil:
+		os.Exit(runTier())
+	case session:
 		os.Exit(runSession(*loader, *workload, *seed, *quick, *traceOut))
 	}
 
@@ -312,7 +325,7 @@ func runWarm(workload string, seed uint64, quick bool) int {
 // runNodes benchmarks the multi-node tier: 2- and 8-node data-parallel
 // clusters over the simulated interconnect, comparing the PyTorch-model
 // loader against MinatoLoader on whole-cluster step time and network-stall
-// share — the BenchmarkMultiNode view, interactive.
+// share.
 func runNodes(workload string, seed uint64, quick bool) int {
 	if workload == "" {
 		workload = "speech-3s"
@@ -349,8 +362,7 @@ func runNodes(workload string, seed uint64, quick bool) int {
 
 // runChaos benchmarks the fault-injection tier: every registered chaos
 // scenario that is valid on an 8-node cluster (plus a no-chaos baseline),
-// reporting the SLO view — tail step time and measured recovery — that
-// BenchmarkChurn tracks in CI.
+// reporting the SLO view: tail step time and measured recovery.
 func runChaos(workload string, seed uint64, quick bool) int {
 	if workload == "" {
 		workload = "speech-3s"
@@ -394,8 +406,7 @@ func runChaos(workload string, seed uint64, quick bool) int {
 }
 
 // runFleet benchmarks the scale-out tier: one session per fleet size, each
-// GPU consuming a fixed batch budget, reporting simulator wall throughput —
-// the contention-scalability view that BenchmarkFleetSession tracks in CI.
+// GPU consuming a fixed batch budget, reporting simulator wall throughput.
 func runFleet(loader, workload string, seed uint64, quick bool) int {
 	if loader == "" {
 		loader = "minato"
@@ -430,10 +441,9 @@ func runFleet(loader, workload string, seed uint64, quick bool) int {
 // runServe benchmarks the disaggregated-service tier: one preprocessing
 // server (an 8-core cluster) publishes a registered workload's dataset and
 // pipeline on a netsim fabric, and 1, 16, and 256 remote clients stream a
-// fixed batch budget through Dial concurrently on one kernel — the
-// BenchmarkServe view, interactive. Reported per tier: aggregate samples
-// per wall second, the worst client's p99 batch wait in virtual time, and
-// the server's stream/rejection counters.
+// fixed batch budget through Dial concurrently on one kernel. Reported per
+// tier: aggregate samples per wall second, the worst client's p99 batch
+// wait in virtual time, and the server's stream/rejection counters.
 func runServe(workloadName string, seed uint64, quick bool) int {
 	if workloadName == "" {
 		workloadName = "speech-3s"

@@ -1,6 +1,7 @@
 package minato
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -84,5 +85,41 @@ func TestMultinodeRunsEndToEnd(t *testing.T) {
 	}
 	if fi, err := os.Stat(traceOut); err != nil || fi.Size() == 0 {
 		t.Fatalf("multinode trace export missing or empty: %v", err)
+	}
+}
+
+// TestMinatoBenchRejectsFlagsItWouldDrop asserts that minato-bench turns a
+// flag combination it cannot honour — two tiers, a tier with -exp, -trace
+// with no session to record — into a usage error (exit 2, reason on stderr)
+// instead of silently running part of the request.
+func TestMinatoBenchRejectsFlagsItWouldDrop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping go-build smoke test in -short mode")
+	}
+	bin := filepath.Join(t.TempDir(), "minato-bench")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/minato-bench").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/minato-bench: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-fleet", "-tenants", "-quick"}, "-fleet -tenants are mutually exclusive"},
+		{[]string{"-exp", "fig9", "-serve", "-quick"}, "-serve and -exp are mutually exclusive"},
+		{[]string{"-trace", filepath.Join(t.TempDir(), "out.json")}, "-trace records one session"},
+	} {
+		var stdout, stderr strings.Builder
+		cmd := exec.Command(bin, tc.args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		var exit *exec.ExitError
+		if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: err %v, want exit status 2\n%s", tc.args, err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.msg) {
+			t.Errorf("%v: stderr %q does not say %q", tc.args, stderr.String(), tc.msg)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: ran something before rejecting:\n%s", tc.args, stdout.String())
+		}
 	}
 }

@@ -232,28 +232,9 @@ type Report struct {
 	// PerNode attributes each node's stalls, in node order.
 	PerNode []NodeStats
 
-	// spans memoizes the run's recorded trace; rec is the live recorder
-	// (Config.Trace) it snapshots from on first use.
-	spans []trace.Span
-	rec   *trace.Recorder
-}
-
-// Trace returns the run's recorded spans in canonical order (nil when
-// tracing was disabled). The snapshot is taken lazily on first call — a
-// traced run that never reads its trace pays nothing for the copy and
-// sort — and memoized, so read it before resetting the recorder the run
-// recorded into.
-func (r *Report) Trace() []trace.Span {
-	if r.spans == nil && r.rec.Enabled() {
-		r.spans = r.rec.Snapshot()
-	}
-	return r.spans
-}
-
-// CriticalPath reassembles each batch round's latency attribution from
-// the recorded trace (nil when tracing was disabled).
-func (r *Report) CriticalPath() []trace.BatchPath {
-	return trace.CriticalPath(r.Trace())
+	// Recorded is the run's trace: Trace and CriticalPath, snapshotted
+	// lazily from the recorder (Config.Trace) the run recorded into.
+	trace.Recorded
 }
 
 // StepTime is the whole-cluster synchronized step time — the number the
@@ -841,7 +822,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 	rep.StepP50 = st.hist.QuantileDuration(0.5)
 	rep.StepP99 = st.hist.QuantileDuration(0.99)
 	rep.Faults = st.faults.Stats()
-	rep.rec = cfg.Trace
+	rep.Recorded = trace.RecordedBy(cfg.Trace)
 
 	dur := rep.TrainTime.Seconds()
 	busyAll, gpuCount := 0.0, 0

@@ -316,6 +316,37 @@ func (r *Recorder) Reset() {
 	}
 }
 
+// Recorded is a finished run's handle on the recorder it recorded into,
+// embedded by the single-session and the multi-node Report. The zero value
+// is a run without tracing.
+type Recorded struct {
+	rec   *Recorder
+	spans []Span
+}
+
+// RecordedBy returns the handle of a run that recorded into r (nil when
+// tracing was disabled).
+func RecordedBy(r *Recorder) Recorded { return Recorded{rec: r} }
+
+// Trace returns the run's recorded spans in canonical order (nil when
+// tracing was disabled). The snapshot is taken lazily on first call — a
+// traced run that never reads its trace pays nothing for the copy and
+// sort — and memoized, so read it before resetting the recorder the run
+// recorded into.
+func (t *Recorded) Trace() []Span {
+	if t.spans == nil && t.rec.Enabled() {
+		t.spans = t.rec.Snapshot()
+	}
+	return t.spans
+}
+
+// CriticalPath reassembles each delivered batch's (on a cluster, each batch
+// round's) latency attribution from the recorded trace (nil when tracing
+// was disabled).
+func (t *Recorded) CriticalPath() []BatchPath {
+	return CriticalPath(t.Trace())
+}
+
 // Sort orders spans canonically in place (see Compare).
 func Sort(spans []Span) {
 	sort.Slice(spans, func(i, j int) bool { return Compare(spans[i], spans[j]) < 0 })

@@ -162,28 +162,9 @@ type Report struct {
 	// exportable through WritePrometheus.
 	StepHist *stats.LogHist
 
-	// spans memoizes the session's recorded trace; rec is the live
-	// recorder it snapshots from on first use.
-	spans []trace.Span
-	rec   *trace.Recorder
-}
-
-// Trace returns the session's recorded spans in canonical order (nil when
-// tracing was disabled). The snapshot is taken lazily on first call — a
-// traced run that never reads its trace pays nothing for the copy and
-// sort — and memoized, so read it before resetting the sink the session
-// recorded into.
-func (r *Report) Trace() []trace.Span {
-	if r.spans == nil && r.rec.Enabled() {
-		r.spans = r.rec.Snapshot()
-	}
-	return r.spans
-}
-
-// CriticalPath reassembles each delivered batch's latency attribution
-// from the recorded trace (nil when tracing was disabled).
-func (r *Report) CriticalPath() []trace.BatchPath {
-	return trace.CriticalPath(r.Trace())
+	// Recorded is the session's trace: Trace and CriticalPath, snapshotted
+	// lazily from the recorder the session recorded into.
+	trace.Recorded
 }
 
 // WriteTraceCSV exports the sample trace for offline analysis.
@@ -465,7 +446,7 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 	// critical-path analyzer reproduces this value to the nanosecond. The
 	// report keeps the recorder and snapshots lazily (Trace).
 	rep.DataStall = time.Duration(dataStall)
-	rep.rec = tr
+	rep.Recorded = trace.RecordedBy(tr)
 	if consumerErr != nil {
 		return nil, consumerErr
 	}

@@ -92,7 +92,7 @@ func TestTopologyOptionsRejectedElsewhere(t *testing.T) {
 	if _, err := Train("speech-3s", WithNodes(2)); !errors.As(err, &ce) {
 		t.Fatalf("Train with WithNodes: %v, want *ConfigError", err)
 	}
-	if _, err := Open(tenantCorpus{n: 64}, WithNodes(2)); !errors.As(err, &ce) {
+	if _, err := Open(sessionDataset{n: 64}, WithNodes(2)); !errors.As(err, &ce) {
 		t.Fatalf("Open with WithNodes: %v, want *ConfigError", err)
 	}
 	cl, err := NewCluster()
@@ -100,7 +100,7 @@ func TestTopologyOptionsRejectedElsewhere(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Open(tenantCorpus{n: 64}, WithTopology(Topology{Nodes: 2})); !errors.As(err, &ce) {
+	if _, err := cl.Open(sessionDataset{n: 64}, WithTopology(Topology{Nodes: 2})); !errors.As(err, &ce) {
 		t.Fatalf("Cluster.Open with WithTopology: %v, want *ConfigError", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -313,5 +314,86 @@ func TestTracingClusterOwned(t *testing.T) {
 		WithIterations(2), WithTracing(NewTraceSink()))
 	if err == nil {
 		t.Fatal("cluster session accepted WithTracing; want cluster-owned error")
+	}
+}
+
+// scalarFields flattens a report's exported scalar fields — strings,
+// integers (durations included) and floats, through nested and embedded
+// structs — into name → value. Slices, maps and pointers are not scalars.
+func scalarFields(prefix string, v reflect.Value, into map[string]any) {
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		switch fv := v.Field(i); fv.Kind() {
+		case reflect.Struct:
+			scalarFields(prefix+f.Name+".", fv, into)
+		case reflect.String, reflect.Int, reflect.Int64, reflect.Float64:
+			into[prefix+f.Name] = fv.Interface()
+		}
+	}
+}
+
+// TestHeadlinePinsTracedAndUntraced holds the paper's headline comparison —
+// Speech-3s on ConfigA, 200 iterations, seed 1, every default loader — to
+// the nanosecond: the three training times below are 7.032× over pytorch,
+// 2.430× over dali and (with the utilisation pin) 92.98 % GPU utilisation,
+// the same values bench/workloads.go pins for headline-speech3s. Each
+// loader runs once plain and once traced; tracing records and must not
+// perturb, so every scalar of the two reports has to be equal.
+func TestHeadlinePinsTracedAndUntraced(t *testing.T) {
+	want := map[string]time.Duration{
+		"pytorch": 453790945873,
+		"pecan":   453790945873, // pytorch with AutoOrder, which moves no cost on Speech
+		"dali":    156816959218,
+		"minato":  64530666780,
+	}
+	w := SpeechWorkload(1, 3*time.Second).WithIterations(200)
+	got := map[string]*Report{}
+	for _, f := range AllFactories() {
+		plain, err := TrainWorkload(w, WithLoaderFactory(f), WithHardware(ConfigA()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := NewTraceSink()
+		traced, err := TrainWorkload(w, WithLoaderFactory(f), WithHardware(ConfigA()), WithTracing(sink))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sink.Len() == 0 {
+			t.Fatalf("%s: traced run recorded no spans", f.Name)
+		}
+		if pin, ok := want[f.Name]; !ok {
+			t.Fatalf("%s: default loader without a pinned TrainTime", f.Name)
+		} else if plain.TrainTime != pin {
+			t.Errorf("%s: TrainTime %d ns, pinned %d ns", f.Name, plain.TrainTime, pin)
+		}
+		a, b := map[string]any{}, map[string]any{}
+		scalarFields("", reflect.ValueOf(*plain), a)
+		scalarFields("", reflect.ValueOf(*traced), b)
+		for _, name := range []string{"TrainTime", "AvgGPUUtil", "Samples", "StallBreakdown.DataStall", "StallBreakdown.StepP99"} {
+			if a[name] == nil {
+				t.Fatalf("scalarFields missed %s: %v", name, a)
+			}
+		}
+		for name, v := range a {
+			if b[name] != v {
+				t.Errorf("%s: %s is %v untraced, %v traced", f.Name, name, v, b[name])
+			}
+		}
+		got[f.Name] = plain
+	}
+	if len(got) != len(want) {
+		t.Fatalf("ran %d loaders, pinned %d", len(got), len(want))
+	}
+	m := got["minato"]
+	if util := fmt.Sprintf("%.2f", m.AvgGPUUtil); util != "92.98" {
+		t.Errorf("minato GPU utilisation %s %%, pinned 92.98", util)
+	}
+	for name, x := range map[string]string{"pytorch": "7.032", "dali": "2.430"} {
+		if s := fmt.Sprintf("%.3f", got[name].TrainTime.Seconds()/m.TrainTime.Seconds()); s != x {
+			t.Errorf("speedup over %s is %s, pinned %s", name, s, x)
+		}
 	}
 }
