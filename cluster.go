@@ -391,7 +391,7 @@ func (c *Cluster) train(w Workload, o *options) (*Report, error) {
 		cacheTenant := c.joinTenant()
 		defer c.leaveTenant(cacheTenant)
 		env := c.sessionEnv(gpuIdxs, cacheTenant, share)
-		rep, err = trainer.RunEnv(env, c.disk, c.cache, w, f, o.params)
+		rep, err = trainer.RunEnv(env, w, f, o.params)
 	})
 	return rep, err
 }

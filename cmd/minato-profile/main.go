@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"github.com/minatoloader/minato"
-	"github.com/minatoloader/minato/internal/stats"
+	"github.com/minatoloader/minato/internal/metrics"
 )
 
 func main() {
@@ -39,7 +39,7 @@ func main() {
 	}
 
 	totals := make([]float64, 0, count)
-	perTransform := map[string]*stats.Welford{}
+	perTransform := map[string]*metrics.Welford{}
 	order := []string{}
 	for i := 0; i < count; i++ {
 		s := w.Dataset.Sample(0, i)
@@ -52,7 +52,7 @@ func main() {
 			if *perTr {
 				wf, ok := perTransform[tr.Name()]
 				if !ok {
-					wf = &stats.Welford{}
+					wf = &metrics.Welford{}
 					perTransform[tr.Name()] = wf
 					order = append(order, tr.Name())
 				}
@@ -62,10 +62,10 @@ func main() {
 		totals = append(totals, float64(total)/float64(time.Millisecond))
 	}
 
-	sum := stats.Summarize(totals)
+	sum := metrics.Summarize(totals)
 	fmt.Printf("workload: %s (%d samples)\n", w.Name, count)
 	fmt.Printf("total preprocessing time (ms): %s\n", sum)
-	var p stats.Percentiles
+	var p metrics.Percentiles
 	for _, v := range totals {
 		p.Add(v)
 	}

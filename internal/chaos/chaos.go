@@ -157,17 +157,6 @@ func (s Script) Sorted() []Event {
 	return evs
 }
 
-// HasMembershipEvents reports whether the script crashes or rejoins nodes
-// — the events that switch a multi-node run into elastic membership mode.
-func (s Script) HasMembershipEvents() bool {
-	for _, ev := range s.Events {
-		if ev.Kind == NodeCrash || ev.Kind == NodeJoin {
-			return true
-		}
-	}
-	return false
-}
-
 // Compose merges scripts into one named schedule; overlapping times keep
 // argument order (stable sort at run time).
 func Compose(name string, scripts ...Script) Script {

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"github.com/minatoloader/minato/internal/simtime"
@@ -14,9 +13,9 @@ import (
 // order (stable for ties) by that single task, so the injection schedule
 // is deterministic. Membership events in a multi-node run are not driven
 // by an Engine — the step barrier applies them at quiescent points; see
-// the package comment.
+// the package comment. Task-only, like the Pauser: every driver starts and
+// stops its engine on a kernel task.
 type Engine struct {
-	mu      sync.Mutex
 	stopped bool
 	cancel  context.CancelFunc
 }
@@ -37,15 +36,10 @@ func StartEngine(rt *simtime.Virtual, wg *simtime.WaitGroup, events []Event, app
 					return
 				}
 			}
-			e.mu.Lock()
-			dead := e.stopped
-			if !dead {
-				apply(ev)
-			}
-			e.mu.Unlock()
-			if dead {
+			if e.stopped {
 				return
 			}
+			apply(ev)
 		}
 	})
 	return e
@@ -60,9 +54,7 @@ func (e *Engine) Stop() {
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
 	e.stopped = true
-	e.mu.Unlock()
 	e.cancel()
 }
 
@@ -73,7 +65,6 @@ func (e *Engine) Stop() {
 type Pauser struct {
 	rt *simtime.Virtual
 
-	mu       sync.Mutex
 	paused   bool
 	terminal bool
 	waiters  []*simtime.Waiter
@@ -88,26 +79,21 @@ func NewPauser(rt *simtime.Virtual) *Pauser {
 // scheduled resume. Parked waiters of a terminal pause wake immediately
 // with ErrPreempted.
 func (p *Pauser) Pause(terminal bool) {
-	p.mu.Lock()
 	p.paused, p.terminal = true, terminal
-	var ws []*simtime.Waiter
 	if terminal {
-		ws = p.waiters
-		p.waiters = nil
-	}
-	p.mu.Unlock()
-	for _, w := range ws {
-		w.Wake()
+		p.wakeAll()
 	}
 }
 
 // Resume releases every parked consumer.
 func (p *Pauser) Resume() {
-	p.mu.Lock()
 	p.paused, p.terminal = false, false
+	p.wakeAll()
+}
+
+func (p *Pauser) wakeAll() {
 	ws := p.waiters
 	p.waiters = nil
-	p.mu.Unlock()
 	for _, w := range ws {
 		w.Wake()
 	}
@@ -123,18 +109,14 @@ func (p *Pauser) Wait(ctx context.Context) (time.Duration, error) {
 	}
 	var stalled time.Duration
 	for {
-		p.mu.Lock()
 		if !p.paused {
-			p.mu.Unlock()
 			return stalled, nil
 		}
 		if p.terminal {
-			p.mu.Unlock()
 			return stalled, ErrPreempted
 		}
 		w := p.rt.NewWaiter()
 		p.waiters = append(p.waiters, w)
-		p.mu.Unlock()
 		t0 := p.rt.Now()
 		err := w.Wait(ctx)
 		stalled += p.rt.Now() - t0

@@ -5,8 +5,8 @@ import (
 	"math"
 	"time"
 
+	"github.com/minatoloader/minato/internal/metrics"
 	"github.com/minatoloader/minato/internal/simtime"
-	"github.com/minatoloader/minato/internal/stats"
 )
 
 // Scheduler implements the adaptive worker scheduler of §4.3:
@@ -25,7 +25,7 @@ type Scheduler struct {
 	// Plain counters: only the loader's own tasks touch them.
 	target, live, peak, retireTokens int
 
-	qAvg *stats.EWMA
+	qAvg *metrics.EWMA
 
 	lastBusy    float64
 	lastTime    time.Duration
@@ -34,7 +34,7 @@ type Scheduler struct {
 
 // NewScheduler returns a scheduler bound to a loader.
 func NewScheduler(l *Loader, cfg Config) *Scheduler {
-	return &Scheduler{l: l, cfg: cfg, qAvg: stats.NewEWMA(0.3)}
+	return &Scheduler{l: l, cfg: cfg, qAvg: metrics.NewEWMA(0.3)}
 }
 
 // SetTarget fixes the desired worker count (initialization and tests).

@@ -5,7 +5,7 @@ import (
 	"testing/quick"
 
 	"github.com/minatoloader/minato/internal/data"
-	"github.com/minatoloader/minato/internal/stats"
+	"github.com/minatoloader/minato/internal/metrics"
 )
 
 func TestKiTS19Shape(t *testing.T) {
@@ -13,7 +13,7 @@ func TestKiTS19Shape(t *testing.T) {
 	if d.Len() != 210 {
 		t.Fatalf("Len = %d, want 210", d.Len())
 	}
-	var w stats.Welford
+	var w metrics.Welford
 	for i := 0; i < d.Len(); i++ {
 		s := d.Sample(0, i)
 		mb := float64(s.RawBytes) / (1 << 20)
@@ -37,7 +37,7 @@ func TestCOCOShape(t *testing.T) {
 	if d.Len() != 118287 {
 		t.Fatalf("Len = %d", d.Len())
 	}
-	var w stats.Welford
+	var w metrics.Welford
 	for i := 0; i < 20000; i++ {
 		s := d.Sample(0, i)
 		mb := float64(s.RawBytes) / (1 << 20)

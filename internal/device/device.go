@@ -148,9 +148,6 @@ func (d *Device) EnableTrace(r *trace.Recorder, tenant, node int32, key int64) {
 // Capacity returns the device's parallel capacity.
 func (d *Device) Capacity() float64 { return d.cap }
 
-// Active returns the number of in-flight tasks.
-func (d *Device) Active() int { return len(d.entries) }
-
 // Run occupies the device for `work` of full-speed compute time. Under
 // contention the wall (virtual) time taken is proportionally longer. It
 // returns ctx.Err() if cancelled mid-run (best-effort under the virtual
@@ -400,29 +397,4 @@ func (h entryHeap) place(i int, e *entry) {
 func (d *Device) BusySeconds() float64 {
 	d.advance() // progress included, so the two integrals share one clock
 	return d.busyIntegral
-}
-
-// UtilizationGauge returns a sampling function computing utilization in
-// [0,1] over the window since the previous call. Suitable for a metrics
-// collector.
-func (d *Device) UtilizationGauge() func() float64 {
-	lastBusy := d.BusySeconds()
-	lastT := d.rt.Now()
-	return func() float64 {
-		busy := d.BusySeconds()
-		now := d.rt.Now()
-		dt := (now - lastT).Seconds()
-		var u float64
-		if dt > 0 {
-			u = (busy - lastBusy) / (d.cap * dt)
-		}
-		lastBusy, lastT = busy, now
-		if u < 0 {
-			u = 0
-		}
-		if u > 1 {
-			u = 1
-		}
-		return u
-	}
 }

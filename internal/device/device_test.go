@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/minatoloader/minato/internal/metrics"
 	"github.com/minatoloader/minato/internal/simtime"
 )
 
@@ -120,7 +121,9 @@ func TestBusyAccountingAndUtilization(t *testing.T) {
 	k := simtime.NewVirtual()
 	k.Run(func() {
 		d := New(k, "cpu", 2)
-		gauge := d.UtilizationGauge()
+		// Utilization is busy unit-seconds over capacity, read through the
+		// shared rate gauge as the trainer does.
+		gauge := metrics.CounterRateGauge(k, d.Capacity(), d.BusySeconds)
 		// One task of 10s on a 2-core device, then 10s idle.
 		_ = d.Run(context.Background(), 10*time.Second)
 		u1 := gauge()

@@ -51,10 +51,9 @@ import (
 	"github.com/minatoloader/minato/internal/dist"
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loader"
+	"github.com/minatoloader/minato/internal/metrics"
 	"github.com/minatoloader/minato/internal/netsim"
-	"github.com/minatoloader/minato/internal/report"
 	"github.com/minatoloader/minato/internal/simtime"
-	"github.com/minatoloader/minato/internal/stats"
 	"github.com/minatoloader/minato/internal/storage"
 	"github.com/minatoloader/minato/internal/trace"
 	"github.com/minatoloader/minato/internal/trainer"
@@ -228,7 +227,7 @@ type Report struct {
 	// windows. The stall fields are the PerNode counter sums, traced or
 	// not; the recorded spans are stamped at the same virtual instants, so
 	// trace.Attribute over CriticalPath agrees with them to the nanosecond.
-	report.StallBreakdown
+	trainer.StallBreakdown
 	// PerNode attributes each node's stalls, in node order.
 	PerNode []NodeStats
 
@@ -386,7 +385,7 @@ type ctrl struct {
 	rounds       int64
 	target       int64 // elastic mode: rounds to run
 	lastBoundary time.Duration
-	hist         *stats.LogHist
+	hist         *metrics.LogHist
 
 	faults     *chaos.Faults
 	pendingRec map[int]int // node → faults index awaiting first post-join step
@@ -661,7 +660,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 		k: k, cfg: cfg, w: w, f: f, fab: fab, wg: wg,
 		nodes: nodes, baseBW: baseBW, seed: spec.Seed, elastic: elastic,
 		pending: memberEvs, target: target,
-		hist:       stats.NewLogHist(),
+		hist:       metrics.NewLogHist(),
 		pendingRec: map[int]int{},
 	}
 	st.faults = chaos.NewFaults(k, cfg.Trace, 0, st.totalStall)

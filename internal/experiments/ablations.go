@@ -7,7 +7,6 @@ import (
 	"github.com/minatoloader/minato/internal/core"
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loaders"
-	"github.com/minatoloader/minato/internal/report"
 	"github.com/minatoloader/minato/internal/trainer"
 	"github.com/minatoloader/minato/internal/workload"
 )
@@ -30,7 +29,7 @@ func ablationWorkload(o Options) workload.Workload {
 func runAblTimeout(o Options) (*Result, error) {
 	cfg := hardware.ConfigA()
 	w := ablationWorkload(o)
-	t := report.Table{
+	t := Table{
 		Title:  "Timeout percentile (Speech-3s)",
 		Header: append([]string{"percentile"}, loaderHeader...),
 	}
@@ -43,14 +42,14 @@ func runAblTimeout(o Options) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("abl-timeout p%v: %w", pct, err)
 		}
-		t.Rows = append(t.Rows, append([]string{report.F(pct*100, 0)}, loaderRow(rep)...))
+		t.Rows = append(t.Rows, append([]string{fixed(pct*100, 0)}, loaderRow(rep)...))
 	}
-	res := &Result{ID: "abl-timeout", Title: "Timeout percentile ablation", Tables: []report.Table{t},
+	res := &Result{ID: "abl-timeout", Title: "Timeout percentile ablation", Tables: []Table{t},
 		Notes: []string{
 			"the paper argues P75 balances outlier focus against slow-queue pressure; lower percentiles classify more samples slow and waste partial work on re-execution",
 		}}
 	if o.OutDir != "" {
-		if err := report.WriteTableCSV(o.OutDir, "abl_timeout", t); err != nil {
+		if err := t.WriteCSV(o.OutDir, "abl_timeout"); err != nil {
 			return nil, err
 		}
 	}
@@ -60,7 +59,7 @@ func runAblTimeout(o Options) (*Result, error) {
 func runAblWorkers(o Options) (*Result, error) {
 	cfg := hardware.ConfigA()
 	w := ablationWorkload(o)
-	t := report.Table{
+	t := Table{
 		Title:  "Adaptive vs fixed worker pools (Speech-3s)",
 		Header: append([]string{"policy"}, loaderHeader...),
 	}
@@ -86,12 +85,12 @@ func runAblWorkers(o Options) (*Result, error) {
 			return nil, err
 		}
 	}
-	res := &Result{ID: "abl-workers", Title: "Worker scheduler ablation", Tables: []report.Table{t},
+	res := &Result{ID: "abl-workers", Title: "Worker scheduler ablation", Tables: []Table{t},
 		Notes: []string{
 			"adaptive scaling approaches the best fixed pool without per-workload tuning (§4.3)",
 		}}
 	if o.OutDir != "" {
-		if err := report.WriteTableCSV(o.OutDir, "abl_workers", t); err != nil {
+		if err := t.WriteCSV(o.OutDir, "abl_workers"); err != nil {
 			return nil, err
 		}
 	}
@@ -101,7 +100,7 @@ func runAblWorkers(o Options) (*Result, error) {
 func runAblResume(o Options) (*Result, error) {
 	cfg := hardware.ConfigA()
 	w := ablationWorkload(o)
-	t := report.Table{
+	t := Table{
 		Title:  "Slow-sample completion strategy (Speech-3s)",
 		Header: append([]string{"strategy"}, loaderHeader...),
 	}
@@ -118,12 +117,12 @@ func runAblResume(o Options) (*Result, error) {
 		}
 		t.Rows = append(t.Rows, append([]string{label}, loaderRow(rep)...))
 	}
-	res := &Result{ID: "abl-resume", Title: "Resume ablation", Tables: []report.Table{t},
+	res := &Result{ID: "abl-resume", Title: "Resume ablation", Tables: []Table{t},
 		Notes: []string{
 			"Algorithm 1 resumes from the interrupted transform, re-executing only it; restarting repeats all completed transforms as well",
 		}}
 	if o.OutDir != "" {
-		if err := report.WriteTableCSV(o.OutDir, "abl_resume", t); err != nil {
+		if err := t.WriteCSV(o.OutDir, "abl_resume"); err != nil {
 			return nil, err
 		}
 	}
@@ -133,7 +132,7 @@ func runAblResume(o Options) (*Result, error) {
 func runAblOrder(o Options) (*Result, error) {
 	cfg := hardware.ConfigA()
 	w := ablationWorkload(o)
-	t := report.Table{
+	t := Table{
 		Title:  "Order-preserving mode (Speech-3s)",
 		Header: append([]string{"mode"}, loaderHeader...),
 	}
@@ -156,12 +155,12 @@ func runAblOrder(o Options) (*Result, error) {
 		return nil, err
 	}
 	t.Rows = append(t.Rows, append([]string{"pytorch (reference)"}, loaderRow(rep)...))
-	res := &Result{ID: "abl-order", Title: "Order-preserving ablation", Tables: []report.Table{t},
+	res := &Result{ID: "abl-order", Title: "Order-preserving ablation", Tables: []Table{t},
 		Notes: []string{
 			"strict ordering reintroduces head-of-line waiting in batch assembly; §6 accepts this for curriculum learning correctness",
 		}}
 	if o.OutDir != "" {
-		if err := report.WriteTableCSV(o.OutDir, "abl_order", t); err != nil {
+		if err := t.WriteCSV(o.OutDir, "abl_order"); err != nil {
 			return nil, err
 		}
 	}

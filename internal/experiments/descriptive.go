@@ -6,8 +6,7 @@ import (
 	"time"
 
 	"github.com/minatoloader/minato/internal/dataset"
-	"github.com/minatoloader/minato/internal/report"
-	"github.com/minatoloader/minato/internal/stats"
+	"github.com/minatoloader/minato/internal/metrics"
 	"github.com/minatoloader/minato/internal/transform"
 	"github.com/minatoloader/minato/internal/workload"
 )
@@ -20,16 +19,16 @@ func init() {
 }
 
 func runTable1(o Options) (*Result, error) {
-	t := report.Table{
+	t := Table{
 		Title:  "Preprocessing pipelines",
 		Header: []string{"workload", "pipeline"},
 	}
 	for _, w := range workload.All(o.seed()) {
 		t.Rows = append(t.Rows, []string{w.Name, strings.Join(w.Table1Row(), " -> ")})
 	}
-	res := &Result{ID: "table1", Title: "Table 1", Tables: []report.Table{t}}
+	res := &Result{ID: "table1", Title: "Table 1", Tables: []Table{t}}
 	if o.OutDir != "" {
-		if err := report.WriteTableCSV(o.OutDir, "table1", t); err != nil {
+		if err := t.WriteCSV(o.OutDir, "table1"); err != nil {
 			return nil, err
 		}
 	}
@@ -37,7 +36,7 @@ func runTable1(o Options) (*Result, error) {
 }
 
 func runTable3(o Options) (*Result, error) {
-	t := report.Table{
+	t := Table{
 		Title:  "Training configurations",
 		Header: []string{"workload", "model", "epochs", "iterations", "batch_size"},
 	}
@@ -51,9 +50,9 @@ func runTable3(o Options) (*Result, error) {
 		}
 		t.Rows = append(t.Rows, []string{w.Name, w.Model, ep, it, fmt.Sprint(w.BatchSize)})
 	}
-	res := &Result{ID: "table3", Title: "Table 3", Tables: []report.Table{t}}
+	res := &Result{ID: "table3", Title: "Table 3", Tables: []Table{t}}
 	if o.OutDir != "" {
-		if err := report.WriteTableCSV(o.OutDir, "table3", t); err != nil {
+		if err := t.WriteCSV(o.OutDir, "table3"); err != nil {
 			return nil, err
 		}
 	}
@@ -61,7 +60,7 @@ func runTable3(o Options) (*Result, error) {
 }
 
 // table2Paper holds the paper's Table 2 for side-by-side comparison (ms).
-var table2Paper = map[string]stats.Summary{
+var table2Paper = map[string]metrics.Summary{
 	"img-seg":    {Avg: 500, Med: 470, P75: 630, P90: 750, Min: 10, Max: 2230, Std: 197},
 	"obj-det":    {Avg: 31, Med: 28, P75: 30, P90: 35, Min: 11, Max: 176, Std: 19},
 	"speech-3s":  {Avg: 998, Med: 508, P75: 509, P90: 3008, Min: 502, Max: 3017, Std: 992},
@@ -73,7 +72,7 @@ func runTable2(o Options) (*Result, error) {
 	if o.Quick {
 		n = 4000
 	}
-	t := report.Table{
+	t := Table{
 		Title:  "Preprocessing time per workload (ms); 'paper' rows are the published Table 2",
 		Header: []string{"workload", "source", "avg", "med", "p75", "p90", "min", "max", "std"},
 	}
@@ -88,32 +87,32 @@ func runTable2(o Options) (*Result, error) {
 			s := w.Dataset.Sample(0, i)
 			vals = append(vals, float64(w.Pipeline.TotalCost(s))/float64(time.Millisecond))
 		}
-		got := stats.Summarize(vals)
+		got := metrics.Summarize(vals)
 		paper := table2Paper[w.Name]
 		t.Rows = append(t.Rows,
 			summaryRow(w.Name, "measured", got),
 			summaryRow(w.Name, "paper", paper))
 		csvRows = append(csvRows, summaryRow(w.Name, "measured", got), summaryRow(w.Name, "paper", paper))
 	}
-	res := &Result{ID: "table2", Title: "Table 2", Tables: []report.Table{t}}
+	res := &Result{ID: "table2", Title: "Table 2", Tables: []Table{t}}
 	if o.OutDir != "" {
-		if err := report.WriteCSV(o.OutDir, "table2", t.Header, csvRows); err != nil {
+		if err := metrics.WriteCSV(o.OutDir, "table2", t.Header, csvRows); err != nil {
 			return nil, err
 		}
 	}
 	return res, nil
 }
 
-func summaryRow(name, src string, s stats.Summary) []string {
+func summaryRow(name, src string, s metrics.Summary) []string {
 	return []string{name, src,
-		report.F(s.Avg, 0), report.F(s.Med, 0), report.F(s.P75, 0), report.F(s.P90, 0),
-		report.F(s.Min, 0), report.F(s.Max, 0), report.F(s.Std, 0)}
+		fixed(s.Avg, 0), fixed(s.Med, 0), fixed(s.P75, 0), fixed(s.P90, 0),
+		fixed(s.Min, 0), fixed(s.Max, 0), fixed(s.Std, 0)}
 }
 
 func runFig2(o Options) (*Result, error) {
 	const samples = 25
-	mk := func(w workload.Workload, ds dataset.Dataset, p *transform.Pipeline) (report.Table, float64) {
-		t := report.Table{
+	mk := func(w workload.Workload, ds dataset.Dataset, p *transform.Pipeline) (Table, float64) {
+		t := Table{
 			Title:  fmt.Sprintf("Per-sample preprocessing time, %s (%s)", w.Name, w.Model),
 			Header: []string{"sample", "time_ms"},
 		}
@@ -122,7 +121,7 @@ func runFig2(o Options) (*Result, error) {
 			s := ds.Sample(0, i)
 			ms := float64(p.TotalCost(s)) / float64(time.Millisecond)
 			sum += ms
-			t.Rows = append(t.Rows, []string{fmt.Sprint(i), report.F(ms, 1)})
+			t.Rows = append(t.Rows, []string{fmt.Sprint(i), fixed(ms, 1)})
 		}
 		return t, sum / samples
 	}
@@ -132,17 +131,17 @@ func runFig2(o Options) (*Result, error) {
 	tObj, avgObj := mk(obj, obj.Dataset, obj.Pipeline)
 	res := &Result{
 		ID: "fig2", Title: "Fig 2: preprocessing time variability",
-		Tables: []report.Table{tImg, tObj},
+		Tables: []Table{tImg, tObj},
 		Notes: []string{
 			fmt.Sprintf("img-seg average %.0f ms (paper: ≈500 ms red line)", avgImg),
 			fmt.Sprintf("obj-det average %.0f ms (paper: ≈35 ms red line)", avgObj),
 		},
 	}
 	if o.OutDir != "" {
-		if err := report.WriteTableCSV(o.OutDir, "fig2a_imgseg", tImg); err != nil {
+		if err := tImg.WriteCSV(o.OutDir, "fig2a_imgseg"); err != nil {
 			return nil, err
 		}
-		if err := report.WriteTableCSV(o.OutDir, "fig2b_objdet", tObj); err != nil {
+		if err := tObj.WriteCSV(o.OutDir, "fig2b_objdet"); err != nil {
 			return nil, err
 		}
 	}

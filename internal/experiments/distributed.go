@@ -8,7 +8,6 @@ import (
 	"github.com/minatoloader/minato/internal/distributed"
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loaders"
-	"github.com/minatoloader/minato/internal/report"
 	"github.com/minatoloader/minato/internal/workload"
 )
 
@@ -31,13 +30,13 @@ func distWorkloadFor(o Options, iters int) workload.Workload {
 func distRow(label string, rep *distributed.Report) []string {
 	return []string{
 		label, rep.Loader,
-		report.Seconds(rep.TrainTime),
+		seconds(rep.TrainTime),
 		fmt.Sprint(rep.Steps),
-		report.F(rep.StepTime().Seconds()*1000, 1),
-		report.Pct(rep.AvgGPUUtil),
-		report.Pct(100 * rep.DataStallShare()),
-		report.Pct(100 * rep.BarrierStallShare()),
-		report.Pct(100 * rep.NetworkStallShare()),
+		fixed(rep.StepTime().Seconds()*1000, 1),
+		percent(rep.AvgGPUUtil),
+		percent(100 * rep.DataStallShare()),
+		percent(100 * rep.BarrierStallShare()),
+		percent(100 * rep.NetworkStallShare()),
 	}
 }
 
@@ -53,7 +52,7 @@ func runDist(o Options) (*Result, error) {
 	}
 	w := distWorkloadFor(o, iters)
 
-	t := report.Table{
+	t := Table{
 		Title: fmt.Sprintf("Distributed Speech-3s, %d iterations per rank (Config A nodes, 200 Gb/s fabric, remote store)",
 			iters),
 		Header: distHeader,
@@ -69,14 +68,14 @@ func runDist(o Options) (*Result, error) {
 			t.Rows = append(t.Rows, distRow(fmt.Sprintf("%d nodes", n), rep))
 		}
 	}
-	res := &Result{ID: "dist", Title: "Distributed training (§6)", Tables: []report.Table{t},
+	res := &Result{ID: "dist", Title: "Distributed training (§6)", Tables: []Table{t},
 		Notes: []string{
 			"each node is a full testbed running its own loader over a deterministic dataset shard",
 			"gradient all-reduce is ring-reduce flows on the simulated fabric; cold shard reads fetch from a shared store over the same NICs",
 			"net_stall is measured time in the collective, not an analytic constant; one input-stalled rank stalls every rank",
 		}}
 	if o.OutDir != "" {
-		if err := report.WriteTableCSV(o.OutDir, "dist", t); err != nil {
+		if err := t.WriteCSV(o.OutDir, "dist"); err != nil {
 			return nil, err
 		}
 	}
@@ -106,7 +105,7 @@ func runMultiNode(o Options) (*Result, error) {
 		{"hetero(A+B mix)", base.WithMix(mixNodes(nodes)...)},
 	}
 
-	t := report.Table{
+	t := Table{
 		Title:  fmt.Sprintf("Multi-node scenarios, %d nodes, %d iterations per rank", nodes, iters),
 		Header: distHeader,
 	}
@@ -120,14 +119,14 @@ func runMultiNode(o Options) (*Result, error) {
 			t.Rows = append(t.Rows, distRow(sc.label, rep))
 		}
 	}
-	res := &Result{ID: "multinode", Title: "Multi-node scenarios", Tables: []report.Table{t},
+	res := &Result{ID: "multinode", Title: "Multi-node scenarios", Tables: []Table{t},
 		Notes: []string{
 			"straggler: one node's preprocessing cores divided — the whole-cluster step pays its input stall through the barrier",
 			"degraded: one node's NIC bandwidth divided — gradient flows through it slow every ring phase",
 			"hetero: alternating Config A / Config B nodes share one synchronous step",
 		}}
 	if o.OutDir != "" {
-		if err := report.WriteTableCSV(o.OutDir, "multinode", t); err != nil {
+		if err := t.WriteCSV(o.OutDir, "multinode"); err != nil {
 			return nil, err
 		}
 	}

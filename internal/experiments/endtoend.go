@@ -5,7 +5,6 @@ import (
 
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loaders"
-	"github.com/minatoloader/minato/internal/report"
 	"github.com/minatoloader/minato/internal/trainer"
 	"github.com/minatoloader/minato/internal/workload"
 )
@@ -32,7 +31,7 @@ func scaleWorkload(w workload.Workload, quick bool) workload.Workload {
 
 func runFig7(o Options) (*Result, error) {
 	cfg := hardware.ConfigA()
-	t := report.Table{
+	t := Table{
 		Title:  "End-to-end training, Config A (4×A100)",
 		Header: append([]string{"workload"}, loaderHeader...),
 	}
@@ -54,10 +53,10 @@ func runFig7(o Options) (*Result, error) {
 			}
 		}
 	}
-	res := &Result{ID: "fig7", Title: "Fig 7", Tables: []report.Table{t},
+	res := &Result{ID: "fig7", Title: "Fig 7", Tables: []Table{t},
 		Notes: []string{"throughput time series written as fig7_<workload>_<loader>.csv when -out is set"}}
 	if o.OutDir != "" {
-		if err := report.WriteTableCSV(o.OutDir, "fig7_summary", t); err != nil {
+		if err := t.WriteCSV(o.OutDir, "fig7_summary"); err != nil {
 			return nil, err
 		}
 	}
@@ -66,7 +65,7 @@ func runFig7(o Options) (*Result, error) {
 
 func runFig8(o Options) (*Result, error) {
 	cfg := hardware.ConfigA()
-	t := report.Table{
+	t := Table{
 		Title:  "Average CPU and GPU usage, Config A (4×A100)",
 		Header: []string{"workload", "loader", "gpu_util", "cpu_util"},
 	}
@@ -83,15 +82,15 @@ func runFig8(o Options) (*Result, error) {
 				return nil, fmt.Errorf("fig8 %s/%s: %w", w.Name, f.Name, err)
 			}
 			t.Rows = append(t.Rows, []string{w.Name, f.Name,
-				report.Pct(rep.AvgGPUUtil), report.Pct(rep.AvgCPUUtil)})
+				percent(rep.AvgGPUUtil), percent(rep.AvgCPUUtil)})
 			if err := writeSeries(o, fmt.Sprintf("fig8_%s_%s", w.Name, f.Name), rep, "cpu", "gpu"); err != nil {
 				return nil, err
 			}
 		}
 	}
-	res := &Result{ID: "fig8", Title: "Fig 8", Tables: []report.Table{t}}
+	res := &Result{ID: "fig8", Title: "Fig 8", Tables: []Table{t}}
 	if o.OutDir != "" {
-		if err := report.WriteTableCSV(o.OutDir, "fig8_summary", t); err != nil {
+		if err := t.WriteCSV(o.OutDir, "fig8_summary"); err != nil {
 			return nil, err
 		}
 	}
@@ -111,22 +110,22 @@ func runFig1b(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := report.Table{
+	t := Table{
 		Title:  "PyTorch DataLoader during 3D-UNet training (Config B)",
 		Header: []string{"metric", "average"},
 		Rows: [][]string{
-			{"CPU usage", report.Pct(rep.AvgCPUUtil)},
-			{"GPU usage", report.Pct(rep.AvgGPUUtil)},
-			{"training time (s)", report.Seconds(rep.TrainTime)},
+			{"CPU usage", percent(rep.AvgCPUUtil)},
+			{"GPU usage", percent(rep.AvgGPUUtil)},
+			{"training time (s)", seconds(rep.TrainTime)},
 		},
 	}
-	res := &Result{ID: "fig1b", Title: "Fig 1b", Tables: []report.Table{t},
+	res := &Result{ID: "fig1b", Title: "Fig 1b", Tables: []Table{t},
 		Notes: []string{"paper reports CPU ≈9.8%, GPU ≈57.4% on its testbed; CPU/GPU series in fig1b.csv"}}
 	if err := writeSeries(o, "fig1b", rep, "cpu", "gpu"); err != nil {
 		return nil, err
 	}
 	if o.OutDir != "" {
-		if err := report.WriteTableCSV(o.OutDir, "fig1b_summary", t); err != nil {
+		if err := t.WriteCSV(o.OutDir, "fig1b_summary"); err != nil {
 			return nil, err
 		}
 	}

@@ -11,8 +11,7 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/minatoloader/minato/internal/report"
-	"github.com/minatoloader/minato/internal/stats"
+	"github.com/minatoloader/minato/internal/metrics"
 	"github.com/minatoloader/minato/internal/trainer"
 )
 
@@ -38,7 +37,7 @@ func (o Options) seed() uint64 {
 type Result struct {
 	ID     string
 	Title  string
-	Tables []report.Table
+	Tables []Table
 	Notes  []string
 }
 
@@ -100,10 +99,10 @@ func ByID(id string) (Runner, bool) {
 func loaderRow(rep *trainer.Report) []string {
 	return []string{
 		rep.Loader,
-		report.Seconds(rep.TrainTime),
-		report.F(rep.Throughput(), 1),
-		report.Pct(rep.AvgGPUUtil),
-		report.Pct(rep.AvgCPUUtil),
+		seconds(rep.TrainTime),
+		fixed(rep.Throughput(), 1),
+		percent(rep.AvgGPUUtil),
+		percent(rep.AvgCPUUtil),
 	}
 }
 
@@ -114,11 +113,11 @@ func writeSeries(o Options, name string, rep *trainer.Report, keys ...string) er
 	if o.OutDir == "" || rep.Series == nil {
 		return nil
 	}
-	series := make([]*stats.TimeSeries, 0, len(keys))
+	series := make([]*metrics.TimeSeries, 0, len(keys))
 	for _, k := range keys {
 		if ts := rep.Series[k]; ts != nil {
 			series = append(series, ts)
 		}
 	}
-	return report.WriteSeriesCSV(o.OutDir, name, series...)
+	return metrics.WriteSeriesCSV(o.OutDir, name, series...)
 }

@@ -9,8 +9,7 @@ import (
 	"github.com/minatoloader/minato/internal/loader/dali"
 	"github.com/minatoloader/minato/internal/loader/pytorch"
 	"github.com/minatoloader/minato/internal/loaders"
-	"github.com/minatoloader/minato/internal/report"
-	"github.com/minatoloader/minato/internal/stats"
+	"github.com/minatoloader/minato/internal/metrics"
 	"github.com/minatoloader/minato/internal/trainer"
 	"github.com/minatoloader/minato/internal/workload"
 )
@@ -27,7 +26,7 @@ func runFig3(o Options) (*Result, error) {
 	// (a) Image-size heuristic: classify slow upfront when the raw sample
 	// exceeds the P75 of sizes. For COCO, size does not predict cost
 	// (§3.2), so misclassification causes GPU fluctuations.
-	var sizes stats.Percentiles
+	var sizes metrics.Percentiles
 	for i := 0; i < 2000; i++ {
 		sizes.Add(float64(w.Dataset.Sample(0, i).RawBytes))
 	}
@@ -45,7 +44,7 @@ func runFig3(o Options) (*Result, error) {
 	pecanF, _ := loaders.ByName("pecan")
 	ptF, _ := loaders.ByName("pytorch")
 
-	t := report.Table{
+	t := Table{
 		Title:  "Heuristic balancers on object detection (Config A)",
 		Header: append([]string{"heuristic"}, loaderHeader...),
 	}
@@ -62,10 +61,10 @@ func runFig3(o Options) (*Result, error) {
 		}
 	}
 	sortRows(t.Rows)
-	res := &Result{ID: "fig3", Title: "Fig 3", Tables: []report.Table{t},
+	res := &Result{ID: "fig3", Title: "Fig 3", Tables: []Table{t},
 		Notes: []string{"paper: size heuristic GPU ≈64%, reordering GPU ≈67% — both marginal over PyTorch (§3.2)"}}
 	if o.OutDir != "" {
-		if err := report.WriteTableCSV(o.OutDir, "fig3_summary", t); err != nil {
+		if err := t.WriteCSV(o.OutDir, "fig3_summary"); err != nil {
 			return nil, err
 		}
 	}
@@ -84,7 +83,7 @@ func runFig4(o Options) (*Result, error) {
 		{workload.Speech(o.seed(), 3*time.Second), []int{2, 8, 32, 48}},
 		{workload.ObjectDetection(o.seed()), []int{2, 8, 24, 32}},
 	}
-	ta := report.Table{
+	ta := Table{
 		Title:  "PyTorch DataLoader: prefetch_factor vs training time",
 		Header: []string{"workload", "prefetch_factor", "train_s"},
 	}
@@ -101,7 +100,7 @@ func runFig4(o Options) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig4a %s pf=%d: %w", w.Name, pf, err)
 			}
-			ta.Rows = append(ta.Rows, []string{w.Name, fmt.Sprint(pf), report.Seconds(rep.TrainTime)})
+			ta.Rows = append(ta.Rows, []string{w.Name, fmt.Sprint(pf), seconds(rep.TrainTime)})
 		}
 	}
 
@@ -114,7 +113,7 @@ func runFig4(o Options) (*Result, error) {
 		{workload.Speech(o.seed(), 10*time.Second), []int{2, 8, 16, 24}},
 		{workload.ObjectDetection(o.seed()), []int{2, 8, 16, 24}},
 	}
-	tb := report.Table{
+	tb := Table{
 		Title:  "DALI: prefetch_queue_depth vs training time",
 		Header: []string{"workload", "queue_depth", "train_s"},
 	}
@@ -131,17 +130,17 @@ func runFig4(o Options) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig4b %s depth=%d: %w", w.Name, d, err)
 			}
-			tb.Rows = append(tb.Rows, []string{w.Name, fmt.Sprint(d), report.Seconds(rep.TrainTime)})
+			tb.Rows = append(tb.Rows, []string{w.Name, fmt.Sprint(d), seconds(rep.TrainTime)})
 		}
 	}
 
-	res := &Result{ID: "fig4", Title: "Fig 4", Tables: []report.Table{ta, tb},
+	res := &Result{ID: "fig4", Title: "Fig 4", Tables: []Table{ta, tb},
 		Notes: []string{"Takeaway 4: increasing prefetching does not reduce per-sample transformation cost, so training time stays flat"}}
 	if o.OutDir != "" {
-		if err := report.WriteTableCSV(o.OutDir, "fig4a_pytorch_prefetch", ta); err != nil {
+		if err := ta.WriteCSV(o.OutDir, "fig4a_pytorch_prefetch"); err != nil {
 			return nil, err
 		}
-		if err := report.WriteTableCSV(o.OutDir, "fig4b_dali_queue", tb); err != nil {
+		if err := tb.WriteCSV(o.OutDir, "fig4b_dali_queue"); err != nil {
 			return nil, err
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"github.com/minatoloader/minato/internal/dataset"
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loaders"
-	"github.com/minatoloader/minato/internal/report"
 	"github.com/minatoloader/minato/internal/trainer"
 	"github.com/minatoloader/minato/internal/workload"
 )
@@ -30,7 +29,7 @@ func runFig10(o Options) (*Result, error) {
 	base := workload.ImageSegmentation(o.seed())
 	w := base.WithDataset(dataset.Replicate(base.Dataset, replicate)).WithEpochs(epochs)
 
-	t := report.Table{
+	t := Table{
 		Title:  fmt.Sprintf("Memory-constrained: %d×KiTS19, %d epochs, 80 GB cap (Config B)", replicate, epochs),
 		Header: []string{"loader", "train_s", "gpu_util", "cpu_util", "disk_read_GB", "cache_hit_rate"},
 	}
@@ -48,23 +47,23 @@ func runFig10(o Options) (*Result, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			name,
-			report.Seconds(rep.TrainTime),
-			report.Pct(rep.AvgGPUUtil),
-			report.Pct(rep.AvgCPUUtil),
-			report.F(float64(rep.DiskBytes)/1e9, 1),
-			report.F(hr, 3),
+			seconds(rep.TrainTime),
+			percent(rep.AvgGPUUtil),
+			percent(rep.AvgCPUUtil),
+			fixed(float64(rep.DiskBytes)/1e9, 1),
+			fixed(hr, 3),
 		})
 		if err := writeSeries(o, "fig10_"+name, rep, "cpu", "gpu", "disk"); err != nil {
 			return nil, err
 		}
 	}
-	res := &Result{ID: "fig10", Title: "Fig 10", Tables: []report.Table{t},
+	res := &Result{ID: "fig10", Title: "Fig 10", Tables: []Table{t},
 		Notes: []string{
 			"paper (authors' testbed): PyTorch ≈650 s / 57% GPU, DALI ≈500 s / 81%, Minato ≈330 s / 82% with stable NVMe-saturating reads",
 			"disk-read dips at epoch boundaries are model validation (§5.5)",
 		}}
 	if o.OutDir != "" {
-		if err := report.WriteTableCSV(o.OutDir, "fig10_summary", t); err != nil {
+		if err := t.WriteCSV(o.OutDir, "fig10_summary"); err != nil {
 			return nil, err
 		}
 	}

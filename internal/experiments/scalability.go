@@ -5,7 +5,7 @@ import (
 
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loaders"
-	"github.com/minatoloader/minato/internal/report"
+	"github.com/minatoloader/minato/internal/metrics"
 	"github.com/minatoloader/minato/internal/trainer"
 	"github.com/minatoloader/minato/internal/workload"
 )
@@ -29,7 +29,7 @@ func runFig9(o Options) (*Result, error) {
 		tbs[1].counts = []int{2, 8}
 	}
 
-	t := report.Table{
+	t := Table{
 		Title:  "Training time (s) vs number of GPUs",
 		Header: []string{"testbed", "workload", "gpus", "pytorch", "pecan", "dali", "minato"},
 	}
@@ -44,19 +44,19 @@ func runFig9(o Options) (*Result, error) {
 					if err != nil {
 						return nil, fmt.Errorf("fig9 %s/%s/%d/%s: %w", tb.cfg.Name, w.Name, n, f.Name, err)
 					}
-					row = append(row, report.Seconds(rep.TrainTime))
+					row = append(row, seconds(rep.TrainTime))
 				}
 				t.Rows = append(t.Rows, row)
 				csvRows = append(csvRows, row)
 			}
 		}
 	}
-	res := &Result{ID: "fig9", Title: "Fig 9", Tables: []report.Table{t},
+	res := &Result{ID: "fig9", Title: "Fig 9", Tables: []Table{t},
 		Notes: []string{
 			"MinatoLoader outperforms at every GPU count and stays competitive at 1 GPU vs baselines at 4 (§5.4)",
 		}}
 	if o.OutDir != "" {
-		if err := report.WriteCSV(o.OutDir, "fig9", t.Header, csvRows); err != nil {
+		if err := metrics.WriteCSV(o.OutDir, "fig9", t.Header, csvRows); err != nil {
 			return nil, err
 		}
 	}
@@ -69,7 +69,7 @@ func runE1(o Options) (*Result, error) {
 	if o.Quick {
 		w = w.WithEpochs(3)
 	}
-	t := report.Table{
+	t := Table{
 		Title:  "Artifact E1: 3D-UNet, 10 epochs, 8×V100",
 		Header: append([]string{"system"}, loaderHeader...),
 	}
@@ -86,14 +86,14 @@ func runE1(o Options) (*Result, error) {
 			return nil, err
 		}
 	}
-	res := &Result{ID: "e1", Title: "Artifact E1", Tables: []report.Table{t},
+	res := &Result{ID: "e1", Title: "Artifact E1", Tables: []Table{t},
 		Notes: []string{
 			fmt.Sprintf("speedups: %.2fx over PyTorch, %.2fx over DALI (paper: 2.6x, 1.9x on the authors' hardware)",
 				times["pytorch"]/times["minato"], times["dali"]/times["minato"]),
 			"paper wall-clock targets: PyTorch ≈210 s, DALI ≈151 s, Minato ≈81 s",
 		}}
 	if o.OutDir != "" {
-		if err := report.WriteTableCSV(o.OutDir, "e1", t); err != nil {
+		if err := t.WriteCSV(o.OutDir, "e1"); err != nil {
 			return nil, err
 		}
 	}

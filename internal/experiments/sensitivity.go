@@ -6,7 +6,7 @@ import (
 
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loaders"
-	"github.com/minatoloader/minato/internal/report"
+	"github.com/minatoloader/minato/internal/metrics"
 	"github.com/minatoloader/minato/internal/trainer"
 	"github.com/minatoloader/minato/internal/workload"
 )
@@ -35,7 +35,7 @@ func runFig11a(o Options) (*Result, error) {
 	img := workload.ImageSegmentation(o.seed()).WithEpochs(500 / scale)
 	img.AccTau /= float64(scale)
 
-	t := report.Table{
+	t := Table{
 		Title:  "Accuracy preservation (10×-scaled runs)",
 		Header: []string{"workload", "loader", "final_acc", "train_s", "time_to_90pct_acc_s"},
 	}
@@ -60,27 +60,27 @@ func runFig11a(o Options) (*Result, error) {
 				}
 			}
 			t.Rows = append(t.Rows, []string{w.Name, name,
-				report.F(final, 3), report.Seconds(rep.TrainTime), report.F(tto, 1)})
+				fixed(final, 3), seconds(rep.TrainTime), fixed(tto, 1)})
 			if o.OutDir != "" {
 				rows := make([][]string, 0, len(rep.AccCurve))
 				for _, pt := range rep.AccCurve {
 					rows = append(rows, []string{fmt.Sprint(pt.Iter),
-						report.F(pt.Elapsed.Seconds(), 1), report.F(pt.Accuracy, 4)})
+						fixed(pt.Elapsed.Seconds(), 1), fixed(pt.Accuracy, 4)})
 				}
-				if err := report.WriteCSV(o.OutDir, fmt.Sprintf("fig11a_%s_%s", w.Name, name),
+				if err := metrics.WriteCSV(o.OutDir, fmt.Sprintf("fig11a_%s_%s", w.Name, name),
 					[]string{"iter", "elapsed_s", "accuracy"}, rows); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
-	res := &Result{ID: "fig11a", Title: "Fig 11a", Tables: []report.Table{t},
+	res := &Result{ID: "fig11a", Title: "Fig 11a", Tables: []Table{t},
 		Notes: []string{
 			"both loaders reach the same final accuracy; MinatoLoader gets there faster in wall time",
 			"paper: Mask R-CNN 5h12m vs 13h55m; 3D-UNet 3h52m vs 8h02m on the authors' testbed",
 		}}
 	if o.OutDir != "" {
-		if err := report.WriteTableCSV(o.OutDir, "fig11a_summary", t); err != nil {
+		if err := t.WriteCSV(o.OutDir, "fig11a_summary"); err != nil {
 			return nil, err
 		}
 	}
@@ -104,7 +104,7 @@ func fig11Workloads(o Options) []workload.Workload {
 
 func runFig11b(o Options) (*Result, error) {
 	cfg := hardware.ConfigA()
-	t := report.Table{
+	t := Table{
 		Title:  "Distribution of batches by number of slow samples (batch size 4)",
 		Header: []string{"workload", "loader", "0", "1", "2", "3", "4", "avg_slow_prop"},
 	}
@@ -121,16 +121,16 @@ func runFig11b(o Options) (*Result, error) {
 				total += n
 			}
 			for _, n := range rep.SlowHist {
-				row = append(row, report.F(float64(n)/float64(total), 3))
+				row = append(row, fixed(float64(n)/float64(total), 3))
 			}
-			row = append(row, report.F(rep.AvgSlowProportion(), 3))
+			row = append(row, fixed(rep.AvgSlowProportion(), 3))
 			t.Rows = append(t.Rows, row)
 		}
 	}
-	res := &Result{ID: "fig11b", Title: "Fig 11b", Tables: []report.Table{t},
+	res := &Result{ID: "fig11b", Title: "Fig 11b", Tables: []Table{t},
 		Notes: []string{"similar distributions across loaders: MinatoLoader does not bias batch composition (§5.6)"}}
 	if o.OutDir != "" {
-		if err := report.WriteTableCSV(o.OutDir, "fig11b", t); err != nil {
+		if err := t.WriteCSV(o.OutDir, "fig11b"); err != nil {
 			return nil, err
 		}
 	}
@@ -139,7 +139,7 @@ func runFig11b(o Options) (*Result, error) {
 
 func runFig11c(o Options) (*Result, error) {
 	cfg := hardware.ConfigA()
-	t := report.Table{
+	t := Table{
 		Title:  "Slow-sample proportion over training iterations",
 		Header: []string{"workload", "loader", "avg_slow_prop", "first_half", "second_half"},
 	}
@@ -153,28 +153,28 @@ func runFig11c(o Options) (*Result, error) {
 			props := rep.SlowPropByIt
 			half := len(props) / 2
 			t.Rows = append(t.Rows, []string{w.Name, name,
-				report.F(rep.AvgSlowProportion(), 3),
-				report.F(mean(props[:half]), 3),
-				report.F(mean(props[half:]), 3)})
+				fixed(rep.AvgSlowProportion(), 3),
+				fixed(mean(props[:half]), 3),
+				fixed(mean(props[half:]), 3)})
 			if o.OutDir != "" {
 				rows := make([][]string, 0, len(props))
 				for i, p := range props {
-					rows = append(rows, []string{fmt.Sprint(i), report.F(p, 3)})
+					rows = append(rows, []string{fmt.Sprint(i), fixed(p, 3)})
 				}
-				if err := report.WriteCSV(o.OutDir, fmt.Sprintf("fig11c_%s_%s", w.Name, name),
+				if err := metrics.WriteCSV(o.OutDir, fmt.Sprintf("fig11c_%s_%s", w.Name, name),
 					[]string{"iteration", "slow_proportion"}, rows); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
-	res := &Result{ID: "fig11c", Title: "Fig 11c", Tables: []report.Table{t},
+	res := &Result{ID: "fig11c", Title: "Fig 11c", Tables: []Table{t},
 		Notes: []string{
 			"slow samples join batches as soon as ready — the proportion stays flat over the run rather than spiking at the end (§5.6)",
 			"paper averages: PyTorch 0.15/0.23, Minato 0.17/0.24 for obj-det/img-seg",
 		}}
 	if o.OutDir != "" {
-		if err := report.WriteTableCSV(o.OutDir, "fig11c_summary", t); err != nil {
+		if err := t.WriteCSV(o.OutDir, "fig11c_summary"); err != nil {
 			return nil, err
 		}
 	}
@@ -205,26 +205,26 @@ func runFig12(o Options) (*Result, error) {
 	if o.Quick {
 		fractions = []float64{0, 0.50, 1.0}
 	}
-	t := report.Table{
+	t := Table{
 		Title:  "Training time (s) vs proportion of slow samples (Speech-3s)",
 		Header: []string{"slow_pct", "pytorch", "pecan", "dali", "minato"},
 	}
 	for _, frac := range fractions {
 		w := workload.SpeechSlowFraction(o.seed(), frac).WithIterations(iters)
-		row := []string{report.F(frac*100, 0)}
+		row := []string{fixed(frac*100, 0)}
 		for _, f := range loaders.Defaults() {
 			rep, err := trainer.Simulate(cfg, w, f, trainer.Params{})
 			if err != nil {
 				return nil, fmt.Errorf("fig12 %.0f%%/%s: %w", frac*100, f.Name, err)
 			}
-			row = append(row, report.Seconds(rep.TrainTime))
+			row = append(row, seconds(rep.TrainTime))
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	res := &Result{ID: "fig12", Title: "Fig 12", Tables: []report.Table{t},
+	res := &Result{ID: "fig12", Title: "Fig 12", Tables: []Table{t},
 		Notes: []string{"largest gains in the intermediate range where per-sample variability exists (§5.6)"}}
 	if o.OutDir != "" {
-		if err := report.WriteTableCSV(o.OutDir, "fig12", t); err != nil {
+		if err := t.WriteCSV(o.OutDir, "fig12"); err != nil {
 			return nil, err
 		}
 	}

@@ -123,32 +123,6 @@ func (g *GPU) MemPeak() int64 {
 // BusySeconds exposes cumulative compute busy time (for utilization).
 func (g *GPU) BusySeconds() float64 { return g.compute.BusySeconds() }
 
-// UtilizationGauge returns a window-utilization sampling function in [0,1].
-// Utilization is measured against a single full-speed stream (matching
-// nvidia-smi's notion), so a GPU running one kernel back-to-back reads
-// 100%.
-func (g *GPU) UtilizationGauge(rt *simtime.Virtual) func() float64 {
-	lastBusy := g.BusySeconds()
-	lastT := rt.Now()
-	return func() float64 {
-		busy := g.BusySeconds()
-		now := rt.Now()
-		dt := (now - lastT).Seconds()
-		var u float64
-		if dt > 0 {
-			u = (busy - lastBusy) / dt
-		}
-		lastBusy, lastT = busy, now
-		if u < 0 {
-			u = 0
-		}
-		if u > 1 {
-			u = 1
-		}
-		return u
-	}
-}
-
 // Pool creates n GPUs of the same architecture.
 func Pool(rt *simtime.Virtual, n int, arch Arch, memBytes int64) []*GPU {
 	gs := make([]*GPU, n)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/minatoloader/minato/internal/metrics"
 	"github.com/minatoloader/minato/internal/simtime"
 )
 
@@ -71,11 +72,14 @@ func TestMemoryReservation(t *testing.T) {
 	}
 }
 
+// TestUtilizationGauge reads a GPU's busy seconds through the shared rate
+// gauge, at scale 1 as the trainer does: utilization is measured against one
+// full-speed stream (nvidia-smi's notion).
 func TestUtilizationGauge(t *testing.T) {
 	k := simtime.NewVirtual()
 	k.Run(func() {
 		g := New(k, 0, A100, 40<<30)
-		gauge := g.UtilizationGauge(k)
+		gauge := metrics.CounterRateGauge(k, 1, g.BusySeconds)
 		// Train 1s then idle 1s: windows read ≈100% then ≈0%.
 		_ = g.Train(context.Background(), time.Second)
 		if u := gauge(); u < 0.95 {

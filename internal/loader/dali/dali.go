@@ -17,7 +17,6 @@ package dali
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"github.com/minatoloader/minato/internal/data"
@@ -49,14 +48,14 @@ type Loader struct {
 	spec loader.Spec
 	cfg  Config
 
-	idx      *loader.IndexSource
-	rawQs    []*queue.Queue[*data.Batch]
-	readyQs  []*queue.Queue[*data.Batch]
-	ioTasks  *queue.Queue[ioTask]
-	ioDone   *queue.Queue[ioResult]
-	counter  *loader.DeliveryCounter
-	stopOnce sync.Once
-	cancel   context.CancelFunc
+	idx     *loader.IndexSource
+	rawQs   []*queue.Queue[*data.Batch]
+	readyQs []*queue.Queue[*data.Batch]
+	ioTasks *queue.Queue[ioTask]
+	ioDone  *queue.Queue[ioResult]
+	counter *loader.DeliveryCounter
+	stopped bool
+	cancel  context.CancelFunc
 }
 
 // ioTask is one sample load dispatched to the persistent IO worker pool.
@@ -268,18 +267,20 @@ func (l *Loader) Next(ctx context.Context, g int) (*data.Batch, error) {
 
 // Stop implements loader.Loader.
 func (l *Loader) Stop() {
-	l.stopOnce.Do(func() {
-		if l.cancel != nil {
-			l.cancel()
-		}
-		l.idx.Close()
-		l.ioTasks.Close()
-		l.ioDone.Close()
-		for _, q := range l.rawQs {
-			q.Close()
-		}
-		for _, q := range l.readyQs {
-			q.Close()
-		}
-	})
+	if l.stopped {
+		return
+	}
+	l.stopped = true
+	if l.cancel != nil {
+		l.cancel()
+	}
+	l.idx.Close()
+	l.ioTasks.Close()
+	l.ioDone.Close()
+	for _, q := range l.rawQs {
+		q.Close()
+	}
+	for _, q := range l.readyQs {
+		q.Close()
+	}
 }

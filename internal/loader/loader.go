@@ -137,10 +137,6 @@ func (e *Env) TraceTenant() int32 {
 	return 0
 }
 
-// ErrStopped is returned by Next when the loader was stopped before the
-// delivery budget completed.
-var ErrStopped = errors.New("loader: stopped")
-
 // EOFIfClosed converts a queue-closed error into io.EOF, the contract of
 // Loader.Next.
 func EOFIfClosed(err error) error {

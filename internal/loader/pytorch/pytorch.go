@@ -15,8 +15,6 @@ package pytorch
 
 import (
 	"context"
-	"sort"
-	"sync"
 
 	"github.com/minatoloader/minato/internal/data"
 	"github.com/minatoloader/minato/internal/loader"
@@ -67,7 +65,7 @@ type Loader struct {
 
 	reorder    reorderBuffer
 	orderCache transform.OrderCache
-	stopOnce   sync.Once
+	stopped    bool
 	cancel     context.CancelFunc
 }
 
@@ -215,17 +213,19 @@ func (l *Loader) Next(ctx context.Context, _ int) (*data.Batch, error) {
 
 // Stop implements loader.Loader.
 func (l *Loader) Stop() {
-	l.stopOnce.Do(func() {
-		if l.cancel != nil {
-			l.cancel()
-		}
-		l.idx.Close()
-		l.tokens.Close()
-		for _, wq := range l.workerQs {
-			wq.Close()
-		}
-		l.out.Close()
-	})
+	if l.stopped {
+		return
+	}
+	l.stopped = true
+	if l.cancel != nil {
+		l.cancel()
+	}
+	l.idx.Close()
+	l.tokens.Close()
+	for _, wq := range l.workerQs {
+		wq.Close()
+	}
+	l.out.Close()
 }
 
 // reorderBuffer delivers batches strictly by sequence number — the
@@ -259,15 +259,4 @@ func (r *reorderBuffer) deliver(b *data.Batch) {
 	if r.sent >= r.total {
 		r.out.Close()
 	}
-}
-
-// PendingSeqs returns the sequence numbers parked in the reorder buffer
-// (diagnostics/tests).
-func (l *Loader) PendingSeqs() []int64 {
-	out := make([]int64, 0, len(l.reorder.pending))
-	for s := range l.reorder.pending {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -1,19 +1,24 @@
-// Package metrics provides the periodic resource sampler behind the paper's
-// usage figures (CPU%, GPU%, disk read rate, throughput over time). A
-// Collector runs as a tracked task under the simtime runtime, sampling
+// Package metrics is the simulator's one measurement layer: the streaming
+// statistics every layer keeps (Welford mean/variance, exact percentile
+// buffers for the paper's Table 2 style summaries, log-bucket histograms for
+// step-time SLOs, EWMAs for MinatoLoader's worker scheduler, time series),
+// the periodic sampler behind the paper's usage figures (CPU%, GPU%, disk
+// read rate, throughput over time), and the writers that export them
+// (Prometheus text, CSV).
+//
+// A Collector runs as a tracked task under the simtime runtime, sampling
 // registered gauges at a fixed virtual-time interval — the analogue of the
-// paper's nvidia-smi/dstat monitoring (§5.1).
+// paper's nvidia-smi/dstat monitoring (§5.1). Like every layer on the
+// kernel it is plain single-owner data: registered, started, stopped and
+// read from the kernel's tasks.
 package metrics
 
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/minatoloader/minato/internal/simtime"
-	"github.com/minatoloader/minato/internal/stats"
 )
 
 // Collector samples gauges periodically into time series.
@@ -21,35 +26,26 @@ type Collector struct {
 	rt       *simtime.Virtual
 	interval time.Duration
 
-	mu     sync.Mutex
-	gauges []gauge
-	series map[string]*stats.TimeSeries
-
-	stopped atomic.Bool
-}
-
-type gauge struct {
-	name string
-	fn   func() float64
+	gauges  []func() float64
+	series  []*TimeSeries // series[i] records gauges[i]
+	stopped bool
 }
 
 // NewCollector returns a collector sampling every interval of virtual time.
 func NewCollector(rt *simtime.Virtual, interval time.Duration) *Collector {
-	return &Collector{rt: rt, interval: interval, series: make(map[string]*stats.TimeSeries)}
+	return &Collector{rt: rt, interval: interval}
 }
 
 // Register adds a gauge. The function is called from the collector task
-// only, so stateful window gauges (e.g. Device.UtilizationGauge) are safe.
+// only, so stateful window gauges (e.g. CounterRateGauge) need no guard.
 // Registering after Stop returns an error: the sampling task has already
 // exited, so the gauge would silently never be sampled.
 func (c *Collector) Register(name string, fn func() float64) error {
-	if c.stopped.Load() {
+	if c.stopped {
 		return fmt.Errorf("metrics: Register(%q) after Stop: the sampling task has exited", name)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gauges = append(c.gauges, gauge{name: name, fn: fn})
-	c.series[name] = &stats.TimeSeries{Name: name}
+	c.gauges = append(c.gauges, fn)
+	c.series = append(c.series, &TimeSeries{Name: name})
 	return nil
 }
 
@@ -57,78 +53,31 @@ func (c *Collector) Register(name string, fn func() float64) error {
 // after Stop is called.
 func (c *Collector) Start(wg *simtime.WaitGroup) {
 	wg.Go("metrics-collector", func() {
-		for {
-			if c.stopped.Load() {
+		for !c.stopped {
+			if err := c.rt.Sleep(context.Background(), c.interval); err != nil || c.stopped {
 				return
 			}
-			if err := c.rt.Sleep(context.Background(), c.interval); err != nil {
-				return
+			now := c.rt.Now()
+			for i, fn := range c.gauges {
+				c.series[i].Append(now, fn())
 			}
-			if c.stopped.Load() {
-				return
-			}
-			c.sample()
 		}
 	})
 }
 
-func (c *Collector) sample() {
-	now := c.rt.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, g := range c.gauges {
-		c.series[g.name].Append(now, g.fn())
-	}
-}
-
 // Stop ends sampling after the current tick.
-func (c *Collector) Stop() { c.stopped.Store(true) }
+func (c *Collector) Stop() { c.stopped = true }
 
-// Series returns the recorded time series for a gauge name (nil if
-// unknown). The returned series must not be mutated while sampling runs.
-func (c *Collector) Series(name string) *stats.TimeSeries {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.series[name]
-}
+// Series returns the recorded time series in registration order. They are
+// the collector's own: read them once the sampling task has exited.
+func (c *Collector) Series() []*TimeSeries { return c.series }
 
-// Names returns the registered gauge names.
-func (c *Collector) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.gauges))
-	for _, g := range c.gauges {
-		out = append(out, g.name)
-	}
-	return out
-}
-
-// SeriesSnapshot is one gauge's recorded points, copied out of the
-// collector.
-type SeriesSnapshot struct {
-	Name   string
-	Points []stats.Point
-}
-
-// Snapshot copies every recorded series under a single lock acquisition,
-// in registration order — a consistent cut across gauges, where repeated
-// Series/Names calls could interleave with a sampling tick.
-func (c *Collector) Snapshot() []SeriesSnapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]SeriesSnapshot, 0, len(c.gauges))
-	for _, g := range c.gauges {
-		ts := c.series[g.name]
-		pts := make([]stats.Point, len(ts.Points))
-		copy(pts, ts.Points)
-		out = append(out, SeriesSnapshot{Name: g.name, Points: pts})
-	}
-	return out
-}
-
-// CounterRateGauge builds a gauge reporting the rate of change of a
-// monotonic counter (per second of virtual time) over the sampling window.
-func CounterRateGauge(rt *simtime.Virtual, counter func() float64) func() float64 {
+// CounterRateGauge builds a gauge reporting how fast a monotonic counter
+// grows over the window since the previous sample: Δcounter / (scale·Δt),
+// Δt in seconds of virtual time. Scale 1 gives a per-second rate (bytes
+// read, bytes trained); a device's capacity turns busy unit-seconds into a
+// utilization.
+func CounterRateGauge(rt *simtime.Virtual, scale float64, counter func() float64) func() float64 {
 	last := counter()
 	lastT := rt.Now()
 	return func() float64 {
@@ -137,7 +86,7 @@ func CounterRateGauge(rt *simtime.Virtual, counter func() float64) func() float6
 		dt := (now - lastT).Seconds()
 		var r float64
 		if dt > 0 {
-			r = (cur - last) / dt
+			r = (cur - last) / (scale * dt)
 		}
 		last, lastT = cur, now
 		return r

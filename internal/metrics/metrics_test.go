@@ -20,7 +20,7 @@ func TestCollectorSamplesAtInterval(t *testing.T) {
 		_ = k.Sleep(context.Background(), 10500*time.Millisecond)
 		c.Stop()
 		_ = wg.Wait(context.Background())
-		ts := c.Series("counter")
+		ts := c.Series()[0]
 		if len(ts.Points) < 9 || len(ts.Points) > 11 {
 			t.Fatalf("points = %d, want ≈10", len(ts.Points))
 		}
@@ -47,11 +47,13 @@ func TestCollectorStopEndsTask(t *testing.T) {
 	})
 }
 
+// TestCounterRateGauge drives the windowed-rate gauge over a plain counter;
+// the device, gpu and storage tests drive it over their own counters.
 func TestCounterRateGauge(t *testing.T) {
 	k := simtime.NewVirtual()
 	k.Run(func() {
 		total := 0.0
-		g := CounterRateGauge(k, func() float64 { return total })
+		g := CounterRateGauge(k, 1, func() float64 { return total })
 		total = 100
 		_ = k.Sleep(context.Background(), 10*time.Second)
 		if r := g(); math.Abs(r-10) > 0.1 {
@@ -78,56 +80,59 @@ func TestRegisterAfterStopErrors(t *testing.T) {
 		if err := c.Register("late", func() float64 { return 2 }); err == nil {
 			t.Fatal("Register after Stop succeeded; the gauge would never be sampled")
 		}
-		for _, n := range c.Names() {
-			if n == "late" {
+		for _, ts := range c.Series() {
+			if ts.Name == "late" {
 				t.Fatal("rejected gauge still registered")
 			}
 		}
 	})
 }
 
+// TestSnapshotConsistentCut checks that the recorded series form one cut:
+// every gauge is sampled at the same tick.
 func TestSnapshotConsistentCut(t *testing.T) {
 	k := simtime.NewVirtual()
 	k.Run(func() {
 		c := NewCollector(k, time.Second)
 		n := 0.0
-		// Both gauges report the same monotonic counter; a consistent cut
-		// must show every series with the same number of points.
+		// Both gauges report the same monotonic counter, sampled at one
+		// tick: every series has the same number of points.
 		c.Register("a", func() float64 { n++; return n })
 		c.Register("b", func() float64 { return n })
 		wg := simtime.NewWaitGroup(k)
 		c.Start(wg)
 		_ = k.Sleep(context.Background(), 5500*time.Millisecond)
-		snap := c.Snapshot()
-		if len(snap) != 2 || snap[0].Name != "a" || snap[1].Name != "b" {
-			t.Fatalf("snapshot shape: %+v", snap)
-		}
-		if len(snap[0].Points) != len(snap[1].Points) {
-			t.Fatalf("torn snapshot: %d vs %d points", len(snap[0].Points), len(snap[1].Points))
-		}
-		if len(snap[0].Points) == 0 {
-			t.Fatal("no samples recorded")
-		}
-		// The copies must be detached from the live series.
-		snap[0].Points[0].V = -1
-		if c.Series("a").Points[0].V == -1 {
-			t.Fatal("snapshot aliases the live series")
-		}
 		c.Stop()
 		_ = wg.Wait(context.Background())
+		s := c.Series()
+		if len(s) != 2 {
+			t.Fatalf("series shape: %+v", s)
+		}
+		if len(s[0].Points) != 5 || len(s[1].Points) != 5 {
+			t.Fatalf("torn cut: %d and %d points, want 5 each", len(s[0].Points), len(s[1].Points))
+		}
+		for i, p := range s[1].Points {
+			if p != s[0].Points[i] {
+				t.Fatalf("point %d: %v then %v, want one tick", i, s[0].Points[i], p)
+			}
+		}
 	})
 }
 
+// TestNamesAndUnknownSeries checks that the recorded series are exactly the
+// registered gauges, in registration order.
 func TestNamesAndUnknownSeries(t *testing.T) {
 	k := simtime.NewVirtual()
 	c := NewCollector(k, time.Second)
-	c.Register("a", func() float64 { return 0 })
 	c.Register("b", func() float64 { return 0 })
-	names := c.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v", names)
+	c.Register("a", func() float64 { return 0 })
+	s := c.Series()
+	if len(s) != 2 || s[0].Name != "b" || s[1].Name != "a" {
+		t.Fatalf("series = %+v, want b then a", s)
 	}
-	if c.Series("zzz") != nil {
-		t.Fatal("unknown series not nil")
+	for _, ts := range s {
+		if ts.Name == "zzz" {
+			t.Fatal("unregistered series recorded")
+		}
 	}
 }

@@ -1,8 +1,4 @@
-// Package stats provides the streaming statistics used throughout the
-// simulator: Welford mean/variance, exact percentile buffers (for the paper's
-// Table 2 style summaries), EWMAs (for MinatoLoader's worker scheduler), and
-// time series recorders (for the usage/throughput figures).
-package stats
+package metrics
 
 import (
 	"fmt"
@@ -98,15 +94,6 @@ func (p *Percentiles) Quantile(q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return p.vals[lo]*(1-frac) + p.vals[hi]*frac
-}
-
-// Values returns a copy of the observations in insertion-independent
-// (sorted) order.
-func (p *Percentiles) Values() []float64 {
-	out := make([]float64, len(p.vals))
-	copy(out, p.vals)
-	sort.Float64s(out)
-	return out
 }
 
 // Summary is a Table 2 style row: preprocessing time statistics.
@@ -276,7 +263,7 @@ type EWMA struct {
 // NewEWMA returns an EWMA with smoothing factor alpha in (0,1].
 func NewEWMA(alpha float64) *EWMA {
 	if alpha <= 0 || alpha > 1 {
-		panic("stats: EWMA alpha must be in (0,1]")
+		panic("metrics: EWMA alpha must be in (0,1]")
 	}
 	return &EWMA{alpha: alpha}
 }
@@ -333,20 +320,4 @@ func (ts *TimeSeries) Max() float64 {
 		}
 	}
 	return m
-}
-
-// Downsample returns at most n points, evenly strided, preserving the last
-// point. Useful for rendering long runs compactly.
-func (ts *TimeSeries) Downsample(n int) []Point {
-	if n <= 0 || len(ts.Points) <= n {
-		out := make([]Point, len(ts.Points))
-		copy(out, ts.Points)
-		return out
-	}
-	out := make([]Point, 0, n)
-	stride := float64(len(ts.Points)-1) / float64(n-1)
-	for i := 0; i < n; i++ {
-		out = append(out, ts.Points[int(math.Round(float64(i)*stride))])
-	}
-	return out
 }

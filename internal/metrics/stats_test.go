@@ -1,4 +1,4 @@
-package stats
+package metrics
 
 import (
 	"math"
@@ -89,13 +89,6 @@ func TestTimeSeries(t *testing.T) {
 	}
 	if ts.Mean() != 4.5 || ts.Max() != 9 {
 		t.Fatalf("Mean/Max = %v/%v", ts.Mean(), ts.Max())
-	}
-	ds := ts.Downsample(4)
-	if len(ds) != 4 || ds[0].V != 0 || ds[3].V != 9 {
-		t.Fatalf("Downsample = %v", ds)
-	}
-	if got := ts.Downsample(100); len(got) != 10 {
-		t.Fatalf("Downsample(100) len = %d", len(got))
 	}
 }
 

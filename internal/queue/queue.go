@@ -87,9 +87,6 @@ func (q *Queue[T]) Cap() int { return q.cap }
 // Len returns the current number of buffered items.
 func (q *Queue[T]) Len() int { return q.size }
 
-// Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool { return q.closed }
-
 // account folds the elapsed occupancy (len·dt) into the integral. Callers
 // pass the length that was current over the elapsed window (i.e. before
 // their mutation).

@@ -9,9 +9,9 @@ import (
 	"time"
 
 	"github.com/minatoloader/minato/internal/data"
+	"github.com/minatoloader/minato/internal/metrics"
 	"github.com/minatoloader/minato/internal/queue"
 	"github.com/minatoloader/minato/internal/simtime"
-	"github.com/minatoloader/minato/internal/stats"
 )
 
 // ClientConfig shapes a client's consumption of one stream.
@@ -71,8 +71,8 @@ type Client struct {
 
 	mu        sync.Mutex
 	delivered int
-	waits     *stats.LogHist // Recv block time per delivered batch
-	steps     *stats.LogHist // inter-delivery interval
+	waits     *metrics.LogHist // Recv block time per delivered batch
+	steps     *metrics.LogHist // inter-delivery interval
 	nHedges   int64
 	nDups     int64
 	nRetry    int64
@@ -117,7 +117,7 @@ func Open(ctx context.Context, n *Net, primaryEP, replicaEP int, spec StreamSpec
 	c.started = c.rt.Now()
 	c.lastAt = c.started
 	c.mu.Lock()
-	c.waits, c.steps = stats.NewLogHist(), stats.NewLogHist()
+	c.waits, c.steps = metrics.NewLogHist(), metrics.NewLogHist()
 	c.mu.Unlock()
 	return c, nil
 }

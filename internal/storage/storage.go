@@ -99,29 +99,6 @@ func (d *Disk) ScheduleSlowdown(at time.Duration, factor float64) {
 // BytesRead returns the cumulative bytes transferred (completed reads).
 func (d *Disk) BytesRead() int64 { return d.bytesRead }
 
-// AggregateBandwidth returns the disk's maximum total throughput.
-func (d *Disk) AggregateBandwidth() float64 {
-	return d.streamBW * d.dev.Capacity()
-}
-
-// ReadRateGauge returns a sampling function reporting read throughput in
-// bytes/second over the window since the previous call.
-func (d *Disk) ReadRateGauge(rt *simtime.Virtual) func() float64 {
-	last := d.BytesRead()
-	lastT := rt.Now()
-	return func() float64 {
-		cur := d.BytesRead()
-		now := rt.Now()
-		dt := (now - lastT).Seconds()
-		var r float64
-		if dt > 0 {
-			r = float64(cur-last) / dt
-		}
-		last, lastT = cur, now
-		return r
-	}
-}
-
 // PageCache is a byte-capacity LRU cache keyed by sample storage keys. The
 // LRU list is intrusive (nodes carry their own links) and nodes are
 // recycled through a process-wide pool, so cache traffic allocates nothing

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/minatoloader/minato/internal/data"
+	"github.com/minatoloader/minato/internal/metrics"
 	"github.com/minatoloader/minato/internal/simtime"
 )
 
@@ -140,11 +141,13 @@ func TestWorkingSetLargerThanCacheThrashes(t *testing.T) {
 	})
 }
 
+// TestReadRateGauge reads a disk's bytes through the shared rate gauge, at
+// scale 1 as the trainer does: a per-second read rate.
 func TestReadRateGauge(t *testing.T) {
 	k := simtime.NewVirtual()
 	k.Run(func() {
 		d := NewDisk(k, "nvme", 1e9, 1)
-		g := d.ReadRateGauge(k)
+		g := metrics.CounterRateGauge(k, 1, func() float64 { return float64(d.BytesRead()) })
 		_ = d.Read(context.Background(), 1e9) // 1s at 1GB/s
 		r := g()
 		if math.Abs(r-1e9) > 5e7 {

@@ -22,9 +22,7 @@ import (
 	"github.com/minatoloader/minato/internal/loader"
 	"github.com/minatoloader/minato/internal/matcache"
 	"github.com/minatoloader/minato/internal/metrics"
-	"github.com/minatoloader/minato/internal/report"
 	"github.com/minatoloader/minato/internal/simtime"
-	"github.com/minatoloader/minato/internal/stats"
 	"github.com/minatoloader/minato/internal/storage"
 	"github.com/minatoloader/minato/internal/trace"
 	"github.com/minatoloader/minato/internal/workload"
@@ -36,20 +34,25 @@ type Factory struct {
 	New  func(env *loader.Env, spec loader.Spec) loader.Loader
 }
 
+// What a session records at fixed settings.
+const (
+	// metricsInterval is the Collect sampling period, in virtual time.
+	metricsInterval = time.Second
+	// copyBandwidth is the host-to-device PCIe bandwidth, in bytes/s, paid
+	// by loaders that do not prefetch to the GPU.
+	copyBandwidth = 16e9
+	// slowThresholdPercentile classifies samples for composition analysis,
+	// matching MinatoLoader's profiler.
+	slowThresholdPercentile = 0.75
+)
+
 // Params tunes what a session records.
 type Params struct {
-	// Collect enables time-series sampling (CPU/GPU/disk/throughput).
+	// Collect enables time-series sampling (CPU/GPU/disk/throughput), one
+	// point per second of virtual time.
 	Collect bool
-	// MetricsInterval is the sampling period (default 1s of virtual time).
-	MetricsInterval time.Duration
-	// CopyBandwidth is the host-to-device PCIe bandwidth for loaders that
-	// do not prefetch to the GPU (default 16 GB/s).
-	CopyBandwidth float64
 	// TrackComposition enables Fig 11's per-batch slow-sample accounting.
 	TrackComposition bool
-	// SlowThresholdPercentile classifies samples for composition analysis
-	// (default 0.75, matching MinatoLoader's profiler).
-	SlowThresholdPercentile float64
 	// AccuracyEvery records an accuracy point every N global iterations
 	// (default 50).
 	AccuracyEvery int
@@ -72,15 +75,6 @@ type Params struct {
 }
 
 func (p *Params) fillDefaults() {
-	if p.MetricsInterval <= 0 {
-		p.MetricsInterval = time.Second
-	}
-	if p.CopyBandwidth <= 0 {
-		p.CopyBandwidth = 16e9
-	}
-	if p.SlowThresholdPercentile <= 0 {
-		p.SlowThresholdPercentile = 0.75
-	}
 	if p.AccuracyEvery <= 0 {
 		p.AccuracyEvery = 50
 	}
@@ -129,7 +123,7 @@ type Report struct {
 	// Time series when Params.Collect is set: "cpu", "gpu" (percent),
 	// "disk" (bytes/s), "throughput" (bytes/s), plus loader-specific
 	// gauges (e.g. minato_workers).
-	Series map[string]*stats.TimeSeries
+	Series map[string]*metrics.TimeSeries
 
 	// Composition (Fig 11) when Params.TrackComposition is set.
 	SlowThreshold time.Duration
@@ -153,14 +147,14 @@ type Report struct {
 	// step-time quantiles, and the absorbed fault windows. The consumers'
 	// stall counters fill it, traced or not; the recorded spans are stamped
 	// at the same virtual instants.
-	report.StallBreakdown
+	StallBreakdown
 	// PreemptStall is the total time consumers spent parked by Preempt
 	// events (across GPUs).
 	PreemptStall time.Duration
 
 	// StepHist is the step-interval histogram behind StepP50/StepP99,
 	// exportable through WritePrometheus.
-	StepHist *stats.LogHist
+	StepHist *metrics.LogHist
 
 	// Recorded is the session's trace: Trace and CriticalPath, snapshotted
 	// lazily from the recorder the session recorded into.
@@ -185,7 +179,7 @@ func (r *Report) WriteTraceCSV(dir, name string) error {
 			fmt.Sprint(tr.GPU),
 		})
 	}
-	return report.WriteCSV(dir, name, header, rows)
+	return metrics.WriteCSV(dir, name, header, rows)
 }
 
 // WritePrometheus exports the session's collected metrics as Prometheus
@@ -198,15 +192,11 @@ func (r *Report) WritePrometheus(w io.Writer) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	series := make([]metrics.SeriesSnapshot, 0, len(names))
+	series := make([]*metrics.TimeSeries, 0, len(names))
 	for _, name := range names {
-		series = append(series, metrics.SeriesSnapshot{Name: name, Points: r.Series[name].Points})
+		series = append(series, r.Series[name])
 	}
-	var hists []metrics.HistSnapshot
-	if r.StepHist != nil && r.StepHist.N() > 0 {
-		hists = append(hists, metrics.HistSnapshot{Name: "step_interval_seconds", Hist: r.StepHist})
-	}
-	return metrics.WritePrometheus(w, series, hists)
+	return metrics.WritePrometheus(w, series, "step_interval_seconds", r.StepHist)
 }
 
 // Throughput returns average trained MB/s over the run.
@@ -235,18 +225,18 @@ func (r *Report) AvgSlowProportion() float64 {
 func Run(rt *simtime.Virtual, tb *hardware.Testbed, w workload.Workload, f Factory, p Params) (*Report, error) {
 	env := &loader.Env{RT: rt, CPU: tb.CPU, GPUs: tb.GPUs, Store: tb.Store,
 		WG: simtime.NewWaitGroup(rt), Pool: data.NewPool()}
-	return RunEnv(env, tb.Disk, tb.Cache, w, f, p)
+	return RunEnv(env, w, f, p)
 }
 
 // RunEnv executes one training session over an existing environment — the
 // entry point for clusters, whose sessions share one runtime, CPU, GPU set,
 // disk, cache, and pool. The env's WG must be private to this session (it is
-// waited on during teardown); disk and cache may be nil when the env has no
-// storage statistics to report. Cache statistics in the report are
-// attributed to env.Store.Tenant when the store routes a registered tenant,
-// so co-running sessions see their own hits, not the cluster total. Like
-// Run, it must be called from a task tracked by the runtime.
-func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w workload.Workload, f Factory, p Params) (*Report, error) {
+// waited on during teardown); env.Store's disk and cache may be nil when the
+// env has no storage statistics to report. Cache statistics in the report
+// are attributed to env.Store.Tenant when the store routes a registered
+// tenant, so co-running sessions see their own hits, not the cluster total.
+// Like Run, it must be called from a task tracked by the runtime.
+func RunEnv(env *loader.Env, w workload.Workload, f Factory, p Params) (*Report, error) {
 	p.fillDefaults()
 	ctx := context.Background()
 
@@ -257,7 +247,7 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 		// the recorder from their first event.
 		env.Trace = p.Trace
 	}
-	if env.Trace != nil && env.Store != nil && env.Store.Trace == nil {
+	if env.Trace != nil && env.Store.Trace == nil {
 		// A copy, not a mutation: the store value may be shared with
 		// co-running sessions on a cluster substrate.
 		cp := *env.Store
@@ -280,26 +270,32 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 		GPUs:     len(env.GPUs),
 	}
 
+	disk, cache := env.Store.Disk, env.Store.Cache
 	var trainedBytes int64 // these run-wide tallies are plain: consumers are tasks of one kernel
-	collector := metrics.NewCollector(rt, p.MetricsInterval)
+	collector := metrics.NewCollector(rt, metricsInterval)
 	if p.Collect {
-		cpuGauge := env.CPU.UtilizationGauge()
-		collector.Register("cpu", func() float64 { return 100 * cpuGauge() })
+		// Utilization is busy time over capacity: the CPU device's cores,
+		// one full-speed stream per GPU (nvidia-smi's notion, so a GPU
+		// running one kernel back to back reads 100%).
+		cpuGauge := metrics.CounterRateGauge(rt, env.CPU.Capacity(), env.CPU.BusySeconds)
+		collector.Register("cpu", func() float64 { return 100 * clamp01(cpuGauge()) })
 		gpuGauges := make([]func() float64, len(env.GPUs))
 		for i, g := range env.GPUs {
-			gpuGauges[i] = g.UtilizationGauge(rt)
+			gpuGauges[i] = metrics.CounterRateGauge(rt, 1, g.BusySeconds)
 		}
 		collector.Register("gpu", func() float64 {
 			sum := 0.0
 			for _, g := range gpuGauges {
-				sum += g()
+				sum += clamp01(g())
 			}
 			return 100 * sum / float64(len(gpuGauges))
 		})
 		if disk != nil {
-			collector.Register("disk", disk.ReadRateGauge(rt))
+			collector.Register("disk", metrics.CounterRateGauge(rt, 1, func() float64 {
+				return float64(disk.BytesRead())
+			}))
 		}
-		collector.Register("throughput", metrics.CounterRateGauge(rt, func() float64 {
+		collector.Register("throughput", metrics.CounterRateGauge(rt, 1, func() float64 {
 			return float64(trainedBytes)
 		}))
 		if ins, ok := ld.(loader.Instrumented); ok {
@@ -310,7 +306,7 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 
 	var comp *composition
 	if p.TrackComposition {
-		comp = newComposition(w, p.SlowThresholdPercentile, spec.BatchSize)
+		comp = newComposition(w, slowThresholdPercentile, spec.BatchSize)
 		rep.SlowThreshold = comp.threshold
 	}
 
@@ -325,7 +321,7 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 		return nil, err
 	}
 
-	cst := StartChaos(env, disk, p.Chaos)
+	cst := StartChaos(env, p.Chaos)
 
 	// Per-GPU consumers.
 	consumers := simtime.NewWaitGroup(rt)
@@ -362,7 +358,7 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 				stepStart := waitEnd
 				if !b.Resident {
 					// Synchronous H2D copy (no prefetch overlap).
-					copyTime := time.Duration(float64(b.Bytes()) / p.CopyBandwidth * float64(time.Second))
+					copyTime := time.Duration(float64(b.Bytes()) / copyBandwidth * float64(time.Second))
 					if err := rt.Sleep(ctx, copyTime); err != nil {
 						return
 					}
@@ -469,9 +465,9 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 	}
 
 	if p.Collect {
-		rep.Series = make(map[string]*stats.TimeSeries)
-		for _, name := range collector.Names() {
-			rep.Series[name] = collector.Series(name)
+		rep.Series = make(map[string]*metrics.TimeSeries)
+		for _, ts := range collector.Series() {
+			rep.Series[ts.Name] = ts
 		}
 	}
 	if comp != nil {
@@ -479,13 +475,13 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 		rep.SlowPropByIt = comp.props
 	}
 	if env.Mat != nil {
-		if env.Store != nil && env.Store.Tenant > 0 {
+		if env.Store.Tenant > 0 {
 			rep.MatCacheStats = env.Mat.TenantStats(env.Store.Tenant)
 		} else {
 			rep.MatCacheStats = env.Mat.Stats()
 		}
 	}
-	if cache != nil && env.Store != nil && env.Store.Tenant > 0 {
+	if cache != nil && env.Store.Tenant > 0 {
 		// Shared-substrate session: attribute storage traffic to this
 		// tenant rather than reporting cluster-wide totals.
 		rep.CacheStats = cache.TenantStats(env.Store.Tenant)
@@ -537,7 +533,7 @@ type ChaosState struct {
 
 	preemptStall time.Duration
 
-	hist       *stats.LogHist
+	hist       *metrics.LogHist
 	lastStep   []time.Duration
 	faults     *chaos.Faults
 	recPending int // fault index awaiting the first post-resume batch
@@ -546,12 +542,13 @@ type ChaosState struct {
 
 // StartChaos launches the event replay task on env's wait group (none for an
 // empty script). The script must already be validated for a single-machine
-// run (Script.Validate(0)); disk may be nil.
-func StartChaos(env *loader.Env, disk *storage.Disk, script chaos.Script) *ChaosState {
+// run (Script.Validate(0)); disk events act on env.Store.Disk, which may be
+// nil.
+func StartChaos(env *loader.Env, script chaos.Script) *ChaosState {
 	rt := env.RT
 	c := &ChaosState{
 		env:  env,
-		hist: stats.NewLogHist(), lastStep: make([]time.Duration, len(env.GPUs)),
+		hist: metrics.NewLogHist(), lastStep: make([]time.Duration, len(env.GPUs)),
 		faults:     chaos.NewFaults(rt, env.Trace, env.TraceTenant(), nil),
 		recPending: -1,
 	}
@@ -570,7 +567,7 @@ func StartChaos(env *loader.Env, disk *storage.Disk, script chaos.Script) *Chaos
 	}
 	// The slowdown itself is the disk's timeline; the engine replays the
 	// same events for the fault windows.
-	chaos.InstallDiskTimeline(evs, disk)
+	chaos.InstallDiskTimeline(evs, env.Store.Disk)
 	c.pauser = chaos.NewPauser(rt)
 	c.eng = chaos.StartEngine(rt, env.WG, evs, c.apply)
 	return c
@@ -646,6 +643,17 @@ func (c *ChaosState) Finish(rep *Report) {
 	rep.StepHist = c.hist
 	rep.PreemptStall = c.preemptStall
 	rep.Faults = c.faults.Stats()
+}
+
+// clamp01 bounds a utilization sample to [0, 1].
+func clamp01(u float64) float64 {
+	if u < 0 {
+		return 0
+	}
+	if u > 1 {
+		return 1
+	}
+	return u
 }
 
 // composition tracks Fig 11's batch statistics.

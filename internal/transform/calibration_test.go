@@ -5,18 +5,18 @@ import (
 	"time"
 
 	"github.com/minatoloader/minato/internal/dataset"
-	"github.com/minatoloader/minato/internal/stats"
+	"github.com/minatoloader/minato/internal/metrics"
 )
 
 // Table 2 of the paper, in milliseconds.
-var table2 = map[string]stats.Summary{
+var table2 = map[string]metrics.Summary{
 	"obj-det":    {Avg: 31, Med: 28, P75: 30, P90: 35, Min: 11, Max: 176, Std: 19},
 	"img-seg":    {Avg: 500, Med: 470, P75: 630, P90: 750, Min: 10, Max: 2230, Std: 197},
 	"speech-3s":  {Avg: 998, Med: 508, P75: 509, P90: 3008, Min: 502, Max: 3017, Std: 992},
 	"speech-10s": {Avg: 2351, Med: 508, P75: 509, P90: 10008, Min: 502, Max: 10014, Std: 3757},
 }
 
-func sampleCosts(t *testing.T, ds dataset.Dataset, p *Pipeline, n int) stats.Summary {
+func sampleCosts(t *testing.T, ds dataset.Dataset, p *Pipeline, n int) metrics.Summary {
 	t.Helper()
 	if n > ds.Len() {
 		n = ds.Len()
@@ -26,7 +26,7 @@ func sampleCosts(t *testing.T, ds dataset.Dataset, p *Pipeline, n int) stats.Sum
 		s := ds.Sample(0, i)
 		vals = append(vals, float64(p.TotalCost(s))/float64(time.Millisecond))
 	}
-	return stats.Summarize(vals)
+	return metrics.Summarize(vals)
 }
 
 func within(t *testing.T, name, stat string, got, want, tol float64) {
@@ -49,7 +49,7 @@ func TestCalibrationAgainstTable2(t *testing.T) {
 
 	cases := []struct {
 		name string
-		sum  stats.Summary
+		sum  metrics.Summary
 	}{
 		{"img-seg", sampleCosts(t, dataset.NewKiTS19(seed), ImageSegmentationPipeline(), 210)},
 		{"obj-det", sampleCosts(t, dataset.NewCOCO(seed), ObjectDetectionPipeline(), 20000)},
@@ -123,7 +123,7 @@ func sqrt(x float64) float64 {
 // TestProcessedSizesMatchPaper pins §2.2's post-preprocessing sizes.
 func TestProcessedSizesMatchPaper(t *testing.T) {
 	apply := func(ds dataset.Dataset, p *Pipeline, n int) (minMB, avgMB, maxMB float64) {
-		var w stats.Welford
+		var w metrics.Welford
 		for i := 0; i < n; i++ {
 			s := ds.Sample(0, i)
 			c := s.Clone()

@@ -1,10 +1,6 @@
 package transform
 
-import (
-	"sync"
-
-	"github.com/minatoloader/minato/internal/data"
-)
+import "github.com/minatoloader/minato/internal/data"
 
 // OrderCache memoizes per-sample pipeline reorderings. Reorder policies in
 // the Pecan family are pure functions of each transform's volume
@@ -18,10 +14,9 @@ import (
 // than 32 transforms (or policies that need richer sample state) bypass the
 // cache by signature overflow.
 //
-// The zero value is ready to use. OrderCache is safe for concurrent use.
+// The zero value is ready to use. Task-only, like the loader that owns it.
 type OrderCache struct {
-	mu sync.RWMutex
-	m  map[uint64]*Pipeline
+	m map[uint64]*Pipeline
 }
 
 // Reordered returns p rearranged by policy for s, memoized by s's
@@ -32,23 +27,14 @@ func (c *OrderCache) Reordered(p *Pipeline, s *data.Sample, policy func([]Transf
 	if !ok {
 		return p.Reordered(policy(ts, s))
 	}
-	c.mu.RLock()
-	rp := c.m[sig]
-	c.mu.RUnlock()
-	if rp != nil {
+	if rp := c.m[sig]; rp != nil {
 		return rp
 	}
-	rp = p.Reordered(policy(ts, s))
-	c.mu.Lock()
 	if c.m == nil {
 		c.m = make(map[uint64]*Pipeline)
 	}
-	if prev, ok := c.m[sig]; ok {
-		rp = prev // another worker computed it first; converge on one value
-	} else {
-		c.m[sig] = rp
-	}
-	c.mu.Unlock()
+	rp := p.Reordered(policy(ts, s))
+	c.m[sig] = rp
 	return rp
 }
 

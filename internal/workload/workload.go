@@ -18,7 +18,7 @@ import (
 	"github.com/minatoloader/minato/internal/dataset"
 	"github.com/minatoloader/minato/internal/dist"
 	"github.com/minatoloader/minato/internal/loader"
-	"github.com/minatoloader/minato/internal/stats"
+	"github.com/minatoloader/minato/internal/metrics"
 	"github.com/minatoloader/minato/internal/transform"
 )
 
@@ -85,7 +85,7 @@ func (w Workload) SlowThreshold(percentile float64) time.Duration {
 	if n > 2000 {
 		n = 2000
 	}
-	var p stats.Percentiles
+	var p metrics.Percentiles
 	for i := 0; i < n; i++ {
 		s := w.Dataset.Sample(0, i)
 		p.Add(w.Pipeline.TotalCost(s).Seconds())

@@ -286,7 +286,7 @@ func (s *Session) start(ctx context.Context) error {
 		return err
 	}
 	if !s.served {
-		s.cst = trainer.StartChaos(s.env, s.cl.disk, s.script)
+		s.cst = trainer.StartChaos(s.env, s.script)
 	}
 	s.done = make([]bool, len(s.env.GPUs))
 	s.remaining = len(s.done)
