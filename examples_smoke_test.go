@@ -88,38 +88,89 @@ func TestMultinodeRunsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestMinatoBenchRejectsFlagsItWouldDrop asserts that minato-bench turns a
-// flag combination it cannot honour — two tiers, a tier with -exp, -trace
-// with no session to record — into a usage error (exit 2, reason on stderr)
-// instead of silently running part of the request.
-func TestMinatoBenchRejectsFlagsItWouldDrop(t *testing.T) {
+// TestMinatoCommand builds cmd/minato once and drives its surface. A
+// request it would not carry out as asked — a flag it would drop, a testbed
+// it does not know, a missing or unknown subcommand — is a usage error:
+// exit 2, the reason on stderr, and nothing run. One quick call per
+// subcommand succeeds with its expected first line.
+func TestMinatoCommand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping go-build smoke test in -short mode")
 	}
-	bin := filepath.Join(t.TempDir(), "minato-bench")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/minato-bench").CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/minato-bench: %v\n%s", err, out)
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "minato")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/minato").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/minato: %v\n%s", err, out)
 	}
+	call := func(args ...string) (stdout, stderr string, err error) {
+		var o, e strings.Builder
+		cmd := exec.Command(bin, args...)
+		cmd.Dir, cmd.Stdout, cmd.Stderr = dir, &o, &e
+		err = cmd.Run()
+		return o.String(), e.String(), err
+	}
+
 	for _, tc := range []struct {
 		args []string
 		msg  string
 	}{
-		{[]string{"-fleet", "-tenants", "-quick"}, "-fleet -tenants are mutually exclusive"},
-		{[]string{"-exp", "fig9", "-serve", "-quick"}, "-serve and -exp are mutually exclusive"},
-		{[]string{"-trace", filepath.Join(t.TempDir(), "out.json")}, "-trace records one session"},
+		{nil, "usage: minato run|exp|profile"},
+		{[]string{"bench"}, `unknown command "bench"`},
+		{[]string{"run", "-nodes", "4", "-prom", "m.prom"}, "-prom snapshots a single-machine run"},
+		{[]string{"run", "-nodes", "2", "-trace-csv", "csv"}, "-trace-csv records a single-machine run"},
+		{[]string{"run", "-testbed", "C"}, `unknown testbed "C"`},
+		{[]string{"run", "-top", "5"}, "-top lists a traced run's batch journeys"},
+		{[]string{"run", "-workload", "nosuch"}, "registered: img-seg"},
+		{[]string{"run", "-loader", "nosuch"}, "registered: dali, minato"},
+		{[]string{"run", "extra"}, `unexpected argument "extra"`},
+		{[]string{"exp"}, "usage: minato exp"},
+		{[]string{"exp", "-list", "fig7"}, "-list runs nothing"},
+		{[]string{"exp", "fig7", "-quick"}, "flags go before the experiment list"},
+		{[]string{"exp", "nosuch"}, `unknown experiment "nosuch"`},
+		// exp takes no session, tier or trace flag: the flag parser
+		// refuses them before anything runs.
+		{[]string{"exp", "-loader", "minato", "fig7"}, "flag provided but not defined: -loader"},
+		{[]string{"exp", "-serve", "fig9"}, "flag provided but not defined: -serve"},
+		{[]string{"exp", "-trace", "out.json", "fig7"}, "flag provided but not defined: -trace"},
+		{[]string{"profile", "-workload", "nosuch"}, `unknown workload "nosuch"`},
 	} {
-		var stdout, stderr strings.Builder
-		cmd := exec.Command(bin, tc.args...)
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		stdout, stderr, err := call(tc.args...)
 		var exit *exec.ExitError
-		if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("%v: err %v, want exit status 2\n%s", tc.args, err, stderr.String())
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: err %v, want exit status 2\n%s", tc.args, err, stderr)
 		}
-		if !strings.Contains(stderr.String(), tc.msg) {
-			t.Errorf("%v: stderr %q does not say %q", tc.args, stderr.String(), tc.msg)
+		if !strings.Contains(stderr, tc.msg) {
+			t.Errorf("%v: stderr %q does not say %q", tc.args, stderr, tc.msg)
 		}
-		if stdout.Len() != 0 {
-			t.Errorf("%v: ran something before rejecting:\n%s", tc.args, stdout.String())
+		if stdout != "" {
+			t.Errorf("%v: ran something before rejecting:\n%s", tc.args, stdout)
 		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "m.prom")); err == nil {
+		t.Error("a rejected -prom run wrote its file")
+	}
+
+	traceOut := filepath.Join(dir, "trace.json")
+	for _, tc := range []struct {
+		args  []string
+		first string
+	}{
+		{[]string{"run", "-iterations", "20"}, "workload:        speech-3s (RNN-T)"},
+		{[]string{"run", "-nodes", "2", "-gpus", "1", "-iterations", "5", "-trace", traceOut}, "trace:   " + traceOut + " ("},
+		{[]string{"exp", "-quick", "table1"}, "### table1"},
+		{[]string{"exp", "-list"}, "available experiments:"},
+		{[]string{"profile", "-n", "50"}, "workload: img-seg (50 samples)"},
+	} {
+		stdout, stderr, err := call(tc.args...)
+		if err != nil {
+			t.Errorf("%v: %v\n%s", tc.args, err, stderr)
+			continue
+		}
+		if first, _, _ := strings.Cut(stdout, "\n"); !strings.HasPrefix(first, tc.first) {
+			t.Errorf("%v: first line %q, want prefix %q", tc.args, first, tc.first)
+		}
+	}
+	if fi, err := os.Stat(traceOut); err != nil || fi.Size() == 0 {
+		t.Errorf("run -trace wrote no trace: %v", err)
 	}
 }

@@ -245,7 +245,7 @@ func (l *Loader) Name() string {
 }
 
 // maxWorkersNow returns the pool's current upper bound: the configured
-// MaxWorkers clamped by the environment's worker governor, when one is set.
+// MaxWorkers clamped by the environment's worker share, when one is set.
 // Re-read on every scheduling decision so a cluster rebalancing tenant
 // quotas takes effect at the next tick.
 func (l *Loader) maxWorkersNow() int {

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§3, §5, and the artifact appendix), plus ablations of
 // MinatoLoader's design choices. Each experiment returns structured tables
-// and optionally writes CSVs; cmd/minato-bench drives them by ID.
+// and optionally writes CSVs; `minato exp` (cmd/minato) drives them by ID.
 //
 // See DESIGN.md's per-experiment index for the mapping from experiment IDs
 // to paper artifacts.

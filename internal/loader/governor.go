@@ -5,16 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// WorkerGovernor bounds a loader's preprocessing-worker pool from outside.
-// Co-located loaders sharing one CPU device each hold a governor handle; the
-// quota is re-read on every scheduling decision, so an owner can rebalance
-// capacity while loaders run. A nil governor means "no external bound".
-type WorkerGovernor interface {
-	// WorkerQuota returns the current maximum worker count for this tenant.
-	// Implementations must be safe for concurrent use and cheap to call.
-	WorkerQuota() int
-}
-
 // FairShare arbitrates a fixed worker capacity (typically the CPU core
 // count) across tenants, weighted by priority. Each tenant joins with a
 // weight and receives a quota proportional to weight/totalWeight, floored at
@@ -30,8 +20,9 @@ type FairShare struct {
 	shares []*Share
 }
 
-// Share is one tenant's handle into a FairShare. It implements
-// WorkerGovernor.
+// Share is one tenant's handle into a FairShare. Co-located loaders sharing
+// one CPU device each hold one; the quota is re-read on every scheduling
+// decision, so the owner can rebalance capacity while loaders run.
 type Share struct {
 	fs     *FairShare
 	weight float64
@@ -85,8 +76,8 @@ func (s *Share) Leave() {
 	s.fs = nil
 }
 
-// WorkerQuota implements WorkerGovernor: the tenant's current fair share of
-// the capacity, at least one.
+// WorkerQuota returns the tenant's current fair share of the capacity, at
+// least one.
 func (s *Share) WorkerQuota() int {
 	q := int(s.quota.Load())
 	if q < 1 {

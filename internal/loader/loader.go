@@ -109,9 +109,9 @@ type Env struct {
 	Pool *data.Pool
 	// Gov, when set, bounds the loader's preprocessing-worker pool from
 	// outside — the hook multi-tenant clusters use to arbitrate CPU workers
-	// fairly across co-located loaders. A nil governor leaves the loader's
+	// fairly across co-located loaders. A nil share leaves the loader's
 	// own MaxWorkers as the only bound.
-	Gov WorkerGovernor
+	Gov *Share
 	// Mat, when set, is the cluster's materialized preprocessed-sample
 	// cache: loaders that support it (MinatoLoader) check it before
 	// dispatching a sample to the pipeline and materialize their outputs

@@ -307,9 +307,18 @@ func TestRunSideBySideWithStatsAndCancellation(t *testing.T) {
 	}
 	stop := make(chan struct{})
 	polled := make(chan int)
+	// The canceller waits for a poll that began after every entrant parked,
+	// so a poll must get through the door while sixteen tasks sit parked.
+	allParked, parkedPoll := make(chan struct{}), make(chan struct{})
 	go func() {
-		polls := 0
+		polls, signalled := 0, false
 		for {
+			afterPark := false
+			select {
+			case <-allParked:
+				afterPark = !signalled
+			default:
+			}
 			select {
 			case <-stop:
 				polled <- polls
@@ -320,11 +329,17 @@ func TestRunSideBySideWithStatsAndCancellation(t *testing.T) {
 				t.Errorf("poll saw %+v, %d tasks, names %v", st, n, names)
 			}
 			polls++
+			if afterPark {
+				close(parkedPoll)
+				signalled = true
+			}
 			runtime.Gosched()
 		}
 	}()
 	go func() {
 		parked.Wait()
+		close(allParked)
+		<-parkedPoll
 		cancel()
 	}()
 	done.Wait()
