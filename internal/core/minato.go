@@ -197,6 +197,11 @@ type Loader struct {
 	claims  int64
 	ordered *orderedBuffer // OrderPreserving mode only
 
+	// worker is the body spawnWorker hands every worker task, bound to
+	// workerCtx.
+	worker    func()
+	workerCtx context.Context
+
 	stopFlag bool
 	cancel   context.CancelFunc
 }
@@ -298,41 +303,50 @@ func (l *Loader) Start(ctx context.Context) error {
 // being processed: the sample is abandoned (counted, surfaced via Faults) and
 // the worker keeps serving — matching the isolation a multiprocessing-based
 // loader gets from worker processes.
+//
+// The worker body is built once per run context, so the adaptive scheduler's
+// respawns — a steady trickle over a run — allocate nothing.
 func (l *Loader) spawnWorker(ctx context.Context) {
-	id := l.sched.workerSpawned()
-	l.env.WG.Go("minato-worker", func() {
-		defer func() {
-			l.sched.workerExited()
-			// A worker exit can flip drained(); parked constructors re-check
-			// when it did. (An unconditional pulse would reshuffle their
-			// wait order on every exit of the tail — see assemble.)
-			if l.drained() {
+	l.sched.workerSpawned()
+	if l.worker == nil || l.workerCtx != ctx {
+		l.worker, l.workerCtx = func() { l.work(ctx) }, ctx
+	}
+	l.env.WG.Go("minato-worker", l.worker)
+}
+
+// work is one preprocessing worker's life (see spawnWorker).
+func (l *Loader) work(ctx context.Context) {
+	defer func() {
+		l.sched.workerExited()
+		// A worker exit can flip drained(); parked constructors re-check
+		// when it did. (An unconditional pulse would reshuffle their
+		// wait order on every exit of the tail — see assemble.)
+		if l.drained() {
+			l.gate.Pulse()
+		}
+	}()
+	for !l.stopFlag && !l.sched.shouldRetire() {
+		// Background completion first (slow-task work).
+		if item, ok, _ := l.tempQ.TryGet(); ok {
+			if !l.runSample(ctx, func() error { return l.finishSlow(ctx, item.s) }, item.s.OriginalOrder) {
+				return
+			}
+			continue
+		}
+		// New sample.
+		it, err := l.idx.Next()
+		if err != nil { // index stream ended
+			if !l.srcDone {
+				l.srcDone = true
 				l.gate.Pulse()
 			}
-		}()
-		for !l.stopFlag && !l.sched.shouldRetire(id) {
-			// Background completion first (slow-task work).
-			if item, ok, _ := l.tempQ.TryGet(); ok {
-				if !l.runSample(ctx, func() error { return l.finishSlow(ctx, item.s) }, item.s.OriginalOrder) {
-					return
-				}
-				continue
-			}
-			// New sample.
-			it, err := l.idx.Next()
-			if err != nil { // index stream ended
-				if !l.srcDone {
-					l.srcDone = true
-					l.gate.Pulse()
-				}
-				return
-			}
-			l.emitted++
-			if !l.runSample(ctx, func() error { return l.processNew(ctx, it) }, it.Seq) {
-				return
-			}
+			return
 		}
-	})
+		l.emitted++
+		if !l.runSample(ctx, func() error { return l.processNew(ctx, it) }, it.Seq) {
+			return
+		}
+	}
 }
 
 // traceSample records a worker-layer span for sample s; a no-op without

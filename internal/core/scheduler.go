@@ -43,11 +43,10 @@ func (sc *Scheduler) SetTarget(n int) { sc.target = n }
 // Target returns the current desired worker count.
 func (sc *Scheduler) Target() int { return sc.target }
 
-// workerSpawned registers a new worker and returns its id.
-func (sc *Scheduler) workerSpawned() int {
+// workerSpawned registers a new worker.
+func (sc *Scheduler) workerSpawned() {
 	sc.live++
 	sc.peak = max(sc.peak, sc.live)
-	return sc.live
 }
 
 // peakWorkers returns the pool's high-water mark.
@@ -60,7 +59,7 @@ func (sc *Scheduler) workerExited() { sc.live-- }
 func (sc *Scheduler) liveWorkers() int { return sc.live }
 
 // shouldRetire lets one worker claim an outstanding retirement token.
-func (sc *Scheduler) shouldRetire(_ int) bool {
+func (sc *Scheduler) shouldRetire() bool {
 	if sc.retireTokens <= 0 {
 		return false
 	}

@@ -86,7 +86,7 @@ func TestSchedulerRetireTokenClaiming(t *testing.T) {
 		sc.retireTokens = 2
 		claims := 0
 		for i := 0; i < 5; i++ {
-			if sc.shouldRetire(i) {
+			if sc.shouldRetire() {
 				claims++
 			}
 		}

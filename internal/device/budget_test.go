@@ -41,3 +41,68 @@ func TestContendedParkBudgetAndEndTime(t *testing.T) {
 		t.Errorf("ended at %d ns, want 825589690", now)
 	}
 }
+
+// TestContendedRunAllocatesNothing: sixteen tasks keep a warm capacity-4
+// device four times oversubscribed, and a contended Run allocates nothing —
+// its entry, with the selector it parks on, comes from the device's free
+// list. The tasks persist across measured rounds and meet at two barriers,
+// which allocate nothing once their wait lists have grown.
+func TestContendedRunAllocatesNothing(t *testing.T) {
+	const tasks, runs = 16, 8
+	ctx := context.Background()
+	k := simtime.NewVirtual()
+	k.Run(func() {
+		d := New(k, "cpu", 4)
+		start, end := simtime.NewBarrier(k, tasks+1), simtime.NewBarrier(k, tasks+1)
+		wg := simtime.NewWaitGroup(k)
+		for i := 0; i < tasks; i++ {
+			wg.Go("task", func() {
+				for {
+					if _, err := start.Wait(ctx); err != nil {
+						return
+					}
+					for j := 0; j < runs; j++ {
+						if err := d.Run(ctx, time.Millisecond+time.Duration(i)); err != nil {
+							t.Error(err)
+						}
+					}
+					if _, err := end.Wait(ctx); err != nil {
+						return
+					}
+				}
+			})
+		}
+		rounds := func() {
+			for range 20 {
+				_, _ = start.Wait(ctx)
+				_, _ = end.Wait(ctx)
+			}
+		}
+		// One measured call, so the count is a total, not a rounded-down
+		// mean; AllocsPerRun's first, unmeasured call warms the entries,
+		// the heap, the free list and the wait lists.
+		if got := testing.AllocsPerRun(1, rounds); got != 0 {
+			t.Errorf("%v allocs in %d contended Runs, want 0", got, 20*tasks*runs)
+		}
+		start.Break()
+		_ = wg.Wait(ctx)
+	})
+}
+
+// TestFreshEntriesComeInChunks: a fresh device's first nine concurrent
+// entries cost two chunk allocations, not eighteen objects (an entry and a
+// selector each).
+func TestFreshEntriesComeInChunks(t *testing.T) {
+	k := simtime.NewVirtual()
+	devs := []*Device{New(k, "cpu", 4), New(k, "cpu", 4)} // AllocsPerRun calls twice
+	got := testing.AllocsPerRun(1, func() {
+		d := devs[0]
+		devs = devs[1:]
+		for range 9 {
+			d.newEntry() // none returned: nine concurrent occupants
+		}
+	})
+	if got != 2 {
+		t.Errorf("%v allocs for nine fresh entries, want 2 chunks", got)
+	}
+}

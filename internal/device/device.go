@@ -87,9 +87,12 @@ type Device struct {
 	// timed counts the entries in the heap that hold a timer (entry.timed).
 	timed int
 
-	// free recycles entries (and their selectors) across Run calls: the
-	// occupancy fast path allocates nothing in steady state.
-	free []*entry
+	// free recycles entries (and the selectors they embed) across Run
+	// calls: the occupancy fast path allocates nothing in steady state.
+	// Fresh entries are cut from chunks of entryChunk, which never move, so
+	// the pointers the heap and the kernel hold to them stay valid.
+	free  []*entry
+	chunk []entry // the unused rest of the newest chunk
 
 	// busyIntegral accumulates ∫ min(k, cap) dt in unit-seconds: the total
 	// amount of work the device has performed, as of lastT. Utilization
@@ -119,8 +122,11 @@ type entry struct {
 	// Under contention only the front is timed; later finishers have theirs
 	// armed by exit when they reach the front.
 	timed bool
-	sel   *simtime.Selector
+	sel   simtime.Selector
 }
+
+// entryChunk is how many entries a device allocates at once.
+const entryChunk = 8
 
 // New returns a device with the given parallel capacity (must be positive).
 func New(rt *simtime.Virtual, name string, capacity float64) *Device {
@@ -160,12 +166,7 @@ func (d *Device) Run(ctx context.Context, work time.Duration) error {
 		return nil
 	}
 	t0 := d.rt.Now()
-	var e *entry
-	if n := len(d.free); n > 0 {
-		e, d.free = d.free[n-1], d.free[:n-1]
-	} else {
-		e = &entry{sel: simtime.NewSelector(d.rt)}
-	}
+	e := d.newEntry()
 	d.advance()
 	e.target = d.progress + work.Seconds()
 	e.epoch = invalidEpoch
@@ -214,6 +215,22 @@ func (d *Device) Run(ctx context.Context, work time.Duration) error {
 		// Completion, an armed deadline a rate drop made early, or one
 		// that found this entry no longer the front: loop and re-evaluate.
 	}
+}
+
+// newEntry takes a recycled entry, or the next one of the current chunk.
+func (d *Device) newEntry() *entry {
+	if n := len(d.free); n > 0 {
+		e := d.free[n-1]
+		d.free = d.free[:n-1]
+		return e
+	}
+	if len(d.chunk) == 0 {
+		d.chunk = make([]entry, entryChunk)
+	}
+	e := &d.chunk[0]
+	d.chunk = d.chunk[1:]
+	e.sel.Bind(d.rt)
+	return e
 }
 
 // stamp sets e.finish, the absolute completion instant at the current

@@ -123,8 +123,11 @@ func (l *Loader) Start(ctx context.Context) error {
 			}
 		}()
 		var seq int64
+		// One items slice serves every batch: loadRaw copies each item into
+		// the ioTask it dispatches, and keeps none.
+		items := make([]loader.IndexItem, 0, l.spec.BatchSize)
 		for {
-			items := make([]loader.IndexItem, 0, l.spec.BatchSize)
+			items = items[:0]
 			for len(items) < l.spec.BatchSize {
 				it, err := l.idx.Next()
 				if err != nil {
@@ -220,7 +223,9 @@ func (l *Loader) loadRaw(ctx context.Context, seq int64, items []loader.IndexIte
 // gpuPipe preprocesses raw batches on GPU g and buffers ready batches.
 func (l *Loader) gpuPipe(ctx context.Context, g int) {
 	dev := l.env.GPUs[g]
-	exec := transform.ScaledExecutor{Exec: gpu.Executor{G: dev}, Speedup: l.cfg.Speedup}
+	// Boxed into the interface once, here: converting the struct at every
+	// Apply would heap-allocate a copy per sample.
+	var exec transform.Executor = transform.ScaledExecutor{Exec: gpu.Executor{G: dev}, Speedup: l.cfg.Speedup}
 	defer l.readyQs[g].Close()
 	for {
 		b, err := l.rawQs[g].Get(ctx)

@@ -63,6 +63,11 @@ type Loader struct {
 	tokens *queue.Queue[struct{}]
 	out    *queue.Queue[*data.Batch]
 
+	// spareItems holds the items slices of prepared batches for the
+	// dispatcher to refill. Task-only, like everything here: the worker
+	// that prepared a batch hands its slice back, the dispatcher takes it.
+	spareItems [][]loader.IndexItem
+
 	reorder    reorderBuffer
 	orderCache transform.OrderCache
 	stopped    bool
@@ -129,7 +134,7 @@ func (l *Loader) Start(ctx context.Context) error {
 			if _, err := l.tokens.Get(ctx); err != nil {
 				return
 			}
-			items := make([]loader.IndexItem, 0, l.spec.BatchSize)
+			items := l.takeItems()
 			for len(items) < l.spec.BatchSize {
 				it, err := l.idx.Next()
 				if err != nil {
@@ -154,6 +159,7 @@ func (l *Loader) Start(ctx context.Context) error {
 					return
 				}
 				b, err := l.prepare(ctx, task)
+				l.spareItems = append(l.spareItems, task.items)
 				if err != nil {
 					return
 				}
@@ -162,6 +168,17 @@ func (l *Loader) Start(ctx context.Context) error {
 		})
 	}
 	return nil
+}
+
+// takeItems returns an empty items slice with room for a batch: a spare
+// one when a worker has handed one back.
+func (l *Loader) takeItems() []loader.IndexItem {
+	if n := len(l.spareItems); n > 0 {
+		items := l.spareItems[n-1][:0]
+		l.spareItems = l.spareItems[:n-1]
+		return items
+	}
+	return make([]loader.IndexItem, 0, l.spec.BatchSize)
 }
 
 // prepare loads and preprocesses one batch serially — the per-worker loop

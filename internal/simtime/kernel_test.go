@@ -400,9 +400,9 @@ func TestPostedFunctionsRunInPostOrder(t *testing.T) {
 }
 
 // TestSteadyStateAllocations pins the kernel's hot paths: a Sleep and a
-// selector cycle allocate nothing, and a spawn-and-join costs the caller's two
-// closures — the coroutine that carries the task comes from the free list,
-// the join's selector from the WaitGroup's own.
+// selector cycle allocate nothing, and a spawn-and-join costs the caller's one
+// closure — the coroutine that carries the task comes from the free list, the
+// join's selector from the WaitGroup's own, and WaitGroup.Go wraps nothing.
 func TestSteadyStateAllocations(t *testing.T) {
 	ctx := context.Background()
 	k := NewVirtual()
@@ -429,7 +429,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 				sel.Reset()
 				_, _ = sel.Wait(ctx, time.Millisecond)
 			}},
-			"spawn and join": {2, func() {
+			"spawn and join": {1, func() {
 				wg.Go("child", func() { _ = k.Sleep(ctx, time.Millisecond) })
 				_ = wg.Wait(ctx)
 			}},
@@ -536,6 +536,33 @@ func TestGoexitEndsOnlyItsTask(t *testing.T) {
 	k.Drain()
 	if want := []string{"quitter's defer", "survivor"}; !slices.Equal(order, want) || k.Now() != 2*time.Second {
 		t.Fatalf("order = %v at %v, want %v at 2s", order, k.Now(), want)
+	}
+}
+
+// TestWaitGroupGoPanicCallsDone: a WaitGroup.Go task that panics is Done
+// before its panic leaves the task for the loop to re-raise, as it was when
+// Go wrapped fn in a closure that deferred Done. The task is run here, on the
+// test goroutine, because the loop's re-panic would end the process.
+func TestWaitGroupGoPanicCallsDone(t *testing.T) {
+	k := NewVirtual()
+	wg := NewWaitGroup(k)
+	wg.Go("boom", func() { panic("boom") })
+	tk := k.ready[k.rhead]
+	defer tk.stop()
+	func() {
+		defer func() {
+			p := recover()
+			if !strings.Contains(fmt.Sprint(p), `task "boom" panicked: boom`) {
+				t.Errorf("recovered %v, want the task's panic", p)
+			}
+			if wg.n != 0 {
+				t.Errorf("counter %d when the panic left the task, want 0", wg.n)
+			}
+		}()
+		tk.run()
+	}()
+	if tk.wg != nil {
+		t.Error("the task still holds its group")
 	}
 }
 

@@ -62,6 +62,10 @@ const (
 // NewSelector returns a selector bound to rt.
 func NewSelector(rt *Virtual) *Selector { return &Selector{k: rt} }
 
+// Bind binds a zero Selector, one embedded by value in a larger struct, to
+// rt: what NewSelector does for one of its own.
+func (s *Selector) Bind(rt *Virtual) { s.k = rt }
+
 // Reset begins a new wait cycle, discarding a wake delivered since the last
 // Wait returned (a waker may claim the selector while its owner is between
 // cycles; the owner re-checks its condition before waiting, so the wake's

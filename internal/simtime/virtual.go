@@ -67,7 +67,7 @@ func (k *Virtual) Go(name string, fn func()) { k.spawn(name, fn, false) }
 // Daemons still count toward Drain; whoever spawns one owns shutting it down.
 func (k *Virtual) GoDaemon(name string, fn func()) { k.spawn(name, fn, true) }
 
-func (k *Virtual) spawn(name string, fn func(), daemon bool) {
+func (k *Virtual) spawn(name string, fn func(), daemon bool) *task {
 	t := getTask()
 	t.k, t.name, t.fn, t.daemon = k, name, fn, daemon
 	if daemon {
@@ -77,6 +77,7 @@ func (k *Virtual) spawn(name string, fn func(), daemon bool) {
 	k.live = append(k.live, t)
 	k.stats.Spawns++
 	k.makeReady(t)
+	return t
 }
 
 // NewWaiter returns a kernel-aware parking primitive.
@@ -298,7 +299,8 @@ type task struct {
 
 	k      *Virtual
 	name   string
-	fn     func() // nil once the task has finished
+	fn     func()     // nil once the task has finished
+	wg     *WaitGroup // counts this task (WaitGroup.Go): Done when fn ends
 	daemon bool
 	lidx   int // index in k.live
 
@@ -322,7 +324,9 @@ func (t *task) coroutine(yield func(struct{}) bool) {
 	}
 }
 
-// run calls fn and, however it ends, leaves the task marked finished.
+// run calls fn and, however it ends, leaves the task marked finished. A
+// group the task was spawned into is Done once fn has ended — returned,
+// panicked or exited — and before the task is marked finished.
 func (t *task) run() {
 	defer func() {
 		if p := recover(); p != nil {
@@ -332,6 +336,10 @@ func (t *task) run() {
 		}
 		t.fn = nil
 	}()
+	if wg := t.wg; wg != nil {
+		t.wg = nil
+		defer wg.Done()
+	}
 	t.fn()
 }
 

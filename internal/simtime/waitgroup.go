@@ -58,13 +58,12 @@ func (wg *WaitGroup) Add(delta int) {
 // Done decrements the counter by one.
 func (wg *WaitGroup) Done() { wg.Add(-1) }
 
-// Go spawns fn as a tracked task accounted for by the group.
+// Go spawns fn as a tracked task accounted for by the group. The task
+// carries the group itself and calls Done when fn ends, so spawning wraps fn
+// in nothing.
 func (wg *WaitGroup) Go(name string, fn func()) {
 	wg.Add(1)
-	wg.parked.k.Go(name, func() {
-		defer wg.Done()
-		fn()
-	})
+	wg.parked.k.spawn(name, fn, false).wg = wg
 }
 
 // Wait blocks until the counter reaches zero or ctx is done.
