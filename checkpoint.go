@@ -2,7 +2,6 @@ package minato
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -32,7 +31,8 @@ import (
 // never did, in the original shuffle order, and the two sessions' batch
 // counts always sum to the original budget.
 type Checkpoint struct {
-	mu       sync.Mutex
+	// consumed: Resume or Close has taken the checkpoint; the kernel's,
+	// like the cluster's tenancy.
 	consumed bool
 
 	cl   *Cluster
@@ -55,25 +55,28 @@ type Checkpoint struct {
 // ownership of an implicit (standalone-Open) cluster from the session to the
 // checkpoint, so Close tears down the session's tenancy but leaves the warm
 // caches alive for Resume.
-func (s *Session) Checkpoint() (*Checkpoint, error) {
-	if s.cl.isClosed() {
-		return nil, ErrClusterClosed
-	}
-	ck := &Checkpoint{
-		cl:      s.cl,
-		owns:    s.ownsCluster,
-		dataset: s.spec.Dataset,
-		factory: s.factory,
-		spec:    s.spec,
-		retain:  s.retain,
-		weight:  s.weight,
-		gpus:    len(s.gpuIdxs),
-		takenAt: s.rt.Now(),
-	}
-	ck.spec.Skip = s.spec.Skip + int(s.batches.Load())
-	// The checkpoint now keeps the substrate alive, not the session.
-	s.ownsCluster = false
-	return ck, nil
+func (s *Session) Checkpoint() (ck *Checkpoint, err error) {
+	s.rt.Do(func() {
+		if s.cl.closed {
+			err = ErrClusterClosed
+			return
+		}
+		ck = &Checkpoint{
+			cl:      s.cl,
+			owns:    s.ownsCluster,
+			dataset: s.spec.Dataset,
+			factory: s.factory,
+			spec:    s.spec,
+			retain:  s.retain,
+			weight:  s.stats.Priority,
+			gpus:    len(s.gpuIdxs),
+			takenAt: s.rt.Now(),
+		}
+		ck.spec.Skip = s.spec.Skip + int(s.batches)
+		// The checkpoint now keeps the substrate alive, not the session.
+		s.ownsCluster = false
+	})
+	return ck, err
 }
 
 // TakenAt returns the virtual time the checkpoint was taken.
@@ -115,15 +118,12 @@ func (ck *Checkpoint) MatCache() (st MatCacheStats) {
 // implicit cluster of a standalone Open). Idempotent; a no-op after Resume,
 // which takes the ownership over.
 func (ck *Checkpoint) Close() error {
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
-	if ck.consumed {
-		return nil
-	}
-	ck.consumed = true
-	if ck.owns {
-		return ck.cl.Close()
-	}
+	ck.cl.do(func() {
+		if !ck.consumed && ck.owns {
+			ck.cl.close()
+		}
+		ck.consumed = true
+	})
 	return nil
 }
 
@@ -143,11 +143,6 @@ func (ck *Checkpoint) Close() error {
 func Resume(ck *Checkpoint, opts ...Option) (*Session, error) {
 	if ck == nil {
 		return nil, configErr("Resume", "nil checkpoint")
-	}
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
-	if ck.consumed {
-		return nil, configErr("Resume", "checkpoint already consumed")
 	}
 	o, err := build(atResume, opts)
 	if err != nil {
@@ -176,11 +171,19 @@ func Resume(ck *Checkpoint, opts ...Option) (*Session, error) {
 		o.gpus = ck.gpus
 	}
 
-	sess, err := ck.cl.open(ck.dataset, o, ck.owns, false)
-	if err != nil {
-		return nil, err
-	}
-	sess.resumedAt = sess.rt.Now()
-	ck.consumed = true
-	return sess, nil
+	// The checkpoint is taken in the same kernel entry that opens the
+	// resumed session.
+	var sess *Session
+	queued(func() (wait chan struct{}) {
+		ck.cl.do(func() {
+			if ck.consumed {
+				err = configErr("Resume", "checkpoint already consumed")
+			} else if sess, wait, err = ck.cl.open(ck.dataset, o, ck.owns, false); sess != nil {
+				sess.resumedAt = sess.rt.Now()
+				ck.consumed = true
+			}
+		})
+		return wait
+	})
+	return sess, err
 }

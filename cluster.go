@@ -2,8 +2,8 @@ package minato
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-	"sync"
 
 	"github.com/minatoloader/minato/internal/data"
 	"github.com/minatoloader/minato/internal/device"
@@ -67,12 +67,14 @@ func WithAdmission(p AdmissionPolicy) Option {
 // its own cache hits. Admission control (WithMaxSessions + WithAdmission)
 // bounds the tenant count.
 //
-// A Cluster is safe for concurrent use. Open, Train, and Stats may be
-// called from any goroutine that is not a task of the cluster's kernel (they
-// enter it to touch the shared caches); sessions stream independently. Close
-// marks the cluster closed (new opens fail, queued opens release with
-// ErrClusterClosed) and reclaims the shared substrate once the last
-// session has closed.
+// A Cluster is safe for concurrent use. Its tenancy — admission, the session
+// set, GPU placement, worker quotas, counters — is state of the cluster's
+// kernel, like the caches, and Open, Train, Close and Stats each enter the
+// kernel to touch it: call them from any goroutine that is not a task of
+// that kernel (not from a Batches or StreamAll body). Sessions stream
+// independently. Close marks the cluster closed (new opens fail, queued
+// opens release with ErrClusterClosed) and reclaims the shared substrate
+// once the last session has closed.
 //
 // A Cluster multiplexes many tenants over ONE machine. For the opposite
 // shape — one training job spread data-parallel across MANY machines
@@ -93,15 +95,22 @@ type Cluster struct {
 	maxSessions int
 	admission   AdmissionPolicy
 
-	mu            sync.Mutex
+	// The rest is the kernel's, like the caches.
 	closed        bool
 	reclaimed     bool
 	active        int
 	nextTenant    int
-	waiters       []chan struct{}
 	openedTotal   int64
 	rejectedTotal int64
-	sessions      map[*Session]struct{}
+	// waiters are the channels queued AdmitQueue opens wait on, outside the
+	// kernel; release closes the oldest.
+	waiters []chan struct{}
+	// sessions are the open loading sessions, in admission order.
+	sessions []*Session
+	// servers counts the running servers (Serve): their daemon tasks keep a
+	// runtime the cluster owns from draining, so it is reclaimed only once
+	// the last one has closed.
+	servers int
 	// gpuLoad counts sessions placed on each GPU; placement picks the
 	// least-loaded devices so tenants spread across the cluster's GPUs
 	// instead of stacking on a prefix.
@@ -135,7 +144,6 @@ func newCluster(co *options) (*Cluster, error) {
 		maxSessions: co.maxSessions,
 		admission:   co.admission,
 		pool:        data.NewPool(),
-		sessions:    make(map[*Session]struct{}),
 	}
 	if co.hw != nil {
 		cfg := *co.hw
@@ -212,27 +220,42 @@ func (c *Cluster) Open(dataset Dataset, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.open(dataset, o, false, false)
+	var s *Session
+	queued(func() (wait chan struct{}) {
+		c.do(func() { s, wait, err = c.open(dataset, o, false, false) })
+		return wait
+	})
+	return s, err
 }
 
-// open wires a session from built options. served says the caller is a
-// server's dispatch task opening a stream (Session.served), on the cluster's
-// kernel and not, as everyone else, outside it.
-func (c *Cluster) open(dataset Dataset, o *options, ownsCluster, served bool) (*Session, error) {
+// queued makes enter, one kernel entry, again each time it comes back with
+// the channel of a saturated AdmitQueue cluster, which the kernel closes
+// when a slot frees: the opener waits for it here, outside the kernel.
+func queued(enter func() chan struct{}) {
+	for wait := enter(); wait != nil; wait = enter() {
+		<-wait
+	}
+}
+
+// open is Open's on-kernel form, which a server's dispatch task calls
+// directly (served: see Session.served): it wires a session from built
+// options. A saturated AdmitQueue cluster wires nothing and returns the
+// channel to wait on instead (see queued).
+func (c *Cluster) open(dataset Dataset, o *options, ownsCluster, served bool) (*Session, chan struct{}, error) {
 	if dataset == nil {
-		return nil, configErr("Open", "requires a dataset")
+		return nil, nil, configErr("Open", "requires a dataset")
 	}
 	f, err := o.resolveFactory()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	script, err := o.resolveChaos(singleMachine)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	gpuCount, err := c.sessionGPUs(o.gpus)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	pipeline := o.pipeline
@@ -257,16 +280,16 @@ func (c *Cluster) open(dataset Dataset, o *options, ownsCluster, served bool) (*
 		Skip:       o.skip,
 	}
 	if spec.BatchesPerEpoch() == 0 {
-		return nil, configErr("WithBatchSize", fmt.Sprintf("batch size %d exceeds dataset %q size %d",
+		return nil, nil, configErr("WithBatchSize", fmt.Sprintf("batch size %d exceeds dataset %q size %d",
 			batchSize, dataset.Name(), dataset.Len()))
 	}
 
-	tenantID, err := c.admit()
-	if err != nil {
-		return nil, err
+	tenantID, wait, err := c.admit()
+	if wait != nil || err != nil {
+		return nil, wait, err
 	}
-	share := c.shares.Join(o.weight)
-	cacheTenant, usage := c.joinTenantFrom(served)
+	share := c.join(o.weight)
+	cacheTenant := c.joinTenant()
 	gpuIdxs := c.acquireGPUs(gpuCount)
 	env := c.sessionEnv(gpuIdxs, cacheTenant, share)
 
@@ -279,24 +302,21 @@ func (c *Cluster) open(dataset Dataset, o *options, ownsCluster, served bool) (*
 		cl:          c,
 		ownsCluster: ownsCluster,
 		served:      served,
-		tenantID:    tenantID,
 		cacheTenant: cacheTenant,
 		share:       share,
 		gpuIdxs:     gpuIdxs,
-		weight:      o.weight,
 		env:         env,
 		ld:          ld,
 		factory:     f,
 		name:        name,
 		spec:        spec,
 		script:      script,
-		usage:       usage,
+		stats:       SessionStats{Tenant: tenantID, Dataset: dataset.Name(), Loader: name, Priority: o.weight},
 	}
 	s.rt, s.src, s.retain = c.rt, s, o.retain
-	c.mu.Lock()
-	c.sessions[s] = struct{}{}
-	c.mu.Unlock()
-	return s, nil
+	c.sessions = append(c.sessions, s)
+	s.publish()
+	return s, nil, nil
 }
 
 // Train runs a full training session — loader plus simulated GPU consumers
@@ -353,7 +373,8 @@ func (o *options) shaped(w Workload) (Workload, error) {
 // singleMachine is the chaos shape of every session of one machine.
 func singleMachine(s ChaosScript) error { return s.Validate(0) }
 
-// train runs one training session from built options.
+// train runs one training session from built options: admission, tenancy
+// and the run itself on one task of the cluster's kernel.
 func (c *Cluster) train(w Workload, o *options) (*Report, error) {
 	f, err := o.resolveFactory()
 	if err != nil {
@@ -371,27 +392,26 @@ func (c *Cluster) train(w Workload, o *options) (*Report, error) {
 	if w, err = o.shaped(w); err != nil {
 		return nil, err
 	}
-
-	if _, err := c.admit(); err != nil {
-		return nil, err
-	}
-	share := c.shares.Join(o.weight)
-	gpuIdxs := c.acquireGPUs(gpuCount)
-	defer func() {
-		c.releaseGPUs(gpuIdxs)
-		share.Leave()
-		c.release(false)
-	}()
-
 	if c.tr != nil {
 		o.params.Trace = c.tr
 	}
+
 	var rep *Report
-	c.rt.Run(func() {
-		cacheTenant := c.joinTenant()
-		defer c.leaveTenant(cacheTenant)
-		env := c.sessionEnv(gpuIdxs, cacheTenant, share)
-		rep, err = trainer.RunEnv(env, w, f, o.params)
+	queued(func() (wait chan struct{}) {
+		c.run(func() {
+			if _, wait, err = c.admit(); wait != nil || err != nil {
+				return
+			}
+			share := c.join(o.weight)
+			gpuIdxs := c.acquireGPUs(gpuCount)
+			cacheTenant := c.joinTenant()
+			rep, err = trainer.RunEnv(c.sessionEnv(gpuIdxs, cacheTenant, share), w, f, o.params)
+			c.leaveTenant(cacheTenant)
+			c.releaseGPUs(gpuIdxs)
+			c.leave(share)
+			c.release()
+		})
+		return wait
 	})
 	return rep, err
 }
@@ -411,33 +431,19 @@ func (c *Cluster) joinTenant() (id int) {
 	return id
 }
 
-// joinTenantFrom is joinTenant for open, with the new tenant's first usage
-// snapshot: a server's per-stream opens are on a task already and do not pay
-// for the closure the outside ones enter through.
-func (c *Cluster) joinTenantFrom(onTask bool) (int, sessionUsage) {
-	if onTask {
-		id := c.joinTenant()
-		return id, c.tenantUsage(id)
-	}
-	var id int
-	var u sessionUsage
-	c.rt.Do(func() { id = c.joinTenant(); u = c.tenantUsage(id) })
-	return id, u
-}
-
 // tenantUsage reads a tenant's slice of the shared caches and disk; on the
 // cluster's kernel.
-func (c *Cluster) tenantUsage(id int) (u sessionUsage) {
+func (c *Cluster) tenantUsage(id int) (cache CacheStats, mat MatCacheStats, disk int64) {
 	if c.cache != nil {
-		u.cache = c.cache.TenantStats(id)
-		u.disk = c.cache.TenantDiskBytes(id)
+		cache = c.cache.TenantStats(id)
+		disk = c.cache.TenantDiskBytes(id)
 	} else if c.disk != nil {
-		u.disk = c.disk.BytesRead()
+		disk = c.disk.BytesRead()
 	}
 	if c.mat != nil {
-		u.mat = c.mat.TenantStats(id)
+		mat = c.mat.TenantStats(id)
 	}
-	return u
+	return cache, mat, disk
 }
 
 func (c *Cluster) leaveTenant(id int) {
@@ -446,6 +452,25 @@ func (c *Cluster) leaveTenant(id int) {
 	}
 	if c.mat != nil {
 		c.mat.LeaveTenant(id)
+	}
+}
+
+// join and leave enter and leave the fair worker arbitration; every open
+// session then publishes its rebalanced quota. On the kernel.
+func (c *Cluster) join(weight float64) *clusterShare {
+	share := c.shares.Join(weight)
+	c.republish()
+	return share
+}
+
+func (c *Cluster) leave(share *clusterShare) {
+	share.Leave()
+	c.republish()
+}
+
+func (c *Cluster) republish() {
+	for _, s := range c.sessions {
+		s.publish()
 	}
 }
 
@@ -465,8 +490,6 @@ func (c *Cluster) sessionGPUs(requested int) (int, error) {
 // device index, so placement is deterministic for a deterministic open
 // order) and returns the chosen indices. releaseGPUs undoes the placement.
 func (c *Cluster) acquireGPUs(n int) []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	idxs := make([]int, 0, n)
 	taken := make([]bool, len(c.gpuLoad))
 	for len(idxs) < n {
@@ -487,11 +510,9 @@ func (c *Cluster) acquireGPUs(n int) []int {
 }
 
 func (c *Cluster) releaseGPUs(idxs []int) {
-	c.mu.Lock()
 	for _, i := range idxs {
 		c.gpuLoad[i]--
 	}
-	c.mu.Unlock()
 }
 
 // sessionEnv assembles a session's view of the shared substrate: shared
@@ -516,89 +537,84 @@ func (c *Cluster) sessionEnv(gpuIdxs []int, cacheTenant int, share *clusterShare
 }
 
 // admit takes one session slot, applying the admission policy, and returns
-// the tenant sequence number.
-func (c *Cluster) admit() (int, error) {
-	c.mu.Lock()
-	for {
-		if c.closed {
-			c.mu.Unlock()
-			return 0, ErrClusterClosed
-		}
-		if c.maxSessions <= 0 || c.active < c.maxSessions {
-			break
-		}
+// the tenant sequence number — or, on a saturated AdmitQueue cluster, the
+// channel release closes when a slot frees. On the kernel.
+func (c *Cluster) admit() (int, chan struct{}, error) {
+	if c.closed {
+		return 0, nil, ErrClusterClosed
+	}
+	if c.maxSessions > 0 && c.active >= c.maxSessions {
 		if c.admission == AdmitReject {
 			c.rejectedTotal++
-			c.mu.Unlock()
-			return 0, ErrClusterSaturated
+			return 0, nil, ErrClusterSaturated
 		}
-		ch := make(chan struct{})
-		c.waiters = append(c.waiters, ch)
-		c.mu.Unlock()
-		<-ch
-		c.mu.Lock()
+		wait := make(chan struct{})
+		c.waiters = append(c.waiters, wait)
+		return 0, wait, nil
 	}
 	c.active++
 	c.openedTotal++
 	c.nextTenant++
-	id := c.nextTenant
-	c.mu.Unlock()
-	return id, nil
+	return c.nextTenant, nil, nil
 }
 
-// release frees one session slot, admitting the longest-queued waiter.
-// onTask: the caller is a task of the cluster's kernel.
-func (c *Cluster) release(onTask bool) {
-	c.mu.Lock()
+// release frees one session slot, waking the longest-queued opener.
+func (c *Cluster) release() {
 	c.active--
-	var wake chan struct{}
 	if len(c.waiters) > 0 {
-		wake = c.waiters[0]
+		close(c.waiters[0])
 		c.waiters = c.waiters[1:]
 	}
-	reclaim := c.closed && c.active == 0 && !c.reclaimed
-	if reclaim {
-		c.reclaimed = true
-	}
-	c.mu.Unlock()
-	if wake != nil {
-		close(wake)
-	}
-	if reclaim {
-		c.reclaim(onTask)
-	}
 }
 
-// releaseSession ends a session's tenancy: quota rebalance and slot release
-// (the session has left the caches itself, on the kernel).
+// releaseSession ends a session's tenancy: it leaves the session set, its
+// GPUs and the worker arbitration, and frees its slot (the session has left
+// the caches itself). On the kernel.
 func (c *Cluster) releaseSession(s *Session) {
-	c.mu.Lock()
-	delete(c.sessions, s)
-	c.mu.Unlock()
+	if i := slices.Index(c.sessions, s); i >= 0 {
+		c.sessions = slices.Delete(c.sessions, i, i+1)
+	}
 	c.releaseGPUs(s.gpuIdxs)
-	if s.share != nil {
-		s.share.Leave()
-	}
-	c.release(s.served)
+	c.leave(s.share)
+	c.release()
 }
 
-func (c *Cluster) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
-}
+// do runs fn on the cluster's kernel, the one entry of an outside call, and
+// then the reclaim fn may have made due (see reclaim); run is do for an fn
+// that parks, as a task.
+func (c *Cluster) do(fn func())  { c.enter(false, fn) }
+func (c *Cluster) run(fn func()) { c.enter(true, fn) }
 
-// reclaim drains the cluster-owned virtual kernel and recycles the shared
-// cache storage. Runs at most once, after close with no active sessions.
-func (c *Cluster) reclaim(onTask bool) {
-	if c.ownsRT {
-		c.rt.Drain()
-	}
-	if onTask || c.ownsRT { // on the kernel already, or nobody is left on it
-		c.recycle()
+func (c *Cluster) enter(parks bool, fn func()) {
+	var drain bool
+	body := func() { fn(); drain = c.reclaim() }
+	if parks {
+		c.rt.Run(body)
 	} else {
+		c.rt.Do(body)
+	}
+	if drain {
+		c.rt.Drain()
 		c.rt.Do(c.recycle)
 	}
+}
+
+// reclaim recycles the shared cache storage once the cluster is closed and
+// its last session gone, and reports whether the kernel must be drained
+// first: a runtime the cluster owns is, once no server is left on it. Drain
+// waits for every task, so only an outside entry (do, run) may call it —
+// a server's stream task that closes the last session leaves the reclaim to
+// the next one. On the kernel.
+func (c *Cluster) reclaim() (drain bool) {
+	if !c.closed || c.active > 0 || c.reclaimed || c.ownsRT && c.servers > 0 {
+		return false
+	}
+	c.reclaimed = true
+	if c.ownsRT {
+		return true
+	}
+	c.recycle()
+	return false
 }
 
 func (c *Cluster) recycle() {
@@ -616,33 +632,20 @@ func (c *Cluster) recycle() {
 // immediately, when none is. Close is idempotent and safe to call
 // concurrently with session activity.
 func (c *Cluster) Close() error {
-	c.mu.Lock()
+	c.do(c.close)
+	return nil
+}
+
+// close is Close's on-kernel form.
+func (c *Cluster) close() {
 	if c.closed {
-		reclaimNow := c.active == 0 && !c.reclaimed
-		if reclaimNow {
-			c.reclaimed = true
-		}
-		c.mu.Unlock()
-		if reclaimNow {
-			c.reclaim(false)
-		}
-		return nil
+		return
 	}
 	c.closed = true
-	ws := c.waiters
+	for _, wait := range c.waiters {
+		close(wait)
+	}
 	c.waiters = nil
-	reclaimNow := c.active == 0 && !c.reclaimed
-	if reclaimNow {
-		c.reclaimed = true
-	}
-	c.mu.Unlock()
-	for _, ch := range ws {
-		close(ch)
-	}
-	if reclaimNow {
-		c.reclaim(false)
-	}
-	return nil
 }
 
 // ClusterStats is a live snapshot of a cluster's tenancy and shared
@@ -667,10 +670,10 @@ type ClusterStats struct {
 	Cache    CacheStats
 	MatCache MatCacheStats
 	Pool     PoolStats
-	// Sessions holds a live SessionStats per open loading session, in no
-	// particular order. Training runs (Cluster.Train) occupy session slots
-	// — they are counted in ActiveSessions — but stream through no public
-	// Session, so they do not appear here.
+	// Sessions holds a live SessionStats per open loading session, in
+	// tenant (admission) order. Training runs (Cluster.Train) occupy session
+	// slots — they are counted in ActiveSessions — but stream through no
+	// public Session, so they do not appear here.
 	Sessions []SessionStats
 }
 
@@ -701,33 +704,27 @@ type SessionStats struct {
 // shared cache and pool, and per-session statistics. Safe to call from any
 // goroutine while sessions stream except a task of the cluster's kernel (a
 // Batches or StreamAll body): the snapshot is taken there, between two tasks.
-func (c *Cluster) Stats() ClusterStats {
-	c.mu.Lock()
-	st := ClusterStats{
-		MaxSessions:    c.maxSessions,
-		ActiveSessions: c.active,
-		QueuedOpens:    len(c.waiters),
-		OpenedTotal:    c.openedTotal,
-		RejectedTotal:  c.rejectedTotal,
-		WorkerCapacity: c.shares.Capacity(),
-	}
-	sessions := make([]*Session, 0, len(c.sessions))
-	for s := range c.sessions {
-		sessions = append(sessions, s)
-	}
-	c.mu.Unlock()
+func (c *Cluster) Stats() (st ClusterStats) {
 	c.rt.Do(func() {
+		st = ClusterStats{
+			MaxSessions:    c.maxSessions,
+			ActiveSessions: c.active,
+			QueuedOpens:    len(c.waiters),
+			OpenedTotal:    c.openedTotal,
+			RejectedTotal:  c.rejectedTotal,
+			WorkerCapacity: c.shares.Capacity(),
+			Pool:           c.pool.Stats(),
+		}
 		if c.cache != nil {
 			st.Cache = c.cache.Stats()
 		}
 		if c.mat != nil {
 			st.MatCache = c.mat.Stats()
 		}
-		for _, s := range sessions {
+		for _, s := range c.sessions {
 			s.publish()
 			st.Sessions = append(st.Sessions, s.Stats())
 		}
 	})
-	st.Pool = c.pool.Stats()
 	return st
 }

@@ -252,6 +252,60 @@ func TestClusterClosed(t *testing.T) {
 	if err := cl.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
+
+	// A served cluster that owns its runtime, closed while a stream holds a
+	// slot: the stream then ends on the server's pump task — its next pull
+	// fails, or its client hangs up — and that last release must not drain
+	// the kernel it runs on. Nor may Close drain it while an idle server's
+	// tasks still live there: ServerAddr.Close reclaims it then.
+	for _, end := range []string{"pull", "hang up", "idle"} {
+		served, err := NewCluster(WithEnv(EnvConfig{Cores: 4, GPUs: 1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			addr, err := Serve(served, Publish("train", namedDataset{space: "served-closed", n: 64}, nil))
+			if err != nil {
+				done <- err
+				return
+			}
+			var rs *RemoteSession
+			if end != "idle" {
+				if rs, err = Dial(addr, WithBatchSize(8), WithIterations(4)); err != nil {
+					done <- err
+					return
+				}
+			}
+			if err := served.Close(); err != nil {
+				done <- err
+				return
+			}
+			if end == "pull" {
+				for _, err := range rs.Batches(context.Background()) {
+					if err == nil {
+						done <- errors.New("a stream of a closed cluster delivered a batch")
+						return
+					}
+				}
+			}
+			if rs != nil {
+				if _, err := rs.Close(); err != nil && end != "pull" {
+					done <- err
+					return
+				}
+			}
+			done <- addr.Close()
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", end, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: closing a served cluster that owns its runtime hung", end)
+		}
+	}
 }
 
 // TestClusterSessionMisuse covers the session-misuse taxonomy on cluster
@@ -528,6 +582,33 @@ func TestClusterStatsLive(t *testing.T) {
 	sess := openTenant(t, cl, "live", 256, WithIterations(40))
 	if st := sess.Stats(); st.State != "open" || st.Batches != 0 {
 		t.Fatalf("pre-stream stats = %+v", st)
+	}
+
+	// Cluster.Stats lists the open sessions in tenant (admission) order; a
+	// session that closes leaves the others' order alone.
+	idle := make([]*Session, 4)
+	for i := range idle {
+		idle[i] = openTenant(t, cl, fmt.Sprintf("idle-%d", i), 64)
+	}
+	tenants := func() (ids []int) {
+		for _, st := range cl.Stats().Sessions {
+			ids = append(ids, st.Tenant)
+		}
+		return ids
+	}
+	if got := tenants(); fmt.Sprint(got) != "[1 2 3 4 5]" {
+		t.Fatalf("Cluster.Stats sessions in tenant order %v, want [1 2 3 4 5]", got)
+	}
+	if _, err := idle[1].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tenants(); fmt.Sprint(got) != "[1 2 4 5]" {
+		t.Fatalf("after tenant 3 closed: %v, want [1 2 4 5]", got)
+	}
+	for _, s := range idle {
+		if _, err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	probe := make(chan SessionStats, 1)

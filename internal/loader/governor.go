@@ -1,23 +1,16 @@
 package loader
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // FairShare arbitrates a fixed worker capacity (typically the CPU core
 // count) across tenants, weighted by priority. Each tenant joins with a
 // weight and receives a quota proportional to weight/totalWeight, floored at
 // one worker so every tenant always makes progress. Quotas are recomputed on
-// every Join and Leave and read lock-free by the per-tenant Share handles,
-// so loader schedulers observe rebalancing at their next tick without
-// synchronizing with the arbiter.
+// every Join and Leave and re-read by the per-tenant Share handles at every
+// scheduling decision, so loader schedulers observe rebalancing at their next
+// tick. Like the rest of a kernel's state it is plain data, for its tasks.
 type FairShare struct {
 	capacity int
-
-	mu     sync.Mutex
-	total  float64
-	shares []*Share
+	total    float64
+	shares   []*Share
 }
 
 // Share is one tenant's handle into a FairShare. Co-located loaders sharing
@@ -26,7 +19,7 @@ type FairShare struct {
 type Share struct {
 	fs     *FairShare
 	weight float64
-	quota  atomic.Int64
+	quota  int
 }
 
 // NewFairShare returns an arbiter over the given worker capacity. Capacity
@@ -48,11 +41,9 @@ func (fs *FairShare) Join(weight float64) *Share {
 		weight = 1
 	}
 	s := &Share{fs: fs, weight: weight}
-	fs.mu.Lock()
 	fs.shares = append(fs.shares, s)
 	fs.total += weight
-	fs.rebalanceLocked()
-	fs.mu.Unlock()
+	fs.rebalance()
 	return s
 }
 
@@ -63,49 +54,27 @@ func (s *Share) Leave() {
 	if fs == nil {
 		return
 	}
-	fs.mu.Lock()
 	for i, e := range fs.shares {
 		if e == s {
 			fs.shares = append(fs.shares[:i], fs.shares[i+1:]...)
 			fs.total -= s.weight
-			fs.rebalanceLocked()
+			fs.rebalance()
 			break
 		}
 	}
-	fs.mu.Unlock()
 	s.fs = nil
 }
 
 // WorkerQuota returns the tenant's current fair share of the capacity, at
 // least one.
-func (s *Share) WorkerQuota() int {
-	q := int(s.quota.Load())
-	if q < 1 {
-		return 1
-	}
-	return q
-}
+func (s *Share) WorkerQuota() int { return max(s.quota, 1) }
 
-// Weight returns the weight the share joined with.
-func (s *Share) Weight() float64 { return s.weight }
-
-// Tenants returns the number of currently joined shares.
-func (fs *FairShare) Tenants() int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return len(fs.shares)
-}
-
-// rebalanceLocked recomputes every share's quota. Called with fs.mu held.
-func (fs *FairShare) rebalanceLocked() {
+// rebalance recomputes every share's quota.
+func (fs *FairShare) rebalance() {
 	if fs.total <= 0 {
 		return
 	}
 	for _, s := range fs.shares {
-		q := int(float64(fs.capacity) * s.weight / fs.total)
-		if q < 1 {
-			q = 1
-		}
-		s.quota.Store(int64(q))
+		s.quota = max(int(float64(fs.capacity)*s.weight/fs.total), 1)
 	}
 }

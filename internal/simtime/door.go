@@ -25,10 +25,23 @@ type door struct {
 }
 
 // entry asks the loop to spawn fn as a task called name or, with no name, to
-// call fn itself.
+// call fn itself; done, if any, is signalled once fn has ended.
 type entry struct {
 	fn   func()
 	name string
+	done chan struct{}
+}
+
+// dones recycles the completion channels Run and Do wait on: each is
+// signalled once and received once, so a waited entry allocates nothing.
+var dones = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+
+// wait posts e with a completion channel and waits for its signal.
+func (k *Virtual) wait(e entry) {
+	e.done = dones.Get().(chan struct{})
+	k.post(e)
+	<-e.done
+	dones.Put(e.done)
 }
 
 // Post has fn called on the kernel's loop, between two tasks, after everything
@@ -64,21 +77,12 @@ func (k *Virtual) Run(fn func()) {
 	// and once more when the loop starts, lets them all post before the
 	// first task runs, even on one CPU.
 	runtime.Gosched()
-	done := make(chan struct{})
-	k.post(entry{name: "run", fn: func() {
-		defer close(done)
-		fn()
-	}})
-	<-done
+	k.wait(entry{name: "run", fn: fn})
 }
 
 // Do has fn called on the loop like Post, and waits for it to return. Not for
 // tasks or posted functions: the loop they would wait for is inside the caller.
-func (k *Virtual) Do(fn func()) {
-	done := make(chan struct{})
-	k.post(entry{fn: func() { fn(); close(done) }})
-	<-done
-}
+func (k *Virtual) Do(fn func()) { k.wait(entry{fn: fn}) }
 
 // Stats returns the kernel's counters. Like Tasks, TaskNames and Drain it is
 // for callers outside the kernel (each is a Do, or waits like one).
@@ -130,9 +134,12 @@ func (k *Virtual) drainInbox() {
 	for i, e := range batch {
 		batch[i] = entry{}
 		if e.name != "" {
-			k.spawn(e.name, e.fn, false)
+			k.spawn(e.name, e.fn, false).ran = e.done
 		} else {
 			e.fn()
+			if e.done != nil {
+				e.done <- struct{}{}
+			}
 		}
 	}
 	d.spare = batch[:0]

@@ -443,6 +443,20 @@ func TestSteadyStateAllocations(t *testing.T) {
 	k.Drain()
 }
 
+// TestDoorEntryAllocations pins what a waited entry costs: Run and Do wrap
+// nothing and take their completion channel from a pool, so entering an
+// idle kernel allocates the loop goroutine it starts and no more. Every
+// public call of the facade is one such entry.
+func TestDoorEntryAllocations(t *testing.T) {
+	k := NewVirtual()
+	fn := func() {}
+	for name, enter := range map[string]func(){"Do": func() { k.Do(fn) }, "Run": func() { k.Run(fn) }} {
+		if got := testing.AllocsPerRun(200, enter); got > 1 {
+			t.Errorf("%s: %v allocs per entry, want at most 1", name, got)
+		}
+	}
+}
+
 // TestParkOutsideATaskPanics: the goroutine kernel let an untracked
 // goroutine park and silently corrupted its runnable count.
 func TestParkOutsideATaskPanics(t *testing.T) {

@@ -55,14 +55,14 @@
 // no task runs panics. The race detector checks the rule — coroutine switches
 // and the door carry the only happens-before edges, so outside code reaching
 // kernel-owned state while a task uses it is a reported race — and an import
-// test keeps sync out of the task-only packages. The locks that remain are
-// each forced by a caller outside the kernel: trace.Recorder (snapshot and
-// export while sessions record), chaos engines and pausers (the facade starts
-// and stops them), cluster admission and the fair-share governor (Open and
-// Close run, and may block, on user goroutines), the service client's
-// counters (RemoteSession.Stats from any goroutine, once per client),
-// data.Pool's counters and process-wide free lists (a consumer releases its
-// last batch after its stream has left the kernel).
+// test keeps sync out of the task-only packages and the facade above them,
+// whose public calls each enter the kernel once. The locks that remain are
+// each forced by a caller outside the kernel, and the test's allow-list names
+// it: trace.Recorder (snapshot and export while sessions record), the service
+// client's counters (RemoteSession.Stats from any goroutine), data.Pool's
+// counters and process-wide free lists (a consumer releases its last batch
+// after its stream has left the kernel), the registries, and the snapshot a
+// session publishes for Session.Stats.
 //
 // Cancellation is a kernel event. One context.AfterFunc per distinct
 // context per kernel readies the tasks parked under it; their Sleep or Wait

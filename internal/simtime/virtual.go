@@ -299,8 +299,9 @@ type task struct {
 
 	k      *Virtual
 	name   string
-	fn     func()     // nil once the task has finished
-	wg     *WaitGroup // counts this task (WaitGroup.Go): Done when fn ends
+	fn     func()        // nil once the task has finished
+	wg     *WaitGroup    // counts this task (WaitGroup.Go): Done when fn ends
+	ran    chan struct{} // Run's caller waits on it: signalled when fn ends
 	daemon bool
 	lidx   int // index in k.live
 
@@ -325,8 +326,9 @@ func (t *task) coroutine(yield func(struct{}) bool) {
 }
 
 // run calls fn and, however it ends, leaves the task marked finished. A
-// group the task was spawned into is Done once fn has ended — returned,
-// panicked or exited — and before the task is marked finished.
+// group the task was spawned into is Done, and a Run caller signalled, once
+// fn has ended — returned, panicked or exited — and before the task is
+// marked finished.
 func (t *task) run() {
 	defer func() {
 		if p := recover(); p != nil {
@@ -339,6 +341,10 @@ func (t *task) run() {
 	if wg := t.wg; wg != nil {
 		t.wg = nil
 		defer wg.Done()
+	}
+	if ran := t.ran; ran != nil {
+		t.ran = nil
+		defer func() { ran <- struct{}{} }()
 	}
 	t.fn()
 }

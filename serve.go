@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"iter"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"github.com/minatoloader/minato/internal/chaos"
@@ -211,14 +210,14 @@ type ServerAddr struct {
 	tr         *trace.Recorder
 	eng        *chaos.Engine // started and stopped on the server's kernel
 
-	closed atomic.Bool
+	closed bool // the kernel's
 }
 
 // startLinkChaos launches the link-fault replay, anchored at the current
 // virtual instant. Runs on a stream pump task at the first batch pulled
 // from any of the server's streams, so the anchor is deterministic.
 func (a *ServerAddr) startLinkChaos() {
-	if a.eng != nil || a.closed.Load() {
+	if a.eng != nil || a.closed {
 		return
 	}
 	now := a.rt.Now()
@@ -257,9 +256,6 @@ func Serve(cl *Cluster, opts ...Option) (*ServerAddr, error) {
 	if cl == nil {
 		return nil, configErr("Serve", "requires a cluster")
 	}
-	if cl.isClosed() {
-		return nil, ErrClusterClosed
-	}
 	o, err := build(atServe, opts)
 	if err != nil {
 		return nil, err
@@ -282,10 +278,17 @@ func Serve(cl *Cluster, opts ...Option) (*ServerAddr, error) {
 	} else if sn.rt != cl.rt {
 		return nil, configErr("WithServiceNet", "the fabric and the cluster must share a runtime")
 	}
-	// The fabric, the disk and the kernel's task list are the kernel's own:
-	// the server is attached, wired and spawned with the kernel in hand.
+	// The fabric, the disk, the kernel's task list and the cluster's tenancy
+	// are the kernel's own: the server is attached, wired and spawned with
+	// the kernel in hand.
 	var addr *ServerAddr
-	cl.rt.Do(func() { addr, err = serve(cl, sn, o) })
+	cl.rt.Do(func() {
+		if cl.closed {
+			err = ErrClusterClosed
+		} else if addr, err = serve(cl, sn, o); err == nil {
+			cl.servers++
+		}
+	})
 	return addr, err
 }
 
@@ -362,16 +365,19 @@ func (a *ServerAddr) Stats() (st ServeStats) {
 // Close shuts the server down: the chaos engine stops, in-flight streams
 // are torn down (their cluster sessions closed), and late frames are
 // drained silently. The backing cluster stays open — closing it is the
-// caller's job. Idempotent.
+// caller's job, though a cluster closed while it served is reclaimed here,
+// once its last stream has ended. Idempotent.
 func (a *ServerAddr) Close() error {
-	if !a.closed.CompareAndSwap(false, true) {
-		return nil
-	}
 	// The waits below park, so they run on a task of the server's kernel.
-	a.rt.Run(func() {
+	a.cl.run(func() {
+		if a.closed {
+			return
+		}
+		a.closed = true
 		a.eng.Stop()
 		_ = a.wg.Wait(context.Background())
 		a.srv.Close()
+		a.cl.servers--
 	})
 	return nil
 }
@@ -414,7 +420,9 @@ func (co *clusterOpener) OpenStream(spec service.StreamSpec, weight float64) (se
 		weight:     weight,
 		gpus:       1,
 	}
-	s, err := co.cl.open(pub.dataset, o, false, true) // on the server's dispatch task
+	// On the server's dispatch task; Serve refuses AdmitQueue clusters, so
+	// the open is never queued.
+	s, _, err := co.cl.open(pub.dataset, o, false, true)
 	if err != nil {
 		if errors.Is(err, ErrClusterSaturated) || errors.Is(err, ErrClusterClosed) {
 			return nil, fmt.Errorf("%w: %v", service.ErrServerOverloaded, err)
@@ -456,7 +464,7 @@ func (st *serveStream) Total() int { return st.s.spec.TotalBatches() }
 
 func (st *serveStream) Close() {
 	st.s.end()
-	_, _ = st.s.Close()
+	_ = st.s.close(new(Report))
 }
 
 // WithStream selects which published stream to consume. Optional when the
@@ -543,7 +551,7 @@ func Dial(addr *ServerAddr, opts ...Option) (*RemoteSession, error) {
 	}
 	rs := &RemoteSession{addr: addr, name: o.stream}
 	rs.rt, rs.src, rs.retain = addr.rt, rs, o.retain
-	runOnKernel(rs, func() {
+	rs.runOnKernel(func() {
 		rs.cli, err = service.Open(context.Background(), addr.sn.net, addr.ep, replicaEP, spec, cfg)
 	})
 	if err != nil {
@@ -569,8 +577,8 @@ type RemoteSession struct {
 	cli  *service.Client
 	name string
 	// hungUp: the client has been closed (once), by the end of the Batches
-	// loop or by Close.
-	hungUp atomic.Bool
+	// loop or by Close; the kernel's.
+	hungUp bool
 }
 
 // Batches returns a single-use iterator over the remote stream, shaped
@@ -580,16 +588,19 @@ type RemoteSession struct {
 // in virtual time; hedged requests fire while the consumer is parked.
 func (s *RemoteSession) Batches(ctx context.Context) iter.Seq2[*Batch, error] { return s.pump(ctx) }
 
-// The four methods below make a RemoteSession its stream's source: the
-// stream was opened by Dial, so there is nothing to start.
+// The five methods below make a RemoteSession its stream's source: the
+// stream was opened by Dial, so there is nothing to start, and its Stats are
+// the client's own.
 
 func (s *RemoteSession) ready() error                { return nil }
 func (s *RemoteSession) start(context.Context) error { return nil }
+func (s *RemoteSession) publish()                    {}
 
 func (s *RemoteSession) next(ctx context.Context) (*Batch, error) { return s.cli.Recv(ctx) }
 
 func (s *RemoteSession) stop() {
-	if s.hungUp.CompareAndSwap(false, true) {
+	if !s.hungUp {
+		s.hungUp = true
 		_ = s.cli.Close(context.Background())
 	}
 }
@@ -601,13 +612,15 @@ func (s *RemoteSession) Stats() RemoteStats { return s.cli.Stats() }
 // in-flight batches, closes its backing cluster session, and sends its
 // final END — and returns the client-side Report. Idempotent.
 func (s *RemoteSession) Close() (*Report, error) {
-	s.state.Store(sessionClosed)
-	if !s.hungUp.Load() {
-		runOnKernel(s, s.stop)
-	}
+	rep := new(Report)
+	var err error
+	s.runOnKernel(func() {
+		s.state = sessionClosed
+		s.stop()
+		*rep, err = s.report(s.name, "remote", 1), s.err
+	})
 	cs := s.cli.Stats()
-	rep := s.report(s.name, "remote", 1)
 	rep.StepP50 = cs.StepP50
 	rep.StepP99 = cs.StepP99
-	return rep, s.err
+	return rep, err
 }

@@ -8,7 +8,6 @@ import (
 	"iter"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/minatoloader/minato/internal/trainer"
@@ -167,11 +166,9 @@ type Session struct {
 	// tasks of the cluster's kernel, with no script and no reader of its
 	// report, so it keeps no SLO bookkeeping.
 	served      bool
-	tenantID    int
 	cacheTenant int
 	share       *clusterShare
 	gpuIdxs     []int
-	weight      float64
 
 	env     *Env
 	ld      DataLoader
@@ -194,22 +191,18 @@ type Session struct {
 	done      []bool
 	remaining int
 
-	released atomic.Bool
-	// usage is the session's slice of the shared caches and disk. The caches
-	// are the kernel's, so code on the kernel publishes it — the streaming
-	// task at every batch, Cluster.Stats, and Close, which freezes it (left)
-	// before the cache-tenant slot is released and possibly reused — and
-	// Stats reads the copy from any goroutine without entering the kernel.
+	// released: the first Close has frozen the session's storage
+	// attribution and left the caches, whose tenant slot may be reused.
+	// The kernel's, like the caches.
+	released bool
+	// usageMu guards stats, the snapshot Stats reads from any goroutine
+	// without entering the kernel. The kernel publishes it when the stream
+	// is claimed and at every batch, whenever quotas rebalance, in
+	// Cluster.Stats, and in Close. disk, the session's attributed disk
+	// bytes for its Report, is published with it.
 	usageMu sync.Mutex
-	usage   sessionUsage
-	left    bool // the kernel's, like the caches
-}
-
-// sessionUsage is a session's storage attribution.
-type sessionUsage struct {
-	cache CacheStats
-	mat   MatCacheStats
-	disk  int64
+	stats   SessionStats
+	disk    int64
 }
 
 // Open starts a standalone data-loading session over dataset, configured by
@@ -240,12 +233,13 @@ func Open(dataset Dataset, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess, err := cl.open(dataset, o, true, false)
-	if err != nil {
-		_ = cl.Close()
-		return nil, err
-	}
-	return sess, nil
+	var sess *Session
+	cl.do(func() { // the implicit cluster admits everyone: never queued
+		if sess, _, err = cl.open(dataset, o, true, false); err != nil {
+			cl.close()
+		}
+	})
+	return sess, err
 }
 
 // Batches returns a single-use iterator over the session's batches:
@@ -272,10 +266,10 @@ func Open(dataset Dataset, opts ...Option) (*Session, error) {
 // and the loop never took are released when the stream ends.
 func (s *Session) Batches(ctx context.Context) iter.Seq2[*Batch, error] { return s.pump(ctx) }
 
-// The four methods below make a Session its stream's source.
+// The five methods below make a Session its stream's source.
 
 func (s *Session) ready() error {
-	if s.cl.isClosed() {
+	if s.cl.closed {
 		return ErrClusterClosed
 	}
 	return nil
@@ -317,7 +311,6 @@ func (s *Session) next(ctx context.Context) (*Batch, error) {
 		}
 		now := s.rt.Now()
 		s.cst.NoteStep(g, now)
-		s.publish()
 		if s.resumedAt > 0 && s.recoveredIn == 0 {
 			// First batch of a checkpoint-restored session: the
 			// measured recovery time of the resume.
@@ -350,6 +343,21 @@ func (s *Session) stop() {
 	}
 }
 
+// publish refreshes the session's slice of the shared caches and disk, unless
+// it has left them, and copies it out for Stats with the stream's state and
+// counters and the worker quota; on the session's kernel.
+func (s *Session) publish() {
+	s.usageMu.Lock()
+	st := &s.stats
+	if !s.released {
+		st.Cache, st.MatCache, s.disk = s.cl.tenantUsage(s.cacheTenant)
+	}
+	st.WorkerQuota = s.share.WorkerQuota()
+	st.State = sessionStateString(s.state)
+	st.Batches, st.Samples, st.Bytes = s.batches, s.samples, s.bytes
+	s.usageMu.Unlock()
+}
+
 // Loader exposes the underlying loader for diagnostics; MinatoLoader
 // embedders can assert it to *minato.Loader for Timeout, Workers, etc.
 func (s *Session) Loader() DataLoader { return s.ld }
@@ -365,50 +373,12 @@ func (s *Session) Cluster() *Cluster { return s.cl }
 // and bytes so far, its tenancy (priority weight, current worker quota),
 // and its attributable slice of the shared caches as of the last delivered
 // batch (or the last Cluster.Stats). Safe to call from any goroutine, the
-// session's own loop body included, while the session streams.
+// session's own loop body included, while the session streams: it reads the
+// copy the kernel publishes and never enters the kernel.
 func (s *Session) Stats() SessionStats {
-	st := SessionStats{
-		Tenant:   s.tenantID,
-		Dataset:  s.spec.Dataset.Name(),
-		Loader:   s.name,
-		Priority: s.weight,
-		State:    sessionStateString(s.state.Load()),
-		Batches:  s.batches.Load(),
-		Samples:  s.samples.Load(),
-		Bytes:    s.bytes.Load(),
-	}
-	if s.share != nil {
-		st.WorkerQuota = s.share.WorkerQuota()
-	}
-	u := s.published()
-	st.Cache, st.MatCache = u.cache, u.mat
-	return st
-}
-
-func (s *Session) published() sessionUsage {
 	s.usageMu.Lock()
 	defer s.usageMu.Unlock()
-	return s.usage
-}
-
-// publish refreshes usage from the shared caches, unless the session has left
-// them; on the session's kernel.
-func (s *Session) publish() {
-	if s.left {
-		return
-	}
-	u := s.cl.tenantUsage(s.cacheTenant)
-	s.usageMu.Lock()
-	s.usage = u
-	s.usageMu.Unlock()
-}
-
-// leave freezes the session's storage attribution and takes it out of the
-// shared caches; on the session's kernel.
-func (s *Session) leave() {
-	s.publish()
-	s.left = true
-	s.cl.leaveTenant(s.cacheTenant)
+	return s.stats
 }
 
 func sessionStateString(st int32) string {
@@ -435,21 +405,29 @@ func sessionStateString(st int32) string {
 // leave the caches: call it from a goroutine that is not one of the kernel's
 // tasks — after the Batches or StreamAll loop, not inside its body.
 func (s *Session) Close() (*Report, error) {
-	s.state.Store(sessionClosed)
-	rep := s.report(s.spec.Dataset.Name(), s.name, len(s.env.GPUs))
-	if s.released.CompareAndSwap(false, true) {
+	rep := new(Report)
+	var err error
+	s.cl.do(func() { err = s.close(rep) })
+	return rep, err
+}
+
+// close is Close's on-kernel form, which a server's stream task calls
+// directly: it fills rep in and returns the stream's error.
+func (s *Session) close(rep *Report) error {
+	s.state = sessionClosed
+	if !s.released {
 		// Freeze storage attribution before releasing the tenancy: the
-		// cache-tenant slot may be reused by a later session. A served
-		// stream is closed by a task of the kernel and leaves right there.
-		if s.served {
-			s.leave()
-		} else {
-			s.rt.Do(s.leave)
-		}
+		// cache-tenant slot may be reused by a later session.
+		s.publish()
+		s.released = true
+		s.cl.leaveTenant(s.cacheTenant)
 		s.cl.releaseSession(s)
+		if s.ownsCluster {
+			s.cl.close()
+		}
 	}
-	u := s.published()
-	rep.CacheStats, rep.MatCacheStats, rep.DiskBytes = u.cache, u.mat, u.disk
+	*rep = s.report(s.spec.Dataset.Name(), s.name, len(s.env.GPUs))
+	rep.CacheStats, rep.MatCacheStats, rep.DiskBytes = s.stats.Cache, s.stats.MatCache, s.disk
 	if s.cst != nil {
 		// The chaos bookkeeping doubles as the SLO view: step-interval
 		// quantiles, preemption stall, and per-fault windows.
@@ -464,10 +442,7 @@ func (s *Session) Close() (*Report, error) {
 			Recovery:  s.recoveredIn,
 		})
 	}
-	if s.ownsCluster {
-		_ = s.cl.Close()
-	}
-	return rep, s.err
+	return s.err
 }
 
 // Train runs a full training session — loader plus simulated GPU

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"iter"
-	"sync/atomic"
 	"time"
 
 	"github.com/minatoloader/minato/internal/simtime"
@@ -19,9 +18,8 @@ const (
 )
 
 // source is where a stream's batches come from: a Session's loader on the
-// local substrate, or a RemoteSession's client over the service fabric.
-// ready runs before the stream's single use is taken, from any goroutine;
-// the rest run on a task of the stream's kernel.
+// local substrate, or a RemoteSession's client over the service fabric. Its
+// methods run on the stream's kernel.
 type source interface {
 	// ready refuses a stream whose far side is already gone.
 	ready() error
@@ -31,6 +29,8 @@ type source interface {
 	next(ctx context.Context) (*Batch, error)
 	// stop tears delivery down, releasing what was produced and not taken.
 	stop()
+	// publish runs after the stream's state or counters changed.
+	publish()
 }
 
 // stream is what a Session and a RemoteSession are underneath: the single-use
@@ -42,39 +42,42 @@ type stream struct {
 	src    source
 	retain bool
 
-	// inline makes Batches run its loop on the caller's already-tracked
-	// task instead of wrapping a v.Run — set by StreamAll.
-	inline atomic.Bool
+	// inline makes Batches run its loop on the caller's task instead of
+	// entering the kernel with a v.Run: StreamAll sets it, on the kernel,
+	// for as long as its bodies run.
+	inline bool
 
-	state   atomic.Int32
-	begun   bool // the kernel's: src.start succeeded and src.stop is owed
+	// The rest is the kernel's.
+	state   int32
+	begun   bool // src.start succeeded and src.stop is owed
 	err     error
-	startAt atomic.Int64 // time.Duration
-	endAt   atomic.Int64 // time.Duration
-	batches atomic.Int64
-	samples atomic.Int64
-	bytes   atomic.Int64
+	startAt time.Duration
+	endAt   time.Duration
+	batches int64
+	samples int64
+	bytes   int64
 }
 
 // claim takes the stream's single use.
 func (s *stream) claim() error {
-	if s.state.Load() == sessionClosed {
+	if s.state == sessionClosed {
 		return ErrSessionClosed
 	}
 	if err := s.src.ready(); err != nil {
 		return err
 	}
-	if !s.state.CompareAndSwap(sessionNew, sessionConsumed) {
+	if s.state != sessionNew {
 		return ErrSessionConsumed
 	}
+	s.state = sessionConsumed
+	s.src.publish()
 	return nil
 }
 
 // begin stamps the stream's start and starts its source.
 func (s *stream) begin(ctx context.Context) error {
-	now := int64(s.rt.Now())
-	s.startAt.Store(now)
-	s.endAt.Store(now)
+	s.startAt = s.rt.Now()
+	s.endAt = s.startAt
 	if err := s.src.start(ctx); err != nil {
 		s.err = err
 		return err
@@ -93,10 +96,11 @@ func (s *stream) pull(ctx context.Context) (*Batch, error) {
 		}
 		return nil, err
 	}
-	s.batches.Add(1)
-	s.samples.Add(int64(b.Size()))
-	s.bytes.Add(b.Bytes())
-	s.endAt.Store(int64(s.rt.Now()))
+	s.batches++
+	s.samples += int64(b.Size())
+	s.bytes += b.Bytes()
+	s.endAt = s.rt.Now()
+	s.src.publish()
 	return b, nil
 }
 
@@ -111,11 +115,11 @@ func (s *stream) end() {
 // pump is Batches for both session types.
 func (s *stream) pump(ctx context.Context) iter.Seq2[*Batch, error] {
 	return func(yield func(*Batch, error) bool) {
-		if err := s.claim(); err != nil {
-			yield(nil, err)
-			return
-		}
-		runOnKernel(s, func() {
+		s.runOnKernel(func() {
+			if err := s.claim(); err != nil {
+				yield(nil, err)
+				return
+			}
 			if err := ctx.Err(); err != nil {
 				s.err = err
 				yield(nil, err)
@@ -153,40 +157,38 @@ func (s *stream) pump(ctx context.Context) iter.Seq2[*Batch, error] {
 }
 
 // report assembles what both session types report from the stream's own
-// stamps and counters.
-func (s *stream) report(workload, loader string, gpus int) *Report {
-	return &Report{
+// stamps and counters; on the kernel.
+func (s *stream) report(workload, loader string, gpus int) Report {
+	return Report{
 		Workload:     workload,
 		Loader:       loader,
 		GPUs:         gpus,
-		TrainTime:    time.Duration(s.endAt.Load() - s.startAt.Load()),
-		Batches:      s.batches.Load(),
-		Samples:      s.samples.Load(),
-		TrainedBytes: s.bytes.Load(),
+		TrainTime:    s.endAt - s.startAt,
+		Batches:      s.batches,
+		Samples:      s.samples,
+		TrainedBytes: s.bytes,
 	}
 }
 
-func (s *stream) kernel() (Runtime, *atomic.Bool) { return s.rt, &s.inline }
+func (s *stream) core() *stream { return s }
 
-// streamer is a session type StreamAll can drive: its runtime, and the flag
-// that makes its Batches loop run on the calling task.
+// streamer is a session type StreamAll can drive: its stream core.
 type streamer interface {
-	kernel() (Runtime, *atomic.Bool)
+	core() *stream
 }
 
-// runOnKernel executes fn as a tracked task of the session's kernel
+// runOnKernel executes fn as a tracked task of the stream's kernel
 // (simtime.Virtual.Run) — the only place code that parks may run — and blocks
 // until it returns, or is a plain call when StreamAll already put the caller
 // on a task. Code that touches kernel-owned state (caches, disk, fabric,
 // loaders) without parking uses Runtime.Do instead; neither is for callers
 // that are themselves tasks.
-func runOnKernel(s streamer, fn func()) {
-	rt, inline := s.kernel()
-	if inline.Load() {
+func (s *stream) runOnKernel(fn func()) {
+	if s.inline {
 		fn()
 		return
 	}
-	rt.Run(fn)
+	s.rt.Run(fn)
 }
 
 // StreamAll consumes many sessions of one runtime — the Sessions of a
@@ -202,18 +204,16 @@ func StreamAll[S streamer](ctx context.Context, sessions []S, fn func(i int, s S
 	if len(sessions) == 0 {
 		return
 	}
-	rt, _ := sessions[0].kernel()
+	rt := sessions[0].core().rt
 	rt.Run(func() {
 		wg := simtime.NewWaitGroup(rt)
 		for i, s := range sessions {
-			_, inline := s.kernel()
-			inline.Store(true)
+			s.core().inline = true
 			wg.Go(fmt.Sprintf("svc-stream-%d", i), func() { fn(i, s) })
 		}
 		_ = wg.Wait(ctx)
+		for _, s := range sessions {
+			s.core().inline = false
+		}
 	})
-	for _, s := range sessions {
-		_, inline := s.kernel()
-		inline.Store(false)
-	}
 }
