@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"sync"
 	"testing"
@@ -158,6 +159,124 @@ func TestTraceByteIdenticalRawLabels(t *testing.T) {
 			return err
 		})
 	})
+}
+
+// TestTraceExportsPinned holds seven traced runs, one per run shape the
+// facade builds, to their Chrome export: FNV-64a of the bytes and the span
+// count. Which layer attaches the recorder, and how, is wiring; a change to
+// it that adds, drops or relabels a span fails here.
+func TestTraceExportsPinned(t *testing.T) {
+	speech := SpeechWorkload(1, 3*time.Second)
+	pins := []struct {
+		name  string
+		spans int
+		hash  uint64
+		run   func(t *testing.T, sink *TraceSink)
+	}{
+		{"headline-minato", 16364, 0x29e7805874286dcb, func(t *testing.T, sink *TraceSink) {
+			_, err := TrainWorkload(speech.WithIterations(200), WithLoader("minato"),
+				WithHardware(ConfigA()), WithTracing(sink))
+			fatalIf(t, err)
+		}},
+		{"headline-dali", 3750, 0x38de325d6acc7928, func(t *testing.T, sink *TraceSink) {
+			_, err := TrainWorkload(speech.WithIterations(50), WithLoader("dali"),
+				WithHardware(ConfigA()), WithTracing(sink))
+			fatalIf(t, err)
+		}},
+		{"train-4gpu", 3263, 0x7e758f81cd7e23d7, func(t *testing.T, sink *TraceSink) {
+			_, err := Train("speech-3s", WithLoader("minato"), WithHardware(ConfigA().WithGPUs(4)),
+				WithIterations(40), WithSeed(11), WithTracing(sink))
+			fatalIf(t, err)
+		}},
+		{"multinode-8x2-link-flap", 84306, 0x80dfa8ee4c522bc4, func(t *testing.T, sink *TraceSink) {
+			_, err := TrainMultiNode("speech-3s", WithLoader("minato"), WithNodes(8), WithGPUs(2),
+				WithIterations(48), WithSeed(5), WithChaosScenario("link-flap"), WithTracing(sink))
+			fatalIf(t, err)
+		}},
+		{"tenants4-matcache-brownout", 857, 0x7135f67394c5fe4f, func(t *testing.T, sink *TraceSink) {
+			cl, err := NewCluster(WithEnv(EnvConfig{Cores: 8, GPUs: 2}),
+				WithMaterializedCache(32<<20), WithTracing(sink))
+			fatalIf(t, err)
+			defer cl.Close()
+			sessions := make([]*Session, 4)
+			for i := range sessions {
+				sessions[i] = openTenant(t, cl, "pinned-shared", 64, WithSeed(uint64(i+1)),
+					WithIterations(0), WithEpochs(2),
+					WithChaos(BrownoutDisk(time.Millisecond, 4, 2*time.Millisecond)))
+			}
+			streamAllAndClose(t, sessions)
+		}},
+		{"warm-speech-tenants3", 5300, 0x1536627cfdcf3489, func(t *testing.T, sink *TraceSink) {
+			cl, err := NewCluster(WithHardware(ConfigA()), WithMaterializedCache(4<<30), WithTracing(sink))
+			fatalIf(t, err)
+			defer cl.Close()
+			sessions := make([]*Session, 3)
+			for i := range sessions {
+				sessions[i], err = cl.Open(SubsetDataset(speech.Dataset, 512), WithPipeline(speech.Pipeline),
+					WithBatchSize(16), WithEpochs(2), WithGPUs(1), WithSeed(uint64(i+1)))
+				fatalIf(t, err)
+			}
+			streamAllAndClose(t, sessions)
+		}},
+		{"served-4clients-link-flap", 991, 0xbfc5c86b8151e155, func(t *testing.T, sink *TraceSink) {
+			sn := NewServiceNet(nil, ServiceNetConfig{})
+			cl := serveCluster(t, sn, WithTracing(sink))
+			defer cl.Close()
+			addr, err := Serve(cl, WithServiceNet(sn), WithTracing(sink),
+				WithChaos(FlapLink(0, 5*time.Millisecond, 8, 20*time.Millisecond)),
+				Publish("train", serveDataset{space: "pinned-served", n: 256}, flatPipeline(time.Millisecond)))
+			fatalIf(t, err)
+			defer addr.Close()
+			clients := make([]*RemoteSession, 4)
+			for i := range clients {
+				clients[i], err = Dial(addr, WithBatchSize(8), WithIterations(8), WithSeed(uint64(i+1)))
+				fatalIf(t, err)
+			}
+			StreamAll(context.Background(), clients, func(_ int, rs *RemoteSession) { drainRemote(t, rs) })
+			for _, rs := range clients {
+				_, err := rs.Close()
+				fatalIf(t, err)
+			}
+		}},
+	}
+	for _, p := range pins {
+		t.Run(p.name, func(t *testing.T) {
+			sink := NewTraceSink()
+			p.run(t, sink)
+			h := fnv.New64a()
+			if err := sink.WriteChrome(h); err != nil {
+				t.Fatal(err)
+			}
+			if got := h.Sum64(); sink.Len() != p.spans || got != p.hash {
+				t.Errorf("%d spans, export fnv64a %#x; pinned %d, %#x", sink.Len(), got, p.spans, p.hash)
+			}
+		})
+	}
+}
+
+func fatalIf(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// streamAllAndClose drains every session through StreamAll, the
+// deterministic entry for sessions of one cluster, then closes them.
+func streamAllAndClose(t *testing.T, sessions []*Session) {
+	t.Helper()
+	StreamAll(context.Background(), sessions, func(_ int, s *Session) {
+		for _, err := range s.Batches(context.Background()) {
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	for _, s := range sessions {
+		_, err := s.Close()
+		fatalIf(t, err)
+	}
 }
 
 // TestTraceLabelsAreTheGPUs checks that the labels in a 4-GPU trace are the
