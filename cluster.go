@@ -13,7 +13,6 @@ import (
 	"github.com/minatoloader/minato/internal/matcache"
 	"github.com/minatoloader/minato/internal/simtime"
 	"github.com/minatoloader/minato/internal/storage"
-	"github.com/minatoloader/minato/internal/trace"
 	"github.com/minatoloader/minato/internal/trainer"
 )
 
@@ -90,7 +89,6 @@ type Cluster struct {
 	store  *storage.Store
 	pool   *data.Pool
 	shares *loader.FairShare
-	tr     *trace.Recorder
 
 	maxSessions int
 	admission   AdmissionPolicy
@@ -139,6 +137,13 @@ func newCluster(co *options) (*Cluster, error) {
 	if ownsRT {
 		rt = simtime.NewVirtual()
 	}
+	if co.trace != nil {
+		var err error
+		rt.Do(func() { err = rt.SetTrace(co.trace) })
+		if err != nil {
+			return nil, configErr("WithTracing", err.Error())
+		}
+	}
 	c := &Cluster{
 		rt: rt, ownsRT: ownsRT,
 		maxSessions: co.maxSessions,
@@ -180,20 +185,6 @@ func newCluster(co *options) (*Cluster, error) {
 		}
 		c.cache.ReserveCapacity(co.matBytes)
 		c.mat = matcache.New(co.matBytes)
-	}
-	if co.trace != nil {
-		c.tr = co.trace
-		// GPU kernel occupancy is recorded at the device; the per-tenant
-		// step anatomy comes from consumer-side spans, so the device spans
-		// carry tenant 0 and the GPU index as Key.
-		for _, g := range c.gpus {
-			g.EnableTrace(co.trace, 0, 0)
-		}
-		if c.store != nil {
-			cp := *c.store
-			cp.Trace = co.trace
-			c.store = &cp
-		}
 	}
 	c.shares = loader.NewFairShare(int(c.cpu.Capacity()))
 	c.gpuLoad = make([]int, len(c.gpus))
@@ -392,9 +383,6 @@ func (c *Cluster) train(w Workload, o *options) (*Report, error) {
 	if w, err = o.shaped(w); err != nil {
 		return nil, err
 	}
-	if c.tr != nil {
-		o.params.Trace = c.tr
-	}
 
 	var rep *Report
 	queued(func() (wait chan struct{}) {
@@ -532,7 +520,6 @@ func (c *Cluster) sessionEnv(gpuIdxs []int, cacheTenant int, share *clusterShare
 		Pool:  c.pool,
 		Gov:   share,
 		Mat:   c.mat,
-		Trace: c.tr,
 	}
 }
 

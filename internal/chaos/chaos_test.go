@@ -206,8 +206,11 @@ func TestPauserTerminalReturnsErrPreempted(t *testing.T) {
 func TestFaultsTable(t *testing.T) {
 	k := simtime.NewVirtual()
 	rec := trace.NewRecorder()
+	if err := k.SetTrace(rec); err != nil {
+		t.Fatal(err)
+	}
 	var stall time.Duration
-	f := NewFaults(k, rec, 7, func() time.Duration { return stall })
+	f := NewFaults(k, 7, func() time.Duration { return stall })
 	k.Run(func() {
 		ctx := context.Background()
 		wg := simtime.NewWaitGroup(k)

@@ -19,7 +19,6 @@ import (
 // Task-only, like the kernel it stamps from; Stats is for after the run.
 type Faults struct {
 	rt     *simtime.Virtual
-	tr     *trace.Recorder
 	tenant int32
 	// stall, when set, is the run's cumulative consumer stall; a window is
 	// attributed the difference between its close and its open.
@@ -40,10 +39,10 @@ type openWin struct {
 }
 
 // NewFaults returns an empty table stamping from rt and recording its
-// StageFault / StageFaultWindow spans into tr (nil: no spans) under tenant.
-// stall may be nil: windows then carry no StallDuring.
-func NewFaults(rt *simtime.Virtual, tr *trace.Recorder, tenant int32, stall func() time.Duration) *Faults {
-	return &Faults{rt: rt, tr: tr, tenant: tenant, stall: stall}
+// StageFault / StageFaultWindow spans under tenant into rt's recorder, if it
+// has one. stall may be nil: windows then carry no StallDuring.
+func NewFaults(rt *simtime.Virtual, tenant int32, stall func() time.Duration) *Faults {
+	return &Faults{rt: rt, tenant: tenant, stall: stall}
 }
 
 // Instant records ev applied now, with its StageFault span, and opens no
@@ -52,7 +51,7 @@ func NewFaults(rt *simtime.Virtual, tr *trace.Recorder, tenant int32, stall func
 func (f *Faults) Instant(ev Event, node int) int {
 	now := f.rt.Now()
 	f.stats = append(f.stats, FaultStat{Event: ev, AppliedAt: now})
-	f.tr.Instant(trace.Span{Stage: trace.StageFault, Tenant: f.tenant,
+	f.rt.Trace().Instant(trace.Span{Stage: trace.StageFault, Tenant: f.tenant,
 		Node: int32(node), Key: int64(ev.Kind)}, now)
 	return len(f.stats) - 1
 }
@@ -84,7 +83,7 @@ func (f *Faults) Close(kind Kind, node int) *FaultStat {
 	if f.stall != nil {
 		fs.StallDuring = f.stall() - w.stall
 	}
-	f.tr.Record(trace.Span{Start: fs.AppliedAt, End: fs.ClearedAt, Stage: trace.StageFaultWindow,
+	f.rt.Trace().Record(trace.Span{Start: fs.AppliedAt, End: fs.ClearedAt, Stage: trace.StageFaultWindow,
 		Tenant: f.tenant, Node: int32(node), Key: int64(kind)})
 	return fs
 }

@@ -354,10 +354,11 @@ func (l *Loader) work(ctx context.Context) {
 // claim: a slow sample's parked window shows up as the gap between its
 // budgeted and resumed transform spans, not as fill time.
 func (l *Loader) traceSample(stage trace.Stage, start, end time.Duration, s *data.Sample) {
-	if l.env.Trace == nil {
+	tr := l.env.RT.Trace()
+	if tr == nil {
 		return
 	}
-	l.env.Trace.Record(trace.Span{Start: start, End: end, Stage: stage,
+	tr.Record(trace.Span{Start: start, End: end, Stage: stage,
 		Tenant: l.env.TraceTenant(), Node: l.env.TraceNode,
 		Key: int64(s.Index), Seq: s.OriginalOrder, Detail: s.RawBytes})
 }
@@ -614,8 +615,8 @@ func (l *Loader) assemble(ctx context.Context, g int, sel *simtime.Selector, sou
 	// §4.3: a CUDA prefetch stream moves batch i to GPU memory while
 	// batch i−1 trains, so delivered batches are resident.
 	b.Resident = true
-	if l.env.Trace != nil {
-		l.env.Trace.Record(trace.Span{Start: asmStart, End: b.CreatedAt,
+	if tr := l.env.RT.Trace(); tr != nil {
+		tr.Record(trace.Span{Start: asmStart, End: b.CreatedAt,
 			Stage: trace.StageAssemble, Tenant: l.env.TraceTenant(),
 			Node: l.env.TraceNode, Key: int64(g), Seq: b.Seq,
 			Detail: int64(len(b.Samples))})
@@ -657,9 +658,9 @@ func (l *Loader) Next(ctx context.Context, g int) (*data.Batch, error) {
 	if err != nil {
 		return nil, loader.EOFIfClosed(err)
 	}
-	if l.env.Trace != nil {
+	if tr := l.env.RT.Trace(); tr != nil {
 		// The batch's stay in the delivery queue, sealed to drawn.
-		l.env.Trace.Record(trace.Span{Start: b.CreatedAt, End: l.env.RT.Now(),
+		tr.Record(trace.Span{Start: b.CreatedAt, End: l.env.RT.Now(),
 			Stage: trace.StageQueueWait, Tenant: l.env.TraceTenant(),
 			Node: l.env.TraceNode, Key: int64(g), Seq: b.Seq})
 	}

@@ -99,10 +99,9 @@ type Device struct {
 	// over a window is Δbusy / (cap · Δt).
 	busyIntegral float64
 
-	// tr, when set, records one StageDeviceRun span per completed Run —
-	// occupancy as wall (virtual) intervals, work as Detail. Set before
-	// tasks arrive; never cleared.
-	tr       *trace.Recorder
+	// traced devices record one StageDeviceRun span per completed Run into
+	// the kernel's recorder, under these labels (TraceAs).
+	traced   bool
 	trTenant int32
 	trNode   int32
 	trKey    int64
@@ -143,12 +142,12 @@ func New(rt *simtime.Virtual, name string, capacity float64) *Device {
 // Name returns the device's diagnostic name.
 func (d *Device) Name() string { return d.name }
 
-// EnableTrace attaches a span recorder: every completed Run records a
-// StageDeviceRun span covering its occupancy interval, with the requested
-// full-speed work in Detail. Call before tasks start; the identity triple
-// (tenant, node, key) distinguishes devices sharing one recorder.
-func (d *Device) EnableTrace(r *trace.Recorder, tenant, node int32, key int64) {
-	d.tr, d.trTenant, d.trNode, d.trKey = r, tenant, node, key
+// TraceAs marks the device traced: on a kernel with a recorder, every
+// completed Run records a StageDeviceRun span covering its occupancy
+// interval, with the requested full-speed work in Detail. The identity triple
+// (tenant, node, key) tells apart the devices of one kernel.
+func (d *Device) TraceAs(tenant, node int32, key int64) {
+	d.traced, d.trTenant, d.trNode, d.trKey = true, tenant, node, key
 }
 
 // Capacity returns the device's parallel capacity.
@@ -189,8 +188,10 @@ func (d *Device) Run(ctx context.Context, work time.Duration) error {
 	for {
 		if d.progress >= e.target-1e-9 {
 			d.exit(e)
-			d.tr.Record(trace.Span{Start: t0, End: d.rt.Now(), Stage: trace.StageDeviceRun,
-				Tenant: d.trTenant, Node: d.trNode, Key: d.trKey, Detail: int64(work)})
+			if d.traced {
+				d.rt.Trace().Record(trace.Span{Start: t0, End: d.rt.Now(), Stage: trace.StageDeviceRun,
+					Tenant: d.trTenant, Node: d.trNode, Key: d.trKey, Detail: int64(work)})
+			}
 			return nil
 		}
 		var deadline time.Duration

@@ -113,9 +113,9 @@ type Config struct {
 	// Membership events switch the run into elastic mode.
 	Script chaos.Script
 
-	// Trace, when non-nil, records deterministic spans from every layer of
-	// the run (loaders, storage, consumer steps, the fabric, faults) into
-	// the given recorder. Nil disables tracing at zero hot-path cost.
+	// Trace, when non-nil, is the recorder of the run's kernel: every layer
+	// (loaders, storage, consumer steps, the fabric, faults) records its
+	// spans into it. Nil disables tracing at zero hot-path cost.
 	Trace *trace.Recorder
 }
 
@@ -322,6 +322,7 @@ func Run(cfg Config, w workload.Workload, f trainer.Factory) (*Report, error) {
 		return nil, err
 	}
 	k := simtime.NewVirtual()
+	_ = k.SetTrace(cfg.Trace) // a fresh kernel takes any recorder
 	rep := &Report{Workload: w.Name, Loader: f.Name, Nodes: len(nodeCfgs)}
 	var runErr error
 	k.Run(func() {
@@ -574,9 +575,6 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 		Bandwidth: cfg.LinkBandwidth,
 		Latency:   cfg.LinkLatency,
 	})
-	if cfg.Trace != nil {
-		fab.EnableTrace(cfg.Trace)
-	}
 	// baseBW is each node's configured NIC bandwidth after static
 	// degradation — the level LinkRestore returns to.
 	baseBW := make([]float64, n)
@@ -623,17 +621,13 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 			store = &storage.Store{Disk: serverDisk, Cache: tb.Cache,
 				Remote: remoteFetch{fab: fab, src: storeEP, node: i}}
 		}
-		if cfg.Trace != nil {
-			cp := *store
-			cp.Trace, cp.TraceNode = cfg.Trace, int32(i)
-			store = &cp
-			for _, g := range tb.GPUs {
-				g.EnableTrace(cfg.Trace, 0, int32(i))
-			}
+		store.TraceNode = int32(i)
+		for _, g := range tb.GPUs {
+			g.SetNode(int32(i))
 		}
 		shardW := w.WithDataset(dataset.Shard(w.Dataset, perm[i], n))
 		env := &loader.Env{RT: k, CPU: tb.CPU, GPUs: tb.GPUs, Store: store, WG: wg,
-			Pool: data.NewPool(), Trace: cfg.Trace, TraceNode: int32(i)}
+			Pool: data.NewPool(), TraceNode: int32(i)}
 		nodes[i] = &nodeState{tb: tb, env: env}
 		sp := shardW.Spec()
 		if t := int64(sp.TotalBatches() / len(tb.GPUs)); t < target {
@@ -663,7 +657,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 		hist:       metrics.NewLogHist(),
 		pendingRec: map[int]int{},
 	}
-	st.faults = chaos.NewFaults(k, cfg.Trace, 0, st.totalStall)
+	st.faults = chaos.NewFaults(k, 0, st.totalStall)
 	st.view = &memberView{
 		active:  initActive,
 		loaders: initLoaders,
@@ -715,7 +709,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 			g := g
 			consumers.Go("dist-consumer", func() {
 				dev := nd.tb.GPUs[g]
-				tr := cfg.Trace
+				tr := k.Trace()
 				// Step spans share (Node=rank, Key=GPU, Seq=round): the
 				// consumer-local round counter ties a round's anatomy
 				// together for the critical-path analyzer, proxy rounds
@@ -821,7 +815,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 	rep.StepP50 = st.hist.QuantileDuration(0.5)
 	rep.StepP99 = st.hist.QuantileDuration(0.99)
 	rep.Faults = st.faults.Stats()
-	rep.Recorded = trace.RecordedBy(cfg.Trace)
+	rep.Recorded = trace.RecordedBy(k.Trace())
 
 	dur := rep.TrainTime.Seconds()
 	busyAll, gpuCount := 0.0, 0

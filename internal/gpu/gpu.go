@@ -14,7 +14,6 @@ import (
 
 	"github.com/minatoloader/minato/internal/device"
 	"github.com/minatoloader/minato/internal/simtime"
-	"github.com/minatoloader/minato/internal/trace"
 )
 
 // Arch describes a GPU architecture. Speed is relative to an A100: work
@@ -53,18 +52,20 @@ type GPU struct {
 
 // New returns a GPU with the given architecture and memory capacity.
 func New(rt *simtime.Virtual, id int, arch Arch, memBytes int64) *GPU {
-	return &GPU{
+	g := &GPU{
 		ID: id, Arch: arch,
 		compute: device.New(rt, fmt.Sprintf("gpu%d-%s", id, arch.Name), streamCapacity),
 		memCap:  memBytes,
 	}
+	g.SetNode(0)
+	return g
 }
 
-// EnableTrace records a StageDeviceRun occupancy span for every kernel
-// (train step, preprocessing, copy) this GPU executes. Key is the GPU ID.
-func (g *GPU) EnableTrace(r *trace.Recorder, tenant, node int32) {
-	g.compute.EnableTrace(r, tenant, node, int64(g.ID))
-}
+// SetNode labels the GPU as one of the given node's. On a traced kernel a GPU
+// records a StageDeviceRun occupancy span for every kernel (train step,
+// preprocessing, copy) it executes: tenant 0, its node, and its ID as Key.
+// The per-tenant step anatomy comes from consumer-side spans.
+func (g *GPU) SetNode(node int32) { g.compute.TraceAs(0, node, int64(g.ID)) }
 
 // Train occupies the GPU for an A100-normalized work duration.
 func (g *GPU) Train(ctx context.Context, work time.Duration) error {

@@ -19,7 +19,6 @@ import (
 	"github.com/minatoloader/minato/internal/queue"
 	"github.com/minatoloader/minato/internal/simtime"
 	"github.com/minatoloader/minato/internal/storage"
-	"github.com/minatoloader/minato/internal/trace"
 	"github.com/minatoloader/minato/internal/transform"
 )
 
@@ -118,13 +117,8 @@ type Env struct {
 	// into it, so repeat epochs and co-tenant sessions skip preprocessing
 	// entirely. Nil disables the warm path.
 	Mat *matcache.Cache
-	// Trace, when set, records deterministic spans from every layer the
-	// loader touches (storage reads, cache fills, worker transforms, queue
-	// waits, consumer steps). Nil disables recording: every call is a
-	// nil-check no-op, so the hot path stays allocation-free.
-	Trace *trace.Recorder
-	// TraceNode stamps recorded spans with the owning rank in a multi-node
-	// run (0 on a single machine).
+	// TraceNode stamps the spans the loader records into RT's recorder with
+	// the owning rank in a multi-node run (0 on a single machine).
 	TraceNode int32
 }
 

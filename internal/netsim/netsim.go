@@ -51,6 +51,13 @@ type Config struct {
 // Fabric is the simulated interconnect: plain task-only state, like the
 // selectors its flows park on. Goroutines outside the kernel reach it through
 // simtime.Virtual.Run or Post.
+//
+// On a traced kernel each retiring flow records a StageFlow span (Node =
+// source endpoint, Key = destination endpoint, Detail = bytes delivered) and
+// each settled rate change a StageFlowRate instant (Detail = bytes/s). Rate
+// instants are recorded at settlement — the first advance across real
+// elapsed time — so a rate that bends and bends back within one instant,
+// carrying no bytes, leaves no span.
 type Fabric struct {
 	rt      *simtime.Virtual
 	latency time.Duration
@@ -81,13 +88,6 @@ type Fabric struct {
 	// free recycles flow records (and their selectors) across Transfer
 	// calls: the steady-state transfer path allocates nothing.
 	free []*flow
-
-	// tr, when set, records flow-lifetime spans (StageFlow, on retirement)
-	// and rate-change instants (StageFlowRate). Rate instants are recorded
-	// at settlement — the first advance across real elapsed time — so a
-	// rate that bends and bends back within one instant, carrying no bytes,
-	// leaves no span.
-	tr *trace.Recorder
 }
 
 // link is one unidirectional NIC attachment.
@@ -170,12 +170,6 @@ func New(rt *simtime.Virtual, cfg Config) *Fabric {
 
 // Endpoints returns the number of NIC-owning endpoints.
 func (f *Fabric) Endpoints() int { return len(f.links) / 2 }
-
-// EnableTrace attaches a span recorder: each retiring flow records a
-// StageFlow span (Node = source endpoint, Key = destination endpoint,
-// Detail = bytes delivered) and each settled rate change a StageFlowRate
-// instant (Detail = bytes/s). Call before traffic starts.
-func (f *Fabric) EnableTrace(r *trace.Recorder) { f.tr = r }
 
 // MinBandwidth is the floor SetBandwidth clamps to, in bytes/s. A zero or
 // negative bandwidth would divide the water-filling rate computation by
@@ -289,7 +283,7 @@ func (f *Fabric) Transfer(ctx context.Context, src, dst int, n int64) error {
 // exit removes fl from the fabric (the survivors keep their arrival order),
 // re-shares them and recycles fl.
 func (f *Fabric) exit(fl *flow) {
-	f.tr.Record(trace.Span{Start: fl.startT, End: f.lastT, Stage: trace.StageFlow,
+	f.rt.Trace().Record(trace.Span{Start: fl.startT, End: f.lastT, Stage: trace.StageFlow,
 		Node: int32(fl.egress / 2), Key: int64(fl.ingress / 2),
 		Detail: fl.size - int64(fl.remaining)})
 	f.doneBytes += fl.size - int64(fl.remaining)
@@ -320,12 +314,12 @@ func (f *Fabric) advance() {
 	if now <= f.lastT {
 		return
 	}
-	if f.tr.Enabled() {
+	if tr := f.rt.Trace(); tr.Enabled() {
 		// Rates assigned at lastT persisted across real elapsed time: they
 		// are settled, record the ones that moved.
 		for _, fl := range f.flows {
 			if fl.rate != fl.settledRate {
-				f.tr.Instant(trace.Span{Stage: trace.StageFlowRate,
+				tr.Instant(trace.Span{Stage: trace.StageFlowRate,
 					Node: int32(fl.egress / 2), Key: int64(fl.ingress / 2),
 					Detail: int64(fl.rate)}, f.lastT)
 				fl.settledRate = fl.rate

@@ -216,11 +216,6 @@ type Net struct {
 	next    int
 	inboxes []*queue.Queue[Frame]
 	servers []int // fleet index → endpoint
-
-	// tr, when set, records one StageFrame span per delivered frame: wire
-	// time plus receiver backpressure, sender in Node, destination in Key,
-	// the frame's Op in Detail.
-	tr *trace.Recorder
 }
 
 // NewNet builds a service fabric on rt.
@@ -240,14 +235,6 @@ func NewNet(rt *simtime.Virtual, cfg Config) *Net {
 
 // Runtime returns the clock the network runs on.
 func (n *Net) Runtime() *simtime.Virtual { return n.rt }
-
-// EnableTrace attaches a span recorder to the service network: every
-// delivered frame records a StageFrame span, and the underlying fabric
-// records flow lifetimes and rate changes. Call before traffic starts.
-func (n *Net) EnableTrace(r *trace.Recorder) {
-	n.tr = r
-	n.fab.EnableTrace(r)
-}
 
 // Bandwidth returns the configured per-NIC baseline bandwidth.
 func (n *Net) Bandwidth() float64 { return n.cfg.Bandwidth }
@@ -293,7 +280,9 @@ func (n *Net) FlowsCompleted() int64 { return n.fab.FlowsCompleted() }
 // calling task for the propagation latency plus the fair-shared transfer
 // time — then delivers it into dst's inbox (blocking while the inbox is
 // full: receiver backpressure reaches the sender). Must run on a tracked
-// task.
+// task. On a traced kernel every delivered frame records a StageFrame span:
+// wire time plus receiver backpressure, sender in Node, destination in Key,
+// the frame's Op in Detail.
 func (n *Net) Send(ctx context.Context, dst int, fr Frame) error {
 	t0 := n.rt.Now()
 	if err := n.fab.Transfer(ctx, fr.From, dst, fr.WireBytes()); err != nil {
@@ -306,7 +295,7 @@ func (n *Net) Send(ctx context.Context, dst int, fr Frame) error {
 	if err := inbox.Put(ctx, fr); err != nil {
 		return fmt.Errorf("service: endpoint %d inbox: %w", dst, err)
 	}
-	n.tr.Record(trace.Span{Start: t0, End: n.rt.Now(), Stage: trace.StageFrame,
+	n.rt.Trace().Record(trace.Span{Start: t0, End: n.rt.Now(), Stage: trace.StageFrame,
 		Node: int32(fr.From), Key: int64(dst), Seq: int64(fr.Seq), Detail: int64(fr.Op)})
 	return nil
 }

@@ -2,12 +2,15 @@ package simtime
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"github.com/minatoloader/minato/internal/trace"
 )
 
 // Virtual is a deterministic discrete-event runtime: a run-to-park kernel.
@@ -33,6 +36,9 @@ type Virtual struct {
 	// hooks holds the context.AfterFunc registration (its stop function) of
 	// every cancellable context a task has parked under, by Done channel.
 	hooks map[<-chan struct{}]func() bool
+	// trace is the span recorder of every layer on this kernel; nil when the
+	// run is untraced (SetTrace).
+	trace *trace.Recorder
 }
 
 // KernelStats counts the kernel's own work since NewVirtual: the coroutine
@@ -51,6 +57,25 @@ func NewVirtual() *Virtual {
 	k := &Virtual{hooks: make(map[<-chan struct{}]func() bool)}
 	k.door.inbox, k.door.spare = k.door.bufs[0][:0], k.door.bufs[1][:0]
 	return k
+}
+
+// Trace returns the recorder every layer on this kernel records its spans
+// into, or nil when the run is untraced.
+func (k *Virtual) Trace() *trace.Recorder { return k.trace }
+
+// SetTrace attaches r as the kernel's recorder. A kernel takes one: nil and
+// the recorder already attached are no-ops, and a different one is an error.
+// Like Go, it is for tasks and posted functions, or for a kernel nobody has
+// entered yet.
+func (k *Virtual) SetTrace(r *trace.Recorder) error {
+	if r == nil || r == k.trace {
+		return nil
+	}
+	if k.trace != nil {
+		return errors.New("the runtime already records into another trace sink")
+	}
+	k.trace = r
+	return nil
 }
 
 // Now returns the current virtual time, lock-free.

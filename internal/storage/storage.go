@@ -515,11 +515,10 @@ type Store struct {
 	// addition to the disk time — the Lustre-over-interconnect path of §3's
 	// Config A, now with real contention.
 	Remote RemoteFetcher
-	// Trace, when set, records this store's reads as spans: disk occupancy,
-	// remote fetches, and the page cache's hit/fill/wait protocol (a
-	// follower's wait shares its leader's (Tenant, Key) identity).
-	// TraceNode stamps the reading node. Nil disables recording.
-	Trace     *trace.Recorder
+	// On a traced kernel the store records its reads as spans: disk
+	// occupancy, remote fetches, and the page cache's hit/fill/wait protocol
+	// (a follower's wait shares its leader's (Tenant, Key) identity).
+	// TraceNode stamps the reading node.
 	TraceNode int32
 }
 
@@ -553,7 +552,7 @@ func (st *Store) ReadSample(ctx context.Context, rt *simtime.Virtual, s *data.Sa
 			if first {
 				// A follower finding the published fill on re-check already
 				// recorded its wait; only a first-try hit is an instant.
-				st.Trace.Instant(st.span(trace.StageCacheHit, t0, t0, s), t0)
+				rt.Trace().Instant(st.span(trace.StageCacheHit, t0, t0, s), t0)
 			}
 			break
 		}
@@ -563,13 +562,13 @@ func (st *Store) ReadSample(ctx context.Context, rt *simtime.Virtual, s *data.Sa
 				return err
 			}
 			st.Cache.CompleteFetch(st.Tenant, s.Key, s.RawBytes)
-			st.Trace.Record(st.span(trace.StageCacheFill, t0, rt.Now(), s))
+			rt.Trace().Record(st.span(trace.StageCacheFill, t0, rt.Now(), s))
 			break
 		}
 		if err := waiter.Wait(ctx); err != nil {
 			return err
 		}
-		st.Trace.Record(st.span(trace.StageCacheWait, t0, rt.Now(), s))
+		rt.Trace().Record(st.span(trace.StageCacheWait, t0, rt.Now(), s))
 		first = false
 	}
 	s.LoadedAt = rt.Now()
@@ -592,13 +591,13 @@ func (st *Store) fetch(ctx context.Context, rt *simtime.Virtual, s *data.Sample)
 	if err := st.Disk.Read(ctx, s.RawBytes); err != nil {
 		return err
 	}
-	st.Trace.Record(st.span(trace.StageDiskRead, t0, rt.Now(), s))
+	rt.Trace().Record(st.span(trace.StageDiskRead, t0, rt.Now(), s))
 	if st.Remote != nil {
 		t1 := rt.Now()
 		if err := st.Remote.Fetch(ctx, s.RawBytes); err != nil {
 			return err
 		}
-		st.Trace.Record(st.span(trace.StageRemoteFetch, t1, rt.Now(), s))
+		rt.Trace().Record(st.span(trace.StageRemoteFetch, t1, rt.Now(), s))
 	}
 	return nil
 }

@@ -61,12 +61,6 @@ type Params struct {
 	// material for pipeline forensics. Costs memory proportional to the
 	// sample count.
 	TraceSamples bool
-	// Trace, when non-nil, records deterministic spans from every layer of
-	// the session (storage, caches, workers, devices, consumer steps,
-	// chaos) into the given recorder — the input for Report.Trace,
-	// Report.CriticalPath, and the Perfetto exporter. Nil disables tracing
-	// at zero hot-path cost.
-	Trace *trace.Recorder
 	// Chaos is an optional fault-injection script replayed against the
 	// session: worker stalls, disk brownouts, preemption/resume. Callers
 	// validate it for a single-machine run (Script.Validate(0)) before
@@ -242,18 +236,6 @@ func RunEnv(env *loader.Env, w workload.Workload, f Factory, p Params) (*Report,
 
 	rt := env.RT
 	wg := env.WG
-	if p.Trace != nil {
-		// Installed before the loader is built, so its background tasks see
-		// the recorder from their first event.
-		env.Trace = p.Trace
-	}
-	if env.Trace != nil && env.Store.Trace == nil {
-		// A copy, not a mutation: the store value may be shared with
-		// co-running sessions on a cluster substrate.
-		cp := *env.Store
-		cp.Trace, cp.TraceNode = env.Trace, env.TraceNode
-		env.Store = &cp
-	}
 	spec := w.Spec()
 	ld := f.New(env, spec)
 
@@ -328,7 +310,7 @@ func RunEnv(env *loader.Env, w workload.Workload, f Factory, p Params) (*Report,
 	var consumerErr error
 	var globalIters, dataStall int64
 	var lastEnd time.Duration
-	tr, tenant, node := env.Trace, env.TraceTenant(), env.TraceNode
+	tr, tenant, node := rt.Trace(), env.TraceTenant(), env.TraceNode
 	perGPUEpoch := spec.BatchesPerEpoch() / len(env.GPUs)
 	for g := range env.GPUs {
 		g := g
@@ -549,7 +531,7 @@ func StartChaos(env *loader.Env, script chaos.Script) *ChaosState {
 	c := &ChaosState{
 		env:  env,
 		hist: metrics.NewLogHist(), lastStep: make([]time.Duration, len(env.GPUs)),
-		faults:     chaos.NewFaults(rt, env.Trace, env.TraceTenant(), nil),
+		faults:     chaos.NewFaults(rt, env.TraceTenant(), nil),
 		recPending: -1,
 	}
 	now := rt.Now()

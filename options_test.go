@@ -262,12 +262,12 @@ var matrixOptions = []struct {
 		func(t *testing.T, fx *matrixFixture, at entry, r matrixResult) {
 			switch at {
 			case atNewCluster:
-				if r.cl.tr == nil {
-					t.Error("the cluster records nowhere")
+				if r.cl.rt.Trace() != fx.sink.rec {
+					t.Error("the cluster's runtime does not record into the sink")
 				}
 			case atServe:
-				if r.addr.tr == nil {
-					t.Error("the server records nowhere")
+				if r.addr.rt.Trace() != fx.sink.rec {
+					t.Error("the server's runtime does not record into the sink")
 				}
 			default:
 				if fx.sink.Len() == 0 {

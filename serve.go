@@ -207,7 +207,6 @@ type ServerAddr struct {
 	// an engine parked on timers at Serve time would otherwise drag the
 	// idle kernel's clock through the whole script before the first Dial.
 	linkEvents []ChaosEvent
-	tr         *trace.Recorder
 	eng        *chaos.Engine // started and stopped on the server's kernel
 
 	closed bool // the kernel's
@@ -235,7 +234,7 @@ func (a *ServerAddr) startLinkChaos() {
 		case ChaosLinkRestore:
 			a.sn.net.SetBandwidth(target, base)
 		}
-		a.tr.Instant(trace.Span{Stage: trace.StageFault,
+		a.rt.Trace().Instant(trace.Span{Stage: trace.StageFault,
 			Node: int32(ev.Node), Key: int64(ev.Kind)}, a.rt.Now())
 	})
 }
@@ -294,15 +293,20 @@ func Serve(cl *Cluster, opts ...Option) (*ServerAddr, error) {
 
 // serve is the part of Serve that runs on the cluster's kernel.
 func serve(cl *Cluster, sn *ServiceNet, o *options) (*ServerAddr, error) {
+	// Everything that can refuse the server comes before it joins the fleet:
+	// the script is checked against the fleet this server would complete.
+	script, err := o.resolveChaos(serveShape(sn.net.ServerCount() + 1))
+	if err != nil {
+		return nil, err
+	}
+	if err := cl.rt.SetTrace(o.trace); err != nil {
+		return nil, configErr("WithTracing", err.Error())
+	}
 	ep, err := sn.net.AllocEndpoint()
 	if err != nil {
 		return nil, err
 	}
 	fleet := sn.net.RegisterServer(ep)
-	script, err := o.resolveChaos(serveShape(sn.net.ServerCount()))
-	if err != nil {
-		return nil, err
-	}
 	events := script.Sorted()
 	chaos.InstallDiskTimeline(events, cl.disk)
 	var link []ChaosEvent
@@ -310,9 +314,6 @@ func serve(cl *Cluster, sn *ServiceNet, o *options) (*ServerAddr, error) {
 		if ev.Kind == ChaosLinkDegrade || ev.Kind == ChaosLinkRestore {
 			link = append(link, ev)
 		}
-	}
-	if o.trace != nil {
-		sn.net.EnableTrace(o.trace)
 	}
 	addr := &ServerAddr{
 		sn:         sn,
@@ -323,7 +324,6 @@ func serve(cl *Cluster, sn *ServiceNet, o *options) (*ServerAddr, error) {
 		pub:        o.published,
 		wg:         simtime.NewWaitGroup(cl.rt),
 		linkEvents: link,
-		tr:         o.trace,
 	}
 	opener := &clusterOpener{cl: cl, pub: o.published}
 	if len(link) > 0 {

@@ -608,6 +608,38 @@ func TestServedStreamParkBudget(t *testing.T) {
 	}
 }
 
+// TestServeRefusedJoinsNoFleet is Serve's all-or-nothing rule: a server
+// refused for its chaos script or its trace sink leaves no endpoint and no
+// fleet index behind, so the next server is fleet member 0 of 1.
+func TestServeRefusedJoinsNoFleet(t *testing.T) {
+	sn := NewServiceNet(nil, ServiceNetConfig{})
+	cl := serveCluster(t, sn, WithTracing(NewTraceSink()))
+	defer cl.Close()
+	pub := Publish("train", namedDataset{space: "serve-refused", n: 64}, flatPipeline(time.Millisecond))
+	var ce *ConfigError
+	if _, err := Serve(cl, WithServiceNet(sn), pub, WithChaos(FlapLink(1, time.Second, 8, time.Second))); !errors.As(err, &ce) {
+		t.Fatalf("link event beyond the fleet: %v, want *ConfigError", err)
+	}
+	addr, err := Serve(cl, WithServiceNet(sn), pub, WithChaos(FlapLink(0, time.Second, 8, time.Second)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer addr.Close()
+	servers := func() (n int) {
+		sn.Runtime().Do(func() { n = sn.net.ServerCount() })
+		return n
+	}
+	if addr.Fleet() != 0 || servers() != 1 {
+		t.Fatalf("after a refused Serve: fleet index %d of %d servers, want 0 of 1", addr.Fleet(), servers())
+	}
+	if _, err := Serve(cl, WithServiceNet(sn), pub, WithTracing(NewTraceSink())); !errors.As(err, &ce) {
+		t.Fatalf("a second sink on the runtime: %v, want *ConfigError", err)
+	}
+	if servers() != 1 {
+		t.Fatalf("a Serve refused for its sink joined the fleet: %d servers", servers())
+	}
+}
+
 func TestServeDialConfigErrors(t *testing.T) {
 	sn := NewServiceNet(nil, ServiceNetConfig{})
 	cl := serveCluster(t, sn)

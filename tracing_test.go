@@ -3,6 +3,7 @@ package minato
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"reflect"
@@ -433,6 +434,69 @@ func TestTracingClusterOwned(t *testing.T) {
 		WithIterations(2), WithTracing(NewTraceSink()))
 	if err == nil {
 		t.Fatal("cluster session accepted WithTracing; want cluster-owned error")
+	}
+}
+
+// TestTracingOneSinkPerRuntime: tracing belongs to the runtime, which takes
+// one sink. Attaching the same sink again — the cluster and its server — is
+// fine; a different one, from either entry point, is a *ConfigError.
+func TestTracingOneSinkPerRuntime(t *testing.T) {
+	sink := NewTraceSink()
+	cl, err := NewCluster(WithEnv(EnvConfig{Cores: 4, GPUs: 1}), WithTracing(sink))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var ce *ConfigError
+	if _, err := NewCluster(WithRuntime(cl.Runtime()), WithTracing(NewTraceSink())); !errors.As(err, &ce) || ce.Option != "WithTracing" {
+		t.Fatalf("a second cluster with another sink: %v, want a WithTracing *ConfigError", err)
+	}
+	second, err := NewCluster(WithRuntime(cl.Runtime()), WithTracing(sink))
+	if err != nil {
+		t.Fatalf("a second cluster with the same sink: %v", err)
+	}
+	defer second.Close()
+	pub := Publish("train", namedDataset{space: "one-sink", n: 64}, flatPipeline(time.Millisecond))
+	if _, err := Serve(cl, pub, WithTracing(NewTraceSink())); !errors.As(err, &ce) || ce.Option != "WithTracing" {
+		t.Fatalf("a server with another sink: %v, want a WithTracing *ConfigError", err)
+	}
+	addr, err := Serve(cl, pub, WithTracing(sink))
+	if err != nil {
+		t.Fatalf("a server with the cluster's sink: %v", err)
+	}
+	_ = addr.Close()
+}
+
+// TestServeTracingRecordsClusterLayers: a sink given only to Serve traces the
+// runtime, so the backing cluster's storage, workers and batch assembly are
+// recorded beside the server's frames.
+func TestServeTracingRecordsClusterLayers(t *testing.T) {
+	sink := NewTraceSink()
+	sn := NewServiceNet(nil, ServiceNetConfig{})
+	cl := serveCluster(t, sn)
+	defer cl.Close()
+	addr, err := Serve(cl, WithServiceNet(sn), WithTracing(sink),
+		Publish("train", serveDataset{space: "serve-traced", n: 64}, flatPipeline(time.Millisecond)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer addr.Close()
+	rs, err := Dial(addr, WithBatchSize(8), WithIterations(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainRemote(t, rs)
+	if _, err := rs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stages := map[TraceStage]int{}
+	for _, s := range sink.Spans() {
+		stages[s.Stage]++
+	}
+	for _, st := range []TraceStage{TraceStageDiskRead, TraceStageTransform, TraceStageAssemble, TraceStageFrame} {
+		if stages[st] == 0 {
+			t.Errorf("no %v span: %v", st, stages)
+		}
 	}
 }
 
