@@ -61,12 +61,6 @@ type Config struct {
 	MaxSlowFraction    float64 // fallback trigger, default 0.40
 	WarmupSamples      int     // optimistic phase length, default 48
 
-	// Scheduler (Formulas 1–2).
-	Alpha, Beta   float64       // sensitivity, default 2 and 2
-	CPUThreshold  float64       // θ_c, default 0.7
-	DeltaClip     int           // |Δ| bound, default 2
-	SchedInterval time.Duration // default 1s
-
 	// OrderPreserving disables reordering for curriculum/strict-order
 	// training (§6): batches follow the sampler's order exactly and the
 	// loader behaves like PyTorch DataLoader.
@@ -99,14 +93,10 @@ func DefaultConfig() Config {
 		FallbackPercentile:   0.90,
 		MaxSlowFraction:      0.40,
 		WarmupSamples:        48,
-		Alpha:                2, Beta: 2,
-		CPUThreshold:  0.7,
-		DeltaClip:     2,
-		SchedInterval: time.Second,
 	}
 }
 
-func (c *Config) fillDefaults(numGPUs, cores int) {
+func (c *Config) fillDefaults(cores int) {
 	d := DefaultConfig()
 	if c.InitialWorkersPerGPU <= 0 {
 		c.InitialWorkersPerGPU = d.InitialWorkersPerGPU
@@ -129,28 +119,6 @@ func (c *Config) fillDefaults(numGPUs, cores int) {
 	if c.WarmupSamples <= 0 {
 		c.WarmupSamples = d.WarmupSamples
 	}
-	if c.Alpha == 0 {
-		c.Alpha = d.Alpha
-	}
-	if c.Beta == 0 {
-		c.Beta = d.Beta
-	}
-	if c.CPUThreshold <= 0 {
-		c.CPUThreshold = d.CPUThreshold
-	}
-	if c.DeltaClip <= 0 {
-		c.DeltaClip = d.DeltaClip
-	}
-	if c.SchedInterval <= 0 {
-		c.SchedInterval = d.SchedInterval
-	}
-	_ = numGPUs
-}
-
-// tempItem is a timed-out sample parked for background completion,
-// carrying the interrupted transform index (Algorithm 1 line 11).
-type tempItem struct {
-	s *data.Sample
 }
 
 // Loader is MinatoLoader.
@@ -159,10 +127,12 @@ type Loader struct {
 	spec loader.Spec
 	cfg  Config
 
-	idx     *loader.IndexSource
-	fastQ   *queue.Queue[*data.Sample]
-	slowQ   *queue.Queue[*data.Sample]
-	tempQ   *queue.Queue[tempItem]
+	idx   *loader.IndexSource
+	fastQ *queue.Queue[*data.Sample]
+	slowQ *queue.Queue[*data.Sample]
+	// tempQ parks timed-out samples for background completion; each carries
+	// its interrupted transform index (Algorithm 1 line 11).
+	tempQ   *queue.Queue[*data.Sample]
 	batchQs []*queue.Queue[*data.Batch]
 
 	profiler *Profiler
@@ -182,7 +152,6 @@ type Loader struct {
 	enqueued  int64 // samples placed into fast or slow queues
 	consumed  int64 // samples drawn into batches
 	abandoned int64 // samples lost to preprocessing faults
-	faults    int64 // fault events (diagnostics)
 	srcDone   bool  // index stream exhausted
 
 	// gate broadcasts accounting changes that can flip drained() without a
@@ -208,13 +177,13 @@ type Loader struct {
 
 // New returns a MinatoLoader over the given spec.
 func New(env *loader.Env, spec loader.Spec, cfg Config) *Loader {
-	cfg.fillDefaults(len(env.GPUs), int(env.CPU.Capacity()))
+	cfg.fillDefaults(int(env.CPU.Capacity()))
 	l := &Loader{
 		env: env, spec: spec, cfg: cfg,
 		idx:   loader.NewIndexSource(spec),
 		fastQ: queue.New[*data.Sample](env.RT, "fast", cfg.QueueCap),
 		slowQ: queue.New[*data.Sample](env.RT, "slow", cfg.QueueCap),
-		tempQ: queue.New[tempItem](env.RT, "temp", cfg.QueueCap),
+		tempQ: queue.New[*data.Sample](env.RT, "temp", cfg.QueueCap),
 		gate:  simtime.NewGate(),
 	}
 	for range env.GPUs {
@@ -227,7 +196,7 @@ func New(env *loader.Env, spec loader.Spec, cfg Config) *Loader {
 		MaxSlowFraction:    cfg.MaxSlowFraction,
 		WarmupSamples:      cfg.WarmupSamples,
 	})
-	l.sched = NewScheduler(l, cfg)
+	l.sched = NewScheduler(l)
 	if cfg.OrderPreserving {
 		l.ordered = newOrderedBuffer()
 	}
@@ -327,8 +296,8 @@ func (l *Loader) work(ctx context.Context) {
 	}()
 	for !l.stopFlag && !l.sched.shouldRetire() {
 		// Background completion first (slow-task work).
-		if item, ok, _ := l.tempQ.TryGet(); ok {
-			if !l.runSample(ctx, func() error { return l.finishSlow(ctx, item.s) }, item.s.OriginalOrder) {
+		if s, ok, _ := l.tempQ.TryGet(); ok {
+			if !l.runSample(ctx, func() error { return l.finishSlow(ctx, s) }, s.OriginalOrder) {
 				return
 			}
 			continue
@@ -405,7 +374,6 @@ func (l *Loader) guard(fn func() error) (err error) {
 // re-check drained().
 func (l *Loader) abandon(seq int64) {
 	l.abandoned++
-	l.faults++
 	if l.cfg.OrderPreserving {
 		l.ordered.skip(seq)
 	}
@@ -414,65 +382,97 @@ func (l *Loader) abandon(seq int64) {
 
 // Faults returns the number of samples abandoned due to failing or
 // panicking loads and transforms.
-func (l *Loader) Faults() int64 { return l.faults }
+func (l *Loader) Faults() int64 { return l.abandoned }
 
-// processNew runs the load-balancer path of Algorithm 1 for one sample.
+// processNew runs the load-balancer path of Algorithm 1 for one draw: fill
+// the sample, claim its key in the materialized cache (a hit is restored
+// instead), read it, and classify it — upfront by size in the Fig 3a
+// heuristic mode, by the profiler's compute budget otherwise. A fast sample
+// is published here, completing its claim; a slow one parks in the temp
+// queue and carries its claim into finishSlow. Parked followers deadlock the
+// kernel unless a claim is settled, so the deferred Abort covers every other
+// exit — a panic unwinding toward runSample's recover included, before any
+// follower could observe a stale claim.
 func (l *Loader) processNew(ctx context.Context, it loader.IndexItem) error {
+	s := loader.FillSample(l.env, l.spec, it)
+	settled := true
+	var mk matcache.Key
 	if l.mat != nil {
-		return l.processNewWarm(ctx, it)
+		mk = matcache.Key{Obj: s.Key, Sig: l.matSig}
+		e, hit, err := l.claim(ctx, s, mk)
+		if err != nil {
+			l.env.Pool.Put(s)
+			return err
+		}
+		if hit {
+			return l.restoreHit(ctx, s, e)
+		}
+		settled = false
+		defer func() {
+			if !settled {
+				l.mat.Abort(mk)
+			}
+		}()
 	}
-	s, err := loader.LoadSample(ctx, l.env, l.spec, it)
-	if err != nil {
+	if err := l.env.Store.ReadSample(ctx, l.env.RT, s); err != nil {
+		l.env.Pool.Put(s)
 		return err
 	}
 	s.PreprocStart = l.env.RT.Now()
 
-	// Fig 3a heuristic mode: classify upfront by size, no timeout.
-	if l.cfg.SizeHeuristicThreshold > 0 {
-		if s.RawBytes > l.cfg.SizeHeuristicThreshold {
-			s.MarkedSlow = true
-			return l.tempQ.Put(ctx, tempItem{s: s})
-		}
-		if err := l.spec.Pipeline.Apply(ctx, l.env.CPU, s); err != nil {
-			l.env.Pool.Put(s)
-			return err
-		}
-		s.PreprocEnd = l.env.RT.Now()
-		l.traceSample(trace.StageTransform, s.PreprocStart, s.PreprocEnd, s)
-		l.profiler.Record(s.PreprocCost)
-		return l.putFast(ctx, s)
-	}
-
-	budget := l.profiler.Timeout()
-	err = l.spec.Pipeline.ApplyBudget(ctx, l.env.CPU, s, budget)
+	var err error
+	heuristic := l.cfg.SizeHeuristicThreshold > 0
 	switch {
-	case err == nil:
-		s.PreprocEnd = l.env.RT.Now()
-		l.traceSample(trace.StageTransform, s.PreprocStart, s.PreprocEnd, s)
-		l.profiler.Record(s.PreprocCost)
-		l.profiler.Classified(false)
-		return l.putFast(ctx, s)
-	case errors.Is(err, transform.ErrInterrupted):
-		l.traceSample(trace.StageTransform, s.PreprocStart, l.env.RT.Now(), s)
+	case heuristic && s.RawBytes > l.cfg.SizeHeuristicThreshold:
 		s.MarkedSlow = true
-		l.profiler.Classified(true)
-		if l.cfg.RestartSlowFromScratch {
-			// Ablation: discard partial progress. The reset copy comes from
-			// the pool and the partially-processed instance goes back to it.
-			s = l.env.Pool.CloneReset(s)
-			s.MarkedSlow = true
-		}
-		return l.tempQ.Put(ctx, tempItem{s: s})
+	case heuristic:
+		err = l.spec.Pipeline.Apply(ctx, l.env.CPU, s)
 	default:
+		err = l.spec.Pipeline.ApplyBudget(ctx, l.env.CPU, s, l.profiler.Timeout())
+		if errors.Is(err, transform.ErrInterrupted) {
+			err = nil
+			l.traceSample(trace.StageTransform, s.PreprocStart, l.env.RT.Now(), s)
+			s.MarkedSlow = true
+			l.profiler.Classified(true)
+			if l.cfg.RestartSlowFromScratch {
+				// Ablation: discard partial progress. The reset copy comes
+				// from the pool and the partially-processed instance goes
+				// back to it; the claim follows the key, not the instance.
+				s = l.env.Pool.CloneReset(s)
+				s.MarkedSlow = true
+			}
+		}
+	}
+	if err != nil {
 		l.env.Pool.Put(s)
 		return err
 	}
+	if s.MarkedSlow {
+		if err := l.tempQ.Put(ctx, s); err != nil {
+			return err
+		}
+		settled = true // finishSlow settles the claim
+		return nil
+	}
+
+	s.PreprocEnd = l.env.RT.Now()
+	l.traceSample(trace.StageTransform, s.PreprocStart, s.PreprocEnd, s)
+	l.profiler.Record(s.PreprocCost)
+	if !heuristic {
+		l.profiler.Classified(false)
+	}
+	if l.mat != nil {
+		l.mat.Complete(l.matTenant, mk, matEntry(s))
+		settled = true
+		l.traceSample(trace.StageMatFill, s.PreprocStart, s.PreprocEnd, s)
+	}
+	return l.putFast(ctx, s)
 }
 
 // finishSlow completes a timed-out sample from its recorded transform
 // index and publishes it to the slow queue (Algorithm 1 lines 14–18).
 // With the materialized cache enabled, every parked sample carries a
-// leader claim from the warm path: the finished output is published to the
+// leader claim from processNew: the finished output is published to the
 // cache, and any failure (or panic unwinding to runSample) aborts the
 // claim so parked co-tenants re-elect a leader instead of deadlocking.
 func (l *Loader) finishSlow(ctx context.Context, s *data.Sample) error {
@@ -681,21 +681,21 @@ func (l *Loader) Stop() {
 	l.slowQ.Close()
 	l.tempQ.Close()
 	// Each parked slow sample carries an unsettled matcache leader claim
-	// (leadFill defers settlement to finishSlow). No worker will resume
+	// (processNew defers settlement to finishSlow). No worker will resume
 	// them now, so drain the queue and abort the claims — otherwise the
 	// keys stay inflight in the cluster-shared cache and co-tenant or
 	// later sessions park forever on a fill that will never complete. A
 	// racing worker that wins an item instead settles it through
 	// finishSlow's own Complete/Abort paths.
 	for {
-		item, ok, _ := l.tempQ.TryGet()
+		s, ok, _ := l.tempQ.TryGet()
 		if !ok {
 			break
 		}
 		if l.mat != nil {
-			l.mat.Abort(matcache.Key{Obj: item.s.Key, Sig: l.matSig})
+			l.mat.Abort(matcache.Key{Obj: s.Key, Sig: l.matSig})
 		}
-		l.env.Pool.Put(item.s)
+		l.env.Pool.Put(s)
 	}
 	for _, q := range l.batchQs {
 		q.Close()

@@ -9,6 +9,14 @@ import (
 	"github.com/minatoloader/minato/internal/simtime"
 )
 
+// The scheduler's constants, the paper's values (§4.3).
+const (
+	alpha, beta   = 2.0, 2.0    // sensitivity to queue emptiness and to CPU use
+	cpuThreshold  = 0.7         // θ_c
+	deltaClip     = 2           // |Δ| bound
+	schedInterval = time.Second // between two decisions
+)
+
 // Scheduler implements the adaptive worker scheduler of §4.3:
 //
 //	Δ = α·(1 − Q/Qmax) + β·(C − θc)            (Formula 2)
@@ -19,8 +27,7 @@ import (
 // range for stability. Empty queues and busy workers grow the pool (a CPU
 // bottleneck); full queues and idle workers shrink it (over-provisioning).
 type Scheduler struct {
-	l   *Loader
-	cfg Config
+	l *Loader
 
 	// Plain counters: only the loader's own tasks touch them.
 	target, live, peak, retireTokens int
@@ -33,8 +40,8 @@ type Scheduler struct {
 }
 
 // NewScheduler returns a scheduler bound to a loader.
-func NewScheduler(l *Loader, cfg Config) *Scheduler {
-	return &Scheduler{l: l, cfg: cfg, qAvg: metrics.NewEWMA(0.3)}
+func NewScheduler(l *Loader) *Scheduler {
+	return &Scheduler{l: l, qAvg: metrics.NewEWMA(0.3)}
 }
 
 // SetTarget fixes the desired worker count (initialization and tests).
@@ -84,7 +91,7 @@ func (sc *Scheduler) Start(ctx context.Context) {
 			if sc.l.stopFlag {
 				return
 			}
-			next := sc.l.env.RT.Now() + sc.cfg.SchedInterval
+			next := sc.l.env.RT.Now() + schedInterval
 			for {
 				park := next - sc.l.env.RT.Now()
 				if park <= 0 {
@@ -135,13 +142,13 @@ func (sc *Scheduler) tick(ctx context.Context) {
 	}
 	sc.lastBusy, sc.lastTime, sc.lastCPUUtil = busy, now, c
 
-	delta := sc.cfg.Alpha*(1-qFrac) + sc.cfg.Beta*(c-sc.cfg.CPUThreshold)
+	delta := alpha*(1-qFrac) + beta*(c-cpuThreshold)
 	d := int(math.Round(delta))
-	if d > sc.cfg.DeltaClip {
-		d = sc.cfg.DeltaClip
+	if d > deltaClip {
+		d = deltaClip
 	}
-	if d < -sc.cfg.DeltaClip {
-		d = -sc.cfg.DeltaClip
+	if d < -deltaClip {
+		d = -deltaClip
 	}
 	sc.apply(ctx, d)
 }

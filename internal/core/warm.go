@@ -9,113 +9,30 @@ package core
 
 import (
 	"context"
-	"errors"
 
 	"github.com/minatoloader/minato/internal/data"
-	"github.com/minatoloader/minato/internal/loader"
 	"github.com/minatoloader/minato/internal/matcache"
 	"github.com/minatoloader/minato/internal/trace"
-	"github.com/minatoloader/minato/internal/transform"
 )
 
-// processNewWarm is processNew with the cache in front: a hit restores the
-// materialized sample, a miss elects this worker leader (or parks it behind
-// the current leader) and falls through to the cold path.
-func (l *Loader) processNewWarm(ctx context.Context, it loader.IndexItem) error {
-	s := loader.FillSample(l.env, l.spec, it)
-	mk := matcache.Key{Obj: s.Key, Sig: l.matSig}
+// claim looks s's key up in the materialized cache: a hit returns its
+// entry; a miss elects this worker leader and returns none, after parking
+// behind the current leader's fill as often as it takes.
+func (l *Loader) claim(ctx context.Context, s *data.Sample, mk matcache.Key) (matcache.Entry, bool, error) {
 	for {
 		t0 := l.env.RT.Now()
 		e, hit, w := l.mat.GetOrBegin(l.matTenant, mk, l.env.RT)
 		if hit {
 			l.traceSample(trace.StageMatHit, t0, t0, s)
-			return l.restoreHit(ctx, s, e)
+			return e, true, nil
 		}
 		if w == nil {
-			break // leader: materialize below
+			return e, false, nil
 		}
 		if err := w.Wait(ctx); err != nil {
-			l.env.Pool.Put(s)
-			return err
+			return e, false, err
 		}
 		l.traceSample(trace.StageMatWait, t0, l.env.RT.Now(), s)
-	}
-	return l.leadFill(ctx, s, mk)
-}
-
-// leadFill runs the cold path for a leader-claimed key. The claim must be
-// settled on every exit or parked followers deadlock the kernel: Complete
-// when the sample finishes fast, carried into finishSlow by a slow park,
-// Abort on any error or panic (the deferred abort runs while a panic
-// unwinds toward runSample's recover, before any follower could observe a
-// stale claim).
-func (l *Loader) leadFill(ctx context.Context, s *data.Sample, mk matcache.Key) (err error) {
-	settled := false
-	defer func() {
-		if !settled {
-			l.mat.Abort(mk)
-		}
-	}()
-	if rerr := l.env.Store.ReadSample(ctx, l.env.RT, s); rerr != nil {
-		l.env.Pool.Put(s)
-		return rerr
-	}
-	s.PreprocStart = l.env.RT.Now()
-
-	// Fig 3a heuristic mode: classify upfront by size, no timeout.
-	if l.cfg.SizeHeuristicThreshold > 0 {
-		if s.RawBytes > l.cfg.SizeHeuristicThreshold {
-			s.MarkedSlow = true
-			if perr := l.tempQ.Put(ctx, tempItem{s: s}); perr != nil {
-				return perr
-			}
-			settled = true // finishSlow settles the claim
-			return nil
-		}
-		if aerr := l.spec.Pipeline.Apply(ctx, l.env.CPU, s); aerr != nil {
-			l.env.Pool.Put(s)
-			return aerr
-		}
-		s.PreprocEnd = l.env.RT.Now()
-		l.traceSample(trace.StageTransform, s.PreprocStart, s.PreprocEnd, s)
-		l.profiler.Record(s.PreprocCost)
-		l.mat.Complete(l.matTenant, mk, matEntry(s))
-		settled = true
-		l.traceSample(trace.StageMatFill, s.PreprocStart, s.PreprocEnd, s)
-		return l.putFast(ctx, s)
-	}
-
-	budget := l.profiler.Timeout()
-	err = l.spec.Pipeline.ApplyBudget(ctx, l.env.CPU, s, budget)
-	switch {
-	case err == nil:
-		s.PreprocEnd = l.env.RT.Now()
-		l.traceSample(trace.StageTransform, s.PreprocStart, s.PreprocEnd, s)
-		l.profiler.Record(s.PreprocCost)
-		l.profiler.Classified(false)
-		l.mat.Complete(l.matTenant, mk, matEntry(s))
-		settled = true
-		l.traceSample(trace.StageMatFill, s.PreprocStart, s.PreprocEnd, s)
-		return l.putFast(ctx, s)
-	case errors.Is(err, transform.ErrInterrupted):
-		l.traceSample(trace.StageTransform, s.PreprocStart, l.env.RT.Now(), s)
-		s.MarkedSlow = true
-		l.profiler.Classified(true)
-		if l.cfg.RestartSlowFromScratch {
-			// Ablation: discard partial progress (see processNew). The claim
-			// follows the key, not the sample instance, so the reset copy
-			// still settles it in finishSlow.
-			s = l.env.Pool.CloneReset(s)
-			s.MarkedSlow = true
-		}
-		if perr := l.tempQ.Put(ctx, tempItem{s: s}); perr != nil {
-			return perr
-		}
-		settled = true // finishSlow settles the claim
-		return nil
-	default:
-		l.env.Pool.Put(s)
-		return err
 	}
 }
 

@@ -33,7 +33,7 @@ func TestStopAbortsParkedWarmClaims(t *testing.T) {
 			if _, hit, w := l.mat.GetOrBegin(l.matTenant, mk, h.env.RT); hit || w != nil {
 				t.Fatalf("key %v: expected leadership", mk.Obj)
 			}
-			if err := l.tempQ.Put(ctx, tempItem{s: s}); err != nil {
+			if err := l.tempQ.Put(ctx, s); err != nil {
 				t.Fatal(err)
 			}
 			keys = append(keys, mk)

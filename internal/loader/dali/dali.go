@@ -53,9 +53,11 @@ type Loader struct {
 	readyQs []*queue.Queue[*data.Batch]
 	ioTasks *queue.Queue[ioTask]
 	ioDone  *queue.Queue[ioResult]
-	counter *loader.DeliveryCounter
-	stopped bool
-	cancel  context.CancelFunc
+	// delivered counts the batches Next handed out; the one that reaches
+	// budget stops the loader. Plain: only the loader's tasks deliver.
+	delivered, budget int
+	stopped           bool
+	cancel            context.CancelFunc
 }
 
 // ioTask is one sample load dispatched to the persistent IO worker pool.
@@ -87,14 +89,13 @@ func New(env *loader.Env, spec loader.Spec, cfg Config) *Loader {
 		idx:     loader.NewIndexSource(spec),
 		ioTasks: queue.New[ioTask](env.RT, "dali-iotasks", cfg.IOParallelism),
 		ioDone:  queue.New[ioResult](env.RT, "dali-iodone", spec.BatchSize),
-		counter: loader.NewDeliveryCounter(spec.TotalBatches()),
+		budget:  spec.TotalBatches(),
 	}
-	for g := range env.GPUs {
+	for range env.GPUs {
 		l.rawQs = append(l.rawQs,
 			queue.New[*data.Batch](env.RT, "dali-raw", cfg.QueueDepth))
 		l.readyQs = append(l.readyQs,
 			queue.New[*data.Batch](env.RT, "dali-ready", cfg.QueueDepth))
-		_ = g
 	}
 	return l
 }
@@ -264,7 +265,7 @@ func (l *Loader) Next(ctx context.Context, g int) (*data.Batch, error) {
 		return nil, loader.EOFIfClosed(err)
 	}
 	l.env.GPUs[g].Release(b.Bytes())
-	if l.counter.Deliver() {
+	if l.delivered++; l.delivered >= l.budget {
 		l.Stop()
 	}
 	return b, nil

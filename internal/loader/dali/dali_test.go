@@ -152,3 +152,27 @@ func TestRoundRobinAcrossGPUs(t *testing.T) {
 		_ = env.WG.Wait(context.Background())
 	})
 }
+
+// TestBudgetsLastNextStopsTheLoader: the Next that delivers the budget's last
+// batch stops the loader there, not when its queues later run dry.
+func TestBudgetsLastNextStopsTheLoader(t *testing.T) {
+	k := simtime.NewVirtual()
+	k.Run(func() {
+		ctx := context.Background()
+		env := newEnv(k, 1)
+		l := New(env, speechSpec(4, 3), DefaultConfig())
+		_ = l.Start(ctx)
+		for i := 1; i <= 3; i++ {
+			if _, err := l.Next(ctx, 0); err != nil {
+				t.Fatal(err)
+			}
+			if l.stopped != (i == 3) {
+				t.Fatalf("after batch %d of 3: stopped = %v", i, l.stopped)
+			}
+		}
+		if _, err := l.Next(ctx, 0); err != io.EOF {
+			t.Fatalf("Next past the budget: %v, want io.EOF", err)
+		}
+		_ = env.WG.Wait(ctx)
+	})
+}

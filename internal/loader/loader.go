@@ -225,27 +225,3 @@ func LoadSample(ctx context.Context, env *Env, spec Spec, it IndexItem) (*data.S
 	}
 	return s, nil
 }
-
-// DeliveryCounter tracks how many batches have been delivered and closes
-// over the budget, shared by loader implementations.
-type DeliveryCounter struct {
-	delivered int64 // plain: only the loader's tasks deliver
-	budget    int64
-}
-
-// NewDeliveryCounter returns a counter with the given budget.
-func NewDeliveryCounter(budget int) *DeliveryCounter {
-	return &DeliveryCounter{budget: int64(budget)}
-}
-
-// Deliver increments and reports whether this delivery completed the budget.
-func (d *DeliveryCounter) Deliver() (done bool) {
-	d.delivered++
-	return d.delivered >= d.budget
-}
-
-// Delivered returns the count so far.
-func (d *DeliveryCounter) Delivered() int64 { return d.delivered }
-
-// Budget returns the total budget.
-func (d *DeliveryCounter) Budget() int64 { return d.budget }

@@ -192,19 +192,6 @@ func TestIndexSourceDrawAllocatesNothing(t *testing.T) {
 	}
 }
 
-func TestDeliveryCounter(t *testing.T) {
-	c := NewDeliveryCounter(3)
-	if c.Deliver() || c.Deliver() {
-		t.Fatal("done before budget")
-	}
-	if !c.Deliver() {
-		t.Fatal("not done at budget")
-	}
-	if c.Delivered() != 3 || c.Budget() != 3 {
-		t.Fatalf("counter state: %d/%d", c.Delivered(), c.Budget())
-	}
-}
-
 func TestEOFIfClosed(t *testing.T) {
 	if err := EOFIfClosed(queue.ErrClosed); err.Error() != "EOF" {
 		t.Fatalf("EOFIfClosed(ErrClosed) = %v", err)

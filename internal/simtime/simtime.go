@@ -64,6 +64,12 @@
 // after its stream has left the kernel), the registries, and the snapshot a
 // session publishes for Session.Stats.
 //
+// What the kernel owns: the clock, the timers, the ready queue and the task
+// list — and the run's span recorder. Trace returns it, nil when the run is
+// untraced, and every layer on the kernel records its spans there; no layer
+// holds a recorder of its own. SetTrace attaches it once, from the loop or
+// before the first entry, and a kernel takes one recorder.
+//
 // Cancellation is a kernel event. One context.AfterFunc per distinct
 // context per kernel readies the tasks parked under it; their Sleep or Wait
 // returns ctx.Err() — unless a wake got there first, which still wins — and

@@ -32,8 +32,9 @@
 //
 // Spans are stored in pooled fixed-size chunks behind one mutex: the
 // steady-state record path is a lock, a struct copy, and an index bump —
-// no allocation once the chunk pool has warmed. With tracing off the
-// recorder pointer is nil and every Record call is a nil-check that the
+// no allocation once the chunk pool has warmed. A run's one recorder is its
+// kernel's (simtime.Virtual.Trace). With tracing off that pointer is nil
+// and every Record call is a nil-check that the
 // compiler can see through, so the headline bench's near-zero-alloc hot
 // path is untouched.
 package trace

@@ -62,11 +62,12 @@ const (
 //	rep, err := minato.Train("speech-3s", minato.WithTracing(sink))
 //	_ = sink.WriteChrome(f) // load f in Perfetto / chrome://tracing
 //
-// A sink is safe for concurrent use and may be shared across runs (spans
-// accumulate until Reset). The zero *TraceSink (nil) is a valid "tracing
-// off" sink: every method no-ops, and the instrumented hot paths skip all
-// recording — the disabled fast path costs one nil check and zero
-// allocations.
+// A sink becomes the recorder of the runtime it is attached to, and a runtime
+// takes one sink. A sink is safe for concurrent use and may be shared across
+// runs and runtimes (spans accumulate until Reset). The zero *TraceSink (nil)
+// is a valid "tracing off" sink: every method no-ops, and the instrumented hot
+// paths skip all recording — the disabled fast path costs one nil check and
+// zero allocations.
 type TraceSink struct {
 	rec *trace.Recorder
 }
@@ -122,10 +123,14 @@ func (s *TraceSink) Reset() { s.recorder().Reset() }
 // service protocol frames, and chaos fault windows. See TraceSink for
 // consuming the result.
 //
-// Tracing is substrate-owned: pass it to NewCluster (or a standalone
-// Open/Train/TrainMultiNode, which configures the implicit cluster) and to
-// Serve for the service fabric. Sessions of an explicit cluster cannot
-// carry it. A nil sink disables tracing (the default).
+// Tracing belongs to the runtime: the sink becomes the recorder of the
+// runtime NewCluster or Serve runs on (or of the one a standalone
+// Open/Train/TrainMultiNode builds), and every layer on it records there —
+// a sink given only to NewCluster also records its servers' frames, one
+// given only to Serve also records its cluster's sessions. Sessions of an
+// explicit cluster cannot carry it. A runtime takes one sink: the same
+// sink again is accepted, a different one is a *ConfigError. A nil sink
+// disables tracing (the default).
 func WithTracing(sink *TraceSink) Option {
 	return Option{"WithTracing", implicit | atNewCluster | atServe, func(o *options) { o.trace = sink.recorder() }}
 }
