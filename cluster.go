@@ -282,13 +282,7 @@ func (c *Cluster) open(dataset Dataset, o *options, ownsCluster, served bool) (*
 	share := c.join(o.weight)
 	cacheTenant := c.joinTenant()
 	gpuIdxs := c.acquireGPUs(gpuCount)
-	env := c.sessionEnv(gpuIdxs, cacheTenant, share)
 
-	ld := f.New(env, spec)
-	name := f.Name
-	if name == "" {
-		name = ld.Name()
-	}
 	s := &Session{
 		cl:          c,
 		ownsCluster: ownsCluster,
@@ -296,14 +290,17 @@ func (c *Cluster) open(dataset Dataset, o *options, ownsCluster, served bool) (*
 		cacheTenant: cacheTenant,
 		share:       share,
 		gpuIdxs:     gpuIdxs,
-		env:         env,
-		ld:          ld,
 		factory:     f,
-		name:        name,
 		spec:        spec,
 		script:      script,
-		stats:       SessionStats{Tenant: tenantID, Dataset: dataset.Name(), Loader: name, Priority: o.weight},
 	}
+	c.sessionEnv(&s.env, gpuIdxs, cacheTenant, share)
+	s.ld = f.New(&s.env, spec)
+	s.name = f.Name
+	if s.name == "" {
+		s.name = s.ld.Name()
+	}
+	s.stats = SessionStats{Tenant: tenantID, Dataset: dataset.Name(), Loader: s.name, Priority: o.weight}
 	s.rt, s.src, s.retain = c.rt, s, o.retain
 	c.sessions = append(c.sessions, s)
 	s.publish()
@@ -393,7 +390,9 @@ func (c *Cluster) train(w Workload, o *options) (*Report, error) {
 			share := c.join(o.weight)
 			gpuIdxs := c.acquireGPUs(gpuCount)
 			cacheTenant := c.joinTenant()
-			rep, err = trainer.RunEnv(c.sessionEnv(gpuIdxs, cacheTenant, share), w, f, o.params)
+			env := new(Env)
+			c.sessionEnv(env, gpuIdxs, cacheTenant, share)
+			rep, err = trainer.RunEnv(env, w, f, o.params)
 			c.leaveTenant(cacheTenant)
 			c.releaseGPUs(gpuIdxs)
 			c.leave(share)
@@ -503,15 +502,15 @@ func (c *Cluster) releaseGPUs(idxs []int) {
 	}
 }
 
-// sessionEnv assembles a session's view of the shared substrate: shared
+// sessionEnv fills env, a session's view of the shared substrate: shared
 // runtime, CPU, the placed GPUs, disk, cache (tenant-routed), and pool; a
 // private WaitGroup for teardown; the tenant's worker-quota governor.
-func (c *Cluster) sessionEnv(gpuIdxs []int, cacheTenant int, share *clusterShare) *Env {
+func (c *Cluster) sessionEnv(env *Env, gpuIdxs []int, cacheTenant int, share *clusterShare) {
 	gpus := make([]*gpu.GPU, len(gpuIdxs))
 	for i, g := range gpuIdxs {
 		gpus[i] = c.gpus[g]
 	}
-	return &Env{
+	*env = Env{
 		RT:    c.rt,
 		CPU:   c.cpu,
 		GPUs:  gpus,

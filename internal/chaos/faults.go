@@ -97,15 +97,15 @@ func (f *Faults) Stats() []FaultStat { return append([]FaultStat(nil), f.stats..
 
 // StallWorkers applies a WorkerStall to cpu: the window opens now,
 // ceil(Factor × capacity) hog tasks each occupy a core for ev.Duration, and a
-// closer task of wg clears the window when the last hog drains.
+// closer task of wg clears the window when the last hog drains. The hogs
+// share one body, so a stall costs one closure however many cores it takes.
 func (f *Faults) StallWorkers(wg *simtime.WaitGroup, cpu *device.Device, ev Event, node int) {
 	f.Open(ev, node)
 	n := max(1, int(math.Ceil(ev.Factor*cpu.Capacity())))
 	hogs := simtime.NewWaitGroup(f.rt)
+	hog := func() { _ = cpu.Run(context.Background(), ev.Duration) }
 	for i := 0; i < n; i++ {
-		hogs.Go("chaos-hog", func() {
-			_ = cpu.Run(context.Background(), ev.Duration)
-		})
+		hogs.Go("chaos-hog", hog)
 	}
 	wg.Go("chaos-hog-closer", func() {
 		_ = hogs.Wait(context.Background())

@@ -121,22 +121,25 @@ func (c *Config) fillDefaults(cores int) {
 	}
 }
 
-// Loader is MinatoLoader.
+// Loader is MinatoLoader. Its parts — index stream, queues, profiler,
+// scheduler, gate, the constructors' selectors — are values inside it, so a
+// loader costs a handful of allocations (itself, its queues' item rings, the
+// per-GPU lanes, the profiler's window) however many parts it has.
 type Loader struct {
 	env  *loader.Env
 	spec loader.Spec
 	cfg  Config
 
-	idx   *loader.IndexSource
-	fastQ *queue.Queue[*data.Sample]
-	slowQ *queue.Queue[*data.Sample]
+	idx   loader.IndexSource
+	fastQ queue.Queue[*data.Sample]
+	slowQ queue.Queue[*data.Sample]
 	// tempQ parks timed-out samples for background completion; each carries
 	// its interrupted transform index (Algorithm 1 line 11).
-	tempQ   *queue.Queue[*data.Sample]
-	batchQs []*queue.Queue[*data.Batch]
+	tempQ queue.Queue[*data.Sample]
+	lanes []lane // one per GPU
 
-	profiler *Profiler
-	sched    *Scheduler
+	profiler Profiler
+	sched    Scheduler
 
 	// mat is the cluster's materialized preprocessed-sample cache (nil
 	// disables the warm path); matSig keys this loader's entries by its
@@ -157,7 +160,7 @@ type Loader struct {
 	// gate broadcasts accounting changes that can flip drained() without a
 	// queue operation (faults, source exhaustion, worker exits, the final
 	// consume), so parked batch constructors re-check instead of polling.
-	gate *simtime.Gate
+	gate simtime.Gate
 
 	batchSeq int64
 	// claims assigns batch slots to constructors so the delivery budget is
@@ -175,28 +178,33 @@ type Loader struct {
 	cancel   context.CancelFunc
 }
 
+// lane is one GPU's delivery: its batch queue, and the selector its batch
+// constructor parks on.
+type lane struct {
+	batches queue.Queue[*data.Batch]
+	sel     simtime.Selector
+}
+
 // New returns a MinatoLoader over the given spec.
 func New(env *loader.Env, spec loader.Spec, cfg Config) *Loader {
 	cfg.fillDefaults(int(env.CPU.Capacity()))
-	l := &Loader{
-		env: env, spec: spec, cfg: cfg,
-		idx:   loader.NewIndexSource(spec),
-		fastQ: queue.New[*data.Sample](env.RT, "fast", cfg.QueueCap),
-		slowQ: queue.New[*data.Sample](env.RT, "slow", cfg.QueueCap),
-		tempQ: queue.New[*data.Sample](env.RT, "temp", cfg.QueueCap),
-		gate:  simtime.NewGate(),
+	l := &Loader{env: env, spec: spec, cfg: cfg}
+	l.idx.Init(spec)
+	l.fastQ.Init(env.RT, "fast", cfg.QueueCap)
+	l.slowQ.Init(env.RT, "slow", cfg.QueueCap)
+	l.tempQ.Init(env.RT, "temp", cfg.QueueCap)
+	l.lanes = make([]lane, len(env.GPUs))
+	for g := range l.lanes {
+		l.lanes[g].batches.Init(env.RT, "batch", cfg.QueueCap)
+		l.lanes[g].sel.Bind(env.RT)
 	}
-	for range env.GPUs {
-		l.batchQs = append(l.batchQs,
-			queue.New[*data.Batch](env.RT, "batch", cfg.QueueCap))
-	}
-	l.profiler = NewProfiler(ProfilerConfig{
+	l.profiler.init(ProfilerConfig{
 		TimeoutPercentile:  cfg.TimeoutPercentile,
 		FallbackPercentile: cfg.FallbackPercentile,
 		MaxSlowFraction:    cfg.MaxSlowFraction,
 		WarmupSamples:      cfg.WarmupSamples,
 	})
-	l.sched = NewScheduler(l)
+	l.sched.init(l)
 	if cfg.OrderPreserving {
 		l.ordered = newOrderedBuffer()
 	}
@@ -236,8 +244,11 @@ func (l *Loader) maxWorkersNow() int {
 }
 
 // Start implements loader.Loader.
-func (l *Loader) Start(ctx context.Context) error {
-	ctx, l.cancel = simtime.WithCancel(l.env.RT, ctx)
+func (l *Loader) Start(parent context.Context) error {
+	// Declared, never reassigned: the constructors' closures copy ctx
+	// instead of sharing a heap cell.
+	ctx, cancel := simtime.WithCancel(l.env.RT, parent)
+	l.cancel = cancel
 
 	initial := l.cfg.InitialWorkersPerGPU * len(l.env.GPUs)
 	if max := l.maxWorkersNow(); initial > max {
@@ -251,8 +262,7 @@ func (l *Loader) Start(ctx context.Context) error {
 		l.sched.Start(ctx)
 	}
 
-	for g := range l.batchQs {
-		g := g
+	for g := range l.lanes {
 		l.env.WG.Go("minato-batcher", func() {
 			l.batchConstructor(ctx, g)
 		})
@@ -529,18 +539,17 @@ func (l *Loader) putFast(ctx context.Context, s *data.Sample) error {
 // abnormal deficit) is released so the claim counter stays an exact account
 // of assembled batches.
 func (l *Loader) batchConstructor(ctx context.Context, g int) {
-	out := l.batchQs[g]
+	out, sel := &l.lanes[g].batches, &l.lanes[g].sel
 	defer out.Close()
 	total := int64(l.spec.TotalBatches())
-	sel := simtime.NewSelector(l.env.RT)
 	// Wake sources for an idle constructor, in priority order. The gate
 	// carries accounting-only changes (faults, source exhaustion) that could
 	// flip drained() without a queue operation.
 	var sources []simtime.Source
 	if l.cfg.OrderPreserving {
-		sources = []simtime.Source{l.ordered, l.gate}
+		sources = []simtime.Source{l.ordered, &l.gate}
 	} else {
-		sources = []simtime.Source{l.fastQ, l.slowQ, l.gate}
+		sources = []simtime.Source{&l.fastQ, &l.slowQ, &l.gate}
 	}
 	for {
 		if l.stopFlag {
@@ -654,7 +663,7 @@ func (l *Loader) workersIdle() bool {
 // Next implements loader.Loader: per-GPU batch queues (Algorithm 1 lines
 // 31–37; queue Get already blocks, subsuming the sleep-poll loop).
 func (l *Loader) Next(ctx context.Context, g int) (*data.Batch, error) {
-	b, err := l.batchQs[g].Get(ctx)
+	b, err := l.lanes[g].batches.Get(ctx)
 	if err != nil {
 		return nil, loader.EOFIfClosed(err)
 	}
@@ -697,8 +706,8 @@ func (l *Loader) Stop() {
 		}
 		l.env.Pool.Put(s)
 	}
-	for _, q := range l.batchQs {
-		q.Close()
+	for g := range l.lanes {
+		l.lanes[g].batches.Close()
 	}
 	// Constructors parked on the ordered buffer (which has no close
 	// event) re-check stopFlag on the gate pulse.
@@ -722,8 +731,8 @@ func (l *Loader) RegisterMetrics(c *metrics.Collector) {
 	c.Register("minato_tempq", func() float64 { return float64(l.tempQ.Len()) })
 	c.Register("minato_batchq", func() float64 {
 		n := 0
-		for _, q := range l.batchQs {
-			n += q.Len()
+		for g := range l.lanes {
+			n += l.lanes[g].batches.Len()
 		}
 		return float64(n)
 	})

@@ -35,9 +35,9 @@ type Profiler struct {
 	// unlike the previous sort of the full window every RecomputeEvery
 	// records. Bucket resolution bounds the percentile error to under ~2%
 	// relative, tightened further by linear interpolation inside a bucket.
-	ring    []uint16 // bucket index per windowed record
-	counts  []int32  // histogram over the live window
-	n       int      // live records (≤ WindowSize)
+	ring    []uint16           // bucket index per windowed record
+	counts  [histBuckets]int32 // histogram over the live window
+	n       int                // live records (≤ WindowSize)
 	idx     int
 	records int
 
@@ -82,6 +82,14 @@ func histBucket(sec float64) int {
 
 // NewProfiler returns a profiler with defaults filled in.
 func NewProfiler(cfg ProfilerConfig) *Profiler {
+	p := new(Profiler)
+	p.init(cfg)
+	return p
+}
+
+// init readies a zero profiler, one embedded in its loader: what NewProfiler
+// does for one of its own.
+func (p *Profiler) init(cfg ProfilerConfig) {
 	if cfg.TimeoutPercentile <= 0 {
 		cfg.TimeoutPercentile = 0.75
 	}
@@ -100,12 +108,9 @@ func NewProfiler(cfg ProfilerConfig) *Profiler {
 	if cfg.RecomputeEvery <= 0 {
 		cfg.RecomputeEvery = 32
 	}
-	return &Profiler{
-		cfg:     cfg,
-		ring:    make([]uint16, cfg.WindowSize),
-		counts:  make([]int32, histBuckets),
-		timeout: math.MaxInt64,
-	}
+	p.cfg = cfg
+	p.ring = make([]uint16, cfg.WindowSize)
+	p.timeout = math.MaxInt64
 }
 
 // Record adds one observed total preprocessing time: one bucket increment,

@@ -32,16 +32,18 @@ type Scheduler struct {
 	// Plain counters: only the loader's own tasks touch them.
 	target, live, peak, retireTokens int
 
-	qAvg *metrics.EWMA
+	qAvg metrics.EWMA
+	sel  simtime.Selector // the scheduling loop's
 
 	lastBusy    float64
 	lastTime    time.Duration
 	lastCPUUtil float64
 }
 
-// NewScheduler returns a scheduler bound to a loader.
-func NewScheduler(l *Loader) *Scheduler {
-	return &Scheduler{l: l, qAvg: metrics.NewEWMA(0.3)}
+// init binds a zero scheduler, the one embedded in l, to l.
+func (sc *Scheduler) init(l *Loader) {
+	sc.l, sc.qAvg = l, *metrics.NewEWMA(0.3)
+	sc.sel.Bind(l.env.RT)
 }
 
 // SetTarget fixes the desired worker count (initialization and tests).
@@ -86,7 +88,6 @@ func (sc *Scheduler) Start(ctx context.Context) {
 		// the cancellation propagates, and an otherwise-idle kernel can
 		// advance the clock to that deadline in the window — a wall-clock
 		// race in what must be a deterministic schedule.
-		sel := simtime.NewSelector(sc.l.env.RT)
 		for {
 			if sc.l.stopFlag {
 				return
@@ -97,7 +98,7 @@ func (sc *Scheduler) Start(ctx context.Context) {
 				if park <= 0 {
 					break
 				}
-				idx, err := sel.Select(ctx, park, sc.l.gate)
+				idx, err := sc.sel.Select(ctx, park, &sc.l.gate)
 				if err != nil {
 					return
 				}
@@ -118,9 +119,9 @@ func (sc *Scheduler) tick(ctx context.Context) {
 	// Q: moving average of total batch-queue occupancy.
 	qLen := 0
 	qMax := 0
-	for _, q := range sc.l.batchQs {
-		qLen += q.Len()
-		qMax += q.Cap()
+	for g := range sc.l.lanes {
+		qLen += sc.l.lanes[g].batches.Len()
+		qMax += sc.l.lanes[g].batches.Cap()
 	}
 	qAvg := sc.qAvg.Update(float64(qLen))
 	qFrac := qAvg / float64(qMax)

@@ -17,7 +17,7 @@ func TestSchedulerApplyClampsToBounds(t *testing.T) {
 	h := newHarness(16, 1)
 	h.k.Run(func() {
 		l := newIdleLoader(t, h)
-		sc := l.sched
+		sc := &l.sched
 		sc.SetTarget(1)
 		// Shrinking below 1 clamps.
 		sc.apply(context.Background(), -5)
@@ -39,7 +39,7 @@ func TestSchedulerGrowSpawnsWorkers(t *testing.T) {
 	h := newHarness(16, 1)
 	h.k.Run(func() {
 		l := newIdleLoader(t, h)
-		sc := l.sched
+		sc := &l.sched
 		sc.SetTarget(2)
 		sc.apply(context.Background(), +3)
 		if got := sc.Target(); got != 5 {
@@ -59,7 +59,7 @@ func TestSchedulerShrinkPostsRetireTokens(t *testing.T) {
 	h := newHarness(16, 1)
 	h.k.Run(func() {
 		l := newIdleLoader(t, h)
-		sc := l.sched
+		sc := &l.sched
 		sc.SetTarget(8)
 		sc.apply(context.Background(), -3)
 		if got := sc.Target(); got != 5 {
@@ -82,7 +82,7 @@ func TestSchedulerRetireTokenClaiming(t *testing.T) {
 	h := newHarness(16, 1)
 	h.k.Run(func() {
 		l := newIdleLoader(t, h)
-		sc := l.sched
+		sc := &l.sched
 		sc.retireTokens = 2
 		claims := 0
 		for i := 0; i < 5; i++ {
@@ -102,7 +102,7 @@ func TestSchedulerZeroDeltaNoChange(t *testing.T) {
 	h := newHarness(16, 1)
 	h.k.Run(func() {
 		l := newIdleLoader(t, h)
-		sc := l.sched
+		sc := &l.sched
 		sc.SetTarget(4)
 		sc.apply(context.Background(), 0)
 		if sc.Target() != 4 || sc.retireTokens != 0 {

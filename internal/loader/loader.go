@@ -170,7 +170,15 @@ type IndexSource struct {
 // indistinguishable downstream from one that delivered the skipped prefix
 // itself.
 func NewIndexSource(spec Spec) *IndexSource {
-	is := &IndexSource{
+	is := new(IndexSource)
+	is.Init(spec)
+	return is
+}
+
+// Init readies a zero IndexSource embedded by value in its loader: what
+// NewIndexSource does for one of its own.
+func (is *IndexSource) Init(spec Spec) {
+	*is = IndexSource{
 		seed: spec.Seed, n: spec.Dataset.Len(),
 		perEpoch: int64(spec.BatchesPerEpoch()) * int64(spec.BatchSize),
 	}
@@ -178,7 +186,6 @@ func NewIndexSource(spec Spec) *IndexSource {
 		is.seq = int64(spec.Skip) * int64(spec.BatchSize)
 		is.end = is.seq + int64(spec.TotalSamples())
 	}
-	return is
 }
 
 // Next returns the next draw, or queue.ErrClosed once the budget has been

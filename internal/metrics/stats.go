@@ -131,8 +131,12 @@ func (s Summary) String() string {
 // metrics (p99 step time under churn). Counts commute, so concurrent
 // writers adding under a caller-held lock — or a deterministic schedule —
 // produce identical quantiles regardless of insertion order.
+//
+// The zero value is an empty histogram, and the counts are an array held by
+// value: an owner embeds its histograms without a separate allocation, and
+// a copy is a snapshot that shares nothing with the original.
 type LogHist struct {
-	counts []int64
+	counts [logHistBuckets]int64
 	n      int64
 	sum    float64
 }
@@ -146,9 +150,7 @@ const (
 )
 
 // NewLogHist returns an empty histogram.
-func NewLogHist() *LogHist {
-	return &LogHist{counts: make([]int64, logHistBuckets)}
-}
+func NewLogHist() *LogHist { return new(LogHist) }
 
 // logHistBucket maps a duration in seconds to its bucket index.
 func logHistBucket(sec float64) int {

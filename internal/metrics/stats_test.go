@@ -190,3 +190,36 @@ func TestLogHistQuantiles(t *testing.T) {
 		t.Fatal("empty/nil quantile not zero")
 	}
 }
+
+// TestLogHistValue pins the bucket geometry through the quantiles of a fixed
+// input (any change to the bucket count, range or interpolation moves them)
+// and checks that a histogram is a value: the zero value is empty, and a
+// copy keeps its counts when the original moves on.
+func TestLogHistValue(t *testing.T) {
+	var h LogHist
+	for i := 1; i <= 1000; i++ {
+		h.Add(200e-6 * math.Pow(float64(i), 1.5)) // 0.2 ms .. 6.3 s
+	}
+	for _, c := range []struct {
+		q    float64
+		want float64
+	}{{0.5, 2.241538652196803}, {0.99, 6.234777208973017}} {
+		if got := h.Quantile(c.q); got != c.want {
+			t.Errorf("q%g = %v, want %v", c.q, got, c.want)
+		}
+	}
+	snap := h
+	for i := 0; i < 1000; i++ {
+		h.Add(100)
+	}
+	if snap.N() != 1000 || snap.Quantile(0.99) != 6.234777208973017 {
+		t.Errorf("copy shares the original's buckets: N %d, q0.99 %v", snap.N(), snap.Quantile(0.99))
+	}
+	if h.N() != 2000 || h.Quantile(0.99) < 99 {
+		t.Errorf("original lost its adds: N %d, q0.99 %v", h.N(), h.Quantile(0.99))
+	}
+	var zero LogHist
+	if zero.N() != 0 || zero.Quantile(0.5) != 0 || zero.Sum() != 0 {
+		t.Error("zero LogHist not empty")
+	}
+}

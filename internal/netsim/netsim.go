@@ -85,7 +85,7 @@ type Fabric struct {
 	doneBytes int64
 	flowsDone int64
 
-	// free recycles flow records (and their selectors) across Transfer
+	// free recycles flow records (and the selectors they embed) across Transfer
 	// calls: the steady-state transfer path allocates nothing.
 	free []*flow
 }
@@ -124,7 +124,7 @@ type flow struct {
 	anchorRem       float64       // remaining at the last rate change
 	anchorT         time.Duration // time of the last rate change
 	finishAt        time.Duration // absolute completion deadline at rate
-	sel             *simtime.Selector
+	sel             simtime.Selector
 	// settledRate is the rate last recorded as a StageFlowRate instant;
 	// -1 until the flow's first settlement. Comparing against it (rather
 	// than flagging changes inside reshare) keeps out of the trace the
@@ -240,7 +240,8 @@ func (f *Fabric) Transfer(ctx context.Context, src, dst int, n int64) error {
 	if k := len(f.free); k > 0 {
 		fl, f.free = f.free[k-1], f.free[:k-1]
 	} else {
-		fl = &flow{sel: simtime.NewSelector(f.rt)}
+		fl = &flow{}
+		fl.sel.Bind(f.rt)
 	}
 	fl.egress, fl.ingress = 2*src, 2*dst+1
 	fl.size = n

@@ -10,9 +10,17 @@
 // power-of-two ring buffer sized at construction, parked producers and
 // consumers are recorded in ring-backed waiter lists (no append-and-shift
 // slice churn; a waiter that gives up leaves in O(1)), and blocking waits
-// draw reusable Selectors from a free list instead of allocating a one-shot
-// Waiter per park. Popped ring slots are zeroed so the queue never keeps a
-// vacated element reachable.
+// reuse Selectors instead of allocating a one-shot Waiter per park. Popped
+// ring slots are zeroed so the queue never keeps a vacated element
+// reachable.
+//
+// A queue that never has more than one blocked Put/Get at a time and never
+// more than two waiters per list allocates nothing past its item ring: the
+// first parked caller uses a Selector embedded in the queue (further
+// concurrent ones draw recycled Selectors from a free list), and each waiter
+// list starts on a two-entry array inside the queue before it moves to a
+// heap ring. Init readies a Queue embedded by value in its owner, so a
+// structure that holds several queues pays one allocation per item ring.
 //
 // A Queue has no lock: it is task-only state (see simtime's ownership rule).
 // Only kernel tasks, of which one runs at a time, may call its methods.
@@ -48,11 +56,14 @@ type Queue[T any] struct {
 	occIntegral float64 // ∫ len dt, in item-seconds
 	lastOcc     time.Duration
 
-	// free recycles Selectors across blocking Put/Get parks. Recycling is
-	// safe because a waker pops an entry before it wakes its selector and a
-	// waiter that gives up removes its own: once park returns, no list holds
-	// a reference to its selector.
-	free []*simtime.Selector
+	// sel serves the first blocking Put/Get to park (selBusy while it does);
+	// free recycles the Selectors of parks beyond it. Reuse is safe because
+	// a waker pops an entry before it wakes its selector and a waiter that
+	// gives up removes its own: once park returns, no list holds a reference
+	// to its selector.
+	sel     simtime.Selector
+	selBusy bool
+	free    []*simtime.Selector
 
 	puts, gets int64
 	maxLen     int
@@ -63,6 +74,15 @@ type Queue[T any] struct {
 // The ring buffer is allocated eagerly (rounded up to a power of two), so
 // the queue performs no item-storage allocation after construction.
 func New[T any](rt *simtime.Virtual, name string, capacity int) *Queue[T] {
+	q := new(Queue[T])
+	q.Init(rt, name, capacity)
+	return q
+}
+
+// Init readies a zero Queue embedded by value in a larger struct: what New
+// does for one of its own. The queue points into itself once used, so it
+// must not be copied after Init.
+func (q *Queue[T]) Init(rt *simtime.Virtual, name string, capacity int) {
 	if capacity <= 0 {
 		panic("queue: capacity must be positive")
 	}
@@ -71,11 +91,10 @@ func New[T any](rt *simtime.Virtual, name string, capacity int) *Queue[T] {
 		ring <<= 1
 	}
 	now := rt.Now()
-	return &Queue[T]{
-		rt: rt, name: name, cap: capacity,
-		buf: make([]T, ring), mask: ring - 1,
-		created: now, lastOcc: now,
-	}
+	q.rt, q.name, q.cap = rt, name, capacity
+	q.buf, q.mask = make([]T, ring), ring-1
+	q.created, q.lastOcc = now, now
+	q.sel.Bind(rt)
 }
 
 // Name returns the queue's diagnostic name.
@@ -194,15 +213,19 @@ func (q *Queue[T]) TryGet() (v T, ok bool, err error) {
 	return v, false, nil
 }
 
-// park parks the caller on list with a recycled selector until a waker (or
-// Close) delivers a wakeup. A nil return means the caller was woken and must
+// park parks the caller on list with the queue's own selector, or a
+// recycled one when another caller holds it, until a waker (or Close)
+// delivers a wakeup. A nil return means the caller was woken and must
 // re-check its condition; a non-nil return is the context error, with the
 // caller's entry already removed from the list.
 func (q *Queue[T]) park(ctx context.Context, list *waitList) error {
-	var sel *simtime.Selector
-	if n := len(q.free); n > 0 {
+	sel := &q.sel
+	switch n := len(q.free); {
+	case !q.selBusy:
+		q.selBusy = true
+	case n > 0:
 		sel, q.free = q.free[n-1], q.free[:n-1]
-	} else {
+	default:
 		sel = simtime.NewSelector(q.rt)
 	}
 	sel.Reset()
@@ -212,7 +235,11 @@ func (q *Queue[T]) park(ctx context.Context, list *waitList) error {
 		// Cancelled: drop our entry if a waker has not already popped it.
 		list.remove(pos, sel)
 	}
-	q.free = append(q.free, sel)
+	if sel == &q.sel {
+		q.selBusy = false
+	} else {
+		q.free = append(q.free, sel)
+	}
 	return err
 }
 
@@ -244,10 +271,12 @@ type waiterEntry struct {
 // tombstone (a zero entry) and pop skips tombstones, so FIFO wake order is
 // untouched. Tombstones are reclaimed as the window's ends pass them; popped
 // and removed slots are zeroed, so no Selector stays reachable after its
-// wait ends.
+// wait ends. The first ring is the list's own inline array; a window that
+// outgrows it moves to heap rings of 8, 16, ... entries.
 type waitList struct {
-	ring       []waiterEntry // len is zero or a power of two
+	ring       []waiterEntry // nil, inline[:], or a heap ring; len a power of two
 	head, tail uint64
+	inline     [2]waiterEntry
 }
 
 func (l *waitList) slot(pos uint64) *waiterEntry { return &l.ring[pos&uint64(len(l.ring)-1)] }
@@ -255,15 +284,26 @@ func (l *waitList) slot(pos uint64) *waiterEntry { return &l.ring[pos&uint64(len
 // push appends e and returns its position.
 func (l *waitList) push(e waiterEntry) uint64 {
 	if int(l.tail-l.head) == len(l.ring) {
-		old := *l
-		l.ring = make([]waiterEntry, max(8, 2*len(old.ring)))
-		for p := old.head; p != old.tail; p++ {
-			*l.slot(p) = *old.slot(p)
-		}
+		l.grow()
 	}
 	*l.slot(l.tail) = e
 	l.tail++
 	return l.tail - 1
+}
+
+// grow moves the full window to a ring twice the size, the inline array
+// being the first, and zeroes the one it left.
+func (l *waitList) grow() {
+	old := l.ring
+	if old == nil {
+		l.ring = l.inline[:]
+		return
+	}
+	l.ring = make([]waiterEntry, max(8, 2*len(old)))
+	for p := l.head; p != l.tail; p++ {
+		*l.slot(p) = old[p&uint64(len(old)-1)]
+	}
+	clear(old)
 }
 
 func (l *waitList) pop() (waiterEntry, bool) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -38,8 +37,20 @@ type remote struct {
 	opened  bool
 	endSeen bool
 	endCode Code
-	out     int // outstanding REQs
-	reqOpen map[int]bool
+	// reqs holds the sequences REQed from this server and not yet answered
+	// or cancelled: at most its granted window of them, so reqs.n is the
+	// outstanding count.
+	reqs seqRing[struct{}]
+}
+
+// pending is the client's state for one sequence between its REQ and its
+// delivery: the batch once it arrived (ahead of order, or at the head),
+// when the primary REQ went out, and whether a hedge is out for it.
+type pending struct {
+	batch     *data.Batch
+	reqAt     time.Duration
+	requested bool
+	hedged    bool
 }
 
 // Client consumes one batch stream over the service fabric. All protocol
@@ -52,27 +63,28 @@ type Client struct {
 	inbox *queue.Queue[Frame]
 	spec  StreamSpec
 	cfg   ClientConfig
-	sel   *simtime.Selector
+	sel   simtime.Selector
 
 	primary       remote
 	replica       remote
 	hasReplica    bool
 	hedgeDisabled bool
 
-	total   int
-	next    int // next sequence to deliver
-	issued  int // primary REQ high-water
-	reorder map[int]*data.Batch
-	reqAt   map[int]time.Duration
-	hedged  map[int]bool
+	total  int
+	next   int // next sequence to deliver
+	issued int // primary REQ high-water
+	// seqs holds the sequences in [next, issued): every one was REQed of
+	// the primary, and the primary's window bounds how far issued runs
+	// ahead of next, so a ring of the client's Window holds them.
+	seqs    seqRing[pending]
 	err     error
 	started time.Duration
 	lastAt  time.Duration
 
 	mu        sync.Mutex
 	delivered int
-	waits     *metrics.LogHist // Recv block time per delivered batch
-	steps     *metrics.LogHist // inter-delivery interval
+	waits     metrics.LogHist // Recv block time per delivered batch
+	steps     metrics.LogHist // inter-delivery interval
 	nHedges   int64
 	nDups     int64
 	nRetry    int64
@@ -103,22 +115,17 @@ func Open(ctx context.Context, n *Net, primaryEP, replicaEP int, spec StreamSpec
 		inbox:      n.Inbox(ep),
 		spec:       spec,
 		cfg:        cfg,
-		sel:        simtime.NewSelector(n.Runtime()),
 		primary:    remote{ep: primaryEP},
 		replica:    remote{ep: replicaEP},
 		hasReplica: replicaEP >= 0 && cfg.HedgeDelay > 0,
-		reorder:    make(map[int]*data.Batch),
-		reqAt:      make(map[int]time.Duration),
-		hedged:     make(map[int]bool),
 	}
+	c.sel.Bind(c.rt)
+	c.seqs.init(cfg.Window)
 	if err := c.openStream(ctx, &c.primary); err != nil {
 		return nil, err
 	}
 	c.started = c.rt.Now()
 	c.lastAt = c.started
-	c.mu.Lock()
-	c.waits, c.steps = metrics.NewLogHist(), metrics.NewLogHist()
-	c.mu.Unlock()
 	return c, nil
 }
 
@@ -139,7 +146,7 @@ func (c *Client) openStream(ctx context.Context, r *remote) error {
 			r.opened = true
 			r.stream = rep.Stream
 			r.window = rep.Window
-			r.reqOpen = make(map[int]bool)
+			r.reqs.init(r.window)
 			if c.total == 0 {
 				c.total = rep.Total
 			}
@@ -207,22 +214,22 @@ func (c *Client) otherSide(ep int) *remote {
 // topUp keeps the prefetch pipeline full: REQs to the primary until the
 // window is spent or the budget issued.
 func (c *Client) topUp(ctx context.Context) error {
-	for c.issued < c.total && c.issued < c.next+c.primary.window && c.primary.out < c.primary.window {
+	for c.issued < c.total && c.issued < c.next+c.primary.window && c.primary.reqs.n < c.primary.window {
 		seq := c.issued
 		if err := c.net.Send(ctx, c.primary.ep, Frame{Op: OpReq, From: c.ep, Stream: c.primary.stream, Seq: seq}); err != nil {
 			return err
 		}
-		c.primary.reqOpen[seq] = true
-		c.primary.out++
+		c.primary.reqs.add(seq)
 		c.noteOutstanding()
-		c.reqAt[seq] = c.rt.Now()
+		p := c.seqs.add(seq)
+		p.reqAt, p.requested = c.rt.Now(), true
 		c.issued++
 	}
 	return nil
 }
 
 func (c *Client) noteOutstanding() {
-	out := c.primary.out + c.replica.out
+	out := c.primary.reqs.n + c.replica.reqs.n
 	c.mu.Lock()
 	if out > c.maxOut {
 		c.maxOut = out
@@ -233,20 +240,20 @@ func (c *Client) noteOutstanding() {
 // canHedge reports whether the head-of-line sequence is eligible for a
 // hedged request.
 func (c *Client) canHedge() bool {
-	if !c.hasReplica || c.hedgeDisabled || c.hedged[c.next] {
+	if !c.hasReplica || c.hedgeDisabled {
 		return false
 	}
-	if _, requested := c.reqAt[c.next]; !requested {
+	if p := c.seqs.find(c.next); p == nil || p.hedged || !p.requested {
 		return false
 	}
-	return !c.replica.opened || c.replica.out < c.replica.window
+	return !c.replica.opened || c.replica.reqs.n < c.replica.window
 }
 
 // fireHedge opens the replica stream if needed and re-requests the
 // head-of-line sequence there.
 func (c *Client) fireHedge(ctx context.Context) {
 	seq := c.next
-	c.hedged[seq] = true
+	c.seqs.add(seq).hedged = true
 	if !c.replica.opened {
 		if err := c.openStream(ctx, &c.replica); err != nil {
 			// A replica that rejects the open (overloaded, unauthorized,
@@ -256,14 +263,13 @@ func (c *Client) fireHedge(ctx context.Context) {
 			return
 		}
 	}
-	if c.replica.out >= c.replica.window {
+	if c.replica.reqs.n >= c.replica.window {
 		return
 	}
 	if err := c.net.Send(ctx, c.replica.ep, Frame{Op: OpReq, From: c.ep, Stream: c.replica.stream, Seq: seq}); err != nil {
 		return
 	}
-	c.replica.reqOpen[seq] = true
-	c.replica.out++
+	c.replica.reqs.add(seq)
 	c.noteOutstanding()
 	c.mu.Lock()
 	c.nHedges++
@@ -276,12 +282,14 @@ func (c *Client) fireHedge(ctx context.Context) {
 func (c *Client) handle(ctx context.Context, fr Frame) {
 	switch fr.Op {
 	case OpBatch:
-		side := c.sideOf(fr.From)
-		if side != nil && side.reqOpen[fr.Seq] {
-			delete(side.reqOpen, fr.Seq)
-			side.out--
+		if side := c.sideOf(fr.From); side != nil {
+			side.reqs.drop(fr.Seq)
 		}
-		if fr.Seq < c.next || c.reorder[fr.Seq] != nil {
+		var p *pending
+		if fr.Seq >= c.next {
+			p = c.seqs.add(fr.Seq)
+		}
+		if p == nil || p.batch != nil {
 			// A hedge loser's (or cancelled-too-late) duplicate.
 			fr.Batch.Release()
 			c.mu.Lock()
@@ -289,17 +297,15 @@ func (c *Client) handle(ctx context.Context, fr Frame) {
 			c.mu.Unlock()
 			return
 		}
-		c.reorder[fr.Seq] = fr.Batch
-		if c.hedged[fr.Seq] {
+		p.batch = fr.Batch
+		if p.hedged {
 			// First response wins: withdraw the loser's grant. The credit
 			// comes back immediately; if the loser's batch is already in
 			// flight it arrives as a duplicate and is released above.
-			if loser := c.otherSide(fr.From); loser != nil && loser.reqOpen[fr.Seq] {
-				delete(loser.reqOpen, fr.Seq)
-				loser.out--
+			if loser := c.otherSide(fr.From); loser != nil && loser.reqs.drop(fr.Seq) {
 				_ = c.net.Send(ctx, loser.ep, Frame{Op: OpCancel, From: c.ep, Stream: loser.stream, Seq: fr.Seq})
 			}
-			delete(c.hedged, fr.Seq)
+			p.hedged = false
 		}
 	case OpEnd:
 		side := c.sideOf(fr.From)
@@ -333,11 +339,9 @@ func (c *Client) Recv(ctx context.Context) (*data.Batch, error) {
 		if c.err != nil {
 			return nil, c.err
 		}
-		if b, ok := c.reorder[c.next]; ok {
-			seq := c.next
-			delete(c.reorder, seq)
-			delete(c.reqAt, seq)
-			delete(c.hedged, seq)
+		if p := c.seqs.find(c.next); p != nil && p.batch != nil {
+			b := p.batch
+			c.seqs.drop(c.next)
 			c.next++
 			now := c.rt.Now()
 			c.mu.Lock()
@@ -354,7 +358,7 @@ func (c *Client) Recv(ctx context.Context) (*data.Batch, error) {
 		}
 		var park time.Duration // 0 = no deadline
 		if c.canHedge() {
-			park = c.reqAt[c.next] + c.cfg.HedgeDelay - c.rt.Now()
+			park = c.seqs.find(c.next).reqAt + c.cfg.HedgeDelay - c.rt.Now()
 			if park <= 0 {
 				c.fireHedge(ctx)
 				continue
@@ -403,14 +407,15 @@ func (c *Client) Close(ctx context.Context) error {
 		c.handle(ctx, fr)
 	}
 	// Release leftovers in sequence order so pool traffic is deterministic.
-	seqs := make([]int, 0, len(c.reorder))
-	for seq := range c.reorder {
-		seqs = append(seqs, seq)
-	}
-	sort.Ints(seqs)
-	for _, seq := range seqs {
-		c.reorder[seq].Release()
-		delete(c.reorder, seq)
+	// Every live sequence is at or past next.
+	for seq, left := c.next, c.seqs.n; left > 0; seq++ {
+		if p := c.seqs.find(seq); p != nil {
+			left--
+			if p.batch != nil {
+				p.batch.Release()
+				p.batch = nil
+			}
+		}
 	}
 	return nil
 }
@@ -452,13 +457,9 @@ func (c *Client) Stats() ClientStats {
 		Retries:        c.nRetry,
 		MaxOutstanding: c.maxOut,
 	}
-	if c.waits != nil {
-		st.WaitP50 = c.waits.QuantileDuration(0.50)
-		st.WaitP99 = c.waits.QuantileDuration(0.99)
-	}
-	if c.steps != nil {
-		st.StepP50 = c.steps.QuantileDuration(0.50)
-		st.StepP99 = c.steps.QuantileDuration(0.99)
-	}
+	st.WaitP50 = c.waits.QuantileDuration(0.50)
+	st.WaitP99 = c.waits.QuantileDuration(0.99)
+	st.StepP50 = c.steps.QuantileDuration(0.50)
+	st.StepP99 = c.steps.QuantileDuration(0.99)
 	return st
 }

@@ -75,30 +75,44 @@ type Server struct {
 	stats     Stats // the counters; MaxPending covers retired streams only
 }
 
+// Task and queue names of the per-stream and per-endpoint parts, the same
+// for every stream: a deadlock report tells parked tasks apart by the park
+// site it prints for each.
+const (
+	pumpTaskName    = "svc-pump"
+	grantsQueueName = "svc-grants"
+	inboxQueueName  = "svc-inbox"
+)
+
 // srvStream is the server half of one open stream.
 type srvStream struct {
 	id     uint64
 	client int
 	token  string
 	src    Stream
-	grants *queue.Queue[int]
+	grants queue.Queue[int]
 	window int
 
-	// granted holds sequences the client has requested and not yet been
-	// answered for (by a batch, a cancel, or teardown). Its size is the
-	// stream's live window debt: a REQ arriving while len(granted) is at
-	// the window is a protocol violation. A CANCEL removes its sequence
-	// immediately — mirroring the client, which restores its send credit
-	// the moment it cancels the hedge loser — even though the grant stays
-	// queued until the pump drains and skips it.
-	granted   map[int]bool
-	maxPend   int
-	cancelled map[int]bool
-	closing   bool
-	killCode  Code
+	// seqs holds, per sequence, whether it is granted — requested by the
+	// client and not yet answered (by a batch, a cancel, or teardown) — and
+	// whether it is cancelled with its grant still queued. The client keeps
+	// at most a window of sequences in flight, so a window-sized ring holds
+	// them. debt counts the granted ones: the stream's live window debt; a
+	// REQ arriving while debt is at the window is a protocol violation. A
+	// CANCEL moves its sequence from granted to cancelled immediately —
+	// mirroring the client, which restores its send credit the moment it
+	// cancels the hedge loser — even though the grant stays queued until
+	// the pump drains and skips it.
+	seqs     seqRing[grantState]
+	debt     int
+	maxPend  int
+	closing  bool
+	killCode Code
 
 	produced int // pump-owned: next sequence the source will yield
 }
+
+type grantState struct{ granted, cancelled bool }
 
 // NewServer attaches a server to endpoint ep of n (the endpoint must have
 // been allocated by n.AllocEndpoint).
@@ -125,14 +139,10 @@ func NewServer(n *Net, ep int, cfg ServerConfig, opener Opener) *Server {
 // for client frames without counting as deadlocked once every client task
 // has exited.
 func (s *Server) Start() {
-	s.goDaemon(fmt.Sprintf("svc-server-%d", s.ep), s.dispatch)
-}
-
-func (s *Server) goDaemon(name string, fn func()) {
 	s.wg.Add(1)
-	s.rt.GoDaemon(name, func() {
+	s.rt.GoDaemon(fmt.Sprintf("svc-server-%d", s.ep), func() {
 		defer s.wg.Done()
-		fn()
+		s.dispatch()
 	})
 }
 
@@ -238,21 +248,24 @@ func (s *Server) handleOpen(ctx context.Context, fr Frame) {
 	s.opens[fr.From]++
 	id := uint64(fr.From)<<16 | (s.opens[fr.From] & 0xffff)
 	st := &srvStream{
-		id:        id,
-		client:    fr.From,
-		token:     spec.Token,
-		src:       src,
-		grants:    queue.New[int](s.rt, fmt.Sprintf("svc-grants-%d-%d", s.ep, id), depth),
-		window:    window,
-		granted:   make(map[int]bool),
-		cancelled: make(map[int]bool),
+		id:     id,
+		client: fr.From,
+		token:  spec.Token,
+		src:    src,
+		window: window,
 	}
+	st.grants.Init(s.rt, grantsQueueName, depth)
+	st.seqs.init(window)
 	s.streams[id] = st
 	s.tokenLoad[spec.Token]++
 	s.stats.StreamsTotal++
 
 	s.reply(ctx, fr.From, Frame{Stream: id, Code: CodeOK, Window: window, Total: src.Total()})
-	s.goDaemon(fmt.Sprintf("svc-pump-%d-%d", s.ep, id), func() { s.pump(st) })
+	s.wg.Add(1)
+	s.rt.GoDaemon(pumpTaskName, func() {
+		defer s.wg.Done()
+		s.pump(st)
+	})
 }
 
 // handleReq grants one batch request, enforcing the send window: a REQ
@@ -266,16 +279,17 @@ func (s *Server) handleReq(ctx context.Context, fr Frame) {
 	if st.closing {
 		return
 	}
-	if len(st.granted) >= st.window {
+	if st.debt >= st.window {
 		st.closing = true
 		st.killCode = CodeOverloaded
 		st.grants.Close()
 		return
 	}
-	st.granted[fr.Seq] = true
-	if len(st.granted) > st.maxPend {
-		st.maxPend = len(st.granted)
+	if g := st.seqs.add(fr.Seq); !g.granted {
+		g.granted = true
+		st.debt++
 	}
+	st.maxPend = max(st.maxPend, st.debt)
 	// Capacity covers the whole stream, so this never blocks.
 	_ = st.grants.Put(ctx, fr.Seq)
 }
@@ -290,9 +304,8 @@ func (s *Server) handleCancel(fr Frame) {
 	if st == nil {
 		return
 	}
-	if st.granted[fr.Seq] {
-		delete(st.granted, fr.Seq)
-		st.cancelled[fr.Seq] = true
+	if st.ungrant(fr.Seq) {
+		st.seqs.add(fr.Seq).cancelled = true
 	}
 }
 
@@ -308,10 +321,37 @@ func (s *Server) handleClose(fr Frame) {
 
 // release settles a sequence's window debt after the pump answers it (or
 // abandons it). A cancel that raced mid-production already settled it; the
-// double delete is a no-op.
+// second settle is a no-op.
 func (st *srvStream) release(seq int) {
-	delete(st.granted, seq)
-	delete(st.cancelled, seq)
+	st.ungrant(seq)
+	st.uncancel(seq)
+}
+
+// ungrant withdraws seq's grant, reporting whether it had one.
+func (st *srvStream) ungrant(seq int) bool {
+	g := st.seqs.find(seq)
+	if g == nil || !g.granted {
+		return false
+	}
+	g.granted = false
+	st.debt--
+	if !g.cancelled {
+		st.seqs.drop(seq)
+	}
+	return true
+}
+
+// uncancel clears seq's cancel, reporting whether it had one.
+func (st *srvStream) uncancel(seq int) bool {
+	g := st.seqs.find(seq)
+	if g == nil || !g.cancelled {
+		return false
+	}
+	g.cancelled = false
+	if !g.granted {
+		st.seqs.drop(seq)
+	}
+	return true
 }
 
 // pump serves one stream: take a grant, produce the batch (fast-forwarding
@@ -334,12 +374,11 @@ func (s *Server) pump(st *srvStream) {
 		}
 		if st.closing {
 			// Drained after close: the grant is abandoned.
-			delete(st.granted, seq)
+			st.ungrant(seq)
 			continue
 		}
-		if st.cancelled[seq] {
+		if st.uncancel(seq) {
 			// The cancel already settled the window debt.
-			delete(st.cancelled, seq)
 			s.stats.CancelsHonored++
 			continue
 		}

@@ -29,6 +29,11 @@
 // against a replica server after a fixed delay — first response wins, the
 // loser's grant is cancelled, and a too-late duplicate is received and
 // released (never leaked).
+//
+// Both halves keep their per-sequence state in window rings (seqRing): a
+// stream never has more than its window of sequences in flight, so a ring
+// of that size, indexed by sequence, does what a map per kind of state
+// did, for one allocation per stream and no growth.
 package service
 
 import (
@@ -214,8 +219,8 @@ type Net struct {
 	cfg Config
 
 	next    int
-	inboxes []*queue.Queue[Frame]
-	servers []int // fleet index → endpoint
+	inboxes []queue.Queue[Frame] // one per endpoint; [0, next) allocated
+	servers []int                // fleet index → endpoint
 }
 
 // NewNet builds a service fabric on rt.
@@ -229,7 +234,7 @@ func NewNet(rt *simtime.Virtual, cfg Config) *Net {
 			Latency:   cfg.Latency,
 		}),
 		cfg:     cfg,
-		inboxes: make([]*queue.Queue[Frame], cfg.Endpoints),
+		inboxes: make([]queue.Queue[Frame], cfg.Endpoints),
 	}
 }
 
@@ -247,12 +252,17 @@ func (n *Net) AllocEndpoint() (int, error) {
 	}
 	ep := n.next
 	n.next++
-	n.inboxes[ep] = queue.New[Frame](n.rt, fmt.Sprintf("svc-inbox-%d", ep), n.cfg.InboxDepth)
+	n.inboxes[ep].Init(n.rt, inboxQueueName, n.cfg.InboxDepth)
 	return ep, nil
 }
 
-// Inbox returns the endpoint's receive queue.
-func (n *Net) Inbox(ep int) *queue.Queue[Frame] { return n.inboxes[ep] }
+// Inbox returns the endpoint's receive queue, nil while ep is unallocated.
+func (n *Net) Inbox(ep int) *queue.Queue[Frame] {
+	if ep >= n.next {
+		return nil
+	}
+	return &n.inboxes[ep]
+}
 
 // RegisterServer records ep as the next member of the server fleet and
 // returns its fleet index.

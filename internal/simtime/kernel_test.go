@@ -26,7 +26,7 @@ func sameInstantProgram() []string {
 	}
 	k.Run(func() {
 		all := NewWaitGroup(k)
-		gate := NewGate()
+		gate := new(Gate)
 		src := &fakeSource{}
 		barrier := NewBarrierFunc(k, n, func(gen uint64) { note("barrier round %d", gen) })
 		inner := NewWaitGroup(k)

@@ -180,14 +180,12 @@ func (s *Selector) Select(ctx context.Context, deadline time.Duration, sources .
 // Subscribers form a list threaded through the selectors themselves, which
 // also remember the version they saw: arming, disarming and the version
 // check are O(1) and allocate nothing. A Selector can therefore be armed on
-// one Gate at a time. Task-only, like the selectors it wakes.
+// one Gate at a time. Task-only, like the selectors it wakes. The zero
+// value is an empty gate, ready to embed in its owner.
 type Gate struct {
 	version     uint64
 	first, last *Selector
 }
-
-// NewGate returns an empty gate.
-func NewGate() *Gate { return &Gate{} }
 
 // Pulse wakes every armed selector and advances the gate version.
 func (g *Gate) Pulse() {

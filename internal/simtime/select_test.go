@@ -207,7 +207,7 @@ func TestSelectorReuseAcrossCycles(t *testing.T) {
 func TestGatePulseWakesAllArmed(t *testing.T) {
 	k := NewVirtual()
 	k.Run(func() {
-		g := NewGate()
+		g := new(Gate)
 		wg := NewWaitGroup(k)
 		for i := 0; i < 3; i++ {
 			wg.Go("waiter", func() {
@@ -232,7 +232,7 @@ func TestGatePulseWakesAllArmed(t *testing.T) {
 func TestGateClosesCheckThenArmRace(t *testing.T) {
 	k := NewVirtual()
 	k.Run(func() {
-		g := NewGate()
+		g := new(Gate)
 		sel := NewSelector(k)
 		// Establish a baseline cycle so the selector has seen version 0.
 		g.Arm(sel, 0)
@@ -257,7 +257,7 @@ func TestGateClosesCheckThenArmRace(t *testing.T) {
 func TestGatePulseRacesSelectorReuse(t *testing.T) {
 	k := NewVirtual()
 	k.Run(func() {
-		g := NewGate()
+		g := new(Gate)
 		var done atomic.Bool
 		wg := NewWaitGroup(k)
 		wg.Go("owner", func() {
@@ -288,7 +288,7 @@ func TestGateWakesInArmOrderAcrossDisarms(t *testing.T) {
 	k := NewVirtual()
 	k.Run(func() {
 		ctx := context.Background()
-		g := NewGate()
+		g := new(Gate)
 		const n = 8
 		gone := map[int]bool{0: true, 3: true, 7: true}
 		var woke []int
@@ -337,7 +337,7 @@ func TestGateWakesInArmOrderAcrossDisarms(t *testing.T) {
 // spurious wake, never a lost one — and arming two gates at once is refused.
 func TestGateVersionIsPerGate(t *testing.T) {
 	k := NewVirtual()
-	a, b := NewGate(), NewGate()
+	a, b := new(Gate), new(Gate)
 	a.Pulse()
 	a.Pulse()
 	sel := NewSelector(k)

@@ -75,7 +75,9 @@
 // returns ctx.Err() — unless a wake got there first, which still wins — and
 // the abandoned deadline is removed, so it never moves the clock. A
 // WithCancel cancel function, called by a task, does this synchronously, at
-// the caller's place in the instant's order. Any other cancellation
+// the caller's place in the instant's order; a WithCancel context whose
+// parent can never be cancelled ends by that function alone, so it needs no
+// hook and gets none. Any other cancellation
 // (context.WithCancel, a wall-clock timeout, a goroutine outside the kernel)
 // lands asynchronously, posted through the door by the AfterFunc hook: the
 // kernel waits for it rather than declare a deadlock, but virtual time may
@@ -91,6 +93,11 @@ import "context"
 // it returns. From outside the kernel, Post it.
 func WithCancel(rt *Virtual, parent context.Context) (context.Context, context.CancelFunc) {
 	ctx, cancel := context.WithCancel(parent)
+	if parent.Done() == nil {
+		// Only the function below can end ctx, and it polls: park sees the
+		// context as hooked already.
+		rt.hooks[ctx.Done()] = nil
+	}
 	return ctx, func() { cancel(); rt.pollCancelled() }
 }
 

@@ -34,7 +34,8 @@ type Virtual struct {
 	daemons int     // how many of them are daemons (see GoDaemon)
 	stats   KernelStats
 	// hooks holds the context.AfterFunc registration (its stop function) of
-	// every cancellable context a task has parked under, by Done channel.
+	// every cancellable context a task has parked under, by Done channel; a
+	// nil one for a WithCancel context that only its cancel function ends.
 	hooks map[<-chan struct{}]func() bool
 	// trace is the span recorder of every layer on this kernel; nil when the
 	// run is untraced (SetTrace).
@@ -304,7 +305,9 @@ func (k *Virtual) finish(t *task, reuse bool) {
 	if last == 0 {
 		// So that a long-lived context does not pin an idle kernel.
 		for done, stop := range k.hooks {
-			stop()
+			if stop != nil {
+				stop()
+			}
 			delete(k.hooks, done)
 		}
 	}

@@ -515,7 +515,7 @@ type ChaosState struct {
 
 	preemptStall time.Duration
 
-	hist       *metrics.LogHist
+	hist       metrics.LogHist
 	lastStep   []time.Duration
 	faults     *chaos.Faults
 	recPending int // fault index awaiting the first post-resume batch
@@ -529,8 +529,8 @@ type ChaosState struct {
 func StartChaos(env *loader.Env, script chaos.Script) *ChaosState {
 	rt := env.RT
 	c := &ChaosState{
-		env:  env,
-		hist: metrics.NewLogHist(), lastStep: make([]time.Duration, len(env.GPUs)),
+		env:        env,
+		lastStep:   make([]time.Duration, len(env.GPUs)),
 		faults:     chaos.NewFaults(rt, env.TraceTenant(), nil),
 		recPending: -1,
 	}
@@ -622,7 +622,7 @@ func (c *ChaosState) Gate(ctx context.Context) error {
 func (c *ChaosState) Finish(rep *Report) {
 	rep.StepP50 = c.hist.QuantileDuration(0.5)
 	rep.StepP99 = c.hist.QuantileDuration(0.99)
-	rep.StepHist = c.hist
+	rep.StepHist = &c.hist
 	rep.PreemptStall = c.preemptStall
 	rep.Faults = c.faults.Stats()
 }

@@ -521,7 +521,9 @@ func Dial(addr *ServerAddr, opts ...Option) (*RemoteSession, error) {
 			return nil, configErr("WithStream", fmt.Sprintf(
 				"the server publishes %d streams (%v); pick one", len(addr.pub), addr.Streams()))
 		}
-		o.stream = addr.Streams()[0]
+		for name := range addr.pub { // the only one
+			o.stream = name
+		}
 	}
 	replicaEP := -1
 	if o.hedge != nil {

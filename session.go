@@ -170,7 +170,7 @@ type Session struct {
 	share       *clusterShare
 	gpuIdxs     []int
 
-	env     *Env
+	env     Env // the loader's, which holds its address
 	ld      DataLoader
 	name    string
 	spec    Spec
@@ -280,7 +280,7 @@ func (s *Session) start(ctx context.Context) error {
 		return err
 	}
 	if !s.served {
-		s.cst = trainer.StartChaos(s.env, s.script)
+		s.cst = trainer.StartChaos(&s.env, s.script)
 	}
 	s.done = make([]bool, len(s.env.GPUs))
 	s.remaining = len(s.done)

@@ -3,7 +3,6 @@ package minato
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"iter"
 	"time"
@@ -191,6 +190,10 @@ func (s *stream) runOnKernel(fn func()) {
 	s.rt.Run(fn)
 }
 
+// streamTaskName names every StreamAll body's task: a deadlock report tells
+// them apart by the park site it prints for each.
+const streamTaskName = "svc-stream"
+
 // StreamAll consumes many sessions of one runtime — the Sessions of a
 // Cluster, or RemoteSessions dialed over one fabric — concurrently on one
 // kernel: each fn(i, session) runs as its own tracked task, all entered at
@@ -209,7 +212,7 @@ func StreamAll[S streamer](ctx context.Context, sessions []S, fn func(i int, s S
 		wg := simtime.NewWaitGroup(rt)
 		for i, s := range sessions {
 			s.core().inline = true
-			wg.Go(fmt.Sprintf("svc-stream-%d", i), func() { fn(i, s) })
+			wg.Go(streamTaskName, func() { fn(i, s) })
 		}
 		_ = wg.Wait(ctx)
 		for _, s := range sessions {
