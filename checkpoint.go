@@ -56,7 +56,7 @@ type Checkpoint struct {
 // checkpoint, so Close tears down the session's tenancy but leaves the warm
 // caches alive for Resume.
 func (s *Session) Checkpoint() (ck *Checkpoint, err error) {
-	s.rt.Do(func() {
+	s.rt.k.Do(func() {
 		if s.cl.closed {
 			err = ErrClusterClosed
 			return
@@ -100,7 +100,7 @@ func (ck *Checkpoint) Remaining() int { return ck.spec.TotalBatches() }
 // resumed session inherits.
 func (ck *Checkpoint) Cache() (st CacheStats) {
 	if ck.cl.cache != nil {
-		ck.cl.rt.Do(func() { st = ck.cl.cache.Stats() })
+		ck.cl.rt.k.Do(func() { st = ck.cl.cache.Stats() })
 	}
 	return st
 }
@@ -109,7 +109,7 @@ func (ck *Checkpoint) Cache() (st CacheStats) {
 // cache (zero when WithMaterializedCache is not enabled).
 func (ck *Checkpoint) MatCache() (st MatCacheStats) {
 	if ck.cl.mat != nil {
-		ck.cl.rt.Do(func() { st = ck.cl.mat.Stats() })
+		ck.cl.rt.k.Do(func() { st = ck.cl.mat.Stats() })
 	}
 	return st
 }

@@ -79,7 +79,7 @@ func WithAdmission(p AdmissionPolicy) Option {
 // shape — one training job spread data-parallel across MANY machines
 // connected by a simulated interconnect — see TrainMultiNode and Topology.
 type Cluster struct {
-	rt     Runtime
+	rt     *Runtime
 	ownsRT bool
 	cpu    *device.Device
 	gpus   []*gpu.GPU
@@ -135,11 +135,12 @@ func newCluster(co *options) (*Cluster, error) {
 	rt := co.rt
 	ownsRT := rt == nil
 	if ownsRT {
-		rt = simtime.NewVirtual()
+		rt = &Runtime{k: simtime.NewVirtual()}
 	}
+	k := rt.k
 	if co.trace != nil {
 		var err error
-		rt.Do(func() { err = rt.SetTrace(co.trace) })
+		k.Do(func() { err = k.SetTrace(co.trace) })
 		if err != nil {
 			return nil, configErr("WithTracing", err.Error())
 		}
@@ -155,7 +156,7 @@ func newCluster(co *options) (*Cluster, error) {
 		if co.gpus > 0 {
 			cfg = cfg.WithGPUs(co.gpus)
 		}
-		tb := hardware.NewTestbed(rt, cfg)
+		tb := hardware.NewTestbed(k, cfg)
 		c.cpu, c.gpus, c.disk, c.cache, c.store = tb.CPU, tb.GPUs, tb.Disk, tb.Cache, tb.Store
 	} else {
 		ec := EnvConfig{}
@@ -165,7 +166,7 @@ func newCluster(co *options) (*Cluster, error) {
 		if co.gpus > 0 {
 			ec.GPUs = co.gpus
 		}
-		env, disk, cache := buildEnv(rt, ec)
+		env, disk, cache := buildEnv(k, ec)
 		c.cpu, c.gpus, c.disk, c.cache = env.CPU, env.GPUs, disk, cache
 		c.store = env.Store
 	}
@@ -192,7 +193,7 @@ func newCluster(co *options) (*Cluster, error) {
 }
 
 // Runtime returns the runtime shared by every session of the cluster.
-func (c *Cluster) Runtime() Runtime { return c.rt }
+func (c *Cluster) Runtime() *Runtime { return c.rt }
 
 // Open starts a data-loading session on the cluster's shared substrate.
 // It accepts the session-level options of the standalone Open (pipeline,
@@ -511,11 +512,11 @@ func (c *Cluster) sessionEnv(env *Env, gpuIdxs []int, cacheTenant int, share *cl
 		gpus[i] = c.gpus[g]
 	}
 	*env = Env{
-		RT:    c.rt,
+		RT:    c.rt.k,
 		CPU:   c.cpu,
 		GPUs:  gpus,
 		Store: c.store.WithTenant(cacheTenant),
-		WG:    simtime.NewWaitGroup(c.rt),
+		WG:    simtime.NewWaitGroup(c.rt.k),
 		Pool:  c.pool,
 		Gov:   share,
 		Mat:   c.mat,
@@ -575,13 +576,13 @@ func (c *Cluster) enter(parks bool, fn func()) {
 	var drain bool
 	body := func() { fn(); drain = c.reclaim() }
 	if parks {
-		c.rt.Run(body)
+		c.rt.k.Run(body)
 	} else {
-		c.rt.Do(body)
+		c.rt.k.Do(body)
 	}
 	if drain {
-		c.rt.Drain()
-		c.rt.Do(c.recycle)
+		c.rt.k.Drain()
+		c.rt.k.Do(c.recycle)
 	}
 }
 
@@ -691,7 +692,7 @@ type SessionStats struct {
 // goroutine while sessions stream except a task of the cluster's kernel (a
 // Batches or StreamAll body): the snapshot is taken there, between two tasks.
 func (c *Cluster) Stats() (st ClusterStats) {
-	c.rt.Do(func() {
+	c.rt.k.Do(func() {
 		st = ClusterStats{
 			MaxSessions:    c.maxSessions,
 			ActiveSessions: c.active,

@@ -323,7 +323,7 @@ func TestClusterSessionMisuse(t *testing.T) {
 	}{
 		{"WithHardware", WithHardware(ConfigA())},
 		{"WithEnv", WithEnv(EnvConfig{Cores: 2})},
-		{"WithRuntime", WithRuntime(NewVirtualRuntime())},
+		{"WithRuntime", WithRuntime(cl.Runtime())},
 	} {
 		var ce *ConfigError
 		if _, err := cl.Open(namedDataset{space: "x", n: 64}, tc.opt); !errors.As(err, &ce) {

@@ -9,82 +9,55 @@ import (
 	"testing"
 )
 
-// TestQuickstartRunsEndToEnd asserts that the quickstart example — the v2
-// API's living documentation — builds and runs to completion on the
-// virtual runtime.
-func TestQuickstartRunsEndToEnd(t *testing.T) {
+// TestExamplesRunEndToEnd runs every example — the public API's living
+// documentation — to completion on the virtual runtime and looks for the
+// lines that show it did what it demonstrates: quickstart delivers its batch
+// budget; multitenant (16 sessions on one Cluster), disaggregated (two
+// servers feeding four remote clients, one hedged) and multinode (a 4-node
+// straggler cluster) pass their own determinism checks; multinode writes its
+// Chrome trace to the file -out names.
+func TestExamplesRunEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping go-run smoke test in -short mode")
 	}
-	out, err := exec.Command("go", "run", "./examples/quickstart").CombinedOutput()
-	if err != nil {
-		t.Fatalf("go run ./examples/quickstart: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "all 32 batches delivered") {
-		t.Fatalf("quickstart did not deliver its batch budget:\n%s", out)
-	}
-}
-
-// TestMultitenantRunsEndToEnd asserts the multitenant example — 16
-// concurrent sessions on one Cluster — runs to completion and verifies its
-// own determinism check (two runs, bit-identical per-tenant reports).
-func TestMultitenantRunsEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping go-run smoke test in -short mode")
-	}
-	out, err := exec.Command("go", "run", "./examples/multitenant").CombinedOutput()
-	if err != nil {
-		t.Fatalf("go run ./examples/multitenant: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "bit-identical (deterministic)") {
-		t.Fatalf("multitenant determinism check failed:\n%s", out)
-	}
-}
-
-// TestDisaggregatedRunsEndToEnd asserts the disaggregated example — two
-// preprocessing servers feeding four remote clients (one hedged) over the
-// service fabric — runs to completion and verifies its own determinism
-// check (two runs, bit-identical client/server/fabric fingerprints).
-func TestDisaggregatedRunsEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping go-run smoke test in -short mode")
-	}
-	out, err := exec.Command("go", "run", "./examples/disaggregated").CombinedOutput()
-	if err != nil {
-		t.Fatalf("go run ./examples/disaggregated: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "bit-identical (deterministic)") {
-		t.Fatalf("disaggregated determinism check failed:\n%s", out)
-	}
-	if !strings.Contains(string(out), "unauthorized dial rejected") {
-		t.Fatalf("disaggregated auth-rejection line missing:\n%s", out)
-	}
-}
-
-// TestMultinodeRunsEndToEnd asserts the multinode example — a 4-node
-// straggler cluster over the netsim fabric — runs to completion and
-// verifies its own determinism checks (two runs with bit-identical
-// reports, and a traced rerun pair with bit-identical Chrome exports).
-func TestMultinodeRunsEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping go-run smoke test in -short mode")
-	}
-	traceOut := filepath.Join(t.TempDir(), "trace.json")
-	out, err := exec.Command("go", "run", "./examples/multinode", "-out", traceOut).CombinedOutput()
-	if err != nil {
-		t.Fatalf("go run ./examples/multinode: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "bit-identical (deterministic)") {
-		t.Fatalf("multinode determinism check failed:\n%s", out)
-	}
-	if !strings.Contains(string(out), "speedup under a straggler") {
-		t.Fatalf("multinode speedup line missing:\n%s", out)
-	}
-	if !strings.Contains(string(out), "bit-identical across runs") {
-		t.Fatalf("multinode trace determinism line missing:\n%s", out)
-	}
-	if fi, err := os.Stat(traceOut); err != nil || fi.Size() == 0 {
-		t.Fatalf("multinode trace export missing or empty: %v", err)
+	for _, tc := range []struct {
+		example string
+		// traceFlag, when set, names the flag the example writes a trace
+		// file to; the file must come out non-empty.
+		traceFlag string
+		want      []string
+	}{
+		{example: "quickstart", want: []string{"all 32 batches delivered"}},
+		{example: "multitenant", want: []string{"bit-identical (deterministic)"}},
+		{example: "disaggregated", want: []string{"bit-identical (deterministic)", "unauthorized dial rejected"}},
+		{example: "multinode", traceFlag: "-out",
+			want: []string{"bit-identical (deterministic)", "speedup under a straggler", "bit-identical across runs"}},
+		{example: "curriculum", want: []string{"order-preserving:"}},
+		{example: "imagesegmentation", want: []string{"MinatoLoader speedup over PyTorch DataLoader"}},
+		{example: "speechpipeline", want: []string{"peak-workers"}},
+	} {
+		t.Run(tc.example, func(t *testing.T) {
+			args := []string{"run", "./examples/" + tc.example}
+			traceOut := filepath.Join(t.TempDir(), "trace.json")
+			if tc.traceFlag != "" {
+				args = append(args, tc.traceFlag, traceOut)
+			}
+			out, err := exec.Command("go", args...).CombinedOutput()
+			if err != nil {
+				t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
+			}
+			for _, line := range tc.want {
+				if !strings.Contains(string(out), line) {
+					t.Errorf("output lacks %q:\n%s", line, out)
+				}
+			}
+			if tc.traceFlag == "" {
+				return
+			}
+			if fi, err := os.Stat(traceOut); err != nil || fi.Size() == 0 {
+				t.Errorf("trace export missing or empty: %v", err)
+			}
+		})
 	}
 }
 

@@ -34,7 +34,7 @@ func openedTransport(t *testing.T, iterations int) (batchStream, func() PoolStat
 	// Close drains the session-owned kernel: it only returns once every
 	// loader task has fully exited, so a leak would hang the test.
 	return sess, sess.cl.pool.Stats, func() {
-		if left := sess.rt.Tasks(); left != 0 {
+		if left := sess.rt.k.Tasks(); left != 0 {
 			t.Fatalf("%d loader tasks still alive after Close", left)
 		}
 	}

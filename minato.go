@@ -11,13 +11,18 @@
 //
 // The package re-exports the building blocks from internal packages:
 //
-//   - the loader itself (New, Config) plus the paper's baselines
-//     (PyTorchLoader, DALILoader, PecanLoader) for comparison;
-//   - the simulated substrate it runs on (runtimes, testbeds, devices),
-//     since Go has no CUDA/PyTorch stack — see DESIGN.md for the
-//     substitution table;
-//   - the paper's workloads, the trainer, and the experiment registry that
-//     regenerates every table and figure of the evaluation.
+//   - what a custom input pipeline is written in (Sample, Dataset, Transform,
+//     Pipeline, NewTransform, NewPipeline, LibriSpeech, SubsetDataset) and
+//     the loaders that run it: MinatoLoader (Loader, Config, DefaultConfig)
+//     and the paper's baselines, registered by name ("pytorch", "pecan",
+//     "dali"; Loaders, LoaderByName, RegisterLoader);
+//   - the simulated machines they run on (HardwareConfig, ConfigA, ConfigB,
+//     EnvConfig) and the Runtime handle of their virtual-time kernel, since
+//     Go has no CUDA/PyTorch stack — see DESIGN.md for the substitution
+//     table;
+//   - the paper's workloads by name (Workloads, WorkloadByName,
+//     SpeechWorkload), the training Report, and the tracing, chaos and
+//     serving layers around a run.
 //
 // The v2 API is session-centric. A session over a custom dataset streams
 // batches through a context-aware iterator:
@@ -92,7 +97,6 @@ import (
 	"github.com/minatoloader/minato/internal/gpu"
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loader"
-	"github.com/minatoloader/minato/internal/loaders"
 	"github.com/minatoloader/minato/internal/matcache"
 	"github.com/minatoloader/minato/internal/simtime"
 	"github.com/minatoloader/minato/internal/storage"
@@ -147,12 +151,17 @@ type (
 	MatCacheStats = matcache.Stats
 	// PoolStats is a snapshot of sample-pool activity.
 	PoolStats = data.PoolStats
-	// Testbed is an instantiated simulated machine.
-	Testbed = hardware.Testbed
-	// Runtime is the virtual-time kernel a session, cluster or service
-	// fabric runs on; NewVirtualRuntime makes one.
-	Runtime = *simtime.Virtual
 )
+
+// Runtime is the virtual-time kernel a cluster, its sessions and a service
+// fabric run on, held as an opaque handle. NewCluster and NewServiceNet make
+// one, Cluster.Runtime, Session.Runtime and ServiceNet.Runtime return it, and
+// WithRuntime and NewServiceNet run on it. Simulated time advances only when
+// every task on the kernel is parked.
+type Runtime struct{ k *simtime.Virtual }
+
+// Now returns the runtime's current virtual time.
+func (r *Runtime) Now() time.Duration { return r.k.Now() }
 
 // DefaultConfig returns the paper's MinatoLoader configuration (§5.1).
 func DefaultConfig() Config { return core.DefaultConfig() }
@@ -166,49 +175,18 @@ func NewTransform(name string, cost func(*Sample) time.Duration, size func(*Samp
 // NewPipeline builds a preprocessing pipeline.
 func NewPipeline(name string, ts ...Transform) *Pipeline { return transform.NewPipeline(name, ts...) }
 
-// NewVirtualRuntime returns the deterministic discrete-event runtime used
-// by experiments: simulated time advances only when all tasks are parked.
-func NewVirtualRuntime() Runtime { return simtime.NewVirtual() }
-
-// NewTestbed instantiates the devices for a hardware config.
-func NewTestbed(rt Runtime, cfg HardwareConfig) *Testbed { return hardware.NewTestbed(rt, cfg) }
-
 // ConfigA is the paper's 128-core, 4×A100 server (§3).
 func ConfigA() HardwareConfig { return hardware.ConfigA() }
 
 // ConfigB is the paper's 80-core, 8×V100 server (§3).
 func ConfigB() HardwareConfig { return hardware.ConfigB() }
 
-// The paper's workloads (§2.2, Table 3).
-
-// ImageSegmentationWorkload is KiTS19 → 3D-UNet.
-func ImageSegmentationWorkload(seed uint64) Workload { return workload.ImageSegmentation(seed) }
-
-// ObjectDetectionWorkload is COCO → Mask R-CNN.
-func ObjectDetectionWorkload(seed uint64) Workload { return workload.ObjectDetection(seed) }
-
 // SpeechWorkload is LibriSpeech → RNN-T with the given HeavyStep duration
-// (3s or 10s).
+// (3s or 10s). The paper's workloads (§2.2, Table 3) are registered by name:
+// WorkloadByName builds any of them.
 func SpeechWorkload(seed uint64, heavy time.Duration) Workload { return workload.Speech(seed, heavy) }
 
-// Loader factories for training sessions.
-
-// MinatoFactory builds MinatoLoader with the paper's defaults.
-func MinatoFactory() Factory { return loaders.Minato(core.DefaultConfig()) }
-
-// MinatoFactoryWith builds MinatoLoader with a custom config.
-func MinatoFactoryWith(cfg Config) Factory { return loaders.Minato(cfg) }
-
-// AllFactories returns the paper's four systems in comparison order.
-func AllFactories() []Factory { return loaders.Defaults() }
-
 // Synthetic datasets (§2.2).
-
-// KiTS19 returns the synthetic kidney-tumor CT dataset (≈29 GB).
-func KiTS19(seed uint64) Dataset { return dataset.NewKiTS19(seed) }
-
-// COCO returns the synthetic COCO 2017 train split (≈58 GB).
-func COCO(seed uint64) Dataset { return dataset.NewCOCO(seed) }
 
 // LibriSpeech returns the synthetic LibriSpeech corpus with every n-th
 // sample heavy.
@@ -219,16 +197,8 @@ func LibriSpeech(seed uint64, heavyEvery int) Dataset {
 // SubsetDataset restricts a dataset to its first n samples.
 func SubsetDataset(d Dataset, n int) Dataset { return dataset.Subset(d, n) }
 
-// ReplicateDataset enlarges a dataset by a factor with distinct storage
-// keys (§5.5's 230 GB variant).
-func ReplicateDataset(d Dataset, factor int) Dataset { return dataset.Replicate(d, factor) }
-
-// ShardDataset returns the i-th of n strided shards (distributed data
-// parallelism, §6).
-func ShardDataset(d Dataset, i, n int) Dataset { return dataset.Shard(d, i, n) }
-
-// EnvConfig sizes a custom loader environment for library embedders who
-// are not using one of the paper's testbeds.
+// EnvConfig sizes a custom machine (WithEnv) for callers who are not
+// using one of the paper's testbeds.
 type EnvConfig struct {
 	// Cores is the CPU pool size (default 8).
 	Cores int
@@ -240,18 +210,9 @@ type EnvConfig struct {
 	CacheBytes int64
 }
 
-// NewEnv builds a loader environment on rt with the given sizing. The
-// returned Env is ready for New; the caller drives consumption via
-// Loader.Next and waits on Env.WG for shutdown. Sessions opened through
-// Open manage all of this automatically.
-func NewEnv(rt Runtime, cfg EnvConfig) *Env {
-	env, _, _ := buildEnv(rt, cfg)
-	return env
-}
-
-// buildEnv is NewEnv keeping handles to the disk and cache so sessions can
-// report storage statistics.
-func buildEnv(rt Runtime, cfg EnvConfig) (*Env, *storage.Disk, *storage.PageCache) {
+// buildEnv builds the machine cfg sizes on kernel rt, returning the disk and
+// cache beside the Env so the cluster can report storage statistics.
+func buildEnv(rt *simtime.Virtual, cfg EnvConfig) (*Env, *storage.Disk, *storage.PageCache) {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 8
 	}

@@ -2,8 +2,11 @@ package minato
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
+
+	"github.com/minatoloader/minato/internal/simtime"
 )
 
 // TestPublicAPISession exercises the whole facade: simulate the paper's
@@ -16,7 +19,7 @@ func TestPublicAPISession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mnRep, err := TrainWorkload(w, WithLoaderFactory(MinatoFactory()), WithHardware(cfg))
+	mnRep, err := TrainWorkload(w, WithLoader("minato"), WithHardware(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +37,8 @@ func TestPublicAPISession(t *testing.T) {
 func TestPublicAPICustomLoader(t *testing.T) {
 	pipeline := NewPipeline("custom",
 		NewTransform("step", func(*Sample) time.Duration { return 5 * time.Millisecond }, nil))
-	sess, err := Open(SubsetDataset(COCO(1), 64),
+	coco, _ := WorkloadByName("obj-det", 1)
+	sess, err := Open(SubsetDataset(coco.Dataset, 64),
 		WithEnv(EnvConfig{Cores: 4, CacheBytes: 4 << 30}),
 		WithPipeline(pipeline),
 		WithBatchSize(4),
@@ -62,25 +66,27 @@ func TestPublicAPICustomLoader(t *testing.T) {
 	}
 }
 
+// TestDatasetHelpers reaches the paper's datasets the way callers do,
+// through their registered workloads; internal/dataset's tests check their
+// shapes and Replicate.
 func TestDatasetHelpers(t *testing.T) {
-	d := KiTS19(1)
+	imgSeg, _ := WorkloadByName("img-seg", 1)
+	d := imgSeg.Dataset
 	if d.Len() != 210 {
 		t.Fatalf("KiTS19 len = %d", d.Len())
 	}
 	if got := SubsetDataset(d, 10).Len(); got != 10 {
 		t.Fatalf("subset len = %d", got)
 	}
-	if got := ReplicateDataset(d, 3).Len(); got != 630 {
-		t.Fatalf("replicate len = %d", got)
-	}
-	if LibriSpeech(1, 5).Len() == 0 || COCO(1).Len() == 0 {
+	objDet, _ := WorkloadByName("obj-det", 1)
+	if LibriSpeech(1, 5).Len() == 0 || objDet.Dataset.Len() == 0 {
 		t.Fatal("dataset constructors broken")
 	}
 }
 
+// TestNewEnvDefaults checks the machine WithEnv(EnvConfig{}) sizes.
 func TestNewEnvDefaults(t *testing.T) {
-	rt := NewVirtualRuntime()
-	env := NewEnv(rt, EnvConfig{})
+	env, _, _ := buildEnv(simtime.NewVirtual(), EnvConfig{})
 	if env.CPU.Capacity() != 8 {
 		t.Fatalf("default cores = %v", env.CPU.Capacity())
 	}
@@ -93,13 +99,9 @@ func TestNewEnvDefaults(t *testing.T) {
 }
 
 func TestAllFactoriesNamed(t *testing.T) {
-	names := map[string]bool{}
-	for _, f := range AllFactories() {
-		names[f.Name] = true
-	}
 	for _, want := range []string{"pytorch", "pecan", "dali", "minato"} {
-		if !names[want] {
-			t.Fatalf("missing factory %q", want)
+		if !slices.Contains(Loaders(), want) {
+			t.Fatalf("missing factory %q in %v", want, Loaders())
 		}
 	}
 }

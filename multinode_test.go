@@ -122,7 +122,7 @@ func TestTrainMultiNodeRejectsInvalidTopology(t *testing.T) {
 	if _, err := TrainMultiNode("speech-3s", WithNodes(2), WithPriority(2)); !errors.As(err, &ce) {
 		t.Errorf("WithPriority on TrainMultiNode: want *ConfigError")
 	}
-	if _, err := TrainMultiNode("speech-3s", WithNodes(2), WithRuntime(NewVirtualRuntime())); !errors.As(err, &ce) {
+	if _, err := TrainMultiNode("speech-3s", WithNodes(2), WithRuntime(NewServiceNet(nil, ServiceNetConfig{}).Runtime())); !errors.As(err, &ce) {
 		t.Errorf("WithRuntime on TrainMultiNode: want *ConfigError")
 	}
 }

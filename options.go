@@ -111,7 +111,7 @@ type options struct {
 	hw       *HardwareConfig
 	env      *EnvConfig
 	gpus     int
-	rt       Runtime
+	rt       *Runtime
 	matBytes int64
 	trace    *trace.Recorder
 	topo     *Topology
@@ -182,6 +182,8 @@ func (o *options) validate() error {
 		return configErr("WithMaterializedCache", fmt.Sprintf("capacity %d < 0", o.matBytes))
 	case o.maxSessions < 0:
 		return configErr("WithMaxSessions", fmt.Sprintf("session cap %d < 0", o.maxSessions))
+	case o.rt != nil && o.rt.k == nil:
+		return configErr("WithRuntime", "the zero Runtime runs nothing; take one from Cluster.Runtime, Session.Runtime or ServiceNet.Runtime")
 	case o.hw != nil && o.env != nil:
 		return configErr("WithHardware/WithEnv", "mutually exclusive")
 	case o.factory != nil && o.loaderName != "":

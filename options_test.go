@@ -33,7 +33,7 @@ var registerMatrix = sync.OnceFunc(func() {
 // and fabric for the options that take one, the sink and the counting
 // pipeline the observers read, and the replica a hedged Dial needs.
 type matrixFixture struct {
-	rt       Runtime
+	rt       *Runtime
 	sn       *ServiceNet
 	sink     *TraceSink
 	costed   int // samples the counting pipeline was asked to cost
@@ -42,8 +42,8 @@ type matrixFixture struct {
 }
 
 func newMatrixFixture() *matrixFixture {
-	fx := &matrixFixture{rt: NewVirtualRuntime(), sink: NewTraceSink()}
-	fx.sn = NewServiceNet(fx.rt, ServiceNetConfig{})
+	fx := &matrixFixture{sn: NewServiceNet(nil, ServiceNetConfig{}), sink: NewTraceSink()}
+	fx.rt = fx.sn.Runtime()
 	fx.pipeline = NewPipeline("counting", NewTransform("step", func(*Sample) time.Duration {
 		fx.costed++
 		return time.Millisecond
@@ -262,11 +262,11 @@ var matrixOptions = []struct {
 		func(t *testing.T, fx *matrixFixture, at entry, r matrixResult) {
 			switch at {
 			case atNewCluster:
-				if r.cl.rt.Trace() != fx.sink.rec {
+				if r.cl.rt.k.Trace() != fx.sink.rec {
 					t.Error("the cluster's runtime does not record into the sink")
 				}
 			case atServe:
-				if r.addr.rt.Trace() != fx.sink.rec {
+				if r.addr.rt.k.Trace() != fx.sink.rec {
 					t.Error("the server's runtime does not record into the sink")
 				}
 			default:
@@ -277,7 +277,7 @@ var matrixOptions = []struct {
 		}},
 	{func(fx *matrixFixture) Option { return WithServiceNet(fx.sn) },
 		func(t *testing.T, fx *matrixFixture, _ entry, r matrixResult) {
-			if r.addr.Net() != fx.sn {
+			if r.addr.sn != fx.sn {
 				t.Error("the server built a fabric of its own")
 			}
 		}},
@@ -361,7 +361,7 @@ var matrixEntries = []struct {
 		if err != nil {
 			return matrixResult{}, err
 		}
-		return matrixResult{sess: sess, cl: sess.Cluster(), rep: drain(t, sess)}, nil
+		return matrixResult{sess: sess, cl: sess.cl, rep: drain(t, sess)}, nil
 	}},
 	{"Cluster.Open", atClusterOpen, func(t *testing.T, fx *matrixFixture, mk func(*matrixFixture) Option) (matrixResult, error) {
 		cl := matrixCluster(t, WithEnv(EnvConfig{Cores: 8, GPUs: 4}))
@@ -462,7 +462,7 @@ var matrixEntries = []struct {
 		if err != nil {
 			return matrixResult{}, err
 		}
-		return matrixResult{sess: resumed, cl: resumed.Cluster(), rep: drain(t, resumed)}, nil
+		return matrixResult{sess: resumed, cl: resumed.cl, rep: drain(t, resumed)}, nil
 	}},
 }
 

@@ -7,6 +7,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/minatoloader/minato/internal/loaders"
+	"github.com/minatoloader/minato/internal/workload"
 )
 
 // registryRuns makes the names TestRegistryRoundTrip registers unique per
@@ -21,11 +24,9 @@ func TestRegistryRoundTrip(t *testing.T) {
 	run := registryRuns.Add(1)
 	loaderName := fmt.Sprintf("test-minato-lite-%d", run)
 	workloadName := fmt.Sprintf("test-tiny-speech-%d", run)
-	RegisterLoader(loaderName, MinatoFactoryWith(func() Config {
-		cfg := DefaultConfig()
-		cfg.WarmupSamples = 8
-		return cfg
-	}()))
+	cfg := DefaultConfig()
+	cfg.WarmupSamples = 8
+	RegisterLoader(loaderName, loaders.Minato(cfg))
 	RegisterWorkload(workloadName, func(seed uint64) Workload {
 		w := SpeechWorkload(seed, 3*time.Second)
 		return w.WithIterations(10)
@@ -92,7 +93,8 @@ func TestDuplicateLoaderPanics(t *testing.T) {
 			t.Fatal("duplicate RegisterLoader did not panic")
 		}
 	}()
-	RegisterLoader("minato", MinatoFactory())
+	f, _ := LoaderByName("minato")
+	RegisterLoader("minato", f)
 }
 
 func TestDuplicateWorkloadPanics(t *testing.T) {
@@ -101,5 +103,5 @@ func TestDuplicateWorkloadPanics(t *testing.T) {
 			t.Fatal("duplicate RegisterWorkload did not panic")
 		}
 	}()
-	RegisterWorkload("img-seg", ImageSegmentationWorkload)
+	RegisterWorkload("img-seg", workload.ImageSegmentation)
 }

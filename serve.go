@@ -50,20 +50,20 @@ type ServiceNetConfig struct {
 // (WithServiceNet) whose cluster shares the runtime; Dial reaches servers
 // through the address, so clients never touch the net directly.
 type ServiceNet struct {
-	rt  Runtime
+	rt  *Runtime
 	net *service.Net
 }
 
 // NewServiceNet builds a service fabric on rt; a nil rt gets a fresh
 // deterministic virtual runtime (share it with NewCluster via
 // WithRuntime(net.Runtime())).
-func NewServiceNet(rt Runtime, cfg ServiceNetConfig) *ServiceNet {
+func NewServiceNet(rt *Runtime, cfg ServiceNetConfig) *ServiceNet {
 	if rt == nil {
-		rt = simtime.NewVirtual()
+		rt = &Runtime{k: simtime.NewVirtual()}
 	}
 	return &ServiceNet{
 		rt: rt,
-		net: service.NewNet(rt, service.Config{
+		net: service.NewNet(rt.k, service.Config{
 			Endpoints: cfg.Endpoints,
 			Bandwidth: cfg.Bandwidth,
 			Latency:   cfg.Latency,
@@ -72,7 +72,7 @@ func NewServiceNet(rt Runtime, cfg ServiceNetConfig) *ServiceNet {
 }
 
 // Runtime returns the clock the fabric runs on.
-func (n *ServiceNet) Runtime() Runtime { return n.rt }
+func (n *ServiceNet) Runtime() *Runtime { return n.rt }
 
 // ServiceNetStats is the fabric's deterministic traffic totals.
 type ServiceNetStats struct {
@@ -83,7 +83,7 @@ type ServiceNetStats struct {
 // Stats snapshots the fabric's traffic counters (on the fabric's kernel: not
 // for the body of a Batches or StreamAll loop).
 func (n *ServiceNet) Stats() (st ServiceNetStats) {
-	n.rt.Do(func() {
+	n.rt.k.Do(func() {
 		st = ServiceNetStats{BytesMoved: n.net.BytesMoved(), FlowsCompleted: n.net.FlowsCompleted()}
 	})
 	return st
@@ -194,7 +194,7 @@ func serveShape(fleet int) func(ChaosScript) error {
 // connects to, and the handle for its stats and shutdown.
 type ServerAddr struct {
 	sn    *ServiceNet
-	rt    Runtime
+	rt    *Runtime
 	cl    *Cluster
 	srv   *service.Server
 	ep    int
@@ -226,7 +226,7 @@ func (a *ServerAddr) startLinkChaos() {
 		events[i] = ev
 	}
 	base := a.sn.net.Bandwidth()
-	a.eng = chaos.StartEngine(a.rt, a.wg, events, func(ev ChaosEvent) {
+	a.eng = chaos.StartEngine(a.rt.k, a.wg, events, func(ev ChaosEvent) {
 		target := a.sn.net.ServerEndpoint(ev.Node)
 		switch ev.Kind {
 		case ChaosLinkDegrade:
@@ -234,7 +234,7 @@ func (a *ServerAddr) startLinkChaos() {
 		case ChaosLinkRestore:
 			a.sn.net.SetBandwidth(target, base)
 		}
-		a.rt.Trace().Instant(trace.Span{Stage: trace.StageFault,
+		a.rt.k.Trace().Instant(trace.Span{Stage: trace.StageFault,
 			Node: int32(ev.Node), Key: int64(ev.Kind)}, a.rt.Now())
 	})
 }
@@ -274,14 +274,14 @@ func Serve(cl *Cluster, opts ...Option) (*ServerAddr, error) {
 	sn := o.net
 	if sn == nil {
 		sn = NewServiceNet(cl.rt, ServiceNetConfig{})
-	} else if sn.rt != cl.rt {
+	} else if sn.rt.k != cl.rt.k {
 		return nil, configErr("WithServiceNet", "the fabric and the cluster must share a runtime")
 	}
 	// The fabric, the disk, the kernel's task list and the cluster's tenancy
 	// are the kernel's own: the server is attached, wired and spawned with
 	// the kernel in hand.
 	var addr *ServerAddr
-	cl.rt.Do(func() {
+	cl.rt.k.Do(func() {
 		if cl.closed {
 			err = ErrClusterClosed
 		} else if addr, err = serve(cl, sn, o); err == nil {
@@ -299,7 +299,7 @@ func serve(cl *Cluster, sn *ServiceNet, o *options) (*ServerAddr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cl.rt.SetTrace(o.trace); err != nil {
+	if err := cl.rt.k.SetTrace(o.trace); err != nil {
 		return nil, configErr("WithTracing", err.Error())
 	}
 	ep, err := sn.net.AllocEndpoint()
@@ -322,7 +322,7 @@ func serve(cl *Cluster, sn *ServiceNet, o *options) (*ServerAddr, error) {
 		ep:         ep,
 		fleet:      fleet,
 		pub:        o.published,
-		wg:         simtime.NewWaitGroup(cl.rt),
+		wg:         simtime.NewWaitGroup(cl.rt.k),
 		linkEvents: link,
 	}
 	opener := &clusterOpener{cl: cl, pub: o.published}
@@ -337,9 +337,6 @@ func serve(cl *Cluster, sn *ServiceNet, o *options) (*ServerAddr, error) {
 	addr.srv.Start()
 	return addr, nil
 }
-
-// Net returns the fabric the server is attached to.
-func (a *ServerAddr) Net() *ServiceNet { return a.sn }
 
 // Fleet returns the server's fleet index on its fabric — what link-chaos
 // events and replica selection refer to.
@@ -358,7 +355,7 @@ func (a *ServerAddr) Streams() []string {
 // Stats snapshots the server's front-end counters, on the server's kernel:
 // from any goroutine but its tasks (a Batches or StreamAll body).
 func (a *ServerAddr) Stats() (st ServeStats) {
-	a.rt.Do(func() { st = a.srv.Stats() })
+	a.rt.k.Do(func() { st = a.srv.Stats() })
 	return st
 }
 

@@ -227,7 +227,7 @@ func TestRemoteBackpressure(t *testing.T) {
 		}
 		n++
 		// A slow consumer: the server fills its window and must hold.
-		_ = sn.Runtime().Sleep(ctx, 20*time.Millisecond)
+		_ = sn.rt.k.Sleep(ctx, 20*time.Millisecond)
 	}
 	if n != 10 {
 		t.Fatalf("delivered %d, want 10", n)
@@ -523,7 +523,7 @@ func TestStreamAllManyClients(t *testing.T) {
 				n++
 				last = b
 				// Stagger consumption so clients interleave on the fabric.
-				_ = sn.Runtime().Sleep(ctx, time.Duration(1+i%5)*time.Millisecond)
+				_ = sn.rt.k.Sleep(ctx, time.Duration(1+i%5)*time.Millisecond)
 			}
 			if last != nil {
 				last.Release()
@@ -599,7 +599,7 @@ func TestServedStreamParkBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := sn.Runtime().Stats()
+	st := sn.rt.k.Stats()
 	perSample := float64(st.Parks) / float64(clients*batch*iterations)
 	t.Logf("%d samples: %d parks (%d timed, %d self-woken), %d retimes — %.3f parks per sample",
 		clients*batch*iterations, st.Parks, st.TimedParks, st.SelfWakes, st.Retimes, perSample)
@@ -626,7 +626,7 @@ func TestServeRefusedJoinsNoFleet(t *testing.T) {
 	}
 	defer addr.Close()
 	servers := func() (n int) {
-		sn.Runtime().Do(func() { n = sn.net.ServerCount() })
+		sn.rt.k.Do(func() { n = sn.net.ServerCount() })
 		return n
 	}
 	if addr.Fleet() != 0 || servers() != 1 {

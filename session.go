@@ -74,9 +74,10 @@ func WithGPUs(n int) Option {
 }
 
 // WithRuntime runs on an existing runtime: a virtual kernel shared with
-// other clusters or services. The default is a fresh deterministic virtual
-// runtime per cluster. Open and NewCluster.
-func WithRuntime(rt Runtime) Option {
+// other clusters or services, taken from Cluster.Runtime, Session.Runtime or
+// ServiceNet.Runtime. The default is a fresh deterministic virtual runtime
+// per cluster. Open and NewCluster.
+func WithRuntime(rt *Runtime) Option {
 	return Option{"WithRuntime", atOpen | atNewCluster, func(o *options) { o.rt = rt }}
 }
 
@@ -363,11 +364,7 @@ func (s *Session) publish() {
 func (s *Session) Loader() DataLoader { return s.ld }
 
 // Runtime returns the runtime the session runs on.
-func (s *Session) Runtime() Runtime { return s.rt }
-
-// Cluster returns the cluster hosting the session (the implicit one for
-// standalone Open).
-func (s *Session) Cluster() *Cluster { return s.cl }
+func (s *Session) Runtime() *Runtime { return s.rt }
 
 // Stats returns a live snapshot of the session: delivered batches, samples
 // and bytes so far, its tenancy (priority weight, current worker quota),

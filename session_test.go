@@ -64,9 +64,10 @@ func TestOpenValidation(t *testing.T) {
 		{"hw and env", sessionDataset{n: 64},
 			[]Option{WithHardware(ConfigA()), WithEnv(EnvConfig{Cores: 2})}, "mutually exclusive"},
 		{"name and factory", sessionDataset{n: 64},
-			[]Option{WithLoader("pytorch"), WithLoaderFactory(MinatoFactory())}, "mutually exclusive"},
+			[]Option{WithLoader("pytorch"), WithLoaderFactory(Factory{Name: "custom"})}, "mutually exclusive"},
 		{"config with baseline", sessionDataset{n: 64},
 			[]Option{WithLoader("pytorch"), WithLoaderConfig(DefaultConfig())}, "WithLoaderConfig"},
+		{"zero runtime", sessionDataset{n: 64}, []Option{WithRuntime(&Runtime{})}, "the zero Runtime"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -198,7 +199,7 @@ func TestTrainResolvesThroughRegistry(t *testing.T) {
 	if _, err := Train("speech-3s", WithEnv(EnvConfig{})); err == nil {
 		t.Fatal("Train accepted WithEnv")
 	}
-	if _, err := Train("speech-3s", WithRuntime(NewVirtualRuntime())); err == nil {
+	if _, err := Train("speech-3s", WithRuntime(NewServiceNet(nil, ServiceNetConfig{}).Runtime())); err == nil {
 		t.Fatal("Train accepted WithRuntime")
 	}
 	if _, err := Train("speech-3s", WithPipeline(flatPipeline(time.Millisecond))); err == nil {

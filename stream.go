@@ -37,7 +37,7 @@ type source interface {
 // pump over a source. A server's streams drive the same core batch by batch
 // (claim, begin, pull, end) where Batches drives it as a loop.
 type stream struct {
-	rt     Runtime
+	rt     *Runtime
 	src    source
 	retain bool
 
@@ -180,14 +180,14 @@ type streamer interface {
 // (simtime.Virtual.Run) — the only place code that parks may run — and blocks
 // until it returns, or is a plain call when StreamAll already put the caller
 // on a task. Code that touches kernel-owned state (caches, disk, fabric,
-// loaders) without parking uses Runtime.Do instead; neither is for callers
-// that are themselves tasks.
+// loaders) without parking uses simtime.Virtual.Do instead; neither is for
+// callers that are themselves tasks.
 func (s *stream) runOnKernel(fn func()) {
 	if s.inline {
 		fn()
 		return
 	}
-	s.rt.Run(fn)
+	s.rt.k.Run(fn)
 }
 
 // streamTaskName names every StreamAll body's task: a deadlock report tells
@@ -207,9 +207,9 @@ func StreamAll[S streamer](ctx context.Context, sessions []S, fn func(i int, s S
 	if len(sessions) == 0 {
 		return
 	}
-	rt := sessions[0].core().rt
-	rt.Run(func() {
-		wg := simtime.NewWaitGroup(rt)
+	k := sessions[0].core().rt.k
+	k.Run(func() {
+		wg := simtime.NewWaitGroup(k)
 		for i, s := range sessions {
 			s.core().inline = true
 			wg.Go(streamTaskName, func() { fn(i, s) })
