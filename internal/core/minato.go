@@ -49,11 +49,8 @@ import (
 // Config holds MinatoLoader's tuning knobs with the paper's defaults.
 type Config struct {
 	// InitialWorkersPerGPU seeds the worker pool (12 per GPU, §4.3/§5.1).
+	// The pool never grows past the CPU core count (§4.3).
 	InitialWorkersPerGPU int
-	// MaxWorkers caps the pool; 0 means the CPU core count (§4.3).
-	MaxWorkers int
-	// QueueCap bounds each queue (100, §5.1).
-	QueueCap int
 
 	// Profiler (§4.2).
 	TimeoutPercentile  float64 // default 0.75
@@ -88,7 +85,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		InitialWorkersPerGPU: 12,
-		QueueCap:             100,
 		TimeoutPercentile:    0.75,
 		FallbackPercentile:   0.90,
 		MaxSlowFraction:      0.40,
@@ -96,16 +92,13 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c *Config) fillDefaults(cores int) {
+// queueCap bounds each of the loader's queues (100, §5.1).
+const queueCap = 100
+
+func (c *Config) fillDefaults() {
 	d := DefaultConfig()
 	if c.InitialWorkersPerGPU <= 0 {
 		c.InitialWorkersPerGPU = d.InitialWorkersPerGPU
-	}
-	if c.MaxWorkers <= 0 {
-		c.MaxWorkers = cores
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = d.QueueCap
 	}
 	if c.TimeoutPercentile <= 0 {
 		c.TimeoutPercentile = d.TimeoutPercentile
@@ -187,15 +180,15 @@ type lane struct {
 
 // New returns a MinatoLoader over the given spec.
 func New(env *loader.Env, spec loader.Spec, cfg Config) *Loader {
-	cfg.fillDefaults(int(env.CPU.Capacity()))
+	cfg.fillDefaults()
 	l := &Loader{env: env, spec: spec, cfg: cfg}
 	l.idx.Init(spec)
-	l.fastQ.Init(env.RT, "fast", cfg.QueueCap)
-	l.slowQ.Init(env.RT, "slow", cfg.QueueCap)
-	l.tempQ.Init(env.RT, "temp", cfg.QueueCap)
+	l.fastQ.Init(env.RT, "fast", queueCap)
+	l.slowQ.Init(env.RT, "slow", queueCap)
+	l.tempQ.Init(env.RT, "temp", queueCap)
 	l.lanes = make([]lane, len(env.GPUs))
 	for g := range l.lanes {
-		l.lanes[g].batches.Init(env.RT, "batch", cfg.QueueCap)
+		l.lanes[g].batches.Init(env.RT, "batch", queueCap)
 		l.lanes[g].sel.Bind(env.RT)
 	}
 	l.profiler.init(ProfilerConfig{
@@ -226,12 +219,12 @@ func (l *Loader) Name() string {
 	return "minato"
 }
 
-// maxWorkersNow returns the pool's current upper bound: the configured
-// MaxWorkers clamped by the environment's worker share, when one is set.
+// maxWorkersNow returns the pool's current upper bound: the CPU core count
+// clamped by the environment's worker share, when one is set.
 // Re-read on every scheduling decision so a cluster rebalancing tenant
 // quotas takes effect at the next tick.
 func (l *Loader) maxWorkersNow() int {
-	m := l.cfg.MaxWorkers
+	m := int(l.env.CPU.Capacity())
 	if l.env.Gov != nil {
 		if q := l.env.Gov.WorkerQuota(); q < m {
 			m = q

@@ -16,9 +16,9 @@ import (
 // bit-identically.
 func TestCrashRejoinElastic(t *testing.T) {
 	f, _ := loaders.ByName("minato")
-	cfg := smallCluster(8).WithChaos(chaos.CrashNode(3, 5*time.Second, 8*time.Second))
+	script := chaos.CrashNode(3, 5*time.Second, 8*time.Second)
 	run := func() *Report {
-		rep, err := Run(cfg, distWorkload(15), f)
+		rep, err := Run(smallCluster(8), distWorkload(15), f, script, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestAllNodesLostReturnsErrNodeLost(t *testing.T) {
 		chaos.CrashNode(0, time.Second, 0),
 		chaos.CrashNode(1, 2*time.Second, 0),
 	)
-	_, err := Run(smallCluster(2).WithChaos(script), distWorkload(15), f)
+	_, err := Run(smallCluster(2), distWorkload(15), f, script, nil)
 	if !errors.Is(err, chaos.ErrNodeLost) {
 		t.Fatalf("err = %v, want ErrNodeLost", err)
 	}
@@ -82,8 +82,8 @@ func TestAllNodesLostReturnsErrNodeLost(t *testing.T) {
 
 func TestLinkFlapAppliesAtExactTimesAndIsDeterministic(t *testing.T) {
 	f, _ := loaders.ByName("minato")
-	cfg := smallCluster(2).WithChaos(chaos.FlapLink(1, 2*time.Second, 50, 2*time.Second))
-	rep, err := Run(cfg, distWorkload(10), f)
+	script := chaos.FlapLink(1, 2*time.Second, 50, 2*time.Second)
+	rep, err := Run(smallCluster(2), distWorkload(10), f, script, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestLinkFlapAppliesAtExactTimesAndIsDeterministic(t *testing.T) {
 	if fs.StallDuring <= 0 {
 		t.Fatalf("50× NIC degradation attributed no stall (%v)", fs.StallDuring)
 	}
-	rep2, err := Run(cfg, distWorkload(10), f)
+	rep2, err := Run(smallCluster(2), distWorkload(10), f, script, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestDiskBrownoutAndWorkerStallRecorded(t *testing.T) {
 		chaos.BrownoutDisk(time.Second, 8, 2*time.Second),
 		chaos.StallWorkers(0, time.Second, 2, time.Second),
 	)
-	rep, err := Run(smallCluster(1).WithChaos(script), distWorkload(10), f)
+	rep, err := Run(smallCluster(1), distWorkload(10), f, script, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestDiskBrownoutAndWorkerStallRecorded(t *testing.T) {
 
 // Multi-straggler and multi-degraded-link configs apply per entry.
 func TestStragglerAndDegradedSlices(t *testing.T) {
-	cfg := smallCluster(4).WithStraggler(1, 4).WithStraggler(2, 2)
+	cfg := straggling(straggling(smallCluster(4), 1, 4), 2, 2)
 	cfgs := cfg.nodeConfigs()
 	base := smallCluster(4).Node.Cores
 	if cfgs[1].Cores != base/4 || cfgs[2].Cores != base/2 {
@@ -150,8 +150,9 @@ func TestStragglerAndDegradedSlices(t *testing.T) {
 	if cfgs[0].Cores != base || cfgs[3].Cores != base {
 		t.Fatal("non-straggler nodes were modified")
 	}
-	deg := smallCluster(4).WithDegradedLink(0, 2).WithDegradedLink(2, 4)
-	if len(deg.Degraded) != 2 {
-		t.Fatalf("degraded faults = %+v", deg.Degraded)
+	deg := smallCluster(4)
+	deg.Degraded = []NodeFault{{Node: 0, Factor: 2}, {Node: 2, Factor: 4}}
+	if _, err := Resolve(deg); err != nil || len(deg.Degraded) != 2 {
+		t.Fatalf("degraded faults = %+v: %v", deg.Degraded, err)
 	}
 }

@@ -19,7 +19,7 @@
 //
 // # Fault injection and elastic membership
 //
-// A Config may carry a chaos.Script. Continuous-substrate events (link,
+// Run may be given a chaos.Script. Continuous-substrate events (link,
 // disk, worker stalls) are replayed by a chaos.Engine task at their exact
 // scripted times into the shared fault table (chaos.Faults). Membership events (NodeCrash/NodeJoin) switch the run
 // into elastic mode: they are applied at the first step boundary at or
@@ -69,109 +69,117 @@ import (
 // deterministic draw.
 const shardStream = 4200
 
-// NodeFault names one node and a degradation factor — the element of the
-// Stragglers and Degraded slices.
+// NodeFault names one node and its degradation factor — the element of
+// Topology.Stragglers and Topology.Degraded. A factor of 8 leaves the node
+// an eighth of the resource; a factor of 1 leaves it whole.
 type NodeFault struct {
 	Node   int
 	Factor float64
 }
 
-// Config describes the cluster.
-type Config struct {
-	// Nodes is the number of servers; ignored when Mix is set.
+// Topology describes a multi-node training cluster: how many nodes, what
+// hardware each runs, and the interconnect they share. The zero value of
+// every field takes the default noted on it — the paper's cluster testbed,
+// Config A nodes on a 200 Gb/s fabric sharing a remote store (§3).
+type Topology struct {
+	// Nodes is the number of servers (default 2); ignored when Mix is set.
 	Nodes int
-	// Node is the per-node hardware (§3's Config A or B).
+	// Node is the per-node hardware (default §3's Config A).
 	Node hardware.Config
-	// Mix, when non-empty, gives each node its own hardware — the
-	// heterogeneous-cluster scenario. len(Mix) overrides Nodes.
+	// Mix gives each node its own hardware — the heterogeneous-cluster
+	// scenario. When non-empty it defines the node count.
 	Mix []hardware.Config
 
-	// GradientBytes is the model gradient each node exchanges per step.
+	// GradientBytes is the model gradient each node exchanges per step
+	// (default 350 MiB, ResNet50-scale).
 	GradientBytes int64
-	// LinkBandwidth is each node's NIC bandwidth in bytes/s per direction.
+	// LinkBandwidth is each node's NIC bandwidth in bytes/s per direction
+	// (default netsim.PaperBandwidth, 200 Gb/s).
 	LinkBandwidth float64
-	// LinkLatency is the per-transfer propagation delay on the fabric.
+	// LinkLatency is the per-transfer propagation delay on the fabric
+	// (default netsim.PaperLatency, 200µs).
 	LinkLatency time.Duration
-
-	// RemoteStore places the dataset on a shared storage server reached
-	// over the fabric (the Lustre configuration): cold reads occupy the
-	// server disk and then a network transfer into the reading node's NIC,
-	// contending with gradient traffic. When false every node has local
-	// storage.
-	RemoteStore bool
+	// LocalStore gives every node private storage. By default the dataset
+	// sits on a shared storage server reached over the fabric (the Lustre
+	// configuration): cold reads occupy the server disk and then a network
+	// transfer into the reading node's NIC, contending with gradient
+	// traffic.
+	LocalStore bool
 
 	// Stragglers divides each listed node's CPU core count by its factor —
 	// the input-stalled-node scenario, where underprovisioned preprocessing
-	// drags the whole synchronous cluster. Entries with Factor ≤ 1 or an
-	// out-of-range node are ignored.
+	// drags the whole synchronous cluster. One entry per afflicted node.
 	Stragglers []NodeFault
 	// Degraded divides each listed node's NIC bandwidth by its factor in
-	// both directions — a flaky cable or oversubscribed leaf switch.
+	// both directions — a flaky cable or oversubscribed leaf switch. One
+	// entry per afflicted node.
 	Degraded []NodeFault
-
-	// Script injects scripted faults during the run (see package chaos).
-	// Membership events switch the run into elastic mode.
-	Script chaos.Script
-
-	// Trace, when non-nil, is the recorder of the run's kernel: every layer
-	// (loaders, storage, consumer steps, the fabric, faults) records its
-	// spans into it. Nil disables tracing at zero hot-path cost.
-	Trace *trace.Recorder
 }
 
-// DefaultConfig returns a 200 Gb/s-interconnect cluster of Config A nodes
-// sharing a remote store, the paper's cluster testbed.
-func DefaultConfig(nodes int) Config {
-	return Config{
-		Nodes:         nodes,
-		Node:          hardware.ConfigA(),
-		GradientBytes: 350 << 20, // ResNet50-scale gradients
-		LinkBandwidth: 25e9,      // 200 Gb/s
-		LinkLatency:   200 * time.Microsecond,
-		RemoteStore:   true,
+// Resolve returns t with every zero field at its default, or an error for
+// the first thing a run refuses: a node count below 1, or a straggler or
+// degraded-link entry whose factor is below 1 or whose node is outside the
+// cluster. Run resolves its topology itself; callers resolve first to learn
+// the node count or to refuse a topology before running anything.
+func Resolve(t Topology) (Topology, error) {
+	if len(t.Mix) > 0 {
+		t.Nodes = len(t.Mix)
+	} else if t.Nodes == 0 {
+		t.Nodes = 2
 	}
-}
-
-// WithStraggler returns a copy of c with node's cores divided by factor.
-// Repeated calls accumulate distinct stragglers.
-func (c Config) WithStraggler(node int, factor float64) Config {
-	c.Stragglers = append(append([]NodeFault(nil), c.Stragglers...), NodeFault{node, factor})
-	return c
-}
-
-// WithDegradedLink returns a copy of c with node's NIC bandwidth divided
-// by factor. Repeated calls accumulate distinct degraded links.
-func (c Config) WithDegradedLink(node int, factor float64) Config {
-	c.Degraded = append(append([]NodeFault(nil), c.Degraded...), NodeFault{node, factor})
-	return c
-}
-
-// WithMix returns a copy of c running the given heterogeneous node set.
-func (c Config) WithMix(nodes ...hardware.Config) Config {
-	c.Mix = nodes
-	c.Nodes = len(nodes)
-	return c
-}
-
-// WithChaos returns a copy of c injecting the given fault script.
-func (c Config) WithChaos(s chaos.Script) Config {
-	c.Script = s
-	return c
-}
-
-// nodeConfigs resolves the per-node hardware, applying the straggler
-// scenario.
-func (c Config) nodeConfigs() []hardware.Config {
-	var cfgs []hardware.Config
-	if len(c.Mix) > 0 {
-		cfgs = append(cfgs, c.Mix...)
-	} else {
-		for i := 0; i < c.Nodes; i++ {
-			cfgs = append(cfgs, c.Node)
+	if t.Node.Cores <= 0 {
+		t.Node = hardware.ConfigA()
+	}
+	if t.GradientBytes <= 0 {
+		t.GradientBytes = 350 << 20
+	}
+	if t.LinkBandwidth <= 0 {
+		t.LinkBandwidth = netsim.PaperBandwidth
+	}
+	if t.LinkLatency <= 0 {
+		t.LinkLatency = netsim.PaperLatency
+	}
+	if t.Nodes < 1 {
+		return t, fmt.Errorf("node count %d < 1", t.Nodes)
+	}
+	for _, f := range t.Stragglers {
+		if err := f.check("straggler", t.Nodes); err != nil {
+			return t, err
 		}
 	}
-	for _, s := range c.Stragglers {
-		if s.Factor > 1 && s.Node >= 0 && s.Node < len(cfgs) {
+	for _, f := range t.Degraded {
+		if err := f.check("degraded", t.Nodes); err != nil {
+			return t, err
+		}
+	}
+	return t, nil
+}
+
+// check refuses a fault entry with a factor below 1 or a node outside a
+// cluster of the given size.
+func (f NodeFault) check(what string, nodes int) error {
+	switch {
+	case f.Factor < 1:
+		return fmt.Errorf("%s factor %g must be ≥ 1", what, f.Factor)
+	case f.Node < 0 || f.Node >= nodes:
+		return fmt.Errorf("%s node %d outside cluster of %d", what, f.Node, nodes)
+	}
+	return nil
+}
+
+// nodeConfigs returns the per-node hardware of a resolved topology, with
+// the straggler scenario applied.
+func (t Topology) nodeConfigs() []hardware.Config {
+	var cfgs []hardware.Config
+	if len(t.Mix) > 0 {
+		cfgs = append(cfgs, t.Mix...)
+	} else {
+		for i := 0; i < t.Nodes; i++ {
+			cfgs = append(cfgs, t.Node)
+		}
+	}
+	for _, s := range t.Stragglers {
+		if s.Factor > 1 {
 			n := &cfgs[s.Node]
 			n.Cores = int(float64(n.Cores) / s.Factor)
 			if n.Cores < 1 {
@@ -232,7 +240,7 @@ type Report struct {
 	PerNode []NodeStats
 
 	// Recorded is the run's trace: Trace and CriticalPath, snapshotted
-	// lazily from the recorder (Config.Trace) the run recorded into.
+	// lazily from the recorder passed to Run.
 	trace.Recorded
 }
 
@@ -313,20 +321,26 @@ func (rf remoteFetch) Fetch(ctx context.Context, n int64) error {
 // shard; after each per-GPU step, nodes synchronize on a global barrier,
 // node leaders run the ring all-reduce over the fabric, and everyone
 // resumes together — the bulk-synchronous-parallel structure of DDP.
-func Run(cfg Config, w workload.Workload, f trainer.Factory) (*Report, error) {
-	nodeCfgs := cfg.nodeConfigs()
-	if len(nodeCfgs) == 0 {
-		return nil, errors.New("distributed: need at least one node")
+//
+// script injects scripted faults during the run (see package chaos); its
+// membership events switch the run into elastic mode. rec, when non-nil,
+// becomes the recorder of the run's kernel: every layer (loaders, storage,
+// consumer steps, the fabric, faults) records its spans into it. Nil
+// disables tracing at zero hot-path cost. Run refuses what Resolve refuses.
+func Run(t Topology, w workload.Workload, f trainer.Factory, script chaos.Script, rec *trace.Recorder) (*Report, error) {
+	t, err := Resolve(t)
+	if err != nil {
+		return nil, fmt.Errorf("distributed: %w", err)
 	}
-	if err := cfg.Script.Validate(len(nodeCfgs)); err != nil {
+	if err := script.Validate(t.Nodes); err != nil {
 		return nil, err
 	}
 	k := simtime.NewVirtual()
-	_ = k.SetTrace(cfg.Trace) // a fresh kernel takes any recorder
-	rep := &Report{Workload: w.Name, Loader: f.Name, Nodes: len(nodeCfgs)}
+	_ = k.SetTrace(rec) // a fresh kernel takes any recorder
+	rep := &Report{Workload: w.Name, Loader: f.Name, Nodes: t.Nodes}
 	var runErr error
 	k.Run(func() {
-		runErr = run(k, cfg, nodeCfgs, w, f, rep)
+		runErr = run(k, t, script, w, f, rep)
 	})
 	k.Drain()
 	if runErr != nil {
@@ -368,7 +382,6 @@ type memberView struct {
 // its own instants.
 type ctrl struct {
 	k       *simtime.Virtual
-	cfg     Config
 	w       workload.Workload
 	f       trainer.Factory
 	fab     *netsim.Fabric
@@ -546,13 +559,14 @@ func (st *ctrl) reshard(v *memberView, active []bool, now time.Duration) {
 	}
 }
 
-func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.Workload, f trainer.Factory, rep *Report) error {
+func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workload, f trainer.Factory, rep *Report) error {
 	ctx := context.Background()
 	wg := simtime.NewWaitGroup(k)
+	nodeCfgs := t.nodeConfigs()
 	n := len(nodeCfgs)
 
 	var memberEvs, contEvs []chaos.Event
-	for _, ev := range cfg.Script.Sorted() {
+	for _, ev := range script.Sorted() {
 		switch ev.Kind {
 		case chaos.NodeCrash, chaos.NodeJoin:
 			memberEvs = append(memberEvs, ev)
@@ -566,23 +580,23 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 	// dataset is remote.
 	endpoints := n
 	storeEP := -1
-	if cfg.RemoteStore {
+	if !t.LocalStore {
 		storeEP = n
 		endpoints++
 	}
 	fab := netsim.New(k, netsim.Config{
 		Endpoints: endpoints,
-		Bandwidth: cfg.LinkBandwidth,
-		Latency:   cfg.LinkLatency,
+		Bandwidth: t.LinkBandwidth,
+		Latency:   t.LinkLatency,
 	})
 	// baseBW is each node's configured NIC bandwidth after static
 	// degradation — the level LinkRestore returns to.
 	baseBW := make([]float64, n)
 	for i := range baseBW {
-		baseBW[i] = cfg.LinkBandwidth
+		baseBW[i] = t.LinkBandwidth
 	}
-	for _, d := range cfg.Degraded {
-		if d.Factor > 1 && d.Node >= 0 && d.Node < n {
+	for _, d := range t.Degraded {
+		if d.Factor > 1 {
 			baseBW[d.Node] /= d.Factor
 			fab.SetBandwidth(d.Node, baseBW[d.Node])
 		}
@@ -592,13 +606,9 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 	// disk (the Lustre array) and pay a fabric transfer into their NIC;
 	// node-local page caches absorb warm reads before any of that.
 	var serverDisk *storage.Disk
-	if cfg.RemoteStore {
-		serverCfg := cfg.Node
-		if serverCfg.StorageBandwidth <= 0 {
-			serverCfg = nodeCfgs[0] // Mix-only config: size the server like node 0
-		}
-		serverDisk = storage.NewDisk(k, serverCfg.StorageName+"-server",
-			serverCfg.StorageBandwidth, serverCfg.StorageParallelism)
+	if !t.LocalStore {
+		serverDisk = storage.NewDisk(k, t.Node.StorageName+"-server",
+			t.Node.StorageBandwidth, t.Node.StorageParallelism)
 	}
 
 	// Shard assignment through the deterministic draw family: node i
@@ -617,7 +627,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 	for i := range nodes {
 		tb := hardware.NewTestbed(k, nodeCfgs[i])
 		store := tb.Store
-		if cfg.RemoteStore {
+		if !t.LocalStore {
 			store = &storage.Store{Disk: serverDisk, Cache: tb.Cache,
 				Remote: remoteFetch{fab: fab, src: storeEP, node: i}}
 		}
@@ -651,7 +661,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 	}
 
 	st := &ctrl{
-		k: k, cfg: cfg, w: w, f: f, fab: fab, wg: wg,
+		k: k, w: w, f: f, fab: fab, wg: wg,
 		nodes: nodes, baseBW: baseBW, seed: spec.Seed, elastic: elastic,
 		pending: memberEvs, target: target,
 		hist:       metrics.NewLogHist(),
@@ -690,7 +700,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 	// Disk degradation hits the storage server on a remote-store cluster,
 	// every node's disk otherwise; the engine replay keeps the fault windows.
 	disks := []*storage.Disk{serverDisk}
-	if !cfg.RemoteStore {
+	if t.LocalStore {
 		disks = nil
 		for _, nd := range nodes {
 			disks = append(disks, nd.tb.Disk)
@@ -761,7 +771,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 						tr.Record(trace.Span{Start: t1, End: t2, Stage: trace.StageBarrierWait,
 							Node: int32(rank), Key: int64(g), Seq: round})
 						if g == 0 {
-							if err := v.ring.AllReduce(ctx, v.ranks[rank], cfg.GradientBytes); err != nil {
+							if err := v.ring.AllReduce(ctx, v.ranks[rank], t.GradientBytes); err != nil {
 								if !errors.Is(err, simtime.ErrBarrierBroken) {
 									st.consumeErr = err
 								}

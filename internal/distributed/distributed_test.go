@@ -2,12 +2,15 @@ package distributed
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/minatoloader/minato/internal/chaos"
 	"github.com/minatoloader/minato/internal/dataset"
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loaders"
+	"github.com/minatoloader/minato/internal/trainer"
 	"github.com/minatoloader/minato/internal/workload"
 )
 
@@ -17,15 +20,24 @@ func distWorkload(iters int) workload.Workload {
 	return w.WithIterations(iters)
 }
 
-func smallCluster(nodes int) Config {
-	c := DefaultConfig(nodes)
-	c.Node = hardware.ConfigA().WithGPUs(1)
-	return c
+func smallCluster(nodes int) Topology {
+	return Topology{Nodes: nodes, Node: hardware.ConfigA().WithGPUs(1)}
+}
+
+// straggling returns t with node's cores divided by factor.
+func straggling(t Topology, node int, factor float64) Topology {
+	t.Stragglers = append(append([]NodeFault(nil), t.Stragglers...), NodeFault{node, factor})
+	return t
+}
+
+// runPlain runs t with no fault script, untraced.
+func runPlain(t Topology, w workload.Workload, f trainer.Factory) (*Report, error) {
+	return Run(t, w, f, chaos.Script{}, nil)
 }
 
 func TestSingleNodeRuns(t *testing.T) {
 	f, _ := loaders.ByName("minato")
-	rep, err := Run(smallCluster(1), distWorkload(15), f)
+	rep, err := runPlain(smallCluster(1), distWorkload(15), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +60,8 @@ func TestSingleNodeRuns(t *testing.T) {
 func TestLocalStoreKeepsFabricQuietOnOneNode(t *testing.T) {
 	f, _ := loaders.ByName("minato")
 	cfg := smallCluster(1)
-	cfg.RemoteStore = false
-	rep, err := Run(cfg, distWorkload(10), f)
+	cfg.LocalStore = true
+	rep, err := runPlain(cfg, distWorkload(10), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +72,7 @@ func TestLocalStoreKeepsFabricQuietOnOneNode(t *testing.T) {
 
 func TestTwoNodesSynchronize(t *testing.T) {
 	f, _ := loaders.ByName("minato")
-	rep, err := Run(smallCluster(2), distWorkload(15), f)
+	rep, err := runPlain(smallCluster(2), distWorkload(15), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +105,12 @@ func TestRunIsDeterministic(t *testing.T) {
 	// per-node stall attribution, fabric byte counts — must match across
 	// two identical-seed runs.
 	f, _ := loaders.ByName("minato")
-	cfg := smallCluster(2).WithStraggler(1, 4)
-	r1, err := Run(cfg, distWorkload(12), f)
+	cfg := straggling(smallCluster(2), 1, 4)
+	r1, err := runPlain(cfg, distWorkload(12), f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(cfg, distWorkload(12), f)
+	r2, err := runPlain(cfg, distWorkload(12), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +125,11 @@ func TestStragglerStallsTheCluster(t *testing.T) {
 	// grows versus the balanced cluster.
 	f, _ := loaders.ByName("pytorch")
 	w := distWorkload(15)
-	base, err := Run(smallCluster(2), w, f)
+	base, err := runPlain(smallCluster(2), w, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	strag, err := Run(smallCluster(2).WithStraggler(1, 16), w, f)
+	strag, err := runPlain(straggling(smallCluster(2), 1, 16), w, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,14 +149,14 @@ func TestMinatoBeatsPyTorchUnderStraggler(t *testing.T) {
 	// barrier makes the whole cluster pay that node's preprocessing — so
 	// the loader that hides preprocessing wins on whole-cluster step time.
 	w := distWorkload(15)
-	cfg := smallCluster(2).WithStraggler(1, 8)
+	cfg := straggling(smallCluster(2), 1, 8)
 	pt, _ := loaders.ByName("pytorch")
 	mn, _ := loaders.ByName("minato")
-	ptRep, err := Run(cfg, w, pt)
+	ptRep, err := runPlain(cfg, w, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mnRep, err := Run(cfg, w, mn)
+	mnRep, err := runPlain(cfg, w, mn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +176,11 @@ func TestMinatoRetainsAdvantageAcrossNodes(t *testing.T) {
 	pt, _ := loaders.ByName("pytorch")
 	mn, _ := loaders.ByName("minato")
 
-	ptRep, err := Run(smallCluster(2), w, pt)
+	ptRep, err := runPlain(smallCluster(2), w, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mnRep, err := Run(smallCluster(2), w, mn)
+	mnRep, err := runPlain(smallCluster(2), w, mn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +195,12 @@ func TestMinatoRetainsAdvantageAcrossNodes(t *testing.T) {
 func TestDegradedLinkShowsUpAsNetworkStall(t *testing.T) {
 	f, _ := loaders.ByName("minato")
 	w := distWorkload(12)
-	base, err := Run(smallCluster(2), w, f)
+	base, err := runPlain(smallCluster(2), w, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deg, err := Run(smallCluster(2).WithDegradedLink(1, 8), w, f)
+	deg, err := runPlain(Topology{Nodes: 2, Node: hardware.ConfigA().WithGPUs(1),
+		Degraded: []NodeFault{{Node: 1, Factor: 8}}}, w, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +216,11 @@ func TestDegradedLinkShowsUpAsNetworkStall(t *testing.T) {
 
 func TestHeterogeneousMix(t *testing.T) {
 	f, _ := loaders.ByName("minato")
-	cfg := DefaultConfig(0).WithMix(
+	cfg := Topology{Mix: []hardware.Config{
 		hardware.ConfigA().WithGPUs(1),
 		hardware.ConfigB().WithGPUs(1),
-	)
-	rep, err := Run(cfg, distWorkload(10), f)
+	}}
+	rep, err := runPlain(cfg, distWorkload(10), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +234,24 @@ func TestHeterogeneousMix(t *testing.T) {
 
 func TestZeroNodesRejected(t *testing.T) {
 	f, _ := loaders.ByName("minato")
-	if _, err := Run(Config{Nodes: 0}, distWorkload(5), f); err == nil {
-		t.Fatal("no error for zero nodes")
+	if _, err := runPlain(Topology{Nodes: -1}, distWorkload(5), f); err == nil {
+		t.Fatal("no error for a negative node count")
+	}
+}
+
+// Run refuses the fault entries the facade refuses, with the same words,
+// instead of running them as if they were absent.
+func TestRunRejectsInvalidFaultEntries(t *testing.T) {
+	f, _ := loaders.ByName("minato")
+	for _, tc := range []struct {
+		topo Topology
+		want string
+	}{
+		{Topology{Nodes: 2, Stragglers: []NodeFault{{Node: 2, Factor: 4}}}, "straggler node 2 outside cluster of 2"},
+		{Topology{Nodes: 2, Degraded: []NodeFault{{Node: 1, Factor: 0.5}}}, "degraded factor 0.5 must be ≥ 1"},
+	} {
+		if _, err := runPlain(tc.topo, distWorkload(5), f); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: err = %v, want %q", tc.topo, err, tc.want)
+		}
 	}
 }

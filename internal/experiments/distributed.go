@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/minatoloader/minato/internal/chaos"
 	"github.com/minatoloader/minato/internal/dataset"
 	"github.com/minatoloader/minato/internal/distributed"
 	"github.com/minatoloader/minato/internal/hardware"
@@ -58,10 +59,9 @@ func runDist(o Options) (*Result, error) {
 		Header: distHeader,
 	}
 	for _, n := range nodeCounts {
-		cfg := distributed.DefaultConfig(n)
 		for _, name := range distLoaders {
 			f, _ := loaders.ByName(name)
-			rep, err := distributed.Run(cfg, w, f)
+			rep, err := distributed.Run(distributed.Topology{Nodes: n}, w, f, chaos.Script{}, nil)
 			if err != nil {
 				return nil, fmt.Errorf("dist %d/%s: %w", n, name, err)
 			}
@@ -93,16 +93,15 @@ func runMultiNode(o Options) (*Result, error) {
 		nodes = 2
 	}
 	w := distWorkloadFor(o, iters)
-	base := distributed.DefaultConfig(nodes)
 
 	scenarios := []struct {
 		label string
-		cfg   distributed.Config
+		topo  distributed.Topology
 	}{
-		{"balanced", base},
-		{"straggler(n1÷8 cores)", base.WithStraggler(1, 8)},
-		{"degraded(n1÷8 link)", base.WithDegradedLink(1, 8)},
-		{"hetero(A+B mix)", base.WithMix(mixNodes(nodes)...)},
+		{"balanced", distributed.Topology{Nodes: nodes}},
+		{"straggler(n1÷8 cores)", distributed.Topology{Nodes: nodes, Stragglers: []distributed.NodeFault{{Node: 1, Factor: 8}}}},
+		{"degraded(n1÷8 link)", distributed.Topology{Nodes: nodes, Degraded: []distributed.NodeFault{{Node: 1, Factor: 8}}}},
+		{"hetero(A+B mix)", distributed.Topology{Mix: mixNodes(nodes)}},
 	}
 
 	t := Table{
@@ -112,7 +111,7 @@ func runMultiNode(o Options) (*Result, error) {
 	for _, sc := range scenarios {
 		for _, name := range distLoaders {
 			f, _ := loaders.ByName(name)
-			rep, err := distributed.Run(sc.cfg, w, f)
+			rep, err := distributed.Run(sc.topo, w, f, chaos.Script{}, nil)
 			if err != nil {
 				return nil, fmt.Errorf("multinode %s/%s: %w", sc.label, name, err)
 			}

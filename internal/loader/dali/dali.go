@@ -27,26 +27,28 @@ import (
 	"github.com/minatoloader/minato/internal/transform"
 )
 
-// Config holds DALI's tuning knobs.
+// Config holds DALI's tuning knob.
 type Config struct {
 	// QueueDepth is prefetch_queue_depth (default 2, §5.1).
 	QueueDepth int
-	// Speedup is the GPU-vs-CPU transform speed ratio (default 10, §5.1).
-	Speedup float64
-	// IOParallelism bounds concurrent sample loads per raw batch.
-	IOParallelism int
 }
 
 // DefaultConfig matches the paper's setup.
 func DefaultConfig() Config {
-	return Config{QueueDepth: 2, Speedup: 10, IOParallelism: 16}
+	return Config{QueueDepth: 2}
 }
+
+const (
+	// speedup is the GPU-vs-CPU transform speed ratio (10, §5.1).
+	speedup = 10
+	// ioParallelism bounds concurrent sample loads per raw batch.
+	ioParallelism = 16
+)
 
 // Loader is the DALI baseline.
 type Loader struct {
 	env  *loader.Env
 	spec loader.Spec
-	cfg  Config
 
 	idx     *loader.IndexSource
 	rawQs   []*queue.Queue[*data.Batch]
@@ -78,16 +80,10 @@ func New(env *loader.Env, spec loader.Spec, cfg Config) *Loader {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 2
 	}
-	if cfg.Speedup <= 0 {
-		cfg.Speedup = 10
-	}
-	if cfg.IOParallelism <= 0 {
-		cfg.IOParallelism = 16
-	}
 	l := &Loader{
-		env: env, spec: spec, cfg: cfg,
+		env: env, spec: spec,
 		idx:     loader.NewIndexSource(spec),
-		ioTasks: queue.New[ioTask](env.RT, "dali-iotasks", cfg.IOParallelism),
+		ioTasks: queue.New[ioTask](env.RT, "dali-iotasks", ioParallelism),
 		ioDone:  queue.New[ioResult](env.RT, "dali-iodone", spec.BatchSize),
 		budget:  spec.TotalBatches(),
 	}
@@ -107,8 +103,8 @@ func (l *Loader) Name() string { return "dali" }
 func (l *Loader) Start(ctx context.Context) error {
 	ctx, l.cancel = simtime.WithCancel(l.env.RT, ctx)
 
-	// Persistent IO pool: IOParallelism workers bound concurrent loads.
-	for w := 0; w < l.cfg.IOParallelism; w++ {
+	// Persistent IO pool: ioParallelism workers bound concurrent loads.
+	for w := 0; w < ioParallelism; w++ {
 		l.env.WG.Go("dali-io", func() {
 			l.ioWorker(ctx)
 		})
@@ -158,7 +154,7 @@ func (l *Loader) Start(ctx context.Context) error {
 }
 
 // ioWorker is one slot of the persistent IO pool: it loads samples for the
-// reader until the task queue closes. A fixed pool of IOParallelism workers
+// reader until the task queue closes. A fixed pool of ioParallelism workers
 // bounds concurrent loads exactly like the per-batch semaphore it replaced,
 // without spawning a goroutine (and a semaphore queue) per sample.
 func (l *Loader) ioWorker(ctx context.Context) {
@@ -226,7 +222,7 @@ func (l *Loader) gpuPipe(ctx context.Context, g int) {
 	dev := l.env.GPUs[g]
 	// Boxed into the interface once, here: converting the struct at every
 	// Apply would heap-allocate a copy per sample.
-	var exec transform.Executor = transform.ScaledExecutor{Exec: gpu.Executor{G: dev}, Speedup: l.cfg.Speedup}
+	var exec transform.Executor = transform.ScaledExecutor{Exec: gpu.Executor{G: dev}, Speedup: speedup}
 	defer l.readyQs[g].Close()
 	for {
 		b, err := l.rawQs[g].Get(ctx)

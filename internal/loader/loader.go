@@ -109,7 +109,7 @@ type Env struct {
 	// Gov, when set, bounds the loader's preprocessing-worker pool from
 	// outside — the hook multi-tenant clusters use to arbitrate CPU workers
 	// fairly across co-located loaders. A nil share leaves the loader's
-	// own MaxWorkers as the only bound.
+	// own bound (for MinatoLoader, the CPU core count) as the only one.
 	Gov *Share
 	// Mat, when set, is the cluster's materialized preprocessed-sample
 	// cache: loaders that support it (MinatoLoader) check it before

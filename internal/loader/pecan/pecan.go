@@ -14,21 +14,13 @@ import (
 	"github.com/minatoloader/minato/internal/transform"
 )
 
-// Config mirrors the PyTorch knobs; AutoOrder is always on.
-type Config struct {
-	Workers        int
-	PrefetchFactor int
-}
-
-// DefaultConfig matches the paper's setup (§5.1).
-func DefaultConfig() Config { return Config{Workers: 12, PrefetchFactor: 2} }
-
 // New returns a Pecan loader: PyTorch dispatch/delivery with per-sample
-// AutoOrder pipeline rearrangement.
-func New(env *loader.Env, spec loader.Spec, cfg Config) *pytorch.Loader {
+// AutoOrder pipeline rearrangement, on the paper's setup (§5.1): 12 workers,
+// prefetch factor 2.
+func New(env *loader.Env, spec loader.Spec) *pytorch.Loader {
 	return pytorch.New(env, spec, pytorch.Config{
-		Workers:        cfg.Workers,
-		PrefetchFactor: cfg.PrefetchFactor,
+		Workers:        12,
+		PrefetchFactor: 2,
 		ReorderPolicy:  transform.AutoOrder,
 		LoaderName:     "pecan",
 	})

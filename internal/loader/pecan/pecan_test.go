@@ -33,7 +33,7 @@ func TestPecanDeliversAndIsNamed(t *testing.T) {
 			Iterations: 10,
 			Seed:       1,
 		}
-		l := New(env, spec, DefaultConfig())
+		l := New(env, spec)
 		if l.Name() != "pecan" {
 			t.Fatalf("name = %s", l.Name())
 		}

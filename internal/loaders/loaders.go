@@ -25,7 +25,7 @@ func init() {
 	// The paper's four systems with their §5.1 configurations, registered
 	// in the paper's comparison order.
 	Register(PyTorch(pytorch.DefaultConfig()))
-	Register(Pecan(pecan.DefaultConfig()))
+	Register(Pecan())
 	Register(DALI(dali.DefaultConfig()))
 	Register(Minato(core.DefaultConfig()))
 }
@@ -63,9 +63,9 @@ func DALI(cfg dali.Config) trainer.Factory {
 }
 
 // Pecan returns a factory for the Pecan (AutoOrder) baseline.
-func Pecan(cfg pecan.Config) trainer.Factory {
+func Pecan() trainer.Factory {
 	return trainer.Factory{Name: "pecan", New: func(env *loader.Env, spec loader.Spec) loader.Loader {
-		return pecan.New(env, spec, cfg)
+		return pecan.New(env, spec)
 	}}
 }
 

@@ -11,7 +11,6 @@ import (
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loader"
 	"github.com/minatoloader/minato/internal/loader/dali"
-	"github.com/minatoloader/minato/internal/loader/pecan"
 	"github.com/minatoloader/minato/internal/loader/pytorch"
 	"github.com/minatoloader/minato/internal/simtime"
 	"github.com/minatoloader/minato/internal/workload"
@@ -52,10 +51,10 @@ func TestCustomConfigsAccepted(t *testing.T) {
 	if f := DALI(dali.Config{QueueDepth: 5}); f.Name != "dali" {
 		t.Fatal("DALI factory")
 	}
-	if f := Pecan(pecan.Config{Workers: 3}); f.Name != "pecan" {
+	if f := Pecan(); f.Name != "pecan" {
 		t.Fatal("Pecan factory")
 	}
-	if f := Minato(core.Config{QueueCap: 5}); f.Name != "minato" {
+	if f := Minato(core.Config{WarmupSamples: 5}); f.Name != "minato" {
 		t.Fatal("Minato factory")
 	}
 }

@@ -5,11 +5,11 @@
 // dataset fetches contend for the same NICs — the regime the single-server
 // evaluation cannot see.
 //
-// Topology: every endpoint (a training node, or the storage server) owns a
-// full-duplex NIC attached to a non-blocking switch, so the contention
-// points are the 2·E unidirectional NIC links (egress and ingress per
-// endpoint); the switch core is never the bottleneck, matching a
-// fat-tree-style cluster fabric. A Flow from src to dst occupies src's
+// Topology: every endpoint (a training node, the storage server, or a
+// service fabric's preprocessing server or client) owns a full-duplex NIC
+// attached to a non-blocking switch, so the contention points are the 2·E
+// unidirectional NIC links (egress and ingress per endpoint); the switch
+// core is never the bottleneck, matching a fat-tree-style cluster fabric. A Flow from src to dst occupies src's
 // egress and dst's ingress for its byte count, after a fixed propagation
 // latency.
 //
@@ -36,15 +36,26 @@ import (
 	"github.com/minatoloader/minato/internal/trace"
 )
 
-// Config sizes a fabric.
+// The paper's cluster interconnect (§3): 200 Gb/s NICs and a 200µs
+// per-transfer propagation delay. New takes a Config as given; the layers
+// that build fabrics (distributed, service) fill zero fields from these.
+const (
+	PaperBandwidth = 25e9 // bytes/s per direction ≈ 200 Gb/s
+	PaperLatency   = 200 * time.Microsecond
+)
+
+// Config sizes a fabric. New uses it as given; service.NewNet fills its zero
+// fields with the defaults noted here.
 type Config struct {
-	// Endpoints is the number of NIC-owning endpoints (training nodes plus
-	// any storage servers).
+	// Endpoints is the number of NIC-owning endpoints: training nodes plus
+	// any storage servers, or a service fabric's preprocessing servers and
+	// their clients (service.NewNet's default: 64).
 	Endpoints int
 	// Bandwidth is each NIC's full-duplex bandwidth in bytes/s per
-	// direction (200 Gb/s ≈ 25e9, the paper's cluster interconnect).
+	// direction (default PaperBandwidth).
 	Bandwidth float64
-	// Latency is the fixed per-transfer propagation delay.
+	// Latency is the fixed per-transfer propagation delay (default
+	// PaperLatency).
 	Latency time.Duration
 }
 

@@ -40,7 +40,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"github.com/minatoloader/minato/internal/data"
 	"github.com/minatoloader/minato/internal/netsim"
@@ -180,34 +179,8 @@ func BatchWireBytes(b *data.Batch) int64 {
 	return b.Bytes() + 32*int64(b.Size())
 }
 
-// Config sizes a service network.
-type Config struct {
-	// Endpoints bounds how many NIC-owning parties (servers + clients) the
-	// network hosts. Default 64.
-	Endpoints int
-	// Bandwidth is each NIC's full-duplex bandwidth in bytes/s per
-	// direction. Default 25e9 (200 Gb/s, the paper's interconnect).
-	Bandwidth float64
-	// Latency is the fixed per-frame propagation delay. Default 200µs.
-	Latency time.Duration
-	// InboxDepth bounds each endpoint's receive queue. Default 256.
-	InboxDepth int
-}
-
-func (c *Config) fill() {
-	if c.Endpoints <= 0 {
-		c.Endpoints = 64
-	}
-	if c.Bandwidth <= 0 {
-		c.Bandwidth = 25e9
-	}
-	if c.Latency == 0 {
-		c.Latency = 200 * time.Microsecond
-	}
-	if c.InboxDepth <= 0 {
-		c.InboxDepth = 256
-	}
-}
+// inboxDepth bounds each endpoint's receive queue, in frames.
+const inboxDepth = 256
 
 // Net is the service fabric: a netsim interconnect plus one frame inbox
 // per allocated endpoint, and the fleet registry mapping server indices to
@@ -216,23 +189,28 @@ func (c *Config) fill() {
 type Net struct {
 	rt  *simtime.Virtual
 	fab *netsim.Fabric
-	cfg Config
+	cfg netsim.Config
 
 	next    int
 	inboxes []queue.Queue[Frame] // one per endpoint; [0, next) allocated
 	servers []int                // fleet index → endpoint
 }
 
-// NewNet builds a service fabric on rt.
-func NewNet(rt *simtime.Virtual, cfg Config) *Net {
-	cfg.fill()
+// NewNet builds a service fabric on rt. Zero fields of cfg take the defaults
+// documented on netsim.Config's fields.
+func NewNet(rt *simtime.Virtual, cfg netsim.Config) *Net {
+	if cfg.Endpoints <= 0 {
+		cfg.Endpoints = 64
+	}
+	if cfg.Bandwidth <= 0 {
+		cfg.Bandwidth = netsim.PaperBandwidth
+	}
+	if cfg.Latency == 0 {
+		cfg.Latency = netsim.PaperLatency
+	}
 	return &Net{
-		rt: rt,
-		fab: netsim.New(rt, netsim.Config{
-			Endpoints: cfg.Endpoints,
-			Bandwidth: cfg.Bandwidth,
-			Latency:   cfg.Latency,
-		}),
+		rt:      rt,
+		fab:     netsim.New(rt, cfg),
 		cfg:     cfg,
 		inboxes: make([]queue.Queue[Frame], cfg.Endpoints),
 	}
@@ -252,7 +230,7 @@ func (n *Net) AllocEndpoint() (int, error) {
 	}
 	ep := n.next
 	n.next++
-	n.inboxes[ep].Init(n.rt, inboxQueueName, n.cfg.InboxDepth)
+	n.inboxes[ep].Init(n.rt, inboxQueueName, inboxDepth)
 	return ep, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/minatoloader/minato/internal/data"
+	"github.com/minatoloader/minato/internal/netsim"
 	"github.com/minatoloader/minato/internal/simtime"
 )
 
@@ -76,7 +77,7 @@ type testRig struct {
 	pool *data.Pool
 }
 
-func newRig(t *testing.T, cfg Config) *testRig {
+func newRig(t *testing.T, cfg netsim.Config) *testRig {
 	t.Helper()
 	v := simtime.NewVirtual()
 	return &testRig{v: v, net: NewNet(v, cfg), pool: data.NewPool()}
@@ -138,7 +139,7 @@ func consume(ctx context.Context, t *testing.T, c *Client, perBatch time.Duratio
 }
 
 func TestServeDeliveryInOrder(t *testing.T) {
-	r := newRig(t, Config{Endpoints: 4})
+	r := newRig(t, netsim.Config{Endpoints: 4})
 	op := &fakeOpener{rt: r.v, pool: r.pool, total: 12, batchSize: 4, cost: time.Millisecond}
 	srv := r.startServer(t, ServerConfig{}, op)
 
@@ -177,7 +178,7 @@ func TestServeDeliveryInOrder(t *testing.T) {
 }
 
 func TestAdmissionRejections(t *testing.T) {
-	r := newRig(t, Config{Endpoints: 8})
+	r := newRig(t, netsim.Config{Endpoints: 8})
 	op := &fakeOpener{rt: r.v, pool: r.pool, total: 4, batchSize: 2, cost: time.Millisecond}
 	srv := r.startServer(t, ServerConfig{
 		Tokens:     map[string]TokenQuota{"alice": {MaxStreams: 1}, "bob": {}},
@@ -231,7 +232,7 @@ func TestAdmissionRejections(t *testing.T) {
 func FrameSpec(name, token string) StreamSpec { return StreamSpec{Name: name, Token: token} }
 
 func TestOverloadRetryBackoff(t *testing.T) {
-	r := newRig(t, Config{Endpoints: 8})
+	r := newRig(t, netsim.Config{Endpoints: 8})
 	op := &fakeOpener{rt: r.v, pool: r.pool, total: 2, batchSize: 2, cost: time.Millisecond}
 	srv := r.startServer(t, ServerConfig{MaxStreams: 1}, op)
 
@@ -279,7 +280,7 @@ func TestOverloadRetryBackoff(t *testing.T) {
 // TestWindowViolationKill drives raw frames past the granted send window
 // and expects the server to kill the stream with CodeOverloaded.
 func TestWindowViolationKill(t *testing.T) {
-	r := newRig(t, Config{Endpoints: 4})
+	r := newRig(t, netsim.Config{Endpoints: 4})
 	op := &fakeOpener{rt: r.v, pool: r.pool, total: 16, batchSize: 2, cost: 10 * time.Millisecond}
 	srv := r.startServer(t, ServerConfig{SendWindow: 2}, op)
 
@@ -338,7 +339,7 @@ func TestWindowViolationKill(t *testing.T) {
 }
 
 func TestReqUnknownStream(t *testing.T) {
-	r := newRig(t, Config{Endpoints: 4})
+	r := newRig(t, netsim.Config{Endpoints: 4})
 	op := &fakeOpener{rt: r.v, pool: r.pool, total: 1, batchSize: 1, cost: 0}
 	srv := r.startServer(t, ServerConfig{}, op)
 
@@ -373,7 +374,7 @@ type hedgeResult struct {
 
 func runHedgeScenario(t *testing.T, hedge time.Duration) hedgeResult {
 	t.Helper()
-	r := newRig(t, Config{Endpoints: 8})
+	r := newRig(t, netsim.Config{Endpoints: 8})
 	slow := &fakeOpener{rt: r.v, pool: r.pool, total: 8, batchSize: 2, cost: 40 * time.Millisecond}
 	fast := &fakeOpener{rt: r.v, pool: r.pool, total: 8, batchSize: 2, cost: time.Millisecond}
 	primary := r.startServer(t, ServerConfig{}, slow)
@@ -435,7 +436,7 @@ func TestHedgeDeterministic(t *testing.T) {
 }
 
 func TestBackpressureBoundedWindow(t *testing.T) {
-	r := newRig(t, Config{Endpoints: 4})
+	r := newRig(t, netsim.Config{Endpoints: 4})
 	op := &fakeOpener{rt: r.v, pool: r.pool, total: 10, batchSize: 2, cost: time.Millisecond}
 	srv := r.startServer(t, ServerConfig{SendWindow: 3}, op)
 
@@ -468,7 +469,7 @@ func TestBackpressureBoundedWindow(t *testing.T) {
 // kernel — the -race exercise for dispatch/pump/client interleavings.
 func TestConcurrentClientsHammer(t *testing.T) {
 	const clients = 8
-	r := newRig(t, Config{Endpoints: clients + 2})
+	r := newRig(t, netsim.Config{Endpoints: clients + 2})
 	op := &fakeOpener{rt: r.v, pool: r.pool, total: 6, batchSize: 2, cost: 2 * time.Millisecond}
 	srv := r.startServer(t, ServerConfig{SendWindow: 4}, op)
 

@@ -352,14 +352,3 @@ func (t *Recorded) CriticalPath() []BatchPath {
 func Sort(spans []Span) {
 	sort.Slice(spans, func(i, j int) bool { return Compare(spans[i], spans[j]) < 0 })
 }
-
-// Filter returns the spans keep admits, preserving order.
-func Filter(spans []Span, keep func(Span) bool) []Span {
-	out := make([]Span, 0, len(spans))
-	for _, s := range spans {
-		if keep(s) {
-			out = append(out, s)
-		}
-	}
-	return out
-}

@@ -8,7 +8,6 @@ import (
 	"github.com/minatoloader/minato/internal/dataset"
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loader/dali"
-	"github.com/minatoloader/minato/internal/loader/pecan"
 	"github.com/minatoloader/minato/internal/loader/pytorch"
 	"github.com/minatoloader/minato/internal/loaders"
 	"github.com/minatoloader/minato/internal/trainer"
@@ -72,7 +71,7 @@ func TestDALIDeliversBudget(t *testing.T) {
 
 func TestPecanDeliversBudget(t *testing.T) {
 	w := smallSpeech(20)
-	rep, err := trainer.Simulate(testbedA(2), w, loaders.Pecan(pecan.DefaultConfig()), trainer.Params{})
+	rep, err := trainer.Simulate(testbedA(2), w, loaders.Pecan(), trainer.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"math"
 	"time"
 
-	"github.com/minatoloader/minato/internal/data"
 	"github.com/minatoloader/minato/internal/dataset"
 	"github.com/minatoloader/minato/internal/dist"
 	"github.com/minatoloader/minato/internal/loader"
@@ -197,17 +196,4 @@ func (w Workload) PairedModalities() bool {
 		return false
 	}
 	return !w.Dataset.Sample(0, 0).Pair.IsZero()
-}
-
-// VerifyPairing checks that a batch respects modality pairing: every
-// sample retains its paired key (the loader never splits pairs).
-func VerifyPairing(b *data.Batch) bool {
-	for _, s := range b.Samples {
-		if s.Pair.IsZero() {
-			continue
-		}
-		// The pair travels inside the sample, so presence of the key means
-		// the audio–text pair stayed aligned.
-	}
-	return true
 }

@@ -3,7 +3,6 @@ package minato
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"github.com/minatoloader/minato/internal/distributed"
 	"github.com/minatoloader/minato/internal/workload"
@@ -11,8 +10,11 @@ import (
 
 // Topology describes a multi-node training cluster: how many nodes, what
 // hardware each runs, and the interconnect they share. The zero value of
-// every field takes a documented default, so the common case is just
-// WithNodes(n).
+// every field takes the paper-cluster default documented on the field (see
+// internal/distributed), so the common case is just WithNodes(n). A topology
+// the cluster cannot run — a node count below 1, a straggler or degraded
+// entry with a factor below 1 or a node outside the cluster — is refused
+// with a *ConfigError.
 //
 //	rep, err := minato.TrainMultiNode("speech-3s",
 //	    minato.WithTopology(minato.Topology{
@@ -22,34 +24,7 @@ import (
 //	        Stragglers: []minato.NodeFault{{Node: 1, Factor: 8}},
 //	    }),
 //	)
-type Topology struct {
-	// Nodes is the number of servers (default 2); ignored when Mix is set.
-	Nodes int
-	// Node is the per-node hardware (default ConfigA).
-	Node HardwareConfig
-	// Mix gives each node its own hardware — the heterogeneous-cluster
-	// scenario. When non-empty it defines the node count.
-	Mix []HardwareConfig
-
-	// GradientBytes is the model gradient each node exchanges per step
-	// (default 350 MiB, ResNet50-scale).
-	GradientBytes int64
-	// LinkBandwidth is each node's NIC bandwidth in bytes/s per direction
-	// (default 25e9 ≈ 200 Gb/s).
-	LinkBandwidth float64
-	// LinkLatency is the per-transfer propagation delay (default 200µs).
-	LinkLatency time.Duration
-	// LocalStore gives every node private storage instead of the default
-	// shared remote store reached over the fabric.
-	LocalStore bool
-
-	// Stragglers divides each listed node's CPU cores by its factor — the
-	// input-stalled-node scenario, one entry per afflicted node.
-	Stragglers []NodeFault
-	// Degraded divides each listed node's NIC bandwidth by its factor —
-	// the flaky-link scenario, one entry per afflicted node.
-	Degraded []NodeFault
-}
+type Topology = distributed.Topology
 
 // NodeFault names one node and its degradation factor — the element of
 // Topology.Stragglers and Topology.Degraded. A factor of 8 leaves the node
@@ -77,57 +52,34 @@ func WithTopology(t Topology) Option {
 	return Option{"WithTopology", atMultiNode, func(o *options) { o.topo = &t }}
 }
 
-// config resolves the topology's defaults into the internal cluster
-// config.
-func (t Topology) config(hw *HardwareConfig) (distributed.Config, error) {
-	// Start from the internal defaults so future DefaultConfig fields flow
-	// through, then lay the topology's explicit choices over them.
-	cfg := distributed.DefaultConfig(t.Nodes)
-	cfg.RemoteStore = !t.LocalStore
-	cfg.Stragglers = append([]NodeFault(nil), t.Stragglers...)
-	cfg.Degraded = append([]NodeFault(nil), t.Degraded...)
-	if cfg.Nodes == 0 && len(t.Mix) == 0 {
-		cfg.Nodes = 2
+// topology resolves the run's cluster: WithHardware sizes each node when
+// the topology leaves Node unset, WithGPUs rewrites every node's GPU count,
+// and distributed.Resolve fills the rest and refuses what a run would.
+func (o *options) topology() (Topology, error) {
+	var t Topology
+	if o.topo != nil {
+		t = *o.topo
 	}
-	if t.Node.Cores > 0 {
-		cfg.Node = t.Node
-	} else if hw != nil {
-		// WithHardware composes with WithNodes: it sizes each node.
-		cfg.Node = *hw
+	if t.Node.Cores <= 0 && o.hw != nil {
+		t.Node = *o.hw
 	}
-	if len(t.Mix) > 0 {
-		cfg.Mix = t.Mix
-		cfg.Nodes = len(t.Mix)
+	t, err := distributed.Resolve(t)
+	if err != nil {
+		return t, configErr("WithTopology", err.Error())
 	}
-	if t.GradientBytes > 0 {
-		cfg.GradientBytes = t.GradientBytes
-	}
-	if t.LinkBandwidth > 0 {
-		cfg.LinkBandwidth = t.LinkBandwidth
-	}
-	if t.LinkLatency > 0 {
-		cfg.LinkLatency = t.LinkLatency
-	}
-	if cfg.Nodes < 1 {
-		return cfg, configErr("WithTopology", fmt.Sprintf("node count %d < 1", cfg.Nodes))
-	}
-	for _, f := range t.Stragglers {
-		switch {
-		case f.Factor < 1:
-			return cfg, configErr("WithTopology", fmt.Sprintf("straggler factor %g must be ≥ 1", f.Factor))
-		case f.Node < 0 || f.Node >= cfg.Nodes:
-			return cfg, configErr("WithTopology", fmt.Sprintf("straggler node %d outside cluster of %d", f.Node, cfg.Nodes))
+	if o.gpus > 0 {
+		t.Node = t.Node.WithGPUs(o.gpus)
+		if len(t.Mix) > 0 {
+			// Copy before rewriting: t.Mix shares its backing array with
+			// the caller's Topology.Mix.
+			mix := make([]HardwareConfig, len(t.Mix))
+			for i, m := range t.Mix {
+				mix[i] = m.WithGPUs(o.gpus)
+			}
+			t.Mix = mix
 		}
 	}
-	for _, f := range t.Degraded {
-		switch {
-		case f.Factor < 1:
-			return cfg, configErr("WithTopology", fmt.Sprintf("degraded factor %g must be ≥ 1", f.Factor))
-		case f.Node < 0 || f.Node >= cfg.Nodes:
-			return cfg, configErr("WithTopology", fmt.Sprintf("degraded node %d outside cluster of %d", f.Node, cfg.Nodes))
-		}
-	}
-	return cfg, nil
+	return t, nil
 }
 
 // TrainMultiNode runs a data-parallel training session across a simulated
@@ -175,25 +127,9 @@ func TrainMultiNodeWorkload(w Workload, opts ...Option) (*MultiNodeReport, error
 }
 
 func trainMultiNode(w Workload, o *options) (*MultiNodeReport, error) {
-	topo := o.topo
-	if topo == nil {
-		topo = &Topology{}
-	}
-	cfg, err := topo.config(o.hw)
+	topo, err := o.topology()
 	if err != nil {
 		return nil, err
-	}
-	if o.gpus > 0 {
-		cfg.Node = cfg.Node.WithGPUs(o.gpus)
-		if len(cfg.Mix) > 0 {
-			// Copy before rewriting: cfg.Mix shares its backing array with
-			// the caller's Topology.Mix.
-			mix := make([]HardwareConfig, len(cfg.Mix))
-			for i, m := range cfg.Mix {
-				mix[i] = m.WithGPUs(o.gpus)
-			}
-			cfg.Mix = mix
-		}
 	}
 	f, err := o.resolveFactory()
 	if err != nil {
@@ -202,10 +138,9 @@ func trainMultiNode(w Workload, o *options) (*MultiNodeReport, error) {
 	if w, err = o.shaped(w); err != nil {
 		return nil, err
 	}
-	cfg.Script, err = o.resolveChaos(func(s ChaosScript) error { return s.Validate(cfg.Nodes) })
+	script, err := o.resolveChaos(func(s ChaosScript) error { return s.Validate(topo.Nodes) })
 	if err != nil {
 		return nil, err
 	}
-	cfg.Trace = o.trace
-	return distributed.Run(cfg, w, f)
+	return distributed.Run(topo, w, f, script, o.trace)
 }

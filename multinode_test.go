@@ -152,3 +152,48 @@ func TestWithGPUsDoesNotMutateCallerMix(t *testing.T) {
 		t.Fatalf("caller's Mix mutated: %d/%d GPUs", mix[0].GPUCount, mix[1].GPUCount)
 	}
 }
+
+// TestTopologyShapesPinned pins five cluster shapes — the default remote
+// store, LocalStore, two stragglers, two degraded links and an A+B mix — to
+// the nanosecond: train time, steps, fabric bytes and each node's data stall.
+// The values were recorded while the facade still copied Topology field by
+// field into a separate internal config, so resolving it in one place is
+// held to what the copy produced.
+func TestTopologyShapesPinned(t *testing.T) {
+	cases := []struct {
+		name  string
+		topo  Topology
+		train time.Duration
+		steps int64
+		bytes int64
+		stall []time.Duration
+	}{
+		{"default", Topology{},
+			14749658529, 10, 7440708892, []time.Duration{2598857862, 1519883687}},
+		{"local-store", Topology{LocalStore: true},
+			14748606629, 10, 7340032000, []time.Duration{2597805962, 1519044816}},
+		{"stragglers", Topology{Nodes: 3, Stragglers: []NodeFault{{Node: 1, Factor: 8}, {Node: 2, Factor: 2}}},
+			17843074520, 10, 14829884449, []time.Duration{2287351463, 4564463486, 2594347497}},
+		{"degraded", Topology{Nodes: 3, Degraded: []NodeFault{{Node: 0, Factor: 4}, {Node: 2, Factor: 16}}},
+			17154998315, 10, 14829884449, []time.Duration{1991910069, 1519973653, 2008066307}},
+		{"mix", Topology{Mix: []HardwareConfig{ConfigA(), ConfigB()}},
+			25670684355, 10, 7440708892, []time.Duration{2014834118, 1519883687}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := TrainMultiNodeWorkload(mnWorkload(10), WithTopology(tc.topo), WithGPUs(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stall []time.Duration
+			for _, n := range rep.PerNode {
+				stall = append(stall, n.DataStall)
+			}
+			if rep.TrainTime != tc.train || rep.Steps != tc.steps || rep.NetworkBytes != tc.bytes ||
+				!reflect.DeepEqual(stall, tc.stall) {
+				t.Fatalf("shape moved: train=%d steps=%d bytes=%d stall=%v",
+					rep.TrainTime, rep.Steps, rep.NetworkBytes, stall)
+			}
+		})
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/minatoloader/minato/internal/chaos"
+	"github.com/minatoloader/minato/internal/netsim"
 	"github.com/minatoloader/minato/internal/service"
 	"github.com/minatoloader/minato/internal/simtime"
 	"github.com/minatoloader/minato/internal/trace"
@@ -34,16 +35,11 @@ import (
 //	rs, _ := minato.Dial(addr, minato.WithIterations(100))
 //	for b, err := range rs.Batches(ctx) { ... }
 
-// ServiceNetConfig sizes a service fabric. Zero values take the service
-// defaults (64 endpoints, 25 GB/s per NIC, 200µs latency).
-type ServiceNetConfig struct {
-	// Endpoints bounds how many parties (servers + clients) attach.
-	Endpoints int
-	// Bandwidth is each NIC's full-duplex bandwidth in bytes/s.
-	Bandwidth float64
-	// Latency is the fixed per-frame propagation delay.
-	Latency time.Duration
-}
+// ServiceNetConfig sizes a service fabric: how many parties (servers and
+// clients) attach, each NIC's bandwidth, and the per-frame latency. Zero
+// fields take the service defaults documented on the fields (see
+// internal/netsim).
+type ServiceNetConfig = netsim.Config
 
 // ServiceNet is the shared fabric a preprocessing fleet and its clients
 // communicate over. Build one per topology and hand it to every Serve
@@ -62,12 +58,8 @@ func NewServiceNet(rt *Runtime, cfg ServiceNetConfig) *ServiceNet {
 		rt = &Runtime{k: simtime.NewVirtual()}
 	}
 	return &ServiceNet{
-		rt: rt,
-		net: service.NewNet(rt.k, service.Config{
-			Endpoints: cfg.Endpoints,
-			Bandwidth: cfg.Bandwidth,
-			Latency:   cfg.Latency,
-		}),
+		rt:  rt,
+		net: service.NewNet(rt.k, cfg),
 	}
 }
 
@@ -167,26 +159,18 @@ func Publish(name string, dataset Dataset, pipeline *Pipeline) Option {
 // far) drive NIC degradation through an engine; disk events pre-install
 // slowdown steps on the cluster's disk. Training-run kinds (crash, preempt,
 // worker stall) are rejected — they script consumers, and a server has none.
+// Fleet bounds and factors are Script.Validate's, with the fleet as the
+// cluster.
 func serveShape(fleet int) func(ChaosScript) error {
 	return func(s ChaosScript) error {
 		for _, ev := range s.Events {
 			switch ev.Kind {
-			case ChaosLinkDegrade, ChaosLinkRestore:
-				if ev.Node < 0 || ev.Node >= fleet {
-					return fmt.Errorf("link event targets fleet index %d, but the fleet has %d server(s)", ev.Node, fleet)
-				}
-				if ev.Kind == ChaosLinkDegrade && ev.Factor < 1 {
-					return fmt.Errorf("link degrade factor %g < 1", ev.Factor)
-				}
-			case ChaosDiskDegrade, ChaosDiskRestore:
-				if ev.Kind == ChaosDiskDegrade && ev.Factor < 1 {
-					return fmt.Errorf("disk degrade factor %g < 1", ev.Factor)
-				}
+			case ChaosLinkDegrade, ChaosLinkRestore, ChaosDiskDegrade, ChaosDiskRestore:
 			default:
 				return fmt.Errorf("%v events apply to training runs, not preprocessing servers", ev.Kind)
 			}
 		}
-		return nil
+		return s.Validate(fleet)
 	}
 }
 
