@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -77,17 +79,28 @@ func TestQuickSmoke(t *testing.T) {
 	}
 }
 
+// experimentsQuickPin is the SHA-256 of every quick result at seed 1: each
+// CSV file's name and bytes, in name order, then each Render() text, in ID
+// order. Any change to a simulated number, a format or a file name moves it.
+const (
+	experimentsQuickPin   = "5589d55a8d435314b2776b48a4685a9c2c1e4e611809671c1d683961f50c3cec"
+	experimentsQuickFiles = 69
+)
+
 // TestAllExperimentsQuick runs the entire registry in Quick mode — every
-// table, figure, and ablation must complete and produce tables. This is
-// the harness's integration test (≈40 s); -short skips it.
+// table, figure, and ablation must complete and produce tables — writes
+// every result's CSVs to one directory and holds the files and the
+// rendered text to experimentsQuickPin (about 2 s); -short skips it.
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-registry smoke (slow)")
 	}
+	dir := t.TempDir()
+	renders := map[string]string{}
 	for _, r := range All() {
 		r := r
 		t.Run(r.ID, func(t *testing.T) {
-			res, err := r.Run(Options{Seed: 1, Quick: true})
+			res, err := r.Run(Options{Seed: 1, Quick: true, OutDir: dir})
 			if err != nil {
 				t.Fatalf("%s: %v", r.ID, err)
 			}
@@ -104,7 +117,33 @@ func TestAllExperimentsQuick(t *testing.T) {
 					}
 				}
 			}
+			renders[r.ID] = res.Render()
 		})
+	}
+	if len(renders) != len(All()) {
+		return // a subtest failed or -run picked some: no whole set to pin
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, e := range entries { // ReadDir sorts by name
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s\x00%d\x00", e.Name(), len(b))
+		h.Write(b)
+	}
+	for _, id := range IDs() {
+		fmt.Fprintf(h, "%s\x00%d\x00%s", id, len(renders[id]), renders[id])
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	t.Logf("%d files, pin %s", len(entries), got)
+	if len(entries) != experimentsQuickFiles || got != experimentsQuickPin {
+		t.Errorf("quick outputs moved: %d files, pin %s; want %d files, pin %s",
+			len(entries), got, experimentsQuickFiles, experimentsQuickPin)
 	}
 }
 
