@@ -303,11 +303,14 @@ func exp(args []string) {
 		}
 	}
 
-	opts := experiments.Options{Seed: *seed, Quick: *quick, OutDir: *out}
+	opts := experiments.Options{Seed: *seed, Quick: *quick}
 	failed := false
 	for _, r := range runs {
 		start := time.Now()
 		res, err := r.Run(opts)
+		if err == nil && *out != "" {
+			err = res.Write(*out)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", r.ID, err)
 			failed = true

@@ -31,6 +31,7 @@ func runAblTimeout(o Options) (*Result, error) {
 	w := ablationWorkload(o)
 	t := Table{
 		Title:  "Timeout percentile (Speech-3s)",
+		File:   "abl_timeout",
 		Header: append([]string{"percentile"}, loaderHeader...),
 	}
 	for _, pct := range []float64{0.50, 0.75, 0.90, 0.99} {
@@ -44,16 +45,10 @@ func runAblTimeout(o Options) (*Result, error) {
 		}
 		t.Rows = append(t.Rows, append([]string{fixed(pct*100, 0)}, loaderRow(rep)...))
 	}
-	res := &Result{ID: "abl-timeout", Title: "Timeout percentile ablation", Tables: []Table{t},
+	return &Result{ID: "abl-timeout", Title: "Timeout percentile ablation", Tables: []Table{t},
 		Notes: []string{
 			"the paper argues P75 balances outlier focus against slow-queue pressure; lower percentiles classify more samples slow and waste partial work on re-execution",
-		}}
-	if o.OutDir != "" {
-		if err := t.WriteCSV(o.OutDir, "abl_timeout"); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+		}}, nil
 }
 
 func runAblWorkers(o Options) (*Result, error) {
@@ -61,6 +56,7 @@ func runAblWorkers(o Options) (*Result, error) {
 	w := ablationWorkload(o)
 	t := Table{
 		Title:  "Adaptive vs fixed worker pools (Speech-3s)",
+		File:   "abl_workers",
 		Header: append([]string{"policy"}, loaderHeader...),
 	}
 	runOne := func(label string, mc core.Config) error {
@@ -85,16 +81,10 @@ func runAblWorkers(o Options) (*Result, error) {
 			return nil, err
 		}
 	}
-	res := &Result{ID: "abl-workers", Title: "Worker scheduler ablation", Tables: []Table{t},
+	return &Result{ID: "abl-workers", Title: "Worker scheduler ablation", Tables: []Table{t},
 		Notes: []string{
 			"adaptive scaling approaches the best fixed pool without per-workload tuning (§4.3)",
-		}}
-	if o.OutDir != "" {
-		if err := t.WriteCSV(o.OutDir, "abl_workers"); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+		}}, nil
 }
 
 func runAblResume(o Options) (*Result, error) {
@@ -102,6 +92,7 @@ func runAblResume(o Options) (*Result, error) {
 	w := ablationWorkload(o)
 	t := Table{
 		Title:  "Slow-sample completion strategy (Speech-3s)",
+		File:   "abl_resume",
 		Header: append([]string{"strategy"}, loaderHeader...),
 	}
 	for _, restart := range []bool{false, true} {
@@ -117,16 +108,10 @@ func runAblResume(o Options) (*Result, error) {
 		}
 		t.Rows = append(t.Rows, append([]string{label}, loaderRow(rep)...))
 	}
-	res := &Result{ID: "abl-resume", Title: "Resume ablation", Tables: []Table{t},
+	return &Result{ID: "abl-resume", Title: "Resume ablation", Tables: []Table{t},
 		Notes: []string{
 			"Algorithm 1 resumes from the interrupted transform, re-executing only it; restarting repeats all completed transforms as well",
-		}}
-	if o.OutDir != "" {
-		if err := t.WriteCSV(o.OutDir, "abl_resume"); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+		}}, nil
 }
 
 func runAblOrder(o Options) (*Result, error) {
@@ -134,6 +119,7 @@ func runAblOrder(o Options) (*Result, error) {
 	w := ablationWorkload(o)
 	t := Table{
 		Title:  "Order-preserving mode (Speech-3s)",
+		File:   "abl_order",
 		Header: append([]string{"mode"}, loaderHeader...),
 	}
 	for _, ordered := range []bool{false, true} {
@@ -155,14 +141,8 @@ func runAblOrder(o Options) (*Result, error) {
 		return nil, err
 	}
 	t.Rows = append(t.Rows, append([]string{"pytorch (reference)"}, loaderRow(rep)...))
-	res := &Result{ID: "abl-order", Title: "Order-preserving ablation", Tables: []Table{t},
+	return &Result{ID: "abl-order", Title: "Order-preserving ablation", Tables: []Table{t},
 		Notes: []string{
 			"strict ordering reintroduces head-of-line waiting in batch assembly; §6 accepts this for curriculum learning correctness",
-		}}
-	if o.OutDir != "" {
-		if err := t.WriteCSV(o.OutDir, "abl_order"); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+		}}, nil
 }

@@ -5,9 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"github.com/minatoloader/minato/internal/dataset"
 	"github.com/minatoloader/minato/internal/metrics"
-	"github.com/minatoloader/minato/internal/transform"
 	"github.com/minatoloader/minato/internal/workload"
 )
 
@@ -21,23 +19,19 @@ func init() {
 func runTable1(o Options) (*Result, error) {
 	t := Table{
 		Title:  "Preprocessing pipelines",
+		File:   "table1",
 		Header: []string{"workload", "pipeline"},
 	}
 	for _, w := range workload.All(o.seed()) {
 		t.Rows = append(t.Rows, []string{w.Name, strings.Join(w.Table1Row(), " -> ")})
 	}
-	res := &Result{ID: "table1", Title: "Table 1", Tables: []Table{t}}
-	if o.OutDir != "" {
-		if err := t.WriteCSV(o.OutDir, "table1"); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return &Result{ID: "table1", Title: "Table 1", Tables: []Table{t}}, nil
 }
 
 func runTable3(o Options) (*Result, error) {
 	t := Table{
 		Title:  "Training configurations",
+		File:   "table3",
 		Header: []string{"workload", "model", "epochs", "iterations", "batch_size"},
 	}
 	for _, w := range workload.All(o.seed()) {
@@ -50,13 +44,7 @@ func runTable3(o Options) (*Result, error) {
 		}
 		t.Rows = append(t.Rows, []string{w.Name, w.Model, ep, it, fmt.Sprint(w.BatchSize)})
 	}
-	res := &Result{ID: "table3", Title: "Table 3", Tables: []Table{t}}
-	if o.OutDir != "" {
-		if err := t.WriteCSV(o.OutDir, "table3"); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return &Result{ID: "table3", Title: "Table 3", Tables: []Table{t}}, nil
 }
 
 // table2Paper holds the paper's Table 2 for side-by-side comparison (ms).
@@ -74,9 +62,9 @@ func runTable2(o Options) (*Result, error) {
 	}
 	t := Table{
 		Title:  "Preprocessing time per workload (ms); 'paper' rows are the published Table 2",
+		File:   "table2",
 		Header: []string{"workload", "source", "avg", "med", "p75", "p90", "min", "max", "std"},
 	}
-	var csvRows [][]string
 	for _, w := range workload.All(o.seed()) {
 		count := n
 		if w.Dataset.Len() < count {
@@ -92,15 +80,8 @@ func runTable2(o Options) (*Result, error) {
 		t.Rows = append(t.Rows,
 			summaryRow(w.Name, "measured", got),
 			summaryRow(w.Name, "paper", paper))
-		csvRows = append(csvRows, summaryRow(w.Name, "measured", got), summaryRow(w.Name, "paper", paper))
 	}
-	res := &Result{ID: "table2", Title: "Table 2", Tables: []Table{t}}
-	if o.OutDir != "" {
-		if err := metrics.WriteCSV(o.OutDir, "table2", t.Header, csvRows); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return &Result{ID: "table2", Title: "Table 2", Tables: []Table{t}}, nil
 }
 
 func summaryRow(name, src string, s metrics.Summary) []string {
@@ -111,39 +92,29 @@ func summaryRow(name, src string, s metrics.Summary) []string {
 
 func runFig2(o Options) (*Result, error) {
 	const samples = 25
-	mk := func(w workload.Workload, ds dataset.Dataset, p *transform.Pipeline) (Table, float64) {
+	mk := func(file string, w workload.Workload) (Table, float64) {
 		t := Table{
 			Title:  fmt.Sprintf("Per-sample preprocessing time, %s (%s)", w.Name, w.Model),
+			File:   file,
 			Header: []string{"sample", "time_ms"},
 		}
 		sum := 0.0
 		for i := 0; i < samples; i++ {
-			s := ds.Sample(0, i)
-			ms := float64(p.TotalCost(s)) / float64(time.Millisecond)
+			s := w.Dataset.Sample(0, i)
+			ms := float64(w.Pipeline.TotalCost(s)) / float64(time.Millisecond)
 			sum += ms
 			t.Rows = append(t.Rows, []string{fmt.Sprint(i), fixed(ms, 1)})
 		}
 		return t, sum / samples
 	}
-	img := workload.ImageSegmentation(o.seed())
-	obj := workload.ObjectDetection(o.seed())
-	tImg, avgImg := mk(img, img.Dataset, img.Pipeline)
-	tObj, avgObj := mk(obj, obj.Dataset, obj.Pipeline)
-	res := &Result{
+	tImg, avgImg := mk("fig2a_imgseg", workload.ImageSegmentation(o.seed()))
+	tObj, avgObj := mk("fig2b_objdet", workload.ObjectDetection(o.seed()))
+	return &Result{
 		ID: "fig2", Title: "Fig 2: preprocessing time variability",
 		Tables: []Table{tImg, tObj},
 		Notes: []string{
 			fmt.Sprintf("img-seg average %.0f ms (paper: ≈500 ms red line)", avgImg),
 			fmt.Sprintf("obj-det average %.0f ms (paper: ≈35 ms red line)", avgObj),
 		},
-	}
-	if o.OutDir != "" {
-		if err := tImg.WriteCSV(o.OutDir, "fig2a_imgseg"); err != nil {
-			return nil, err
-		}
-		if err := tObj.WriteCSV(o.OutDir, "fig2b_objdet"); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	}, nil
 }

@@ -56,6 +56,7 @@ func runDist(o Options) (*Result, error) {
 	t := Table{
 		Title: fmt.Sprintf("Distributed Speech-3s, %d iterations per rank (Config A nodes, 200 Gb/s fabric, remote store)",
 			iters),
+		File:   "dist",
 		Header: distHeader,
 	}
 	for _, n := range nodeCounts {
@@ -68,18 +69,12 @@ func runDist(o Options) (*Result, error) {
 			t.Rows = append(t.Rows, distRow(fmt.Sprintf("%d nodes", n), rep))
 		}
 	}
-	res := &Result{ID: "dist", Title: "Distributed training (§6)", Tables: []Table{t},
+	return &Result{ID: "dist", Title: "Distributed training (§6)", Tables: []Table{t},
 		Notes: []string{
 			"each node is a full testbed running its own loader over a deterministic dataset shard",
 			"gradient all-reduce is ring-reduce flows on the simulated fabric; cold shard reads fetch from a shared store over the same NICs",
 			"net_stall is measured time in the collective, not an analytic constant; one input-stalled rank stalls every rank",
-		}}
-	if o.OutDir != "" {
-		if err := t.WriteCSV(o.OutDir, "dist"); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+		}}, nil
 }
 
 // runMultiNode exercises the failure and heterogeneity scenarios the
@@ -106,6 +101,7 @@ func runMultiNode(o Options) (*Result, error) {
 
 	t := Table{
 		Title:  fmt.Sprintf("Multi-node scenarios, %d nodes, %d iterations per rank", nodes, iters),
+		File:   "multinode",
 		Header: distHeader,
 	}
 	for _, sc := range scenarios {
@@ -118,18 +114,12 @@ func runMultiNode(o Options) (*Result, error) {
 			t.Rows = append(t.Rows, distRow(sc.label, rep))
 		}
 	}
-	res := &Result{ID: "multinode", Title: "Multi-node scenarios", Tables: []Table{t},
+	return &Result{ID: "multinode", Title: "Multi-node scenarios", Tables: []Table{t},
 		Notes: []string{
 			"straggler: one node's preprocessing cores divided — the whole-cluster step pays its input stall through the barrier",
 			"degraded: one node's NIC bandwidth divided — gradient flows through it slow every ring phase",
 			"hetero: alternating Config A / Config B nodes share one synchronous step",
-		}}
-	if o.OutDir != "" {
-		if err := t.WriteCSV(o.OutDir, "multinode"); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+		}}, nil
 }
 
 // mixNodes alternates Config A and Config B single-GPU-count-preserving

@@ -33,8 +33,10 @@ func runFig7(o Options) (*Result, error) {
 	cfg := hardware.ConfigA()
 	t := Table{
 		Title:  "End-to-end training, Config A (4×A100)",
+		File:   "fig7_summary",
 		Header: append([]string{"workload"}, loaderHeader...),
 	}
+	var ser []SeriesFile
 	for _, w := range workload.All(o.seed()) {
 		w := scaleWorkload(w, o.Quick)
 		for _, f := range loaders.Defaults() {
@@ -48,27 +50,21 @@ func runFig7(o Options) (*Result, error) {
 				return nil, fmt.Errorf("fig7 %s/%s: %w", w.Name, f.Name, err)
 			}
 			t.Rows = append(t.Rows, append([]string{w.Name}, loaderRow(rep)...))
-			if err := writeSeries(o, fmt.Sprintf("fig7_%s_%s", w.Name, f.Name), rep, "throughput"); err != nil {
-				return nil, err
-			}
+			ser = append(ser, series(fmt.Sprintf("fig7_%s_%s", w.Name, f.Name), rep, "throughput")...)
 		}
 	}
-	res := &Result{ID: "fig7", Title: "Fig 7", Tables: []Table{t},
-		Notes: []string{"throughput time series written as fig7_<workload>_<loader>.csv when -out is set"}}
-	if o.OutDir != "" {
-		if err := t.WriteCSV(o.OutDir, "fig7_summary"); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return &Result{ID: "fig7", Title: "Fig 7", Tables: []Table{t}, Series: ser,
+		Notes: []string{"throughput time series written as fig7_<workload>_<loader>.csv when -out is set"}}, nil
 }
 
 func runFig8(o Options) (*Result, error) {
 	cfg := hardware.ConfigA()
 	t := Table{
 		Title:  "Average CPU and GPU usage, Config A (4×A100)",
+		File:   "fig8_summary",
 		Header: []string{"workload", "loader", "gpu_util", "cpu_util"},
 	}
+	var ser []SeriesFile
 	for _, w := range workload.All(o.seed()) {
 		w := scaleWorkload(w, o.Quick)
 		for _, f := range loaders.Defaults() {
@@ -83,18 +79,10 @@ func runFig8(o Options) (*Result, error) {
 			}
 			t.Rows = append(t.Rows, []string{w.Name, f.Name,
 				percent(rep.AvgGPUUtil), percent(rep.AvgCPUUtil)})
-			if err := writeSeries(o, fmt.Sprintf("fig8_%s_%s", w.Name, f.Name), rep, "cpu", "gpu"); err != nil {
-				return nil, err
-			}
+			ser = append(ser, series(fmt.Sprintf("fig8_%s_%s", w.Name, f.Name), rep, "cpu", "gpu")...)
 		}
 	}
-	res := &Result{ID: "fig8", Title: "Fig 8", Tables: []Table{t}}
-	if o.OutDir != "" {
-		if err := t.WriteCSV(o.OutDir, "fig8_summary"); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return &Result{ID: "fig8", Title: "Fig 8", Tables: []Table{t}, Series: ser}, nil
 }
 
 func runFig1b(o Options) (*Result, error) {
@@ -112,6 +100,7 @@ func runFig1b(o Options) (*Result, error) {
 	}
 	t := Table{
 		Title:  "PyTorch DataLoader during 3D-UNet training (Config B)",
+		File:   "fig1b_summary",
 		Header: []string{"metric", "average"},
 		Rows: [][]string{
 			{"CPU usage", percent(rep.AvgCPUUtil)},
@@ -119,15 +108,7 @@ func runFig1b(o Options) (*Result, error) {
 			{"training time (s)", seconds(rep.TrainTime)},
 		},
 	}
-	res := &Result{ID: "fig1b", Title: "Fig 1b", Tables: []Table{t},
-		Notes: []string{"paper reports CPU ≈9.8%, GPU ≈57.4% on its testbed; CPU/GPU series in fig1b.csv"}}
-	if err := writeSeries(o, "fig1b", rep, "cpu", "gpu"); err != nil {
-		return nil, err
-	}
-	if o.OutDir != "" {
-		if err := t.WriteCSV(o.OutDir, "fig1b_summary"); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return &Result{ID: "fig1b", Title: "Fig 1b", Tables: []Table{t},
+		Series: series("fig1b", rep, "cpu", "gpu"),
+		Notes:  []string{"paper reports CPU ≈9.8%, GPU ≈57.4% on its testbed; CPU/GPU series in fig1b.csv"}}, nil
 }

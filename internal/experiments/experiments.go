@@ -1,7 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§3, §5, and the artifact appendix), plus ablations of
-// MinatoLoader's design choices. Each experiment returns structured tables
-// and optionally writes CSVs; `minato exp` (cmd/minato) drives them by ID.
+// MinatoLoader's design choices. Each experiment is a pure function of its
+// Options that returns every table and CSV file it stands for as data;
+// Result.Write is the one place they reach the disk. `minato exp`
+// (cmd/minato) drives them by ID.
 //
 // See DESIGN.md's per-experiment index for the mapping from experiment IDs
 // to paper artifacts.
@@ -9,9 +11,9 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/minatoloader/minato/internal/metrics"
+	"github.com/minatoloader/minato/internal/registry"
 	"github.com/minatoloader/minato/internal/trainer"
 )
 
@@ -22,8 +24,6 @@ type Options struct {
 	// Quick shrinks run lengths for benchmarks and CI: fewer iterations,
 	// fewer sweep points, same shapes.
 	Quick bool
-	// OutDir, when set, receives CSV files for plotting.
-	OutDir string
 }
 
 func (o Options) seed() uint64 {
@@ -35,10 +35,21 @@ func (o Options) seed() uint64 {
 
 // Result is an experiment's structured outcome.
 type Result struct {
-	ID     string
-	Title  string
+	ID    string
+	Title string
+	// Tables are printed by Render and written by Write.
 	Tables []Table
+	// Curves are per-run tables too long to print: written only.
+	Curves []Table
+	// Series are sampled time series of the runs: written only.
+	Series []SeriesFile
 	Notes  []string
+}
+
+// SeriesFile is one time-series CSV file: a run's series aligned by row.
+type SeriesFile struct {
+	File   string
+	Series []*metrics.TimeSeries
 }
 
 // Render returns the result as printable text.
@@ -53,6 +64,24 @@ func (r *Result) Render() string {
 	return out
 }
 
+// Write writes every table, curve and series of r to dir/<File>.csv,
+// creating dir as needed.
+func (r *Result) Write(dir string) error {
+	for _, ts := range [][]Table{r.Tables, r.Curves} {
+		for _, t := range ts {
+			if err := metrics.WriteCSV(dir, t.File, t.Header, t.Rows); err != nil {
+				return err
+			}
+		}
+	}
+	for _, s := range r.Series {
+		if err := metrics.WriteSeriesCSV(dir, s.File, s.Series...); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Runner is a registered experiment.
 type Runner struct {
 	ID    string
@@ -60,38 +89,28 @@ type Runner struct {
 	Run   func(Options) (*Result, error)
 }
 
-var registry []Runner
+var reg = registry.New[Runner]("experiment")
 
+// register adds an experiment; a duplicate ID panics at init.
 func register(id, title string, fn func(Options) (*Result, error)) {
-	registry = append(registry, Runner{ID: id, Title: title, Run: fn})
+	reg.Register(id, Runner{ID: id, Title: title, Run: fn})
 }
 
 // All returns every registered experiment in registration order.
 func All() []Runner {
-	out := make([]Runner, len(registry))
-	copy(out, registry)
+	ids := reg.Ordered()
+	out := make([]Runner, len(ids))
+	for i, id := range ids {
+		out[i], _ = reg.Lookup(id)
+	}
 	return out
 }
 
 // IDs returns the sorted experiment identifiers.
-func IDs() []string {
-	ids := make([]string, 0, len(registry))
-	for _, r := range registry {
-		ids = append(ids, r.ID)
-	}
-	sort.Strings(ids)
-	return ids
-}
+func IDs() []string { return reg.Names() }
 
 // ByID looks up an experiment.
-func ByID(id string) (Runner, bool) {
-	for _, r := range registry {
-		if r.ID == id {
-			return r, true
-		}
-	}
-	return Runner{}, false
-}
+func ByID(id string) (Runner, bool) { return reg.Lookup(id) }
 
 // --- shared helpers -------------------------------------------------------
 
@@ -108,16 +127,17 @@ func loaderRow(rep *trainer.Report) []string {
 
 var loaderHeader = []string{"loader", "train_s", "tput_MB/s", "gpu_util", "cpu_util"}
 
-// writeSeries persists a report's time series when OutDir is set.
-func writeSeries(o Options, name string, rep *trainer.Report, keys ...string) error {
-	if o.OutDir == "" || rep.Series == nil {
+// series returns the CSV file name that holds rep's series under keys; a
+// run without collected series has no file.
+func series(name string, rep *trainer.Report, keys ...string) []SeriesFile {
+	if rep.Series == nil {
 		return nil
 	}
-	series := make([]*metrics.TimeSeries, 0, len(keys))
+	s := SeriesFile{File: name}
 	for _, k := range keys {
 		if ts := rep.Series[k]; ts != nil {
-			series = append(series, ts)
+			s.Series = append(s.Series, ts)
 		}
 	}
-	return metrics.WriteSeriesCSV(o.OutDir, name, series...)
+	return []SeriesFile{s}
 }

@@ -53,7 +53,10 @@ func TestQuickSmoke(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing %s", id)
 		}
-		res, err := r.Run(Options{Seed: 1, Quick: true, OutDir: dir})
+		res, err := r.Run(Options{Seed: 1, Quick: true})
+		if err == nil {
+			err = res.Write(dir)
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -100,7 +103,10 @@ func TestAllExperimentsQuick(t *testing.T) {
 	for _, r := range All() {
 		r := r
 		t.Run(r.ID, func(t *testing.T) {
-			res, err := r.Run(Options{Seed: 1, Quick: true, OutDir: dir})
+			res, err := r.Run(Options{Seed: 1, Quick: true})
+			if err == nil {
+				err = res.Write(dir)
+			}
 			if err != nil {
 				t.Fatalf("%s: %v", r.ID, err)
 			}

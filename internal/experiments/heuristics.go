@@ -46,29 +46,23 @@ func runFig3(o Options) (*Result, error) {
 
 	t := Table{
 		Title:  "Heuristic balancers on object detection (Config A)",
+		File:   "fig3_summary",
 		Header: append([]string{"heuristic"}, loaderHeader...),
 	}
-	for name, f := range map[string]trainer.Factory{
-		"a_image_size": sizeF, "b_reordering": pecanF, "baseline_pytorch": ptF,
-	} {
-		rep, err := trainer.Simulate(cfg, w, f, trainer.Params{Collect: true})
+	var ser []SeriesFile
+	for _, h := range []struct {
+		name string
+		f    trainer.Factory
+	}{{"a_image_size", sizeF}, {"b_reordering", pecanF}, {"baseline_pytorch", ptF}} {
+		rep, err := trainer.Simulate(cfg, w, h.f, trainer.Params{Collect: true})
 		if err != nil {
-			return nil, fmt.Errorf("fig3 %s: %w", name, err)
+			return nil, fmt.Errorf("fig3 %s: %w", h.name, err)
 		}
-		t.Rows = append(t.Rows, append([]string{name}, loaderRow(rep)...))
-		if err := writeSeries(o, "fig3_"+name, rep, "cpu", "gpu"); err != nil {
-			return nil, err
-		}
+		t.Rows = append(t.Rows, append([]string{h.name}, loaderRow(rep)...))
+		ser = append(ser, series("fig3_"+h.name, rep, "cpu", "gpu")...)
 	}
-	sortRows(t.Rows)
-	res := &Result{ID: "fig3", Title: "Fig 3", Tables: []Table{t},
-		Notes: []string{"paper: size heuristic GPU ≈64%, reordering GPU ≈67% — both marginal over PyTorch (§3.2)"}}
-	if o.OutDir != "" {
-		if err := t.WriteCSV(o.OutDir, "fig3_summary"); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return &Result{ID: "fig3", Title: "Fig 3", Tables: []Table{t}, Series: ser,
+		Notes: []string{"paper: size heuristic GPU ≈64%, reordering GPU ≈67% — both marginal over PyTorch (§3.2)"}}, nil
 }
 
 func runFig4(o Options) (*Result, error) {
@@ -85,6 +79,7 @@ func runFig4(o Options) (*Result, error) {
 	}
 	ta := Table{
 		Title:  "PyTorch DataLoader: prefetch_factor vs training time",
+		File:   "fig4a_pytorch_prefetch",
 		Header: []string{"workload", "prefetch_factor", "train_s"},
 	}
 	for _, sw := range ptSweeps {
@@ -115,6 +110,7 @@ func runFig4(o Options) (*Result, error) {
 	}
 	tb := Table{
 		Title:  "DALI: prefetch_queue_depth vs training time",
+		File:   "fig4b_dali_queue",
 		Header: []string{"workload", "queue_depth", "train_s"},
 	}
 	for _, sw := range daliSweeps {
@@ -134,23 +130,6 @@ func runFig4(o Options) (*Result, error) {
 		}
 	}
 
-	res := &Result{ID: "fig4", Title: "Fig 4", Tables: []Table{ta, tb},
-		Notes: []string{"Takeaway 4: increasing prefetching does not reduce per-sample transformation cost, so training time stays flat"}}
-	if o.OutDir != "" {
-		if err := ta.WriteCSV(o.OutDir, "fig4a_pytorch_prefetch"); err != nil {
-			return nil, err
-		}
-		if err := tb.WriteCSV(o.OutDir, "fig4b_dali_queue"); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-func sortRows(rows [][]string) {
-	for i := 1; i < len(rows); i++ {
-		for j := i; j > 0 && rows[j][0] < rows[j-1][0]; j-- {
-			rows[j], rows[j-1] = rows[j-1], rows[j]
-		}
-	}
+	return &Result{ID: "fig4", Title: "Fig 4", Tables: []Table{ta, tb},
+		Notes: []string{"Takeaway 4: increasing prefetching does not reduce per-sample transformation cost, so training time stays flat"}}, nil
 }

@@ -31,8 +31,10 @@ func runFig10(o Options) (*Result, error) {
 
 	t := Table{
 		Title:  fmt.Sprintf("Memory-constrained: %d×KiTS19, %d epochs, 80 GB cap (Config B)", replicate, epochs),
+		File:   "fig10_summary",
 		Header: []string{"loader", "train_s", "gpu_util", "cpu_util", "disk_read_GB", "cache_hit_rate"},
 	}
+	var ser []SeriesFile
 	for _, name := range []string{"pytorch", "dali", "minato"} {
 		f, _ := loaders.ByName(name)
 		rep, err := trainer.Simulate(cfg, w, f, trainer.Params{Collect: true})
@@ -53,19 +55,11 @@ func runFig10(o Options) (*Result, error) {
 			fixed(float64(rep.DiskBytes)/1e9, 1),
 			fixed(hr, 3),
 		})
-		if err := writeSeries(o, "fig10_"+name, rep, "cpu", "gpu", "disk"); err != nil {
-			return nil, err
-		}
+		ser = append(ser, series("fig10_"+name, rep, "cpu", "gpu", "disk")...)
 	}
-	res := &Result{ID: "fig10", Title: "Fig 10", Tables: []Table{t},
+	return &Result{ID: "fig10", Title: "Fig 10", Tables: []Table{t}, Series: ser,
 		Notes: []string{
 			"paper (authors' testbed): PyTorch ≈650 s / 57% GPU, DALI ≈500 s / 81%, Minato ≈330 s / 82% with stable NVMe-saturating reads",
 			"disk-read dips at epoch boundaries are model validation (§5.5)",
-		}}
-	if o.OutDir != "" {
-		if err := t.WriteCSV(o.OutDir, "fig10_summary"); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+		}}, nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loaders"
-	"github.com/minatoloader/minato/internal/metrics"
 	"github.com/minatoloader/minato/internal/trainer"
 	"github.com/minatoloader/minato/internal/workload"
 )
@@ -31,9 +30,9 @@ func runFig9(o Options) (*Result, error) {
 
 	t := Table{
 		Title:  "Training time (s) vs number of GPUs",
+		File:   "fig9",
 		Header: []string{"testbed", "workload", "gpus", "pytorch", "pecan", "dali", "minato"},
 	}
-	var csvRows [][]string
 	for _, tb := range tbs {
 		for _, w := range workload.All(o.seed()) {
 			w := scaleWorkload(w, o.Quick)
@@ -47,20 +46,13 @@ func runFig9(o Options) (*Result, error) {
 					row = append(row, seconds(rep.TrainTime))
 				}
 				t.Rows = append(t.Rows, row)
-				csvRows = append(csvRows, row)
 			}
 		}
 	}
-	res := &Result{ID: "fig9", Title: "Fig 9", Tables: []Table{t},
+	return &Result{ID: "fig9", Title: "Fig 9", Tables: []Table{t},
 		Notes: []string{
 			"MinatoLoader outperforms at every GPU count and stays competitive at 1 GPU vs baselines at 4 (§5.4)",
-		}}
-	if o.OutDir != "" {
-		if err := metrics.WriteCSV(o.OutDir, "fig9", t.Header, csvRows); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+		}}, nil
 }
 
 func runE1(o Options) (*Result, error) {
@@ -71,9 +63,11 @@ func runE1(o Options) (*Result, error) {
 	}
 	t := Table{
 		Title:  "Artifact E1: 3D-UNet, 10 epochs, 8×V100",
+		File:   "e1",
 		Header: append([]string{"system"}, loaderHeader...),
 	}
 	var times = map[string]float64{}
+	var ser []SeriesFile
 	for _, name := range []string{"pytorch", "dali", "minato"} {
 		f, _ := loaders.ByName(name)
 		rep, err := trainer.Simulate(cfg, w, f, trainer.Params{Collect: true})
@@ -82,20 +76,12 @@ func runE1(o Options) (*Result, error) {
 		}
 		times[name] = rep.TrainTime.Seconds()
 		t.Rows = append(t.Rows, append([]string{name}, loaderRow(rep)...))
-		if err := writeSeries(o, "e1_"+name, rep, "cpu", "gpu"); err != nil {
-			return nil, err
-		}
+		ser = append(ser, series("e1_"+name, rep, "cpu", "gpu")...)
 	}
-	res := &Result{ID: "e1", Title: "Artifact E1", Tables: []Table{t},
+	return &Result{ID: "e1", Title: "Artifact E1", Tables: []Table{t}, Series: ser,
 		Notes: []string{
 			fmt.Sprintf("speedups: %.2fx over PyTorch, %.2fx over DALI (paper: 2.6x, 1.9x on the authors' hardware)",
 				times["pytorch"]/times["minato"], times["dali"]/times["minato"]),
 			"paper wall-clock targets: PyTorch ≈210 s, DALI ≈151 s, Minato ≈81 s",
-		}}
-	if o.OutDir != "" {
-		if err := t.WriteCSV(o.OutDir, "e1"); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+		}}, nil
 }

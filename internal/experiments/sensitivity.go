@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loaders"
-	"github.com/minatoloader/minato/internal/metrics"
 	"github.com/minatoloader/minato/internal/trainer"
 	"github.com/minatoloader/minato/internal/workload"
 )
@@ -37,8 +35,10 @@ func runFig11a(o Options) (*Result, error) {
 
 	t := Table{
 		Title:  "Accuracy preservation (10×-scaled runs)",
+		File:   "fig11a_summary",
 		Header: []string{"workload", "loader", "final_acc", "train_s", "time_to_90pct_acc_s"},
 	}
+	var curves []Table
 	for _, w := range []workload.Workload{obj, img} {
 		for _, name := range []string{"pytorch", "minato"} {
 			f, _ := loaders.ByName(name)
@@ -61,30 +61,20 @@ func runFig11a(o Options) (*Result, error) {
 			}
 			t.Rows = append(t.Rows, []string{w.Name, name,
 				fixed(final, 3), seconds(rep.TrainTime), fixed(tto, 1)})
-			if o.OutDir != "" {
-				rows := make([][]string, 0, len(rep.AccCurve))
-				for _, pt := range rep.AccCurve {
-					rows = append(rows, []string{fmt.Sprint(pt.Iter),
-						fixed(pt.Elapsed.Seconds(), 1), fixed(pt.Accuracy, 4)})
-				}
-				if err := metrics.WriteCSV(o.OutDir, fmt.Sprintf("fig11a_%s_%s", w.Name, name),
-					[]string{"iter", "elapsed_s", "accuracy"}, rows); err != nil {
-					return nil, err
-				}
+			curve := Table{File: fmt.Sprintf("fig11a_%s_%s", w.Name, name),
+				Header: []string{"iter", "elapsed_s", "accuracy"}}
+			for _, pt := range rep.AccCurve {
+				curve.Rows = append(curve.Rows, []string{fmt.Sprint(pt.Iter),
+					fixed(pt.Elapsed.Seconds(), 1), fixed(pt.Accuracy, 4)})
 			}
+			curves = append(curves, curve)
 		}
 	}
-	res := &Result{ID: "fig11a", Title: "Fig 11a", Tables: []Table{t},
+	return &Result{ID: "fig11a", Title: "Fig 11a", Tables: []Table{t}, Curves: curves,
 		Notes: []string{
 			"both loaders reach the same final accuracy; MinatoLoader gets there faster in wall time",
 			"paper: Mask R-CNN 5h12m vs 13h55m; 3D-UNet 3h52m vs 8h02m on the authors' testbed",
-		}}
-	if o.OutDir != "" {
-		if err := t.WriteCSV(o.OutDir, "fig11a_summary"); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+		}}, nil
 }
 
 // fig11Workloads builds the batch-size-4 variants used by Fig 11b/c.
@@ -106,6 +96,7 @@ func runFig11b(o Options) (*Result, error) {
 	cfg := hardware.ConfigA()
 	t := Table{
 		Title:  "Distribution of batches by number of slow samples (batch size 4)",
+		File:   "fig11b",
 		Header: []string{"workload", "loader", "0", "1", "2", "3", "4", "avg_slow_prop"},
 	}
 	for _, w := range fig11Workloads(o) {
@@ -127,22 +118,18 @@ func runFig11b(o Options) (*Result, error) {
 			t.Rows = append(t.Rows, row)
 		}
 	}
-	res := &Result{ID: "fig11b", Title: "Fig 11b", Tables: []Table{t},
-		Notes: []string{"similar distributions across loaders: MinatoLoader does not bias batch composition (§5.6)"}}
-	if o.OutDir != "" {
-		if err := t.WriteCSV(o.OutDir, "fig11b"); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return &Result{ID: "fig11b", Title: "Fig 11b", Tables: []Table{t},
+		Notes: []string{"similar distributions across loaders: MinatoLoader does not bias batch composition (§5.6)"}}, nil
 }
 
 func runFig11c(o Options) (*Result, error) {
 	cfg := hardware.ConfigA()
 	t := Table{
 		Title:  "Slow-sample proportion over training iterations",
+		File:   "fig11c_summary",
 		Header: []string{"workload", "loader", "avg_slow_prop", "first_half", "second_half"},
 	}
+	var curves []Table
 	for _, w := range fig11Workloads(o) {
 		for _, name := range []string{"pytorch", "minato"} {
 			f, _ := loaders.ByName(name)
@@ -156,29 +143,19 @@ func runFig11c(o Options) (*Result, error) {
 				fixed(rep.AvgSlowProportion(), 3),
 				fixed(mean(props[:half]), 3),
 				fixed(mean(props[half:]), 3)})
-			if o.OutDir != "" {
-				rows := make([][]string, 0, len(props))
-				for i, p := range props {
-					rows = append(rows, []string{fmt.Sprint(i), fixed(p, 3)})
-				}
-				if err := metrics.WriteCSV(o.OutDir, fmt.Sprintf("fig11c_%s_%s", w.Name, name),
-					[]string{"iteration", "slow_proportion"}, rows); err != nil {
-					return nil, err
-				}
+			curve := Table{File: fmt.Sprintf("fig11c_%s_%s", w.Name, name),
+				Header: []string{"iteration", "slow_proportion"}}
+			for i, p := range props {
+				curve.Rows = append(curve.Rows, []string{fmt.Sprint(i), fixed(p, 3)})
 			}
+			curves = append(curves, curve)
 		}
 	}
-	res := &Result{ID: "fig11c", Title: "Fig 11c", Tables: []Table{t},
+	return &Result{ID: "fig11c", Title: "Fig 11c", Tables: []Table{t}, Curves: curves,
 		Notes: []string{
 			"slow samples join batches as soon as ready — the proportion stays flat over the run rather than spiking at the end (§5.6)",
 			"paper averages: PyTorch 0.15/0.23, Minato 0.17/0.24 for obj-det/img-seg",
-		}}
-	if o.OutDir != "" {
-		if err := t.WriteCSV(o.OutDir, "fig11c_summary"); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+		}}, nil
 }
 
 func mean(xs []float64) float64 {
@@ -207,6 +184,7 @@ func runFig12(o Options) (*Result, error) {
 	}
 	t := Table{
 		Title:  "Training time (s) vs proportion of slow samples (Speech-3s)",
+		File:   "fig12",
 		Header: []string{"slow_pct", "pytorch", "pecan", "dali", "minato"},
 	}
 	for _, frac := range fractions {
@@ -221,14 +199,6 @@ func runFig12(o Options) (*Result, error) {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	res := &Result{ID: "fig12", Title: "Fig 12", Tables: []Table{t},
-		Notes: []string{"largest gains in the intermediate range where per-sample variability exists (§5.6)"}}
-	if o.OutDir != "" {
-		if err := t.WriteCSV(o.OutDir, "fig12"); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return &Result{ID: "fig12", Title: "Fig 12", Tables: []Table{t},
+		Notes: []string{"largest gains in the intermediate range where per-sample variability exists (§5.6)"}}, nil
 }
-
-var _ = time.Second

@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"github.com/minatoloader/minato/internal/metrics"
 )
 
 // Table is a titled grid of cells: how every reproduced table and figure
-// prints, and what its CSV holds.
+// prints, and what its CSV file, File.csv, holds.
 type Table struct {
 	Title  string
+	File   string
 	Header []string
 	Rows   [][]string
 }
@@ -52,11 +51,6 @@ func (t Table) Render() string {
 		line(row)
 	}
 	return b.String()
-}
-
-// WriteCSV writes the table to dir/name.csv.
-func (t Table) WriteCSV(dir, name string) error {
-	return metrics.WriteCSV(dir, name, t.Header, t.Rows)
 }
 
 // fixed formats a float with the given precision.

@@ -69,7 +69,8 @@ func WritePrometheus(w io.Writer, series []*TimeSeries, histName string, h *LogH
 	return bw.Flush()
 }
 
-// WriteCSV writes header+rows to dir/name.csv, creating dir as needed.
+// WriteCSV writes header+rows to dir/name.csv, creating dir as needed. A
+// file that fails to close is an error: its bytes may not be on disk.
 func WriteCSV(dir, name string, header []string, rows [][]string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -78,16 +79,14 @@ func WriteCSV(dir, name string, header []string, rows [][]string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	w := csv.NewWriter(f)
-	if err := w.Write(header); err != nil {
-		return err
+	if err = w.Write(header); err == nil {
+		err = w.WriteAll(rows) // flushes and reports the flush error
 	}
-	if err := w.WriteAll(rows); err != nil {
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	w.Flush()
-	return w.Error()
+	return err
 }
 
 // WriteSeriesCSV writes one or more aligned-by-row time series to
