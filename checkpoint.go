@@ -99,18 +99,14 @@ func (ck *Checkpoint) Remaining() int { return ck.spec.TotalBatches() }
 // Cache snapshots the pinned cluster's page cache — the warm state a
 // resumed session inherits.
 func (ck *Checkpoint) Cache() (st CacheStats) {
-	if ck.cl.cache != nil {
-		ck.cl.rt.k.Do(func() { st = ck.cl.cache.Stats() })
-	}
+	ck.cl.rt.k.Do(func() { st = ck.cl.cache.Stats() })
 	return st
 }
 
 // MatCache snapshots the pinned cluster's materialized preprocessed-sample
 // cache (zero when WithMaterializedCache is not enabled).
-func (ck *Checkpoint) MatCache() (st MatCacheStats) {
-	if ck.cl.mat != nil {
-		ck.cl.rt.k.Do(func() { st = ck.cl.mat.Stats() })
-	}
+func (ck *Checkpoint) MatCache() (st CacheStats) {
+	ck.cl.rt.k.Do(func() { st = ck.cl.mat.Stats() })
 	return st
 }
 

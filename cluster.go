@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"github.com/minatoloader/minato/internal/cache"
 	"github.com/minatoloader/minato/internal/data"
 	"github.com/minatoloader/minato/internal/device"
 	"github.com/minatoloader/minato/internal/gpu"
@@ -85,10 +86,13 @@ type Cluster struct {
 	gpus   []*gpu.GPU
 	disk   *storage.Disk
 	cache  *storage.PageCache
-	mat    *matcache.Cache
-	store  *storage.Store
-	pool   *data.Pool
-	shares *loader.FairShare
+	mat    *matcache.Cache // nil without WithMaterializedCache
+	// tenants is the one tenant table under both cache tiers: a session
+	// joins it once, and its id routes its traffic through both.
+	tenants *cache.Tenants
+	store   *storage.Store
+	pool    *data.Pool
+	shares  *loader.FairShare
 
 	maxSessions int
 	admission   AdmissionPolicy
@@ -170,10 +174,8 @@ func newCluster(co *options) (*Cluster, error) {
 		c.cpu, c.gpus, c.disk, c.cache = env.CPU, env.GPUs, disk, cache
 		c.store = env.Store
 	}
+	c.tenants = c.cache.Tenants()
 	if co.matBytes > 0 {
-		if c.cache == nil {
-			return nil, configErr("WithMaterializedCache", "requires a page cache to carve capacity from")
-		}
 		// The materialized layer shares the machine's memory with the page
 		// cache: carve its capacity out explicitly so the two layers never
 		// double-count the same simulated bytes. Validate before reserving —
@@ -185,7 +187,7 @@ func newCluster(co *options) (*Cluster, error) {
 				fmt.Sprintf("capacity %d exceeds the page cache's %d", co.matBytes, pageCap))
 		}
 		c.cache.ReserveCapacity(co.matBytes)
-		c.mat = matcache.New(co.matBytes)
+		c.mat = matcache.NewOn(co.matBytes, c.tenants)
 	}
 	c.shares = loader.NewFairShare(int(c.cpu.Capacity()))
 	c.gpuLoad = make([]int, len(c.gpus))
@@ -281,7 +283,7 @@ func (c *Cluster) open(dataset Dataset, o *options, ownsCluster, served bool) (*
 		return nil, wait, err
 	}
 	share := c.join(o.weight)
-	cacheTenant := c.joinTenant()
+	cacheTenant := c.tenants.Join()
 	gpuIdxs := c.acquireGPUs(gpuCount)
 
 	s := &Session{
@@ -390,11 +392,11 @@ func (c *Cluster) train(w Workload, o *options) (*Report, error) {
 			}
 			share := c.join(o.weight)
 			gpuIdxs := c.acquireGPUs(gpuCount)
-			cacheTenant := c.joinTenant()
+			cacheTenant := c.tenants.Join()
 			env := new(Env)
 			c.sessionEnv(env, gpuIdxs, cacheTenant, share)
 			rep, err = trainer.RunEnv(env, w, f, o.params)
-			c.leaveTenant(cacheTenant)
+			c.tenants.Leave(cacheTenant)
 			c.releaseGPUs(gpuIdxs)
 			c.leave(share)
 			c.release()
@@ -402,45 +404,6 @@ func (c *Cluster) train(w Workload, o *options) (*Report, error) {
 		return wait
 	})
 	return rep, err
-}
-
-// joinTenant registers a session with the shared caches and returns its
-// tenant id; leaveTenant undoes it. On the cluster's kernel, like every touch
-// of the caches.
-func (c *Cluster) joinTenant() (id int) {
-	if c.cache != nil {
-		id = c.cache.JoinTenant()
-	}
-	if c.mat != nil {
-		// The materialized cache shares the page cache's tenant ids, so one
-		// id routes a session's traffic through both layers.
-		c.mat.JoinTenant(id)
-	}
-	return id
-}
-
-// tenantUsage reads a tenant's slice of the shared caches and disk; on the
-// cluster's kernel.
-func (c *Cluster) tenantUsage(id int) (cache CacheStats, mat MatCacheStats, disk int64) {
-	if c.cache != nil {
-		cache = c.cache.TenantStats(id)
-		disk = c.cache.TenantDiskBytes(id)
-	} else if c.disk != nil {
-		disk = c.disk.BytesRead()
-	}
-	if c.mat != nil {
-		mat = c.mat.TenantStats(id)
-	}
-	return cache, mat, disk
-}
-
-func (c *Cluster) leaveTenant(id int) {
-	if c.cache != nil {
-		c.cache.LeaveTenant(id)
-	}
-	if c.mat != nil {
-		c.mat.LeaveTenant(id)
-	}
 }
 
 // join and leave enter and leave the fair worker arbitration; every open
@@ -605,9 +568,7 @@ func (c *Cluster) reclaim() (drain bool) {
 }
 
 func (c *Cluster) recycle() {
-	if c.cache != nil {
-		c.cache.Recycle()
-	}
+	c.cache.Recycle()
 	if c.mat != nil {
 		c.mat.Recycle()
 	}
@@ -655,7 +616,7 @@ type ClusterStats struct {
 	// sample pool; MatCache the materialized preprocessed-sample cache
 	// (zero when WithMaterializedCache is not enabled).
 	Cache    CacheStats
-	MatCache MatCacheStats
+	MatCache CacheStats
 	Pool     PoolStats
 	// Sessions holds a live SessionStats per open loading session, in
 	// tenant (admission) order. Training runs (Cluster.Train) occupy session
@@ -684,7 +645,7 @@ type SessionStats struct {
 	// MatCache its slice of the materialized preprocessed-sample cache
 	// (zero when WithMaterializedCache is not enabled).
 	Cache    CacheStats
-	MatCache MatCacheStats
+	MatCache CacheStats
 }
 
 // Stats returns a live snapshot of the cluster: tenancy counters, the
@@ -701,12 +662,8 @@ func (c *Cluster) Stats() (st ClusterStats) {
 			RejectedTotal:  c.rejectedTotal,
 			WorkerCapacity: c.shares.Capacity(),
 			Pool:           c.pool.Stats(),
-		}
-		if c.cache != nil {
-			st.Cache = c.cache.Stats()
-		}
-		if c.mat != nil {
-			st.MatCache = c.mat.Stats()
+			Cache:          c.cache.Stats(),
+			MatCache:       c.mat.Stats(),
 		}
 		for _, s := range c.sessions {
 			s.publish()

@@ -1,0 +1,427 @@
+// Package cache is the one cache structure under both tiers of the cache
+// hierarchy (disk → page cache → materialized cache → workers): the page
+// cache of raw sample bytes (storage.PageCache) and the materialized cache of
+// preprocessed tensors (matcache.Cache) are two instances of Cache that differ
+// only in their victim Policy.
+//
+// A Cache is keyed, has a byte capacity, attributes its traffic to tenants and
+// single-flights its fills: while one reader (the leader) fills a key,
+// concurrent readers of it park instead of filling it again, so co-running
+// sessions over one dataset share a single warm-up pass.
+//
+// Tenants are rows of a table (Tenants) that two caches may share, one tier
+// each, so a session registers once for both tiers and its id is reused only
+// when it holds no bytes in either. Row 0, made by the first Join,
+// is the implicit tenant that tenant-0 traffic (Put, a session of its own
+// machine) lands on; an id outside the table credits no tenant at all.
+//
+// A Cache is plain data: used from the tasks of one kernel — goroutines
+// outside it come in through simtime.Virtual.Run — or, like any plain value,
+// by one goroutine with no kernel at all. Every operation is deterministic,
+// eviction order and the order parked followers wake in included.
+package cache
+
+import (
+	"math"
+	"slices"
+	"sync"
+	"time"
+
+	"github.com/minatoloader/minato/internal/simtime"
+)
+
+// Key is what a cache key must be: comparable, and ordered, so that Recycle
+// wakes orphaned claims in an order that is a function of the program.
+type Key[K any] interface {
+	comparable
+	Compare(K) int
+}
+
+// Entry is one cached object: the bytes it occupies and the compute a hit on
+// it saves (zero for raw bytes).
+type Entry struct {
+	Bytes int64
+	Cost  time.Duration
+}
+
+// Stats is a snapshot of cache counters, whole-cache or per-tenant depending
+// on where it came from. Capacity is always the whole cache's (the partition
+// between tenants is soft); Entries is counted for the whole cache only.
+// Saved is the compute that hits skipped.
+type Stats struct {
+	Capacity, Used int64
+	Entries        int64
+	Hits, Misses   int64
+	Fills          int64
+	Evictions      int64
+	Saved          time.Duration
+}
+
+// HitRate returns hits/(hits+misses), or 0 before any access.
+func (s Stats) HitRate() float64 {
+	total := s.Hits + s.Misses
+	if total == 0 {
+		return 0
+	}
+	return float64(s.Hits) / float64(total)
+}
+
+// Tenants is a tenant table: one row per tenant, holding that tenant's slice
+// of every cache on the table. Task-only, like the caches.
+type Tenants struct {
+	rows []tenant
+	live int // joined tenants; row 0 is not one
+}
+
+type tenant struct {
+	live bool
+	tier [2]Stats // its slices of the page cache (0) and the materialized cache (1)
+}
+
+// Join registers a tenant and returns its id. A departed tenant's row is
+// reused only once it holds no bytes in any cache on the table, so a new
+// tenant never inherits a stranger's residency; its counters start at zero.
+func (t *Tenants) Join() int {
+	if len(t.rows) == 0 {
+		t.rows = make([]tenant, 1, 8) // row 0, the unattributed tenant
+	}
+	t.live++
+	for id := 1; id < len(t.rows); id++ {
+		if r := &t.rows[id]; !r.live && r.tier[0].Used == 0 && r.tier[1].Used == 0 {
+			*r = tenant{live: true}
+			return id
+		}
+	}
+	t.rows = append(t.rows, tenant{live: true})
+	return len(t.rows) - 1
+}
+
+// Leave deregisters a tenant. Its entries stay cached — they may still serve
+// siblings — and its counters freeze until the row is reused.
+func (t *Tenants) Leave(id int) {
+	if id > 0 && id < len(t.rows) && t.rows[id].live {
+		t.rows[id].live = false
+		t.live--
+	}
+}
+
+// Pool is what every cache of one key type shares across the process: free
+// lists of node slabs and of index maps (Go keeps a cleared map's storage, so
+// a cache starts with its predecessor's instead of growing from scratch).
+// Recycle fills it; cache traffic then allocates nothing in steady state.
+// The zero value is ready.
+type Pool[K Key[K]] struct{ slabs, maps sync.Pool }
+
+// slabSize is how many nodes a cache takes from its pool at a time.
+const slabSize = 256
+
+type slab[K Key[K]] struct {
+	nodes [slabSize]node[K]
+	prev  *slab[K] // the cache's slab handed out before this one
+}
+
+func (p *Pool[K]) slab() *slab[K] {
+	if s, ok := p.slabs.Get().(*slab[K]); ok {
+		return s
+	}
+	return new(slab[K])
+}
+
+func (p *Pool[K]) index() map[K]*node[K] {
+	if m, ok := p.maps.Get().(map[K]*node[K]); ok {
+		return m
+	}
+	return make(map[K]*node[K])
+}
+
+// node is one resident entry. prev/next link it in the LRU list (next also
+// in the free list); density, seq and idx place it in the cost heap.
+type node[K Key[K]] struct {
+	key K
+	Entry
+	tenant     int32 // -1: filled by no tenant
+	prev, next *node[K]
+	density    float64
+	seq        uint64
+	idx        int
+}
+
+// Cache is a keyed, byte-capacity, tenant-attributed, single-flighted cache
+// whose victims its Policy picks. The zero value is not usable — construct
+// with New.
+type Cache[K Key[K]] struct {
+	victims victims[K]
+	pool    *Pool[K]
+	total   Stats // Capacity and Used are the cache's own
+	index   map[K]*node[K]
+	seq     uint64 // insertions so far: the cost heap's tie-break
+
+	// Node storage: slabs from the pool, the last one's nodes handed out in
+	// order (fresh counts them), and evicted nodes, linked through next.
+	slab  *slab[K]
+	fresh int
+	free  *node[K]
+
+	tenants *Tenants
+	tier    int
+
+	inflight simtime.Flights[K]
+	// handoff holds completed entries too large to retain, reserved for the
+	// followers parked on the fill that produced them: each woken follower
+	// redeems one reference on its re-check, so single-flight holds even for
+	// uncacheable keys instead of degenerating to one serial re-fill per
+	// follower.
+	handoff map[K]handoff
+}
+
+type handoff struct {
+	e    Entry
+	refs int
+}
+
+// New returns an empty cache of the given byte capacity that evicts by
+// policy, drawing its storage from pool. It attributes traffic to tenants,
+// keeping its counters in their rows' slice tier: two caches on one table, so
+// that one Join registers a session with both, take different tiers.
+func New[K Key[K]](capacity int64, policy Policy, pool *Pool[K], tenants *Tenants, tier int) *Cache[K] {
+	var v victims[K] = new(lru[K])
+	if policy == LeastCostPerByte {
+		v = new(costHeap[K])
+	}
+	return &Cache[K]{
+		victims: v,
+		pool:    pool,
+		total:   Stats{Capacity: capacity},
+		index:   pool.index(),
+		tenants: tenants,
+		tier:    tier,
+		handoff: make(map[K]handoff),
+	}
+}
+
+// Tenants returns the tenant table the cache attributes its traffic to.
+func (c *Cache[K]) Tenants() *Tenants { return c.tenants }
+
+// row is a tenant's slice of this cache, or nil for an id outside the table.
+func (c *Cache[K]) row(id int) *Stats {
+	if id < 0 || id >= len(c.tenants.rows) {
+		return nil
+	}
+	return &c.tenants.rows[id].tier[c.tier]
+}
+
+// count applies f to the whole cache's counters and to the tenant's row.
+func (c *Cache[K]) count(tenant int, f func(*Stats)) {
+	f(&c.total)
+	if r := c.row(tenant); r != nil {
+		f(r)
+	}
+}
+
+// hit counts a hit that saved the given compute: count's hot path, spelled
+// out because a closure call would cost as much as the map lookup before it.
+func (c *Cache[K]) hit(tenant int, saved time.Duration) {
+	c.total.Hits++
+	c.total.Saved += saved
+	if r := c.row(tenant); r != nil {
+		r.Hits++
+		r.Saved += saved
+	}
+}
+
+// Capacity returns the cache's current capacity in bytes, net of any
+// ReserveCapacity carve-outs.
+func (c *Cache[K]) Capacity() int64 { return c.total.Capacity }
+
+// ReserveCapacity permanently carves n bytes out of the capacity for a second
+// cache sharing the same simulated memory, so the two never double-count it.
+// Entries are evicted in victim order until the contents fit. It returns the
+// bytes granted, min(n, capacity), so a caller asking for more than the cache
+// holds can detect the shortfall.
+func (c *Cache[K]) ReserveCapacity(n int64) int64 {
+	if n <= 0 {
+		return 0
+	}
+	n = min(n, c.total.Capacity)
+	c.total.Capacity -= n
+	for c.total.Used > c.total.Capacity {
+		c.evict(c.victims.victim(c, -1, math.Inf(1)))
+	}
+	return n
+}
+
+// GetOrBegin is the single-flight read path: a cached key returns its entry
+// as a hit; an uncached key with no fill in flight makes the caller the
+// leader (hit false, waiter nil — fill it, then Complete or Abort); an
+// uncached key already being filled parks the caller as a follower (waiter
+// non-nil — Wait, then call GetOrBegin again). Followers count a hit on
+// re-check; only the leader pays a miss.
+func (c *Cache[K]) GetOrBegin(tenant int, key K, rt *simtime.Virtual) (Entry, bool, *simtime.Waiter) {
+	if n, ok := c.index[key]; ok {
+		c.victims.touch(n)
+		c.hit(tenant, n.Cost)
+		return n.Entry, true, nil
+	}
+	if h, ok := c.handoff[key]; ok {
+		if h.refs--; h.refs > 0 {
+			c.handoff[key] = h
+		} else {
+			delete(c.handoff, key)
+		}
+		c.hit(tenant, h.e.Cost)
+		return h.e, true, nil
+	}
+	if w := c.inflight.Join(key, rt); w != nil {
+		return Entry{}, false, w
+	}
+	c.count(tenant, func(s *Stats) { s.Misses++ })
+	return Entry{}, false, nil
+}
+
+// Complete publishes a leader's fill, attributed to the leader's tenant, and
+// releases the key's followers. An entry larger than the whole cache is not
+// retained, but the followers parked on this fill still receive it as a hit.
+func (c *Cache[K]) Complete(tenant int, key K, e Entry) {
+	c.count(tenant, func(s *Stats) { s.Fills++ })
+	c.insert(tenant, key, e)
+	if followers := c.inflight.Land(key); followers > 0 {
+		if _, kept := c.index[key]; !kept {
+			c.handoff[key] = handoff{e: e, refs: followers}
+		}
+	}
+}
+
+// Abort releases a key's followers without publishing; the next reader
+// becomes the new leader. A leader must Abort on every failure path, or its
+// followers park until Recycle.
+func (c *Cache[K]) Abort(key K) { c.inflight.Land(key) }
+
+// Put inserts an object of the given size as the unattributed tenant,
+// outside the single-flight protocol and without counting a fill.
+func (c *Cache[K]) Put(key K, bytes int64) { c.insert(0, key, Entry{Bytes: bytes}) }
+
+// Peek reports whether key is cached, without counting traffic or touching
+// its recency.
+func (c *Cache[K]) Peek(key K) (Entry, bool) {
+	if n, ok := c.index[key]; ok {
+		return n.Entry, true
+	}
+	return Entry{}, false
+}
+
+// insert makes an entry resident, evicting victims until it fits. A resident
+// key is only touched; an entry larger than the cache is not kept.
+func (c *Cache[K]) insert(tenant int, key K, e Entry) {
+	e.Bytes, e.Cost = max(e.Bytes, 0), max(e.Cost, 0)
+	if e.Bytes > c.total.Capacity {
+		return
+	}
+	if n, ok := c.index[key]; ok {
+		c.victims.touch(n)
+		return
+	}
+	if c.row(tenant) == nil {
+		tenant = -1 // an id outside the table carries no attribution
+	}
+	density := float64(e.Cost)
+	if e.Bytes > 0 {
+		density /= float64(e.Bytes)
+	}
+	for c.total.Used+e.Bytes > c.total.Capacity {
+		v := c.victims.victim(c, tenant, density)
+		if v == nil { // the entry itself is the victim
+			c.count(tenant, func(s *Stats) { s.Evictions++ })
+			return
+		}
+		c.evict(v)
+	}
+	n := c.alloc()
+	c.seq++
+	n.key, n.Entry, n.tenant, n.density, n.seq = key, e, int32(tenant), density, c.seq
+	c.index[key] = n
+	c.victims.link(n)
+	c.count(tenant, func(s *Stats) { s.Used += e.Bytes })
+}
+
+// evict removes a resident entry, attributing the eviction to the tenant
+// that filled it.
+func (c *Cache[K]) evict(n *node[K]) {
+	c.victims.unlink(n)
+	delete(c.index, n.key)
+	c.count(int(n.tenant), func(s *Stats) { s.Used, s.Evictions = s.Used-n.Bytes, s.Evictions+1 })
+	*n = node[K]{next: c.free}
+	c.free = n
+}
+
+func (c *Cache[K]) alloc() *node[K] {
+	if n := c.free; n != nil {
+		c.free, n.next = n.next, nil
+		return n
+	}
+	if c.slab == nil || c.fresh == slabSize {
+		s := c.pool.slab()
+		c.slab, s.prev, c.fresh = s, c.slab, 0
+	}
+	c.fresh++
+	return &c.slab.nodes[c.fresh-1]
+}
+
+// Recycle empties the cache and hands its node slabs and index map to the
+// pool. It is owned by whoever owns the cache's lifetime — a Cluster, or
+// trainer.Simulate for its private testbed — never by one session, which may
+// share the cache with live siblings. Traffic counters survive; residency is
+// zeroed with the contents. Single-flight claims orphaned by leaders that
+// died without settling are landed in key order, their followers woken to
+// re-elect instead of parking forever. Recycle is idempotent, and the cache
+// stays usable.
+func (c *Cache[K]) Recycle() {
+	for s := c.slab; s != nil; {
+		prev := s.prev
+		*s = slab[K]{}
+		c.pool.slabs.Put(s)
+		s = prev
+	}
+	c.slab, c.fresh, c.free = nil, 0, nil
+	c.victims.reset()
+	c.total.Used = 0
+	for i := range c.tenants.rows {
+		c.tenants.rows[i].tier[c.tier].Used = 0
+	}
+	clear(c.handoff)
+	keys := c.inflight.Keys()
+	slices.SortFunc(keys, func(a, b K) int { return a.Compare(b) })
+	for _, key := range keys {
+		c.inflight.Land(key)
+	}
+	if len(c.index) == 0 {
+		return // nothing to hand to the pool
+	}
+	clear(c.index)
+	c.pool.maps.Put(c.index)
+	// A small fresh map keeps this cache usable; the warmed one goes to the
+	// next cache.
+	c.index = make(map[K]*node[K])
+}
+
+// Stats returns a snapshot of whole-cache counters; zero for a nil cache.
+func (c *Cache[K]) Stats() Stats {
+	if c == nil {
+		return Stats{}
+	}
+	s := c.total
+	s.Entries = int64(len(c.index))
+	return s
+}
+
+// TenantStats returns one tenant's slice of the cache: its traffic, and the
+// bytes its fills hold resident. Zero for a nil cache.
+func (c *Cache[K]) TenantStats(id int) (s Stats) {
+	if c == nil {
+		return s
+	}
+	if r := c.row(id); r != nil {
+		s = *r
+	}
+	s.Capacity = c.total.Capacity
+	return s
+}

@@ -44,7 +44,7 @@ func (l *Loader) restoreHit(ctx context.Context, s *data.Sample, e matcache.Entr
 	now := l.env.RT.Now()
 	s.LoadedAt = now
 	s.PreprocStart = now
-	if restore := l.mat.RestoreCost(e.Bytes); restore > 0 {
+	if restore := matcache.RestoreCost(e.Bytes); restore > 0 {
 		if err := l.env.CPU.Run(ctx, restore); err != nil {
 			l.env.Pool.Put(s)
 			return err

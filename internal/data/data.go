@@ -14,7 +14,9 @@
 package data
 
 import (
+	"cmp"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -34,6 +36,11 @@ type Key struct {
 
 // IsZero reports whether k is the zero key (no object).
 func (k Key) IsZero() bool { return k == Key{} }
+
+// Compare orders keys by space, then index.
+func (k Key) Compare(o Key) int {
+	return cmp.Or(strings.Compare(k.Space, o.Space), cmp.Compare(k.Index, o.Index))
+}
 
 // String renders the key for diagnostics.
 func (k Key) String() string { return fmt.Sprintf("%s/%d", k.Space, k.Index) }

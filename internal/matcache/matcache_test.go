@@ -7,8 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/minatoloader/minato/internal/cache"
 	"github.com/minatoloader/minato/internal/data"
 	"github.com/minatoloader/minato/internal/simtime"
+	"github.com/minatoloader/minato/internal/storage"
 )
 
 func key(i int, sig uint64) Key {
@@ -18,7 +20,6 @@ func key(i int, sig uint64) Key {
 func TestFillAndHit(t *testing.T) {
 	rt := simtime.NewVirtual()
 	c := New(1 << 20)
-	c.JoinTenant(0)
 
 	k := key(1, 42)
 	e, hit, w := c.GetOrBegin(0, k, rt)
@@ -145,7 +146,6 @@ func TestOversizeEntryNotRetained(t *testing.T) {
 func TestSingleFlightVirtual(t *testing.T) {
 	rt := simtime.NewVirtual()
 	c := New(1 << 20)
-	c.JoinTenant(0)
 	k := key(7, 9)
 	const followers = 4
 
@@ -251,8 +251,8 @@ func TestSingleFlightHammer(t *testing.T) {
 		tenants = 8
 		keys    = 32
 	)
-	for id := 0; id < tenants; id++ {
-		c.JoinTenant(id)
+	for range tenants - 1 { // ids 1..7; 0 is the unattributed row
+		c.Tenants().Join()
 	}
 	fills := make([]atomic.Int64, keys)
 	var wg sync.WaitGroup
@@ -341,8 +341,9 @@ func TestEntriesSurviveSampleRecycling(t *testing.T) {
 func TestTenantAttribution(t *testing.T) {
 	rt := simtime.NewVirtual()
 	c := New(1 << 20)
-	c.JoinTenant(1)
-	c.JoinTenant(2)
+	if a, b := c.Tenants().Join(), c.Tenants().Join(); a != 1 || b != 2 {
+		t.Fatalf("tenant ids %d/%d, want 1/2", a, b)
+	}
 
 	k := key(5, 3)
 	if _, hit, w := c.GetOrBegin(1, k, rt); hit || w != nil {
@@ -365,47 +366,35 @@ func TestTenantAttribution(t *testing.T) {
 	}
 }
 
-// A departing tenant's resident bytes survive; rejoining the id resets
-// traffic counters but keeps residency.
+// A departing tenant's resident bytes survive it, and its id is not handed
+// to a newcomer while they do: the newcomer starts with nothing resident, and
+// the id is reused, with its counters reset, only once the bytes have left.
 func TestTenantChurnKeepsResidency(t *testing.T) {
 	rt := simtime.NewVirtual()
 	c := New(1 << 20)
-	c.JoinTenant(1)
-	if _, hit, w := c.GetOrBegin(1, key(1, 1), rt); hit || w != nil {
+	a := c.Tenants().Join()
+	if _, hit, w := c.GetOrBegin(a, key(1, 1), rt); hit || w != nil {
 		t.Fatal("expected leadership")
 	}
-	c.Complete(1, key(1, 1), Entry{Bytes: 300, Cost: time.Millisecond})
-	c.LeaveTenant(1)
-	c.JoinTenant(1)
-	st := c.TenantStats(1)
-	if st.Used != 300 {
+	c.Complete(a, key(1, 1), Entry{Bytes: 300, Cost: time.Millisecond})
+	c.Tenants().Leave(a)
+	if st := c.TenantStats(a); st.Used != 300 {
 		t.Fatalf("residency lost across churn: used = %d", st.Used)
 	}
-	if st.Fills != 0 || st.Misses != 0 {
-		t.Fatalf("traffic counters not reset: %+v", st)
+	b := c.Tenants().Join()
+	if b == a {
+		t.Fatalf("id %d reused while its bytes were resident", a)
 	}
-}
-
-func TestInvalidate(t *testing.T) {
-	c := New(1 << 20)
-	c.Complete(0, key(1, 100), Entry{Bytes: 10, Cost: time.Millisecond})
-	c.Complete(0, key(2, 100), Entry{Bytes: 10, Cost: time.Millisecond})
-	c.Complete(0, key(1, 200), Entry{Bytes: 10, Cost: time.Millisecond})
-	if n := c.Invalidate(100); n != 2 {
-		t.Fatalf("invalidated %d entries, want 2", n)
+	if st := c.TenantStats(b); st.Used != 0 || st.Fills != 0 || st.Misses != 0 {
+		t.Fatalf("newcomer inherited a departed tenant's slice: %+v", st)
 	}
-	if _, ok := c.Peek(key(1, 100)); ok {
-		t.Fatal("invalidated entry still resident")
+	c.Tenants().Leave(b)
+	c.Recycle()
+	if id := c.Tenants().Join(); id != a {
+		t.Fatalf("drained id not reused: got %d, want %d", id, a)
 	}
-	if _, ok := c.Peek(key(1, 200)); !ok {
-		t.Fatal("unrelated signature was invalidated")
-	}
-	st := c.Stats()
-	if st.Invalidations != 2 || st.Evictions != 0 || st.Used != 10 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if n := c.Invalidate(100); n != 0 {
-		t.Fatalf("second invalidate removed %d entries", n)
+	if st := c.TenantStats(a); st != (cache.Stats{Capacity: 1 << 20}) {
+		t.Fatalf("reused id kept its predecessor's counters: %+v", st)
 	}
 }
 
@@ -431,15 +420,14 @@ func TestRecycle(t *testing.T) {
 }
 
 func TestRestoreCost(t *testing.T) {
-	c := New(1)
-	if got := c.RestoreCost(0); got != 0 {
+	if got := RestoreCost(0); got != 0 {
 		t.Fatalf("restore cost of 0 bytes = %v", got)
 	}
-	if got := c.RestoreCost(-5); got != 0 {
+	if got := RestoreCost(-5); got != 0 {
 		t.Fatalf("restore cost of negative bytes = %v", got)
 	}
 	// 10 GB/s default bandwidth: 1 GB restores in 100 ms.
-	if got := c.RestoreCost(1e9); got != 100*time.Millisecond {
+	if got := RestoreCost(1e9); got != 100*time.Millisecond {
 		t.Fatalf("restore cost of 1 GB = %v, want 100ms", got)
 	}
 }
@@ -572,24 +560,39 @@ func TestRecycleClearsInflightClaims(t *testing.T) {
 	}
 }
 
-// A fill completing with an out-of-range tenant id (tenant-slot churn
-// between claim and completion) carries no attribution instead of crediting
-// tenant 0 with a stranger's bytes.
+// A fill completing with an out-of-range tenant id (tenant-row churn between
+// claim and completion) carries no attribution, in either tier, instead of
+// crediting tenant 0 with a stranger's bytes; evicting it later charges no
+// tenant either.
 func TestOutOfRangeTenantNotFoldedIntoTenantZero(t *testing.T) {
-	c := New(1 << 20)
-	c.JoinTenant(0)
-	c.Complete(99, key(1, 1), Entry{Bytes: 500, Cost: time.Millisecond})
+	t.Run("materialized", func(t *testing.T) { outOfRangeFill(t, New(1000), key(1, 1), key(2, 1)) })
+	t.Run("page", func(t *testing.T) {
+		outOfRangeFill(t, storage.NewPageCache(1000), data.KeyOf("k", 1), data.KeyOf("k", 2))
+	})
+}
+
+func outOfRangeFill[K cache.Key[K]](t *testing.T, c *cache.Cache[K], k1, k2 K) {
+	a := c.Tenants().Join() // rows 0 and a exist; 99 is still outside the table
+	c.Complete(99, k1, Entry{Bytes: 500, Cost: time.Millisecond})
 	if st := c.TenantStats(0); st.Used != 0 || st.Fills != 0 {
 		t.Fatalf("tenant 0 credited with an out-of-range fill: %+v", st)
 	}
 	if st := c.Stats(); st.Used != 500 || st.Fills != 1 {
 		t.Fatalf("whole-cache stats = %+v", st)
 	}
-	// Removing the unattributed entry leaves tenant counters untouched too.
-	if n := c.Invalidate(1); n != 1 {
-		t.Fatalf("invalidated %d entries, want 1", n)
+	// A denser entry by a joined tenant evicts the unattributed one under
+	// either policy: LRU's tail, and the least cost per byte.
+	c.Complete(a, k2, Entry{Bytes: 600, Cost: 2 * time.Millisecond})
+	if _, ok := c.Peek(k1); ok {
+		t.Fatal("the unattributed entry was not evicted")
+	}
+	if st := c.TenantStats(a); st.Used != 600 || st.Evictions != 0 {
+		t.Fatalf("tenant %d charged for an unattributed eviction: %+v", a, st)
 	}
 	if st := c.TenantStats(0); st.Used != 0 || st.Evictions != 0 {
-		t.Fatalf("tenant 0 charged for an unattributed removal: %+v", st)
+		t.Fatalf("tenant 0 charged for an unattributed eviction: %+v", st)
+	}
+	if st := c.Stats(); st.Used != 600 || st.Evictions != 1 {
+		t.Fatalf("whole-cache stats after the eviction = %+v", st)
 	}
 }

@@ -30,8 +30,9 @@
 //
 // One rule. The kernel has one owner at a time: the loop, or the one task it
 // has resumed. Everything here except the door (door.go), and every layer
-// built on it — queue.Queue, device.Device, netsim.Fabric, storage.Disk and
-// PageCache, matcache.Cache, Gate, WaitGroup, Barrier, core's loader state —
+// built on it — queue.Queue, device.Device, netsim.Fabric, storage.Disk,
+// cache.Cache (the page cache and the materialized cache), Gate, WaitGroup,
+// Barrier, core's loader state —
 // is plain data with no lock, used by the tasks of one kernel (or, like any
 // plain value, by one goroutine with no kernel at all). A goroutine that is
 // not a task comes in through the door, a mutex-guarded inbox the loop empties

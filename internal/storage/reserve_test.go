@@ -22,10 +22,10 @@ func TestReserveCapacity(t *testing.T) {
 	if got := c.ReserveCapacity(30); got != 30 {
 		t.Fatalf("granted %d, want 30", got)
 	}
-	if c.Get(data.KeyOf("k", 1)) {
+	if get(c, data.KeyOf("k", 1)) {
 		t.Fatal("LRU entry survived a reservation that shrank below contents")
 	}
-	if !c.Get(data.KeyOf("k", 2)) {
+	if !get(c, data.KeyOf("k", 2)) {
 		t.Fatal("MRU entry should have survived")
 	}
 	s := c.Stats()

@@ -3,22 +3,23 @@ package storage
 import (
 	"testing"
 
+	"github.com/minatoloader/minato/internal/cache"
 	"github.com/minatoloader/minato/internal/data"
 )
 
 func TestPageCacheTenantAttribution(t *testing.T) {
 	c := NewPageCache(1000)
-	a := c.JoinTenant()
-	b := c.JoinTenant()
+	a := c.Tenants().Join()
+	b := c.Tenants().Join()
 	if a == b || a == 0 || b == 0 {
 		t.Fatalf("tenant ids %d/%d", a, b)
 	}
 
-	c.PutAs(a, data.KeyOf("k", 1), 100)
-	if !c.GetAs(b, data.KeyOf("k", 1)) {
+	c.Complete(a, data.KeyOf("k", 1), cache.Entry{Bytes: 100})
+	if !getAs(c, b, data.KeyOf("k", 1)) {
 		t.Fatal("tenant b missed an entry tenant a inserted")
 	}
-	c.GetAs(a, data.KeyOf("k", 2)) // a miss for a
+	getAs(c, a, data.KeyOf("k", 2)) // a miss for a
 
 	sa, sb := c.TenantStats(a), c.TenantStats(b)
 	if sa.Hits != 0 || sa.Misses != 1 || sa.Used != 100 {
@@ -38,22 +39,22 @@ func TestPageCacheTenantAttribution(t *testing.T) {
 // under-share sibling's, even when the sibling's entry is the LRU tail.
 func TestPageCacheTenantPartition(t *testing.T) {
 	c := NewPageCache(100)
-	a := c.JoinTenant()
-	b := c.JoinTenant()
+	a := c.Tenants().Join()
+	b := c.Tenants().Join()
 
 	// b inserts first (so its entry sits at the LRU tail), well under its
 	// 50-byte share; a then fills the rest of the cache past its share.
-	c.PutAs(b, data.KeyOf("b", 0), 20)
+	c.Complete(b, data.KeyOf("b", 0), cache.Entry{Bytes: 20})
 	for i := 0; i < 4; i++ {
-		c.PutAs(a, data.KeyOf("a", i), 20)
+		c.Complete(a, data.KeyOf("a", i), cache.Entry{Bytes: 20})
 	}
 	// Cache full (100 bytes): a holds 80 (over share), b 20 (under). The
 	// next insertion by a must evict a's own LRU entry, not b's tail.
-	c.PutAs(a, data.KeyOf("a", 99), 20)
-	if !c.GetAs(b, data.KeyOf("b", 0)) {
+	c.Complete(a, data.KeyOf("a", 99), cache.Entry{Bytes: 20})
+	if !getAs(c, b, data.KeyOf("b", 0)) {
 		t.Fatal("under-share tenant's entry was evicted")
 	}
-	if c.GetAs(a, data.KeyOf("a", 0)) {
+	if getAs(c, a, data.KeyOf("a", 0)) {
 		t.Fatal("over-share tenant's LRU entry survived")
 	}
 	sa := c.TenantStats(a)
@@ -64,15 +65,15 @@ func TestPageCacheTenantPartition(t *testing.T) {
 
 func TestPageCacheLeaveTenantReusesSlot(t *testing.T) {
 	c := NewPageCache(1000)
-	a := c.JoinTenant()
-	c.PutAs(a, data.KeyOf("k", 1), 10)
-	c.LeaveTenant(a)
+	a := c.Tenants().Join()
+	c.Complete(a, data.KeyOf("k", 1), cache.Entry{Bytes: 10})
+	c.Tenants().Leave(a)
 	// a's entry is still resident, so its slot cannot be reused yet.
-	if id := c.JoinTenant(); id == a {
+	if id := c.Tenants().Join(); id == a {
 		t.Fatalf("slot %d reused while its bytes were resident", a)
 	}
 	c.Recycle()
-	if id := c.JoinTenant(); id != a {
+	if id := c.Tenants().Join(); id != a {
 		t.Fatalf("drained slot not reused: got %d, want %d", id, a)
 	}
 }
@@ -82,8 +83,8 @@ func TestPageCacheLeaveTenantReusesSlot(t *testing.T) {
 // call) without corrupting the node pool or the cache.
 func TestPageCacheRecycleIdempotent(t *testing.T) {
 	c := NewPageCache(1000)
-	a := c.JoinTenant()
-	c.PutAs(a, data.KeyOf("k", 1), 10)
+	a := c.Tenants().Join()
+	c.Complete(a, data.KeyOf("k", 1), cache.Entry{Bytes: 10})
 	c.Recycle()
 	c.Recycle()
 	if s := c.Stats(); s.Used != 0 {
@@ -94,14 +95,14 @@ func TestPageCacheRecycleIdempotent(t *testing.T) {
 	}
 	// Still usable.
 	c.Put(data.KeyOf("k", 2), 10)
-	if !c.Get(data.KeyOf("k", 2)) {
+	if !get(c, data.KeyOf("k", 2)) {
 		t.Fatal("cache unusable after double recycle")
 	}
 }
 
 func TestStoreWithTenantRoutesTraffic(t *testing.T) {
 	c := NewPageCache(1000)
-	id := c.JoinTenant()
+	id := c.Tenants().Join()
 	st := &Store{Cache: c}
 	tenantStore := st.WithTenant(id)
 	if st.Tenant != 0 {

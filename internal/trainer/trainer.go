@@ -16,14 +16,13 @@ import (
 	"sort"
 	"time"
 
+	"github.com/minatoloader/minato/internal/cache"
 	"github.com/minatoloader/minato/internal/chaos"
 	"github.com/minatoloader/minato/internal/data"
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loader"
-	"github.com/minatoloader/minato/internal/matcache"
 	"github.com/minatoloader/minato/internal/metrics"
 	"github.com/minatoloader/minato/internal/simtime"
-	"github.com/minatoloader/minato/internal/storage"
 	"github.com/minatoloader/minato/internal/trace"
 	"github.com/minatoloader/minato/internal/workload"
 )
@@ -125,12 +124,12 @@ type Report struct {
 	SlowPropByIt  []float64  // per-iteration slow proportion, delivery order
 	AccCurve      []AccPoint // accuracy curve (Fig 11a)
 
-	CacheStats storage.CacheStats
-	DiskBytes  int64
-	// MatCacheStats snapshots the materialized preprocessed-sample cache
-	// (per-tenant on a shared substrate, whole-cache otherwise); zero when
-	// the cache is not enabled.
-	MatCacheStats matcache.Stats
+	// CacheStats and MatCacheStats snapshot the page cache and the
+	// materialized preprocessed-sample cache (per-tenant on a shared
+	// substrate, whole-cache otherwise); zero for a cache that is not there.
+	CacheStats    cache.Stats
+	MatCacheStats cache.Stats
+	DiskBytes     int64
 
 	// SampleTraces holds per-sample timelines when Params.TraceSamples is
 	// set, in delivery order.
@@ -252,7 +251,7 @@ func RunEnv(env *loader.Env, w workload.Workload, f Factory, p Params) (*Report,
 		GPUs:     len(env.GPUs),
 	}
 
-	disk, cache := env.Store.Disk, env.Store.Cache
+	disk := env.Store.Disk
 	var trainedBytes int64 // these run-wide tallies are plain: consumers are tasks of one kernel
 	collector := metrics.NewCollector(rt, metricsInterval)
 	if p.Collect {
@@ -456,23 +455,14 @@ func RunEnv(env *loader.Env, w workload.Workload, f Factory, p Params) (*Report,
 		rep.SlowHist = comp.hist
 		rep.SlowPropByIt = comp.props
 	}
-	if env.Mat != nil {
-		if env.Store.Tenant > 0 {
-			rep.MatCacheStats = env.Mat.TenantStats(env.Store.Tenant)
-		} else {
-			rep.MatCacheStats = env.Mat.Stats()
-		}
-	}
-	if cache != nil && env.Store.Tenant > 0 {
+	if t := env.Store.Tenant; t > 0 {
 		// Shared-substrate session: attribute storage traffic to this
 		// tenant rather than reporting cluster-wide totals.
-		rep.CacheStats = cache.TenantStats(env.Store.Tenant)
-		rep.DiskBytes = cache.TenantDiskBytes(env.Store.Tenant)
+		rep.CacheStats, rep.MatCacheStats = env.Store.Cache.TenantStats(t), env.Mat.TenantStats(t)
+		rep.DiskBytes = env.Store.DiskBytes
 		return rep, nil
 	}
-	if cache != nil {
-		rep.CacheStats = cache.Stats()
-	}
+	rep.CacheStats, rep.MatCacheStats = env.Store.Cache.Stats(), env.Mat.Stats()
 	if disk != nil {
 		rep.DiskBytes = disk.BytesRead()
 	}

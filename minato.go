@@ -90,6 +90,7 @@ package minato
 import (
 	"time"
 
+	"github.com/minatoloader/minato/internal/cache"
 	"github.com/minatoloader/minato/internal/core"
 	"github.com/minatoloader/minato/internal/data"
 	"github.com/minatoloader/minato/internal/dataset"
@@ -97,7 +98,6 @@ import (
 	"github.com/minatoloader/minato/internal/gpu"
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loader"
-	"github.com/minatoloader/minato/internal/matcache"
 	"github.com/minatoloader/minato/internal/simtime"
 	"github.com/minatoloader/minato/internal/storage"
 	"github.com/minatoloader/minato/internal/trainer"
@@ -142,13 +142,11 @@ type (
 	Factory = trainer.Factory
 	// HardwareConfig describes a testbed.
 	HardwareConfig = hardware.Config
-	// CacheStats is a snapshot of page-cache counters (whole-cache or
-	// per-tenant, depending on where it came from).
-	CacheStats = storage.CacheStats
-	// MatCacheStats is a snapshot of the materialized preprocessed-sample
-	// cache (see WithMaterializedCache): hits, fills, evictions, and the
-	// preprocessing time hits saved.
-	MatCacheStats = matcache.Stats
+	// CacheStats is a snapshot of one cache tier — the page cache, or the
+	// materialized preprocessed-sample cache (see WithMaterializedCache) —
+	// whole-cache or per-tenant, depending on where it came from: hits,
+	// misses, fills, evictions, and the compute hits saved.
+	CacheStats = cache.Stats
 	// PoolStats is a snapshot of sample-pool activity.
 	PoolStats = data.PoolStats
 )

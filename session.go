@@ -351,7 +351,8 @@ func (s *Session) publish() {
 	s.usageMu.Lock()
 	st := &s.stats
 	if !s.released {
-		st.Cache, st.MatCache, s.disk = s.cl.tenantUsage(s.cacheTenant)
+		st.Cache, st.MatCache = s.cl.cache.TenantStats(s.cacheTenant), s.cl.mat.TenantStats(s.cacheTenant)
+		s.disk = s.env.Store.DiskBytes
 	}
 	st.WorkerQuota = s.share.WorkerQuota()
 	st.State = sessionStateString(s.state)
@@ -417,7 +418,7 @@ func (s *Session) close(rep *Report) error {
 		// cache-tenant slot may be reused by a later session.
 		s.publish()
 		s.released = true
-		s.cl.leaveTenant(s.cacheTenant)
+		s.cl.tenants.Leave(s.cacheTenant)
 		s.cl.releaseSession(s)
 		if s.ownsCluster {
 			s.cl.close()

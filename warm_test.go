@@ -333,3 +333,38 @@ func TestWarmSessionStatsLive(t *testing.T) {
 		t.Fatalf("frozen stats %d != report %d", got, rep.MatCacheStats.Fills)
 	}
 }
+
+// A cache-tenant id is reused only once its departed owner holds no bytes in
+// either tier. Here A's pages are all evicted but its materialized entries
+// are still resident, so a newcomer must not get A's id: when it did, the
+// newcomer's report claimed A's 4 MiB of materialized residency as its own.
+func TestReusedTenantIDStartsWithNoMaterializedBytes(t *testing.T) {
+	cl, err := NewCluster(WithEnv(EnvConfig{Cores: 4, CacheBytes: 32 << 20}), WithMaterializedCache(28<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const sample = 1 << 16
+	a := drain(t, openTenant(t, cl, "a", 64, WithEpochs(1), WithIterations(0)))
+	if a.MatCacheStats.Used != 64*sample {
+		t.Fatalf("A materialized %d bytes, want %d", a.MatCacheStats.Used, 64*sample)
+	}
+	// C's 128 reads turn the 4 MiB page cache over twice: none of A's pages
+	// is left, while A's materialized entries fit beside C's.
+	c := drain(t, openTenant(t, cl, "c", 128, WithEpochs(1), WithIterations(0)))
+	if c.CacheStats.Misses != 128 {
+		t.Fatalf("C page-cache misses = %d, want 128", c.CacheStats.Misses)
+	}
+	if st := cl.Stats(); st.Cache.Used != 64*sample || st.MatCache.Used != (64+128)*sample {
+		t.Fatalf("cluster residency: page %d, materialized %d", st.Cache.Used, st.MatCache.Used)
+	}
+
+	b := openTenant(t, cl, "b", 8, WithIterations(1))
+	if got := b.Stats().MatCache.Used; got != 0 {
+		t.Fatalf("B holds %d materialized bytes before reading anything, want 0", got)
+	}
+	rep := drain(t, b)
+	if mc := rep.MatCacheStats; mc.Fills == 0 || mc.Used != mc.Fills*sample {
+		t.Fatalf("B's report: %d fills but %d bytes resident, want %d", mc.Fills, mc.Used, mc.Fills*sample)
+	}
+}
