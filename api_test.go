@@ -8,9 +8,11 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -132,29 +134,7 @@ var uncalled = map[string]string{
 func TestExportedNamesHaveCallers(t *testing.T) {
 	pkgSel, calls := map[string]bool{}, map[string]bool{}
 	for _, dir := range []string{"examples", "cmd", "bench"} {
-		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() && path == filepath.Join("bench", "out") {
-				return filepath.SkipDir
-			}
-			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
-			if err != nil {
-				return err
-			}
-			alias := ""
-			for _, imp := range f.Imports {
-				if imp.Path.Value == `"github.com/minatoloader/minato"` {
-					alias = "minato"
-					if imp.Name != nil {
-						alias = imp.Name.Name
-					}
-				}
-			}
+		walkUsers(t, dir, func(_ *token.FileSet, f *ast.File, alias string) {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.SelectorExpr:
@@ -168,19 +148,9 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 				}
 				return true
 			})
-			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
-	readme, err := os.ReadFile("README.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inREADME := func(name string) bool {
-		return regexp.MustCompile(`\b` + name + `\b`).Match(readme)
-	}
+	inREADME := readmeMentions(t)
 
 	var missing []string
 	exported := map[string]bool{}
@@ -215,5 +185,143 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 		if !exported[key] {
 			t.Errorf("the allow-list names %s, which is not an exported func or method", key)
 		}
+	}
+}
+
+// walkUsers parses every non-test Go file under dir (bench/out, the
+// benchmark's output, excepted) and hands fn its positions, its syntax and
+// the name it imports this package under ("" when it does not).
+func walkUsers(t *testing.T, dir string, fn func(fset *token.FileSet, f *ast.File, alias string)) {
+	t.Helper()
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path == filepath.Join("bench", "out") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		alias := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"github.com/minatoloader/minato"` {
+				alias = "minato"
+				if imp.Name != nil {
+					alias = imp.Name.Name
+				}
+			}
+		}
+		fn(fset, f, alias)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readmeMentions reports whether README.md names an identifier as a word.
+func readmeMentions(t *testing.T) func(name string) bool {
+	t.Helper()
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(name string) bool {
+		return regexp.MustCompile(`\b` + name + `\b`).Match(readme)
+	}
+}
+
+// TestDeprecatedNamesOnlyInBench keeps the deprecated names contained: every
+// exported func or type whose doc has a "Deprecated:" paragraph is still used
+// by bench/ — which cannot change outside a benchmark change, and is the only
+// reason the name stays — and by nothing else: not the package's own non-test
+// code, not examples/ or cmd/, not README.md. Under -v it lists the bench/
+// call sites that change has to move.
+func TestDeprecatedNamesOnlyInBench(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deprecated := map[string]bool{}
+	decls := map[*ast.Ident]bool{}
+	note := func(name *ast.Ident, doc *ast.CommentGroup) {
+		if text := "\n\n" + doc.Text(); name.IsExported() && strings.Contains(text, "\n\nDeprecated: ") {
+			deprecated[name.Name], decls[name] = true, true
+		}
+	}
+	files := pkgs["minato"].Files
+	for _, f := range files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					note(d.Name, d.Doc)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						doc := ts.Doc
+						if len(d.Specs) == 1 && d.Lparen == token.NoPos {
+							doc = d.Doc // a lone type's doc sits on its declaration
+						}
+						note(ts.Name, doc)
+					}
+				}
+			}
+		}
+	}
+
+	var misuse []string
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && deprecated[id.Name] && !decls[id] {
+				misuse = append(misuse, fmt.Sprintf("%s uses %s", fset.Position(id.Pos()), id.Name))
+			}
+			return true
+		})
+	}
+	benchUses := map[string][]string{}
+	for _, dir := range []string{"examples", "cmd", "bench"} {
+		walkUsers(t, dir, func(fset *token.FileSet, f *ast.File, alias string) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if id, ok := sel.X.(*ast.Ident); ok && alias != "" && id.Name == alias && deprecated[sel.Sel.Name] {
+					at := fset.Position(sel.Pos()).String()
+					if dir == "bench" {
+						benchUses[sel.Sel.Name] = append(benchUses[sel.Sel.Name], at)
+					} else {
+						misuse = append(misuse, fmt.Sprintf("%s uses %s", at, sel.Sel.Name))
+					}
+				}
+				return true
+			})
+		})
+	}
+	inREADME := readmeMentions(t)
+	names := slices.Sorted(maps.Keys(deprecated))
+	for _, name := range names {
+		if inREADME(name) {
+			misuse = append(misuse, "README.md mentions "+name)
+		}
+		if len(benchUses[name]) == 0 {
+			t.Errorf("%s is deprecated and bench/ no longer uses it: delete it", name)
+		}
+		t.Logf("%s: bench/ uses it in %s", name, strings.Join(benchUses[name], ", "))
+	}
+	sort.Strings(misuse)
+	for _, m := range misuse {
+		t.Errorf("%s, which is deprecated: call what its doc names instead", m)
 	}
 }

@@ -15,10 +15,10 @@ import (
 // are assertable, not flaky.
 //
 // Attach a script with WithChaos (or a registered scenario by name with
-// WithChaosScenario) to Train, TrainWorkload, Cluster.Train, TrainMultiNode,
-// Open, or Cluster.Open:
+// WithChaosScenario) to Train (on one machine or across nodes),
+// Cluster.Train, Open, or Cluster.Open:
 //
-//	rep, err := minato.TrainMultiNode("speech-3s",
+//	rep, err := minato.Train(w,
 //	    minato.WithNodes(8),
 //	    minato.WithChaos(minato.CrashNode(3, 5*time.Second, 8*time.Second)),
 //	)
@@ -39,7 +39,7 @@ type (
 	ChaosEvent = chaos.Event
 	// ChaosKind enumerates fault-event types (ChaosNodeCrash ... ChaosResume).
 	ChaosKind = chaos.Kind
-	// FaultStat is one applied fault window in a Report or MultiNodeReport:
+	// FaultStat is one applied fault window in a Report:
 	// when it took effect, when it cleared, the measured recovery time, and
 	// the stall attributed to it.
 	FaultStat = chaos.FaultStat
@@ -63,13 +63,13 @@ const (
 // Builders for the common one-fault scripts; compose them with ComposeChaos.
 
 // CrashNode crashes node at `at` and rejoins it at `rejoin` (rejoin ≤ at
-// means the node never returns). TrainMultiNode only.
+// means the node never returns). Multi-node Train only.
 func CrashNode(node int, at, rejoin time.Duration) ChaosScript {
 	return chaos.CrashNode(node, at, rejoin)
 }
 
 // FlapLink degrades node's NIC bandwidth by factor at `at` and restores it
-// after duration. TrainMultiNode only.
+// after duration. Multi-node Train only.
 func FlapLink(node int, at time.Duration, factor float64, duration time.Duration) ChaosScript {
 	return chaos.FlapLink(node, at, factor, duration)
 }
@@ -107,8 +107,9 @@ func ShiftChaos(s ChaosScript, d time.Duration) ChaosScript {
 	return chaos.Shift(s, d)
 }
 
-// RegisterChaosScenario adds (or replaces) a named scenario builder, the
-// way RegisterLoader and RegisterWorkload extend their registries. Built-in
+// RegisterChaosScenario adds a named scenario builder, the way
+// RegisterLoader and RegisterWorkload extend their registries: it panics on
+// an empty or duplicate name. Built-in
 // scenarios: node-crash, link-flap, disk-brownout, worker-stall,
 // preempt-resume, churn-storm.
 func RegisterChaosScenario(name string, build func() ChaosScript) {
@@ -129,9 +130,9 @@ func ChaosScenarios() []string {
 // job, or preprocessing server. The script is validated against the run
 // shape: single-machine entry points (Open, Train, Cluster.Open,
 // Cluster.Train, Resume) accept disk, worker-stall, and preempt/resume
-// events; TrainMultiNode accepts node, link, disk, and worker-stall events;
-// Serve accepts link events (targeting servers by fleet index) and disk
-// events. Identical scripts against identical runs reproduce reports
+// events; a multi-node Train accepts node, link, disk, and worker-stall
+// events; Serve accepts link events (targeting servers by fleet index) and
+// disk events. Identical scripts against identical runs reproduce reports
 // bit-for-bit.
 func WithChaos(s ChaosScript) Option {
 	return Option{"WithChaos", runs | atServe | atResume, func(o *options) { o.chaos = &s }}

@@ -16,8 +16,8 @@ import (
 // scenario (node 3 crashes at t=5s, rejoins at t=8s) completes its full
 // budget, measures a recovery time, and reproduces bit-identically.
 func TestMultiNodeCrashRejoinScenario(t *testing.T) {
-	run := func() *MultiNodeReport {
-		rep, err := TrainMultiNodeWorkload(mnWorkload(15),
+	run := func() *Report {
+		rep, err := Train(mnWorkload(15),
 			WithNodes(8), WithGPUs(1), WithChaosScenario("node-crash"))
 		if err != nil {
 			t.Fatal(err)
@@ -57,7 +57,7 @@ func TestTrainChaosFaultWindows(t *testing.T) {
 		StallWorkers(0, 5*time.Second, 2, 5*time.Second),
 	)
 	run := func() *Report {
-		rep, err := TrainWorkload(mnWorkload(30), WithGPUs(1), WithChaos(script))
+		rep, err := Train(mnWorkload(30), WithGPUs(1), WithChaos(script))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestTrainChaosFaultWindows(t *testing.T) {
 	}
 	// The baseline (no chaos) is strictly faster and records no faults —
 	// the injection path costs nothing when the script is empty.
-	base, err := TrainWorkload(mnWorkload(30), WithGPUs(1))
+	base, err := Train(mnWorkload(30), WithGPUs(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +106,11 @@ func TestTrainChaosFaultWindows(t *testing.T) {
 // A preempt/resume pair parks the consumers for the window, attributes the
 // stall, and measures recovery (resume to the next delivered batch).
 func TestTrainPreemptResume(t *testing.T) {
-	base, err := TrainWorkload(mnWorkload(20), WithGPUs(1))
+	base, err := Train(mnWorkload(20), WithGPUs(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := TrainWorkload(mnWorkload(20), WithGPUs(1),
+	rep, err := Train(mnWorkload(20), WithGPUs(1),
 		WithChaos(PreemptFor(5*time.Second, 4*time.Second)))
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestTrainPreemptResume(t *testing.T) {
 // A terminal preemption (no resume scheduled) ends the run with
 // ErrPreempted.
 func TestTrainTerminalPreempt(t *testing.T) {
-	_, err := TrainWorkload(mnWorkload(20), WithGPUs(1),
+	_, err := Train(mnWorkload(20), WithGPUs(1),
 		WithChaos(PreemptFor(5*time.Second, 0)))
 	if !errors.Is(err, ErrPreempted) {
 		t.Fatalf("err = %v, want ErrPreempted", err)
@@ -398,31 +398,31 @@ func TestChaosConfigErrors(t *testing.T) {
 		want string
 	}{
 		{"unknown scenario", func() error {
-			_, err := Train("speech-3s", WithIterations(5), WithChaosScenario("nope"))
+			_, err := Train(workloadNamed("speech-3s", 1), WithIterations(5), WithChaosScenario("nope"))
 			return err
 		}, "unknown scenario"},
 		{"script and scenario", func() error {
-			_, err := Train("speech-3s", WithIterations(5),
+			_, err := Train(workloadNamed("speech-3s", 1), WithIterations(5),
 				WithChaos(BrownoutDisk(time.Second, 2, time.Second)), WithChaosScenario("disk-brownout"))
 			return err
 		}, "mutually exclusive"},
 		{"node events on a single machine", func() error {
-			_, err := Train("speech-3s", WithIterations(5),
+			_, err := Train(workloadNamed("speech-3s", 1), WithIterations(5),
 				WithChaos(CrashNode(0, time.Second, 2*time.Second)))
 			return err
 		}, "multi-node"},
 		{"preempt on a multi-node job", func() error {
-			_, err := TrainMultiNodeWorkload(mnWorkload(5), WithNodes(2),
+			_, err := Train(mnWorkload(5), WithNodes(2),
 				WithChaos(PreemptFor(time.Second, time.Second)))
 			return err
 		}, "preemption"},
 		{"node outside the cluster", func() error {
-			_, err := TrainMultiNodeWorkload(mnWorkload(5), WithNodes(2),
+			_, err := Train(mnWorkload(5), WithNodes(2),
 				WithChaos(CrashNode(7, time.Second, 2*time.Second)))
 			return err
 		}, "outside cluster"},
 		{"stall without duration", func() error {
-			_, err := Train("speech-3s", WithIterations(5),
+			_, err := Train(workloadNamed("speech-3s", 1), WithIterations(5),
 				WithChaos(StallWorkers(0, time.Second, 2, 0)))
 			return err
 		}, "Duration"},
@@ -451,10 +451,16 @@ func TestChaosConfigErrors(t *testing.T) {
 
 // The scenario registry round-trips custom entries like the loader and
 // workload registries do.
-func TestChaosScenarioRegistry(t *testing.T) {
+// registerBlip registers TestChaosScenarioRegistry's scenario once per
+// process: the registry panics on a duplicate, and CI runs -count=5.
+var registerBlip = sync.OnceFunc(func() {
 	RegisterChaosScenario("test-blip", func() ChaosScript {
 		return BrownoutDisk(time.Second, 2, time.Second)
 	})
+})
+
+func TestChaosScenarioRegistry(t *testing.T) {
+	registerBlip()
 	s, ok := ChaosScenarioByName("test-blip")
 	if !ok || len(s.Events) != 2 {
 		t.Fatalf("registered scenario not returned: %+v ok=%v", s, ok)
@@ -472,6 +478,21 @@ func TestChaosScenarioRegistry(t *testing.T) {
 		if _, ok := ChaosScenarioByName(builtin); !ok {
 			t.Fatalf("built-in scenario %q not registered", builtin)
 		}
+	}
+	// Like RegisterLoader and RegisterWorkload, an empty or taken name is a
+	// programming error, not a silent replacement.
+	for _, name := range []string{"", "test-blip", "node-crash"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RegisterChaosScenario(%q) did not panic", name)
+				}
+			}()
+			RegisterChaosScenario(name, func() ChaosScript { return ChaosScript{} })
+		}()
+	}
+	if s, _ := ChaosScenarioByName("test-blip"); len(s.Events) != 2 {
+		t.Errorf("a refused registration replaced test-blip: %+v", s)
 	}
 }
 
@@ -548,7 +569,7 @@ func TestClusterChaosHammer(t *testing.T) {
 // Multi-straggler and multi-degraded-link topologies (the slice form)
 // validate their entries and keep the single-fault sugar working.
 func TestTopologyFaultSlices(t *testing.T) {
-	rep, err := TrainMultiNodeWorkload(mnWorkload(8),
+	rep, err := Train(mnWorkload(8),
 		WithTopology(Topology{
 			Nodes:      4,
 			Stragglers: []NodeFault{{Node: 1, Factor: 4}, {Node: 2, Factor: 2}},
@@ -573,7 +594,7 @@ func TestTopologyFaultSlices(t *testing.T) {
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := TrainMultiNodeWorkload(mnWorkload(5), WithTopology(tc.topo))
+			_, err := Train(mnWorkload(5), WithTopology(tc.topo))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want %q", err, tc.want)
 			}
@@ -613,7 +634,7 @@ func TestFaultTablePins(t *testing.T) {
 	}
 	t.Run("single-machine", func(t *testing.T) {
 		sink := NewTraceSink()
-		rep, err := TrainWorkload(mnWorkload(30), WithGPUs(1), WithTracing(sink),
+		rep, err := Train(mnWorkload(30), WithGPUs(1), WithTracing(sink),
 			WithChaos(ComposeChaos("pin",
 				BrownoutDisk(5*time.Second, 8, 10*time.Second),
 				StallWorkers(0, 5*time.Second, 2, 5*time.Second),
@@ -640,7 +661,7 @@ func TestFaultTablePins(t *testing.T) {
 	})
 	t.Run("multi-node", func(t *testing.T) {
 		sink := NewTraceSink()
-		rep, err := TrainMultiNodeWorkload(mnWorkload(15), WithNodes(4), WithGPUs(1), WithTracing(sink),
+		rep, err := Train(mnWorkload(15), WithNodes(4), WithGPUs(1), WithTracing(sink),
 			WithChaos(ComposeChaos("pin",
 				StallWorkers(1, 2*time.Second, 2, 3*time.Second),
 				BrownoutDisk(3*time.Second, 8, 4*time.Second),

@@ -3,7 +3,6 @@ package minato
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"github.com/minatoloader/minato/internal/cache"
 	"github.com/minatoloader/minato/internal/data"
@@ -78,7 +77,7 @@ func WithAdmission(p AdmissionPolicy) Option {
 //
 // A Cluster multiplexes many tenants over ONE machine. For the opposite
 // shape — one training job spread data-parallel across MANY machines
-// connected by a simulated interconnect — see TrainMultiNode and Topology.
+// connected by a simulated interconnect — see WithNodes and Topology.
 type Cluster struct {
 	rt     *Runtime
 	ownsRT bool
@@ -311,28 +310,15 @@ func (c *Cluster) open(dataset Dataset, o *options, ownsCluster, served bool) (*
 }
 
 // Train runs a full training session — loader plus simulated GPU consumers
-// — for a registered workload on the cluster's shared substrate, under the
-// same admission control and worker arbitration as Open:
+// — for a workload on the cluster's shared substrate, under the same
+// admission control and worker arbitration as Open:
 //
-//	rep, err := cluster.Train("speech-3s", minato.WithPriority(2))
+//	w, _ := minato.WorkloadByName("speech-3s", 1)
+//	rep, err := cluster.Train(w, minato.WithPriority(2))
 //
 // It blocks until the training run completes and occupies one session slot
 // for the duration.
-func (c *Cluster) Train(workloadName string, opts ...Option) (*Report, error) {
-	o, err := build(atClusterTrain, opts)
-	if err != nil {
-		return nil, err
-	}
-	w, ok := WorkloadByName(workloadName, o.seed)
-	if !ok {
-		return nil, configErr("Train", fmt.Sprintf("unknown workload %q (registered: %s)",
-			workloadName, strings.Join(Workloads(), ", ")))
-	}
-	return c.train(w, o)
-}
-
-// TrainWorkload is Cluster.Train for a workload value built directly.
-func (c *Cluster) TrainWorkload(w Workload, opts ...Option) (*Report, error) {
+func (c *Cluster) Train(w Workload, opts ...Option) (*Report, error) {
 	o, err := build(atClusterTrain, opts)
 	if err != nil {
 		return nil, err

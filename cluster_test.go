@@ -234,7 +234,7 @@ func TestClusterClosed(t *testing.T) {
 	if _, err := cl.Open(namedDataset{space: "c", n: 64}); !errors.Is(err, ErrClusterClosed) {
 		t.Fatalf("open after Close = %v, want ErrClusterClosed", err)
 	}
-	if _, err := cl.Train("speech-3s", WithIterations(4)); !errors.Is(err, ErrClusterClosed) {
+	if _, err := cl.Train(workloadNamed("speech-3s", 1), WithIterations(4)); !errors.Is(err, ErrClusterClosed) {
 		t.Fatalf("train after Close = %v, want ErrClusterClosed", err)
 	}
 	// A session admitted before Close still streams and closes cleanly —
@@ -522,7 +522,7 @@ func TestClusterTrainConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rep, err := cl.Train("speech-3s", WithIterations(20), WithSeed(uint64(i+1)))
+			rep, err := cl.Train(workloadNamed("speech-3s", uint64(i+1)), WithIterations(20))
 			if err != nil {
 				t.Error(err)
 				return
@@ -550,7 +550,7 @@ func TestConfigErrorTaxonomy(t *testing.T) {
 	}{
 		{"Open batch", func() error { _, err := Open(sessionDataset{n: 8}, WithBatchSize(-1)); return err }},
 		{"Open loader", func() error { _, err := Open(sessionDataset{n: 8}, WithLoader("tf.data")); return err }},
-		{"Train env", func() error { _, err := Train("speech-3s", WithEnv(EnvConfig{})); return err }},
+		{"Train env", func() error { _, err := Train(workloadNamed("speech-3s", 1), WithEnv(EnvConfig{})); return err }},
 		{"NewCluster", func() error {
 			_, err := NewCluster(WithHardware(ConfigA()), WithEnv(EnvConfig{}))
 			return err

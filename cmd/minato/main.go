@@ -143,8 +143,6 @@ func run(args []string) {
 	}
 	traced := *traceOut != "" || *nodes > 0 || *chaosN != ""
 	switch {
-	case *nodes > 0 && *prom != "":
-		usage("-prom snapshots a single-machine run's collected metrics; it cannot be combined with -nodes")
 	case *nodes > 0 && *traceCSV != "":
 		usage("-trace-csv records a single-machine run's samples; it cannot be combined with -nodes")
 	case set["top"] && !traced:
@@ -154,7 +152,6 @@ func run(args []string) {
 	opts := []minato.Option{
 		minato.WithLoader(*ld),
 		minato.WithHardware(cfg),
-		minato.WithSeed(*seed),
 	}
 	var sink *minato.TraceSink
 	if traced {
@@ -174,73 +171,69 @@ func run(args []string) {
 	if *chaosN != "" {
 		opts = append(opts, minato.WithChaosScenario(*chaosN))
 	}
-
-	start := time.Now()
-	var report []string
-	var stalls string
 	if *nodes > 0 {
-		rep, err := minato.TrainMultiNode(*wl, append(opts, minato.WithNodes(*nodes))...)
-		if err != nil {
-			fail(err)
-		}
-		report = []string{
-			fmt.Sprintf("workload:        %s (%s)", rep.Workload, w.Model),
-			fmt.Sprintf("loader:          %s", rep.Loader),
-			fmt.Sprintf("testbed:         %d nodes × %s, %d×%s", rep.Nodes, cfg.Name, cfg.GPUCount, cfg.GPUArch.Name),
-			fmt.Sprintf("training time:   %.1f s (simulated)", rep.TrainTime.Seconds()),
-			fmt.Sprintf("steps/samples:   %d / %d", rep.Steps, rep.Samples),
-			fmt.Sprintf("GPU utilization: %.1f%%", rep.AvgGPUUtil),
-			fmt.Sprintf("network:         %.1f GB", float64(rep.NetworkBytes)/1e9),
-		}
-		stalls = fmt.Sprintf("data %.1fs, barrier %.1fs, network %.1fs",
-			rep.DataStall.Seconds(), rep.BarrierStall.Seconds(), rep.NetworkStall.Seconds())
+		opts = append(opts, minato.WithNodes(*nodes))
 	} else {
 		opts = append(opts, minato.WithParams(minato.Params{Collect: true, TraceSamples: *traceCSV != ""}))
-		rep, err := minato.Train(*wl, opts...)
-		if err != nil {
-			fail(err)
+	}
+
+	start := time.Now()
+	rep, err := minato.Train(w, opts...)
+	if err != nil {
+		fail(err)
+	}
+	if *traceCSV != "" {
+		name := fmt.Sprintf("trace_%s_%s", rep.Workload, rep.Loader)
+		if err := rep.WriteTraceCSV(*traceCSV, name); err != nil {
+			fail(fmt.Errorf("trace-csv: %w", err))
 		}
-		if *traceCSV != "" {
-			name := fmt.Sprintf("trace_%s_%s", rep.Workload, rep.Loader)
-			if err := rep.WriteTraceCSV(*traceCSV, name); err != nil {
-				fail(fmt.Errorf("trace-csv: %w", err))
-			}
-			fmt.Printf("trace written:   %s/%s.csv (%d samples)\n", *traceCSV, name, len(rep.SampleTraces))
-		}
-		if *prom != "" {
-			writeFile(*prom, rep.WritePrometheus)
-			fmt.Printf("metrics: %s\n", *prom)
-		}
-		report = []string{
-			fmt.Sprintf("workload:        %s (%s)", rep.Workload, w.Model),
-			fmt.Sprintf("loader:          %s", rep.Loader),
-			fmt.Sprintf("testbed:         %s, %d×%s", cfg.Name, cfg.GPUCount, cfg.GPUArch.Name),
-			fmt.Sprintf("training time:   %.1f s (simulated)", rep.TrainTime.Seconds()),
-			fmt.Sprintf("batches/samples: %d / %d", rep.Batches, rep.Samples),
-			fmt.Sprintf("throughput:      %.1f MB/s", rep.Throughput()),
-			fmt.Sprintf("GPU utilization: %.1f%%", rep.AvgGPUUtil),
-			fmt.Sprintf("CPU utilization: %.1f%%", rep.AvgCPUUtil),
-			fmt.Sprintf("disk read:       %.1f GB", float64(rep.DiskBytes)/1e9),
-		}
-		stalls = fmt.Sprintf("data %.1fs", rep.DataStall.Seconds())
+		fmt.Printf("trace written:   %s/%s.csv (%d samples)\n", *traceCSV, name, len(rep.SampleTraces))
+	}
+	if *prom != "" {
+		writeFile(*prom, rep.WritePrometheus)
+		fmt.Printf("metrics: %s\n", *prom)
 	}
 	if *traceOut != "" {
 		writeFile(*traceOut, func(f io.Writer) error { return sink.WriteChrome(f) })
 		fmt.Printf("trace:   %s (%d spans)\n", *traceOut, sink.Len())
 	}
-	for _, line := range report {
-		fmt.Println(line)
-	}
+	printReport(rep, w.Model, cfg)
 	fmt.Printf("wall time:       %s\n", time.Since(start).Round(time.Millisecond))
 	if traced {
-		printJourneys(sink, stalls, *top)
+		printJourneys(sink, rep, *top)
 	}
 }
 
-// printJourneys prints what a traced run's spans say: the stall totals,
-// the batch-latency attribution, and the top slowest batch journeys.
-func printJourneys(sink *minato.TraceSink, stalls string, top int) {
-	fmt.Printf("stalls:  %s\n", stalls)
+// printReport prints a training run's report: what ran where, and how it
+// went. A multi-node run adds its synchronized steps and fabric traffic, a
+// single machine its throughput, CPU and disk.
+func printReport(rep *minato.Report, model string, cfg minato.HardwareConfig) {
+	testbed := fmt.Sprintf("%s, %d×%s", cfg.Name, cfg.GPUCount, cfg.GPUArch.Name)
+	if rep.Nodes > 0 {
+		testbed = fmt.Sprintf("%d nodes × %s", rep.Nodes, testbed)
+	}
+	fmt.Printf("workload:        %s (%s)\n", rep.Workload, model)
+	fmt.Printf("loader:          %s\n", rep.Loader)
+	fmt.Printf("testbed:         %s\n", testbed)
+	fmt.Printf("training time:   %.1f s (simulated)\n", rep.TrainTime.Seconds())
+	fmt.Printf("batches/samples: %d / %d\n", rep.Batches, rep.Samples)
+	fmt.Printf("GPU utilization: %.1f%%\n", rep.AvgGPUUtil)
+	if rep.Nodes > 0 {
+		fmt.Printf("steps:           %d (%.0f ms/step)\n", rep.Steps, rep.StepTime().Seconds()*1000)
+		fmt.Printf("network:         %.1f GB\n", float64(rep.NetworkBytes)/1e9)
+		return
+	}
+	fmt.Printf("throughput:      %.1f MB/s\n", rep.Throughput())
+	fmt.Printf("CPU utilization: %.1f%%\n", rep.AvgCPUUtil)
+	fmt.Printf("disk read:       %.1f GB\n", float64(rep.DiskBytes)/1e9)
+}
+
+// printJourneys prints what a traced run's spans say beside the report's
+// stall totals: the batch-latency attribution and the top slowest batch
+// journeys.
+func printJourneys(sink *minato.TraceSink, rep *minato.Report, top int) {
+	fmt.Printf("stalls:  data %.1fs, barrier %.1fs, network %.1fs\n",
+		rep.DataStall.Seconds(), rep.BarrierStall.Seconds(), rep.NetworkStall.Seconds())
 	paths := sink.CriticalPath()
 	attr := sink.Attribute(nil)
 	fmt.Printf("batches: %d traced; latency %.1fs = gpu %.1fs + data %.1fs + copy %.1fs + barrier %.1fs + net %.1fs + down %.1fs + other %.1fs\n",

@@ -24,7 +24,7 @@ import (
 //   - ErrPreempted — a WithChaos script preempted the session and schedules
 //     no resume: the stream/training run halts at the next step boundary.
 //     Checkpoint the session and Resume it to continue warm.
-//   - ErrNodeLost — a TrainMultiNode chaos script crashed the last live
+//   - ErrNodeLost — a multi-node Train's chaos script crashed the last live
 //     node, leaving the cluster unable to make progress (a crash with a
 //     scheduled rejoin keeps the run alive; losing everyone does not).
 //   - ErrUnauthorized — a Dial presented a token a token-gated server
@@ -80,7 +80,7 @@ var ErrClusterClosed = errors.New("minato: cluster closed")
 // Checkpoint then Resume continues against the still-warm caches.
 var ErrPreempted = chaos.ErrPreempted
 
-// ErrNodeLost is returned by TrainMultiNode when a chaos script crashes
+// ErrNodeLost is returned by a multi-node Train when a chaos script crashes
 // the last live node: a synchronous data-parallel cluster with no
 // survivors cannot complete a step, so the run unwinds instead of
 // spinning. Crash events that leave at least one node active are handled

@@ -33,11 +33,10 @@ func main() {
 	for _, name := range []string{"pytorch", "dali", "minato"} {
 		// pecan is skipped: identical to pytorch here (pipeline already
 		// ordered).
-		rep, err := minato.Train("img-seg",
+		rep, err := minato.Train(w,
 			minato.WithLoader(name),
 			minato.WithHardware(cfg),
 			minato.WithEpochs(epochs),
-			minato.WithSeed(1),
 			minato.WithParams(minato.Params{Collect: true}),
 		)
 		if err != nil {

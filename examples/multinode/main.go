@@ -31,7 +31,11 @@ import (
 	"github.com/minatoloader/minato"
 )
 
-func train(loader string, extra ...minato.Option) *minato.MultiNodeReport {
+func train(loader string, extra ...minato.Option) *minato.Report {
+	w, ok := minato.WorkloadByName("speech-3s", 1)
+	if !ok {
+		log.Fatal("speech-3s workload not registered")
+	}
 	opts := []minato.Option{
 		minato.WithTopology(minato.Topology{
 			Nodes:      4,
@@ -42,7 +46,7 @@ func train(loader string, extra ...minato.Option) *minato.MultiNodeReport {
 		minato.WithIterations(60),
 	}
 	opts = append(opts, extra...)
-	rep, err := minato.TrainMultiNode("speech-3s", opts...)
+	rep, err := minato.Train(w, opts...)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +65,7 @@ func tracedExport() []byte {
 	return buf.Bytes()
 }
 
-func printReport(rep *minato.MultiNodeReport) {
+func printReport(rep *minato.Report) {
 	fmt.Printf("\n%s: %d synchronized steps, %.0f ms whole-cluster step, GPU %.1f%%, %.1f GB over the fabric\n",
 		rep.Loader, rep.Steps, rep.StepTime().Seconds()*1000, rep.AvgGPUUtil,
 		float64(rep.NetworkBytes)/1e9)

@@ -3,8 +3,8 @@
 // profiler pick timeouts and its scheduler resize the worker pool.
 //
 // The sweep workload is parameterized by slow fraction, so it is built
-// directly and run through minato.TrainWorkload; the baseline resolves by
-// name through the loader registry.
+// directly rather than looked up by name; both loaders resolve by name
+// through the loader registry.
 //
 //	go run ./examples/speechpipeline
 package main
@@ -28,7 +28,7 @@ func main() {
 	for _, frac := range []float64{0, 0.25, 0.50, 0.75, 1.0} {
 		w := workload.SpeechSlowFraction(1, frac)
 
-		ptRep, err := minato.TrainWorkload(w,
+		ptRep, err := minato.Train(w,
 			minato.WithLoader("pytorch"),
 			minato.WithHardware(cfg),
 			minato.WithIterations(300),
@@ -38,7 +38,7 @@ func main() {
 		}
 
 		// Instrumented Minato run: collect the worker-count series.
-		mnRep, err := minato.TrainWorkload(w,
+		mnRep, err := minato.Train(w,
 			minato.WithLoader("minato"),
 			minato.WithHardware(cfg),
 			minato.WithIterations(300),

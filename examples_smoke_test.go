@@ -89,7 +89,6 @@ func TestMinatoCommand(t *testing.T) {
 	}{
 		{nil, "usage: minato run|exp|profile"},
 		{[]string{"bench"}, `unknown command "bench"`},
-		{[]string{"run", "-nodes", "4", "-prom", "m.prom"}, "-prom snapshots a single-machine run"},
 		{[]string{"run", "-nodes", "2", "-trace-csv", "csv"}, "-trace-csv records a single-machine run"},
 		{[]string{"run", "-testbed", "C"}, `unknown testbed "C"`},
 		{[]string{"run", "-top", "5"}, "-top lists a traced run's batch journeys"},
@@ -119,17 +118,14 @@ func TestMinatoCommand(t *testing.T) {
 			t.Errorf("%v: ran something before rejecting:\n%s", tc.args, stdout)
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "m.prom")); err == nil {
-		t.Error("a rejected -prom run wrote its file")
-	}
-
-	traceOut := filepath.Join(dir, "trace.json")
+	traceOut, promOut := filepath.Join(dir, "trace.json"), filepath.Join(dir, "m.prom")
 	for _, tc := range []struct {
 		args  []string
 		first string
 	}{
 		{[]string{"run", "-iterations", "20"}, "workload:        speech-3s (RNN-T)"},
 		{[]string{"run", "-nodes", "2", "-gpus", "1", "-iterations", "5", "-trace", traceOut}, "trace:   " + traceOut + " ("},
+		{[]string{"run", "-nodes", "2", "-iterations", "5", "-prom", promOut}, "metrics: " + promOut},
 		{[]string{"exp", "-quick", "table1"}, "### table1"},
 		{[]string{"exp", "-list"}, "available experiments:"},
 		{[]string{"profile", "-n", "50"}, "workload: img-seg (50 samples)"},
@@ -145,5 +141,9 @@ func TestMinatoCommand(t *testing.T) {
 	}
 	if fi, err := os.Stat(traceOut); err != nil || fi.Size() == 0 {
 		t.Errorf("run -trace wrote no trace: %v", err)
+	}
+	// A multi-node run's report carries the step-interval histogram.
+	if prom, err := os.ReadFile(promOut); err != nil || !strings.Contains(string(prom), "step_interval_seconds_bucket{") {
+		t.Errorf("run -nodes 2 -prom wrote no step-interval histogram (err %v):\n%s", err, prom)
 	}
 }

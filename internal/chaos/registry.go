@@ -1,32 +1,23 @@
 package chaos
 
 import (
-	"sort"
-	"sync"
 	"time"
+
+	"github.com/minatoloader/minato/internal/registry"
 )
 
-// The scenario registry mirrors the loader and workload registries: named
-// Script builders, so an experiment or CLI flag selects a failure
-// scenario by one string and compositions stay one-liners.
+// The scenario registry is the loader and workload registries' kind: named
+// Script builders, so an experiment or CLI flag selects a failure scenario
+// by one string and compositions stay one-liners.
+var reg = registry.New[func() Script]("chaos scenario")
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]func() Script{}
-)
-
-// Register adds (or replaces) a named scenario builder.
-func Register(name string, build func() Script) {
-	regMu.Lock()
-	registry[name] = build
-	regMu.Unlock()
-}
+// Register adds a named scenario builder. It panics on an empty or
+// duplicate name.
+func Register(name string, build func() Script) { reg.Register(name, build) }
 
 // ByName builds a registered scenario.
 func ByName(name string) (Script, bool) {
-	regMu.RLock()
-	build, ok := registry[name]
-	regMu.RUnlock()
+	build, ok := reg.Lookup(name)
 	if !ok {
 		return Script{}, false
 	}
@@ -38,16 +29,7 @@ func ByName(name string) (Script, bool) {
 }
 
 // Names lists the registered scenarios, sorted.
-func Names() []string {
-	regMu.RLock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	regMu.RUnlock()
-	sort.Strings(names)
-	return names
-}
+func Names() []string { return reg.Names() }
 
 // Built-in scenarios. Multi-node ones target low ranks so they fit any
 // cluster of ≥ 4 nodes; times suit runs of tens of seconds of virtual

@@ -8,6 +8,7 @@ import (
 
 	"github.com/minatoloader/minato/internal/chaos"
 	"github.com/minatoloader/minato/internal/loaders"
+	"github.com/minatoloader/minato/internal/trainer"
 )
 
 // The acceptance scenario: node 3 of 8 crashes at t=5s and rejoins at
@@ -17,7 +18,7 @@ import (
 func TestCrashRejoinElastic(t *testing.T) {
 	f, _ := loaders.ByName("minato")
 	script := chaos.CrashNode(3, 5*time.Second, 8*time.Second)
-	run := func() *Report {
+	run := func() *trainer.Report {
 		rep, err := Run(smallCluster(8), distWorkload(15), f, script, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -190,121 +190,6 @@ func (t Topology) nodeConfigs() []hardware.Config {
 	return cfgs
 }
 
-// NodeStats attributes one node's time: where its consumers stalled, what
-// it trained, how busy its GPUs were. Stall durations are summed across
-// the node's GPU consumers.
-type NodeStats struct {
-	Node     int
-	Hardware string // config name + core count, e.g. "ConfigA/128c"
-	GPUs     int
-	Samples  int64
-	// DataStall is time blocked on the node's own loader — input starvation.
-	DataStall time.Duration
-	// BarrierStall is time parked at the step barrier waiting for slower
-	// ranks: the compounding cost of someone else's input stall.
-	BarrierStall time.Duration
-	// NetworkStall is time in the gradient all-reduce (flows + phase
-	// barriers) — the interconnect's share of the step.
-	NetworkStall time.Duration
-	// Downtime is time the node's consumers spent crashed out of the
-	// membership, idling through proxy rounds — attributed here, not to
-	// BarrierStall, so churn cost is separable from straggler cost.
-	Downtime time.Duration
-	// GPUUtil is the node's average GPU utilization in percent.
-	GPUUtil float64
-}
-
-// Report is the outcome of a distributed run.
-type Report struct {
-	Workload string
-	Loader   string
-	Nodes    int
-	// TrainTime is the cluster wall time (all nodes synchronized).
-	TrainTime time.Duration
-	// Steps is the number of whole-cluster synchronized steps completed.
-	Steps int64
-	// Samples aggregates all nodes.
-	Samples int64
-	// AvgGPUUtil averages across every GPU in the cluster.
-	AvgGPUUtil float64
-	// NetworkBytes is the total traffic the fabric carried: gradient
-	// flows plus (on a remote-store cluster) dataset fetches.
-	NetworkBytes int64
-	// StallBreakdown aggregates the cluster's consumer stalls across all
-	// nodes, the synchronized-step-time quantiles, and the applied fault
-	// windows. The stall fields are the PerNode counter sums, traced or
-	// not; the recorded spans are stamped at the same virtual instants, so
-	// trace.Attribute over CriticalPath agrees with them to the nanosecond.
-	trainer.StallBreakdown
-	// PerNode attributes each node's stalls, in node order.
-	PerNode []NodeStats
-
-	// Recorded is the run's trace: Trace and CriticalPath, snapshotted
-	// lazily from the recorder passed to Run.
-	trace.Recorded
-}
-
-// StepTime is the whole-cluster synchronized step time — the number the
-// per-step barrier makes everyone pay together.
-func (r *Report) StepTime() time.Duration {
-	if r.Steps == 0 {
-		return 0
-	}
-	return r.TrainTime / time.Duration(r.Steps)
-}
-
-// consumerSeconds is the total consumer wall time the stall shares are
-// normalized by.
-func (r *Report) consumerSeconds() float64 {
-	total := 0.0
-	for _, n := range r.PerNode {
-		total += float64(n.GPUs) * r.TrainTime.Seconds()
-	}
-	return total
-}
-
-func (r *Report) share(sum time.Duration) float64 {
-	den := r.consumerSeconds()
-	if den <= 0 {
-		return 0
-	}
-	s := sum.Seconds() / den
-	if s > 1 {
-		s = 1
-	}
-	return s
-}
-
-// NetworkStallShare is the fraction of cluster consumer time spent in
-// gradient synchronization over the fabric.
-func (r *Report) NetworkStallShare() float64 {
-	var sum time.Duration
-	for _, n := range r.PerNode {
-		sum += n.NetworkStall
-	}
-	return r.share(sum)
-}
-
-// DataStallShare is the fraction of cluster consumer time spent waiting on
-// the nodes' own loaders.
-func (r *Report) DataStallShare() float64 {
-	var sum time.Duration
-	for _, n := range r.PerNode {
-		sum += n.DataStall
-	}
-	return r.share(sum)
-}
-
-// BarrierStallShare is the fraction of cluster consumer time spent waiting
-// at the step barrier for slower ranks.
-func (r *Report) BarrierStallShare() float64 {
-	var sum time.Duration
-	for _, n := range r.PerNode {
-		sum += n.BarrierStall
-	}
-	return r.share(sum)
-}
-
 // remoteFetch adapts a fabric path (storage server → node) to the
 // storage.RemoteFetcher hook.
 type remoteFetch struct {
@@ -327,7 +212,7 @@ func (rf remoteFetch) Fetch(ctx context.Context, n int64) error {
 // becomes the recorder of the run's kernel: every layer (loaders, storage,
 // consumer steps, the fabric, faults) records its spans into it. Nil
 // disables tracing at zero hot-path cost. Run refuses what Resolve refuses.
-func Run(t Topology, w workload.Workload, f trainer.Factory, script chaos.Script, rec *trace.Recorder) (*Report, error) {
+func Run(t Topology, w workload.Workload, f trainer.Factory, script chaos.Script, rec *trace.Recorder) (*trainer.Report, error) {
 	t, err := Resolve(t)
 	if err != nil {
 		return nil, fmt.Errorf("distributed: %w", err)
@@ -337,7 +222,7 @@ func Run(t Topology, w workload.Workload, f trainer.Factory, script chaos.Script
 	}
 	k := simtime.NewVirtual()
 	_ = k.SetTrace(rec) // a fresh kernel takes any recorder
-	rep := &Report{Workload: w.Name, Loader: f.Name, Nodes: t.Nodes}
+	rep := &trainer.Report{Workload: w.Name, Loader: f.Name, Nodes: t.Nodes}
 	var runErr error
 	k.Run(func() {
 		runErr = run(k, t, script, w, f, rep)
@@ -559,7 +444,7 @@ func (st *ctrl) reshard(v *memberView, active []bool, now time.Duration) {
 	}
 }
 
-func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workload, f trainer.Factory, rep *Report) error {
+func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workload, f trainer.Factory, rep *trainer.Report) error {
 	ctx := context.Background()
 	wg := simtime.NewWaitGroup(k)
 	nodeCfgs := t.nodeConfigs()
@@ -755,6 +640,7 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 						tr.Record(trace.Span{Start: tData, End: k.Now(), Stage: trace.StageGPUStep,
 							Node: int32(rank), Key: int64(g), Seq: round})
 						nd.samples += int64(len(b.Samples))
+						rep.Batches++
 						b.Release()
 					}
 
@@ -822,6 +708,7 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 	rep.TrainTime = end - start
 	rep.Steps = st.rounds
 	rep.NetworkBytes = fab.BytesMoved()
+	rep.StepHist = st.hist
 	rep.StepP50 = st.hist.QuantileDuration(0.5)
 	rep.StepP99 = st.hist.QuantileDuration(0.99)
 	rep.Faults = st.faults.Stats()
@@ -841,7 +728,7 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 			util = min(100, 100*busy/(float64(len(nd.tb.GPUs))*dur))
 		}
 		rep.Samples += nd.samples
-		rep.PerNode = append(rep.PerNode, NodeStats{
+		rep.PerNode = append(rep.PerNode, trainer.NodeStats{
 			Node:         i,
 			Hardware:     fmt.Sprintf("%s/%dc", nodeCfgs[i].Name, nodeCfgs[i].Cores),
 			GPUs:         len(nd.tb.GPUs),
@@ -857,15 +744,9 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 		rep.NetworkStall += nd.networkStall
 		nd.tb.Cache.Recycle()
 	}
+	rep.GPUs = gpuCount
 	if dur > 0 {
 		rep.AvgGPUUtil = min(100, 100*busyAll/(float64(gpuCount)*dur))
 	}
 	return nil
-}
-
-// String summarizes the report.
-func (r *Report) String() string {
-	return fmt.Sprintf("%s/%s on %d nodes: %.1fs, %d steps (%.0f ms/step), GPU %.1f%%, net stall %.1f%%",
-		r.Workload, r.Loader, r.Nodes, r.TrainTime.Seconds(), r.Steps,
-		r.StepTime().Seconds()*1000, r.AvgGPUUtil, 100*r.NetworkStallShare())
 }

@@ -31,7 +31,7 @@ func straggling(t Topology, node int, factor float64) Topology {
 }
 
 // runPlain runs t with no fault script, untraced.
-func runPlain(t Topology, w workload.Workload, f trainer.Factory) (*Report, error) {
+func runPlain(t Topology, w workload.Workload, f trainer.Factory) (*trainer.Report, error) {
 	return Run(t, w, f, chaos.Script{}, nil)
 }
 

@@ -9,6 +9,7 @@ import (
 	"github.com/minatoloader/minato/internal/distributed"
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loaders"
+	"github.com/minatoloader/minato/internal/trainer"
 	"github.com/minatoloader/minato/internal/workload"
 )
 
@@ -28,7 +29,7 @@ func distWorkloadFor(o Options, iters int) workload.Workload {
 
 // distRow renders one run as a table row: cluster step time plus the
 // per-cause stall attribution the netsim fabric makes measurable.
-func distRow(label string, rep *distributed.Report) []string {
+func distRow(label string, rep *trainer.Report) []string {
 	return []string{
 		label, rep.Loader,
 		seconds(rep.TrainTime),

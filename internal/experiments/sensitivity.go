@@ -43,7 +43,7 @@ func runFig11a(o Options) (*Result, error) {
 		for _, name := range []string{"pytorch", "minato"} {
 			f, _ := loaders.ByName(name)
 			rep, err := trainer.Simulate(cfg, w, f,
-				trainer.Params{TrackComposition: true, AccuracyEvery: 10})
+				trainer.Params{TrackComposition: true})
 			if err != nil {
 				return nil, fmt.Errorf("fig11a %s/%s: %w", w.Name, name, err)
 			}

@@ -1,10 +1,12 @@
 // Package registry provides the generic named-plugin registry behind the
-// public API's loader and workload registration: a concurrency-safe map
+// public API's loader, workload and chaos-scenario registration, and the
+// experiment index: a concurrency-safe map
 // from name to implementation that remembers registration order, so
 // enumeration can present entries the way the paper lists them while
 // lookup stays by name.
 //
-// Each pluggable vocabulary (data loaders, workloads) owns one Registry
+// Each pluggable vocabulary (data loaders, workloads, chaos scenarios,
+// experiments) owns one Registry
 // instance next to its types; the registry itself is dependency-free so it
 // cannot create import cycles between the packages that populate it.
 package registry

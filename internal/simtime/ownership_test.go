@@ -29,8 +29,7 @@ func TestTaskOnlyPackagesImportNoSync(t *testing.T) {
 		"data/pool.go":         {"sync/atomic", "pool counters and sample states, touched by that same late release"},
 		"dist/dist.go":         {"sync", "the permutation cache, shared by every kernel in the process"},
 		"service/client.go":    {"sync", "client counters: RemoteSession.Stats from any goroutine"},
-		"chaos/registry.go":    {"sync", "the scenario registry: RegisterChaosScenario from any goroutine"},
-		"registry/registry.go": {"sync", "the loader and workload registries: RegisterLoader/RegisterWorkload from any goroutine"},
+		"registry/registry.go": {"sync", "the loader, workload, chaos-scenario and experiment registries: Register* from any goroutine"},
 		"session.go":           {"sync", "the snapshot the kernel publishes for Session.Stats, read from any goroutine"},
 	}
 	seen := map[string]string{}

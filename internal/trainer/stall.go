@@ -6,9 +6,9 @@ import (
 	"github.com/minatoloader/minato/internal/chaos"
 )
 
-// StallBreakdown is the shared stall-attribution block embedded by the
-// single-session Report and the multi-node Report: where consumer time
-// went when it was not training, plus the SLO view of step-time jitter
+// StallBreakdown is the stall-attribution block embedded by Report, on
+// one machine and across nodes: where consumer time went when it was not
+// training, plus the SLO view of step-time jitter
 // and the fault windows the run absorbed. The critical-path analyzer
 // (internal/trace) fills exactly this shape from a recorded trace; runs
 // without tracing fill it from the consumers' stall counters — the two
@@ -47,4 +47,28 @@ func (s *StallBreakdown) RecoveryTime() time.Duration {
 		}
 	}
 	return max
+}
+
+// NodeStats attributes one node's time in a multi-node Report: where its
+// consumers stalled, what it trained, how busy its GPUs were. Stall
+// durations are summed across the node's GPU consumers.
+type NodeStats struct {
+	Node     int
+	Hardware string // config name + core count, e.g. "ConfigA/128c"
+	GPUs     int
+	Samples  int64
+	// DataStall is time blocked on the node's own loader — input starvation.
+	DataStall time.Duration
+	// BarrierStall is time parked at the step barrier waiting for slower
+	// ranks: the compounding cost of someone else's input stall.
+	BarrierStall time.Duration
+	// NetworkStall is time in the gradient all-reduce (flows + phase
+	// barriers) — the interconnect's share of the step.
+	NetworkStall time.Duration
+	// Downtime is time the node's consumers spent crashed out of the
+	// membership, idling through proxy rounds — attributed here, not to
+	// BarrierStall, so churn cost is separable from straggler cost.
+	Downtime time.Duration
+	// GPUUtil is the node's average GPU utilization in percent.
+	GPUUtil float64
 }

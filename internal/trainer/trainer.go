@@ -43,6 +43,9 @@ const (
 	// slowThresholdPercentile classifies samples for composition analysis,
 	// matching MinatoLoader's profiler.
 	slowThresholdPercentile = 0.75
+	// accuracyEvery is the accuracy-curve spacing (Fig 11a), in global
+	// iterations.
+	accuracyEvery = 10
 )
 
 // Params tunes what a session records.
@@ -50,11 +53,9 @@ type Params struct {
 	// Collect enables time-series sampling (CPU/GPU/disk/throughput), one
 	// point per second of virtual time.
 	Collect bool
-	// TrackComposition enables Fig 11's per-batch slow-sample accounting.
+	// TrackComposition enables Fig 11's per-batch slow-sample accounting,
+	// with an accuracy point every accuracyEvery global iterations.
 	TrackComposition bool
-	// AccuracyEvery records an accuracy point every N global iterations
-	// (default 50).
-	AccuracyEvery int
 	// TraceSamples records a per-sample timeline (load, preprocessing
 	// window, classification, delivery) into Report.SampleTraces — the raw
 	// material for pipeline forensics. Costs memory proportional to the
@@ -65,12 +66,6 @@ type Params struct {
 	// validate it for a single-machine run (Script.Validate(0)) before
 	// starting; the zero value injects nothing.
 	Chaos chaos.Script
-}
-
-func (p *Params) fillDefaults() {
-	if p.AccuracyEvery <= 0 {
-		p.AccuracyEvery = 50
-	}
 }
 
 // AccPoint is one accuracy-curve sample (Fig 11a).
@@ -96,15 +91,22 @@ type SampleTrace struct {
 	GPU          int
 }
 
-// Report is the outcome of one training session.
+// Report is the outcome of one training run, on one machine (RunEnv) or
+// across nodes (distributed.Run).
 type Report struct {
 	Workload string
 	Loader   string
-	GPUs     int
+	// GPUs is the number of training consumers, summed across nodes.
+	GPUs int
+	// Nodes is the multi-node cluster's size; zero on one machine.
+	Nodes int
 
 	TrainTime time.Duration
 	Batches   int64
 	Samples   int64
+	// Steps is the number of whole-cluster synchronized steps a multi-node
+	// run completed; zero on one machine, whose consumers never synchronize.
+	Steps int64
 	// TrainedBytes is the cumulative processed size trained, the paper's
 	// throughput numerator (§5.1).
 	TrainedBytes int64
@@ -135,11 +137,11 @@ type Report struct {
 	// set, in delivery order.
 	SampleTraces []SampleTrace
 
-	// StallBreakdown attributes the session's consumer stalls (DataStall;
-	// the barrier and network fields stay zero on a single machine), the
-	// step-time quantiles, and the absorbed fault windows. The consumers'
-	// stall counters fill it, traced or not; the recorded spans are stamped
-	// at the same virtual instants.
+	// StallBreakdown attributes the run's consumer stalls (across nodes,
+	// the PerNode sums; the barrier and network fields stay zero on a
+	// single machine), the step-time quantiles, and the absorbed fault
+	// windows. The consumers' stall counters fill it, traced or not; the
+	// recorded spans are stamped at the same virtual instants.
 	StallBreakdown
 	// PreemptStall is the total time consumers spent parked by Preempt
 	// events (across GPUs).
@@ -148,6 +150,13 @@ type Report struct {
 	// StepHist is the step-interval histogram behind StepP50/StepP99,
 	// exportable through WritePrometheus.
 	StepHist *metrics.LogHist
+
+	// NetworkBytes is the traffic a multi-node run's fabric carried:
+	// gradient flows plus (on a remote-store cluster) dataset fetches.
+	NetworkBytes int64
+	// PerNode attributes each node's stalls, in node order; nil on one
+	// machine.
+	PerNode []NodeStats
 
 	// Recorded is the session's trace: Trace and CriticalPath, snapshotted
 	// lazily from the recorder the session recorded into.
@@ -201,6 +210,45 @@ func (r *Report) Throughput() float64 {
 	return float64(r.TrainedBytes) / 1e6 / sec
 }
 
+// StepTime is the whole-cluster synchronized step time of a multi-node run
+// — the number the per-step barrier makes everyone pay together; zero on
+// one machine.
+func (r *Report) StepTime() time.Duration {
+	if r.Steps == 0 {
+		return 0
+	}
+	return r.TrainTime / time.Duration(r.Steps)
+}
+
+// DataStallShare is the fraction of consumer time spent waiting on the
+// loaders.
+func (r *Report) DataStallShare() float64 { return r.share(r.DataStall) }
+
+// BarrierStallShare is the fraction of consumer time spent waiting at the
+// step barrier for slower ranks (zero on one machine).
+func (r *Report) BarrierStallShare() float64 { return r.share(r.BarrierStall) }
+
+// NetworkStallShare is the fraction of consumer time spent in gradient
+// synchronization over the fabric (zero on one machine).
+func (r *Report) NetworkStallShare() float64 { return r.share(r.NetworkStall) }
+
+// share is sum over the run's consumer time: every GPU for the whole run.
+// Across nodes the GPU-seconds are added node by node, in node order, which
+// is the rounding the pinned multi-node tables and benchmark values hold.
+func (r *Report) share(sum time.Duration) float64 {
+	den := float64(r.GPUs) * r.TrainTime.Seconds()
+	if r.PerNode != nil {
+		den = 0
+		for _, n := range r.PerNode {
+			den += float64(n.GPUs) * r.TrainTime.Seconds()
+		}
+	}
+	if den <= 0 {
+		return 0
+	}
+	return min(1, sum.Seconds()/den)
+}
+
 // AvgSlowProportion returns the mean per-batch slow-sample proportion.
 func (r *Report) AvgSlowProportion() float64 {
 	if len(r.SlowPropByIt) == 0 {
@@ -230,7 +278,6 @@ func Run(rt *simtime.Virtual, tb *hardware.Testbed, w workload.Workload, f Facto
 // tenant, so co-running sessions see their own hits, not the cluster total.
 // Like Run, it must be called from a task tracked by the runtime.
 func RunEnv(env *loader.Env, w workload.Workload, f Factory, p Params) (*Report, error) {
-	p.fillDefaults()
 	ctx := context.Background()
 
 	rt := env.RT
@@ -365,7 +412,7 @@ func RunEnv(env *loader.Env, w workload.Workload, f Factory, p Params) (*Report,
 				if comp != nil {
 					comp.record(b)
 				}
-				if it%int64(p.AccuracyEvery) == 0 {
+				if it%accuracyEvery == 0 {
 					comp.maybeAcc(rep, w, it, rt.Now()-start)
 				}
 				if p.TraceSamples {

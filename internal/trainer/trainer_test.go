@@ -133,7 +133,7 @@ func TestMetricsSeriesCollected(t *testing.T) {
 func TestCompositionTracked(t *testing.T) {
 	w := smallSpeech(30)
 	rep, err := trainer.Simulate(testbedA(2), w, loaders.Minato(core.DefaultConfig()),
-		trainer.Params{TrackComposition: true, AccuracyEvery: 5})
+		trainer.Params{TrackComposition: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +149,9 @@ func TestCompositionTracked(t *testing.T) {
 	if got := rep.AvgSlowProportion(); got < 0.10 || got > 0.35 {
 		t.Fatalf("avg slow proportion = %.2f, want ≈0.2", got)
 	}
-	if len(rep.AccCurve) == 0 {
-		t.Fatal("no accuracy points")
+	// One accuracy point every 10 of the 30 iterations.
+	if len(rep.AccCurve) != 3 {
+		t.Fatalf("%d accuracy points, want 3", len(rep.AccCurve))
 	}
 }
 

@@ -35,10 +35,12 @@
 //	for batch, err := range sess.Batches(ctx) { ... }
 //	rep, err := sess.Close()
 //
-// Full training sessions resolve workloads and loader backends through
-// the registries (RegisterLoader / RegisterWorkload):
+// Full training sessions take a workload, built by name and seed through
+// the workload registry (RegisterWorkload), and resolve the loader backend
+// through the loader registry (RegisterLoader):
 //
-//	rep, err := minato.Train("speech-3s",
+//	w, _ := minato.WorkloadByName("speech-3s", 1)
+//	rep, err := minato.Train(w,
 //	    minato.WithLoader("pytorch"),
 //	    minato.WithHardware(minato.ConfigA()),
 //	)
@@ -53,7 +55,7 @@
 //	    minato.WithMaxSessions(16),
 //	)
 //	sess, err := cluster.Open(dataset, minato.WithPriority(2))
-//	rep, err := cluster.Train("speech-3s", minato.WithLoader("pytorch"))
+//	rep, err := cluster.Train(w, minato.WithLoader("pytorch"))
 //
 // Open and Train are thin wrappers over an implicit single-session
 // cluster. Every With* constructor returns the one Option type and declares
@@ -67,19 +69,20 @@
 // returns a RemoteSession whose Batches is the same loop over another
 // transport — one pump, two sources.
 //
-// Multi-node data-parallel training runs through TrainMultiNode: each
-// node is a full testbed with its own loader over a dataset shard, and
-// gradient all-reduce runs as ring-reduce flows over a simulated cluster
-// interconnect that dataset fetches contend with:
+// Multi-node data-parallel training is Train given WithNodes or
+// WithTopology: each node is a full testbed with its own loader over a
+// dataset shard, and gradient all-reduce runs as ring-reduce flows over a
+// simulated cluster interconnect that dataset fetches contend with. The
+// same Report comes back, with the multi-node fields filled:
 //
-//	rep, err := minato.TrainMultiNode("speech-3s",
+//	rep, err := minato.Train(w,
 //	    minato.WithNodes(4),
 //	    minato.WithLoader("minato"),
 //	)
-//	// rep.StepTime(), rep.NetworkStallShare(), rep.PerNode, ...
+//	// rep.Nodes, rep.StepTime(), rep.NetworkStallShare(), rep.PerNode, ...
 //
 // The v1 shims New, Simulate, and BaselineFactory were removed in v3 —
-// migrate to Open, Train/TrainWorkload, and LoaderByName.
+// migrate to Open, Train, and LoaderByName.
 //
 // For embedding the loader around custom datasets and pipelines, see
 // examples/quickstart, examples/multitenant, and examples/multinode;
@@ -134,7 +137,7 @@ type (
 	Loader = core.Loader
 	// Workload is one end-to-end training task.
 	Workload = workload.Workload
-	// Report is a training session's outcome.
+	// Report is a training run's outcome, on one machine or across nodes.
 	Report = trainer.Report
 	// Params tunes what a session records.
 	Params = trainer.Params

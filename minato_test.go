@@ -9,17 +9,26 @@ import (
 	"github.com/minatoloader/minato/internal/simtime"
 )
 
+// workloadNamed is WorkloadByName for a name the test knows is registered.
+func workloadNamed(name string, seed uint64) Workload {
+	w, ok := WorkloadByName(name, seed)
+	if !ok {
+		panic("unregistered workload " + name)
+	}
+	return w
+}
+
 // TestPublicAPISession exercises the whole facade: simulate the paper's
 // headline comparison at small scale through only exported identifiers.
 func TestPublicAPISession(t *testing.T) {
 	cfg := ConfigA().WithGPUs(2)
 	w := SpeechWorkload(1, 3*time.Second).WithIterations(40)
 
-	ptRep, err := TrainWorkload(w, WithLoader("pytorch"), WithHardware(cfg))
+	ptRep, err := Train(w, WithLoader("pytorch"), WithHardware(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mnRep, err := TrainWorkload(w, WithLoader("minato"), WithHardware(cfg))
+	mnRep, err := Train(w, WithLoader("minato"), WithHardware(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,8 @@
 package minato
 
 import (
-	"fmt"
-	"strings"
-
 	"github.com/minatoloader/minato/internal/distributed"
-	"github.com/minatoloader/minato/internal/workload"
+	"github.com/minatoloader/minato/internal/trainer"
 )
 
 // Topology describes a multi-node training cluster: how many nodes, what
@@ -16,7 +13,7 @@ import (
 // entry with a factor below 1 or a node outside the cluster — is refused
 // with a *ConfigError.
 //
-//	rep, err := minato.TrainMultiNode("speech-3s",
+//	rep, err := minato.Train(w,
 //	    minato.WithTopology(minato.Topology{
 //	        Nodes:         4,
 //	        LinkBandwidth: 25e9, // 200 Gb/s
@@ -31,25 +28,58 @@ type Topology = distributed.Topology
 // an eighth of the resource.
 type NodeFault = distributed.NodeFault
 
-// MultiNodeReport is the outcome of a TrainMultiNode run: whole-cluster
-// timings plus per-node stall attribution (own input, the barrier, the
-// network). See NodeStats.
-type MultiNodeReport = distributed.Report
+// NodeStats attributes one node's time in a multi-node Report (PerNode):
+// its own input stall, the barrier, the network, downtime.
+type NodeStats = trainer.NodeStats
 
-// NodeStats attributes one node's time inside a MultiNodeReport.
-type NodeStats = distributed.NodeStats
+// MultiNodeReport is Report.
+//
+// Deprecated: use Report, which a multi-node Train fills. MultiNodeReport
+// goes once the benchmark's call sites move to Report.
+type MultiNodeReport = Report
 
-// WithNodes runs a training session across n data-parallel nodes on the
-// default topology (ConfigA nodes, 200 Gb/s fabric, shared remote store).
-// TrainMultiNode only.
+// WithNodes makes Train a data-parallel run across n simulated nodes on the
+// default topology (ConfigA nodes, 200 Gb/s fabric, shared remote store):
+// every node is a full testbed running its own loader over a deterministic
+// shard of the workload's dataset, gradient all-reduce runs as ring-reduce
+// flows over a simulated interconnect, and cold shard reads are fetched
+// from a shared storage server over the same NICs — so data traffic and
+// gradient traffic contend the way they do on a real cluster.
+//
+//	rep, err := minato.Train(w,
+//	    minato.WithNodes(4),
+//	    minato.WithLoader("pytorch"),
+//	    minato.WithIterations(200),
+//	)
+//	// rep.StepTime(), rep.NetworkStallShare(), rep.PerNode[i].DataStall, ...
+//
+// Such a run owns its runtime and takes the options of README's
+// "Train (multi-node)" column: WithHardware sizes each node, WithGPUs sets
+// the per-node GPU count, and WithChaos/WithChaosScenario script node
+// crashes, link flaps, disk brownouts and worker stalls (see ChaosScript).
+// Identical options — including the chaos script — reproduce the report
+// bit-for-bit. Train only; on Cluster.Train it is a *ConfigError.
 func WithNodes(n int) Option {
 	return Option{"WithNodes", atMultiNode, func(o *options) { o.topo = &Topology{Nodes: n} }}
 }
 
-// WithTopology runs a training session across the described multi-node
-// cluster. TrainMultiNode only; it subsumes WithNodes.
+// WithTopology makes Train a data-parallel run across the described
+// multi-node cluster; it subsumes WithNodes and is scoped like it.
 func WithTopology(t Topology) Option {
 	return Option{"WithTopology", atMultiNode, func(o *options) { o.topo = &t }}
+}
+
+// trainEntry resolves the entry point a Train call runs as: the multi-node
+// one when an option only a multi-node run accepts (WithNodes, WithTopology)
+// is among opts, the single-machine one otherwise. Scopes are checked
+// against the resolved entry, so Train refuses what neither run takes.
+func trainEntry(opts []Option) entry {
+	for _, opt := range opts {
+		if opt.scope == atMultiNode {
+			return atMultiNode
+		}
+	}
+	return atTrain
 }
 
 // topology resolves the run's cluster: WithHardware sizes each node when
@@ -82,51 +112,17 @@ func (o *options) topology() (Topology, error) {
 	return t, nil
 }
 
-// TrainMultiNode runs a data-parallel training session across a simulated
-// multi-node cluster: every node is a full testbed running its own loader
-// instance over a deterministic shard of the workload's dataset, gradient
-// all-reduce runs as ring-reduce flows over a simulated interconnect, and
-// (by default) cold shard reads are fetched from a shared storage server
-// over the same NICs — so data traffic and gradient traffic contend the
-// way they do on a real cluster.
+// TrainMultiNodeWorkload is Train across nodes: on the default 2-node
+// topology unless opts give WithNodes or WithTopology.
 //
-//	rep, err := minato.TrainMultiNode("speech-3s",
-//	    minato.WithNodes(4),
-//	    minato.WithLoader("pytorch"),
-//	    minato.WithIterations(200),
-//	)
-//	// rep.StepTime(), rep.NetworkStallShare(), rep.PerNode[i].DataStall, ...
-//
-// WithNodes/WithTopology give the cluster shape, WithHardware sizes each
-// node, WithGPUs sets the per-node GPU count, and WithChaos/WithChaosScenario
-// script node crashes, link flaps, disk brownouts and worker stalls (see
-// ChaosScript); README.md's option table has the full list. The run is
-// deterministic: identical options — including the chaos script — reproduce
-// the report bit-for-bit.
-func TrainMultiNode(workloadName string, opts ...Option) (*MultiNodeReport, error) {
-	o, err := build(atMultiNode, opts)
-	if err != nil {
-		return nil, err
-	}
-	w, ok := workload.ByName(workloadName, o.seed)
-	if !ok {
-		return nil, configErr("TrainMultiNode", fmt.Sprintf("unknown workload %q (registered: %s)",
-			workloadName, strings.Join(workload.Names(), ", ")))
-	}
-	return trainMultiNode(w, o)
+// Deprecated: call Train with WithNodes or WithTopology.
+// TrainMultiNodeWorkload goes once the benchmark's call sites move to Train.
+func TrainMultiNodeWorkload(w Workload, opts ...Option) (*Report, error) {
+	return Train(w, append([]Option{WithTopology(Topology{})}, opts...)...)
 }
 
-// TrainMultiNodeWorkload is TrainMultiNode for a workload value built
-// directly.
-func TrainMultiNodeWorkload(w Workload, opts ...Option) (*MultiNodeReport, error) {
-	o, err := build(atMultiNode, opts)
-	if err != nil {
-		return nil, err
-	}
-	return trainMultiNode(w, o)
-}
-
-func trainMultiNode(w Workload, o *options) (*MultiNodeReport, error) {
+// trainMultiNode runs a built multi-node Train on distributed.Run.
+func trainMultiNode(w Workload, o *options) (*Report, error) {
 	topo, err := o.topology()
 	if err != nil {
 		return nil, err

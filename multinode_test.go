@@ -17,7 +17,7 @@ func mnWorkload(iters int) Workload {
 }
 
 func TestTrainMultiNodeDefaults(t *testing.T) {
-	rep, err := TrainMultiNodeWorkload(mnWorkload(12), WithGPUs(1))
+	rep, err := Train(mnWorkload(12), WithTopology(Topology{}), WithGPUs(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestTrainMultiNodeDefaults(t *testing.T) {
 }
 
 func TestTrainMultiNodeByWorkloadName(t *testing.T) {
-	rep, err := TrainMultiNode("speech-3s",
+	rep, err := Train(workloadNamed("speech-3s", 1),
 		WithNodes(2), WithGPUs(1), WithIterations(10))
 	if err != nil {
 		t.Fatal(err)
@@ -44,14 +44,11 @@ func TestTrainMultiNodeByWorkloadName(t *testing.T) {
 	if rep.Workload != "speech-3s" || rep.Nodes != 2 {
 		t.Fatalf("unexpected report identity: %+v", rep)
 	}
-	if _, err := TrainMultiNode("no-such-workload", WithNodes(2)); err == nil {
-		t.Fatal("unknown workload accepted")
-	}
 }
 
 func TestTrainMultiNodeDeterministic(t *testing.T) {
-	run := func() *MultiNodeReport {
-		rep, err := TrainMultiNodeWorkload(mnWorkload(10),
+	run := func() *Report {
+		rep, err := Train(mnWorkload(10),
 			WithTopology(Topology{Nodes: 2, Stragglers: []NodeFault{{Node: 1, Factor: 4}}}),
 			WithGPUs(1))
 		if err != nil {
@@ -61,7 +58,7 @@ func TestTrainMultiNodeDeterministic(t *testing.T) {
 	}
 	r1, r2 := run(), run()
 	if !reflect.DeepEqual(r1, r2) {
-		t.Fatalf("nondeterministic TrainMultiNode:\n run1: %+v\n run2: %+v", r1, r2)
+		t.Fatalf("nondeterministic multi-node Train:\n run1: %+v\n run2: %+v", r1, r2)
 	}
 }
 
@@ -70,12 +67,12 @@ func TestTrainMultiNodeStragglerScenario(t *testing.T) {
 	// cluster, and MinatoLoader's preprocessing overlap wins on
 	// whole-cluster step time.
 	topo := Topology{Nodes: 2, Stragglers: []NodeFault{{Node: 1, Factor: 8}}}
-	pt, err := TrainMultiNodeWorkload(mnWorkload(12),
+	pt, err := Train(mnWorkload(12),
 		WithTopology(topo), WithGPUs(1), WithLoader("pytorch"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mn, err := TrainMultiNodeWorkload(mnWorkload(12),
+	mn, err := Train(mnWorkload(12),
 		WithTopology(topo), WithGPUs(1), WithLoader("minato"))
 	if err != nil {
 		t.Fatal(err)
@@ -89,9 +86,6 @@ func TestTrainMultiNodeStragglerScenario(t *testing.T) {
 func TestTopologyOptionsRejectedElsewhere(t *testing.T) {
 	var ce *ConfigError
 
-	if _, err := Train("speech-3s", WithNodes(2)); !errors.As(err, &ce) {
-		t.Fatalf("Train with WithNodes: %v, want *ConfigError", err)
-	}
 	if _, err := Open(sessionDataset{n: 64}, WithNodes(2)); !errors.As(err, &ce) {
 		t.Fatalf("Open with WithNodes: %v, want *ConfigError", err)
 	}
@@ -102,6 +96,9 @@ func TestTopologyOptionsRejectedElsewhere(t *testing.T) {
 	defer cl.Close()
 	if _, err := cl.Open(sessionDataset{n: 64}, WithTopology(Topology{Nodes: 2})); !errors.As(err, &ce) {
 		t.Fatalf("Cluster.Open with WithTopology: %v, want *ConfigError", err)
+	}
+	if _, err := cl.Train(mnWorkload(4), WithNodes(2)); !errors.As(err, &ce) {
+		t.Fatalf("Cluster.Train with WithNodes: %v, want *ConfigError", err)
 	}
 }
 
@@ -114,21 +111,21 @@ func TestTrainMultiNodeRejectsInvalidTopology(t *testing.T) {
 		{Nodes: 2, Stragglers: []NodeFault{{Node: 0, Factor: 0.5}}},
 	}
 	for i, topo := range cases {
-		if _, err := TrainMultiNode("speech-3s", WithTopology(topo)); !errors.As(err, &ce) {
+		if _, err := Train(workloadNamed("speech-3s", 1), WithTopology(topo)); !errors.As(err, &ce) {
 			t.Errorf("case %d: %v, want *ConfigError", i, err)
 		}
 	}
 	// Single-machine-only options are refused too.
-	if _, err := TrainMultiNode("speech-3s", WithNodes(2), WithPriority(2)); !errors.As(err, &ce) {
-		t.Errorf("WithPriority on TrainMultiNode: want *ConfigError")
+	if _, err := Train(workloadNamed("speech-3s", 1), WithNodes(2), WithPriority(2)); !errors.As(err, &ce) {
+		t.Errorf("WithPriority on a multi-node Train: want *ConfigError")
 	}
-	if _, err := TrainMultiNode("speech-3s", WithNodes(2), WithRuntime(NewServiceNet(nil, ServiceNetConfig{}).Runtime())); !errors.As(err, &ce) {
-		t.Errorf("WithRuntime on TrainMultiNode: want *ConfigError")
+	if _, err := Train(workloadNamed("speech-3s", 1), WithNodes(2), WithRuntime(NewServiceNet(nil, ServiceNetConfig{}).Runtime())); !errors.As(err, &ce) {
+		t.Errorf("WithRuntime on a multi-node Train: want *ConfigError")
 	}
 }
 
 func TestTrainMultiNodeHeterogeneousMix(t *testing.T) {
-	rep, err := TrainMultiNodeWorkload(mnWorkload(8),
+	rep, err := Train(mnWorkload(8),
 		WithTopology(Topology{Mix: []HardwareConfig{ConfigA(), ConfigB()}}),
 		WithGPUs(1))
 	if err != nil {
@@ -145,7 +142,7 @@ func TestTrainMultiNodeHeterogeneousMix(t *testing.T) {
 func TestWithGPUsDoesNotMutateCallerMix(t *testing.T) {
 	mix := []HardwareConfig{ConfigA(), ConfigB()}
 	topo := Topology{Mix: mix}
-	if _, err := TrainMultiNodeWorkload(mnWorkload(6), WithTopology(topo), WithGPUs(1)); err != nil {
+	if _, err := Train(mnWorkload(6), WithTopology(topo), WithGPUs(1)); err != nil {
 		t.Fatal(err)
 	}
 	if mix[0].GPUCount != ConfigA().GPUCount || mix[1].GPUCount != ConfigB().GPUCount {
@@ -181,7 +178,7 @@ func TestTopologyShapesPinned(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rep, err := TrainMultiNodeWorkload(mnWorkload(10), WithTopology(tc.topo), WithGPUs(1))
+			rep, err := Train(mnWorkload(10), WithTopology(tc.topo), WithGPUs(1))
 			if err != nil {
 				t.Fatal(err)
 			}

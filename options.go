@@ -10,13 +10,14 @@ import (
 	"github.com/minatoloader/minato/internal/trace"
 )
 
-// Option configures an entry point of the package: Open, Train, Cluster.Open,
-// Cluster.Train, TrainMultiNode, NewCluster, Serve, Dial or Resume. Every
-// With* constructor (and Publish) returns one; each declares, where it is
-// defined, the entry points that accept it, and an entry point handed an
-// option outside its scope returns a *ConfigError naming the constructor —
-// never a silent no-op. README.md has the option × entry-point table. The zero
-// Option is rejected everywhere.
+// Option configures an entry point of the package: Open, Train (on one
+// machine, or across nodes given WithNodes or WithTopology), Cluster.Open,
+// Cluster.Train, NewCluster, Serve, Dial or Resume. Every With* constructor
+// (and Publish) returns one; each declares, where it is defined, the entry
+// points that accept it, and an entry point handed an option outside its
+// scope returns a *ConfigError naming the constructor — never a silent
+// no-op. README.md has the option × entry-point table. The zero Option is
+// rejected everywhere.
 type Option struct {
 	name  string
 	scope entry
@@ -24,8 +25,8 @@ type Option struct {
 }
 
 // entry is a set of entry points: the scope an Option declares, or the one
-// entry point a builder runs for. The Workload variants (TrainWorkload,
-// Cluster.TrainWorkload, TrainMultiNodeWorkload) share their named sibling's.
+// entry point a builder runs for. A Train call resolves to atTrain or
+// atMultiNode (trainEntry) before its options are checked.
 type entry uint16
 
 const (
@@ -56,10 +57,10 @@ type entryPoint struct {
 
 var entryPoints = [...]entryPoint{
 	{atOpen, "Open", "Open starts one loading session on its own single machine"},
-	{atTrain, "Train", "Train runs a workload, with the workload's pipeline, on its own testbed and runtime"},
+	{atTrain, "Train", "Train runs a workload, with the workload's pipeline and seed, on its own testbed and runtime"},
 	{atClusterOpen, "Cluster.Open", "cluster-owned: a session of an explicit Cluster runs on the substrate NewCluster sized"},
-	{atClusterTrain, "Cluster.Train", "cluster-owned: a training run on an explicit Cluster uses the substrate NewCluster sized and the workload's pipeline"},
-	{atMultiNode, "TrainMultiNode", "multi-node clusters size their nodes with WithHardware or Topology.Node, own their runtime and batches, and have no co-tenants"},
+	{atClusterTrain, "Cluster.Train", "cluster-owned: a training run on an explicit Cluster uses the substrate NewCluster sized and the workload's pipeline and seed"},
+	{atMultiNode, "Train (multi-node)", "a multi-node Train (WithNodes, WithTopology) sizes its nodes with WithHardware or Topology.Node, owns its runtime and batches, and has no co-tenants"},
 	{atNewCluster, "NewCluster", "NewCluster sizes the shared substrate and its admission; what a session streams is set where it opens"},
 	{atServe, "Serve", "Serve configures the server's front end; its cluster is configured by NewCluster and each stream by the client's Dial"},
 	{atDial, "Dial", "Dial shapes one remote stream; pipeline, loader and substrate are the server's"},

@@ -53,53 +53,23 @@ func newMatrixFixture() *matrixFixture {
 
 // matrixResult is what an entry point handed back, whichever it was.
 type matrixResult struct {
-	rep   *Report          // a drained session's, a dialed stream's, or a training run's
-	multi *MultiNodeReport // TrainMultiNode's
-	sess  *Session
-	rs    *RemoteSession
-	cl    *Cluster // NewCluster's, or the one a session ran on
-	addr  *ServerAddr
+	rep  *Report // a drained session's, a dialed stream's, or a training run's
+	sess *Session
+	rs   *RemoteSession
+	cl   *Cluster // NewCluster's, or the one a session ran on
+	addr *ServerAddr
 }
 
-func (r matrixResult) loader() string {
-	if r.multi != nil {
-		return r.multi.Loader
-	}
-	return r.rep.Loader
-}
-
-// batches and samples count what the run delivered; a multi-node step is one
-// batch per GPU, and the matrix runs one GPU per node.
-func (r matrixResult) batches() int64 {
-	if r.multi != nil {
-		return r.multi.Steps * int64(r.multi.Nodes)
-	}
-	return r.rep.Batches
-}
-
-func (r matrixResult) samples() int64 {
-	if r.multi != nil {
-		return r.multi.Samples
-	}
-	return r.rep.Samples
-}
-
+// gpus is a session's GPU count, per node on a multi-node run.
 func (r matrixResult) gpus() int {
 	switch {
-	case r.multi != nil:
-		return r.multi.PerNode[0].GPUs
+	case r.rep != nil && r.rep.Nodes > 0:
+		return r.rep.PerNode[0].GPUs
 	case r.rep != nil:
 		return r.rep.GPUs
 	default:
 		return len(r.cl.gpus)
 	}
-}
-
-func (r matrixResult) faults() []FaultStat {
-	if r.multi != nil {
-		return r.multi.Faults
-	}
-	return r.rep.Faults
 }
 
 // matrixOptions is every exported option constructor, called with arguments
@@ -117,14 +87,14 @@ var matrixOptions = []struct {
 		}},
 	{func(*matrixFixture) Option { return WithBatchSize(4) },
 		func(t *testing.T, _ *matrixFixture, _ entry, r matrixResult) {
-			if r.batches() == 0 || r.samples() != 4*r.batches() {
-				t.Errorf("%d samples in %d batches, want 4 each", r.samples(), r.batches())
+			if r.rep.Batches == 0 || r.rep.Samples != 4*r.rep.Batches {
+				t.Errorf("%d samples in %d batches, want 4 each", r.rep.Samples, r.rep.Batches)
 			}
 		}},
 	{func(*matrixFixture) Option { return WithLoader("pytorch") },
 		func(t *testing.T, _ *matrixFixture, _ entry, r matrixResult) {
-			if r.loader() != "pytorch" {
-				t.Errorf("loader %q", r.loader())
+			if r.rep.Loader != "pytorch" {
+				t.Errorf("loader %q", r.rep.Loader)
 			}
 		}},
 	{func(*matrixFixture) Option {
@@ -133,8 +103,8 @@ var matrixOptions = []struct {
 		return WithLoaderFactory(f)
 	},
 		func(t *testing.T, _ *matrixFixture, _ entry, r matrixResult) {
-			if r.loader() != "matrix-custom" {
-				t.Errorf("loader %q", r.loader())
+			if r.rep.Loader != "matrix-custom" {
+				t.Errorf("loader %q", r.rep.Loader)
 			}
 		}},
 	{func(*matrixFixture) Option {
@@ -143,8 +113,8 @@ var matrixOptions = []struct {
 		return WithLoaderConfig(cfg)
 	},
 		func(t *testing.T, _ *matrixFixture, _ entry, r matrixResult) {
-			if r.loader() != "minato" {
-				t.Errorf("loader %q", r.loader())
+			if r.rep.Loader != "minato" {
+				t.Errorf("loader %q", r.rep.Loader)
 			}
 			if r.sess != nil {
 				if _, ok := r.sess.Loader().(*Loader); !ok {
@@ -155,7 +125,7 @@ var matrixOptions = []struct {
 	{func(*matrixFixture) Option { return WithHardware(ConfigB()) },
 		func(t *testing.T, _ *matrixFixture, at entry, r matrixResult) {
 			if at == atMultiNode {
-				if hw := r.multi.PerNode[0].Hardware; !strings.HasPrefix(hw, ConfigB().Name) {
+				if hw := r.rep.PerNode[0].Hardware; !strings.HasPrefix(hw, ConfigB().Name) {
 					t.Errorf("node hardware %q", hw)
 				}
 			} else if r.gpus() != ConfigB().GPUCount {
@@ -191,11 +161,11 @@ var matrixOptions = []struct {
 			}
 		}},
 	{func(*matrixFixture) Option { return WithIterations(2) },
-		func(t *testing.T, _ *matrixFixture, _ entry, r matrixResult) {
-			if r.multi != nil && r.multi.Steps != 2 {
-				t.Errorf("%d steps, want 2", r.multi.Steps)
-			} else if r.multi == nil && r.batches() != 2 {
-				t.Errorf("%d batches, want 2", r.batches())
+		func(t *testing.T, _ *matrixFixture, at entry, r matrixResult) {
+			if at == atMultiNode && r.rep.Steps != 2 {
+				t.Errorf("%d steps, want 2", r.rep.Steps)
+			} else if at != atMultiNode && r.rep.Batches != 2 {
+				t.Errorf("%d batches, want 2", r.rep.Batches)
 			}
 		}},
 	// Two epochs are observable where no WithIterations in the cell's base
@@ -203,8 +173,8 @@ var matrixOptions = []struct {
 	// the workload's.
 	{func(*matrixFixture) Option { return WithEpochs(2) },
 		func(t *testing.T, _ *matrixFixture, at entry, r matrixResult) {
-			if at&trains != 0 && r.batches() != 8 {
-				t.Errorf("%d batches, want two epochs of 4", r.batches())
+			if at&trains != 0 && r.rep.Batches != 8 {
+				t.Errorf("%d batches, want two epochs of 4", r.rep.Batches)
 			}
 		}},
 	{func(*matrixFixture) Option { return WithSeed(7) },
@@ -243,18 +213,10 @@ var matrixOptions = []struct {
 				t.Error("the cluster rejects instead of queueing")
 			}
 		}},
-	{func(*matrixFixture) Option { return WithNodes(3) },
-		func(t *testing.T, _ *matrixFixture, _ entry, r matrixResult) {
-			if r.multi.Nodes != 3 {
-				t.Errorf("%d nodes", r.multi.Nodes)
-			}
-		}},
-	{func(*matrixFixture) Option { return WithTopology(Topology{Nodes: 3, LocalStore: true}) },
-		func(t *testing.T, _ *matrixFixture, _ entry, r matrixResult) {
-			if r.multi.Nodes != 3 {
-				t.Errorf("%d nodes", r.multi.Nodes)
-			}
-		}},
+	// WithNodes and WithTopology turn the Train column's call into a
+	// multi-node run; the report says it went across nodes.
+	{func(*matrixFixture) Option { return WithNodes(3) }, seenNodes},
+	{func(*matrixFixture) Option { return WithTopology(Topology{Nodes: 3, LocalStore: true}) }, seenNodes},
 	{func(*matrixFixture) Option { return WithChaos(BrownoutDisk(time.Millisecond, 4, time.Millisecond)) },
 		seenFaults},
 	{func(*matrixFixture) Option { return WithChaosScenario("matrix-blip") }, seenFaults},
@@ -342,14 +304,24 @@ var matrixOptions = []struct {
 }
 
 func seenFaults(t *testing.T, _ *matrixFixture, at entry, r matrixResult) {
-	if at != atServe && len(r.faults()) == 0 {
+	if at != atServe && len(r.rep.Faults) == 0 {
 		t.Error("no fault window recorded")
+	}
+}
+
+func seenNodes(t *testing.T, _ *matrixFixture, _ entry, r matrixResult) {
+	if r.rep.Nodes != 3 || len(r.rep.PerNode) != 3 {
+		t.Errorf("%d nodes, %d per-node rows; want a 3-node run", r.rep.Nodes, len(r.rep.PerNode))
 	}
 }
 
 // matrixEntries is every exported entry point that takes options, each called
 // with what it needs besides the option under test (which comes last, so it
-// wins over the base options).
+// wins over the base options), and the entry it runs as. Each training entry
+// runs twice: on the registered matrix workload (WorkloadByName), and — in
+// the *Workload columns — on a value built directly. TrainMultiNode is Train
+// given WithNodes; TrainWorkload and TrainMultiNodeWorkload are the
+// deprecated forwarders the benchmark still calls.
 var matrixEntries = []struct {
 	name string
 	at   entry
@@ -373,7 +345,7 @@ var matrixEntries = []struct {
 		return matrixResult{sess: sess, cl: cl, rep: drain(t, sess)}, nil
 	}},
 	{"Train", atTrain, func(_ *testing.T, fx *matrixFixture, mk func(*matrixFixture) Option) (matrixResult, error) {
-		rep, err := Train("matrix-speech", mk(fx))
+		rep, err := Train(workloadNamed("matrix-speech", 1), mk(fx))
 		return matrixResult{rep: rep}, err
 	}},
 	{"TrainWorkload", atTrain, func(_ *testing.T, fx *matrixFixture, mk func(*matrixFixture) Option) (matrixResult, error) {
@@ -382,21 +354,21 @@ var matrixEntries = []struct {
 	}},
 	{"Cluster.Train", atClusterTrain, func(t *testing.T, fx *matrixFixture, mk func(*matrixFixture) Option) (matrixResult, error) {
 		cl := matrixCluster(t, WithHardware(ConfigA()))
-		rep, err := cl.Train("matrix-speech", mk(fx))
+		rep, err := cl.Train(workloadNamed("matrix-speech", 1), mk(fx))
 		return matrixResult{rep: rep, cl: cl}, err
 	}},
 	{"Cluster.TrainWorkload", atClusterTrain, func(t *testing.T, fx *matrixFixture, mk func(*matrixFixture) Option) (matrixResult, error) {
 		cl := matrixCluster(t, WithHardware(ConfigA()))
-		rep, err := cl.TrainWorkload(matrixWorkload(1), mk(fx))
+		rep, err := cl.Train(matrixWorkload(1), mk(fx))
 		return matrixResult{rep: rep, cl: cl}, err
 	}},
 	{"TrainMultiNode", atMultiNode, func(_ *testing.T, fx *matrixFixture, mk func(*matrixFixture) Option) (matrixResult, error) {
-		rep, err := TrainMultiNode("matrix-speech", WithNodes(2), WithGPUs(1), mk(fx))
-		return matrixResult{multi: rep}, err
+		rep, err := Train(workloadNamed("matrix-speech", 1), WithNodes(2), WithGPUs(1), mk(fx))
+		return matrixResult{rep: rep}, err
 	}},
 	{"TrainMultiNodeWorkload", atMultiNode, func(_ *testing.T, fx *matrixFixture, mk func(*matrixFixture) Option) (matrixResult, error) {
 		rep, err := TrainMultiNodeWorkload(matrixWorkload(1), WithNodes(2), WithGPUs(1), mk(fx))
-		return matrixResult{multi: rep}, err
+		return matrixResult{rep: rep}, err
 	}},
 	{"NewCluster", atNewCluster, func(t *testing.T, fx *matrixFixture, mk func(*matrixFixture) Option) (matrixResult, error) {
 		cl, err := NewCluster(mk(fx))
@@ -480,7 +452,9 @@ func matrixCluster(t *testing.T, opts ...Option) *Cluster {
 // point and holds each cell to exactly one of two outcomes: the entry point
 // accepted the option and the result shows it, or it refused with a
 // *ConfigError naming the constructor. Nothing is ignored. Which of the two is
-// the constructor's declared scope, and README.md's table says the same.
+// the constructor's declared scope against the entry the call resolves to —
+// a Train handed WithNodes or WithTopology runs multi-node — and README.md's
+// table says the same.
 func TestOptionScopeMatrix(t *testing.T) {
 	registerMatrix()
 	scopes := map[string]entry{}
@@ -492,16 +466,20 @@ func TestOptionScopeMatrix(t *testing.T) {
 				t.Run(ep.name, func(t *testing.T) {
 					fx := newMatrixFixture()
 					res, err := ep.call(t, fx, row.mk)
+					at := ep.at
+					if at == atTrain {
+						at = trainEntry([]Option{opt}) // WithNodes/WithTopology run multi-node
+					}
 					var ce *ConfigError
 					switch {
-					case opt.scope&ep.at == 0:
+					case opt.scope&at == 0:
 						if !errors.As(err, &ce) || ce.Option != opt.name {
 							t.Fatalf("out of scope, but err = %v; want a *ConfigError for %s", err, opt.name)
 						}
 					case err != nil:
 						t.Fatalf("in scope, but refused: %v", err)
 					case row.seen != nil:
-						row.seen(t, fx, ep.at, res)
+						row.seen(t, fx, at, res)
 					}
 				})
 			}

@@ -48,7 +48,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 
 	// The registered pair drives a full training session end to end.
-	rep, err := Train(workloadName, WithLoader(loaderName), WithGPUs(1))
+	rep, err := Train(w, WithLoader(loaderName), WithGPUs(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,15 +3,12 @@ package minato
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"iter"
-	"strings"
 	"sync"
 	"time"
 
 	"github.com/minatoloader/minato/internal/trainer"
-	"github.com/minatoloader/minato/internal/workload"
 )
 
 // WithPipeline sets the preprocessing pipeline samples flow through
@@ -52,7 +49,7 @@ func WithLoaderConfig(cfg Config) Option {
 // WithHardware runs on one of the simulated testbeds (ConfigA, ConfigB, or
 // a custom HardwareConfig): it sizes NewCluster's shared testbed, the
 // implicit cluster of a standalone Open or Train, and each node of a
-// TrainMultiNode. Sessions opened on an explicit Cluster cannot carry it —
+// multi-node Train. Sessions opened on an explicit Cluster cannot carry it —
 // the hardware is cluster-owned.
 func WithHardware(cfg HardwareConfig) Option {
 	return Option{"WithHardware", implicit | atNewCluster, func(o *options) { o.hw = &cfg }}
@@ -66,7 +63,7 @@ func WithEnv(cfg EnvConfig) Option {
 
 // WithGPUs overrides the GPU (consumer) count: of NewCluster's shared
 // testbed, of a standalone Open or Train's implicit one, of each node of a
-// TrainMultiNode. On a session of an explicit Cluster (Cluster.Open,
+// multi-node Train. On a session of an explicit Cluster (Cluster.Open,
 // Cluster.Train, Resume) it selects how many of the cluster's GPUs the
 // session's delivery shards across (at most the cluster's count).
 func WithGPUs(n int) Option {
@@ -112,15 +109,17 @@ func WithEpochs(n int) Option {
 	return Option{"WithEpochs", runs | atDial, func(o *options) { o.epochs = n }}
 }
 
-// WithSeed keys every random draw of the session (shuffling, synthetic
-// sample properties). Identical seeds reproduce runs exactly. Default 1.
-// Scoped like WithBatchSize.
+// WithSeed keys every random draw of a loading session (shuffling,
+// synthetic sample properties). Identical seeds reproduce runs exactly.
+// Default 1. Open, Cluster.Open and Dial: a training run's seed is its
+// workload's, fixed where WorkloadByName(name, seed) builds it.
 func WithSeed(seed uint64) Option {
-	return Option{"WithSeed", runs | atDial, func(o *options) { o.seed = seed }}
+	return Option{"WithSeed", loads | atDial, func(o *options) { o.seed = seed }}
 }
 
-// WithParams tunes what a training run records (time series, batch
-// composition, per-sample traces). Train and Cluster.Train.
+// WithParams tunes what a single-machine training run records (time
+// series, batch composition, per-sample traces). Train and Cluster.Train;
+// a multi-node Train records its own fixed set.
 func WithParams(p Params) Option {
 	return Option{"WithParams", trains, func(o *options) { o.params = p }}
 }
@@ -444,43 +443,33 @@ func (s *Session) close(rep *Report) error {
 }
 
 // Train runs a full training session — loader plus simulated GPU
-// consumers — for a registered workload, resolving both the workload and
-// the loader through the registries:
+// consumers — for a workload, resolving the loader through the registry.
+// A registered workload comes from WorkloadByName, which also fixes its
+// seed:
 //
-//	rep, err := minato.Train("speech-3s",
+//	w, _ := minato.WorkloadByName("speech-3s", 1)
+//	rep, err := minato.Train(w,
 //	    minato.WithLoader("pytorch"),
 //	    minato.WithHardware(minato.ConfigA()),
 //	    minato.WithIterations(200),
 //	)
 //
-// Defaults: the MinatoLoader backend, the ConfigA testbed, the workload's
-// Table 3 budgets, and seed 1. Like Open, Train is a thin wrapper over an
+// Defaults: the MinatoLoader backend, the ConfigA testbed and the
+// workload's Table 3 budgets. Like Open, Train is a thin wrapper over an
 // implicit single-session cluster; co-running training jobs share one
-// machine through NewCluster and Cluster.Train.
-func Train(workloadName string, opts ...Option) (*Report, error) {
-	o, err := build(atTrain, opts)
+// machine through NewCluster and Cluster.Train. Given WithNodes or
+// WithTopology, Train runs the workload data-parallel across a simulated
+// multi-node cluster instead, and the Report's Nodes, Steps, NetworkBytes
+// and PerNode describe it (see WithNodes).
+func Train(w Workload, opts ...Option) (*Report, error) {
+	at := trainEntry(opts)
+	o, err := build(at, opts)
 	if err != nil {
 		return nil, err
 	}
-	w, ok := workload.ByName(workloadName, o.seed)
-	if !ok {
-		return nil, configErr("Train", fmt.Sprintf("unknown workload %q (registered: %s)",
-			workloadName, strings.Join(workload.Names(), ", ")))
+	if at == atMultiNode {
+		return trainMultiNode(w, o)
 	}
-	return trainOpts(w, o)
-}
-
-// TrainWorkload is Train for a workload value built directly (custom or
-// parameterized workloads that are not registered by name).
-func TrainWorkload(w Workload, opts ...Option) (*Report, error) {
-	o, err := build(atTrain, opts)
-	if err != nil {
-		return nil, err
-	}
-	return trainOpts(w, o)
-}
-
-func trainOpts(w Workload, o *options) (*Report, error) {
 	if o.hw == nil {
 		hw := ConfigA()
 		o.hw = &hw
@@ -492,3 +481,9 @@ func trainOpts(w Workload, o *options) (*Report, error) {
 	defer cl.Close()
 	return cl.train(w, o)
 }
+
+// TrainWorkload is Train.
+//
+// Deprecated: call Train. TrainWorkload goes once the benchmark's call
+// sites move to Train.
+func TrainWorkload(w Workload, opts ...Option) (*Report, error) { return Train(w, opts...) }

@@ -177,7 +177,7 @@ func TestBatchesMultiGPU(t *testing.T) {
 }
 
 func TestTrainResolvesThroughRegistry(t *testing.T) {
-	rep, err := Train("speech-3s",
+	rep, err := Train(workloadNamed("speech-3s", 1),
 		WithLoader("pytorch"),
 		WithIterations(20),
 		WithGPUs(2),
@@ -192,17 +192,16 @@ func TestTrainResolvesThroughRegistry(t *testing.T) {
 		t.Fatalf("batches = %d, want 20", rep.Batches)
 	}
 
-	if _, err := Train("no-such-workload"); err == nil ||
-		!strings.Contains(err.Error(), "unknown workload") {
-		t.Fatalf("unknown workload error = %v", err)
+	if _, ok := WorkloadByName("no-such-workload", 1); ok {
+		t.Fatal("an unregistered workload resolved")
 	}
-	if _, err := Train("speech-3s", WithEnv(EnvConfig{})); err == nil {
+	if _, err := Train(workloadNamed("speech-3s", 1), WithEnv(EnvConfig{})); err == nil {
 		t.Fatal("Train accepted WithEnv")
 	}
-	if _, err := Train("speech-3s", WithRuntime(NewServiceNet(nil, ServiceNetConfig{}).Runtime())); err == nil {
+	if _, err := Train(workloadNamed("speech-3s", 1), WithRuntime(NewServiceNet(nil, ServiceNetConfig{}).Runtime())); err == nil {
 		t.Fatal("Train accepted WithRuntime")
 	}
-	if _, err := Train("speech-3s", WithPipeline(flatPipeline(time.Millisecond))); err == nil {
+	if _, err := Train(workloadNamed("speech-3s", 1), WithPipeline(flatPipeline(time.Millisecond))); err == nil {
 		t.Fatal("Train accepted WithPipeline")
 	}
 }
@@ -213,7 +212,7 @@ func TestTrainResolvesThroughRegistry(t *testing.T) {
 func TestTrainOversizedBatchErrors(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
-		_, err := Train("img-seg", WithBatchSize(10000), WithIterations(2))
+		_, err := Train(workloadNamed("img-seg", 1), WithBatchSize(10000), WithIterations(2))
 		done <- err
 	}()
 	select {

@@ -59,7 +59,7 @@ const (
 // the run:
 //
 //	sink := minato.NewTraceSink()
-//	rep, err := minato.Train("speech-3s", minato.WithTracing(sink))
+//	rep, err := minato.Train(w, minato.WithTracing(sink))
 //	_ = sink.WriteChrome(f) // load f in Perfetto / chrome://tracing
 //
 // A sink becomes the recorder of the runtime it is attached to, and a runtime
@@ -125,7 +125,7 @@ func (s *TraceSink) Reset() { s.recorder().Reset() }
 //
 // Tracing belongs to the runtime: the sink becomes the recorder of the
 // runtime NewCluster or Serve runs on (or of the one a standalone
-// Open/Train/TrainMultiNode builds), and every layer on it records there —
+// Open or Train builds), and every layer on it records there —
 // a sink given only to NewCluster also records its servers' frames, one
 // given only to Serve also records its cluster's sessions. Sessions of an
 // explicit cluster cannot carry it. A runtime takes one sink: the same

@@ -118,9 +118,8 @@ func assertTraceByteIdentical(t *testing.T, run func(sink *TraceSink) error) {
 // The CI race job runs this same test under -race, covering the third leg.
 func TestTraceDeterministicMultiNodeChaos(t *testing.T) {
 	assertTraceByteIdentical(t, func(sink *TraceSink) error {
-		_, err := TrainMultiNode("speech-3s", WithLoader("minato"), WithNodes(16),
-			WithGPUs(1), WithIterations(48), WithSeed(5),
-			WithChaosScenario("link-flap"), WithTracing(sink))
+		_, err := Train(workloadNamed("speech-3s", 5), WithLoader("minato"), WithNodes(16),
+			WithGPUs(1), WithIterations(48), WithChaosScenario("link-flap"), WithTracing(sink))
 		return err
 	})
 }
@@ -130,8 +129,8 @@ func TestTraceDeterministicMultiNodeChaos(t *testing.T) {
 // in the simulation is a pure function of virtual time.
 func TestTraceDeterministicSingleMachine(t *testing.T) {
 	assertTraceByteIdentical(t, func(sink *TraceSink) error {
-		_, err := Train("speech-3s", WithLoader("minato"), WithGPUs(1),
-			WithIterations(30), WithSeed(11), WithTracing(sink))
+		_, err := Train(workloadNamed("speech-3s", 11), WithLoader("minato"), WithGPUs(1),
+			WithIterations(30), WithTracing(sink))
 		return err
 	})
 }
@@ -145,18 +144,17 @@ func TestTraceByteIdenticalRawLabels(t *testing.T) {
 	for _, gpus := range []int{4, 64} {
 		t.Run(fmt.Sprintf("train-%dgpu", gpus), func(t *testing.T) {
 			assertTraceByteIdentical(t, func(sink *TraceSink) error {
-				_, err := Train("speech-3s", WithLoader("minato"),
+				_, err := Train(workloadNamed("speech-3s", 11), WithLoader("minato"),
 					WithHardware(ConfigA().WithGPUs(gpus)), WithIterations(10*gpus),
-					WithSeed(11), WithTracing(sink))
+					WithTracing(sink))
 				return err
 			})
 		})
 	}
 	t.Run("multinode-8x2-link-flap", func(t *testing.T) {
 		assertTraceByteIdentical(t, func(sink *TraceSink) error {
-			_, err := TrainMultiNode("speech-3s", WithLoader("minato"), WithNodes(8),
-				WithGPUs(2), WithIterations(48), WithSeed(5),
-				WithChaosScenario("link-flap"), WithTracing(sink))
+			_, err := Train(workloadNamed("speech-3s", 5), WithLoader("minato"), WithNodes(8),
+				WithGPUs(2), WithIterations(48), WithChaosScenario("link-flap"), WithTracing(sink))
 			return err
 		})
 	})
@@ -175,23 +173,23 @@ func TestTraceExportsPinned(t *testing.T) {
 		run   func(t *testing.T, sink *TraceSink)
 	}{
 		{"headline-minato", 16364, 0x29e7805874286dcb, func(t *testing.T, sink *TraceSink) {
-			_, err := TrainWorkload(speech.WithIterations(200), WithLoader("minato"),
+			_, err := Train(speech.WithIterations(200), WithLoader("minato"),
 				WithHardware(ConfigA()), WithTracing(sink))
 			fatalIf(t, err)
 		}},
 		{"headline-dali", 3750, 0x38de325d6acc7928, func(t *testing.T, sink *TraceSink) {
-			_, err := TrainWorkload(speech.WithIterations(50), WithLoader("dali"),
+			_, err := Train(speech.WithIterations(50), WithLoader("dali"),
 				WithHardware(ConfigA()), WithTracing(sink))
 			fatalIf(t, err)
 		}},
 		{"train-4gpu", 3263, 0x7e758f81cd7e23d7, func(t *testing.T, sink *TraceSink) {
-			_, err := Train("speech-3s", WithLoader("minato"), WithHardware(ConfigA().WithGPUs(4)),
-				WithIterations(40), WithSeed(11), WithTracing(sink))
+			_, err := Train(workloadNamed("speech-3s", 11), WithLoader("minato"), WithHardware(ConfigA().WithGPUs(4)),
+				WithIterations(40), WithTracing(sink))
 			fatalIf(t, err)
 		}},
 		{"multinode-8x2-link-flap", 84306, 0x80dfa8ee4c522bc4, func(t *testing.T, sink *TraceSink) {
-			_, err := TrainMultiNode("speech-3s", WithLoader("minato"), WithNodes(8), WithGPUs(2),
-				WithIterations(48), WithSeed(5), WithChaosScenario("link-flap"), WithTracing(sink))
+			_, err := Train(workloadNamed("speech-3s", 5), WithLoader("minato"), WithNodes(8), WithGPUs(2),
+				WithIterations(48), WithChaosScenario("link-flap"), WithTracing(sink))
 			fatalIf(t, err)
 		}},
 		{"tenants4-matcache-brownout", 857, 0x7135f67394c5fe4f, func(t *testing.T, sink *TraceSink) {
@@ -286,8 +284,8 @@ func streamAllAndClose(t *testing.T, sessions []*Session) {
 // same interval, and the analyzer still reproduces Report.DataStall.
 func TestTraceLabelsAreTheGPUs(t *testing.T) {
 	sink := NewTraceSink()
-	rep, err := Train("speech-3s", WithLoader("minato"),
-		WithHardware(ConfigA().WithGPUs(4)), WithIterations(40), WithSeed(11), WithTracing(sink))
+	rep, err := Train(workloadNamed("speech-3s", 11), WithLoader("minato"),
+		WithHardware(ConfigA().WithGPUs(4)), WithIterations(40), WithTracing(sink))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,8 +335,8 @@ func TestTraceLabelsAreTheGPUs(t *testing.T) {
 // journey's stage components tile its latency.
 func TestTraceCriticalPathMatchesDataStall(t *testing.T) {
 	sink := NewTraceSink()
-	rep, err := Train("speech-3s", WithLoader("minato"), WithIterations(40),
-		WithSeed(7), WithTracing(sink))
+	rep, err := Train(workloadNamed("speech-3s", 7), WithLoader("minato"), WithIterations(40),
+		WithTracing(sink))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,9 +373,8 @@ func TestTraceCriticalPathMatchesDataStall(t *testing.T) {
 // the analyzer can source DataStall/BarrierStall/NetworkStall.
 func TestTraceMultiNodeAgreesWithCounters(t *testing.T) {
 	sink := NewTraceSink()
-	rep, err := TrainMultiNode("speech-3s", WithLoader("minato"), WithNodes(4),
-		WithGPUs(1), WithIterations(30), WithSeed(3),
-		WithChaosScenario("link-flap"), WithTracing(sink))
+	rep, err := Train(workloadNamed("speech-3s", 3), WithLoader("minato"), WithNodes(4),
+		WithGPUs(1), WithIterations(30), WithChaosScenario("link-flap"), WithTracing(sink))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +409,7 @@ func TestNilTraceSink(t *testing.T) {
 		t.Fatal("nil sink export wrote nothing")
 	}
 	sink.Reset()
-	rep, err := Train("speech-3s", WithLoader("minato"), WithIterations(5), WithTracing(sink))
+	rep, err := Train(workloadNamed("speech-3s", 1), WithLoader("minato"), WithIterations(5), WithTracing(sink))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,12 +532,12 @@ func TestHeadlinePinsTracedAndUntraced(t *testing.T) {
 	w := SpeechWorkload(1, 3*time.Second).WithIterations(200)
 	got := map[string]*Report{}
 	for _, backend := range []string{"pytorch", "pecan", "dali", "minato"} {
-		plain, err := TrainWorkload(w, WithLoader(backend), WithHardware(ConfigA()))
+		plain, err := Train(w, WithLoader(backend), WithHardware(ConfigA()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		sink := NewTraceSink()
-		traced, err := TrainWorkload(w, WithLoader(backend), WithHardware(ConfigA()), WithTracing(sink))
+		traced, err := Train(w, WithLoader(backend), WithHardware(ConfigA()), WithTracing(sink))
 		if err != nil {
 			t.Fatal(err)
 		}
