@@ -3,8 +3,10 @@ package minato
 import (
 	"context"
 	"math"
+	"reflect"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 	"time"
 )
@@ -148,4 +150,115 @@ func raceEnabled() bool {
 		}
 	}
 	return false
+}
+
+// chaosEightNodes is the 8-node job under a worker stall, a disk brownout
+// and a link flap, at the given steps.
+func chaosEightNodes(seed uint64, steps int) (Workload, []Option) {
+	return SpeechWorkload(seed, 3*time.Second).WithIterations(steps),
+		[]Option{WithNodes(8), WithGPUs(1), WithChaos(ComposeChaos("flashcrowd",
+			StallWorkers(0, 5*time.Second, 2, 5*time.Second),
+			BrownoutDisk(5*time.Second, 8, 10*time.Second),
+			FlapLink(2, 6*time.Second, 8, 6*time.Second)))}
+}
+
+// TestRunAllocations pins what one warm training run costs the allocator,
+// for three shapes: a minato run on a 4-GPU and on a 64-GPU machine, and
+// the 8-node job under a worker stall, a disk brownout and a link flap. A
+// run's storage — device entries, fabric flows, cache flights, the kernel's
+// queues — comes from what the run before it recycled at teardown, so the
+// count is the run's own objects: its loaders and their queues, its tasks'
+// closures, its report. Warm-up runs fill the process-wide free lists
+// first; the GC stays off so the sync.Pools keep what they are given; the
+// least of three runs is what is pinned.
+func TestRunAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("under the race detector sync.Pool drops a random quarter of what it is given")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	speech := SpeechWorkload(1, 3*time.Second)
+	chaosW, chaosOpts := chaosEightNodes(1, 10)
+	for _, c := range []struct {
+		name string
+		w    Workload
+		opts []Option
+		pin  float64
+	}{
+		{"minato-4gpu", speech.WithIterations(100),
+			[]Option{WithLoader("minato"), WithHardware(ConfigA())}, 100},
+		{"minato-64gpu", speech.WithIterations(64 * 5),
+			[]Option{WithLoader("minato"), WithHardware(ConfigA().WithGPUs(64))}, 440},
+		{"multinode8-chaos", chaosW, chaosOpts, 470},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func() {
+				if _, err := Train(c.w, c.opts...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			run()
+			per := math.Inf(1)
+			for range 3 {
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				m0 := ms.Mallocs
+				run()
+				runtime.ReadMemStats(&ms)
+				per = min(per, float64(ms.Mallocs-m0))
+			}
+			t.Logf("%.0f allocations per run (pin %.0f)", per, c.pin)
+			if per > c.pin {
+				t.Errorf("%.0f allocations per run, want at most %.0f", per, c.pin)
+			}
+		})
+	}
+}
+
+// TestSharedPoolsConcurrentRuns: two goroutines run Train back to back, each
+// on the kernels its own runs own, with different seeds, so both draw from
+// and recycle into the same process-wide pools at once. Every report equals
+// the one the same run gave alone: storage one run recycled is never handed
+// to another that is still live. Its proof is the race detector.
+func TestSharedPoolsConcurrentRuns(t *testing.T) {
+	type run struct {
+		w    Workload
+		opts []Option
+	}
+	runs := func(seed uint64) []run {
+		chaosW, chaosOpts := chaosEightNodes(seed, 4)
+		return []run{
+			{SpeechWorkload(seed, 3*time.Second).WithIterations(40), []Option{WithHardware(ConfigA())}},
+			{chaosW, chaosOpts},
+		}
+	}
+	train := func(r run) *Report {
+		rep, err := Train(r.w, r.opts...)
+		if err != nil {
+			t.Error(err)
+		}
+		return rep
+	}
+	seeds := []uint64{1, 2}
+	solo := map[uint64][]*Report{}
+	for _, seed := range seeds {
+		for _, r := range runs(seed) {
+			solo[seed] = append(solo[seed], train(r))
+		}
+	}
+	var wg sync.WaitGroup
+	for _, seed := range seeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := range 3 {
+				for i, r := range runs(seed) {
+					if rep := train(r); !reflect.DeepEqual(rep, solo[seed][i]) {
+						t.Errorf("seed %d, round %d, run %d: the report differs from the run's solo report", seed, round, i)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

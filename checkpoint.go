@@ -99,7 +99,7 @@ func (ck *Checkpoint) Remaining() int { return ck.spec.TotalBatches() }
 // Cache snapshots the pinned cluster's page cache — the warm state a
 // resumed session inherits.
 func (ck *Checkpoint) Cache() (st CacheStats) {
-	ck.cl.rt.k.Do(func() { st = ck.cl.cache.Stats() })
+	ck.cl.rt.k.Do(func() { st = ck.cl.tb.Cache.Stats() })
 	return st
 }
 

@@ -6,13 +6,11 @@ import (
 
 	"github.com/minatoloader/minato/internal/cache"
 	"github.com/minatoloader/minato/internal/data"
-	"github.com/minatoloader/minato/internal/device"
 	"github.com/minatoloader/minato/internal/gpu"
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loader"
 	"github.com/minatoloader/minato/internal/matcache"
 	"github.com/minatoloader/minato/internal/simtime"
-	"github.com/minatoloader/minato/internal/storage"
 	"github.com/minatoloader/minato/internal/trainer"
 )
 
@@ -81,15 +79,11 @@ func WithAdmission(p AdmissionPolicy) Option {
 type Cluster struct {
 	rt     *Runtime
 	ownsRT bool
-	cpu    *device.Device
-	gpus   []*gpu.GPU
-	disk   *storage.Disk
-	cache  *storage.PageCache
-	mat    *matcache.Cache // nil without WithMaterializedCache
+	tb     *hardware.Testbed // the shared machine
+	mat    *matcache.Cache   // nil without WithMaterializedCache
 	// tenants is the one tenant table under both cache tiers: a session
 	// joins it once, and its id routes its traffic through both.
 	tenants *cache.Tenants
-	store   *storage.Store
 	pool    *data.Pool
 	shares  *loader.FairShare
 
@@ -159,8 +153,7 @@ func newCluster(co *options) (*Cluster, error) {
 		if co.gpus > 0 {
 			cfg = cfg.WithGPUs(co.gpus)
 		}
-		tb := hardware.NewTestbed(k, cfg)
-		c.cpu, c.gpus, c.disk, c.cache, c.store = tb.CPU, tb.GPUs, tb.Disk, tb.Cache, tb.Store
+		c.tb = hardware.NewTestbed(k, cfg)
 	} else {
 		ec := EnvConfig{}
 		if co.env != nil {
@@ -169,11 +162,9 @@ func newCluster(co *options) (*Cluster, error) {
 		if co.gpus > 0 {
 			ec.GPUs = co.gpus
 		}
-		env, disk, cache := buildEnv(k, ec)
-		c.cpu, c.gpus, c.disk, c.cache = env.CPU, env.GPUs, disk, cache
-		c.store = env.Store
+		c.tb = buildEnv(k, ec)
 	}
-	c.tenants = c.cache.Tenants()
+	c.tenants = c.tb.Cache.Tenants()
 	if co.matBytes > 0 {
 		// The materialized layer shares the machine's memory with the page
 		// cache: carve its capacity out explicitly so the two layers never
@@ -181,15 +172,15 @@ func newCluster(co *options) (*Cluster, error) {
 		// ReserveCapacity is a permanent, evicting shrink, and a failed
 		// construction must not leave a caller-supplied testbed's page cache
 		// mutilated.
-		if pageCap := c.cache.Capacity(); co.matBytes > pageCap {
+		if pageCap := c.tb.Cache.Capacity(); co.matBytes > pageCap {
 			return nil, configErr("WithMaterializedCache",
 				fmt.Sprintf("capacity %d exceeds the page cache's %d", co.matBytes, pageCap))
 		}
-		c.cache.ReserveCapacity(co.matBytes)
+		c.tb.Cache.ReserveCapacity(co.matBytes)
 		c.mat = matcache.NewOn(co.matBytes, c.tenants)
 	}
-	c.shares = loader.NewFairShare(int(c.cpu.Capacity()))
-	c.gpuLoad = make([]int, len(c.gpus))
+	c.shares = loader.NewFairShare(int(c.tb.CPU.Capacity()))
+	c.gpuLoad = make([]int, len(c.tb.GPUs))
 	return c, nil
 }
 
@@ -414,11 +405,11 @@ func (c *Cluster) republish() {
 // sessionGPUs validates how many of the cluster's GPUs a session may use.
 func (c *Cluster) sessionGPUs(requested int) (int, error) {
 	if requested == 0 {
-		return len(c.gpus), nil
+		return len(c.tb.GPUs), nil
 	}
-	if requested > len(c.gpus) {
+	if requested > len(c.tb.GPUs) {
 		return 0, configErr("WithGPUs", fmt.Sprintf("session requests %d GPUs but the cluster has %d",
-			requested, len(c.gpus)))
+			requested, len(c.tb.GPUs)))
 	}
 	return requested, nil
 }
@@ -458,13 +449,13 @@ func (c *Cluster) releaseGPUs(idxs []int) {
 func (c *Cluster) sessionEnv(env *Env, gpuIdxs []int, cacheTenant int, share *clusterShare) {
 	gpus := make([]*gpu.GPU, len(gpuIdxs))
 	for i, g := range gpuIdxs {
-		gpus[i] = c.gpus[g]
+		gpus[i] = c.tb.GPUs[g]
 	}
 	*env = Env{
 		RT:    c.rt.k,
-		CPU:   c.cpu,
+		CPU:   c.tb.CPU,
 		GPUs:  gpus,
-		Store: c.store.WithTenant(cacheTenant),
+		Store: c.tb.Store.WithTenant(cacheTenant),
 		WG:    simtime.NewWaitGroup(c.rt.k),
 		Pool:  c.pool,
 		Gov:   share,
@@ -532,15 +523,16 @@ func (c *Cluster) enter(parks bool, fn func()) {
 	if drain {
 		c.rt.k.Drain()
 		c.rt.k.Do(c.recycle)
+		c.rt.k.Recycle()
 	}
 }
 
-// reclaim recycles the shared cache storage once the cluster is closed and
-// its last session gone, and reports whether the kernel must be drained
-// first: a runtime the cluster owns is, once no server is left on it. Drain
-// waits for every task, so only an outside entry (do, run) may call it —
-// a server's stream task that closes the last session leaves the reclaim to
-// the next one. On the kernel.
+// reclaim recycles the shared testbed's storage once the cluster is closed
+// and its last session gone, and reports whether the kernel must be drained
+// first: a runtime the cluster owns is, once no server is left on it, and
+// then recycled too. Drain waits for every task, so only an outside entry
+// (do, run) may call it — a server's stream task that closes the last
+// session leaves the reclaim to the next one. On the kernel.
 func (c *Cluster) reclaim() (drain bool) {
 	if !c.closed || c.active > 0 || c.reclaimed || c.ownsRT && c.servers > 0 {
 		return false
@@ -554,7 +546,7 @@ func (c *Cluster) reclaim() (drain bool) {
 }
 
 func (c *Cluster) recycle() {
-	c.cache.Recycle()
+	c.tb.Recycle()
 	if c.mat != nil {
 		c.mat.Recycle()
 	}
@@ -562,8 +554,8 @@ func (c *Cluster) recycle() {
 
 // Close marks the cluster closed: new opens fail with ErrClusterClosed and
 // queued opens release with the same error. The shared substrate (kernel
-// tasks, cache storage) is reclaimed once the last active session closes —
-// immediately, when none is. Close is idempotent and safe to call
+// tasks, device and cache storage) is reclaimed once the last active session
+// closes — immediately, when none is. Close is idempotent and safe to call
 // concurrently with session activity.
 func (c *Cluster) Close() error {
 	c.do(c.close)
@@ -648,7 +640,7 @@ func (c *Cluster) Stats() (st ClusterStats) {
 			RejectedTotal:  c.rejectedTotal,
 			WorkerCapacity: c.shares.Capacity(),
 			Pool:           c.pool.Stats(),
-			Cache:          c.cache.Stats(),
+			Cache:          c.tb.Cache.Stats(),
 			MatCache:       c.mat.Stats(),
 		}
 		for _, s := range c.sessions {

@@ -106,11 +106,12 @@ func (t *Tenants) Leave(id int) {
 }
 
 // Pool is what every cache of one key type shares across the process: free
-// lists of node slabs and of index maps (Go keeps a cleared map's storage, so
-// a cache starts with its predecessor's instead of growing from scratch).
+// lists of node slabs, of index maps and hand-off maps (Go keeps a cleared
+// map's storage, so a cache starts with its predecessor's instead of growing
+// from scratch), and of single-flight tables with their idle waiters.
 // Recycle fills it; cache traffic then allocates nothing in steady state.
 // The zero value is ready.
-type Pool[K Key[K]] struct{ slabs, maps sync.Pool }
+type Pool[K Key[K]] struct{ slabs, maps, handoffs, flights sync.Pool }
 
 // slabSize is how many nodes a cache takes from its pool at a time.
 const slabSize = 256
@@ -134,6 +135,20 @@ func (p *Pool[K]) index() map[K]*node[K] {
 	return make(map[K]*node[K])
 }
 
+func (p *Pool[K]) handoff() map[K]handoff {
+	if m, ok := p.handoffs.Get().(map[K]handoff); ok {
+		return m
+	}
+	return make(map[K]handoff)
+}
+
+func (p *Pool[K]) inflight() *simtime.Flights[K] {
+	if f, ok := p.flights.Get().(*simtime.Flights[K]); ok {
+		return f
+	}
+	return new(simtime.Flights[K])
+}
+
 // node is one resident entry. prev/next link it in the LRU list (next also
 // in the free list); density, seq and idx place it in the cost heap.
 type node[K Key[K]] struct {
@@ -152,9 +167,13 @@ type node[K Key[K]] struct {
 type Cache[K Key[K]] struct {
 	victims victims[K]
 	pool    *Pool[K]
-	total   Stats // Capacity and Used are the cache's own
-	index   map[K]*node[K]
+	total   Stats  // Capacity and Used are the cache's own
 	seq     uint64 // insertions so far: the cost heap's tie-break
+
+	// The maps and the single-flight table come from the pool when first
+	// written, and go back to it at Recycle.
+	index    map[K]*node[K]
+	inflight *simtime.Flights[K]
 
 	// Node storage: slabs from the pool, the last one's nodes handed out in
 	// order (fresh counts them), and evicted nodes, linked through next.
@@ -165,7 +184,6 @@ type Cache[K Key[K]] struct {
 	tenants *Tenants
 	tier    int
 
-	inflight simtime.Flights[K]
 	// handoff holds completed entries too large to retain, reserved for the
 	// followers parked on the fill that produced them: each woken follower
 	// redeems one reference on its re-check, so single-flight holds even for
@@ -192,10 +210,8 @@ func New[K Key[K]](capacity int64, policy Policy, pool *Pool[K], tenants *Tenant
 		victims: v,
 		pool:    pool,
 		total:   Stats{Capacity: capacity},
-		index:   pool.index(),
 		tenants: tenants,
 		tier:    tier,
-		handoff: make(map[K]handoff),
 	}
 }
 
@@ -271,6 +287,9 @@ func (c *Cache[K]) GetOrBegin(tenant int, key K, rt *simtime.Virtual) (Entry, bo
 		c.hit(tenant, h.e.Cost)
 		return h.e, true, nil
 	}
+	if c.inflight == nil {
+		c.inflight = c.pool.inflight()
+	}
 	if w := c.inflight.Join(key, rt); w != nil {
 		return Entry{}, false, w
 	}
@@ -284,8 +303,11 @@ func (c *Cache[K]) GetOrBegin(tenant int, key K, rt *simtime.Virtual) (Entry, bo
 func (c *Cache[K]) Complete(tenant int, key K, e Entry) {
 	c.count(tenant, func(s *Stats) { s.Fills++ })
 	c.insert(tenant, key, e)
-	if followers := c.inflight.Land(key); followers > 0 {
+	if followers := c.land(key); followers > 0 {
 		if _, kept := c.index[key]; !kept {
+			if c.handoff == nil {
+				c.handoff = c.pool.handoff()
+			}
 			c.handoff[key] = handoff{e: e, refs: followers}
 		}
 	}
@@ -294,7 +316,15 @@ func (c *Cache[K]) Complete(tenant int, key K, e Entry) {
 // Abort releases a key's followers without publishing; the next reader
 // becomes the new leader. A leader must Abort on every failure path, or its
 // followers park until Recycle.
-func (c *Cache[K]) Abort(key K) { c.inflight.Land(key) }
+func (c *Cache[K]) Abort(key K) { c.land(key) }
+
+// land ends key's flight and reports how many followers it released.
+func (c *Cache[K]) land(key K) int {
+	if c.inflight == nil {
+		return 0 // landed by Recycle
+	}
+	return c.inflight.Land(key)
+}
 
 // Put inserts an object of the given size as the unattributed tenant,
 // outside the single-flight protocol and without counting a fill.
@@ -338,6 +368,9 @@ func (c *Cache[K]) insert(tenant int, key K, e Entry) {
 	n := c.alloc()
 	c.seq++
 	n.key, n.Entry, n.tenant, n.density, n.seq = key, e, int32(tenant), density, c.seq
+	if c.index == nil {
+		c.index = c.pool.index()
+	}
 	c.index[key] = n
 	c.victims.link(n)
 	c.count(tenant, func(s *Stats) { s.Used += e.Bytes })
@@ -366,14 +399,14 @@ func (c *Cache[K]) alloc() *node[K] {
 	return &c.slab.nodes[c.fresh-1]
 }
 
-// Recycle empties the cache and hands its node slabs and index map to the
-// pool. It is owned by whoever owns the cache's lifetime — a Cluster, or
-// trainer.Simulate for its private testbed — never by one session, which may
-// share the cache with live siblings. Traffic counters survive; residency is
-// zeroed with the contents. Single-flight claims orphaned by leaders that
-// died without settling are landed in key order, their followers woken to
-// re-elect instead of parking forever. Recycle is idempotent, and the cache
-// stays usable.
+// Recycle empties the cache and hands its node slabs, maps and
+// single-flight table to the pool. It is owned by whoever owns the cache's
+// lifetime — a Cluster, or the owner of a run's testbed — never by one
+// session, which may share the cache with live siblings. Traffic counters
+// survive; residency is zeroed with the contents. Single-flight claims
+// orphaned by leaders that died without settling are landed in key order,
+// their followers woken to re-elect instead of parking forever. Recycle is
+// idempotent, and the cache stays usable, drawing from the pool again.
 func (c *Cache[K]) Recycle() {
 	for s := c.slab; s != nil; {
 		prev := s.prev
@@ -387,20 +420,30 @@ func (c *Cache[K]) Recycle() {
 	for i := range c.tenants.rows {
 		c.tenants.rows[i].tier[c.tier].Used = 0
 	}
-	clear(c.handoff)
-	keys := c.inflight.Keys()
-	slices.SortFunc(keys, func(a, b K) int { return a.Compare(b) })
-	for _, key := range keys {
-		c.inflight.Land(key)
+	if f := c.inflight; f != nil {
+		keys := f.Keys()
+		slices.SortFunc(keys, func(a, b K) int { return a.Compare(b) })
+		woken := 0
+		for _, key := range keys {
+			woken += f.Land(key)
+		}
+		if woken == 0 {
+			// Followers just woken have yet to resume on their waiters, in
+			// this run: only a table nobody waits on leaves it.
+			c.pool.flights.Put(f)
+			c.inflight = nil
+		}
 	}
-	if len(c.index) == 0 {
-		return // nothing to hand to the pool
+	if c.handoff != nil {
+		clear(c.handoff)
+		c.pool.handoffs.Put(c.handoff)
+		c.handoff = nil
 	}
-	clear(c.index)
-	c.pool.maps.Put(c.index)
-	// A small fresh map keeps this cache usable; the warmed one goes to the
-	// next cache.
-	c.index = make(map[K]*node[K])
+	if c.index != nil {
+		clear(c.index)
+		c.pool.maps.Put(c.index)
+		c.index = nil
+	}
 }
 
 // Stats returns a snapshot of whole-cache counters; zero for a nil cache.

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -226,5 +227,50 @@ func TestJoinReusesOnlyEmptyRows(t *testing.T) {
 	mat.Recycle()
 	if id := tbl.Join(); id != a {
 		t.Fatalf("drained id not reused: got %d, want %d", id, a)
+	}
+}
+
+// TestRecycleKeepsTheTableItsFollowersResumeOn: Recycle hands the
+// single-flight table to the pool only when no follower waits on it. A
+// follower parked on an orphaned claim is woken by Recycle and resumes on its
+// waiter afterwards, so that table stays with the cache — the pool may hand
+// it to another kernel's run — and goes at the next Recycle, once nobody
+// waits.
+func TestRecycleKeepsTheTableItsFollowersResumeOn(t *testing.T) {
+	var pool Pool[tk]
+	c := New[tk](100, LRU, &pool, new(Tenants), 0)
+	k := simtime.NewVirtual()
+	k.Run(func() {
+		if _, hit, w := c.GetOrBegin(0, 1, k); hit || w != nil {
+			t.Fatal("the first reader does not lead")
+		}
+		wg := simtime.NewWaitGroup(k)
+		wg.Go("follower", func() {
+			_, _, w := c.GetOrBegin(0, 1, k)
+			if w == nil {
+				t.Error("a second reader of a key in flight does not follow")
+				return
+			}
+			_ = w.Wait(context.Background())
+			if _, _, w := c.GetOrBegin(0, 1, k); w != nil {
+				t.Error("the woken follower does not lead the orphaned key")
+				return
+			}
+			c.Complete(0, 1, Entry{Bytes: 1})
+		})
+		_ = k.Sleep(context.Background(), time.Millisecond) // the follower parks
+		table := c.inflight
+		c.Recycle() // the leader died: its claim is orphaned
+		if c.inflight != table {
+			t.Error("Recycle handed over the table a woken follower resumes on")
+		}
+		_ = wg.Wait(context.Background())
+	})
+	c.Recycle()
+	if c.inflight != nil || c.index != nil || c.handoff != nil {
+		t.Error("Recycle kept storage nobody uses")
+	}
+	if e, ok := c.Peek(1); ok || e.Bytes != 0 {
+		t.Error("a recycled cache still holds an entry")
 	}
 }

@@ -89,20 +89,39 @@ func TestContendedRunAllocatesNothing(t *testing.T) {
 	})
 }
 
-// TestFreshEntriesComeInChunks: a fresh device's first nine concurrent
-// entries cost two chunk allocations, not eighteen objects (an entry and a
-// selector each).
-func TestFreshEntriesComeInChunks(t *testing.T) {
-	k := simtime.NewVirtual()
-	devs := []*Device{New(k, "cpu", 4), New(k, "cpu", 4)} // AllocsPerRun calls twice
-	got := testing.AllocsPerRun(1, func() {
-		d := devs[0]
-		devs = devs[1:]
-		for range 9 {
-			d.newEntry() // none returned: nine concurrent occupants
+// TestRecycledDevicesAllocateNoEntries: the devices of a run recycled at
+// teardown leave their entries to the next run's devices, which then take
+// nine concurrent occupants each without allocating an entry; with nothing
+// recycled, each fresh entry is an allocation.
+func TestRecycledDevicesAllocateNoEntries(t *testing.T) {
+	for {
+		if _, ok := entryStock.Get(); !ok {
+			break // start from an empty stock
 		}
-	})
-	if got != 2 {
-		t.Errorf("%v allocs for nine fresh entries, want 2 chunks", got)
+	}
+	k := simtime.NewVirtual()
+	// A run: two devices, as AllocsPerRun calls its function twice, each
+	// taking nine concurrent occupants, who then leave.
+	run := func() (allocs float64) {
+		devs := []*Device{New(k, "cpu", 4), New(k, "cpu", 4)}
+		held := make([][9]*entry, len(devs))
+		n := 0
+		allocs = testing.AllocsPerRun(1, func() {
+			for i := range held[n] {
+				held[n][i] = devs[n].newEntry()
+			}
+			n++
+		})
+		for i, d := range devs {
+			d.free = append(d.free, held[i][:]...)
+			d.Recycle()
+		}
+		return allocs
+	}
+	if got := run(); got != 9 {
+		t.Errorf("%v allocs for nine fresh entries, want 9", got)
+	}
+	if got := run(); got != 0 {
+		t.Errorf("%v allocs for nine entries of a device built after a recycled run, want 0", got)
 	}
 }

@@ -89,10 +89,9 @@ type Device struct {
 
 	// free recycles entries (and the selectors they embed) across Run
 	// calls: the occupancy fast path allocates nothing in steady state.
-	// Fresh entries are cut from chunks of entryChunk, which never move, so
-	// the pointers the heap and the kernel hold to them stay valid.
-	free  []*entry
-	chunk []entry // the unused rest of the newest chunk
+	// Fresh entries come from the entries of devices recycled before this
+	// one (see Recycle).
+	free []*entry
 
 	// busyIntegral accumulates ∫ min(k, cap) dt in unit-seconds: the total
 	// amount of work the device has performed, as of lastT. Utilization
@@ -124,19 +123,50 @@ type entry struct {
 	sel   simtime.Selector
 }
 
-// entryChunk is how many entries a device allocates at once.
-const entryChunk = 8
+// The storage of recycled devices, process-wide: their entries, and the
+// backing arrays of their free lists and heaps. Devices are built per run,
+// and each grows its entries to the run's peak occupancy; a new device
+// draws from here instead (see Recycle).
+var (
+	entryStock = simtime.NewStock[*entry](1 << 14)
+	sliceStock = simtime.NewStock[[]*entry](1 << 10)
+)
 
 // New returns a device with the given parallel capacity (must be positive).
 func New(rt *simtime.Virtual, name string, capacity float64) *Device {
 	if capacity <= 0 {
 		panic("device: capacity must be positive")
 	}
-	return &Device{
+	d := &Device{
 		rt: rt, name: name, cap: capacity,
 		rate: 1, anchorRate: 1,
 		lastT: rt.Now(), anchorPT: rt.Now(), anchorBT: rt.Now(),
 	}
+	d.free, _ = sliceStock.Get()
+	d.entries, _ = sliceStock.Get()
+	return d
+}
+
+// Recycle hands the device's storage to the devices built after it, in
+// this run or another: its entries, with the selectors they embed, and the
+// backing arrays of its free list and heap. The owner of the device's run
+// calls it at teardown (hardware.Testbed.Recycle); a device still occupied
+// keeps everything. The device stays usable, growing new storage if it runs
+// again.
+func (d *Device) Recycle() {
+	if len(d.entries) > 0 {
+		return
+	}
+	for i, e := range d.free {
+		entryStock.Put(e)
+		d.free[i] = nil
+	}
+	for _, sl := range [2][]*entry{d.free, d.entries} {
+		if cap(sl) > 0 {
+			sliceStock.Put(sl[:0])
+		}
+	}
+	d.free, d.entries = nil, nil
 }
 
 // Name returns the device's diagnostic name.
@@ -218,18 +248,18 @@ func (d *Device) Run(ctx context.Context, work time.Duration) error {
 	}
 }
 
-// newEntry takes a recycled entry, or the next one of the current chunk.
+// newEntry takes an entry from the device's free list, else one a recycled
+// device left, else a new one.
 func (d *Device) newEntry() *entry {
 	if n := len(d.free); n > 0 {
 		e := d.free[n-1]
 		d.free = d.free[:n-1]
 		return e
 	}
-	if len(d.chunk) == 0 {
-		d.chunk = make([]entry, entryChunk)
+	e, ok := entryStock.Get()
+	if !ok {
+		e = new(entry)
 	}
-	e := &d.chunk[0]
-	d.chunk = d.chunk[1:]
 	e.sel.Bind(d.rt)
 	return e
 }

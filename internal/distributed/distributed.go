@@ -142,6 +142,11 @@ func Resolve(t Topology) (Topology, error) {
 	if t.Nodes < 1 {
 		return t, fmt.Errorf("node count %d < 1", t.Nodes)
 	}
+	for _, c := range append([]hardware.Config{t.Node}, t.Mix...) {
+		if err := c.Validate(); err != nil {
+			return t, fmt.Errorf("node hardware %s: %w", c.Name, err)
+		}
+	}
 	for _, f := range t.Stragglers {
 		if err := f.check("straggler", t.Nodes); err != nil {
 			return t, err
@@ -227,7 +232,7 @@ func Run(t Topology, w workload.Workload, f trainer.Factory, script chaos.Script
 	k.Run(func() {
 		runErr = run(k, t, script, w, f, rep)
 	})
-	k.Drain()
+	k.Recycle()
 	if runErr != nil {
 		return nil, runErr
 	}
@@ -742,8 +747,12 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 		rep.DataStall += nd.dataStall
 		rep.BarrierStall += nd.barrierStall
 		rep.NetworkStall += nd.networkStall
-		nd.tb.Cache.Recycle()
+		nd.tb.Recycle()
 	}
+	if serverDisk != nil {
+		serverDisk.Recycle()
+	}
+	fab.Recycle()
 	rep.GPUs = gpuCount
 	if dur > 0 {
 		rep.AvgGPUUtil = min(100, 100*busyAll/(float64(gpuCount)*dur))

@@ -50,11 +50,13 @@ type GPU struct {
 	trainSec float64 // cumulative A100-normalized train work
 }
 
-// New returns a GPU with the given architecture and memory capacity.
+// New returns a GPU with the given architecture and memory capacity. Its
+// compute device is named after the architecture: a name per GPU would be
+// formatted on every run, for a field nothing reads on the run's path.
 func New(rt *simtime.Virtual, id int, arch Arch, memBytes int64) *GPU {
 	g := &GPU{
 		ID: id, Arch: arch,
-		compute: device.New(rt, fmt.Sprintf("gpu%d-%s", id, arch.Name), streamCapacity),
+		compute: device.New(rt, arch.Name, streamCapacity),
 		memCap:  memBytes,
 	}
 	g.SetNode(0)
@@ -123,6 +125,9 @@ func (g *GPU) MemPeak() int64 {
 
 // BusySeconds exposes cumulative compute busy time (for utilization).
 func (g *GPU) BusySeconds() float64 { return g.compute.BusySeconds() }
+
+// Recycle hands the GPU's device storage to later runs (device.Recycle).
+func (g *GPU) Recycle() { g.compute.Recycle() }
 
 // Pool creates n GPUs of the same architecture.
 func Pool(rt *simtime.Virtual, n int, arch Arch, memBytes int64) []*GPU {

@@ -8,6 +8,9 @@
 package hardware
 
 import (
+	"fmt"
+	"math"
+
 	"github.com/minatoloader/minato/internal/device"
 	"github.com/minatoloader/minato/internal/gpu"
 	"github.com/minatoloader/minato/internal/simtime"
@@ -51,6 +54,26 @@ func ConfigB() Config {
 		GPUCount: 8, GPUArch: gpu.V100, GPUMemBytes: 32 * gib,
 		StorageName: "nvme", StorageBandwidth: 7e9, StorageParallelism: 2,
 	}
+}
+
+// Validate reports the first field of c that no testbed can be built from:
+// a core count, GPU count, GPU speed or storage bandwidth that is not
+// positive and finite.
+func (c Config) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"Cores", float64(c.Cores)},
+		{"GPUCount", float64(c.GPUCount)},
+		{"GPUArch.Speed", c.GPUArch.Speed},
+		{"StorageBandwidth", c.StorageBandwidth},
+	} {
+		if !(f.v > 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("%s %v must be positive and finite", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // WithGPUs returns a copy of c with a different GPU count (the Fig 9
@@ -98,4 +121,18 @@ func NewTestbed(rt *simtime.Virtual, cfg Config) *Testbed {
 		Cache: cache,
 		Store: &storage.Store{Disk: disk, Cache: cache},
 	}
+}
+
+// Recycle hands the testbed's per-run storage to the process-wide pools the
+// next run's testbeds draw from: the entries of every device (CPU, GPUs,
+// disk) and the page cache's storage. The owner of the run calls it at
+// teardown, once the run's tasks have exited; a device still occupied keeps
+// its storage, and every part stays usable.
+func (tb *Testbed) Recycle() {
+	tb.CPU.Recycle()
+	for _, g := range tb.GPUs {
+		g.Recycle()
+	}
+	tb.Disk.Recycle()
+	tb.Cache.Recycle()
 }

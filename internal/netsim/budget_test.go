@@ -60,3 +60,41 @@ func TestStarParkBudgetAndEndState(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledFabricLeavesItsFlows: the flow records of a fabric recycled at
+// its run's end, with the selectors they embed, are what a fabric on another
+// kernel takes for its own flows — which complete as they would on fresh
+// records.
+func TestRecycledFabricLeavesItsFlows(t *testing.T) {
+	ctx := context.Background()
+	run := func() (*Fabric, time.Duration) {
+		k := simtime.NewVirtual()
+		f := New(k, Config{Endpoints: 9, Bandwidth: 1e9})
+		k.Run(func() {
+			wg := simtime.NewWaitGroup(k)
+			for src := range 8 {
+				wg.Go("flow", func() { _ = f.Transfer(ctx, src, 8, int64(1+src)<<20) })
+			}
+			_ = wg.Wait(ctx)
+		})
+		return f, k.Now()
+	}
+	first, end := run()
+	recycled := map[*flow]bool{}
+	for _, fl := range first.free {
+		recycled[fl] = true
+	}
+	first.Recycle()
+	next, nextEnd := run()
+	if nextEnd != end {
+		t.Errorf("the run on recycled flows ended at %v, want %v", nextEnd, end)
+	}
+	for _, fl := range next.free {
+		if !recycled[fl] {
+			t.Fatal("a fabric built after a recycled one allocated a flow record")
+		}
+	}
+	if len(next.free) != len(recycled) {
+		t.Errorf("%d flow records in use, want the %d recycled", len(next.free), len(recycled))
+	}
+}

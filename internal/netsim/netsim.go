@@ -97,9 +97,13 @@ type Fabric struct {
 	flowsDone int64
 
 	// free recycles flow records (and the selectors they embed) across Transfer
-	// calls: the steady-state transfer path allocates nothing.
+	// calls: the steady-state transfer path allocates nothing. Fresh records
+	// come from the fabrics recycled before this one (see Recycle).
 	free []*flow
 }
+
+// flowStock holds the flow records of recycled fabrics, process-wide.
+var flowStock = simtime.NewStock[*flow](1 << 12)
 
 // link is one unidirectional NIC attachment.
 type link struct {
@@ -214,6 +218,21 @@ func (f *Fabric) BytesMoved() int64 {
 	return total
 }
 
+// Recycle hands the fabric's flow records, with the selectors they embed, to
+// the fabrics built after it, in this run or another. The owner of the run
+// calls it when the run ends; a fabric with flows in flight keeps its
+// records. The fabric stays usable.
+func (f *Fabric) Recycle() {
+	if len(f.flows) > 0 {
+		return
+	}
+	for i, fl := range f.free {
+		flowStock.Put(fl)
+		f.free[i] = nil
+	}
+	f.free = f.free[:0]
+}
+
 // FlowsCompleted returns how many transfers have retired (finished or
 // cancelled mid-flight).
 func (f *Fabric) FlowsCompleted() int64 { return f.flowsDone }
@@ -251,7 +270,10 @@ func (f *Fabric) Transfer(ctx context.Context, src, dst int, n int64) error {
 	if k := len(f.free); k > 0 {
 		fl, f.free = f.free[k-1], f.free[:k-1]
 	} else {
-		fl = &flow{}
+		var ok bool
+		if fl, ok = flowStock.Get(); !ok {
+			fl = &flow{}
+		}
 		fl.sel.Bind(f.rt)
 	}
 	fl.egress, fl.ingress = 2*src, 2*dst+1

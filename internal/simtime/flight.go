@@ -3,7 +3,9 @@ package simtime
 // Flights is the waiting side of a single-flight protocol keyed by K: while
 // one task, the leader, produces a key's value, the others park until the
 // flight has landed, then look again. Waiters and the lists that hold them
-// are reused from one flight to the next. Task-only; the zero value is ready.
+// are reused from one flight to the next, and from one kernel to the next: a
+// Flights with nothing in flight may be handed to another run (see
+// cache.Pool). Task-only; the zero value is ready.
 type Flights[K comparable] struct {
 	m     map[K][]*Waiter
 	idle  []*Waiter
@@ -24,6 +26,7 @@ func (f *Flights[K]) Join(key K, rt *Virtual) *Waiter {
 	var w *Waiter
 	if n := len(f.idle); n > 0 {
 		w, f.idle = f.idle[n-1], f.idle[:n-1]
+		w.sel.Bind(rt)
 		w.sel.Reset()
 	} else {
 		w = rt.NewWaiter()

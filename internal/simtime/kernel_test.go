@@ -457,6 +457,41 @@ func TestDoorEntryAllocations(t *testing.T) {
 	}
 }
 
+// TestRecycledKernelQueues: a kernel recycled at its run's teardown hands
+// its ready queue, timer heap and task list to the next NewVirtual, which
+// runs the same shape without growing them; the recycled kernel stays
+// usable.
+func TestRecycledKernelQueues(t *testing.T) {
+	ctx := context.Background()
+	run := func(k *Virtual) {
+		k.Run(func() {
+			wg := NewWaitGroup(k)
+			for i := range 64 {
+				wg.Go("sleeper", func() { _ = k.Sleep(ctx, time.Duration(1+i%3)*time.Millisecond) })
+			}
+			_ = wg.Wait(ctx)
+		})
+	}
+	first := NewVirtual()
+	run(first)
+	grown := [3]int{cap(first.ready), cap(first.timers), cap(first.live)}
+	first.Recycle()
+	if first.ready != nil || first.timers != nil || first.live != nil {
+		t.Fatal("a recycled kernel kept its queues")
+	}
+	next := NewVirtual()
+	if got := [3]int{cap(next.ready), cap(next.timers), cap(next.live)}; got != grown {
+		t.Fatalf("a kernel built after a recycled one starts with queues of %v, want %v", got, grown)
+	}
+	run(next)
+	if got := [3]int{cap(next.ready), cap(next.timers), cap(next.live)}; got != grown {
+		t.Errorf("the same run grew the queues to %v, from %v", got, grown)
+	}
+	run(first) // still usable
+	next.Recycle()
+	first.Recycle()
+}
+
 // TestParkOutsideATaskPanics: the goroutine kernel let an untracked
 // goroutine park and silently corrupted its runnable count.
 func TestParkOutsideATaskPanics(t *testing.T) {

@@ -22,7 +22,7 @@ import (
 func TestTaskOnlyPackagesImportNoSync(t *testing.T) {
 	kept := map[string]struct{ imports, caller string }{
 		"simtime/door.go":      {"sync sync/atomic", "the inbox every goroutine that is not a task enters through"},
-		"simtime/freelist.go":  {"sync", "the coroutine free list, shared by every kernel in the process"},
+		"simtime/freelist.go":  {"sync", "Stock: the coroutine free list and the storage runs recycle, shared by every kernel in the process"},
 		"simtime/virtual.go":   {"sync/atomic", "Virtual.now, read by Now from any goroutine"},
 		"trace/trace.go":       {"sync", "Recorder: snapshot and export run while sessions record"},
 		"data/data.go":         {"sync/atomic", "a batch's release word: the iterator releases the last batch after its stream left the kernel"},

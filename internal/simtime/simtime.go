@@ -97,7 +97,7 @@ func WithCancel(rt *Virtual, parent context.Context) (context.Context, context.C
 	if parent.Done() == nil {
 		// Only the function below can end ctx, and it polls: park sees the
 		// context as hooked already.
-		rt.hooks[ctx.Done()] = nil
+		rt.hook(ctx.Done(), nil)
 	}
 	return ctx, func() { cancel(); rt.pollCancelled() }
 }

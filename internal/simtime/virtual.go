@@ -53,11 +53,45 @@ type KernelStats struct {
 	Retimes    uint64 // deadlines moved under a parked task (Selector.Retime)
 }
 
-// NewVirtual returns a virtual runtime starting at time zero.
+// queues is the storage of a kernel's ready queue, timer heap, task list and
+// cancellation hooks: what Recycle hands from a retired kernel to a new one.
+type queues struct {
+	ready, live []*task
+	timers      timerHeap
+	hooks       map[<-chan struct{}]func() bool
+}
+
+// retired holds the queues of recycled kernels, process-wide.
+var retired = NewStock[queues](64)
+
+// NewVirtual returns a virtual runtime starting at time zero. Its queues
+// start with the storage of a kernel recycled before it, if there is one.
 func NewVirtual() *Virtual {
-	k := &Virtual{hooks: make(map[<-chan struct{}]func() bool)}
+	k := &Virtual{}
+	if q, ok := retired.Get(); ok {
+		k.ready, k.live, k.timers, k.hooks = q.ready, q.live, q.timers, q.hooks
+	}
 	k.door.inbox, k.door.spare = k.door.bufs[0][:0], k.door.bufs[1][:0]
 	return k
+}
+
+// Recycle hands the storage of the kernel's queues to the next NewVirtual, in
+// this goroutine or any other. It is for the kernel's owner, at the teardown
+// of its run: like Drain it waits for every task to exit first, so it is not
+// for tasks, posted functions or a kernel a server's daemons still live on.
+// A kernel that was entered again meanwhile keeps its storage. The kernel
+// stays usable, growing new storage if it runs again.
+func (k *Virtual) Recycle() {
+	k.Drain()
+	d := &k.door
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.looping || len(k.live) > 0 {
+		return
+	}
+	k.unhook()
+	retired.Put(queues{ready: k.ready[:0], live: k.live[:0], timers: k.timers[:0], hooks: k.hooks})
+	k.ready, k.rhead, k.live, k.timers, k.hooks = nil, 0, nil, nil, nil
 }
 
 // Trace returns the recorder every layer on this kernel records its spans
@@ -141,7 +175,7 @@ func (k *Virtual) park(ctx context.Context, on string, d time.Duration, s *Selec
 	if t.done != nil {
 		if _, hooked := k.hooks[t.done]; !hooked {
 			// For cancellations the kernel cannot see happen.
-			k.hooks[t.done] = context.AfterFunc(ctx, k.cancelled)
+			k.hook(t.done, context.AfterFunc(ctx, k.cancelled))
 		}
 		k.cancelIfDone(t) // already cancelled: straight to the ready queue
 	}
@@ -157,6 +191,25 @@ func (k *Virtual) park(ctx context.Context, on string, d time.Duration, s *Selec
 	}
 	cancelled, t.cancelled = t.cancelled, false
 	return cancelled
+}
+
+// hook records the cancellation hook of a Done channel.
+func (k *Virtual) hook(done <-chan struct{}, stop func() bool) {
+	if k.hooks == nil {
+		k.hooks = make(map[<-chan struct{}]func() bool)
+	}
+	k.hooks[done] = stop
+}
+
+// unhook drops every cancellation hook, so that a long-lived context does not
+// pin an idle kernel.
+func (k *Virtual) unhook() {
+	for done, stop := range k.hooks {
+		if stop != nil {
+			stop()
+		}
+		delete(k.hooks, done)
+	}
 }
 
 // makeReady appends t to the ready queue: it runs at the current instant,
@@ -303,13 +356,7 @@ func (k *Virtual) finish(t *task, reuse bool) {
 		k.daemons--
 	}
 	if last == 0 {
-		// So that a long-lived context does not pin an idle kernel.
-		for done, stop := range k.hooks {
-			if stop != nil {
-				stop()
-			}
-			delete(k.hooks, done)
-		}
+		k.unhook()
 	}
 	t.k, t.name = nil, ""
 	if reuse {

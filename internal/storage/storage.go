@@ -99,6 +99,9 @@ func (d *Disk) ScheduleSlowdown(at time.Duration, factor float64) {
 // BytesRead returns the cumulative bytes transferred (completed reads).
 func (d *Disk) BytesRead() int64 { return d.bytesRead }
 
+// Recycle hands the disk's device storage to later runs (device.Recycle).
+func (d *Disk) Recycle() { d.dev.Recycle() }
+
 // PageCache is the OS page cache: raw sample bytes by storage key, with a
 // byte capacity, evicting least-recently-used entries (internal/cache's LRU
 // policy, with its soft per-tenant partition). Its fills are single-flighted:

@@ -528,9 +528,10 @@ func Simulate(cfg hardware.Config, w workload.Workload, f Factory, p Params) (*R
 		rep, err = Run(k, tb, w, f, p)
 	})
 	k.Drain()
-	// The testbed dies with this call: hand its cache storage to the pools
-	// so the next session starts warm.
-	tb.Cache.Recycle()
+	// The testbed and the kernel die with this call: hand their storage to
+	// the pools so the next run starts warm.
+	tb.Recycle()
+	k.Recycle()
 	return rep, err
 }
 

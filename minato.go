@@ -211,9 +211,8 @@ type EnvConfig struct {
 	CacheBytes int64
 }
 
-// buildEnv builds the machine cfg sizes on kernel rt, returning the disk and
-// cache beside the Env so the cluster can report storage statistics.
-func buildEnv(rt *simtime.Virtual, cfg EnvConfig) (*Env, *storage.Disk, *storage.PageCache) {
+// buildEnv builds the machine cfg sizes on kernel rt.
+func buildEnv(rt *simtime.Virtual, cfg EnvConfig) *hardware.Testbed {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 8
 	}
@@ -228,12 +227,12 @@ func buildEnv(rt *simtime.Virtual, cfg EnvConfig) (*Env, *storage.Disk, *storage
 	}
 	disk := storage.NewDisk(rt, "disk", cfg.DiskBandwidth, 2)
 	cache := storage.NewPageCache(cfg.CacheBytes)
-	env := &Env{
+	return &hardware.Testbed{
 		RT:    rt,
 		CPU:   device.New(rt, "cpu", float64(cfg.Cores)),
 		GPUs:  gpu.Pool(rt, cfg.GPUs, gpu.A100, 40<<30),
+		Disk:  disk,
+		Cache: cache,
 		Store: &storage.Store{Disk: disk, Cache: cache},
-		WG:    simtime.NewWaitGroup(rt),
 	}
-	return env, disk, cache
 }

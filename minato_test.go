@@ -95,15 +95,15 @@ func TestDatasetHelpers(t *testing.T) {
 
 // TestNewEnvDefaults checks the machine WithEnv(EnvConfig{}) sizes.
 func TestNewEnvDefaults(t *testing.T) {
-	env, _, _ := buildEnv(simtime.NewVirtual(), EnvConfig{})
-	if env.CPU.Capacity() != 8 {
-		t.Fatalf("default cores = %v", env.CPU.Capacity())
+	tb := buildEnv(simtime.NewVirtual(), EnvConfig{})
+	if tb.CPU.Capacity() != 8 {
+		t.Fatalf("default cores = %v", tb.CPU.Capacity())
 	}
-	if len(env.GPUs) != 1 {
-		t.Fatalf("default GPUs = %d", len(env.GPUs))
+	if len(tb.GPUs) != 1 {
+		t.Fatalf("default GPUs = %d", len(tb.GPUs))
 	}
-	if env.Store == nil || env.WG == nil {
-		t.Fatal("env not fully wired")
+	if tb.Store == nil || tb.Disk == nil || tb.Cache == nil {
+		t.Fatal("machine not fully wired")
 	}
 }
 

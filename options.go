@@ -168,6 +168,11 @@ func build(at entry, opts []Option) (*options, error) {
 // validate checks option values and conflicts. A field no in-scope option
 // could have set is at its default and passes.
 func (o *options) validate() error {
+	if o.hw != nil {
+		if err := o.hw.Validate(); err != nil {
+			return configErr("WithHardware", err.Error())
+		}
+	}
 	switch {
 	case o.batchSize < 0:
 		return configErr("WithBatchSize", fmt.Sprintf("batch size %d < 0", o.batchSize))

@@ -68,7 +68,7 @@ func (r matrixResult) gpus() int {
 	case r.rep != nil:
 		return r.rep.GPUs
 	default:
-		return len(r.cl.gpus)
+		return len(r.cl.tb.GPUs)
 	}
 }
 
@@ -584,4 +584,46 @@ func readmeScopeTable(t *testing.T) map[string]entry {
 		table[row[0]] = scope
 	}
 	return table
+}
+
+// TestBadHardwareIsConfigError: a testbed no device can be built from is
+// refused at every entry that takes WithHardware, as a *ConfigError naming
+// the option and the field, instead of crashing a kernel task (no GPU to
+// split an epoch over, no core for the CPU device) or running on a disk
+// that reads in zero time.
+func TestBadHardwareIsConfigError(t *testing.T) {
+	speech := SpeechWorkload(1, 0).WithIterations(4)
+	bad := map[string]HardwareConfig{}
+	cfg := ConfigA()
+	bad["GPUCount"] = cfg.WithGPUs(0)
+	cfg.Cores = 0
+	bad["Cores"] = cfg
+	cfg = ConfigA()
+	cfg.StorageBandwidth = 0
+	bad["StorageBandwidth"] = cfg
+	entries := map[string]func(HardwareConfig) error{
+		"Train": func(hw HardwareConfig) error {
+			_, err := Train(speech, WithHardware(hw))
+			return err
+		},
+		"Train (multi-node)": func(hw HardwareConfig) error {
+			_, err := Train(speech, WithNodes(2), WithHardware(hw))
+			return err
+		},
+		"NewCluster": func(hw HardwareConfig) error {
+			cl, err := NewCluster(WithHardware(hw))
+			if err == nil {
+				cl.Close()
+			}
+			return err
+		},
+	}
+	for field, hw := range bad {
+		for entry, call := range entries {
+			var ce *ConfigError
+			if err := call(hw); !errors.As(err, &ce) || ce.Option != "WithHardware" || !strings.Contains(ce.Reason, field) {
+				t.Errorf("%s with a bad %s: %v, want a *ConfigError naming WithHardware and %s", entry, field, err, field)
+			}
+		}
+	}
 }

@@ -292,7 +292,7 @@ func serve(cl *Cluster, sn *ServiceNet, o *options) (*ServerAddr, error) {
 	}
 	fleet := sn.net.RegisterServer(ep)
 	events := script.Sorted()
-	chaos.InstallDiskTimeline(events, cl.disk)
+	chaos.InstallDiskTimeline(events, cl.tb.Disk)
 	var link []ChaosEvent
 	for _, ev := range events {
 		if ev.Kind == ChaosLinkDegrade || ev.Kind == ChaosLinkRestore {

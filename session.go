@@ -350,7 +350,7 @@ func (s *Session) publish() {
 	s.usageMu.Lock()
 	st := &s.stats
 	if !s.released {
-		st.Cache, st.MatCache = s.cl.cache.TenantStats(s.cacheTenant), s.cl.mat.TenantStats(s.cacheTenant)
+		st.Cache, st.MatCache = s.cl.tb.Cache.TenantStats(s.cacheTenant), s.cl.mat.TenantStats(s.cacheTenant)
 		s.disk = s.env.Store.DiskBytes
 	}
 	st.WorkerQuota = s.share.WorkerQuota()
