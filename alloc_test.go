@@ -2,6 +2,8 @@ package minato
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -28,16 +30,93 @@ func (d allocDataset) FillSample(epoch, i int, s *Sample) {
 	s.RawBytes, s.Bytes = 1<<20, 1<<20
 }
 
+// servedClient is one dialed client of a served round: the session, and
+// what its Close and Stats returned.
+type servedClient struct {
+	rs    *RemoteSession
+	rep   *Report
+	stats RemoteStats
+}
+
+// servedRound is one whole served run, the benchmark's serve shape at the
+// given client count: a fabric, a cluster and a server of its own; clients
+// dialed with seeds seed, seed+1, ..., in waves that each dial, drain side
+// by side and close before the next dials; the server and the cluster
+// closed. A stream's server-side shell is recycled when the stream ends, so
+// a later wave's streams run on the shells of an earlier one's. Each
+// client's final batch goes to keep when it is non-nil, instead of being
+// released.
+func servedRound(seed uint64, clients, waves int, keep func(*Batch)) ([]servedClient, *Cluster, error) {
+	sn := NewServiceNet(nil, ServiceNetConfig{Endpoints: 8 + 4*clients})
+	cl, err := NewCluster(WithRuntime(sn.Runtime()), WithEnv(EnvConfig{Cores: 8, GPUs: 1}))
+	if err != nil {
+		return nil, nil, err
+	}
+	addr, err := Serve(cl, WithServiceNet(sn),
+		Publish("train", allocDataset{n: 2048}, flatPipeline(time.Millisecond)))
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]servedClient, clients)
+	errs := make([]error, clients)
+	per := clients / waves
+	for w := 0; w < clients; w += per {
+		sessions := make([]*RemoteSession, per)
+		for i := range sessions {
+			if sessions[i], err = Dial(addr, WithBatchSize(32), WithIterations(8),
+				WithSeed(seed+uint64(w+i)), WithPrefetch(4)); err != nil {
+				return nil, nil, err
+			}
+		}
+		StreamAll(context.Background(), sessions, func(i int, rs *RemoteSession) {
+			n := 0
+			var last *Batch
+			for b, err := range rs.Batches(context.Background()) {
+				if err != nil {
+					errs[w+i] = err
+					return
+				}
+				n, last = n+1, b
+			}
+			if n != 8 {
+				errs[w+i] = fmt.Errorf("client %d: delivered %d batches, want 8", w+i, n)
+			}
+			if keep != nil {
+				keep(last)
+			} else {
+				last.Release()
+			}
+		})
+		for i, rs := range sessions {
+			c := &out[w+i]
+			c.rs, c.stats = rs, rs.Stats()
+			if c.rep, err = rs.Close(); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	if err := errors.Join(errs...); err != nil {
+		return nil, nil, err
+	}
+	addr.Close()
+	cl.Close()
+	return out, cl, nil
+}
+
 // TestSessionOpenAllocations pins what a session costs the allocator from
 // open to close, counted per session over rounds of 32 concurrent ones: a
-// dialed stream (Dial, drain, RemoteSession.Close) on a served 8-core
-// cluster, and a local one (Cluster.Open, drain, Session.Close). The data
-// path allocates nothing per sample, so the count is the session's own
-// objects: the loader and its queues, the stream's client and server state,
-// the facade's holders. Every round draws the same seeds; a warm-up round
-// fills the process-wide free lists and shuffle cache first; the GC stays
-// off so the sync.Pools keep what it left; the least of three rounds is
-// what is pinned.
+// dialed stream (Dial, drain, RemoteSession.Close) on a long-lived served
+// 8-core cluster, the same over a whole served run (servedRound: fabric,
+// cluster, server and their teardown, a 32nd of which each stream carries),
+// and a local one (Cluster.Open, drain, Session.Close). The data path
+// allocates nothing per sample, so the count is the session's own objects:
+// the loader and its queues, the stream's client and server state, the
+// facade's holders. A stream's server-side shell — its session, loader and
+// rings — is recycled when the stream ends, so a later stream of any
+// server, the same one included, reuses it. Every round draws the same
+// seeds; a warm-up round fills the process-wide free lists and shuffle cache
+// first; the GC stays off so the sync.Pools that remain keep what it left;
+// the least of three rounds is what is pinned.
 func TestSessionOpenAllocations(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("under the race detector sync.Pool drops a random quarter of what it is given")
@@ -62,7 +141,7 @@ func TestSessionOpenAllocations(t *testing.T) {
 	}
 
 	t.Run("served", func(t *testing.T) {
-		const maxPerStream = 55
+		const maxPerStream = 25
 		sn := NewServiceNet(nil, ServiceNetConfig{Endpoints: 8 + 4*clients})
 		cl := serveCluster(t, sn)
 		defer cl.Close()
@@ -93,6 +172,19 @@ func TestSessionOpenAllocations(t *testing.T) {
 		t.Logf("%.1f allocations per dialed stream (pin %d)", per, maxPerStream)
 		if per > maxPerStream {
 			t.Errorf("%.1f allocations per dialed stream, want at most %d", per, maxPerStream)
+		}
+	})
+
+	t.Run("served-run", func(t *testing.T) {
+		const maxPerStream = 30
+		per := perSession(func() {
+			if _, _, err := servedRound(1, clients, 1, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%.1f allocations per dialed stream of a whole served run (pin %d)", per, maxPerStream)
+		if per > maxPerStream {
+			t.Errorf("%.1f allocations per dialed stream of a whole served run, want at most %d", per, maxPerStream)
 		}
 	})
 
@@ -215,50 +307,170 @@ func TestRunAllocations(t *testing.T) {
 	}
 }
 
-// TestSharedPoolsConcurrentRuns: two goroutines run Train back to back, each
-// on the kernels its own runs own, with different seeds, so both draw from
-// and recycle into the same process-wide pools at once. Every report equals
-// the one the same run gave alone: storage one run recycled is never handed
-// to another that is still live. Its proof is the race detector.
+// TestSharedPoolsConcurrentRuns: two goroutines run back to back, each on
+// the kernels its own runs own, with different seeds, so both draw from and
+// recycle into the same process-wide pools at once. Every result equals the
+// one the same run gave alone: storage one run recycled is never handed to
+// another that is still live. Its proof is the race detector.
 func TestSharedPoolsConcurrentRuns(t *testing.T) {
-	type run struct {
-		w    Workload
-		opts []Option
-	}
-	runs := func(seed uint64) []run {
-		chaosW, chaosOpts := chaosEightNodes(seed, 4)
-		return []run{
-			{SpeechWorkload(seed, 3*time.Second).WithIterations(40), []Option{WithHardware(ConfigA())}},
-			{chaosW, chaosOpts},
-		}
-	}
-	train := func(r run) *Report {
-		rep, err := Train(r.w, r.opts...)
-		if err != nil {
-			t.Error(err)
-		}
-		return rep
-	}
 	seeds := []uint64{1, 2}
-	solo := map[uint64][]*Report{}
-	for _, seed := range seeds {
-		for _, r := range runs(seed) {
-			solo[seed] = append(solo[seed], train(r))
+	// concurrently runs rounds(seed) three times in each of two goroutines.
+	concurrently := func(round func(seed uint64, n int)) {
+		var wg sync.WaitGroup
+		for _, seed := range seeds {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for n := range 3 {
+					round(seed, n)
+				}
+			}()
 		}
+		wg.Wait()
 	}
-	var wg sync.WaitGroup
-	for _, seed := range seeds {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := range 3 {
-				for i, r := range runs(seed) {
-					if rep := train(r); !reflect.DeepEqual(rep, solo[seed][i]) {
-						t.Errorf("seed %d, round %d, run %d: the report differs from the run's solo report", seed, round, i)
+
+	// Training runs: a 4-GPU machine and 8 nodes under chaos.
+	t.Run("train", func(t *testing.T) {
+		type run struct {
+			w    Workload
+			opts []Option
+		}
+		runs := func(seed uint64) []run {
+			chaosW, chaosOpts := chaosEightNodes(seed, 4)
+			return []run{
+				{SpeechWorkload(seed, 3*time.Second).WithIterations(40), []Option{WithHardware(ConfigA())}},
+				{chaosW, chaosOpts},
+			}
+		}
+		train := func(r run) *Report {
+			rep, err := Train(r.w, r.opts...)
+			if err != nil {
+				t.Error(err)
+			}
+			return rep
+		}
+		solo := map[uint64][]*Report{}
+		for _, seed := range seeds {
+			for _, r := range runs(seed) {
+				solo[seed] = append(solo[seed], train(r))
+			}
+		}
+		concurrently(func(seed uint64, round int) {
+			for i, r := range runs(seed) {
+				if rep := train(r); !reflect.DeepEqual(rep, solo[seed][i]) {
+					t.Errorf("seed %d, round %d, run %d: the report differs from the run's solo report", seed, round, i)
+				}
+			}
+		})
+	})
+
+	// Served runs: each a fabric, cluster and server of its own with 32
+	// dialed clients, in one wave and in two. Their server-side sessions,
+	// loaders and rings come from the shells that streams ended before them
+	// recycled: an earlier run's, or in the two-wave run the first wave's on
+	// the same server. A closed RemoteSession's Stats stay what they were
+	// after later runs reuse the server-side state of its stream.
+	t.Run("served", func(t *testing.T) {
+		const clients = 32
+		waves := []int{1, 2}
+		solo := map[uint64][][]servedClient{}
+		for _, seed := range seeds {
+			for _, w := range waves {
+				got, _, err := servedRound(100*seed, clients, w, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				solo[seed] = append(solo[seed], got)
+			}
+		}
+		concurrently(func(seed uint64, round int) {
+			for j, w := range waves {
+				got, _, err := servedRound(100*seed, clients, w, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i, c := range got {
+					want := solo[seed][j][i]
+					if !reflect.DeepEqual(c.rep, want.rep) || !reflect.DeepEqual(c.stats, want.stats) {
+						t.Errorf("seed %d, round %d, %d waves, client %d: the report or stats differ from the solo run's", seed, round, w, i)
 					}
 				}
 			}
-		}()
+		})
+		for _, seed := range seeds {
+			for _, run := range solo[seed] {
+				for i, c := range run {
+					if st := c.rs.Stats(); !reflect.DeepEqual(st, c.stats) {
+						t.Errorf("seed %d, client %d: a closed session's Stats changed after later runs: %+v, was %+v", seed, i, st, c.stats)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestServedSamplesSurviveGC: a served run draws its samples from free lists
+// the GC never empties. After a warm run and two forced collections, a
+// 32-client served run takes every sample it uses from storage that an
+// earlier run released: no Get allocates a fresh one.
+func TestServedSamplesSurviveGC(t *testing.T) {
+	if _, _, err := servedRound(1, 32, 1, nil); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
+	runtime.GC()
+	runtime.GC()
+	_, cl, err := servedRound(1, 32, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := cl.Stats().Pool
+	t.Logf("pool after a GC: %+v", st)
+	if st.Gets == 0 || st.Reuses != st.Gets {
+		t.Errorf("%d of %d sample gets reused one an earlier run released, want all", st.Reuses, st.Gets)
+	}
+	if st.Puts != st.Gets {
+		t.Errorf("pool gets %d != puts %d after Close", st.Gets, st.Puts)
+	}
+}
+
+// TestServedLateReleaseAfterTeardown: a consumer may keep its final batch
+// past its server's and cluster's Close and release it later. Until then its
+// samples stay its own — live at the generation they were delivered at,
+// though later runs recycle what the teardown handed back — and the release
+// balances the pool.
+func TestServedLateReleaseAfterTeardown(t *testing.T) {
+	type held struct {
+		s   *Sample
+		gen uint32
+	}
+	var batches []*Batch
+	var samples []held
+	_, cl, err := servedRound(1, 8, 1, func(b *Batch) {
+		batches = append(batches, b)
+		for _, s := range b.Samples {
+			samples = append(samples, held{s, s.Generation()})
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batches) != 8 {
+		t.Fatalf("kept %d final batches, want 8", len(batches))
+	}
+	// Later runs draw from the stocks the teardown filled.
+	for seed := uint64(2); seed < 4; seed++ {
+		if _, _, err := servedRound(seed, 8, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, h := range samples {
+		h.s.AssertOwned(h.gen)
+	}
+	for _, b := range batches {
+		b.Release()
+	}
+	if st := cl.Stats().Pool; st.Gets != st.Puts {
+		t.Errorf("after the late release: pool gets %d != puts %d", st.Gets, st.Puts)
+	}
 }

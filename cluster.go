@@ -6,11 +6,11 @@ import (
 
 	"github.com/minatoloader/minato/internal/cache"
 	"github.com/minatoloader/minato/internal/data"
-	"github.com/minatoloader/minato/internal/gpu"
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loader"
 	"github.com/minatoloader/minato/internal/matcache"
 	"github.com/minatoloader/minato/internal/simtime"
+	"github.com/minatoloader/minato/internal/storage"
 	"github.com/minatoloader/minato/internal/trainer"
 )
 
@@ -272,22 +272,15 @@ func (c *Cluster) open(dataset Dataset, o *options, ownsCluster, served bool) (*
 	if wait != nil || err != nil {
 		return nil, wait, err
 	}
-	share := c.join(o.weight)
-	cacheTenant := c.tenants.Join()
-	gpuIdxs := c.acquireGPUs(gpuCount)
-
-	s := &Session{
-		cl:          c,
-		ownsCluster: ownsCluster,
-		served:      served,
-		cacheTenant: cacheTenant,
-		share:       share,
-		gpuIdxs:     gpuIdxs,
-		factory:     f,
-		spec:        spec,
-		script:      script,
+	var s *Session
+	if served {
+		s = servedSession()
+	} else {
+		s = new(Session)
 	}
-	c.sessionEnv(&s.env, gpuIdxs, cacheTenant, share)
+	s.cl, s.ownsCluster, s.served = c, ownsCluster, served
+	s.factory, s.spec, s.script = f, spec, script
+	c.seat(&s.seat, o.weight, gpuCount)
 	s.ld = f.New(&s.env, spec)
 	s.name = f.Name
 	if s.name == "" {
@@ -367,15 +360,10 @@ func (c *Cluster) train(w Workload, o *options) (*Report, error) {
 			if _, wait, err = c.admit(); wait != nil || err != nil {
 				return
 			}
-			share := c.join(o.weight)
-			gpuIdxs := c.acquireGPUs(gpuCount)
-			cacheTenant := c.tenants.Join()
-			env := new(Env)
-			c.sessionEnv(env, gpuIdxs, cacheTenant, share)
-			rep, err = trainer.RunEnv(env, w, f, o.params)
-			c.tenants.Leave(cacheTenant)
-			c.releaseGPUs(gpuIdxs)
-			c.leave(share)
+			st := new(seat)
+			c.seat(st, o.weight, gpuCount)
+			rep, err = trainer.RunEnv(&st.env, w, f, o.params)
+			c.unseat(st)
 			c.release()
 		})
 		return wait
@@ -383,16 +371,35 @@ func (c *Cluster) train(w Workload, o *options) (*Report, error) {
 	return rep, err
 }
 
-// join and leave enter and leave the fair worker arbitration; every open
-// session then publishes its rebalanced quota. On the kernel.
-func (c *Cluster) join(weight float64) *clusterShare {
-	share := c.shares.Join(weight)
-	c.republish()
-	return share
+// seat is a session's place on the shared machine: its worker share, its
+// cache tenancy, its GPUs, and its view of the substrate, together with the
+// values that view points into — its tenant store and its task group — so
+// one allocation holds all of it and a recycled session keeps their storage.
+type seat struct {
+	share       clusterShare
+	cacheTenant int
+	gpuIdxs     []int
+	env         Env // the loader's, which holds its address
+	store       storage.Store
+	wg          simtime.WaitGroup
 }
 
-func (c *Cluster) leave(share *clusterShare) {
-	share.Leave()
+// seat gives a session its place: it joins the fair worker arbitration
+// (every open session then publishes its rebalanced quota) and the cache
+// tenancy, and is placed on gpus GPUs. unseat takes the place back. On the
+// kernel.
+func (c *Cluster) seat(st *seat, weight float64, gpus int) {
+	c.shares.Join(&st.share, weight)
+	c.republish()
+	st.cacheTenant = c.tenants.Join()
+	st.gpuIdxs = c.acquireGPUs(slices.Grow(st.gpuIdxs[:0], gpus), gpus)
+	c.sessionEnv(st)
+}
+
+func (c *Cluster) unseat(st *seat) {
+	c.tenants.Leave(st.cacheTenant)
+	c.releaseGPUs(st.gpuIdxs)
+	st.share.Leave()
 	c.republish()
 }
 
@@ -416,21 +423,19 @@ func (c *Cluster) sessionGPUs(requested int) (int, error) {
 
 // acquireGPUs places a session on the n least-loaded GPUs (ties broken by
 // device index, so placement is deterministic for a deterministic open
-// order) and returns the chosen indices. releaseGPUs undoes the placement.
-func (c *Cluster) acquireGPUs(n int) []int {
-	idxs := make([]int, 0, n)
-	taken := make([]bool, len(c.gpuLoad))
-	for len(idxs) < n {
+// order) and appends the chosen indices to idxs. releaseGPUs undoes the
+// placement.
+func (c *Cluster) acquireGPUs(idxs []int, n int) []int {
+	for range n {
 		best := -1
 		for i, load := range c.gpuLoad {
-			if taken[i] {
+			if slices.Contains(idxs, i) {
 				continue
 			}
 			if best < 0 || load < c.gpuLoad[best] {
 				best = i
 			}
 		}
-		taken[best] = true
 		c.gpuLoad[best]++
 		idxs = append(idxs, best)
 	}
@@ -443,22 +448,24 @@ func (c *Cluster) releaseGPUs(idxs []int) {
 	}
 }
 
-// sessionEnv fills env, a session's view of the shared substrate: shared
+// sessionEnv fills st.env, a session's view of the shared substrate: shared
 // runtime, CPU, the placed GPUs, disk, cache (tenant-routed), and pool; a
 // private WaitGroup for teardown; the tenant's worker-quota governor.
-func (c *Cluster) sessionEnv(env *Env, gpuIdxs []int, cacheTenant int, share *clusterShare) {
-	gpus := make([]*gpu.GPU, len(gpuIdxs))
-	for i, g := range gpuIdxs {
-		gpus[i] = c.tb.GPUs[g]
+func (c *Cluster) sessionEnv(st *seat) {
+	gpus := slices.Grow(st.env.GPUs[:0], len(st.gpuIdxs))
+	for _, g := range st.gpuIdxs {
+		gpus = append(gpus, c.tb.GPUs[g])
 	}
-	*env = Env{
+	st.store = c.tb.Store.WithTenant(st.cacheTenant)
+	st.wg.Init(c.rt.k)
+	st.env = Env{
 		RT:    c.rt.k,
 		CPU:   c.tb.CPU,
 		GPUs:  gpus,
-		Store: c.tb.Store.WithTenant(cacheTenant),
-		WG:    simtime.NewWaitGroup(c.rt.k),
+		Store: &st.store,
+		WG:    &st.wg,
 		Pool:  c.pool,
-		Gov:   share,
+		Gov:   &st.share,
 		Mat:   c.mat,
 	}
 }
@@ -494,15 +501,13 @@ func (c *Cluster) release() {
 	}
 }
 
-// releaseSession ends a session's tenancy: it leaves the session set, its
-// GPUs and the worker arbitration, and frees its slot (the session has left
-// the caches itself). On the kernel.
+// releaseSession ends a session's tenancy: it leaves the session set and
+// its seat, and frees its slot. On the kernel.
 func (c *Cluster) releaseSession(s *Session) {
 	if i := slices.Index(c.sessions, s); i >= 0 {
 		c.sessions = slices.Delete(c.sessions, i, i+1)
 	}
-	c.releaseGPUs(s.gpuIdxs)
-	c.leave(s.share)
+	c.unseat(&s.seat)
 	c.release()
 }
 
@@ -547,6 +552,7 @@ func (c *Cluster) reclaim() (drain bool) {
 
 func (c *Cluster) recycle() {
 	c.tb.Recycle()
+	c.pool.Recycle()
 	if c.mat != nil {
 		c.mat.Recycle()
 	}

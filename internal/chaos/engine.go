@@ -17,7 +17,7 @@ import (
 // stops its engine on a kernel task.
 type Engine struct {
 	stopped bool
-	cancel  context.CancelFunc
+	scope   simtime.CancelScope
 }
 
 // StartEngine launches the replay task on wg (no-op returning nil when
@@ -27,8 +27,8 @@ func StartEngine(rt *simtime.Virtual, wg *simtime.WaitGroup, events []Event, app
 	if len(events) == 0 {
 		return nil
 	}
-	ctx, cancel := simtime.WithCancel(rt, context.Background())
-	e := &Engine{cancel: cancel}
+	e := new(Engine)
+	ctx := e.scope.Begin(rt, context.Background())
 	wg.Go("chaos-engine", func() {
 		for _, ev := range events {
 			if d := ev.At - rt.Now(); d > 0 {
@@ -55,7 +55,7 @@ func (e *Engine) Stop() {
 		return
 	}
 	e.stopped = true
-	e.cancel()
+	e.scope.Cancel()
 }
 
 // Pauser gates training consumers for session preemption: consumers call

@@ -117,13 +117,12 @@ func (c *Config) fillDefaults() {
 // Loader is MinatoLoader. Its parts — index stream, queues, profiler,
 // scheduler, gate, the constructors' selectors — are values inside it, so a
 // loader costs a handful of allocations (itself, its queues' item rings, the
-// per-GPU lanes, the profiler's window) however many parts it has.
+// per-GPU lanes, the profiler's window) however many parts it has, and one
+// its owner recycled (Recycle) costs none: New hands it out again with that
+// storage.
 type Loader struct {
-	env  *loader.Env
-	spec loader.Spec
-	cfg  Config
+	run // what New resets on every use
 
-	idx   loader.IndexSource
 	fastQ queue.Queue[*data.Sample]
 	slowQ queue.Queue[*data.Sample]
 	// tempQ parks timed-out samples for background completion; each carries
@@ -133,6 +132,21 @@ type Loader struct {
 
 	profiler Profiler
 	sched    Scheduler
+
+	// worker is the body spawnWorker hands every worker task: work under
+	// runCtx. Built once per Loader, so neither the adaptive scheduler's
+	// respawns — a steady trickle over a run — nor a recycled loader's next
+	// run allocate one.
+	worker func()
+}
+
+// run is a loader's per-run state, zeroed by New.
+type run struct {
+	env  *loader.Env
+	spec loader.Spec
+	cfg  Config
+
+	idx loader.IndexSource
 
 	// mat is the cluster's materialized preprocessed-sample cache (nil
 	// disables the warm path); matSig keys this loader's entries by its
@@ -162,34 +176,55 @@ type Loader struct {
 	claims  int64
 	ordered *orderedBuffer // OrderPreserving mode only
 
-	// worker is the body spawnWorker hands every worker task, bound to
-	// workerCtx.
-	worker    func()
-	workerCtx context.Context
-
+	// runCtx is the context every task of the run parks under: scope's,
+	// once Start has begun it. Stop cancels the scope.
+	runCtx   context.Context
+	scope    simtime.CancelScope
 	stopFlag bool
-	cancel   context.CancelFunc
 }
 
-// lane is one GPU's delivery: its batch queue, and the selector its batch
-// constructor parks on.
+// lane is one GPU's delivery: its batch queue, the selector its batch
+// constructor parks on, and that constructor's body, built once per lane.
 type lane struct {
 	batches queue.Queue[*data.Batch]
 	sel     simtime.Selector
+	l       *Loader
+	g       int
+	body    func()
 }
 
-// New returns a MinatoLoader over the given spec.
+func (ln *lane) construct() { ln.l.batchConstructor(ln.l.runCtx, ln.g) }
+
+// stock holds the loaders their owners recycled, for New to hand out again.
+var stock = simtime.NewStock[*Loader](512)
+
+// New returns a MinatoLoader over the given spec: a recycled one, if an
+// owner recycled one before.
 func New(env *loader.Env, spec loader.Spec, cfg Config) *Loader {
 	cfg.fillDefaults()
-	l := &Loader{env: env, spec: spec, cfg: cfg}
+	l, ok := stock.Get()
+	if !ok {
+		l = new(Loader)
+		l.worker = l.work
+	}
+	l.run = run{env: env, spec: spec, cfg: cfg, runCtx: context.Background()}
 	l.idx.Init(spec)
 	l.fastQ.Init(env.RT, "fast", queueCap)
 	l.slowQ.Init(env.RT, "slow", queueCap)
 	l.tempQ.Init(env.RT, "temp", queueCap)
-	l.lanes = make([]lane, len(env.GPUs))
+	if cap(l.lanes) < len(env.GPUs) {
+		l.lanes = make([]lane, len(env.GPUs))
+	}
+	l.lanes = l.lanes[:len(env.GPUs)]
 	for g := range l.lanes {
-		l.lanes[g].batches.Init(env.RT, "batch", queueCap)
-		l.lanes[g].sel.Bind(env.RT)
+		ln := &l.lanes[g]
+		ln.batches.Init(env.RT, "batch", queueCap)
+		ln.sel = simtime.Selector{}
+		ln.sel.Bind(env.RT)
+		if ln.body == nil {
+			ln.l, ln.g = l, g
+			ln.body = ln.construct
+		}
 	}
 	l.profiler.init(ProfilerConfig{
 		TimeoutPercentile:  cfg.TimeoutPercentile,
@@ -209,6 +244,19 @@ func New(env *loader.Env, spec loader.Spec, cfg Config) *Loader {
 		}
 	}
 	return l
+}
+
+// Recycle hands ld, when it is a MinatoLoader, to a later New on this
+// goroutine or another, with its queues' rings, lanes and profiler window.
+// Its owner calls it once the loader's tasks have exited, and only for a
+// loader no handle of a user can reach: nothing may call the loader
+// afterwards. It is a function of this internal package, not a
+// method, so the public Loader alias offers no way to recycle a live loader.
+func Recycle(ld loader.Loader) {
+	if l, ok := ld.(*Loader); ok {
+		l.run = run{}
+		stock.Put(l)
+	}
 }
 
 // Name implements loader.Loader.
@@ -238,10 +286,7 @@ func (l *Loader) maxWorkersNow() int {
 
 // Start implements loader.Loader.
 func (l *Loader) Start(parent context.Context) error {
-	// Declared, never reassigned: the constructors' closures copy ctx
-	// instead of sharing a heap cell.
-	ctx, cancel := simtime.WithCancel(l.env.RT, parent)
-	l.cancel = cancel
+	l.runCtx = l.scope.Begin(l.env.RT, parent)
 
 	initial := l.cfg.InitialWorkersPerGPU * len(l.env.GPUs)
 	if max := l.maxWorkersNow(); initial > max {
@@ -249,16 +294,14 @@ func (l *Loader) Start(parent context.Context) error {
 	}
 	l.sched.SetTarget(initial)
 	for i := 0; i < initial; i++ {
-		l.spawnWorker(ctx)
+		l.spawnWorker()
 	}
 	if !l.cfg.DisableAdaptiveWorkers {
-		l.sched.Start(ctx)
+		l.sched.Start()
 	}
 
 	for g := range l.lanes {
-		l.env.WG.Go("minato-batcher", func() {
-			l.batchConstructor(ctx, g)
-		})
+		l.env.WG.Go("minato-batcher", l.lanes[g].body)
 	}
 	return nil
 }
@@ -275,19 +318,15 @@ func (l *Loader) Start(parent context.Context) error {
 // being processed: the sample is abandoned (counted, surfaced via Faults) and
 // the worker keeps serving — matching the isolation a multiprocessing-based
 // loader gets from worker processes.
-//
-// The worker body is built once per run context, so the adaptive scheduler's
-// respawns — a steady trickle over a run — allocate nothing.
-func (l *Loader) spawnWorker(ctx context.Context) {
+func (l *Loader) spawnWorker() {
 	l.sched.workerSpawned()
-	if l.worker == nil || l.workerCtx != ctx {
-		l.worker, l.workerCtx = func() { l.work(ctx) }, ctx
-	}
 	l.env.WG.Go("minato-worker", l.worker)
 }
 
-// work is one preprocessing worker's life (see spawnWorker).
-func (l *Loader) work(ctx context.Context) {
+// work is one preprocessing worker's life (see spawnWorker), under the run's
+// context.
+func (l *Loader) work() {
+	ctx := l.runCtx
 	defer func() {
 		l.sched.workerExited()
 		// A worker exit can flip drained(); parked constructors re-check
@@ -675,9 +714,7 @@ func (l *Loader) Stop() {
 		return
 	}
 	l.stopFlag = true
-	if l.cancel != nil {
-		l.cancel()
-	}
+	l.scope.Cancel()
 	l.idx.Close()
 	l.fastQ.Close()
 	l.slowQ.Close()

@@ -87,8 +87,9 @@ func NewProfiler(cfg ProfilerConfig) *Profiler {
 	return p
 }
 
-// init readies a zero profiler, one embedded in its loader: what NewProfiler
-// does for one of its own.
+// init readies a profiler embedded in its loader, a zero one or one a
+// recycled loader carries (which keeps its window): what NewProfiler does
+// for one of its own.
 func (p *Profiler) init(cfg ProfilerConfig) {
 	if cfg.TimeoutPercentile <= 0 {
 		cfg.TimeoutPercentile = 0.75
@@ -108,9 +109,13 @@ func (p *Profiler) init(cfg ProfilerConfig) {
 	if cfg.RecomputeEvery <= 0 {
 		cfg.RecomputeEvery = 32
 	}
-	p.cfg = cfg
-	p.ring = make([]uint16, cfg.WindowSize)
-	p.timeout = math.MaxInt64
+	ring := p.ring
+	if len(ring) == cfg.WindowSize {
+		clear(ring)
+	} else {
+		ring = make([]uint16, cfg.WindowSize)
+	}
+	*p = Profiler{cfg: cfg, ring: ring, timeout: math.MaxInt64}
 }
 
 // Record adds one observed total preprocessing time: one bucket increment,

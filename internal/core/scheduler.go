@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"time"
 
@@ -38,11 +37,19 @@ type Scheduler struct {
 	lastBusy    float64
 	lastTime    time.Duration
 	lastCPUUtil float64
+
+	// body is the scheduling loop's task body, built once per scheduler.
+	body func()
 }
 
-// init binds a zero scheduler, the one embedded in l, to l.
+// init readies the scheduler embedded in l for a run of l: a zero one, or
+// one a recycled loader carries.
 func (sc *Scheduler) init(l *Loader) {
-	sc.l, sc.qAvg = l, *metrics.NewEWMA(0.3)
+	body := sc.body
+	if body == nil {
+		body = sc.loop
+	}
+	*sc = Scheduler{l: l, qAvg: *metrics.NewEWMA(0.3), body: body}
 	sc.sel.Bind(l.env.RT)
 }
 
@@ -76,46 +83,50 @@ func (sc *Scheduler) shouldRetire() bool {
 	return true
 }
 
-// Start launches the scheduling loop.
-func (sc *Scheduler) Start(ctx context.Context) {
+// Start launches the scheduling loop, under the loader's run context.
+func (sc *Scheduler) Start() {
 	sc.lastBusy = sc.l.env.CPU.BusySeconds()
 	sc.lastTime = sc.l.env.RT.Now()
-	sc.l.env.WG.Go("minato-scheduler", func() {
-		// Park on a selector armed on the loader's gate, with the tick
-		// interval as the heartbeat, rather than a plain Sleep: Stop pulses
-		// the gate, and a gate wake reaches the kernel synchronously. A
-		// context cancel would leave this task's interval timer live until
-		// the cancellation propagates, and an otherwise-idle kernel can
-		// advance the clock to that deadline in the window — a wall-clock
-		// race in what must be a deterministic schedule.
+	sc.l.env.WG.Go("minato-scheduler", sc.body)
+}
+
+// loop is the scheduling loop's body.
+func (sc *Scheduler) loop() {
+	ctx := sc.l.runCtx
+	// Park on a selector armed on the loader's gate, with the tick
+	// interval as the heartbeat, rather than a plain Sleep: Stop pulses
+	// the gate, and a gate wake reaches the kernel synchronously. A
+	// context cancel would leave this task's interval timer live until
+	// the cancellation propagates, and an otherwise-idle kernel can
+	// advance the clock to that deadline in the window — a wall-clock
+	// race in what must be a deterministic schedule.
+	for {
+		if sc.l.stopFlag {
+			return
+		}
+		next := sc.l.env.RT.Now() + schedInterval
 		for {
-			if sc.l.stopFlag {
+			park := next - sc.l.env.RT.Now()
+			if park <= 0 {
+				break
+			}
+			idx, err := sc.sel.Select(ctx, park, &sc.l.gate)
+			if err != nil {
 				return
 			}
-			next := sc.l.env.RT.Now() + schedInterval
-			for {
-				park := next - sc.l.env.RT.Now()
-				if park <= 0 {
-					break
-				}
-				idx, err := sc.sel.Select(ctx, park, &sc.l.gate)
-				if err != nil {
-					return
-				}
-				if sc.l.stopFlag || sc.l.srcDone {
-					return
-				}
-				if idx == simtime.Heartbeat {
-					break
-				}
+			if sc.l.stopFlag || sc.l.srcDone {
+				return
 			}
-			sc.tick(ctx)
+			if idx == simtime.Heartbeat {
+				break
+			}
 		}
-	})
+		sc.tick()
+	}
 }
 
 // tick performs one scheduling decision.
-func (sc *Scheduler) tick(ctx context.Context) {
+func (sc *Scheduler) tick() {
 	// Q: moving average of total batch-queue occupancy.
 	qLen := 0
 	qMax := 0
@@ -151,14 +162,14 @@ func (sc *Scheduler) tick(ctx context.Context) {
 	if d < -deltaClip {
 		d = -deltaClip
 	}
-	sc.apply(ctx, d)
+	sc.apply(d)
 }
 
 // apply adjusts the pool toward workers+delta within [1, maxWorkersNow].
 // The upper bound is re-read each call: when a cluster governor shrinks this
 // tenant's quota (a new tenant joined), the pool retires down to the new
 // bound even on a zero delta.
-func (sc *Scheduler) apply(ctx context.Context, delta int) {
+func (sc *Scheduler) apply(delta int) {
 	cur := sc.Target()
 	next := cur + delta
 	if next < 1 {
@@ -176,7 +187,7 @@ func (sc *Scheduler) apply(ctx context.Context, delta int) {
 		absorbed := min(next-cur, max(sc.retireTokens, 0))
 		sc.retireTokens -= absorbed
 		for i := absorbed; i < next-cur; i++ {
-			sc.l.spawnWorker(ctx)
+			sc.l.spawnWorker()
 		}
 		return
 	}

@@ -20,13 +20,13 @@ func TestSchedulerApplyClampsToBounds(t *testing.T) {
 		sc := &l.sched
 		sc.SetTarget(1)
 		// Shrinking below 1 clamps.
-		sc.apply(context.Background(), -5)
+		sc.apply(-5)
 		if got := sc.Target(); got != 1 {
 			t.Fatalf("target = %d, want 1 (floor)", got)
 		}
 		// Growing beyond MaxWorkers clamps (MaxWorkers = 16 cores here).
 		sc.SetTarget(15)
-		sc.apply(context.Background(), +5)
+		sc.apply(+5)
 		if got := sc.Target(); got != 16 {
 			t.Fatalf("target = %d, want 16 (cores ceiling)", got)
 		}
@@ -41,7 +41,7 @@ func TestSchedulerGrowSpawnsWorkers(t *testing.T) {
 		l := newIdleLoader(t, h)
 		sc := &l.sched
 		sc.SetTarget(2)
-		sc.apply(context.Background(), +3)
+		sc.apply(+3)
 		if got := sc.Target(); got != 5 {
 			t.Fatalf("target = %d, want 5", got)
 		}
@@ -61,7 +61,7 @@ func TestSchedulerShrinkPostsRetireTokens(t *testing.T) {
 		l := newIdleLoader(t, h)
 		sc := &l.sched
 		sc.SetTarget(8)
-		sc.apply(context.Background(), -3)
+		sc.apply(-3)
 		if got := sc.Target(); got != 5 {
 			t.Fatalf("target = %d, want 5", got)
 		}
@@ -69,7 +69,7 @@ func TestSchedulerShrinkPostsRetireTokens(t *testing.T) {
 			t.Fatalf("retire tokens = %d, want 3", got)
 		}
 		// Regrowing absorbs outstanding retirements before spawning.
-		sc.apply(context.Background(), +2)
+		sc.apply(+2)
 		if got := sc.retireTokens; got != 1 {
 			t.Fatalf("retire tokens after regrow = %d, want 1", got)
 		}
@@ -104,7 +104,7 @@ func TestSchedulerZeroDeltaNoChange(t *testing.T) {
 		l := newIdleLoader(t, h)
 		sc := &l.sched
 		sc.SetTarget(4)
-		sc.apply(context.Background(), 0)
+		sc.apply(0)
 		if sc.Target() != 4 || sc.retireTokens != 0 {
 			t.Fatal("zero delta mutated state")
 		}

@@ -93,8 +93,8 @@ type Sample struct {
 	DeliveredSeq  int64 // order of delivery to training
 	OriginalOrder int64 // order the sampler drew the index in
 
-	// Pool bookkeeping (see Pool). state is accessed atomically; gen counts
-	// recycles so stale holders can be detected.
+	// Pool bookkeeping (see Pool). state and gen change under the pool's
+	// lock; gen counts recycles so stale holders can be detected.
 	state uint32
 	gen   uint32
 }
@@ -199,11 +199,6 @@ func (b *Batch) recycle() {
 		return // non-pooled batch: the released bit still arms the checks
 	}
 	b.pool = nil
-	for i, s := range b.Samples {
-		p.Put(s)
-		b.Samples[i] = nil
-	}
-	b.Samples = b.Samples[:0]
 	p.putBatch(b)
 }
 

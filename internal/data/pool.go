@@ -3,10 +3,11 @@ package data
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
+
+	"github.com/minatoloader/minato/internal/simtime"
 )
 
-// Sample ownership states (Sample.state, accessed atomically).
+// Sample ownership states (Sample.state, changed under its pool's lock).
 const (
 	stateUntracked uint32 = iota // built outside any pool; lifecycle unchecked
 	stateLive                    // owned by a pipeline stage
@@ -26,21 +27,58 @@ const (
 // (use-after-release). A nil *Pool is valid and degrades to plain heap
 // allocation with no lifecycle checks.
 //
-// Pools are safe for concurrent use. The backing freelists are global
-// sync.Pools, so recycled instances flow across sessions within a process —
-// a fresh Pool per session still reaches steady-state reuse immediately.
+// Pools are safe for concurrent use: each keeps its free samples and batches
+// on its own free list, under one lock that also guards its counters and
+// the samples' ownership states. An empty list refills from a process-wide
+// stock a chunk at a time — a list a recycled pool left, or a fresh slab —
+// never per Get, and the pool's owner hands its list to that stock with
+// Recycle when it tears its run down. The GC never empties either, so a
+// fresh Pool per session reaches steady-state reuse as soon as a run before
+// it has recycled, and stays there.
 type Pool struct {
-	gets     atomic.Int64 // samples handed out
-	reuses   atomic.Int64 // subset of gets served by recycling
-	puts     atomic.Int64 // samples returned
-	livePeak atomic.Int64 // high-water mark of outstanding samples
+	mu       sync.Mutex
+	samples  []*Sample // free: stateFree, generation 0 until first released
+	batches  []*Batch  // free, released
+	gets     int64     // samples handed out
+	reuses   int64     // subset of gets served by recycling
+	puts     int64     // samples returned
+	livePeak int64     // high-water mark of outstanding samples
 }
 
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{} }
 
-var samplePool = sync.Pool{New: func() any { return new(Sample) }}
-var batchPool = sync.Pool{New: func() any { return new(Batch) }}
+// chunk is how many fresh samples or batches a pool allocates, as one slab,
+// when its free list and the stock are both empty.
+const chunk = 64
+
+// The stocks are the process-wide free lists pools recycle into and refill
+// from. Each list is one recycled pool's, kept whole with its storage, so a
+// pool that adopts one takes every sample on it without copying or growing
+// a slice.
+var (
+	sampleLists = simtime.NewStock[[]*Sample](64)
+	batchLists  = simtime.NewStock[[]*Batch](64)
+)
+
+// refill fills an empty free list: with a list from the stock, adopted
+// whole unless the free list's own storage holds it, or else with a slab of
+// fresh items, each made free by mark; p.mu held.
+func refill[T any](free *[]*T, stock *simtime.Stock[[]*T], mark func(*T)) {
+	list, _ := stock.Get()
+	switch {
+	case cap(*free) < len(list):
+		*free = list
+	case list != nil:
+		*free = append(*free, list...)
+	default:
+		slab := make([]T, chunk)
+		for i := range slab {
+			mark(&slab[i])
+			*free = append(*free, &slab[i])
+		}
+	}
+}
 
 // Get returns a zeroed sample owned by the caller. On a nil pool it simply
 // allocates.
@@ -48,29 +86,45 @@ func (p *Pool) Get() *Sample {
 	if p == nil {
 		return &Sample{}
 	}
-	s := samplePool.Get().(*Sample)
-	switch st := atomic.LoadUint32(&s.state); st {
-	case stateUntracked: // fresh allocation from the sync.Pool's New
-		atomic.StoreUint32(&s.state, stateLive)
-	case stateFree:
-		if !atomic.CompareAndSwapUint32(&s.state, stateFree, stateLive) {
-			panic("data: pool freelist handed out a sample that changed state")
-		}
-		p.reuses.Add(1)
-	default:
-		panic(fmt.Sprintf("data: pool freelist holds a live sample (%v)", s))
+	p.mu.Lock()
+	if len(p.samples) == 0 {
+		refill(&p.samples, sampleLists, func(s *Sample) { s.state = stateFree })
 	}
-	gen := s.gen
-	*s = Sample{}
-	s.state, s.gen = stateLive, gen
-	n := p.gets.Add(1) - p.puts.Load()
-	for {
-		cur := p.livePeak.Load()
-		if n <= cur || p.livePeak.CompareAndSwap(cur, n) {
-			break
-		}
+	n := len(p.samples) - 1
+	s := p.samples[n]
+	p.samples[n] = nil
+	p.samples = p.samples[:n]
+	st, gen := s.state, s.gen
+	s.state = stateLive
+	if gen != 0 { // released at least once: recycled, not fresh
+		p.reuses++
 	}
+	p.gets++
+	p.livePeak = max(p.livePeak, p.gets-p.puts)
+	p.mu.Unlock()
+	if st != stateFree {
+		panic(fmt.Sprintf("data: pool freelist held a sample in state %d (%v)", st, s))
+	}
+	*s = Sample{state: stateLive, gen: gen}
 	return s
+}
+
+// free ends a live sample's ownership, reporting whether it belongs on a
+// free list (samples built outside a pool do not) or, for a sample that is
+// already free, the double release to panic with; p.mu held.
+func free(s *Sample) (keep bool, double bool) {
+	switch s.state {
+	case stateUntracked:
+		return false, false
+	case stateLive:
+		// gen advances with the state, so a holder that snapshotted the
+		// old generation fails AssertOwned either way.
+		s.state = stateFree
+		s.gen++
+		return true, false
+	default:
+		return false, true
+	}
 }
 
 // Put returns a sample to the pool, ending the caller's ownership. Putting
@@ -82,22 +136,15 @@ func (p *Pool) Put(s *Sample) {
 	if p == nil || s == nil {
 		return
 	}
-	switch st := atomic.LoadUint32(&s.state); st {
-	case stateUntracked:
-		return
-	case stateFree:
+	p.mu.Lock()
+	keep, double := free(s)
+	if keep {
+		p.samples = append(p.samples, s)
+		p.puts++
+	}
+	p.mu.Unlock()
+	if double {
 		panic(fmt.Sprintf("data: double release of %v (generation %d)", s, s.gen))
-	case stateLive:
-		// gen advances before the state flips to free, so a holder that
-		// snapshotted the old generation fails AssertOwned either way.
-		s.gen++
-		if !atomic.CompareAndSwapUint32(&s.state, stateLive, stateFree) {
-			panic(fmt.Sprintf("data: concurrent double release of %v", s))
-		}
-		p.puts.Add(1)
-		samplePool.Put(s)
-	default:
-		panic(fmt.Sprintf("data: sample in impossible state %d", st))
 	}
 }
 
@@ -122,10 +169,10 @@ func (s *Sample) Generation() uint32 { return s.gen }
 // recycled) since the holder snapshotted gen — the loud use-after-release
 // check of the pool lifecycle.
 func (s *Sample) AssertOwned(gen uint32) {
-	if atomic.LoadUint32(&s.state) != stateLive || s.gen != gen {
+	if s.state != stateLive || s.gen != gen {
 		panic(fmt.Sprintf(
 			"data: use after release: sample %v is at generation %d/state %d, holder expected live generation %d",
-			s, s.gen, atomic.LoadUint32(&s.state), gen))
+			s, s.gen, s.state, gen))
 	}
 }
 
@@ -136,7 +183,15 @@ func (p *Pool) GetBatch(capacity int) *Batch {
 	if p == nil {
 		return &Batch{Samples: make([]*Sample, 0, capacity)}
 	}
-	b := batchPool.Get().(*Batch)
+	p.mu.Lock()
+	if len(p.batches) == 0 {
+		refill(&p.batches, batchLists, func(*Batch) {})
+	}
+	n := len(p.batches) - 1
+	b := p.batches[n]
+	p.batches[n] = nil
+	p.batches = p.batches[:n]
+	p.mu.Unlock()
 	samples := b.Samples
 	if cap(samples) < capacity {
 		samples = make([]*Sample, 0, capacity)
@@ -150,8 +205,53 @@ func (p *Pool) GetBatch(capacity int) *Batch {
 	return b
 }
 
-// putBatch recycles a released batch, keeping its backing array.
-func (p *Pool) putBatch(b *Batch) { batchPool.Put(b) }
+// putBatch frees a released batch's samples and keeps them and the batch,
+// with its backing array, on the free lists: one lock for the whole batch.
+func (p *Pool) putBatch(b *Batch) {
+	var doubled *Sample
+	p.mu.Lock()
+	for _, s := range b.Samples {
+		if s == nil {
+			continue
+		}
+		switch keep, double := free(s); {
+		case keep:
+			p.samples = append(p.samples, s)
+			p.puts++
+		case double && doubled == nil:
+			doubled = s
+		}
+	}
+	clear(b.Samples)
+	b.Samples = b.Samples[:0]
+	p.batches = append(p.batches, b)
+	p.mu.Unlock()
+	if doubled != nil {
+		panic(fmt.Sprintf("data: double release of %v (generation %d)", doubled, doubled.gen))
+	}
+}
+
+// Recycle hands the pool's free samples and batches to the process-wide
+// stocks the next run's pools refill from, while they have room. The owner
+// of the run calls it at teardown, once the run's tasks have exited. What a
+// consumer still holds stays its own, and a late Put — the final batch
+// released after the teardown — stays legal: the pool keeps working,
+// growing a new free list.
+func (p *Pool) Recycle() {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	samples, batches := p.samples, p.batches
+	p.samples, p.batches = nil, nil
+	p.mu.Unlock()
+	if len(samples) > 0 {
+		sampleLists.Put(samples)
+	}
+	if len(batches) > 0 {
+		batchLists.Put(batches)
+	}
+}
 
 // PoolStats is a snapshot of pool activity.
 type PoolStats struct {
@@ -166,8 +266,7 @@ func (p *Pool) Stats() PoolStats {
 	if p == nil {
 		return PoolStats{}
 	}
-	return PoolStats{
-		Gets: p.gets.Load(), Reuses: p.reuses.Load(),
-		Puts: p.puts.Load(), LivePeak: p.livePeak.Load(),
-	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return PoolStats{Gets: p.gets, Reuses: p.reuses, Puts: p.puts, LivePeak: p.livePeak}
 }

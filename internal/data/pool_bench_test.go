@@ -9,7 +9,7 @@ import (
 // BenchmarkPoolSharedContention measures the sample pool under the
 // multi-tenant cluster's access pattern: many sessions concurrently
 // drawing, filling, and releasing samples through one shared Pool. The
-// freelists are global sync.Pools, so the interesting number is how
+// pool's free list sits under one lock, so the interesting number is how
 // get/put throughput holds up as tenant goroutines are added.
 func BenchmarkPoolSharedContention(b *testing.B) {
 	for _, tenants := range []int{1, 4, 16} {

@@ -1,6 +1,7 @@
 package data
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -191,5 +192,43 @@ func TestReleaseIfOwnedGuardsStaleHolders(t *testing.T) {
 	}
 	if b2.Generation() == gen && b2 == b {
 		t.Fatal("recycling did not advance the batch generation")
+	}
+}
+
+// TestPoolRecycleHandsSamplesToTheNextPool: what a pool's owner recycles at
+// teardown is what the next pool hands out — every Get served by a sample
+// released before, however many GCs ran — while a sample still held stays
+// live and its late release is legal.
+func TestPoolRecycleHandsSamplesToTheNextPool(t *testing.T) {
+	const n = 100
+	first := NewPool()
+	held := first.Get()
+	gen := held.Generation()
+	batch := first.GetBatch(n)
+	for range n {
+		batch.Samples = append(batch.Samples, first.Get())
+	}
+	batch.Release()
+	first.Recycle()
+	runtime.GC()
+	runtime.GC()
+
+	next := NewPool()
+	for range n {
+		s := next.Get()
+		if s == held {
+			t.Fatal("a held sample was handed out again")
+		}
+	}
+	if st := next.Stats(); st.Gets != n || st.Reuses != n {
+		t.Errorf("next pool: %+v, want %d gets, all reused", st, n)
+	}
+	if next.GetBatch(n) != batch {
+		t.Error("the recycled batch was not handed out again")
+	}
+	held.AssertOwned(gen)
+	first.Put(held) // after the teardown: legal
+	if st := first.Stats(); st.Gets != st.Puts {
+		t.Errorf("first pool after the late release: %+v", st)
 	}
 }

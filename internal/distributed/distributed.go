@@ -748,6 +748,7 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 		rep.BarrierStall += nd.barrierStall
 		rep.NetworkStall += nd.networkStall
 		nd.tb.Recycle()
+		nd.env.Pool.Recycle()
 	}
 	if serverDisk != nil {
 		serverDisk.Recycle()

@@ -59,7 +59,7 @@ type Loader struct {
 	// budget stops the loader. Plain: only the loader's tasks deliver.
 	delivered, budget int
 	stopped           bool
-	cancel            context.CancelFunc
+	scope             simtime.CancelScope
 }
 
 // ioTask is one sample load dispatched to the persistent IO worker pool.
@@ -101,7 +101,7 @@ func (l *Loader) Name() string { return "dali" }
 
 // Start implements loader.Loader.
 func (l *Loader) Start(ctx context.Context) error {
-	ctx, l.cancel = simtime.WithCancel(l.env.RT, ctx)
+	ctx = l.scope.Begin(l.env.RT, ctx)
 
 	// Persistent IO pool: ioParallelism workers bound concurrent loads.
 	for w := 0; w < ioParallelism; w++ {
@@ -273,9 +273,7 @@ func (l *Loader) Stop() {
 		return
 	}
 	l.stopped = true
-	if l.cancel != nil {
-		l.cancel()
-	}
+	l.scope.Cancel()
 	l.idx.Close()
 	l.ioTasks.Close()
 	l.ioDone.Close()

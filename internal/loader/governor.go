@@ -35,16 +35,16 @@ func NewFairShare(capacity int) *FairShare {
 func (fs *FairShare) Capacity() int { return fs.capacity }
 
 // Join registers a tenant with the given weight (values ≤ 0 are treated as
-// 1) and returns its share handle. All quotas are rebalanced.
-func (fs *FairShare) Join(weight float64) *Share {
+// 1), with s — a zero share, or one that has left, which its caller keeps —
+// as its handle. All quotas are rebalanced.
+func (fs *FairShare) Join(s *Share, weight float64) {
 	if weight <= 0 {
 		weight = 1
 	}
-	s := &Share{fs: fs, weight: weight}
+	*s = Share{fs: fs, weight: weight}
 	fs.shares = append(fs.shares, s)
 	fs.total += weight
 	fs.rebalance()
-	return s
 }
 
 // Leave deregisters the share and rebalances the remaining tenants. Safe to

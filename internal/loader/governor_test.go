@@ -2,17 +2,24 @@ package loader
 
 import "testing"
 
+// join joins fs with a new share.
+func join(fs *FairShare, weight float64) *Share {
+	s := new(Share)
+	fs.Join(s, weight)
+	return s
+}
+
 func TestFairShareQuotas(t *testing.T) {
 	fs := NewFairShare(16)
-	a := fs.Join(1)
+	a := join(fs, 1)
 	if q := a.WorkerQuota(); q != 16 {
 		t.Fatalf("sole tenant quota = %d, want 16", q)
 	}
-	b := fs.Join(1)
+	b := join(fs, 1)
 	if qa, qb := a.WorkerQuota(), b.WorkerQuota(); qa != 8 || qb != 8 {
 		t.Fatalf("equal-weight quotas = %d/%d, want 8/8", qa, qb)
 	}
-	c := fs.Join(2)
+	c := join(fs, 2)
 	if qa, qc := a.WorkerQuota(), c.WorkerQuota(); qa != 4 || qc != 8 {
 		t.Fatalf("weighted quotas = %d/%d, want 4/8", qa, qc)
 	}
@@ -35,7 +42,7 @@ func TestFairShareFloorsAtOne(t *testing.T) {
 	fs := NewFairShare(4)
 	shares := make([]*Share, 16)
 	for i := range shares {
-		shares[i] = fs.Join(1)
+		shares[i] = join(fs, 1)
 	}
 	for i, s := range shares {
 		if q := s.WorkerQuota(); q != 1 {
@@ -44,7 +51,7 @@ func TestFairShareFloorsAtOne(t *testing.T) {
 	}
 	// Invalid weights are treated as weight 1 rather than corrupting the
 	// arbitration.
-	s := fs.Join(-3)
+	s := join(fs, -3)
 	if q := s.WorkerQuota(); q < 1 {
 		t.Fatalf("non-positive-weight quota = %d", q)
 	}

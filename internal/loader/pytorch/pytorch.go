@@ -71,7 +71,7 @@ type Loader struct {
 	reorder    reorderBuffer
 	orderCache transform.OrderCache
 	stopped    bool
-	cancel     context.CancelFunc
+	scope      simtime.CancelScope
 }
 
 // New returns a PyTorch DataLoader over the given spec.
@@ -112,7 +112,7 @@ func (l *Loader) Name() string {
 
 // Start implements loader.Loader.
 func (l *Loader) Start(ctx context.Context) error {
-	ctx, l.cancel = simtime.WithCancel(l.env.RT, ctx)
+	ctx = l.scope.Begin(l.env.RT, ctx)
 
 	// Fill the dispatch window.
 	for i := 0; i < l.tokens.Cap(); i++ {
@@ -234,9 +234,7 @@ func (l *Loader) Stop() {
 		return
 	}
 	l.stopped = true
-	if l.cancel != nil {
-		l.cancel()
-	}
+	l.scope.Cancel()
 	l.idx.Close()
 	l.tokens.Close()
 	for _, wq := range l.workerQs {

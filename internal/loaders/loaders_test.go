@@ -85,7 +85,8 @@ func TestCancelledSessionTerminates(t *testing.T) {
 				env = sessionEnv(k)
 				spec := workload.Speech(1, 3*time.Second).WithIterations(1000).Spec()
 				ld = f.New(env, spec)
-				ctx, cancel = simtime.WithCancel(k, context.Background())
+				var scope simtime.CancelScope
+				ctx, cancel = scope.Begin(k, context.Background()), scope.Cancel
 				if err := ld.Start(ctx); err != nil {
 					t.Fatal(err)
 				}

@@ -251,7 +251,8 @@ func TestTransferCancellation(t *testing.T) {
 	k = simtime.NewVirtual()
 	k.Run(func() {
 		f := New(k, Config{Endpoints: 2, Bandwidth: 1e9})
-		ctx, cancel := simtime.WithCancel(k, context.Background())
+		var scope simtime.CancelScope
+		ctx, cancel := scope.Begin(k, context.Background()), scope.Cancel
 		k.Go("canceller", func() {
 			_ = k.Sleep(context.Background(), 20*time.Millisecond)
 			cancel()

@@ -79,9 +79,12 @@ func New[T any](rt *simtime.Virtual, name string, capacity int) *Queue[T] {
 	return q
 }
 
-// Init readies a zero Queue embedded by value in a larger struct: what New
-// does for one of its own. The queue points into itself once used, so it
-// must not be copied after Init.
+// Init readies a Queue embedded by value in a larger struct: what New does
+// for one of its own. The queue is a zero one, or one its recycled owner
+// used before, whose tasks have all exited: that one starts over empty and
+// keeps its item ring, when the capacity rounds to the same size, and its
+// spare Selectors. The queue points into itself once used, so it must not be
+// copied after Init.
 func (q *Queue[T]) Init(rt *simtime.Virtual, name string, capacity int) {
 	if capacity <= 0 {
 		panic("queue: capacity must be positive")
@@ -90,10 +93,18 @@ func (q *Queue[T]) Init(rt *simtime.Virtual, name string, capacity int) {
 	for ring < capacity {
 		ring <<= 1
 	}
+	buf, free := q.buf, q.free
+	if len(buf) == ring {
+		clear(buf)
+	} else {
+		buf = make([]T, ring)
+	}
+	for _, sel := range free {
+		sel.Bind(rt)
+	}
 	now := rt.Now()
-	q.rt, q.name, q.cap = rt, name, capacity
-	q.buf, q.mask = make([]T, ring), ring-1
-	q.created, q.lastOcc = now, now
+	*q = Queue[T]{rt: rt, name: name, cap: capacity, buf: buf, mask: ring - 1,
+		free: free, created: now, lastOcc: now}
 	q.sel.Bind(rt)
 }
 

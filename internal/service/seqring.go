@@ -18,13 +18,19 @@ type seqSlot[T any] struct {
 	v    T
 }
 
-// init sizes an empty ring for window sequences in flight.
+// init sizes an empty ring for window sequences in flight, keeping the
+// slots of an earlier use when they are the size it needs.
 func (r *seqRing[T]) init(window int) {
 	size := 1
 	for size < window {
 		size <<= 1
 	}
-	r.slots, r.n = make([]seqSlot[T], size), 0
+	if len(r.slots) == size {
+		clear(r.slots)
+	} else {
+		r.slots = make([]seqSlot[T], size)
+	}
+	r.n = 0
 }
 
 func (r *seqRing[T]) slot(seq int) *seqSlot[T] { return &r.slots[seq&(len(r.slots)-1)] }

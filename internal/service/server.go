@@ -84,15 +84,13 @@ const (
 	inboxQueueName  = "svc-inbox"
 )
 
-// srvStream is the server half of one open stream.
+// srvStream is the server half of one open stream: the part every stream
+// sets anew, then the storage a recycled one keeps (see streamStock) — its
+// pump task's body, built once per srvStream, and its rings.
 type srvStream struct {
-	id     uint64
-	client int
-	token  string
-	src    Stream
+	streamState
+	body   func()
 	grants queue.Queue[int]
-	window int
-
 	// seqs holds, per sequence, whether it is granted — requested by the
 	// client and not yet answered (by a batch, a cancel, or teardown) — and
 	// whether it is cancelled with its grant still queued. The client keeps
@@ -103,7 +101,19 @@ type srvStream struct {
 	// mirroring the client, which restores its send credit the moment it
 	// cancels the hedge loser — even though the grant stays queued until
 	// the pump drains and skips it.
-	seqs     seqRing[grantState]
+	seqs seqRing[grantState]
+}
+
+// streamState is what opening a stream sets and recycling it clears (debt
+// is described at srvStream.seqs).
+type streamState struct {
+	srv    *Server
+	id     uint64
+	client int
+	token  string
+	src    Stream
+	window int
+
 	debt     int
 	maxPend  int
 	closing  bool
@@ -247,13 +257,12 @@ func (s *Server) handleOpen(ctx context.Context, fr Frame) {
 	}
 	s.opens[fr.From]++
 	id := uint64(fr.From)<<16 | (s.opens[fr.From] & 0xffff)
-	st := &srvStream{
-		id:     id,
-		client: fr.From,
-		token:  spec.Token,
-		src:    src,
-		window: window,
+	st, ok := streamStock.Get()
+	if !ok {
+		st = new(srvStream)
+		st.body = st.serve
 	}
+	st.streamState = streamState{srv: s, id: id, client: fr.From, token: spec.Token, src: src, window: window}
 	st.grants.Init(s.rt, grantsQueueName, depth)
 	st.seqs.init(window)
 	s.streams[id] = st
@@ -262,10 +271,22 @@ func (s *Server) handleOpen(ctx context.Context, fr Frame) {
 
 	s.reply(ctx, fr.From, Frame{Stream: id, Code: CodeOK, Window: window, Total: src.Total()})
 	s.wg.Add(1)
-	s.rt.GoDaemon(pumpTaskName, func() {
-		defer s.wg.Done()
-		s.pump(st)
-	})
+	s.rt.GoDaemon(pumpTaskName, st.body)
+}
+
+// streamStock holds ended streams, with their rings and pump bodies, for
+// the opens of any server to draw from.
+var streamStock = simtime.NewStock[*srvStream](512)
+
+// serve is a stream's pump task. Once the pump has returned, nothing reaches
+// the stream — it left the server's table in deregister — so the task
+// empties it, keeping its rings and pump body, and hands it to streamStock.
+func (st *srvStream) serve() {
+	s := st.srv
+	defer s.wg.Done()
+	s.pump(st)
+	st.streamState = streamState{}
+	streamStock.Put(st)
 }
 
 // handleReq grants one batch request, enforcing the send window: a REQ

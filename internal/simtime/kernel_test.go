@@ -94,14 +94,15 @@ func TestSameInstantOrderIsAFunctionOfTheProgram(t *testing.T) {
 	}
 }
 
-// TestCancellationIsAKernelEvent: cancelling through WithCancel readies
+// TestCancellationIsAKernelEvent: cancelling a CancelScope readies
 // every task parked under the context at the canceller's instant, each sees
 // ctx.Err(), a wake that got in first is delivered, not lost, and the
 // abandoned one-hour deadlines never move the clock.
 func TestCancellationIsAKernelEvent(t *testing.T) {
 	k := NewVirtual()
 	k.Run(func() {
-		ctx, cancel := WithCancel(k, context.Background())
+		var scope CancelScope
+		ctx, cancel := scope.Begin(k, context.Background()), scope.Cancel
 		wg := NewWaitGroup(k)
 		results := map[string]error{}
 		for i := 0; i < 8; i++ {
@@ -471,6 +472,7 @@ func TestRecycledKernelQueues(t *testing.T) {
 			}
 			_ = wg.Wait(ctx)
 		})
+		k.Drain() // the loop has retired: its queues are the test's to read
 	}
 	first := NewVirtual()
 	run(first)
@@ -637,9 +639,10 @@ func TestKernelStatsCountParksAndWakes(t *testing.T) {
 		sel.Reset()
 		sel.TryWake(0)
 		_, _ = sel.Wait(ctx, 0)
-		cctx, cancel := WithCancel(k, ctx)
-		k.Go("canceller", func() { cancel() }) // spawn 3
-		_ = k.Sleep(cctx, time.Hour)           // timed park, ended by the cancellation
+		var scope CancelScope
+		cctx := scope.Begin(k, ctx)
+		k.Go("canceller", scope.Cancel) // spawn 3
+		_ = k.Sleep(cctx, time.Hour)    // timed park, ended by the cancellation
 	})
 	want := KernelStats{Spawns: 3, Parks: 3, TimedParks: 2, SelfWakes: 1, Wakes: 3}
 	if got := k.Stats(); got != want {

@@ -26,7 +26,7 @@ func TestTaskOnlyPackagesImportNoSync(t *testing.T) {
 		"simtime/virtual.go":   {"sync/atomic", "Virtual.now, read by Now from any goroutine"},
 		"trace/trace.go":       {"sync", "Recorder: snapshot and export run while sessions record"},
 		"data/data.go":         {"sync/atomic", "a batch's release word: the iterator releases the last batch after its stream left the kernel"},
-		"data/pool.go":         {"sync/atomic", "pool counters and sample states, touched by that same late release"},
+		"data/pool.go":         {"sync", "the free-list lock over a pool's samples, batches, counters and sample states, and the stock's: taken by that same late release"},
 		"dist/dist.go":         {"sync", "the permutation cache, shared by every kernel in the process"},
 		"service/client.go":    {"sync", "client counters: RemoteSession.Stats from any goroutine"},
 		"registry/registry.go": {"sync", "the loader, workload, chaos-scenario and experiment registries: Register* from any goroutine"},

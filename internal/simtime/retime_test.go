@@ -176,7 +176,8 @@ func TestWakeOrCancelAfterRetime(t *testing.T) {
 	k := NewVirtual()
 	k.Run(func() {
 		wg := NewWaitGroup(k)
-		cctx, cancel := WithCancel(k, ctx)
+		var scope CancelScope
+		cctx, cancel := scope.Begin(k, ctx), scope.Cancel
 		woken := parkOn(k, ctx, wg, 0)
 		cancelled := parkOn(k, cctx, wg, time.Hour)
 		_ = k.Sleep(ctx, time.Millisecond)

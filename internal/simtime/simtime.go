@@ -47,8 +47,8 @@
 //	Stats, Tasks, TaskNames   read the kernel's counters and task list
 //	Now        lock-free, from anywhere
 //
-// Go, GoDaemon, TryWake, Wake, Retime, Pulse and a WithCancel cancel function
-// are for tasks (and posted functions). Nothing can tell at run time whether
+// Go, GoDaemon, TryWake, Wake, Retime, Pulse and CancelScope.Cancel are for
+// tasks (and posted functions). Nothing can tell at run time whether
 // its caller is a task, so the split is by name: an outside entry point
 // that waits (all but Post and Now), called from a task or a posted function,
 // waits for a loop that is inside the caller, and hangs; a
@@ -61,8 +61,9 @@
 // each forced by a caller outside the kernel, and the test's allow-list names
 // it: trace.Recorder (snapshot and export while sessions record), the service
 // client's counters (RemoteSession.Stats from any goroutine), data.Pool's
-// counters and process-wide free lists (a consumer releases its last batch
-// after its stream has left the kernel), the registries, and the snapshot a
+// free-list lock over its samples, batches and counters, and its
+// process-wide stock (a consumer releases its last batch after its stream
+// has left the kernel), the registries, and the snapshot a
 // session publishes for Session.Stats.
 //
 // What the kernel owns: the clock, the timers, the ready queue and the task
@@ -75,32 +76,75 @@
 // context per kernel readies the tasks parked under it; their Sleep or Wait
 // returns ctx.Err() — unless a wake got there first, which still wins — and
 // the abandoned deadline is removed, so it never moves the clock. A
-// WithCancel cancel function, called by a task, does this synchronously, at
-// the caller's place in the instant's order; a WithCancel context whose
-// parent can never be cancelled ends by that function alone, so it needs no
-// hook and gets none. Any other cancellation
+// CancelScope's Cancel, called by a task, does this synchronously, at the
+// caller's place in the instant's order; a scope whose parent can never be
+// cancelled ends by Cancel alone, so it needs no hook and gets none. Any
+// other cancellation
 // (context.WithCancel, a wall-clock timeout, a goroutine outside the kernel)
 // lands asynchronously, posted through the door by the AfterFunc hook: the
 // kernel waits for it rather than declare a deadlock, but virtual time may
 // pass first if timers are pending. Code that must shut down at an exact
-// instant uses WithCancel, queue Close, or stop flags.
+// instant uses a CancelScope, queue Close, or stop flags.
 package simtime
 
-import "context"
+import (
+	"context"
+	"time"
+)
 
-// WithCancel is context.WithCancel for contexts that tasks of rt park
-// under. The returned cancel function is a kernel event, for tasks to call:
-// tasks parked under the context, or one derived from it, are readied before
-// it returns. From outside the kernel, Post it.
-func WithCancel(rt *Virtual, parent context.Context) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(parent)
-	if parent.Done() == nil {
-		// Only the function below can end ctx, and it polls: park sees the
-		// context as hooked already.
-		rt.hook(ctx.Done(), nil)
-	}
-	return ctx, func() { cancel(); rt.pollCancelled() }
+// CancelScope is a cancellable context for the tasks of one kernel, kept by
+// value in its owner and begun again for each run. Cancel is a kernel event,
+// for tasks to call: tasks parked under the context are readied before it
+// returns (under a context derived from it, they may be readied later, as by
+// a foreign cancellation). From outside the kernel, Post it. A scope
+// begun under a parent that can never be cancelled is itself the context and
+// costs one channel per run; under any other parent it wraps
+// context.WithCancel.
+type CancelScope struct {
+	k      *Virtual
+	parent context.Context
+	done   chan struct{}
+	err    error
+	// under and cancel are context.WithCancel's, for a parent that can be
+	// cancelled.
+	under  context.Context
+	cancel context.CancelFunc
 }
+
+// Begin starts the scope on rt under parent, ending any earlier run of it,
+// and returns the context its tasks park under.
+func (s *CancelScope) Begin(rt *Virtual, parent context.Context) context.Context {
+	*s = CancelScope{k: rt, parent: parent}
+	if parent.Done() != nil {
+		s.under, s.cancel = context.WithCancel(parent)
+		return s.under
+	}
+	s.done = make(chan struct{})
+	// Only Cancel can end the scope, and it polls: park sees it as hooked.
+	rt.hook(s.done, nil)
+	return s
+}
+
+// Cancel ends the scope's context. A scope never begun, or cancelled
+// before, is left as it is.
+func (s *CancelScope) Cancel() {
+	switch {
+	case s.cancel != nil:
+		s.cancel()
+		s.k.pollCancelled()
+	case s.done != nil && s.err == nil:
+		s.err = context.Canceled
+		close(s.done)
+		s.k.pollCancelled()
+	}
+}
+
+// Deadline, Done, Err and Value make a scope begun under a parent that can
+// never be cancelled a context.Context.
+func (s *CancelScope) Deadline() (time.Time, bool) { return s.parent.Deadline() }
+func (s *CancelScope) Done() <-chan struct{}       { return s.done }
+func (s *CancelScope) Err() error                  { return s.err }
+func (s *CancelScope) Value(key any) any           { return s.parent.Value(key) }
 
 // Waiter is a one-shot parking primitive. A task calls Wait to park; another
 // task calls Wake to unpark it. A Waiter may be woken before Wait is called,

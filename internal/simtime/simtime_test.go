@@ -69,7 +69,7 @@ func TestVirtualSleepCancellationDoesNotHang(t *testing.T) {
 	// via the cancellation path or, if the hook loses the race, by the
 	// kernel advancing virtual time to the timer deadline (no other task
 	// was runnable). Code that needs the exact instant uses
-	// simtime.WithCancel (see TestCancellationIsAKernelEvent). This test
+	// a CancelScope (see TestCancellationIsAKernelEvent). This test
 	// pins the "returns promptly, no wall-time hang" property.
 	k := NewVirtual()
 	k.Run(func() {

@@ -35,7 +35,7 @@ type Virtual struct {
 	stats   KernelStats
 	// hooks holds the context.AfterFunc registration (its stop function) of
 	// every cancellable context a task has parked under, by Done channel; a
-	// nil one for a WithCancel context that only its cancel function ends.
+	// nil one for a CancelScope that only its Cancel ends.
 	hooks map[<-chan struct{}]func() bool
 	// trace is the span recorder of every layer on this kernel; nil when the
 	// run is untraced (SetTrace).

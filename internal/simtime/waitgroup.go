@@ -15,6 +15,19 @@ func NewWaitGroup(rt *Virtual) *WaitGroup {
 	return &WaitGroup{parked: waitList{k: rt}}
 }
 
+// Init binds a WaitGroup embedded by value in its owner to rt: a zero one,
+// or one a recycled owner used before, whose tasks have all exited and whose
+// waiters have all resumed. That one keeps its waiters' Selectors.
+func (wg *WaitGroup) Init(rt *Virtual) {
+	if wg.n != 0 {
+		panic("simtime: Init of a WaitGroup still counting tasks")
+	}
+	wg.parked.k, wg.parked.n = rt, 0
+	for _, s := range wg.parked.sels {
+		s.k = rt
+	}
+}
+
 // waitList parks tasks until its next release. Their selectors are kept and
 // reused from one release to the next: a waiter that has been readied does
 // not look at its selector again, so the next round may take it before that

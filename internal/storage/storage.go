@@ -150,11 +150,12 @@ type Store struct {
 }
 
 // WithTenant returns a copy of the store routing cache traffic as the given
-// tenant, with its own DiskBytes count.
-func (st *Store) WithTenant(id int) *Store {
+// tenant, with its own DiskBytes count: a value, for its holder to keep
+// where it keeps the rest of the tenant's state.
+func (st *Store) WithTenant(id int) Store {
 	cp := *st
 	cp.Tenant, cp.DiskBytes = id, 0
-	return &cp
+	return cp
 }
 
 // ReadSample loads a sample's raw bytes, hitting the cache when possible

@@ -264,9 +264,13 @@ func (r *Report) AvgSlowProportion() float64 {
 // Run executes one training session on an existing testbed. It must be
 // called from a task tracked by the runtime (e.g. inside Virtual.Run).
 func Run(rt *simtime.Virtual, tb *hardware.Testbed, w workload.Workload, f Factory, p Params) (*Report, error) {
-	env := &loader.Env{RT: rt, CPU: tb.CPU, GPUs: tb.GPUs, Store: tb.Store,
-		WG: simtime.NewWaitGroup(rt), Pool: data.NewPool()}
-	return RunEnv(env, w, f, p)
+	return RunEnv(testbedEnv(rt, tb, data.NewPool()), w, f, p)
+}
+
+// testbedEnv is the environment of a session that has the testbed to itself.
+func testbedEnv(rt *simtime.Virtual, tb *hardware.Testbed, pool *data.Pool) *loader.Env {
+	return &loader.Env{RT: rt, CPU: tb.CPU, GPUs: tb.GPUs, Store: tb.Store,
+		WG: simtime.NewWaitGroup(rt), Pool: pool}
 }
 
 // RunEnv executes one training session over an existing environment — the
@@ -523,14 +527,16 @@ func Simulate(cfg hardware.Config, w workload.Workload, f Factory, p Params) (*R
 	var rep *Report
 	var err error
 	var tb *hardware.Testbed
+	pool := data.NewPool()
 	k.Run(func() {
 		tb = hardware.NewTestbed(k, cfg)
-		rep, err = Run(k, tb, w, f, p)
+		rep, err = RunEnv(testbedEnv(k, tb, pool), w, f, p)
 	})
 	k.Drain()
-	// The testbed and the kernel die with this call: hand their storage to
-	// the pools so the next run starts warm.
+	// The testbed, the sample pool and the kernel die with this call: hand
+	// their storage to the stocks so the next run starts warm.
 	tb.Recycle()
+	pool.Recycle()
 	k.Recycle()
 	return rep, err
 }

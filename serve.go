@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/minatoloader/minato/internal/chaos"
+	"github.com/minatoloader/minato/internal/core"
 	"github.com/minatoloader/minato/internal/netsim"
 	"github.com/minatoloader/minato/internal/service"
 	"github.com/minatoloader/minato/internal/simtime"
@@ -410,7 +411,34 @@ func (co *clusterOpener) OpenStream(spec service.StreamSpec, weight float64) (se
 		}
 		return nil, err
 	}
-	return &serveStream{s: s, onFirstPull: co.onFirstPull}, nil
+	s.srv = serveStream{s: s, onFirstPull: co.onFirstPull}
+	return &s.srv, nil
+}
+
+// servedStock holds the shells of closed served sessions: each keeps the
+// storage of its seat (GPU slices, task group) and of its delivery
+// bookkeeping. The next served stream of any cluster draws from it.
+var servedStock = simtime.NewStock[*Session](512)
+
+// servedSession returns a zero session for a served stream: a recycled
+// shell, if there is one.
+func servedSession() *Session {
+	if s, ok := servedStock.Get(); ok {
+		return s
+	}
+	return new(Session)
+}
+
+// recycle empties a closed served session's shell, keeping only its
+// storage, and hands it to servedStock (see serveStream.Close).
+func (s *Session) recycle() {
+	st := s.seat
+	*s = Session{
+		seat: seat{gpuIdxs: st.gpuIdxs[:0], env: Env{GPUs: st.env.GPUs[:0]}, wg: st.wg},
+		done: s.done[:0],
+	}
+	clear(s.env.GPUs[:cap(s.env.GPUs)])
+	servedStock.Put(s)
 }
 
 // serveStream drives one cluster session as a server-side batch source:
@@ -443,9 +471,16 @@ func (st *serveStream) Next(ctx context.Context) (*Batch, error) {
 
 func (st *serveStream) Total() int { return st.s.spec.TotalBatches() }
 
+// Close ends the stream and closes its session. Then it hands the session
+// and its loader to their stocks: end waited for the loader's tasks to exit,
+// no handle of a user reaches a served session, and the server's stream
+// task calls nothing on it after Close.
 func (st *serveStream) Close() {
-	st.s.end()
-	_ = st.s.close(new(Report))
+	s := st.s
+	s.end()
+	s.close()
+	core.Recycle(s.ld)
+	s.recycle()
 }
 
 // WithStream selects which published stream to consume. Optional when the
@@ -506,7 +541,6 @@ func Dial(addr *ServerAddr, opts ...Option) (*RemoteSession, error) {
 			o.stream = name
 		}
 	}
-	replicaEP := -1
 	if o.hedge != nil {
 		switch {
 		case o.hedgeDelay <= 0:
@@ -516,6 +550,25 @@ func Dial(addr *ServerAddr, opts ...Option) (*RemoteSession, error) {
 		case o.hedge == addr:
 			return nil, configErr("WithHedge", "the replica must be a different server")
 		}
+	}
+	rs := &RemoteSession{addr: addr, name: o.stream}
+	rs.rt, rs.src, rs.retain = addr.rt, rs, o.retain
+	rs.closeStep = rs.close
+	rs.runOnKernel(func() { rs.cli, rs.err = rs.open(o) })
+	if err := rs.err; err != nil {
+		if errors.Is(err, service.ErrUnknownStream) {
+			return nil, configErr("WithStream", err.Error())
+		}
+		return nil, err
+	}
+	return rs, nil
+}
+
+// open opens the session's stream as Dial's options o shape it. On the
+// kernel.
+func (s *RemoteSession) open(o *options) (*service.Client, error) {
+	replicaEP := -1
+	if o.hedge != nil {
 		replicaEP = o.hedge.ep
 	}
 	spec := service.StreamSpec{
@@ -532,18 +585,18 @@ func Dial(addr *ServerAddr, opts ...Option) (*RemoteSession, error) {
 		Retries:    o.retries,
 		Backoff:    o.backoff,
 	}
-	rs := &RemoteSession{addr: addr, name: o.stream}
-	rs.rt, rs.src, rs.retain = addr.rt, rs, o.retain
-	rs.runOnKernel(func() {
-		rs.cli, err = service.Open(context.Background(), addr.sn.net, addr.ep, replicaEP, spec, cfg)
-	})
-	if err != nil {
-		if errors.Is(err, service.ErrUnknownStream) {
-			return nil, configErr("WithStream", err.Error())
-		}
-		return nil, err
+	return service.Open(context.Background(), s.addr.sn.net, s.addr.ep, replicaEP, spec, cfg)
+}
+
+// close is Close's kernel step: the first one closes the stream and takes
+// its Report and error into final and finalErr, which no later step writes.
+func (s *RemoteSession) close() {
+	if s.state == sessionClosed {
+		return
 	}
-	return rs, nil
+	s.state = sessionClosed
+	s.stop()
+	s.final, s.finalErr = s.report(s.name, "remote", 1), s.err
 }
 
 // RemoteSession is one client-side batch stream over the service fabric —
@@ -559,6 +612,11 @@ type RemoteSession struct {
 	addr *ServerAddr
 	cli  *service.Client
 	name string
+	// closeStep is close, bound once by Dial for every Close; final and
+	// finalErr are what the first one took, for every Close to return.
+	closeStep func()
+	final     Report
+	finalErr  error
 	// hungUp: the client has been closed (once), by the end of the Batches
 	// loop or by Close; the kernel's.
 	hungUp bool
@@ -595,15 +653,11 @@ func (s *RemoteSession) Stats() RemoteStats { return s.cli.Stats() }
 // in-flight batches, closes its backing cluster session, and sends its
 // final END — and returns the client-side Report. Idempotent.
 func (s *RemoteSession) Close() (*Report, error) {
+	s.runOnKernel(s.closeStep)
 	rep := new(Report)
-	var err error
-	s.runOnKernel(func() {
-		s.state = sessionClosed
-		s.stop()
-		*rep, err = s.report(s.name, "remote", 1), s.err
-	})
+	*rep = s.final
 	cs := s.cli.Stats()
 	rep.StepP50 = cs.StepP50
 	rep.StepP99 = cs.StepP99
-	return rep, err
+	return rep, s.finalErr
 }

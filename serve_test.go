@@ -3,7 +3,9 @@ package minato
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -100,6 +102,55 @@ func TestServeDialBasic(t *testing.T) {
 	}
 	if ps := cl.pool.Stats(); ps.Gets != ps.Puts {
 		t.Fatalf("pool leak: %+v", ps)
+	}
+}
+
+// TestRemoteSessionConcurrentClose: Close is idempotent from any number of
+// goroutines at once. Every call returns the report and error the first one
+// took, and under the race detector no call reads what another writes.
+func TestRemoteSessionConcurrentClose(t *testing.T) {
+	sn := NewServiceNet(nil, ServiceNetConfig{})
+	cl := serveCluster(t, sn)
+	defer cl.Close()
+	addr, err := Serve(cl,
+		WithServiceNet(sn),
+		Publish("train", namedDataset{space: "serve-close", n: 256}, flatPipeline(time.Millisecond)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer addr.Close()
+	rs, err := Dial(addr, WithBatchSize(8), WithIterations(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := drainRemote(t, rs); n != 12 {
+		t.Fatalf("delivered %d batches, want 12", n)
+	}
+	const callers = 4
+	reps := make([]*Report, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reps[i], errs[i] = rs.Close()
+		}()
+	}
+	wg.Wait()
+	for i := range callers {
+		if errs[i] != nil {
+			t.Fatalf("Close %d: %v", i, errs[i])
+		}
+		if reps[i] == reps[0] && i > 0 {
+			t.Fatalf("Close %d returned the report of Close 0, not a copy", i)
+		}
+		if !reflect.DeepEqual(reps[i], reps[0]) {
+			t.Errorf("Close %d returned %+v, Close 0 %+v", i, reps[i], reps[0])
+		}
+	}
+	if reps[0].Batches != 12 {
+		t.Errorf("report counts %d batches, want 12", reps[0].Batches)
 	}
 }
 

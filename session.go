@@ -160,17 +160,19 @@ type Session struct {
 	// shares with a RemoteSession; the Session is its local source.
 	stream
 
+	// seat is the session's place on the cluster, its env included.
+	seat
+
 	cl          *Cluster
 	ownsCluster bool
 	// served marks a server's stream (Serve): opened, driven and closed by
 	// tasks of the cluster's kernel, with no script and no reader of its
-	// report, so it keeps no SLO bookkeeping.
-	served      bool
-	cacheTenant int
-	share       *clusterShare
-	gpuIdxs     []int
+	// report, so it keeps no SLO bookkeeping; srv is what the server pulls
+	// it through. No handle of a user reaches it, so once closed its shell
+	// is recycled (serveStream.Close).
+	served bool
+	srv    serveStream
 
-	env     Env // the loader's, which holds its address
 	ld      DataLoader
 	name    string
 	spec    Spec
@@ -282,7 +284,7 @@ func (s *Session) start(ctx context.Context) error {
 	if !s.served {
 		s.cst = trainer.StartChaos(&s.env, s.script)
 	}
-	s.done = make([]bool, len(s.env.GPUs))
+	s.done = append(s.done[:0], make([]bool, len(s.env.GPUs))...)
 	s.remaining = len(s.done)
 	return nil
 }
@@ -404,25 +406,32 @@ func sessionStateString(st int32) string {
 func (s *Session) Close() (*Report, error) {
 	rep := new(Report)
 	var err error
-	s.cl.do(func() { err = s.close(rep) })
+	s.cl.do(func() {
+		s.close()
+		err = s.fill(rep)
+	})
 	return rep, err
 }
 
 // close is Close's on-kernel form, which a server's stream task calls
-// directly: it fills rep in and returns the stream's error.
-func (s *Session) close(rep *Report) error {
+// directly: it marks the session closed and, the first time, releases its
+// tenancy.
+func (s *Session) close() {
 	s.state = sessionClosed
 	if !s.released {
 		// Freeze storage attribution before releasing the tenancy: the
 		// cache-tenant slot may be reused by a later session.
 		s.publish()
 		s.released = true
-		s.cl.tenants.Leave(s.cacheTenant)
 		s.cl.releaseSession(s)
 		if s.ownsCluster {
 			s.cl.close()
 		}
 	}
+}
+
+// fill fills rep in from a closed session and returns the stream's error.
+func (s *Session) fill(rep *Report) error {
 	*rep = s.report(s.spec.Dataset.Name(), s.name, len(s.env.GPUs))
 	rep.CacheStats, rep.MatCacheStats, rep.DiskBytes = s.stats.Cache, s.stats.MatCache, s.disk
 	if s.cst != nil {
