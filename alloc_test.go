@@ -11,6 +11,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/minatoloader/minato/internal/service"
+	"github.com/minatoloader/minato/internal/simtime"
 )
 
 // allocDataset fills pooled samples in place (FillSample), so a stream
@@ -31,11 +34,13 @@ func (d allocDataset) FillSample(epoch, i int, s *Sample) {
 }
 
 // servedClient is one dialed client of a served round: the session, and
-// what its Close and Stats returned.
+// what its Close and Stats returned, with a copy of the report as Close
+// returned it.
 type servedClient struct {
-	rs    *RemoteSession
-	rep   *Report
-	stats RemoteStats
+	rs     *RemoteSession
+	rep    *Report
+	closed Report
+	stats  RemoteStats
 }
 
 // servedRound is one whole served run, the benchmark's serve shape at the
@@ -93,6 +98,7 @@ func servedRound(seed uint64, clients, waves int, keep func(*Batch)) ([]servedCl
 			if c.rep, err = rs.Close(); err != nil {
 				return nil, nil, err
 			}
+			c.closed = *c.rep
 		}
 	}
 	if err := errors.Join(errs...); err != nil {
@@ -111,37 +117,57 @@ func servedRound(seed uint64, clients, waves int, keep func(*Batch)) ([]servedCl
 // and a local one (Cluster.Open, drain, Session.Close). The data path
 // allocates nothing per sample, so the count is the session's own objects:
 // the loader and its queues, the stream's client and server state, the
-// facade's holders. A stream's server-side shell — its session, loader and
-// rings — is recycled when the stream ends, so a later stream of any
-// server, the same one included, reuses it. Every round draws the same
-// seeds; a warm-up round fills the process-wide free lists and shuffle cache
-// first; the GC stays off so the sync.Pools that remain keep what it left;
-// the least of three rounds is what is pinned.
+// facade's holders. A stream's storage is recycled when the stream ends —
+// server side its session, loader and rings, client side its client shell
+// and its endpoint's inbox ring — so a later stream of any server, the same
+// one included, reuses it. The dialed streams pin their bytes too: a client
+// shell and an inbox ring are most of a fresh stream's bytes. Every round
+// draws the same seeds; a warm-up round fills the process-wide free lists
+// and shuffle cache first; the least of three rounds is what is pinned. The
+// GC stays off, except in served-run-gc: the free lists are stocks the GC
+// never empties, so two forced collections before each round change nothing.
 func TestSessionOpenAllocations(t *testing.T) {
 	if raceEnabled() {
-		t.Skip("under the race detector sync.Pool drops a random quarter of what it is given")
+		t.Skip("the race detector adds about one allocation per stream")
 	}
 	const clients, batch, iterations = 32, 32, 8
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	pl := flatPipeline(time.Millisecond)
 	ds := allocDataset{n: 2048}
 
-	perSession := func(round func()) float64 {
+	// perSession returns the least objects and bytes per session of three
+	// measured rounds, after a warm-up one; with gc, two forced collections
+	// precede each measured round.
+	perSession := func(round func(), gc bool) (objects, bytes float64) {
 		round()
-		per := math.Inf(1)
+		objects, bytes = math.Inf(1), math.Inf(1)
 		for range 3 {
+			if gc {
+				runtime.GC()
+				runtime.GC()
+			}
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
-			m0 := ms.Mallocs
+			m0, b0 := ms.Mallocs, ms.TotalAlloc
 			round()
 			runtime.ReadMemStats(&ms)
-			per = min(per, float64(ms.Mallocs-m0)/clients)
+			objects = min(objects, float64(ms.Mallocs-m0)/clients)
+			bytes = min(bytes, float64(ms.TotalAlloc-b0)/clients)
 		}
-		return per
+		return objects, bytes
+	}
+	// pin checks a dialed stream's counts against its object and byte pins.
+	pin := func(t *testing.T, what string, objects, bytes float64, maxObjects, maxBytes float64) {
+		t.Logf("%.1f allocations and %.0f bytes per dialed stream%s (pins %.0f, %.0f)", objects, bytes, what, maxObjects, maxBytes)
+		if objects > maxObjects {
+			t.Errorf("%.1f allocations per dialed stream%s, want at most %.0f", objects, what, maxObjects)
+		}
+		if bytes > maxBytes {
+			t.Errorf("%.0f bytes per dialed stream%s, want at most %.0f", bytes, what, maxBytes)
+		}
 	}
 
 	t.Run("served", func(t *testing.T) {
-		const maxPerStream = 25
 		sn := NewServiceNet(nil, ServiceNetConfig{Endpoints: 8 + 4*clients})
 		cl := serveCluster(t, sn)
 		defer cl.Close()
@@ -151,7 +177,7 @@ func TestSessionOpenAllocations(t *testing.T) {
 		}
 		defer addr.Close()
 		sessions := make([]*RemoteSession, clients)
-		per := perSession(func() {
+		objects, bytes := perSession(func() {
 			for i := range sessions {
 				if sessions[i], err = Dial(addr, WithBatchSize(batch), WithIterations(iterations),
 					WithSeed(uint64(i+1)), WithPrefetch(4)); err != nil {
@@ -168,24 +194,26 @@ func TestSessionOpenAllocations(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-		})
-		t.Logf("%.1f allocations per dialed stream (pin %d)", per, maxPerStream)
-		if per > maxPerStream {
-			t.Errorf("%.1f allocations per dialed stream, want at most %d", per, maxPerStream)
-		}
+		}, false)
+		pin(t, "", objects, bytes, 9, 2048)
 	})
 
-	t.Run("served-run", func(t *testing.T) {
-		const maxPerStream = 30
-		per := perSession(func() {
+	// servedRun is one whole served run, failing t.
+	servedRun := func(t *testing.T) func() {
+		return func() {
 			if _, _, err := servedRound(1, clients, 1, nil); err != nil {
 				t.Fatal(err)
 			}
-		})
-		t.Logf("%.1f allocations per dialed stream of a whole served run (pin %d)", per, maxPerStream)
-		if per > maxPerStream {
-			t.Errorf("%.1f allocations per dialed stream of a whole served run, want at most %d", per, maxPerStream)
 		}
+	}
+	t.Run("served-run", func(t *testing.T) {
+		objects, bytes := perSession(servedRun(t), false)
+		pin(t, " of a whole served run", objects, bytes, servedRunObjects, servedRunBytes)
+	})
+	t.Run("served-run-gc", func(t *testing.T) {
+		defer debug.SetGCPercent(debug.SetGCPercent(100))
+		objects, bytes := perSession(servedRun(t), true)
+		pin(t, " of a whole served run after two collections", objects, bytes, servedRunObjects, servedRunBytes)
 	})
 
 	t.Run("local", func(t *testing.T) {
@@ -196,7 +224,7 @@ func TestSessionOpenAllocations(t *testing.T) {
 		}
 		defer cl.Close()
 		sessions := make([]*Session, clients)
-		per := perSession(func() {
+		per, _ := perSession(func() {
 			for i := range sessions {
 				if sessions[i], err = cl.Open(ds, WithPipeline(pl), WithBatchSize(batch),
 					WithIterations(iterations), WithSeed(uint64(i+1))); err != nil {
@@ -225,13 +253,17 @@ func TestSessionOpenAllocations(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-		})
+		}, false)
 		t.Logf("%.1f allocations per opened session (pin %d)", per, maxPerSession)
 		if per > maxPerSession {
 			t.Errorf("%.1f allocations per opened session, want at most %d", per, maxPerSession)
 		}
 	})
 }
+
+// The pins of a dialed stream's share of a whole served run, with the GC off
+// and after forced collections alike.
+const servedRunObjects, servedRunBytes = 15, 8192
 
 func raceEnabled() bool {
 	if bi, ok := debug.ReadBuildInfo(); ok {
@@ -261,11 +293,10 @@ func chaosEightNodes(seed uint64, steps int) (Workload, []Option) {
 // queues — comes from what the run before it recycled at teardown, so the
 // count is the run's own objects: its loaders and their queues, its tasks'
 // closures, its report. Warm-up runs fill the process-wide free lists
-// first; the GC stays off so the sync.Pools keep what they are given; the
-// least of three runs is what is pinned.
+// first; the GC stays off; the least of three runs is what is pinned.
 func TestRunAllocations(t *testing.T) {
 	if raceEnabled() {
-		t.Skip("under the race detector sync.Pool drops a random quarter of what it is given")
+		t.Skip("the race detector adds allocations of its own")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	speech := SpeechWorkload(1, 3*time.Second)
@@ -366,10 +397,11 @@ func TestSharedPoolsConcurrentRuns(t *testing.T) {
 
 	// Served runs: each a fabric, cluster and server of its own with 32
 	// dialed clients, in one wave and in two. Their server-side sessions,
-	// loaders and rings come from the shells that streams ended before them
-	// recycled: an earlier run's, or in the two-wave run the first wave's on
-	// the same server. A closed RemoteSession's Stats stay what they were
-	// after later runs reuse the server-side state of its stream.
+	// loaders and rings, and their client shells and inbox rings, come from
+	// the storage that streams ended before them recycled: an earlier run's,
+	// on another net, or in the two-wave run the first wave's on the same
+	// net. A closed RemoteSession's Stats and Report stay what they were
+	// after later streams reuse its stream's state, its client's included.
 	t.Run("served", func(t *testing.T) {
 		const clients = 32
 		waves := []int{1, 2}
@@ -404,10 +436,80 @@ func TestSharedPoolsConcurrentRuns(t *testing.T) {
 					if st := c.rs.Stats(); !reflect.DeepEqual(st, c.stats) {
 						t.Errorf("seed %d, client %d: a closed session's Stats changed after later runs: %+v, was %+v", seed, i, st, c.stats)
 					}
+					if !reflect.DeepEqual(*c.rep, c.closed) {
+						t.Errorf("seed %d, client %d: a closed session's Report changed after later runs: %+v, was %+v", seed, i, *c.rep, c.closed)
+					}
+					if rep, err := c.rs.Close(); err != nil || !reflect.DeepEqual(*rep, c.closed) {
+						t.Errorf("seed %d, client %d: Close again after later runs: %+v, %v; want %+v", seed, i, rep, err, c.closed)
+					}
 				}
 			}
 		}
 	})
+}
+
+// TestServedLateFrameDropped: a frame that finishes its transfer to the
+// endpoint of a client that has closed is dropped and its batch released,
+// although the closed client's inbox ring already serves the client dialed
+// after it. That client streams its budget with no stray frame among its
+// own, and the pool balances.
+func TestServedLateFrameDropped(t *testing.T) {
+	ctx := context.Background()
+	sn := NewServiceNet(nil, ServiceNetConfig{Endpoints: 8})
+	cl := serveCluster(t, sn)
+	addr, err := Serve(cl, WithServiceNet(sn), Publish("train", allocDataset{n: 256}, flatPipeline(time.Millisecond)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dial := func() *RemoteSession {
+		rs, err := Dial(addr, WithBatchSize(8), WithIterations(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	first := dial()
+	gone := first.cli.Endpoint()
+	drainRemote(t, first)
+	if _, err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The next client's endpoint takes the ring the first one's hung up.
+	next := dial()
+	var sendErr error
+	StreamAll(ctx, []*RemoteSession{next}, func(_ int, rs *RemoteSession) {
+		k := sn.rt.k
+		b := cl.pool.GetBatch(1)
+		b.Samples = append(b.Samples, cl.pool.Get())
+		wg := simtime.NewWaitGroup(k)
+		// In flight while the next client streams: a megabyte takes a while.
+		wg.Go("late-frame", func() {
+			sendErr = sn.net.Send(ctx, gone, service.Frame{Op: service.OpBatch, From: addr.ep, Batch: b, Bytes: 1 << 20})
+		})
+		if n := drainRemote(t, rs); n != 4 {
+			t.Errorf("the next client delivered %d batches, want 4", n)
+		}
+		_ = wg.Wait(ctx)
+	})
+	if sendErr == nil {
+		t.Error("a frame to a hung-up endpoint was delivered")
+	}
+	var queued int
+	sn.rt.k.Do(func() { queued = sn.net.Inbox(gone).Len() })
+	if queued != 0 {
+		t.Errorf("the hung-up endpoint's inbox holds %d frames", queued)
+	}
+	if st := next.Stats(); st.Delivered != 4 || st.Duplicates != 0 {
+		t.Errorf("the next client: %+v; want 4 delivered and no stray batch", st)
+	}
+	if _, err := next.Close(); err != nil {
+		t.Fatal(err)
+	}
+	addr.Close()
+	cl.Close()
+	if st := cl.Stats().Pool; st.Gets != st.Puts {
+		t.Errorf("pool gets %d != puts %d: the dropped frame's batch was not released", st.Gets, st.Puts)
+	}
 }
 
 // TestServedSamplesSurviveGC: a served run draws its samples from free lists

@@ -135,12 +135,12 @@ func ChaosScenarios() []string {
 // disk events. Identical scripts against identical runs reproduce reports
 // bit-for-bit.
 func WithChaos(s ChaosScript) Option {
-	return Option{"WithChaos", runs | atServe | atResume, func(o *options) { o.chaos = &s }}
+	return Option{name: "WithChaos", scope: runs | atServe | atResume, v: &s, apply: func(o *options, a Option) { o.chaos = a.v.(*ChaosScript) }}
 }
 
 // WithChaosScenario injects a registered fault scenario by name — the
 // one-line form of WithChaos for scripts in the scenario registry
 // (RegisterChaosScenario). Scoped like WithChaos.
 func WithChaosScenario(name string) Option {
-	return Option{"WithChaosScenario", runs | atServe | atResume, func(o *options) { o.chaosName = name }}
+	return Option{name: "WithChaosScenario", scope: runs | atServe | atResume, s: name, apply: func(o *options, a Option) { o.chaosName = a.s }}
 }

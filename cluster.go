@@ -35,13 +35,13 @@ const (
 // Zero (the default) means unlimited. What happens to opens beyond the cap
 // is decided by WithAdmission. NewCluster.
 func WithMaxSessions(n int) Option {
-	return Option{"WithMaxSessions", atNewCluster, func(o *options) { o.maxSessions = n }}
+	return Option{name: "WithMaxSessions", scope: atNewCluster, n: int64(n), apply: func(o *options, a Option) { o.maxSessions = int(a.n) }}
 }
 
 // WithAdmission sets the policy for opens arriving while the cluster is at
 // WithMaxSessions capacity: AdmitReject (default) or AdmitQueue. NewCluster.
 func WithAdmission(p AdmissionPolicy) Option {
-	return Option{"WithAdmission", atNewCluster, func(o *options) { o.admission = p }}
+	return Option{name: "WithAdmission", scope: atNewCluster, n: int64(p), apply: func(o *options, a Option) { o.admission = AdmissionPolicy(a.n) }}
 }
 
 // Cluster is a long-lived, shared machine hosting many concurrent loading

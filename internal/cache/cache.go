@@ -24,7 +24,6 @@ package cache
 import (
 	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"github.com/minatoloader/minato/internal/simtime"
@@ -108,10 +107,34 @@ func (t *Tenants) Leave(id int) {
 // Pool is what every cache of one key type shares across the process: free
 // lists of node slabs, of index maps and hand-off maps (Go keeps a cleared
 // map's storage, so a cache starts with its predecessor's instead of growing
-// from scratch), and of single-flight tables with their idle waiters.
-// Recycle fills it; cache traffic then allocates nothing in steady state.
-// The zero value is ready.
-type Pool[K Key[K]] struct{ slabs, maps, handoffs, flights sync.Pool }
+// from scratch), and of single-flight tables with their idle waiters. They
+// are simtime.Stocks, which the GC never empties: Recycle fills them, and
+// cache traffic then allocates nothing in steady state, collections in
+// between or not, up to the pool's bounds. What the stocks hold they hold
+// for the life of the process, so the bounds are the peaks of the caches
+// of that key type. Build one with NewPool.
+type Pool[K Key[K]] struct {
+	nodes    int // the nodes the kept slabs hold: the most entries a kept map may index
+	slabs    *simtime.Stock[*slab[K]]
+	maps     *simtime.Stock[map[K]*node[K]]
+	handoffs *simtime.Stock[map[K]handoff]
+	flights  *simtime.Stock[*simtime.Flights[K]]
+}
+
+// NewPool returns an empty pool that keeps at most slabs node slabs (of
+// slabSize nodes each) and tables of each kind of table: one cache at a time
+// takes one table of each kind. A map keeps the storage of the most entries
+// it held, so one that indexes more nodes than the kept slabs hold is not
+// kept: it would outweigh them.
+func NewPool[K Key[K]](slabs, tables int) *Pool[K] {
+	return &Pool[K]{
+		nodes:    slabs * slabSize,
+		slabs:    simtime.NewStock[*slab[K]](slabs),
+		maps:     simtime.NewStock[map[K]*node[K]](tables),
+		handoffs: simtime.NewStock[map[K]handoff](tables),
+		flights:  simtime.NewStock[*simtime.Flights[K]](tables),
+	}
+}
 
 // slabSize is how many nodes a cache takes from its pool at a time.
 const slabSize = 256
@@ -122,28 +145,28 @@ type slab[K Key[K]] struct {
 }
 
 func (p *Pool[K]) slab() *slab[K] {
-	if s, ok := p.slabs.Get().(*slab[K]); ok {
+	if s, ok := p.slabs.Get(); ok {
 		return s
 	}
 	return new(slab[K])
 }
 
 func (p *Pool[K]) index() map[K]*node[K] {
-	if m, ok := p.maps.Get().(map[K]*node[K]); ok {
+	if m, ok := p.maps.Get(); ok {
 		return m
 	}
 	return make(map[K]*node[K])
 }
 
 func (p *Pool[K]) handoff() map[K]handoff {
-	if m, ok := p.handoffs.Get().(map[K]handoff); ok {
+	if m, ok := p.handoffs.Get(); ok {
 		return m
 	}
 	return make(map[K]handoff)
 }
 
 func (p *Pool[K]) inflight() *simtime.Flights[K] {
-	if f, ok := p.flights.Get().(*simtime.Flights[K]); ok {
+	if f, ok := p.flights.Get(); ok {
 		return f
 	}
 	return new(simtime.Flights[K])
@@ -434,16 +457,16 @@ func (c *Cache[K]) Recycle() {
 			c.inflight = nil
 		}
 	}
-	if c.handoff != nil {
+	if c.handoff != nil && len(c.handoff) <= c.pool.nodes {
 		clear(c.handoff)
 		c.pool.handoffs.Put(c.handoff)
-		c.handoff = nil
 	}
-	if c.index != nil {
+	c.handoff = nil
+	if c.index != nil && len(c.index) <= c.pool.nodes {
 		clear(c.index)
 		c.pool.maps.Put(c.index)
-		c.index = nil
 	}
+	c.index = nil
 }
 
 // Stats returns a snapshot of whole-cache counters; zero for a nil cache.

@@ -63,11 +63,11 @@ func TestQuickCacheCapacityInvariant(t *testing.T) {
 func runOps(policies []Policy, ops []op) (err error) {
 	const capacity = 1000
 	rt := simtime.NewVirtual()
-	var pool Pool[tk]
+	pool := NewPool[tk](64, 4)
 	tbl := new(Tenants)
 	caches := make([]*Cache[tk], len(policies))
 	for i, p := range policies {
-		caches[i] = New[tk](capacity, p, &pool, tbl, i)
+		caches[i] = New[tk](capacity, p, pool, tbl, i)
 	}
 	ledgers := make([]ledger, len(caches))
 	rt.Run(func() {
@@ -210,9 +210,9 @@ func checkAccounting(c *Cache[tk], l ledger) error {
 // One tenant table under two tiers: a departed tenant's id is reused only
 // once it holds no bytes in either, however empty the other tier is.
 func TestJoinReusesOnlyEmptyRows(t *testing.T) {
-	var pool Pool[tk]
+	pool := NewPool[tk](64, 4)
 	tbl := new(Tenants)
-	page, mat := New[tk](100, LRU, &pool, tbl, 0), New[tk](100, LeastCostPerByte, &pool, tbl, 1)
+	page, mat := New[tk](100, LRU, pool, tbl, 0), New[tk](100, LeastCostPerByte, pool, tbl, 1)
 	a := tbl.Join()
 	mat.Complete(a, 1, Entry{Bytes: 10, Cost: time.Millisecond})
 	tbl.Leave(a)
@@ -237,8 +237,8 @@ func TestJoinReusesOnlyEmptyRows(t *testing.T) {
 // it to another kernel's run — and goes at the next Recycle, once nobody
 // waits.
 func TestRecycleKeepsTheTableItsFollowersResumeOn(t *testing.T) {
-	var pool Pool[tk]
-	c := New[tk](100, LRU, &pool, new(Tenants), 0)
+	pool := NewPool[tk](64, 4)
+	c := New[tk](100, LRU, pool, new(Tenants), 0)
 	k := simtime.NewVirtual()
 	k.Run(func() {
 		if _, hit, w := c.GetOrBegin(0, 1, k); hit || w != nil {

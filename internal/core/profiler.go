@@ -115,7 +115,10 @@ func (p *Profiler) init(cfg ProfilerConfig) {
 	} else {
 		ring = make([]uint16, cfg.WindowSize)
 	}
-	*p = Profiler{cfg: cfg, ring: ring, timeout: math.MaxInt64}
+	// Zeroed in place, then filled: a composite literal would be built on
+	// the stack first, counts array and all.
+	*p = Profiler{}
+	p.cfg, p.ring, p.timeout = cfg, ring, math.MaxInt64
 }
 
 // Record adds one observed total preprocessing time: one bucket increment,
@@ -168,7 +171,7 @@ func (p *Profiler) recompute() {
 	rank := pct * float64(p.n-1)
 	cum := 0
 	v := histBounds[histBuckets]
-	for b, c := range p.counts {
+	for b, c := range &p.counts { // by pointer: a copy would put the array on the stack
 		if c == 0 {
 			continue
 		}

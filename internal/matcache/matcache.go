@@ -47,7 +47,9 @@ type Entry = cache.Entry
 // Cache is the materialized-sample cache.
 type Cache = cache.Cache[Key]
 
-var pool cache.Pool[Key]
+// pool is the materialized caches' storage. Its bounds are the peak of the
+// benchmark workloads: warm-tenants16's one shared cache holds 8 slabs.
+var pool = cache.NewPool[Key](8, 1)
 
 // New returns a cache of the given capacity in tensor bytes, on a new table.
 func New(capacity int64) *Cache { return NewOn(capacity, new(cache.Tenants)) }
@@ -56,7 +58,7 @@ func New(capacity int64) *Cache { return NewOn(capacity, new(cache.Tenants)) }
 // that keeps its counters as tier 1 of tenants — the page cache's table — so
 // one Join registers a session with both tiers.
 func NewOn(capacity int64, tenants *cache.Tenants) *Cache {
-	return cache.New(capacity, cache.LeastCostPerByte, &pool, tenants, 1)
+	return cache.New(capacity, cache.LeastCostPerByte, pool, tenants, 1)
 }
 
 // DefaultRestoreBandwidth is the memory bandwidth charged for restoring a

@@ -7,7 +7,8 @@
 // is the primary shutdown mechanism under the virtual-time runtime.
 //
 // The implementation is allocation-free in steady state: items live in a
-// power-of-two ring buffer sized at construction, parked producers and
+// power-of-two ring buffer sized at construction (or, for a queue that
+// seldom fills, grown to the most it has held), parked producers and
 // consumers are recorded in ring-backed waiter lists (no append-and-shift
 // slice churn; a waiter that gives up leaves in O(1)), and blocking waits
 // reuse Selectors instead of allocating a one-shot Waiter per park. Popped
@@ -44,7 +45,7 @@ type Queue[T any] struct {
 	name string
 	cap  int
 
-	buf        []T // power-of-two ring; len(buf) >= cap
+	buf        []T // power-of-two ring; len(buf) >= cap, or grown on demand (InitFrom)
 	mask       int
 	head       int // index of the oldest buffered item
 	size       int
@@ -89,23 +90,78 @@ func (q *Queue[T]) Init(rt *simtime.Virtual, name string, capacity int) {
 	if capacity <= 0 {
 		panic("queue: capacity must be positive")
 	}
+	ring := ringFor(capacity)
+	buf := q.buf
+	if len(buf) != ring {
+		buf = make([]T, ring)
+	}
+	q.reset(rt, name, capacity, buf)
+}
+
+// ringFor is the ring length a capacity rounds up to.
+func ringFor(capacity int) int {
 	ring := 1
 	for ring < capacity {
 		ring <<= 1
 	}
-	buf, free := q.buf, q.free
-	if len(buf) == ring {
-		clear(buf)
-	} else {
-		buf = make([]T, ring)
-	}
+	return ring
+}
+
+// reset readies the queue, empty, on the power-of-two ring buf.
+func (q *Queue[T]) reset(rt *simtime.Virtual, name string, capacity int, buf []T) {
+	clear(buf)
+	free := q.free
 	for _, sel := range free {
 		sel.Bind(rt)
 	}
 	now := rt.Now()
-	*q = Queue[T]{rt: rt, name: name, cap: capacity, buf: buf, mask: ring - 1,
+	*q = Queue[T]{rt: rt, name: name, cap: capacity, buf: buf, mask: len(buf) - 1,
 		free: free, created: now, lastOcc: now}
 	q.sel.Bind(rt)
+}
+
+// Recycle hands the item ring of a closed, drained queue, whose popped slots
+// are all zero, to rings, for a later InitFrom of any queue. The queue stays
+// closed and empty (a Put fails and a Get returns ErrClosed without touching
+// the ring) until it is Init'ed again.
+func (q *Queue[T]) Recycle(rings *simtime.Stock[[]T]) {
+	if !q.closed || q.size > 0 {
+		panic("queue: Recycle of a queue that is open or holds items")
+	}
+	if rings.Put(q.buf) {
+		q.buf = nil
+	}
+}
+
+// InitFrom is Init for a queue that seldom holds more than a few items: its
+// ring is its own, or one from rings (which Recycle filled), or a new one of
+// minRing items, and a Put that finds it full doubles it, up to the ring the
+// capacity rounds to. Such a queue keeps as much storage as it has held
+// items, not as its capacity allows; a full ring still blocks at capacity.
+func (q *Queue[T]) InitFrom(rings *simtime.Stock[[]T], rt *simtime.Virtual, name string, capacity int) {
+	if capacity <= 0 {
+		panic("queue: capacity must be positive")
+	}
+	buf := q.buf
+	if buf == nil {
+		buf, _ = rings.Get()
+	}
+	if ring := ringFor(capacity); len(buf) > ring || buf == nil {
+		buf = make([]T, min(ring, minRing))
+	}
+	q.reset(rt, name, capacity, buf)
+}
+
+// minRing is the ring an InitFrom queue starts on when it has none.
+const minRing = 8
+
+// grow doubles a full ring, keeping the items in order.
+func (q *Queue[T]) grow() {
+	buf := make([]T, 2*len(q.buf))
+	for i := range q.size {
+		buf[i] = q.buf[(q.head+i)&q.mask]
+	}
+	q.buf, q.head, q.mask = buf, 0, len(buf)-1
 }
 
 // Name returns the queue's diagnostic name.
@@ -132,6 +188,9 @@ func (q *Queue[T]) account(lenBefore int) {
 // push appends v to the ring. The caller has verified space is available.
 func (q *Queue[T]) push(v T) {
 	n := q.size
+	if n == len(q.buf) {
+		q.grow() // only an InitFrom ring is ever full below capacity
+	}
 	q.account(n)
 	q.buf[(q.head+n)&q.mask] = v
 	q.size = n + 1

@@ -347,3 +347,57 @@ func TestBlockingOpsAllocationFree(t *testing.T) {
 		_ = wg.Wait(ctx)
 	})
 }
+
+// TestInitFromGrowsOnDemand: an InitFrom queue starts on a small ring, grows
+// it only as far as it fills, keeps FIFO order across a wrapped grow, still
+// refuses a TryPut at capacity, and a recycled ring goes to the next InitFrom.
+func TestInitFromGrowsOnDemand(t *testing.T) {
+	const capacity = 40
+	k := simtime.NewVirtual()
+	rings := simtime.NewStock[[]int](1)
+	k.Run(func() {
+		var q Queue[int]
+		q.InitFrom(rings, k, "q", capacity)
+		if len(q.buf) != minRing {
+			t.Fatalf("fresh ring holds %d items, want %d", len(q.buf), minRing)
+		}
+		// Wrap the small ring before it has to grow.
+		next, want := 0, 0
+		for range minRing - 2 {
+			_, _ = q.TryPut(next)
+			next++
+		}
+		for range minRing - 3 {
+			if v, _, _ := q.TryGet(); v != want {
+				t.Fatalf("TryGet = %d, want %d", v, want)
+			}
+			want++
+		}
+		for q.Len() < capacity {
+			if ok, err := q.TryPut(next); !ok || err != nil {
+				t.Fatalf("TryPut(%d) at length %d = %v, %v", next, q.Len(), ok, err)
+			}
+			next++
+		}
+		if ok, _ := q.TryPut(next); ok {
+			t.Fatalf("TryPut accepted item %d beyond capacity %d", next, capacity)
+		}
+		if len(q.buf) != 64 {
+			t.Fatalf("ring holds %d items at capacity %d, want 64", len(q.buf), capacity)
+		}
+		for q.Len() > 0 {
+			if v, _, _ := q.TryGet(); v != want {
+				t.Fatalf("TryGet = %d, want %d", v, want)
+			}
+			want++
+		}
+		q.Close()
+		q.Recycle(rings)
+
+		var r Queue[int]
+		r.InitFrom(rings, k, "r", capacity)
+		if len(r.buf) != 64 {
+			t.Fatalf("next InitFrom took a ring of %d items, want the recycled 64", len(r.buf))
+		}
+	})
+}

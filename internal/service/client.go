@@ -108,25 +108,44 @@ func Open(ctx context.Context, n *Net, primaryEP, replicaEP int, spec StreamSpec
 		return nil, err
 	}
 	spec.Window = cfg.Window
-	c := &Client{
-		net:        n,
-		rt:         n.Runtime(),
-		ep:         ep,
-		inbox:      n.Inbox(ep),
-		spec:       spec,
-		cfg:        cfg,
-		primary:    remote{ep: primaryEP},
-		replica:    remote{ep: replicaEP},
-		hasReplica: replicaEP >= 0 && cfg.HedgeDelay > 0,
+	c, ok := clientStock.Get()
+	if !ok {
+		c = new(Client)
 	}
+	c.net, c.rt, c.ep, c.inbox = n, n.Runtime(), ep, n.Inbox(ep)
+	c.spec, c.cfg = spec, cfg
+	c.primary.ep, c.replica.ep = primaryEP, replicaEP
+	c.hasReplica = replicaEP >= 0 && cfg.HedgeDelay > 0
 	c.sel.Bind(c.rt)
 	c.seqs.init(cfg.Window)
 	if err := c.openStream(ctx, &c.primary); err != nil {
+		c.recycle()
 		return nil, err
 	}
 	c.started = c.rt.Now()
 	c.lastAt = c.started
 	return c, nil
+}
+
+// clientStock holds the shells of closed clients, for the next Open on any
+// net: each keeps its rings, and its histograms are the bulk of its 18.5 KiB.
+// The bound is the most clients the serve-256 benchmark workload has open at
+// once.
+var clientStock = simtime.NewStock[*Client](256)
+
+// recycle hangs up the client's endpoint, empties the client, keeping the
+// storage of its rings, and hands it to clientStock. Nothing may reach the
+// client afterwards: it is closed (Close) or was never returned, and no
+// StatsView reads it.
+func (c *Client) recycle() {
+	c.net.Hangup(c.ep)
+	// Zeroed in place, then given its rings back: a composite literal would
+	// be built on the stack first, 16 KiB of histograms and all, and grow
+	// the stack of every task that closes a client.
+	primary, replica, seqs := c.primary.reqs, c.replica.reqs, c.seqs
+	*c = Client{}
+	c.primary.reqs, c.replica.reqs, c.seqs = primary, replica, seqs
+	clientStock.Put(c)
 }
 
 // openStream runs the OPEN handshake against r, retrying overload
@@ -183,6 +202,9 @@ func (c *Client) awaitOpenReply(ctx context.Context) (Frame, error) {
 		c.handle(ctx, fr)
 	}
 }
+
+// Endpoint returns the client's fabric endpoint.
+func (c *Client) Endpoint() int { return c.ep }
 
 // Total returns the stream's batch budget.
 func (c *Client) Total() int { return c.total }
@@ -443,6 +465,44 @@ type ClientStats struct {
 func (cs ClientStats) String() string {
 	return fmt.Sprintf("delivered %d/%d, wait p99 %v, hedges %d, dups %d",
 		cs.Delivered, cs.Total, cs.WaitP99, cs.Hedges, cs.Duplicates)
+}
+
+// StatsView reads a client's counters from any goroutine: the live client's
+// while one is attached, and from Retire on the snapshot Retire took. It
+// outlives the client it watched, which Retire recycles.
+type StatsView struct {
+	mu    sync.Mutex
+	c     *Client
+	final ClientStats
+}
+
+// Attach makes v read c.
+func (v *StatsView) Attach(c *Client) {
+	v.mu.Lock()
+	v.c = c
+	v.mu.Unlock()
+}
+
+// Stats returns the attached client's counters, or the last snapshot.
+func (v *StatsView) Stats() ClientStats {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.c != nil {
+		return v.c.Stats()
+	}
+	return v.final
+}
+
+// Retire snapshots the attached client's counters, which v returns from now
+// on, detaches the client and recycles it with its endpoint (Net.Hangup).
+// The client must be closed, and Retire runs on its kernel: no task uses the
+// client after Close, and no reader reaches it once v lets go.
+func (v *StatsView) Retire() {
+	v.mu.Lock()
+	c := v.c
+	v.final, v.c = c.Stats(), nil
+	v.mu.Unlock()
+	c.recycle()
 }
 
 // Stats returns a live snapshot; safe from any goroutine.

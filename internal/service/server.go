@@ -437,8 +437,7 @@ func (s *Server) pump(st *srvStream) {
 		}
 		payload := BatchWireBytes(b)
 		fr := Frame{Op: OpBatch, From: s.ep, Stream: st.id, Seq: seq, Batch: b, Bytes: payload}
-		if err := s.net.Send(ctx, st.client, fr); err != nil {
-			b.Release()
+		if err := s.net.Send(ctx, st.client, fr); err != nil { // Send released b
 			st.release(seq)
 			code = CodeError
 			break
@@ -462,9 +461,10 @@ func (s *Server) deregister(st *srvStream) {
 
 // Close shuts the server down: the inbox closes (dispatch exits after
 // draining), every live stream is torn down (pumps send their ENDs), and
-// Close blocks until all server tasks finish. Clients should close first —
-// a final END to a client that never drains its inbox can park a pump
-// until the inbox has space.
+// Close blocks until all server tasks finish. Then the server's endpoint
+// hangs up (Net.Hangup). Clients should close first — a final END to a
+// client that never drains its inbox can park a pump until the inbox has
+// space.
 func (s *Server) Close() error {
 	if s.closed {
 		return nil
@@ -479,7 +479,9 @@ func (s *Server) Close() error {
 		st.grants.Close()
 	}
 	s.inbox.Close()
-	return s.wg.Wait(context.Background())
+	err := s.wg.Wait(context.Background())
+	s.net.Hangup(s.ep)
+	return err
 }
 
 // Stats is a snapshot of the server's front end.

@@ -160,6 +160,13 @@ type Frame struct {
 	Bytes int64
 }
 
+// drop discards a frame nobody will receive, releasing its batch.
+func (fr *Frame) drop() {
+	if fr.Batch != nil {
+		fr.Batch.Release()
+	}
+}
+
 // WireBytes is the frame's cost on the fabric.
 func (fr *Frame) WireBytes() int64 {
 	n := int64(frameHeaderBytes)
@@ -192,9 +199,24 @@ type Net struct {
 	cfg netsim.Config
 
 	next    int
-	inboxes []queue.Queue[Frame] // one per endpoint; [0, next) allocated
-	servers []int                // fleet index → endpoint
+	eps     []endpoint // [0, next) allocated
+	live    int        // allocated endpoints not hung up
+	servers []int      // fleet index → endpoint
 }
+
+// endpoint is one party's attachment: its inbox, and whether the party hung
+// up (Hangup).
+type endpoint struct {
+	inbox queue.Queue[Frame]
+	dead  bool
+}
+
+// inboxRings holds the item rings of hung-up endpoints' inboxes, for the
+// endpoints any net allocates next. An inbox ring grows only as far as the
+// inbox fills (queue.InitFrom), a few frames for a client. The bound is the
+// most endpoints the serve-256 benchmark workload has live at once: its 256
+// clients and its server.
+var inboxRings = simtime.NewStock[[]Frame](257)
 
 // NewNet builds a service fabric on rt. Zero fields of cfg take the defaults
 // documented on netsim.Config's fields.
@@ -209,10 +231,10 @@ func NewNet(rt *simtime.Virtual, cfg netsim.Config) *Net {
 		cfg.Latency = netsim.PaperLatency
 	}
 	return &Net{
-		rt:      rt,
-		fab:     netsim.New(rt, cfg),
-		cfg:     cfg,
-		inboxes: make([]queue.Queue[Frame], cfg.Endpoints),
+		rt:  rt,
+		fab: netsim.New(rt, cfg),
+		cfg: cfg,
+		eps: make([]endpoint, cfg.Endpoints),
 	}
 }
 
@@ -230,7 +252,8 @@ func (n *Net) AllocEndpoint() (int, error) {
 	}
 	ep := n.next
 	n.next++
-	n.inboxes[ep].Init(n.rt, inboxQueueName, inboxDepth)
+	n.live++
+	n.eps[ep].inbox.InitFrom(inboxRings, n.rt, inboxQueueName, inboxDepth)
 	return ep, nil
 }
 
@@ -239,7 +262,34 @@ func (n *Net) Inbox(ep int) *queue.Queue[Frame] {
 	if ep >= n.next {
 		return nil
 	}
-	return &n.inboxes[ep]
+	return &n.eps[ep].inbox
+}
+
+// Hangup ends endpoint ep for good: its party — a client whose streams have
+// all sent END, or a server whose tasks have all exited — reads its inbox no
+// more. The inbox closes, so a frame that finishes its transfer to ep later is
+// dropped (Send); the frames still in it are dropped now; and its ring goes to
+// inboxRings at once, for the next endpoint of any net. When ep was the net's
+// last live party, the fabric's flow records go back to their stock too
+// (netsim.Fabric.Recycle): the net is idle. Idempotent.
+func (n *Net) Hangup(ep int) {
+	if ep >= n.next || n.eps[ep].dead {
+		return
+	}
+	e := &n.eps[ep]
+	e.dead = true
+	e.inbox.Close()
+	for {
+		fr, ok, _ := e.inbox.TryGet()
+		if !ok {
+			break
+		}
+		fr.drop()
+	}
+	e.inbox.Recycle(inboxRings)
+	if n.live--; n.live == 0 {
+		n.fab.Recycle()
+	}
 }
 
 // RegisterServer records ep as the next member of the server fleet and
@@ -268,19 +318,24 @@ func (n *Net) FlowsCompleted() int64 { return n.fab.FlowsCompleted() }
 // calling task for the propagation latency plus the fair-shared transfer
 // time — then delivers it into dst's inbox (blocking while the inbox is
 // full: receiver backpressure reaches the sender). Must run on a tracked
-// task. On a traced kernel every delivered frame records a StageFrame span:
-// wire time plus receiver backpressure, sender in Node, destination in Key,
-// the frame's Op in Detail.
+// task. A frame Send cannot deliver — the transfer was cancelled, or dst's
+// inbox is closed because its server shut down or its party hung up — is
+// dropped, its batch released, and the error returned. On a traced kernel
+// every delivered frame records a StageFrame span: wire time plus receiver
+// backpressure, sender in Node, destination in Key, the frame's Op in Detail.
 func (n *Net) Send(ctx context.Context, dst int, fr Frame) error {
 	t0 := n.rt.Now()
 	if err := n.fab.Transfer(ctx, fr.From, dst, fr.WireBytes()); err != nil {
+		fr.drop()
 		return err
 	}
 	inbox := n.Inbox(dst)
 	if inbox == nil {
+		fr.drop()
 		return fmt.Errorf("service: send to unallocated endpoint %d", dst)
 	}
 	if err := inbox.Put(ctx, fr); err != nil {
+		fr.drop()
 		return fmt.Errorf("service: endpoint %d inbox: %w", dst, err)
 	}
 	n.rt.Trace().Record(trace.Span{Start: t0, End: n.rt.Now(), Stage: trace.StageFrame,

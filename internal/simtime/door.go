@@ -21,27 +21,36 @@ type door struct {
 
 	looping bool          // a loop goroutine exists
 	starts  uint64        // how many have been started
+	loop    func()        // the kernel's loop, bound once: starting one allocates no closure
 	drained chan struct{} // made by a Drain that has to wait; closed when no task is left
 }
 
-// entry asks the loop to spawn fn as a task called name or, with no name, to
-// call fn itself; done, if any, is signalled once fn has ended.
+// entry asks the loop to spawn call(arg) as a task called name or, with no
+// name, to make the call itself; done, if any, is signalled once the call has
+// ended.
 type entry struct {
-	fn   func()
+	call func(any)
+	arg  any
 	name string
 	done chan struct{}
 }
 
 // dones recycles the completion channels Run and Do wait on: each is
-// signalled once and received once, so a waited entry allocates nothing.
-var dones = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+// signalled once and received once, so a waited entry allocates nothing,
+// whatever the GC collected meanwhile. The bound is the most entrants the
+// benchmark workloads have waiting at once: warm-tenants16's 16 tenants.
+var dones = NewStock[chan struct{}](16)
 
 // wait posts e with a completion channel and waits for its signal.
 func (k *Virtual) wait(e entry) {
-	e.done = dones.Get().(chan struct{})
+	done, ok := dones.Get()
+	if !ok {
+		done = make(chan struct{}, 1)
+	}
+	e.done = done
 	k.post(e)
-	<-e.done
-	dones.Put(e.done)
+	<-done
+	dones.Put(done)
 }
 
 // Post has fn called on the kernel's loop, between two tasks, after everything
@@ -49,7 +58,7 @@ func (k *Virtual) wait(e entry) {
 // may wake, re-time, spawn, cancel) but is not a task: it must not park. Any
 // goroutine may Post, tasks and posted functions included; it restarts an idle
 // kernel.
-func (k *Virtual) Post(fn func()) { k.post(entry{fn: fn}) }
+func (k *Virtual) Post(fn func()) { k.post(entry{call: callFunc, arg: fn}) }
 
 func (k *Virtual) post(e entry) {
 	d := &k.door
@@ -66,7 +75,10 @@ func (k *Virtual) post(e entry) {
 func (d *door) start(k *Virtual) {
 	d.looping = true
 	d.starts++
-	go k.loop()
+	if d.loop == nil {
+		d.loop = k.loop
+	}
+	go d.loop()
 }
 
 // Run executes fn as a tracked task and blocks the caller, which must not be
@@ -77,12 +89,20 @@ func (k *Virtual) Run(fn func()) {
 	// and once more when the loop starts, lets them all post before the
 	// first task runs, even on one CPU.
 	runtime.Gosched()
-	k.wait(entry{name: "run", fn: fn})
+	k.wait(entry{name: "run", call: callFunc, arg: fn})
+}
+
+// RunWith is Run for a body that takes its state as an argument: call(arg)
+// runs as the task. With call a top-level function or method expression and
+// arg a pointer, the entry allocates nothing, where a closure over arg would.
+func (k *Virtual) RunWith(call func(any), arg any) {
+	runtime.Gosched() // see Run
+	k.wait(entry{name: "run", call: call, arg: arg})
 }
 
 // Do has fn called on the loop like Post, and waits for it to return. Not for
 // tasks or posted functions: the loop they would wait for is inside the caller.
-func (k *Virtual) Do(fn func()) { k.wait(entry{fn: fn}) }
+func (k *Virtual) Do(fn func()) { k.wait(entry{call: callFunc, arg: fn}) }
 
 // Stats returns the kernel's counters. Like Tasks, TaskNames and Drain it is
 // for callers outside the kernel (each is a Do, or waits like one).
@@ -134,9 +154,9 @@ func (k *Virtual) drainInbox() {
 	for i, e := range batch {
 		batch[i] = entry{}
 		if e.name != "" {
-			k.spawn(e.name, e.fn, false).ran = e.done
+			k.spawn(e.name, e.call, e.arg, false).ran = e.done
 		} else {
-			e.fn()
+			e.call(e.arg)
 			if e.done != nil {
 				e.done <- struct{}{}
 			}

@@ -118,18 +118,23 @@ func (k *Virtual) Now() time.Duration { return time.Duration(k.now.Load()) }
 
 // Go spawns fn as a tracked task, from a task (or a posted function). It
 // starts when the spawner parks.
-func (k *Virtual) Go(name string, fn func()) { k.spawn(name, fn, false) }
+func (k *Virtual) Go(name string, fn func()) { k.spawn(name, callFunc, fn, false) }
 
 // GoDaemon spawns fn as a tracked daemon task. Daemons schedule exactly
 // like ordinary tasks, but a kernel left with nothing runnable, no pending
 // timers, and only daemons parked is idle rather than deadlocked — the shape
 // of a network server waiting on its inbox after every client has exited.
 // Daemons still count toward Drain; whoever spawns one owns shutting it down.
-func (k *Virtual) GoDaemon(name string, fn func()) { k.spawn(name, fn, true) }
+func (k *Virtual) GoDaemon(name string, fn func()) { k.spawn(name, callFunc, fn, true) }
 
-func (k *Virtual) spawn(name string, fn func(), daemon bool) *task {
+// callFunc is the body of a task or entry made from a func(), which is its
+// argument: a func value is pointer-shaped, so boxing it allocates nothing.
+func callFunc(fn any) { fn.(func())() }
+
+// spawn starts call(arg) as a task.
+func (k *Virtual) spawn(name string, call func(any), arg any, daemon bool) *task {
 	t := getTask()
-	t.k, t.name, t.fn, t.daemon = k, name, fn, daemon
+	t.k, t.name, t.call, t.arg, t.daemon = k, name, call, arg, daemon
 	if daemon {
 		k.daemons++
 	}
@@ -273,7 +278,7 @@ func (k *Virtual) loop() {
 		// goroutine): its deferred calls ran, it finished, and its coroutine
 		// took this goroutine with it. Carry on in a new one.
 		k.finish(k.cur, false)
-		go k.loop()
+		go k.door.loop()
 	}()
 	n, alone := 0, runtime.GOMAXPROCS(0) == 1
 	for {
@@ -295,7 +300,7 @@ func (k *Virtual) loop() {
 		}
 		t.next() // returns when t has parked or finished
 		k.cur = nil
-		if t.fn == nil {
+		if t.call == nil {
 			k.finish(t, true)
 		}
 	}
@@ -365,8 +370,8 @@ func (k *Virtual) finish(t *task, reuse bool) {
 }
 
 // task is a tracked task and the coroutine that carries it. The coroutine
-// outlives the task: when fn returns it yields to the loop once more and
-// stays parked there, on the free list, until getTask hands it a new fn.
+// outlives the task: when the body returns it yields to the loop once more
+// and stays parked there, on the free list, until getTask hands it a new body.
 type task struct {
 	next  func() (struct{}, bool) // loop side: switch to the coroutine
 	stop  func()
@@ -374,9 +379,10 @@ type task struct {
 
 	k      *Virtual
 	name   string
-	fn     func()        // nil once the task has finished
-	wg     *WaitGroup    // counts this task (WaitGroup.Go): Done when fn ends
-	ran    chan struct{} // Run's caller waits on it: signalled when fn ends
+	call   func(any) // the body is call(arg); nil once it has finished
+	arg    any
+	wg     *WaitGroup    // counts this task (WaitGroup.Go): Done when the body ends
+	ran    chan struct{} // Run's caller waits on it: signalled when the body ends
 	daemon bool
 	lidx   int // index in k.live
 
@@ -400,9 +406,9 @@ func (t *task) coroutine(yield func(struct{}) bool) {
 	}
 }
 
-// run calls fn and, however it ends, leaves the task marked finished. A
-// group the task was spawned into is Done, and a Run caller signalled, once
-// fn has ended — returned, panicked or exited — and before the task is
+// run calls the body and, however it ends, leaves the task marked finished.
+// A group the task was spawned into is Done, and a Run caller signalled, once
+// the body has ended — returned, panicked or exited — and before the task is
 // marked finished.
 func (t *task) run() {
 	defer func() {
@@ -411,7 +417,7 @@ func (t *task) run() {
 			// coroutine switch would lose.
 			panic(fmt.Sprintf("simtime: task %q panicked: %v\n\n%s", t.name, p, debug.Stack()))
 		}
-		t.fn = nil
+		t.call, t.arg = nil, nil
 	}()
 	if wg := t.wg; wg != nil {
 		t.wg = nil
@@ -421,7 +427,7 @@ func (t *task) run() {
 		t.ran = nil
 		defer func() { ran <- struct{}{} }()
 	}
-	t.fn()
+	t.call(t.arg)
 }
 
 // timerHeap is a min-heap of parked tasks by (deadline, seq). Each task

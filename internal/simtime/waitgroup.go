@@ -76,7 +76,7 @@ func (wg *WaitGroup) Done() { wg.Add(-1) }
 // in nothing.
 func (wg *WaitGroup) Go(name string, fn func()) {
 	wg.Add(1)
-	wg.parked.k.spawn(name, fn, false).wg = wg
+	wg.parked.k.spawn(name, callFunc, fn, false).wg = wg
 }
 
 // Wait blocks until the counter reaches zero or ctx is done.

@@ -60,13 +60,13 @@ type MultiNodeReport = Report
 // Identical options — including the chaos script — reproduce the report
 // bit-for-bit. Train only; on Cluster.Train it is a *ConfigError.
 func WithNodes(n int) Option {
-	return Option{"WithNodes", atMultiNode, func(o *options) { o.topo = &Topology{Nodes: n} }}
+	return Option{name: "WithNodes", scope: atMultiNode, n: int64(n), apply: func(o *options, a Option) { o.topo = &Topology{Nodes: int(a.n)} }}
 }
 
 // WithTopology makes Train a data-parallel run across the described
 // multi-node cluster; it subsumes WithNodes and is scoped like it.
 func WithTopology(t Topology) Option {
-	return Option{"WithTopology", atMultiNode, func(o *options) { o.topo = &t }}
+	return Option{name: "WithTopology", scope: atMultiNode, v: &t, apply: func(o *options, a Option) { o.topo = a.v.(*Topology) }}
 }
 
 // trainEntry resolves the entry point a Train call runs as: the multi-node

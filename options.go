@@ -7,6 +7,7 @@ import (
 
 	"github.com/minatoloader/minato/internal/chaos"
 	"github.com/minatoloader/minato/internal/loaders"
+	"github.com/minatoloader/minato/internal/simtime"
 	"github.com/minatoloader/minato/internal/trace"
 )
 
@@ -21,7 +22,16 @@ import (
 type Option struct {
 	name  string
 	scope entry
-	apply func(*options)
+	// apply writes the constructor's argument, which the Option carries
+	// itself, into the accumulator: a function that captures nothing, so a
+	// constructor of scalars allocates nothing. A scalar argument is in n, x,
+	// d or s; anything else in v.
+	apply func(o *options, a Option)
+	n     int64
+	x     float64
+	d     time.Duration
+	s     string
+	v     any
 }
 
 // entry is a set of entry points: the scope an Option declares, or the one
@@ -149,7 +159,11 @@ type options struct {
 // — and checks the values. Every failure is a *ConfigError so callers can
 // errors.As on misuse.
 func build(at entry, opts []Option) (*options, error) {
-	o := &options{seed: 1, weight: 1, prefetch: 4}
+	o, ok := optionsStock.Get()
+	if !ok {
+		o = new(options)
+	}
+	*o = options{seed: 1, weight: 1, prefetch: 4}
 	for _, opt := range opts {
 		if opt.apply == nil {
 			return nil, configErr("Option", "the zero Option; build options with the With* constructors")
@@ -157,12 +171,25 @@ func build(at entry, opts []Option) (*options, error) {
 		if opt.scope&at == 0 {
 			return nil, configErr(opt.name, fmt.Sprintf("%s; %s applies to %s", at.rule(), opt.name, opt.scope.names()))
 		}
-		opt.apply(o)
+		opt.apply(o, opt)
 	}
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
 	return o, nil
+}
+
+// optionsStock holds accumulators that no entry point refers to any more. An
+// accumulator passes through an indirect call, so it lives on the heap; an
+// entry point that is done with its (Dial) hands it back here for the next
+// build. Dial returns its accumulator before it returns, so one is in use per
+// dialing goroutine: the bound covers a few dialing side by side.
+var optionsStock = simtime.NewStock[*options](4)
+
+// recycle empties o and hands it to optionsStock; o must not be used again.
+func (o *options) recycle() {
+	*o = options{}
+	optionsStock.Put(o)
 }
 
 // validate checks option values and conflicts. A field no in-scope option

@@ -510,6 +510,37 @@ func TestOptionScopeMatrix(t *testing.T) {
 	})
 }
 
+// TestOptionConstructorsAllocateNothing: an Option carries its argument and
+// its apply captures nothing, so a constructor of scalars, strings and
+// pointers allocates nothing — the four Dial takes per stream included. The
+// ones listed here keep a copy of a struct or an interface value they are
+// handed, which is one allocation. Every row of matrixOptions is measured.
+func TestOptionConstructorsAllocateNothing(t *testing.T) {
+	copies := map[string]bool{
+		"WithLoaderFactory": true, "WithLoaderConfig": true, "WithHardware": true, "WithEnv": true,
+		"WithParams": true, "WithTopology": true, "WithChaos": true, "Publish": true, "WithToken": true,
+	}
+	fx := newMatrixFixture()
+	var opt Option
+	measured := map[string]bool{}
+	for _, row := range matrixOptions {
+		name := row.mk(fx).name
+		measured[name] = true
+		if copies[name] {
+			continue
+		}
+		if got := testing.AllocsPerRun(100, func() { opt = row.mk(fx) }); got != 0 {
+			t.Errorf("%s: %v allocations per call, want none", name, got)
+		}
+	}
+	for name := range copies {
+		if !measured[name] {
+			t.Errorf("%s is listed as copying its argument but has no row in matrixOptions", name)
+		}
+	}
+	_ = opt
+}
+
 // optionConstructors lists the exported functions of the package's non-test
 // files that return an Option.
 func optionConstructors(t *testing.T) []string {

@@ -110,7 +110,7 @@ type published struct {
 // the cluster's runtime. Default: a fresh fabric on the cluster's runtime.
 // Serve.
 func WithServiceNet(n *ServiceNet) Option {
-	return Option{"WithServiceNet", atServe, func(o *options) { o.net = n }}
+	return Option{name: "WithServiceNet", scope: atServe, v: n, apply: func(o *options, a Option) { o.net = a.v.(*ServiceNet) }}
 }
 
 // WithToken adds an auth token to the server's admission table. A server
@@ -118,19 +118,20 @@ func WithServiceNet(n *ServiceNet) Option {
 // enforces each token's quota with ErrQuotaExceeded; a server with no
 // tokens accepts everyone at weight 1. Serve.
 func WithToken(token string, q TokenQuota) Option {
-	return Option{"WithToken", atServe, func(o *options) {
-		if o.tokens == nil {
-			o.tokens = make(map[string]TokenQuota)
-		}
-		o.tokens[token] = q
-	}}
+	return Option{name: "WithToken", scope: atServe, s: token, v: q,
+		apply: func(o *options, a Option) {
+			if o.tokens == nil {
+				o.tokens = make(map[string]TokenQuota)
+			}
+			o.tokens[a.s] = a.v.(TokenQuota)
+		}}
 }
 
 // WithSendWindow bounds batches granted-but-undelivered per stream (the
 // server-side backpressure window). A client REQ beyond it is a protocol
 // violation and kills the stream. Default 8. Serve.
 func WithSendWindow(n int) Option {
-	return Option{"WithSendWindow", atServe, func(o *options) { o.sendWindow = n }}
+	return Option{name: "WithSendWindow", scope: atServe, n: int64(n), apply: func(o *options, a Option) { o.sendWindow = int(a.n) }}
 }
 
 // WithServerMaxStreams caps concurrent streams server-wide; OPENs beyond
@@ -138,7 +139,7 @@ func WithSendWindow(n int) Option {
 // backoff. 0 = unlimited (the backing cluster's WithMaxSessions still
 // applies). Serve.
 func WithServerMaxStreams(n int) Option {
-	return Option{"WithServerMaxStreams", atServe, func(o *options) { o.maxStreams = n }}
+	return Option{name: "WithServerMaxStreams", scope: atServe, n: int64(n), apply: func(o *options, a Option) { o.maxStreams = int(a.n) }}
 }
 
 // Publish offers dataset × pipeline under name: clients select it with
@@ -147,12 +148,13 @@ func WithServerMaxStreams(n int) Option {
 // the backing cluster (own seed and budget, shared caches and workers).
 // Serve.
 func Publish(name string, dataset Dataset, pipeline *Pipeline) Option {
-	return Option{"Publish", atServe, func(o *options) {
-		if o.published == nil {
-			o.published = make(map[string]published)
-		}
-		o.published[name] = published{dataset: dataset, pipeline: pipeline}
-	}}
+	return Option{name: "Publish", scope: atServe, s: name, v: published{dataset: dataset, pipeline: pipeline},
+		apply: func(o *options, a Option) {
+			if o.published == nil {
+				o.published = make(map[string]published)
+			}
+			o.published[a.s] = a.v.(published)
+		}}
 }
 
 // serveShape is the chaos shape of a preprocessing server in a fleet of the
@@ -486,19 +488,19 @@ func (st *serveStream) Close() {
 // WithStream selects which published stream to consume. Optional when the
 // server publishes exactly one. Dial.
 func WithStream(name string) Option {
-	return Option{"WithStream", atDial, func(o *options) { o.stream = name }}
+	return Option{name: "WithStream", scope: atDial, s: name, apply: func(o *options, a Option) { o.stream = a.s }}
 }
 
 // WithAuthToken authenticates the client on token-gated servers. Dial.
 func WithAuthToken(token string) Option {
-	return Option{"WithAuthToken", atDial, func(o *options) { o.token = token }}
+	return Option{name: "WithAuthToken", scope: atDial, s: token, apply: func(o *options, a Option) { o.token = a.s }}
 }
 
 // WithPrefetch sets the client's pipeline depth: how many batch requests
 // it keeps outstanding (the server caps it at its send window). Default 4.
 // Dial.
 func WithPrefetch(n int) Option {
-	return Option{"WithPrefetch", atDial, func(o *options) { o.prefetch = n }}
+	return Option{name: "WithPrefetch", scope: atDial, n: int64(n), apply: func(o *options, a Option) { o.prefetch = int(a.n) }}
 }
 
 // WithHedge arms hedged requests against a replica server: when the
@@ -507,14 +509,14 @@ func WithPrefetch(n int) Option {
 // grant is cancelled, and a too-late duplicate is released, never leaked.
 // The replica must serve the same stream on the same fabric. Dial.
 func WithHedge(replica *ServerAddr, delay time.Duration) Option {
-	return Option{"WithHedge", atDial, func(o *options) { o.hedge = replica; o.hedgeDelay = delay }}
+	return Option{name: "WithHedge", scope: atDial, v: replica, d: delay, apply: func(o *options, a Option) { o.hedge, o.hedgeDelay = a.v.(*ServerAddr), a.d }}
 }
 
 // WithDialRetry bounds OPEN retries after ErrServerOverloaded rejections
 // (default 0: fail fast) with exponential backoff from the given base
 // (default 10ms). Dial.
 func WithDialRetry(attempts int, backoff time.Duration) Option {
-	return Option{"WithDialRetry", atDial, func(o *options) { o.retries = attempts; o.backoff = backoff }}
+	return Option{name: "WithDialRetry", scope: atDial, n: int64(attempts), d: backoff, apply: func(o *options, a Option) { o.retries, o.backoff = int(a.n), a.d }}
 }
 
 // Dial opens a batch stream on a served preprocessing cluster and returns
@@ -551,10 +553,11 @@ func Dial(addr *ServerAddr, opts ...Option) (*RemoteSession, error) {
 			return nil, configErr("WithHedge", "the replica must be a different server")
 		}
 	}
-	rs := &RemoteSession{addr: addr, name: o.stream}
+	rs := &RemoteSession{addr: addr, name: o.stream, dialed: o}
 	rs.rt, rs.src, rs.retain = addr.rt, rs, o.retain
-	rs.closeStep = rs.close
-	rs.runOnKernel(func() { rs.cli, rs.err = rs.open(o) })
+	rs.runOnKernel(openRemote, rs)
+	rs.dialed = nil
+	o.recycle()
 	if err := rs.err; err != nil {
 		if errors.Is(err, service.ErrUnknownStream) {
 			return nil, configErr("WithStream", err.Error())
@@ -564,9 +567,11 @@ func Dial(addr *ServerAddr, opts ...Option) (*RemoteSession, error) {
 	return rs, nil
 }
 
-// open opens the session's stream as Dial's options o shape it. On the
-// kernel.
-func (s *RemoteSession) open(o *options) (*service.Client, error) {
+// openRemote opens the session's stream as Dial's options shape it: Dial's
+// step on the kernel.
+func openRemote(x any) {
+	s := x.(*RemoteSession)
+	o := s.dialed
 	replicaEP := -1
 	if o.hedge != nil {
 		replicaEP = o.hedge.ep
@@ -585,12 +590,20 @@ func (s *RemoteSession) open(o *options) (*service.Client, error) {
 		Retries:    o.retries,
 		Backoff:    o.backoff,
 	}
-	return service.Open(context.Background(), s.addr.sn.net, s.addr.ep, replicaEP, spec, cfg)
+	cli, err := service.Open(context.Background(), s.addr.sn.net, s.addr.ep, replicaEP, spec, cfg)
+	if err != nil {
+		s.err = err
+		return
+	}
+	s.cli = cli
+	s.stats.Attach(cli)
 }
 
-// close is Close's kernel step: the first one closes the stream and takes
-// its Report and error into final and finalErr, which no later step writes.
-func (s *RemoteSession) close() {
+// closeRemote is Close's step on the kernel: the first one closes the stream
+// and takes its Report and error into final and finalErr, which no later step
+// writes.
+func closeRemote(x any) {
+	s := x.(*RemoteSession)
 	if s.state == sessionClosed {
 		return
 	}
@@ -610,16 +623,21 @@ type RemoteSession struct {
 	stream
 
 	addr *ServerAddr
-	cli  *service.Client
 	name string
-	// closeStep is close, bound once by Dial for every Close; final and
-	// finalErr are what the first one took, for every Close to return.
-	closeStep func()
-	final     Report
-	finalErr  error
-	// hungUp: the client has been closed (once), by the end of the Batches
-	// loop or by Close; the kernel's.
+	// dialed is Dial's options, while Dial's step on the kernel opens the
+	// stream they shape.
+	dialed *options
+	// cli is the client, from Dial until it is recycled; hungUp, that it
+	// has been closed (once, by the end of the Batches loop or by Close).
+	// Both the kernel's. stats reads its counters, and then what they were
+	// when it was recycled.
+	cli    *service.Client
 	hungUp bool
+	stats  service.StatsView
+	// final and finalErr are what the first Close took, for every Close to
+	// return.
+	final    Report
+	finalErr error
 }
 
 // Batches returns a single-use iterator over the remote stream, shaped
@@ -639,24 +657,36 @@ func (s *RemoteSession) publish()                    {}
 
 func (s *RemoteSession) next(ctx context.Context) (*Batch, error) { return s.cli.Recv(ctx) }
 
+// stop closes the client, once. Then, unless a Batches loop is still inside
+// the client (a Close from another task of the kernel; the loop's own end
+// stops it again), it hands the client, with its endpoint's inbox, to their
+// stocks: the END handshake is done, so nothing reaches either again. Stats
+// reads the counters' snapshot from then on.
 func (s *RemoteSession) stop() {
+	if s.cli == nil {
+		return
+	}
 	if !s.hungUp {
 		s.hungUp = true
 		_ = s.cli.Close(context.Background())
 	}
+	if !s.begun {
+		s.cli = nil
+		s.stats.Retire()
+	}
 }
 
 // Stats snapshots the client-side counters; safe from any goroutine.
-func (s *RemoteSession) Stats() RemoteStats { return s.cli.Stats() }
+func (s *RemoteSession) Stats() RemoteStats { return s.stats.Stats() }
 
 // Close tears the remote stream down — the server finishes or discards
 // in-flight batches, closes its backing cluster session, and sends its
 // final END — and returns the client-side Report. Idempotent.
 func (s *RemoteSession) Close() (*Report, error) {
-	s.runOnKernel(s.closeStep)
+	s.runOnKernel(closeRemote, s)
 	rep := new(Report)
 	*rep = s.final
-	cs := s.cli.Stats()
+	cs := s.stats.Stats()
 	rep.StepP50 = cs.StepP50
 	rep.StepP99 = cs.StepP99
 	return rep, s.finalErr

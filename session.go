@@ -15,35 +15,35 @@ import (
 // (training workloads carry their own); the default is an empty pipeline
 // that delivers samples unchanged. Open and Cluster.Open.
 func WithPipeline(p *Pipeline) Option {
-	return Option{"WithPipeline", loads, func(o *options) { o.pipeline = p }}
+	return Option{name: "WithPipeline", scope: loads, v: p, apply: func(o *options, a Option) { o.pipeline = a.v.(*Pipeline) }}
 }
 
 // WithBatchSize sets how many samples each delivered batch holds. Open and
 // Dial default to 32; Train defaults to the workload's Table 3 value. Every
 // entry point that runs a loader, and Dial.
 func WithBatchSize(n int) Option {
-	return Option{"WithBatchSize", runs | atDial, func(o *options) { o.batchSize = n }}
+	return Option{name: "WithBatchSize", scope: runs | atDial, n: int64(n), apply: func(o *options, a Option) { o.batchSize = int(a.n) }}
 }
 
 // WithLoader selects the data loader backend by registered name
 // (RegisterLoader; "pytorch", "pecan", "dali", and "minato" are built in).
 // The default is "minato". Every entry point that runs a loader.
 func WithLoader(name string) Option {
-	return Option{"WithLoader", runs, func(o *options) { o.loaderName = name }}
+	return Option{name: "WithLoader", scope: runs, s: name, apply: func(o *options, a Option) { o.loaderName = a.s }}
 }
 
 // WithLoaderFactory bypasses the registry and uses the given factory
 // directly — for one-off configurations not worth registering. Scoped like
 // WithLoader.
 func WithLoaderFactory(f Factory) Option {
-	return Option{"WithLoaderFactory", runs, func(o *options) { o.factory = &f }}
+	return Option{name: "WithLoaderFactory", scope: runs, v: &f, apply: func(o *options, a Option) { o.factory = a.v.(*Factory) }}
 }
 
 // WithLoaderConfig runs MinatoLoader with a custom Config instead of the
 // paper's defaults. It conflicts with selecting a non-minato loader. Scoped
 // like WithLoader.
 func WithLoaderConfig(cfg Config) Option {
-	return Option{"WithLoaderConfig", runs, func(o *options) { o.loaderCfg = &cfg }}
+	return Option{name: "WithLoaderConfig", scope: runs, v: &cfg, apply: func(o *options, a Option) { o.loaderCfg = a.v.(*Config) }}
 }
 
 // WithHardware runs on one of the simulated testbeds (ConfigA, ConfigB, or
@@ -52,13 +52,13 @@ func WithLoaderConfig(cfg Config) Option {
 // multi-node Train. Sessions opened on an explicit Cluster cannot carry it —
 // the hardware is cluster-owned.
 func WithHardware(cfg HardwareConfig) Option {
-	return Option{"WithHardware", implicit | atNewCluster, func(o *options) { o.hw = &cfg }}
+	return Option{name: "WithHardware", scope: implicit | atNewCluster, v: &cfg, apply: func(o *options, a Option) { o.hw = a.v.(*HardwareConfig) }}
 }
 
 // WithEnv sizes a custom embedder environment (cores, disk, cache) instead
 // of a paper testbed. It conflicts with WithHardware. Open and NewCluster.
 func WithEnv(cfg EnvConfig) Option {
-	return Option{"WithEnv", atOpen | atNewCluster, func(o *options) { o.env = &cfg }}
+	return Option{name: "WithEnv", scope: atOpen | atNewCluster, v: &cfg, apply: func(o *options, a Option) { o.env = a.v.(*EnvConfig) }}
 }
 
 // WithGPUs overrides the GPU (consumer) count: of NewCluster's shared
@@ -67,7 +67,7 @@ func WithEnv(cfg EnvConfig) Option {
 // Cluster.Train, Resume) it selects how many of the cluster's GPUs the
 // session's delivery shards across (at most the cluster's count).
 func WithGPUs(n int) Option {
-	return Option{"WithGPUs", runs | atNewCluster | atResume, func(o *options) { o.gpus = n }}
+	return Option{name: "WithGPUs", scope: runs | atNewCluster | atResume, n: int64(n), apply: func(o *options, a Option) { o.gpus = int(a.n) }}
 }
 
 // WithRuntime runs on an existing runtime: a virtual kernel shared with
@@ -75,7 +75,7 @@ func WithGPUs(n int) Option {
 // ServiceNet.Runtime. The default is a fresh deterministic virtual runtime
 // per cluster. Open and NewCluster.
 func WithRuntime(rt *Runtime) Option {
-	return Option{"WithRuntime", atOpen | atNewCluster, func(o *options) { o.rt = rt }}
+	return Option{name: "WithRuntime", scope: atOpen | atNewCluster, v: rt, apply: func(o *options, a Option) { o.rt = a.v.(*Runtime) }}
 }
 
 // WithMaterializedCache enables the materialized preprocessed-sample cache
@@ -92,21 +92,21 @@ func WithRuntime(rt *Runtime) Option {
 // Like the other substrate options it is cluster-owned: NewCluster, or a
 // standalone Open or Train, which configure the implicit cluster.
 func WithMaterializedCache(bytes int64) Option {
-	return Option{"WithMaterializedCache", atOpen | atTrain | atNewCluster, func(o *options) { o.matBytes = bytes }}
+	return Option{name: "WithMaterializedCache", scope: atOpen | atTrain | atNewCluster, n: bytes, apply: func(o *options, a Option) { o.matBytes = a.n }}
 }
 
 // WithIterations bounds the session to n delivered batches, wrapping
 // epochs as needed. It takes precedence over WithEpochs. Scoped like
 // WithBatchSize.
 func WithIterations(n int) Option {
-	return Option{"WithIterations", runs | atDial, func(o *options) { o.iterations = n }}
+	return Option{name: "WithIterations", scope: runs | atDial, n: int64(n), apply: func(o *options, a Option) { o.iterations = int(a.n) }}
 }
 
 // WithEpochs bounds the session to n full passes over the dataset
 // (drop-last semantics). The default budget is one epoch. Scoped like
 // WithBatchSize.
 func WithEpochs(n int) Option {
-	return Option{"WithEpochs", runs | atDial, func(o *options) { o.epochs = n }}
+	return Option{name: "WithEpochs", scope: runs | atDial, n: int64(n), apply: func(o *options, a Option) { o.epochs = int(a.n) }}
 }
 
 // WithSeed keys every random draw of a loading session (shuffling,
@@ -114,14 +114,14 @@ func WithEpochs(n int) Option {
 // Default 1. Open, Cluster.Open and Dial: a training run's seed is its
 // workload's, fixed where WorkloadByName(name, seed) builds it.
 func WithSeed(seed uint64) Option {
-	return Option{"WithSeed", loads | atDial, func(o *options) { o.seed = seed }}
+	return Option{name: "WithSeed", scope: loads | atDial, n: int64(seed), apply: func(o *options, a Option) { o.seed = uint64(a.n) }}
 }
 
 // WithParams tunes what a single-machine training run records (time
 // series, batch composition, per-sample traces). Train and Cluster.Train;
 // a multi-node Train records its own fixed set.
 func WithParams(p Params) Option {
-	return Option{"WithParams", trains, func(o *options) { o.params = p }}
+	return Option{name: "WithParams", scope: trains, v: &p, apply: func(o *options, a Option) { o.params = *a.v.(*Params) }}
 }
 
 // WithRetainBatches disables the session's batch recycling: every batch
@@ -131,7 +131,7 @@ func WithParams(p Params) Option {
 // callers that keep references across iterations must either copy what
 // they need or set this option. Open, Cluster.Open, Dial and Resume.
 func WithRetainBatches() Option {
-	return Option{"WithRetainBatches", loads | atDial | atResume, func(o *options) { o.retain = true }}
+	return Option{name: "WithRetainBatches", scope: loads | atDial | atResume, apply: func(o *options, _ Option) { o.retain = true }}
 }
 
 // WithPriority weights the session in the cluster's fair arbitration of
@@ -139,7 +139,7 @@ func WithRetainBatches() Option {
 // of a weight-1 tenant (always at least one worker). The default weight is
 // 1. Weights must be positive. Every single-machine session, and Resume.
 func WithPriority(weight float64) Option {
-	return Option{"WithPriority", loads | trains | atResume, func(o *options) { o.weight = weight; o.prioritySet = true }}
+	return Option{name: "WithPriority", scope: loads | trains | atResume, x: weight, apply: func(o *options, a Option) { o.weight, o.prioritySet = a.x, true }}
 }
 
 // Session is one data-loading run: a dataset flowing through a

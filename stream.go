@@ -111,47 +111,56 @@ func (s *stream) end() {
 	}
 }
 
-// pump is Batches for both session types.
+// pump is Batches for both session types. Under StreamAll the loop runs on
+// the caller's task with no closure around it; otherwise it enters the
+// kernel as one.
 func (s *stream) pump(ctx context.Context) iter.Seq2[*Batch, error] {
 	return func(yield func(*Batch, error) bool) {
-		s.runOnKernel(func() {
-			if err := s.claim(); err != nil {
+		if s.inline {
+			s.drive(ctx, yield)
+			return
+		}
+		s.rt.k.Run(func() { s.drive(ctx, yield) })
+	}
+}
+
+// drive is the Batches loop, on a task of the stream's kernel.
+func (s *stream) drive(ctx context.Context, yield func(*Batch, error) bool) {
+	if err := s.claim(); err != nil {
+		yield(nil, err)
+		return
+	}
+	if err := ctx.Err(); err != nil {
+		s.err = err
+		yield(nil, err)
+		return
+	}
+	if err := s.begin(ctx); err != nil {
+		yield(nil, err)
+		return
+	}
+	defer s.end()
+	var prev *Batch
+	var prevGen uint32
+	for {
+		b, err := s.pull(ctx)
+		if err != nil {
+			if !errors.Is(err, io.EOF) {
 				yield(nil, err)
-				return
 			}
-			if err := ctx.Err(); err != nil {
-				s.err = err
-				yield(nil, err)
-				return
-			}
-			if err := s.begin(ctx); err != nil {
-				yield(nil, err)
-				return
-			}
-			defer s.end()
-			var prev *Batch
-			var prevGen uint32
-			for {
-				b, err := s.pull(ctx)
-				if err != nil {
-					if !errors.Is(err, io.EOF) {
-						yield(nil, err)
-					}
-					return
-				}
-				// The previously yielded batch is out of its validity window
-				// once the loop asks for the next one: recycle it — unless
-				// the loop body already released it itself (the generation
-				// guard leaves a batch we no longer own alone).
-				if prev != nil && !s.retain {
-					prev.ReleaseIfOwned(prevGen)
-				}
-				prev, prevGen = b, b.Generation()
-				if !yield(b, nil) {
-					return
-				}
-			}
-		})
+			return
+		}
+		// The previously yielded batch is out of its validity window
+		// once the loop asks for the next one: recycle it — unless
+		// the loop body already released it itself (the generation
+		// guard leaves a batch we no longer own alone).
+		if prev != nil && !s.retain {
+			prev.ReleaseIfOwned(prevGen)
+		}
+		prev, prevGen = b, b.Generation()
+		if !yield(b, nil) {
+			return
+		}
 	}
 }
 
@@ -176,18 +185,19 @@ type streamer interface {
 	core() *stream
 }
 
-// runOnKernel executes fn as a tracked task of the stream's kernel
-// (simtime.Virtual.Run) — the only place code that parks may run — and blocks
-// until it returns, or is a plain call when StreamAll already put the caller
-// on a task. Code that touches kernel-owned state (caches, disk, fabric,
+// runOnKernel executes call(arg) as a tracked task of the stream's kernel
+// (simtime.Virtual.RunWith) — the only place code that parks may run — and
+// blocks until it returns, or is a plain call when StreamAll already put the
+// caller on a task. call is a top-level function, so entering allocates no
+// closure. Code that touches kernel-owned state (caches, disk, fabric,
 // loaders) without parking uses simtime.Virtual.Do instead; neither is for
 // callers that are themselves tasks.
-func (s *stream) runOnKernel(fn func()) {
+func (s *stream) runOnKernel(call func(any), arg any) {
 	if s.inline {
-		fn()
+		call(arg)
 		return
 	}
-	s.rt.k.Run(fn)
+	s.rt.k.RunWith(call, arg)
 }
 
 // streamTaskName names every StreamAll body's task: a deadlock report tells

@@ -132,5 +132,5 @@ func (s *TraceSink) Reset() { s.recorder().Reset() }
 // sink again is accepted, a different one is a *ConfigError. A nil sink
 // disables tracing (the default).
 func WithTracing(sink *TraceSink) Option {
-	return Option{"WithTracing", implicit | atNewCluster | atServe, func(o *options) { o.trace = sink.recorder() }}
+	return Option{name: "WithTracing", scope: implicit | atNewCluster | atServe, v: sink, apply: func(o *options, a Option) { o.trace = a.v.(*TraceSink).recorder() }}
 }
