@@ -77,10 +77,9 @@ func WithAdmission(p AdmissionPolicy) Option {
 // shape — one training job spread data-parallel across MANY machines
 // connected by a simulated interconnect — see WithNodes and Topology.
 type Cluster struct {
-	rt     *Runtime
-	ownsRT bool
-	tb     *hardware.Testbed // the shared machine
-	mat    *matcache.Cache   // nil without WithMaterializedCache
+	rt  *Runtime
+	tb  *hardware.Testbed // the shared machine
+	mat *matcache.Cache   // nil without WithMaterializedCache
 	// tenants is the one tenant table under both cache tiers: a session
 	// joins it once, and its id routes its traffic through both.
 	tenants *cache.Tenants
@@ -102,10 +101,6 @@ type Cluster struct {
 	waiters []chan struct{}
 	// sessions are the open loading sessions, in admission order.
 	sessions []*Session
-	// servers counts the running servers (Serve): their daemon tasks keep a
-	// runtime the cluster owns from draining, so it is reclaimed only once
-	// the last one has closed.
-	servers int
 	// gpuLoad counts sessions placed on each GPU; placement picks the
 	// least-loaded devices so tenants spread across the cluster's GPUs
 	// instead of stacking on a prefix.
@@ -127,26 +122,26 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 }
 
 // newCluster builds the substrate the (validated) options describe: an
-// explicit cluster's, or the implicit one of a standalone Open or Train.
-func newCluster(co *options) (*Cluster, error) {
+// explicit cluster's, or the implicit one of a standalone Open or Train. It
+// builds on the kernel, which may be shared (WithRuntime), and holds it.
+func newCluster(co *options) (c *Cluster, err error) {
 	rt := co.rt
-	ownsRT := rt == nil
-	if ownsRT {
+	if rt == nil {
 		rt = &Runtime{k: simtime.NewVirtual()}
 	}
-	k := rt.k
-	if co.trace != nil {
-		var err error
-		k.Do(func() { err = k.SetTrace(co.trace) })
-		if err != nil {
-			return nil, configErr("WithTracing", err.Error())
-		}
+	c = &Cluster{rt: rt, maxSessions: co.maxSessions, admission: co.admission}
+	rt.k.Do(func() { err = c.build(co) })
+	if err != nil {
+		return nil, err
 	}
-	c := &Cluster{
-		rt: rt, ownsRT: ownsRT,
-		maxSessions: co.maxSessions,
-		admission:   co.admission,
-		pool:        data.NewPool(),
+	return c, nil
+}
+
+// build is newCluster's on-kernel part.
+func (c *Cluster) build(co *options) error {
+	k := c.rt.k
+	if err := k.SetTrace(co.trace); err != nil {
+		return configErr("WithTracing", err.Error())
 	}
 	if co.hw != nil {
 		cfg := *co.hw
@@ -173,15 +168,19 @@ func newCluster(co *options) (*Cluster, error) {
 		// construction must not leave a caller-supplied testbed's page cache
 		// mutilated.
 		if pageCap := c.tb.Cache.Capacity(); co.matBytes > pageCap {
-			return nil, configErr("WithMaterializedCache",
+			return configErr("WithMaterializedCache",
 				fmt.Sprintf("capacity %d exceeds the page cache's %d", co.matBytes, pageCap))
 		}
 		c.tb.Cache.ReserveCapacity(co.matBytes)
 		c.mat = matcache.NewOn(co.matBytes, c.tenants)
+		k.Own(c.mat)
 	}
+	c.pool = data.NewPool()
+	k.Own(c.pool)
 	c.shares = loader.NewFairShare(int(c.tb.CPU.Capacity()))
 	c.gpuLoad = make([]int, len(c.tb.GPUs))
-	return c, nil
+	k.Hold()
+	return nil
 }
 
 // Runtime returns the runtime shared by every session of the cluster.
@@ -513,56 +512,48 @@ func (c *Cluster) releaseSession(s *Session) {
 
 // do runs fn on the cluster's kernel, the one entry of an outside call, and
 // then the reclaim fn may have made due (see reclaim); run is do for an fn
-// that parks, as a task.
+// that parks, as a task. The entry in which the kernel's last hold goes, the
+// cluster's or a server's, recycles the kernel: Recycle waits for every task.
 func (c *Cluster) do(fn func())  { c.enter(false, fn) }
 func (c *Cluster) run(fn func()) { c.enter(true, fn) }
 
 func (c *Cluster) enter(parks bool, fn func()) {
-	var drain bool
-	body := func() { fn(); drain = c.reclaim() }
-	if parks {
-		c.rt.k.Run(body)
-	} else {
-		c.rt.k.Do(body)
+	k := c.rt.k
+	var last bool
+	body := func() {
+		held := k.Held()
+		fn()
+		c.reclaim()
+		last = held && !k.Held()
 	}
-	if drain {
-		c.rt.k.Drain()
-		c.rt.k.Do(c.recycle)
-		c.rt.k.Recycle()
+	if parks {
+		k.Run(body)
+	} else {
+		k.Do(body)
+	}
+	if last {
+		k.Recycle()
 	}
 }
 
-// reclaim recycles the shared testbed's storage once the cluster is closed
-// and its last session gone, and reports whether the kernel must be drained
-// first: a runtime the cluster owns is, once no server is left on it, and
-// then recycled too. Drain waits for every task, so only an outside entry
-// (do, run) may call it — a server's stream task that closes the last
-// session leaves the reclaim to the next one. On the kernel.
-func (c *Cluster) reclaim() (drain bool) {
-	if !c.closed || c.active > 0 || c.reclaimed || c.ownsRT && c.servers > 0 {
-		return false
+// reclaim gives back the cluster's hold on its kernel once the cluster is
+// closed and its last session gone; the kernel's teardown recycles the
+// cluster's testbed, pool and caches. A server's stream task that closes the
+// last session leaves the reclaim to the next outside entry. On the kernel.
+func (c *Cluster) reclaim() {
+	if !c.closed || c.active > 0 || c.reclaimed {
+		return
 	}
 	c.reclaimed = true
-	if c.ownsRT {
-		return true
-	}
-	c.recycle()
-	return false
-}
-
-func (c *Cluster) recycle() {
-	c.tb.Recycle()
-	c.pool.Recycle()
-	if c.mat != nil {
-		c.mat.Recycle()
-	}
+	c.rt.k.Release()
 }
 
 // Close marks the cluster closed: new opens fail with ErrClusterClosed and
-// queued opens release with the same error. The shared substrate (kernel
-// tasks, device and cache storage) is reclaimed once the last active session
-// closes — immediately, when none is. Close is idempotent and safe to call
-// concurrently with session activity.
+// queued opens release with the same error. Once its last active session
+// closes — at once, when none is — the cluster gives back its hold on the
+// runtime, and the call that releases the runtime's last hold recycles
+// everything registered with its kernel (see enter). Close is idempotent and
+// safe to call concurrently with session activity.
 func (c *Cluster) Close() error {
 	c.do(c.close)
 	return nil

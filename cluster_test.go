@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -782,3 +784,135 @@ func TestClusterDeterministicReports(t *testing.T) {
 		}
 	}
 }
+
+// TestRuntimeRecycledByLastHolder: a runtime's storage goes back to the
+// stocks exactly once, at the Close that releases the runtime's last hold,
+// in every order of the Closes of what holds it: a cluster and a server on a
+// ServiceNet's runtime, and a cluster on another cluster's runtime, each with
+// a drained session still open on the borrowing cluster. Every Close returns,
+// and the session's Report is the one it gives alone. A probe registered with
+// the kernel counts its teardowns.
+func TestRuntimeRecycledByLastHolder(t *testing.T) {
+	ds := namedDataset{space: "last-holder", n: 64}
+	env := WithEnv(EnvConfig{Cores: 8, GPUs: 1})
+	streamed := func(cl *Cluster) (*Session, error) {
+		s, err := cl.Open(ds, WithPipeline(flatPipeline(time.Millisecond)), WithBatchSize(8), WithIterations(6))
+		if err != nil {
+			return nil, err
+		}
+		for _, err := range s.Batches(context.Background()) {
+			if err != nil {
+				return nil, err
+			}
+		}
+		return s, nil
+	}
+	alone, err := NewCluster(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := streamed(alone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = alone.Close()
+
+	// A setup builds its holders and returns the cluster the session opens
+	// on and the Closes, by name.
+	setups := []struct {
+		name  string
+		build func() (*Cluster, map[string]func() error, error)
+	}{
+		{"service-net", func() (*Cluster, map[string]func() error, error) {
+			sn := NewServiceNet(nil, ServiceNetConfig{})
+			cl, err := NewCluster(WithRuntime(sn.Runtime()), env)
+			if err != nil {
+				return nil, nil, err
+			}
+			addr, err := Serve(cl, WithServiceNet(sn), Publish("train", ds, nil))
+			if err != nil {
+				return nil, nil, err
+			}
+			return cl, map[string]func() error{"cluster": cl.Close, "server": addr.Close}, nil
+		}},
+		{"shared-runtime", func() (*Cluster, map[string]func() error, error) {
+			owner, err := NewCluster(env)
+			if err != nil {
+				return nil, nil, err
+			}
+			cl, err := NewCluster(WithRuntime(owner.Runtime()), env)
+			if err != nil {
+				return nil, nil, err
+			}
+			return cl, map[string]func() error{"cluster": cl.Close, "owner": owner.Close}, nil
+		}},
+	}
+	for _, setup := range setups {
+		for _, order := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+			done := make(chan string, 1)
+			var names []string
+			go func() {
+				cl, closes, err := setup.build()
+				if err != nil {
+					done <- err.Error()
+					return
+				}
+				probe := new(countRecycler)
+				cl.rt.k.Do(func() { cl.rt.k.Own(probe) })
+				s, err := streamed(cl)
+				if err != nil {
+					done <- err.Error()
+					return
+				}
+				var rep *Report
+				closes["session"] = func() (err error) {
+					rep, err = s.Close()
+					return err
+				}
+				for name := range closes {
+					names = append(names, name)
+				}
+				sort.Strings(names)
+				for i, j := range order {
+					if err := closes[names[j]](); err != nil {
+						done <- fmt.Sprintf("%s.Close: %v", names[j], err)
+						return
+					}
+					if want := min(i/2, 1); probe.n != want { // 1 after the last Close
+						done <- fmt.Sprintf("after %s.Close: %d teardowns, want %d", names[j], probe.n, want)
+						return
+					}
+				}
+				for _, name := range names {
+					_ = closes[name]()
+				}
+				if probe.n != 1 {
+					done <- fmt.Sprintf("%d teardowns after the Closes again, want 1", probe.n)
+					return
+				}
+				if !reflect.DeepEqual(rep, solo) {
+					done <- fmt.Sprintf("the session's report %+v, want the one it gives alone, %+v", rep, solo)
+					return
+				}
+				done <- ""
+			}()
+			select {
+			case msg := <-done:
+				if msg != "" {
+					t.Errorf("%s, order %v of %v: %s", setup.name, order, names, msg)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s, order %v: a Close hung", setup.name, order)
+			}
+		}
+	}
+}
+
+// countRecycler counts the teardowns of the kernel it is registered with.
+type countRecycler struct{ n int }
+
+func (r *countRecycler) Recycle() { r.n++ }

@@ -195,8 +195,9 @@ type lane struct {
 
 func (ln *lane) construct() { ln.l.batchConstructor(ln.l.runCtx, ln.g) }
 
-// stock holds the loaders their owners recycled, for New to hand out again.
-var stock = simtime.NewStock[*Loader](512)
+// stock holds the loaders their owners recycled, for New to hand out again;
+// serve-256's 256 streams are its peak.
+var stock = simtime.NewStock[*Loader](256)
 
 // New returns a MinatoLoader over the given spec: a recycled one, if an
 // owner recycled one before.

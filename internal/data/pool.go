@@ -55,10 +55,10 @@ const chunk = 64
 // The stocks are the process-wide free lists pools recycle into and refill
 // from. Each list is one recycled pool's, kept whole with its storage, so a
 // pool that adopts one takes every sample on it without copying or growing
-// a slice.
+// a slice. multinode8-flashcrowd's eight pools are their peak.
 var (
-	sampleLists = simtime.NewStock[[]*Sample](64)
-	batchLists  = simtime.NewStock[[]*Batch](64)
+	sampleLists = simtime.NewStock[[]*Sample](8)
+	batchLists  = simtime.NewStock[[]*Batch](8)
 )
 
 // refill fills an empty free list: with a list from the stock, adopted

@@ -89,10 +89,10 @@ func TestContendedRunAllocatesNothing(t *testing.T) {
 	})
 }
 
-// TestRecycledDevicesAllocateNoEntries: the devices of a run recycled at
-// teardown leave their entries to the next run's devices, which then take
-// nine concurrent occupants each without allocating an entry; with nothing
-// recycled, each fresh entry is an allocation.
+// TestRecycledDevicesAllocateNoEntries: the devices of a run, which register
+// with their kernel, leave their entries at its Recycle to the next run's
+// devices, which then take nine concurrent occupants each without allocating
+// an entry; with nothing recycled, each fresh entry is an allocation.
 func TestRecycledDevicesAllocateNoEntries(t *testing.T) {
 	for {
 		if _, ok := entryStock.Get(); !ok {
@@ -114,8 +114,8 @@ func TestRecycledDevicesAllocateNoEntries(t *testing.T) {
 		})
 		for i, d := range devs {
 			d.free = append(d.free, held[i][:]...)
-			d.Recycle()
 		}
+		k.Recycle() // the devices registered with it
 		return allocs
 	}
 	if got := run(); got != 9 {

@@ -126,13 +126,16 @@ type entry struct {
 // The storage of recycled devices, process-wide: their entries, and the
 // backing arrays of their free lists and heaps. Devices are built per run,
 // and each grows its entries to the run's peak occupancy; a new device
-// draws from here instead (see Recycle).
+// draws from here instead (see Recycle). The bounds are benchmark peaks:
+// multinode8-flashcrowd returns 778 entries at seed 7 (772 at seed 1), and
+// fleet-64gpu's 66 devices 132 slices.
 var (
-	entryStock = simtime.NewStock[*entry](1 << 14)
-	sliceStock = simtime.NewStock[[]*entry](1 << 10)
+	entryStock = simtime.NewStock[*entry](800)
+	sliceStock = simtime.NewStock[[]*entry](132)
 )
 
-// New returns a device with the given parallel capacity (must be positive).
+// New returns a device with the given parallel capacity (must be positive),
+// registered with rt's teardown (see Recycle).
 func New(rt *simtime.Virtual, name string, capacity float64) *Device {
 	if capacity <= 0 {
 		panic("device: capacity must be positive")
@@ -144,13 +147,14 @@ func New(rt *simtime.Virtual, name string, capacity float64) *Device {
 	}
 	d.free, _ = sliceStock.Get()
 	d.entries, _ = sliceStock.Get()
+	rt.Own(d)
 	return d
 }
 
 // Recycle hands the device's storage to the devices built after it, in
 // this run or another: its entries, with the selectors they embed, and the
-// backing arrays of its free list and heap. The owner of the device's run
-// calls it at teardown (hardware.Testbed.Recycle); a device still occupied
+// backing arrays of its free list and heap. The device's kernel calls it at
+// the run's teardown (simtime.Virtual.Recycle); a device still occupied
 // keeps everything. The device stays usable, growing new storage if it runs
 // again.
 func (d *Device) Recycle() {

@@ -232,7 +232,7 @@ func Run(t Topology, w workload.Workload, f trainer.Factory, script chaos.Script
 	k.Run(func() {
 		runErr = run(k, t, script, w, f, rep)
 	})
-	k.Recycle()
+	k.Recycle() // the run's devices, fabric, page caches and pools, then the kernel
 	if runErr != nil {
 		return nil, runErr
 	}
@@ -526,8 +526,10 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 			g.SetNode(int32(i))
 		}
 		shardW := w.WithDataset(dataset.Shard(w.Dataset, perm[i], n))
+		pool := data.NewPool()
+		k.Own(pool)
 		env := &loader.Env{RT: k, CPU: tb.CPU, GPUs: tb.GPUs, Store: store, WG: wg,
-			Pool: data.NewPool(), TraceNode: int32(i)}
+			Pool: pool, TraceNode: int32(i)}
 		nodes[i] = &nodeState{tb: tb, env: env}
 		sp := shardW.Spec()
 		if t := int64(sp.TotalBatches() / len(tb.GPUs)); t < target {
@@ -747,13 +749,7 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 		rep.DataStall += nd.dataStall
 		rep.BarrierStall += nd.barrierStall
 		rep.NetworkStall += nd.networkStall
-		nd.tb.Recycle()
-		nd.env.Pool.Recycle()
 	}
-	if serverDisk != nil {
-		serverDisk.Recycle()
-	}
-	fab.Recycle()
 	rep.GPUs = gpuCount
 	if dur > 0 {
 		rep.AvgGPUUtil = min(100, 100*busyAll/(float64(gpuCount)*dur))

@@ -126,9 +126,6 @@ func (g *GPU) MemPeak() int64 {
 // BusySeconds exposes cumulative compute busy time (for utilization).
 func (g *GPU) BusySeconds() float64 { return g.compute.BusySeconds() }
 
-// Recycle hands the GPU's device storage to later runs (device.Recycle).
-func (g *GPU) Recycle() { g.compute.Recycle() }
-
 // Pool creates n GPUs of the same architecture.
 func Pool(rt *simtime.Virtual, n int, arch Arch, memBytes int64) []*GPU {
 	gs := make([]*GPU, n)

@@ -92,8 +92,6 @@ func (c Config) WithMemoryLimit(bytes int64) Config {
 
 // Testbed is an instantiated machine.
 type Testbed struct {
-	Cfg   Config
-	RT    *simtime.Virtual
 	CPU   *device.Device
 	GPUs  []*gpu.GPU
 	Disk  *storage.Disk
@@ -106,33 +104,21 @@ type Testbed struct {
 // OS page cache shrinks under a cgroup limit.
 func NewTestbed(rt *simtime.Virtual, cfg Config) *Testbed {
 	const workingSet = 16 * gib
-	cacheBytes := cfg.MemBytes - workingSet
-	if cacheBytes < gib {
-		cacheBytes = gib
-	}
+	return Assemble(rt, cfg, max(cfg.MemBytes-workingSet, gib))
+}
+
+// Assemble builds the devices for cfg around a page cache of cacheBytes,
+// whatever cfg's memory. Every device registers itself with rt's teardown,
+// and the page cache is registered here (simtime.Virtual.Recycle).
+func Assemble(rt *simtime.Virtual, cfg Config, cacheBytes int64) *Testbed {
 	disk := storage.NewDisk(rt, cfg.StorageName, cfg.StorageBandwidth, cfg.StorageParallelism)
 	cache := storage.NewPageCache(cacheBytes)
+	rt.Own(cache)
 	return &Testbed{
-		Cfg:   cfg,
-		RT:    rt,
 		CPU:   device.New(rt, "cpu", float64(cfg.Cores)),
 		GPUs:  gpu.Pool(rt, cfg.GPUCount, cfg.GPUArch, cfg.GPUMemBytes),
 		Disk:  disk,
 		Cache: cache,
 		Store: &storage.Store{Disk: disk, Cache: cache},
 	}
-}
-
-// Recycle hands the testbed's per-run storage to the process-wide pools the
-// next run's testbeds draw from: the entries of every device (CPU, GPUs,
-// disk) and the page cache's storage. The owner of the run calls it at
-// teardown, once the run's tasks have exited; a device still occupied keeps
-// its storage, and every part stays usable.
-func (tb *Testbed) Recycle() {
-	tb.CPU.Recycle()
-	for _, g := range tb.GPUs {
-		g.Recycle()
-	}
-	tb.Disk.Recycle()
-	tb.Cache.Recycle()
 }

@@ -61,13 +61,13 @@ func TestStarParkBudgetAndEndState(t *testing.T) {
 	}
 }
 
-// TestRecycledFabricLeavesItsFlows: the flow records of a fabric recycled at
-// its run's end, with the selectors they embed, are what a fabric on another
-// kernel takes for its own flows — which complete as they would on fresh
-// records.
+// TestRecycledFabricLeavesItsFlows: the flow records of a fabric, which
+// registers with its kernel, go at the kernel's Recycle, with the selectors
+// they embed, to a fabric on another kernel, which takes them for its own
+// flows — and those complete as they would on fresh records.
 func TestRecycledFabricLeavesItsFlows(t *testing.T) {
 	ctx := context.Background()
-	run := func() (*Fabric, time.Duration) {
+	run := func() (*simtime.Virtual, *Fabric) {
 		k := simtime.NewVirtual()
 		f := New(k, Config{Endpoints: 9, Bandwidth: 1e9})
 		k.Run(func() {
@@ -77,16 +77,17 @@ func TestRecycledFabricLeavesItsFlows(t *testing.T) {
 			}
 			_ = wg.Wait(ctx)
 		})
-		return f, k.Now()
+		return k, f
 	}
-	first, end := run()
+	k, first := run()
+	end := k.Now()
 	recycled := map[*flow]bool{}
 	for _, fl := range first.free {
 		recycled[fl] = true
 	}
-	first.Recycle()
-	next, nextEnd := run()
-	if nextEnd != end {
+	k.Recycle() // the fabric registered with it
+	k, next := run()
+	if nextEnd := k.Now(); nextEnd != end {
 		t.Errorf("the run on recycled flows ended at %v, want %v", nextEnd, end)
 	}
 	for _, fl := range next.free {

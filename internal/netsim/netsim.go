@@ -102,8 +102,9 @@ type Fabric struct {
 	free []*flow
 }
 
-// flowStock holds the flow records of recycled fabrics, process-wide.
-var flowStock = simtime.NewStock[*flow](1 << 12)
+// flowStock holds the flow records of recycled fabrics, process-wide. Its
+// bound is serve-256's peak, a flow per client.
+var flowStock = simtime.NewStock[*flow](256)
 
 // link is one unidirectional NIC attachment.
 type link struct {
@@ -180,6 +181,7 @@ func New(rt *simtime.Virtual, cfg Config) *Fabric {
 	for i := range f.links {
 		f.links[i].bw = cfg.Bandwidth
 	}
+	rt.Own(f)
 	return f
 }
 
@@ -219,9 +221,10 @@ func (f *Fabric) BytesMoved() int64 {
 }
 
 // Recycle hands the fabric's flow records, with the selectors they embed, to
-// the fabrics built after it, in this run or another. The owner of the run
-// calls it when the run ends; a fabric with flows in flight keeps its
-// records. The fabric stays usable.
+// the fabrics built after it, in this run or another. The fabric's kernel
+// calls it at the run's teardown (simtime.Virtual.Recycle), with which New
+// registers it; a fabric with flows in flight keeps its records. The fabric
+// stays usable.
 func (f *Fabric) Recycle() {
 	if len(f.flows) > 0 {
 		return

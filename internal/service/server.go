@@ -275,8 +275,8 @@ func (s *Server) handleOpen(ctx context.Context, fr Frame) {
 }
 
 // streamStock holds ended streams, with their rings and pump bodies, for
-// the opens of any server to draw from.
-var streamStock = simtime.NewStock[*srvStream](512)
+// the opens of any server to draw from (serve-256's peak: 256).
+var streamStock = simtime.NewStock[*srvStream](256)
 
 // serve is a stream's pump task. Once the pump has returned, nothing reaches
 // the stream — it left the server's table in deregister — so the task

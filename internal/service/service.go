@@ -200,7 +200,6 @@ type Net struct {
 
 	next    int
 	eps     []endpoint // [0, next) allocated
-	live    int        // allocated endpoints not hung up
 	servers []int      // fleet index → endpoint
 }
 
@@ -252,7 +251,6 @@ func (n *Net) AllocEndpoint() (int, error) {
 	}
 	ep := n.next
 	n.next++
-	n.live++
 	n.eps[ep].inbox.InitFrom(inboxRings, n.rt, inboxQueueName, inboxDepth)
 	return ep, nil
 }
@@ -269,9 +267,9 @@ func (n *Net) Inbox(ep int) *queue.Queue[Frame] {
 // all sent END, or a server whose tasks have all exited — reads its inbox no
 // more. The inbox closes, so a frame that finishes its transfer to ep later is
 // dropped (Send); the frames still in it are dropped now; and its ring goes to
-// inboxRings at once, for the next endpoint of any net. When ep was the net's
-// last live party, the fabric's flow records go back to their stock too
-// (netsim.Fabric.Recycle): the net is idle. Idempotent.
+// inboxRings at once, for the next endpoint of any net. The fabric's flow
+// records go back to their stock with the kernel's teardown
+// (simtime.Virtual.Recycle). Idempotent.
 func (n *Net) Hangup(ep int) {
 	if ep >= n.next || n.eps[ep].dead {
 		return
@@ -287,9 +285,6 @@ func (n *Net) Hangup(ep int) {
 		fr.drop()
 	}
 	e.inbox.Recycle(inboxRings)
-	if n.live--; n.live == 0 {
-		n.fab.Recycle()
-	}
 }
 
 // RegisterServer records ep as the next member of the server fleet and

@@ -51,8 +51,9 @@ func (s *Stock[T]) Put(x T) bool {
 
 // tasks is the free list of parked coroutines: kernels are built per run and
 // spawn hundreds of tasks each, and starting a coroutine costs ten times what
-// re-running a parked one does. What overflows it is stopped, not leaked.
-var tasks = NewStock[*task](2048)
+// re-running a parked one does. What overflows it is stopped, not leaked. Its
+// bound is serve-256's peak, 1,282 coroutines parked at its teardown.
+var tasks = NewStock[*task](1282)
 
 func getTask() *task {
 	if t, ok := tasks.Get(); ok {

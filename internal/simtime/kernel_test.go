@@ -468,7 +468,8 @@ func TestDoorEntryAllocations(t *testing.T) {
 // TestRecycledKernelQueues: a kernel recycled at its run's teardown hands
 // its ready queue, timer heap and task list to the next NewVirtual, which
 // runs the same shape without growing them; the recycled kernel stays
-// usable.
+// usable. Its teardown list runs once, in reverse order, and is handed on
+// like the queues.
 func TestRecycledKernelQueues(t *testing.T) {
 	ctx := context.Background()
 	run := func(k *Virtual) {
@@ -499,7 +500,48 @@ func TestRecycledKernelQueues(t *testing.T) {
 	run(first) // still usable
 	next.Recycle()
 	first.Recycle()
+
+	// The teardown list goes with the queues: what registered with a kernel
+	// is recycled once, in reverse order of registration, and a warm kernel
+	// registers on the list a recycled one left, allocating nothing.
+	for {
+		if _, ok := retired.Get(); !ok {
+			break // start from an empty stock
+		}
+	}
+	var order []int
+	owned := make([]*orderRecycler, 4)
+	for i := range owned {
+		owned[i] = &orderRecycler{i: i, order: &order}
+		first.Own(owned[i])
+	}
+	first.Recycle()
+	first.Recycle() // recycles nothing more
+	if want := []int{3, 2, 1, 0}; !slices.Equal(order, want) {
+		t.Errorf("recycled %v, want %v", order, want)
+	}
+	warm := NewVirtual()
+	if allocs := testing.AllocsPerRun(10, func() {
+		warm.owned = warm.owned[:0]
+		for _, r := range owned {
+			warm.Own(r)
+		}
+	}); allocs != 0 {
+		t.Errorf("%v allocs to register %d recyclers on a warm kernel, want 0", allocs, len(owned))
+	}
+	warm.Recycle()
+	if want := []int{3, 2, 1, 0, 3, 2, 1, 0}; !slices.Equal(order, want) {
+		t.Errorf("recycled %v, want %v", order, want)
+	}
 }
+
+// orderRecycler appends i to order when it is recycled.
+type orderRecycler struct {
+	i     int
+	order *[]int
+}
+
+func (r *orderRecycler) Recycle() { *r.order = append(*r.order, r.i) }
 
 // TestParkOutsideATaskPanics: the goroutine kernel let an untracked
 // goroutine park and silently corrupted its runnable count.

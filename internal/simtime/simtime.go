@@ -70,7 +70,10 @@
 // list — and the run's span recorder. Trace returns it, nil when the run is
 // untraced, and every layer on the kernel records its spans there; no layer
 // holds a recorder of its own. SetTrace attaches it once, from the loop or
-// before the first entry, and a kernel takes one recorder.
+// before the first entry, and a kernel takes one recorder. The kernel also
+// owns the run's storage: each layer registers what it builds (Own), and one
+// teardown, Recycle, hands all of it on, called by the run's owner or by the
+// outside entry that releases the kernel's last hold (Hold, Release).
 //
 // Cancellation is a kernel event. One context.AfterFunc per distinct
 // context per kernel readies the tasks parked under it; their Sleep or Wait

@@ -40,6 +40,10 @@ type Virtual struct {
 	// trace is the span recorder of every layer on this kernel; nil when the
 	// run is untraced (SetTrace).
 	trace *trace.Recorder
+	// owned is the run's storage, in order of registration (Own); holds
+	// counts the holders that keep it (Hold).
+	owned []Recycler
+	holds int
 }
 
 // KernelStats counts the kernel's own work since NewVirtual: the coroutine
@@ -53,34 +57,57 @@ type KernelStats struct {
 	Retimes    uint64 // deadlines moved under a parked task (Selector.Retime)
 }
 
-// queues is the storage of a kernel's ready queue, timer heap, task list and
-// cancellation hooks: what Recycle hands from a retired kernel to a new one.
+// queues is the storage of a kernel's ready queue, timer heap, task list,
+// cancellation hooks and teardown list: what Recycle hands from a retired
+// kernel to a new one.
 type queues struct {
 	ready, live []*task
 	timers      timerHeap
 	hooks       map[<-chan struct{}]func() bool
+	owned       []Recycler
 }
 
-// retired holds the queues of recycled kernels, process-wide.
-var retired = NewStock[queues](64)
+// retired holds the queues of recycled kernels, process-wide. Every benchmark
+// workload retires one kernel at a time: its peak is 1.
+var retired = NewStock[queues](1)
 
 // NewVirtual returns a virtual runtime starting at time zero. Its queues
 // start with the storage of a kernel recycled before it, if there is one.
 func NewVirtual() *Virtual {
 	k := &Virtual{}
 	if q, ok := retired.Get(); ok {
-		k.ready, k.live, k.timers, k.hooks = q.ready, q.live, q.timers, q.hooks
+		k.ready, k.live, k.timers, k.hooks, k.owned = q.ready, q.live, q.timers, q.hooks, q.owned
 	}
 	k.door.inbox, k.door.spare = k.door.bufs[0][:0], k.door.bufs[1][:0]
 	return k
 }
 
-// Recycle hands the storage of the kernel's queues to the next NewVirtual, in
-// this goroutine or any other. It is for the kernel's owner, at the teardown
-// of its run: like Drain it waits for every task to exit first, so it is not
+// Recycler is storage a run builds on a kernel and hands back to its stocks
+// at the run's teardown: a device's entries, a fabric's flows, a cache's
+// slabs, a sample pool's free lists.
+type Recycler interface{ Recycle() }
+
+// Own registers r with the kernel's teardown: Recycle calls r.Recycle once,
+// after its drain. A layer registers what it builds on the kernel when it
+// builds it. Like Go, it is for tasks and posted functions, or for a kernel
+// nobody has entered yet.
+func (k *Virtual) Own(r Recycler) { k.owned = append(k.owned, r) }
+
+// Hold and Release count the kernel's holders, the long-lived owners of what
+// runs on it (a cluster, a server); Held reports whether one is left. The
+// outside entry in which the last hold goes recycles the kernel (Recycle).
+// Like Go, they are for tasks and posted functions.
+func (k *Virtual) Hold()      { k.holds++ }
+func (k *Virtual) Release()   { k.holds-- }
+func (k *Virtual) Held() bool { return k.holds > 0 }
+
+// Recycle is the kernel's one teardown: like Drain it waits for every task to
+// exit, then calls each registered Recycler once, last registered first, and
+// hands the storage of the kernel's queues to the next NewVirtual. It is for
+// the kernel's owner or the outside entry that released its last hold, not
 // for tasks, posted functions or a kernel a server's daemons still live on.
-// A kernel that was entered again meanwhile keeps its storage. The kernel
-// stays usable, growing new storage if it runs again.
+// A kernel entered again meanwhile keeps its storage. The kernel stays usable,
+// growing new storage if it runs again; a second Recycle recycles nothing.
 func (k *Virtual) Recycle() {
 	k.Drain()
 	d := &k.door
@@ -89,9 +116,15 @@ func (k *Virtual) Recycle() {
 	if d.looping || len(k.live) > 0 {
 		return
 	}
+	for i := len(k.owned) - 1; i >= 0; i-- {
+		k.owned[i].Recycle()
+		k.owned[i] = nil
+	}
 	k.unhook()
-	retired.Put(queues{ready: k.ready[:0], live: k.live[:0], timers: k.timers[:0], hooks: k.hooks})
-	k.ready, k.rhead, k.live, k.timers, k.hooks = nil, 0, nil, nil, nil
+	if cap(k.live) > 0 || cap(k.owned) > 0 { // else no task ran, nothing registered
+		retired.Put(queues{ready: k.ready[:0], live: k.live[:0], timers: k.timers[:0], hooks: k.hooks, owned: k.owned[:0]})
+	}
+	k.ready, k.rhead, k.live, k.timers, k.hooks, k.owned = nil, 0, nil, nil, nil, nil
 }
 
 // Trace returns the recorder every layer on this kernel records its spans

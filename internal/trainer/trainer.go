@@ -521,22 +521,18 @@ func RunEnv(env *loader.Env, w workload.Workload, f Factory, p Params) (*Report,
 }
 
 // Simulate runs a session on a fresh virtual-time kernel and testbed —
-// the entry point experiments and benchmarks use.
+// the entry point experiments and benchmarks use. The kernel, and the
+// testbed and sample pool registered with it, die with this call: its
+// Recycle hands their storage to the stocks, so the next run starts warm.
 func Simulate(cfg hardware.Config, w workload.Workload, f Factory, p Params) (*Report, error) {
 	k := simtime.NewVirtual()
 	var rep *Report
 	var err error
-	var tb *hardware.Testbed
-	pool := data.NewPool()
 	k.Run(func() {
-		tb = hardware.NewTestbed(k, cfg)
-		rep, err = RunEnv(testbedEnv(k, tb, pool), w, f, p)
+		pool := data.NewPool()
+		k.Own(pool)
+		rep, err = RunEnv(testbedEnv(k, hardware.NewTestbed(k, cfg), pool), w, f, p)
 	})
-	k.Drain()
-	// The testbed, the sample pool and the kernel die with this call: hand
-	// their storage to the stocks so the next run starts warm.
-	tb.Recycle()
-	pool.Recycle()
 	k.Recycle()
 	return rep, err
 }

@@ -97,12 +97,10 @@ import (
 	"github.com/minatoloader/minato/internal/core"
 	"github.com/minatoloader/minato/internal/data"
 	"github.com/minatoloader/minato/internal/dataset"
-	"github.com/minatoloader/minato/internal/device"
 	"github.com/minatoloader/minato/internal/gpu"
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loader"
 	"github.com/minatoloader/minato/internal/simtime"
-	"github.com/minatoloader/minato/internal/storage"
 	"github.com/minatoloader/minato/internal/trainer"
 	"github.com/minatoloader/minato/internal/transform"
 	"github.com/minatoloader/minato/internal/workload"
@@ -225,14 +223,7 @@ func buildEnv(rt *simtime.Virtual, cfg EnvConfig) *hardware.Testbed {
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = 8 << 30
 	}
-	disk := storage.NewDisk(rt, "disk", cfg.DiskBandwidth, 2)
-	cache := storage.NewPageCache(cfg.CacheBytes)
-	return &hardware.Testbed{
-		RT:    rt,
-		CPU:   device.New(rt, "cpu", float64(cfg.Cores)),
-		GPUs:  gpu.Pool(rt, cfg.GPUs, gpu.A100, 40<<30),
-		Disk:  disk,
-		Cache: cache,
-		Store: &storage.Store{Disk: disk, Cache: cache},
-	}
+	return hardware.Assemble(rt, hardware.Config{Cores: cfg.Cores, GPUCount: cfg.GPUs, GPUArch: gpu.A100,
+		GPUMemBytes: 40 << 30, StorageName: "disk", StorageBandwidth: cfg.DiskBandwidth, StorageParallelism: 2},
+		cfg.CacheBytes)
 }

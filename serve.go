@@ -53,15 +53,15 @@ type ServiceNet struct {
 
 // NewServiceNet builds a service fabric on rt; a nil rt gets a fresh
 // deterministic virtual runtime (share it with NewCluster via
-// WithRuntime(net.Runtime())).
+// WithRuntime(net.Runtime())). It enters the kernel to build the fabric: not
+// from the body of a Batches or StreamAll loop.
 func NewServiceNet(rt *Runtime, cfg ServiceNetConfig) *ServiceNet {
 	if rt == nil {
 		rt = &Runtime{k: simtime.NewVirtual()}
 	}
-	return &ServiceNet{
-		rt:  rt,
-		net: service.NewNet(rt.k, cfg),
-	}
+	n := &ServiceNet{rt: rt}
+	rt.k.Do(func() { n.net = service.NewNet(rt.k, cfg) })
+	return n
 }
 
 // Runtime returns the clock the fabric runs on.
@@ -266,13 +266,13 @@ func Serve(cl *Cluster, opts ...Option) (*ServerAddr, error) {
 	}
 	// The fabric, the disk, the kernel's task list and the cluster's tenancy
 	// are the kernel's own: the server is attached, wired and spawned with
-	// the kernel in hand.
+	// the kernel in hand. A running server holds the kernel (see Close).
 	var addr *ServerAddr
 	cl.rt.k.Do(func() {
 		if cl.closed {
 			err = ErrClusterClosed
 		} else if addr, err = serve(cl, sn, o); err == nil {
-			cl.servers++
+			cl.rt.k.Hold()
 		}
 	})
 	return addr, err
@@ -350,7 +350,8 @@ func (a *ServerAddr) Stats() (st ServeStats) {
 // are torn down (their cluster sessions closed), and late frames are
 // drained silently. The backing cluster stays open — closing it is the
 // caller's job, though a cluster closed while it served is reclaimed here,
-// once its last stream has ended. Idempotent.
+// once its last stream has ended. The server gives back its hold on the
+// runtime (see Cluster.Close). Idempotent.
 func (a *ServerAddr) Close() error {
 	// The waits below park, so they run on a task of the server's kernel.
 	a.cl.run(func() {
@@ -361,7 +362,7 @@ func (a *ServerAddr) Close() error {
 		a.eng.Stop()
 		_ = a.wg.Wait(context.Background())
 		a.srv.Close()
-		a.cl.servers--
+		a.rt.k.Release()
 	})
 	return nil
 }
@@ -419,8 +420,9 @@ func (co *clusterOpener) OpenStream(spec service.StreamSpec, weight float64) (se
 
 // servedStock holds the shells of closed served sessions: each keeps the
 // storage of its seat (GPU slices, task group) and of its delivery
-// bookkeeping. The next served stream of any cluster draws from it.
-var servedStock = simtime.NewStock[*Session](512)
+// bookkeeping. The next served stream of any cluster draws from it;
+// serve-256's 256 streams are its peak.
+var servedStock = simtime.NewStock[*Session](256)
 
 // servedSession returns a zero session for a served stream: a recycled
 // shell, if there is one.
