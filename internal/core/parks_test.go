@@ -46,4 +46,10 @@ func TestParkBudgetPerSample(t *testing.T) {
 	if st.Wakes > st.Parks {
 		t.Fatalf("%d wakes for %d parks: a wake readies a parked task once", st.Wakes, st.Parks)
 	}
+	// The exact counts: a change to a wait list or a wake source that adds,
+	// drops or reorders a kernel event moves one of them.
+	if st.Parks != 15660 || st.TimedParks != 10771 || st.Wakes != 15660 || st.Spawns != 138 {
+		t.Fatalf("%d parks (%d timed), %d wakes, %d spawns; want 15660 (10771), 15660, 138",
+			st.Parks, st.TimedParks, st.Wakes, st.Spawns)
+	}
 }

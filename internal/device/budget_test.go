@@ -37,6 +37,9 @@ func TestContendedParkBudgetAndEndTime(t *testing.T) {
 	if max := uint64(tasks * runs * 101 / 100); st.Parks > max {
 		t.Errorf("%d parks for %d runs, budget %d (1.01 each)", st.Parks, tasks*runs, max)
 	}
+	if st.Parks != 6408 || st.Retimes != 12791 {
+		t.Errorf("%d parks, %d retimes; want exactly 6408, 12791", st.Parks, st.Retimes)
+	}
 	if now := k.Now(); now != 825589690 {
 		t.Errorf("ended at %d ns, want 825589690", now)
 	}

@@ -657,6 +657,12 @@ func TestServedStreamParkBudget(t *testing.T) {
 	if perSample > maxParksPerSample {
 		t.Fatalf("%.3f parks per delivered sample, budget %.1f", perSample, maxParksPerSample)
 	}
+	// The exact counts: a change to a wait list or a wake source that adds,
+	// drops or reorders a kernel event moves one of them.
+	if st.Parks != 20813 || st.TimedParks != 3669 || st.SelfWakes != 415 || st.Retimes != 18529 {
+		t.Fatalf("%d parks (%d timed, %d self-woken), %d retimes; want 20813 (3669, 415), 18529",
+			st.Parks, st.TimedParks, st.SelfWakes, st.Retimes)
+	}
 }
 
 // TestServeRefusedJoinsNoFleet is Serve's all-or-nothing rule: a server
