@@ -23,7 +23,6 @@ package cache
 
 import (
 	"math"
-	"slices"
 	"time"
 
 	"github.com/minatoloader/minato/internal/simtime"
@@ -291,11 +290,11 @@ func (c *Cache[K]) ReserveCapacity(n int64) int64 {
 
 // GetOrBegin is the single-flight read path: a cached key returns its entry
 // as a hit; an uncached key with no fill in flight makes the caller the
-// leader (hit false, waiter nil — fill it, then Complete or Abort); an
-// uncached key already being filled parks the caller as a follower (waiter
-// non-nil — Wait, then call GetOrBegin again). Followers count a hit on
-// re-check; only the leader pays a miss.
-func (c *Cache[K]) GetOrBegin(tenant int, key K, rt *simtime.Virtual) (Entry, bool, *simtime.Waiter) {
+// leader (hit false, list nil — fill it, then Complete or Abort); an
+// uncached key already being filled makes the caller a follower (list
+// non-nil — Wait on it, then call GetOrBegin again). Followers count a hit
+// on re-check; only the leader pays a miss.
+func (c *Cache[K]) GetOrBegin(tenant int, key K, rt *simtime.Virtual) (Entry, bool, *simtime.WaitList) {
 	if n, ok := c.index[key]; ok {
 		c.victims.touch(n)
 		c.hit(tenant, n.Cost)
@@ -322,7 +321,8 @@ func (c *Cache[K]) GetOrBegin(tenant int, key K, rt *simtime.Virtual) (Entry, bo
 
 // Complete publishes a leader's fill, attributed to the leader's tenant, and
 // releases the key's followers. An entry larger than the whole cache is not
-// retained, but the followers parked on this fill still receive it as a hit.
+// retained, but the followers still parked on this fill receive it as a hit:
+// one reference each, none for a follower that gave up.
 func (c *Cache[K]) Complete(tenant int, key K, e Entry) {
 	c.count(tenant, func(s *Stats) { s.Fills++ })
 	c.insert(tenant, key, e)
@@ -341,7 +341,7 @@ func (c *Cache[K]) Complete(tenant int, key K, e Entry) {
 // followers park until Recycle.
 func (c *Cache[K]) Abort(key K) { c.land(key) }
 
-// land ends key's flight and reports how many followers it released.
+// land ends key's flight and reports how many followers accepted its wake.
 func (c *Cache[K]) land(key K) int {
 	if c.inflight == nil {
 		return 0 // landed by Recycle
@@ -444,15 +444,7 @@ func (c *Cache[K]) Recycle() {
 		c.tenants.rows[i].tier[c.tier].Used = 0
 	}
 	if f := c.inflight; f != nil {
-		keys := f.Keys()
-		slices.SortFunc(keys, func(a, b K) int { return a.Compare(b) })
-		woken := 0
-		for _, key := range keys {
-			woken += f.Land(key)
-		}
-		if woken == 0 {
-			// Followers just woken have yet to resume on their waiters, in
-			// this run: only a table nobody waits on leaves it.
+		if !f.LandAll(func(a, b K) int { return a.Compare(b) }) {
 			c.pool.flights.Put(f)
 			c.inflight = nil
 		}

@@ -67,12 +67,14 @@ type Pauser struct {
 
 	paused   bool
 	terminal bool
-	waiters  []*simtime.Waiter
+	waiters  simtime.WaitList
 }
 
 // NewPauser returns an unpaused gate.
 func NewPauser(rt *simtime.Virtual) *Pauser {
-	return &Pauser{rt: rt}
+	p := &Pauser{rt: rt}
+	p.waiters.Init(rt)
+	return p
 }
 
 // Pause preempts the session; terminal marks a preemption with no
@@ -81,22 +83,14 @@ func NewPauser(rt *simtime.Virtual) *Pauser {
 func (p *Pauser) Pause(terminal bool) {
 	p.paused, p.terminal = true, terminal
 	if terminal {
-		p.wakeAll()
+		p.waiters.WakeAll()
 	}
 }
 
 // Resume releases every parked consumer.
 func (p *Pauser) Resume() {
 	p.paused, p.terminal = false, false
-	p.wakeAll()
-}
-
-func (p *Pauser) wakeAll() {
-	ws := p.waiters
-	p.waiters = nil
-	for _, w := range ws {
-		w.Wake()
-	}
+	p.waiters.WakeAll()
 }
 
 // Wait parks until the session is not preempted and returns the time
@@ -115,10 +109,8 @@ func (p *Pauser) Wait(ctx context.Context) (time.Duration, error) {
 		if p.terminal {
 			return stalled, ErrPreempted
 		}
-		w := p.rt.NewWaiter()
-		p.waiters = append(p.waiters, w)
 		t0 := p.rt.Now()
-		err := w.Wait(ctx)
+		err := p.waiters.Wait(ctx)
 		stalled += p.rt.Now() - t0
 		if err != nil {
 			return stalled, err

@@ -129,6 +129,10 @@ type Loader struct {
 	// its interrupted transform index (Algorithm 1 line 11).
 	tempQ queue.Queue[*data.Sample]
 	lanes []lane // one per GPU
+	// gate broadcasts accounting changes that can flip drained() without a
+	// queue operation (faults, source exhaustion, worker exits, the final
+	// consume), so parked batch constructors re-check instead of polling.
+	gate simtime.Gate
 
 	profiler Profiler
 	sched    Scheduler
@@ -163,11 +167,6 @@ type run struct {
 	consumed  int64 // samples drawn into batches
 	abandoned int64 // samples lost to preprocessing faults
 	srcDone   bool  // index stream exhausted
-
-	// gate broadcasts accounting changes that can flip drained() without a
-	// queue operation (faults, source exhaustion, worker exits, the final
-	// consume), so parked batch constructors re-check instead of polling.
-	gate simtime.Gate
 
 	batchSeq int64
 	// claims assigns batch slots to constructors so the delivery budget is
@@ -213,6 +212,7 @@ func New(env *loader.Env, spec loader.Spec, cfg Config) *Loader {
 	l.fastQ.Init(env.RT, "fast", queueCap)
 	l.slowQ.Init(env.RT, "slow", queueCap)
 	l.tempQ.Init(env.RT, "temp", queueCap)
+	l.gate.Init()
 	if cap(l.lanes) < len(env.GPUs) {
 		l.lanes = make([]lane, len(env.GPUs))
 	}
@@ -786,12 +786,7 @@ type orderedBuffer struct {
 	pending map[int64]*data.Sample
 	next    int64
 	live    int // non-tombstone entries
-	subs    []orderedSub
-}
-
-type orderedSub struct {
-	sel *simtime.Selector
-	idx int
+	subs    simtime.WaitList
 }
 
 func newOrderedBuffer() *orderedBuffer {
@@ -802,7 +797,7 @@ func (o *orderedBuffer) add(s *data.Sample) {
 	o.pending[s.OriginalOrder] = s
 	o.live++
 	if s.OriginalOrder == o.next {
-		o.wakeOne()
+		o.subs.WakeOne()
 	}
 }
 
@@ -814,7 +809,7 @@ func (o *orderedBuffer) skip(seq int64) {
 	if _, ok := o.pending[seq]; !ok {
 		o.pending[seq] = nil
 		if seq == o.next {
-			o.wakeOne()
+			o.subs.WakeOne()
 		}
 	}
 }
@@ -835,7 +830,7 @@ func (o *orderedBuffer) takeNext() *data.Sample {
 		o.live--
 		if _, ok := o.pending[o.next]; ok {
 			// Another consumer can proceed with the new front.
-			o.wakeOne()
+			o.subs.WakeOne()
 		}
 		return s
 	}
@@ -850,28 +845,11 @@ func (o *orderedBuffer) Arm(sel *simtime.Selector, idx int) bool {
 		sel.TryWake(idx)
 		return true
 	}
-	o.subs = append(o.subs, orderedSub{sel: sel, idx: idx})
+	o.subs.Arm(sel, idx)
 	return false
 }
 
 // Disarm implements simtime.Source.
-func (o *orderedBuffer) Disarm(sel *simtime.Selector) {
-	for i, e := range o.subs {
-		if e.sel == sel {
-			o.subs = append(o.subs[:i], o.subs[i+1:]...)
-			break
-		}
-	}
-}
-
-func (o *orderedBuffer) wakeOne() {
-	for len(o.subs) > 0 {
-		e := o.subs[0]
-		o.subs = o.subs[1:]
-		if e.sel.TryWake(e.idx) {
-			return
-		}
-	}
-}
+func (o *orderedBuffer) Disarm(sel *simtime.Selector) { o.subs.Disarm(sel) }
 
 var _ simtime.Source = (*orderedBuffer)(nil)

@@ -2,6 +2,7 @@ package matcache
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -516,6 +517,73 @@ func TestUncacheableEntryHandedToFollowers(t *testing.T) {
 		t.Fatal("later caller should miss once the handoff is redeemed")
 	}
 	c.Abort(k)
+}
+
+// TestCancelledFollowerLeavesNoPhantomHit: a follower that gives up its wait
+// is not counted when the fill lands — whether it has left already or is
+// still to resume from its cancellation — so an entry too large to retain is
+// handed to the live follower alone, and the next unrelated reader of the
+// key misses instead of redeeming the reference nobody claimed.
+func TestCancelledFollowerLeavesNoPhantomHit(t *testing.T) {
+	for _, left := range []bool{true, false} {
+		t.Run(fmt.Sprintf("left=%v", left), func(t *testing.T) {
+			rt := simtime.NewVirtual()
+			c := New(1000)
+			k := key(1, 1)
+			var hits, refills atomic.Int64
+			var gaveUp atomic.Bool
+			rt.Run(func() {
+				ctx := context.Background()
+				if _, hit, w := c.GetOrBegin(-1, k, rt); hit || w != nil {
+					t.Error("expected leadership")
+					return
+				}
+				var scope simtime.CancelScope
+				cancelled := scope.Begin(rt, ctx)
+				rt.Go("quitter", func() {
+					_, _, w := c.GetOrBegin(-1, k, rt)
+					if w == nil {
+						t.Error("the quitter did not follow the fill")
+						return
+					}
+					gaveUp.Store(w.Wait(cancelled) != nil)
+				})
+				rt.Go("follower", func() {
+					for {
+						_, hit, w := c.GetOrBegin(-1, k, rt)
+						if hit {
+							hits.Add(1)
+							return
+						}
+						if w == nil {
+							refills.Add(1)
+							c.Abort(k)
+							return
+						}
+						if err := w.Wait(ctx); err != nil {
+							t.Errorf("wait: %v", err)
+							return
+						}
+					}
+				})
+				_ = rt.Sleep(ctx, time.Millisecond) // both followers park
+				scope.Cancel()
+				if left {
+					_ = rt.Sleep(ctx, time.Millisecond) // the quitter leaves
+				}
+				c.Complete(-1, k, Entry{Bytes: 2000, Cost: time.Second})
+				_ = rt.Sleep(ctx, time.Millisecond) // the follower redeems its hit
+				if _, hit, w := c.GetOrBegin(-1, k, rt); hit || w != nil {
+					t.Errorf("a later reader got hit=%v, waiter=%v: a phantom reference for the follower that gave up", hit, w != nil)
+				}
+				c.Abort(k)
+			})
+			rt.Drain()
+			if !gaveUp.Load() || hits.Load() != 1 || refills.Load() != 0 {
+				t.Fatalf("quitter gave up %v; follower hits %d, refills %d; want true, 1, 0", gaveUp.Load(), hits.Load(), refills.Load())
+			}
+		})
+	}
 }
 
 // Recycle clears single-flight claims orphaned by a leader that died

@@ -8,20 +8,16 @@
 //
 // The implementation is allocation-free in steady state: items live in a
 // power-of-two ring buffer sized at construction (or, for a queue that
-// seldom fills, grown to the most it has held), parked producers and
-// consumers are recorded in ring-backed waiter lists (no append-and-shift
-// slice churn; a waiter that gives up leaves in O(1)), and blocking waits
-// reuse Selectors instead of allocating a one-shot Waiter per park. Popped
-// ring slots are zeroed so the queue never keeps a vacated element
-// reachable.
+// seldom fills, grown to the most it has held), and parked producers and
+// consumers wait on two simtime.WaitLists, the kernel's wait list (FIFO
+// wakes, a waiter that gives up leaves in O(1), the selectors of blocking
+// waits recycled by the kernel). Popped ring slots are zeroed so the queue
+// never keeps a vacated element reachable.
 //
-// A queue that never has more than one blocked Put/Get at a time and never
-// more than two waiters per list allocates nothing past its item ring: the
-// first parked caller uses a Selector embedded in the queue (further
-// concurrent ones draw recycled Selectors from a free list), and each waiter
-// list starts on a two-entry array inside the queue before it moves to a
-// heap ring. Init readies a Queue embedded by value in its owner, so a
-// structure that holds several queues pays one allocation per item ring.
+// Each wait list starts on a two-entry array inside the queue before it
+// moves to a heap ring, and keeps that ring across Init. Init readies a
+// Queue embedded by value in its owner, so a structure that holds several
+// queues pays one allocation per item ring.
 //
 // A Queue has no lock: it is task-only state (see simtime's ownership rule).
 // Only kernel tasks, of which one runs at a time, may call its methods.
@@ -50,21 +46,12 @@ type Queue[T any] struct {
 	head       int // index of the oldest buffered item
 	size       int
 	closed     bool
-	getWaiters waitList
-	putWaiters waitList
+	getWaiters simtime.WaitList // blocked Gets and armed selectors
+	putWaiters simtime.WaitList // blocked Puts
 
 	// occupancy statistics
 	occIntegral float64 // ∫ len dt, in item-seconds
 	lastOcc     time.Duration
-
-	// sel serves the first blocking Put/Get to park (selBusy while it does);
-	// free recycles the Selectors of parks beyond it. Reuse is safe because
-	// a waker pops an entry before it wakes its selector and a waiter that
-	// gives up removes its own: once park returns, no list holds a reference
-	// to its selector.
-	sel     simtime.Selector
-	selBusy bool
-	free    []*simtime.Selector
 
 	puts, gets int64
 	maxLen     int
@@ -84,8 +71,8 @@ func New[T any](rt *simtime.Virtual, name string, capacity int) *Queue[T] {
 // for one of its own. The queue is a zero one, or one its recycled owner
 // used before, whose tasks have all exited: that one starts over empty and
 // keeps its item ring, when the capacity rounds to the same size, and its
-// spare Selectors. The queue points into itself once used, so it must not be
-// copied after Init.
+// wait lists' rings. The queue points into itself once used, so it must not
+// be copied after Init.
 func (q *Queue[T]) Init(rt *simtime.Virtual, name string, capacity int) {
 	if capacity <= 0 {
 		panic("queue: capacity must be positive")
@@ -107,17 +94,15 @@ func ringFor(capacity int) int {
 	return ring
 }
 
-// reset readies the queue, empty, on the power-of-two ring buf.
+// reset readies the queue, empty, on the power-of-two ring buf. The wait
+// lists, whose rings may point into q, are written back where they were.
 func (q *Queue[T]) reset(rt *simtime.Virtual, name string, capacity int, buf []T) {
 	clear(buf)
-	free := q.free
-	for _, sel := range free {
-		sel.Bind(rt)
-	}
 	now := rt.Now()
 	*q = Queue[T]{rt: rt, name: name, cap: capacity, buf: buf, mask: len(buf) - 1,
-		free: free, created: now, lastOcc: now}
-	q.sel.Bind(rt)
+		getWaiters: q.getWaiters, putWaiters: q.putWaiters, created: now, lastOcc: now}
+	q.getWaiters.Init(rt)
+	q.putWaiters.Init(rt)
 }
 
 // Recycle hands the item ring of a closed, drained queue, whose popped slots
@@ -198,7 +183,7 @@ func (q *Queue[T]) push(v T) {
 		q.maxLen = n + 1
 	}
 	q.puts++
-	q.getWaiters.wakeOne()
+	q.getWaiters.WakeOne()
 }
 
 // pop removes and returns the oldest item. The caller has verified the queue
@@ -212,7 +197,7 @@ func (q *Queue[T]) pop() T {
 	q.head = (q.head + 1) & q.mask
 	q.size--
 	q.gets++
-	q.putWaiters.wakeOne()
+	q.putWaiters.WakeOne()
 	return v
 }
 
@@ -227,11 +212,11 @@ func (q *Queue[T]) Put(ctx context.Context, v T) error {
 			q.push(v)
 			return nil
 		}
-		if err := q.park(ctx, &q.putWaiters); err != nil {
+		if err := q.putWaiters.Wait(ctx); err != nil {
 			// Guard against a lost wakeup: someone may have woken us to fill
 			// the free slot we are abandoning.
 			if q.size < q.cap {
-				q.putWaiters.wakeOne()
+				q.putWaiters.WakeOne()
 			}
 			return err
 		}
@@ -262,9 +247,9 @@ func (q *Queue[T]) Get(ctx context.Context) (T, error) {
 		if q.closed {
 			return zero, ErrClosed
 		}
-		if err := q.park(ctx, &q.getWaiters); err != nil {
+		if err := q.getWaiters.Wait(ctx); err != nil {
 			if q.size > 0 {
-				q.getWaiters.wakeOne()
+				q.getWaiters.WakeOne()
 			}
 			return zero, err
 		}
@@ -283,36 +268,6 @@ func (q *Queue[T]) TryGet() (v T, ok bool, err error) {
 	return v, false, nil
 }
 
-// park parks the caller on list with the queue's own selector, or a
-// recycled one when another caller holds it, until a waker (or Close)
-// delivers a wakeup. A nil return means the caller was woken and must
-// re-check its condition; a non-nil return is the context error, with the
-// caller's entry already removed from the list.
-func (q *Queue[T]) park(ctx context.Context, list *waitList) error {
-	sel := &q.sel
-	switch n := len(q.free); {
-	case !q.selBusy:
-		q.selBusy = true
-	case n > 0:
-		sel, q.free = q.free[n-1], q.free[:n-1]
-	default:
-		sel = simtime.NewSelector(q.rt)
-	}
-	sel.Reset()
-	pos := list.push(waiterEntry{sel: sel, idx: 0})
-	_, err := sel.Wait(ctx, 0)
-	if err != nil {
-		// Cancelled: drop our entry if a waker has not already popped it.
-		list.remove(pos, sel)
-	}
-	if sel == &q.sel {
-		q.selBusy = false
-	} else {
-		q.free = append(q.free, sel)
-	}
-	return err
-}
-
 // Close marks the queue closed and wakes every blocked producer and
 // consumer. Items already buffered remain readable. Close is idempotent.
 func (q *Queue[T]) Close() {
@@ -321,114 +276,8 @@ func (q *Queue[T]) Close() {
 	}
 	q.account(q.size)
 	q.closed = true
-	q.getWaiters.wakeAll()
-	q.putWaiters.wakeAll()
-}
-
-// waiterEntry is one parked consumer or producer: a Selector subscription
-// (a recycled selector for blocking Get/Put, or an external Arm registration)
-// with its result index.
-type waiterEntry struct {
-	sel *simtime.Selector
-	idx int
-}
-
-// waitList is a ring-backed FIFO of waiter entries, addressed by absolute
-// position: push hands out consecutive positions, the live window is
-// [head, tail), and position p lives in slot p mod len(ring) — growing the
-// ring moves no entry to another position. That lets a waiter that gives up
-// drop its entry in O(1): remove turns the slot it registered in into a
-// tombstone (a zero entry) and pop skips tombstones, so FIFO wake order is
-// untouched. Tombstones are reclaimed as the window's ends pass them; popped
-// and removed slots are zeroed, so no Selector stays reachable after its
-// wait ends. The first ring is the list's own inline array; a window that
-// outgrows it moves to heap rings of 8, 16, ... entries.
-type waitList struct {
-	ring       []waiterEntry // nil, inline[:], or a heap ring; len a power of two
-	head, tail uint64
-	inline     [2]waiterEntry
-}
-
-func (l *waitList) slot(pos uint64) *waiterEntry { return &l.ring[pos&uint64(len(l.ring)-1)] }
-
-// push appends e and returns its position.
-func (l *waitList) push(e waiterEntry) uint64 {
-	if int(l.tail-l.head) == len(l.ring) {
-		l.grow()
-	}
-	*l.slot(l.tail) = e
-	l.tail++
-	return l.tail - 1
-}
-
-// grow moves the full window to a ring twice the size, the inline array
-// being the first, and zeroes the one it left.
-func (l *waitList) grow() {
-	old := l.ring
-	if old == nil {
-		l.ring = l.inline[:]
-		return
-	}
-	l.ring = make([]waiterEntry, max(8, 2*len(old)))
-	for p := l.head; p != l.tail; p++ {
-		*l.slot(p) = old[p&uint64(len(old)-1)]
-	}
-	clear(old)
-}
-
-func (l *waitList) pop() (waiterEntry, bool) {
-	for l.head != l.tail {
-		e := *l.slot(l.head)
-		*l.slot(l.head) = waiterEntry{}
-		l.head++
-		if e.sel != nil {
-			return e, true
-		}
-	}
-	return waiterEntry{}, false
-}
-
-// wakeOne pops entries until one accepts the wakeup. A refused wake (a
-// Selector already claimed by another source) passes to the next waiter so
-// the wakeup is never dropped.
-func (l *waitList) wakeOne() {
-	for {
-		e, ok := l.pop()
-		if !ok {
-			return
-		}
-		if e.sel.TryWake(e.idx) {
-			return
-		}
-	}
-}
-
-// wakeAll delivers a wakeup attempt to every parked entry (shutdown).
-func (l *waitList) wakeAll() {
-	for {
-		e, ok := l.pop()
-		if !ok {
-			return
-		}
-		e.sel.TryWake(e.idx)
-	}
-}
-
-// remove tombstones the entry at pos if it is still sel's, and reports
-// whether it was; otherwise a waker has popped it already (or pos is another
-// list's) and there is nothing to do.
-func (l *waitList) remove(pos uint64, sel *simtime.Selector) bool {
-	if pos-l.head >= l.tail-l.head || l.slot(pos).sel != sel {
-		return false
-	}
-	*l.slot(pos) = waiterEntry{}
-	for l.head != l.tail && l.slot(l.head).sel == nil {
-		l.head++
-	}
-	for l.head != l.tail && l.slot(l.tail-1).sel == nil {
-		l.tail--
-	}
-	return true
+	q.getWaiters.WakeAll()
+	q.putWaiters.WakeAll()
 }
 
 // Arm implements simtime.Source: it registers sel for a wakeup when the
@@ -439,21 +288,12 @@ func (q *Queue[T]) Arm(sel *simtime.Selector, idx int) bool {
 		sel.TryWake(idx)
 		return true
 	}
-	// Noted on the selector, so Disarm finds the entry without a search.
-	sel.Note(q.getWaiters.push(waiterEntry{sel: sel, idx: idx}))
+	q.getWaiters.Arm(sel, idx)
 	return false
 }
 
-// Disarm implements simtime.Source. The selector's notes for this cycle
-// include the position Arm registered it at; a note from another source at
-// most fails the check.
-func (q *Queue[T]) Disarm(sel *simtime.Selector) {
-	for _, pos := range sel.Notes() {
-		if q.getWaiters.remove(pos, sel) {
-			break
-		}
-	}
-}
+// Disarm implements simtime.Source.
+func (q *Queue[T]) Disarm(sel *simtime.Selector) { q.getWaiters.Disarm(sel) }
 
 // WaitAny blocks until one of the sources is ready — for queues, readable or
 // closed — and returns the index of the source that fired (Heartbeat when

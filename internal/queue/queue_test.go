@@ -280,9 +280,9 @@ func TestGetZeroesVacatedSlots(t *testing.T) {
 	})
 }
 
-// TestWaitListDropsWokenSelectors: waiter rings must likewise zero their
-// slots, so a selector does not stay reachable from the queue after its
-// park ended (the same leak class, for waiters instead of items).
+// TestWaitListDropsWokenSelectors: every woken consumer leaves the wait
+// list (the same leak class as a vacated item slot, for waiters; that the
+// list zeroes its slots is simtime's TestWaitList).
 func TestWaitListDropsWokenSelectors(t *testing.T) {
 	k := simtime.NewVirtual()
 	k.Run(func() {
@@ -305,19 +305,15 @@ func TestWaitListDropsWokenSelectors(t *testing.T) {
 		if got.Load() != 4 {
 			t.Fatalf("consumers got %d items, want 4", got.Load())
 		}
-		if n := q.getWaiters.tail - q.getWaiters.head; n != 0 {
+		if n := q.getWaiters.Len(); n != 0 {
 			t.Fatalf("%d waiters still registered", n)
-		}
-		for i, e := range q.getWaiters.ring {
-			if e.sel != nil {
-				t.Fatalf("waiter ring slot %d still holds a selector", i)
-			}
 		}
 	})
 }
 
 // TestBlockingOpsAllocationFree: after warm-up, blocking handoffs through
-// the queue must not allocate (recycled selectors, ring-backed waiter lists).
+// the queue must not allocate (the kernel's recycled selectors, ring-backed
+// wait lists).
 func TestBlockingOpsAllocationFree(t *testing.T) {
 	k := simtime.NewVirtual()
 	k.Run(func() {

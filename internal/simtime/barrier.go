@@ -13,9 +13,10 @@ type Barrier struct {
 	n         int
 	onRelease func(gen uint64)
 
-	gen    uint64
-	broken bool
-	parked waitList // the round's earlier arrivals
+	gen     uint64
+	broken  bool
+	arrived int      // the round's earlier arrivals, those that gave up included
+	parked  WaitList // the ones still waiting
 }
 
 // NewBarrier returns a barrier for n participants (n must be positive).
@@ -23,7 +24,9 @@ func NewBarrier(rt *Virtual, n int) *Barrier {
 	if n <= 0 {
 		panic("simtime: barrier size must be positive")
 	}
-	return &Barrier{n: n, parked: waitList{k: rt}}
+	b := &Barrier{n: n}
+	b.parked.Init(rt)
+	return b
 }
 
 // NewBarrierFunc returns a barrier whose fn runs once per completed round,
@@ -49,15 +52,17 @@ func (b *Barrier) Wait(ctx context.Context) (uint64, error) {
 		return 0, ErrBarrierBroken
 	}
 	gen := b.gen
-	if b.parked.n == b.n-1 {
+	if b.arrived == b.n-1 {
+		b.arrived = 0
 		b.gen++
 		if b.onRelease != nil {
 			b.onRelease(gen)
 		}
-		b.parked.release()
+		b.parked.WakeAll()
 		return gen, nil
 	}
-	if err := b.parked.wait(ctx); err != nil {
+	b.arrived++
+	if err := b.parked.Wait(ctx); err != nil {
 		return 0, err
 	}
 	// Report broken only if this waiter's generation never completed
@@ -74,7 +79,8 @@ func (b *Barrier) Wait(ctx context.Context) (uint64, error) {
 // participant exits early (end of its shard).
 func (b *Barrier) Break() {
 	b.broken = true
-	b.parked.release()
+	b.arrived = 0
+	b.parked.WakeAll()
 }
 
 // ErrBarrierBroken is returned by Wait after Break.

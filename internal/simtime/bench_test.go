@@ -35,19 +35,6 @@ func BenchmarkVirtualParallelSleepers(b *testing.B) {
 	})
 }
 
-func BenchmarkWaiterWakeWait(b *testing.B) {
-	k := NewVirtual()
-	b.ReportAllocs()
-	b.ResetTimer()
-	k.Run(func() {
-		for i := 0; i < b.N; i++ {
-			w := k.NewWaiter()
-			w.Wake()
-			_ = w.Wait(context.Background())
-		}
-	})
-}
-
 // BenchmarkSelectorWakeWait measures one full selector cycle: reset, claim,
 // wait — the hot path of event-driven queue waits and device parks.
 func BenchmarkSelectorWakeWait(b *testing.B) {

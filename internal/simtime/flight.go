@@ -1,64 +1,67 @@
 package simtime
 
+import "slices"
+
 // Flights is the waiting side of a single-flight protocol keyed by K: while
-// one task, the leader, produces a key's value, the others park until the
-// flight has landed, then look again. Waiters and the lists that hold them
-// are reused from one flight to the next, and from one kernel to the next: a
-// Flights with nothing in flight may be handed to another run (see
-// cache.Pool). Task-only; the zero value is ready.
+// one task, the leader, produces a key's value, the others park on the key's
+// WaitList until the flight has landed, then look again. A landed key's list
+// is reused at once, by the next key to take followers, and from one kernel
+// to the next: a Flights with nothing in flight may be handed to another run
+// (see cache.Pool). Task-only; the zero value is ready.
 type Flights[K comparable] struct {
-	m     map[K][]*Waiter
-	idle  []*Waiter
-	lists [][]*Waiter
+	m    map[K]*WaitList // nil until the flight takes a follower
+	idle []*WaitList
 }
 
 // Join returns nil when no flight for key was under way — the caller now
-// leads one and must Land it — else a waiter to park on until it has landed.
-func (f *Flights[K]) Join(key K, rt *Virtual) *Waiter {
-	ws, flying := f.m[key]
-	if !flying {
+// leads one and must Land it — else the list to Wait on until it has landed.
+func (f *Flights[K]) Join(key K, rt *Virtual) *WaitList {
+	l, flying := f.m[key]
+	switch {
+	case !flying:
 		if f.m == nil {
-			f.m = make(map[K][]*Waiter)
+			f.m = make(map[K]*WaitList)
 		}
 		f.m[key] = nil
 		return nil
+	case l != nil:
+		return l
 	}
-	var w *Waiter
 	if n := len(f.idle); n > 0 {
-		w, f.idle = f.idle[n-1], f.idle[:n-1]
-		w.sel.Bind(rt)
-		w.sel.Reset()
+		l, f.idle = f.idle[n-1], f.idle[:n-1]
 	} else {
-		w = rt.NewWaiter()
+		l = new(WaitList)
 	}
-	if n := len(f.lists); ws == nil && n > 0 {
-		ws, f.lists = f.lists[n-1], f.lists[:n-1]
-	}
-	f.m[key] = append(ws, w)
-	return w
+	l.Init(rt)
+	f.m[key] = l
+	return l
 }
 
-// Land ends key's flight, readies its followers in arrival order and reports
-// how many there were. Their waiters go back on the idle list at once: a
-// readied follower does not look at its waiter again.
+// Land ends key's flight, wakes its followers in arrival order and reports
+// how many accepted the wake: a follower that gave up its Wait is not one.
+// The list goes back on the idle list at once.
 func (f *Flights[K]) Land(key K) int {
-	ws := f.m[key]
+	l := f.m[key]
 	delete(f.m, key)
-	for _, w := range ws {
-		w.Wake()
+	if l == nil {
+		return 0
 	}
-	if ws != nil {
-		f.idle = append(f.idle, ws...)
-		f.lists = append(f.lists, ws[:0])
-	}
-	return len(ws)
+	f.idle = append(f.idle, l)
+	return l.WakeAll()
 }
 
-// Keys returns the keys in flight, in no order.
-func (f *Flights[K]) Keys() []K {
+// LandAll lands every flight, in the key order cmp gives, and reports
+// whether a follower was still on a list then: woken now, or cancelled
+// before, it has yet to resume, so the table must stay in its run.
+func (f *Flights[K]) LandAll(cmp func(a, b K) int) (followed bool) {
 	keys := make([]K, 0, len(f.m))
-	for key := range f.m {
+	for key, l := range f.m {
 		keys = append(keys, key)
+		followed = followed || l != nil && l.Len() > 0
 	}
-	return keys
+	slices.SortFunc(keys, cmp)
+	for _, key := range keys {
+		f.Land(key)
+	}
+	return followed
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // TestFlightsParkFollowersUntilTheLeaderLands: the first Join of a key
-// leads, later ones park and resume together, in arrival order, when the
-// leader lands; a key that has landed can fly again; and from the second
-// flight on the waiters and their list come from the ones before.
+// leads, later ones park on one list and resume together, in arrival order,
+// when the leader lands; a key that has landed can fly again; and from the
+// second flight on the list and its selectors come from the ones before.
 func TestFlightsParkFollowersUntilTheLeaderLands(t *testing.T) {
 	ctx := context.Background()
 	k := NewVirtual()
@@ -48,8 +48,8 @@ func TestFlightsParkFollowersUntilTheLeaderLands(t *testing.T) {
 			order = order[:0]
 		}
 		flight()
-		if keys := f.Keys(); len(keys) != 0 {
-			t.Errorf("keys %v in flight after the landing", keys)
+		if len(f.m) != 0 || len(f.idle) != 1 {
+			t.Errorf("%d keys in flight, %d idle lists after the landing, want 0, 1", len(f.m), len(f.idle))
 		}
 		// Eight for the four spawns' closures, none for the flight itself.
 		if got := testing.AllocsPerRun(20, flight); got > 8 {

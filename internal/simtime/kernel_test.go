@@ -111,7 +111,7 @@ func TestCancellationIsAKernelEvent(t *testing.T) {
 				_, err := NewSelector(k).Select(ctx, time.Hour, &fakeSource{})
 				results[fmt.Sprint("select", i)] = err
 			})
-			wg.Go("waiter", func() { results[fmt.Sprint("wait", i)] = k.NewWaiter().Wait(ctx) })
+			wg.Go("waiter", func() { results[fmt.Sprint("wait", i)] = waitAlone(k, ctx) })
 		}
 		raced := NewSelector(k)
 		wg.Go("raced", func() {
@@ -162,7 +162,7 @@ func TestForeignCancellationLandsAsynchronously(t *testing.T) {
 	}()
 	k.Run(func() {
 		parked <- struct{}{}
-		if err := k.NewWaiter().Wait(ctx); err != context.Canceled {
+		if err := waitAlone(k, ctx); err != context.Canceled {
 			t.Errorf("Wait = %v, want context.Canceled", err)
 		}
 	})
@@ -302,7 +302,7 @@ func TestRunSideBySideWithStatsAndCancellation(t *testing.T) {
 			k.Run(func() {
 				_ = k.Sleep(context.Background(), time.Duration(i)*time.Millisecond)
 				parked.Done()
-				errs[i] = k.NewWaiter().Wait(ctx)
+				errs[i] = waitAlone(k, ctx)
 			})
 		}()
 	}
@@ -403,7 +403,7 @@ func TestPostedFunctionsRunInPostOrder(t *testing.T) {
 // TestSteadyStateAllocations pins the kernel's hot paths: a Sleep and a
 // selector cycle allocate nothing, and a spawn-and-join costs the caller's one
 // closure — the coroutine that carries the task comes from the free list, the
-// join's selector from the WaitGroup's own, and WaitGroup.Go wraps nothing.
+// join's selector from the kernel's spares, and WaitGroup.Go wraps nothing.
 func TestSteadyStateAllocations(t *testing.T) {
 	ctx := context.Background()
 	k := NewVirtual()
@@ -550,7 +550,7 @@ func TestParkOutsideATaskPanics(t *testing.T) {
 	for name, park := range map[string]func(){
 		"Sleep":    func() { _ = k.Sleep(context.Background(), time.Second) },
 		"Selector": func() { _, _ = NewSelector(k).Wait(context.Background(), 0) },
-		"Waiter":   func() { _ = k.NewWaiter().Wait(context.Background()) },
+		"WaitList": func() { _ = waitAlone(k, context.Background()) },
 	} {
 		func() {
 			defer func() {
@@ -561,12 +561,6 @@ func TestParkOutsideATaskPanics(t *testing.T) {
 			park()
 		}()
 	}
-	// A woken Waiter does not park, so it may be waited on from anywhere.
-	w := k.NewWaiter()
-	w.Wake()
-	if err := w.Wait(context.Background()); err != nil {
-		t.Errorf("Wait on a woken Waiter = %v", err)
-	}
 }
 
 // TestDeadlockReportNamesParkedTasks checks the text of the deadlock panic
@@ -574,7 +568,8 @@ func TestParkOutsideATaskPanics(t *testing.T) {
 // lists each live task with what it is parked on.
 func TestDeadlockReportNamesParkedTasks(t *testing.T) {
 	k := NewVirtual()
-	sel, w := NewSelector(k), k.NewWaiter()
+	sel, w := NewSelector(k), new(WaitList)
+	w.Init(k)
 	parked := make(chan struct{}, 2)
 	k.Post(func() {
 		k.Go("stuck-consumer", func() {
@@ -609,7 +604,7 @@ func TestDeadlockReportNamesParkedTasks(t *testing.T) {
 	}
 	k.Post(func() {
 		sel.TryWake(0)
-		w.Wake()
+		w.WakeOne()
 	})
 	k.Drain()
 }

@@ -2,7 +2,7 @@ package simtime
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"time"
 )
 
@@ -40,17 +40,18 @@ type Selector struct {
 	k *Virtual
 
 	state int32
-	idx   int      // the claimed cycle's result
-	owner *task    // the task parked in Wait
-	notes []uint64 // see Note; the owner's alone
+	spare bool  // a WaitList.Wait's, handed back to k when its entry leaves
+	idx   int   // the claimed cycle's result
+	owner *task // the task parked in Wait
+	// notes are the positions WaitLists registered s at in this cycle, so
+	// that Disarm checks them instead of searching its list.
+	notes []uint64
 	nbuf  [4]uint64
 
-	// The Gate subscription (see Gate): the gate last armed on, the pulse
-	// version seen there, and the links of its subscriber list.
-	gate               *Gate
-	gateSeen           uint64
-	gateIdx            int
-	gateNext, gatePrev *Selector
+	// The Gate subscription (see Gate): the gate last armed on and the pulse
+	// version seen there.
+	gate     *Gate
+	gateSeen uint64
 }
 
 const (
@@ -74,12 +75,6 @@ func (s *Selector) Reset() {
 	s.notes = s.nbuf[:0]
 	s.state = selIdle
 }
-
-// Note records, for the current cycle, a position a Source registered s at,
-// and Notes returns them: a Source with a positional wait list checks the
-// noted positions in Disarm instead of searching the list for s.
-func (s *Selector) Note(pos uint64) { s.notes = append(s.notes, pos) }
-func (s *Selector) Notes() []uint64 { return s.notes }
 
 // TryWake claims the selector's current cycle and delivers idx as the wait
 // result. It reports whether the wakeup was delivered: false means another
@@ -132,18 +127,12 @@ func (s *Selector) Retime(at time.Duration) bool {
 // this cycle; sources armed for the cycle must be disarmed by the caller
 // afterwards (Select does both).
 func (s *Selector) Wait(ctx context.Context, deadline time.Duration) (int, error) {
-	return s.wait(ctx, deadline, "selector")
-}
-
-// wait is Wait; on names the primitive in errors and the deadlock report
-// ("selector", or "waiter" for the one-shot cycle of a Waiter).
-func (s *Selector) wait(ctx context.Context, deadline time.Duration, on string) (int, error) {
 	// Whatever readies a parked task first — a wake, the deadline,
 	// cancellation — settles state and idx before the task resumes.
-	if st := s.state; st == selIdle && s.k.park(ctx, on, deadline, s) {
+	if st := s.state; st == selIdle && s.k.park(ctx, "selector", deadline, s) {
 		return 0, ctx.Err()
 	} else if st == selExpired {
-		return 0, fmt.Errorf("simtime: %s waited on again without a Reset", on)
+		return 0, errors.New("simtime: selector waited on again without a Reset")
 	}
 	return s.idx, nil
 }
@@ -177,34 +166,27 @@ func (s *Selector) Select(ctx context.Context, deadline time.Duration, sources .
 // park" never misses a pulse delivered between the check and the arm. A
 // selector that has never armed on the gate has seen version 0.
 //
-// Subscribers form a list threaded through the selectors themselves, which
-// also remember the version they saw: arming, disarming and the version
-// check are O(1) and allocate nothing. A Selector can therefore be armed on
-// one Gate at a time. Task-only, like the selectors it wakes. The zero
-// value is an empty gate, ready to embed in its owner.
+// The version a selector saw lives on the selector, so a Selector can be
+// armed on one Gate at a time. While it is armed it holds the version the
+// next Pulse will make, the one that wakes it; a Disarm that takes it out
+// first puts back the current one. The subscribers are a WaitList: two of
+// them fit in the gate, more take a heap ring. Task-only, like the selectors
+// it wakes. The zero value is an empty gate, ready to embed in its owner.
 type Gate struct {
-	version     uint64
-	first, last *Selector
+	version uint64
+	armed   WaitList
 }
 
 // Pulse wakes every armed selector and advances the gate version.
 func (g *Gate) Pulse() {
 	g.version++
-	s := g.first
-	g.first, g.last = nil, nil
-	for s != nil {
-		next := s.gateNext
-		s.gateNext, s.gatePrev = nil, nil
-		s.gateSeen = g.version
-		s.TryWake(s.gateIdx)
-		s = next
-	}
+	g.armed.WakeAll()
 }
 
 // Arm implements Source.
 func (g *Gate) Arm(s *Selector, idx int) bool {
 	if s.gate != g {
-		if s.subscribed() {
+		if s.gate != nil && s.gateSeen == s.gate.version+1 {
 			panic("simtime: selector armed on two gates at once")
 		}
 		s.gate, s.gateSeen = g, 0
@@ -214,37 +196,26 @@ func (g *Gate) Arm(s *Selector, idx int) bool {
 		s.TryWake(idx)
 		return true
 	}
-	s.gateIdx, s.gatePrev = idx, g.last
-	if g.last != nil {
-		g.last.gateNext = s
-	} else {
-		g.first = s
-	}
-	g.last = s
+	s.gateSeen = g.version + 1
+	g.armed.Arm(s, idx)
 	return false
-}
-
-// subscribed reports whether s is on its gate's subscriber list.
-func (s *Selector) subscribed() bool {
-	return s.gate != nil && (s.gatePrev != nil || s.gate.first == s)
 }
 
 // Disarm implements Source.
 func (g *Gate) Disarm(s *Selector) {
-	if s.gate != g || !s.subscribed() {
-		return
+	if s.gate == g && g.armed.Disarm(s) {
+		s.gateSeen = g.version
 	}
-	if s.gatePrev != nil {
-		s.gatePrev.gateNext = s.gateNext
-	} else {
-		g.first = s.gateNext
+}
+
+// Init readies a gate its recycled owner used before, which nobody is armed
+// on, for a new run: its version starts over at 0, as the zero value's does,
+// and its subscriber list keeps its ring.
+func (g *Gate) Init() {
+	if g.armed.Len() != 0 {
+		panic("simtime: Init of a gate with selectors armed on it")
 	}
-	if s.gateNext != nil {
-		s.gateNext.gatePrev = s.gatePrev
-	} else {
-		g.last = s.gatePrev
-	}
-	s.gateNext, s.gatePrev = nil, nil
+	g.version = 0
 }
 
 var _ Source = (*Gate)(nil)

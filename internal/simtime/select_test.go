@@ -321,7 +321,7 @@ func TestGateWakesInArmOrderAcrossDisarms(t *testing.T) {
 		if want := []int{1, 2, 4, 5, 6}; !slices.Equal(woke, want) {
 			t.Fatalf("wake order %v, want %v", woke, want)
 		}
-		if g.first != nil || g.last != nil {
+		if g.armed.Len() != 0 {
 			t.Fatal("Pulse left subscribers behind")
 		}
 		// A disarmed selector missed that pulse: its next Arm fires at once.

@@ -7,9 +7,9 @@
 //
 // One task at a time. Tasks spawned with Go, GoDaemon or Run are coroutines
 // resumed by one kernel loop: exactly one runs, until it parks in Sleep,
-// Waiter.Wait, Selector.Wait/Select, WaitGroup.Wait or Barrier.Wait, or
-// returns. A wake — TryWake, Waiter.Wake, Gate.Pulse, a timer firing —
-// runs nothing: it appends the woken task to a ready queue ordered by (wake
+// Selector.Wait/Select or WaitList.Wait (under WaitGroup.Wait, Barrier.Wait
+// and every blocking queue operation), or returns. A wake — TryWake,
+// WaitList.WakeOne/WakeAll, Gate.Pulse, a timer firing — runs nothing: it appends the woken task to a ready queue ordered by (wake
 // time, wake sequence). A park hands control to the head of that queue, or
 // advances the clock to the earliest timer when it is empty. Order within a
 // virtual instant is therefore a pure function of the program on any core
@@ -31,13 +31,13 @@
 // One rule. The kernel has one owner at a time: the loop, or the one task it
 // has resumed. Everything here except the door (door.go), and every layer
 // built on it — queue.Queue, device.Device, netsim.Fabric, storage.Disk,
-// cache.Cache (the page cache and the materialized cache), Gate, WaitGroup,
-// Barrier, core's loader state —
-// is plain data with no lock, used by the tasks of one kernel (or, like any
-// plain value, by one goroutine with no kernel at all). A goroutine that is
-// not a task comes in through the door, a mutex-guarded inbox the loop empties
-// in arrival order between two tasks — the one place where order comes from
-// the OS and not from the program:
+// cache.Cache (the page cache and the materialized cache), WaitList, Gate,
+// WaitGroup, Barrier, core's loader state — is plain data with no lock, used
+// by the tasks of one kernel (or, like any plain value, by one goroutine with
+// no kernel at all). A goroutine that is not a task comes in through the
+// door, a mutex-guarded inbox the loop empties in arrival order between two
+// tasks — the one place where order comes from the OS and not from the
+// program:
 //
 //	Run(fn)    spawn fn as a task and wait for it to return
 //	Post(fn)   have fn called on the loop between two tasks; do not wait.
@@ -47,9 +47,9 @@
 //	Stats, Tasks, TaskNames   read the kernel's counters and task list
 //	Now        lock-free, from anywhere
 //
-// Go, GoDaemon, TryWake, Wake, Retime, Pulse and CancelScope.Cancel are for
-// tasks (and posted functions). Nothing can tell at run time whether
-// its caller is a task, so the split is by name: an outside entry point
+// Go, GoDaemon, TryWake, WakeOne, WakeAll, Retime, Pulse and
+// CancelScope.Cancel are for tasks (and posted functions). Nothing can tell
+// at run time whether its caller is a task, so the split is by name: an outside entry point
 // that waits (all but Post and Now), called from a task or a posted function,
 // waits for a loop that is inside the caller, and hangs; a
 // task-side call made from outside is a data race; a parking call made while
@@ -148,22 +148,3 @@ func (s *CancelScope) Deadline() (time.Time, bool) { return s.parent.Deadline() 
 func (s *CancelScope) Done() <-chan struct{}       { return s.done }
 func (s *CancelScope) Err() error                  { return s.err }
 func (s *CancelScope) Value(key any) any           { return s.parent.Value(key) }
-
-// Waiter is a one-shot parking primitive. A task calls Wait to park; another
-// task calls Wake to unpark it. A Waiter may be woken before Wait is called,
-// in which case Wait returns immediately. A Waiter is a Selector that its
-// holder never Resets (Flights re-arms the ones it owns).
-type Waiter struct{ sel Selector }
-
-// Wake unparks the waiter. It reports whether the wakeup was delivered:
-// false means the waiter had already been cancelled (its Wait returned with
-// a context error), so the caller should wake someone else instead.
-func (w *Waiter) Wake() bool {
-	return w.sel.tryWake(0) != selExpired // refused by an earlier wake: still delivered
-}
-
-// Wait parks the calling task until Wake or ctx cancellation.
-func (w *Waiter) Wait(ctx context.Context) error {
-	_, err := w.sel.wait(ctx, 0, "waiter")
-	return err
-}

@@ -100,61 +100,6 @@ func TestVirtualSleepPreCancelledContext(t *testing.T) {
 	})
 }
 
-func TestWaiterWakeBeforeWait(t *testing.T) {
-	k := NewVirtual()
-	k.Run(func() {
-		w := k.NewWaiter()
-		if !w.Wake() {
-			t.Error("Wake returned false")
-		}
-		if err := w.Wait(context.Background()); err != nil {
-			t.Errorf("Wait after Wake: %v", err)
-		}
-	})
-}
-
-func TestWaiterWakeWhileParked(t *testing.T) {
-	k := NewVirtual()
-	k.Run(func() {
-		w := k.NewWaiter()
-		wg := NewWaitGroup(k)
-		var woke atomic.Bool
-		wg.Go("waiter", func() {
-			if err := w.Wait(context.Background()); err == nil {
-				woke.Store(true)
-			}
-		})
-		_ = k.Sleep(context.Background(), time.Second)
-		if !w.Wake() {
-			t.Error("Wake returned false for parked waiter")
-		}
-		_ = wg.Wait(context.Background())
-		if !woke.Load() {
-			t.Error("parked waiter did not wake")
-		}
-	})
-}
-
-func TestWaiterCancelledWakeReturnsFalse(t *testing.T) {
-	k := NewVirtual()
-	k.Run(func() {
-		ctx, cancel := context.WithCancel(context.Background())
-		w := k.NewWaiter()
-		wg := NewWaitGroup(k)
-		wg.Go("waiter", func() {
-			if err := w.Wait(ctx); err != context.Canceled {
-				t.Errorf("Wait = %v, want Canceled", err)
-			}
-		})
-		_ = k.Sleep(context.Background(), time.Second)
-		cancel()
-		_ = wg.Wait(context.Background())
-		if w.Wake() {
-			t.Error("Wake on cancelled waiter returned true")
-		}
-	})
-}
-
 func TestWaitGroupWaitsForAll(t *testing.T) {
 	k := NewVirtual()
 	k.Run(func() {

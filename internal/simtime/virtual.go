@@ -44,6 +44,8 @@ type Virtual struct {
 	// counts the holders that keep it (Hold).
 	owned []Recycler
 	holds int
+	// sels are the selectors of finished Waits (WaitList), for the next.
+	sels []*Selector
 }
 
 // KernelStats counts the kernel's own work since NewVirtual: the coroutine
@@ -58,13 +60,14 @@ type KernelStats struct {
 }
 
 // queues is the storage of a kernel's ready queue, timer heap, task list,
-// cancellation hooks and teardown list: what Recycle hands from a retired
-// kernel to a new one.
+// cancellation hooks, teardown list and spare selectors: what Recycle hands
+// from a retired kernel to a new one.
 type queues struct {
 	ready, live []*task
 	timers      timerHeap
 	hooks       map[<-chan struct{}]func() bool
 	owned       []Recycler
+	sels        []*Selector
 }
 
 // retired holds the queues of recycled kernels, process-wide. Every benchmark
@@ -76,7 +79,7 @@ var retired = NewStock[queues](1)
 func NewVirtual() *Virtual {
 	k := &Virtual{}
 	if q, ok := retired.Get(); ok {
-		k.ready, k.live, k.timers, k.hooks, k.owned = q.ready, q.live, q.timers, q.hooks, q.owned
+		k.ready, k.live, k.timers, k.hooks, k.owned, k.sels = q.ready, q.live, q.timers, q.hooks, q.owned, q.sels
 	}
 	k.door.inbox, k.door.spare = k.door.bufs[0][:0], k.door.bufs[1][:0]
 	return k
@@ -122,9 +125,9 @@ func (k *Virtual) Recycle() {
 	}
 	k.unhook()
 	if cap(k.live) > 0 || cap(k.owned) > 0 { // else no task ran, nothing registered
-		retired.Put(queues{ready: k.ready[:0], live: k.live[:0], timers: k.timers[:0], hooks: k.hooks, owned: k.owned[:0]})
+		retired.Put(queues{ready: k.ready[:0], live: k.live[:0], timers: k.timers[:0], hooks: k.hooks, owned: k.owned[:0], sels: k.sels})
 	}
-	k.ready, k.rhead, k.live, k.timers, k.hooks, k.owned = nil, 0, nil, nil, nil, nil
+	k.ready, k.rhead, k.live, k.timers, k.hooks, k.owned, k.sels = nil, 0, nil, nil, nil, nil, nil
 }
 
 // Trace returns the recorder every layer on this kernel records its spans
@@ -177,9 +180,6 @@ func (k *Virtual) spawn(name string, call func(any), arg any, daemon bool) *task
 	k.makeReady(t)
 	return t
 }
-
-// NewWaiter returns a kernel-aware parking primitive.
-func (k *Virtual) NewWaiter() *Waiter { return &Waiter{sel: Selector{k: k}} }
 
 // Sleep pauses the calling task for d of virtual time.
 func (k *Virtual) Sleep(ctx context.Context, d time.Duration) error {

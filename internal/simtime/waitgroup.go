@@ -7,55 +7,24 @@ import "context"
 // would believe them runnable); they use this type instead. Task-only.
 type WaitGroup struct {
 	n      int
-	parked waitList
+	parked WaitList
 }
 
 // NewWaitGroup returns a WaitGroup bound to rt.
 func NewWaitGroup(rt *Virtual) *WaitGroup {
-	return &WaitGroup{parked: waitList{k: rt}}
+	wg := new(WaitGroup)
+	wg.parked.Init(rt)
+	return wg
 }
 
 // Init binds a WaitGroup embedded by value in its owner to rt: a zero one,
 // or one a recycled owner used before, whose tasks have all exited and whose
-// waiters have all resumed. That one keeps its waiters' Selectors.
+// waiters have all been woken.
 func (wg *WaitGroup) Init(rt *Virtual) {
 	if wg.n != 0 {
 		panic("simtime: Init of a WaitGroup still counting tasks")
 	}
-	wg.parked.k, wg.parked.n = rt, 0
-	for _, s := range wg.parked.sels {
-		s.k = rt
-	}
-}
-
-// waitList parks tasks until its next release. Their selectors are kept and
-// reused from one release to the next: a waiter that has been readied does
-// not look at its selector again, so the next round may take it before that
-// waiter has resumed.
-type waitList struct {
-	k    *Virtual
-	sels []*Selector
-	n    int // sels[:n] parked, or gave up, in this round
-}
-
-func (l *waitList) wait(ctx context.Context) error {
-	if l.n == len(l.sels) {
-		l.sels = append(l.sels, &Selector{k: l.k})
-	}
-	s := l.sels[l.n]
-	l.n++
-	s.Reset()
-	_, err := s.wait(ctx, 0, "waiter")
-	return err
-}
-
-// release readies the round's waiters, in arrival order.
-func (l *waitList) release() {
-	parked := l.sels[:l.n]
-	l.n = 0
-	for _, s := range parked {
-		s.TryWake(0)
-	}
+	wg.parked.Init(rt)
 }
 
 // Add adds delta to the counter. It panics if the counter goes negative.
@@ -64,7 +33,7 @@ func (wg *WaitGroup) Add(delta int) {
 		panic("simtime: negative WaitGroup counter")
 	}
 	if wg.n == 0 {
-		wg.parked.release()
+		wg.parked.WakeAll()
 	}
 }
 
@@ -84,5 +53,5 @@ func (wg *WaitGroup) Wait(ctx context.Context) error {
 	if wg.n == 0 {
 		return nil
 	}
-	return wg.parked.wait(ctx)
+	return wg.parked.Wait(ctx)
 }
