@@ -23,6 +23,7 @@ package cache
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"github.com/minatoloader/minato/internal/simtime"
@@ -104,34 +105,28 @@ func (t *Tenants) Leave(id int) {
 }
 
 // Pool is what every cache of one key type shares across the process: free
-// lists of node slabs, of index maps and hand-off maps (Go keeps a cleared
-// map's storage, so a cache starts with its predecessor's instead of growing
-// from scratch), and of single-flight tables with their idle waiters. They
-// are simtime.Stocks, which the GC never empties: Recycle fills them, and
-// cache traffic then allocates nothing in steady state, collections in
-// between or not, up to the pool's bounds. What the stocks hold they hold
-// for the life of the process, so the bounds are the peaks of the caches
-// of that key type. Build one with NewPool.
+// lists of node slabs and of tables (Go keeps a cleared map's storage, so a
+// cache starts with its predecessor's index instead of growing one from
+// scratch). They are simtime.Stocks, which the GC never empties: Recycle
+// fills them, and cache traffic then allocates nothing in steady state,
+// collections in between or not, up to the pool's bounds. What the stocks
+// hold they hold for the life of the process, so the bounds are the peaks of
+// the caches of that key type. Build one with NewPool.
 type Pool[K Key[K]] struct {
-	nodes    int // the nodes the kept slabs hold: the most entries a kept map may index
-	slabs    *simtime.Stock[*slab[K]]
-	maps     *simtime.Stock[map[K]*node[K]]
-	handoffs *simtime.Stock[map[K]handoff]
-	flights  *simtime.Stock[*simtime.Flights[K]]
+	nodes  int // the nodes the kept slabs hold: the most entries a kept map may index
+	slabs  *simtime.Stock[*slab[K]]
+	tables *simtime.Stock[table[K]]
 }
 
 // NewPool returns an empty pool that keeps at most slabs node slabs (of
-// slabSize nodes each) and tables of each kind of table: one cache at a time
-// takes one table of each kind. A map keeps the storage of the most entries
-// it held, so one that indexes more nodes than the kept slabs hold is not
-// kept: it would outweigh them.
+// slabSize nodes each) and tables tables: one cache at a time takes one. A
+// map keeps the storage of the most entries it held, so one that indexes more
+// nodes than the kept slabs hold is not kept: it would outweigh them.
 func NewPool[K Key[K]](slabs, tables int) *Pool[K] {
 	return &Pool[K]{
-		nodes:    slabs * slabSize,
-		slabs:    simtime.NewStock[*slab[K]](slabs),
-		maps:     simtime.NewStock[map[K]*node[K]](tables),
-		handoffs: simtime.NewStock[map[K]handoff](tables),
-		flights:  simtime.NewStock[*simtime.Flights[K]](tables),
+		nodes:  slabs * slabSize,
+		slabs:  simtime.NewStock[*slab[K]](slabs),
+		tables: simtime.NewStock[table[K]](tables),
 	}
 }
 
@@ -150,37 +145,35 @@ func (p *Pool[K]) slab() *slab[K] {
 	return new(slab[K])
 }
 
-func (p *Pool[K]) index() map[K]*node[K] {
-	if m, ok := p.maps.Get(); ok {
-		return m
-	}
-	return make(map[K]*node[K])
+// table is a cache's keyed state: one node per key it holds, and the
+// follower lists of landed flights, for the next keys that take followers.
+type table[K Key[K]] struct {
+	index map[K]*node[K]
+	lists []*simtime.WaitList
 }
 
-func (p *Pool[K]) handoff() map[K]handoff {
-	if m, ok := p.handoffs.Get(); ok {
-		return m
-	}
-	return make(map[K]handoff)
-}
+// A node's state is resident, flying or handed, one of them; a resident node
+// also keeps the flying bit of a fill a Put overtook, until that fill lands.
+const (
+	resident uint8 = 1 << iota // linked in the victim structure, counted in Used and Entries
+	flying                     // a leader's fill is in flight; flight holds its followers
+	handed                     // an entry too large to keep, held for refs followers
+)
 
-func (p *Pool[K]) inflight() *simtime.Flights[K] {
-	if f, ok := p.flights.Get(); ok {
-		return f
-	}
-	return new(simtime.Flights[K])
-}
-
-// node is one resident entry. prev/next link it in the LRU list (next also
-// in the free list); density, seq and idx place it in the cost heap.
+// node is one key's state. prev/next link a resident node in the LRU list
+// (next also a freed node in the free list); density, seq and idx place it
+// in the cost heap.
 type node[K Key[K]] struct {
 	key K
 	Entry
 	tenant     int32 // -1: filled by no tenant
+	idx        int32
+	refs       int32 // handed: the followers yet to redeem Entry
+	state      uint8
+	flight     *simtime.WaitList // flying: the followers, nil until the first
 	prev, next *node[K]
 	density    float64
 	seq        uint64
-	idx        int
 }
 
 // Cache is a keyed, byte-capacity, tenant-attributed, single-flighted cache
@@ -189,34 +182,22 @@ type node[K Key[K]] struct {
 type Cache[K Key[K]] struct {
 	victims victims[K]
 	pool    *Pool[K]
-	total   Stats  // Capacity and Used are the cache's own
+	total   Stats  // Capacity, Used and Entries are the cache's own
 	seq     uint64 // insertions so far: the cost heap's tie-break
+	flights int    // nodes with a fill in flight
 
-	// The maps and the single-flight table come from the pool when first
-	// written, and go back to it at Recycle.
-	index    map[K]*node[K]
-	inflight *simtime.Flights[K]
+	// The table comes from the pool when first written, and goes back to it
+	// at Recycle.
+	table[K]
 
 	// Node storage: slabs from the pool, the last one's nodes handed out in
-	// order (fresh counts them), and evicted nodes, linked through next.
+	// order (fresh counts them), and freed nodes, linked through next.
 	slab  *slab[K]
 	fresh int
 	free  *node[K]
 
 	tenants *Tenants
 	tier    int
-
-	// handoff holds completed entries too large to retain, reserved for the
-	// followers parked on the fill that produced them: each woken follower
-	// redeems one reference on its re-check, so single-flight holds even for
-	// uncacheable keys instead of degenerating to one serial re-fill per
-	// follower.
-	handoff map[K]handoff
-}
-
-type handoff struct {
-	e    Entry
-	refs int
 }
 
 // New returns an empty cache of the given byte capacity that evicts by
@@ -292,31 +273,39 @@ func (c *Cache[K]) ReserveCapacity(n int64) int64 {
 // as a hit; an uncached key with no fill in flight makes the caller the
 // leader (hit false, list nil — fill it, then Complete or Abort); an
 // uncached key already being filled makes the caller a follower (list
-// non-nil — Wait on it, then call GetOrBegin again). Followers count a hit
-// on re-check; only the leader pays a miss.
+// non-nil — Wait on it at once, before the flight can land and the list go
+// to another key, then call GetOrBegin again). Followers count a hit on
+// re-check; only the leader pays a miss.
 func (c *Cache[K]) GetOrBegin(tenant int, key K, rt *simtime.Virtual) (Entry, bool, *simtime.WaitList) {
-	if n, ok := c.index[key]; ok {
+	n := c.index[key]
+	switch {
+	case n == nil:
+		n = c.add(key)
+		n.state = flying
+		c.flights++
+		c.count(tenant, func(s *Stats) { s.Misses++ })
+		return Entry{}, false, nil
+	case n.state&resident != 0:
 		c.victims.touch(n)
 		c.hit(tenant, n.Cost)
 		return n.Entry, true, nil
-	}
-	if h, ok := c.handoff[key]; ok {
-		if h.refs--; h.refs > 0 {
-			c.handoff[key] = h
-		} else {
-			delete(c.handoff, key)
+	case n.state == handed:
+		e := n.Entry
+		if n.refs--; n.refs == 0 {
+			c.drop(n)
 		}
-		c.hit(tenant, h.e.Cost)
-		return h.e, true, nil
+		c.hit(tenant, e.Cost)
+		return e, true, nil
 	}
-	if c.inflight == nil {
-		c.inflight = c.pool.inflight()
+	if n.flight == nil { // the first follower: a list a landed flight left, or a new one
+		if i := len(c.lists) - 1; i >= 0 {
+			n.flight, c.lists = c.lists[i], c.lists[:i]
+		} else {
+			n.flight = new(simtime.WaitList)
+		}
+		n.flight.Init(rt)
 	}
-	if w := c.inflight.Join(key, rt); w != nil {
-		return Entry{}, false, w
-	}
-	c.count(tenant, func(s *Stats) { s.Misses++ })
-	return Entry{}, false, nil
+	return Entry{}, false, n.flight
 }
 
 // Complete publishes a leader's fill, attributed to the leader's tenant, and
@@ -325,53 +314,75 @@ func (c *Cache[K]) GetOrBegin(tenant int, key K, rt *simtime.Virtual) (Entry, bo
 // one reference each, none for a follower that gave up.
 func (c *Cache[K]) Complete(tenant int, key K, e Entry) {
 	c.count(tenant, func(s *Stats) { s.Fills++ })
-	c.insert(tenant, key, e)
-	if followers := c.land(key); followers > 0 {
-		if _, kept := c.index[key]; !kept {
-			if c.handoff == nil {
-				c.handoff = c.pool.handoff()
-			}
-			c.handoff[key] = handoff{e: e, refs: followers}
-		}
+	n := c.index[key]
+	kept := c.insert(tenant, key, n, e)
+	if n == nil || n.state&flying == 0 {
+		return
+	}
+	followers := c.land(n)
+	switch {
+	case kept:
+	case followers > 0:
+		n.state, n.Entry, n.refs = handed, e, int32(followers)
+	default:
+		c.drop(n)
 	}
 }
 
 // Abort releases a key's followers without publishing; the next reader
 // becomes the new leader. A leader must Abort on every failure path, or its
 // followers park until Recycle.
-func (c *Cache[K]) Abort(key K) { c.land(key) }
-
-// land ends key's flight and reports how many followers accepted its wake.
-func (c *Cache[K]) land(key K) int {
-	if c.inflight == nil {
-		return 0 // landed by Recycle
+func (c *Cache[K]) Abort(key K) {
+	if n := c.index[key]; n != nil && n.state&flying != 0 {
+		if c.land(n); n.state == 0 {
+			c.drop(n)
+		}
 	}
-	return c.inflight.Land(key)
+}
+
+// land ends n's flight, wakes its followers in arrival order and reports how
+// many accepted the wake: a follower that gave up its Wait is not one. The
+// list goes back on the idle lists at once.
+func (c *Cache[K]) land(n *node[K]) int {
+	n.state &^= flying
+	c.flights--
+	l := n.flight
+	if l == nil {
+		return 0
+	}
+	n.flight = nil
+	c.lists = append(c.lists, l)
+	return l.WakeAll()
 }
 
 // Put inserts an object of the given size as the unattributed tenant,
 // outside the single-flight protocol and without counting a fill.
-func (c *Cache[K]) Put(key K, bytes int64) { c.insert(0, key, Entry{Bytes: bytes}) }
+func (c *Cache[K]) Put(key K, bytes int64) { c.insert(0, key, c.index[key], Entry{Bytes: bytes}) }
 
 // Peek reports whether key is cached, without counting traffic or touching
 // its recency.
 func (c *Cache[K]) Peek(key K) (Entry, bool) {
-	if n, ok := c.index[key]; ok {
+	if n := c.index[key]; n != nil && n.state&resident != 0 {
 		return n.Entry, true
 	}
 	return Entry{}, false
 }
 
-// insert makes an entry resident, evicting victims until it fits. A resident
-// key is only touched; an entry larger than the cache is not kept.
-func (c *Cache[K]) insert(tenant int, key K, e Entry) {
+// insert makes an entry resident under key, whose node (nil: none) the
+// caller looked up, evicting victims until it fits, and reports whether the
+// key is resident. A resident key is only touched; an entry larger than the
+// cache is not kept.
+func (c *Cache[K]) insert(tenant int, key K, n *node[K], e Entry) bool {
 	e.Bytes, e.Cost = max(e.Bytes, 0), max(e.Cost, 0)
-	if e.Bytes > c.total.Capacity {
-		return
+	fits := e.Bytes <= c.total.Capacity
+	if n != nil && n.state&resident != 0 {
+		if fits {
+			c.victims.touch(n)
+		}
+		return true
 	}
-	if n, ok := c.index[key]; ok {
-		c.victims.touch(n)
-		return
+	if !fits {
+		return false
 	}
 	if c.row(tenant) == nil {
 		tenant = -1 // an id outside the table carries no attribution
@@ -384,27 +395,56 @@ func (c *Cache[K]) insert(tenant int, key K, e Entry) {
 		v := c.victims.victim(c, tenant, density)
 		if v == nil { // the entry itself is the victim
 			c.count(tenant, func(s *Stats) { s.Evictions++ })
-			return
+			return false
 		}
 		c.evict(v)
 	}
-	n := c.alloc()
-	c.seq++
-	n.key, n.Entry, n.tenant, n.density, n.seq = key, e, int32(tenant), density, c.seq
-	if c.index == nil {
-		c.index = c.pool.index()
+	if n == nil {
+		n = c.add(key)
 	}
-	c.index[key] = n
+	c.seq++
+	n.Entry, n.tenant, n.density, n.seq = e, int32(tenant), density, c.seq
+	n.state, n.refs = n.state&flying|resident, 0
 	c.victims.link(n)
+	c.total.Entries++
 	c.count(tenant, func(s *Stats) { s.Used += e.Bytes })
+	return true
 }
 
-// evict removes a resident entry, attributing the eviction to the tenant
-// that filled it.
+// evict takes a resident entry out, attributing the eviction to the tenant
+// that filled it. A node whose fill a Put overtook stays, in flight.
 func (c *Cache[K]) evict(n *node[K]) {
 	c.victims.unlink(n)
-	delete(c.index, n.key)
+	c.total.Entries--
 	c.count(int(n.tenant), func(s *Stats) { s.Used, s.Evictions = s.Used-n.Bytes, s.Evictions+1 })
+	if n.state &^= resident; n.state == 0 {
+		c.drop(n)
+	}
+}
+
+// add indexes a new node for key, taking a table from the pool first if the
+// cache has none.
+func (c *Cache[K]) add(key K) *node[K] {
+	if c.index == nil {
+		t, _ := c.pool.tables.Get()
+		if t.index == nil {
+			t.index = make(map[K]*node[K])
+		}
+		c.index = t.index
+		if c.lists == nil { // else Recycle kept the cache's own, for followers to resume on
+			c.lists = t.lists
+		}
+	}
+	n := c.alloc()
+	n.key = key
+	c.index[key] = n
+	return n
+}
+
+// drop takes a node that holds no state any more out of the index and frees
+// it.
+func (c *Cache[K]) drop(n *node[K]) {
+	delete(c.index, n.key)
 	*n = node[K]{next: c.free}
 	c.free = n
 }
@@ -422,15 +462,31 @@ func (c *Cache[K]) alloc() *node[K] {
 	return &c.slab.nodes[c.fresh-1]
 }
 
-// Recycle empties the cache and hands its node slabs, maps and
-// single-flight table to the pool. It is owned by whoever owns the cache's
-// lifetime — a Cluster, or the owner of a run's testbed — never by one
-// session, which may share the cache with live siblings. Traffic counters
-// survive; residency is zeroed with the contents. Single-flight claims
-// orphaned by leaders that died without settling are landed in key order,
-// their followers woken to re-elect instead of parking forever. Recycle is
-// idempotent, and the cache stays usable, drawing from the pool again.
+// Recycle empties the cache and hands its node slabs and table to the pool.
+// It is owned by whoever owns the cache's lifetime — a Cluster, or the owner
+// of a run's testbed — never by one session, which may share the cache with
+// live siblings. Traffic counters survive; residency is zeroed with the
+// contents. Single-flight claims orphaned by leaders that died without
+// settling are landed in key order, their followers woken to re-elect
+// instead of parking forever. Recycle is idempotent, and the cache stays
+// usable, drawing from the pool again.
 func (c *Cache[K]) Recycle() {
+	// A follower still on a list as its flight lands — woken now, or
+	// cancelled before — has yet to resume on it, so the lists stay.
+	followed := false
+	if c.flights > 0 {
+		in := make([]*node[K], 0, c.flights)
+		for _, n := range c.index {
+			if n.state&flying != 0 {
+				in = append(in, n)
+			}
+		}
+		slices.SortFunc(in, func(a, b *node[K]) int { return a.key.Compare(b.key) })
+		for _, n := range in {
+			followed = followed || n.flight != nil && n.flight.Len() > 0
+			c.land(n)
+		}
+	}
 	for s := c.slab; s != nil; {
 		prev := s.prev
 		*s = slab[K]{}
@@ -439,26 +495,22 @@ func (c *Cache[K]) Recycle() {
 	}
 	c.slab, c.fresh, c.free = nil, 0, nil
 	c.victims.reset()
-	c.total.Used = 0
+	c.total.Used, c.total.Entries = 0, 0
 	for i := range c.tenants.rows {
 		c.tenants.rows[i].tier[c.tier].Used = 0
 	}
-	if f := c.inflight; f != nil {
-		if !f.LandAll(func(a, b K) int { return a.Compare(b) }) {
-			c.pool.flights.Put(f)
-			c.inflight = nil
-		}
+	var t table[K]
+	if !followed {
+		t.lists, c.lists = c.lists, nil
 	}
-	if c.handoff != nil && len(c.handoff) <= c.pool.nodes {
-		clear(c.handoff)
-		c.pool.handoffs.Put(c.handoff)
-	}
-	c.handoff = nil
 	if c.index != nil && len(c.index) <= c.pool.nodes {
 		clear(c.index)
-		c.pool.maps.Put(c.index)
+		t.index = c.index
 	}
 	c.index = nil
+	if t.index != nil || t.lists != nil {
+		c.pool.tables.Put(t)
+	}
 }
 
 // Stats returns a snapshot of whole-cache counters; zero for a nil cache.
@@ -466,9 +518,7 @@ func (c *Cache[K]) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	s := c.total
-	s.Entries = int64(len(c.index))
-	return s
+	return c.total
 }
 
 // TenantStats returns one tenant's slice of the cache: its traffic, and the

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -26,16 +27,20 @@ type op struct {
 type ledger struct{ retired, none Stats }
 
 // TestQuickCacheCapacityInvariant drives caches through random sequences of
-// join, leave, get, complete, abort, put and recycle — each policy alone, and
-// both as two tiers on one tenant table — and checks the accounting after
-// every step:
+// join, leave, get, complete, abort, put, recycle, a reader task (a get that
+// parks as a follower and re-checks once woken), and a yield that lets the
+// reader tasks run — each policy alone, and both as two tiers on one tenant
+// table — and checks the accounting after every step:
 //   - Used ≤ Capacity;
 //   - Used is the sum of the resident entries' bytes, and the sum of the
 //     tenants' Used plus the bytes filled by no tenant;
 //   - the tenants' Hits, Misses, Fills and Evictions sum to the totals, with
 //     the rows a reused id reset and the traffic by no tenant;
-//   - every key is resident at most once: the victim structure holds each
-//     indexed entry exactly once.
+//   - every index node is exactly one of resident, in flight or handed off
+//     (a resident node keeps the claim of a fill a Put overtook), and the
+//     nodes in flight are the ones counted as such;
+//   - Entries counts the resident nodes only, and the victim structure holds
+//     each of them exactly once and no other node.
 func TestQuickCacheCapacityInvariant(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -70,20 +75,39 @@ func runOps(policies []Policy, ops []op) (err error) {
 		caches[i] = New[tk](capacity, p, pool, tbl, i)
 	}
 	ledgers := make([]ledger, len(caches))
+	// get is a reader task's GetOrBegin, which runs at a yield, so it books
+	// its traffic by no tenant itself.
+	get := func(c *Cache[tk], l *ledger, who int, key tk) *simtime.WaitList {
+		before := c.Stats()
+		_, _, w := c.GetOrBegin(who, key, rt)
+		if c.row(who) == nil {
+			after := c.Stats()
+			l.none.add(Stats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses})
+		}
+		return w
+	}
 	rt.Run(func() {
+		defer func() { // let every reader run, wake the parked ones, let them exit
+			_ = rt.Sleep(context.Background(), time.Nanosecond)
+			for _, c := range caches {
+				c.Recycle()
+			}
+			_ = rt.Sleep(context.Background(), time.Nanosecond)
+		}()
 		for step, o := range ops {
 			tier := int(o.Tier) % len(caches)
 			c, l := caches[tier], &ledgers[tier]
 			who := int(o.Tenant)%(len(tbl.rows)+1) - 1 // -1 is no tenant
-			key, size := tk(o.Key%32), int64(o.Size%1200)
-			kind := o.Kind % 7
+			// Few keys, so that claims, readers and landings meet on one.
+			key, size := tk(o.Key%8), int64(o.Size%1200)
+			kind := o.Kind % 9
 			actor := who // the tenant traffic is attributed to
 			if kind == 5 {
 				actor = 0
 			}
 			nobody := c.row(actor) == nil
 			before, orphans := c.Stats(), unattributed(c)
-			_, wasResident := c.index[key]
+			_, wasResident := c.Peek(key)
 			switch kind {
 			case 0:
 				rows := append([]tenant(nil), tbl.rows...)
@@ -104,6 +128,15 @@ func runOps(policies []Policy, ops []op) (err error) {
 				c.Put(key, size)
 			case 6:
 				c.Recycle()
+			case 7:
+				rt.Go("reader", func() {
+					if w := get(c, l, who, key); w != nil {
+						_ = w.Wait(context.Background())
+						get(c, l, who, key)
+					}
+				})
+			case 8:
+				_ = rt.Sleep(context.Background(), time.Nanosecond)
 			}
 			if (kind == 2 || kind == 3) && nobody {
 				after := c.Stats()
@@ -112,12 +145,12 @@ func runOps(policies []Policy, ops []op) (err error) {
 			}
 			if kind != 6 {
 				for key := range orphans {
-					if _, ok := c.index[key]; !ok {
+					if _, ok := c.Peek(key); !ok {
 						l.none.Evictions++ // an entry filled by no tenant was evicted
 					}
 				}
 			}
-			if _, resident := c.index[key]; (kind == 3 || kind == 5) && nobody && !wasResident && !resident && size <= capacity {
+			if _, resident := c.Peek(key); (kind == 3 || kind == 5) && nobody && !wasResident && !resident && size <= capacity {
 				l.none.Evictions++ // a fill by no tenant was its own victim
 			}
 			for i, c := range caches {
@@ -143,7 +176,7 @@ func (s *Stats) add(d Stats) {
 func unattributed(c *Cache[tk]) map[tk]bool {
 	keys := map[tk]bool{}
 	for key, n := range c.index {
-		if n.tenant < 0 {
+		if n.state&resident != 0 && n.tenant < 0 {
 			keys[key] = true
 		}
 	}
@@ -155,23 +188,43 @@ func checkAccounting(c *Cache[tk], l ledger) error {
 	if s.Used < 0 || s.Used > s.Capacity {
 		return fmt.Errorf("used %d outside [0, %d]", s.Used, s.Capacity)
 	}
-	var resident, none int64
+	var used, none, entries int64
+	flights := 0
 	for key, n := range c.index {
 		if n.key != key {
 			return fmt.Errorf("index maps %v to the entry of %v", key, n.key)
 		}
-		resident += n.Bytes
-		if n.tenant < 0 {
-			none += n.Bytes
+		switch n.state {
+		case resident, resident | flying:
+			entries++
+			used += n.Bytes
+			if n.tenant < 0 {
+				none += n.Bytes
+			}
+		case flying:
+		case handed:
+			if n.refs <= 0 {
+				return fmt.Errorf("%v handed off to %d followers", key, n.refs)
+			}
+		default:
+			return fmt.Errorf("%v is in state %b", key, n.state)
+		}
+		if n.state&flying != 0 {
+			flights++
+		} else if n.flight != nil {
+			return fmt.Errorf("%v keeps a follower list with no fill in flight", key)
 		}
 	}
-	linked := 0
+	if s.Entries != entries || c.flights != flights {
+		return fmt.Errorf("%d entries and %d flights counted, %d and %d indexed", s.Entries, c.flights, entries, flights)
+	}
+	linked := int64(0)
 	switch v := c.victims.(type) {
 	case *lru[tk]:
 		var last *node[tk]
-		for n := v.head; n != nil && linked <= len(c.index); n = n.next {
-			if c.index[n.key] != n {
-				return fmt.Errorf("LRU list holds %v, which the index does not", n.key)
+		for n := v.head; n != nil && linked <= entries; n = n.next {
+			if c.index[n.key] != n || n.state&resident == 0 {
+				return fmt.Errorf("LRU list holds %v, which is not resident", n.key)
 			}
 			last = n
 			linked++
@@ -181,25 +234,25 @@ func checkAccounting(c *Cache[tk], l ledger) error {
 		}
 	case *costHeap[tk]:
 		for i, n := range *v {
-			if n.idx != i || c.index[n.key] != n {
-				return fmt.Errorf("heap slot %d holds %v (idx %d), which the index does not", i, n.key, n.idx)
+			if int(n.idx) != i || c.index[n.key] != n || n.state&resident == 0 {
+				return fmt.Errorf("heap slot %d holds %v (idx %d), which is not resident", i, n.key, n.idx)
 			}
 			if i > 0 && v.Less(i, (i-1)/2) {
 				return fmt.Errorf("heap order broken at slot %d", i)
 			}
 		}
-		linked = v.Len()
+		linked = int64(v.Len())
 	}
-	if linked != len(c.index) {
-		return fmt.Errorf("victim structure links %d entries, index holds %d", linked, len(c.index))
+	if linked != entries {
+		return fmt.Errorf("victim structure links %d entries, index holds %d resident", linked, entries)
 	}
 	sum := l.retired
 	sum.add(l.none)
 	for id := range c.tenants.rows {
 		sum.add(*c.row(id))
 	}
-	if s.Used != resident || s.Used != sum.Used+none {
-		return fmt.Errorf("used %d, resident entries %d, tenants %d + no tenant %d", s.Used, resident, sum.Used, none)
+	if s.Used != used || s.Used != sum.Used+none {
+		return fmt.Errorf("used %d, resident entries %d, tenants %d + no tenant %d", s.Used, used, sum.Used, none)
 	}
 	if sum.Hits != s.Hits || sum.Misses != s.Misses || sum.Fills != s.Fills || sum.Evictions != s.Evictions {
 		return fmt.Errorf("tenant traffic %+v, totals %+v", sum, s)
@@ -230,12 +283,11 @@ func TestJoinReusesOnlyEmptyRows(t *testing.T) {
 	}
 }
 
-// TestRecycleKeepsTheTableItsFollowersResumeOn: Recycle hands the
-// single-flight table to the pool only when no follower waits on it. A
-// follower parked on an orphaned claim is woken by Recycle and resumes on its
-// waiter afterwards, so that table stays with the cache — the pool may hand
-// it to another kernel's run — and goes at the next Recycle, once nobody
-// waits.
+// TestRecycleKeepsTheTableItsFollowersResumeOn: Recycle hands the follower
+// lists to the pool only when no follower waits on one. A follower parked on
+// an orphaned claim is woken by Recycle and resumes on its list afterwards,
+// so that list stays with the cache — the pool may hand it to another
+// kernel's run — and goes at the next Recycle, once nobody waits.
 func TestRecycleKeepsTheTableItsFollowersResumeOn(t *testing.T) {
 	pool := NewPool[tk](64, 4)
 	c := New[tk](100, LRU, pool, new(Tenants), 0)
@@ -259,18 +311,89 @@ func TestRecycleKeepsTheTableItsFollowersResumeOn(t *testing.T) {
 			c.Complete(0, 1, Entry{Bytes: 1})
 		})
 		_ = k.Sleep(context.Background(), time.Millisecond) // the follower parks
-		table := c.inflight
+		list := c.index[1].flight
 		c.Recycle() // the leader died: its claim is orphaned
-		if c.inflight != table {
-			t.Error("Recycle handed over the table a woken follower resumes on")
+		if !slices.Contains(c.lists, list) {
+			t.Error("Recycle handed over the list a woken follower resumes on")
 		}
 		_ = wg.Wait(context.Background())
 	})
 	c.Recycle()
-	if c.inflight != nil || c.index != nil || c.handoff != nil {
+	if c.lists != nil || c.index != nil || c.flights != 0 {
 		t.Error("Recycle kept storage nobody uses")
 	}
 	if e, ok := c.Peek(1); ok || e.Bytes != 0 {
 		t.Error("a recycled cache still holds an entry")
+	}
+}
+
+// TestFollowersParkUntilTheLeaderLands: the first reader of a key leads,
+// later ones park on one list and resume together, in arrival order, when
+// the leader lands; a key that has landed can fly again; from the second
+// flight on the node, the list and its selectors come from the ones before;
+// and landing or aborting a key that is not in flight wakes nobody.
+func TestFollowersParkUntilTheLeaderLands(t *testing.T) {
+	ctx := context.Background()
+	k := simtime.NewVirtual()
+	c := New[tk](100, LRU, NewPool[tk](64, 4), new(Tenants), 0)
+	k.Run(func() {
+		var order []int
+		wg := simtime.NewWaitGroup(k)
+		flight := func() {
+			if _, hit, w := c.GetOrBegin(0, 1, k); hit || w != nil {
+				t.Fatal("the first reader did not lead")
+			}
+			for i := 0; i < 4; i++ {
+				wg.Go("follower", func() {
+					_, _, w := c.GetOrBegin(0, 1, k)
+					if w == nil {
+						t.Error("a follower became the leader of a flight under way")
+						return
+					}
+					if err := w.Wait(ctx); err != nil {
+						t.Error(err)
+					}
+					if _, hit, _ := c.GetOrBegin(0, 1, k); !hit {
+						t.Error("a woken follower missed the entry handed to it")
+					}
+					order = append(order, i)
+				})
+			}
+			_ = k.Sleep(ctx, time.Millisecond) // every follower parks
+			if len(c.index) != 1 || c.flights != 1 || len(order) != 0 {
+				t.Errorf("%d keys, %d in flight, %d followers through before the landing", len(c.index), c.flights, len(order))
+			}
+			// Too large to keep: handed to the four followers, then gone.
+			c.Complete(0, 1, Entry{Bytes: 1000})
+			if n := c.index[1]; n == nil || n.state != handed || n.refs != 4 {
+				t.Errorf("the landing handed the entry to %+v, want 4 followers", n)
+			}
+			_ = wg.Wait(ctx)
+			if len(order) != 4 || order[0] != 0 || order[3] != 3 || len(c.index) != 0 {
+				t.Errorf("followers resumed in order %v with %d keys left", order, len(c.index))
+			}
+			order = order[:0]
+		}
+		flight()
+		if c.flights != 0 || len(c.lists) != 1 {
+			t.Errorf("%d keys in flight, %d idle lists after the landing, want 0, 1", c.flights, len(c.lists))
+		}
+		// Eight for the four spawns' closures, none for the flight itself.
+		got := testing.AllocsPerRun(20, flight)
+		t.Logf("%v allocations per repeated flight", got)
+		if got > 8 {
+			t.Errorf("%v allocations per repeated flight, want the spawns' 8", got)
+		}
+	})
+	wakes := k.Stats().Wakes
+	k.Run(func() {
+		c.Abort(2)
+		c.Complete(0, 3, Entry{Bytes: 1000})
+		c.Put(4, 1)
+		c.Complete(0, 4, Entry{Bytes: 1})
+		c.Abort(4)
+	})
+	if woke := k.Stats().Wakes - wakes; woke != 0 || len(c.index) != 1 || c.flights != 0 {
+		t.Errorf("landing keys not in flight woke %d, left %d keys, %d in flight", woke, len(c.index), c.flights)
 	}
 }

@@ -108,7 +108,7 @@ func (h *costHeap[K]) victim(_ *Cache[K], _ int, density float64) *node[K] {
 }
 
 func (h *costHeap[K]) link(n *node[K])   { heap.Push(h, n) }
-func (h *costHeap[K]) unlink(n *node[K]) { heap.Remove(h, n.idx) }
+func (h *costHeap[K]) unlink(n *node[K]) { heap.Remove(h, int(n.idx)) }
 func (h *costHeap[K]) touch(*node[K])    {} // the cost order does not change with use
 func (h *costHeap[K]) reset()            { clear(*h); *h = (*h)[:0] }
 
@@ -121,11 +121,11 @@ func (h costHeap[K]) Less(i, j int) bool {
 }
 func (h costHeap[K]) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
+	h[i].idx, h[j].idx = int32(i), int32(j)
 }
 func (h *costHeap[K]) Push(x any) {
 	n := x.(*node[K])
-	n.idx = len(*h)
+	n.idx = int32(len(*h))
 	*h = append(*h, n)
 }
 func (h *costHeap[K]) Pop() any {

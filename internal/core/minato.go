@@ -95,22 +95,10 @@ func DefaultConfig() Config {
 // queueCap bounds each of the loader's queues (100, §5.1).
 const queueCap = 100
 
+// fillDefaults fills the worker count; the profiler fills its own fields.
 func (c *Config) fillDefaults() {
-	d := DefaultConfig()
 	if c.InitialWorkersPerGPU <= 0 {
-		c.InitialWorkersPerGPU = d.InitialWorkersPerGPU
-	}
-	if c.TimeoutPercentile <= 0 {
-		c.TimeoutPercentile = d.TimeoutPercentile
-	}
-	if c.FallbackPercentile <= 0 {
-		c.FallbackPercentile = d.FallbackPercentile
-	}
-	if c.MaxSlowFraction <= 0 {
-		c.MaxSlowFraction = d.MaxSlowFraction
-	}
-	if c.WarmupSamples <= 0 {
-		c.WarmupSamples = d.WarmupSamples
+		c.InitialWorkersPerGPU = DefaultConfig().InitialWorkersPerGPU
 	}
 }
 

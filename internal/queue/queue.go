@@ -37,7 +37,6 @@ var ErrClosed = errors.New("queue: closed")
 
 // Queue is a bounded blocking FIFO.
 type Queue[T any] struct {
-	rt   *simtime.Virtual
 	name string
 	cap  int
 
@@ -49,13 +48,7 @@ type Queue[T any] struct {
 	getWaiters simtime.WaitList // blocked Gets and armed selectors
 	putWaiters simtime.WaitList // blocked Puts
 
-	// occupancy statistics
-	occIntegral float64 // ∫ len dt, in item-seconds
-	lastOcc     time.Duration
-
 	puts, gets int64
-	maxLen     int
-	created    time.Duration
 }
 
 // New returns a queue with the given capacity. Capacity must be positive.
@@ -98,9 +91,8 @@ func ringFor(capacity int) int {
 // lists, whose rings may point into q, are written back where they were.
 func (q *Queue[T]) reset(rt *simtime.Virtual, name string, capacity int, buf []T) {
 	clear(buf)
-	now := rt.Now()
-	*q = Queue[T]{rt: rt, name: name, cap: capacity, buf: buf, mask: len(buf) - 1,
-		getWaiters: q.getWaiters, putWaiters: q.putWaiters, created: now, lastOcc: now}
+	*q = Queue[T]{name: name, cap: capacity, buf: buf, mask: len(buf) - 1,
+		getWaiters: q.getWaiters, putWaiters: q.putWaiters}
 	q.getWaiters.Init(rt)
 	q.putWaiters.Init(rt)
 }
@@ -158,30 +150,14 @@ func (q *Queue[T]) Cap() int { return q.cap }
 // Len returns the current number of buffered items.
 func (q *Queue[T]) Len() int { return q.size }
 
-// account folds the elapsed occupancy (len·dt) into the integral. Callers
-// pass the length that was current over the elapsed window (i.e. before
-// their mutation).
-func (q *Queue[T]) account(lenBefore int) {
-	now := q.rt.Now()
-	last := q.lastOcc
-	q.lastOcc = now
-	if now > last && lenBefore > 0 {
-		q.occIntegral += float64(lenBefore) * (now - last).Seconds()
-	}
-}
-
 // push appends v to the ring. The caller has verified space is available.
 func (q *Queue[T]) push(v T) {
 	n := q.size
 	if n == len(q.buf) {
 		q.grow() // only an InitFrom ring is ever full below capacity
 	}
-	q.account(n)
 	q.buf[(q.head+n)&q.mask] = v
 	q.size = n + 1
-	if n+1 > q.maxLen {
-		q.maxLen = n + 1
-	}
 	q.puts++
 	q.getWaiters.WakeOne()
 }
@@ -190,7 +166,6 @@ func (q *Queue[T]) push(v T) {
 // is non-empty. The vacated slot is zeroed so the ring never keeps a popped
 // element reachable.
 func (q *Queue[T]) pop() T {
-	q.account(q.size)
 	v := q.buf[q.head]
 	var zero T
 	q.buf[q.head] = zero
@@ -274,7 +249,6 @@ func (q *Queue[T]) Close() {
 	if q.closed {
 		return
 	}
-	q.account(q.size)
 	q.closed = true
 	q.getWaiters.WakeAll()
 	q.putWaiters.WakeAll()
@@ -308,24 +282,12 @@ var _ simtime.Source = (*Queue[int])(nil)
 
 // Stats is a snapshot of queue activity.
 type Stats struct {
-	Name         string
-	Puts, Gets   int64
-	Len, Cap     int
-	MaxLen       int
-	AvgOccupancy float64 // time-weighted mean length
+	Name       string
+	Puts, Gets int64
+	Len, Cap   int
 }
 
-// Stats returns a snapshot of queue counters, folding the tail window into
-// the occupancy integral first.
+// Stats returns a snapshot of queue counters.
 func (q *Queue[T]) Stats() Stats {
-	q.account(q.size)
-	avg := 0.0
-	if elapsed := (q.lastOcc - q.created).Seconds(); elapsed > 0 {
-		avg = q.occIntegral / elapsed
-	}
-	return Stats{
-		Name: q.name, Puts: q.puts, Gets: q.gets,
-		Len: q.size, Cap: q.cap,
-		MaxLen: q.maxLen, AvgOccupancy: avg,
-	}
+	return Stats{Name: q.name, Puts: q.puts, Gets: q.gets, Len: q.size, Cap: q.cap}
 }

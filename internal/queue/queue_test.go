@@ -189,25 +189,20 @@ func TestMultiProducerMultiConsumerNoLossNoDup(t *testing.T) {
 	}
 }
 
+// TestStatsOccupancy: Stats reports the counted puts and gets and the
+// current length.
 func TestStatsOccupancy(t *testing.T) {
 	k := simtime.NewVirtual()
 	k.Run(func() {
 		q := New[int](k, "q", 10)
-		// Hold 5 items for 10s, then drain and idle for 10s: avg ≈ 2.5.
 		for i := 0; i < 5; i++ {
 			_ = q.Put(context.Background(), i)
 		}
-		_ = k.Sleep(context.Background(), 10*time.Second)
-		for i := 0; i < 5; i++ {
+		for i := 0; i < 3; i++ {
 			_, _ = q.Get(context.Background())
 		}
-		_ = k.Sleep(context.Background(), 10*time.Second)
-		s := q.Stats()
-		if s.Puts != 5 || s.Gets != 5 || s.MaxLen != 5 {
+		if s := q.Stats(); s != (Stats{Name: "q", Puts: 5, Gets: 3, Len: 2, Cap: 10}) {
 			t.Fatalf("stats = %+v", s)
-		}
-		if s.AvgOccupancy < 2.2 || s.AvgOccupancy > 2.8 {
-			t.Fatalf("AvgOccupancy = %.2f, want ≈2.5", s.AvgOccupancy)
 		}
 	})
 }

@@ -6,7 +6,8 @@ import "context"
 // first out: a task parks on it itself (Wait), or a wake source registers a
 // caller's selector on it (Arm, taken out again by Disarm), and the source
 // wakes the oldest entry (WakeOne) or every one (WakeAll). Queues,
-// WaitGroup, Barrier, Gate and Flights are built on it.
+// WaitGroup, Barrier and Gate are built on it, and so are the caches'
+// single-flight followers.
 //
 // Entries are addressed by absolute position: each joins at the next one,
 // the live window is [head, tail), and position p lives in slot p mod

@@ -108,7 +108,7 @@ type PageCache = cache.Cache[data.Key]
 
 // pagePool is the page caches' storage. Its bounds are the peaks of the
 // benchmark workloads: fleet-64gpu's page cache holds 150 slabs (about
-// 3.4 MiB at 160), and multinode8-flashcrowd runs 8 page caches at once.
+// 3.75 MiB at 160), and multinode8-flashcrowd runs 8 page caches at once.
 var pagePool = cache.NewPool[data.Key](160, 8)
 
 // NewPageCache returns a cache with the given byte capacity, on a new table.
