@@ -53,10 +53,10 @@ type Config struct {
 	InitialWorkersPerGPU int
 
 	// Profiler (§4.2).
-	TimeoutPercentile  float64 // default 0.75
-	FallbackPercentile float64 // default 0.90
-	MaxSlowFraction    float64 // fallback trigger, default 0.40
-	WarmupSamples      int     // optimistic phase length, default 48
+	TimeoutPercentile  float64 // default defaultTimeoutPercentile
+	FallbackPercentile float64 // default defaultFallbackPercentile
+	MaxSlowFraction    float64 // fallback trigger, default defaultMaxSlowFraction
+	WarmupSamples      int     // optimistic phase length, default defaultWarmupSamples
 
 	// OrderPreserving disables reordering for curriculum/strict-order
 	// training (§6): batches follow the sampler's order exactly and the
@@ -85,10 +85,10 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		InitialWorkersPerGPU: 12,
-		TimeoutPercentile:    0.75,
-		FallbackPercentile:   0.90,
-		MaxSlowFraction:      0.40,
-		WarmupSamples:        48,
+		TimeoutPercentile:    defaultTimeoutPercentile,
+		FallbackPercentile:   defaultFallbackPercentile,
+		MaxSlowFraction:      defaultMaxSlowFraction,
+		WarmupSamples:        defaultWarmupSamples,
 	}
 }
 

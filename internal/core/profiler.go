@@ -5,12 +5,21 @@ import (
 	"time"
 )
 
+// The profiler's paper defaults (§5.1): a zero ProfilerConfig field (and a
+// zero Config field) takes these.
+const (
+	defaultTimeoutPercentile  = 0.75 // P75 classifies fast/slow
+	defaultFallbackPercentile = 0.90 // P90 once too many samples classify slow
+	defaultMaxSlowFraction    = 0.40 // the slow fraction that triggers the fallback
+	defaultWarmupSamples      = 48   // optimistic phase length
+)
+
 // ProfilerConfig controls the timeout profiler (§4.2).
 type ProfilerConfig struct {
-	TimeoutPercentile  float64 // default threshold: P75
-	FallbackPercentile float64 // used when too many samples classify slow: P90
-	MaxSlowFraction    float64 // trigger for the fallback
-	WarmupSamples      int     // optimistic phase length
+	TimeoutPercentile  float64 // default defaultTimeoutPercentile
+	FallbackPercentile float64 // default defaultFallbackPercentile
+	MaxSlowFraction    float64 // fallback trigger, default defaultMaxSlowFraction
+	WarmupSamples      int     // optimistic phase length, default defaultWarmupSamples
 	WindowSize         int     // sliding window for continuous re-profiling
 	RecomputeEvery     int     // records between threshold recomputations
 }
@@ -92,16 +101,16 @@ func NewProfiler(cfg ProfilerConfig) *Profiler {
 // for one of its own.
 func (p *Profiler) init(cfg ProfilerConfig) {
 	if cfg.TimeoutPercentile <= 0 {
-		cfg.TimeoutPercentile = 0.75
+		cfg.TimeoutPercentile = defaultTimeoutPercentile
 	}
 	if cfg.FallbackPercentile <= 0 {
-		cfg.FallbackPercentile = 0.90
+		cfg.FallbackPercentile = defaultFallbackPercentile
 	}
 	if cfg.MaxSlowFraction <= 0 {
-		cfg.MaxSlowFraction = 0.40
+		cfg.MaxSlowFraction = defaultMaxSlowFraction
 	}
 	if cfg.WarmupSamples <= 0 {
-		cfg.WarmupSamples = 48
+		cfg.WarmupSamples = defaultWarmupSamples
 	}
 	if cfg.WindowSize <= 0 {
 		cfg.WindowSize = 2048

@@ -107,7 +107,7 @@ func TestRecycledDevicesAllocateNoEntries(t *testing.T) {
 	// taking nine concurrent occupants, who then leave.
 	run := func() (allocs float64) {
 		devs := []*Device{New(k, "cpu", 4), New(k, "cpu", 4)}
-		held := make([][9]*entry, len(devs))
+		held := make([][9]*Entry, len(devs))
 		n := 0
 		allocs = testing.AllocsPerRun(1, func() {
 			for i := range held[n] {

@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"context"
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,11 +13,14 @@ import (
 // TestStarParkBudgetAndEndState is the served shape in miniature: endpoint
 // 0 sends a ~32 MiB frame to each of 64 clients and gets 64 bytes back, 16
 // rounds each, on a 264-endpoint fabric — every large flow crosses one
-// egress link, so every entry and exit changes every rate. The budget: a
+// egress link, so every entry and exit changes every rate. The budgets: a
 // Transfer parks twice (latency, then the flow) however often its rate
-// moves. The end state is what the wake-to-re-park fabric computed (61,603
-// parks): re-timing in place skips instants at which nothing happened, and
-// moves none at which something did.
+// moves, and is retimed at most four times — a rate change re-anchors the
+// egress group's integral and moves only its front's timer, where
+// per-flow deadlines retimed every flow in flight (111,940 retimes). The
+// end state is the group integrals' (the per-flow anchors ended at the same
+// instant with the same bytes); a link's busy time is the bytes it carried
+// over its bandwidth.
 func TestStarParkBudgetAndEndState(t *testing.T) {
 	const clients, rounds = 64, 16
 	ctx := context.Background()
@@ -44,6 +49,9 @@ func TestStarParkBudgetAndEndState(t *testing.T) {
 	if st.Parks > 2*transfers+1 { // + the join
 		t.Errorf("%d parks for %d transfers, budget 2 each + 1", st.Parks, transfers)
 	}
+	if st.Retimes > 4*transfers {
+		t.Errorf("%d retimes for %d transfers, budget 4 each", st.Retimes, transfers)
+	}
 	if now, moved := k.Now(), f.BytesMoved(); now != 1380390488 || moved != 34498084864 {
 		t.Errorf("ended at %d ns with %d bytes moved, want 1380390488 and 34498084864", now, moved)
 	}
@@ -51,9 +59,9 @@ func TestStarParkBudgetAndEndState(t *testing.T) {
 		endpoint, dir int
 		want          float64
 	}{
-		{0, 0, 1.3799207850000259},
-		{0, 1, 3.0719999999999301e-06},
-		{5, 1, 0.021489172625411918},
+		{0, 0, 1.3799207731199998},
+		{0, 1, 2.6214399999999668e-06}, // 1024 × 64 B at 25 GB/s
+		{5, 1, 0.021489172480000002},
 	} {
 		if got := f.LinkBusySeconds(c.endpoint, c.dir); got != c.want {
 			t.Errorf("LinkBusySeconds(%d, %d) = %.17g, want %.17g", c.endpoint, c.dir, got, c.want)
@@ -98,4 +106,76 @@ func TestRecycledFabricLeavesItsFlows(t *testing.T) {
 	if len(next.free) != len(recycled) {
 		t.Errorf("%d flow records in use, want the %d recycled", len(next.free), len(recycled))
 	}
+}
+
+// TestWaterFillingPassesAndComponents pins what a reshare costs. Its flows
+// get one bit-identical rate per bottleneck level, and it takes one pass per
+// level, on a 256-flow star with 64 flows of return traffic (two levels) and
+// on a fabric whose second level ties two links with residuals that round
+// apart: endpoint 0 sends six flows, four of them to endpoint 1, which gets
+// one more; endpoint 0 gets three. After the first level, bw/6, endpoint 1's
+// ingress has 25e9 − 4·25e9/6 left for its last flow, 9.5e-7 B/s above the
+// 25e9/3 of endpoint 0's ingress — no tie for an absolute tolerance. On 256
+// disjoint pairs, a flow's entry and exit each visit only its own two links.
+func TestWaterFillingPassesAndComponents(t *testing.T) {
+	const flows, back = 256, 64
+	ctx := context.Background()
+	// levels reshares both of endpoint 0's components once its transfers
+	// are in flight, and checks the rates and passes.
+	levels := func(name string, endpoints int, transfers [][2]int, rates map[float64]int) {
+		k := simtime.NewVirtual()
+		k.Run(func() {
+			f := New(k, Config{Endpoints: endpoints, Bandwidth: PaperBandwidth})
+			wg := simtime.NewWaitGroup(k)
+			for _, tr := range transfers {
+				wg.Go("flow", func() { _ = f.Transfer(ctx, tr[0], tr[1], 1<<30) })
+			}
+			_ = k.Sleep(ctx, time.Millisecond)
+			tick := f.tick
+			f.SetBandwidth(0, PaperBandwidth)
+			if passes := f.tick - tick - 1; passes != uint64(len(rates)) {
+				t.Errorf("%s: a reshare took %d passes, want %d", name, passes, len(rates))
+			}
+			got := map[float64]int{}
+			for fl := f.all.head; fl != nil; fl = fl.next[2] {
+				got[f.groups[fl.grp].Rate()]++
+			}
+			if !maps.Equal(got, rates) {
+				t.Errorf("%s: rates %v, want %v", name, got, rates)
+			}
+			_ = wg.Wait(ctx)
+		})
+	}
+	var star [][2]int
+	for c := 1; c <= flows; c++ {
+		star = append(star, [2]int{0, c})
+		if c <= back {
+			star = append(star, [2]int{c, 0})
+		}
+	}
+	levels("star", flows+1, star, map[float64]int{PaperBandwidth / flows: flows, PaperBandwidth / back: back})
+	levels("residual tie", 9, [][2]int{{0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 2}, {0, 3}, {4, 1}, {5, 0}, {6, 0}, {7, 0}},
+		map[float64]int{PaperBandwidth / 6: 6, PaperBandwidth / 3: 4})
+
+	k := simtime.NewVirtual()
+	k.Run(func() {
+		f := New(k, Config{Endpoints: 2 * flows, Bandwidth: PaperBandwidth})
+		wg := simtime.NewWaitGroup(k)
+		for p := range flows - 1 {
+			wg.Go("pair", func() { _ = f.Transfer(ctx, 2*p, 2*p+1, 1<<30+int64(p)) })
+		}
+		_ = k.Sleep(ctx, time.Millisecond)
+		last := [2]int{2 * (2*flows - 2), 2*(2*flows-1) + 1}
+		wg.Go("last", func() {
+			_ = f.Transfer(ctx, 2*flows-2, 2*flows-1, 1<<20)
+			if !slices.Equal(f.comp, last[:]) { // its exit's reshare
+				t.Errorf("an exit visited links %v, want %v", f.comp, last)
+			}
+		})
+		_ = k.Sleep(ctx, time.Nanosecond)
+		if !slices.Equal(f.comp, last[:]) { // its entry's reshare
+			t.Errorf("an entry visited links %v, want %v", f.comp, last)
+		}
+		_ = wg.Wait(ctx)
+	})
 }

@@ -1,29 +1,20 @@
-// Package netsim models the cluster interconnect: NICs and links with
-// bandwidth fair-sharing and latency, on the same event-driven wait fabric
-// (simtime.Selector) that device occupancy uses. It is the substrate for
-// true multi-node runs, where gradient all-reduce traffic and remote
-// dataset fetches contend for the same NICs — the regime the single-server
-// evaluation cannot see.
+// Package netsim models the cluster interconnect, where gradient
+// all-reduce traffic and remote dataset fetches contend for the same NICs.
 //
 // Topology: every endpoint (a training node, the storage server, or a
-// service fabric's preprocessing server or client) owns a full-duplex NIC
-// attached to a non-blocking switch, so the contention points are the 2·E
-// unidirectional NIC links (egress and ingress per endpoint); the switch
-// core is never the bottleneck, matching a fat-tree-style cluster fabric. A Flow from src to dst occupies src's
-// egress and dst's ingress for its byte count, after a fixed propagation
-// latency.
+// service fabric's server or client) owns a full-duplex NIC on a
+// non-blocking switch, so the contention points are the 2·E unidirectional
+// NIC links. A flow from src to dst occupies src's egress and dst's ingress
+// for its byte count, after a fixed propagation latency.
 //
-// Sharing: concurrent flows receive max-min fair rates, computed by
-// water-filling over the links each flow crosses — the classic fluid
-// approximation of per-flow fair queueing (TCP-like long flows on a shared
-// fabric). Rates change only at flow entry/exit and explicit bandwidth
-// changes, all of which are kernel-visible events; each in-flight flow
-// parks once, on a recycled Selector with an exact completion deadline, and
-// a rate change moves that deadline in place (Selector.Retime): a parked
-// flow is resumed only when it has something to do — complete, or return a
-// cancellation. No polling, and under the virtual runtime every transfer
-// completes at a deterministic instant — identical seeds reproduce
-// multi-node runs bit-for-bit.
+// Sharing: flows receive max-min fair rates, by water-filling over the
+// links they cross, recomputed at flow entry and exit and bandwidth changes
+// within the connected component of links the change touches. The flows
+// whose rate one link fixes share that rate, so they form the link's group:
+// one device.Share, the processor-sharing integral devices use. A rate
+// change re-anchors the group's integral and moves only its front's timer;
+// a flow is re-anchored and retimed only when its bottleneck link changes.
+// Identical seeds reproduce multi-node runs bit-for-bit.
 package netsim
 
 import (
@@ -32,6 +23,7 @@ import (
 	"math"
 	"time"
 
+	"github.com/minatoloader/minato/internal/device"
 	"github.com/minatoloader/minato/internal/simtime"
 	"github.com/minatoloader/minato/internal/trace"
 )
@@ -47,119 +39,111 @@ const (
 // Config sizes a fabric. New uses it as given; service.NewNet fills its zero
 // fields with the defaults noted here.
 type Config struct {
-	// Endpoints is the number of NIC-owning endpoints: training nodes plus
-	// any storage servers, or a service fabric's preprocessing servers and
-	// their clients (service.NewNet's default: 64).
+	// Endpoints is the number of NIC-owning endpoints: training nodes and
+	// storage servers, or a service fabric's servers and clients (default 64).
 	Endpoints int
-	// Bandwidth is each NIC's full-duplex bandwidth in bytes/s per
-	// direction (default PaperBandwidth).
-	Bandwidth float64
-	// Latency is the fixed per-transfer propagation delay (default
-	// PaperLatency).
-	Latency time.Duration
+	Bandwidth float64       // per NIC direction, bytes/s (default PaperBandwidth)
+	Latency   time.Duration // per transfer (default PaperLatency)
 }
 
-// Fabric is the simulated interconnect: plain task-only state, like the
-// selectors its flows park on. Goroutines outside the kernel reach it through
-// simtime.Virtual.Run or Post.
-//
-// On a traced kernel each retiring flow records a StageFlow span (Node =
-// source endpoint, Key = destination endpoint, Detail = bytes delivered) and
-// each settled rate change a StageFlowRate instant (Detail = bytes/s). Rate
-// instants are recorded at settlement — the first advance across real
-// elapsed time — so a rate that bends and bends back within one instant,
-// carrying no bytes, leaves no span.
+// Fabric is the simulated interconnect: task-only state (simtime.Virtual.Run
+// or Post reach it from outside). On a traced kernel each retiring flow
+// records a StageFlow span (Node = source, Key = destination endpoint,
+// Detail = bytes delivered) and each settled rate change a StageFlowRate
+// instant (Detail = bytes/s), at the first fabric call across elapsed time,
+// so a rate that bends and bends back within one instant leaves no span.
 type Fabric struct {
 	rt      *simtime.Virtual
 	latency time.Duration
 
-	links []link // 2 per endpoint: egress = 2e, ingress = 2e+1
-	flows []*flow
-	lastT time.Duration
-	// anchorT is the last reshare instant: link busy integrals advance
-	// analytically from their anchors at the carried rate-sum fixed then.
-	anchorT time.Duration
-	// residuals is water-filling scratch (one slot per link), kept on the
-	// fabric so resharing allocates nothing.
-	residuals []residual
-	// active lists the links a live flow crosses, as of the last reshare:
-	// water-filling and the busy integrals visit these, not all 2·E. A link
-	// that goes idle leaves the list with its busyIntegral as it stands.
-	active []int
+	links    []link         // 2 per endpoint: egress = 2e, ingress = 2e+1
+	groups   []device.Share // per link: the flows whose rate it fixes
+	all      flowList       // the live flows, in arrival order
+	lastT    time.Duration
+	reshared bool // since the rates last settled
 
-	// doneBytes counts bytes delivered by retired flows exactly (a
-	// completed flow contributes its full size as an integer, a cancelled
-	// one its analytic partial progress); in-flight progress is added
-	// analytically at query time. Nothing is accumulated per wake segment,
-	// so the counter cannot pick up truncation jitter from scheduling-
-	// dependent intermediate wakes.
-	doneBytes int64
+	doneBytes int64 // delivered by retired flows: sizes, or partial progress
 	flowsDone int64
+	free      []*flow // recycled flow records, with their selectors
 
-	// free recycles flow records (and the selectors they embed) across Transfer
-	// calls: the steady-state transfer path allocates nothing. Fresh records
-	// come from the fabrics recycled before this one (see Recycle).
-	free []*flow
+	// Water-filling scratch: the component's links, its bottlenecks, the
+	// links whose groups change, and the stamps of this reshare and its
+	// latest pass (link.seen, begun and mark, flow.fixed).
+	comp, bott, begun []int
+	start, tick       uint64
 }
 
 // flowStock holds the flow records of recycled fabrics, process-wide. Its
 // bound is serve-256's peak, a flow per client.
 var flowStock = simtime.NewStock[*flow](256)
 
-// link is one unidirectional NIC attachment.
+// tieTol is water-filling's relative tie tolerance. An absolute one fails
+// at NIC rates, where the residuals' rounding exceeds any fixed epsilon and
+// one bottleneck level splits into many passes.
+const tieTol = 1e-9
+
+// link is one unidirectional NIC attachment; its group is Fabric.groups[i].
 type link struct {
-	bw float64 // current bandwidth, bytes/s
-	n  int     // flows crossing this link
-	// busyIntegral accumulates ∫ (used-bandwidth / bw) dt in full-bandwidth
-	// seconds, converted at the bandwidth in force when the traffic moved —
-	// so a later SetBandwidth cannot retroactively rescale history.
-	// Utilization over a window is Δbusy/Δt. It is anchored at the last
-	// reshare (anchorB at Fabric.anchorT, advancing at rateSum/bw) and
-	// recomputed analytically, never per wake segment.
-	busyIntegral float64
-	anchorB      float64
-	rateSum      float64 // total rate of flows crossing this link
+	flows flowList // the flows crossing it, in arrival order
+	bw    float64  // current bandwidth, bytes/s
+	// busyB is the full-bandwidth seconds of what its retired flows, and its
+	// live ones before its last bandwidth change, carried at the time's bw.
+	busyB float64
+	// Water-filling scratch: residual capacity, unfixed flows, group rate,
+	// and the visit, group and bottleneck stamps.
+	cap, rate         float64
+	un                int
+	seen, begun, mark uint64
 }
 
-// flow is one in-flight transfer. Progress is anchored at the last rate
-// change: remaining is recomputed analytically from (anchorRem, anchorT,
-// rate) and the completion instant is the absolute finishAt stamped when
-// the rate was assigned. Anchors move only at reshare points — flow entry,
-// flow exit, SetBandwidth — never at a wake that changed nothing, so a
-// flow's trajectory is a function of the fabric's event history. That
-// history is itself a function of the program: the kernel runs one task at
-// a time in a defined order, so Fabric.flows holds the live flows in
-// arrival order and needs no sorting to be reproducible.
+// flow is one in-flight transfer: an entry in the group of the link that
+// fixes its rate. What water-filling visits comes first, in one cache line.
 type flow struct {
-	egress, ingress int           // link indices
-	size            int64         // original transfer size
-	startT          time.Duration // entry time
-	remaining       float64       // bytes left as of Fabric.lastT
-	rate            float64       // current max-min fair rate, bytes/s
-	prevRate        float64       // rate before the current reshare pass
-	anchorRem       float64       // remaining at the last rate change
-	anchorT         time.Duration // time of the last rate change
-	finishAt        time.Duration // absolute completion deadline at rate
-	sel             simtime.Selector
-	// settledRate is the rate last recorded as a StageFlowRate instant;
-	// -1 until the flow's first settlement. Comparing against it (rather
-	// than flagging changes inside reshare) keeps out of the trace the
-	// transients that bend back within one instant: a filter on what is
-	// worth a span, not an ordering device.
-	settledRate float64
+	link        [2]int   // egress, ingress link indices
+	next        [3]*flow // neighbours in the egress, ingress and fabric lists
+	fixed       uint64   // the water-filling pass that fixed the rate
+	grp, to     int      // group link (-1: none), and the next one
+	prev        [3]*flow
+	size        int64
+	startT      time.Duration
+	left        float64    // bytes left when it last changed group
+	base        [2]float64 // bytes moved by each link's last bandwidth change
+	e           device.Entry
+	settledRate float64 // last recorded as a StageFlowRate; -1 before
 }
 
-// residual is per-link water-filling state: capacity and flow count not
-// yet claimed by fixed flows. live marks the links on Fabric.active.
-type residual struct {
-	cap  float64
-	n    int
-	live bool
+// flowList is an intrusive list of flows through slot s of their links:
+// 0 for a link's egress flows, 1 for its ingress flows, 2 for the fabric's.
+type flowList struct {
+	head, tail *flow
+	n          int
 }
 
-// unfixedRate marks a flow not yet assigned by the current water-filling
-// pass.
-const unfixedRate = -1
+func (l *flowList) push(fl *flow, s int) {
+	fl.prev[s], fl.next[s] = l.tail, nil
+	if l.tail != nil {
+		l.tail.next[s] = fl
+	} else {
+		l.head = fl
+	}
+	l.tail = fl
+	l.n++
+}
+
+func (l *flowList) remove(fl *flow, s int) {
+	if p := fl.prev[s]; p != nil {
+		p.next[s] = fl.next[s]
+	} else {
+		l.head = fl.next[s]
+	}
+	if n := fl.next[s]; n != nil {
+		n.prev[s] = fl.prev[s]
+	} else {
+		l.tail = fl.prev[s]
+	}
+	fl.prev[s], fl.next[s] = nil, nil
+	l.n--
+}
 
 // New returns a fabric with cfg.Endpoints NICs. Endpoints and Bandwidth
 // must be positive.
@@ -170,16 +154,14 @@ func New(rt *simtime.Virtual, cfg Config) *Fabric {
 	if cfg.Bandwidth <= 0 {
 		panic("netsim: bandwidth must be positive")
 	}
-	f := &Fabric{
-		rt:        rt,
-		latency:   cfg.Latency,
-		links:     make([]link, 2*cfg.Endpoints),
-		residuals: make([]residual, 2*cfg.Endpoints),
-		lastT:     rt.Now(),
-		anchorT:   rt.Now(),
-	}
+	nl := 2 * cfg.Endpoints
+	f := &Fabric{rt: rt, latency: cfg.Latency, links: make([]link, nl), groups: make([]device.Share, nl), lastT: rt.Now()}
+	scratch := make([]int, 3*nl)
+	f.comp, f.bott, f.begun = scratch[:0:nl], scratch[nl:nl:2*nl], scratch[2*nl:2*nl]
+	slots := make([]*device.Entry, nl) // every group's first heap slot
 	for i := range f.links {
 		f.links[i].bw = cfg.Bandwidth
+		f.groups[i].Reserve(slots[i : i+1 : i+1])
 	}
 	rt.Own(f)
 	return f
@@ -188,45 +170,67 @@ func New(rt *simtime.Virtual, cfg Config) *Fabric {
 // Endpoints returns the number of NIC-owning endpoints.
 func (f *Fabric) Endpoints() int { return len(f.links) / 2 }
 
-// MinBandwidth is the floor SetBandwidth clamps to, in bytes/s. A zero or
-// negative bandwidth would divide the water-filling rate computation by
-// zero; clamping instead of panicking lets failure scripts express a full
-// link outage (traffic crawls at 1 B/s — effectively parked — and resumes
-// when the link is restored).
+// MinBandwidth is the floor SetBandwidth clamps to, in bytes/s, so failure
+// scripts can express a full link outage: traffic crawls at 1 B/s and
+// resumes when the link is restored.
 const MinBandwidth = 1.0
 
 // SetBandwidth rescales one endpoint's NIC to bw bytes/s in both
-// directions — the degraded-link failure injection. In-flight flows are
-// re-shared immediately. Values below MinBandwidth (including zero and
-// negative: a scripted full link failure) are clamped to MinBandwidth.
+// directions — the degraded-link failure injection — and re-shares the
+// flows in flight. Values below MinBandwidth (including zero, negative and
+// NaN: a scripted full link failure) are clamped to MinBandwidth.
 func (f *Fabric) SetBandwidth(endpoint int, bw float64) {
 	if bw < MinBandwidth || bw != bw {
 		bw = MinBandwidth
 	}
-	f.advance()
-	f.links[2*endpoint].bw = bw
-	f.links[2*endpoint+1].bw = bw
-	f.reshare()
+	f.settle()
+	for _, i := range [2]int{2 * endpoint, 2*endpoint + 1} {
+		f.busy(i, true)
+		f.links[i].bw = bw
+	}
+	f.reshare(2*endpoint, 2*endpoint+1, nil)
 }
 
-// BytesMoved returns the cumulative bytes delivered by completed and
-// in-progress transfers (in-flight progress included analytically).
+// busy returns link i's transfer work in full-bandwidth seconds; rebase
+// folds its live flows' bytes so far into busyB, before a bandwidth change.
+func (f *Fabric) busy(i int, rebase bool) float64 {
+	ln := &f.links[i]
+	busy := ln.busyB
+	for fl := ln.flows.head; fl != nil; fl = fl.next[i&1] {
+		m := float64(fl.size) - f.remaining(fl)
+		busy += (m - fl.base[i&1]) / ln.bw
+		if rebase {
+			fl.base[i&1] = m
+		}
+	}
+	if rebase {
+		ln.busyB = busy
+	}
+	return busy
+}
+
+// remaining returns the bytes fl has left as of the fabric's clock.
+func (f *Fabric) remaining(fl *flow) float64 {
+	g := &f.groups[fl.grp]
+	g.Advance(f.lastT)
+	return g.Left(&fl.e)
+}
+
+// BytesMoved returns the bytes delivered by retired and in-flight transfers.
 func (f *Fabric) BytesMoved() int64 {
-	f.advance()
+	f.settle()
 	total := f.doneBytes
-	for _, fl := range f.flows {
-		total += fl.size - int64(fl.remaining)
+	for fl := f.all.head; fl != nil; fl = fl.next[2] {
+		total += fl.size - int64(f.remaining(fl))
 	}
 	return total
 }
 
-// Recycle hands the fabric's flow records, with the selectors they embed, to
-// the fabrics built after it, in this run or another. The fabric's kernel
-// calls it at the run's teardown (simtime.Virtual.Recycle), with which New
-// registers it; a fabric with flows in flight keeps its records. The fabric
-// stays usable.
+// Recycle hands the fabric's flow records (with their selectors) to the
+// fabrics built after it, at its kernel's teardown (simtime.Virtual.Recycle);
+// a fabric with flows in flight keeps them. The fabric stays usable.
 func (f *Fabric) Recycle() {
-	if len(f.flows) > 0 {
+	if f.all.n > 0 {
 		return
 	}
 	for i, fl := range f.free {
@@ -236,16 +240,14 @@ func (f *Fabric) Recycle() {
 	f.free = f.free[:0]
 }
 
-// FlowsCompleted returns how many transfers have retired (finished or
-// cancelled mid-flight).
+// FlowsCompleted returns how many transfers have retired, done or cancelled.
 func (f *Fabric) FlowsCompleted() int64 { return f.flowsDone }
 
-// LinkBusySeconds returns a NIC direction's cumulative transfer work in
-// full-bandwidth seconds (dir 0 = egress, 1 = ingress): utilization over a
-// window is Δbusy/Δt.
+// LinkBusySeconds returns a NIC direction's transfer work in full-bandwidth
+// seconds (dir 0 = egress, 1 = ingress): utilization is Δbusy/Δt.
 func (f *Fabric) LinkBusySeconds(endpoint, dir int) float64 {
-	f.advance()
-	return f.links[2*endpoint+dir].busyIntegral
+	f.settle()
+	return f.busy(2*endpoint+dir, false)
 }
 
 // Transfer moves n bytes from endpoint src to endpoint dst, occupying
@@ -277,186 +279,177 @@ func (f *Fabric) Transfer(ctx context.Context, src, dst int, n int64) error {
 		if fl, ok = flowStock.Get(); !ok {
 			fl = &flow{}
 		}
-		fl.sel.Bind(f.rt)
+		fl.e.Bind(f.rt)
 	}
-	fl.egress, fl.ingress = 2*src, 2*dst+1
-	fl.size = n
-	fl.remaining = float64(n)
-	fl.rate = 0
-	fl.settledRate = -1
-	fl.finishAt = math.MaxInt64
-
-	f.advance()
+	fl.link = [2]int{2 * src, 2*dst + 1}
+	fl.size, fl.grp, fl.fixed, fl.base, fl.settledRate = n, -1, 0, [2]float64{}, -1
+	f.settle()
 	fl.startT = f.lastT
-	fl.anchorRem = fl.remaining
-	fl.anchorT = f.lastT
-	f.links[fl.egress].n++
-	f.links[fl.ingress].n++
-	f.flows = append(f.flows, fl)
-	f.reshare()
-
-	for {
-		if fl.remaining <= 1e-6 {
-			f.exit(fl)
-			return nil
-		}
-		// Park until the absolute completion instant stamped at the last
-		// rate change; a later rate change moves the armed deadline through
-		// reshare, so the flow normally parks once.
-		deadline := fl.finishAt - f.lastT
-		if deadline <= 0 {
-			deadline = time.Nanosecond
-		}
-		fl.sel.Reset()
-		_, err := fl.sel.Wait(ctx, deadline)
-		f.advance()
-		if err != nil {
-			f.exit(fl)
-			return err
-		}
+	f.all.push(fl, 2)
+	for _, i := range fl.link {
+		f.links[i].flows.push(fl, i&1)
 	}
+	f.reshare(fl.link[0], fl.link[1], nil)
+
+	var err error
+	for err == nil {
+		g := &f.groups[fl.grp] // which can change while fl is parked
+		if g.Advance(f.lastT); g.Done(&fl.e) {
+			break
+		}
+		err = g.Wait(ctx, &fl.e, false)
+		f.settle()
+	}
+	f.exit(fl)
+	return err
 }
 
 // exit removes fl from the fabric (the survivors keep their arrival order),
-// re-shares them and recycles fl.
+// re-shares its component and recycles fl.
 func (f *Fabric) exit(fl *flow) {
-	f.rt.Trace().Record(trace.Span{Start: fl.startT, End: f.lastT, Stage: trace.StageFlow,
-		Node: int32(fl.egress / 2), Key: int64(fl.ingress / 2),
-		Detail: fl.size - int64(fl.remaining)})
-	f.doneBytes += fl.size - int64(fl.remaining)
-	f.links[fl.egress].n--
-	f.links[fl.ingress].n--
-	for i, e := range f.flows {
-		if e == fl {
-			copy(f.flows[i:], f.flows[i+1:])
-			last := len(f.flows) - 1
-			f.flows[last] = nil
-			f.flows = f.flows[:last]
-			break
-		}
+	for _, i := range fl.link {
+		f.links[i].flows.remove(fl, i&1)
 	}
+	f.all.remove(fl, 2)
+	f.reshare(fl.link[0], fl.link[1], fl)
+	moved := fl.size - int64(fl.left)
+	for s, i := range fl.link {
+		f.links[i].busyB += (float64(fl.size) - fl.left - fl.base[s]) / f.links[i].bw
+	}
+	f.rt.Trace().Record(trace.Span{Start: fl.startT, End: f.lastT, Stage: trace.StageFlow,
+		Node: int32(fl.link[0] / 2), Key: int64(fl.link[1] / 2), Detail: moved})
+	f.doneBytes += moved
 	f.flowsDone++
-	f.reshare()
 	f.free = append(f.free, fl)
 }
 
-// advance integrates every in-flight flow's progress (and each
-// link's carried bytes) up to now. Progress is recomputed analytically
-// from the flow's rate-change anchor rather than accumulated per segment,
-// so the value of remaining at any instant — and therefore every
-// completion time — does not depend on how many intermediate wakes
-// happened to observe the flow along the way.
-func (f *Fabric) advance() {
+// settle brings the fabric's clock to now. On a traced kernel, the rates
+// the last reshare assigned have then persisted across real elapsed time:
+// they are settled, and the ones that moved are recorded.
+func (f *Fabric) settle() {
 	now := f.rt.Now()
 	if now <= f.lastT {
 		return
 	}
-	if tr := f.rt.Trace(); tr.Enabled() {
-		// Rates assigned at lastT persisted across real elapsed time: they
-		// are settled, record the ones that moved.
-		for _, fl := range f.flows {
-			if fl.rate != fl.settledRate {
+	if tr := f.rt.Trace(); f.reshared && tr.Enabled() {
+		for fl := f.all.head; fl != nil; fl = fl.next[2] {
+			if r := f.groups[fl.grp].Rate(); r != fl.settledRate {
 				tr.Instant(trace.Span{Stage: trace.StageFlowRate,
-					Node: int32(fl.egress / 2), Key: int64(fl.ingress / 2),
-					Detail: int64(fl.rate)}, f.lastT)
-				fl.settledRate = fl.rate
+					Node: int32(fl.link[0] / 2), Key: int64(fl.link[1] / 2),
+					Detail: int64(r)}, f.lastT)
+				fl.settledRate = r
 			}
 		}
 	}
-	el := (now - f.anchorT).Seconds()
-	for _, i := range f.active {
-		ln := &f.links[i]
-		ln.busyIntegral = ln.anchorB + ln.rateSum/ln.bw*el
-	}
-	for _, fl := range f.flows {
-		if now >= fl.finishAt {
-			fl.remaining = 0
-			continue
-		}
-		rem := fl.anchorRem - fl.rate*(now-fl.anchorT).Seconds()
-		if rem < 0 {
-			rem = 0
-		}
-		fl.remaining = rem
-	}
+	f.reshared = false
 	f.lastT = now
 }
 
-// reshare recomputes max-min fair rates by water-filling: repeatedly
-// find the most-constrained link (smallest per-flow fair share among its
-// unfixed flows), fix its flows at that share, subtract their bandwidth,
-// and continue until every flow has a rate. Only the active links — those
-// a live flow crosses — take part. The minimum over them does not depend on
-// the order they are scanned in; the float rounding of the residual-capacity
-// updates does depend on the order flows are fixed in, which is their arrival
-// order. Each flow whose rate changed is re-anchored here: its progress and
-// absolute completion instant are restamped from the new rate, making
-// reshare points the only places a flow's trajectory can bend, and a parked
-// flow's armed deadline is moved to the new instant where it sleeps.
-func (f *Fabric) reshare() {
-	// The links active until now are exactly those whose busy integral has
-	// been advancing: re-anchor them, then rebuild the list from the flows.
-	res := f.residuals
-	for _, i := range f.active {
-		f.links[i].anchorB = f.links[i].busyIntegral
-		f.links[i].rateSum = 0
-		res[i].live = false
-	}
-	f.active = f.active[:0]
-	f.anchorT = f.lastT
-	unfixed := len(f.flows)
-	for _, fl := range f.flows {
-		fl.prevRate = fl.rate
-		fl.rate = unfixedRate
-		for _, i := range [2]int{fl.egress, fl.ingress} {
-			if !res[i].live {
-				res[i] = residual{cap: f.links[i].bw, n: f.links[i].n, live: true}
-				f.active = append(f.active, i)
+// reshare recomputes max-min fair rates over the connected component of
+// links a and b (of a flow that came or left, gone, or of an endpoint whose
+// bandwidth changed). Each pass marks every link within tieTol of the
+// smallest residual fair share and fixes every unfixed flow crossing one at
+// exactly that share: one pass per level. A flow joins the group of the
+// link that fixed it (when both did, it stays, else takes its egress) with
+// the bytes it has left, and each group takes its new rate.
+func (f *Fabric) reshare(a, b int, gone *flow) {
+	f.tick++
+	f.start = f.tick
+	comp, bott := append(f.comp[:0], a, b), f.bott[:0]
+	f.begun = f.begun[:0]
+	f.links[a].seen, f.links[b].seen = f.start, f.start
+	unfixed := 0
+	for q := 0; q < len(comp); q++ {
+		i := comp[q]
+		ln := &f.links[i]
+		ln.cap, ln.un = ln.bw, ln.flows.n
+		unfixed += ln.flows.n // each flow twice, once per link
+		if q >= 2 && ln.flows.n == 1 {
+			continue // found through its one flow
+		}
+		for fl := ln.flows.head; fl != nil; fl = fl.next[i&1] {
+			if o := &f.links[fl.link[i&1^1]]; o.seen != f.start {
+				o.seen = f.start
+				comp = append(comp, fl.link[i&1^1])
 			}
 		}
 	}
+	unfixed /= 2
+	if gone != nil {
+		gone.to = -1
+		f.regroup(gone)
+	}
 	for unfixed > 0 {
-		// The tightest link's fair share bounds every flow through it.
-		share := math.Inf(1)
-		for _, i := range f.active {
-			if res[i].n > 0 {
-				if s := res[i].cap / float64(res[i].n); s < share {
-					share = s
+		f.tick++
+		// The tightest link, comparing cap/un as cross products: cheaper.
+		tight, tightN := math.Inf(1), 1
+		for _, i := range comp {
+			if ln := &f.links[i]; ln.un > 0 && ln.cap*float64(tightN) < tight*float64(ln.un) {
+				tight, tightN = ln.cap, ln.un
+			}
+		}
+		share, pass := tight/float64(tightN), len(bott)
+		for _, i := range comp {
+			if ln := &f.links[i]; ln.un > 0 && ln.cap <= share*(1+tieTol)*float64(ln.un) {
+				ln.mark, ln.rate = f.tick, share
+				bott = append(bott, i)
+			}
+		}
+		for _, i := range bott[pass:] {
+			for fl := f.links[i].flows.head; fl != nil; fl = fl.next[i&1] {
+				if fl.fixed > f.start {
+					continue
+				}
+				fl.fixed, fl.to = f.tick, fl.link[0]
+				if g := fl.grp; g >= 0 && f.links[g].mark == f.tick {
+					fl.to = g // a tie leaves a flow where it is
+				} else if f.links[fl.to].mark != f.tick {
+					fl.to = fl.link[1]
+				}
+				for _, j := range fl.link {
+					f.links[j].cap -= share
+					f.links[j].un--
+				}
+				unfixed--
+				if fl.to != fl.grp {
+					f.regroup(fl)
 				}
 			}
 		}
-		// Fix every flow crossing a bottleneck link at that share. Fixing
-		// by value (not by one chosen link) handles several links tying in
-		// a single deterministic pass.
-		for _, fl := range f.flows {
-			if fl.rate != unfixedRate {
-				continue
-			}
-			eg, in := &res[fl.egress], &res[fl.ingress]
-			if eg.cap/float64(eg.n) <= share+1e-9 || in.cap/float64(in.n) <= share+1e-9 {
-				fl.rate = share
-				eg.cap -= share
-				eg.n--
-				in.cap -= share
-				in.n--
-				unfixed--
-			}
-		}
 	}
-	now := f.lastT
-	for _, fl := range f.flows {
-		f.links[fl.egress].rateSum += fl.rate
-		f.links[fl.ingress].rateSum += fl.rate
-		if fl.rate != fl.prevRate {
-			// Rate changes are the only anchor points: progress and the
-			// absolute completion instant are restamped here and nowhere
-			// else.
-			fl.anchorRem = fl.remaining
-			fl.anchorT = now
-			fl.finishAt = now + time.Duration(fl.anchorRem/fl.rate*float64(time.Second)) + time.Nanosecond
-			// Refused by a flow that is not parked — the one entering, or
-			// one readied at this instant: it re-reads finishAt itself.
-			fl.sel.Retime(fl.finishAt)
-		}
+	for _, i := range bott {
+		r := f.links[i].rate
+		f.group(i).SetRate(r, r*1e-9) // slack: a nanosecond's bytes
 	}
+	for _, i := range f.begun {
+		f.groups[i].Rearm()
+	}
+	f.comp, f.bott, f.reshared = comp, bott, true
+}
+
+// regroup moves fl out of its group, noting the bytes it has left, and into
+// link fl.to's (none, -1, for a flow that left the fabric).
+func (f *Fabric) regroup(fl *flow) {
+	fl.left = float64(fl.size)
+	if fl.grp >= 0 {
+		g := f.group(fl.grp)
+		fl.left = g.Left(&fl.e)
+		g.Remove(&fl.e)
+	}
+	if fl.grp = fl.to; fl.to >= 0 {
+		f.group(fl.to).Insert(&fl.e, fl.left)
+	}
+}
+
+// group returns link i's group, begun for the changes of this reshare: its
+// rate and front before them noted, for Rearm.
+func (f *Fabric) group(i int) *device.Share {
+	g := &f.groups[i]
+	if ln := &f.links[i]; ln.begun != f.start {
+		ln.begun = f.start
+		g.Advance(f.lastT)
+		g.Begin()
+		f.begun = append(f.begun, i)
+	}
+	return g
 }

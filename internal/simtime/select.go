@@ -96,6 +96,10 @@ func (s *Selector) tryWake(idx int) (found int32) {
 	return s.state
 }
 
+// Parked reports whether a task is parked on s with the cycle unclaimed:
+// whether Retime would move its deadline and TryWake resume it.
+func (s *Selector) Parked() bool { return s.owner != nil }
+
 // Retime moves the deadline of the task parked on s to the absolute instant
 // at (no earlier than the next nanosecond), arming a timer if the park had
 // none, and resumes nothing: a task whose completion time moved has nothing

@@ -166,15 +166,15 @@ func TestTopologyShapesPinned(t *testing.T) {
 		stall []time.Duration
 	}{
 		{"default", Topology{},
-			14749658529, 10, 7440708892, []time.Duration{2598857862, 1519883687}},
+			14749658529, 10, 7440708892, []time.Duration{2598857861, 1519883687}},
 		{"local-store", Topology{LocalStore: true},
 			14748606629, 10, 7340032000, []time.Duration{2597805962, 1519044816}},
 		{"stragglers", Topology{Nodes: 3, Stragglers: []NodeFault{{Node: 1, Factor: 8}, {Node: 2, Factor: 2}}},
 			17843074520, 10, 14829884449, []time.Duration{2287351463, 4564463486, 2594347497}},
 		{"degraded", Topology{Nodes: 3, Degraded: []NodeFault{{Node: 0, Factor: 4}, {Node: 2, Factor: 16}}},
-			17154998315, 10, 14829884449, []time.Duration{1991910069, 1519973653, 2008066307}},
+			17154998315, 10, 14829884449, []time.Duration{1991910068, 1519973653, 2008066307}},
 		{"mix", Topology{Mix: []HardwareConfig{ConfigA(), ConfigB()}},
-			25670684355, 10, 7440708892, []time.Duration{2014834118, 1519883687}},
+			25670684354, 10, 7440708892, []time.Duration{2014834118, 1519883687}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -658,9 +658,11 @@ func TestServedStreamParkBudget(t *testing.T) {
 		t.Fatalf("%.3f parks per delivered sample, budget %.1f", perSample, maxParksPerSample)
 	}
 	// The exact counts: a change to a wait list or a wake source that adds,
-	// drops or reorders a kernel event moves one of them.
-	if st.Parks != 20813 || st.TimedParks != 3669 || st.SelfWakes != 415 || st.Retimes != 18529 {
-		t.Fatalf("%d parks (%d timed, %d self-woken), %d retimes; want 20813 (3669, 415), 18529",
+	// drops or reorders a kernel event moves one of them. The fabric's
+	// flows share their bottleneck's integral, so a rate change retimes only
+	// the group's front, and the others park deadline-free.
+	if st.Parks != 20873 || st.TimedParks != 3430 || st.SelfWakes != 415 || st.Retimes != 16207 {
+		t.Fatalf("%d parks (%d timed, %d self-woken), %d retimes; want 20873 (3430, 415), 16207",
 			st.Parks, st.TimedParks, st.SelfWakes, st.Retimes)
 	}
 }

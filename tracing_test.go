@@ -187,7 +187,7 @@ func TestTraceExportsPinned(t *testing.T) {
 				WithIterations(40), WithTracing(sink))
 			fatalIf(t, err)
 		}},
-		{"multinode-8x2-link-flap", 84306, 0x80dfa8ee4c522bc4, func(t *testing.T, sink *TraceSink) {
+		{"multinode-8x2-link-flap", 84306, 0x7e683cbe2d0b0207, func(t *testing.T, sink *TraceSink) {
 			_, err := Train(workloadNamed("speech-3s", 5), WithLoader("minato"), WithNodes(8), WithGPUs(2),
 				WithIterations(48), WithChaosScenario("link-flap"), WithTracing(sink))
 			fatalIf(t, err)
