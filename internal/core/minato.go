@@ -170,14 +170,21 @@ type run struct {
 	stopFlag bool
 }
 
-// lane is one GPU's delivery: its batch queue, the selector its batch
-// constructor parks on, and that constructor's body, built once per lane.
+// lane is one GPU's delivery: its batch queue, its batch constructor's body
+// (built once per lane), and the constructor's wait: its selector, its wake
+// sources in priority order, how many the current cycle armed, and the batch
+// it is filling.
 type lane struct {
 	batches queue.Queue[*data.Batch]
 	sel     simtime.Selector
 	l       *Loader
 	g       int
 	body    func()
+
+	srcs    [3]simtime.Source
+	sources []simtime.Source // a prefix of srcs
+	armed   int
+	b       *data.Batch
 }
 
 func (ln *lane) construct() { ln.l.batchConstructor(ln.l.runCtx, ln.g) }
@@ -560,17 +567,19 @@ func (l *Loader) putFast(ctx context.Context, s *data.Sample) error {
 // abnormal deficit) is released so the claim counter stays an exact account
 // of assembled batches.
 func (l *Loader) batchConstructor(ctx context.Context, g int) {
-	out, sel := &l.lanes[g].batches, &l.lanes[g].sel
+	ln := &l.lanes[g]
+	out := &ln.batches
 	defer out.Close()
 	total := int64(l.spec.TotalBatches())
 	// Wake sources for an idle constructor, in priority order. The gate
 	// carries accounting-only changes (faults, source exhaustion) that could
 	// flip drained() without a queue operation.
-	var sources []simtime.Source
 	if l.cfg.OrderPreserving {
-		sources = []simtime.Source{l.ordered, &l.gate}
+		ln.srcs = [3]simtime.Source{l.ordered, &l.gate}
+		ln.sources = ln.srcs[:2]
 	} else {
-		sources = []simtime.Source{&l.fastQ, &l.slowQ, &l.gate}
+		ln.srcs = [3]simtime.Source{&l.fastQ, &l.slowQ, &l.gate}
+		ln.sources = ln.srcs[:]
 	}
 	for {
 		if l.stopFlag {
@@ -580,7 +589,7 @@ func (l *Loader) batchConstructor(ctx context.Context, g int) {
 			return
 		}
 		l.claims++
-		b, ok := l.assemble(ctx, g, sel, sources)
+		b, ok := l.assemble(ctx, ln)
 		if !ok {
 			l.claims--
 			return
@@ -592,19 +601,51 @@ func (l *Loader) batchConstructor(ctx context.Context, g int) {
 	}
 }
 
-// assemble gathers one full batch from the fast and slow queues (or the
-// ordered buffer). Slow samples are drawn only when the fast queue is empty,
-// preserving Algorithm 1's priority: the scan order below runs anew after
-// every wakeup, whichever source fired.
-func (l *Loader) assemble(ctx context.Context, g int, sel *simtime.Selector, sources []simtime.Source) (*data.Batch, bool) {
+// assemble gathers one full batch for the lane. Its constructor parks while
+// no sample is ready, and the lane's wake step (fill) takes each sample in
+// the constructor's turn, so the task resumes once, with the batch full or
+// abandoned.
+func (l *Loader) assemble(ctx context.Context, ln *lane) (*data.Batch, bool) {
 	asmStart := l.env.RT.Now()
 	// The batch (and the backing array for its samples) comes from the
 	// session pool; the consumer returns it with Batch.Release.
-	b := l.env.Pool.GetBatch(l.spec.BatchSize)
-	for len(b.Samples) < l.spec.BatchSize {
+	ln.b = l.env.Pool.GetBatch(l.spec.BatchSize)
+	if ln.fill() && ln.sel.WaitStep(ctx, 0, ln) != nil {
+		ln.disarm() // cancelled: the cycle's sources are the task's to disarm
+	}
+	b := ln.b
+	ln.b = nil
+	if len(b.Samples) < l.spec.BatchSize { // shutdown, or an abnormal deficit
+		b.Release()
+		return nil, false
+	}
+	b.Seq = l.batchSeq
+	l.batchSeq++
+	b.CreatedAt = l.env.RT.Now()
+	// §4.3: a CUDA prefetch stream moves batch i to GPU memory while
+	// batch i−1 trains, so delivered batches are resident.
+	b.Resident = true
+	if tr := l.env.RT.Trace(); tr != nil {
+		tr.Record(trace.Span{Start: asmStart, End: b.CreatedAt,
+			Stage: trace.StageAssemble, Tenant: l.env.TraceTenant(),
+			Node: l.env.TraceNode, Key: int64(ln.g), Seq: b.Seq,
+			Detail: int64(len(b.Samples))})
+	}
+	return b, true
+}
+
+// fill draws samples into the lane's batch, fast queue first, slow queue
+// second (or from the ordered buffer), until the batch is full or no sample
+// will come (shutdown, or an abnormal deficit upstream), and reports whether
+// the constructor must wait: its selector is then armed on its sources in
+// priority order, as Select arms them. Slow samples are drawn only when the
+// fast queue is empty, preserving Algorithm 1's priority: the scan runs anew
+// after every wake, whichever source fired.
+func (ln *lane) fill() (wait bool) {
+	l := ln.l
+	for len(ln.b.Samples) < l.spec.BatchSize {
 		if l.stopFlag {
-			b.Release()
-			return nil, false
+			return false
 		}
 		var s *data.Sample
 		if l.cfg.OrderPreserving {
@@ -616,16 +657,17 @@ func (l *Loader) assemble(ctx context.Context, g int, sel *simtime.Selector, sou
 		}
 		if s == nil {
 			if l.drained() {
-				// Abnormal deficit (upstream failure): give up on the
-				// remaining partial batch rather than wait forever.
-				b.Release()
-				return nil, false
+				return false
 			}
-			if _, err := sel.Select(ctx, 0, sources...); err != nil {
-				b.Release()
-				return nil, false
+			ln.sel.Reset()
+			ln.armed = len(ln.sources)
+			for i, src := range ln.sources {
+				if src.Arm(&ln.sel, i) {
+					ln.armed = i + 1
+					break
+				}
 			}
-			continue
+			return true
 		}
 		l.consumed++
 		if l.drained() {
@@ -637,21 +679,22 @@ func (l *Loader) assemble(ctx context.Context, g int, sel *simtime.Selector, sou
 			// sample.
 			l.gate.Pulse()
 		}
-		b.Samples = append(b.Samples, s)
+		ln.b.Samples = append(ln.b.Samples, s)
 	}
-	b.Seq = l.batchSeq
-	l.batchSeq++
-	b.CreatedAt = l.env.RT.Now()
-	// §4.3: a CUDA prefetch stream moves batch i to GPU memory while
-	// batch i−1 trains, so delivered batches are resident.
-	b.Resident = true
-	if tr := l.env.RT.Trace(); tr != nil {
-		tr.Record(trace.Span{Start: asmStart, End: b.CreatedAt,
-			Stage: trace.StageAssemble, Tenant: l.env.TraceTenant(),
-			Node: l.env.TraceNode, Key: int64(g), Seq: b.Seq,
-			Detail: int64(len(b.Samples))})
+	return false
+}
+
+// Step implements simtime.Stepper: a wake of the lane's constructor disarms
+// the cycle's sources and fills on.
+func (ln *lane) Step() (time.Duration, bool) {
+	ln.disarm()
+	return 0, ln.fill()
+}
+
+func (ln *lane) disarm() {
+	for _, src := range ln.sources[:ln.armed] {
+		src.Disarm(&ln.sel)
 	}
-	return b, true
 }
 
 // drained reports that no more samples will ever arrive: the index stream

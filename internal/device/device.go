@@ -127,7 +127,7 @@ func (d *Device) Run(ctx context.Context, work time.Duration) error {
 	var err error
 	for err == nil && !d.ps.Done(e) {
 		// Uncontended tasks, and the front, hold exact completion timers.
-		_, err = e.sel.Wait(ctx, d.ps.deadline(e, d.ps.rate == 1))
+		_, err = e.sel.Wait(ctx, d.ps.Deadline(e, d.ps.rate == 1))
 		d.advance()
 	}
 	d.occupy(e, 0)

@@ -1,7 +1,6 @@
 package device
 
 import (
-	"context"
 	"time"
 
 	"github.com/minatoloader/minato/internal/simtime"
@@ -60,6 +59,9 @@ type Entry struct {
 
 // Bind binds the entry's selector to rt, once, before its first use.
 func (e *Entry) Bind(rt *simtime.Virtual) { e.sel.Bind(rt) }
+
+// Selector returns the selector the entry's task parks on.
+func (e *Entry) Selector() *simtime.Selector { return &e.sel }
 
 // Reserve gives an empty share's heap the backing array buf[:0].
 func (s *Share) Reserve(buf []*Entry) { s.entries = buf[:0] }
@@ -128,15 +130,11 @@ func (s *Share) Done(e *Entry) bool {
 	return s.progress >= e.target-s.slack || (e.epoch == s.epoch && s.lastT >= e.finish)
 }
 
-// Wait parks e's task, advanced to now and not Done, with a timer if it is
-// the front (or all hold one); the caller advances and re-checks Done after.
-func (s *Share) Wait(ctx context.Context, e *Entry, all bool) error {
-	_, err := e.sel.Wait(ctx, s.deadline(e, all))
-	return err
-}
-
-// deadline begins e's wait cycle and returns the deadline it parks with.
-func (s *Share) deadline(e *Entry, all bool) (d time.Duration) {
+// Deadline begins a wait cycle for e's task, advanced to now and not Done,
+// and returns the deadline it parks with: a timer if e is the front (or all
+// hold one), none otherwise. The caller advances and re-checks Done after
+// the wake.
+func (s *Share) Deadline(e *Entry, all bool) (d time.Duration) {
 	if all || s.entries[0] == e {
 		s.stamp(e)
 		d = max(e.finish-s.lastT, time.Nanosecond)

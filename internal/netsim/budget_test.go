@@ -14,13 +14,15 @@ import (
 // 0 sends a ~32 MiB frame to each of 64 clients and gets 64 bytes back, 16
 // rounds each, on a 264-endpoint fabric — every large flow crosses one
 // egress link, so every entry and exit changes every rate. The budgets: a
-// Transfer parks twice (latency, then the flow) however often its rate
-// moves, and is retimed at most four times — a rate change re-anchors the
-// egress group's integral and moves only its front's timer, where
-// per-flow deadlines retimed every flow in flight (111,940 retimes). The
-// end state is the group integrals' (the per-flow anchors ended at the same
-// instant with the same bytes); a link's busy time is the bytes it carried
-// over its bandwidth.
+// Transfer makes two parks (latency, then the flow) in one coroutine round
+// trip however often its rate moves — the latency wake's step enters the
+// flow and parks the task again in its turn — and is retimed at most four
+// times: a rate change re-anchors the egress group's integral and moves only
+// its front's timer, where per-flow deadlines retimed every flow in flight
+// (111,940 retimes). The exact counts pin every kernel event. The end state
+// is the group integrals' (the per-flow anchors ended at the same instant
+// with the same bytes); a link's busy time is the bytes it carried over its
+// bandwidth.
 func TestStarParkBudgetAndEndState(t *testing.T) {
 	const clients, rounds = 64, 16
 	ctx := context.Background()
@@ -51,6 +53,12 @@ func TestStarParkBudgetAndEndState(t *testing.T) {
 	}
 	if st.Retimes > 4*transfers {
 		t.Errorf("%d retimes for %d transfers, budget 4 each", st.Retimes, transfers)
+	}
+	// A latency park that wakes itself returns to its task, which then makes
+	// the flow park itself: the 67 transfers whose flow park is no step.
+	want := simtime.KernelStats{Spawns: 65, Parks: 4097, TimedParks: 3074, SelfWakes: 1091, Wakes: 4097, Retimes: 2044, Steps: 1981}
+	if st != want {
+		t.Errorf("kernel counts %+v, want %+v", st, want)
 	}
 	if now, moved := k.Now(), f.BytesMoved(); now != 1380390488 || moved != 34498084864 {
 		t.Errorf("ended at %d ns with %d bytes moved, want 1380390488 and 34498084864", now, moved)
@@ -90,7 +98,7 @@ func TestRecycledFabricLeavesItsFlows(t *testing.T) {
 	k, first := run()
 	end := k.Now()
 	recycled := map[*flow]bool{}
-	for _, fl := range first.free {
+	for fl := first.free; fl != nil; fl = fl.next[2] {
 		recycled[fl] = true
 	}
 	k.Recycle() // the fabric registered with it
@@ -98,13 +106,14 @@ func TestRecycledFabricLeavesItsFlows(t *testing.T) {
 	if nextEnd := k.Now(); nextEnd != end {
 		t.Errorf("the run on recycled flows ended at %v, want %v", nextEnd, end)
 	}
-	for _, fl := range next.free {
-		if !recycled[fl] {
+	n := 0
+	for fl := next.free; fl != nil; fl = fl.next[2] {
+		if n++; !recycled[fl] {
 			t.Fatal("a fabric built after a recycled one allocated a flow record")
 		}
 	}
-	if len(next.free) != len(recycled) {
-		t.Errorf("%d flow records in use, want the %d recycled", len(next.free), len(recycled))
+	if n != len(recycled) {
+		t.Errorf("%d flow records in use, want the %d recycled", n, len(recycled))
 	}
 }
 

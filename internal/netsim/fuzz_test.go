@@ -9,12 +9,14 @@ import (
 	"github.com/minatoloader/minato/internal/simtime"
 )
 
-// fuzzCase is a fabric scenario: flows that start at given instants, some
-// cancelled mid-flight, and bandwidth changes. Every instant is a whole
-// nanosecond, as on the kernel's clock.
+// fuzzCase is a fabric scenario: flows that start at given instants and
+// enter the fabric a latency later, some cancelled in their latency or
+// mid-flight, and bandwidth changes. Every instant is a whole nanosecond, as
+// on the kernel's clock.
 type fuzzCase struct {
 	endpoints int
 	bw        float64
+	latency   time.Duration
 	flows     []fuzzFlow
 	bws       []fuzzBW
 }
@@ -31,8 +33,9 @@ type fuzzBW struct {
 	at       time.Duration
 }
 
-// decodeFuzzCase reads a scenario from fuzz bytes: the endpoint count, then
-// records of five bytes, each a flow (op 0–5), a cancel of an earlier flow
+// decodeFuzzCase reads a scenario from fuzz bytes: the endpoint count and
+// the latency (0, or a prime number of nanoseconds, one below and one above
+// the shortest cancel delay), then records of five bytes, each a flow (op 0–5), a cancel of an earlier flow
 // (op 6) or a bandwidth change (op 7). Sizes and instants are spread so a
 // run lasts seconds. The bandwidth is a prime number of bytes per second,
 // so a completion seldom falls exactly on a whole nanosecond: there the
@@ -42,6 +45,7 @@ func decodeFuzzCase(data []byte) fuzzCase {
 	c := fuzzCase{endpoints: 2, bw: 999_999_937}
 	if len(data) > 0 {
 		c.endpoints += int(data[0] % 7)
+		c.latency = [3]time.Duration{0, 1_000_003, 9_999_991}[data[0]/7%3]
 		data = data[1:]
 	}
 	for ; len(data) >= 5 && len(c.flows) < 24; data = data[5:] {
@@ -74,8 +78,9 @@ type fuzzResult struct {
 // referenceFabric is the plain per-flow fluid model on the kernel's
 // nanosecond clock, quadratic and obviously right: at every event it
 // recomputes max-min rates by textbook water-filling (fix the flows of the
-// one tightest link, repeat), finds the next event — a start, a cancel, a
-// bandwidth change, or a flow's completion at the first nanosecond after its
+// one tightest link, repeat), finds the next event — a flow's entry, its
+// start plus the latency; a cancel, which moves no bytes before the entry; a
+// bandwidth change; or a flow's completion at the first nanosecond after its
 // bytes run out — and advances every flow and link to it.
 func referenceFabric(c fuzzCase) fuzzResult {
 	n, nl := len(c.flows), 2*c.endpoints
@@ -123,8 +128,8 @@ func referenceFabric(c fuzzCase) fuzzResult {
 		next := time.Duration(math.MaxInt64)
 		for i, fl := range c.flows {
 			switch {
-			case state[i] == idle && fl.start >= now:
-				next = min(next, fl.start)
+			case state[i] == idle && fl.start+c.latency >= now:
+				next = min(next, fl.start+c.latency)
 			case state[i] == live:
 				next = min(next, now+time.Duration(rem[i]/rate[i]*1e9)+1)
 			}
@@ -175,7 +180,7 @@ func referenceFabric(c fuzzCase) fuzzResult {
 			}
 		}
 		for i, fl := range c.flows {
-			if state[i] == idle && fl.start == now {
+			if state[i] == idle && fl.start+c.latency == now {
 				state[i], rem[i] = live, float64(fl.size)
 			}
 		}
@@ -190,7 +195,7 @@ func runFabric(c fuzzCase) fuzzResult {
 	bg := context.Background()
 	k := simtime.NewVirtual()
 	k.Run(func() {
-		f := New(k, Config{Endpoints: c.endpoints, Bandwidth: c.bw})
+		f := New(k, Config{Endpoints: c.endpoints, Bandwidth: c.bw, Latency: c.latency})
 		scopes := make([]simtime.CancelScope, n)
 		wg := simtime.NewWaitGroup(k)
 		for i, fl := range c.flows {
@@ -272,6 +277,12 @@ func FuzzFabric(f *testing.F) {
 		"\x04\x00\x00\x00\xff\x00\x00\x00\x01\xff\x00\x06\x00\x00\x00\x08",                     // a cancel mid-flight
 		"\x06\x00\x00\x00\x20\x00\x01\x02\x00\x20\x00\x02\x04\x00\x20\x00\x03\x06\x00\x20\x00\x07\x00\x03\x00\x04\x07\x00\x02\x00\x09",
 		"\x05\x00\x00\x00\x30\x00\x00\x00\x01\x30\x01\x00\x00\x02\x30\x02\x00\x00\x03\x30\x03\x01\x01\x00\x30\x00\x07\x00\x00\x00\x05\x06\x02\x00\x00\x02",
+		// With latency: each flow enters the fabric its latency after it starts.
+		"\x07\x00\x00\x00\x10\x00", // one flow, 1 ms latency
+		"\x0f\x00\x00\x00\x40\x00\x00\x00\x01\x40\x03\x00\x01\x00\x40\x05",                     // a late flow on a shared egress, 10 ms latency
+		"\x0e\x00\x00\x00\x80\x00\x01\x00\x00\x40\x00\x06\x00\x00\x00\x01",                     // a cancel within the latency
+		"\x0e\x00\x00\x00\x80\x00\x01\x00\x00\x40\x00\x06\x00\x00\x00\x02",                     // a cancel 2 ns after the entry
+		"\x0b\x00\x00\x00\xff\x00\x00\x00\x01\xff\x00\x06\x00\x00\x00\x08\x07\x01\x00\x00\x01", // 1 ms latency, a cancel mid-flight and a degraded NIC
 	} {
 		f.Add([]byte(seed))
 	}

@@ -64,7 +64,9 @@ type Fabric struct {
 
 	doneBytes int64 // delivered by retired flows: sizes, or partial progress
 	flowsDone int64
-	free      []*flow // recycled flow records, with their selectors
+	// free lists the recycled flow records, with their selectors, through
+	// their fabric-list link: a record off the fabric list has no use for it.
+	free *flow
 
 	// Water-filling scratch: the component's links, its bottlenecks, the
 	// links whose groups change, and the stamps of this reshare and its
@@ -74,7 +76,9 @@ type Fabric struct {
 }
 
 // flowStock holds the flow records of recycled fabrics, process-wide. Its
-// bound is serve-256's peak, a flow per client.
+// bound is the benchmark workloads' peak, serve-256's 256 records, a flow per
+// client; multinode8-flashcrowd peaks at 73. A transfer draws its record
+// when it starts, so the flows in their latency count.
 var flowStock = simtime.NewStock[*flow](256)
 
 // tieTol is water-filling's relative tie tolerance. An absolute one fails
@@ -110,6 +114,7 @@ type flow struct {
 	base        [2]float64 // bytes moved by each link's last bandwidth change
 	e           device.Entry
 	settledRate float64 // last recorded as a StageFlowRate; -1 before
+	f           *Fabric
 }
 
 // flowList is an intrusive list of flows through slot s of their links:
@@ -233,11 +238,10 @@ func (f *Fabric) Recycle() {
 	if f.all.n > 0 {
 		return
 	}
-	for i, fl := range f.free {
+	for fl := f.free; fl != nil; fl = f.free {
+		f.free, fl.next[2] = fl.next[2], nil
 		flowStock.Put(fl)
-		f.free[i] = nil
 	}
-	f.free = f.free[:0]
 }
 
 // FlowsCompleted returns how many transfers have retired, done or cancelled.
@@ -255,6 +259,8 @@ func (f *Fabric) LinkBusySeconds(endpoint, dir int) float64 {
 // for the propagation latency plus the fair-shared transfer time, and
 // returns ctx.Err() if cancelled mid-flight. Loopback transfers (src ==
 // dst) pay only the latency: node-local traffic never crosses the NIC.
+// The task parks once: the flow's step (flow.Step) enters the flow when
+// the latency ends and waits out its group's completions in place.
 func (f *Fabric) Transfer(ctx context.Context, src, dst int, n int64) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -262,18 +268,13 @@ func (f *Fabric) Transfer(ctx context.Context, src, dst int, n int64) error {
 	if src < 0 || src >= f.Endpoints() || dst < 0 || dst >= f.Endpoints() {
 		return fmt.Errorf("netsim: transfer %d→%d outside fabric of %d endpoints", src, dst, f.Endpoints())
 	}
-	if f.latency > 0 {
-		if err := f.rt.Sleep(ctx, f.latency); err != nil {
-			return err
-		}
-	}
 	if n <= 0 || src == dst {
-		return nil
+		return f.rt.Sleep(ctx, f.latency)
 	}
 
-	var fl *flow
-	if k := len(f.free); k > 0 {
-		fl, f.free = f.free[k-1], f.free[:k-1]
+	fl := f.free
+	if fl != nil {
+		f.free = fl.next[2]
 	} else {
 		var ok bool
 		if fl, ok = flowStock.Get(); !ok {
@@ -281,8 +282,48 @@ func (f *Fabric) Transfer(ctx context.Context, src, dst int, n int64) error {
 		}
 		fl.e.Bind(f.rt)
 	}
-	fl.link = [2]int{2 * src, 2*dst + 1}
+	fl.f, fl.link = f, [2]int{2 * src, 2*dst + 1}
 	fl.size, fl.grp, fl.fixed, fl.base, fl.settledRate = n, -1, 0, [2]float64{}, -1
+	sel := fl.e.Selector()
+	sel.Reset()
+	d, wait := f.latency, true
+	if d <= 0 {
+		d, wait = fl.Step() // no latency: enter now
+	}
+	var err error
+	if wait {
+		err = sel.WaitStep(ctx, d, fl)
+	}
+	if fl.grp < 0 { // cancelled within its latency: it never entered
+		fl.next[2], f.free = f.free, fl
+		return err
+	}
+	f.settle() // after a cancellation; the last step has settled otherwise
+	f.exit(fl)
+	return err
+}
+
+// Step implements simtime.Stepper for the flow's task: the wake that ends
+// its latency enters the flow, a later one brings the fabric to now, and it
+// parks the task again until its group's next completion, or resumes it
+// once the flow is done.
+func (fl *flow) Step() (time.Duration, bool) {
+	f := fl.f
+	if fl.grp < 0 {
+		f.enter(fl)
+	} else {
+		f.settle()
+	}
+	g := &f.groups[fl.grp] // which can change while fl is parked
+	if g.Advance(f.lastT); g.Done(&fl.e) {
+		return 0, false
+	}
+	return g.Deadline(&fl.e, false), true
+}
+
+// enter puts fl in the fabric at the current instant, behind the flows in
+// flight, and re-shares its component.
+func (f *Fabric) enter(fl *flow) {
 	f.settle()
 	fl.startT = f.lastT
 	f.all.push(fl, 2)
@@ -290,18 +331,6 @@ func (f *Fabric) Transfer(ctx context.Context, src, dst int, n int64) error {
 		f.links[i].flows.push(fl, i&1)
 	}
 	f.reshare(fl.link[0], fl.link[1], nil)
-
-	var err error
-	for err == nil {
-		g := &f.groups[fl.grp] // which can change while fl is parked
-		if g.Advance(f.lastT); g.Done(&fl.e) {
-			break
-		}
-		err = g.Wait(ctx, &fl.e, false)
-		f.settle()
-	}
-	f.exit(fl)
-	return err
 }
 
 // exit removes fl from the fabric (the survivors keep their arrival order),
@@ -320,7 +349,7 @@ func (f *Fabric) exit(fl *flow) {
 		Node: int32(fl.link[0] / 2), Key: int64(fl.link[1] / 2), Detail: moved})
 	f.doneBytes += moved
 	f.flowsDone++
-	f.free = append(f.free, fl)
+	fl.next[2], f.free = f.free, fl
 }
 
 // settle brings the fabric's clock to now. On a traced kernel, the rates

@@ -114,14 +114,13 @@ func (s *Selector) Retime(at time.Duration) bool {
 	if t == nil {
 		return false
 	}
-	t.deadline, t.seq = max(at, k.Now()+1), k.seq
+	i := t.hidx
+	if i < 0 {
+		i = len(k.timers)
+	}
+	k.timers.place(i, timer{at: max(at, k.Now()+1), seq: k.seq, t: t})
 	k.seq++
 	k.stats.Retimes++
-	if t.hidx < 0 {
-		k.timers.push(t)
-	} else if !k.timers.down(t.hidx) {
-		k.timers.up(t.hidx)
-	}
 	return true
 }
 
@@ -139,6 +138,54 @@ func (s *Selector) Wait(ctx context.Context, deadline time.Duration) (int, error
 		return 0, errors.New("simtime: selector waited on again without a Reset")
 	}
 	return s.idx, nil
+}
+
+// Stepper is a task's wake step: what the task does between a wake returning
+// from its Wait and its next park, run for it in its turn (WaitStep). Step
+// returns the deadline of the next park and wait true to park again, with the
+// cycle Reset and its sources armed as before a Wait, or wait false for the
+// task to resume. It runs with the task current but not on its stack, so it
+// must not park, and must not need the task's frame.
+type Stepper interface {
+	Step() (deadline time.Duration, wait bool)
+}
+
+// WaitStep is a Wait loop whose body is st.Step: it parks until TryWake, the
+// deadline (if positive) or ctx cancellation, and each wake, instead of
+// resuming the task, runs st.Step on the loop in the task's ready-queue turn,
+// which parks the task again in place or resumes it. So a wait that takes
+// many wakes to finish costs one coroutine round trip, and moves no kernel
+// event: the parks, timers, self-wakes and their order are the Wait loop's,
+// and KernelStats.Steps counts the parks a step made. It returns nil once a
+// step returned wait false, or ctx.Err() when cancellation readied the task,
+// which is then resumed without a step. A cycle claimed before it parks (at
+// the call, or while a step armed) runs the step at once, as Wait returns at
+// once. The caller must have Reset the selector for the first cycle, and
+// disarms the sources of the last one.
+func (s *Selector) WaitStep(ctx context.Context, deadline time.Duration, st Stepper) error {
+	k := s.k
+	for wait := true; ; {
+		switch s.state {
+		case selExpired:
+			return errors.New("simtime: selector waited on again without a Reset")
+		case selIdle:
+			t := k.running("selector")
+			t.step = waitStep{st: st, sel: s, ctx: ctx}
+			cancelled := k.park(ctx, "selector", deadline, s)
+			served := t.step.st == nil
+			t.step = waitStep{}
+			if cancelled {
+				return ctx.Err()
+			}
+			if served {
+				return nil
+			}
+			continue // a park that woke itself returns here: the step is the task's
+		}
+		if deadline, wait = st.Step(); !wait {
+			return nil
+		}
+	}
 }
 
 // Select arms the selector on each source in order, parks until one fires

@@ -20,7 +20,11 @@
 // readied, or yet to park) and has then changed nothing. A timed park whose
 // own timer is the next event — nothing ready, nothing posted — advances the
 // clock itself and goes on without a switch (KernelStats.SelfWakes): what the
-// loop would have done, in the order it would have done it. The price of one
+// loop would have done, in the order it would have done it. A task parked in
+// Selector.WaitStep is not resumed by each wake either: the loop runs its
+// Stepper in its turn, with it current, and the step parks it again in place
+// (KernelStats.Steps) or resumes it — the same events in the same order as
+// the Wait loop it replaces, less the switches. The price of one
 // task at a time: a task that blocks on an ordinary Go primitive (a
 // channel, a sync.WaitGroup, a mutex held by a parked task) waiting for
 // another task stalls the whole kernel, not just itself — and that includes

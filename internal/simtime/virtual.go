@@ -57,6 +57,7 @@ type KernelStats struct {
 	SelfWakes  uint64 // the timed parks that were next in line themselves: no switch
 	Wakes      uint64 // parked tasks readied: by a wake, a timer or a cancellation
 	Retimes    uint64 // deadlines moved under a parked task (Selector.Retime)
+	Steps      uint64 // the parks a wake step made on the loop, in its task's turn: no switch
 }
 
 // queues is the storage of a kernel's ready queue, timer heap, task list,
@@ -195,10 +196,27 @@ func (k *Virtual) Sleep(ctx context.Context, d time.Duration) error {
 // park suspends the running task until its deadline (d > 0), a wake on s, or
 // cancellation of ctx readies it, and reports whether cancellation did.
 func (k *Virtual) park(ctx context.Context, on string, d time.Duration, s *Selector) (cancelled bool) {
-	t := k.cur
-	if t == nil {
+	t := k.running(on)
+	if !k.suspend(t, ctx, on, d, s) {
+		t.yield(struct{}{})
+	}
+	cancelled, t.cancelled = t.cancelled, false
+	return cancelled
+}
+
+// running returns the running task, for a park on on.
+func (k *Virtual) running(on string) *task {
+	if k.cur == nil {
 		panic("simtime: " + on + " park outside a kernel task: only tasks spawned with Go, GoDaemon or Run may block on a Virtual runtime")
 	}
+	return k.cur
+}
+
+// suspend parks t, the running task, until its deadline (d > 0), a wake on s
+// or cancellation of ctx readies it: a park's bookkeeping, for the task itself
+// or for a wake step served in its turn. It reports whether t's own timer was
+// the next event and has fired, so that t runs on without a switch.
+func (k *Virtual) suspend(t *task, ctx context.Context, on string, d time.Duration, s *Selector) (selfWoken bool) {
 	t.on, t.sel, t.done = on, s, ctx.Done()
 	if s != nil {
 		s.owner = t
@@ -206,9 +224,8 @@ func (k *Virtual) park(ctx context.Context, on string, d time.Duration, s *Selec
 	k.stats.Parks++
 	if d > 0 {
 		k.stats.TimedParks++
-		t.deadline, t.seq = k.Now()+d, k.seq
+		k.timers.place(len(k.timers), timer{at: k.Now() + d, seq: k.seq, t: t})
 		k.seq++
-		k.timers.push(t)
 	}
 	if t.done != nil {
 		if _, hooked := k.hooks[t.done]; !hooked {
@@ -217,18 +234,16 @@ func (k *Virtual) park(ctx context.Context, on string, d time.Duration, s *Selec
 		}
 		k.cancelIfDone(t) // already cancelled: straight to the ready queue
 	}
-	if k.rhead == len(k.ready) && len(k.timers) > 0 && k.timers[0] == t && !k.door.posted.Load() {
+	if k.rhead == len(k.ready) && len(k.timers) > 0 && k.timers[0].t == t && !k.door.posted.Load() {
 		// Nothing is ready, nothing was posted and t's own timer is the next
 		// event: the loop would advance the clock and switch straight back.
 		// Do its work here — t first, then whatever else is due behind it.
 		k.stats.SelfWakes++
 		k.fireTimers()
 		k.ready[0], k.rhead = nil, 1 // t, at the head, is already running
-	} else {
-		t.yield(struct{}{})
+		return true
 	}
-	cancelled, t.cancelled = t.cancelled, false
-	return cancelled
+	return false
 }
 
 // hook records the cancellation hook of a Done channel.
@@ -328,8 +343,13 @@ func (k *Virtual) loop() {
 		k.cur = t
 		if n++; alone && n%64 == 0 {
 			// On one CPU nothing else runs while the loop does: let waiting
-			// entrants in now, not at the 10ms preemption tick.
+			// entrants in now, not at the 10ms preemption tick. A turn
+			// served by a wake step counts too.
 			runtime.Gosched()
+		}
+		if t.step.st != nil && k.serve(t) {
+			k.cur = nil
+			continue // t parked again, without a switch
 		}
 		t.next() // returns when t has parked or finished
 		k.cur = nil
@@ -338,6 +358,31 @@ func (k *Virtual) loop() {
 		}
 	}
 	returned = true
+}
+
+// serve runs the wake step of t, parked in Selector.WaitStep and now at the
+// head of the ready queue, in t's turn and with t current, and reports
+// whether the step parked t again. False means t resumes: its step is done,
+// or its context was cancelled (a cancelled task is never stepped). A step
+// whose own arming claimed the cycle runs again at once, as Wait would
+// return at once.
+func (k *Virtual) serve(t *task) (parked bool) {
+	w := &t.step
+	for !t.cancelled {
+		d, wait := w.st.Step()
+		if !wait {
+			w.st = nil
+			return false
+		}
+		if w.sel.state == selWoken {
+			continue
+		}
+		k.stats.Steps++
+		if !k.suspend(t, w.ctx, "selector", d, w.sel) {
+			return true
+		}
+	}
+	return false
 }
 
 // next returns the next task to run, advancing virtual time when nothing is
@@ -362,10 +407,10 @@ func (k *Virtual) next() *task {
 // becomes ready, in the order the timers were armed. Nothing else is ready.
 func (k *Virtual) fireTimers() {
 	k.ready, k.rhead = k.ready[:0], 0
-	now := k.timers[0].deadline
+	now := k.timers[0].at
 	k.now.Store(int64(now))
-	for len(k.timers) > 0 && k.timers[0].deadline == now {
-		t := k.timers[0]
+	for len(k.timers) > 0 && k.timers[0].at == now {
+		t := k.timers[0].t
 		if t.sel != nil {
 			t.sel.state = selWoken
 			t.sel.idx = Heartbeat
@@ -423,10 +468,17 @@ type task struct {
 	on        string          // "sleep", "selector" or "waiter" while parked
 	sel       *Selector       // the selector parked on, if any
 	done      <-chan struct{} // Done of the context parked under, if any
-	deadline  time.Duration   // valid while hidx >= 0
-	seq       uint64
-	hidx      int // index in k.timers, -1 when no timer is armed
+	hidx      int             // index in k.timers, -1 when no timer is armed
 	cancelled bool
+	step      waitStep // while in Selector.WaitStep with a step to serve
+}
+
+// waitStep is what the loop serves a task parked in Selector.WaitStep with:
+// its step, its selector and the context it parks under.
+type waitStep struct {
+	st  Stepper
+	sel *Selector
+	ctx context.Context
 }
 
 func (t *task) coroutine(yield func(struct{}) bool) {
@@ -463,54 +515,58 @@ func (t *task) run() {
 	t.call(t.arg)
 }
 
-// timerHeap is a min-heap of parked tasks by (deadline, seq). Each task
-// knows its index, so a wake or a cancellation removes its timer at once
-// and an abandoned deadline never reaches the top.
-type timerHeap []*task
+// timerHeap is a min-heap of timers by (deadline, arm sequence), a strict
+// total order, held inline: a sift compares neighbours in one array and moves
+// entries into a hole. Each task knows its timer's index, so a wake or a
+// cancellation removes the timer at once and an abandoned deadline never
+// reaches the top.
+type timerHeap []timer
 
-func (h timerHeap) less(i, j int) bool {
-	return h[i].deadline < h[j].deadline || h[i].deadline == h[j].deadline && h[i].seq < h[j].seq
+// timer is a parked task's deadline and the sequence it was armed or
+// re-timed at, the tie-break between equal deadlines.
+type timer struct {
+	at  time.Duration
+	seq uint64
+	t   *task
 }
 
-func (h timerHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].hidx, h[j].hidx = i, j
-}
+func (a *timer) before(b *timer) bool { return a.at < b.at || a.at == b.at && a.seq < b.seq }
 
-func (h *timerHeap) push(t *task) {
-	t.hidx = len(*h)
-	*h = append(*h, t)
-	h.up(t.hidx)
-}
-
+// remove takes t's timer out of the heap.
 func (h *timerHeap) remove(t *task) {
 	i, last := t.hidx, len(*h)-1
-	h.swap(i, last)
-	(*h)[last] = nil
-	*h = (*h)[:last]
 	t.hidx = -1
-	if i < last && !h.down(i) {
-		h.up(i)
+	moved := (*h)[last]
+	(*h)[last] = timer{}
+	*h = (*h)[:last]
+	if i < last {
+		h.place(i, moved)
 	}
 }
 
-func (h timerHeap) up(i int) {
-	for parent := (i - 1) / 2; i > 0 && h.less(i, parent); parent = (i - 1) / 2 {
-		h.swap(i, parent)
+// place puts tm where it belongs, given a hole at i (len(*h) to add it): up
+// while it is before its parent, else down while a child is before it.
+func (h *timerHeap) place(i int, tm timer) {
+	if i == len(*h) {
+		*h = append(*h, timer{})
+	}
+	q := *h
+	for parent := (i - 1) / 2; i > 0 && tm.before(&q[parent]); parent = (i - 1) / 2 {
+		q[i] = q[parent]
+		q[i].t.hidx = i
 		i = parent
 	}
-}
-
-func (h timerHeap) down(i int) (moved bool) {
 	for {
 		child := 2*i + 1
-		if child+1 < len(h) && h.less(child+1, child) {
+		if child+1 < len(q) && q[child+1].before(&q[child]) {
 			child++
 		}
-		if child >= len(h) || !h.less(child, i) {
-			return moved
+		if child >= len(q) || !q[child].before(&tm) {
+			break
 		}
-		h.swap(i, child)
-		i, moved = child, true
+		q[i] = q[child]
+		q[i].t.hidx = i
+		i = child
 	}
+	q[i], tm.t.hidx = tm, i
 }
