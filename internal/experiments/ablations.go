@@ -26,24 +26,31 @@ func ablationWorkload(o Options) workload.Workload {
 	return w.WithIterations(500)
 }
 
+// ablate runs f on w on Config A and appends its summary row to t as label.
+func ablate(t *Table, w workload.Workload, label Cell, f trainer.Factory) error {
+	rep, err := trainer.Simulate(hardware.ConfigA(), w, f, trainer.Params{})
+	if err != nil {
+		return fmt.Errorf("%s %v: %w", t.File, label, err)
+	}
+	t.Rows = append(t.Rows, append([]Cell{label}, loaderRow(rep)...))
+	return nil
+}
+
 func runAblTimeout(o Options) (*Result, error) {
-	cfg := hardware.ConfigA()
 	w := ablationWorkload(o)
 	t := Table{
 		Title:  "Timeout percentile (Speech-3s)",
 		File:   "abl_timeout",
 		Header: append([]string{"percentile"}, loaderHeader...),
 	}
-	for _, pct := range []float64{0.50, 0.75, 0.90, 0.99} {
+	for _, p := range []float64{0.50, 0.75, 0.90, 0.99} {
 		mc := core.DefaultConfig()
-		mc.TimeoutPercentile = pct
-		mc.FallbackPercentile = pct // isolate the primary percentile
-		mc.MaxSlowFraction = 1.0    // disable fallback
-		rep, err := trainer.Simulate(cfg, w, loaders.Minato(mc), trainer.Params{})
-		if err != nil {
-			return nil, fmt.Errorf("abl-timeout p%v: %w", pct, err)
+		mc.TimeoutPercentile = p
+		mc.FallbackPercentile = p // isolate the primary percentile
+		mc.MaxSlowFraction = 1.0  // disable fallback
+		if err := ablate(&t, w, num(p*100, 0), loaders.Minato(mc)); err != nil {
+			return nil, err
 		}
-		t.Rows = append(t.Rows, append([]string{fixed(pct*100, 0)}, loaderRow(rep)...))
 	}
 	return &Result{ID: "abl-timeout", Title: "Timeout percentile ablation", Tables: []Table{t},
 		Notes: []string{
@@ -52,22 +59,13 @@ func runAblTimeout(o Options) (*Result, error) {
 }
 
 func runAblWorkers(o Options) (*Result, error) {
-	cfg := hardware.ConfigA()
 	w := ablationWorkload(o)
 	t := Table{
 		Title:  "Adaptive vs fixed worker pools (Speech-3s)",
 		File:   "abl_workers",
 		Header: append([]string{"policy"}, loaderHeader...),
 	}
-	runOne := func(label string, mc core.Config) error {
-		rep, err := trainer.Simulate(cfg, w, loaders.Minato(mc), trainer.Params{})
-		if err != nil {
-			return fmt.Errorf("abl-workers %s: %w", label, err)
-		}
-		t.Rows = append(t.Rows, append([]string{label}, loaderRow(rep)...))
-		return nil
-	}
-	if err := runOne("adaptive", core.DefaultConfig()); err != nil {
+	if err := ablate(&t, w, text("adaptive"), loaders.Minato(core.DefaultConfig())); err != nil {
 		return nil, err
 	}
 	for _, n := range []int{12, 48, 128} {
@@ -77,7 +75,7 @@ func runAblWorkers(o Options) (*Result, error) {
 		if mc.InitialWorkersPerGPU < 1 {
 			mc.InitialWorkersPerGPU = 1
 		}
-		if err := runOne(fmt.Sprintf("fixed-%d", n), mc); err != nil {
+		if err := ablate(&t, w, text(fmt.Sprintf("fixed-%d", n)), loaders.Minato(mc)); err != nil {
 			return nil, err
 		}
 	}
@@ -88,7 +86,6 @@ func runAblWorkers(o Options) (*Result, error) {
 }
 
 func runAblResume(o Options) (*Result, error) {
-	cfg := hardware.ConfigA()
 	w := ablationWorkload(o)
 	t := Table{
 		Title:  "Slow-sample completion strategy (Speech-3s)",
@@ -102,11 +99,9 @@ func runAblResume(o Options) (*Result, error) {
 		if restart {
 			label = "restart-pipeline"
 		}
-		rep, err := trainer.Simulate(cfg, w, loaders.Minato(mc), trainer.Params{})
-		if err != nil {
-			return nil, fmt.Errorf("abl-resume %s: %w", label, err)
+		if err := ablate(&t, w, text(label), loaders.Minato(mc)); err != nil {
+			return nil, err
 		}
-		t.Rows = append(t.Rows, append([]string{label}, loaderRow(rep)...))
 	}
 	return &Result{ID: "abl-resume", Title: "Resume ablation", Tables: []Table{t},
 		Notes: []string{
@@ -115,7 +110,6 @@ func runAblResume(o Options) (*Result, error) {
 }
 
 func runAblOrder(o Options) (*Result, error) {
-	cfg := hardware.ConfigA()
 	w := ablationWorkload(o)
 	t := Table{
 		Title:  "Order-preserving mode (Speech-3s)",
@@ -129,18 +123,14 @@ func runAblOrder(o Options) (*Result, error) {
 		if ordered {
 			label = "order-preserving (§6)"
 		}
-		rep, err := trainer.Simulate(cfg, w, loaders.Minato(mc), trainer.Params{})
-		if err != nil {
-			return nil, fmt.Errorf("abl-order %v: %w", ordered, err)
+		if err := ablate(&t, w, text(label), loaders.Minato(mc)); err != nil {
+			return nil, err
 		}
-		t.Rows = append(t.Rows, append([]string{label}, loaderRow(rep)...))
 	}
 	pt, _ := loaders.ByName("pytorch")
-	rep, err := trainer.Simulate(cfg, w, pt, trainer.Params{})
-	if err != nil {
+	if err := ablate(&t, w, text("pytorch (reference)"), pt); err != nil {
 		return nil, err
 	}
-	t.Rows = append(t.Rows, append([]string{"pytorch (reference)"}, loaderRow(rep)...))
 	return &Result{ID: "abl-order", Title: "Order-preserving ablation", Tables: []Table{t},
 		Notes: []string{
 			"strict ordering reintroduces head-of-line waiting in batch assembly; §6 accepts this for curriculum learning correctness",

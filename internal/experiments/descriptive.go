@@ -23,7 +23,7 @@ func runTable1(o Options) (*Result, error) {
 		Header: []string{"workload", "pipeline"},
 	}
 	for _, w := range workload.All(o.seed()) {
-		t.Rows = append(t.Rows, []string{w.Name, strings.Join(w.Table1Row(), " -> ")})
+		t.Rows = append(t.Rows, []Cell{text(w.Name), text(strings.Join(w.Table1Row(), " -> "))})
 	}
 	return &Result{ID: "table1", Title: "Table 1", Tables: []Table{t}}, nil
 }
@@ -35,14 +35,14 @@ func runTable3(o Options) (*Result, error) {
 		Header: []string{"workload", "model", "epochs", "iterations", "batch_size"},
 	}
 	for _, w := range workload.All(o.seed()) {
-		ep, it := "-", "-"
+		ep, it := text("-"), text("-")
 		if w.Epochs > 0 {
-			ep = fmt.Sprint(w.Epochs)
+			ep = count(w.Epochs)
 		}
 		if w.Iterations > 0 {
-			it = fmt.Sprint(w.Iterations)
+			it = count(w.Iterations)
 		}
-		t.Rows = append(t.Rows, []string{w.Name, w.Model, ep, it, fmt.Sprint(w.BatchSize)})
+		t.Rows = append(t.Rows, []Cell{text(w.Name), text(w.Model), ep, it, count(w.BatchSize)})
 	}
 	return &Result{ID: "table3", Title: "Table 3", Tables: []Table{t}}, nil
 }
@@ -84,10 +84,10 @@ func runTable2(o Options) (*Result, error) {
 	return &Result{ID: "table2", Title: "Table 2", Tables: []Table{t}}, nil
 }
 
-func summaryRow(name, src string, s metrics.Summary) []string {
-	return []string{name, src,
-		fixed(s.Avg, 0), fixed(s.Med, 0), fixed(s.P75, 0), fixed(s.P90, 0),
-		fixed(s.Min, 0), fixed(s.Max, 0), fixed(s.Std, 0)}
+func summaryRow(name, src string, s metrics.Summary) []Cell {
+	return []Cell{text(name), text(src),
+		num(s.Avg, 0), num(s.Med, 0), num(s.P75, 0), num(s.P90, 0),
+		num(s.Min, 0), num(s.Max, 0), num(s.Std, 0)}
 }
 
 func runFig2(o Options) (*Result, error) {
@@ -103,7 +103,7 @@ func runFig2(o Options) (*Result, error) {
 			s := w.Dataset.Sample(0, i)
 			ms := float64(w.Pipeline.TotalCost(s)) / float64(time.Millisecond)
 			sum += ms
-			t.Rows = append(t.Rows, []string{fmt.Sprint(i), fixed(ms, 1)})
+			t.Rows = append(t.Rows, []Cell{count(i), num(ms, 1)})
 		}
 		return t, sum / samples
 	}

@@ -27,19 +27,12 @@ func distWorkloadFor(o Options, iters int) workload.Workload {
 	return w.WithIterations(iters)
 }
 
-// distRow renders one run as a table row: cluster step time plus the
-// per-cause stall attribution the netsim fabric makes measurable.
-func distRow(label string, rep *trainer.Report) []string {
-	return []string{
-		label, rep.Loader,
-		seconds(rep.TrainTime),
-		fmt.Sprint(rep.Steps),
-		fixed(rep.StepTime().Seconds()*1000, 1),
-		percent(rep.AvgGPUUtil),
-		percent(100 * rep.DataStallShare()),
-		percent(100 * rep.BarrierStallShare()),
-		percent(100 * rep.NetworkStallShare()),
-	}
+// distRow is one run as a table row: cluster step time plus the per-cause
+// stall attribution the netsim fabric makes measurable.
+func distRow(label string, rep *trainer.Report) []Cell {
+	return []Cell{text(label), text(rep.Loader), secs(rep.TrainTime), count(rep.Steps),
+		num(rep.StepTime().Seconds()*1000, 1), pct(rep.AvgGPUUtil), pct(100 * rep.DataStallShare()),
+		pct(100 * rep.BarrierStallShare()), pct(100 * rep.NetworkStallShare())}
 }
 
 var distHeader = []string{"cluster", "loader", "train_s", "steps", "step_ms",

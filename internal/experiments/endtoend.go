@@ -49,7 +49,7 @@ func runFig7(o Options) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig7 %s/%s: %w", w.Name, f.Name, err)
 			}
-			t.Rows = append(t.Rows, append([]string{w.Name}, loaderRow(rep)...))
+			t.Rows = append(t.Rows, append([]Cell{text(w.Name)}, loaderRow(rep)...))
 			ser = append(ser, series(fmt.Sprintf("fig7_%s_%s", w.Name, f.Name), rep, "throughput")...)
 		}
 	}
@@ -77,8 +77,8 @@ func runFig8(o Options) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig8 %s/%s: %w", w.Name, f.Name, err)
 			}
-			t.Rows = append(t.Rows, []string{w.Name, f.Name,
-				percent(rep.AvgGPUUtil), percent(rep.AvgCPUUtil)})
+			t.Rows = append(t.Rows, []Cell{text(w.Name), text(f.Name),
+				pct(rep.AvgGPUUtil), pct(rep.AvgCPUUtil)})
 			ser = append(ser, series(fmt.Sprintf("fig8_%s_%s", w.Name, f.Name), rep, "cpu", "gpu")...)
 		}
 	}
@@ -102,10 +102,10 @@ func runFig1b(o Options) (*Result, error) {
 		Title:  "PyTorch DataLoader during 3D-UNet training (Config B)",
 		File:   "fig1b_summary",
 		Header: []string{"metric", "average"},
-		Rows: [][]string{
-			{"CPU usage", percent(rep.AvgCPUUtil)},
-			{"GPU usage", percent(rep.AvgGPUUtil)},
-			{"training time (s)", seconds(rep.TrainTime)},
+		Rows: [][]Cell{
+			{text("CPU usage"), pct(rep.AvgCPUUtil)},
+			{text("GPU usage"), pct(rep.AvgGPUUtil)},
+			{text("training time (s)"), secs(rep.TrainTime)},
 		},
 	}
 	return &Result{ID: "fig1b", Title: "Fig 1b", Tables: []Table{t},

@@ -69,7 +69,7 @@ func (r *Result) Render() string {
 func (r *Result) Write(dir string) error {
 	for _, ts := range [][]Table{r.Tables, r.Curves} {
 		for _, t := range ts {
-			if err := metrics.WriteCSV(dir, t.File, t.Header, t.Rows); err != nil {
+			if err := metrics.WriteCSV(dir, t.File, t.Header, t.formatted()); err != nil {
 				return err
 			}
 		}
@@ -114,15 +114,10 @@ func ByID(id string) (Runner, bool) { return reg.Lookup(id) }
 
 // --- shared helpers -------------------------------------------------------
 
-// loaderRow renders the standard per-run summary row.
-func loaderRow(rep *trainer.Report) []string {
-	return []string{
-		rep.Loader,
-		seconds(rep.TrainTime),
-		fixed(rep.Throughput(), 1),
-		percent(rep.AvgGPUUtil),
-		percent(rep.AvgCPUUtil),
-	}
+// loaderRow is the standard per-run summary row.
+func loaderRow(rep *trainer.Report) []Cell {
+	return []Cell{text(rep.Loader), secs(rep.TrainTime), num(rep.Throughput(), 1),
+		pct(rep.AvgGPUUtil), pct(rep.AvgCPUUtil)}
 }
 
 var loaderHeader = []string{"loader", "train_s", "tput_MB/s", "gpu_util", "cpu_util"}

@@ -8,6 +8,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/minatoloader/minato/internal/hardware"
+	"github.com/minatoloader/minato/internal/loaders"
+	"github.com/minatoloader/minato/internal/trainer"
+	"github.com/minatoloader/minato/internal/workload"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -168,18 +173,52 @@ func TestFig12QuickShape(t *testing.T) {
 	if len(rows) != 3 { // 0%, 50%, 100% in quick mode
 		t.Fatalf("rows = %d", len(rows))
 	}
-	parse := func(s string) float64 {
-		var v float64
-		if _, err := fmt.Sscanf(s, "%f", &v); err != nil {
-			t.Fatalf("parse %q: %v", s, err)
-		}
-		return v
-	}
 	// Columns: slow_pct, pytorch, pecan, dali, minato.
-	ratioAt := func(row []string) float64 { return parse(row[1]) / parse(row[4]) }
+	ratioAt := func(row []Cell) float64 { return row[1].Value / row[4].Value }
 	mid := ratioAt(rows[1])
 	left := ratioAt(rows[0])
 	if mid <= left {
 		t.Errorf("mid-range advantage %.2f not above 0%% advantage %.2f", mid, left)
+	}
+}
+
+// TestFig7CellHoldsTheRunsNumber reads a number from a table without parsing
+// its text: fig7's minato/speech-3s train_s cell holds that run's training
+// time exactly, and prints it with one decimal.
+func TestFig7CellHoldsTheRunsNumber(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run experiment")
+	}
+	o := Options{Seed: 1, Quick: true}
+	r, _ := ByID("fig7")
+	res, err := r.Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cell *Cell
+	for _, row := range res.Tables[0].Rows { // workload, loader, train_s, ...
+		if row[0].Text == "speech-3s" && row[1].Text == "minato" {
+			cell = &row[2]
+		}
+	}
+	if cell == nil {
+		t.Fatal("fig7 has no minato/speech-3s row")
+	}
+	var w workload.Workload
+	for _, x := range workload.All(o.seed()) {
+		if x.Name == "speech-3s" {
+			w = scaleWorkload(x, o.Quick)
+		}
+	}
+	f, _ := loaders.ByName("minato")
+	rep, err := trainer.Simulate(hardware.ConfigA(), w, f, trainer.Params{Collect: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := rep.TrainTime.Seconds(); cell.Value != want {
+		t.Errorf("train_s cell holds %v, want the run's %v", cell.Value, want)
+	}
+	if _, frac, _ := strings.Cut(cell.String(), "."); len(frac) != 1 {
+		t.Errorf("train_s cell prints %q, want one decimal", cell.String())
 	}
 }

@@ -58,7 +58,7 @@ func runFig3(o Options) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig3 %s: %w", h.name, err)
 		}
-		t.Rows = append(t.Rows, append([]string{h.name}, loaderRow(rep)...))
+		t.Rows = append(t.Rows, append([]Cell{text(h.name)}, loaderRow(rep)...))
 		ser = append(ser, series("fig3_"+h.name, rep, "cpu", "gpu")...)
 	}
 	return &Result{ID: "fig3", Title: "Fig 3", Tables: []Table{t}, Series: ser,
@@ -95,7 +95,7 @@ func runFig4(o Options) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig4a %s pf=%d: %w", w.Name, pf, err)
 			}
-			ta.Rows = append(ta.Rows, []string{w.Name, fmt.Sprint(pf), seconds(rep.TrainTime)})
+			ta.Rows = append(ta.Rows, []Cell{text(w.Name), count(pf), secs(rep.TrainTime)})
 		}
 	}
 
@@ -126,7 +126,7 @@ func runFig4(o Options) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig4b %s depth=%d: %w", w.Name, d, err)
 			}
-			tb.Rows = append(tb.Rows, []string{w.Name, fmt.Sprint(d), seconds(rep.TrainTime)})
+			tb.Rows = append(tb.Rows, []Cell{text(w.Name), count(d), secs(rep.TrainTime)})
 		}
 	}
 

@@ -41,20 +41,8 @@ func runFig10(o Options) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig10 %s: %w", name, err)
 		}
-		hits := float64(rep.CacheStats.Hits)
-		total := hits + float64(rep.CacheStats.Misses)
-		hr := 0.0
-		if total > 0 {
-			hr = hits / total
-		}
-		t.Rows = append(t.Rows, []string{
-			name,
-			seconds(rep.TrainTime),
-			percent(rep.AvgGPUUtil),
-			percent(rep.AvgCPUUtil),
-			fixed(float64(rep.DiskBytes)/1e9, 1),
-			fixed(hr, 3),
-		})
+		t.Rows = append(t.Rows, []Cell{text(name), secs(rep.TrainTime), pct(rep.AvgGPUUtil),
+			pct(rep.AvgCPUUtil), num(float64(rep.DiskBytes)/1e9, 1), num(rep.CacheStats.HitRate(), 3)})
 		ser = append(ser, series("fig10_"+name, rep, "cpu", "gpu", "disk")...)
 	}
 	return &Result{ID: "fig10", Title: "Fig 10", Tables: []Table{t}, Series: ser,

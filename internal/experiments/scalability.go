@@ -37,13 +37,13 @@ func runFig9(o Options) (*Result, error) {
 		for _, w := range workload.All(o.seed()) {
 			w := scaleWorkload(w, o.Quick)
 			for _, n := range tb.counts {
-				row := []string{tb.cfg.Name, w.Name, fmt.Sprint(n)}
+				row := []Cell{text(tb.cfg.Name), text(w.Name), count(n)}
 				for _, f := range loaders.Defaults() {
 					rep, err := trainer.Simulate(tb.cfg.WithGPUs(n), w, f, trainer.Params{})
 					if err != nil {
 						return nil, fmt.Errorf("fig9 %s/%s/%d/%s: %w", tb.cfg.Name, w.Name, n, f.Name, err)
 					}
-					row = append(row, seconds(rep.TrainTime))
+					row = append(row, secs(rep.TrainTime))
 				}
 				t.Rows = append(t.Rows, row)
 			}
@@ -66,7 +66,6 @@ func runE1(o Options) (*Result, error) {
 		File:   "e1",
 		Header: append([]string{"system"}, loaderHeader...),
 	}
-	var times = map[string]float64{}
 	var ser []SeriesFile
 	for _, name := range []string{"pytorch", "dali", "minato"} {
 		f, _ := loaders.ByName(name)
@@ -74,14 +73,14 @@ func runE1(o Options) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("e1 %s: %w", name, err)
 		}
-		times[name] = rep.TrainTime.Seconds()
-		t.Rows = append(t.Rows, append([]string{name}, loaderRow(rep)...))
+		t.Rows = append(t.Rows, append([]Cell{text(name)}, loaderRow(rep)...))
 		ser = append(ser, series("e1_"+name, rep, "cpu", "gpu")...)
 	}
+	train := func(i int) float64 { return t.Rows[i][2].Value } // train_s of pytorch, dali, minato
 	return &Result{ID: "e1", Title: "Artifact E1", Tables: []Table{t}, Series: ser,
 		Notes: []string{
 			fmt.Sprintf("speedups: %.2fx over PyTorch, %.2fx over DALI (paper: 2.6x, 1.9x on the authors' hardware)",
-				times["pytorch"]/times["minato"], times["dali"]/times["minato"]),
+				train(0)/train(2), train(1)/train(2)),
 			"paper wall-clock targets: PyTorch ≈210 s, DALI ≈151 s, Minato ≈81 s",
 		}}, nil
 }

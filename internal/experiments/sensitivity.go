@@ -59,13 +59,13 @@ func runFig11a(o Options) (*Result, error) {
 					}
 				}
 			}
-			t.Rows = append(t.Rows, []string{w.Name, name,
-				fixed(final, 3), seconds(rep.TrainTime), fixed(tto, 1)})
+			t.Rows = append(t.Rows, []Cell{text(w.Name), text(name),
+				num(final, 3), secs(rep.TrainTime), num(tto, 1)})
 			curve := Table{File: fmt.Sprintf("fig11a_%s_%s", w.Name, name),
 				Header: []string{"iter", "elapsed_s", "accuracy"}}
 			for _, pt := range rep.AccCurve {
-				curve.Rows = append(curve.Rows, []string{fmt.Sprint(pt.Iter),
-					fixed(pt.Elapsed.Seconds(), 1), fixed(pt.Accuracy, 4)})
+				curve.Rows = append(curve.Rows, []Cell{count(pt.Iter),
+					num(pt.Elapsed.Seconds(), 1), num(pt.Accuracy, 4)})
 			}
 			curves = append(curves, curve)
 		}
@@ -106,15 +106,15 @@ func runFig11b(o Options) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig11b %s/%s: %w", w.Name, name, err)
 			}
-			row := []string{w.Name, name}
+			row := []Cell{text(w.Name), text(name)}
 			var total int64
 			for _, n := range rep.SlowHist {
 				total += n
 			}
 			for _, n := range rep.SlowHist {
-				row = append(row, fixed(float64(n)/float64(total), 3))
+				row = append(row, num(float64(n)/float64(total), 3))
 			}
-			row = append(row, fixed(rep.AvgSlowProportion(), 3))
+			row = append(row, num(rep.AvgSlowProportion(), 3))
 			t.Rows = append(t.Rows, row)
 		}
 	}
@@ -139,14 +139,12 @@ func runFig11c(o Options) (*Result, error) {
 			}
 			props := rep.SlowPropByIt
 			half := len(props) / 2
-			t.Rows = append(t.Rows, []string{w.Name, name,
-				fixed(rep.AvgSlowProportion(), 3),
-				fixed(mean(props[:half]), 3),
-				fixed(mean(props[half:]), 3)})
+			t.Rows = append(t.Rows, []Cell{text(w.Name), text(name), num(rep.AvgSlowProportion(), 3),
+				num(mean(props[:half]), 3), num(mean(props[half:]), 3)})
 			curve := Table{File: fmt.Sprintf("fig11c_%s_%s", w.Name, name),
 				Header: []string{"iteration", "slow_proportion"}}
 			for i, p := range props {
-				curve.Rows = append(curve.Rows, []string{fmt.Sprint(i), fixed(p, 3)})
+				curve.Rows = append(curve.Rows, []Cell{count(i), num(p, 3)})
 			}
 			curves = append(curves, curve)
 		}
@@ -189,13 +187,13 @@ func runFig12(o Options) (*Result, error) {
 	}
 	for _, frac := range fractions {
 		w := workload.SpeechSlowFraction(o.seed(), frac).WithIterations(iters)
-		row := []string{fixed(frac*100, 0)}
+		row := []Cell{num(frac*100, 0)}
 		for _, f := range loaders.Defaults() {
 			rep, err := trainer.Simulate(cfg, w, f, trainer.Params{})
 			if err != nil {
 				return nil, fmt.Errorf("fig12 %.0f%%/%s: %w", frac*100, f.Name, err)
 			}
-			row = append(row, seconds(rep.TrainTime))
+			row = append(row, secs(rep.TrainTime))
 		}
 		t.Rows = append(t.Rows, row)
 	}

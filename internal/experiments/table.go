@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -12,28 +13,64 @@ type Table struct {
 	Title  string
 	File   string
 	Header []string
-	Rows   [][]string
+	Rows   [][]Cell
+}
+
+// Cell is one entry of a Table: text, or a number Value that prints with Prec
+// decimals and then Unit ("" or "%"). Code that wants a number reads Value.
+type Cell struct {
+	Text  string
+	Value float64
+	Prec  int
+	Unit  string
+	num   bool
+}
+
+// String is the cell as Render prints it and Write writes it.
+func (c Cell) String() string {
+	if !c.num {
+		return c.Text
+	}
+	return strconv.FormatFloat(c.Value, 'f', c.Prec, 64) + c.Unit
+}
+
+func text(s string) Cell            { return Cell{Text: s} }
+func num(v float64, prec int) Cell  { return Cell{Value: v, Prec: prec, num: true} }
+func secs(d time.Duration) Cell     { return num(d.Seconds(), 1) }
+func pct(v float64) Cell            { return Cell{Value: v, Prec: 1, Unit: "%", num: true} }
+func count[N int | int64](n N) Cell { return num(float64(n), 0) }
+
+// formatted returns t's rows as text: the one place Render and Write take
+// their cells' strings from.
+func (t Table) formatted() [][]string {
+	rows := make([][]string, len(t.Rows))
+	for i, row := range t.Rows {
+		for _, c := range row {
+			rows[i] = append(rows[i], c.String())
+		}
+	}
+	return rows
 }
 
 // Render returns the table as aligned text.
 func (t Table) Render() string {
+	rows := append([][]string{t.Header, nil}, t.formatted()...) // nil: the rule under the header
 	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
+	for _, row := range rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+			widths[i] = max(widths[i], len(c))
 		}
+	}
+	rows[1] = make([]string, len(widths))
+	for i, w := range widths {
+		rows[1][i] = strings.Repeat("-", w)
 	}
 	var b strings.Builder
 	if t.Title != "" {
 		fmt.Fprintf(&b, "== %s ==\n", t.Title)
 	}
-	line := func(cells []string) {
-		for i, c := range cells {
+	for _, row := range rows {
+		for i, c := range row {
 			if i > 0 {
 				b.WriteString("  ")
 			}
@@ -41,23 +78,5 @@ func (t Table) Render() string {
 		}
 		b.WriteByte('\n')
 	}
-	line(t.Header)
-	sep := make([]string, len(t.Header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
-	for _, row := range t.Rows {
-		line(row)
-	}
 	return b.String()
 }
-
-// fixed formats a float with the given precision.
-func fixed(v float64, prec int) string { return fmt.Sprintf("%.*f", prec, v) }
-
-// seconds formats a duration as seconds with one decimal.
-func seconds(d time.Duration) string { return fmt.Sprintf("%.1f", d.Seconds()) }
-
-// percent formats a percentage with one decimal.
-func percent(v float64) string { return fmt.Sprintf("%.1f%%", v) }

@@ -10,7 +10,7 @@ func TestTableRenderAligned(t *testing.T) {
 	tb := Table{
 		Title:  "demo",
 		Header: []string{"name", "value"},
-		Rows:   [][]string{{"a", "1"}, {"longer-name", "22"}},
+		Rows:   [][]Cell{{text("a"), count(1)}, {text("longer-name"), count(22)}},
 	}
 	out := tb.Render()
 	if !strings.Contains(out, "== demo ==") {
@@ -26,14 +26,23 @@ func TestTableRenderAligned(t *testing.T) {
 	}
 }
 
-func TestFormatters(t *testing.T) {
-	if fixed(3.14159, 2) != "3.14" {
-		t.Fatal("fixed")
-	}
-	if seconds(1500*time.Millisecond) != "1.5" {
-		t.Fatal("seconds")
-	}
-	if percent(42.25) != "42.2%" && percent(42.25) != "42.3%" {
-		t.Fatalf("percent = %s", percent(42.25))
+// TestCellFormats holds each cell constructor to the exact bytes Render
+// prints and Write writes for it. A halfway value rounds to even.
+func TestCellFormats(t *testing.T) {
+	for _, tc := range []struct {
+		cell Cell
+		want string
+	}{
+		{text("order-preserving (§6)"), "order-preserving (§6)"},
+		{num(3.14159, 2), "3.14"},
+		{num(0.5, 0), "0"},
+		{secs(1500 * time.Millisecond), "1.5"},
+		{pct(42.25), "42.2%"},
+		{count(48), "48"},
+		{count(int64(45000)), "45000"},
+	} {
+		if got := tc.cell.String(); got != tc.want {
+			t.Errorf("%+v prints %q, want %q", tc.cell, got, tc.want)
+		}
 	}
 }

@@ -20,9 +20,13 @@ type door struct {
 	bufs   [2][4]entry // their first storage: few entrants at a time allocate none
 
 	looping bool          // a loop goroutine exists
-	starts  uint64        // how many have been started
 	loop    func()        // the kernel's loop, bound once: starting one allocates no closure
 	drained chan struct{} // made by a Drain that has to wait; closed when no task is left
+
+	// The deadlock check: one timer, re-armed by each retire that leaves tasks
+	// parked (at idle, zero otherwise) and stopped by the next start.
+	stall *time.Timer
+	idle  time.Time
 }
 
 // entry asks the loop to spawn call(arg) as a task called name or, with no
@@ -74,7 +78,10 @@ func (k *Virtual) post(e entry) {
 // start starts a loop goroutine; d.mu is held and none exists.
 func (d *door) start(k *Virtual) {
 	d.looping = true
-	d.starts++
+	if !d.idle.IsZero() {
+		d.idle = time.Time{}
+		d.stall.Stop()
+	}
 	if d.loop == nil {
 		d.loop = k.loop
 	}
@@ -182,16 +189,25 @@ func (k *Virtual) retire() bool {
 			close(d.drained)
 			d.drained = nil
 		}
-	} else if starts := d.starts; len(k.live) > k.daemons {
-		time.AfterFunc(stallGrace, func() {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			if !d.looping && d.starts == starts {
-				panic(k.deadlock())
-			}
-		})
+	} else if len(k.live) > k.daemons {
+		d.idle = time.Now()
+		if d.stall == nil {
+			d.stall = time.AfterFunc(stallGrace, k.stalled)
+		}
+		d.stall.Reset(stallGrace)
 	}
 	return true
+}
+
+// stalled is the deadlock check's timer callback. A call that start's Stop
+// came too late for finds the kernel running, or idle for less than the grace.
+func (k *Virtual) stalled() {
+	d := &k.door
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !d.idle.IsZero() && time.Since(d.idle) >= stallGrace {
+		panic(k.deadlock())
+	}
 }
 
 const stallGrace = 2 * time.Second

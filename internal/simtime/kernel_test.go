@@ -449,20 +449,38 @@ func TestSteadyStateAllocations(t *testing.T) {
 // loop goroutine on the loop bound once per kernel, so entering an idle
 // kernel allocates nothing. Every public call of the facade is one such
 // entry. GC cycles in between do not change that: the stock is no sync.Pool.
+// Nor does a task left parked: the retire after each entry re-arms the
+// kernel's one deadlock timer, and the next entry stops it, so no timer
+// fires. Each firing is a goroutine: a burst of them, from kernels earlier
+// tests idled with tasks parked, would allocate goroutines in this window.
 func TestDoorEntryAllocations(t *testing.T) {
 	k := NewVirtual()
 	fn := func() {}
 	call := func(any) {}
+	parked := NewVirtual()
+	sel := NewSelector(parked)
+	parked.Do(func() { parked.Go("parked", func() { _, _ = sel.Wait(context.Background(), 0) }) })
 	for name, enter := range map[string]func(){
-		"Do":      func() { k.Do(fn) },
-		"Run":     func() { k.Run(fn) },
-		"RunWith": func() { k.RunWith(call, k) },
-		"Run+GC":  func() { runtime.GC(); k.Run(fn) },
+		"Do":              func() { k.Do(fn) },
+		"Run":             func() { k.Run(fn) },
+		"RunWith":         func() { k.RunWith(call, k) },
+		"Run+GC":          func() { runtime.GC(); k.Run(fn) },
+		"Do, task parked": func() { parked.Do(fn) },
 	} {
 		if got := testing.AllocsPerRun(200, enter); got > 0 {
 			t.Errorf("%s: %v allocs per entry, want none", name, got)
 		}
 	}
+	for parked.loops() {
+		runtime.Gosched()
+	}
+	parked.door.mu.Lock()
+	if parked.door.idle.IsZero() {
+		t.Error("a retire that left a task parked did not arm the deadlock check")
+	}
+	parked.door.mu.Unlock()
+	parked.Do(func() { sel.TryWake(0) })
+	parked.Drain()
 }
 
 // TestRecycledKernelQueues: a kernel recycled at its run's teardown hands
@@ -563,9 +581,10 @@ func TestParkOutsideATaskPanics(t *testing.T) {
 	}
 }
 
-// TestDeadlockReportNamesParkedTasks checks the text of the deadlock panic
-// (raised after stallGrace on a timer goroutine, so not triggered here): it
-// lists each live task with what it is parked on.
+// TestDeadlockReportNamesParkedTasks checks the deadlock panic, raised by the
+// stall timer's callback (called here directly): none while the kernel has
+// idled for less than stallGrace, then a text that lists each live task with
+// what it is parked on.
 func TestDeadlockReportNamesParkedTasks(t *testing.T) {
 	k := NewVirtual()
 	sel, w := NewSelector(k), new(WaitList)
@@ -584,15 +603,21 @@ func TestDeadlockReportNamesParkedTasks(t *testing.T) {
 	})
 	<-parked
 	<-parked
-	var report string
-	for report == "" { // until the loop has parked both and gone
-		k.door.mu.Lock()
-		if !k.door.looping {
-			report = k.deadlock()
-		}
-		k.door.mu.Unlock()
+	stalled := func() (p any) {
+		defer func() { p = recover() }()
+		k.stalled()
+		return nil
+	}
+	for k.loops() { // until the loop has parked both and gone
 		runtime.Gosched()
 	}
+	if p := stalled(); p != nil {
+		t.Fatalf("a kernel idle for less than stallGrace reported a deadlock: %v", p)
+	}
+	k.door.mu.Lock()
+	k.door.idle = k.door.idle.Add(-stallGrace) // as the timer finds it
+	k.door.mu.Unlock()
+	report, _ := stalled().(string)
 	for _, want := range []string{
 		"2 tasks alive, none runnable, no pending timers",
 		`task "stuck-consumer" (daemon=false) parked on selector`,
