@@ -308,7 +308,7 @@ func TestRunAllocations(t *testing.T) {
 		pin  float64
 	}{
 		{"minato-4gpu", speech.WithIterations(100),
-			[]Option{WithLoader("minato"), WithHardware(ConfigA())}, 100},
+			[]Option{WithLoader("minato"), WithHardware(ConfigA())}, 82},
 		{"minato-64gpu", speech.WithIterations(64 * 5),
 			[]Option{WithLoader("minato"), WithHardware(ConfigA().WithGPUs(64))}, 440},
 		{"multinode8-chaos", chaosW, chaosOpts, 470},

@@ -130,6 +130,33 @@ func TestTrainPreemptResume(t *testing.T) {
 	}
 }
 
+// TestWithChaosReachesTheRun: the script WithChaos gives a training run is
+// replayed against it, through Train and through Cluster.Train, beside a
+// WithParams that tunes what the run records — Params has no script of its
+// own that could be set and then dropped.
+func TestWithChaosReachesTheRun(t *testing.T) {
+	opts := []Option{WithGPUs(1), WithParams(Params{Collect: true}),
+		WithChaos(PreemptFor(time.Second, 2*time.Second))}
+	cl, err := NewCluster(WithEnv(EnvConfig{Cores: 8, GPUs: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for _, c := range []struct {
+		name  string
+		train func(Workload, ...Option) (*Report, error)
+	}{{"Train", Train}, {"Cluster.Train", cl.Train}} {
+		rep, err := c.train(mnWorkload(20), opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(rep.Faults) != 2 || rep.Faults[1].Recovery <= 0 || len(rep.Series) == 0 {
+			t.Errorf("%s: faults %v, %d series: want the preempt and a measured resume, and the collected series",
+				c.name, rep.Faults, len(rep.Series))
+		}
+	}
+}
+
 // A terminal preemption (no resume scheduled) ends the run with
 // ErrPreempted.
 func TestTrainTerminalPreempt(t *testing.T) {

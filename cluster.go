@@ -344,7 +344,6 @@ func (c *Cluster) train(w Workload, o *options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	o.params.Chaos = script
 	gpuCount, err := c.sessionGPUs(o.gpus)
 	if err != nil {
 		return nil, err
@@ -361,7 +360,7 @@ func (c *Cluster) train(w Workload, o *options) (*Report, error) {
 			}
 			st := new(seat)
 			c.seat(st, o.weight, gpuCount)
-			rep, err = trainer.RunEnv(&st.env, w, f, o.params)
+			rep, err = trainer.RunEnv(&st.env, w, f, o.params, script)
 			c.unseat(st)
 			c.release()
 		})

@@ -5,9 +5,9 @@
 // only in their victim Policy.
 //
 // A Cache is keyed, has a byte capacity, attributes its traffic to tenants and
-// single-flights its fills: while one reader (the leader) fills a key,
-// concurrent readers of it park instead of filling it again, so co-running
-// sessions over one dataset share a single warm-up pass.
+// single-flights its fills: while one reader (the leader) fills a key, the
+// cache parks concurrent readers of it inside GetOrWait until the fill lands,
+// so co-running sessions over one dataset share a single warm-up pass.
 //
 // Tenants are rows of a table (Tenants) that two caches may share, one tier
 // each, so a session registers once for both tiers and its id is reused only
@@ -22,6 +22,7 @@
 package cache
 
 import (
+	"context"
 	"math"
 	"slices"
 	"time"
@@ -269,14 +270,36 @@ func (c *Cache[K]) ReserveCapacity(n int64) int64 {
 	return n
 }
 
-// GetOrBegin is the single-flight read path: a cached key returns its entry
-// as a hit; an uncached key with no fill in flight makes the caller the
-// leader (hit false, list nil — fill it, then Complete or Abort); an
-// uncached key already being filled makes the caller a follower (list
-// non-nil — Wait on it at once, before the flight can land and the list go
-// to another key, then call GetOrBegin again). Followers count a hit on
-// re-check; only the leader pays a miss.
-func (c *Cache[K]) GetOrBegin(tenant int, key K, rt *simtime.Virtual) (Entry, bool, *simtime.WaitList) {
+// GetOrWait is the single-flight read path: a cached key returns its entry as
+// a hit; an uncached key with no fill in flight makes the caller the leader
+// (hit false: fill it, then Complete or Abort); a key being filled parks the
+// caller until the fill lands, calls waited (if not nil) with the instant the
+// park began and looks again. A park ctx ends returns its error. Followers
+// count a hit on re-check; only the leader pays a miss.
+func (c *Cache[K]) GetOrWait(ctx context.Context, tenant int, key K, rt *simtime.Virtual, waited func(since time.Duration)) (Entry, bool, error) {
+	for {
+		if e, hit, lead := c.look(tenant, key); hit || lead {
+			return e, hit, nil
+		}
+		since := rt.Now()
+		if err := c.await(ctx, key, rt); err != nil {
+			return Entry{}, false, err
+		}
+		if waited != nil {
+			waited(since)
+		}
+	}
+}
+
+// GetOrBegin is GetOrWait with no context and no note of its parks.
+func (c *Cache[K]) GetOrBegin(tenant int, key K, rt *simtime.Virtual) (Entry, bool) {
+	e, hit, _ := c.GetOrWait(context.Background(), tenant, key, rt, nil)
+	return e, hit
+}
+
+// look is one look at key: a hit, the lead of a new fill, or neither — a
+// fill is in flight.
+func (c *Cache[K]) look(tenant int, key K) (e Entry, hit, lead bool) {
 	n := c.index[key]
 	switch {
 	case n == nil:
@@ -284,20 +307,32 @@ func (c *Cache[K]) GetOrBegin(tenant int, key K, rt *simtime.Virtual) (Entry, bo
 		n.state = flying
 		c.flights++
 		c.count(tenant, func(s *Stats) { s.Misses++ })
-		return Entry{}, false, nil
+		return Entry{}, false, true
 	case n.state&resident != 0:
 		c.victims.touch(n)
 		c.hit(tenant, n.Cost)
-		return n.Entry, true, nil
+		return n.Entry, true, false
 	case n.state == handed:
 		e := n.Entry
 		if n.refs--; n.refs == 0 {
 			c.drop(n)
 		}
 		c.hit(tenant, e.Cost)
-		return e, true, nil
+		return e, true, false
 	}
-	if n.flight == nil { // the first follower: a list a landed flight left, or a new one
+	return Entry{}, false, false
+}
+
+// await parks the calling task behind key's fill in flight, on a list a
+// landed flight left or a new one, until it lands or ctx is done. Keyed, a
+// wait after the landing returns at once, and one after the key flew again
+// follows the new fill.
+func (c *Cache[K]) await(ctx context.Context, key K, rt *simtime.Virtual) error {
+	n := c.index[key]
+	if n == nil || n.state&flying == 0 {
+		return nil
+	}
+	if n.flight == nil {
 		if i := len(c.lists) - 1; i >= 0 {
 			n.flight, c.lists = c.lists[i], c.lists[:i]
 		} else {
@@ -305,7 +340,7 @@ func (c *Cache[K]) GetOrBegin(tenant int, key K, rt *simtime.Virtual) (Entry, bo
 		}
 		n.flight.Init(rt)
 	}
-	return Entry{}, false, n.flight
+	return n.flight.Wait(ctx)
 }
 
 // Complete publishes a leader's fill, attributed to the leader's tenant, and
@@ -430,10 +465,7 @@ func (c *Cache[K]) add(key K) *node[K] {
 		if t.index == nil {
 			t.index = make(map[K]*node[K])
 		}
-		c.index = t.index
-		if c.lists == nil { // else Recycle kept the cache's own, for followers to resume on
-			c.lists = t.lists
-		}
+		c.index, c.lists = t.index, t.lists
 	}
 	n := c.alloc()
 	n.key = key
@@ -471,9 +503,6 @@ func (c *Cache[K]) alloc() *node[K] {
 // instead of parking forever. Recycle is idempotent, and the cache stays
 // usable, drawing from the pool again.
 func (c *Cache[K]) Recycle() {
-	// A follower still on a list as its flight lands — woken now, or
-	// cancelled before — has yet to resume on it, so the lists stay.
-	followed := false
 	if c.flights > 0 {
 		in := make([]*node[K], 0, c.flights)
 		for _, n := range c.index {
@@ -483,7 +512,6 @@ func (c *Cache[K]) Recycle() {
 		}
 		slices.SortFunc(in, func(a, b *node[K]) int { return a.key.Compare(b.key) })
 		for _, n := range in {
-			followed = followed || n.flight != nil && n.flight.Len() > 0
 			c.land(n)
 		}
 	}
@@ -499,15 +527,12 @@ func (c *Cache[K]) Recycle() {
 	for i := range c.tenants.rows {
 		c.tenants.rows[i].tier[c.tier].Used = 0
 	}
-	var t table[K]
-	if !followed {
-		t.lists, c.lists = c.lists, nil
-	}
+	t := table[K]{lists: c.lists} // a follower never touches its list after the landing
 	if c.index != nil && len(c.index) <= c.pool.nodes {
 		clear(c.index)
 		t.index = c.index
 	}
-	c.index = nil
+	c.index, c.lists = nil, nil
 	if t.index != nil || t.lists != nil {
 		c.pool.tables.Put(t)
 	}

@@ -75,16 +75,16 @@ func runOps(policies []Policy, ops []op) (err error) {
 		caches[i] = New[tk](capacity, p, pool, tbl, i)
 	}
 	ledgers := make([]ledger, len(caches))
-	// get is a reader task's GetOrBegin, which runs at a yield, so it books
-	// its traffic by no tenant itself.
-	get := func(c *Cache[tk], l *ledger, who int, key tk) *simtime.WaitList {
+	// get is a reader task's look, which runs at a yield, so it books its
+	// traffic by no tenant itself. It reports whether the key is in flight.
+	get := func(c *Cache[tk], l *ledger, who int, key tk) bool {
 		before := c.Stats()
-		_, _, w := c.GetOrBegin(who, key, rt)
+		_, hit, lead := c.look(who, key)
 		if c.row(who) == nil {
 			after := c.Stats()
 			l.none.add(Stats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses})
 		}
-		return w
+		return !hit && !lead
 	}
 	rt.Run(func() {
 		defer func() { // let every reader run, wake the parked ones, let them exit
@@ -119,7 +119,7 @@ func runOps(policies []Policy, ops []op) (err error) {
 			case 1:
 				tbl.Leave(who)
 			case 2:
-				c.GetOrBegin(who, key, rt)
+				c.look(who, key)
 			case 3:
 				c.Complete(who, key, Entry{Bytes: size, Cost: time.Duration(o.Cost)})
 			case 4:
@@ -130,8 +130,8 @@ func runOps(policies []Policy, ops []op) (err error) {
 				c.Recycle()
 			case 7:
 				rt.Go("reader", func() {
-					if w := get(c, l, who, key); w != nil {
-						_ = w.Wait(context.Background())
+					if get(c, l, who, key) {
+						_ = c.await(context.Background(), key, rt)
 						get(c, l, who, key)
 					}
 				})
@@ -283,38 +283,44 @@ func TestJoinReusesOnlyEmptyRows(t *testing.T) {
 	}
 }
 
-// TestRecycleKeepsTheTableItsFollowersResumeOn: Recycle hands the follower
-// lists to the pool only when no follower waits on one. A follower parked on
-// an orphaned claim is woken by Recycle and resumes on its list afterwards,
-// so that list stays with the cache — the pool may hand it to another
-// kernel's run — and goes at the next Recycle, once nobody waits.
-func TestRecycleKeepsTheTableItsFollowersResumeOn(t *testing.T) {
+// TestRecycleHandsOverTheListsItsFollowersLeft: Recycle lands an orphaned
+// claim and hands the cache's table to the pool, the follower lists
+// included, before the followers it woke or that gave up resume: neither
+// touches its list after the landing, so the pool may give it to another
+// kernel's run at once. The woken follower then leads the orphaned key.
+func TestRecycleHandsOverTheListsItsFollowersLeft(t *testing.T) {
 	pool := NewPool[tk](64, 4)
 	c := New[tk](100, LRU, pool, new(Tenants), 0)
 	k := simtime.NewVirtual()
 	k.Run(func() {
-		if _, hit, w := c.GetOrBegin(0, 1, k); hit || w != nil {
+		if _, hit := c.GetOrBegin(0, 1, k); hit {
 			t.Fatal("the first reader does not lead")
 		}
 		wg := simtime.NewWaitGroup(k)
 		wg.Go("follower", func() {
-			_, _, w := c.GetOrBegin(0, 1, k)
-			if w == nil {
-				t.Error("a second reader of a key in flight does not follow")
-				return
-			}
-			_ = w.Wait(context.Background())
-			if _, _, w := c.GetOrBegin(0, 1, k); w != nil {
-				t.Error("the woken follower does not lead the orphaned key")
+			parked := false
+			_, hit, err := c.GetOrWait(context.Background(), 0, 1, k, func(time.Duration) { parked = true })
+			if !parked || hit || err != nil {
+				t.Error("a second reader of a key in flight does not park, then lead the orphaned key")
 				return
 			}
 			c.Complete(0, 1, Entry{Bytes: 1})
 		})
-		_ = k.Sleep(context.Background(), time.Millisecond) // the follower parks
+		var scope simtime.CancelScope
+		cancelled := scope.Begin(k, context.Background())
+		wg.Go("quitter", func() {
+			if _, _, err := c.GetOrWait(cancelled, 0, 1, k, nil); err == nil {
+				t.Error("a follower whose wait was cancelled did not give up")
+			}
+		})
+		_ = k.Sleep(context.Background(), time.Millisecond) // both park
 		list := c.index[1].flight
+		scope.Cancel()
 		c.Recycle() // the leader died: its claim is orphaned
-		if !slices.Contains(c.lists, list) {
-			t.Error("Recycle handed over the list a woken follower resumes on")
+		if tb, ok := pool.tables.Get(); c.lists != nil || !ok || !slices.Contains(tb.lists, list) {
+			t.Error("Recycle kept the list its followers left")
+		} else {
+			pool.tables.Put(tb)
 		}
 		_ = wg.Wait(context.Background())
 	})
@@ -340,21 +346,15 @@ func TestFollowersParkUntilTheLeaderLands(t *testing.T) {
 		var order []int
 		wg := simtime.NewWaitGroup(k)
 		flight := func() {
-			if _, hit, w := c.GetOrBegin(0, 1, k); hit || w != nil {
+			if _, hit := c.GetOrBegin(0, 1, k); hit {
 				t.Fatal("the first reader did not lead")
 			}
 			for i := 0; i < 4; i++ {
 				wg.Go("follower", func() {
-					_, _, w := c.GetOrBegin(0, 1, k)
-					if w == nil {
-						t.Error("a follower became the leader of a flight under way")
-						return
-					}
-					if err := w.Wait(ctx); err != nil {
-						t.Error(err)
-					}
-					if _, hit, _ := c.GetOrBegin(0, 1, k); !hit {
-						t.Error("a woken follower missed the entry handed to it")
+					parks := 0
+					_, hit, err := c.GetOrWait(ctx, 0, 1, k, func(time.Duration) { parks++ })
+					if parks != 1 || !hit || err != nil {
+						t.Errorf("a follower parked %d times, then hit %v (%v): want once, then the entry handed to it", parks, hit, err)
 					}
 					order = append(order, i)
 				})
@@ -395,5 +395,93 @@ func TestFollowersParkUntilTheLeaderLands(t *testing.T) {
 	})
 	if woke := k.Stats().Wakes - wakes; woke != 0 || len(c.index) != 1 || c.flights != 0 {
 		t.Errorf("landing keys not in flight woke %d, left %d keys, %d in flight", woke, len(c.index), c.flights)
+	}
+}
+
+// TestLateWaitFollowsTheKeyNotAList: a follower's wait that comes late, in
+// either tier's policy. The wait looks its key up, so:
+//   - after its flight landed and the flight's list went to another key's
+//     followers, it returns at once, without waking at that key's landing,
+//     and the follower's next look hits its own key;
+//   - after its key was dropped and flies again, it parks on the new flight
+//     and wakes when that fill lands.
+func TestLateWaitFollowsTheKeyNotAList(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		policy Policy
+	}{{"lru", LRU}, {"cost", LeastCostPerByte}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			c := New[tk](100, tc.policy, NewPool[tk](64, 4), new(Tenants), 0)
+			k := simtime.NewVirtual()
+			k.Run(func() {
+				wg := simtime.NewWaitGroup(k)
+				follow := func(key tk) { wg.Go("follower", func() { _ = c.await(ctx, key, k) }) }
+				// late is a wait taken after the follower's look; it reports
+				// whether the wait has returned.
+				late := func(key tk) *bool {
+					back := new(bool)
+					wg.Go("late", func() {
+						if err := c.await(ctx, key, k); err != nil {
+							t.Error(err)
+						}
+						*back = true
+					})
+					return back
+				}
+
+				// Landed, and its list gone to another key.
+				if _, hit, lead := c.look(0, 1); hit || !lead {
+					t.Fatal("the first reader of key 1 does not lead")
+				}
+				if _, hit, lead := c.look(0, 1); hit || lead {
+					t.Fatal("a second reader of key 1 does not follow")
+				}
+				follow(1)
+				_ = k.Sleep(ctx, time.Millisecond)
+				list := c.index[1].flight
+				c.Complete(0, 1, Entry{Bytes: 1, Cost: 1})
+				c.look(0, 2)
+				follow(2)
+				_ = k.Sleep(ctx, time.Millisecond)
+				if c.index[2].flight != list {
+					t.Fatal("key 2's followers did not take the list key 1's flight left")
+				}
+				if back := late(1); k.Sleep(ctx, time.Millisecond) != nil || !*back {
+					t.Error("a wait after key 1 landed parked, on the list that went to key 2")
+				}
+				if _, hit, _ := c.look(0, 1); !hit {
+					t.Error("the late follower's next look missed key 1")
+				}
+				c.Complete(0, 2, Entry{Bytes: 1, Cost: 1})
+
+				// Dropped, and flying again.
+				c.look(0, 3)
+				if _, hit, lead := c.look(0, 3); hit || lead {
+					t.Fatal("a second reader of key 3 does not follow")
+				}
+				c.Abort(3)
+				if _, ok := c.index[3]; ok {
+					t.Fatal("an aborted key with no follower parked kept its node")
+				}
+				if _, _, lead := c.look(0, 3); !lead {
+					t.Fatal("the next reader of the dropped key does not lead")
+				}
+				back := late(3)
+				_ = k.Sleep(ctx, time.Millisecond)
+				if *back {
+					t.Error("a wait on a key flying again did not park on its new flight")
+				}
+				c.Complete(0, 3, Entry{Bytes: 1, Cost: 1})
+				_ = k.Sleep(ctx, time.Millisecond)
+				if !*back {
+					t.Error("the new flight's landing did not wake the late follower")
+				}
+				if _, hit, _ := c.look(0, 3); !hit {
+					t.Error("the late follower's next look missed key 3")
+				}
+				_ = wg.Wait(ctx)
+			})
+		})
 	}
 }

@@ -28,6 +28,13 @@
 // A worker scheduler adjusts the number of preprocessing workers using the
 // paper's Formulas 1–2: queue emptiness and worker busyness raise the
 // count; full queues and idle workers lower it (§4.3).
+//
+// Warm path: in front of a materialized cache of preprocessed samples
+// (internal/matcache), epoch 1 runs Algorithm 1 and materializes every
+// finished sample; epoch 2+, and co-tenant sessions sharing the cluster's
+// cache, hit it and skip both the raw read and the pipeline, paying only a
+// memory-bandwidth restore. Fills are single-flighted: of all workers (across
+// all tenants) racing an uncached key, exactly one preprocesses it.
 package core
 
 import (
@@ -142,7 +149,7 @@ type run struct {
 
 	// mat is the cluster's materialized preprocessed-sample cache (nil
 	// disables the warm path); matSig keys this loader's entries by its
-	// pipeline, matTenant attributes its traffic. See warm.go.
+	// pipeline, matTenant attributes its traffic. See the package comment.
 	mat       *matcache.Cache
 	matSig    uint64
 	matTenant int
@@ -437,7 +444,9 @@ func (l *Loader) processNew(ctx context.Context, it loader.IndexItem) error {
 	var mk matcache.Key
 	if l.mat != nil {
 		mk = matcache.Key{Obj: s.Key, Sig: l.matSig}
-		e, hit, err := l.claim(ctx, s, mk)
+		e, hit, err := l.mat.GetOrWait(ctx, l.matTenant, mk, l.env.RT, func(since time.Duration) {
+			l.traceSample(trace.StageMatWait, since, l.env.RT.Now(), s)
+		})
 		if err != nil {
 			l.env.Pool.Put(s)
 			return err
@@ -505,6 +514,36 @@ func (l *Loader) processNew(ctx context.Context, it loader.IndexItem) error {
 		l.traceSample(trace.StageMatFill, s.PreprocStart, s.PreprocEnd, s)
 	}
 	return l.putFast(ctx, s)
+}
+
+// restoreHit delivers a cache hit: the sample skips the raw read and the
+// pipeline, paying only the restore of the materialized tensor. Hits bypass
+// the profiler — restore times are not preprocessing times and would drag
+// the classification timeout toward zero.
+func (l *Loader) restoreHit(ctx context.Context, s *data.Sample, e matcache.Entry) error {
+	now := l.env.RT.Now()
+	l.traceSample(trace.StageMatHit, now, now, s)
+	s.LoadedAt = now
+	s.PreprocStart = now
+	if restore := matcache.RestoreCost(e.Bytes); restore > 0 {
+		if err := l.env.CPU.Run(ctx, restore); err != nil {
+			l.env.Pool.Put(s)
+			return err
+		}
+		s.PreprocCost = restore
+	}
+	s.Bytes = e.Bytes
+	s.NextTransform = l.spec.Pipeline.Len()
+	s.PreprocEnd = l.env.RT.Now()
+	return l.putFast(ctx, s)
+}
+
+// matEntry captures the materialized record of a finished sample: its
+// post-pipeline size and the preprocessing compute a future hit saves (the
+// sample's measured cost, including any budget-interrupt re-execution).
+// Only values are copied — the cache never retains the pooled sample.
+func matEntry(s *data.Sample) matcache.Entry {
+	return matcache.Entry{Bytes: s.Bytes, Cost: s.PreprocCost}
 }
 
 // finishSlow completes a timed-out sample from its recorded transform

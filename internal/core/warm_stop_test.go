@@ -30,7 +30,7 @@ func TestStopAbortsParkedWarmClaims(t *testing.T) {
 			s := loader.FillSample(h.env, l.spec, loader.IndexItem{Index: i, Seq: int64(i)})
 			s.MarkedSlow = true
 			mk := matcache.Key{Obj: s.Key, Sig: l.matSig}
-			if _, hit, w := l.mat.GetOrBegin(l.matTenant, mk, h.env.RT); hit || w != nil {
+			if _, hit := l.mat.GetOrBegin(l.matTenant, mk, h.env.RT); hit {
 				t.Fatalf("key %v: expected leadership", mk.Obj)
 			}
 			if err := l.tempQ.Put(ctx, s); err != nil {
@@ -42,10 +42,13 @@ func TestStopAbortsParkedWarmClaims(t *testing.T) {
 		l.Stop()
 
 		// Every parked claim must be settled: a fresh miss elects a new
-		// leader instead of parking behind the dead fill.
+		// leader instead of parking behind the dead fill. The look's context
+		// is done, so a park there returns at once, with its error.
+		done, cancel := context.WithCancel(ctx)
+		cancel()
 		for _, mk := range keys {
-			_, hit, w := l.mat.GetOrBegin(l.matTenant, mk, h.env.RT)
-			if w != nil {
+			_, hit, err := l.mat.GetOrWait(done, l.matTenant, mk, h.env.RT, nil)
+			if err != nil {
 				t.Fatalf("key %v still has an orphaned inflight claim after Stop", mk.Obj)
 			}
 			if hit {

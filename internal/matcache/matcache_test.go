@@ -23,16 +23,14 @@ func TestFillAndHit(t *testing.T) {
 	c := New(1 << 20)
 
 	k := key(1, 42)
-	e, hit, w := c.GetOrBegin(0, k, rt)
-	if hit || w != nil {
-		t.Fatalf("first access: hit=%v waiter=%v, want leader (false, nil)", hit, w)
+	if _, hit := c.GetOrBegin(0, k, rt); hit {
+		t.Fatal("first access hit, want the lead")
 	}
-	_ = e
 	c.Complete(0, k, Entry{Bytes: 1000, Cost: 5 * time.Millisecond})
 
-	e, hit, w = c.GetOrBegin(0, k, rt)
-	if !hit || w != nil {
-		t.Fatalf("second access: hit=%v waiter=%v, want hit", hit, w)
+	e, hit := c.GetOrBegin(0, k, rt)
+	if !hit {
+		t.Fatal("second access missed, want a hit")
 	}
 	if e.Bytes != 1000 || e.Cost != 5*time.Millisecond {
 		t.Fatalf("entry = %+v, want {1000 5ms}", e)
@@ -152,30 +150,22 @@ func TestSingleFlightVirtual(t *testing.T) {
 
 	var fills, hits atomic.Int64
 	rt.Run(func() {
-		_, hit, w := c.GetOrBegin(0, k, rt)
-		if hit || w != nil {
-			t.Errorf("main task should lead: hit=%v w=%v", hit, w)
+		if _, hit := c.GetOrBegin(0, k, rt); hit {
+			t.Error("main task should lead")
 			return
 		}
 		for i := 0; i < followers; i++ {
 			rt.Go("follower", func() {
-				for {
-					e, hit, w := c.GetOrBegin(0, k, rt)
-					if hit {
-						if e.Cost != 3*time.Millisecond {
-							t.Errorf("follower got %+v", e)
-						}
-						hits.Add(1)
-						return
-					}
-					if w == nil {
-						t.Error("follower became leader while fill in flight")
-						return
-					}
-					if err := w.Wait(context.Background()); err != nil {
-						t.Errorf("wait: %v", err)
-						return
-					}
+				e, hit, err := c.GetOrWait(context.Background(), 0, k, rt, nil)
+				switch {
+				case err != nil:
+					t.Errorf("wait: %v", err)
+				case !hit:
+					t.Error("follower became leader while fill in flight")
+				case e.Cost != 3*time.Millisecond:
+					t.Errorf("follower got %+v", e)
+				default:
+					hits.Add(1)
 				}
 			})
 		}
@@ -204,27 +194,19 @@ func TestAbortReelection(t *testing.T) {
 	k := key(1, 1)
 	var refilled atomic.Bool
 	rt.Run(func() {
-		_, hit, w := c.GetOrBegin(-1, k, rt)
-		if hit || w != nil {
+		if _, hit := c.GetOrBegin(-1, k, rt); hit {
 			t.Error("expected leadership")
 			return
 		}
 		rt.Go("follower", func() {
-			for {
-				_, hit, w := c.GetOrBegin(-1, k, rt)
-				if hit {
-					return
-				}
-				if w == nil {
-					// Re-elected leader after the abort.
-					refilled.Store(true)
-					c.Complete(-1, k, Entry{Bytes: 1, Cost: time.Microsecond})
-					return
-				}
-				if err := w.Wait(context.Background()); err != nil {
-					t.Errorf("wait: %v", err)
-					return
-				}
+			_, hit, err := c.GetOrWait(context.Background(), -1, k, rt, nil)
+			if err != nil {
+				t.Errorf("wait: %v", err)
+			}
+			if !hit && err == nil {
+				// Re-elected leader after the abort.
+				refilled.Store(true)
+				c.Complete(-1, k, Entry{Bytes: 1, Cost: time.Microsecond})
 			}
 		})
 		if err := rt.Sleep(context.Background(), time.Millisecond); err != nil {
@@ -264,22 +246,16 @@ func TestSingleFlightHammer(t *testing.T) {
 			rt.Run(func() {
 				for i := 0; i < keys; i++ {
 					k := key(i, 1)
-					for {
-						_, hit, w := c.GetOrBegin(id, k, rt)
-						if hit {
-							break
-						}
-						if w == nil {
-							fills[i].Add(1)
-							// The fill takes time: followers pile up behind it.
-							_ = rt.Sleep(context.Background(), time.Millisecond)
-							c.Complete(id, k, Entry{Bytes: 64, Cost: time.Millisecond})
-							break
-						}
-						if err := w.Wait(context.Background()); err != nil {
-							t.Errorf("wait: %v", err)
-							return
-						}
+					_, hit, err := c.GetOrWait(context.Background(), id, k, rt, nil)
+					if err != nil {
+						t.Errorf("wait: %v", err)
+						return
+					}
+					if !hit {
+						fills[i].Add(1)
+						// The fill takes time: followers pile up behind it.
+						_ = rt.Sleep(context.Background(), time.Millisecond)
+						c.Complete(id, k, Entry{Bytes: 64, Cost: time.Millisecond})
 					}
 				}
 			})
@@ -347,11 +323,11 @@ func TestTenantAttribution(t *testing.T) {
 	}
 
 	k := key(5, 3)
-	if _, hit, w := c.GetOrBegin(1, k, rt); hit || w != nil {
+	if _, hit := c.GetOrBegin(1, k, rt); hit {
 		t.Fatal("tenant 1 should lead")
 	}
 	c.Complete(1, k, Entry{Bytes: 500, Cost: 4 * time.Millisecond})
-	if _, hit, _ := c.GetOrBegin(2, k, rt); !hit {
+	if _, hit := c.GetOrBegin(2, k, rt); !hit {
 		t.Fatal("tenant 2 should hit")
 	}
 
@@ -374,7 +350,7 @@ func TestTenantChurnKeepsResidency(t *testing.T) {
 	rt := simtime.NewVirtual()
 	c := New(1 << 20)
 	a := c.Tenants().Join()
-	if _, hit, w := c.GetOrBegin(a, key(1, 1), rt); hit || w != nil {
+	if _, hit := c.GetOrBegin(a, key(1, 1), rt); hit {
 		t.Fatal("expected leadership")
 	}
 	c.Complete(a, key(1, 1), Entry{Bytes: 300, Cost: time.Millisecond})
@@ -467,30 +443,23 @@ func TestUncacheableEntryHandedToFollowers(t *testing.T) {
 	const followers = 3
 	var hits, refills atomic.Int64
 	rt.Run(func() {
-		if _, hit, w := c.GetOrBegin(-1, k, rt); hit || w != nil {
+		if _, hit := c.GetOrBegin(-1, k, rt); hit {
 			t.Error("expected leadership")
 			return
 		}
 		for i := 0; i < followers; i++ {
 			rt.Go("follower", func() {
-				for {
-					e, hit, w := c.GetOrBegin(-1, k, rt)
-					if hit {
-						if e.Bytes != 2000 || e.Cost != time.Second {
-							t.Errorf("follower entry = %+v, want {2000 1s}", e)
-						}
-						hits.Add(1)
-						return
-					}
-					if w == nil {
-						refills.Add(1)
-						c.Complete(-1, k, Entry{Bytes: 2000, Cost: time.Second})
-						return
-					}
-					if err := w.Wait(context.Background()); err != nil {
-						t.Errorf("wait: %v", err)
-						return
-					}
+				e, hit, err := c.GetOrWait(context.Background(), -1, k, rt, nil)
+				switch {
+				case err != nil:
+					t.Errorf("wait: %v", err)
+				case !hit:
+					refills.Add(1)
+					c.Complete(-1, k, Entry{Bytes: 2000, Cost: time.Second})
+				case e.Bytes != 2000 || e.Cost != time.Second:
+					t.Errorf("follower entry = %+v, want {2000 1s}", e)
+				default:
+					hits.Add(1)
 				}
 			})
 		}
@@ -513,7 +482,7 @@ func TestUncacheableEntryHandedToFollowers(t *testing.T) {
 	}
 	// The handoff is consumed with its followers: a later caller is a plain
 	// miss electing a new leader, not a phantom hit.
-	if _, hit, w := c.GetOrBegin(-1, k, rt); hit || w != nil {
+	if _, hit := c.GetOrBegin(-1, k, rt); hit {
 		t.Fatal("later caller should miss once the handoff is redeemed")
 	}
 	c.Abort(k)
@@ -534,36 +503,26 @@ func TestCancelledFollowerLeavesNoPhantomHit(t *testing.T) {
 			var gaveUp atomic.Bool
 			rt.Run(func() {
 				ctx := context.Background()
-				if _, hit, w := c.GetOrBegin(-1, k, rt); hit || w != nil {
+				if _, hit := c.GetOrBegin(-1, k, rt); hit {
 					t.Error("expected leadership")
 					return
 				}
 				var scope simtime.CancelScope
 				cancelled := scope.Begin(rt, ctx)
 				rt.Go("quitter", func() {
-					_, _, w := c.GetOrBegin(-1, k, rt)
-					if w == nil {
-						t.Error("the quitter did not follow the fill")
-						return
-					}
-					gaveUp.Store(w.Wait(cancelled) != nil)
+					_, _, err := c.GetOrWait(cancelled, -1, k, rt, nil)
+					gaveUp.Store(err != nil)
 				})
 				rt.Go("follower", func() {
-					for {
-						_, hit, w := c.GetOrBegin(-1, k, rt)
-						if hit {
-							hits.Add(1)
-							return
-						}
-						if w == nil {
-							refills.Add(1)
-							c.Abort(k)
-							return
-						}
-						if err := w.Wait(ctx); err != nil {
-							t.Errorf("wait: %v", err)
-							return
-						}
+					_, hit, err := c.GetOrWait(ctx, -1, k, rt, nil)
+					switch {
+					case err != nil:
+						t.Errorf("wait: %v", err)
+					case hit:
+						hits.Add(1)
+					default:
+						refills.Add(1)
+						c.Abort(k)
 					}
 				})
 				_ = rt.Sleep(ctx, time.Millisecond) // both followers park
@@ -573,8 +532,8 @@ func TestCancelledFollowerLeavesNoPhantomHit(t *testing.T) {
 				}
 				c.Complete(-1, k, Entry{Bytes: 2000, Cost: time.Second})
 				_ = rt.Sleep(ctx, time.Millisecond) // the follower redeems its hit
-				if _, hit, w := c.GetOrBegin(-1, k, rt); hit || w != nil {
-					t.Errorf("a later reader got hit=%v, waiter=%v: a phantom reference for the follower that gave up", hit, w != nil)
+				if _, hit := c.GetOrBegin(-1, k, rt); hit {
+					t.Error("a later reader hit: a phantom reference for the follower that gave up")
 				}
 				c.Abort(k)
 			})
@@ -596,25 +555,18 @@ func TestRecycleClearsInflightClaims(t *testing.T) {
 	var refilled atomic.Bool
 	rt.Run(func() {
 		// An orphaned leader claim: taken, never settled.
-		if _, hit, w := c.GetOrBegin(-1, k, rt); hit || w != nil {
+		if _, hit := c.GetOrBegin(-1, k, rt); hit {
 			t.Error("expected leadership")
 			return
 		}
 		rt.Go("follower", func() {
-			for {
-				_, hit, w := c.GetOrBegin(-1, k, rt)
-				if hit {
-					return
-				}
-				if w == nil {
-					refilled.Store(true)
-					c.Complete(-1, k, Entry{Bytes: 1, Cost: time.Microsecond})
-					return
-				}
-				if err := w.Wait(context.Background()); err != nil {
-					t.Errorf("wait: %v", err)
-					return
-				}
+			_, hit, err := c.GetOrWait(context.Background(), -1, k, rt, nil)
+			if err != nil {
+				t.Errorf("wait: %v", err)
+			}
+			if !hit && err == nil {
+				refilled.Store(true)
+				c.Complete(-1, k, Entry{Bytes: 1, Cost: time.Microsecond})
 			}
 		})
 		if err := rt.Sleep(context.Background(), time.Millisecond); err != nil {

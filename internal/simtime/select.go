@@ -40,11 +40,11 @@ type Selector struct {
 	k *Virtual
 
 	state int32
-	spare bool  // a WaitList.Wait's, handed back to k when its entry leaves
+	spare bool  // a WaitList.Wait's, handed back to k when its cycle ends
 	idx   int   // the claimed cycle's result
 	owner *task // the task parked in Wait
-	// notes are the positions WaitLists registered s at in this cycle, so
-	// that Disarm checks them instead of searching its list.
+	// notes are the positions WaitLists registered s at in this cycle (and
+	// renumbered), so that Disarm checks them instead of searching its list.
 	notes []uint64
 	nbuf  [4]uint64
 

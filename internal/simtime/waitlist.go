@@ -1,6 +1,9 @@
 package simtime
 
-import "context"
+import (
+	"context"
+	"slices"
+)
 
 // WaitList is the kernel's one list of parked selectors, woken first in,
 // first out: a task parks on it itself (Wait), or a wake source registers a
@@ -11,23 +14,29 @@ import "context"
 //
 // Entries are addressed by absolute position: each joins at the next one,
 // the live window is [head, tail), and position p lives in slot p mod
-// len(ring), so growing the ring moves no entry. An entry that leaves before
-// its wake (a Wait whose context ended, a Disarm) becomes a tombstone, in
-// O(1), which wakes skip; vacated slots are zeroed, so no selector stays
-// reachable once its entry is out. The ring starts as the list's own
-// two-entry array, then moves to heap rings of 8, 16, ... entries.
+// len(ring). An entry that leaves before its wake (a Wait whose context
+// ended, a Disarm) becomes a tombstone, in O(1), which wakes skip; vacated
+// slots are zeroed, so no selector stays reachable once its entry is out.
+// A push that finds the ring (at first the list's own two-entry array) full
+// repacks the live entries in order at fresh positions from tail on, and
+// renumbers the positions their owners noted on their selectors: in place if
+// at most half the ring is live, else into a heap ring twice the size (8 at
+// least). So the ring tracks the live entries, not the arm traffic.
 //
-// One rule makes a single list safe for every user: whoever takes a Wait's
-// entry out — the waker, or the waiter that gave up — hands its selector back
-// to the kernel, and a position a wake took out never comes back (head only
-// advances, Init included). So a woken waiter never touches the list again:
-// a list may be woken, Init-ed and waited on anew at one instant, before the
-// tasks it woke resume. Task-only; the zero value is an empty list, ready
-// for Arm; Wait needs Init.
+// One rule makes a single list safe for every user: whoever ends a Wait's
+// cycle hands its selector back to the kernel — the waker whose wake it
+// accepted, or the waiter that gave up, after taking its entry out unless a
+// wake did, which then clears its note. So once a wake has taken a Wait's
+// entry out, its waiter never touches the list again: a list may be woken,
+// Init-ed and waited on anew, or handed to another kernel, at once, before
+// the tasks it woke resume. A position a wake took out never comes back
+// (head and tail only advance, Init included). Task-only; the zero value is
+// an empty list, ready for Arm; Wait needs Init.
 type WaitList struct {
 	k          *Virtual
 	ring       []waitEntry // nil, inline[:], or a heap ring; len a power of two
 	head, tail uint64
+	live       int // entries in the window that are not tombstones
 	inline     [2]waitEntry
 }
 
@@ -41,28 +50,26 @@ type waitEntry struct {
 // Init binds the list to rt, for Wait. A list used before must be empty
 // (woken, or left by every entry); it keeps its ring and its positions.
 func (l *WaitList) Init(rt *Virtual) {
-	if l.head != l.tail {
+	if l.live != 0 {
 		panic("simtime: Init of a WaitList with selectors on it")
 	}
 	l.k = rt
 }
 
-// Len returns the number of entries from the oldest to the newest, the
-// tombstones between them included.
-func (l *WaitList) Len() int { return int(l.tail - l.head) }
+// Len returns the number of entries on the list.
+func (l *WaitList) Len() int { return l.live }
 
 // Wait parks the calling task on the list until a wake reaches its entry or
 // ctx is done.
 func (l *WaitList) Wait(ctx context.Context) error {
 	k := l.k
 	s := k.selector()
-	pos := l.push(s, 0)
+	l.Arm(s, 0)
 	if !k.park(ctx, "waiter", 0, s) {
 		return nil // the waker took the entry out and handed s back
 	}
-	if l.remove(pos, s) {
-		k.sels = append(k.sels, s)
-	}
+	l.Disarm(s)
+	k.sels = append(k.sels, s)
 	return ctx.Err()
 }
 
@@ -70,12 +77,18 @@ func (l *WaitList) Wait(ctx context.Context) error {
 // so that Disarm finds the entry without a search.
 func (l *WaitList) Arm(s *Selector, idx int) { s.notes = append(s.notes, l.push(s, idx)) }
 
-// Disarm takes s's entry out, unless a wake has, and reports whether it did.
-// The positions noted on s for this cycle include its own; one another list
-// noted at most fails the check.
+// Disarm takes s's entry out, unless a wake has, and reports whether it did;
+// tombstones at the head leave the window. The positions noted on s for this
+// cycle include its own; one another list noted, or one a wake took out,
+// fails the check.
 func (l *WaitList) Disarm(s *Selector) bool {
 	for _, pos := range s.notes {
-		if l.remove(pos, s) {
+		if pos-l.head < l.tail-l.head && l.slot(pos).sel == s {
+			*l.slot(pos) = waitEntry{}
+			l.live--
+			for l.head != l.tail && l.slot(l.head).sel == nil {
+				l.head++
+			}
 			return true
 		}
 	}
@@ -116,9 +129,12 @@ func (l *WaitList) wake() bool {
 	if s == nil {
 		return false
 	}
+	l.live--
 	ok := s.TryWake(idx)
-	if s.spare {
+	if s.spare && ok {
 		s.k.sels = append(s.k.sels, s)
+	} else if s.spare { // a Wait given up: no entry is left for its waiter to find
+		s.notes = s.notes[:0]
 	}
 	return ok
 }
@@ -127,44 +143,41 @@ func (l *WaitList) slot(pos uint64) *waitEntry { return &l.ring[pos&uint64(len(l
 
 // push appends an entry and returns its position.
 func (l *WaitList) push(s *Selector, idx int) uint64 {
-	if int(l.tail-l.head) == len(l.ring) {
-		l.grow()
+	if n := len(l.ring); int(l.tail-l.head) == n {
+		switch {
+		case n == 0:
+			l.ring = l.inline[:]
+		case 2*l.live <= n:
+			l.repack(l.ring)
+		default:
+			l.repack(make([]waitEntry, max(8, 2*n)))
+		}
 	}
 	*l.slot(l.tail) = waitEntry{sel: s, idx: idx}
 	l.tail++
+	l.live++
 	return l.tail - 1
 }
 
-// grow moves the full window to a ring twice the size, the inline array
-// being the first, and zeroes the one it left.
-func (l *WaitList) grow() {
-	old := l.ring
-	if old == nil {
-		l.ring = l.inline[:]
-		return
-	}
-	l.ring = make([]waitEntry, max(8, 2*len(old)))
+// repack moves the live entries of the full ring, oldest first, into ring at
+// the positions from tail on, renumbering the note each owner holds, and
+// zeroes the slots they left. In place, position tail+j shares its slot with
+// head+j, so no entry moves past one still to be read.
+func (l *WaitList) repack(ring []waitEntry) {
+	to := l.tail
 	for p := l.head; p != l.tail; p++ {
-		*l.slot(p) = old[p&uint64(len(old)-1)]
+		e := *l.slot(p)
+		if e.sel == nil {
+			continue
+		}
+		*l.slot(p) = waitEntry{}
+		ring[to&uint64(len(ring)-1)] = e
+		if i := slices.Index(e.sel.notes, p); i >= 0 {
+			e.sel.notes[i] = to
+		}
+		to++
 	}
-	clear(old)
-}
-
-// remove tombstones the entry at pos if it is s's, and reports whether it
-// was; otherwise a wake has taken it out already (or pos is another list's).
-// Tombstones at either end of the window leave it.
-func (l *WaitList) remove(pos uint64, s *Selector) bool {
-	if pos-l.head >= l.tail-l.head || l.slot(pos).sel != s {
-		return false
-	}
-	*l.slot(pos) = waitEntry{}
-	for l.head != l.tail && l.slot(l.head).sel == nil {
-		l.head++
-	}
-	for l.head != l.tail && l.slot(l.tail-1).sel == nil {
-		l.tail--
-	}
-	return true
+	l.ring, l.head, l.tail = ring, l.tail, to
 }
 
 // selector returns a Reset selector for a Wait: one an earlier Wait's entry

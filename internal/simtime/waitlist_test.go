@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -98,10 +99,31 @@ func TestWaitList(t *testing.T) {
 			k.Go("waiter", func() { err = l.Wait(cancelled) })
 			_ = k.Sleep(ctx, time.Second)
 			scope.Cancel()
-			if l.WakeAll() != 0 || len(k.sels) != 1 {
-				t.Fatalf("a cancelled waiter accepted the wake, or the waker kept its selector (%d spare)", len(k.sels))
+			if l.WakeAll() != 0 || len(k.sels) != 0 {
+				t.Fatalf("a cancelled waiter accepted the wake, or the waker handed its selector back (%d spare)", len(k.sels))
 			}
 			_ = k.Sleep(ctx, time.Second)
+			if err != context.Canceled || len(k.sels) != 1 {
+				t.Fatalf("Wait = %v with %d spare selectors, want Canceled and 1", err, len(k.sels))
+			}
+		}},
+		{"a Wait given up and passed over never touches the list again", func(t *testing.T, k *Virtual, l *WaitList) {
+			var scope CancelScope
+			cancelled := scope.Begin(k, ctx)
+			var err error
+			k.Go("quitter", func() { err = l.Wait(cancelled) })
+			_ = k.Sleep(ctx, time.Second)
+			scope.Cancel()
+			if l.WakeAll() != 0 {
+				t.Fatal("a cancelled waiter accepted the wake")
+			}
+			// The list may go to another owner before the quitter resumes:
+			// poisoned so, a look at the quitter's note would index a ring
+			// that is not there.
+			saved := *l
+			l.head, l.tail, l.ring = 0, 1<<62, nil
+			_ = k.Sleep(ctx, time.Second)
+			*l = saved
 			if err != context.Canceled || len(k.sels) != 1 {
 				t.Fatalf("Wait = %v with %d spare selectors, want Canceled and 1", err, len(k.sels))
 			}
@@ -201,8 +223,8 @@ func TestWaitList(t *testing.T) {
 			// At one instant: the wake, the Init and a new Wait, before the
 			// two waiters resume — and touch the list, were they to.
 			scope.Cancel()
-			if l.WakeAll() != 1 || len(k.sels) != 2 {
-				t.Fatalf("WakeAll woke other than the one live waiter, or kept a selector (%d spare)", len(k.sels))
+			if l.WakeAll() != 1 || len(k.sels) != 1 {
+				t.Fatalf("WakeAll woke other than the one live waiter, or handed back other than its selector (%d spare)", len(k.sels))
 			}
 			first := l.head
 			l.Init(k)
@@ -228,4 +250,221 @@ func TestWaitList(t *testing.T) {
 			k.Drain()
 		})
 	}
+}
+
+// TestWaitListRingTracksLiveEntries: one waiter stays parked at the head
+// while 10,000 selectors arm and disarm behind it, each disarming the one
+// armed before it, so every tombstone lies inside the window and none at an
+// end. The ring compacts instead of growing — it stays at the first heap
+// ring, 8 slots, for 2 or 3 live entries — and the positions it renumbers
+// still find their entries: the waiter's, when it gives up, and each armed
+// selector's.
+func TestWaitListRingTracksLiveEntries(t *testing.T) {
+	ctx := context.Background()
+	k := NewVirtual()
+	k.Run(func() {
+		var l WaitList
+		l.Init(k)
+		var scope CancelScope
+		cancelled := scope.Begin(k, ctx)
+		var err error
+		k.Go("parked", func() { err = l.Wait(cancelled) })
+		_ = k.Sleep(ctx, time.Second)
+		sels := [2]*Selector{NewSelector(k), NewSelector(k)}
+		ring := 0 // the largest ring the list took
+		for i := range 10_000 {
+			s := sels[i%2]
+			s.Reset()
+			l.Arm(s, i)
+			if i > 0 && !l.Disarm(sels[(i-1)%2]) {
+				t.Errorf("step %d: the selector armed before was not found at its noted position", i)
+				break
+			}
+			ring = max(ring, len(l.ring))
+		}
+		if ring != 8 {
+			t.Errorf("the ring reached %d slots for at most 3 live entries, want 8", ring)
+		}
+		scope.Cancel()
+		_ = k.Sleep(ctx, time.Second)
+		if err != context.Canceled || l.Len() != 1 {
+			t.Errorf("the parked waiter's Wait = %v with %d entries left, want Canceled and 1", err, l.Len())
+		}
+		if !l.WakeOne() || sels[1].idx != 9_999 {
+			t.Errorf("the last armed selector was not woken (result %d)", sels[1].idx)
+		}
+	})
+	k.Drain()
+}
+
+// wlEntry is one entry of FuzzWaitList's reference list: a waiting task
+// (sel nil) or an armed selector, and whether its Wait was cancelled.
+type wlEntry struct {
+	id        int
+	sel       *Selector
+	cancelled bool
+	scope     *CancelScope
+}
+
+// FuzzWaitList holds a WaitList to a plain FIFO slice. Each byte is one
+// operation, its low three bits the kind and the rest an argument: a task's
+// Wait, an Arm (also on a second list when the argument is odd, whose notes
+// then sit beside this list's), a Disarm of an armed entry, a cancel of a
+// waiting task, WakeOne, WakeAll, Init when the list is empty, and a yield
+// that lets woken and cancelled waiters resume. After every operation the
+// list's length is the reference's; WakeOne and WakeAll accept the wakes the
+// reference predicts, and the entries resume in its order; and the ring is
+// at most max(8, 4 × the peak number of entries). The seed corpus runs with
+// the tests; `go test -run '^$' -fuzz FuzzWaitList ./internal/simtime/`
+// searches for more.
+func FuzzWaitList(f *testing.F) {
+	for _, seed := range []string{
+		"\x00\x07\x04\x07",                                     // a Wait, woken
+		"\x01\x09\x11\x04\x04\x05",                             // three Arms, FIFO wakes
+		"\x00\x00\x07\x03\x04\x07",                             // a cancelled Wait refuses, the next takes the wake
+		"\x00\x01\x09\x02\x0a\x01\x02\x01\x0a\x02\x01\x02\x05", // churn behind a parked Wait
+		"\x00\x07\x03\x07\x06\x00\x07\x05\x07",                 // cancel, leave, Init when empty, wait anew
+		// Seven Arms past the inline pair, six Disarms, three Arms: a repack.
+		"\x00\x07\x01\x01\x01\x01\x01\x01\x01\x0a\x12\x1a\x22\x2a\x32\x01\x01\x01\x05\x07",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		ctx := context.Background()
+		k := NewVirtual()
+		var bad error // the first mismatch; the run stops there and lets its waiters go
+		fail := func(format string, args ...any) { bad = cmp.Or(bad, fmt.Errorf(format, args...)) }
+		k.Run(func() {
+			var l, other WaitList
+			l.Init(k)
+			var ref, armed []*wlEntry // armed: the reference's Arm entries
+			var woke, want []int      // Wait ids in the order they resumed and were woken
+			var idle []*Selector      // selectors out of the list, for the next Arm
+			peak, next := 0, 0
+			drop := func(e *wlEntry) {
+				ref = slices.DeleteFunc(ref, func(x *wlEntry) bool { return x == e })
+				armed = slices.DeleteFunc(armed, func(x *wlEntry) bool { return x == e })
+			}
+			// wake delivers the reference's wake to its first entry that
+			// accepts one, dropping the cancelled ones it passes.
+			wake := func() bool {
+				for len(ref) > 0 {
+					e := ref[0]
+					drop(e)
+					switch {
+					case e.cancelled:
+						continue
+					case e.sel == nil:
+						want = append(want, e.id)
+					default:
+						if e.sel.state != selWoken || e.sel.idx != e.id {
+							fail("armed entry %d not woken with its index", e.id)
+						}
+						other.Disarm(e.sel)
+						idle = append(idle, e.sel)
+					}
+					return true
+				}
+				return false
+			}
+			// yield lets woken and cancelled waiters resume: a cancelled one
+			// still on the list takes its entry out.
+			yield := func() {
+				_ = k.Sleep(ctx, time.Nanosecond)
+				ref = slices.DeleteFunc(ref, func(e *wlEntry) bool { return e.cancelled })
+				if !slices.Equal(woke, want) {
+					fail("waiters resumed in order %v, woken in %v", woke, want)
+				}
+			}
+			for _, b := range ops {
+				if bad != nil {
+					break
+				}
+				op, arg := b&7, int(b>>3)
+				switch op {
+				case 0:
+					e := &wlEntry{id: next, scope: new(CancelScope)}
+					wctx := e.scope.Begin(k, ctx)
+					k.Go("waiter", func() {
+						if l.Wait(wctx) == nil {
+							woke = append(woke, e.id)
+						}
+					})
+					yield() // it parks
+					ref = append(ref, e)
+				case 1:
+					s := NewSelector(k)
+					if n := len(idle); n > 0 {
+						s, idle = idle[n-1], idle[:n-1]
+					}
+					s.Reset()
+					if arg%2 == 1 {
+						other.Arm(s, -1)
+					}
+					l.Arm(s, next)
+					e := &wlEntry{id: next, sel: s}
+					ref, armed = append(ref, e), append(armed, e)
+				case 2:
+					if len(armed) > 0 {
+						e := armed[arg%len(armed)]
+						if !l.Disarm(e.sel) || l.Disarm(e.sel) {
+							fail("Disarm of armed entry %d did not take it out exactly once", e.id)
+						}
+						other.Disarm(e.sel)
+						drop(e)
+						idle = append(idle, e.sel)
+					}
+				case 3:
+					var waiting []*wlEntry
+					for _, e := range ref {
+						if e.sel == nil && !e.cancelled {
+							waiting = append(waiting, e)
+						}
+					}
+					if len(waiting) > 0 {
+						e := waiting[arg%len(waiting)]
+						e.cancelled = true
+						e.scope.Cancel()
+					}
+				case 4:
+					if got, exp := l.WakeOne(), wake(); got != exp {
+						fail("WakeOne = %v, reference %v", got, exp)
+					}
+				case 5:
+					got, exp := l.WakeAll(), 0
+					for wake() {
+						exp++
+					}
+					if got != exp {
+						fail("WakeAll woke %d, reference %d", got, exp)
+					}
+				case 6:
+					if len(ref) == 0 {
+						l.Init(k)
+					}
+				case 7:
+					yield()
+				}
+				next++
+				peak = max(peak, len(ref))
+				if l.Len() != len(ref) {
+					fail("after op %d: %d entries, reference %d", op, l.Len(), len(ref))
+				}
+				if len(l.ring) > max(8, 4*peak) {
+					fail("after op %d: ring of %d slots, peak %d entries", op, len(l.ring), peak)
+				}
+			}
+			for _, e := range ref {
+				if e.scope != nil {
+					e.scope.Cancel()
+				}
+			}
+			l.WakeAll()
+			_ = k.Sleep(ctx, time.Nanosecond)
+		})
+		k.Drain()
+		if bad != nil {
+			t.Fatal(bad)
+		}
+	})
 }

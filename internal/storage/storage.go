@@ -172,32 +172,25 @@ func (st *Store) ReadSample(ctx context.Context, rt *simtime.Virtual, s *data.Sa
 		s.LoadedAt = rt.Now()
 		return nil
 	}
-	first := true
-	for {
-		t0 := rt.Now()
-		_, hit, waiter := st.Cache.GetOrBegin(st.Tenant, s.Key, rt)
-		if hit {
-			if first {
-				// A follower finding the published fill on re-check already
-				// recorded its wait; only a first-try hit is an instant.
-				rt.Trace().Instant(st.span(trace.StageCacheHit, t0, t0, s), t0)
-			}
-			break
-		}
-		if waiter == nil { // leader: fetch and publish
-			if err := st.fetch(ctx, rt, s); err != nil {
-				st.Cache.Abort(s.Key)
-				return err
-			}
-			st.Cache.Complete(st.Tenant, s.Key, cache.Entry{Bytes: s.RawBytes})
-			rt.Trace().Record(st.span(trace.StageCacheFill, t0, rt.Now(), s))
-			break
-		}
-		if err := waiter.Wait(ctx); err != nil {
+	waited := false
+	_, hit, err := st.Cache.GetOrWait(ctx, st.Tenant, s.Key, rt, func(since time.Duration) {
+		waited = true
+		rt.Trace().Record(st.span(trace.StageCacheWait, since, rt.Now(), s))
+	})
+	if err != nil {
+		return err
+	}
+	t0 := rt.Now()
+	switch {
+	case hit && !waited: // a follower's hit on re-check is its recorded wait
+		rt.Trace().Instant(st.span(trace.StageCacheHit, t0, t0, s), t0)
+	case !hit: // leader: fetch and publish
+		if err := st.fetch(ctx, rt, s); err != nil {
+			st.Cache.Abort(s.Key)
 			return err
 		}
-		rt.Trace().Record(st.span(trace.StageCacheWait, t0, rt.Now(), s))
-		first = false
+		st.Cache.Complete(st.Tenant, s.Key, cache.Entry{Bytes: s.RawBytes})
+		rt.Trace().Record(st.span(trace.StageCacheFill, t0, rt.Now(), s))
 	}
 	s.LoadedAt = rt.Now()
 	return nil

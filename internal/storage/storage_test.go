@@ -52,7 +52,7 @@ func TestDiskConcurrentReadersShareBandwidth(t *testing.T) {
 func get(c *PageCache, key data.Key) bool { return getAs(c, 0, key) }
 
 func getAs(c *PageCache, tenant int, key data.Key) bool {
-	_, hit, _ := c.GetOrBegin(tenant, key, nil)
+	_, hit := c.GetOrBegin(tenant, key, nil)
 	if !hit {
 		c.Abort(key)
 	}

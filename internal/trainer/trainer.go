@@ -61,11 +61,6 @@ type Params struct {
 	// material for pipeline forensics. Costs memory proportional to the
 	// sample count.
 	TraceSamples bool
-	// Chaos is an optional fault-injection script replayed against the
-	// session: worker stalls, disk brownouts, preemption/resume. Callers
-	// validate it for a single-machine run (Script.Validate(0)) before
-	// starting; the zero value injects nothing.
-	Chaos chaos.Script
 }
 
 // AccPoint is one accuracy-curve sample (Fig 11a).
@@ -264,7 +259,7 @@ func (r *Report) AvgSlowProportion() float64 {
 // Run executes one training session on an existing testbed. It must be
 // called from a task tracked by the runtime (e.g. inside Virtual.Run).
 func Run(rt *simtime.Virtual, tb *hardware.Testbed, w workload.Workload, f Factory, p Params) (*Report, error) {
-	return RunEnv(testbedEnv(rt, tb, data.NewPool()), w, f, p)
+	return RunEnv(testbedEnv(rt, tb, data.NewPool()), w, f, p, chaos.Script{})
 }
 
 // testbedEnv is the environment of a session that has the testbed to itself.
@@ -280,8 +275,9 @@ func testbedEnv(rt *simtime.Virtual, tb *hardware.Testbed, pool *data.Pool) *loa
 // env has no storage statistics to report. Cache statistics in the report
 // are attributed to env.Store.Tenant when the store routes a registered
 // tenant, so co-running sessions see their own hits, not the cluster total.
-// Like Run, it must be called from a task tracked by the runtime.
-func RunEnv(env *loader.Env, w workload.Workload, f Factory, p Params) (*Report, error) {
+// It replays script, validated for one machine (Script.Validate(0)), against
+// the session. Like Run, it must be called from a task tracked by the runtime.
+func RunEnv(env *loader.Env, w workload.Workload, f Factory, p Params, script chaos.Script) (*Report, error) {
 	ctx := context.Background()
 
 	rt := env.RT
@@ -353,7 +349,7 @@ func RunEnv(env *loader.Env, w workload.Workload, f Factory, p Params) (*Report,
 		return nil, err
 	}
 
-	cst := StartChaos(env, p.Chaos)
+	cst := StartChaos(env, script)
 
 	// Per-GPU consumers.
 	consumers := simtime.NewWaitGroup(rt)
@@ -531,7 +527,7 @@ func Simulate(cfg hardware.Config, w workload.Workload, f Factory, p Params) (*R
 	k.Run(func() {
 		pool := data.NewPool()
 		k.Own(pool)
-		rep, err = RunEnv(testbedEnv(k, hardware.NewTestbed(k, cfg), pool), w, f, p)
+		rep, err = RunEnv(testbedEnv(k, hardware.NewTestbed(k, cfg), pool), w, f, p, chaos.Script{})
 	})
 	k.Recycle()
 	return rep, err
