@@ -130,6 +130,44 @@ func TestTrainPreemptResume(t *testing.T) {
 	}
 }
 
+// TestOverlappingFaults: a fault of a target that is already faulted has no
+// window of its own to clear, so Validate refuses it — two overlapping
+// brownouts of one disk, where the first restore would end both. Two
+// overlapping worker stalls on one node are independent hog sets, and each
+// clears its own window when its own hogs drain.
+func TestOverlappingFaults(t *testing.T) {
+	w, _ := WorkloadByName("speech-3s", 1)
+	_, err := Train(w, WithGPUs(1), WithIterations(40), WithChaos(ComposeChaos("brownouts",
+		BrownoutDisk(time.Second, 8, 2*time.Second), BrownoutDisk(2*time.Second, 4, 2*time.Second))))
+	var ce *ConfigError
+	if !errors.As(err, &ce) || ce.Option != "WithChaos" || !strings.Contains(err.Error(), "already in effect") {
+		t.Fatalf("overlapping brownouts: %v, want a *ConfigError for WithChaos", err)
+	}
+
+	rep, err := Train(w, WithGPUs(1), WithIterations(40), WithChaos(ComposeChaos("stalls",
+		StallWorkers(0, time.Second, 1, 3*time.Second), StallWorkers(0, 2*time.Second, 1, time.Second))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Faults) != 2 {
+		t.Fatalf("faults %+v, want two stalls", rep.Faults)
+	}
+	long, short := rep.Faults[0], rep.Faults[1]
+	for _, fs := range rep.Faults {
+		if fs.ClearedAt < fs.AppliedAt+fs.Event.Duration {
+			t.Errorf("%v: window [%v, %v] ends before its hogs' work does", fs.Event, fs.AppliedAt, fs.ClearedAt)
+		}
+	}
+	// The short stall's hogs drain first, and its window ends with them;
+	// the long stall's window stays open until its own hogs drain.
+	if short.ClearedAt >= long.ClearedAt {
+		t.Errorf("the short stall cleared at %v, the long one at %v", short.ClearedAt, long.ClearedAt)
+	}
+	if long.ClearedAt != 5409938875 || short.ClearedAt != 4134241087 {
+		t.Errorf("stall windows moved: long cleared at %d ns, short at %d ns", long.ClearedAt, short.ClearedAt)
+	}
+}
+
 // TestWithChaosReachesTheRun: the script WithChaos gives a training run is
 // replayed against it, through Train and through Cluster.Train, beside a
 // WithParams that tunes what the run records — Params has no script of its

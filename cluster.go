@@ -281,11 +281,7 @@ func (c *Cluster) open(dataset Dataset, o *options, ownsCluster, served bool) (*
 	s.factory, s.spec, s.script = f, spec, script
 	c.seat(&s.seat, o.weight, gpuCount)
 	s.ld = f.New(&s.env, spec)
-	s.name = f.Name
-	if s.name == "" {
-		s.name = s.ld.Name()
-	}
-	s.stats = SessionStats{Tenant: tenantID, Dataset: dataset.Name(), Loader: s.name, Priority: o.weight}
+	s.stats = SessionStats{Tenant: tenantID, Dataset: dataset.Name(), Loader: f.Name, Priority: o.weight}
 	s.rt, s.src, s.retain = c.rt, s, o.retain
 	c.sessions = append(c.sessions, s)
 	s.publish()

@@ -2,24 +2,24 @@
 // simulated training substrate: a Script of timestamped events — node
 // crashes and rejoins, NIC degradation, disk-read slowdowns, CPU worker
 // stalls, session preemption — scheduled on the simtime.Virtual clock and
-// applied to a running session or multi-node job. Because the clock is
-// discrete-event and the script is static data, an identical script
-// against an identical run produces bit-identical reports: chaos here is
-// reproducible by construction, which is what makes recovery-time and
-// p99-step-time SLOs assertable in tests.
+// applied to a running session, multi-node job or preprocessing server.
+// Because the clock is discrete-event and the script is static data, an
+// identical script against an identical run produces bit-identical reports:
+// chaos here is reproducible by construction, which is what makes
+// recovery-time and p99-step-time SLOs assertable in tests.
 //
-// Events divide into two application styles. Continuous-substrate events
-// (link, disk, worker, preempt) take effect at exactly Event.At, applied
-// by an Engine task parked on the virtual clock. Membership events
+// This package alone decides what an event does. Validate and
+// ValidateServed decide which kinds a run shape accepts, and a Controller
+// applies them: it writes disk events onto the disks' slowdown timelines,
+// replays the other continuous-substrate events (link, disk windows, worker
+// stalls, preemption) on one engine task at exactly Event.At, opens and
+// closes their windows in its fault table (Faults), spawns the stall hogs
+// and owns the preemption gate (Pauser). Membership events
 // (NodeCrash/NodeJoin) cannot safely fire mid-step — a synchronous
 // data-parallel cluster has no consistent state there — so the distributed
-// runner applies them at the first step boundary at or after Event.At,
-// the way an elastic agent (TorchElastic-style) reconfigures between
-// steps.
-//
-// What every driver of a script needs exists once, here: the fault-window
-// table and its spans (Faults), the worker-stall hogs (Faults.StallWorkers)
-// and the disk-timeline install loop (InstallDiskTimeline).
+// runner applies them at the first step boundary at or after Event.At, the
+// way an elastic agent (TorchElastic-style) reconfigures between steps, and
+// records them in its controller's table.
 package chaos
 
 import (
@@ -38,7 +38,8 @@ var ErrPreempted = errors.New("minato: session preempted")
 // live node of a multi-node job. Re-exported as minato.ErrNodeLost.
 var ErrNodeLost = errors.New("minato: all nodes lost")
 
-// Kind enumerates fault-event types.
+// Kind enumerates fault-event types. Each closing kind directly follows
+// the kind it closes (Event.window relies on it).
 type Kind int
 
 const (
@@ -77,6 +78,11 @@ const (
 	// Resume unpauses a preempted session.
 	Resume
 )
+
+// Membership reports whether k changes a multi-node job's membership
+// (NodeCrash, NodeJoin): the distributed runner applies those at step
+// boundaries, and a Controller skips them.
+func (k Kind) Membership() bool { return k == NodeCrash || k == NodeJoin }
 
 // String names the kind.
 func (k Kind) String() string {
@@ -179,15 +185,16 @@ func Shift(s Script, d time.Duration) Script {
 
 // Validate checks the script against a run shape: nodes > 0 is a
 // multi-node job with that many ranks; nodes == 0 a single-machine
-// session. It verifies per-kind fields, node bounds, and pairing
-// (join-after-crash per node, resume-after-preempt), and returns a
-// descriptive error on the first violation. A crash schedule that leaves
-// zero live nodes is legal here — the runner detects it at the step
-// boundary where it actually happens and unwinds with ErrNodeLost.
+// session. It verifies per-kind fields, node bounds, and pairing in the
+// order the events apply: a join needs its node crashed, a resume a
+// preemption, a restore its link or the disk degraded, and a crash, a
+// preemption or a degrade needs its target whole. It returns a descriptive
+// error on the first violation. A crash schedule that leaves zero live
+// nodes is legal here — the runner detects it at the step boundary where it
+// actually happens and unwinds with ErrNodeLost.
 func (s Script) Validate(nodes int) error {
 	multi := nodes > 0
-	crashed := map[int]bool{}
-	paused := false
+	open := map[[2]int]bool{} // the windows in effect (Event.window)
 	for _, ev := range s.Sorted() {
 		if ev.At < 0 {
 			return fmt.Errorf("%v: negative time", ev)
@@ -222,30 +229,53 @@ func (s Script) Validate(nodes int) error {
 				return fmt.Errorf("%v: factor must be ≥ 1", ev)
 			}
 		}
-		switch ev.Kind {
-		case NodeCrash:
-			if crashed[ev.Node] {
-				return fmt.Errorf("%v: node already crashed", ev)
+		if w, closes, ok := ev.window(); ok {
+			switch {
+			case closes && !open[w]:
+				return fmt.Errorf("%v: no %v in effect", ev, Kind(w[0]))
+			case !closes && open[w]:
+				return fmt.Errorf("%v: %v already in effect", ev, Kind(w[0]))
 			}
-			crashed[ev.Node] = true
-		case NodeJoin:
-			if !crashed[ev.Node] {
-				return fmt.Errorf("%v: node is not crashed", ev)
-			}
-			crashed[ev.Node] = false
-		case Preempt:
-			if paused {
-				return fmt.Errorf("%v: session already preempted", ev)
-			}
-			paused = true
-		case Resume:
-			if !paused {
-				return fmt.Errorf("%v: session is not preempted", ev)
-			}
-			paused = false
+			open[w] = !closes
 		}
 	}
 	return nil
+}
+
+// window names the fault window ev opens or closes — a node's crash, a
+// link's degradation, the disk's brownout, the session's preemption — as
+// (opening kind, node), and reports whether ev closes it. ok is false for a
+// worker stall: only its own hogs close its window. Each closing kind
+// follows its opening one.
+func (ev Event) window() (w [2]int, closes, ok bool) {
+	switch ev.Kind {
+	case NodeCrash, LinkDegrade:
+		return [2]int{int(ev.Kind), ev.Node}, false, true
+	case NodeJoin, LinkRestore:
+		return [2]int{int(ev.Kind - 1), ev.Node}, true, true
+	case DiskDegrade, Preempt: // one target each, whatever Node says
+		return [2]int{int(ev.Kind), 0}, false, true
+	case DiskRestore, Resume:
+		return [2]int{int(ev.Kind - 1), 0}, true, true
+	}
+	return w, false, false
+}
+
+// ValidateServed checks the script against a preprocessing server in a
+// fleet of the given size: link events degrade a fleet member's NIC by
+// index and disk events brown out the server's storage. Training-run kinds
+// (crash, preempt, worker stall) are refused — they script consumers, and a
+// server has none. Bounds, factors and pairing are Validate's, with the
+// fleet as the cluster.
+func (s Script) ValidateServed(fleet int) error {
+	for _, ev := range s.Events {
+		switch ev.Kind {
+		case LinkDegrade, LinkRestore, DiskDegrade, DiskRestore:
+		default:
+			return fmt.Errorf("%v events apply to training runs, not preprocessing servers", ev.Kind)
+		}
+	}
+	return s.Validate(fleet)
 }
 
 // FaultStat is one applied fault in a report: when it took effect, when

@@ -42,6 +42,13 @@ func TestValidate(t *testing.T) {
 		{"preempt-multinode", PreemptFor(time.Second, time.Second), 4, false},
 		{"double-preempt", Compose("", PreemptFor(time.Second, 0), PreemptFor(2*time.Second, 0)), 0, false},
 		{"resume-alone", Script{Events: []Event{{At: time.Second, Kind: Resume}}}, 0, false},
+		{"brownouts-back-to-back", Compose("", BrownoutDisk(time.Second, 8, time.Second), BrownoutDisk(2*time.Second, 4, time.Second)), 0, true},
+		{"brownouts-overlapping", Compose("", BrownoutDisk(time.Second, 8, 2*time.Second), BrownoutDisk(2*time.Second, 4, 2*time.Second)), 0, false},
+		{"disk-restore-alone", Script{Events: []Event{{At: time.Second, Kind: DiskRestore}}}, 4, false},
+		{"flaps-on-two-links", Compose("", FlapLink(1, time.Second, 8, 2*time.Second), FlapLink(2, 2*time.Second, 4, 2*time.Second)), 4, true},
+		{"flaps-overlapping", Compose("", FlapLink(1, time.Second, 8, 2*time.Second), FlapLink(1, 2*time.Second, 4, 2*time.Second)), 4, false},
+		{"link-restore-alone", Script{Events: []Event{{At: time.Second, Kind: LinkRestore, Node: 1}}}, 4, false},
+		{"stalls-overlapping", Compose("", StallWorkers(0, time.Second, 1, 3*time.Second), StallWorkers(0, 2*time.Second, 1, time.Second)), 0, true},
 	}
 	for _, tc := range cases {
 		err := tc.script.Validate(tc.nodes)
@@ -50,6 +57,26 @@ func TestValidate(t *testing.T) {
 		}
 		if !tc.ok && err == nil {
 			t.Errorf("%s: validation passed, want error", tc.name)
+		}
+	}
+}
+
+func TestValidateServed(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		script Script
+		fleet  int
+		ok     bool
+	}{
+		{"link-flap", FlapLink(1, time.Second, 8, time.Second), 2, true},
+		{"link-outside-fleet", FlapLink(2, time.Second, 8, time.Second), 2, false},
+		{"disk-brownout", BrownoutDisk(time.Second, 8, time.Second), 1, true},
+		{"worker-stall", StallWorkers(0, time.Second, 2, time.Second), 1, false},
+		{"preempt", PreemptFor(time.Second, time.Second), 1, false},
+		{"crash", CrashNode(0, time.Second, 2*time.Second), 1, false},
+	} {
+		if err := tc.script.ValidateServed(tc.fleet); (err == nil) != tc.ok {
+			t.Errorf("%s: ValidateServed(%d) = %v, want ok=%v", tc.name, tc.fleet, err, tc.ok)
 		}
 	}
 }
@@ -96,51 +123,48 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestEngineAppliesAtEventTimes: the controller's engine applies each event
+// at its scripted time, in order, and a stall's window closes when its hogs
+// drain.
 func TestEngineAppliesAtEventTimes(t *testing.T) {
 	k := simtime.NewVirtual()
+	c := NewController(k, 0, 0, 0, nil)
 	k.Run(func() {
 		wg := simtime.NewWaitGroup(k)
-		var applied []Event
-		var times []time.Duration
 		s := Compose("",
 			BrownoutDisk(time.Second, 2, 2*time.Second),
 			StallWorkers(0, 2*time.Second, 2, time.Second),
 		)
-		StartEngine(k, wg, s.Sorted(), func(ev Event) {
-			applied = append(applied, ev)
-			times = append(times, k.Now())
-		})
+		c.Start(s.Sorted(), Targets{WG: wg, CPUs: []*device.Device{device.New(k, "cpu", 1)}})
 		_ = wg.Wait(context.Background())
-		wantKinds := []Kind{DiskDegrade, WorkerStall, DiskRestore}
-		wantTimes := []time.Duration{time.Second, 2 * time.Second, 3 * time.Second}
-		if len(applied) != len(wantKinds) {
-			t.Fatalf("applied %d events, want %d", len(applied), len(wantKinds))
-		}
-		for i := range applied {
-			if applied[i].Kind != wantKinds[i] || times[i] != wantTimes[i] {
-				t.Errorf("event %d: %v at %v, want %v at %v", i, applied[i].Kind, times[i], wantKinds[i], wantTimes[i])
-			}
-		}
 	})
+	got := c.Stats()
+	want := []FaultStat{
+		{Event: got[0].Event, AppliedAt: time.Second, ClearedAt: 3 * time.Second},
+		// Two hogs share one core: each second of hog work takes two.
+		{Event: got[1].Event, AppliedAt: 2 * time.Second, ClearedAt: 4 * time.Second},
+	}
+	got[1].ClearedAt = got[1].ClearedAt.Round(time.Millisecond)
+	if !reflect.DeepEqual(got, want) || got[0].Event.Kind != DiskDegrade || got[1].Event.Kind != WorkerStall {
+		t.Fatalf("table:\n got %+v\nwant %+v", got, want)
+	}
 }
 
 func TestEngineStopDropsPendingEvents(t *testing.T) {
 	k := simtime.NewVirtual()
+	c := NewController(k, 0, 0, 0, nil)
 	k.Run(func() {
 		wg := simtime.NewWaitGroup(k)
-		var applied int
-		eng := StartEngine(k, wg, BrownoutDisk(time.Second, 2, time.Hour).Sorted(), func(Event) {
-			applied++
-		})
+		c.Start(BrownoutDisk(time.Second, 2, time.Hour).Sorted(), Targets{WG: wg})
 		_ = k.Sleep(context.Background(), 2*time.Second)
-		eng.Stop()
+		c.Stop()
 		_ = wg.Wait(context.Background())
-		if applied != 1 {
-			t.Fatalf("applied %d events, want 1 (restore dropped by Stop)", applied)
-		}
 	})
-	var nilEng *Engine
-	nilEng.Stop() // must not panic
+	if got := c.Stats(); len(got) != 1 || got[0].ClearedAt != 0 {
+		t.Fatalf("table %+v, want one window, never cleared (restore dropped by Stop)", got)
+	}
+	var nilCtl *Controller
+	nilCtl.Stop() // must not panic
 }
 
 func TestPauserBlocksAndResumes(t *testing.T) {
@@ -199,9 +223,9 @@ func TestPauserTerminalReturnsErrPreempted(t *testing.T) {
 	}
 }
 
-// TestFaultsTable drives the shared fault table the way its two drivers do:
-// windows keyed by (kind, node), the stall attributed between open and close,
-// an instant event completed later through At, hogs that close their own
+// TestFaultsTable drives the fault table the way its drivers do: windows
+// keyed by (kind, node), the stall attributed between open and close, an
+// instant event completed later through At, hogs that close their own
 // window, and the spans each of them leaves.
 func TestFaultsTable(t *testing.T) {
 	k := simtime.NewVirtual()
@@ -210,17 +234,18 @@ func TestFaultsTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stall time.Duration
-	f := NewFaults(k, 7, func() time.Duration { return stall })
+	f := NewController(k, 4, 7, -1, func() time.Duration { return stall })
 	k.Run(func() {
 		ctx := context.Background()
 		wg := simtime.NewWaitGroup(k)
+		f.t = Targets{WG: wg}
 		cpu := device.New(k, "cpu", 2)
 		_ = k.Sleep(ctx, time.Second)
 		f.Open(Event{At: time.Second, Kind: LinkDegrade, Node: 1, Factor: 4}, 1)
 		f.Open(Event{At: time.Second, Kind: LinkDegrade, Node: 2, Factor: 4}, 2)
 		// Two shared cores, factor 1.5: three hogs of 2s each drain in 3s
 		// (and the device's round-up nanosecond).
-		f.StallWorkers(wg, cpu, Event{At: time.Second, Kind: WorkerStall, Factor: 1.5, Duration: 2 * time.Second}, 0)
+		f.stallWorkers(cpu, Event{At: time.Second, Kind: WorkerStall, Factor: 1.5, Duration: 2 * time.Second}, 0)
 		stall = 300 * time.Millisecond
 		_ = k.Sleep(ctx, time.Second)
 		if fs := f.Close(LinkDegrade, 2); fs == nil || fs.Event.Node != 2 || fs.StallDuring != 300*time.Millisecond {
@@ -228,6 +253,9 @@ func TestFaultsTable(t *testing.T) {
 		}
 		if fs := f.Close(LinkDegrade, 2); fs != nil {
 			t.Errorf("a window closed twice: %+v", fs)
+		}
+		if fs := f.Close(WorkerStall, 0); fs != nil {
+			t.Errorf("Close found a stall's window, which only its hogs close: %+v", fs)
 		}
 		i := f.Instant(Event{At: 2 * time.Second, Kind: NodeJoin, Node: 3}, 3)
 		f.At(i).Recovery = time.Minute
@@ -262,12 +290,16 @@ func TestFaultsTable(t *testing.T) {
 	}
 }
 
+// TestInstallDiskTimeline: Start writes the disk events onto every disk's
+// slowdown timeline, skipping nil disks.
 func TestInstallDiskTimeline(t *testing.T) {
 	k := simtime.NewVirtual()
 	disk := storage.NewDisk(k, "disk", 1e9, 1)
-	InstallDiskTimeline(BrownoutDisk(time.Second, 4, time.Second).Events, nil, disk)
 	k.Run(func() {
 		ctx := context.Background()
+		wg := simtime.NewWaitGroup(k)
+		NewController(k, 0, 0, 0, nil).Start(BrownoutDisk(time.Second, 4, time.Second).Sorted(),
+			Targets{WG: wg, Disks: []*storage.Disk{nil, disk}})
 		read := func() time.Duration {
 			t0 := k.Now()
 			_ = disk.Read(ctx, 1e9)
@@ -282,5 +314,6 @@ func TestInstallDiskTimeline(t *testing.T) {
 		if d := read(); d != time.Second {
 			t.Errorf("read after the restore took %v, want 1s", d)
 		}
+		_ = wg.Wait(ctx)
 	})
 }

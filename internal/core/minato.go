@@ -83,9 +83,6 @@ type Config struct {
 	// samples instead of resuming from the recorded transform index
 	// (ablation of Algorithm 1's resume design).
 	RestartSlowFromScratch bool
-
-	// LoaderName overrides the reported name.
-	LoaderName string
 }
 
 // DefaultConfig returns the paper's configuration (§5.1).
@@ -260,14 +257,6 @@ func Recycle(ld loader.Loader) {
 		l.run = run{}
 		stock.Put(l)
 	}
-}
-
-// Name implements loader.Loader.
-func (l *Loader) Name() string {
-	if l.cfg.LoaderName != "" {
-		return l.cfg.LoaderName
-	}
-	return "minato"
 }
 
 // maxWorkersNow returns the pool's current upper bound: the CPU core count

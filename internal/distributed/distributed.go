@@ -20,8 +20,8 @@
 // # Fault injection and elastic membership
 //
 // Run may be given a chaos.Script. Continuous-substrate events (link,
-// disk, worker stalls) are replayed by a chaos.Engine task at their exact
-// scripted times into the shared fault table (chaos.Faults). Membership events (NodeCrash/NodeJoin) switch the run
+// disk, worker stalls) are applied by a chaos.Controller at their exact
+// scripted times. Membership events (NodeCrash/NodeJoin) switch the run
 // into elastic mode: they are applied at the first step boundary at or
 // after their time, inside the resume barrier's release hook, where every
 // consumer in the cluster is parked — a quiescent point, the way an
@@ -48,6 +48,7 @@ import (
 	"github.com/minatoloader/minato/internal/chaos"
 	"github.com/minatoloader/minato/internal/data"
 	"github.com/minatoloader/minato/internal/dataset"
+	"github.com/minatoloader/minato/internal/device"
 	"github.com/minatoloader/minato/internal/dist"
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loader"
@@ -263,35 +264,34 @@ type memberView struct {
 	done    bool
 }
 
-// ctrl is the run's chaos-and-SLO controller: plain state of the run's
+// ctrl is the run's membership-and-SLO controller: plain state of the run's
 // kernel tasks. It keeps what is elastic — membership views, resharding,
-// per-node join recovery — over the shared fault table (chaos.Faults). Its
-// onBoundary hook runs in the resume barrier's releasing arriver, with every
-// other consumer parked (the next release cannot begin until each
-// re-arrives); the continuous-event engine task appends to the fault table at
+// per-node join recovery — over the fault controller that applies every
+// other event (chaos.Controller), whose table it records membership into.
+// Its onBoundary hook runs in the resume barrier's releasing arriver, with
+// every other consumer parked (the next release cannot begin until each
+// re-arrives); the fault controller's engine task appends to the table at
 // its own instants.
 type ctrl struct {
 	k       *simtime.Virtual
 	w       workload.Workload
 	f       trainer.Factory
 	fab     *netsim.Fabric
-	wg      *simtime.WaitGroup
 	nodes   []*nodeState
-	baseBW  []float64
 	seed    uint64
 	elastic bool
 
 	view *memberView
 
 	// Boundary-hook state (single-threaded: see above).
-	pending      []chaos.Event // membership events, sorted
+	pending      []chaos.Event // the script, sorted: the hook applies its membership events
 	next         int
 	rounds       int64
 	target       int64 // elastic mode: rounds to run
 	lastBoundary time.Duration
 	hist         *metrics.LogHist
 
-	faults     *chaos.Faults
+	faults     *chaos.Controller
 	pendingRec map[int]int // node → faults index awaiting first post-join step
 
 	consumeErr error
@@ -305,28 +305,6 @@ func (st *ctrl) totalStall() time.Duration {
 		sum += nd.dataStall + nd.barrierStall + nd.networkStall
 	}
 	return sum
-}
-
-// applyContinuous handles the engine-replayed event kinds at their exact
-// scripted times; Run validated every node index against the cluster. Disk
-// windows are keyed on node -1: they target the storage substrate as a whole.
-func (st *ctrl) applyContinuous(ev chaos.Event) {
-	switch ev.Kind {
-	case chaos.LinkDegrade:
-		st.fab.SetBandwidth(ev.Node, st.baseBW[ev.Node]/ev.Factor)
-		st.faults.Open(ev, ev.Node)
-	case chaos.LinkRestore:
-		st.fab.SetBandwidth(ev.Node, st.baseBW[ev.Node])
-		st.faults.Close(chaos.LinkDegrade, ev.Node)
-	case chaos.DiskDegrade:
-		// The slowdown timeline was installed before the run started; only
-		// the fault window is recorded here.
-		st.faults.Open(ev, -1)
-	case chaos.DiskRestore:
-		st.faults.Close(chaos.DiskDegrade, -1)
-	case chaos.WorkerStall:
-		st.faults.StallWorkers(st.wg, st.nodes[ev.Node].tb.CPU, ev, ev.Node)
-	}
 }
 
 // onBoundary runs at every completed resume-barrier generation, in the
@@ -455,16 +433,11 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 	nodeCfgs := t.nodeConfigs()
 	n := len(nodeCfgs)
 
-	var memberEvs, contEvs []chaos.Event
-	for _, ev := range script.Sorted() {
-		switch ev.Kind {
-		case chaos.NodeCrash, chaos.NodeJoin:
-			memberEvs = append(memberEvs, ev)
-		default:
-			contEvs = append(contEvs, ev)
-		}
+	events := script.Sorted()
+	elastic := false
+	for _, ev := range events {
+		elastic = elastic || ev.Kind.Membership()
 	}
-	elastic := len(memberEvs) > 0
 
 	// Fabric endpoints: one per node, plus the storage server when the
 	// dataset is remote.
@@ -479,16 +452,16 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 		Bandwidth: t.LinkBandwidth,
 		Latency:   t.LinkLatency,
 	})
-	// baseBW is each node's configured NIC bandwidth after static
-	// degradation — the level LinkRestore returns to.
-	baseBW := make([]float64, n)
-	for i := range baseBW {
-		baseBW[i] = t.LinkBandwidth
+	// Each node's NIC is its fabric endpoint, at its configured bandwidth
+	// after static degradation — the level LinkRestore returns to.
+	nics := make([]chaos.NIC, n)
+	for i := range nics {
+		nics[i] = chaos.NIC{Endpoint: i, Bandwidth: t.LinkBandwidth}
 	}
 	for _, d := range t.Degraded {
 		if d.Factor > 1 {
-			baseBW[d.Node] /= d.Factor
-			fab.SetBandwidth(d.Node, baseBW[d.Node])
+			nics[d.Node].Bandwidth /= d.Factor
+			fab.SetBandwidth(d.Node, nics[d.Node].Bandwidth)
 		}
 	}
 
@@ -508,6 +481,7 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 	perm := dist.Permutation(spec.Seed, shardStream, n)
 
 	nodes := make([]*nodeState, n)
+	cpus := make([]*device.Device, n) // the worker stalls' targets
 	nodeEPs := make([]int, n)
 	initLoaders := make([]loader.Loader, n)
 	initRanks := make([]int, n)
@@ -530,7 +504,7 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 		k.Own(pool)
 		env := &loader.Env{RT: k, CPU: tb.CPU, GPUs: tb.GPUs, Store: store, WG: wg,
 			Pool: pool, TraceNode: int32(i)}
-		nodes[i] = &nodeState{tb: tb, env: env}
+		nodes[i], cpus[i] = &nodeState{tb: tb, env: env}, tb.CPU
 		sp := shardW.Spec()
 		if t := int64(sp.TotalBatches() / len(tb.GPUs)); t < target {
 			target = t
@@ -553,13 +527,15 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 	}
 
 	st := &ctrl{
-		k: k, w: w, f: f, fab: fab, wg: wg,
-		nodes: nodes, baseBW: baseBW, seed: spec.Seed, elastic: elastic,
-		pending: memberEvs, target: target,
+		k: k, w: w, f: f, fab: fab,
+		nodes: nodes, seed: spec.Seed, elastic: elastic,
+		pending: events, target: target,
 		hist:       metrics.NewLogHist(),
 		pendingRec: map[int]int{},
 	}
-	st.faults = chaos.NewFaults(k, 0, st.totalStall)
+	// Disk windows are labelled node -1: they target the storage substrate
+	// as a whole.
+	st.faults = chaos.NewController(k, n, 0, -1, st.totalStall)
 	st.view = &memberView{
 		active:  initActive,
 		loaders: initLoaders,
@@ -590,7 +566,7 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 		}
 	}
 	// Disk degradation hits the storage server on a remote-store cluster,
-	// every node's disk otherwise; the engine replay keeps the fault windows.
+	// every node's disk otherwise.
 	disks := []*storage.Disk{serverDisk}
 	if t.LocalStore {
 		disks = nil
@@ -598,8 +574,7 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 			disks = append(disks, nd.tb.Disk)
 		}
 	}
-	chaos.InstallDiskTimeline(contEvs, disks...)
-	eng := chaos.StartEngine(k, wg, contEvs, st.applyContinuous)
+	st.faults.Start(events, chaos.Targets{WG: wg, Disks: disks, CPUs: cpus, Links: fab, NICs: nics})
 
 	start := k.Now()
 	st.lastBoundary = start
@@ -695,7 +670,7 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 	if err := consumers.Wait(ctx); err != nil {
 		return err
 	}
-	eng.Stop()
+	st.faults.Stop()
 	for _, ld := range st.view.loaders {
 		if ld != nil {
 			ld.Stop()

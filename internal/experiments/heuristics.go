@@ -35,7 +35,6 @@ func runFig3(o Options) (*Result, error) {
 	// adaptive scheduler is disabled and the pool stays at 12 workers.
 	sizeCfg := core.DefaultConfig()
 	sizeCfg.SizeHeuristicThreshold = int64(sizes.Quantile(0.75))
-	sizeCfg.LoaderName = "size-heuristic"
 	sizeCfg.DisableAdaptiveWorkers = true
 	sizeCfg.InitialWorkersPerGPU = 3 // 12 workers on the 4-GPU testbed
 	sizeF := loaders.Minato(sizeCfg)

@@ -96,9 +96,6 @@ func New(env *loader.Env, spec loader.Spec, cfg Config) *Loader {
 	return l
 }
 
-// Name implements loader.Loader.
-func (l *Loader) Name() string { return "dali" }
-
 // Start implements loader.Loader.
 func (l *Loader) Start(ctx context.Context) error {
 	ctx = l.scope.Begin(l.env.RT, ctx)

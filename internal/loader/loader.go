@@ -27,9 +27,6 @@ import (
 // GPU consumer; Stop initiates shutdown (loaders also stop on their own
 // after delivering their budget).
 type Loader interface {
-	// Name identifies the loader in reports ("pytorch", "dali", "pecan",
-	// "minato").
-	Name() string
 	// Start launches background tasks into the loader's Env.WG group.
 	Start(ctx context.Context) error
 	// Next returns the next batch for GPU consumer g, or io.EOF after the

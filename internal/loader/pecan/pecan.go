@@ -22,6 +22,5 @@ func New(env *loader.Env, spec loader.Spec) *pytorch.Loader {
 		Workers:        12,
 		PrefetchFactor: 2,
 		ReorderPolicy:  transform.AutoOrder,
-		LoaderName:     "pecan",
 	})
 }

@@ -1,4 +1,4 @@
-package pecan
+package pecan_test
 
 import (
 	"context"
@@ -10,12 +10,19 @@ import (
 	"github.com/minatoloader/minato/internal/device"
 	"github.com/minatoloader/minato/internal/gpu"
 	"github.com/minatoloader/minato/internal/loader"
+	"github.com/minatoloader/minato/internal/loaders"
 	"github.com/minatoloader/minato/internal/simtime"
 	"github.com/minatoloader/minato/internal/storage"
 	"github.com/minatoloader/minato/internal/transform"
 )
 
+// TestPecanDeliversAndIsNamed: the registered factory is named "pecan" (a
+// loader's one name) and its loader delivers fully preprocessed batches.
 func TestPecanDeliversAndIsNamed(t *testing.T) {
+	f, ok := loaders.ByName("pecan")
+	if !ok || f.Name != "pecan" {
+		t.Fatalf("registered pecan factory = %q, %v", f.Name, ok)
+	}
 	k := simtime.NewVirtual()
 	k.Run(func() {
 		disk := storage.NewDisk(k, "disk", 10e9, 2)
@@ -33,10 +40,7 @@ func TestPecanDeliversAndIsNamed(t *testing.T) {
 			Iterations: 10,
 			Seed:       1,
 		}
-		l := New(env, spec)
-		if l.Name() != "pecan" {
-			t.Fatalf("name = %s", l.Name())
-		}
+		l := f.New(env, spec)
 		if err := l.Start(context.Background()); err != nil {
 			t.Fatal(err)
 		}

@@ -36,8 +36,6 @@ type Config struct {
 	// memoized per classification signature (transform.OrderCache), so the
 	// policy runs once per distinct signature, not once per sample.
 	ReorderPolicy func(ts []transform.Transform, s *data.Sample) []transform.Transform
-	// LoaderName overrides the reported name (used by the pecan wrapper).
-	LoaderName string
 }
 
 // DefaultConfig returns the paper's baseline configuration (§5.1).
@@ -100,14 +98,6 @@ func New(env *loader.Env, spec loader.Spec, cfg Config) *Loader {
 			queue.New[batchTask](env.RT, "pytorch-tasks", cfg.PrefetchFactor))
 	}
 	return l
-}
-
-// Name implements loader.Loader.
-func (l *Loader) Name() string {
-	if l.cfg.LoaderName != "" {
-		return l.cfg.LoaderName
-	}
-	return "pytorch"
 }
 
 // Start implements loader.Loader.

@@ -169,11 +169,7 @@ func TestReorderPolicyApplied(t *testing.T) {
 			sigs[sig] = true
 			return transform.AutoOrder(ts, s)
 		}
-		cfg.LoaderName = "pecan"
 		l := New(env, speechSpec(4, 5), cfg)
-		if l.Name() != "pecan" {
-			t.Fatalf("name = %s", l.Name())
-		}
 		_ = l.Start(context.Background())
 		delivered := 0
 		for {

@@ -4,8 +4,8 @@
 // step cost. The trainer records everything the paper's evaluation reports:
 // training time, throughput over time, CPU/GPU utilization, disk reads,
 // accuracy-vs-iteration curves, and batch-composition statistics. Its chaos
-// side (ChaosState) is the single-machine remainder over chaos.Faults: the
-// preemption gate, the step histogram, post-resume recovery.
+// side (ChaosState) is the single-machine remainder over chaos.Controller:
+// the step histogram, the preemption stall, post-resume recovery.
 package trainer
 
 import (
@@ -19,16 +19,20 @@ import (
 	"github.com/minatoloader/minato/internal/cache"
 	"github.com/minatoloader/minato/internal/chaos"
 	"github.com/minatoloader/minato/internal/data"
+	"github.com/minatoloader/minato/internal/device"
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loader"
 	"github.com/minatoloader/minato/internal/metrics"
 	"github.com/minatoloader/minato/internal/simtime"
+	"github.com/minatoloader/minato/internal/storage"
 	"github.com/minatoloader/minato/internal/trace"
 	"github.com/minatoloader/minato/internal/workload"
 )
 
 // Factory builds a loader for a session. Loader packages provide adapters.
 type Factory struct {
+	// Name is the loader's name in every report: the registry's key, or
+	// the name a caller gives a one-off configuration.
 	Name string
 	New  func(env *loader.Env, spec loader.Spec) loader.Loader
 }
@@ -285,16 +289,9 @@ func RunEnv(env *loader.Env, w workload.Workload, f Factory, p Params, script ch
 	spec := w.Spec()
 	ld := f.New(env, spec)
 
-	// The factory's registered name wins over the loader's self-report, so
-	// backends registered under several names (e.g. configuration
-	// variants) stay distinguishable in reports.
-	loaderName := f.Name
-	if loaderName == "" {
-		loaderName = ld.Name()
-	}
 	rep := &Report{
 		Workload: w.Name,
-		Loader:   loaderName,
+		Loader:   f.Name,
 		GPUs:     len(env.GPUs),
 	}
 
@@ -533,87 +530,44 @@ func Simulate(cfg hardware.Config, w workload.Workload, f Factory, p Params) (*R
 	return rep, err
 }
 
-// ChaosState replays a single-machine fault script against a running
-// session and keeps what is single-machine about it: the preemption gate,
-// whether a Preempt is terminal, the step-interval histogram and post-resume
-// recovery, over the shared fault table (chaos.Faults). A zero script leaves
-// the consumer fast path with a nil-pauser check and a histogram insert per
-// batch. The trainer drives it internally; loading sessions drive it from the
-// facade through StartChaos/Gate/NoteStep/Stop/Finish. Task-only, except
-// Finish, which reads it once the session's tasks have drained. A nil
-// *ChaosState — a served stream: no script, nobody to read its report — gates
-// nothing and records nothing.
+// ChaosState keeps what is single-machine about a session's fault script —
+// the step-interval histogram, the preemption stall its consumers
+// accumulate, and post-resume recovery — over the controller that applies
+// the script (chaos.Controller). A zero script leaves the consumer fast path
+// with a nil-pauser check and a histogram insert per batch. The trainer
+// drives it internally; loading sessions drive it from the facade through
+// StartChaos/Gate/NoteStep/Stop/Finish. Task-only, except Finish, which
+// reads it once the session's tasks have drained. A nil *ChaosState — a
+// served stream: no script, nobody to read its report — gates nothing and
+// records nothing.
 type ChaosState struct {
-	env *loader.Env
-
-	pauser *chaos.Pauser
-	eng    *chaos.Engine
+	ctl *chaos.Controller
 
 	preemptStall time.Duration
 
-	hist       metrics.LogHist
-	lastStep   []time.Duration
-	faults     *chaos.Faults
-	recPending int // fault index awaiting the first post-resume batch
-	resumes    int // Resume events not yet applied: a Preempt with none left is terminal
+	hist     metrics.LogHist
+	lastStep []time.Duration
 }
 
-// StartChaos launches the event replay task on env's wait group (none for an
-// empty script). The script must already be validated for a single-machine
-// run (Script.Validate(0)); disk events act on env.Store.Disk, which may be
-// nil.
+// StartChaos starts the script's controller on env (no task for an empty
+// script). The script must already be validated for a single-machine run
+// (Script.Validate(0)); disk events act on env.Store.Disk, which may be nil,
+// and worker stalls on env.CPU.
 func StartChaos(env *loader.Env, script chaos.Script) *ChaosState {
 	rt := env.RT
 	c := &ChaosState{
-		env:        env,
-		lastStep:   make([]time.Duration, len(env.GPUs)),
-		faults:     chaos.NewFaults(rt, env.TraceTenant(), nil),
-		recPending: -1,
+		ctl:      chaos.NewController(rt, 0, env.TraceTenant(), int(env.TraceNode), nil),
+		lastStep: make([]time.Duration, len(env.GPUs)),
 	}
 	now := rt.Now()
 	for i := range c.lastStep {
 		c.lastStep[i] = now
 	}
-	if script.Empty() {
-		return c
+	if !script.Empty() {
+		c.ctl.Start(script.Sorted(), chaos.Targets{WG: env.WG,
+			Disks: []*storage.Disk{env.Store.Disk}, CPUs: []*device.Device{env.CPU}})
 	}
-	evs := script.Sorted()
-	for _, ev := range evs {
-		if ev.Kind == chaos.Resume {
-			c.resumes++
-		}
-	}
-	// The slowdown itself is the disk's timeline; the engine replays the
-	// same events for the fault windows.
-	chaos.InstallDiskTimeline(evs, env.Store.Disk)
-	c.pauser = chaos.NewPauser(rt)
-	c.eng = chaos.StartEngine(rt, env.WG, evs, c.apply)
 	return c
-}
-
-// apply runs in the engine's task at each event's scripted time.
-func (c *ChaosState) apply(ev chaos.Event) {
-	node := int(c.env.TraceNode)
-	switch ev.Kind {
-	case chaos.DiskDegrade:
-		c.faults.Open(ev, node)
-	case chaos.DiskRestore:
-		c.faults.Close(chaos.DiskDegrade, node)
-	case chaos.WorkerStall:
-		c.faults.StallWorkers(c.env.WG, c.env.CPU, ev, node)
-	case chaos.Preempt:
-		c.faults.Open(ev, node)
-		c.pauser.Pause(c.resumes == 0)
-	case chaos.Resume:
-		c.resumes--
-		c.pauser.Resume()
-		if fs := c.faults.Close(chaos.Preempt, node); fs != nil {
-			// The pause window itself is the stall: every consumer is
-			// parked for its full extent.
-			fs.StallDuring = fs.ClearedAt - fs.AppliedAt
-		}
-		c.recPending = c.faults.Instant(ev, node)
-	}
 }
 
 // NoteStep records a consumer's batch-completion interval and resolves a
@@ -624,10 +578,9 @@ func (c *ChaosState) NoteStep(g int, now time.Duration) {
 	}
 	c.hist.AddDuration(now - c.lastStep[g])
 	c.lastStep[g] = now
-	if c.recPending >= 0 {
-		fs := c.faults.At(c.recPending)
+	if i := c.ctl.Resumed(); i >= 0 {
+		fs := c.ctl.At(i)
 		fs.Recovery = now - fs.AppliedAt
-		c.recPending = -1
 	}
 }
 
@@ -636,7 +589,7 @@ func (c *ChaosState) NoteStep(g int, now time.Duration) {
 // run cannot append trailing fault records.
 func (c *ChaosState) Stop() {
 	if c != nil {
-		c.eng.Stop()
+		c.ctl.Stop()
 	}
 }
 
@@ -648,7 +601,7 @@ func (c *ChaosState) Gate(ctx context.Context) error {
 	if c == nil {
 		return nil
 	}
-	st, err := c.pauser.Wait(ctx)
+	st, err := c.ctl.Gate(ctx)
 	c.preemptStall += max(st, 0)
 	return err
 }
@@ -660,7 +613,7 @@ func (c *ChaosState) Finish(rep *Report) {
 	rep.StepP99 = c.hist.QuantileDuration(0.99)
 	rep.StepHist = &c.hist
 	rep.PreemptStall = c.preemptStall
-	rep.Faults = c.faults.Stats()
+	rep.Faults = c.ctl.Stats()
 }
 
 // clamp01 bounds a utilization sample to [0, 1].

@@ -221,6 +221,8 @@ func (o *options) validate() error {
 		return configErr("WithHardware/WithEnv", "mutually exclusive")
 	case o.factory != nil && o.loaderName != "":
 		return configErr("WithLoader/WithLoaderFactory", "mutually exclusive")
+	case o.factory != nil && o.factory.Name == "":
+		return configErr("WithLoaderFactory", "the factory needs a Name: it is the loader's name in every report")
 	case o.loaderCfg != nil && o.loaderName != "" && o.loaderName != "minato":
 		return configErr("WithLoaderConfig",
 			fmt.Sprintf("WithLoaderConfig configures the minato loader, but %q is selected", o.loaderName))

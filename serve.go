@@ -13,7 +13,7 @@ import (
 	"github.com/minatoloader/minato/internal/netsim"
 	"github.com/minatoloader/minato/internal/service"
 	"github.com/minatoloader/minato/internal/simtime"
-	"github.com/minatoloader/minato/internal/trace"
+	"github.com/minatoloader/minato/internal/storage"
 )
 
 // Disaggregated preprocessing. Serve turns a Cluster into a preprocessing
@@ -157,26 +157,6 @@ func Publish(name string, dataset Dataset, pipeline *Pipeline) Option {
 		}}
 }
 
-// serveShape is the chaos shape of a preprocessing server in a fleet of the
-// given size: link events (targeting fleet indices of servers registered so
-// far) drive NIC degradation through an engine; disk events pre-install
-// slowdown steps on the cluster's disk. Training-run kinds (crash, preempt,
-// worker stall) are rejected — they script consumers, and a server has none.
-// Fleet bounds and factors are Script.Validate's, with the fleet as the
-// cluster.
-func serveShape(fleet int) func(ChaosScript) error {
-	return func(s ChaosScript) error {
-		for _, ev := range s.Events {
-			switch ev.Kind {
-			case ChaosLinkDegrade, ChaosLinkRestore, ChaosDiskDegrade, ChaosDiskRestore:
-			default:
-				return fmt.Errorf("%v events apply to training runs, not preprocessing servers", ev.Kind)
-			}
-		}
-		return s.Validate(fleet)
-	}
-}
-
 // ServerAddr is a running preprocessing server's address: what Dial
 // connects to, and the handle for its stats and shutdown.
 type ServerAddr struct {
@@ -189,41 +169,31 @@ type ServerAddr struct {
 	pub   map[string]published
 	wg    *simtime.WaitGroup
 
-	// link chaos starts lazily at the first admitted stream (shifted to
-	// that instant), so the script measures from when traffic exists —
-	// an engine parked on timers at Serve time would otherwise drag the
-	// idle kernel's clock through the whole script before the first Dial.
-	linkEvents []ChaosEvent
-	eng        *chaos.Engine // started and stopped on the server's kernel
+	// The chaos script starts at the first batch pulled from any of the
+	// server's streams (see clusterOpener.onFirstPull).
+	script ChaosScript
+	ctl    *chaos.Controller // started and stopped on the server's kernel
 
 	closed bool // the kernel's
 }
 
-// startLinkChaos launches the link-fault replay, anchored at the current
-// virtual instant. Runs on a stream pump task at the first batch pulled
-// from any of the server's streams, so the anchor is deterministic.
-func (a *ServerAddr) startLinkChaos() {
-	if a.eng != nil || a.closed {
+// startChaos starts the server's fault controller with the script anchored
+// at the current virtual instant: disk events on the cluster's disk, link
+// events on the NICs of the fleet the script was validated against. Runs on
+// a stream pump task at the first batch pulled from any of the server's
+// streams, so the anchor is deterministic.
+func (a *ServerAddr) startChaos() {
+	if a.ctl != nil || a.closed {
 		return
 	}
-	now := a.rt.Now()
-	events := make([]ChaosEvent, len(a.linkEvents))
-	for i, ev := range a.linkEvents {
-		ev.At += now
-		events[i] = ev
+	k, net := a.rt.k, a.sn.net
+	nics := make([]chaos.NIC, a.fleet+1)
+	for i := range nics {
+		nics[i] = chaos.NIC{Endpoint: net.ServerEndpoint(i), Bandwidth: net.Bandwidth()}
 	}
-	base := a.sn.net.Bandwidth()
-	a.eng = chaos.StartEngine(a.rt.k, a.wg, events, func(ev ChaosEvent) {
-		target := a.sn.net.ServerEndpoint(ev.Node)
-		switch ev.Kind {
-		case ChaosLinkDegrade:
-			a.sn.net.SetBandwidth(target, base/ev.Factor)
-		case ChaosLinkRestore:
-			a.sn.net.SetBandwidth(target, base)
-		}
-		a.rt.k.Trace().Instant(trace.Span{Stage: trace.StageFault,
-			Node: int32(ev.Node), Key: int64(ev.Kind)}, a.rt.Now())
-	})
+	a.ctl = chaos.NewController(k, len(nics), 0, a.fleet, nil)
+	a.ctl.Start(chaos.Shift(a.script, k.Now()).Sorted(), chaos.Targets{WG: a.wg,
+		Disks: []*storage.Disk{a.cl.tb.Disk}, Links: net, NICs: nics})
 }
 
 // Serve starts a disaggregated preprocessing server on the cluster: its
@@ -237,7 +207,9 @@ func (a *ServerAddr) startLinkChaos() {
 // Chaos: WithChaos/WithChaosScenario here take the serve shape — link
 // events degrade a fleet member's NIC by index (the fleet is every server
 // registered on the fabric so far, in Serve order), disk events brown out
-// the cluster's storage. Consumer-side kinds are rejected.
+// the cluster's storage. Consumer-side kinds are rejected. The whole script
+// is measured from the server's first batch pull: its times are offsets
+// from that instant, for link and disk events alike.
 func Serve(cl *Cluster, opts ...Option) (*ServerAddr, error) {
 	if cl == nil {
 		return nil, configErr("Serve", "requires a cluster")
@@ -282,7 +254,7 @@ func Serve(cl *Cluster, opts ...Option) (*ServerAddr, error) {
 func serve(cl *Cluster, sn *ServiceNet, o *options) (*ServerAddr, error) {
 	// Everything that can refuse the server comes before it joins the fleet:
 	// the script is checked against the fleet this server would complete.
-	script, err := o.resolveChaos(serveShape(sn.net.ServerCount() + 1))
+	script, err := o.resolveChaos(func(s ChaosScript) error { return s.ValidateServed(sn.net.ServerCount() + 1) })
 	if err != nil {
 		return nil, err
 	}
@@ -293,28 +265,19 @@ func serve(cl *Cluster, sn *ServiceNet, o *options) (*ServerAddr, error) {
 	if err != nil {
 		return nil, err
 	}
-	fleet := sn.net.RegisterServer(ep)
-	events := script.Sorted()
-	chaos.InstallDiskTimeline(events, cl.tb.Disk)
-	var link []ChaosEvent
-	for _, ev := range events {
-		if ev.Kind == ChaosLinkDegrade || ev.Kind == ChaosLinkRestore {
-			link = append(link, ev)
-		}
-	}
 	addr := &ServerAddr{
-		sn:         sn,
-		rt:         cl.rt,
-		cl:         cl,
-		ep:         ep,
-		fleet:      fleet,
-		pub:        o.published,
-		wg:         simtime.NewWaitGroup(cl.rt.k),
-		linkEvents: link,
+		sn:     sn,
+		rt:     cl.rt,
+		cl:     cl,
+		ep:     ep,
+		fleet:  sn.net.RegisterServer(ep),
+		pub:    o.published,
+		wg:     simtime.NewWaitGroup(cl.rt.k),
+		script: script,
 	}
 	opener := &clusterOpener{cl: cl, pub: o.published}
-	if len(link) > 0 {
-		opener.onFirstPull = addr.startLinkChaos
+	if !script.Empty() {
+		opener.onFirstPull = addr.startChaos
 	}
 	addr.srv = service.NewServer(sn.net, ep, service.ServerConfig{
 		Tokens:     o.tokens,
@@ -346,7 +309,7 @@ func (a *ServerAddr) Stats() (st ServeStats) {
 	return st
 }
 
-// Close shuts the server down: the chaos engine stops, in-flight streams
+// Close shuts the server down: the chaos controller stops, in-flight streams
 // are torn down (their cluster sessions closed), and late frames are
 // drained silently. The backing cluster stays open — closing it is the
 // caller's job, though a cluster closed while it served is reclaimed here,
@@ -359,7 +322,7 @@ func (a *ServerAddr) Close() error {
 			return
 		}
 		a.closed = true
-		a.eng.Stop()
+		a.ctl.Stop()
 		_ = a.wg.Wait(context.Background())
 		a.srv.Close()
 		a.rt.k.Release()
@@ -376,7 +339,7 @@ type clusterOpener struct {
 	cl  *Cluster
 	pub map[string]published
 	// onFirstPull fires once, at the first batch pulled from any stream —
-	// the anchor for the server's lazily started link-chaos replay. The
+	// the anchor for the server's lazily started chaos script. The
 	// anchor is the pull, not the open: between a Dial and its Batches the
 	// kernel is idle, and an engine armed early would be the only timer
 	// holder, dragging the clock through the whole script before traffic

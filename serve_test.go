@@ -524,6 +524,82 @@ func TestServeChaosLinkFlap(t *testing.T) {
 	}
 }
 
+// TestServeChaosDiskBrownoutFromFirstPull: a served script's disk events are
+// offsets from the server's first batch pull, like its link events. A local
+// session on the same cluster runs the kernel's clock past the brownout's
+// scripted end before the first Dial; the brownout still slows the served
+// stream, and its fault window opens At after the first pull and lasts its
+// Duration.
+func TestServeChaosDiskBrownoutFromFirstPull(t *testing.T) {
+	const at, dur = 50 * time.Millisecond, 100 * time.Millisecond
+	sink := NewTraceSink()
+	sn := NewServiceNet(nil, ServiceNetConfig{})
+	cl := serveCluster(t, sn, WithTracing(sink))
+	defer cl.Close()
+	warm, err := cl.Open(serveDataset{space: "brownout-warmup", n: 64}, WithBatchSize(8),
+		WithPipeline(flatPipeline(50*time.Millisecond)))
+	fatalIf(t, err)
+	for _, err := range warm.Batches(context.Background()) {
+		fatalIf(t, err)
+	}
+	_, err = warm.Close()
+	fatalIf(t, err)
+	dialAt := sn.Runtime().Now()
+	if dialAt <= at+dur {
+		t.Fatalf("the warm-up ended at %v, inside the script (%v + %v)", dialAt, at, dur)
+	}
+
+	addr, err := Serve(cl, WithServiceNet(sn), WithTracing(sink), WithChaos(BrownoutDisk(at, 8, dur)),
+		Publish("train", serveDataset{space: "brownout", n: 512}, flatPipeline(time.Millisecond)))
+	fatalIf(t, err)
+	defer addr.Close()
+	rs, err := Dial(addr, WithBatchSize(8), WithIterations(64), WithPrefetch(2))
+	fatalIf(t, err)
+	type arrival struct{ at, wait time.Duration }
+	var arrivals []arrival
+	prev := sn.Runtime().Now()
+	var last *Batch
+	for b, err := range rs.Batches(context.Background()) {
+		fatalIf(t, err)
+		now := sn.Runtime().Now()
+		arrivals = append(arrivals, arrival{now, now - prev})
+		prev, last = now, b
+	}
+	last.Release() // the final batch is the consumer's
+	_, err = rs.Close()
+	fatalIf(t, err)
+
+	var window []TraceSpan
+	for _, sp := range sink.Spans() {
+		if sp.Stage == TraceStageFaultWindow && ChaosKind(sp.Key) == ChaosDiskDegrade {
+			window = append(window, sp)
+		}
+	}
+	if len(window) != 1 {
+		t.Fatalf("%d disk fault windows, want 1", len(window))
+	}
+	w := window[0]
+	if first := w.Start - at; first < dialAt || w.End-w.Start != dur {
+		t.Fatalf("window [%v, %v]: want it to open %v after a first pull at or after %v, for %v",
+			w.Start, w.End, at, dialAt, dur)
+	}
+	// Cold reads bound the stream, so the brownout shows in the waits of
+	// the batches that arrive inside its window.
+	var before, during time.Duration
+	for _, a := range arrivals[1:] {
+		switch {
+		case a.at < w.Start:
+			before = max(before, a.wait)
+		case a.at > w.Start+a.wait && a.at < w.End:
+			during = max(during, a.wait)
+		}
+	}
+	t.Logf("first pull at %v; waits up to %v before the window, %v inside", w.Start-at, before, during)
+	if before == 0 || during < 4*before {
+		t.Fatalf("the brownout did not slow the stream: waits up to %v before its window, %v inside", before, during)
+	}
+}
+
 // TestStreamAllManyClients runs the N-trainers × one-fleet topology on a
 // single kernel and pins its determinism fingerprint across runs. CI runs
 // this under -race.

@@ -33,8 +33,9 @@ func WithLoader(name string) Option {
 }
 
 // WithLoaderFactory bypasses the registry and uses the given factory
-// directly — for one-off configurations not worth registering. Scoped like
-// WithLoader.
+// directly — for one-off configurations not worth registering. The
+// factory's Name, which must not be empty, is the loader's name in the
+// session's stats and report. Scoped like WithLoader.
 func WithLoaderFactory(f Factory) Option {
 	return Option{name: "WithLoaderFactory", scope: runs, v: &f, apply: func(o *options, a Option) { o.factory = a.v.(*Factory) }}
 }
@@ -174,7 +175,6 @@ type Session struct {
 	srv    serveStream
 
 	ld      DataLoader
-	name    string
 	spec    Spec
 	factory Factory
 	script  ChaosScript
@@ -432,7 +432,7 @@ func (s *Session) close() {
 
 // fill fills rep in from a closed session and returns the stream's error.
 func (s *Session) fill(rep *Report) error {
-	*rep = s.report(s.spec.Dataset.Name(), s.name, len(s.env.GPUs))
+	*rep = s.report(s.spec.Dataset.Name(), s.factory.Name, len(s.env.GPUs))
 	rep.CacheStats, rep.MatCacheStats, rep.DiskBytes = s.stats.Cache, s.stats.MatCache, s.disk
 	if s.cst != nil {
 		// The chaos bookkeeping doubles as the SLO view: step-interval

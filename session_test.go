@@ -2,6 +2,7 @@ package minato
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -40,7 +41,7 @@ func TestOpenDefaults(t *testing.T) {
 	if sess.spec.Seed != 1 {
 		t.Errorf("default seed = %d, want 1", sess.spec.Seed)
 	}
-	if got := sess.ld.Name(); got != "minato" {
+	if got := sess.Stats().Loader; got != "minato" {
 		t.Errorf("default loader = %q, want minato", got)
 	}
 	if got := len(sess.env.GPUs); got != 1 {
@@ -79,6 +80,48 @@ func TestOpenValidation(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestFactoryNameIsTheLoaderName: a factory's Name is the one name a loader
+// has. A custom factory's reaches Train's report and an open session's stats
+// and report, and a factory without one is refused.
+func TestFactoryNameIsTheLoaderName(t *testing.T) {
+	f, _ := LoaderByName("minato")
+	f.Name = "my-variant"
+	w, _ := WorkloadByName("speech-3s", 1)
+	rep, err := Train(w.WithIterations(8), WithGPUs(1), WithLoaderFactory(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Loader != "my-variant" {
+		t.Errorf("Train reports loader %q, want my-variant", rep.Loader)
+	}
+	sess, err := Open(sessionDataset{n: 64}, WithBatchSize(8), WithLoaderFactory(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sess.Stats().Loader; got != "my-variant" {
+		t.Errorf("SessionStats.Loader = %q, want my-variant", got)
+	}
+	for _, err := range sess.Batches(context.Background()) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	srep, err := sess.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srep.Loader != "my-variant" {
+		t.Errorf("the session's report names loader %q, want my-variant", srep.Loader)
+	}
+
+	f.Name = ""
+	_, err = Open(sessionDataset{n: 64}, WithLoaderFactory(f))
+	var ce *ConfigError
+	if !errors.As(err, &ce) || ce.Option != "WithLoaderFactory" {
+		t.Fatalf("Open with an unnamed factory = %v, want a *ConfigError for WithLoaderFactory", err)
 	}
 }
 

@@ -217,7 +217,7 @@ func TestTraceExportsPinned(t *testing.T) {
 			}
 			streamAllAndClose(t, sessions)
 		}},
-		{"served-4clients-link-flap", 991, 0xbfc5c86b8151e155, func(t *testing.T, sink *TraceSink) {
+		{"served-4clients-link-flap", 991, 0x5b0c9dc46d6e50f8, func(t *testing.T, sink *TraceSink) {
 			sn := NewServiceNet(nil, ServiceNetConfig{})
 			cl := serveCluster(t, sn, WithTracing(sink))
 			defer cl.Close()
