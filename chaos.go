@@ -24,8 +24,10 @@ import (
 //	)
 //	// rep.RecoveryTime(), rep.StepP99, rep.Faults, rep.PerNode[3].Downtime
 //
-// Single-machine sessions accept disk, worker-stall, and preempt/resume
-// events; multi-node jobs accept node, link, disk, and worker-stall events.
+// A script's times count from its run's start: a training run's start, a
+// loading session's first pull. Single-machine sessions accept disk,
+// worker-stall, and preempt/resume events; multi-node jobs accept node,
+// link, disk, and worker-stall events.
 // Scripts are validated against the run shape at configuration time, so a
 // mismatched script is a *ConfigError, not a silent no-op.
 
@@ -39,15 +41,16 @@ type (
 	ChaosEvent = chaos.Event
 	// ChaosKind enumerates fault-event types (ChaosNodeCrash ... ChaosResume).
 	ChaosKind = chaos.Kind
-	// FaultStat is one applied fault window in a Report:
-	// when it took effect, when it cleared, the measured recovery time, and
-	// the stall attributed to it.
+	// FaultStat is one applied fault window in a Report: the event as
+	// scripted, when it took effect and cleared (instants of the run's
+	// clock), the measured recovery time, and the stall attributed to it.
 	FaultStat = chaos.FaultStat
 )
 
 // The fault kinds. See the chaos package for exact semantics; the short
-// version: membership events (crash/join) apply at step boundaries of a
-// multi-node job, everything else at exactly Event.At.
+// version: Event.At counts from the run's start, membership events
+// (crash/join) apply at step boundaries of a multi-node job, everything
+// else at exactly the run's start plus Event.At.
 const (
 	ChaosNodeCrash   = chaos.NodeCrash
 	ChaosNodeJoin    = chaos.NodeJoin
@@ -102,9 +105,14 @@ func ComposeChaos(name string, scripts ...ChaosScript) ChaosScript {
 }
 
 // ShiftChaos returns a copy of s with every event delayed by d — for
-// staggering one scenario across tenants or runs.
+// staggering one scenario across tenants.
 func ShiftChaos(s ChaosScript, d time.Duration) ChaosScript {
-	return chaos.Shift(s, d)
+	evs := make([]ChaosEvent, len(s.Events))
+	for i, ev := range s.Events {
+		ev.At += d
+		evs[i] = ev
+	}
+	return ChaosScript{Name: s.Name, Events: evs}
 }
 
 // RegisterChaosScenario adds a named scenario builder, the way

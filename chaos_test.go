@@ -667,6 +667,148 @@ func TestTopologyFaultSlices(t *testing.T) {
 	}
 }
 
+// windowsFrom returns each fault's event and window, relative to start. A
+// worker stall's window ends when its hogs drain, which depends on what else
+// the CPU runs, so only its start is kept.
+func windowsFrom(faults []FaultStat, start time.Duration) []string {
+	var out []string
+	for _, f := range faults {
+		cleared := f.ClearedAt - start
+		if f.ClearedAt == 0 || f.Event.Kind == ChaosWorkerStall {
+			cleared = 0
+		}
+		out = append(out, fmt.Sprintf("%v [%v, %v]", f.Event, f.AppliedAt-start, cleared))
+	}
+	return out
+}
+
+// TestClusterTrainFaultsAnchoredAtItsStart: a script's times count from its
+// run's start. A faulted Cluster.Train after runs that moved the cluster's
+// clock gets the fault windows, relative to its start, that it gets on a
+// fresh cluster, and is slower than the unfaulted run before it. (The runs
+// before it warm the page cache, which hides a brownout's cost; the worker
+// stall's shows.)
+func TestClusterTrainFaultsAnchoredAtItsStart(t *testing.T) {
+	faulted := WithChaos(ComposeChaos("anchor",
+		BrownoutDisk(time.Second, 8, 2*time.Second), StallWorkers(0, time.Second, 2, 2*time.Second)))
+	train := func(cl *Cluster, opts ...Option) *Report {
+		t.Helper()
+		rep, err := cl.Train(mnWorkload(20), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	newCluster := func() *Cluster {
+		t.Helper()
+		cl, err := NewCluster(WithEnv(EnvConfig{Cores: 8, GPUs: 1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	fresh := train(newCluster(), faulted)
+	want := windowsFrom(fresh.Faults, 0)
+	if len(want) != 2 {
+		t.Fatalf("fresh cluster: faults %v, want the brownout and the stall", want)
+	}
+
+	cl := newCluster()
+	train(cl)
+	base := train(cl)
+	start := cl.Runtime().Now()
+	if start == 0 {
+		t.Fatal("the unfaulted runs did not move the clock")
+	}
+	rep := train(cl, faulted)
+	if got := windowsFrom(rep.Faults, start); !reflect.DeepEqual(got, want) {
+		t.Errorf("windows from the run's start %v, on a fresh cluster %v", got, want)
+	}
+	if rep.TrainTime <= base.TrainTime {
+		t.Errorf("the faulted run took %v, the unfaulted one before it %v", rep.TrainTime, base.TrainTime)
+	}
+}
+
+// TestSessionFaultsAnchoredAtFirstPull: a loading session's script counts
+// from its first pull. A faulted Cluster.Open session opened after sessions
+// that moved the cluster's clock gets the fault windows, relative to its
+// first pull, that it gets on a fresh cluster, and is slower than the
+// unfaulted session before it.
+func TestSessionFaultsAnchoredAtFirstPull(t *testing.T) {
+	brownout := WithChaos(BrownoutDisk(100*time.Millisecond, 8, 200*time.Millisecond))
+	w := mnWorkload(0)
+	load := func(cl *Cluster, opts ...Option) (*Report, time.Duration) {
+		t.Helper()
+		sess, err := cl.Open(w.Dataset, append([]Option{WithPipeline(w.Pipeline), WithIterations(20)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := cl.Runtime().Now()
+		return drain(t, sess), start
+	}
+	newCluster := func() *Cluster {
+		t.Helper()
+		cl, err := NewCluster(WithEnv(EnvConfig{Cores: 8, GPUs: 1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	fresh, _ := load(newCluster(), brownout)
+	want := windowsFrom(fresh.Faults, 0)
+	if len(want) != 1 {
+		t.Fatalf("fresh cluster: faults %v, want the brownout", want)
+	}
+
+	cl := newCluster()
+	load(cl)
+	base, _ := load(cl)
+	rep, start := load(cl, brownout)
+	if start == 0 {
+		t.Fatal("the unfaulted sessions did not move the clock")
+	}
+	if got := windowsFrom(rep.Faults, start); !reflect.DeepEqual(got, want) {
+		t.Errorf("windows from the first pull %v, on a fresh cluster %v", got, want)
+	}
+	if rep.TrainTime <= base.TrainTime {
+		t.Errorf("the browned-out session took %v, the unfaulted one before it %v", rep.TrainTime, base.TrainTime)
+	}
+}
+
+// TestResumeFromCheckpointAtZero: a checkpoint taken before any batch, at
+// virtual time zero, still restores through the fault ledger: the resumed
+// session records the restore and measures its recovery.
+func TestResumeFromCheckpointAtZero(t *testing.T) {
+	sess, err := Open(sessionDataset{n: 256}, WithPipeline(flatPipeline(2*time.Millisecond)),
+		WithBatchSize(8), WithIterations(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := sess.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Resume(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := drain(t, resumed)
+	if rep.Batches != 4 {
+		t.Fatalf("resumed session delivered %d batches, want 4", rep.Batches)
+	}
+	if len(rep.Faults) != 1 || rep.Faults[0].Event.Kind != ChaosResume {
+		t.Fatalf("faults %+v, want the restore", rep.Faults)
+	}
+	if rep.RecoveryTime() <= 0 {
+		t.Fatalf("RecoveryTime() = %v, want > 0", rep.RecoveryTime())
+	}
+}
+
 // faultLines flattens a run's fault table and its fault spans, in order, one
 // line each — every field TestFaultTablePins pins.
 func faultLines(faults []FaultStat, spans []TraceSpan) []string {
@@ -686,9 +828,13 @@ func faultLines(faults []FaultStat, spans []TraceSpan) []string {
 
 // TestFaultTablePins pins the complete fault table — event, AppliedAt,
 // ClearedAt, Recovery, StallDuring, in order — and every fault span of one
-// single-machine and one elastic multi-node run to the nanosecond. The values
-// were recorded before the three drivers' private fault tables were folded
-// into chaos.Faults, so the shared table is held to what each copy produced.
+// single-machine and one elastic multi-node run to the nanosecond. The
+// windows, recoveries and spans were recorded before the drivers' private
+// fault tables were folded into one controller, so the shared table is held
+// to what each copy produced. A window's stall is the growth of the stall
+// the report counts: on one machine DataStall + PreemptStall, so a
+// preemption's stall is at least the run's PreemptStall and at most its
+// window on each GPU.
 func TestFaultTablePins(t *testing.T) {
 	check := func(t *testing.T, got, want []string) {
 		t.Helper()
@@ -711,9 +857,9 @@ func TestFaultTablePins(t *testing.T) {
 			t.Fatalf("run moved: %d ns, %d batches", rep.TrainTime, rep.Batches)
 		}
 		check(t, faultLines(rep.Faults, sink.Spans()), []string{
-			"fault disk-degrade@5s ×8 applied=5000000000 cleared=15000000000 recovery=0 stall=0",
-			"fault worker-stall@5s node=0 ×2 for=5s applied=5000000000 cleared=16254708183 recovery=0 stall=0",
-			"fault preempt@12s applied=12000000000 cleared=16000000000 recovery=0 stall=4000000000",
+			"fault disk-degrade@5s ×8 applied=5000000000 cleared=15000000000 recovery=0 stall=5680246356",
+			"fault worker-stall@5s node=0 ×2 for=5s applied=5000000000 cleared=16254708183 recovery=0 stall=6680246356",
+			"fault preempt@12s applied=12000000000 cleared=16000000000 recovery=0 stall=3281534092",
 			"fault resume@16s applied=16000000000 cleared=0 recovery=1200000001 stall=0",
 			"span fault [5000000000,5000000000] tenant=1 node=0 key=4",
 			"span fault [5000000000,5000000000] tenant=1 node=0 key=6",
@@ -723,6 +869,12 @@ func TestFaultTablePins(t *testing.T) {
 			"span fault-window [12000000000,16000000000] tenant=1 node=0 key=7",
 			"span fault [16000000000,16000000000] tenant=1 node=0 key=8",
 		})
+		pre := rep.Faults[2]
+		if window := pre.ClearedAt - pre.AppliedAt; pre.StallDuring < rep.PreemptStall ||
+			pre.StallDuring > window*time.Duration(rep.GPUs) {
+			t.Errorf("preemption stall %v outside [PreemptStall %v, window %v × %d GPUs]",
+				pre.StallDuring, rep.PreemptStall, window, rep.GPUs)
+		}
 	})
 	t.Run("multi-node", func(t *testing.T) {
 		sink := NewTraceSink()

@@ -126,9 +126,9 @@ func (ck *Checkpoint) Close() error {
 // Resume restores a checkpointed session on the checkpoint's still-warm
 // cluster: the new session fast-forwards the index stream to the exact next
 // batch — same epoch numbering, same shuffle order — and delivers the
-// remaining budget. Its Report records the restore as a resume fault window,
-// so RecoveryTime() measures checkpoint recovery the same way it measures
-// in-run fault recovery.
+// remaining budget. Its Report records the restore as a resume fault whose
+// recovery runs to the first delivered batch, so RecoveryTime() measures
+// checkpoint recovery the same way it measures in-run fault recovery.
 //
 // The stream identity and the cluster are pinned by the checkpoint: options
 // that would change what is delivered, by which loader or on what substrate
@@ -175,7 +175,7 @@ func Resume(ck *Checkpoint, opts ...Option) (*Session, error) {
 			if ck.consumed {
 				err = configErr("Resume", "checkpoint already consumed")
 			} else if sess, wait, err = ck.cl.open(ck.dataset, o, ck.owns, false); sess != nil {
-				sess.resumedAt = sess.rt.Now()
+				sess.cst.Restored()
 				ck.consumed = true
 			}
 		})

@@ -280,6 +280,9 @@ func (c *Cluster) open(dataset Dataset, o *options, ownsCluster, served bool) (*
 	s.cl, s.ownsCluster, s.served = c, ownsCluster, served
 	s.factory, s.spec, s.script = f, spec, script
 	c.seat(&s.seat, o.weight, gpuCount)
+	if !served {
+		s.cst = trainer.NewChaos(&s.env, nil)
+	}
 	s.ld = f.New(&s.env, spec)
 	s.stats = SessionStats{Tenant: tenantID, Dataset: dataset.Name(), Loader: f.Name, Priority: o.weight}
 	s.rt, s.src, s.retain = c.rt, s, o.retain

@@ -1,25 +1,42 @@
 // Package chaos is a deterministic fault-injection engine for the
-// simulated training substrate: a Script of timestamped events — node
-// crashes and rejoins, NIC degradation, disk-read slowdowns, CPU worker
-// stalls, session preemption — scheduled on the simtime.Virtual clock and
-// applied to a running session, multi-node job or preprocessing server.
-// Because the clock is discrete-event and the script is static data, an
-// identical script against an identical run produces bit-identical reports:
-// chaos here is reproducible by construction, which is what makes
-// recovery-time and p99-step-time SLOs assertable in tests.
+// simulated training substrate: a Script of timed events — node crashes and
+// rejoins, NIC degradation, disk-read slowdowns, CPU worker stalls, session
+// preemption — scheduled on the simtime.Virtual clock and applied to a
+// running session, multi-node job or preprocessing server. Because the
+// clock is discrete-event and the script is static data, an identical
+// script against an identical run produces bit-identical reports: chaos
+// here is reproducible by construction, which is what makes recovery-time
+// and p99-step-time SLOs assertable in tests.
 //
 // This package alone decides what an event does. Validate and
 // ValidateServed decide which kinds a run shape accepts, and a Controller
 // applies them: it writes disk events onto the disks' slowdown timelines,
 // replays the other continuous-substrate events (link, disk windows, worker
-// stalls, preemption) on one engine task at exactly Event.At, opens and
-// closes their windows in its fault table (Faults), spawns the stall hogs
-// and owns the preemption gate (Pauser). Membership events
-// (NodeCrash/NodeJoin) cannot safely fire mid-step — a synchronous
-// data-parallel cluster has no consistent state there — so the distributed
-// runner applies them at the first step boundary at or after Event.At, the
-// way an elastic agent (TorchElastic-style) reconfigures between steps, and
-// records them in its controller's table.
+// stalls, preemption) on one engine task, opens and closes their windows in
+// its fault table, spawns the stall hogs and is the preemption gate.
+// Membership events (NodeCrash/NodeJoin) cannot safely fire mid-step — a
+// synchronous data-parallel cluster has no consistent state there — so the
+// distributed runner takes them from its controller (Due) at the first
+// step boundary at or after their instant, the way an elastic agent
+// (TorchElastic-style) reconfigures between steps, and records them in its
+// controller's table.
+//
+// Every run keeps its fault ledger by three rules:
+//
+//   - Anchor. An event's At counts from its run's start, which the driver
+//     passes to Start: a loading session's first pull, a training run's
+//     start, a multi-node job's start, a server's first pull. The event
+//     applies at start + At, so one script faults a run the same way on a
+//     fresh kernel and on a clock other runs have moved.
+//   - Stall. A window's StallDuring is the growth, while it is open, of the
+//     consumer stall the run's report counts: the driver's own (a training
+//     run's data stall, a multi-node job's data, barrier and network stall)
+//     plus the time consumers spend parked at the preemption gate
+//     (PreemptStall), read live.
+//   - Recovery. A Resume, a NodeJoin and a checkpoint restore each measure
+//     their Recovery from their instant to the driver's next progress point
+//     (a delivered batch, a completed step), on one pending list that the
+//     driver's Progress closes.
 package chaos
 
 import (
@@ -69,11 +86,11 @@ const (
 	// work for Duration — a co-located job stealing preprocessing cores.
 	// On a multi-node job it targets Node's CPU pool.
 	WorkerStall
-	// Preempt pauses a session's training consumers at the next batch
-	// boundary (single-machine sessions only). With a later Resume the
-	// session continues and the pause is attributed as preemption stall;
-	// with none, the session halts with ErrPreempted — checkpoint it and
-	// minato.Resume to continue warm.
+	// Preempt parks a single-machine run's consumers at their next batch
+	// boundary; its loader keeps preprocessing. With a later Resume the
+	// run continues and the consumers' parked time is its preemption stall;
+	// with none, the run halts with ErrPreempted — checkpoint a session
+	// and minato.Resume it to continue warm.
 	Preempt
 	// Resume unpauses a preempted session.
 	Resume
@@ -112,8 +129,8 @@ func (k Kind) String() string {
 
 // Event is one scripted fault.
 type Event struct {
-	// At is the virtual time the event fires (membership events apply at
-	// the first step boundary at or after At).
+	// At is when the event fires, as an offset from the run's start
+	// (membership events apply at the first step boundary at or after it).
 	At time.Duration
 	// Kind selects the fault.
 	Kind Kind
@@ -171,16 +188,6 @@ func Compose(name string, scripts ...Script) Script {
 		out.Events = append(out.Events, s.Events...)
 	}
 	return out
-}
-
-// Shift returns a copy of s with every event delayed by d.
-func Shift(s Script, d time.Duration) Script {
-	evs := make([]Event, len(s.Events))
-	for i, ev := range s.Events {
-		ev.At += d
-		evs[i] = ev
-	}
-	return Script{Name: s.Name, Events: evs}
 }
 
 // Validate checks the script against a run shape: nodes > 0 is a
@@ -278,10 +285,12 @@ func (s Script) ValidateServed(fleet int) error {
 	return s.Validate(fleet)
 }
 
-// FaultStat is one applied fault in a report: when it took effect, when
-// its counterpart cleared it (zero if never), the measured recovery time
-// (NodeJoin: rejoin event to the node's first completed synchronized
-// step; Resume: resume event to the next delivered batch), and the
+// FaultStat is one applied fault in a report. Event is the event as
+// scripted, its At an offset from the run's start; AppliedAt and ClearedAt
+// (zero if never cleared) are instants of the run's kernel. Recovery is
+// measured from the event's instant to the driver's next progress point
+// (NodeJoin: the node's first completed synchronized step; Resume and a
+// checkpoint restore: the next delivered batch). StallDuring is the
 // consumer stall the run accumulated while the fault was active — the
 // per-fault attribution of churn cost.
 type FaultStat struct {

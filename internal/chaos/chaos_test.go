@@ -124,28 +124,29 @@ func TestRegistry(t *testing.T) {
 }
 
 // TestEngineAppliesAtEventTimes: the controller's engine applies each event
-// at its scripted time, in order, and a stall's window closes when its hogs
-// drain.
+// at the run's start plus its At, in order, and records it as scripted; a
+// stall's window closes when its hogs drain.
 func TestEngineAppliesAtEventTimes(t *testing.T) {
 	k := simtime.NewVirtual()
 	c := NewController(k, 0, 0, 0, nil)
+	s := Compose("",
+		BrownoutDisk(time.Second, 2, 2*time.Second),
+		StallWorkers(0, 2*time.Second, 2, time.Second),
+	)
 	k.Run(func() {
 		wg := simtime.NewWaitGroup(k)
-		s := Compose("",
-			BrownoutDisk(time.Second, 2, 2*time.Second),
-			StallWorkers(0, 2*time.Second, 2, time.Second),
-		)
-		c.Start(s.Sorted(), Targets{WG: wg, CPUs: []*device.Device{device.New(k, "cpu", 1)}})
+		_ = k.Sleep(context.Background(), 10*time.Second)
+		c.Start(k.Now(), s, Targets{WG: wg, CPUs: []*device.Device{device.New(k, "cpu", 1)}})
 		_ = wg.Wait(context.Background())
 	})
 	got := c.Stats()
 	want := []FaultStat{
-		{Event: got[0].Event, AppliedAt: time.Second, ClearedAt: 3 * time.Second},
+		{Event: s.Events[0], AppliedAt: 11 * time.Second, ClearedAt: 13 * time.Second},
 		// Two hogs share one core: each second of hog work takes two.
-		{Event: got[1].Event, AppliedAt: 2 * time.Second, ClearedAt: 4 * time.Second},
+		{Event: s.Events[2], AppliedAt: 12 * time.Second, ClearedAt: 14 * time.Second},
 	}
 	got[1].ClearedAt = got[1].ClearedAt.Round(time.Millisecond)
-	if !reflect.DeepEqual(got, want) || got[0].Event.Kind != DiskDegrade || got[1].Event.Kind != WorkerStall {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("table:\n got %+v\nwant %+v", got, want)
 	}
 }
@@ -155,7 +156,7 @@ func TestEngineStopDropsPendingEvents(t *testing.T) {
 	c := NewController(k, 0, 0, 0, nil)
 	k.Run(func() {
 		wg := simtime.NewWaitGroup(k)
-		c.Start(BrownoutDisk(time.Second, 2, time.Hour).Sorted(), Targets{WG: wg})
+		c.Start(0, BrownoutDisk(time.Second, 2, time.Hour), Targets{WG: wg})
 		_ = k.Sleep(context.Background(), 2*time.Second)
 		c.Stop()
 		_ = wg.Wait(context.Background())
@@ -167,66 +168,80 @@ func TestEngineStopDropsPendingEvents(t *testing.T) {
 	nilCtl.Stop() // must not panic
 }
 
-func TestPauserBlocksAndResumes(t *testing.T) {
+// TestGateParksUntilResume: a consumer that reaches the gate inside a
+// preemption parks until its Resume. The gate's stall reads live while the
+// consumer is parked, the window closes on it, and the resume's recovery
+// runs to the driver's next Progress.
+func TestGateParksUntilResume(t *testing.T) {
 	k := simtime.NewVirtual()
+	c := NewController(k, 0, 0, 0, nil)
 	k.Run(func() {
-		p := NewPauser(k)
+		ctx := context.Background()
 		wg := simtime.NewWaitGroup(k)
-		var stalled time.Duration
+		_ = k.Sleep(ctx, 5*time.Second)
+		c.Start(k.Now(), PreemptFor(time.Second, 2*time.Second), Targets{WG: wg})
 		wg.Go("consumer", func() {
-			_ = k.Sleep(context.Background(), time.Second)
-			var err error
-			stalled, err = p.Wait(context.Background())
-			if err != nil {
+			_ = k.Sleep(ctx, 2*time.Second)
+			if err := c.Wait(ctx); err != nil {
 				t.Errorf("Wait: %v", err)
 			}
+			if now := k.Now(); now != 8*time.Second {
+				t.Errorf("the consumer left the gate at %v, want the resume at 8s", now)
+			}
+			_ = k.Sleep(ctx, 500*time.Millisecond)
+			c.Progress(k.Now())
 		})
-		wg.Go("chaos", func() {
-			p.Pause(false)
-			_ = k.Sleep(context.Background(), 3*time.Second)
-			p.Resume()
-		})
-		_ = wg.Wait(context.Background())
-		if stalled != 2*time.Second {
-			t.Fatalf("stalled %v, want 2s", stalled)
+		_ = k.Sleep(ctx, 2500*time.Millisecond)
+		if st := c.PreemptStall(); st != 500*time.Millisecond {
+			t.Errorf("PreemptStall while parked = %v, want 500ms", st)
+		}
+		_ = wg.Wait(ctx)
+		if st := c.PreemptStall(); st != time.Second {
+			t.Errorf("PreemptStall = %v, want 1s", st)
 		}
 	})
+	got := c.Stats()
+	want := []FaultStat{
+		{Event: Event{At: time.Second, Kind: Preempt}, AppliedAt: 6 * time.Second, ClearedAt: 8 * time.Second,
+			StallDuring: time.Second},
+		{Event: Event{At: 3 * time.Second, Kind: Resume}, AppliedAt: 8 * time.Second, Recovery: 500 * time.Millisecond},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("table:\n got %+v\nwant %+v", got, want)
+	}
 }
 
-func TestPauserTerminalReturnsErrPreempted(t *testing.T) {
+// TestGateTerminalReturnsErrPreempted: a preemption with no resume left in
+// the script fails every consumer at the gate, late arrivals included; the
+// gate passes everyone before it.
+func TestGateTerminalReturnsErrPreempted(t *testing.T) {
 	k := simtime.NewVirtual()
+	c := NewController(k, 0, 0, 0, nil)
 	k.Run(func() {
-		p := NewPauser(k)
+		ctx := context.Background()
 		wg := simtime.NewWaitGroup(k)
-		wg.Go("consumer", func() {
-			// Parked on a resumable pause that turns terminal.
-			_ = k.Sleep(context.Background(), 500*time.Millisecond)
-			_, err := p.Wait(context.Background())
-			if !errors.Is(err, ErrPreempted) {
-				t.Errorf("Wait = %v, want ErrPreempted", err)
-			}
-		})
-		wg.Go("chaos", func() {
-			p.Pause(false)
-			_ = k.Sleep(context.Background(), time.Second)
-			p.Pause(true)
-		})
-		_ = wg.Wait(context.Background())
-		// Late arrivals fail immediately.
-		if _, err := p.Wait(context.Background()); !errors.Is(err, ErrPreempted) {
-			t.Fatalf("late Wait = %v, want ErrPreempted", err)
+		c.Start(0, PreemptFor(time.Second, 0), Targets{WG: wg})
+		if err := c.Wait(ctx); err != nil {
+			t.Errorf("Wait before the preemption = %v", err)
+		}
+		_ = k.Sleep(ctx, 1500*time.Millisecond)
+		if err := c.Wait(ctx); !errors.Is(err, ErrPreempted) {
+			t.Errorf("Wait = %v, want ErrPreempted", err)
+		}
+		_ = wg.Wait(ctx)
+		if err := c.Wait(ctx); !errors.Is(err, ErrPreempted) {
+			t.Errorf("late Wait = %v, want ErrPreempted", err)
+		}
+		if st := c.PreemptStall(); st != 0 {
+			t.Errorf("PreemptStall = %v, want 0: no consumer parked", st)
 		}
 	})
-	var nilP *Pauser
-	if _, err := nilP.Wait(context.Background()); err != nil {
-		t.Fatalf("nil pauser Wait = %v", err)
-	}
 }
 
 // TestFaultsTable drives the fault table the way its drivers do: windows
 // keyed by (kind, node), the stall attributed between open and close, an
-// instant event completed later through At, hogs that close their own
-// window, and the spans each of them leaves.
+// instant event whose recovery the next Progress closes, hogs that close
+// their own window, and the spans each of them leaves.
 func TestFaultsTable(t *testing.T) {
 	k := simtime.NewVirtual()
 	rec := trace.NewRecorder()
@@ -248,17 +263,12 @@ func TestFaultsTable(t *testing.T) {
 		f.stallWorkers(cpu, Event{At: time.Second, Kind: WorkerStall, Factor: 1.5, Duration: 2 * time.Second}, 0)
 		stall = 300 * time.Millisecond
 		_ = k.Sleep(ctx, time.Second)
-		if fs := f.Close(LinkDegrade, 2); fs == nil || fs.Event.Node != 2 || fs.StallDuring != 300*time.Millisecond {
-			t.Errorf("closing node 2's window: %+v", fs)
-		}
-		if fs := f.Close(LinkDegrade, 2); fs != nil {
-			t.Errorf("a window closed twice: %+v", fs)
-		}
-		if fs := f.Close(WorkerStall, 0); fs != nil {
-			t.Errorf("Close found a stall's window, which only its hogs close: %+v", fs)
-		}
-		i := f.Instant(Event{At: 2 * time.Second, Kind: NodeJoin, Node: 3}, 3)
-		f.At(i).Recovery = time.Minute
+		f.Close(LinkDegrade, 2)
+		f.Close(LinkDegrade, 2) // closed already: no second window span
+		f.Close(WorkerStall, 0) // only its hogs close a stall's window
+		f.Recovering(Event{At: 2 * time.Second, Kind: NodeJoin, Node: 3}, 3)
+		_ = k.Sleep(ctx, time.Minute)
+		f.Progress(k.Now())
 		_ = wg.Wait(ctx)
 	})
 	got := f.Stats()
@@ -290,15 +300,16 @@ func TestFaultsTable(t *testing.T) {
 	}
 }
 
-// TestInstallDiskTimeline: Start writes the disk events onto every disk's
-// slowdown timeline, skipping nil disks.
+// TestInstallDiskTimeline: Start writes the disk events, anchored at the
+// run's start, onto every disk's slowdown timeline, skipping nil disks.
 func TestInstallDiskTimeline(t *testing.T) {
 	k := simtime.NewVirtual()
 	disk := storage.NewDisk(k, "disk", 1e9, 1)
 	k.Run(func() {
 		ctx := context.Background()
 		wg := simtime.NewWaitGroup(k)
-		NewController(k, 0, 0, 0, nil).Start(BrownoutDisk(time.Second, 4, time.Second).Sorted(),
+		_ = k.Sleep(ctx, time.Second)
+		NewController(k, 0, 0, 0, nil).Start(k.Now(), BrownoutDisk(time.Second, 4, time.Second),
 			Targets{WG: wg, Disks: []*storage.Disk{nil, disk}})
 		read := func() time.Duration {
 			t0 := k.Now()

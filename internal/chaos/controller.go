@@ -10,23 +10,38 @@ import (
 	"github.com/minatoloader/minato/internal/storage"
 )
 
-// Controller applies a run's scripted faults to the machine and keeps its
-// fault table (the embedded Faults). Start installs the disk timeline and
-// replays every other event on one engine task, which parks on the virtual
-// clock until each event's At: events apply strictly in time order (stable
-// for ties), so the injection schedule is deterministic. Membership events
-// are the multi-node runner's: it applies them at step boundaries and
-// records them in this table. Task-only, like the kernel it runs on.
+// Controller applies a run's scripted faults and keeps its fault ledger: the
+// table, the preemption gate its consumers Wait at, and the recoveries still
+// being measured. Start installs the disk timeline and replays every other
+// event on one engine task, strictly in time order (stable for ties), so the
+// injection schedule is deterministic. Membership events are the multi-node
+// runner's: it takes them with Due at step boundaries and records them here.
+// Task-only, like the kernel it runs on.
 type Controller struct {
-	Faults
+	rt     *simtime.Virtual
+	tenant int32
+	nodes  int // the run shape, as Validate's: 0 is one machine
+	node   int // the label of faults that target the run as a whole
+	t      Targets
+	// stall, when set, is the consumer stall the driver counts beside the
+	// gate's (PreemptStall): a window is attributed the growth of their sum.
+	stall func() time.Duration
 
-	nodes int // the run shape, as Validate's: 0 is one machine
-	node  int // the label of faults that target the run as a whole
-	t     Targets
+	start  time.Duration // the run's start: each event applies at start + At
+	events []Event       // the script, sorted
+	next   int           // the first event Due has not passed
 
-	pauser  *Pauser
-	resumes int // Resume events not yet applied: a Preempt with none left is terminal
-	resumed int // stat index of a Resume that Resumed has not returned yet; -1 none
+	stats      []FaultStat
+	open       []window   // the windows Close can find, keyed by (kind, node)
+	recovering []recovery // recoveries the driver's next Progress closes
+
+	// The preemption gate. gated is the parked consumers' stall integral up
+	// to since; parked consumers add to it live (PreemptStall).
+	paused, terminal bool
+	resumes          int // Resume events not yet applied: a Preempt with none left is terminal
+	waiters          simtime.WaitList
+	parked           int
+	gated, since     time.Duration
 
 	stopped bool
 	scope   simtime.CancelScope
@@ -63,22 +78,22 @@ type NIC struct {
 // the given shape (nodes as Validate's: 0 is one machine). The table stamps
 // from rt and records its spans under tenant into rt's recorder. node labels
 // the faults that target the run as a whole: disk faults, preemption and, on
-// one machine, worker stalls; node-targeted faults carry their own node.
-// stall, if not nil, is the run's cumulative consumer stall: a window is
-// attributed its growth while the window is open.
+// one machine, worker stalls. stall, if not nil, is the consumer stall the
+// run counts beside the preemption gate's.
 func NewController(rt *simtime.Virtual, nodes int, tenant int32, node int, stall func() time.Duration) *Controller {
-	return &Controller{Faults: Faults{rt: rt, tenant: tenant, stall: stall}, nodes: nodes, node: node, resumed: -1}
+	c := &Controller{rt: rt, tenant: tenant, nodes: nodes, node: node, stall: stall}
+	c.waiters.Init(rt)
+	return c
 }
 
-// Start applies events, sorted as Script.Sorted returns them and validated
-// for the controller's run shape, to t: it writes the disk events onto the
-// disks' slowdown timelines and spawns the engine task on t.WG for the
-// events that are not membership events. With no such event it starts
-// nothing.
-func (c *Controller) Start(events []Event, t Targets) {
-	c.t = t
+// Start anchors script, validated for the controller's run shape, at start,
+// the run's start instant, and applies it to t: it writes the disk events
+// onto the disks' slowdown timelines and spawns the engine task on t.WG for
+// the remaining events that are not membership events, if there are any.
+func (c *Controller) Start(start time.Duration, script Script, t Targets) {
+	c.t, c.start, c.events = t, start, script.Sorted()
 	n := 0
-	for _, ev := range events {
+	for _, ev := range c.events {
 		if ev.Kind.Membership() {
 			continue
 		}
@@ -93,12 +108,8 @@ func (c *Controller) Start(events []Event, t Targets) {
 			}
 			for _, d := range t.Disks {
 				if d != nil {
-					d.ScheduleSlowdown(ev.At, f)
+					d.ScheduleSlowdown(start+ev.At, f)
 				}
-			}
-		case Preempt:
-			if c.pauser == nil {
-				c.pauser = NewPauser(c.rt)
 			}
 		case Resume:
 			c.resumes++
@@ -111,11 +122,11 @@ func (c *Controller) Start(events []Event, t Targets) {
 	rt := c.rt
 	ctx := c.scope.Begin(rt, context.Background())
 	t.WG.Go("chaos-engine", func() {
-		for _, ev := range events {
+		for _, ev := range c.events {
 			if ev.Kind.Membership() {
 				continue
 			}
-			if d := ev.At - rt.Now(); d > 0 {
+			if d := start + ev.At - rt.Now(); d > 0 {
 				if err := rt.Sleep(ctx, d); err != nil {
 					return
 				}
@@ -128,7 +139,7 @@ func (c *Controller) Start(events []Event, t Targets) {
 	})
 }
 
-// apply runs in the engine task at ev's scripted time.
+// apply runs in the engine task at ev's instant.
 func (c *Controller) apply(ev Event) {
 	switch ev.Kind {
 	case LinkDegrade:
@@ -151,16 +162,16 @@ func (c *Controller) apply(ev Event) {
 		}
 	case Preempt:
 		c.Open(ev, c.node)
-		c.pauser.Pause(c.resumes == 0)
+		c.paused, c.terminal = true, c.resumes == 0
+		if c.terminal {
+			c.waiters.WakeAll()
+		}
 	case Resume:
 		c.resumes--
-		c.pauser.Resume()
-		if fs := c.Close(Preempt, c.node); fs != nil {
-			// The pause window itself is the stall: every consumer is
-			// parked for its full extent.
-			fs.StallDuring = fs.ClearedAt - fs.AppliedAt
-		}
-		c.resumed = c.Instant(ev, c.node)
+		c.Close(Preempt, c.node)
+		c.paused = false
+		c.waiters.WakeAll()
+		c.Recovering(ev, c.node)
 	}
 }
 
@@ -195,77 +206,88 @@ func (c *Controller) Stop() {
 	c.scope.Cancel()
 }
 
-// Gate parks the calling consumer while the run is preempted and returns the
-// time it parked; see Pauser.Wait.
-func (c *Controller) Gate(ctx context.Context) (time.Duration, error) {
-	return c.pauser.Wait(ctx)
-}
-
-// Resumed returns the stat index of the last Resume applied since the
-// previous call, or -1: the session measures its recovery at the next
-// delivered batch.
-func (c *Controller) Resumed() int {
-	i := c.resumed
-	c.resumed = -1
-	return i
-}
-
-// Pauser gates training consumers for session preemption: consumers call
-// Wait at each batch boundary and park while the session is preempted.
-// Pause with terminal=true (no resume scheduled in the script) releases
-// waiters with ErrPreempted instead of parking them forever.
-type Pauser struct {
-	rt *simtime.Virtual
-
-	paused   bool
-	terminal bool
-	waiters  simtime.WaitList
-}
-
-// NewPauser returns an unpaused gate.
-func NewPauser(rt *simtime.Virtual) *Pauser {
-	p := &Pauser{rt: rt}
-	p.waiters.Init(rt)
-	return p
-}
-
-// Pause preempts the session; terminal marks a preemption with no
-// scheduled resume. Parked waiters of a terminal pause wake immediately
-// with ErrPreempted.
-func (p *Pauser) Pause(terminal bool) {
-	p.paused, p.terminal = true, terminal
-	if terminal {
-		p.waiters.WakeAll()
-	}
-}
-
-// Resume releases every parked consumer.
-func (p *Pauser) Resume() {
-	p.paused, p.terminal = false, false
-	p.waiters.WakeAll()
-}
-
-// Wait parks until the session is not preempted and returns the time
-// spent parked. A terminal preemption returns ErrPreempted (with the
-// stall accumulated so far); a ctx error passes through. Safe on a nil
-// pauser, which never pauses.
-func (p *Pauser) Wait(ctx context.Context) (time.Duration, error) {
-	if p == nil {
-		return 0, nil
-	}
-	var stalled time.Duration
-	for {
-		if !p.paused {
-			return stalled, nil
+// Due returns the next membership event whose instant (start + At) is at or
+// before now, in script order, and passes it; ok is false when none is due.
+// The multi-node runner applies what it returns at a step boundary.
+func (c *Controller) Due(now time.Duration) (ev Event, ok bool) {
+	for c.next < len(c.events) && c.start+c.events[c.next].At <= now {
+		ev = c.events[c.next]
+		c.next++
+		if ev.Kind.Membership() {
+			return ev, true
 		}
-		if p.terminal {
-			return stalled, ErrPreempted
+	}
+	return Event{}, false
+}
+
+// Wait is the preemption gate: consumers call it at every batch boundary,
+// and it parks the caller while the run is preempted. A terminal preemption
+// (no resume left in the script) returns ErrPreempted; a ctx error passes
+// through.
+func (c *Controller) Wait(ctx context.Context) error {
+	for c.paused {
+		if c.terminal {
+			return ErrPreempted
 		}
-		t0 := p.rt.Now()
-		err := p.waiters.Wait(ctx)
-		stalled += p.rt.Now() - t0
+		c.settle(1)
+		err := c.waiters.Wait(ctx)
+		c.settle(-1)
 		if err != nil {
-			return stalled, err
+			return err
 		}
 	}
+	return nil
+}
+
+// settle folds the parked consumers' stall up to now into gated and changes
+// their count by d.
+func (c *Controller) settle(d int) {
+	c.gated, c.since = c.PreemptStall(), c.rt.Now()
+	c.parked += d
+}
+
+// PreemptStall returns the time consumers have spent parked at the gate,
+// summed over consumers, up to now: the waits still parked count too.
+func (c *Controller) PreemptStall() time.Duration {
+	return c.gated + time.Duration(c.parked)*(c.rt.Now()-c.since)
+}
+
+// consumerStall is the driver's stall and the gate's: a window is charged
+// its growth.
+func (c *Controller) consumerStall() time.Duration {
+	s := c.PreemptStall()
+	if c.stall != nil {
+		s += c.stall()
+	}
+	return s
+}
+
+// recovery is a fault whose recovery the driver's next Progress measures,
+// from the instant from.
+type recovery struct {
+	idx  int // into stats
+	from time.Duration
+}
+
+// Recovering records ev applied now, with no window (Resume, NodeJoin), and
+// measures its recovery from its instant (start + At) to the driver's next
+// Progress.
+func (c *Controller) Recovering(ev Event, node int) {
+	c.recovering = append(c.recovering, recovery{idx: c.instant(ev, node), from: c.start + ev.At})
+}
+
+// Restored records a checkpoint restore: a Resume at 0 (it precedes the
+// resumed run's start) applied now, whose recovery runs from now to the
+// driver's next Progress.
+func (c *Controller) Restored() {
+	c.recovering = append(c.recovering, recovery{idx: c.instant(Event{Kind: Resume}, c.node), from: c.rt.Now()})
+}
+
+// Progress closes every pending recovery at now: drivers call it at each
+// progress point (a delivered batch, a completed step).
+func (c *Controller) Progress(now time.Duration) {
+	for _, r := range c.recovering {
+		c.stats[r.idx].Recovery = now - r.from
+	}
+	c.recovering = c.recovering[:0]
 }

@@ -78,10 +78,11 @@ func (l *recordingLinks) SetBandwidth(ep int, bw float64) {
 
 // FuzzChaosScript holds a Controller to a model of the script on generated
 // shapes and scripts that Validate accepts: each event is applied once, at
-// max(At, start), in (At, script) order, and never after Stop; each restore
-// clears the window its degrade opened (and a resume its preemption's); each
-// stall's window ends when its own hogs drain, under processor sharing with
-// whatever else stalls the same CPU; and every window leaves its span.
+// start + At, in (At, script) order, recorded as scripted, and never after
+// Stop; each restore clears the window its degrade opened (and a resume its
+// preemption's); each stall's window ends when its own hogs drain, under
+// processor sharing with whatever else stalls the same CPU; and every window
+// leaves its span.
 func FuzzChaosScript(f *testing.F) {
 	for _, seed := range []string{
 		"\x00\x00\x1f\x04\x04\x00\x02\x08\x05\x00\x00",                                 // a disk brownout on one machine
@@ -91,10 +92,14 @@ func FuzzChaosScript(f *testing.F) {
 		"\x03\x00\x1f\x04\x06\x00\x0c\x08\x06\x01\x04\x05\x06\x00\x04",                 // stalls on nodes 0 and 1, one overlapping
 		"\x00\x00\x1f\x04\x07\x00\x00\x0c\x08\x00\x00",                                 // a preemption and its resume
 		"\x00\x00\x1f\x04\x07\x00\x00",                                                 // a preemption with no resume
-		"\x00\x06\x1f\x04\x04\x00\x02\x08\x05\x00\x00",                                 // the controller starts after the brownout began
+		"\x00\x06\x1f\x04\x04\x00\x02\x08\x05\x00\x00",                                 // a brownout on a run that starts late
 		"\x00\x00\x05\x04\x04\x00\x02\x08\x05\x00\x00",                                 // stopped inside the brownout
 		"\x02\x00\x1f\x02\x00\x01\x00\x04\x02\x00\x03\x06\x03\x00\x00\x08\x01\x01\x00", // a crash and join among a flap
 		"\x01\x02\x03\x00\x04\x00\x01\x00\x06\x00\x06\x04\x05\x00\x00\x08\x02\x00\x03", // a late start, a stall over a brownout, a stop
+		"\x02\x03\x1f\x04\x02\x01\x03\x0c\x03\x01\x00",                                 // a link flap on a late-starting run
+		"\x00\x05\x1f\x04\x07\x00\x00\x0c\x08\x00\x00",                                 // a preemption and its resume on a late-starting run
+		"\x00\x04\x05\x04\x06\x00\x0d\x05\x06\x00\x04",                                 // overlapping stalls on a late-starting run, stopped
+		"\x02\x07\x1f\x02\x00\x01\x00\x04\x02\x00\x03\x06\x03\x00\x00\x08\x01\x01\x00", // a crash and join among a flap, started late
 	} {
 		f.Add([]byte(seed))
 	}
@@ -114,7 +119,6 @@ func checkController(t *testing.T, c chaosCase) {
 	if err := k.SetTrace(rec); err != nil {
 		t.Fatal(err)
 	}
-	events := c.script.Sorted()
 	ctl := NewController(k, c.nodes, 0, -1, nil)
 	var links *recordingLinks
 	var afterStop int
@@ -130,7 +134,7 @@ func checkController(t *testing.T, c chaosCase) {
 		}
 		links = &recordingLinks{rt: k, fab: netsim.New(k, netsim.Config{Endpoints: n, Bandwidth: bandwidth})}
 		_ = k.Sleep(ctx, c.start)
-		ctl.Start(events, Targets{WG: wg, Disks: []*storage.Disk{storage.NewDisk(k, "disk", 1e9, 1)},
+		ctl.Start(k.Now(), c.script, Targets{WG: wg, Disks: []*storage.Disk{storage.NewDisk(k, "disk", 1e9, 1)},
 			CPUs: cpus, Links: links, NICs: nics})
 		if c.stop >= 0 {
 			_ = k.Sleep(ctx, c.stop-c.start)
@@ -153,8 +157,8 @@ func checkController(t *testing.T, c chaosCase) {
 	var wantLinks []setBandwidth
 	var stalls []modelStall
 	open := map[[2]int]int{} // Event.window → index into want
-	for _, ev := range events {
-		at := max(ev.At, c.start)
+	for _, ev := range c.script.Sorted() {
+		at := c.start + ev.At
 		if ev.Kind.Membership() || (c.stop >= 0 && at > c.stop) {
 			continue
 		}
@@ -172,7 +176,7 @@ func checkController(t *testing.T, c chaosCase) {
 			delete(open, w)
 			want[i].ClearedAt, cleared[i] = at, true
 			if ev.Kind == Resume {
-				want[i].StallDuring = at - want[i].AppliedAt
+				// No consumer parks at the gate, so the window has no stall.
 				want, cleared = append(want, FaultStat{Event: ev, AppliedAt: at}), append(cleared, false)
 			}
 		case WorkerStall:

@@ -19,13 +19,13 @@
 //
 // # Fault injection and elastic membership
 //
-// Run may be given a chaos.Script. Continuous-substrate events (link,
-// disk, worker stalls) are applied by a chaos.Controller at their exact
-// scripted times. Membership events (NodeCrash/NodeJoin) switch the run
-// into elastic mode: they are applied at the first step boundary at or
-// after their time, inside the resume barrier's release hook, where every
-// consumer in the cluster is parked — a quiescent point, the way an
-// elastic agent reconfigures between steps. A membership change stops
+// Run may be given a chaos.Script, anchored at the run's start.
+// Continuous-substrate events (link, disk, worker stalls) are applied by a
+// chaos.Controller at their exact instants. Membership events
+// (NodeCrash/NodeJoin) switch the run into elastic mode: they are applied
+// at the first step boundary at or after their instant, inside the resume
+// barrier's release hook, where every consumer in the cluster is parked —
+// a quiescent point, the way an elastic agent reconfigures between steps. A membership change stops
 // every loader (draining in-flight cache claims), drops the crashed
 // node's page cache, re-shards the dataset across the survivors under a
 // fresh deterministic permutation draw, and rebuilds the all-reduce ring
@@ -265,9 +265,10 @@ type memberView struct {
 }
 
 // ctrl is the run's membership-and-SLO controller: plain state of the run's
-// kernel tasks. It keeps what is elastic — membership views, resharding,
-// per-node join recovery — over the fault controller that applies every
-// other event (chaos.Controller), whose table it records membership into.
+// kernel tasks. It keeps what is elastic — membership views and resharding
+// — over the fault controller that applies every other event
+// (chaos.Controller), whose table it records membership into and whose
+// pending recoveries it closes at each step boundary.
 // Its onBoundary hook runs in the resume barrier's releasing arriver, with
 // every other consumer parked (the next release cannot begin until each
 // re-arrives); the fault controller's engine task appends to the table at
@@ -284,15 +285,12 @@ type ctrl struct {
 	view *memberView
 
 	// Boundary-hook state (single-threaded: see above).
-	pending      []chaos.Event // the script, sorted: the hook applies its membership events
-	next         int
 	rounds       int64
 	target       int64 // elastic mode: rounds to run
 	lastBoundary time.Duration
 	hist         *metrics.LogHist
 
-	faults     *chaos.Controller
-	pendingRec map[int]int // node → faults index awaiting first post-join step
+	faults *chaos.Controller
 
 	consumeErr error
 }
@@ -310,20 +308,14 @@ func (st *ctrl) totalStall() time.Duration {
 // onBoundary runs at every completed resume-barrier generation, in the
 // releasing arriver, after the barrier reset and before any waiter wakes:
 // the one point where every consumer in the cluster is parked. It records
-// the step time, closes join-recovery windows, and — in elastic mode —
+// the step time, closes pending join recoveries, and — in elastic mode —
 // ends the run at the round target or applies pending membership events.
 func (st *ctrl) onBoundary(uint64) {
 	now := st.k.Now()
 	st.hist.AddDuration(now - st.lastBoundary)
 	st.lastBoundary = now
 	st.rounds++
-	if len(st.pendingRec) > 0 {
-		for node, idx := range st.pendingRec {
-			fs := st.faults.At(idx)
-			fs.Recovery = now - fs.Event.At
-			delete(st.pendingRec, node)
-		}
-	}
+	st.faults.Progress(now)
 	if !st.elastic {
 		return
 	}
@@ -339,9 +331,7 @@ func (st *ctrl) onBoundary(uint64) {
 	}
 	changed := false
 	active := append([]bool(nil), v.active...)
-	for st.next < len(st.pending) && st.pending[st.next].At <= now {
-		ev := st.pending[st.next]
-		st.next++
+	for ev, ok := st.faults.Due(now); ok; ev, ok = st.faults.Due(now) {
 		switch ev.Kind {
 		case chaos.NodeCrash:
 			if active[ev.Node] {
@@ -354,7 +344,7 @@ func (st *ctrl) onBoundary(uint64) {
 				active[ev.Node] = true
 				changed = true
 				st.faults.Close(chaos.NodeCrash, ev.Node)
-				st.pendingRec[ev.Node] = st.faults.Instant(ev, ev.Node)
+				st.faults.Recovering(ev, ev.Node)
 			}
 		}
 	}
@@ -433,9 +423,8 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 	nodeCfgs := t.nodeConfigs()
 	n := len(nodeCfgs)
 
-	events := script.Sorted()
 	elastic := false
-	for _, ev := range events {
+	for _, ev := range script.Events {
 		elastic = elastic || ev.Kind.Membership()
 	}
 
@@ -529,9 +518,8 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 	st := &ctrl{
 		k: k, w: w, f: f, fab: fab,
 		nodes: nodes, seed: spec.Seed, elastic: elastic,
-		pending: events, target: target,
-		hist:       metrics.NewLogHist(),
-		pendingRec: map[int]int{},
+		target: target,
+		hist:   metrics.NewLogHist(),
 	}
 	// Disk windows are labelled node -1: they target the storage substrate
 	// as a whole.
@@ -574,9 +562,8 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 			disks = append(disks, nd.tb.Disk)
 		}
 	}
-	st.faults.Start(events, chaos.Targets{WG: wg, Disks: disks, CPUs: cpus, Links: fab, NICs: nics})
-
 	start := k.Now()
+	st.faults.Start(start, script, chaos.Targets{WG: wg, Disks: disks, CPUs: cpus, Links: fab, NICs: nics})
 	st.lastBoundary = start
 	var lastEnd time.Duration
 	consumers := simtime.NewWaitGroup(k)

@@ -5,7 +5,8 @@
 // training time, throughput over time, CPU/GPU utilization, disk reads,
 // accuracy-vs-iteration curves, and batch-composition statistics. Its chaos
 // side (ChaosState) is the single-machine remainder over chaos.Controller:
-// the step histogram, the preemption stall, post-resume recovery.
+// the step histogram and the progress points the controller's recoveries
+// close at.
 package trainer
 
 import (
@@ -346,12 +347,14 @@ func RunEnv(env *loader.Env, w workload.Workload, f Factory, p Params, script ch
 		return nil, err
 	}
 
-	cst := StartChaos(env, script)
-
 	// Per-GPU consumers.
 	consumers := simtime.NewWaitGroup(rt)
 	var consumerErr error
 	var globalIters, dataStall int64
+	// A fault window's stall is the growth of the stall this report counts:
+	// DataStall, and PreemptStall, which the controller adds.
+	cst := NewChaos(env, func() time.Duration { return time.Duration(dataStall) })
+	cst.Start(env, start, script)
 	var lastEnd time.Duration
 	tr, tenant, node := rt.Trace(), env.TraceTenant(), env.TraceNode
 	perGPUEpoch := spec.BatchesPerEpoch() / len(env.GPUs)
@@ -530,89 +533,89 @@ func Simulate(cfg hardware.Config, w workload.Workload, f Factory, p Params) (*R
 	return rep, err
 }
 
-// ChaosState keeps what is single-machine about a session's fault script —
-// the step-interval histogram, the preemption stall its consumers
-// accumulate, and post-resume recovery — over the controller that applies
-// the script (chaos.Controller). A zero script leaves the consumer fast path
-// with a nil-pauser check and a histogram insert per batch. The trainer
-// drives it internally; loading sessions drive it from the facade through
-// StartChaos/Gate/NoteStep/Stop/Finish. Task-only, except Finish, which
-// reads it once the session's tasks have drained. A nil *ChaosState — a
-// served stream: no script, nobody to read its report — gates nothing and
-// records nothing.
+// ChaosState keeps what is single-machine about a run's fault script — the
+// step-interval histogram and its consumers' progress points — over the
+// controller that applies it, gates the consumers and keeps the fault ledger
+// (chaos.Controller). A zero script leaves the consumer fast path with a
+// paused check and a histogram insert per batch. Loading sessions drive it
+// from the facade. Task-only, except Finish, which reads it once the run's
+// tasks have drained. A nil *ChaosState — a served stream: no script, nobody
+// to read its report — gates nothing and records nothing.
 type ChaosState struct {
 	ctl *chaos.Controller
-
-	preemptStall time.Duration
 
 	hist     metrics.LogHist
 	lastStep []time.Duration
 }
 
-// StartChaos starts the script's controller on env (no task for an empty
-// script). The script must already be validated for a single-machine run
-// (Script.Validate(0)); disk events act on env.Store.Disk, which may be nil,
-// and worker stalls on env.CPU.
-func StartChaos(env *loader.Env, script chaos.Script) *ChaosState {
-	rt := env.RT
-	c := &ChaosState{
-		ctl:      chaos.NewController(rt, 0, env.TraceTenant(), int(env.TraceNode), nil),
+// NewChaos returns the chaos state of a single-machine run on env. stall, if
+// not nil, is the consumer stall the run counts beside the preemption
+// gate's; the fault windows are attributed their sum's growth.
+func NewChaos(env *loader.Env, stall func() time.Duration) *ChaosState {
+	return &ChaosState{
+		ctl:      chaos.NewController(env.RT, 0, env.TraceTenant(), int(env.TraceNode), stall),
 		lastStep: make([]time.Duration, len(env.GPUs)),
 	}
-	now := rt.Now()
-	for i := range c.lastStep {
-		c.lastStep[i] = now
-	}
-	if !script.Empty() {
-		c.ctl.Start(script.Sorted(), chaos.Targets{WG: env.WG,
-			Disks: []*storage.Disk{env.Store.Disk}, CPUs: []*device.Device{env.CPU}})
-	}
-	return c
 }
 
-// NoteStep records a consumer's batch-completion interval and resolves a
-// pending post-resume recovery measurement.
+// Start anchors script at start, the run's start instant, and starts its
+// controller (no task for an empty script). The script must already be
+// validated for a single-machine run (Script.Validate(0)); disk events act
+// on env.Store.Disk, which may be nil, and worker stalls on env.CPU.
+func (c *ChaosState) Start(env *loader.Env, start time.Duration, script chaos.Script) {
+	if c == nil {
+		return
+	}
+	for i := range c.lastStep {
+		c.lastStep[i] = start
+	}
+	if !script.Empty() {
+		c.ctl.Start(start, script, chaos.Targets{WG: env.WG,
+			Disks: []*storage.Disk{env.Store.Disk}, CPUs: []*device.Device{env.CPU}})
+	}
+}
+
+// Restored records that the run continues a checkpoint; its recovery closes
+// at the first NoteStep.
+func (c *ChaosState) Restored() { c.ctl.Restored() }
+
+// NoteStep records a consumer's batch-completion interval: a progress
+// point, which closes the controller's pending recoveries.
 func (c *ChaosState) NoteStep(g int, now time.Duration) {
 	if c == nil {
 		return
 	}
 	c.hist.AddDuration(now - c.lastStep[g])
 	c.lastStep[g] = now
-	if i := c.ctl.Resumed(); i >= 0 {
-		fs := c.ctl.At(i)
-		fs.Recovery = now - fs.AppliedAt
-	}
+	c.ctl.Progress(now)
 }
 
 // Stop halts the replay; pending events are discarded. Call before
-// waiting out the session's background tasks, so a script outliving the
-// run cannot append trailing fault records.
+// waiting out the run's background tasks, so a script outliving the run
+// cannot append trailing fault records.
 func (c *ChaosState) Stop() {
 	if c != nil {
 		c.ctl.Stop()
 	}
 }
 
-// Gate parks the calling consumer while the session is preempted,
-// accumulating the preemption stall; a terminal preemption (no resume
-// scheduled) returns ErrPreempted. Consumers call it at every batch
-// boundary.
+// Gate parks the calling consumer while the run is preempted; a terminal
+// preemption (no resume scheduled) returns ErrPreempted. Consumers call it
+// at every batch boundary.
 func (c *ChaosState) Gate(ctx context.Context) error {
 	if c == nil {
 		return nil
 	}
-	st, err := c.ctl.Gate(ctx)
-	c.preemptStall += max(st, 0)
-	return err
+	return c.ctl.Wait(ctx)
 }
 
-// Finish copies the SLO metrics into the report. Call after the session's
+// Finish copies the SLO metrics into the report. Call after the run's
 // background tasks (hog closers included) have drained.
 func (c *ChaosState) Finish(rep *Report) {
 	rep.StepP50 = c.hist.QuantileDuration(0.5)
 	rep.StepP99 = c.hist.QuantileDuration(0.99)
 	rep.StepHist = &c.hist
-	rep.PreemptStall = c.preemptStall
+	rep.PreemptStall = c.ctl.PreemptStall()
 	rep.Faults = c.ctl.Stats()
 }
 

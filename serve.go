@@ -192,7 +192,7 @@ func (a *ServerAddr) startChaos() {
 		nics[i] = chaos.NIC{Endpoint: net.ServerEndpoint(i), Bandwidth: net.Bandwidth()}
 	}
 	a.ctl = chaos.NewController(k, len(nics), 0, a.fleet, nil)
-	a.ctl.Start(chaos.Shift(a.script, k.Now()).Sorted(), chaos.Targets{WG: a.wg,
+	a.ctl.Start(k.Now(), a.script, chaos.Targets{WG: a.wg,
 		Disks: []*storage.Disk{a.cl.tb.Disk}, Links: net, NICs: nics})
 }
 
@@ -207,9 +207,9 @@ func (a *ServerAddr) startChaos() {
 // Chaos: WithChaos/WithChaosScenario here take the serve shape — link
 // events degrade a fleet member's NIC by index (the fleet is every server
 // registered on the fabric so far, in Serve order), disk events brown out
-// the cluster's storage. Consumer-side kinds are rejected. The whole script
-// is measured from the server's first batch pull: its times are offsets
-// from that instant, for link and disk events alike.
+// the cluster's storage. Consumer-side kinds are rejected. The server's run
+// starts at its first batch pull, and the script is anchored there as every
+// run's script is anchored at its start.
 func Serve(cl *Cluster, opts ...Option) (*ServerAddr, error) {
 	if cl == nil {
 		return nil, configErr("Serve", "requires a cluster")

@@ -6,7 +6,6 @@ import (
 	"io"
 	"iter"
 	"sync"
-	"time"
 
 	"github.com/minatoloader/minato/internal/trainer"
 )
@@ -179,13 +178,10 @@ type Session struct {
 	factory Factory
 	script  ChaosScript
 	// cst replays the session's chaos script against the batch stream
-	// and keeps the SLO bookkeeping (step-interval histogram, fault
-	// windows); created when the stream starts.
+	// from its first pull and keeps the SLO bookkeeping (step-interval
+	// histogram, fault ledger, a checkpoint restore's recovery); nil on a
+	// served stream.
 	cst *trainer.ChaosState
-	// resumedAt marks a session created by Resume; recoveredIn is the time
-	// from the resume to its first delivered batch.
-	resumedAt   time.Duration
-	recoveredIn time.Duration
 
 	// Loaders shard delivery across per-GPU consumer queues; next drains
 	// them round-robin from turn until each has reported end-of-data.
@@ -281,9 +277,7 @@ func (s *Session) start(ctx context.Context) error {
 	if err := s.ld.Start(ctx); err != nil {
 		return err
 	}
-	if !s.served {
-		s.cst = trainer.StartChaos(&s.env, s.script)
-	}
+	s.cst.Start(&s.env, s.startAt, s.script)
 	s.done = append(s.done[:0], make([]bool, len(s.env.GPUs))...)
 	s.remaining = len(s.done)
 	return nil
@@ -311,13 +305,7 @@ func (s *Session) next(ctx context.Context) (*Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		now := s.rt.Now()
-		s.cst.NoteStep(g, now)
-		if s.resumedAt > 0 && s.recoveredIn == 0 {
-			// First batch of a checkpoint-restored session: the
-			// measured recovery time of the resume.
-			s.recoveredIn = now - s.resumedAt
-		}
+		s.cst.NoteStep(g, s.rt.Now())
 		return b, nil
 	}
 	return nil, io.EOF
@@ -436,17 +424,9 @@ func (s *Session) fill(rep *Report) error {
 	rep.CacheStats, rep.MatCacheStats, rep.DiskBytes = s.stats.Cache, s.stats.MatCache, s.disk
 	if s.cst != nil {
 		// The chaos bookkeeping doubles as the SLO view: step-interval
-		// quantiles, preemption stall, and per-fault windows.
+		// quantiles, preemption stall, and the fault ledger, a checkpoint
+		// restore's recovery included.
 		s.cst.Finish(rep)
-	}
-	if s.resumedAt > 0 {
-		// A checkpoint-restored session records its own recovery as a
-		// resume fault window, so RecoveryTime() covers restores too.
-		rep.Faults = append(rep.Faults, FaultStat{
-			Event:     ChaosEvent{At: s.resumedAt, Kind: ChaosResume},
-			AppliedAt: s.resumedAt,
-			Recovery:  s.recoveredIn,
-		})
 	}
 	return s.err
 }
