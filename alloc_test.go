@@ -311,7 +311,7 @@ func TestRunAllocations(t *testing.T) {
 			[]Option{WithLoader("minato"), WithHardware(ConfigA())}, 82},
 		{"minato-64gpu", speech.WithIterations(64 * 5),
 			[]Option{WithLoader("minato"), WithHardware(ConfigA().WithGPUs(64))}, 440},
-		{"multinode8-chaos", chaosW, chaosOpts, 470},
+		{"multinode8-chaos", chaosW, chaosOpts, 340},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			run := func() {

@@ -291,6 +291,12 @@ func (c *Cache[K]) GetOrWait(ctx context.Context, tenant int, key K, rt *simtime
 	}
 }
 
+// Waits reports whether GetOrWait of key would park: its fill is in flight.
+func (c *Cache[K]) Waits(key K) bool {
+	n := c.index[key]
+	return n != nil && n.state == flying
+}
+
 // GetOrBegin is GetOrWait with no context and no note of its parks.
 func (c *Cache[K]) GetOrBegin(tenant int, key K, rt *simtime.Virtual) (Entry, bool) {
 	e, hit, _ := c.GetOrWait(context.Background(), tenant, key, rt, nil)

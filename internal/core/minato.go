@@ -38,12 +38,14 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math"
 	"time"
 
 	"github.com/minatoloader/minato/internal/data"
+	"github.com/minatoloader/minato/internal/device"
 	"github.com/minatoloader/minato/internal/loader"
 	"github.com/minatoloader/minato/internal/matcache"
 	"github.com/minatoloader/minato/internal/metrics"
@@ -298,10 +300,11 @@ func (l *Loader) Start(parent context.Context) error {
 	return nil
 }
 
-// spawnWorker launches one preprocessing worker. Workers prefer resuming
-// timed-out samples (temp queue) over starting new ones, which keeps slow
-// samples flowing into upcoming batches instead of deferring them to the
-// end (§4.1: "MinatoLoader does not defer these samples to the very end").
+// spawnWorker launches one preprocessing worker on a free slot. Workers
+// prefer resuming timed-out samples (temp queue) over starting new ones,
+// which keeps slow samples flowing into upcoming batches instead of deferring
+// them to the end (§4.1: "MinatoLoader does not defer these samples to the
+// very end").
 //
 // A worker never idles: the index cursor always has the next draw until the
 // stream ends, and then the worker exits — a peer still inside a sample
@@ -316,9 +319,16 @@ func (l *Loader) spawnWorker() {
 }
 
 // work is one preprocessing worker's life (see spawnWorker), under the run's
-// context.
+// context, on a slot from the stock: it walks the sample path, parks in
+// WaitStep on every occupancy the path enters, and makes the moves a step
+// hands back.
 func (l *Loader) work() {
-	ctx := l.runCtx
+	w, ok := slots.Get()
+	if !ok {
+		w = new(worker)
+	}
+	w.l = l
+	w.sel.Bind(l.env.RT)
 	defer func() {
 		l.sched.workerExited()
 		// A worker exit can flip drained(); parked constructors re-check
@@ -327,28 +337,281 @@ func (l *Loader) work() {
 		if l.drained() {
 			l.gate.Pulse()
 		}
+		*w = worker{}
+		slots.Put(w)
 	}()
-	for !l.stopFlag && !l.sched.shouldRetire() {
-		// Background completion first (slow-task work).
-		if s, ok, _ := l.tempQ.TryGet(); ok {
-			if !l.runSample(ctx, func() error { return l.finishSlow(ctx, s) }, s.OriginalOrder) {
-				return
+	for w.at = atTake; w.at != atExit; {
+		if d, wait := w.walk(false); wait {
+			if err := w.sel.WaitStep(l.runCtx, d, w); err != nil {
+				w.dev.Leave(w.e, false) // cancelled: the occupancy ends unfinished
+				w.e, w.err = nil, err
 			}
-			continue
 		}
-		// New sample.
-		it, err := l.idx.Next()
-		if err != nil { // index stream ended
-			if !l.srcDone {
-				l.srcDone = true
-				l.gate.Pulse()
+	}
+}
+
+// slots holds exited workers' slots, process-wide, for respawns and later runs.
+// Its bound is the benchmark workloads' peak: multinode8-flashcrowd's 416.
+var slots = simtime.NewStock[*worker](416)
+
+// worker is one worker slot: the sample path a worker task walks, one sample
+// after another. The task parks once, for as long as the path runs from
+// device to device: each wake that ends an occupancy walks it on (Step).
+type worker struct {
+	l   *Loader
+	sel simtime.Selector // the one the task parks on, on every device
+
+	at    int            // where the path goes on
+	s     *data.Sample   // the sample in hand
+	seq   int64          // its draw order
+	dev   *device.Device // the device it occupies, with its entry
+	e     *device.Entry
+	err   error         // what the last occupancy ended with
+	perr  error         // and the pipeline walk that planned it
+	t0    time.Duration // the read's, or the resumed pipeline's, start
+	q     *queue.Queue[*data.Sample]
+	mk    matcache.Key
+	claim bool // s holds an unsettled leader claim on mk
+}
+
+// The points of the sample path (walk), Algorithm 1's for one draw.
+const (
+	atTake     = iota // resume a timed-out sample, else draw a new one
+	atMat             // look the draw up in the materialized cache
+	atRead            // look it up in the page cache, then read it
+	atFetched         // the disk read is done
+	atLoaded          // start the pipeline on the read sample
+	atPlanned         // the budgeted pipeline's occupancy is done
+	atResumed         // a timed-out sample's remaining occupancy is done
+	atRestored        // a materialized hit's restore is done
+	atPut             // hand the sample to q
+	atExit
+)
+
+// Step implements simtime.Stepper: a wake walks the path on, in the task's
+// turn, to its next occupancy. A move that parks elsewhere (behind a fill in
+// flight, on a full queue, in a remote fetch) or exits resumes the task.
+func (w *worker) Step() (time.Duration, bool) { return w.walk(true) }
+
+// walk runs the sample path from w.at until it waits out an occupancy,
+// returning the park's deadline and true, or returns false: the worker exits,
+// or a step reached a move for its task. A panic in user code (a dataset's
+// Fill, a transform's Validate, Cost or SizeFactor) abandons the sample.
+func (w *worker) walk(step bool) (d time.Duration, wait bool) {
+	defer func() {
+		if recover() != nil {
+			w.fail(errSamplePanic, false)
+			d, wait = 0, false
+		}
+	}()
+	l := w.l
+	ctx, rt, st := l.runCtx, l.env.RT, l.env.Store
+	for w.at != atExit {
+		if w.e != nil {
+			if d, wait := w.dev.Settle(w.e); wait {
+				return d, true
 			}
-			return
+			w.dev.Leave(w.e, true)
+			w.e = nil
 		}
-		l.emitted++
-		if !l.runSample(ctx, func() error { return l.processNew(ctx, it) }, it.Seq) {
-			return
+		switch s := w.s; w.at {
+		case atTake:
+			if l.stopFlag || l.sched.shouldRetire() {
+				w.at = atExit
+			} else if s, ok, _ := l.tempQ.TryGet(); ok {
+				// Background completion (Algorithm 1 lines 14–18), claim and all.
+				w.s, w.seq, w.claim = s, s.OriginalOrder, l.mat != nil
+				w.mk = matcache.Key{Obj: s.Key, Sig: l.matSig}
+				s.ResumedFrom = s.NextTransform
+				s.TimesResumed++
+				w.t0 = rt.Now()
+				w.plan(-1, atResumed)
+			} else if it, err := l.idx.Next(); err != nil { // index stream ended
+				if !l.srcDone {
+					l.srcDone = true
+					l.gate.Pulse()
+				}
+				w.at = atExit
+			} else {
+				l.emitted++
+				w.seq, w.claim, w.at = it.Seq, false, atMat
+				w.s = loader.FillSample(l.env, l.spec, it)
+			}
+		case atMat: // claim the draw's key; a hit is restored instead
+			w.mk = matcache.Key{Obj: s.Key, Sig: l.matSig}
+			if l.mat != nil && step && l.mat.Waits(w.mk) {
+				return 0, false
+			}
+			if w.at = atRead; l.mat == nil {
+				continue
+			}
+			e, hit, err := l.mat.GetOrWait(ctx, l.matTenant, w.mk, rt, func(since time.Duration) {
+				l.traceSample(trace.StageMatWait, since, rt.Now(), s)
+			})
+			switch {
+			case err != nil:
+				w.fail(err, true)
+			case hit:
+				// Only the restore of the materialized tensor is paid. Hits
+				// bypass the profiler: restore times are not preprocessing
+				// times and would drag the timeout toward zero.
+				now := rt.Now()
+				l.traceSample(trace.StageMatHit, now, now, s)
+				s.LoadedAt, s.PreprocStart = now, now
+				restore := matcache.RestoreCost(e.Bytes)
+				if restore > 0 {
+					s.PreprocCost = restore
+				}
+				s.Bytes, s.NextTransform = e.Bytes, l.spec.Pipeline.Len()
+				w.occupy(nil, restore, atRestored)
+			default:
+				w.claim = true
+			}
+		case atRead:
+			if step && st.Cache != nil && st.Cache.Waits(s.Key) {
+				return 0, false
+			}
+			if read, err := st.Lookup(ctx, rt, s); err != nil {
+				w.fail(err, true)
+			} else if w.at, w.t0 = atLoaded, rt.Now(); read && s.RawBytes > 0 {
+				dev, work := st.Disk.Occupancy(s.RawBytes)
+				w.occupy(dev, work, atFetched)
+			} else if read {
+				w.occupy(nil, 0, atFetched)
+			}
+		case atFetched:
+			if step && st.Remote != nil {
+				return 0, false
+			}
+			if err := st.Fetched(ctx, rt, s, w.t0, w.err); err != nil {
+				w.fail(err, true)
+			} else {
+				w.at = atLoaded
+			}
+		case atLoaded: // classified upfront by size in the Fig 3a heuristic mode
+			s.PreprocStart = rt.Now()
+			switch h := l.cfg.SizeHeuristicThreshold; {
+			case h > 0 && s.RawBytes > h:
+				s.MarkedSlow = true
+				w.perr = nil
+				w.occupy(nil, 0, atPlanned)
+			case h > 0:
+				w.plan(-1, atPlanned)
+			default:
+				w.plan(l.profiler.Timeout(), atPlanned)
+			}
+		case atPlanned:
+			err := cmp.Or(w.err, w.perr)
+			if errors.Is(err, transform.ErrInterrupted) {
+				err = nil
+				l.traceSample(trace.StageTransform, s.PreprocStart, rt.Now(), s)
+				s.MarkedSlow = true
+				l.profiler.Classified(true)
+				if l.cfg.RestartSlowFromScratch {
+					// Ablation: discard partial progress. The reset copy comes
+					// from the pool and the partially-processed instance goes
+					// back to it; the claim follows the key, not the instance.
+					s = l.env.Pool.CloneReset(s)
+					s.MarkedSlow = true
+					w.s = s
+				}
+			}
+			switch {
+			case err != nil:
+				w.fail(err, true)
+			case s.MarkedSlow: // parked for background completion, claim and all
+				w.at, w.q = atPut, &l.tempQ
+			default:
+				s.PreprocEnd = rt.Now()
+				l.traceSample(trace.StageTransform, s.PreprocStart, s.PreprocEnd, s)
+				l.profiler.Record(s.PreprocCost)
+				if l.cfg.SizeHeuristicThreshold <= 0 {
+					l.profiler.Classified(false)
+				}
+				w.publish(s.PreprocStart, &l.fastQ)
+			}
+		case atResumed:
+			if err := cmp.Or(w.err, w.perr); err != nil {
+				w.fail(err, true)
+				continue
+			}
+			s.PreprocEnd = rt.Now()
+			l.traceSample(trace.StageTransform, w.t0, s.PreprocEnd, s)
+			l.profiler.Record(s.PreprocCost)
+			w.publish(w.t0, &l.slowQ)
+		case atRestored:
+			if s.PreprocEnd = rt.Now(); w.err != nil {
+				w.fail(w.err, true)
+			} else {
+				w.publish(0, &l.fastQ)
+			}
+		case atPut:
+			if q := w.q; step && q.Len() >= q.Cap() {
+				return 0, false
+			} else if err := q.Put(ctx, s); err != nil {
+				w.fail(err, false)
+			} else {
+				w.s, w.claim, w.at = nil, false, atTake
+			}
 		}
+	}
+	return 0, false
+}
+
+// plan walks the pipeline for the sample in hand with budget (negative for
+// none) and occupies the CPU for its work, going on at next.
+func (w *worker) plan(budget time.Duration, next int) {
+	work, err := w.l.spec.Pipeline.Plan(w.s, budget)
+	w.occupy(nil, work, next)
+	w.perr = err
+}
+
+// occupy enters dev — nil: the CPU, if work > 0 — for work, parked on the
+// worker's selector, and goes on at next once it is done: Device.Run, apart.
+func (w *worker) occupy(dev *device.Device, work time.Duration, next int) {
+	if w.at, w.dev, w.err = next, dev, nil; dev == nil && work > 0 {
+		w.dev = w.l.env.CPU
+	}
+	if w.dev != nil {
+		if w.err = w.l.runCtx.Err(); w.err == nil {
+			w.e = w.dev.Enter(work, &w.sel)
+		}
+	}
+}
+
+// publish completes the finished sample's claim, materializing it for later
+// hits (its fill span from start), and hands it to q or the ordered buffer.
+func (w *worker) publish(start time.Duration, q *queue.Queue[*data.Sample]) {
+	l, s := w.l, w.s
+	if w.claim {
+		l.mat.Complete(l.matTenant, w.mk, matEntry(s))
+		w.claim = false
+		l.traceSample(trace.StageMatFill, start, s.PreprocEnd, s)
+	}
+	l.enqueued++
+	if w.at, w.q = atPut, q; l.cfg.OrderPreserving {
+		l.ordered.add(s)
+		w.s, w.at = nil, atTake
+	}
+}
+
+// fail ends the sample in hand with err: back to the pool when release, its
+// claim aborted, so parked followers re-elect a leader. A shutdown (queue
+// closed, context cancelled) ends the worker — the sample is not lost, the
+// session is ending; any other error abandons the sample, and it goes on.
+func (w *worker) fail(err error, release bool) {
+	l := w.l
+	if release {
+		l.env.Pool.Put(w.s)
+	}
+	if w.claim {
+		l.mat.Abort(w.mk)
+		w.claim = false
+	}
+	w.s, w.at = nil, atExit
+	if !errors.Is(err, queue.ErrClosed) && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		w.at = atTake
+		l.abandon(w.seq)
 	}
 }
 
@@ -366,40 +629,9 @@ func (l *Loader) traceSample(stage trace.Stage, start, end time.Duration, s *dat
 		Key: int64(s.Index), Seq: s.OriginalOrder, Detail: s.RawBytes})
 }
 
-// errSamplePanic marks a recovered transform panic so runSample treats it
-// like any other per-sample failure.
+// errSamplePanic marks a recovered panic in sample processing, handled like
+// any other per-sample failure.
 var errSamplePanic = errors.New("minato: panic in sample processing")
-
-// runSample executes one sample-processing step, containing panics and
-// per-sample errors (a failed load, a corrupt sample rejected by a
-// transform) to the sample itself: the sample is abandoned and the worker
-// keeps serving. It reports whether the worker should continue; false means
-// shutdown (queue closed or context cancelled), where abandoning would be
-// wrong — the sample is not lost, the session is ending.
-func (l *Loader) runSample(ctx context.Context, fn func() error, seq int64) bool {
-	err := l.guard(fn)
-	switch {
-	case err == nil:
-		return true
-	case errors.Is(err, queue.ErrClosed),
-		errors.Is(err, context.Canceled),
-		errors.Is(err, context.DeadlineExceeded):
-		return false
-	default:
-		l.abandon(seq)
-		return true
-	}
-}
-
-// guard runs fn, converting a panic into errSamplePanic.
-func (l *Loader) guard(fn func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = errSamplePanic
-		}
-	}()
-	return fn()
-}
 
 // abandon records the loss of the sample with the given draw order: the
 // abandoned counter keeps the termination accounting consistent so batch
@@ -418,173 +650,12 @@ func (l *Loader) abandon(seq int64) {
 // panicking loads and transforms.
 func (l *Loader) Faults() int64 { return l.abandoned }
 
-// processNew runs the load-balancer path of Algorithm 1 for one draw: fill
-// the sample, claim its key in the materialized cache (a hit is restored
-// instead), read it, and classify it — upfront by size in the Fig 3a
-// heuristic mode, by the profiler's compute budget otherwise. A fast sample
-// is published here, completing its claim; a slow one parks in the temp
-// queue and carries its claim into finishSlow. Parked followers deadlock the
-// kernel unless a claim is settled, so the deferred Abort covers every other
-// exit — a panic unwinding toward runSample's recover included, before any
-// follower could observe a stale claim.
-func (l *Loader) processNew(ctx context.Context, it loader.IndexItem) error {
-	s := loader.FillSample(l.env, l.spec, it)
-	settled := true
-	var mk matcache.Key
-	if l.mat != nil {
-		mk = matcache.Key{Obj: s.Key, Sig: l.matSig}
-		e, hit, err := l.mat.GetOrWait(ctx, l.matTenant, mk, l.env.RT, func(since time.Duration) {
-			l.traceSample(trace.StageMatWait, since, l.env.RT.Now(), s)
-		})
-		if err != nil {
-			l.env.Pool.Put(s)
-			return err
-		}
-		if hit {
-			return l.restoreHit(ctx, s, e)
-		}
-		settled = false
-		defer func() {
-			if !settled {
-				l.mat.Abort(mk)
-			}
-		}()
-	}
-	if err := l.env.Store.ReadSample(ctx, l.env.RT, s); err != nil {
-		l.env.Pool.Put(s)
-		return err
-	}
-	s.PreprocStart = l.env.RT.Now()
-
-	var err error
-	heuristic := l.cfg.SizeHeuristicThreshold > 0
-	switch {
-	case heuristic && s.RawBytes > l.cfg.SizeHeuristicThreshold:
-		s.MarkedSlow = true
-	case heuristic:
-		err = l.spec.Pipeline.Apply(ctx, l.env.CPU, s)
-	default:
-		err = l.spec.Pipeline.ApplyBudget(ctx, l.env.CPU, s, l.profiler.Timeout())
-		if errors.Is(err, transform.ErrInterrupted) {
-			err = nil
-			l.traceSample(trace.StageTransform, s.PreprocStart, l.env.RT.Now(), s)
-			s.MarkedSlow = true
-			l.profiler.Classified(true)
-			if l.cfg.RestartSlowFromScratch {
-				// Ablation: discard partial progress. The reset copy comes
-				// from the pool and the partially-processed instance goes
-				// back to it; the claim follows the key, not the instance.
-				s = l.env.Pool.CloneReset(s)
-				s.MarkedSlow = true
-			}
-		}
-	}
-	if err != nil {
-		l.env.Pool.Put(s)
-		return err
-	}
-	if s.MarkedSlow {
-		if err := l.tempQ.Put(ctx, s); err != nil {
-			return err
-		}
-		settled = true // finishSlow settles the claim
-		return nil
-	}
-
-	s.PreprocEnd = l.env.RT.Now()
-	l.traceSample(trace.StageTransform, s.PreprocStart, s.PreprocEnd, s)
-	l.profiler.Record(s.PreprocCost)
-	if !heuristic {
-		l.profiler.Classified(false)
-	}
-	if l.mat != nil {
-		l.mat.Complete(l.matTenant, mk, matEntry(s))
-		settled = true
-		l.traceSample(trace.StageMatFill, s.PreprocStart, s.PreprocEnd, s)
-	}
-	return l.putFast(ctx, s)
-}
-
-// restoreHit delivers a cache hit: the sample skips the raw read and the
-// pipeline, paying only the restore of the materialized tensor. Hits bypass
-// the profiler — restore times are not preprocessing times and would drag
-// the classification timeout toward zero.
-func (l *Loader) restoreHit(ctx context.Context, s *data.Sample, e matcache.Entry) error {
-	now := l.env.RT.Now()
-	l.traceSample(trace.StageMatHit, now, now, s)
-	s.LoadedAt = now
-	s.PreprocStart = now
-	if restore := matcache.RestoreCost(e.Bytes); restore > 0 {
-		if err := l.env.CPU.Run(ctx, restore); err != nil {
-			l.env.Pool.Put(s)
-			return err
-		}
-		s.PreprocCost = restore
-	}
-	s.Bytes = e.Bytes
-	s.NextTransform = l.spec.Pipeline.Len()
-	s.PreprocEnd = l.env.RT.Now()
-	return l.putFast(ctx, s)
-}
-
 // matEntry captures the materialized record of a finished sample: its
 // post-pipeline size and the preprocessing compute a future hit saves (the
 // sample's measured cost, including any budget-interrupt re-execution).
 // Only values are copied — the cache never retains the pooled sample.
 func matEntry(s *data.Sample) matcache.Entry {
 	return matcache.Entry{Bytes: s.Bytes, Cost: s.PreprocCost}
-}
-
-// finishSlow completes a timed-out sample from its recorded transform
-// index and publishes it to the slow queue (Algorithm 1 lines 14–18).
-// With the materialized cache enabled, every parked sample carries a
-// leader claim from processNew: the finished output is published to the
-// cache, and any failure (or panic unwinding to runSample) aborts the
-// claim so parked co-tenants re-elect a leader instead of deadlocking.
-func (l *Loader) finishSlow(ctx context.Context, s *data.Sample) error {
-	settled := true
-	var mk matcache.Key
-	if l.mat != nil {
-		mk = matcache.Key{Obj: s.Key, Sig: l.matSig}
-		settled = false
-		defer func() {
-			if !settled {
-				l.mat.Abort(mk)
-			}
-		}()
-	}
-	s.ResumedFrom = s.NextTransform
-	s.TimesResumed++
-	resumeStart := l.env.RT.Now()
-	if err := l.spec.Pipeline.Apply(ctx, l.env.CPU, s); err != nil {
-		l.env.Pool.Put(s)
-		return err
-	}
-	s.PreprocEnd = l.env.RT.Now()
-	l.traceSample(trace.StageTransform, resumeStart, s.PreprocEnd, s)
-	l.profiler.Record(s.PreprocCost)
-	if l.mat != nil {
-		l.mat.Complete(l.matTenant, mk, matEntry(s))
-		settled = true
-		l.traceSample(trace.StageMatFill, resumeStart, s.PreprocEnd, s)
-	}
-	if l.cfg.OrderPreserving {
-		l.ordered.add(s)
-		l.enqueued++
-		return nil
-	}
-	l.enqueued++
-	return l.slowQ.Put(ctx, s)
-}
-
-func (l *Loader) putFast(ctx context.Context, s *data.Sample) error {
-	if l.cfg.OrderPreserving {
-		l.ordered.add(s)
-		l.enqueued++
-		return nil
-	}
-	l.enqueued++
-	return l.fastQ.Put(ctx, s)
 }
 
 // batchConstructor assembles batches for GPU g: fast queue first, slow

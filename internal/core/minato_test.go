@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"io"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -387,25 +389,76 @@ func TestSizeHeuristicClassifiesBySize(t *testing.T) {
 // faultyTransform panics for specific sample indices — simulating a buggy
 // user-defined transform.
 type faultyTransform struct {
-	inner transform.Transform
-	bad   func(*data.Sample) bool
+	inner   transform.Transform
+	bad     func(*data.Sample) bool
+	stepped int // the panics raised in a worker's wake step
 }
 
 func (f *faultyTransform) Name() string { return f.inner.Name() + "+faulty" }
 func (f *faultyTransform) Cost(s *data.Sample) time.Duration {
 	if f.bad(s) {
+		if inStep() {
+			f.stepped++
+		}
 		panic("injected transform fault")
 	}
 	return f.inner.Cost(s)
+}
+
+// inStep reports whether its caller runs in a worker's wake step: on the
+// kernel's loop, in the task's turn, rather than on the task's own stack.
+func inStep() bool {
+	pc := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, ".(*worker).Step") {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// checkContained checks what a run whose faults were contained leaves behind:
+// each of the spec's draws was delivered in a batch or abandoned (the budget
+// short only by a partial batch the faults left), the faults that struck in a
+// wake step among them, and no task parked.
+func checkContained(t *testing.T, h *harness, l *Loader, spec loader.Spec, delivered, stepped int) {
+	t.Helper()
+	total := int64(spec.TotalBatches() * spec.BatchSize)
+	if l.emitted != total {
+		t.Errorf("%d samples drawn, want the budget's %d", l.emitted, total)
+	}
+	if short := total - int64(delivered*spec.BatchSize) - l.Faults(); short < 0 || short >= int64(spec.BatchSize) {
+		t.Errorf("%d batches of %d delivered with %d faults: %d of %d samples unaccounted for",
+			delivered, spec.BatchSize, l.Faults(), short, total)
+	}
+	st := h.k.Stats()
+	t.Logf("%d batches, %d faults (%d in a wake step), %d parks stepped", delivered, l.Faults(), stepped, st.Steps)
+	if stepped == 0 || st.Steps == 0 {
+		t.Errorf("%d of %d faults struck in a wake step, %d parks stepped: want both nonzero", stepped, l.Faults(), st.Steps)
+	}
+	if n := h.k.Tasks(); n != 0 {
+		t.Errorf("%d tasks left after shutdown: %v", n, h.k.TaskNames())
+	}
 }
 func (f *faultyTransform) SizeFactor(s *data.Sample) float64 { return f.inner.SizeFactor(s) }
 func (f *faultyTransform) Barrier() bool                     { return f.inner.Barrier() }
 
 // TestWorkerSurvivesPanickingTransform: a buggy transform must not take
 // down the loader; the bad samples are abandoned, everything else flows,
-// and shutdown stays clean.
+// and shutdown stays clean. The panics strike in the task and in its wake
+// step, where the transform's Cost runs on the kernel's loop.
 func TestWorkerSurvivesPanickingTransform(t *testing.T) {
 	h := newHarness(8, 1)
+	var (
+		l         *Loader
+		spec      loader.Spec
+		faulty    *faultyTransform
+		delivered int
+	)
 	h.k.Run(func() {
 		base := transform.SpeechPipeline(3 * time.Second)
 		ts := base.Transforms()
@@ -414,21 +467,21 @@ func TestWorkerSurvivesPanickingTransform(t *testing.T) {
 			wrapped[i] = tr
 		}
 		// Every 50th sample poisons the first transform.
-		wrapped[0] = &faultyTransform{inner: ts[0], bad: func(s *data.Sample) bool {
+		faulty = &faultyTransform{inner: ts[0], bad: func(s *data.Sample) bool {
 			return s.Index%50 == 0
 		}}
-		spec := loader.Spec{
+		wrapped[0] = faulty
+		spec = loader.Spec{
 			Dataset:    dataset.Subset(dataset.NewLibriSpeech(1, 5), 1000),
 			Pipeline:   transform.NewPipeline("faulty", wrapped...),
 			BatchSize:  8,
 			Iterations: 20,
 			Seed:       1,
 		}
-		l := New(h.env, spec, DefaultConfig())
+		l = New(h.env, spec, DefaultConfig())
 		if err := l.Start(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		delivered := 0
 		for {
 			_, err := l.Next(context.Background(), 0)
 			if err == io.EOF {
@@ -452,6 +505,7 @@ func TestWorkerSurvivesPanickingTransform(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	checkContained(t, h, l, spec, delivered, faulty.stepped)
 }
 
 func TestRestartFromScratchAblationRedoesWork(t *testing.T) {
@@ -486,11 +540,15 @@ func TestRestartFromScratchAblationRedoesWork(t *testing.T) {
 // preprocessing.
 type rejectingTransform struct {
 	transform.Transform
-	bad func(*data.Sample) bool
+	bad     func(*data.Sample) bool
+	stepped int // the rejections made in a worker's wake step
 }
 
 func (r *rejectingTransform) Validate(s *data.Sample) error {
 	if r.bad(s) {
+		if inStep() {
+			r.stepped++
+		}
 		return errors.New("corrupt sample")
 	}
 	return nil
@@ -518,15 +576,20 @@ func rejectingSpec(batch, iters int) loader.Spec {
 // TestWorkerSurvivesFailingSample: a per-sample error (not a panic) must not
 // kill the worker. Before the fix, each error silently retired a worker and
 // skewed the termination accounting (emitted > enqueued + abandoned), so the
-// session never drained; this test hung.
+// session never drained; this test hung. The rejections are made in the task
+// and in its wake step alike.
 func TestWorkerSurvivesFailingSample(t *testing.T) {
 	h := newHarness(8, 1)
+	spec := rejectingSpec(8, 20)
+	var (
+		l         *Loader
+		delivered int
+	)
 	h.k.Run(func() {
-		l := New(h.env, rejectingSpec(8, 20), DefaultConfig())
+		l = New(h.env, spec, DefaultConfig())
 		if err := l.Start(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		delivered := 0
 		for {
 			_, err := l.Next(context.Background(), 0)
 			if err == io.EOF {
@@ -554,6 +617,7 @@ func TestWorkerSurvivesFailingSample(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	checkContained(t, h, l, spec, delivered, spec.Pipeline.Transforms()[0].(*rejectingTransform).stepped)
 }
 
 // TestOrderPreservingSkipsAbandonedSamples: with strict ordering, an

@@ -111,31 +111,59 @@ func (d *Device) Capacity() float64 { return d.cap }
 
 // Run occupies the device for `work` of full-speed compute time, longer in
 // virtual time under contention. It returns ctx.Err() if cancelled mid-run.
+// It is Enter, the parks Settle times, and Leave.
 func (d *Device) Run(ctx context.Context, work time.Duration) error {
-	if err := ctx.Err(); err != nil {
+	if err := ctx.Err(); err != nil || work <= 0 {
 		return err
 	}
+	e := d.Enter(work, nil)
+	var err error
+	for dl, wait := d.Settle(e); wait; dl, wait = d.Settle(e) {
+		if _, err = e.sel.Wait(ctx, dl); err != nil {
+			break
+		}
+	}
+	d.Leave(e, err == nil)
+	return err
+}
+
+// Enter admits the running task with `work` of full-speed compute, parked on
+// sel (nil: the entry's own), and returns its entry, nil for no work. It
+// wakes nobody; a leaver that re-enters within the instant puts back the rate
+// and the front's stamp (8/64 → 8/63 → 8/64). A wake step runs Run's halves.
+func (d *Device) Enter(work time.Duration, sel *simtime.Selector) *Entry {
 	if work <= 0 {
 		return nil
 	}
-	t0 := d.rt.Now()
 	e := d.newEntry()
+	e.sel, e.t0, e.work = sel, d.rt.Now(), work
+	if sel == nil {
+		e.sel = &e.own
+	}
 	d.advance()
-	// Entering wakes nobody; a leaver that re-enters within the instant puts
-	// back the rate and the front's stamp (8/64 → 8/63 → 8/64).
 	d.occupy(e, work.Seconds())
-	var err error
-	for err == nil && !d.ps.Done(e) {
-		// Uncontended tasks, and the front, hold exact completion timers.
-		_, err = e.sel.Wait(ctx, d.ps.Deadline(e, d.ps.rate == 1))
-		d.advance()
+	return e
+}
+
+// Settle brings e's occupancy to now and reports whether work is left, with
+// the deadline its task parks with next, the cycle begun on its selector:
+// uncontended tasks, and the front, hold exact completion timers.
+func (d *Device) Settle(e *Entry) (deadline time.Duration, wait bool) {
+	if d.advance(); d.ps.Done(e) {
+		return 0, false
 	}
+	return d.ps.Deadline(e, d.ps.rate == 1), true
+}
+
+// Leave ends e's occupancy, done or given up, and records the span of a done
+// one on a traced device.
+func (d *Device) Leave(e *Entry, done bool) {
+	d.advance()
 	d.occupy(e, 0)
-	if err == nil && d.traced {
-		d.rt.Trace().Record(trace.Span{Start: t0, End: d.rt.Now(), Stage: trace.StageDeviceRun,
-			Tenant: d.trTenant, Node: d.trNode, Key: d.trKey, Detail: int64(work)})
+	if done && d.traced {
+		d.rt.Trace().Record(trace.Span{Start: e.t0, End: d.rt.Now(), Stage: trace.StageDeviceRun,
+			Tenant: d.trTenant, Node: d.trNode, Key: d.trKey, Detail: int64(e.work)})
 	}
-	return err
 }
 
 // newEntry takes an entry from the device's free list, else one a recycled

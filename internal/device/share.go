@@ -45,7 +45,8 @@ type Share struct {
 // invalidEpoch marks an entry with no stamped completion instant.
 const invalidEpoch = ^uint64(0)
 
-// Entry is one occupant of a Share: a task parked on the selector it embeds.
+// Entry is one occupant of a Share: a task parked on a selector, the one it
+// embeds or its caller's (Device.Enter).
 type Entry struct {
 	target float64       // progress value at which this entry completes
 	finish time.Duration // absolute completion instant, per rate epoch
@@ -54,17 +55,28 @@ type Entry struct {
 	// timed: the task holds a timer at finish, as the front does (and on
 	// an uncontended device everyone, batched by same-deadline chaining).
 	timed bool
-	sel   simtime.Selector
+	sel   *simtime.Selector // own, or the caller's
+	own   simtime.Selector
+	// A device occupancy's start and full-speed work, for its span.
+	t0, work time.Duration
 }
 
-// Bind binds the entry's selector to rt, once, before its first use.
-func (e *Entry) Bind(rt *simtime.Virtual) { e.sel.Bind(rt) }
+// Bind binds the entry's own selector to rt, once, before its first use, and
+// has its task park there.
+func (e *Entry) Bind(rt *simtime.Virtual) {
+	e.own.Bind(rt)
+	e.sel = &e.own
+}
 
 // Selector returns the selector the entry's task parks on.
-func (e *Entry) Selector() *simtime.Selector { return &e.sel }
+func (e *Entry) Selector() *simtime.Selector { return e.sel }
 
 // Reserve gives an empty share's heap the backing array buf[:0].
 func (s *Share) Reserve(buf []*Entry) { s.entries = buf[:0] }
+
+// Reset empties a share none of whose entries is live to its zero value,
+// keeping its heap's backing array.
+func (s *Share) Reset() { *s = Share{entries: s.entries[:0]} }
 
 // Rate returns the share's current per-entry rate.
 func (s *Share) Rate() float64 { return s.rate }

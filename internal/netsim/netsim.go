@@ -81,6 +81,17 @@ type Fabric struct {
 // when it starts, so the flows in their latency count.
 var flowStock = simtime.NewStock[*flow](256)
 
+// stores holds the per-link storage of recycled fabrics, process-wide: links,
+// their groups with the heap arrays they grew, and water-filling's scratch (3
+// ints a link). Every benchmark workload runs one fabric at a time.
+var stores = simtime.NewStock[store](1)
+
+type store struct {
+	links   []link
+	groups  []device.Share
+	scratch []int
+}
+
 // tieTol is water-filling's relative tie tolerance. An absolute one fails
 // at NIC rates, where the residuals' rounding exceeds any fixed epsilon and
 // one bottleneck level splits into many passes.
@@ -160,13 +171,19 @@ func New(rt *simtime.Virtual, cfg Config) *Fabric {
 		panic("netsim: bandwidth must be positive")
 	}
 	nl := 2 * cfg.Endpoints
-	f := &Fabric{rt: rt, latency: cfg.Latency, links: make([]link, nl), groups: make([]device.Share, nl), lastT: rt.Now()}
-	scratch := make([]int, 3*nl)
-	f.comp, f.bott, f.begun = scratch[:0:nl], scratch[nl:nl:2*nl], scratch[2*nl:2*nl]
-	slots := make([]*device.Entry, nl) // every group's first heap slot
+	st, _ := stores.Get()
+	if cap(st.links) < nl {
+		st = store{make([]link, nl), make([]device.Share, nl), make([]int, 3*nl)}
+		slots := make([]*device.Entry, nl) // every group's first heap slot
+		for i := range st.groups {
+			st.groups[i].Reserve(slots[i : i+1 : i+1])
+		}
+	}
+	f := &Fabric{rt: rt, latency: cfg.Latency, links: st.links[:nl], groups: st.groups[:nl], lastT: rt.Now()}
+	f.comp, f.bott, f.begun = st.scratch[:0], st.scratch[nl:nl], st.scratch[2*nl:2*nl] // nl each at most
 	for i := range f.links {
-		f.links[i].bw = cfg.Bandwidth
-		f.groups[i].Reserve(slots[i : i+1 : i+1])
+		f.links[i] = link{bw: cfg.Bandwidth}
+		f.groups[i].Reset()
 	}
 	rt.Own(f)
 	return f
@@ -231,9 +248,10 @@ func (f *Fabric) BytesMoved() int64 {
 	return total
 }
 
-// Recycle hands the fabric's flow records (with their selectors) to the
-// fabrics built after it, at its kernel's teardown (simtime.Virtual.Recycle);
-// a fabric with flows in flight keeps them. The fabric stays usable.
+// Recycle hands the fabric's flow records (with their selectors) and its
+// per-link storage to the fabrics built after it, at its kernel's teardown
+// (simtime.Virtual.Recycle); a fabric with flows in flight keeps them. Its
+// totals (BytesMoved, FlowsCompleted) stay readable, and nothing else.
 func (f *Fabric) Recycle() {
 	if f.all.n > 0 {
 		return
@@ -242,6 +260,8 @@ func (f *Fabric) Recycle() {
 		f.free, fl.next[2] = fl.next[2], nil
 		flowStock.Put(fl)
 	}
+	stores.Put(store{f.links, f.groups, f.comp[:0]})
+	f.links, f.groups = nil, nil
 }
 
 // FlowsCompleted returns how many transfers have retired, done or cancelled.

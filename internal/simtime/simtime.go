@@ -26,7 +26,9 @@
 // Selector.WaitStep is not resumed by each wake either: the loop runs its
 // Stepper in its turn, with it current, and the step parks it again in place
 // (KernelStats.Steps) or resumes it — the same events in the same order as
-// the Wait loop it replaces, less the switches. The price of one task at a
+// the Wait loop it replaces, less the switches. A step hands every move that
+// parks elsewhere back to its task. Steps serve a batch constructor's wait, a
+// fabric transfer's flow and a worker's sample path. The price of one task at a
 // time: a task that blocks on an ordinary Go primitive (a channel, a
 // sync.WaitGroup, a mutex held by a parked task) waiting for another task
 // stalls the whole kernel, not just itself — and that includes caller code

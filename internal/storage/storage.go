@@ -61,6 +61,17 @@ func (d *Disk) Read(ctx context.Context, n int64) error {
 	if n <= 0 {
 		return nil
 	}
+	dev, work := d.Occupancy(n)
+	if err := dev.Run(ctx, work); err != nil {
+		return err
+	}
+	d.bytesRead += n
+	return nil
+}
+
+// Occupancy returns the device and the work of an n-byte read starting now,
+// slowed by the degradation timeline (Read, and Store.Fetched's callers).
+func (d *Disk) Occupancy(n int64) (*device.Device, time.Duration) {
 	f := 1.0
 	if len(d.sched) > 0 {
 		now := d.rt.Now()
@@ -71,11 +82,7 @@ func (d *Disk) Read(ctx context.Context, n int64) error {
 			}
 		}
 	}
-	if err := d.dev.Run(ctx, time.Duration(float64(n)*f/d.streamBW*float64(time.Second))); err != nil {
-		return err
-	}
-	d.bytesRead += n
-	return nil
+	return d.dev, time.Duration(float64(n) * f / d.streamBW * float64(time.Second))
 }
 
 // ScheduleSlowdown installs a degradation step: reads starting at or after
@@ -163,32 +170,64 @@ func (st *Store) WithTenant(id int) Store {
 // the first reader of an uncached key fetches it from disk while concurrent
 // readers of the same key — typically sibling sessions warming up over a
 // shared dataset — park until the fetch lands and then count a shared hit,
-// instead of issuing redundant reads for bytes already on their way.
+// instead of issuing redundant reads for bytes already on their way. It is
+// Lookup, the disk occupancy (Disk.Occupancy) and Fetched, run back to back.
 func (st *Store) ReadSample(ctx context.Context, rt *simtime.Virtual, s *data.Sample) error {
+	read, err := st.Lookup(ctx, rt, s)
+	if !read {
+		return err
+	}
+	t0 := rt.Now()
+	if n := s.RawBytes; n > 0 {
+		dev, work := st.Disk.Occupancy(n)
+		err = dev.Run(ctx, work)
+	}
+	return st.Fetched(ctx, rt, s, t0, err)
+}
+
+// Lookup looks s up in the page cache, parked behind a fill in flight, and
+// reports whether s must be read from the disk: no cache, or a miss whose
+// fill this reader leads. A hit is stamped and done.
+func (st *Store) Lookup(ctx context.Context, rt *simtime.Virtual, s *data.Sample) (read bool, err error) {
 	if st.Cache == nil {
-		if err := st.fetch(ctx, rt, s); err != nil {
-			return err
-		}
-		s.LoadedAt = rt.Now()
-		return nil
+		return true, nil
 	}
 	waited := false
 	_, hit, err := st.Cache.GetOrWait(ctx, st.Tenant, s.Key, rt, func(since time.Duration) {
 		waited = true
 		rt.Trace().Record(st.span(trace.StageCacheWait, since, rt.Now(), s))
 	})
+	if err != nil || !hit {
+		return err == nil, err
+	}
+	if s.LoadedAt = rt.Now(); !waited { // a follower's hit on re-check is its recorded wait
+		rt.Trace().Instant(st.span(trace.StageCacheHit, s.LoadedAt, s.LoadedAt, s), s.LoadedAt)
+	}
+	return false, nil
+}
+
+// Fetched ends a read whose disk occupancy began at t0 and ended with err:
+// the disk span, the remote storage's network transfer to the reading node,
+// and the fill published, or aborted on a failure.
+func (st *Store) Fetched(ctx context.Context, rt *simtime.Virtual, s *data.Sample, t0 time.Duration, err error) error {
+	if err == nil {
+		st.Disk.bytesRead += s.RawBytes
+		rt.Trace().Record(st.span(trace.StageDiskRead, t0, rt.Now(), s))
+		if st.Remote != nil {
+			t1 := rt.Now()
+			if err = st.Remote.Fetch(ctx, s.RawBytes); err == nil {
+				rt.Trace().Record(st.span(trace.StageRemoteFetch, t1, rt.Now(), s))
+			}
+		}
+	}
 	if err != nil {
+		if st.Cache != nil {
+			st.Cache.Abort(s.Key)
+		}
 		return err
 	}
-	t0 := rt.Now()
-	switch {
-	case hit && !waited: // a follower's hit on re-check is its recorded wait
-		rt.Trace().Instant(st.span(trace.StageCacheHit, t0, t0, s), t0)
-	case !hit: // leader: fetch and publish
-		if err := st.fetch(ctx, rt, s); err != nil {
-			st.Cache.Abort(s.Key)
-			return err
-		}
+	st.DiskBytes += s.RawBytes
+	if st.Cache != nil {
 		st.Cache.Complete(st.Tenant, s.Key, cache.Entry{Bytes: s.RawBytes})
 		rt.Trace().Record(st.span(trace.StageCacheFill, t0, rt.Now(), s))
 	}
@@ -203,23 +242,4 @@ func (st *Store) span(stage trace.Stage, start, end time.Duration, s *data.Sampl
 	return trace.Span{Start: start, End: end, Stage: stage,
 		Tenant: int32(st.Tenant), Node: st.TraceNode,
 		Key: int64(s.Index), Seq: s.OriginalOrder, Detail: s.RawBytes}
-}
-
-// fetch is the uncached read path: the disk occupancy, then — for remote
-// storage — the network transfer to the reading node.
-func (st *Store) fetch(ctx context.Context, rt *simtime.Virtual, s *data.Sample) error {
-	t0 := rt.Now()
-	if err := st.Disk.Read(ctx, s.RawBytes); err != nil {
-		return err
-	}
-	rt.Trace().Record(st.span(trace.StageDiskRead, t0, rt.Now(), s))
-	if st.Remote != nil {
-		t1 := rt.Now()
-		if err := st.Remote.Fetch(ctx, s.RawBytes); err != nil {
-			return err
-		}
-		rt.Trace().Record(st.span(trace.StageRemoteFetch, t1, rt.Now(), s))
-	}
-	st.DiskBytes += s.RawBytes
-	return nil
 }

@@ -160,67 +160,57 @@ func (p *Pipeline) TotalCost(s *data.Sample) time.Duration {
 // Apply runs every remaining transform of s (from s.NextTransform) to
 // completion on exec.
 func (p *Pipeline) Apply(ctx context.Context, exec Executor, s *data.Sample) error {
-	_, err := p.run(ctx, exec, s, -1)
-	return err
+	return p.ApplyBudget(ctx, exec, s, -1)
 }
 
-// ApplyBudget runs remaining transforms with a compute budget. If the
-// pipeline completes within the budget it returns nil. If a transform would
-// exceed the remaining budget, the executor is occupied for exactly the
-// remaining budget (the partial application) and ErrInterrupted is
-// returned; s.NextTransform then indexes the transform to re-execute.
+// ApplyBudget runs remaining transforms with a compute budget (negative for
+// none): it occupies exec for the work Plan walks, then returns what the walk
+// ended with. If a transform would exceed the remaining budget, the executor
+// is occupied for exactly the remaining budget (the partial application) and
+// ErrInterrupted is returned; s.NextTransform then indexes the transform to
+// re-execute.
 func (p *Pipeline) ApplyBudget(ctx context.Context, exec Executor, s *data.Sample, budget time.Duration) error {
-	_, err := p.run(ctx, exec, s, budget)
+	work, err := p.Plan(s, budget)
+	if work > 0 {
+		if rerr := exec.Run(ctx, work); rerr != nil {
+			return rerr
+		}
+	}
 	return err
 }
 
-// run executes the remaining transforms. Costs and size effects are pure
-// functions of the sample, so the walk first accounts each step and then
-// occupies the executor once for the accumulated compute — one device park
-// per Apply instead of one per transform, with identical virtual-time
-// occupancy (the per-step executions it replaces were back-to-back on the
-// same device at the same per-task rate).
-func (p *Pipeline) run(ctx context.Context, exec Executor, s *data.Sample, budget time.Duration) (time.Duration, error) {
+// Plan walks the remaining transforms of s, accounting each step on the
+// sample, and returns the compute they need and what ended the walk: nil, a
+// Validator's rejection (the work is the steps before it), or ErrInterrupted
+// when a transform would exceed budget (≥ 0; the work is then the budget,
+// Algorithm 1's partial application, and s.NextTransform the transform to
+// re-execute in full, lines 11 & 16-17). Costs and size effects are pure
+// functions of the sample, so the caller occupies its executor once for the
+// whole walk — one device park per Apply instead of one per transform, with
+// identical virtual-time occupancy (the per-step executions it replaces were
+// back-to-back on the same device at the same per-task rate). The walk runs
+// the transforms' Validate, Cost and SizeFactor: user code, which may panic.
+func (p *Pipeline) Plan(s *data.Sample, budget time.Duration) (time.Duration, error) {
 	var spent time.Duration
 	for i := s.NextTransform; i < len(p.ts); i++ {
 		t := p.ts[i]
 		if v := p.vals[i]; v != nil {
 			if err := v.Validate(s); err != nil {
-				// Occupy the executor for the steps that ran before the
-				// rejection, then surface the fault.
-				if rerr := p.occupy(ctx, exec, spent); rerr != nil {
-					return spent, rerr
-				}
 				return spent, err
 			}
 		}
 		c := t.Cost(s)
 		if budget >= 0 && spent+c > budget {
-			// Partially apply: consume the remaining budget, then park the
-			// sample for background completion. The interrupted transform
-			// will be re-executed in full (Algorithm 1, lines 11 & 16-17).
-			partial := budget - spent
-			if err := p.occupy(ctx, exec, spent+partial); err != nil {
-				return spent, err
-			}
-			s.PreprocCost += partial
+			s.PreprocCost += budget - spent
 			s.NextTransform = i
-			return spent + partial, ErrInterrupted
+			return budget, ErrInterrupted
 		}
 		spent += c
 		s.PreprocCost += c
 		s.Bytes = int64(float64(s.Bytes) * t.SizeFactor(s))
 		s.NextTransform = i + 1
 	}
-	return spent, p.occupy(ctx, exec, spent)
-}
-
-// occupy runs the accumulated compute on the executor.
-func (p *Pipeline) occupy(ctx context.Context, exec Executor, work time.Duration) error {
-	if work <= 0 {
-		return nil
-	}
-	return exec.Run(ctx, work)
+	return spent, nil
 }
 
 // Reordered returns a new pipeline with the given transform order. The
