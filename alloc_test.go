@@ -290,9 +290,10 @@ func chaosEightNodes(seed uint64, steps int) (Workload, []Option) {
 // for three shapes: a minato run on a 4-GPU and on a 64-GPU machine, and
 // the 8-node job under a worker stall, a disk brownout and a link flap. A
 // run's storage — device entries, fabric flows, cache flights, the kernel's
-// queues — comes from what the run before it recycled at teardown, so the
-// count is the run's own objects: its loaders and their queues, its tasks'
-// closures, its report. Warm-up runs fill the process-wide free lists
+// queues, a one-machine run's MinatoLoader with its lanes and queue rings —
+// comes from what the run before it recycled at teardown, so the count is
+// the run's own objects: the multi-node job's loaders and their queues, its
+// tasks' closures, its report. Warm-up runs fill the process-wide free lists
 // first; the GC stays off; the least of three runs is what is pinned.
 func TestRunAllocations(t *testing.T) {
 	if raceEnabled() {
@@ -308,9 +309,9 @@ func TestRunAllocations(t *testing.T) {
 		pin  float64
 	}{
 		{"minato-4gpu", speech.WithIterations(100),
-			[]Option{WithLoader("minato"), WithHardware(ConfigA())}, 82},
+			[]Option{WithLoader("minato"), WithHardware(ConfigA())}, 59},
 		{"minato-64gpu", speech.WithIterations(64 * 5),
-			[]Option{WithLoader("minato"), WithHardware(ConfigA().WithGPUs(64))}, 440},
+			[]Option{WithLoader("minato"), WithHardware(ConfigA().WithGPUs(64))}, 239},
 		{"multinode8-chaos", chaosW, chaosOpts, 340},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -175,7 +175,7 @@ func Resume(ck *Checkpoint, opts ...Option) (*Session, error) {
 			if ck.consumed {
 				err = configErr("Resume", "checkpoint already consumed")
 			} else if sess, wait, err = ck.cl.open(ck.dataset, o, ck.owns, false); sess != nil {
-				sess.cst.Restored()
+				sess.ledger.Restored()
 				ck.consumed = true
 			}
 		})

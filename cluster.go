@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"github.com/minatoloader/minato/internal/cache"
+	"github.com/minatoloader/minato/internal/chaos"
 	"github.com/minatoloader/minato/internal/data"
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loader"
@@ -281,7 +282,7 @@ func (c *Cluster) open(dataset Dataset, o *options, ownsCluster, served bool) (*
 	s.factory, s.spec, s.script = f, spec, script
 	c.seat(&s.seat, o.weight, gpuCount)
 	if !served {
-		s.cst = trainer.NewChaos(&s.env, nil)
+		s.ledger = chaos.NewController(s.env.RT, 0, s.env.TraceTenant(), int(s.env.TraceNode), len(s.env.GPUs))
 	}
 	s.ld = f.New(&s.env, spec)
 	s.stats = SessionStats{Tenant: tenantID, Dataset: dataset.Name(), Loader: f.Name, Priority: o.weight}

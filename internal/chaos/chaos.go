@@ -13,7 +13,9 @@
 // applies them: it writes disk events onto the disks' slowdown timelines,
 // replays the other continuous-substrate events (link, disk windows, worker
 // stalls, preemption) on one engine task, opens and closes their windows in
-// its fault table, spawns the stall hogs and is the preemption gate.
+// its fault table, spawns the stall hogs and is the preemption gate. The
+// Controller is also where the run's consumers record every stall they
+// measure and every step boundary they reach: it is the run's one ledger.
 // Membership events (NodeCrash/NodeJoin) cannot safely fire mid-step — a
 // synchronous data-parallel cluster has no consistent state there — so the
 // distributed runner takes them from its controller (Due) at the first
@@ -21,7 +23,7 @@
 // (TorchElastic-style) reconfigures between steps, and records them in its
 // controller's table.
 //
-// Every run keeps its fault ledger by three rules:
+// Every run keeps its ledger by three rules:
 //
 //   - Anchor. An event's At counts from its run's start, which the driver
 //     passes to Start: a loading session's first pull, a training run's
@@ -29,14 +31,13 @@
 //     applies at start + At, so one script faults a run the same way on a
 //     fresh kernel and on a clock other runs have moved.
 //   - Stall. A window's StallDuring is the growth, while it is open, of the
-//     consumer stall the run's report counts: the driver's own (a training
-//     run's data stall, a multi-node job's data, barrier and network stall)
-//     plus the time consumers spend parked at the preemption gate
-//     (PreemptStall), read live.
+//     consumer stall the run's report counts: the data, barrier and network
+//     waits its consumers recorded (Stalled) plus the time they spend parked
+//     at the preemption gate (PreemptStall), read live.
 //   - Recovery. A Resume, a NodeJoin and a checkpoint restore each measure
 //     their Recovery from their instant to the driver's next progress point
 //     (a delivered batch, a completed step), on one pending list that the
-//     driver's Progress closes.
+//     driver's next Step closes.
 package chaos
 
 import (
@@ -174,6 +175,9 @@ func (s Script) Empty() bool { return len(s.Events) == 0 }
 // Sorted returns the events ordered by At (stable: equal times keep
 // script order), leaving s untouched.
 func (s Script) Sorted() []Event {
+	if s.Empty() {
+		return nil
+	}
 	evs := make([]Event, len(s.Events))
 	copy(evs, s.Events)
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })

@@ -128,7 +128,7 @@ func TestRegistry(t *testing.T) {
 // stall's window closes when its hogs drain.
 func TestEngineAppliesAtEventTimes(t *testing.T) {
 	k := simtime.NewVirtual()
-	c := NewController(k, 0, 0, 0, nil)
+	c := NewController(k, 0, 0, 0, 0)
 	s := Compose("",
 		BrownoutDisk(time.Second, 2, 2*time.Second),
 		StallWorkers(0, 2*time.Second, 2, time.Second),
@@ -153,7 +153,7 @@ func TestEngineAppliesAtEventTimes(t *testing.T) {
 
 func TestEngineStopDropsPendingEvents(t *testing.T) {
 	k := simtime.NewVirtual()
-	c := NewController(k, 0, 0, 0, nil)
+	c := NewController(k, 0, 0, 0, 0)
 	k.Run(func() {
 		wg := simtime.NewWaitGroup(k)
 		c.Start(0, BrownoutDisk(time.Second, 2, time.Hour), Targets{WG: wg})
@@ -174,7 +174,7 @@ func TestEngineStopDropsPendingEvents(t *testing.T) {
 // runs to the driver's next Progress.
 func TestGateParksUntilResume(t *testing.T) {
 	k := simtime.NewVirtual()
-	c := NewController(k, 0, 0, 0, nil)
+	c := NewController(k, 0, 0, 0, 1)
 	k.Run(func() {
 		ctx := context.Background()
 		wg := simtime.NewWaitGroup(k)
@@ -189,7 +189,7 @@ func TestGateParksUntilResume(t *testing.T) {
 				t.Errorf("the consumer left the gate at %v, want the resume at 8s", now)
 			}
 			_ = k.Sleep(ctx, 500*time.Millisecond)
-			c.Progress(k.Now())
+			c.Step(0, k.Now())
 		})
 		_ = k.Sleep(ctx, 2500*time.Millisecond)
 		if st := c.PreemptStall(); st != 500*time.Millisecond {
@@ -216,7 +216,7 @@ func TestGateParksUntilResume(t *testing.T) {
 // gate passes everyone before it.
 func TestGateTerminalReturnsErrPreempted(t *testing.T) {
 	k := simtime.NewVirtual()
-	c := NewController(k, 0, 0, 0, nil)
+	c := NewController(k, 0, 0, 0, 0)
 	k.Run(func() {
 		ctx := context.Background()
 		wg := simtime.NewWaitGroup(k)
@@ -238,18 +238,18 @@ func TestGateTerminalReturnsErrPreempted(t *testing.T) {
 	})
 }
 
-// TestFaultsTable drives the fault table the way its drivers do: windows
-// keyed by (kind, node), the stall attributed between open and close, an
-// instant event whose recovery the next Progress closes, hogs that close
-// their own window, and the spans each of them leaves.
+// TestFaultsTable drives the ledger the way its drivers do: windows keyed by
+// (kind, node), the consumer waits recorded between open and close (a
+// window is charged data, barrier and network waits, not downtime), an
+// instant event whose recovery the next step closes, hogs that close their
+// own window, each node's stall totals, and the spans each of them leaves.
 func TestFaultsTable(t *testing.T) {
 	k := simtime.NewVirtual()
 	rec := trace.NewRecorder()
 	if err := k.SetTrace(rec); err != nil {
 		t.Fatal(err)
 	}
-	var stall time.Duration
-	f := NewController(k, 4, 7, -1, func() time.Duration { return stall })
+	f := NewController(k, 4, 7, -1, 1)
 	k.Run(func() {
 		ctx := context.Background()
 		wg := simtime.NewWaitGroup(k)
@@ -261,14 +261,16 @@ func TestFaultsTable(t *testing.T) {
 		// Two shared cores, factor 1.5: three hogs of 2s each drain in 3s
 		// (and the device's round-up nanosecond).
 		f.stallWorkers(cpu, Event{At: time.Second, Kind: WorkerStall, Factor: 1.5, Duration: 2 * time.Second}, 0)
-		stall = 300 * time.Millisecond
 		_ = k.Sleep(ctx, time.Second)
+		f.Stalled(1, DataStall, 0, 4, 1800*time.Millisecond, k.Now())
+		f.Stalled(2, BarrierStall, 0, 4, 1900*time.Millisecond, k.Now())
+		f.Stalled(3, Downtime, 0, 4, time.Second, k.Now())
 		f.Close(LinkDegrade, 2)
 		f.Close(LinkDegrade, 2) // closed already: no second window span
 		f.Close(WorkerStall, 0) // only its hogs close a stall's window
 		f.Recovering(Event{At: 2 * time.Second, Kind: NodeJoin, Node: 3}, 3)
 		_ = k.Sleep(ctx, time.Minute)
-		f.Progress(k.Now())
+		f.Step(0, k.Now())
 		_ = wg.Wait(ctx)
 	})
 	got := f.Stats()
@@ -282,17 +284,32 @@ func TestFaultsTable(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("table:\n got %+v\nwant %+v", got, want)
 	}
+	wantStalls := []Stalls{{}, {DataStall: 200 * time.Millisecond}, {BarrierStall: 100 * time.Millisecond}, {Downtime: time.Second}}
+	run, nodes := f.Stalls()
+	if !reflect.DeepEqual(nodes, wantStalls) || run != (Stalls{200 * time.Millisecond, 100 * time.Millisecond, 0, time.Second}) {
+		t.Fatalf("stalls %+v by node %+v, want by node %+v", run, nodes, wantStalls)
+	}
+	if h := f.StepHist(); h.N() != 1 || h.QuantileDuration(0.5) < time.Minute {
+		t.Fatalf("step histogram: %d intervals, median %v; want one of 62s", h.N(), h.QuantileDuration(0.5))
+	}
 	var spans []string
 	for _, sp := range rec.Snapshot() {
-		spans = append(spans, fmt.Sprintf("%v %v-%v tenant=%d node=%d kind=%v", sp.Stage, sp.Start,
-			sp.End.Round(time.Millisecond), sp.Tenant, sp.Node, Kind(sp.Key)))
+		what := fmt.Sprintf("kind=%v", Kind(sp.Key))
+		if sp.Stage != trace.StageFault && sp.Stage != trace.StageFaultWindow {
+			what = fmt.Sprintf("key=%d seq=%d", sp.Key, sp.Seq)
+		}
+		spans = append(spans, fmt.Sprintf("%v %v-%v tenant=%d node=%d %s", sp.Stage, sp.Start,
+			sp.End.Round(time.Millisecond), sp.Tenant, sp.Node, what))
 	}
 	wantSpans := []string{
 		"fault 1s-1s tenant=7 node=0 kind=worker-stall",
 		"fault 1s-1s tenant=7 node=1 kind=link-degrade",
 		"fault 1s-1s tenant=7 node=2 kind=link-degrade",
+		"downtime 1s-2s tenant=7 node=3 key=0 seq=4",
 		"fault-window 1s-2s tenant=7 node=2 kind=link-degrade",
 		"fault-window 1s-4s tenant=7 node=0 kind=worker-stall",
+		"data-wait 1.8s-2s tenant=7 node=1 key=0 seq=4",
+		"barrier-wait 1.9s-2s tenant=7 node=2 key=0 seq=4",
 		"fault 2s-2s tenant=7 node=3 kind=node-join",
 	}
 	if !reflect.DeepEqual(spans, wantSpans) {
@@ -309,7 +326,7 @@ func TestInstallDiskTimeline(t *testing.T) {
 		ctx := context.Background()
 		wg := simtime.NewWaitGroup(k)
 		_ = k.Sleep(ctx, time.Second)
-		NewController(k, 0, 0, 0, nil).Start(k.Now(), BrownoutDisk(time.Second, 4, time.Second),
+		NewController(k, 0, 0, 0, 0).Start(k.Now(), BrownoutDisk(time.Second, 4, time.Second),
 			Targets{WG: wg, Disks: []*storage.Disk{nil, disk}})
 		read := func() time.Duration {
 			t0 := k.Now()

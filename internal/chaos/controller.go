@@ -6,13 +6,15 @@ import (
 	"time"
 
 	"github.com/minatoloader/minato/internal/device"
+	"github.com/minatoloader/minato/internal/metrics"
 	"github.com/minatoloader/minato/internal/simtime"
 	"github.com/minatoloader/minato/internal/storage"
 )
 
-// Controller applies a run's scripted faults and keeps its fault ledger: the
-// table, the preemption gate its consumers Wait at, and the recoveries still
-// being measured. Start installs the disk timeline and replays every other
+// Controller applies a run's scripted faults and keeps the run's ledger: the
+// fault table, the preemption gate its consumers Wait at, the recoveries
+// still being measured, every consumer stall (Stalled) and every step
+// interval (Step). Start installs the disk timeline and replays every other
 // event on one engine task, strictly in time order (stable for ties), so the
 // injection schedule is deterministic. Membership events are the multi-node
 // runner's: it takes them with Due at step boundaries and records them here.
@@ -23,9 +25,6 @@ type Controller struct {
 	nodes  int // the run shape, as Validate's: 0 is one machine
 	node   int // the label of faults that target the run as a whole
 	t      Targets
-	// stall, when set, is the consumer stall the driver counts beside the
-	// gate's (PreemptStall): a window is attributed the growth of their sum.
-	stall func() time.Duration
 
 	start  time.Duration // the run's start: each event applies at start + At
 	events []Event       // the script, sorted
@@ -33,7 +32,16 @@ type Controller struct {
 
 	stats      []FaultStat
 	open       []window   // the windows Close can find, keyed by (kind, node)
-	recovering []recovery // recoveries the driver's next Progress closes
+	recovering []recovery // recoveries the driver's next step closes
+
+	// The stall ledger: the run's totals, and each node's on a multi-node
+	// run.
+	total  Stalls
+	stalls []Stalls
+	// The step ledger: the step-interval histogram and each lane's last
+	// step boundary.
+	hist metrics.LogHist
+	last []time.Duration
 
 	// The preemption gate. gated is the parked consumers' stall integral up
 	// to since; parked consumers add to it live (PreemptStall).
@@ -74,24 +82,30 @@ type NIC struct {
 	Bandwidth float64
 }
 
-// NewController returns a controller with an empty fault table for a run of
-// the given shape (nodes as Validate's: 0 is one machine). The table stamps
-// from rt and records its spans under tenant into rt's recorder. node labels
-// the faults that target the run as a whole: disk faults, preemption and, on
-// one machine, worker stalls. stall, if not nil, is the consumer stall the
-// run counts beside the preemption gate's.
-func NewController(rt *simtime.Virtual, nodes int, tenant int32, node int, stall func() time.Duration) *Controller {
-	c := &Controller{rt: rt, tenant: tenant, nodes: nodes, node: node, stall: stall}
+// NewController returns an empty ledger for a run of the given shape (nodes
+// as Validate's: 0 is one machine) whose steps come in lanes lanes (a
+// machine's consumers, or one for the whole cluster). The ledger stamps from
+// rt and records its spans under tenant into rt's recorder. node labels the
+// faults that target the run as a whole: disk faults, preemption and, on one
+// machine, worker stalls.
+func NewController(rt *simtime.Virtual, nodes int, tenant int32, node int, lanes int) *Controller {
+	c := &Controller{rt: rt, tenant: tenant, nodes: nodes, node: node,
+		stalls: make([]Stalls, nodes), last: make([]time.Duration, lanes)}
 	c.waiters.Init(rt)
 	return c
 }
 
-// Start anchors script, validated for the controller's run shape, at start,
-// the run's start instant, and applies it to t: it writes the disk events
-// onto the disks' slowdown timelines and spawns the engine task on t.WG for
-// the remaining events that are not membership events, if there are any.
+// Start anchors the ledger at start, the run's start instant: every lane's
+// first step interval runs from it, and script, validated for the
+// controller's run shape, applies at start + At to t. Start writes the disk
+// events onto the disks' slowdown timelines and spawns the engine task on
+// t.WG for the remaining events that are not membership events, if there
+// are any.
 func (c *Controller) Start(start time.Duration, script Script, t Targets) {
 	c.t, c.start, c.events = t, start, script.Sorted()
+	for i := range c.last {
+		c.last[i] = start
+	}
 	n := 0
 	for _, ev := range c.events {
 		if ev.Kind.Membership() {
@@ -223,8 +237,11 @@ func (c *Controller) Due(now time.Duration) (ev Event, ok bool) {
 // Wait is the preemption gate: consumers call it at every batch boundary,
 // and it parks the caller while the run is preempted. A terminal preemption
 // (no resume left in the script) returns ErrPreempted; a ctx error passes
-// through.
+// through. A nil controller (a served stream keeps no ledger) gates nothing.
 func (c *Controller) Wait(ctx context.Context) error {
+	if c == nil {
+		return nil
+	}
 	for c.paused {
 		if c.terminal {
 			return ErrPreempted
@@ -252,18 +269,8 @@ func (c *Controller) PreemptStall() time.Duration {
 	return c.gated + time.Duration(c.parked)*(c.rt.Now()-c.since)
 }
 
-// consumerStall is the driver's stall and the gate's: a window is charged
-// its growth.
-func (c *Controller) consumerStall() time.Duration {
-	s := c.PreemptStall()
-	if c.stall != nil {
-		s += c.stall()
-	}
-	return s
-}
-
-// recovery is a fault whose recovery the driver's next Progress measures,
-// from the instant from.
+// recovery is a fault whose recovery the driver's next step measures, from
+// the instant from.
 type recovery struct {
 	idx  int // into stats
 	from time.Duration
@@ -271,23 +278,14 @@ type recovery struct {
 
 // Recovering records ev applied now, with no window (Resume, NodeJoin), and
 // measures its recovery from its instant (start + At) to the driver's next
-// Progress.
+// step.
 func (c *Controller) Recovering(ev Event, node int) {
 	c.recovering = append(c.recovering, recovery{idx: c.instant(ev, node), from: c.start + ev.At})
 }
 
 // Restored records a checkpoint restore: a Resume at 0 (it precedes the
 // resumed run's start) applied now, whose recovery runs from now to the
-// driver's next Progress.
+// driver's next step.
 func (c *Controller) Restored() {
 	c.recovering = append(c.recovering, recovery{idx: c.instant(Event{Kind: Resume}, c.node), from: c.rt.Now()})
-}
-
-// Progress closes every pending recovery at now: drivers call it at each
-// progress point (a delivered batch, a completed step).
-func (c *Controller) Progress(now time.Duration) {
-	for _, r := range c.recovering {
-		c.stats[r.idx].Recovery = now - r.from
-	}
-	c.recovering = c.recovering[:0]
 }

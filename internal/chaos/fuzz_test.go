@@ -119,7 +119,7 @@ func checkController(t *testing.T, c chaosCase) {
 	if err := k.SetTrace(rec); err != nil {
 		t.Fatal(err)
 	}
-	ctl := NewController(k, c.nodes, 0, -1, nil)
+	ctl := NewController(k, c.nodes, 0, -1, 0)
 	var links *recordingLinks
 	var afterStop int
 	k.Run(func() {

@@ -1,9 +1,10 @@
-package core
+package core_test
 
 import (
 	"testing"
 	"time"
 
+	"github.com/minatoloader/minato/internal/core"
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loader"
 	"github.com/minatoloader/minato/internal/simtime"
@@ -43,7 +44,7 @@ func TestParkBudgetPerSample(t *testing.T) {
 			k.Run(func() {
 				tb := hardware.NewTestbed(k, hardware.ConfigA().WithGPUs(c.gpus))
 				f := trainer.Factory{Name: "minato", New: func(env *loader.Env, spec loader.Spec) loader.Loader {
-					return New(env, spec, DefaultConfig())
+					return core.New(env, spec, core.DefaultConfig())
 				}}
 				rep, err = trainer.Run(k, tb, workload.Speech(1, 3*time.Second).WithIterations(c.iter), f, trainer.Params{})
 			})

@@ -52,7 +52,6 @@ import (
 	"github.com/minatoloader/minato/internal/dist"
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loader"
-	"github.com/minatoloader/minato/internal/metrics"
 	"github.com/minatoloader/minato/internal/netsim"
 	"github.com/minatoloader/minato/internal/simtime"
 	"github.com/minatoloader/minato/internal/storage"
@@ -240,14 +239,12 @@ func Run(t Topology, w workload.Workload, f trainer.Factory, script chaos.Script
 	return rep, nil
 }
 
-// nodeState is one node's runtime wiring plus its stall accounting (plain:
+// nodeState is one node's runtime wiring and the samples it trained (plain:
 // the node's consumers are tasks of one kernel).
 type nodeState struct {
-	tb  *hardware.Testbed
-	env *loader.Env
-
-	samples                                         int64
-	dataStall, barrierStall, networkStall, downtime time.Duration
+	tb      *hardware.Testbed
+	env     *loader.Env
+	samples int64
 }
 
 // memberView is one immutable membership configuration: which nodes are
@@ -264,15 +261,15 @@ type memberView struct {
 	done    bool
 }
 
-// ctrl is the run's membership-and-SLO controller: plain state of the run's
-// kernel tasks. It keeps what is elastic — membership views and resharding
-// — over the fault controller that applies every other event
-// (chaos.Controller), whose table it records membership into and whose
-// pending recoveries it closes at each step boundary.
+// ctrl is the run's membership controller: plain state of the run's kernel
+// tasks. It keeps what is elastic — membership views and resharding — over
+// the run's ledger (chaos.Controller), which applies every other event,
+// counts every consumer stall, and takes membership into its fault table
+// and each step boundary into its step histogram.
 // Its onBoundary hook runs in the resume barrier's releasing arriver, with
 // every other consumer parked (the next release cannot begin until each
-// re-arrives); the fault controller's engine task appends to the table at
-// its own instants.
+// re-arrives); the ledger's engine task appends to the table at its own
+// instants.
 type ctrl struct {
 	k       *simtime.Virtual
 	w       workload.Workload
@@ -285,37 +282,23 @@ type ctrl struct {
 	view *memberView
 
 	// Boundary-hook state (single-threaded: see above).
-	rounds       int64
-	target       int64 // elastic mode: rounds to run
-	lastBoundary time.Duration
-	hist         *metrics.LogHist
+	rounds int64
+	target int64 // elastic mode: rounds to run
 
-	faults *chaos.Controller
+	ledger *chaos.Controller
 
 	consumeErr error
-}
-
-// totalStall sums every node's consumer stalls — the snapshot fault
-// windows diff to attribute stall to a fault.
-func (st *ctrl) totalStall() time.Duration {
-	var sum time.Duration
-	for _, nd := range st.nodes {
-		sum += nd.dataStall + nd.barrierStall + nd.networkStall
-	}
-	return sum
 }
 
 // onBoundary runs at every completed resume-barrier generation, in the
 // releasing arriver, after the barrier reset and before any waiter wakes:
 // the one point where every consumer in the cluster is parked. It records
-// the step time, closes pending join recoveries, and — in elastic mode —
-// ends the run at the round target or applies pending membership events.
+// the step (closing pending join recoveries) and — in elastic mode — ends
+// the run at the round target or applies pending membership events.
 func (st *ctrl) onBoundary(uint64) {
 	now := st.k.Now()
-	st.hist.AddDuration(now - st.lastBoundary)
-	st.lastBoundary = now
+	st.ledger.Step(0, now)
 	st.rounds++
-	st.faults.Progress(now)
 	if !st.elastic {
 		return
 	}
@@ -331,20 +314,20 @@ func (st *ctrl) onBoundary(uint64) {
 	}
 	changed := false
 	active := append([]bool(nil), v.active...)
-	for ev, ok := st.faults.Due(now); ok; ev, ok = st.faults.Due(now) {
+	for ev, ok := st.ledger.Due(now); ok; ev, ok = st.ledger.Due(now) {
 		switch ev.Kind {
 		case chaos.NodeCrash:
 			if active[ev.Node] {
 				active[ev.Node] = false
 				changed = true
-				st.faults.Open(ev, ev.Node)
+				st.ledger.Open(ev, ev.Node)
 			}
 		case chaos.NodeJoin:
 			if !active[ev.Node] {
 				active[ev.Node] = true
 				changed = true
-				st.faults.Close(chaos.NodeCrash, ev.Node)
-				st.faults.Recovering(ev, ev.Node)
+				st.ledger.Close(chaos.NodeCrash, ev.Node)
+				st.ledger.Recovering(ev, ev.Node)
 			}
 		}
 	}
@@ -519,11 +502,10 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 		k: k, w: w, f: f, fab: fab,
 		nodes: nodes, seed: spec.Seed, elastic: elastic,
 		target: target,
-		hist:   metrics.NewLogHist(),
+		// Disk windows are labelled node -1: they target the storage
+		// substrate as a whole. The cluster steps as one lane.
+		ledger: chaos.NewController(k, n, 0, -1, 1),
 	}
-	// Disk windows are labelled node -1: they target the storage substrate
-	// as a whole.
-	st.faults = chaos.NewController(k, n, 0, -1, st.totalStall)
 	st.view = &memberView{
 		active:  initActive,
 		loaders: initLoaders,
@@ -563,8 +545,7 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 		}
 	}
 	start := k.Now()
-	st.faults.Start(start, script, chaos.Targets{WG: wg, Disks: disks, CPUs: cpus, Links: fab, NICs: nics})
-	st.lastBoundary = start
+	st.ledger.Start(start, script, chaos.Targets{WG: wg, Disks: disks, CPUs: cpus, Links: fab, NICs: nics})
 	var lastEnd time.Duration
 	consumers := simtime.NewWaitGroup(k)
 	for rank, nd := range nodes {
@@ -599,9 +580,7 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 							return
 						}
 						tData := k.Now()
-						nd.dataStall += tData - t0
-						tr.Record(trace.Span{Start: t0, End: tData, Stage: trace.StageDataWait,
-							Node: int32(rank), Key: int64(g), Seq: round})
+						st.ledger.Stalled(rank, chaos.DataStall, int64(g), round, t0, tData)
 						if err := dev.Train(ctx, w.GPUStep); err != nil {
 							breakAll()
 							return
@@ -622,9 +601,7 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 					}
 					t2 := k.Now()
 					if act {
-						nd.barrierStall += t2 - t1
-						tr.Record(trace.Span{Start: t1, End: t2, Stage: trace.StageBarrierWait,
-							Node: int32(rank), Key: int64(g), Seq: round})
+						st.ledger.Stalled(rank, chaos.BarrierStall, int64(g), round, t1, t2)
 						if g == 0 {
 							if err := v.ring.AllReduce(ctx, v.ranks[rank], t.GradientBytes); err != nil {
 								if !errors.Is(err, simtime.ErrBarrierBroken) {
@@ -640,13 +617,9 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 					}
 					now := k.Now()
 					if act {
-						nd.networkStall += now - t2
-						tr.Record(trace.Span{Start: t2, End: now, Stage: trace.StageNetworkWait,
-							Node: int32(rank), Key: int64(g), Seq: round})
+						st.ledger.Stalled(rank, chaos.NetworkStall, int64(g), round, t2, now)
 					} else {
-						nd.downtime += now - t1
-						tr.Record(trace.Span{Start: t1, End: now, Stage: trace.StageDowntime,
-							Node: int32(rank), Key: int64(g), Seq: round})
+						st.ledger.Stalled(rank, chaos.Downtime, int64(g), round, t1, now)
 					}
 					round++
 					lastEnd = max(lastEnd, now)
@@ -657,7 +630,7 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 	if err := consumers.Wait(ctx); err != nil {
 		return err
 	}
-	st.faults.Stop()
+	st.ledger.Stop()
 	for _, ld := range st.view.loaders {
 		if ld != nil {
 			ld.Stop()
@@ -677,10 +650,6 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 	rep.TrainTime = end - start
 	rep.Steps = st.rounds
 	rep.NetworkBytes = fab.BytesMoved()
-	rep.StepHist = st.hist
-	rep.StepP50 = st.hist.QuantileDuration(0.5)
-	rep.StepP99 = st.hist.QuantileDuration(0.99)
-	rep.Faults = st.faults.Stats()
 	rep.Recorded = trace.RecordedBy(k.Trace())
 
 	dur := rep.TrainTime.Seconds()
@@ -694,27 +663,21 @@ func run(k *simtime.Virtual, t Topology, script chaos.Script, w workload.Workloa
 		gpuCount += len(nd.tb.GPUs)
 		util := 0.0
 		if dur > 0 {
-			util = min(100, 100*busy/(float64(len(nd.tb.GPUs))*dur))
+			util = trainer.Utilization(busy, float64(len(nd.tb.GPUs)), dur)
 		}
 		rep.Samples += nd.samples
 		rep.PerNode = append(rep.PerNode, trainer.NodeStats{
-			Node:         i,
-			Hardware:     fmt.Sprintf("%s/%dc", nodeCfgs[i].Name, nodeCfgs[i].Cores),
-			GPUs:         len(nd.tb.GPUs),
-			Samples:      nd.samples,
-			DataStall:    nd.dataStall,
-			BarrierStall: nd.barrierStall,
-			NetworkStall: nd.networkStall,
-			Downtime:     nd.downtime,
-			GPUUtil:      util,
+			Node:     i,
+			Hardware: fmt.Sprintf("%s/%dc", nodeCfgs[i].Name, nodeCfgs[i].Cores),
+			GPUs:     len(nd.tb.GPUs),
+			Samples:  nd.samples,
+			GPUUtil:  util,
 		})
-		rep.DataStall += nd.dataStall
-		rep.BarrierStall += nd.barrierStall
-		rep.NetworkStall += nd.networkStall
 	}
 	rep.GPUs = gpuCount
 	if dur > 0 {
-		rep.AvgGPUUtil = min(100, 100*busyAll/(float64(gpuCount)*dur))
+		rep.AvgGPUUtil = trainer.Utilization(busyAll, float64(gpuCount), dur)
 	}
+	trainer.ReadLedger(rep, st.ledger)
 	return nil
 }

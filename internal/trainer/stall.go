@@ -4,16 +4,19 @@ import (
 	"time"
 
 	"github.com/minatoloader/minato/internal/chaos"
+	"github.com/minatoloader/minato/internal/device"
+	"github.com/minatoloader/minato/internal/loader"
+	"github.com/minatoloader/minato/internal/storage"
 )
 
 // StallBreakdown is the stall-attribution block embedded by Report, on
 // one machine and across nodes: where consumer time went when it was not
 // training, plus the SLO view of step-time jitter
-// and the fault windows the run absorbed. The critical-path analyzer
-// (internal/trace) fills exactly this shape from a recorded trace; runs
-// without tracing fill it from the consumers' stall counters — the two
-// sources are stamped at the same virtual instants and agree to the
-// nanosecond.
+// and the fault windows the run absorbed. ReadLedger fills it from the run's
+// ledger (chaos.Controller), traced or not. The ledger records each wait's
+// span from the instants it counts, so the critical-path analyzer
+// (internal/trace) fills exactly this shape from a recorded trace and agrees
+// to the nanosecond.
 type StallBreakdown struct {
 	// DataStall is total consumer time blocked on the loader — input
 	// starvation, the paper's central attribution.
@@ -71,4 +74,39 @@ type NodeStats struct {
 	Downtime time.Duration
 	// GPUUtil is the node's average GPU utilization in percent.
 	GPUUtil float64
+}
+
+// StartLedger anchors l at start, the run's start instant, and applies
+// script, validated for one machine (Script.Validate(0)): disk events on
+// env.Store.Disk, which may be nil, and worker stalls on env.CPU. A nil l (a
+// served stream keeps no ledger) does nothing.
+func StartLedger(l *chaos.Controller, env *loader.Env, start time.Duration, script chaos.Script) {
+	if l == nil {
+		return
+	}
+	var t chaos.Targets
+	if !script.Empty() {
+		t = chaos.Targets{WG: env.WG, Disks: []*storage.Disk{env.Store.Disk}, CPUs: []*device.Device{env.CPU}}
+	}
+	l.Start(start, script, t)
+}
+
+// ReadLedger fills rep from its run's ledger: the stall totals (and, on a
+// multi-node run, each PerNode row's, which rep must already hold in node
+// order), the step-interval histogram and its quantiles, the preemption
+// stall and the fault table. Call once the run's tasks, hog closers
+// included, have drained.
+func ReadLedger(rep *Report, l *chaos.Controller) {
+	run, nodes := l.Stalls()
+	rep.DataStall, rep.BarrierStall = run[chaos.DataStall], run[chaos.BarrierStall]
+	rep.NetworkStall = run[chaos.NetworkStall]
+	for i, s := range nodes {
+		n := &rep.PerNode[i]
+		n.DataStall, n.BarrierStall = s[chaos.DataStall], s[chaos.BarrierStall]
+		n.NetworkStall, n.Downtime = s[chaos.NetworkStall], s[chaos.Downtime]
+	}
+	h := l.StepHist()
+	rep.StepHist, rep.StepP50, rep.StepP99 = h, h.QuantileDuration(0.5), h.QuantileDuration(0.99)
+	rep.PreemptStall = l.PreemptStall()
+	rep.Faults = l.Stats()
 }

@@ -3,10 +3,10 @@
 // the loader has not prefetched, and occupy their GPU for the workload's
 // step cost. The trainer records everything the paper's evaluation reports:
 // training time, throughput over time, CPU/GPU utilization, disk reads,
-// accuracy-vs-iteration curves, and batch-composition statistics. Its chaos
-// side (ChaosState) is the single-machine remainder over chaos.Controller:
-// the step histogram and the progress points the controller's recoveries
-// close at.
+// accuracy-vs-iteration curves, and batch-composition statistics. A run's
+// consumer stalls, step intervals and fault windows are counted in its
+// ledger, chaos.Controller, which every report producer reads through
+// ReadLedger.
 package trainer
 
 import (
@@ -19,13 +19,12 @@ import (
 
 	"github.com/minatoloader/minato/internal/cache"
 	"github.com/minatoloader/minato/internal/chaos"
+	"github.com/minatoloader/minato/internal/core"
 	"github.com/minatoloader/minato/internal/data"
-	"github.com/minatoloader/minato/internal/device"
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loader"
 	"github.com/minatoloader/minato/internal/metrics"
 	"github.com/minatoloader/minato/internal/simtime"
-	"github.com/minatoloader/minato/internal/storage"
 	"github.com/minatoloader/minato/internal/trace"
 	"github.com/minatoloader/minato/internal/workload"
 )
@@ -35,7 +34,9 @@ type Factory struct {
 	// Name is the loader's name in every report: the registry's key, or
 	// the name a caller gives a one-off configuration.
 	Name string
-	New  func(env *loader.Env, spec loader.Spec) loader.Loader
+	// New returns a new loader that only the session holds: a training
+	// run recycles a MinatoLoader once the run is over.
+	New func(env *loader.Env, spec loader.Spec) loader.Loader
 }
 
 // What a session records at fixed settings.
@@ -140,8 +141,8 @@ type Report struct {
 	// StallBreakdown attributes the run's consumer stalls (across nodes,
 	// the PerNode sums; the barrier and network fields stay zero on a
 	// single machine), the step-time quantiles, and the absorbed fault
-	// windows. The consumers' stall counters fill it, traced or not; the
-	// recorded spans are stamped at the same virtual instants.
+	// windows. The run's ledger fills it, traced or not, and records each
+	// wait's span from the instants it counts.
 	StallBreakdown
 	// PreemptStall is the total time consumers spent parked by Preempt
 	// events (across GPUs).
@@ -350,13 +351,11 @@ func RunEnv(env *loader.Env, w workload.Workload, f Factory, p Params, script ch
 	// Per-GPU consumers.
 	consumers := simtime.NewWaitGroup(rt)
 	var consumerErr error
-	var globalIters, dataStall int64
-	// A fault window's stall is the growth of the stall this report counts:
-	// DataStall, and PreemptStall, which the controller adds.
-	cst := NewChaos(env, func() time.Duration { return time.Duration(dataStall) })
-	cst.Start(env, start, script)
-	var lastEnd time.Duration
+	var globalIters int64
 	tr, tenant, node := rt.Trace(), env.TraceTenant(), env.TraceNode
+	ledger := chaos.NewController(rt, 0, tenant, int(node), len(env.GPUs))
+	StartLedger(ledger, env, start, script)
+	var lastEnd time.Duration
 	perGPUEpoch := spec.BatchesPerEpoch() / len(env.GPUs)
 	for g := range env.GPUs {
 		g := g
@@ -366,7 +365,7 @@ func RunEnv(env *loader.Env, w workload.Workload, f Factory, p Params, script ch
 			for {
 				// Preemption gate: park here while the session is paused;
 				// a terminal preemption ends the stream with ErrPreempted.
-				if err := cst.Gate(ctx); err != nil {
+				if err := ledger.Wait(ctx); err != nil {
 					consumerErr = err
 					return
 				}
@@ -380,9 +379,7 @@ func RunEnv(env *loader.Env, w workload.Workload, f Factory, p Params, script ch
 					return
 				}
 				waitEnd := rt.Now()
-				dataStall += int64(waitEnd - waitStart)
-				tr.Record(trace.Span{Start: waitStart, End: waitEnd, Stage: trace.StageDataWait,
-					Tenant: tenant, Node: node, Key: int64(g), Seq: b.Seq})
+				ledger.Stalled(int(node), chaos.DataStall, int64(g), b.Seq, waitStart, waitEnd)
 				stepStart := waitEnd
 				if !b.Resident {
 					// Synchronous H2D copy (no prefetch overlap).
@@ -407,7 +404,7 @@ func RunEnv(env *loader.Env, w workload.Workload, f Factory, p Params, script ch
 				tr.Record(trace.Span{Start: stepStart, End: stepEnd, Stage: trace.StageGPUStep,
 					Tenant: tenant, Node: node, Key: int64(g), Seq: b.Seq})
 				lastEnd = max(lastEnd, stepEnd)
-				cst.NoteStep(g, stepEnd)
+				ledger.Step(g, stepEnd)
 
 				if comp != nil {
 					comp.record(b)
@@ -458,38 +455,31 @@ func RunEnv(env *loader.Env, w workload.Workload, f Factory, p Params, script ch
 	rep.TrainTime = end - start
 	rep.TrainedBytes = trainedBytes
 
-	cst.Stop()
+	ledger.Stop()
 	collector.Stop()
 	ld.Stop()
 	if err := wg.Wait(ctx); err != nil {
 		return nil, err
 	}
-	cst.Finish(rep)
-	// DataStall comes from the consumers' own counter; with tracing on the
-	// StageDataWait spans are stamped from the identical instants, so the
-	// critical-path analyzer reproduces this value to the nanosecond. The
-	// report keeps the recorder and snapshots lazily (Trace).
-	rep.DataStall = time.Duration(dataStall)
+	ReadLedger(rep, ledger)
+	// The report keeps the recorder and snapshots lazily (Trace).
 	rep.Recorded = trace.RecordedBy(tr)
 	if consumerErr != nil {
 		return nil, consumerErr
 	}
+	// Every task of the run has exited and no handle of a user reaches the
+	// loader: its queues, lanes and profiler go to the next run.
+	core.Recycle(ld)
 
 	// Whole-run utilization from device busy accounting.
 	dur := rep.TrainTime.Seconds()
 	if dur > 0 {
-		rep.AvgCPUUtil = 100 * (env.CPU.BusySeconds() - startBusyCPU) / (env.CPU.Capacity() * dur)
+		rep.AvgCPUUtil = Utilization(env.CPU.BusySeconds()-startBusyCPU, env.CPU.Capacity(), dur)
 		busyGPU := 0.0
 		for _, g := range env.GPUs {
 			busyGPU += g.BusySeconds()
 		}
-		rep.AvgGPUUtil = 100 * (busyGPU - startBusyGPU) / (float64(len(env.GPUs)) * dur)
-		if rep.AvgGPUUtil > 100 {
-			rep.AvgGPUUtil = 100
-		}
-		if rep.AvgCPUUtil > 100 {
-			rep.AvgCPUUtil = 100
-		}
+		rep.AvgGPUUtil = Utilization(busyGPU-startBusyGPU, float64(len(env.GPUs)), dur)
 	}
 
 	if p.Collect {
@@ -533,90 +523,10 @@ func Simulate(cfg hardware.Config, w workload.Workload, f Factory, p Params) (*R
 	return rep, err
 }
 
-// ChaosState keeps what is single-machine about a run's fault script — the
-// step-interval histogram and its consumers' progress points — over the
-// controller that applies it, gates the consumers and keeps the fault ledger
-// (chaos.Controller). A zero script leaves the consumer fast path with a
-// paused check and a histogram insert per batch. Loading sessions drive it
-// from the facade. Task-only, except Finish, which reads it once the run's
-// tasks have drained. A nil *ChaosState — a served stream: no script, nobody
-// to read its report — gates nothing and records nothing.
-type ChaosState struct {
-	ctl *chaos.Controller
-
-	hist     metrics.LogHist
-	lastStep []time.Duration
-}
-
-// NewChaos returns the chaos state of a single-machine run on env. stall, if
-// not nil, is the consumer stall the run counts beside the preemption
-// gate's; the fault windows are attributed their sum's growth.
-func NewChaos(env *loader.Env, stall func() time.Duration) *ChaosState {
-	return &ChaosState{
-		ctl:      chaos.NewController(env.RT, 0, env.TraceTenant(), int(env.TraceNode), stall),
-		lastStep: make([]time.Duration, len(env.GPUs)),
-	}
-}
-
-// Start anchors script at start, the run's start instant, and starts its
-// controller (no task for an empty script). The script must already be
-// validated for a single-machine run (Script.Validate(0)); disk events act
-// on env.Store.Disk, which may be nil, and worker stalls on env.CPU.
-func (c *ChaosState) Start(env *loader.Env, start time.Duration, script chaos.Script) {
-	if c == nil {
-		return
-	}
-	for i := range c.lastStep {
-		c.lastStep[i] = start
-	}
-	if !script.Empty() {
-		c.ctl.Start(start, script, chaos.Targets{WG: env.WG,
-			Disks: []*storage.Disk{env.Store.Disk}, CPUs: []*device.Device{env.CPU}})
-	}
-}
-
-// Restored records that the run continues a checkpoint; its recovery closes
-// at the first NoteStep.
-func (c *ChaosState) Restored() { c.ctl.Restored() }
-
-// NoteStep records a consumer's batch-completion interval: a progress
-// point, which closes the controller's pending recoveries.
-func (c *ChaosState) NoteStep(g int, now time.Duration) {
-	if c == nil {
-		return
-	}
-	c.hist.AddDuration(now - c.lastStep[g])
-	c.lastStep[g] = now
-	c.ctl.Progress(now)
-}
-
-// Stop halts the replay; pending events are discarded. Call before
-// waiting out the run's background tasks, so a script outliving the run
-// cannot append trailing fault records.
-func (c *ChaosState) Stop() {
-	if c != nil {
-		c.ctl.Stop()
-	}
-}
-
-// Gate parks the calling consumer while the run is preempted; a terminal
-// preemption (no resume scheduled) returns ErrPreempted. Consumers call it
-// at every batch boundary.
-func (c *ChaosState) Gate(ctx context.Context) error {
-	if c == nil {
-		return nil
-	}
-	return c.ctl.Wait(ctx)
-}
-
-// Finish copies the SLO metrics into the report. Call after the run's
-// background tasks (hog closers included) have drained.
-func (c *ChaosState) Finish(rep *Report) {
-	rep.StepP50 = c.hist.QuantileDuration(0.5)
-	rep.StepP99 = c.hist.QuantileDuration(0.99)
-	rep.StepHist = &c.hist
-	rep.PreemptStall = c.ctl.PreemptStall()
-	rep.Faults = c.ctl.Stats()
+// Utilization is busy unit-seconds over capacity units for seconds, in
+// percent, clamped at 100: every whole-run utilization in a report.
+func Utilization(busy, capacity, seconds float64) float64 {
+	return min(100, 100*busy/(capacity*seconds))
 }
 
 // clamp01 bounds a utilization sample to [0, 1].

@@ -10,7 +10,7 @@ import (
 	"github.com/minatoloader/minato/internal/data"
 )
 
-// Property: for any pipeline and any budget, ApplyBudget followed by Apply
+// Property: for any pipeline and any budget, Plan followed by Apply
 // performs at least the pipeline's nominal work, consumes exactly the
 // budget on interruption, and leaves the sample fully processed; the
 // overhead versus a straight Apply is bounded by one transform's cost (the
@@ -36,7 +36,8 @@ func TestQuickBudgetResumeInvariants(t *testing.T) {
 
 		s := &data.Sample{Key: data.KeyOf("q", 0), RawBytes: 1 << 20, Bytes: 1 << 20}
 		ex := &recordingExec{}
-		err := p.ApplyBudget(context.Background(), ex, s, budget)
+		work, err := p.Plan(s, budget)
+		ex.total = work
 		switch {
 		case err == nil:
 			// Completed within budget: work == nominal, everything done.

@@ -40,7 +40,7 @@ type Transform interface {
 	Barrier() bool
 }
 
-// ErrInterrupted is returned by ApplyBudget when the budget expired
+// ErrInterrupted is returned by Plan when the budget expired
 // mid-transform; the sample's NextTransform records the resume point.
 var ErrInterrupted = errors.New("transform: interrupted by budget")
 
@@ -158,19 +158,10 @@ func (p *Pipeline) TotalCost(s *data.Sample) time.Duration {
 }
 
 // Apply runs every remaining transform of s (from s.NextTransform) to
-// completion on exec.
+// completion on exec: it occupies exec for the work Plan walks, then returns
+// what the walk ended with (nil, or a Validator's rejection).
 func (p *Pipeline) Apply(ctx context.Context, exec Executor, s *data.Sample) error {
-	return p.ApplyBudget(ctx, exec, s, -1)
-}
-
-// ApplyBudget runs remaining transforms with a compute budget (negative for
-// none): it occupies exec for the work Plan walks, then returns what the walk
-// ended with. If a transform would exceed the remaining budget, the executor
-// is occupied for exactly the remaining budget (the partial application) and
-// ErrInterrupted is returned; s.NextTransform then indexes the transform to
-// re-execute.
-func (p *Pipeline) ApplyBudget(ctx context.Context, exec Executor, s *data.Sample, budget time.Duration) error {
-	work, err := p.Plan(s, budget)
+	work, err := p.Plan(s, -1)
 	if work > 0 {
 		if rerr := exec.Run(ctx, work); rerr != nil {
 			return rerr

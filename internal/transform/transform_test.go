@@ -50,21 +50,20 @@ func TestApplyRunsAllTransformsAndUpdatesSize(t *testing.T) {
 	}
 }
 
-func TestApplyBudgetInterruptsMidTransform(t *testing.T) {
+func TestPlanInterruptsMidTransform(t *testing.T) {
 	p := NewPipeline("p",
 		constTransform("fast", 10*time.Millisecond, 1),
 		constTransform("slow", 100*time.Millisecond, 1),
 		constTransform("tail", 5*time.Millisecond, 1),
 	)
 	s := testSample(1 << 20)
-	ex := &fakeExec{}
-	err := p.ApplyBudget(context.Background(), ex, s, 30*time.Millisecond)
+	work, err := p.Plan(s, 30*time.Millisecond)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
 	// Consumed exactly the budget: 10ms (fast) + 20ms partial slow.
-	if ex.total != 30*time.Millisecond {
-		t.Errorf("work = %v, want 30ms (budget)", ex.total)
+	if work != 30*time.Millisecond {
+		t.Errorf("work = %v, want 30ms (budget)", work)
 	}
 	// Resume index points at the interrupted transform, to be re-executed.
 	if s.NextTransform != 1 {
@@ -84,28 +83,27 @@ func TestApplyBudgetInterruptsMidTransform(t *testing.T) {
 	}
 }
 
-func TestApplyBudgetCompletesWithinBudget(t *testing.T) {
+func TestPlanCompletesWithinBudget(t *testing.T) {
 	p := NewPipeline("p", constTransform("a", 10*time.Millisecond, 1))
 	s := testSample(1 << 20)
-	ex := &fakeExec{}
-	if err := p.ApplyBudget(context.Background(), ex, s, 50*time.Millisecond); err != nil {
+	work, err := p.Plan(s, 50*time.Millisecond)
+	if err != nil {
 		t.Fatalf("err = %v, want nil", err)
 	}
-	if ex.total != 10*time.Millisecond {
-		t.Errorf("work = %v", ex.total)
+	if work != 10*time.Millisecond {
+		t.Errorf("work = %v", work)
 	}
 }
 
-func TestApplyBudgetZeroBudgetInterruptsImmediately(t *testing.T) {
+func TestPlanZeroBudgetInterruptsImmediately(t *testing.T) {
 	p := NewPipeline("p", constTransform("a", 10*time.Millisecond, 1))
 	s := testSample(1 << 20)
-	ex := &fakeExec{}
-	err := p.ApplyBudget(context.Background(), ex, s, 0)
+	work, err := p.Plan(s, 0)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v", err)
 	}
-	if ex.total != 0 || s.NextTransform != 0 {
-		t.Errorf("work=%v next=%d", ex.total, s.NextTransform)
+	if work != 0 || s.NextTransform != 0 {
+		t.Errorf("work=%v next=%d", work, s.NextTransform)
 	}
 }
 

@@ -191,7 +191,7 @@ func (a *ServerAddr) startChaos() {
 	for i := range nics {
 		nics[i] = chaos.NIC{Endpoint: net.ServerEndpoint(i), Bandwidth: net.Bandwidth()}
 	}
-	a.ctl = chaos.NewController(k, len(nics), 0, a.fleet, nil)
+	a.ctl = chaos.NewController(k, len(nics), 0, a.fleet, 0)
 	a.ctl.Start(k.Now(), a.script, chaos.Targets{WG: a.wg,
 		Disks: []*storage.Disk{a.cl.tb.Disk}, Links: net, NICs: nics})
 }

@@ -7,6 +7,7 @@ import (
 	"iter"
 	"sync"
 
+	"github.com/minatoloader/minato/internal/chaos"
 	"github.com/minatoloader/minato/internal/trainer"
 )
 
@@ -177,11 +178,10 @@ type Session struct {
 	spec    Spec
 	factory Factory
 	script  ChaosScript
-	// cst replays the session's chaos script against the batch stream
-	// from its first pull and keeps the SLO bookkeeping (step-interval
-	// histogram, fault ledger, a checkpoint restore's recovery); nil on a
-	// served stream.
-	cst *trainer.ChaosState
+	// ledger replays the session's chaos script against the batch stream
+	// from its first pull and counts its step intervals, fault windows and
+	// a checkpoint restore's recovery; nil on a served stream.
+	ledger *chaos.Controller
 
 	// Loaders shard delivery across per-GPU consumer queues; next drains
 	// them round-robin from turn until each has reported end-of-data.
@@ -277,7 +277,7 @@ func (s *Session) start(ctx context.Context) error {
 	if err := s.ld.Start(ctx); err != nil {
 		return err
 	}
-	s.cst.Start(&s.env, s.startAt, s.script)
+	trainer.StartLedger(s.ledger, &s.env, s.startAt, s.script)
 	s.done = append(s.done[:0], make([]bool, len(s.env.GPUs))...)
 	s.remaining = len(s.done)
 	return nil
@@ -293,7 +293,7 @@ func (s *Session) next(ctx context.Context) (*Batch, error) {
 		// Preemption gate: park here while a chaos script holds the
 		// session paused; a terminal preemption ends the stream with
 		// ErrPreempted (checkpoint and Resume to continue warm).
-		if err := s.cst.Gate(ctx); err != nil {
+		if err := s.ledger.Wait(ctx); err != nil {
 			return nil, err
 		}
 		b, err := s.ld.Next(ctx, g)
@@ -305,7 +305,7 @@ func (s *Session) next(ctx context.Context) (*Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.cst.NoteStep(g, s.rt.Now())
+		s.ledger.Step(g, s.rt.Now())
 		return b, nil
 	}
 	return nil, io.EOF
@@ -316,7 +316,7 @@ func (s *Session) next(ctx context.Context) (*Batch, error) {
 // constructed batches buffered in its delivery queues (closed queues still
 // serve their backlog), and pooled samples are never leaked.
 func (s *Session) stop() {
-	s.cst.Stop()
+	s.ledger.Stop()
 	s.ld.Stop()
 	_ = s.env.WG.Wait(context.Background())
 	for g, done := range s.done {
@@ -422,11 +422,11 @@ func (s *Session) close() {
 func (s *Session) fill(rep *Report) error {
 	*rep = s.report(s.spec.Dataset.Name(), s.factory.Name, len(s.env.GPUs))
 	rep.CacheStats, rep.MatCacheStats, rep.DiskBytes = s.stats.Cache, s.stats.MatCache, s.disk
-	if s.cst != nil {
-		// The chaos bookkeeping doubles as the SLO view: step-interval
-		// quantiles, preemption stall, and the fault ledger, a checkpoint
-		// restore's recovery included.
-		s.cst.Finish(rep)
+	if s.ledger != nil {
+		// A loading session records no data wait: its ledger gives the
+		// step-interval quantiles, the preemption stall and the fault table,
+		// a checkpoint restore's recovery included.
+		trainer.ReadLedger(rep, s.ledger)
 	}
 	return s.err
 }

@@ -367,29 +367,49 @@ func TestTraceCriticalPathMatchesDataStall(t *testing.T) {
 	}
 }
 
-// TestTraceMultiNodeAgreesWithCounters runs a traced elastic multi-node job
-// under link chaos and checks the analyzer's cluster totals against the
-// report's stall counters — the cross-check the tentpole requires before
-// the analyzer can source DataStall/BarrierStall/NetworkStall.
+// TestTraceMultiNodeAgreesWithCounters runs traced elastic multi-node jobs
+// under link and membership chaos and checks the analyzer against the
+// report's stall counters, the cluster totals and every PerNode row: data,
+// barrier and network stall and the crashed nodes' downtime. The ledger
+// counts each wait and records its span from the same instants, so they
+// agree to the nanosecond.
 func TestTraceMultiNodeAgreesWithCounters(t *testing.T) {
-	sink := NewTraceSink()
-	rep, err := Train(workloadNamed("speech-3s", 3), WithLoader("minato"), WithNodes(4),
-		WithGPUs(1), WithIterations(30), WithChaosScenario("link-flap"), WithTracing(sink))
-	if err != nil {
-		t.Fatal(err)
-	}
-	attr := sink.Attribute(nil)
-	if attr.Batches == 0 {
-		t.Fatal("no batch paths in multi-node trace")
-	}
-	if attr.DataWait != rep.DataStall {
-		t.Fatalf("analyzer DataWait %v != DataStall %v", attr.DataWait, rep.DataStall)
-	}
-	if attr.BarrierWait != rep.BarrierStall {
-		t.Fatalf("analyzer BarrierWait %v != BarrierStall %v", attr.BarrierWait, rep.BarrierStall)
-	}
-	if attr.NetworkWait != rep.NetworkStall {
-		t.Fatalf("analyzer NetworkWait %v != NetworkStall %v", attr.NetworkWait, rep.NetworkStall)
+	for _, scenario := range []string{"link-flap", "node-crash", "churn-storm"} {
+		t.Run(scenario, func(t *testing.T) {
+			sink := NewTraceSink()
+			rep, err := Train(workloadNamed("speech-3s", 3), WithLoader("minato"), WithNodes(4),
+				WithGPUs(1), WithIterations(30), WithChaosScenario(scenario), WithTracing(sink))
+			if err != nil {
+				t.Fatal(err)
+			}
+			attr := sink.Attribute(nil)
+			if attr.Batches == 0 {
+				t.Fatal("no batch paths in multi-node trace")
+			}
+			if attr.DataWait != rep.DataStall {
+				t.Fatalf("analyzer DataWait %v != DataStall %v", attr.DataWait, rep.DataStall)
+			}
+			if attr.BarrierWait != rep.BarrierStall {
+				t.Fatalf("analyzer BarrierWait %v != BarrierStall %v", attr.BarrierWait, rep.BarrierStall)
+			}
+			if attr.NetworkWait != rep.NetworkStall {
+				t.Fatalf("analyzer NetworkWait %v != NetworkStall %v", attr.NetworkWait, rep.NetworkStall)
+			}
+			var downtime time.Duration
+			for i, n := range rep.PerNode {
+				a := sink.Attribute(func(p BatchPath) bool { return p.Node == int32(i) })
+				if a.DataWait != n.DataStall || a.BarrierWait != n.BarrierStall ||
+					a.NetworkWait != n.NetworkStall || a.Downtime != n.Downtime {
+					t.Errorf("node %d: analyzer data/barrier/network/down %v/%v/%v/%v, report %v/%v/%v/%v", i,
+						a.DataWait, a.BarrierWait, a.NetworkWait, a.Downtime,
+						n.DataStall, n.BarrierStall, n.NetworkStall, n.Downtime)
+				}
+				downtime += n.Downtime
+			}
+			if crashes := scenario != "link-flap"; crashes != (downtime > 0) {
+				t.Errorf("downtime %v across nodes under %s", downtime, scenario)
+			}
+		})
 	}
 }
 
