@@ -287,8 +287,10 @@ func chaosEightNodes(seed uint64, steps int) (Workload, []Option) {
 }
 
 // TestRunAllocations pins what one warm training run costs the allocator,
-// for three shapes: a minato run on a 4-GPU and on a 64-GPU machine, and
-// the 8-node job under a worker stall, a disk brownout and a link flap. A
+// for these shapes: a minato run on a 4-GPU and on a 64-GPU machine, a
+// pytorch and a dali run on 4 GPUs, and the 8-node job under a worker stall,
+// a disk brownout and a link flap. A baseline's steppers live inside its
+// loader, so one that allocated per task or per park would fail its row. A
 // run's storage — device entries, fabric flows, cache flights, the kernel's
 // queues, a one-machine run's MinatoLoader with its lanes and queue rings —
 // comes from what the run before it recycled at teardown, so the count is
@@ -312,6 +314,10 @@ func TestRunAllocations(t *testing.T) {
 			[]Option{WithLoader("minato"), WithHardware(ConfigA())}, 59},
 		{"minato-64gpu", speech.WithIterations(64 * 5),
 			[]Option{WithLoader("minato"), WithHardware(ConfigA().WithGPUs(64))}, 239},
+		{"pytorch-4gpu", speech.WithIterations(100),
+			[]Option{WithLoader("pytorch"), WithHardware(ConfigA())}, 130}, // 126, or 128 when its reorder map's seed overflows a bucket
+		{"dali-4gpu", speech.WithIterations(100),
+			[]Option{WithLoader("dali"), WithHardware(ConfigA())}, 100},
 		{"multinode8-chaos", chaosW, chaosOpts, 340},
 	} {
 		t.Run(c.name, func(t *testing.T) {

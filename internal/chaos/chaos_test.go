@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/minatoloader/minato/internal/data"
 	"github.com/minatoloader/minato/internal/device"
 	"github.com/minatoloader/minato/internal/simtime"
 	"github.com/minatoloader/minato/internal/storage"
@@ -330,7 +331,7 @@ func TestInstallDiskTimeline(t *testing.T) {
 			Targets{WG: wg, Disks: []*storage.Disk{nil, disk}})
 		read := func() time.Duration {
 			t0 := k.Now()
-			_ = disk.Read(ctx, 1e9)
+			_ = (&storage.Store{Disk: disk}).ReadSample(ctx, k, &data.Sample{RawBytes: 1e9})
 			return (k.Now() - t0).Round(time.Millisecond)
 		}
 		if d := read(); d != time.Second {

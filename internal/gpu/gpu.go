@@ -75,22 +75,15 @@ func (g *GPU) Train(ctx context.Context, work time.Duration) error {
 	return g.compute.Run(ctx, g.scale(work))
 }
 
-// Preprocess occupies the GPU with preprocessing kernels (DALI's offload
-// path). It contends with Train through the shared stream capacity.
-func (g *GPU) Preprocess(ctx context.Context, work time.Duration) error {
-	return g.compute.Run(ctx, g.scale(work))
+// Occupancy returns the compute device and the scaled work of preprocessing
+// kernels (DALI's offload path) of an A100-normalized work duration. They
+// contend with Train through the shared stream capacity.
+func (g *GPU) Occupancy(work time.Duration) (*device.Device, time.Duration) {
+	return g.compute, g.scale(work)
 }
 
 func (g *GPU) scale(work time.Duration) time.Duration {
 	return time.Duration(float64(work) / g.Arch.Speed)
-}
-
-// Executor adapts the GPU's preprocessing path to transform.Executor.
-type Executor struct{ G *GPU }
-
-// Run implements transform.Executor.
-func (e Executor) Run(ctx context.Context, work time.Duration) error {
-	return e.G.Preprocess(ctx, work)
 }
 
 // Reserve claims GPU memory (prefetch buffers, preprocessing workspace).

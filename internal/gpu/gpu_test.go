@@ -40,7 +40,10 @@ func TestPreprocessContendsWithTraining(t *testing.T) {
 		wg := simtime.NewWaitGroup(k)
 		start := k.Now()
 		wg.Go("train", func() { _ = g.Train(context.Background(), 1300*time.Millisecond) })
-		wg.Go("preproc", func() { _ = g.Preprocess(context.Background(), 1300*time.Millisecond) })
+		wg.Go("preproc", func() {
+			dev, work := g.Occupancy(1300 * time.Millisecond)
+			_ = dev.Run(context.Background(), work)
+		})
 		_ = wg.Wait(context.Background())
 		elapsed := (k.Now() - start).Seconds()
 		if math.Abs(elapsed-2.0) > 0.05 {

@@ -13,9 +13,14 @@
 // exec_pipelined/exec_async correspond to the buffered queues and the
 // asynchronous GPU preprocessing task. Buffered batches reserve GPU memory,
 // so deeper prefetch queues raise memory pressure (§3.4).
+//
+// Each task walks its per-sample moves as a wake step (loader.Path): an I/O
+// worker parks once while it loads sample after sample, the reader while it
+// collects batch after batch, a GPU pipe while it preprocesses them.
 package dali
 
 import (
+	"cmp"
 	"context"
 	"time"
 
@@ -24,7 +29,6 @@ import (
 	"github.com/minatoloader/minato/internal/loader"
 	"github.com/minatoloader/minato/internal/queue"
 	"github.com/minatoloader/minato/internal/simtime"
-	"github.com/minatoloader/minato/internal/transform"
 )
 
 // Config holds DALI's tuning knob.
@@ -51,14 +55,16 @@ type Loader struct {
 	spec loader.Spec
 
 	idx     *loader.IndexSource
-	rawQs   []*queue.Queue[*data.Batch]
-	readyQs []*queue.Queue[*data.Batch]
+	pipes   []gpuPipe // one per GPU
 	ioTasks *queue.Queue[ioTask]
 	ioDone  *queue.Queue[ioResult]
+	io      [ioParallelism]ioWorker
+	rd      reader
 	// delivered counts the batches Next handed out; the one that reaches
 	// budget stops the loader. Plain: only the loader's tasks deliver.
 	delivered, budget int
 	stopped           bool
+	ctx               context.Context // the run's, once Start has begun scope
 	scope             simtime.CancelScope
 }
 
@@ -87,11 +93,13 @@ func New(env *loader.Env, spec loader.Spec, cfg Config) *Loader {
 		ioDone:  queue.New[ioResult](env.RT, "dali-iodone", spec.BatchSize),
 		budget:  spec.TotalBatches(),
 	}
-	for range env.GPUs {
-		l.rawQs = append(l.rawQs,
-			queue.New[*data.Batch](env.RT, "dali-raw", cfg.QueueDepth))
-		l.readyQs = append(l.readyQs,
-			queue.New[*data.Batch](env.RT, "dali-ready", cfg.QueueDepth))
+	l.rd.l, l.rd.items = l, make([]loader.IndexItem, 0, spec.BatchSize)
+	l.pipes = make([]gpuPipe, len(env.GPUs))
+	for g := range l.pipes {
+		p := &l.pipes[g]
+		p.l, p.g = l, env.GPUs[g]
+		p.raw.Init(env.RT, "dali-raw", cfg.QueueDepth)
+		p.ready.Init(env.RT, "dali-ready", cfg.QueueDepth)
 	}
 	return l
 }
@@ -99,161 +107,227 @@ func New(env *loader.Env, spec loader.Spec, cfg Config) *Loader {
 // Start implements loader.Loader.
 func (l *Loader) Start(ctx context.Context) error {
 	ctx = l.scope.Begin(l.env.RT, ctx)
+	l.ctx = ctx
 
 	// Persistent IO pool: ioParallelism workers bound concurrent loads.
-	for w := 0; w < ioParallelism; w++ {
-		l.env.WG.Go("dali-io", func() {
-			l.ioWorker(ctx)
-		})
+	for i := range l.io {
+		l.io[i].l = l
+		l.env.WG.Go("dali-io", l.io[i].run)
 	}
-
-	// Reader: assemble raw batches in order, loading samples with bounded
-	// parallel I/O, and hand them to GPU pipelines round-robin.
-	l.env.WG.Go("dali-reader", func() {
-		defer func() {
-			l.ioTasks.Close()
-			for _, q := range l.rawQs {
-				q.Close()
-			}
-		}()
-		var seq int64
-		// One items slice serves every batch: loadRaw copies each item into
-		// the ioTask it dispatches, and keeps none.
-		items := make([]loader.IndexItem, 0, l.spec.BatchSize)
-		for {
-			items = items[:0]
-			for len(items) < l.spec.BatchSize {
-				it, err := l.idx.Next()
-				if err != nil {
-					return
-				}
-				items = append(items, it)
-			}
-			b, err := l.loadRaw(ctx, seq, items)
-			if err != nil {
-				return
-			}
-			if err := l.rawQs[seq%int64(len(l.rawQs))].Put(ctx, b); err != nil {
-				return
-			}
-			seq++
-		}
-	})
-
+	// Reader: raw batches in order, round-robin to the GPU pipelines.
+	l.env.WG.Go("dali-reader", l.rd.run)
 	// One GPU preprocessing pipeline per device (exec_async).
-	for g := range l.env.GPUs {
-		g := g
-		l.env.WG.Go("dali-gpu-pipe", func() {
-			l.gpuPipe(ctx, g)
-		})
+	for g := range l.pipes {
+		l.env.WG.Go("dali-gpu-pipe", l.pipes[g].run)
 	}
 	return nil
 }
 
-// ioWorker is one slot of the persistent IO pool: it loads samples for the
-// reader until the task queue closes. A fixed pool of ioParallelism workers
-// bounds concurrent loads exactly like the per-batch semaphore it replaced,
-// without spawning a goroutine (and a semaphore queue) per sample.
-func (l *Loader) ioWorker(ctx context.Context) {
-	for {
-		t, err := l.ioTasks.Get(ctx)
-		if err != nil {
-			return
+// ioWorker is one slot of the persistent IO pool, which bounds concurrent
+// loads at ioParallelism: its task takes, reads, ingests and reports load
+// after load for the reader until the task queue closes.
+type ioWorker struct {
+	loader.Path
+	l    *Loader
+	at   int // where the path goes on
+	slot int // the load's slot in its batch
+}
+
+// The points of an I/O worker's path (Walk).
+const (
+	ioTake = iota // take the next load, or wait for one
+	ioRead        // read the sample, then ingest it on the CPU
+	ioPut         // report the load to the reader
+)
+
+func (w *ioWorker) run() { w.Run(w.l.ctx, w.l.env, w) }
+
+// Walk implements loader.Walker.
+func (w *ioWorker) Walk(step bool) bool {
+	l := w.l
+	switch w.at {
+	case ioTake:
+		if t, ok := loader.Take(&w.Path, l.ioTasks); ok {
+			w.S, w.slot, w.at = loader.FillSample(l.env, l.spec, t.item), t.slot, ioRead
 		}
-		s, err := loader.LoadSample(ctx, l.env, l.spec, t.item)
-		if err == nil {
+	case ioRead:
+		if done, ok := w.Read(step); !done {
+			return ok
+		}
+		if w.at = ioPut; w.Err == nil {
 			// Host-side ingest (decode headers, pin buffers): small CPU
 			// cost so DALI shows the paper's light CPU footprint.
 			ingest := time.Millisecond +
-				time.Duration(float64(s.RawBytes)/(1<<20)*0.2*float64(time.Millisecond))
-			err = l.env.CPU.Run(ctx, ingest)
-			if err != nil {
-				l.env.Pool.Put(s)
-				s = nil
-			}
+				time.Duration(float64(w.S.RawBytes)/(1<<20)*0.2*float64(time.Millisecond))
+			w.Occupy(l.env.CPU, ingest)
 		}
-		if perr := l.ioDone.Put(context.Background(), ioResult{s: s, slot: t.slot, err: err}); perr != nil {
-			l.env.Pool.Put(s)
-			return
+	case ioPut: // a sample whose ingest failed goes to the pool with its batch
+		if step && l.ioDone.Len() >= l.ioDone.Cap() {
+			return false
 		}
+		if err := l.ioDone.Put(context.Background(), ioResult{s: w.S, slot: w.slot, err: w.Err}); err != nil {
+			l.env.Pool.Put(w.S)
+			w.Done = true
+		}
+		w.S, w.at = nil, ioTake
+	}
+	return !w.Done
+}
+
+// reader is the reader task: it draws a batch's items, dispatches their
+// loads to the IO pool, collects the results into a raw batch and hands it
+// to its GPU pipe, batch after batch. Err holds a batch's first failed
+// dispatch or load.
+type reader struct {
+	loader.Path
+	l     *Loader
+	at    int
+	seq   int64
+	items []loader.IndexItem // the batch's draws, copied into the loads
+	b     *data.Batch        // the raw batch the loads fill
+	sent  int                // loads dispatched
+	got   int                // and reported
+}
+
+// The points of the reader's path (Walk).
+const (
+	rdDraw     = iota // draw the next batch's items
+	rdDispatch        // dispatch their loads to the IO pool
+	rdCollect         // take the loads' results
+	rdHand            // hand the raw batch to its GPU pipe
+)
+
+func (r *reader) run() {
+	r.Run(r.l.ctx, r.l.env, r)
+	r.b.Release() // one the reader could not fill or hand over
+	r.l.ioTasks.Close()
+	for i := range r.l.pipes {
+		r.l.pipes[i].raw.Close()
 	}
 }
 
-// loadRaw loads a batch's samples through the IO worker pool. The returned
-// batch still holds raw (untransformed) samples.
-func (l *Loader) loadRaw(ctx context.Context, seq int64, items []loader.IndexItem) (*data.Batch, error) {
-	b := l.env.Pool.GetBatch(len(items))
-	b.Samples = b.Samples[:len(items)]
-	dispatched := 0
-	var firstErr error
-	for i, it := range items {
-		if err := l.ioTasks.Put(ctx, ioTask{item: it, slot: i}); err != nil {
-			firstErr = err
-			break
+// Walk implements loader.Walker. A failed load, or a shutdown, ends the
+// reader once the dispatched loads are in.
+func (r *reader) Walk(step bool) bool {
+	l := r.l
+	switch r.at {
+	case rdDraw:
+		if it, err := l.idx.Next(); err != nil { // drop the partial batch (drop_last)
+			r.Done = true
+		} else if r.items = append(r.items, it); len(r.items) == l.spec.BatchSize {
+			r.b = l.env.Pool.GetBatch(len(r.items))
+			r.b.Samples = r.b.Samples[:len(r.items)]
+			r.sent, r.got, r.at = 0, 0, rdDispatch
 		}
-		dispatched++
-	}
-	for n := 0; n < dispatched; n++ {
-		r, err := l.ioDone.Get(ctx)
-		if err != nil {
-			// Shutdown: results for in-flight tasks are unrecoverable here;
-			// the pool instances are reclaimed by GC with the session.
-			b.Release()
-			return nil, err
+	case rdDispatch:
+		if r.sent == len(r.items) {
+			r.at = rdCollect
+		} else if step && l.ioTasks.Len() >= l.ioTasks.Cap() {
+			return false
+		} else if r.Err = l.ioTasks.Put(l.ctx, ioTask{item: r.items[r.sent], slot: r.sent}); r.Err == nil {
+			r.sent++
+		} else {
+			r.at = rdCollect
 		}
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
+	case rdCollect:
+		if r.got == r.sent {
+			r.b.Seq, r.b.CreatedAt, r.at = r.seq, l.env.RT.Now(), rdHand
+			r.Done = r.Err != nil
+		} else if res, ok := loader.Take(&r.Path, l.ioDone); ok {
+			if r.got++; res.err != nil && r.Err == nil {
+				r.Err = res.err
+			}
+			r.b.Samples[res.slot] = res.s
 		}
-		b.Samples[r.slot] = r.s
+	case rdHand:
+		raw := &l.pipes[r.seq%int64(len(l.pipes))].raw
+		if step && raw.Len() >= raw.Cap() {
+			return false
+		}
+		if r.Done = raw.Put(l.ctx, r.b) != nil; !r.Done {
+			r.b, r.items, r.seq, r.at = nil, r.items[:0], r.seq+1, rdDraw
+		}
 	}
-	if firstErr != nil {
-		b.Release()
-		return nil, firstErr
-	}
-	b.Seq, b.CreatedAt = seq, l.env.RT.Now()
-	return b, nil
+	return !r.Done
 }
 
-// gpuPipe preprocesses raw batches on GPU g and buffers ready batches.
-func (l *Loader) gpuPipe(ctx context.Context, g int) {
-	dev := l.env.GPUs[g]
-	// Boxed into the interface once, here: converting the struct at every
-	// Apply would heap-allocate a copy per sample.
-	var exec transform.Executor = transform.ScaledExecutor{Exec: gpu.Executor{G: dev}, Speedup: speedup}
-	defer l.readyQs[g].Close()
-	for {
-		b, err := l.rawQs[g].Get(ctx)
-		if err != nil {
-			return
+// gpuPipe is a GPU's preprocessing task (exec_async) with the queues on
+// either side of it: it preprocesses raw batches on the GPU sample by sample
+// and buffers the ready ones in GPU memory.
+type gpuPipe struct {
+	loader.Path
+	l          *Loader
+	g          *gpu.GPU
+	raw, ready queue.Queue[*data.Batch]
+
+	at   int         // where the path goes on
+	b    *data.Batch // the batch in hand
+	i    int         // its sample on the GPU
+	perr error       // what that sample's pipeline walk ended with
+}
+
+// The points of a GPU pipe's path (Walk).
+const (
+	pipeTake   = iota // take the next raw batch, or wait for one
+	pipeSample        // preprocess the batch's next sample, or buffer the batch
+	pipeDone          // the sample's GPU occupancy is done
+	pipePut           // hand the buffered batch to the ready queue
+)
+
+func (p *gpuPipe) run() {
+	defer p.ready.Close()
+	p.Run(p.l.ctx, p.l.env, p)
+}
+
+// Walk implements loader.Walker.
+func (p *gpuPipe) Walk(step bool) bool {
+	l, rt := p.l, p.l.env.RT
+	switch p.at {
+	case pipeTake:
+		if b, ok := loader.Take(&p.Path, &p.raw); ok {
+			p.b, p.i, p.at = b, 0, pipeSample
 		}
-		for _, s := range b.Samples {
-			s.PreprocStart = l.env.RT.Now()
-			if err := l.spec.Pipeline.Apply(ctx, exec, s); err != nil {
-				b.Release()
-				return
+	case pipeSample:
+		if p.i < len(p.b.Samples) {
+			s := p.b.Samples[p.i]
+			s.PreprocStart = rt.Now()
+			work, err := l.spec.Pipeline.Plan(s, -1)
+			if p.perr, p.Err, p.at = err, nil, pipeDone; work > 0 {
+				p.Occupy(p.g.Occupancy(time.Duration(float64(work) / speedup)))
 			}
-			s.PreprocEnd = l.env.RT.Now()
-		}
-		// Buffered ready batches live in GPU memory until consumed.
-		if err := dev.Reserve(b.Bytes()); err != nil {
+		} else if err := p.g.Reserve(p.b.Bytes()); err != nil {
+			// Buffered ready batches live in GPU memory until consumed.
 			// Memory pressure: DALI raises OOM in the real system (§3.4).
 			// Our harness surfaces it as a stopped pipeline.
-			b.Release()
-			return
+			p.b.Release()
+			p.Done = true
+		} else {
+			p.b.Resident, p.b.CreatedAt, p.at = true, rt.Now(), pipePut
 		}
-		b.Resident = true
-		b.CreatedAt = l.env.RT.Now()
-		if err := l.readyQs[g].Put(ctx, b); err != nil {
-			dev.Release(b.Bytes())
-			b.Release()
-			return
+	case pipeDone:
+		if p.Done = cmp.Or(p.Err, p.perr) != nil; p.Done {
+			p.b.Release()
+		} else {
+			p.b.Samples[p.i].PreprocEnd = rt.Now()
+			p.i, p.at = p.i+1, pipeSample
 		}
+	case pipePut:
+		if step && p.ready.Len() >= p.ready.Cap() {
+			return false
+		}
+		if err := p.ready.Put(l.ctx, p.b); err != nil {
+			p.g.Release(p.b.Bytes())
+			p.b.Release()
+			p.Done = true
+		}
+		p.b, p.at = nil, pipeTake
 	}
+	return !p.Done
 }
 
 // Next implements loader.Loader: per-GPU ready queues.
 func (l *Loader) Next(ctx context.Context, g int) (*data.Batch, error) {
-	b, err := l.readyQs[g].Get(ctx)
+	b, err := l.pipes[g].ready.Get(ctx)
 	if err != nil {
 		return nil, loader.EOFIfClosed(err)
 	}
@@ -274,10 +348,14 @@ func (l *Loader) Stop() {
 	l.idx.Close()
 	l.ioTasks.Close()
 	l.ioDone.Close()
-	for _, q := range l.rawQs {
-		q.Close()
-	}
-	for _, q := range l.readyQs {
-		q.Close()
+	for i := range l.pipes {
+		p := &l.pipes[i]
+		p.raw.Close()
+		p.ready.Close()
+		// Raw batches no pipe will take (the ready ones the session drains
+		// through Next) go back to the pool.
+		for b, ok, _ := p.raw.TryGet(); ok; b, ok, _ = p.raw.TryGet() {
+			b.Release()
+		}
 	}
 }

@@ -1,13 +1,17 @@
 // Package loader defines the vocabulary shared by every data loader in this
 // repository: the Loader interface the trainer consumes batches through, the
-// Spec describing what to load, the Env bundling substrate handles, and the
-// shuffled index source all loaders draw sample indices from.
+// Spec describing what to load, the Env bundling substrate handles, the
+// shuffled index source all loaders draw sample indices from, and the sample
+// path the baselines walk as wake steps (Path).
 package loader
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"runtime/debug"
+	"time"
 
 	"github.com/minatoloader/minato/internal/data"
 	"github.com/minatoloader/minato/internal/dataset"
@@ -207,9 +211,9 @@ func (is *IndexSource) Next() (IndexItem, error) {
 func (is *IndexSource) Close() { is.end = is.seq }
 
 // FillSample draws a pooled sample and fills its descriptor for an index
-// item, without paying the storage read — the front half of LoadSample,
-// used by cache fast paths that may skip the read entirely. The caller owns
-// the returned sample.
+// item, without paying the storage read (Path.Read pays it), for a path or a
+// cache fast path that may skip the read entirely. The caller owns the
+// returned sample.
 func FillSample(env *Env, spec Spec, it IndexItem) *data.Sample {
 	s := env.Pool.Get()
 	dataset.Fill(spec.Dataset, it.Epoch, it.Index, s)
@@ -217,15 +221,138 @@ func FillSample(env *Env, spec Spec, it IndexItem) *data.Sample {
 	return s
 }
 
-// LoadSample materializes, reads, and stamps a sample for an index item.
-// The sample instance is drawn from the environment's pool; the caller owns
-// it and must hand it onward (into a batch) or release it back with
-// env.Pool.Put. On error no sample is retained.
-func LoadSample(ctx context.Context, env *Env, spec Spec, it IndexItem) (*data.Sample, error) {
-	s := FillSample(env, spec, it)
-	if err := env.Store.ReadSample(ctx, env.RT, s); err != nil {
-		env.Pool.Put(s)
-		return nil, err
+// Path is the sample path of a loader task that parks in a wake step
+// (simtime.Selector.WaitStep): the task parks on Sel at each wait the path
+// comes to — an empty queue (Take), a device occupancy (Occupy) — and the
+// wake that ends it walks the path on in the task's turn, with no coroutine
+// switch. Path holds what the baselines walk alike, the waits and a sample's
+// storage read (Read); a Walker makes each loader's own moves. A loader
+// keeps its paths by value: a step allocates nothing per task or park.
+type Path struct {
+	Sel  simtime.Selector
+	S    *data.Sample // the sample in hand
+	Err  error        // what its read, or the last occupancy, ended with
+	Done bool         // the path has ended, and its task exits
+
+	w        Walker
+	env      *Env
+	ctx      context.Context // the run's, which the path parks under
+	q        simtime.Source  // the queue Take armed Sel on
+	dev      *device.Device  // the device occupied, with its entry
+	e        *device.Entry
+	t0       time.Duration // the disk read's start, while fetching
+	fetching bool
+	panicked any // a panic Step caught, for Run to raise
+}
+
+// Walker makes a path's moves: Walk makes the next one and reports whether
+// the path goes on, false once it is Done or when a step (step true) comes
+// to a move that parks elsewhere — a put into a full queue, a page-cache
+// follower's wait, a remote fetch — which its task makes.
+type Walker interface{ Walk(step bool) bool }
+
+// Run is a path's task on env: it walks the path with w, parks in its wake
+// step at each wait and makes the moves a step hands back, until the path is
+// done. Cancellation of ctx ends an occupancy unfinished, with ctx's error in
+// Err, as Device.Run does, and a wait in Take, the path.
+func (p *Path) Run(ctx context.Context, env *Env, w Walker) {
+	p.Sel.Bind(env.RT)
+	for p.w, p.env, p.ctx = w, env, ctx; !p.Done; {
+		if d, wait := p.walk(false); wait {
+			err := p.Sel.WaitStep(ctx, d, p)
+			if p.panicked != nil {
+				panic(p.panicked)
+			}
+			if err != nil && p.e != nil {
+				p.dev.Leave(p.e, false)
+				p.e, p.Err = nil, err
+			} else if err != nil {
+				p.q.Disarm(&p.Sel)
+				p.Done = true
+			}
+		}
 	}
-	return s, nil
+}
+
+// Step implements simtime.Stepper: the walk on, in the task's turn. User
+// code (a dataset's Fill, a transform's Cost) then runs on the kernel loop's
+// stack, where a panic would crash the loop without naming the task: it ends
+// the walk, and Run raises it again, with the stack it came from, on the
+// task's.
+func (p *Path) Step() (d time.Duration, wait bool) {
+	defer func() {
+		if v := recover(); v != nil {
+			p.panicked, wait = fmt.Sprintf("%v\n\n%s", v, debug.Stack()), false
+		}
+	}()
+	return p.walk(true)
+}
+
+// walk runs the path on until it waits, returning the park's deadline and
+// true: an occupancy with work left, or a queue Take armed Sel on.
+func (p *Path) walk(step bool) (time.Duration, bool) {
+	for {
+		if p.e != nil {
+			if d, wait := p.dev.Settle(p.e); wait {
+				return d, true
+			}
+			p.dev.Leave(p.e, true)
+			p.e = nil
+		}
+		if p.q = nil; !p.w.Walk(step) || p.q != nil {
+			return 0, p.q != nil
+		}
+	}
+}
+
+// Take takes the next item from q, or arms Sel on q for the path to wait
+// (ok false); q closed and drained ends the path.
+func Take[T any](p *Path, q *queue.Queue[T]) (v T, ok bool) {
+	v, ok, err := q.TryGet()
+	if p.Done = err != nil; !ok && !p.Done {
+		p.Sel.Reset()
+		q.Arm(&p.Sel, 0)
+		p.q = q
+	}
+	return v, ok
+}
+
+// Read walks the read of the sample in hand on — Store.ReadSample's lookup,
+// disk occupancy and Fetched, apart — and reports done once it is over, Err
+// holding how it ended (a failed read's sample is back in the pool). A step
+// hands its task a follower's wait behind a fill in flight or a remote fetch
+// (ok false).
+func (p *Path) Read(step bool) (done, ok bool) {
+	ctx, st, rt, s := p.ctx, p.env.Store, p.env.RT, p.S
+	switch {
+	case !p.fetching && step && st.Cache != nil && st.Cache.Waits(s.Key),
+		p.fetching && step && st.Remote != nil:
+		return false, false
+	case !p.fetching:
+		read, err := st.Lookup(ctx, rt, s)
+		if p.Err = err; !read {
+			break
+		}
+		p.t0, p.fetching = rt.Now(), true
+		if n := s.RawBytes; n > 0 {
+			p.Occupy(st.Disk.Occupancy(n))
+		}
+		return false, true
+	default:
+		p.Err, p.fetching = st.Fetched(ctx, rt, s, p.t0, p.Err), false
+	}
+	if p.Err != nil {
+		p.env.Pool.Put(s)
+		p.S = nil
+	}
+	return true, true
+}
+
+// Occupy enters dev for work, parked on Sel: Device.Run's front half, whose
+// waits the walk times. Once the run is cancelled it enters nothing, and Err
+// is the cancellation.
+func (p *Path) Occupy(dev *device.Device, work time.Duration) {
+	if p.Err = p.ctx.Err(); p.Err == nil {
+		p.dev, p.e = dev, dev.Enter(work, &p.Sel)
+	}
 }

@@ -14,6 +14,7 @@
 package pytorch
 
 import (
+	"cmp"
 	"context"
 
 	"github.com/minatoloader/minato/internal/data"
@@ -54,8 +55,8 @@ type Loader struct {
 	spec loader.Spec
 	cfg  Config
 
-	idx      *loader.IndexSource
-	workerQs []*queue.Queue[batchTask]
+	idx     *loader.IndexSource
+	workers []worker
 	// tokens caps outstanding batches (dispatched − consumed) at
 	// workers × prefetch_factor; Next returns a token on consumption.
 	tokens *queue.Queue[struct{}]
@@ -69,6 +70,7 @@ type Loader struct {
 	reorder    reorderBuffer
 	orderCache transform.OrderCache
 	stopped    bool
+	ctx        context.Context // the run's, once Start has begun scope
 	scope      simtime.CancelScope
 }
 
@@ -93,9 +95,9 @@ func New(env *loader.Env, spec loader.Spec, cfg Config) *Loader {
 	l.reorder.pending = make(map[int64]*data.Batch)
 	l.reorder.total = int64(spec.TotalBatches())
 	l.reorder.out = l.out
-	for w := 0; w < cfg.Workers; w++ {
-		l.workerQs = append(l.workerQs,
-			queue.New[batchTask](env.RT, "pytorch-tasks", cfg.PrefetchFactor))
+	l.workers = make([]worker, cfg.Workers)
+	for i := range l.workers {
+		l.workers[i].tasks.Init(env.RT, "pytorch-tasks", cfg.PrefetchFactor)
 	}
 	return l
 }
@@ -103,6 +105,7 @@ func New(env *loader.Env, spec loader.Spec, cfg Config) *Loader {
 // Start implements loader.Loader.
 func (l *Loader) Start(ctx context.Context) error {
 	ctx = l.scope.Begin(l.env.RT, ctx)
+	l.ctx = ctx
 
 	// Fill the dispatch window.
 	for i := 0; i < l.tokens.Cap(); i++ {
@@ -114,11 +117,7 @@ func (l *Loader) Start(ctx context.Context) error {
 	// Dispatcher: group the index stream into batch tasks, round-robin to
 	// workers, gated by the outstanding-batch window.
 	l.env.WG.Go("pytorch-dispatch", func() {
-		defer func() {
-			for _, wq := range l.workerQs {
-				wq.Close()
-			}
-		}()
+		defer l.closeTasks()
 		var seq int64
 		for {
 			if _, err := l.tokens.Get(ctx); err != nil {
@@ -132,7 +131,7 @@ func (l *Loader) Start(ctx context.Context) error {
 				}
 				items = append(items, it)
 			}
-			wq := l.workerQs[seq%int64(len(l.workerQs))]
+			wq := &l.workers[seq%int64(len(l.workers))].tasks
 			if err := wq.Put(ctx, batchTask{seq: seq, items: items}); err != nil {
 				return
 			}
@@ -140,24 +139,17 @@ func (l *Loader) Start(ctx context.Context) error {
 		}
 	})
 
-	for w := 0; w < l.cfg.Workers; w++ {
-		wq := l.workerQs[w]
-		l.env.WG.Go("pytorch-worker", func() {
-			for {
-				task, err := wq.Get(ctx)
-				if err != nil {
-					return
-				}
-				b, err := l.prepare(ctx, task)
-				l.spareItems = append(l.spareItems, task.items)
-				if err != nil {
-					return
-				}
-				l.reorder.deliver(b)
-			}
-		})
+	for i := range l.workers {
+		l.workers[i].l = l
+		l.env.WG.Go("pytorch-worker", l.workers[i].run)
 	}
 	return nil
+}
+
+func (l *Loader) closeTasks() {
+	for i := range l.workers {
+		l.workers[i].tasks.Close()
+	}
 }
 
 // takeItems returns an empty items slice with room for a batch: a spare
@@ -171,39 +163,93 @@ func (l *Loader) takeItems() []loader.IndexItem {
 	return make([]loader.IndexItem, 0, l.spec.BatchSize)
 }
 
-// prepare loads and preprocesses one batch serially — the per-worker loop
-// of Fig 1a.
-func (l *Loader) prepare(ctx context.Context, task batchTask) (*data.Batch, error) {
-	b := l.env.Pool.GetBatch(len(task.items))
-	for _, it := range task.items {
-		s, err := loader.LoadSample(ctx, l.env, l.spec, it)
-		if err != nil {
-			b.Release()
-			return nil, err
-		}
-		s.PreprocStart = l.env.RT.Now()
-		p := l.spec.Pipeline
-		if l.cfg.ReorderPolicy != nil {
-			p = l.reordered(p, s)
-		}
-		if err := p.Apply(ctx, l.env.CPU, s); err != nil {
-			l.env.Pool.Put(s)
-			b.Release()
-			return nil, err
-		}
-		s.PreprocEnd = l.env.RT.Now()
-		b.Samples = append(b.Samples, s)
-	}
-	b.Seq, b.CreatedAt = task.seq, l.env.RT.Now()
-	return b, nil
+// worker is one worker process of Fig 1a: its task takes a batch task at a
+// time from its own queue and loads and preprocesses the batch's samples
+// serially.
+type worker struct {
+	loader.Path
+	l     *Loader
+	tasks queue.Queue[batchTask]
+
+	at   int         // where the path goes on
+	task batchTask   // the batch task in hand
+	b    *data.Batch // its batch
+	perr error       // what the sample's pipeline walk ended with
 }
 
-// reordered resolves the per-sample pipeline rearrangement through a cache
-// keyed by the samples' classification signature, so the policy (and the
-// pipeline construction behind it) runs once per distinct signature instead
-// of once per sample.
-func (l *Loader) reordered(p *transform.Pipeline, s *data.Sample) *transform.Pipeline {
-	return l.orderCache.Reordered(p, s, l.cfg.ReorderPolicy)
+// The points of a worker's path (Walk).
+const (
+	atTake    = iota // take the next batch task, or wait for one
+	atSample         // load the batch's next sample, or deliver the batch
+	atRead           // read the sample, then start its pipeline on the CPU
+	atPlanned        // the pipeline's CPU occupancy is done
+)
+
+func (w *worker) run() { w.Run(w.l.ctx, w.l.env, w) }
+
+// Walk implements loader.Walker. A sample that fails to load or preprocess
+// ends the worker, as an exception ends a PyTorch worker process.
+func (w *worker) Walk(step bool) bool {
+	l := w.l
+	switch w.at {
+	case atTake:
+		if task, ok := loader.Take(&w.Path, &w.tasks); ok {
+			w.task, w.at = task, atSample
+			w.b = l.env.Pool.GetBatch(len(task.items))
+		}
+	case atSample:
+		if n := len(w.b.Samples); n < len(w.task.items) {
+			w.S, w.at = loader.FillSample(l.env, l.spec, w.task.items[n]), atRead
+			break
+		}
+		w.b.Seq, w.b.CreatedAt = w.task.seq, l.env.RT.Now()
+		l.spareItems = append(l.spareItems, w.task.items)
+		l.reorder.deliver(w.b)
+		w.b, w.at = nil, atTake
+	case atRead:
+		if done, ok := w.Read(step); !done {
+			return ok
+		} else if w.fail(w.Err) {
+			return false
+		}
+		w.S.PreprocStart = l.env.RT.Now()
+		work, err := l.pipeline(w.S).Plan(w.S, -1)
+		if w.perr, w.Err, w.at = err, nil, atPlanned; work > 0 {
+			w.Occupy(l.env.CPU, work)
+		}
+	case atPlanned:
+		if w.fail(cmp.Or(w.Err, w.perr)) {
+			return false
+		}
+		w.S.PreprocEnd = l.env.RT.Now()
+		w.b.Samples = append(w.b.Samples, w.S)
+		w.S, w.at = nil, atSample
+	}
+	return !w.Done
+}
+
+// fail ends the worker on a failed sample (err not nil) and reports whether
+// it did: the sample (unless a failed read pooled it) and the batch go back
+// to the pool.
+func (w *worker) fail(err error) bool {
+	if err != nil {
+		w.l.env.Pool.Put(w.S)
+		w.b.Release()
+		w.l.spareItems = append(w.l.spareItems, w.task.items)
+		w.S, w.b, w.Done = nil, nil, true
+	}
+	return err != nil
+}
+
+// pipeline returns the spec's pipeline for s, or its per-sample
+// rearrangement, resolved through a cache keyed by the samples'
+// classification signature, so the policy (and the pipeline construction
+// behind it) runs once per distinct signature instead of once per sample.
+func (l *Loader) pipeline(s *data.Sample) *transform.Pipeline {
+	if l.cfg.ReorderPolicy == nil {
+		return l.spec.Pipeline
+	}
+	return l.orderCache.Reordered(l.spec.Pipeline, s, l.cfg.ReorderPolicy)
 }
 
 // Next implements loader.Loader. All GPU consumers share the single
@@ -227,9 +273,7 @@ func (l *Loader) Stop() {
 	l.scope.Cancel()
 	l.idx.Close()
 	l.tokens.Close()
-	for _, wq := range l.workerQs {
-		wq.Close()
-	}
+	l.closeTasks()
 	l.out.Close()
 }
 

@@ -2,7 +2,10 @@ package loaders
 
 import (
 	"context"
+	"os"
+	"os/exec"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +16,7 @@ import (
 	"github.com/minatoloader/minato/internal/loader/dali"
 	"github.com/minatoloader/minato/internal/loader/pytorch"
 	"github.com/minatoloader/minato/internal/simtime"
+	"github.com/minatoloader/minato/internal/transform"
 	"github.com/minatoloader/minato/internal/workload"
 )
 
@@ -114,4 +118,58 @@ func TestCancelledSessionTerminates(t *testing.T) {
 			k.Drain()
 		})
 	}
+}
+
+// TestStepPanicNamesItsTask: a baseline's tasks run user code (a transform's
+// Cost) inside wake steps, on the kernel loop's stack. A panic there still
+// crashes the process as a panic of the task the step served, by name, as it
+// did when the task ran that code itself — not as an unnamed panic of the
+// loop, and not as a hang. Each loader runs in a child process of this test
+// binary, which the panic ends.
+func TestStepPanicNamesItsTask(t *testing.T) {
+	const childEnv = "MINATO_STEP_PANIC_LOADER"
+	if name := os.Getenv(childEnv); name != "" {
+		panicInStep(name)
+		t.Fatal("the loader ran to its end through a panicking transform")
+	}
+	for _, c := range []struct{ loader, task string }{
+		{"pytorch", "pytorch-worker"},
+		{"dali", "dali-gpu-pipe"},
+	} {
+		t.Run(c.loader, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestStepPanicNamesItsTask$")
+			cmd.Env = append(os.Environ(), childEnv+"="+c.loader)
+			out, err := cmd.CombinedOutput()
+			want := `simtime: task "` + c.task + `" panicked: transform panics on sample 50`
+			if err == nil || !strings.Contains(string(out), want) {
+				t.Fatalf("child ended with %v, output lacks %q:\n%s", err, want, out)
+			}
+		})
+	}
+}
+
+// panicInStep runs the named loader over a pipeline whose transform panics
+// on its 50th sample, long after every task parked in its step.
+func panicInStep(name string) {
+	f, _ := ByName(name)
+	n := 0
+	boom := transform.NewTransform("boom", func(*data.Sample) time.Duration {
+		if n++; n == 50 {
+			panic("transform panics on sample 50")
+		}
+		return time.Millisecond
+	}, nil)
+	k := simtime.NewVirtual()
+	k.Run(func() {
+		spec := workload.Speech(1, 3*time.Second).WithIterations(20).Spec()
+		spec.Pipeline = transform.NewPipeline("boom", boom)
+		ld := f.New(sessionEnv(k), spec)
+		ctx := context.Background()
+		_ = ld.Start(ctx)
+		for b, err := ld.Next(ctx, 0); err == nil; b, err = ld.Next(ctx, 0) {
+			b.Release()
+		}
+	})
 }

@@ -56,7 +56,7 @@ func TestStarParkBudgetAndEndState(t *testing.T) {
 	}
 	// A latency park that wakes itself returns to its task, which then makes
 	// the flow park itself: the 67 transfers whose flow park is no step.
-	want := simtime.KernelStats{Spawns: 65, Parks: 4097, TimedParks: 3074, SelfWakes: 1091, Wakes: 4097, Retimes: 2044, Steps: 1981}
+	want := simtime.KernelStats{Spawns: 65, Parks: 4097, TimedParks: 3074, SelfWakes: 1091, Wakes: 4097, Retimes: 2044, Steps: 1981, Switches: 2069}
 	if st != want {
 		t.Errorf("kernel counts %+v, want %+v", st, want)
 	}

@@ -713,7 +713,7 @@ func TestKernelStatsCountParksAndWakes(t *testing.T) {
 		k.Go("canceller", scope.Cancel) // spawn 3
 		_ = k.Sleep(cctx, time.Hour)    // timed park, ended by the cancellation
 	})
-	want := KernelStats{Spawns: 3, Parks: 3, TimedParks: 2, SelfWakes: 1, Wakes: 3}
+	want := KernelStats{Spawns: 3, Parks: 3, TimedParks: 2, SelfWakes: 1, Wakes: 3, Switches: 5}
 	if got := k.Stats(); got != want {
 		t.Fatalf("Stats = %+v, want %+v", got, want)
 	}

@@ -28,13 +28,14 @@
 // (KernelStats.Steps) or resumes it — the same events in the same order as
 // the Wait loop it replaces, less the switches. A step hands every move that
 // parks elsewhere back to its task. Steps serve a batch constructor's wait, a
-// fabric transfer's flow and a worker's sample path. The price of one task at a
-// time: a task that blocks on an ordinary Go primitive (a channel, a
-// sync.WaitGroup, a mutex held by a parked task) waiting for another task
-// stalls the whole kernel, not just itself — and that includes caller code
-// the kernel runs on a task, such as the body of a Session.Batches or
-// StreamAll loop waiting for another tenant's body, or for a goroutine that
-// is itself waiting at the door.
+// fabric transfer's flow and a worker's sample path, and the baseline loaders'
+// paths. KernelStats.Switches counts the coroutine round trips that are left.
+// The price of one task at a time: a task that blocks on an ordinary Go
+// primitive (a channel, a sync.WaitGroup, a mutex held by a parked task)
+// waiting for another task stalls the whole kernel, not just itself — and
+// that includes caller code the kernel runs on a task, such as the body of a
+// Session.Batches or StreamAll loop waiting for another tenant's body, or for
+// a goroutine that is itself waiting at the door.
 //
 // One rule. The kernel has one owner at a time: the loop, or the one task it
 // has resumed. Everything here except the door (door.go), and every layer

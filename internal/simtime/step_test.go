@@ -116,7 +116,13 @@ func TestWaitStepMatchesWaitLoop(t *testing.T) {
 		t.Error("no park woke itself: the program does not cover self-wakes")
 	}
 	t.Logf("%d events; %+v", len(gotLog), got)
-	got.Steps = 0
+	// The Wait loop switches into each task once at its spawn and once per
+	// park that did not wake itself; each step park (none of which wakes
+	// itself here) saves one of those switches.
+	if want.Switches != want.Spawns+want.Parks-want.SelfWakes || got.Switches != want.Switches-got.Steps {
+		t.Errorf("%d switches with a Wait loop and %d with %d steps", want.Switches, got.Switches, got.Steps)
+	}
+	got.Steps, got.Switches = 0, want.Switches
 	if got != want {
 		t.Errorf("kernel counts with steps %+v, with a Wait loop %+v", got, want)
 	}

@@ -58,6 +58,7 @@ type KernelStats struct {
 	Wakes      uint64 // parked tasks readied: by a wake, a timer or a cancellation
 	Retimes    uint64 // deadlines moved under a parked task (Selector.Retime)
 	Steps      uint64 // the parks a wake step made on the loop, in its task's turn: no switch
+	Switches   uint64 // times the loop resumed a task's coroutine: the round trips themselves
 }
 
 // queues is the storage of a kernel's ready queue, timer heap, task list,
@@ -351,6 +352,7 @@ func (k *Virtual) loop() {
 			k.cur = nil
 			continue // t parked again, without a switch
 		}
+		k.stats.Switches++
 		t.next() // returns when t has parked or finished
 		k.cur = nil
 		if t.call == nil {

@@ -16,9 +16,9 @@ func TestSlowdownStretchesReads(t *testing.T) {
 		start := k.Now()
 		d.ScheduleSlowdown(start+100*time.Millisecond, 4)
 		d.ScheduleSlowdown(start+500*time.Millisecond, 1)
-		_ = d.Read(context.Background(), 100e6) // 0.1s
-		_ = d.Read(context.Background(), 100e6) // 0.4s: starts on the first point
-		_ = d.Read(context.Background(), 100e6) // 0.1s: starts on the second
+		_ = read(d, 100e6) // 0.1s
+		_ = read(d, 100e6) // 0.4s: starts on the first point
+		_ = read(d, 100e6) // 0.1s: starts on the second
 		elapsed := (k.Now() - start).Seconds()
 		if math.Abs(elapsed-0.6) > 0.02 {
 			t.Fatalf("elapsed = %.3fs, want 0.6s", elapsed)
@@ -36,7 +36,7 @@ func TestSlowdownBelowOneClamped(t *testing.T) {
 		d := NewDisk(k, "nvme", 1e9, 1)
 		start := k.Now()
 		d.ScheduleSlowdown(start, 0.1) // cannot speed the disk up
-		_ = d.Read(context.Background(), 1e9)
+		_ = read(d, 1e9)
 		if got := (k.Now() - start).Seconds(); got < 0.99 {
 			t.Fatalf("read completed in %.3fs despite clamp", got)
 		}
@@ -56,7 +56,7 @@ func TestDegradationMidStreamDoesNotLoseReads(t *testing.T) {
 		for i := 0; i < readers; i++ {
 			wg.Go("reader", func() {
 				for j := 0; j < 5; j++ {
-					if err := d.Read(context.Background(), 200e6); err != nil {
+					if err := read(d, 200e6); err != nil {
 						t.Errorf("read: %v", err)
 						return
 					}

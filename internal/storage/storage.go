@@ -56,21 +56,9 @@ func NewDisk(rt *simtime.Virtual, name string, aggregateBW float64, parallelism 
 	}
 }
 
-// Read occupies the disk for n bytes.
-func (d *Disk) Read(ctx context.Context, n int64) error {
-	if n <= 0 {
-		return nil
-	}
-	dev, work := d.Occupancy(n)
-	if err := dev.Run(ctx, work); err != nil {
-		return err
-	}
-	d.bytesRead += n
-	return nil
-}
-
 // Occupancy returns the device and the work of an n-byte read starting now,
-// slowed by the degradation timeline (Read, and Store.Fetched's callers).
+// slowed by the degradation timeline (Store.ReadSample, and Store.Fetched's
+// callers).
 func (d *Disk) Occupancy(n int64) (*device.Device, time.Duration) {
 	f := 1.0
 	if len(d.sched) > 0 {

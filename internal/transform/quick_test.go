@@ -1,7 +1,6 @@
 package transform
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -10,11 +9,11 @@ import (
 	"github.com/minatoloader/minato/internal/data"
 )
 
-// Property: for any pipeline and any budget, Plan followed by Apply
-// performs at least the pipeline's nominal work, consumes exactly the
-// budget on interruption, and leaves the sample fully processed; the
-// overhead versus a straight Apply is bounded by one transform's cost (the
-// re-executed partial, Algorithm 1).
+// Property: for any pipeline and any budget, a budgeted Plan followed by an
+// unbudgeted one performs at least the pipeline's nominal work, consumes
+// exactly the budget on interruption, and leaves the sample fully processed;
+// the overhead versus one unbudgeted Plan is bounded by one transform's cost
+// (the re-executed partial, Algorithm 1).
 func TestQuickBudgetResumeInvariants(t *testing.T) {
 	f := func(costsRaw []uint8, budgetRaw uint16) bool {
 		costs := costsRaw
@@ -35,15 +34,13 @@ func TestQuickBudgetResumeInvariants(t *testing.T) {
 		budget := time.Duration(budgetRaw%300) * time.Millisecond
 
 		s := &data.Sample{Key: data.KeyOf("q", 0), RawBytes: 1 << 20, Bytes: 1 << 20}
-		ex := &recordingExec{}
 		work, err := p.Plan(s, budget)
-		ex.total = work
 		switch {
 		case err == nil:
 			// Completed within budget: work == nominal, everything done.
-			return ex.total == nominal && s.NextTransform == len(ts)
+			return work == nominal && s.NextTransform == len(ts)
 		case errors.Is(err, ErrInterrupted):
-			if ex.total != budget {
+			if work != budget {
 				return false // must consume exactly the budget
 			}
 			idx := s.NextTransform
@@ -51,15 +48,17 @@ func TestQuickBudgetResumeInvariants(t *testing.T) {
 				return false
 			}
 			// Background completion.
-			if err := p.Apply(context.Background(), ex, s); err != nil {
+			rest, err := p.Plan(s, -1)
+			if err != nil {
 				return false
 			}
+			work += rest
 			if s.NextTransform != len(ts) {
 				return false
 			}
 			// Total work = nominal + wasted partial; waste < interrupted
 			// transform's full cost ≤ max transform cost.
-			waste := ex.total - nominal
+			waste := work - nominal
 			return waste >= 0 && waste <= 51*time.Millisecond
 		default:
 			return false
@@ -123,11 +122,4 @@ func TestQuickAutoOrderPermutationAndBarriers(t *testing.T) {
 
 func constQuick(d time.Duration) Transform {
 	return NewTransform("t", func(*data.Sample) time.Duration { return d }, nil)
-}
-
-type recordingExec struct{ total time.Duration }
-
-func (r *recordingExec) Run(_ context.Context, w time.Duration) error {
-	r.total += w
-	return nil
 }

@@ -4,7 +4,7 @@
 //
 // A Transform declares, for a sample in its current state, how much
 // full-speed compute it needs (Cost) and how it changes the sample's size
-// (SizeFactor). Executing a transform occupies an Executor (a CPU pool or a
+// (SizeFactor). Executing a transform occupies a device (a CPU pool or a
 // GPU) for the cost duration under that device's contention model. The
 // pipeline can run with a budget: if a transform would exceed the remaining
 // budget, the worker consumes exactly the remaining budget (the partially
@@ -14,17 +14,11 @@
 package transform
 
 import (
-	"context"
 	"errors"
 	"time"
 
 	"github.com/minatoloader/minato/internal/data"
 )
-
-// Executor is where transform compute runs. *device.Device implements it.
-type Executor interface {
-	Run(ctx context.Context, work time.Duration) error
-}
 
 // Transform is one preprocessing step.
 type Transform interface {
@@ -157,27 +151,14 @@ func (p *Pipeline) TotalCost(s *data.Sample) time.Duration {
 	return total
 }
 
-// Apply runs every remaining transform of s (from s.NextTransform) to
-// completion on exec: it occupies exec for the work Plan walks, then returns
-// what the walk ended with (nil, or a Validator's rejection).
-func (p *Pipeline) Apply(ctx context.Context, exec Executor, s *data.Sample) error {
-	work, err := p.Plan(s, -1)
-	if work > 0 {
-		if rerr := exec.Run(ctx, work); rerr != nil {
-			return rerr
-		}
-	}
-	return err
-}
-
 // Plan walks the remaining transforms of s, accounting each step on the
 // sample, and returns the compute they need and what ended the walk: nil, a
 // Validator's rejection (the work is the steps before it), or ErrInterrupted
 // when a transform would exceed budget (≥ 0; the work is then the budget,
 // Algorithm 1's partial application, and s.NextTransform the transform to
 // re-execute in full, lines 11 & 16-17). Costs and size effects are pure
-// functions of the sample, so the caller occupies its executor once for the
-// whole walk — one device park per Apply instead of one per transform, with
+// functions of the sample, so the caller occupies its device once for the
+// whole walk — one occupancy per walk instead of one per transform, with
 // identical virtual-time occupancy (the per-step executions it replaces were
 // back-to-back on the same device at the same per-task rate). The walk runs
 // the transforms' Validate, Cost and SizeFactor: user code, which may panic.
@@ -270,17 +251,4 @@ func AutoOrder(ts []Transform, s *data.Sample) []Transform {
 	}
 	flush()
 	return out
-}
-
-// ScaledExecutor wraps an executor, dividing all work by Speedup. It models
-// DALI's GPU-accelerated transforms, which the paper measured to be 10×
-// faster than their CPU counterparts (§5.1).
-type ScaledExecutor struct {
-	Exec    Executor
-	Speedup float64
-}
-
-// Run implements Executor.
-func (e ScaledExecutor) Run(ctx context.Context, work time.Duration) error {
-	return e.Exec.Run(ctx, time.Duration(float64(work)/e.Speedup))
 }

@@ -11,14 +11,6 @@ import (
 	"github.com/minatoloader/minato/internal/simtime"
 )
 
-// fakeExec records work without a device.
-type fakeExec struct{ total time.Duration }
-
-func (f *fakeExec) Run(_ context.Context, w time.Duration) error {
-	f.total += w
-	return nil
-}
-
 func constTransform(name string, cost time.Duration, factor float64) Transform {
 	return NewTransform(name,
 		func(*data.Sample) time.Duration { return cost },
@@ -29,18 +21,18 @@ func testSample(raw int64) *data.Sample {
 	return &data.Sample{Index: 0, Key: data.KeyOf("t", 0), RawBytes: raw, Bytes: raw}
 }
 
-func TestApplyRunsAllTransformsAndUpdatesSize(t *testing.T) {
+func TestPlanRunsAllTransformsAndUpdatesSize(t *testing.T) {
 	p := NewPipeline("p",
 		constTransform("a", 10*time.Millisecond, 0.5),
 		constTransform("b", 20*time.Millisecond, 4),
 	)
 	s := testSample(100 << 20)
-	ex := &fakeExec{}
-	if err := p.Apply(context.Background(), ex, s); err != nil {
+	work, err := p.Plan(s, -1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.total != 30*time.Millisecond {
-		t.Errorf("work = %v, want 30ms", ex.total)
+	if work != 30*time.Millisecond {
+		t.Errorf("work = %v, want 30ms", work)
 	}
 	if s.Bytes != 200<<20 {
 		t.Errorf("Bytes = %d, want 200MB", s.Bytes>>20)
@@ -71,12 +63,12 @@ func TestPlanInterruptsMidTransform(t *testing.T) {
 	}
 
 	// Background completion re-executes "slow" in full.
-	ex2 := &fakeExec{}
-	if err := p.Apply(context.Background(), ex2, s); err != nil {
+	work, err = p.Plan(s, -1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ex2.total != 105*time.Millisecond {
-		t.Errorf("resume work = %v, want 105ms (full slow + tail)", ex2.total)
+	if work != 105*time.Millisecond {
+		t.Errorf("resume work = %v, want 105ms (full slow + tail)", work)
 	}
 	if s.NextTransform != 3 {
 		t.Errorf("NextTransform = %d, want 3", s.NextTransform)
@@ -127,7 +119,11 @@ func TestPipelineOnRealDevice(t *testing.T) {
 		)
 		s := testSample(1 << 20)
 		start := k.Now()
-		if err := p.Apply(context.Background(), cpu, s); err != nil {
+		work, err := p.Plan(s, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cpu.Run(context.Background(), work); err != nil {
 			t.Fatal(err)
 		}
 		if got := (k.Now() - start).Seconds(); got < 3 || got > 3.01 {
@@ -205,17 +201,6 @@ func TestImageSegmentationIsOptimallyOrdered(t *testing.T) {
 		if got[i].Name() != tr.Name() {
 			t.Fatalf("AutoOrder changed img-seg pipeline: %v", names(got))
 		}
-	}
-}
-
-func TestScaledExecutor(t *testing.T) {
-	ex := &fakeExec{}
-	sc := ScaledExecutor{Exec: ex, Speedup: 10}
-	if err := sc.Run(context.Background(), time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if ex.total != 100*time.Millisecond {
-		t.Errorf("work = %v, want 100ms", ex.total)
 	}
 }
 

@@ -22,20 +22,24 @@ type batchStream interface {
 // stream is still alive after Close.
 type lifecycleTransport func(t *testing.T, iterations int) (s batchStream, pool func() PoolStats, quiet func())
 
-func openedTransport(t *testing.T, iterations int) (batchStream, func() PoolStats, func()) {
-	sess, err := Open(sessionDataset{n: 256},
-		WithPipeline(flatPipeline(2*time.Millisecond)),
-		WithBatchSize(8),
-		WithIterations(iterations),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Close drains the session-owned kernel: it only returns once every
-	// loader task has fully exited, so a leak would hang the test.
-	return sess, sess.cl.pool.Stats, func() {
-		if left := sess.rt.k.Tasks(); left != 0 {
-			t.Fatalf("%d loader tasks still alive after Close", left)
+// openedTransport opens local sessions of the named loader.
+func openedTransport(loader string) lifecycleTransport {
+	return func(t *testing.T, iterations int) (batchStream, func() PoolStats, func()) {
+		sess, err := Open(sessionDataset{n: 256},
+			WithLoader(loader),
+			WithPipeline(flatPipeline(2*time.Millisecond)),
+			WithBatchSize(8),
+			WithIterations(iterations),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Close drains the session-owned kernel: it only returns once every
+		// loader task has fully exited, so a leak would hang the test.
+		return sess, sess.cl.pool.Stats, func() {
+			if left := sess.rt.k.Tasks(); left != 0 {
+				t.Fatalf("%d loader tasks still alive after Close", left)
+			}
 		}
 	}
 }
@@ -200,12 +204,26 @@ func lifecycleRow(t *testing.T, name string, open lifecycleTransport) {
 	t.Fatalf("no lifecycle row %q", name)
 }
 
-// The opened transport runs the table one named test a row; the dialed one
-// runs every row under TestRemoteSessionLifecycle.
+// The opened transport runs the table one named test a row for
+// MinatoLoader and every row under TestBaselineLifecycle for the baselines;
+// the dialed one runs every row under TestRemoteSessionLifecycle.
 
-func TestBatchesSingleUse(t *testing.T)     { lifecycleRow(t, "single use", openedTransport) }
-func TestBatchesEarlyBreak(t *testing.T)    { lifecycleRow(t, "early break", openedTransport) }
-func TestBatchesContextCancel(t *testing.T) { lifecycleRow(t, "context cancel", openedTransport) }
+func TestBatchesSingleUse(t *testing.T)  { lifecycleRow(t, "single use", openedTransport("minato")) }
+func TestBatchesEarlyBreak(t *testing.T) { lifecycleRow(t, "early break", openedTransport("minato")) }
+func TestBatchesContextCancel(t *testing.T) {
+	lifecycleRow(t, "context cancel", openedTransport("minato"))
+}
+
+// TestBaselineLifecycle runs the lifecycle over the baselines, whose tasks
+// park in wake steps: an early break or a cancel ends each step cleanly, so
+// no loader task is left after Close and every pooled sample came back.
+func TestBaselineLifecycle(t *testing.T) {
+	for _, loader := range []string{"pytorch", "dali"} {
+		for _, row := range lifecycle {
+			t.Run(loader+"/"+row.name, func(t *testing.T) { row.run(t, openedTransport(loader)) })
+		}
+	}
+}
 
 // TestRemoteSessionLifecycle pins the Session-compatible lifecycle rules.
 func TestRemoteSessionLifecycle(t *testing.T) {

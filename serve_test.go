@@ -742,7 +742,7 @@ func TestServedStreamParkBudget(t *testing.T) {
 	// drops or reorders a kernel event moves one of them. The fabric's
 	// flows share their bottleneck's integral, so a rate change retimes only
 	// the group's front, and the others park deadline-free.
-	want := simtime.KernelStats{Spawns: 226, Parks: 20873, TimedParks: 3430, SelfWakes: 415, Wakes: 20872, Retimes: 16207, Steps: 18739}
+	want := simtime.KernelStats{Spawns: 226, Parks: 20873, TimedParks: 3430, SelfWakes: 415, Wakes: 20872, Retimes: 16207, Steps: 18739, Switches: 2100}
 	if st != want {
 		t.Fatalf("kernel counts %+v, want %+v", st, want)
 	}
